@@ -24,7 +24,9 @@ import numpy as np
 
 from .errors import MissingBlock, NotConnected
 from .geometry import BifocalTensor, nearest_rotation, normalized_tensor, skew
-from .graphs import TripletCover, build_dual_edges
+from .graphs import (
+    TripletCover, build_dual_edges, dual_adjacency, dual_bfs, pair_index, triplet_pairs,
+)
 from .nview import NViewBifocal
 from .recovery import closure_scales, resolve_essential_triplet
 
@@ -197,11 +199,6 @@ class AveragingResult:
         return M
 
 
-def _triplet_edges(t):
-    a, b, c = sorted(t)
-    return ((a, b), (a, c), (b, c))
-
-
 def build_triplet_problems(measured: NViewBifocal, cover: TripletCover, regime: str) -> list:
     problems = []
     for k, t in enumerate(sorted(cover.triplets)):
@@ -223,7 +220,7 @@ def _consistent_scale_factors(measured: NViewBifocal, cover: TripletCover) -> di
     triplets = sorted(cover.triplets)
     local = {}
     for t in triplets:
-        edges = _triplet_edges(t)
+        edges = triplet_pairs(t)
         blocks = {}
         for loc, e in zip(((0, 1), (0, 2), (1, 2)), edges):
             blocks[loc] = measured.block(*e)
@@ -247,30 +244,22 @@ def _consistent_scale_factors(measured: NViewBifocal, cover: TripletCover) -> di
 
     # per-triplet sign gauge: BFS over the dual graph
     index = {t: i for i, t in enumerate(triplets)}
-    adj = {t: [] for t in triplets}
-    dual = build_dual_edges(triplets)
-    for a, b in dual:
-        adj[a].append(b)
-        adj[b].append(a)
+    adj = dual_adjacency(triplets)
     sign_gauge = {}
     for root in triplets:
         if root in sign_gauge:
             continue
-        sign_gauge[root] = 1.0
-        queue = [root]
-        while queue:
-            cur = queue.pop(0)
-            for nxt in sorted(adj[cur]):
-                if nxt in sign_gauge:
-                    continue
-                shared = tuple(sorted(set(cur) & set(nxt)))
-                r = local[cur][shared] * local[nxt][shared]
-                sign_gauge[nxt] = sign_gauge[cur] * (1.0 if r >= 0 else -1.0)
-                queue.append(nxt)
+        for cur, parent in dual_bfs(adj, [root]):
+            sign = 1.0
+            if parent is not None:
+                shared = tuple(sorted(set(parent) & set(cur)))
+                r = local[parent][shared] * local[cur][shared]
+                sign = sign_gauge[parent] * (1.0 if r >= 0 else -1.0)
+            sign_gauge[cur] = sign
 
     # magnitude synchronization over dual edges
     rows, rhs = [], []
-    for a, b in dual:
+    for a, b in build_dual_edges(triplets):
         shared = tuple(sorted(set(a) & set(b)))
         row = np.zeros(len(triplets))
         row[index[a]] = 1.0
@@ -284,7 +273,7 @@ def _consistent_scale_factors(measured: NViewBifocal, cover: TripletCover) -> di
     for t in triplets:
         factors[t] = {
             e: float(sign_gauge[t] * local[t][e] * np.exp(g[index[t]]))
-            for e in _triplet_edges(t)
+            for e in triplet_pairs(t)
         }
     return factors
 
@@ -311,7 +300,7 @@ def average(
         raise NotConnected("triplet cover dual graph is disconnected")
     triplets = sorted(cover.triplets)
     for t in triplets:
-        for e in _triplet_edges(t):
+        for e in triplet_pairs(t):
             if e not in measured.blocks:
                 raise MissingBlock(f"cover edge {e} has no measured tensor")
     norm_blocks = {k: normalized_tensor(measured.blocks[k].matrix) for k in measured.blocks}
@@ -325,17 +314,14 @@ def average(
         )
         scale_factors = _consistent_scale_factors(normalized, cover)
     else:
-        scale_factors = {t: {e: 1.0 for e in _triplet_edges(t)} for t in triplets}
+        scale_factors = {t: {e: 1.0 for e in triplet_pairs(t)} for t in triplets}
 
     m = len(triplets)
-    edge_users = {}
-    for t in triplets:
-        for e in _triplet_edges(t):
-            edge_users.setdefault(e, []).append(t)
+    edge_users = pair_index(triplets)
 
     def assemble(blocks_by_edge, t):
         M = np.zeros((9, 9))
-        for (u, v), e in zip(((0, 1), (0, 2), (1, 2)), _triplet_edges(t)):
+        for (u, v), e in zip(((0, 1), (0, 2), (1, 2)), triplet_pairs(t)):
             B = blocks_by_edge[e]
             M[3 * u:3 * u + 3, 3 * v:3 * v + 3] = B
             M[3 * v:3 * v + 3, 3 * u:3 * u + 3] = B.T
@@ -343,7 +329,7 @@ def average(
 
     Ehat = {}
     for t in triplets:
-        scaled = {e: scale_factors[t][e] * norm_blocks[e] for e in _triplet_edges(t)}
+        scaled = {e: scale_factors[t][e] * norm_blocks[e] for e in triplet_pairs(t)}
         Ehat[t] = assemble(scaled, t)
 
     consensus = {}
@@ -402,7 +388,7 @@ def average(
         sums = {e: np.zeros((3, 3)) for e in consensus}
         for t in triplets:
             ZU = Z[t] if polish else Z[t] + U[t]
-            for (u, v), e in zip(((0, 1), (0, 2), (1, 2)), _triplet_edges(t)):
+            for (u, v), e in zip(((0, 1), (0, 2), (1, 2)), triplet_pairs(t)):
                 upper = ZU[3 * u:3 * u + 3, 3 * v:3 * v + 3]
                 lower = ZU[3 * v:3 * v + 3, 3 * u:3 * u + 3]
                 sums[e] += 0.5 * (upper + lower.T)

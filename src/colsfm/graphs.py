@@ -3,11 +3,17 @@
 The dual graph has one node per selected 3-clique and an edge wherever two
 cliques share two cameras; a connected dual graph is the rigidity-like
 condition that makes triplet-wise consistency determine all cameras.
+
+Every dual-graph question is answered from one index, built in O(T) from T
+triplets: each sorted camera pair -> the triplets holding it.  Two triplets
+are dual neighbours iff they share a bucket and differ as camera sets, so an
+adjacency costs the sum of squared bucket sizes instead of O(T^2) pair tests.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter, defaultdict, deque
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -55,40 +61,62 @@ class ViewingGraph:
         return out
 
 
-def _share_two(t1, t2) -> bool:
-    return len(set(t1) & set(t2)) == 2
+def triplet_pairs(t) -> tuple:
+    """The three sorted camera pairs of a triplet."""
+    a, b, c = sorted(t)
+    return (a, b), (a, c), (b, c)
+
+
+def pair_index(triplets) -> dict:
+    """Sorted camera pair -> the triplets holding it, in input order."""
+    index = defaultdict(list)
+    for t in triplets:
+        for p in triplet_pairs(t):
+            index[p].append(t)
+    return index
+
+
+def dual_adjacency(triplets) -> dict:
+    """Triplet -> its dual neighbours in sorted order."""
+    adj = {t: set() for t in triplets}
+    for bucket in pair_index(adj).values():
+        for t in bucket:
+            adj[t].update(bucket)
+    same = defaultdict(set)  # triplets on one camera set share three cameras, not two
+    for t in adj:
+        same[frozenset(t)].add(t)
+    return {t: sorted(nbrs - same[frozenset(t)]) for t, nbrs in adj.items()}
+
+
+def dual_bfs(adj, sources):
+    """Breadth-first walk of a dual adjacency from all sources at once;
+    yields (triplet, parent) in visiting order, parent None for a source."""
+    seen = set(sources)
+    queue = deque((s, None) for s in sources)
+    while queue:
+        cur, parent = queue.popleft()
+        yield cur, parent
+        for nxt in adj[cur]:
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append((nxt, cur))
 
 
 def build_dual_edges(triplets) -> list:
-    out = []
-    for a, b in combinations(sorted(triplets), 2):
-        if _share_two(a, b):
-            out.append((a, b))
-    return out
+    """Pairs (a, b) sharing exactly two cameras, in the order in which
+    combinations(sorted(triplets), 2) yields them, repeats included."""
+    ts = sorted(triplets)
+    adj, count = dual_adjacency(ts), Counter(ts)
+    return [(t, u) for t in ts for u in adj[t] if u > t for _ in range(count[u])]
 
 
-def _components(triplets, dual_edges) -> list:
-    adj = {t: set() for t in triplets}
-    for a, b in dual_edges:
-        if a in adj and b in adj:
-            adj[a].add(b)
-            adj[b].add(a)
-    seen = set()
-    comps = []
+def _components(triplets) -> list:
+    adj = dual_adjacency(triplets)
+    seen, comps = set(), []
     for t in sorted(adj):
-        if t in seen:
-            continue
-        comp = []
-        queue = [t]
-        seen.add(t)
-        while queue:
-            cur = queue.pop(0)
-            comp.append(cur)
-            for nxt in sorted(adj[cur]):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-        comps.append(comp)
+        if t not in seen:
+            comps.append([u for u, _ in dual_bfs(adj, [t])])
+            seen.update(comps[-1])
     return comps
 
 
@@ -108,17 +136,13 @@ class TripletCover:
     def is_connected(self) -> bool:
         if not self.triplets:
             return False
-        return len(_components(self.triplets, self.dual_edges)) == 1
+        return len(_components(self.triplets)) == 1
 
     def components(self) -> list:
-        return _components(self.triplets, self.dual_edges)
+        return _components(self.triplets)
 
     def covered_edges(self) -> set:
-        out = set()
-        for t in self.triplets:
-            a, b, c = sorted(t)
-            out.update({(a, b), (a, c), (b, c)})
-        return out
+        return {p for t in self.triplets for p in triplet_pairs(t)}
 
     def cameras(self) -> set:
         out = set()
@@ -167,20 +191,28 @@ def heuristic_cover(g: ViewingGraph) -> TripletCover:
         return min(g.edges[(a, b)], g.edges[(a, c)], g.edges[(b, c)])
 
     ranked = sorted(tris, key=lambda t: (-min_weight(t), t))
-    chosen = []
-    covered = set()
+    # one pass: a pair -> chosen-triplets index answers "covers a new edge"
+    # (an empty bucket) and, through a union-find over the chosen triplets'
+    # dual components, "joins" (the neighbours of t have two or more roots)
+    chosen, by_pair, parent = [], defaultdict(list), {}
+
+    def find(t):
+        while parent[t] != t:
+            parent[t] = parent[parent[t]]
+            t = parent[t]
+        return t
+
     for t in ranked:
-        a, b, c = t
-        edges = {(a, b), (a, c), (b, c)}
-        new_edge = not edges <= covered
-        joins = False
-        if not new_edge and chosen:
-            comps = _components(chosen, build_dual_edges(chosen))
-            touched = {id(comp) for comp in comps for u in comp if _share_two(t, u)}
-            joins = len(touched) >= 2
-        if new_edge or joins:
-            chosen.append(t)
-            covered |= edges
+        pairs = triplet_pairs(t)
+        roots = {find(u) for p in pairs for u in by_pair[p]}
+        if all(by_pair[p] for p in pairs) and len(roots) < 2:
+            continue
+        parent[t] = t
+        for r in roots:
+            parent[r] = t
+        for p in pairs:
+            by_pair[p].append(t)
+        chosen.append(t)
     return TripletCover.from_triplets(chosen)
 
 
@@ -189,7 +221,7 @@ def enrich_connectivity(cover: TripletCover, full_cover: TripletCover) -> Triple
     clique cover, largest two components first."""
     triplets = list(cover.triplets)
     while True:
-        comps = _components(triplets, build_dual_edges(triplets))
+        comps = _components(triplets)
         if len(comps) <= 1:
             break
         comps = sorted(comps, key=len, reverse=True)
@@ -202,26 +234,15 @@ def enrich_connectivity(cover: TripletCover, full_cover: TripletCover) -> Triple
 
 
 def _shortest_dual_path(full_cover: TripletCover, src: set, dst: set):
-    nodes = set(full_cover.triplets) | src | dst
-    adj = {t: [] for t in nodes}
-    for a, b in build_dual_edges(sorted(nodes)):
-        adj[a].append(b)
-        adj[b].append(a)
+    adj = dual_adjacency(set(full_cover.triplets) | src | dst)
     prev = {}
-    seen = set(src)
-    queue = sorted(src)
-    while queue:
-        cur = queue.pop(0)
+    for cur, parent in dual_bfs(adj, sorted(src)):
+        prev[cur] = parent
         if cur in dst:
             path = [cur]
-            while path[-1] in prev:
+            while prev[path[-1]] is not None:
                 path.append(prev[path[-1]])
             return path[::-1]
-        for nxt in sorted(adj[cur]):
-            if nxt not in seen:
-                seen.add(nxt)
-                prev[nxt] = cur
-                queue.append(nxt)
     return None
 
 
@@ -289,29 +310,20 @@ def insert_virtual_and_prune(
     required_edges = set()
     for t in triplets:
         if not any(t in subs for subs in replaced.values()):
-            a, b, c = sorted(t)
-            required_edges.update({(a, b), (a, c), (b, c)})
+            required_edges.update(triplet_pairs(t))
     required_cameras = set()
     for t in triplets:
         required_cameras.update(t)
 
     def valid(remaining) -> bool:
-        cams = set()
-        for t in remaining:
-            cams.update(t)
-        if cams != required_cameras:
+        if set().union(*remaining) != required_cameras:
             return False
-        covered = set()
-        for t in remaining:
-            a, b, c = sorted(t)
-            covered.update({(a, b), (a, c), (b, c)})
-        if not required_edges <= covered:
+        if not required_edges <= {p for t in remaining for p in triplet_pairs(t)}:
             return False
         for orig, subs in replaced.items():
             if sum(1 for s in subs if s in remaining) < 2:
                 return False
-        comps = _components(remaining, build_dual_edges(remaining))
-        return len(comps) == 1
+        return len(_components(remaining)) == 1
 
     pruned = sorted(set(triplets))
     if valid(pruned):

@@ -35,6 +35,7 @@ from .geometry import (
     triangulate_dlt,
     unit,
 )
+from .graphs import dual_adjacency, dual_bfs
 from .nview import certify_collinear_essential
 
 _LOCAL_PAIRS = ((0, 1), (0, 2), (1, 2))
@@ -431,26 +432,14 @@ def _edge_homography(parent: TripletCameras, child: TripletCameras, shared):
 def _bfs_order(triplets, cover):
     keys = [tuple(t.triplet_id) for t in triplets]
     index = {k: i for i, k in enumerate(keys)}
+    in_cover = set(map(tuple, cover.triplets))
     adj = {k: [] for k in keys}
-    for a, b in cover.dual_edges:
-        ka, kb = tuple(a), tuple(b)
-        if ka in adj and kb in adj:
-            adj[ka].append(kb)
-            adj[kb].append(ka)
-    for k in adj:
-        adj[k] = sorted(set(adj[k]))
-    root = min(keys)
+    adj.update(dual_adjacency([k for k in keys if k in in_cover]))
     order, parents = [], {}
-    seen = {root}
-    queue = [root]
-    while queue:
-        cur = queue.pop(0)
+    for cur, parent in dual_bfs(adj, [min(keys)]):
         order.append(cur)
-        for nxt in adj[cur]:
-            if nxt not in seen:
-                seen.add(nxt)
-                parents[nxt] = cur
-                queue.append(nxt)
+        if parent is not None:
+            parents[cur] = parent
     if len(order) != len(keys):
         raise NotConnected("cover dual graph does not reach every triplet")
     return order, parents, index

@@ -1,3 +1,6 @@
+import hashlib
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,11 @@ from colsfm.graphs import (
     sequential_cover,
 )
 from colsfm.synthetic import generate
+
+
+def _oracle_dual_edges(triplets):
+    """Brute-force dual edges: every pair of sorted triplets sharing two cameras."""
+    return [(a, b) for a, b in combinations(sorted(triplets), 2) if len(set(a) & set(b)) == 2]
 
 
 def _bfs_connected(triplets):
@@ -239,3 +247,113 @@ class TestDualEdges:
         ts = [(0, 1, 2), (1, 2, 3), (0, 4, 5)]
         d = build_dual_edges(ts)
         assert d == [((0, 1, 2), (1, 2, 3))]
+
+    @pytest.mark.parametrize(
+        "ts",
+        [
+            [(2, 0, 1), (1, 2, 3), (3, 1, 0)],  # unsorted triplets
+            [(0, 1, 2), (0, 1, 2), (1, 2, 3)],  # a repeated triplet
+            [(0, 1, 2), (2, 1, 0), (1, 0, 2)],  # one camera set three ways: no edge
+            [(0, 1, 7), (1, 2, 7), (0, 2, 7), (0, 1, 2)],  # virtual camera 7 > n = 3
+        ],
+    )
+    def test_edge_cases_match_oracle(self, ts):
+        assert build_dual_edges(ts) == _oracle_dual_edges(ts)
+
+    def test_random_sets_match_oracle(self):
+        rng = np.random.default_rng(5)
+        for trial in range(200):
+            n = int(rng.integers(3, 9))
+            # ids up to n + 2 stand in for virtual cameras; permutations and
+            # repeats exercise unsorted and duplicated triplets
+            ts = [tuple(int(x) for x in rng.choice(n + 3, size=3, replace=False))
+                  for _ in range(int(rng.integers(0, 25)))]
+            ts += [ts[i] for i in rng.integers(0, len(ts), size=len(ts) // 4)] if ts else []
+            ts = [tuple(rng.permutation(t).tolist()) if rng.uniform() < 0.3 else t for t in ts]
+            assert build_dual_edges(ts) == _oracle_dual_edges(ts)
+
+
+def _golden_stages(seed):
+    """cover.json of heuristic_cover -> enrich_connectivity ->
+    insert_virtual_and_prune on a seeded random weighted graph; weights in
+    1..5 tie often, so the digests also pin the greedy tie order."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 17))
+    p = float(rng.uniform(0.3, 1.0))
+    edges = [(i, j, float(rng.integers(1, 6)))
+             for i in range(n) for j in range(i + 1, n) if rng.uniform() < p]
+    g = ViewingGraph.from_edges(n, edges)
+    cover = heuristic_cover(g)
+    out = [cover.to_json()]
+    try:
+        cover = enrich_connectivity(cover, TripletCover.from_triplets(g.triangles()))
+    except Unconnectable:
+        return out
+    out.append(cover.to_json())
+    next_id = [n]
+
+    def builder(t):
+        next_id[0] += 1
+        return next_id[0] - 1
+
+    cover = insert_virtual_and_prune(
+        cover, 0.5, lambda t: 0.0 if sum(t) % 3 == 0 else 1.0, builder
+    )
+    out.append(cover.to_json())
+    return out
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# sha256 of the covers the original O(T^3) implementation produced
+GOLDEN_COMPLETE_18 = "296b5c3a921dc77ab9fb75cd2a5a4a19a10f541c4e568c278e06b17cf1c51f65"
+GOLDEN_RANDOM = {
+    0: "4fda4293f7765d6fe44e5ebda3a30431dd4831ab0e88a0a90de9151ff184a656",
+    1: "fd392a602a001d71d812d0d44377f824b8022883b821de4389aea5aff72550af",
+    2: "9a07ad438d17128e70dc431319f7418bfe091a0e69caa34e56e6e3d64b09182e",
+    3: "8614cc1a6c985fdc98c2b418c336d47c4baa986e14dd64fbffdf55c9cb0e4414",
+    4: "ddc5fe725a8d2296c93a41f97f45661ea1e21de5df1a63a1a61d3e24b7c39c75",
+    5: "1f9a7f4d516ebb99eef7fb6aec08a04ab92b545de70383028ef02443208cd39b",
+    6: "3572f8e338e14087c99237e7fb20ee2d31f6f35d2569e413f467272c65d4e4db",
+    7: "e81ad7a5072df94bd0ac75e744acc1b7d6e379ccb74e98bbb7b2c16c4a3cccbd",
+    8: "7e78dbfb8cfe996c2c266b0f24228e26b16a275582f6979462ee35ea384c3f4a",
+    9: "ae0267d91ed8ea7fd833113c9ec07933cd1b03570c9f5dbd26854899b0a8b781",  # unconnectable
+    10: "8646055387128d2d40e5fb6cc5f5e367189dceb4929504dd84ce2151fd4d86a5",
+    11: "857997f2967eabd204bdf5d35080628595095a2d8672069139a5580b250800a7",
+    12: "df4ad09bac0a6d3729167c6d98166cca34b27bd5ad8da64cef4a10556095556e",
+    13: "d6b04cb6a1455244d6182d0cec880d08f2f797b56d8e3bca97048210995bd2b4",
+    15: "bf36a2b2987651d7247f9b66ca32a01675136df7415d90440f2418aeb7758eb3",
+    16: "de8f64227108728521fb8b3763d78d1061f98a1f8071a7b7d7d01775f8b6182e",
+    17: "0553934a6e2cf5b30e7ee9f5fcd6e17c4ffe70a04748e3c762851f6ca60a4c92",  # unconnectable
+    18: "2f5d3fdb807f2f3264d898864047ab64759539769eb95c5a6ad2f65e3dbb7988",
+    19: "e1614c207fa785fa7b6fbd8819997f95c5353646df81768317ffbb7948332560",
+    20: "05243dab23aa5fcb3e70f45e5a6753fc500de2b573b4c798b0bd392c593922b6",
+    21: "0854f68e67984f2f1d9b537a73f06dc576a22699abe9b5336cb9865bfbec549d",
+}
+
+
+class TestGoldenCovers:
+    def test_complete_18(self):
+        assert _sha(heuristic_cover(ViewingGraph.complete(18)).to_json()) == GOLDEN_COMPLETE_18
+
+    @pytest.mark.parametrize("seed", sorted(GOLDEN_RANDOM))
+    def test_random_graph_pipeline(self, seed):
+        assert _sha("\n".join(_golden_stages(seed))) == GOLDEN_RANDOM[seed]
+
+
+def test_complete_30_cover_enrich_prune():
+    """4060 triangles: cover, enrich and prune with one marked triplet keep
+    the criterion-8 invariants, checked against the brute-force oracles."""
+    g = ViewingGraph.complete(30)
+    cover = enrich_connectivity(heuristic_cover(g), TripletCover.from_triplets(g.triangles()))
+    assert cover.covered_edges() == set(g.edges)
+    marked = cover.triplets[len(cover.triplets) // 2]
+    out = insert_virtual_and_prune(cover, 0.5, lambda t: 0.0 if t == marked else 1.0, lambda t: 30)
+    assert out.virtual_nodes == {marked: 30}
+    assert _bfs_connected(out.triplets)
+    assert out.dual_edges == _oracle_dual_edges(out.triplets)
+    a, b, c = marked
+    replaced = {(a, b), (a, c), (b, c)}
+    assert set(g.edges) - replaced <= out.covered_edges()
