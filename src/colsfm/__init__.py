@@ -3,7 +3,6 @@
 from .averaging import (
     AdmmConfig,
     AveragingResult,
-    TripletProblem,
     average,
     project_collinear_essential,
     project_collinear_fundamental,

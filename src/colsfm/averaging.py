@@ -13,11 +13,15 @@ fixed points.  The block-rotation constraint is scale sensitive; for that
 regime the driver first restores consistent relative block scales from the
 pairwise decompositions (closure of the translation directions) and
 synchronizes them across triplets sharing a block.
+
+The projections are batched kernels over (m, 3k, 3k) stacks.  The driver
+holds its triplet state as (m, 9, 9) stacks and the consensus as (E, 3, 3)
+camera-pair blocks, linked by index arrays built once per run, so each ADMM
+iteration makes one kernel call for all triplets.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,7 +32,9 @@ from .graphs import (
     TripletCover, build_dual_edges, dual_adjacency, dual_bfs, pair_index, triplet_pairs,
 )
 from .nview import NViewBifocal
-from .recovery import closure_scales, resolve_essential_triplet
+from .recovery import _LOCAL_PAIRS, closure_scales, resolve_essential_triplet
+
+_ROWS, _COLS = zip(*_LOCAL_PAIRS)  # block row and column of each local pair
 
 
 @dataclass
@@ -47,24 +53,25 @@ class AdmmConfig:
 
 
 @dataclass
-class TripletProblem:
-    triplet_id: int
-    camera_ids: tuple
-    measured: np.ndarray  # 9x9 symmetric, zero diagonal blocks
-    regime: str
-    kind: str
-
-
-@dataclass
 class ProjectionResult:
     matrix: np.ndarray
     signature_deficient: bool = False
 
 
+def _outer(a: np.ndarray) -> np.ndarray:
+    """Stacked np.outer(a, a) over the last axis."""
+    return a[..., :, None] * a[..., None, :]
+
+
+def _diag(d: np.ndarray) -> np.ndarray:
+    """Stacked np.diag of the rows of d."""
+    return np.where(np.eye(d.shape[-1], dtype=bool), d[..., None, :], 0.0)
+
+
 def _eig_desc(S: np.ndarray):
-    w, V = np.linalg.eigh((S + S.T) / 2.0)
-    order = np.argsort(w)[::-1]
-    return w[order], V[:, order]
+    w, V = np.linalg.eigh((S + S.swapaxes(-1, -2)) / 2.0)
+    order = np.argsort(w, axis=-1)[..., ::-1]
+    return np.take_along_axis(w, order, -1), np.take_along_axis(V, order[..., None, :], -1)
 
 
 def _select_signed(w: np.ndarray, need: int, rank_tol: float):
@@ -95,82 +102,122 @@ def _select_signed(w: np.ndarray, need: int, rank_tol: float):
     return pos, pos_vals, neg, neg_vals, flag
 
 
+def _truncate(S: np.ndarray, need: int, rank_tol: float):
+    """(positive eigenvectors, values, negative eigenvectors, values, flags)
+    kept per matrix of a stack, `need` per sign by descending magnitude.
+    Rows with `need` clear eigenvalues of each sign keep the extreme ones;
+    the signature-deficient rest take their choice from `_select_signed`."""
+    w, V = _eig_desc(S)
+    pos = np.tile(np.arange(need), (len(w), 1))
+    neg = w.shape[-1] - 1 - pos
+    thr = rank_tol * np.max(np.abs(w), axis=-1, keepdims=True)
+    flags = ~(np.all(w[:, :need] > thr, axis=-1) & np.all(w[:, -need:] < -thr, axis=-1))
+    pv, nv = np.take_along_axis(w, pos, -1), np.take_along_axis(w, neg, -1)
+    for i in np.flatnonzero(flags):
+        pos[i], pv[i], neg[i], nv[i], _ = _select_signed(w[i], need, rank_tol)
+    X = np.take_along_axis(V, pos[:, None, :], -1)
+    Y = np.take_along_axis(V, neg[:, None, :], -1)
+    return X, pv, Y, nv, flags
+
+
+def _symmetrized(out: np.ndarray) -> np.ndarray:
+    return (out + out.swapaxes(-1, -2)) / 2.0
+
+
+def _collinear_essential(S: np.ndarray, rank_tol: float = 1e-6):
+    X, pv, Y, nv, flags = _truncate(S, 2, rank_tol)
+    out = np.zeros_like(S)
+    for k in range(2):
+        lam = (pv[:, k] - nv[:, k]) / 2.0
+        out += lam[:, None, None] * (_outer(X[..., k]) - _outer(Y[..., k]))
+    return _symmetrized(out), flags
+
+
+def _signature_kernel(need: int):
+    """Kernel keeping the `need` extreme eigenvalues of each sign, zeroing the rest."""
+
+    def kernel(S: np.ndarray, rank_tol: float = 1e-6):
+        X, pv, Y, nv, flags = _truncate(S, need, rank_tol)
+        vecs = np.concatenate([X, Y], axis=-1)
+        vals = np.concatenate([pv, nv], axis=-1)
+        out = sum(vals[:, k, None, None] * _outer(vecs[..., k]) for k in range(2 * need))
+        return _symmetrized(out), flags
+
+    return kernel
+
+
+_collinear_fundamental = _signature_kernel(2)
+_general_fundamental = _signature_kernel(3)
+
+# relative column signs of Y tried by the general-essential projection:
+# row b has +1 in column k when bit k of b is set
+_SIGN_CASES = np.array([[1.0 if b & (1 << k) else -1.0 for k in range(3)] for b in range(8)])
+
+
+def _general_essential(S: np.ndarray, rank_tol: float = 1e-6):
+    m, d = S.shape[:2]
+    n = d // 3
+    X, pv, Y, nv, flags = _truncate(S, 3, rank_tol)
+    lam = (pv - nv) / 2.0
+    Vh = np.sqrt(0.5) * (X[:, None] + Y[:, None] * _SIGN_CASES[:, None, :])
+    blocks = np.sqrt(n) * Vh.reshape(m, 8, n, 3, 3)
+    G = np.einsum("...nij,...nik->...njk", blocks, blocks) - np.eye(3)
+    r = np.sum((G * G).reshape(m, 8, -1), axis=-1)
+    Ys = Y * _SIGN_CASES[np.argmin(r, axis=1)][:, None, :]
+    dets = np.linalg.det((np.sqrt(0.5) * (X + Ys)).reshape(m, n, 3, 3))
+    flip = np.where(np.sum(dets, axis=1) < 0, -1.0, 1.0)
+    X[..., 0] *= flip[:, None]
+    Ys[..., 0] *= flip[:, None]
+    Vh = np.sqrt(0.5) * (X + Ys)
+    Uh = np.sqrt(0.5) * (X - Ys)
+    Vrot = nearest_rotation(np.sqrt(n) * Vh.reshape(m, n, 3, 3)).reshape(m, d, 3) / np.sqrt(n)
+    U2 = Uh - Vrot @ (Vrot.swapaxes(-1, -2) @ Uh)
+    Q, R = np.linalg.qr(U2)
+    U2 = Q @ _diag(np.sign(np.diagonal(R, axis1=-2, axis2=-1)))
+    L = _diag(lam)
+    out = U2 @ L @ Vrot.swapaxes(-1, -2) + Vrot @ L @ U2.swapaxes(-1, -2)
+    return _symmetrized(out), flags
+
+
+def _project_one(kernel, S, rank_tol) -> ProjectionResult:
+    M, flags = kernel(np.asarray(S, dtype=float)[None], rank_tol)
+    return ProjectionResult(M[0], bool(flags[0]))
+
+
 def project_collinear_essential(S: np.ndarray, rank_tol: float = 1e-6) -> ProjectionResult:
     """Nearest spectrum with rank 4 and pairing l1 = -l4, l2 = -l3: keep the
     two largest and two most negative eigenvalues, average each pair."""
-    w, V = _eig_desc(S)
-    pos, pv, neg, nv, flag = _select_signed(w, 2, rank_tol)
-    out = np.zeros_like(S)
-    for k in range(2):
-        l = (pv[k] - nv[k]) / 2.0
-        out += l * (np.outer(V[:, pos[k]], V[:, pos[k]]) - np.outer(V[:, neg[k]], V[:, neg[k]]))
-    return ProjectionResult((out + out.T) / 2.0, flag)
+    return _project_one(_collinear_essential, S, rank_tol)
 
 
 def project_collinear_fundamental(S: np.ndarray, rank_tol: float = 1e-6) -> ProjectionResult:
     """Keep the two largest and two most negative eigenvalues unchanged, zero the rest."""
-    w, V = _eig_desc(S)
-    pos, pv, neg, nv, flag = _select_signed(w, 2, rank_tol)
-    out = sum(v * np.outer(V[:, k], V[:, k]) for k, v in zip(pos + neg, pv + nv))
-    return ProjectionResult((out + out.T) / 2.0, flag)
+    return _project_one(_collinear_fundamental, S, rank_tol)
 
 
 def project_general_fundamental(S: np.ndarray, rank_tol: float = 1e-6) -> ProjectionResult:
     """Keep the three largest and three most negative eigenvalues unchanged."""
-    w, V = _eig_desc(S)
-    pos, pv, neg, nv, flag = _select_signed(w, 3, rank_tol)
-    out = sum(v * np.outer(V[:, k], V[:, k]) for k, v in zip(pos + neg, pv + nv))
-    return ProjectionResult((out + out.T) / 2.0, flag)
+    return _project_one(_general_fundamental, S, rank_tol)
 
 
 def project_general_essential(S: np.ndarray, rank_tol: float = 1e-6) -> ProjectionResult:
     """Rank-6 paired-spectrum truncation followed by projecting the
     sqrt(0.5)(X + Y) blocks to rotations and reassembling.
 
-    The relative column signs of Y are searched (8 cases) for the best
-    block-orthogonality; the left factor is re-orthonormalized against the
-    rotated right factor so the output has the exact paired spectrum and the
-    map is idempotent.
+    The relative column signs of Y are searched (8 cases, the first best
+    wins) for the best block-orthogonality; the left factor is
+    re-orthonormalized against the rotated right factor so the output has
+    the exact paired spectrum and the map is idempotent.
     """
-    w, V = _eig_desc(S)
-    n = S.shape[0] // 3
-    pos, pv, neg, nv, flag = _select_signed(w, 3, rank_tol)
-    lam = np.array([(pv[k] - nv[k]) / 2.0 for k in range(3)])
-    X = V[:, pos].copy()
-    Y = V[:, neg].copy()
-    best = None
-    for bits in range(8):
-        signs = np.array([1.0 if bits & (1 << k) else -1.0 for k in range(3)])
-        Vh = np.sqrt(0.5) * (X + Y * signs)
-        blocks = np.sqrt(n) * Vh.reshape(n, 3, 3)
-        G = np.einsum("nij,nik->njk", blocks, blocks) - np.eye(3)
-        r = float(np.sum(G * G))
-        if best is None or r < best[0]:
-            best = (r, signs)
-    Ys = Y * best[1]
-    Vh = np.sqrt(0.5) * (X + Ys)
-    dets = [np.linalg.det(Vh[3 * i:3 * i + 3]) for i in range(n)]
-    if np.sum(dets) < 0:
-        X[:, 0] = -X[:, 0]
-        Ys[:, 0] = -Ys[:, 0]
-        Vh = np.sqrt(0.5) * (X + Ys)
-    Uh = np.sqrt(0.5) * (X - Ys)
-    Vrot = np.zeros_like(Vh)
-    for i in range(n):
-        Vrot[3 * i:3 * i + 3] = nearest_rotation(np.sqrt(n) * Vh[3 * i:3 * i + 3]) / np.sqrt(n)
-    U2 = Uh - Vrot @ (Vrot.T @ Uh)
-    Q, R = np.linalg.qr(U2)
-    U2 = Q @ np.diag(np.sign(np.diag(R)))
-    L = np.diag(lam)
-    out = U2 @ L @ Vrot.T + Vrot @ L @ U2.T
-    return ProjectionResult((out + out.T) / 2.0, flag)
+    return _project_one(_general_essential, S, rank_tol)
 
 
+# the batched kernel of each (regime, kind): (stack, rank_tol) -> (stack, flags)
 _PROJECTIONS = {
-    ("collinear", "essential"): project_collinear_essential,
-    ("collinear", "fundamental"): project_collinear_fundamental,
-    ("general", "essential"): project_general_essential,
-    ("general", "fundamental"): project_general_fundamental,
+    ("collinear", "essential"): _collinear_essential,
+    ("collinear", "fundamental"): _collinear_fundamental,
+    ("general", "essential"): _general_essential,
+    ("general", "fundamental"): _general_fundamental,
 }
 
 
@@ -182,29 +229,12 @@ class AveragingResult:
     iterations: int
     objective: float
     signature_flags: int
-    triplet_ids: list
     consensus: dict = field(repr=False, default_factory=dict)
 
     def triplet_matrix(self, ids) -> np.ndarray:
         """Consensus 9x9 submatrix for a camera triple."""
-        key = tuple(sorted(ids))
-        M = np.zeros((9, 9))
-        trip = list(key)
-        for u in range(3):
-            for v in range(u + 1, 3):
-                e = (trip[u], trip[v])
-                B = self.consensus.get(e, np.zeros((3, 3)))
-                M[3 * u:3 * u + 3, 3 * v:3 * v + 3] = B
-                M[3 * v:3 * v + 3, 3 * u:3 * u + 3] = B.T
-        return M
-
-
-def build_triplet_problems(measured: NViewBifocal, cover: TripletCover, regime: str) -> list:
-    problems = []
-    for k, t in enumerate(sorted(cover.triplets)):
-        M = measured.submatrix(t)
-        problems.append(TripletProblem(k, tuple(sorted(t)), M, regime, measured.kind))
-    return problems
+        blocks = np.array([self.consensus.get(e, np.zeros((3, 3))) for e in triplet_pairs(ids)])
+        return _gathered(blocks, _block_gather(np.arange(3)[None]))[0]
 
 
 def _consistent_scale_factors(measured: NViewBifocal, cover: TripletCover) -> dict:
@@ -221,9 +251,7 @@ def _consistent_scale_factors(measured: NViewBifocal, cover: TripletCover) -> di
     local = {}
     for t in triplets:
         edges = triplet_pairs(t)
-        blocks = {}
-        for loc, e in zip(((0, 1), (0, 2), (1, 2)), edges):
-            blocks[loc] = measured.block(*e)
+        blocks = {loc: measured.block(*e) for loc, e in zip(_LOCAL_PAIRS, edges)}
         try:
             geom = resolve_essential_triplet(blocks, tracks=None, cycle_tol=np.inf)
             sol = closure_scales(geom)
@@ -234,7 +262,7 @@ def _consistent_scale_factors(measured: NViewBifocal, cover: TripletCover) -> di
             continue
         mu, signs, _ = sol
         raw = {}
-        for loc, e in zip(((0, 1), (0, 2), (1, 2)), edges):
+        for loc, e in zip(_LOCAL_PAIRS, edges):
             # the decomposition reproduces the stored block only up to sign
             recon = skew(geom.t_dirs[loc]) @ geom.rotations[loc]
             tau = 1.0 if float(np.sum(recon * blocks[loc])) >= 0 else -1.0
@@ -258,24 +286,40 @@ def _consistent_scale_factors(measured: NViewBifocal, cover: TripletCover) -> di
             sign_gauge[cur] = sign
 
     # magnitude synchronization over dual edges
-    rows, rhs = [], []
-    for a, b in build_dual_edges(triplets):
+    dual = build_dual_edges(triplets)
+    A = np.zeros((len(dual) + 1, len(triplets)))
+    A[-1, 0] = 1.0  # gauge: first triplet factor 1
+    rhs = np.zeros(len(dual) + 1)
+    for k, (a, b) in enumerate(dual):
         shared = tuple(sorted(set(a) & set(b)))
-        row = np.zeros(len(triplets))
-        row[index[a]] = 1.0
-        row[index[b]] = -1.0
-        rows.append(row)
-        rhs.append(np.log(abs(local[b][shared])) - np.log(abs(local[a][shared])))
-    rows.append(np.eye(len(triplets))[0])  # gauge: first triplet factor 1
-    rhs.append(0.0)
-    g, *_ = np.linalg.lstsq(np.vstack(rows), np.asarray(rhs), rcond=None)
-    factors = {}
-    for t in triplets:
-        factors[t] = {
-            e: float(sign_gauge[t] * local[t][e] * np.exp(g[index[t]]))
-            for e in triplet_pairs(t)
-        }
-    return factors
+        A[k, index[a]], A[k, index[b]] = 1.0, -1.0
+        rhs[k] = np.log(abs(local[b][shared])) - np.log(abs(local[a][shared]))
+    g, *_ = np.linalg.lstsq(A, rhs, rcond=None)
+    return {
+        t: {e: float(sign_gauge[t] * local[t][e] * np.exp(g[index[t]])) for e in triplet_pairs(t)}
+        for t in triplets
+    }
+
+
+def _block_gather(slots: np.ndarray) -> np.ndarray:
+    """(m, 9, 9) indices into a flat array of 3x3 blocks followed by a zero
+    (`_gathered`): triplet k's local pair a reads block slots[k, a] above the
+    diagonal and its transpose below; the diagonal blocks read the zero."""
+    gather = np.full((len(slots), 9, 9), -1)
+    for a, (u, v) in enumerate(_LOCAL_PAIRS):
+        flat = 9 * slots[:, a, None, None] + np.arange(9).reshape(3, 3)
+        gather[:, 3 * u:3 * u + 3, 3 * v:3 * v + 3] = flat
+        gather[:, 3 * v:3 * v + 3, 3 * u:3 * u + 3] = flat.swapaxes(1, 2)
+    return gather
+
+
+def _gathered(blocks: np.ndarray, gather: np.ndarray) -> np.ndarray:
+    return np.append(blocks.ravel(), 0.0)[gather]
+
+
+def _sq_total(A: np.ndarray, weight: float = 1.0) -> float:
+    """Sum of weight x each stacked matrix's sum of squares, added left to right."""
+    return float(np.cumsum(np.sum(A * A, axis=(1, 2)) * weight)[-1])
 
 
 def average(
@@ -283,7 +327,6 @@ def average(
     cover: TripletCover,
     regime: str,
     cfg: AdmmConfig | None = None,
-    threads: int | None = None,
 ) -> AveragingResult:
     """Consensus ADMM over the triplet cover.
 
@@ -294,6 +337,9 @@ def average(
     blocks, updated in deterministic triplet order; scaled duals close the
     loop.  Output blocks are the consensus renormalized to unit Frobenius
     norm.  Non-convergence is reported on the result, not raised.
+
+    The triplet variables are (m, 9, 9) stacks in sorted triplet order and
+    the consensus an (E, 3, 3) stack in the order of `pair_index`.
     """
     cfg = cfg or AdmmConfig()
     if not cover.is_connected():
@@ -318,32 +364,24 @@ def average(
 
     m = len(triplets)
     edge_users = pair_index(triplets)
+    edges = list(edge_users)
+    slot = {e: k for k, e in enumerate(edges)}
+    edge_of = np.array([[slot[e] for e in triplet_pairs(t)] for t in triplets])  # (m, 3)
+    gather = _block_gather(edge_of)
+    users = np.array([len(edge_users[e]) for e in edges], dtype=float)[:, None, None]
 
-    def assemble(blocks_by_edge, t):
-        M = np.zeros((9, 9))
-        for (u, v), e in zip(((0, 1), (0, 2), (1, 2)), triplet_pairs(t)):
-            B = blocks_by_edge[e]
-            M[3 * u:3 * u + 3, 3 * v:3 * v + 3] = B
-            M[3 * v:3 * v + 3, 3 * u:3 * u + 3] = B.T
-        return M
-
-    Ehat = {}
-    for t in triplets:
-        scaled = {e: scale_factors[t][e] * norm_blocks[e] for e in triplet_pairs(t)}
-        Ehat[t] = assemble(scaled, t)
-
-    consensus = {}
-    for e, users in edge_users.items():
-        consensus[e] = np.mean([scale_factors[t][e] for t in users]) * norm_blocks[e]
-
-    Z = {t: Ehat[t].copy() for t in triplets}
-    U = {t: np.zeros((9, 9)) for t in triplets}
+    Ehat = _gathered(
+        np.array([[scale_factors[t][e] * norm_blocks[e] for e in triplet_pairs(t)] for t in triplets]),
+        _block_gather(np.arange(3 * m).reshape(m, 3)),
+    )
+    consensus = np.array([
+        np.mean([scale_factors[t][e] for t in edge_users[e]]) * norm_blocks[e] for e in edges
+    ])
+    U = np.zeros((m, 9, 9))
     log = []
     converged = False
-    flags = 0
     total = 81.0 * m
-    objective = 0.0
-    best_state = None  # (primal, consensus copy, objective) of the best iterate
+    best_state = None  # (primal, consensus, objective) of the best iterate
 
     # the nonconvex dual dynamics settle into a small limit cycle near the
     # solution; a feasibility polish (plain alternating projections with a
@@ -352,7 +390,7 @@ def average(
     # already nearly consensus-feasible, hence the residual gate.
     switch = max(50, cfg.max_iters // 5)
     polish_enter = 1e3 * cfg.primal_tol
-    polish_latched = False
+    polish = False
     extrap_every = 25
     diff_prev = None
     since_extrap = 0
@@ -360,71 +398,46 @@ def average(
     jump_pending_fresh = False
     last_primal = np.inf
 
-    iteration = 0
     for iteration in range(1, cfg.max_iters + 1):
-        if not polish_latched and iteration > switch and last_primal < polish_enter:
-            polish_latched = True
-        polish = polish_latched
+        if not polish and iteration > switch and last_primal < polish_enter:
+            polish = True
 
-        def z_step(t):
-            if polish:
-                W = assemble(consensus, t)
-            else:
-                W = (2.0 * Ehat[t] + cfg.rho * (assemble(consensus, t) - U[t])) / (2.0 + cfg.rho)
-            return projection(W, cfg.rank_tol)
+        C = _gathered(consensus, gather)
+        W = C if polish else (2.0 * Ehat + cfg.rho * (C - U)) / (2.0 + cfg.rho)
+        Z, deficient = projection(W, cfg.rank_tol)
+        flags = int(np.count_nonzero(deficient))
 
-        if threads and threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(z_step, triplets))
-        else:
-            results = [z_step(t) for t in triplets]
-        flags = 0
-        for t, res in zip(triplets, results):
-            Z[t] = res.matrix
-            if res.signature_deficient:
-                flags += 1
-
-        prev = {e: consensus[e].copy() for e in consensus}
-        sums = {e: np.zeros((3, 3)) for e in consensus}
-        for t in triplets:
-            ZU = Z[t] if polish else Z[t] + U[t]
-            for (u, v), e in zip(((0, 1), (0, 2), (1, 2)), triplet_pairs(t)):
-                upper = ZU[3 * u:3 * u + 3, 3 * v:3 * v + 3]
-                lower = ZU[3 * v:3 * v + 3, 3 * u:3 * u + 3]
-                sums[e] += 0.5 * (upper + lower.T)
-        for e in consensus:
-            consensus[e] = sums[e] / len(edge_users[e])
+        # consensus: each pair block averages its users' symmetrized blocks,
+        # accumulated in triplet order
+        prev = consensus
+        ZU = Z if polish else Z + U
+        halves = (0.5 * (ZU + ZU.swapaxes(1, 2))).reshape(m, 3, 3, 3, 3).swapaxes(2, 3)[:, _ROWS, _COLS]
+        sums = np.zeros_like(consensus)
+        np.add.at(sums, edge_of.ravel(), halves.reshape(3 * m, 3, 3))
+        consensus = sums / users
 
         if polish and jump_state is None:
-            diff = {e: consensus[e] - prev[e] for e in consensus}
-            dn = np.sqrt(sum(float(np.sum(d * d)) for d in diff.values()))
+            diff = consensus - prev
+            dn = np.sqrt(_sq_total(diff))
             since_extrap += 1
             if diff_prev is not None and since_extrap >= extrap_every:
-                dp = np.sqrt(sum(float(np.sum(d * d)) for d in diff_prev.values()))
+                dp = np.sqrt(_sq_total(diff_prev))
                 if 0.0 < dn < 0.9999 * dp:
                     r = dn / dp
                     fac = min(r / (1.0 - r), 1e4)
-                    jump_state = ({e: consensus[e].copy() for e in consensus}, last_primal)
+                    jump_state = (consensus, last_primal)
                     jump_pending_fresh = True
-                    for e in consensus:
-                        consensus[e] = consensus[e] + fac * diff[e]
+                    consensus = consensus + fac * diff
                     since_extrap = 0
             diff_prev = diff
 
-        primal_sq = 0.0
-        dual_sq = 0.0
-        objective = 0.0
-        for t in triplets:
-            Ct = assemble(consensus, t)
-            Pt = assemble(prev, t)
-            diff_t = Z[t] - Ct
-            if not polish:
-                U[t] = U[t] + diff_t
-            primal_sq += float(np.sum(diff_t * diff_t))
-            dual_sq += float(np.sum((Ct - Pt) ** 2)) * cfg.rho ** 2
-            objective += float(np.sum((Z[t] - Ehat[t]) ** 2))
-        primal = np.sqrt(primal_sq / total)
-        dual = np.sqrt(dual_sq / total)
+        C = _gathered(consensus, gather)
+        D = Z - C
+        if not polish:
+            U = U + D
+        primal = np.sqrt(_sq_total(D) / total)
+        dual = np.sqrt(_sq_total(C - _gathered(prev, gather), cfg.rho ** 2) / total)
+        objective = _sq_total(Z - Ehat)
 
         # jump validation one iteration later: a good jump lowers the
         # feasibility residual; otherwise rewind to the saved consensus
@@ -446,20 +459,21 @@ def average(
         })
         last_primal = primal
         if best_state is None or primal < best_state[0]:
-            best_state = (primal, {e: consensus[e].copy() for e in consensus}, objective)
+            best_state = (primal, consensus, objective)
         if primal < cfg.primal_tol and dual < cfg.dual_tol:
             converged = True
             break
 
-    if not converged and best_state is not None:
+    if not converged:
         # the contract on non-convergence is the best iterate, not the last:
         # diverging runs (nonconvex duals can blow up on inconsistent data)
         # hand back their most consensus-feasible state
         _, consensus, objective = best_state
 
-    out_blocks = {}
-    for e in sorted(consensus):
-        out_blocks[e] = BifocalTensor(normalized_tensor(consensus[e]), measured.kind, True)
+    blocks = {e: consensus[k].copy() for k, e in enumerate(edges)}
+    out_blocks = {
+        e: BifocalTensor(normalized_tensor(blocks[e]), measured.kind, True) for e in sorted(blocks)
+    }
     nview = NViewBifocal.assemble(measured.n, out_blocks, kind=measured.kind, strict=False)
     return AveragingResult(
         nview=nview,
@@ -468,6 +482,5 @@ def average(
         iterations=iteration,
         objective=objective,
         signature_flags=flags,
-        triplet_ids=triplets,
-        consensus={e: consensus[e].copy() for e in consensus},
+        consensus=blocks,
     )

@@ -35,7 +35,6 @@ def _pipeline_cfg(args) -> PipelineConfig:
     return PipelineConfig(
         admm=_admm_from_args(args),
         collinearity_threshold=args.collinearity_threshold,
-        threads=args.threads,
         insert_virtual=not getattr(args, "no_virtual", False),
     )
 
@@ -158,7 +157,6 @@ def _add_common(p) -> None:
     p.add_argument("--max-iters", type=int, default=500)
     p.add_argument("--rho", type=float, default=5.0, help="ADMM penalty")
     p.add_argument("--collinearity-threshold", type=float, default=0.05)
-    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--no-virtual", action="store_true",
                    help="vc only: skip virtual-camera insertion (diagnostic)")
 

@@ -68,11 +68,13 @@ def normalized_tensor(M: np.ndarray) -> np.ndarray:
 
 
 def nearest_rotation(M: np.ndarray) -> np.ndarray:
-    """Closest rotation in Frobenius norm (SVD polar with det correction)."""
+    """Closest rotation in Frobenius norm (SVD polar with det correction),
+    of one 3x3 matrix or of each matrix of a stack."""
     U, _, Vt = np.linalg.svd(np.asarray(M, dtype=float))
     R = U @ Vt
-    if np.linalg.det(R) < 0:
-        R = U @ np.diag([1.0, 1.0, -1.0]) @ Vt
+    reflected = np.linalg.det(R) < 0
+    if np.any(reflected):
+        R = np.where(reflected[..., None, None], U @ np.diag([1.0, 1.0, -1.0]) @ Vt, R)
     return R
 
 
@@ -289,17 +291,23 @@ def _as_projection(cam) -> np.ndarray:
     return np.asarray(cam, dtype=float).reshape(3, 4)
 
 
+def _dlt(A: np.ndarray):
+    """Unit null vectors of DLT systems (one, or a stack) and whether each is
+    ambiguous: its two smallest singular values equal."""
+    _, s, Vt = np.linalg.svd(A)
+    return Vt[..., 3, :], s[..., 2] - s[..., 3] < 1e-12 * s[..., 0]
+
+
 def triangulate_dlt(cams, track: Track) -> np.ndarray:
     """DLT point: minimize ||A X|| over unit X, A stacking [x_i]_x P_i rows."""
     Ps = [_as_projection(c) for c in cams]
     if len(Ps) < 2:
         raise ValueError("triangulation needs at least two views")
     rows = [skew(track.points[k]) @ Ps[k] for k in range(len(Ps))]
-    A = np.vstack(rows)
-    _, s, Vt = np.linalg.svd(A)
-    if s[2] - s[3] < 1e-12 * s[0]:
+    X, ambiguous = _dlt(np.vstack(rows))
+    if ambiguous:
         raise DegenerateGeometry("ambiguous point: two smallest singular values equal")
-    return Vt[3]
+    return X
 
 
 def essential_candidates(E: np.ndarray):
@@ -316,24 +324,24 @@ def essential_candidates(E: np.ndarray):
     return [(Ra, tdir), (Ra, -tdir), (Rb, tdir), (Rb, -tdir)]
 
 
-def _cheirality_votes(R: np.ndarray, tdir: np.ndarray, tracks) -> int:
+def _skews(x: np.ndarray) -> np.ndarray:
+    """Stacked cross-product matrices [x_k]_x of the rows of an (N, 3) array."""
+    a, b, c, z = x[:, 0], x[:, 1], x[:, 2], np.zeros(len(x))
+    return np.stack([z, -c, b, c, z, -a, -b, a, z], axis=1).reshape(-1, 3, 3)
+
+
+def _cheirality_votes(R: np.ndarray, tdir: np.ndarray, pts: np.ndarray) -> int:
+    """Tracks triangulated in front of both views, from their (N, 2, 3)
+    image points in view i and view j; ambiguous and at-infinity points do
+    not vote."""
     # gauge: camera i at origin with identity rotation, camera j placed by (R, t)
     Pi = np.hstack([np.eye(3), np.zeros((3, 1))])
     Pj = np.hstack([R.T, (R.T @ tdir).reshape(3, 1)])
-    votes = 0
-    for tr in tracks:
-        try:
-            X = triangulate_dlt([Pi, Pj], tr)
-        except DegenerateGeometry:
-            continue
-        if abs(X[3]) < 1e-14:
-            continue
-        Xe = X[:3] / X[3]
-        zi = Xe[2]
-        zj = (R.T @ (Xe + tdir))[2]
-        if zi > 0 and zj > 0:
-            votes += 1
-    return votes
+    X, ambiguous = _dlt(np.concatenate([_skews(pts[:, 0]) @ Pi, _skews(pts[:, 1]) @ Pj], axis=1))
+    X = X[~ambiguous & ~(np.abs(X[:, 3]) < 1e-14)]
+    Xe = X[:, :3] / X[:, 3:]
+    zj = (R.T @ (Xe + tdir)[..., None])[:, 2, 0]
+    return int(np.count_nonzero((Xe[:, 2] > 0) & (zj > 0)))
 
 
 def rotation_from_essential(e: BifocalTensor | np.ndarray, tracks):
@@ -348,8 +356,9 @@ def rotation_from_essential(e: BifocalTensor | np.ndarray, tracks):
     tracks = list(tracks)
     if not tracks:
         raise InsufficientTracks("cheirality vote needs at least one track")
+    pts = np.array([tr.points[:2] for tr in tracks])
     cands = essential_candidates(E)
-    votes = [_cheirality_votes(R, t, tracks) for R, t in cands]
+    votes = [_cheirality_votes(R, t, pts) for R, t in cands]
     best = int(np.argmax(votes))
     if sorted(votes)[-2] == votes[best]:
         raise AmbiguousCheirality(f"depth votes tie: {votes}")

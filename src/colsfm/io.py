@@ -94,14 +94,13 @@ def load_measurements(path):
             M = np.array(e["tensor"], dtype=float).reshape(3, 3)
             blocks[(int(e["i"]), int(e["j"]))] = BifocalTensor(M, kind, scale_fixed=True)
         nview = NViewBifocal.assemble(n, blocks, kind=kind, strict=False)
-        observations, depths = [], []
+        observations = []
         for tr in doc.get("tracks", []):
             obs = {}
             for v, p in zip(tr["view_ids"], tr["points"]):
                 obs[int(v)] = np.array(p, dtype=float)
             observations.append(obs)
-            depths.append({})
-        return nview, TrackSet(observations, depths)
+        return nview, TrackSet(observations)
     except (KeyError, ValueError) as exc:
         raise ValidationError(f"malformed measurements file: {exc}") from exc
 

@@ -18,9 +18,6 @@ class SimilarityAlignment:
     residuals: np.ndarray
     collinear_gauge: bool = False
 
-    def apply(self, points: np.ndarray) -> np.ndarray:
-        return self.scale * points @ self.rotation.T + self.translation
-
 
 def align_similarity(est_centers: np.ndarray, gt_centers: np.ndarray) -> SimilarityAlignment:
     """Least-squares similarity mapping estimated centers onto ground truth

@@ -96,10 +96,6 @@ class NViewBifocal:
         )
 
 
-def dense(m: NViewBifocal) -> np.ndarray:
-    return m.dense()
-
-
 def check_nview_wellformed(m: NViewBifocal, tol: float = 1e-9):
     """Validate every block: rank 2, and equal singular values for essential kind.
 

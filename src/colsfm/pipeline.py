@@ -26,11 +26,13 @@ from .graphs import (
     heuristic_cover,
     insert_virtual_and_prune,
     sequential_cover,
+    triplet_pairs,
 )
 from .geometry import Track
 from .metrics import EvalReport, align_similarity, mean_reprojection_error
 from .nview import NViewBifocal
 from .recovery import (
+    _LOCAL_PAIRS,
     recover_calibrated_collinear_triplet,
     recover_calibrated_general_triplet,
     recover_projective_collinear_triplet,
@@ -46,7 +48,6 @@ class PipelineConfig:
     admm: AdmmConfig = field(default_factory=AdmmConfig)
     collinearity_threshold: float = 0.05
     epipole_margin: float = 1e-2
-    threads: int | None = None
     insert_virtual: bool = True  # disable to reproduce the plain rank-6 failure
 
 
@@ -64,18 +65,13 @@ def _local_triplet_tracks(tracks: TrackSet, ids):
     ids = sorted(ids)
     mapping = {g: l for l, g in enumerate(ids)}
     tr3 = [t.relabel(mapping) for t in tracks.triple_tracks(*ids)]
-    tr2 = []
-    for (a, b) in ((0, 1), (0, 2), (1, 2)):
-        tr2 += [t.relabel({ids[a]: a, ids[b]: b}) for t in tracks.pair_tracks(ids[a], ids[b])]
+    tr2 = [t.relabel({ids[a]: a, ids[b]: b})
+           for a, b in _LOCAL_PAIRS for t in tracks.pair_tracks(ids[a], ids[b])]
     return tr2, tr3
 
 
 def _triplet_tensor_dict(nview: NViewBifocal, ids):
-    ids = sorted(ids)
-    out = {}
-    for (a, b) in ((0, 1), (0, 2), (1, 2)):
-        out[(a, b)] = nview.block(ids[a], ids[b])
-    return out
+    return {loc: nview.block(*e) for loc, e in zip(_LOCAL_PAIRS, triplet_pairs(ids))}
 
 
 def _evaluate(cameras, n_real, tracks, scene_gt, regime, algorithm, converged, failure=None):
@@ -141,7 +137,7 @@ def _run_r4(measurements, tracks, regime, scene_gt, cfg) -> PipelineOutput:
                 f"algorithm r4 requires a fully collinear camera set; triplet {t} "
                 f"scores {score:.3f} above threshold {cfg.collinearity_threshold}"
             )
-    avg = average(measurements, cover, "collinear", cfg.admm, threads=cfg.threads)
+    avg = average(measurements, cover, "collinear", cfg.admm)
     mode = "euclidean" if regime == "calibrated" else "projective"
     # sanity gates only when the iterate is coarse; the report stays honest
     gate = 1e-3 if avg.converged else 0.5
@@ -215,7 +211,7 @@ def _run_vc(measurements, tracks, regime, scene_gt, cfg) -> PipelineOutput:
     n_total = next_id[0]
     extended = NViewBifocal.assemble(n_total, extended_blocks, kind=measurements.kind, strict=False)
 
-    avg = average(extended, cover, "general", cfg.admm, threads=cfg.threads)
+    avg = average(extended, cover, "general", cfg.admm)
     mode = "euclidean" if regime == "calibrated" else "projective"
     gate = 1e-3 if avg.converged else 0.5
     try:

@@ -40,7 +40,6 @@ class TrackSet:
     """All observations of the scene points: obs[p][i] = image of point p in view i."""
 
     observations: list  # list over points of dict view -> homogeneous 3-vector
-    depths: list        # same layout, projective depths
 
     def pair_tracks(self, i: int, j: int) -> list:
         out = []
@@ -55,12 +54,6 @@ class TrackSet:
             if i in obs and j in obs and k in obs:
                 out.append(Track((i, j, k), np.vstack([obs[i], obs[j], obs[k]])))
         return out
-
-    def all_views(self) -> set:
-        views = set()
-        for obs in self.observations:
-            views.update(obs.keys())
-        return views
 
 
 @dataclass
@@ -104,18 +97,16 @@ class Scene:
 
     def track_set(self, pixel_noise: float = 0.0, rng=None) -> TrackSet:
         rng = rng if rng is not None else np.random.default_rng(self.seed + 1)
-        obs, dep = [], []
+        obs = []
         for X in self.points:
-            po, pd = {}, {}
+            po = {}
             for i, cam in enumerate(self.cameras):
                 x = cam.project(X)
                 if pixel_noise > 0.0:
                     x = x + np.array([rng.normal(0, pixel_noise), rng.normal(0, pixel_noise), 0.0])
                 po[i] = x
-                pd[i] = cam.depth(X)
             obs.append(po)
-            dep.append(pd)
-        return TrackSet(obs, dep)
+        return TrackSet(obs)
 
 
 def _look_rotation(forward: np.ndarray, rng) -> np.ndarray:

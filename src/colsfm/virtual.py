@@ -29,9 +29,7 @@ from .geometry import (
     symmetric_epipolar_distance,
 )
 from .nview import NViewBifocal
-from .recovery import TripletCameras
-
-_LOCAL_PAIRS = ((0, 1), (0, 2), (1, 2))
+from .recovery import _LOCAL_PAIRS, TripletCameras
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,13 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
 from colsfm.averaging import (
+    _PROJECTIONS,
     AdmmConfig,
     average,
-    build_triplet_problems,
     project_collinear_essential,
     project_collinear_fundamental,
     project_general_essential,
@@ -12,7 +15,9 @@ from colsfm.averaging import (
 )
 from colsfm.errors import MissingBlock, NotConnected
 from colsfm.geometry import BifocalTensor, normalized_tensor
-from colsfm.graphs import TripletCover, sequential_cover
+from colsfm.graphs import (
+    TripletCover, ViewingGraph, enrich_connectivity, heuristic_cover, sequential_cover,
+)
 from colsfm.nview import NViewBifocal, certify_collinear_essential, certify_general
 from colsfm.synthetic import MeasurementNoise, generate, measure
 
@@ -230,24 +235,6 @@ class TestAverage:
         with pytest.raises(MissingBlock):
             average(m2, sequential_cover(scene.n), "collinear")
 
-    def test_threads_do_not_change_result(self):
-        scene = generate("collinear", 7, 6, seed=34)
-        noisy, _ = measure(scene, MeasurementNoise(rotation_deg=0.5), seed=4)
-        cover = sequential_cover(scene.n)
-        a = average(noisy, cover, "collinear", AdmmConfig(max_iters=40))
-        b = average(noisy, cover, "collinear", AdmmConfig(max_iters=40), threads=4)
-        for e in a.nview.blocks:
-            assert np.array_equal(a.nview.blocks[e].matrix, b.nview.blocks[e].matrix)
-
-    def test_build_triplet_problems(self):
-        scene = generate("collinear", 5, 6, seed=35)
-        m, _ = measure(scene, seed=0)
-        cover = sequential_cover(scene.n)
-        probs = build_triplet_problems(m, cover, "collinear")
-        assert len(probs) == 3
-        assert probs[0].camera_ids == (0, 1, 2)
-        assert np.array_equal(probs[0].measured, probs[0].measured.T)
-
 
 class TestAverageRobustness:
     def test_nonconvergent_run_returns_best_iterate(self):
@@ -263,3 +250,197 @@ class TestAverageRobustness:
             assert abs(np.linalg.norm(t.matrix) - 1.0) < 1e-9
         assert np.isfinite(res.objective)
         assert best <= res.log[-1]["primal_residual"] + 1e-12
+
+
+# -- oracle: the per-matrix projections the batched kernels replaced --------
+
+def _oracle_eig_desc(S):
+    w, V = np.linalg.eigh((S + S.T) / 2.0)
+    order = np.argsort(w)[::-1]
+    return w[order], V[:, order]
+
+
+def _oracle_select_signed(w, need, rank_tol):
+    scale = float(np.max(np.abs(w))) if w.size else 0.0
+    if scale == 0.0:
+        idx = list(range(2 * need))
+        return idx[:need], [0.0] * need, idx[need:], [0.0] * need, True
+    pos = [k for k in range(len(w)) if w[k] > rank_tol * scale][:need]
+    neg = [k for k in reversed(range(len(w))) if w[k] < -rank_tol * scale][:need]
+    flag = len(pos) < need or len(neg) < need
+    taken = set(pos) | set(neg)
+    rest = sorted((k for k in range(len(w)) if k not in taken), key=lambda k: -abs(w[k]))
+    while len(pos) < need:
+        pos.append(rest.pop(0))
+    while len(neg) < need:
+        neg.append(rest.pop(0))
+    pos = sorted(pos, key=lambda k: -abs(w[k]))
+    neg = sorted(neg, key=lambda k: -abs(w[k]))
+    return pos, [abs(w[k]) for k in pos], neg, [-abs(w[k]) for k in neg], flag
+
+
+def _oracle_collinear_essential(S, rank_tol=1e-6):
+    w, V = _oracle_eig_desc(S)
+    pos, pv, neg, nv, flag = _oracle_select_signed(w, 2, rank_tol)
+    out = np.zeros_like(S)
+    for k in range(2):
+        l = (pv[k] - nv[k]) / 2.0
+        out += l * (np.outer(V[:, pos[k]], V[:, pos[k]]) - np.outer(V[:, neg[k]], V[:, neg[k]]))
+    return (out + out.T) / 2.0, flag
+
+
+def _oracle_signature(need):
+    def project(S, rank_tol=1e-6):
+        w, V = _oracle_eig_desc(S)
+        pos, pv, neg, nv, flag = _oracle_select_signed(w, need, rank_tol)
+        out = sum(v * np.outer(V[:, k], V[:, k]) for k, v in zip(pos + neg, pv + nv))
+        return (out + out.T) / 2.0, flag
+    return project
+
+
+def _oracle_nearest_rotation(M):
+    U, _, Vt = np.linalg.svd(M)
+    R = U @ Vt
+    if np.linalg.det(R) < 0:
+        R = U @ np.diag([1.0, 1.0, -1.0]) @ Vt
+    return R
+
+
+def _oracle_general_essential(S, rank_tol=1e-6):
+    w, V = _oracle_eig_desc(S)
+    n = S.shape[0] // 3
+    pos, pv, neg, nv, flag = _oracle_select_signed(w, 3, rank_tol)
+    lam = np.array([(pv[k] - nv[k]) / 2.0 for k in range(3)])
+    X = V[:, pos].copy()
+    Y = V[:, neg].copy()
+    best = None
+    for bits in range(8):
+        signs = np.array([1.0 if bits & (1 << k) else -1.0 for k in range(3)])
+        Vh = np.sqrt(0.5) * (X + Y * signs)
+        blocks = np.sqrt(n) * Vh.reshape(n, 3, 3)
+        G = np.einsum("nij,nik->njk", blocks, blocks) - np.eye(3)
+        r = float(np.sum(G * G))
+        if best is None or r < best[0]:
+            best = (r, signs)
+    Ys = Y * best[1]
+    Vh = np.sqrt(0.5) * (X + Ys)
+    dets = [np.linalg.det(Vh[3 * i:3 * i + 3]) for i in range(n)]
+    if np.sum(dets) < 0:
+        X[:, 0] = -X[:, 0]
+        Ys[:, 0] = -Ys[:, 0]
+        Vh = np.sqrt(0.5) * (X + Ys)
+    Uh = np.sqrt(0.5) * (X - Ys)
+    Vrot = np.zeros_like(Vh)
+    for i in range(n):
+        Vrot[3 * i:3 * i + 3] = _oracle_nearest_rotation(np.sqrt(n) * Vh[3 * i:3 * i + 3]) / np.sqrt(n)
+    U2 = Uh - Vrot @ (Vrot.T @ Uh)
+    Q, R = np.linalg.qr(U2)
+    U2 = Q @ np.diag(np.sign(np.diag(R)))
+    L = np.diag(lam)
+    out = U2 @ L @ Vrot.T + Vrot @ L @ U2.T
+    return (out + out.T) / 2.0, flag
+
+
+_ORACLES = {
+    ("collinear", "essential"): _oracle_collinear_essential,
+    ("collinear", "fundamental"): _oracle_signature(2),
+    ("general", "essential"): _oracle_general_essential,
+    ("general", "fundamental"): _oracle_signature(3),
+}
+
+
+def _oracle_stack(rng, d=9):
+    """Random symmetric, zero-diagonal-block, signature-deficient (PSD, NSD,
+    low-rank), zero and exact-tie matrices, interleaved in one stack."""
+    mats = []
+    for k in range(60):
+        S = _random_symmetric(rng, d)
+        kind = k % 6
+        if kind == 1:
+            for i in range(d // 3):
+                S[3 * i:3 * i + 3, 3 * i:3 * i + 3] = 0.0
+        elif kind == 2:
+            A = rng.normal(size=(d, d))
+            S = (A @ A.T) * (1.0 if k % 4 else -1.0)
+        elif kind == 3:
+            Q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+            S = Q @ np.diag(rng.choice([0.0, 1.0, -1.0, 2.0], size=d)) @ Q.T
+        mats.append(S)
+    mats.append(np.zeros((d, d)))
+    # eigenvectors on the coordinate axes: every sign case of the
+    # general-essential search scores exactly the same
+    mats.append(np.diag(np.linspace(3.0, -3.0, d)))
+    return np.array(mats)
+
+
+class TestBatchedKernels:
+    @pytest.mark.parametrize("key", sorted(_ORACLES))
+    @pytest.mark.parametrize("d", [9, 12])
+    def test_stack_matches_per_matrix_oracle(self, rng, key, d):
+        stack = _oracle_stack(rng, d)
+        M, flags = _PROJECTIONS[key](stack, 1e-6)
+        assert flags.any() and not flags.all()
+        for S, P, f in zip(stack, M, flags):
+            ref, ref_flag = _ORACLES[key](S)
+            assert np.array_equal(P, ref)
+            assert bool(f) == ref_flag
+
+    def test_tie_case_scores_equal(self):
+        # the tie input of _oracle_stack really ties all eight sign cases
+        w, V = np.linalg.eigh(np.diag(np.linspace(3.0, -3.0, 9)))
+        X, Y = V[:, [8, 7, 6]], V[:, [0, 1, 2]]
+        scores = set()
+        for bits in range(8):
+            signs = np.array([1.0 if bits & (1 << k) else -1.0 for k in range(3)])
+            blocks = np.sqrt(3) * (np.sqrt(0.5) * (X + Y * signs)).reshape(3, 3, 3)
+            G = np.einsum("nij,nik->njk", blocks, blocks) - np.eye(3)
+            scores.add(float(np.sum(G * G)))
+        assert len(scores) == 1
+
+
+# -- golden digests of average(), recorded from the per-triplet loop ---------
+
+# (layout, n, scene seed, intrinsics, rotation noise deg, measure seed, regime,
+#  cover, AdmmConfig kwargs, what the case exercises)
+_GOLDEN = [
+    ("collinear", 6, 29, "calibrated", 0.5, 2, "collinear", "chain", {},
+     "7cc9fa54470db88c08f096b99deac83746f2f68613b564ab2716eafc8b37a0bf"),  # enters polish
+    ("collinear", 6, 40, "varied", 0.3, 1, "collinear", "chain", {},
+     "3e069dd415a964c27eb5fa05d50ea76c6893adffc875020a2cd38c234c615ef1"),
+    ("general", 6, 41, "calibrated", 0.2, 1, "general", "greedy", {"max_iters": 60},
+     "a573b83f7add4d6f0fbfa796cceb22bd150ac76fc7aeb5c21732e132a2db973d"),  # cyclic cover, not converged
+    ("general", 6, 42, "varied", 0.2, 1, "general", "greedy", {"max_iters": 60},
+     "67b4dfe0121f00504ea2326515fceb99678d9c853bd7f73e6f8c4d69c9bc1e75"),
+    ("general", 8, 65, "calibrated", 0.5, 1, "general", "chain", {},
+     "95eadc151e660a231803dbcad8393c7c918824f252740a28657068df61ae492a"),  # polish and a jump
+    ("collinear", 8, 51, "calibrated", 1.0, 1, "collinear", "chain", {},
+     "74e506fb102a4bcb584c88d18d158e3db506cf090f9219fb043d64ab30c02be9"),  # two jumps
+    ("collinear", 9, 82, "calibrated", 0.5, 1, "collinear", "chain", {"rho": 1.0, "max_iters": 300},
+     "073e70c8c27991f8f6e88a2290fa925ad72bd5a6df73a5a4fb2b35d68368beb0"),  # a jump rolled back
+    ("collinear", 8, 60, "calibrated", 3.0, 1, "collinear", "chain", {"max_iters": 120},
+     "5e5b0fdfc1e374c76ef8682e2a54da5452b658e55ba9362377025812105ef6ea"),  # best iterate returned
+]
+
+
+def _result_digest(res):
+    h = hashlib.sha256()
+    for e in sorted(res.consensus):
+        h.update(repr(e).encode())
+        h.update(res.consensus[e].tobytes())
+    h.update(json.dumps(res.log, sort_keys=True).encode())
+    h.update(repr((res.converged, res.iterations, float(res.objective), res.signature_flags)).encode())
+    return h.hexdigest()
+
+
+class TestGoldenAverage:
+    @pytest.mark.parametrize("case", _GOLDEN, ids=[f"{c[0]}-{c[2]}-{c[3]}-{c[7]}" for c in _GOLDEN])
+    def test_digest(self, case):
+        layout, n, seed, intrinsics, rot, mseed, regime, cover, kw, expected = case
+        scene = generate(layout, n, 8, seed=seed, intrinsics_mode=intrinsics)
+        m, _ = measure(scene, MeasurementNoise(rotation_deg=rot), seed=mseed)
+        if cover == "chain":
+            cv = sequential_cover(n)
+        else:
+            g = ViewingGraph.complete(n)
+            cv = enrich_connectivity(heuristic_cover(g), TripletCover.from_triplets(g.triangles()))
+        assert _result_digest(average(m, cv, regime, AdmmConfig(**kw))) == expected

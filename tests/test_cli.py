@@ -106,7 +106,7 @@ class TestCliFlow:
             blobs.append((outdir / "report.json").read_bytes())
         assert blobs[0] == blobs[1]
 
-    def test_vc_pipeline_with_threads(self, tmp_path):
+    def test_vc_pipeline(self, tmp_path):
         scene = tmp_path / "scene.json"
         meas = tmp_path / "m.json"
         run_cli(["synth", "--layout", "mixed", "--n-cams", "9", "--n-points", "16",
@@ -114,7 +114,7 @@ class TestCliFlow:
         run_cli(["measure", "--scene", str(scene), "--seed", "0", "--out", str(meas)])
         outdir = tmp_path / "vc"
         code = run_cli(["pipeline", "--measurements", str(meas), "--scene", str(scene),
-                        "--algorithm", "vc", "--threads", "2", "--out", str(outdir)])
+                        "--algorithm", "vc", "--out", str(outdir)])
         assert code == 0
         report = json.loads((outdir / "report.json").read_text())
         assert report["n_reconstructed"] == 9

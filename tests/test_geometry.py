@@ -22,6 +22,7 @@ from colsfm.geometry import (
     rotation_from_essential,
     skew,
     symmetric_epipolar_distance,
+    _cheirality_votes,
     triangulate_dlt,
     unit,
 )
@@ -260,6 +261,57 @@ class TestRotationFromEssential:
             rotation_from_essential(E, [tr])
 
 
+def _votes_per_track(R, tdir, tracks):
+    """The cheirality vote as one DLT triangulation per track: (votes,
+    ambiguous tracks skipped, at-infinity tracks skipped)."""
+    Pi = np.hstack([np.eye(3), np.zeros((3, 1))])
+    Pj = np.hstack([R.T, (R.T @ tdir).reshape(3, 1)])
+    votes = ambiguous = infinite = 0
+    for tr in tracks:
+        try:
+            X = triangulate_dlt([Pi, Pj], tr)
+        except DegenerateGeometry:
+            ambiguous += 1
+            continue
+        if abs(X[3]) < 1e-14:
+            infinite += 1
+            continue
+        Xe = X[:3] / X[3]
+        if Xe[2] > 0 and (R.T @ (Xe + tdir))[2] > 0:
+            votes += 1
+    return votes, ambiguous, infinite
+
+
+def _homogeneous(v):
+    return v / v[2]
+
+
+class TestCheiralityVotes:
+    def test_batched_vote_matches_per_track_triangulation(self, rng):
+        skipped = np.zeros(2, dtype=int)
+        for trial in range(40):
+            E = bifocal_from_pair(_random_camera(rng), _random_camera(rng)).matrix
+            for R, t in essential_candidates(E):
+                tracks = []
+                for _ in range(int(rng.integers(1, 30))):
+                    x = np.append(rng.normal(size=2), 1.0)
+                    kind = rng.random()
+                    if kind < 0.15:
+                        y = x  # identical image points
+                    elif kind < 0.3:
+                        y = _homogeneous(R.T @ x)  # parallel rays: a point at infinity
+                    elif kind < 0.4:
+                        x, y = _homogeneous(-t), _homogeneous(R.T @ t)  # on the baseline
+                    else:
+                        y = np.append(rng.normal(size=2), 1.0)
+                    tracks.append(Track((0, 1), np.vstack([x, y])))
+                votes, *skips = _votes_per_track(R, t, tracks)
+                assert _cheirality_votes(R, t, np.array([tr.points for tr in tracks])) == votes
+                skipped += skips
+        # both skip rules were exercised
+        assert np.all(skipped > 0)
+
+
 class TestFundamentalFromProjections:
     def test_matches_bifocal_from_pair(self, rng):
         for _ in range(10):
@@ -281,3 +333,8 @@ class TestNearestRotation:
     def test_fixed_point_on_rotations(self, rng):
         R = random_rotation(rng)
         assert np.allclose(nearest_rotation(R), R, atol=1e-12)
+
+    def test_stack_matches_single(self, rng):
+        M = rng.normal(size=(12, 3, 3))
+        M[::2] *= -1.0  # mix reflected and proper polar factors
+        assert np.array_equal(nearest_rotation(M), np.array([nearest_rotation(A) for A in M]))
