@@ -181,6 +181,24 @@ class BifocalTensor:
         return BifocalTensor(normalized_tensor(self.matrix), self.kind, scale_fixed=True)
 
 
+def _track_ids(view_ids) -> tuple:
+    ids = tuple(int(i) for i in view_ids)
+    if len(ids) not in (2, 3):
+        raise ValueError("a track spans 2 or 3 views")
+    if len(set(ids)) != len(ids):
+        raise ValueError("view ids must be distinct")
+    return ids
+
+
+def _check_image_points(pts: np.ndarray) -> None:
+    """Raise ValueError unless every row is a finite homogeneous image point
+    with last coordinate 1."""
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("track points must be finite")
+    if len(pts) and np.max(np.abs(pts[:, 2] - 1.0)) > 1e-9:
+        raise ValueError("track points must have last coordinate 1")
+
+
 @dataclass(frozen=True)
 class Track:
     """Point correspondence across 2 or 3 views.
@@ -193,19 +211,23 @@ class Track:
     depths: np.ndarray | None = field(default=None)
 
     def __post_init__(self):
-        ids = tuple(int(i) for i in self.view_ids)
+        ids = _track_ids(self.view_ids)
         pts = np.asarray(self.points, dtype=float).reshape(len(ids), 3).copy()
-        if len(ids) not in (2, 3):
-            raise ValueError("a track spans 2 or 3 views")
-        if len(set(ids)) != len(ids):
-            raise ValueError("view ids must be distinct")
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("track points must be finite")
-        if np.max(np.abs(pts[:, 2] - 1.0)) > 1e-9:
-            raise ValueError("track points must have last coordinate 1")
+        _check_image_points(pts)
         pts.setflags(write=False)
         object.__setattr__(self, "view_ids", ids)
         object.__setattr__(self, "points", pts)
+
+    @classmethod
+    def _checked(cls, view_ids, points: np.ndarray) -> "Track":
+        """Track over a (k, 3) float array of already-checked image points,
+        which it takes over read-only; only the view ids are checked."""
+        track = object.__new__(cls)
+        points.setflags(write=False)
+        object.__setattr__(track, "view_ids", _track_ids(view_ids))
+        object.__setattr__(track, "points", points)
+        object.__setattr__(track, "depths", None)
+        return track
 
     def point(self, view_id: int) -> np.ndarray:
         return self.points[self.view_ids.index(view_id)]
@@ -213,10 +235,10 @@ class Track:
     def restrict(self, view_ids) -> "Track":
         """Sub-track over the given view ids (order preserved as given)."""
         idx = [self.view_ids.index(v) for v in view_ids]
-        return Track(tuple(view_ids), self.points[idx])
+        return Track._checked(view_ids, self.points[idx])
 
     def relabel(self, mapping: dict) -> "Track":
-        return Track(tuple(mapping[v] for v in self.view_ids), self.points)
+        return Track._checked((mapping[v] for v in self.view_ids), self.points)
 
 
 def bifocal_from_pair(ci: CameraModel, cj: CameraModel) -> BifocalTensor:
@@ -231,6 +253,11 @@ def bifocal_from_pair(ci: CameraModel, cj: CameraModel) -> BifocalTensor:
     return BifocalTensor(M, kind)
 
 
+# row p of _OTHER_ROWS lists the rows of a camera left after deleting row p
+_OTHER_ROWS = np.array([[1, 2], [0, 2], [0, 1]])
+_COFACTOR_SIGNS = np.array([[1.0, -1.0, 1.0], [-1.0, 1.0, -1.0], [1.0, -1.0, 1.0]])
+
+
 def fundamental_from_projections(Pi: np.ndarray, Pj: np.ndarray) -> np.ndarray:
     """Pairwise tensor of two arbitrary 3x4 cameras, x_i^T F x_j = 0 (up to scale).
 
@@ -239,13 +266,8 @@ def fundamental_from_projections(Pi: np.ndarray, Pj: np.ndarray) -> np.ndarray:
     """
     Pi = np.asarray(Pi, dtype=float).reshape(3, 4)
     Pj = np.asarray(Pj, dtype=float).reshape(3, 4)
-    F = np.zeros((3, 3))
-    for p in range(3):
-        Ai = np.delete(Pi, p, axis=0)
-        for q in range(3):
-            A = np.vstack([Ai, np.delete(Pj, q, axis=0)])
-            F[p, q] = (-1) ** (p + q) * np.linalg.det(A)
-    return F
+    Ai, Aj = np.broadcast_arrays(Pi[_OTHER_ROWS][:, None], Pj[_OTHER_ROWS][None, :])
+    return _COFACTOR_SIGNS * np.linalg.det(np.concatenate([Ai, Aj], axis=2))
 
 
 def epipole(t: BifocalTensor | np.ndarray, side: str) -> np.ndarray:

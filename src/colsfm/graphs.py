@@ -216,9 +216,11 @@ def heuristic_cover(g: ViewingGraph) -> TripletCover:
     return TripletCover.from_triplets(chosen)
 
 
-def enrich_connectivity(cover: TripletCover, full_cover: TripletCover) -> TripletCover:
-    """Connect the cover by splicing in shortest dual paths from the full
-    clique cover, largest two components first."""
+def enrich_connectivity(cover: TripletCover, candidates) -> TripletCover:
+    """Connect the cover by splicing in shortest dual paths through the
+    candidate triplets (typically every triangle of the viewing graph),
+    largest two components first."""
+    candidates = {tuple(sorted(t)) for t in candidates}
     triplets = list(cover.triplets)
     while True:
         comps = _components(triplets)
@@ -226,15 +228,15 @@ def enrich_connectivity(cover: TripletCover, full_cover: TripletCover) -> Triple
             break
         comps = sorted(comps, key=len, reverse=True)
         src, dst = set(comps[0]), set(comps[1])
-        path = _shortest_dual_path(full_cover, src, dst)
+        path = _shortest_dual_path(candidates, src, dst)
         if path is None:
             raise Unconnectable("no dual path joins the two largest components")
         triplets.extend(t for t in path if t not in triplets)
     return TripletCover.from_triplets(triplets, cover.virtual_nodes)
 
 
-def _shortest_dual_path(full_cover: TripletCover, src: set, dst: set):
-    adj = dual_adjacency(set(full_cover.triplets) | src | dst)
+def _shortest_dual_path(candidates: set, src: set, dst: set):
+    adj = dual_adjacency(candidates | src | dst)
     prev = {}
     for cur, parent in dual_bfs(adj, sorted(src)):
         prev[cur] = parent

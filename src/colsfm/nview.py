@@ -2,20 +2,24 @@
 
 A collinear-consistent essential matrix has eigenvalues (l, l, -l, -l) and,
 for the right in-plane pairing of the two eigenspaces, every 3x2 block V_i of
-sqrt(0.5)(X + Y) satisfies V_i^T V_i = I/n.  A collinear-consistent
-fundamental matrix has rank 4 with signature (2, 2) and rank-2 block rows.
+sqrt(0.5)(X + Y) satisfies V_i^T V_i = I/n.  The pairing is an O(2) basis
+change whose squared residual is a degree-4 trigonometric polynomial of its
+angle, so it is found in closed form rather than searched.  A
+collinear-consistent fundamental matrix has rank 4 with signature (2, 2) and
+rank-2 block rows.
 General-position triplets instead have rank 6 with paired spectrum and (for
 essential kind) block-rotation structure in sqrt(0.5)(X + Y).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DuplicateEdge, IndexOutOfRange, NotOrthonormal, RankNot2
-from .geometry import BifocalTensor, fix_sign, nearest_rotation
+from .geometry import BifocalTensor, nearest_rotation
 
 
 @dataclass(frozen=True)
@@ -164,66 +168,97 @@ def _eig_sorted(M: np.ndarray):
     order = np.argsort(w)[::-1]  # descending
     w = w[order]
     V = V[:, order]
-    # deterministic eigenvector signs
-    for k in range(V.shape[1]):
-        V[:, k] = fix_sign(V[:, k])
-    return w, V
+    # deterministic eigenvector signs: each column's largest-magnitude entry
+    # positive, as fix_sign makes it
+    top = V[np.argmax(np.abs(V), axis=0), np.arange(V.shape[1])]
+    return w, np.where(top < 0, -V, V)
 
 
-def _golden_min(f, a: float, b: float, iters: int = 90):
-    g = (np.sqrt(5.0) - 1.0) / 2.0
-    c = b - g * (b - a)
-    d = a + g * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - g * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + g * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
+# the alignment objective is a trigonometric polynomial of degree 4 in the
+# basis angle; its coefficients (a_0, a_1..a_4, b_1..b_4) multiply the terms
+# (1, cos k theta, sin k theta), and the discrete Fourier fit _FIT recovers
+# them exactly from its values at 9 equispaced angles.  Its minimum is
+# bracketed on a grid of the polynomial and polished by Newton's method.
+_HARMONICS = np.arange(1, 5)
+
+
+def _terms(theta) -> np.ndarray:
+    kt = np.multiply.outer(theta, _HARMONICS)
+    return np.concatenate([np.ones_like(kt[..., :1]), np.cos(kt), np.sin(kt)], axis=-1)
+
+
+_SAMPLES = 2.0 * np.pi * np.arange(9) / 9
+_FIT = _terms(_SAMPLES) * np.r_[1.0, np.full(8, 2.0)] / 9
+_GRID = 2.0 * np.pi * np.arange(64) / 64
+_GRID_TERMS = _terms(_GRID)
+_REFLECTIONS = np.array([1.0, -1.0])
+
+
+def _basis_changes(theta: np.ndarray, refl: np.ndarray) -> np.ndarray:
+    """Stack of Rot(theta) @ diag(1, refl), broadcast over theta and refl."""
+    c, s = np.broadcast_arrays(np.cos(theta), np.sin(theta), refl)[:2]
+    return np.stack([np.stack([c, -refl * s], -1), np.stack([s, refl * c], -1)], -2)
+
+
+# (reflection, sample) stack of the basis changes at the 9 sample angles
+_SAMPLE_BASES = _basis_changes(_SAMPLES, _REFLECTIONS[:, None])
+
+
+def _newton_polish(coef: np.ndarray, theta: float, h: float) -> float:
+    """Newton's method on the derivative of the polynomial with coefficients
+    coef, from the grid point theta and kept within h of it; where the
+    curvature is not positive it steps h/2 downhill instead."""
+    a, b = coef[1:5].tolist(), coef[5:].tolist()
+    lo, hi = theta - h, theta + h
+    for _ in range(8):
+        d1 = d2 = 0.0
+        for k, ak, bk in zip((1, 2, 3, 4), a, b):
+            c, s = math.cos(k * theta), math.sin(k * theta)
+            d1 += k * (bk * c - ak * s)
+            d2 -= k * k * (ak * c + bk * s)
+        step = -d1 / d2 if d2 > 0 else -math.copysign(h / 2, d1)
+        moved = min(max(theta + step, lo), hi)
+        if abs(moved - theta) < 1e-13:
+            return moved
+        theta = moved
+    return theta
+
+
+def _block_gram_residuals(bx, by, Q, n: int):
+    """V_hat = sqrt(.5)(X + Y Q) as (..., n, 3, 2) blocks and each block's
+    squared deviation ||V_i^T V_i - I/n||^2."""
+    Vh = np.sqrt(0.5) * (bx + by @ Q[..., None, :, :])
+    G = np.swapaxes(Vh, -1, -2) @ Vh - np.eye(2) / n
+    return Vh, np.sum(G * G, axis=(-2, -1))
 
 
 def _vhat_alignment(X: np.ndarray, Y: np.ndarray, n: int):
-    """Search the relative O(2) basis rotation between the two eigenspaces
+    """Find the relative O(2) basis rotation between the two eigenspaces
     that minimizes the V_i^T V_i = I/n residual; return (max residual, V_hat).
 
     The individual eigenvectors of a doubly degenerate eigenvalue carry an
     arbitrary in-plane basis; the orthogonality condition holds only for the
-    aligned choice, so it must be searched, not assumed.
+    aligned choice, so it must be found, not assumed.  For each reflection
+    the summed squared residual f(theta) is a trigonometric polynomial of
+    degree 4: its coefficients come from one stacked evaluation at 9 angles.
     """
     bx = X.reshape(n, 3, 2)
     by = Y.reshape(n, 3, 2)
-    target = np.eye(2) / n
-
-    def residual_sq(theta: float, refl: float) -> float:
-        c, s = np.cos(theta), np.sin(theta)
-        Q = np.array([[c, -s], [s, c]]) @ np.diag([1.0, refl])
-        Vh = np.sqrt(0.5) * (bx + by @ Q)
-        G = np.einsum("nij,nik->njk", Vh, Vh) - target
-        return float(np.sum(G * G))
-
-    best = (np.inf, 0.0, 1.0)
-    for refl in (1.0, -1.0):
-        thetas = np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False)
-        vals = [residual_sq(t, refl) for t in thetas]
-        k = int(np.argmin(vals))
-        lo = thetas[k] - 2.0 * np.pi / 256
-        hi = thetas[k] + 2.0 * np.pi / 256
-        x, fx = _golden_min(lambda t: residual_sq(t, refl), lo, hi)
-        if fx < best[0]:
-            best = (fx, x, refl)
-    _, theta, refl = best
-    c, s = np.cos(theta), np.sin(theta)
-    Q = np.array([[c, -s], [s, c]]) @ np.diag([1.0, refl])
-    Vh = np.sqrt(0.5) * (bx + by @ Q)
-    G = np.einsum("nij,nik->njk", Vh, Vh) - target
-    maxres = float(np.max(np.sqrt(np.sum(G * G, axis=(1, 2)))))
-    return maxres, Vh.reshape(3 * n, 2)
+    _, per_block = _block_gram_residuals(bx, by, _SAMPLE_BASES, n)
+    coef = np.sum(per_block, axis=-1) @ _FIT
+    grid = coef @ _GRID_TERMS.T
+    k = np.argmin(grid, axis=1)
+    start = _GRID[k]
+    theta = np.array([_newton_polish(c, t, _GRID[1]) for c, t in zip(coef, start.tolist())])
+    values = np.sum(coef * _terms(theta), axis=1)
+    # keep a grid point where polishing did not lower the polynomial
+    worse = values > grid[[0, 1], k]
+    theta = np.where(worse, start, theta)
+    values = np.where(worse, grid[[0, 1], k], values)
+    best = int(np.argmin(values))  # ties keep the proper rotation
+    Q = _basis_changes(theta[best], _REFLECTIONS[best])
+    Vh, per_block = _block_gram_residuals(bx, by, Q, n)
+    return float(np.max(np.sqrt(per_block))), Vh.reshape(3 * n, 2)
 
 
 def _dense_or_raise(m: NViewBifocal) -> np.ndarray:

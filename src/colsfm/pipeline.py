@@ -176,9 +176,7 @@ def _run_r4(measurements, tracks, regime, scene_gt, cfg) -> PipelineOutput:
 def _run_vc(measurements, tracks, regime, scene_gt, cfg) -> PipelineOutput:
     n = measurements.n
     g = ViewingGraph.from_edges(n, [(i, j, 1.0) for (i, j) in measurements.edges()])
-    cover = heuristic_cover(g)
-    full = TripletCover.from_triplets(g.triangles())
-    cover = enrich_connectivity(cover, full)
+    cover = enrich_connectivity(heuristic_cover(g), g.triangles())
 
     extended_blocks = dict(measurements.blocks)
     next_id = [n]

@@ -3,8 +3,9 @@
 Per-triplet recovery is scale-free: rotations come from the blocks, the
 translation direction from the anchor pair, and the remaining position
 freedom (alpha in the calibrated collinear case, the 4-vector a in the
-projective one) from 3-view tracks.  Triplets are then chained into a common
-frame by traversing the cover's dual graph.
+projective one) from 3-view tracks, all triangulated by one stacked DLT.
+Triplets are then chained into a common frame by traversing the cover's
+dual graph.
 """
 
 from __future__ import annotations
@@ -15,24 +16,22 @@ import numpy as np
 
 from .errors import (
     AlignmentIllConditioned,
-    AmbiguousCheirality,
     CyclicInconsistency,
     DegenerateEpipole,
-    DegenerateGeometry,
     InconsistentInput,
     InsufficientTracks,
     NotConnected,
 )
 from .geometry import (
     BifocalTensor,
-    Track,
+    _dlt,
+    _skews,
     epipole,
     essential_candidates,
     fundamental_from_projections,
     nearest_rotation,
     rotation_from_essential,
     skew,
-    triangulate_dlt,
     unit,
 )
 from .graphs import dual_adjacency, dual_bfs
@@ -182,30 +181,42 @@ def _triplet_blocks(E9: np.ndarray) -> dict:
     }
 
 
+def _triangulate_tracks3(P0, P1, tracks3):
+    """One stacked DLT of every 3-view track from views 0 and 1; returns the
+    (N, 3, 3) track points in view order 0, 1, 2, the (N, 4) points and
+    which of them are ambiguous."""
+    pts = np.array([tr.points[[tr.view_ids.index(v) for v in (0, 1, 2)]] for tr in tracks3])
+    X, ambiguous = _dlt(np.concatenate([_skews(pts[:, 0]) @ P0, _skews(pts[:, 1]) @ P1], axis=1))
+    return pts, X, ambiguous
+
+
+def _ordered_sum(values) -> float:
+    """0.0 + values[0] + values[1] + ..., summed left to right."""
+    return 0.0 + float(np.cumsum(values)[-1])
+
+
+def _rowwise_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[k] @ b[k] for every row k, each as one vector dot product."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
 def _alpha_least_squares(P0, P1, Rh2, axis_dir, tracks3):
-    """alpha from P2(alpha) X x x2 = 0 over all 3-view tracks, X from views 0-1."""
-    num, den = 0.0, 0.0
-    scale = 0.0
-    used = 0
-    for tr in tracks3:
-        try:
-            X = triangulate_dlt([P0, P1], tr.restrict((0, 1)))
-        except DegenerateGeometry:
-            continue
-        if abs(X[3]) < 1e-12 * np.linalg.norm(X):
-            continue
-        Xe = X[:3] / X[3]
-        u = Rh2 @ Xe
-        b = Rh2 @ axis_dir
-        x2 = tr.point(2)
-        bx = np.cross(b, x2)
-        ux = np.cross(u, x2)
-        num += -float(bx @ ux)
-        den += float(bx @ bx)
-        scale += float(ux @ ux)
-        used += 1
-    if used == 0:
+    """alpha from P2(alpha) X x x2 = 0 over all 3-view tracks, X from views
+    0-1; ambiguous and at-infinity points are skipped."""
+    pts, X, ambiguous = _triangulate_tracks3(P0, P1, tracks3)
+    at_infinity = np.abs(X[:, 3]) < 1e-12 * np.linalg.norm(X, axis=1)
+    keep = ~ambiguous & ~at_infinity
+    if not np.any(keep):
         raise InsufficientTracks("no usable 3-view track for the alpha solve")
+    X, x2 = X[keep], pts[keep, 2]
+    Xe = X[:, :3] / X[:, 3:]
+    u = (Rh2 @ Xe[:, :, None])[:, :, 0]
+    b = Rh2 @ axis_dir
+    bx = np.cross(b, x2)
+    ux = np.cross(u, x2)
+    num = _ordered_sum(-_rowwise_dot(bx, ux))
+    den = _ordered_sum(_rowwise_dot(bx, bx))
+    scale = _ordered_sum(_rowwise_dot(ux, ux))
     if den < 1e-18 * max(scale, 1.0):
         raise InsufficientTracks("3-view tracks are degenerate with the camera line")
     return num / den
@@ -245,7 +256,7 @@ def recover_calibrated_collinear_triplet(
     axis = Rh[0].T @ t12  # world direction of t_0 - t_1 in the local gauge
     P0 = np.hstack([Rh[0], np.zeros((3, 1))])
     P1 = np.hstack([Rh[1], (Rh[1] @ axis).reshape(3, 1)])
-    if not tracks3:
+    if len(tracks3) == 0:
         raise InsufficientTracks("alpha is undetermined without 3-view tracks")
     alpha = _alpha_least_squares(P0, P1, Rh[2], axis, tracks3)
     P2 = np.hstack([Rh[2], (alpha * Rh[2] @ axis).reshape(3, 1)])
@@ -291,7 +302,8 @@ def _canonical_pair_cameras(F01, F12):
 
 def _a_system_rows(P0, M2, e2, F02, tracks3):
     """LS rows for the 4-vector a: proportionality of the third tensor plus
-    one cross-product row set per 3-view track."""
+    one cross-product row set per 3-view track whose point is not ambiguous;
+    returns (A, b, number of tracks used)."""
     def P2_of(a):
         return np.hstack([M2, np.zeros((3, 1))]) + np.outer(e2, a)
 
@@ -305,17 +317,16 @@ def _a_system_rows(P0, M2, e2, F02, tracks3):
     Proj = np.eye(9) - np.outer(fhat, fhat)
     rows = [Proj @ L]
     rhs = [-Proj @ f0]
-    P1 = np.hstack([np.eye(3), np.zeros((3, 1))])
-    for tr in tracks3:
-        try:
-            X = triangulate_dlt([P0, P1], tr.restrict((0, 1)))
-        except DegenerateGeometry:
-            continue
-        x2 = tr.point(2)
-        c = M2 @ X[:3]
+    used = 0
+    if len(tracks3):
+        P1 = np.hstack([np.eye(3), np.zeros((3, 1))])
+        pts, X, ambiguous = _triangulate_tracks3(P0, P1, tracks3)
+        X, x2 = X[~ambiguous], pts[~ambiguous, 2]
+        used = len(X)
+        c = (M2 @ X[:, :3, None])[:, :, 0]
         ex = np.cross(e2, x2)
-        rows.append(np.outer(ex, X))
-        rhs.append(-np.cross(c, x2))
+        rows.append((ex[:, :, None] * X[:, None, :]).reshape(-1, 4))
+        rhs.append(-np.cross(c, x2).ravel())
     A = np.vstack(rows)
     b = np.concatenate(rhs)
     # row normalization keeps tensor rows and track rows commensurable
@@ -325,7 +336,7 @@ def _a_system_rows(P0, M2, e2, F02, tracks3):
         raise DegenerateEpipole("every constraint row is degenerate (tracks at the epipole)")
     A = A[keep] / norms[keep, None]
     b = b[keep] / norms[keep]
-    return A, b
+    return A, b, used
 
 
 def recover_projective_collinear_triplet(
@@ -335,12 +346,18 @@ def recover_projective_collinear_triplet(
     F01, the family P2(a) compatible with F12, and a solved in least squares
     from the 3-view tracks (the third tensor constrains nothing when the
     centers are exactly collinear, so at least enough generic tracks to span
-    the solve are required)."""
+    the solve are required; a track whose point is ambiguous from views 0-1
+    does not count)."""
     tracks3 = list(tracks3)
     if len(tracks3) < 2:
         raise InsufficientTracks("the a-vector solve needs at least 2 three-view tracks")
     P0, P1, M2, e2 = _canonical_pair_cameras(F01, F12)
-    A, b = _a_system_rows(P0, M2, e2, F02, tracks3)
+    A, b, used = _a_system_rows(P0, M2, e2, F02, tracks3)
+    if used < 2:
+        raise InsufficientTracks(
+            f"the a-vector solve needs at least 2 three-view tracks; {used} triangulate "
+            "unambiguously"
+        )
     a, *_ = np.linalg.lstsq(A, b, rcond=None)
     P2 = np.hstack([M2, np.zeros((3, 1))]) + np.outer(e2, a)
     return TripletCameras(tuple(triplet_id), [P0, P1, P2], "projective", a)
@@ -350,7 +367,7 @@ def recover_projective_general_triplet(F01, F12, F02, triplet_id=(0, 1, 2)) -> T
     """Projective cameras of a general-position triplet: a is fully
     determined by proportionality to the third tensor, no tracks needed."""
     P0, P1, M2, e2 = _canonical_pair_cameras(F01, F12)
-    A, b = _a_system_rows(P0, M2, e2, F02, tracks3=[])
+    A, b, _ = _a_system_rows(P0, M2, e2, F02, tracks3=[])
     sv = np.linalg.svd(A, compute_uv=False)
     if sv[3] < 1e-10 * sv[0]:
         raise DegenerateEpipole("third tensor does not determine a (collinear cameras?)")

@@ -17,6 +17,7 @@ from .geometry import (
     CameraModel,
     Track,
     bifocal_from_pair,
+    _check_image_points,
     normalized_tensor,
     rotation_about,
     skew,
@@ -37,23 +38,35 @@ class MeasurementNoise:
 
 @dataclass
 class TrackSet:
-    """All observations of the scene points: obs[p][i] = image of point p in view i."""
+    """All observations of the scene points: obs[p][i] = image of point p in view i.
+
+    Every observation is checked once, here, as Track checks its points; the
+    tracks drawn from the set are then built without checking them again.
+    """
 
     observations: list  # list over points of dict view -> homogeneous 3-vector
 
+    def __post_init__(self):
+        views = [[int(v) for v in obs] for obs in self.observations]
+        pts = np.array([p for obs in self.observations for p in obs.values()], dtype=float)
+        pts = pts.reshape(len(pts), 3)
+        _check_image_points(pts)
+        pts.setflags(write=False)
+        rows = iter(pts)
+        self.observations = [{v: next(rows) for v in vs} for vs in views]
+
+    def _tracks(self, ids) -> list:
+        return [
+            Track._checked(ids, np.array([obs[v] for v in ids]))
+            for obs in self.observations
+            if all(v in obs for v in ids)
+        ]
+
     def pair_tracks(self, i: int, j: int) -> list:
-        out = []
-        for p, obs in enumerate(self.observations):
-            if i in obs and j in obs:
-                out.append(Track((i, j), np.vstack([obs[i], obs[j]])))
-        return out
+        return self._tracks((i, j))
 
     def triple_tracks(self, i: int, j: int, k: int) -> list:
-        out = []
-        for p, obs in enumerate(self.observations):
-            if i in obs and j in obs and k in obs:
-                out.append(Track((i, j, k), np.vstack([obs[i], obs[j], obs[k]])))
-        return out
+        return self._tracks((i, j, k))
 
 
 @dataclass

@@ -250,7 +250,7 @@ def test_criterion_7_vc_end_to_end():
     # same scene through rank-6 averaging without virtual cameras: the
     # collinear triplets cannot satisfy the general-position certificate
     g = ViewingGraph.from_edges(m.n, [(i, j, 1.0) for (i, j) in m.edges()])
-    cover = enrich_connectivity(heuristic_cover(g), TripletCover.from_triplets(g.triangles()))
+    cover = enrich_connectivity(heuristic_cover(g), g.triangles())
     collinear_triplets = [
         t for t in cover.triplets
         if collinearity_score([scene.cameras[i].center for i in t]) < 0.01
@@ -294,7 +294,7 @@ def test_criterion_8_cover_machinery():
             assert g.has_edge(*e)
         full = TripletCover.from_triplets(tris)
         if full.is_connected():
-            enrichedcover = enrich_connectivity(cover, full)
+            enrichedcover = enrich_connectivity(cover, full.triplets)
             assert enrichedcover.is_connected()
             enriched += 1
         # pruning on an insertion pass never disconnects (BFS oracle)

@@ -442,5 +442,5 @@ class TestGoldenAverage:
             cv = sequential_cover(n)
         else:
             g = ViewingGraph.complete(n)
-            cv = enrich_connectivity(heuristic_cover(g), TripletCover.from_triplets(g.triangles()))
+            cv = enrich_connectivity(heuristic_cover(g), g.triangles())
         assert _result_digest(average(m, cv, regime, AdmmConfig(**kw))) == expected

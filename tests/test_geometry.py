@@ -322,6 +322,51 @@ class TestFundamentalFromProjections:
             assert abs(abs(c) - 1.0) < 1e-9
 
 
+def _determinant_loop(Pi, Pj):
+    """Oracle: the former nine separate 4x4 determinants."""
+    F = np.zeros((3, 3))
+    for p in range(3):
+        Ai = np.delete(Pi, p, axis=0)
+        for q in range(3):
+            A = np.vstack([Ai, np.delete(Pj, q, axis=0)])
+            F[p, q] = (-1) ** (p + q) * np.linalg.det(A)
+    return F
+
+
+class TestFundamentalFromProjectionsStacked:
+    def test_matches_determinant_loop(self, rng):
+        for _ in range(200):
+            Pi, Pj = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
+            assert np.array_equal(fundamental_from_projections(Pi, Pj), _determinant_loop(Pi, Pj))
+        P = rng.normal(size=(3, 4))
+        assert np.array_equal(fundamental_from_projections(P, P), _determinant_loop(P, P))
+
+
+class TestTrackChecks:
+    def test_public_constructor_still_checks(self):
+        with pytest.raises(ValueError, match="finite"):
+            Track((0, 1), [[0.0, np.nan, 1.0], [0.0, 0.0, 1.0]])
+        with pytest.raises(ValueError, match="last coordinate"):
+            Track((0, 1), [[0.0, 0.0, 2.0], [0.0, 0.0, 1.0]])
+        with pytest.raises(ValueError, match="2 or 3 views"):
+            Track((0,), [[0.0, 0.0, 1.0]])
+        with pytest.raises(ValueError, match="distinct"):
+            Track((1, 1), [[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
+
+    def test_derived_tracks_equal_checked_ones(self):
+        tr = Track((4, 7, 9), [[0.1, 0.2, 1.0], [0.3, -0.4, 1.0], [0.5, 0.6, 1.0]])
+        sub = tr.restrict((9, 4))
+        assert sub.view_ids == (9, 4) and np.array_equal(sub.points, tr.points[[2, 0]])
+        assert not sub.points.flags.writeable
+        moved = tr.relabel({4: 0, 7: 1, 9: 2})
+        assert moved.view_ids == (0, 1, 2) and np.array_equal(moved.points, tr.points)
+        assert not moved.points.flags.writeable
+        with pytest.raises(ValueError, match="distinct"):
+            tr.relabel({4: 0, 7: 0, 9: 1})
+        with pytest.raises(ValueError, match="2 or 3 views"):
+            tr.restrict((4,))
+
+
 class TestNearestRotation:
     def test_projects_to_so3(self, rng):
         for _ in range(20):

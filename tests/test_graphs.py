@@ -108,7 +108,7 @@ class TestEnrichConnectivity:
     def test_already_connected_unchanged(self):
         c = sequential_cover(5)
         full = TripletCover.from_triplets(ViewingGraph.complete(5).triangles())
-        e = enrich_connectivity(c, full)
+        e = enrich_connectivity(c, full.triplets)
         assert e.triplets == c.triplets
 
     def test_bridge_single_triplet(self):
@@ -116,7 +116,7 @@ class TestEnrichConnectivity:
         cover = TripletCover.from_triplets([(0, 1, 2), (2, 3, 4)])
         assert not cover.is_connected()
         full = TripletCover.from_triplets([(0, 1, 2), (1, 2, 3), (2, 3, 4)])
-        e = enrich_connectivity(cover, full)
+        e = enrich_connectivity(cover, full.triplets)
         assert e.is_connected()
         assert (1, 2, 3) in e.triplets
         assert len(e.triplets) == 3
@@ -125,12 +125,12 @@ class TestEnrichConnectivity:
         cover = TripletCover.from_triplets([(0, 1, 2), (3, 4, 5)])
         full = TripletCover.from_triplets([(0, 1, 2), (3, 4, 5)])
         with pytest.raises(Unconnectable):
-            enrich_connectivity(cover, full)
+            enrich_connectivity(cover, full.triplets)
 
     def test_monotone_component_reduction(self):
         cover = TripletCover.from_triplets([(0, 1, 2), (4, 5, 6), (8, 9, 10)])
         full = TripletCover.from_triplets(ViewingGraph.complete(11).triangles())
-        e = enrich_connectivity(cover, full)
+        e = enrich_connectivity(cover, full.triplets)
         assert e.is_connected()
         assert set(cover.triplets) <= set(e.triplets)
 
@@ -286,7 +286,7 @@ def _golden_stages(seed):
     cover = heuristic_cover(g)
     out = [cover.to_json()]
     try:
-        cover = enrich_connectivity(cover, TripletCover.from_triplets(g.triangles()))
+        cover = enrich_connectivity(cover, g.triangles())
     except Unconnectable:
         return out
     out.append(cover.to_json())
@@ -347,7 +347,7 @@ def test_complete_30_cover_enrich_prune():
     """4060 triangles: cover, enrich and prune with one marked triplet keep
     the criterion-8 invariants, checked against the brute-force oracles."""
     g = ViewingGraph.complete(30)
-    cover = enrich_connectivity(heuristic_cover(g), TripletCover.from_triplets(g.triangles()))
+    cover = enrich_connectivity(heuristic_cover(g), g.triangles())
     assert cover.covered_edges() == set(g.edges)
     marked = cover.triplets[len(cover.triplets) // 2]
     out = insert_virtual_and_prune(cover, 0.5, lambda t: 0.0 if t == marked else 1.0, lambda t: 30)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from colsfm.errors import DuplicateEdge, IndexOutOfRange, NotOrthonormal, RankNot2
-from colsfm.geometry import BifocalTensor, bifocal_from_pair, geodesic_angle
+from colsfm.geometry import BifocalTensor, bifocal_from_pair, fix_sign, geodesic_angle
 from colsfm.nview import (
     NViewBifocal,
     certify_collinear_essential,
@@ -13,7 +13,8 @@ from colsfm.nview import (
     spectral_svd_map,
     svd_spectral_map,
 )
-from colsfm.synthetic import generate
+from colsfm.nview import _eig_sorted, _vhat_alignment
+from colsfm.synthetic import MeasurementNoise, generate, measure
 
 
 def _blocks_from_scene(scene):
@@ -195,6 +196,105 @@ class TestCertifyCollinearEssential:
                 a = geodesic_angle(rel_est, rel_true)
                 b = geodesic_angle(rel_est, rel_true.T)  # transpose branch of the gauge
                 assert min(a, b) < 1e-7
+
+
+def _golden_min(f, a, b, iters=90):
+    g = (np.sqrt(5.0) - 1.0) / 2.0
+    c = b - g * (b - a)
+    d = a + g * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(iters):
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - g * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + g * (b - a)
+            fd = f(d)
+    x = 0.5 * (a + b)
+    return x, f(x)
+
+
+def _search_alignment(X, Y, n):
+    """Oracle: the former 256-point theta grid plus a golden-section search
+    per reflection."""
+    bx = X.reshape(n, 3, 2)
+    by = Y.reshape(n, 3, 2)
+    target = np.eye(2) / n
+
+    def residual_sq(theta, refl):
+        c, s = np.cos(theta), np.sin(theta)
+        Q = np.array([[c, -s], [s, c]]) @ np.diag([1.0, refl])
+        Vh = np.sqrt(0.5) * (bx + by @ Q)
+        G = np.einsum("nij,nik->njk", Vh, Vh) - target
+        return float(np.sum(G * G))
+
+    best = (np.inf, 0.0, 1.0)
+    for refl in (1.0, -1.0):
+        thetas = np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False)
+        vals = [residual_sq(t, refl) for t in thetas]
+        k = int(np.argmin(vals))
+        lo = thetas[k] - 2.0 * np.pi / 256
+        hi = thetas[k] + 2.0 * np.pi / 256
+        x, fx = _golden_min(lambda t: residual_sq(t, refl), lo, hi)
+        if fx < best[0]:
+            best = (fx, x, refl)
+    _, theta, refl = best
+    c, s = np.cos(theta), np.sin(theta)
+    Q = np.array([[c, -s], [s, c]]) @ np.diag([1.0, refl])
+    Vh = np.sqrt(0.5) * (bx + by @ Q)
+    G = np.einsum("nij,nik->njk", Vh, Vh) - target
+    maxres = float(np.max(np.sqrt(np.sum(G * G, axis=(1, 2)))))
+    return maxres, Vh.reshape(3 * n, 2)
+
+
+def _alignment_objective(v_hat, n):
+    B = v_hat.reshape(n, 3, 2)
+    G = np.einsum("nij,nik->njk", B, B) - np.eye(2) / n
+    return float(np.sum(G * G))
+
+
+class TestClosedFormAlignment:
+    """The degree-4 trigonometric minimiser against the former search."""
+
+    @staticmethod
+    def _matrices():
+        for seed in range(12):
+            n = 3 + seed % 8
+            scene = generate("collinear", n, 8, seed=200 + seed)
+            yield "exact", scene.exact_nview().dense()
+            noisy, _ = measure(scene, MeasurementNoise(0.5, 0.5), seed=seed)
+            yield "noisy", noisy.dense()
+            yield "general", generate("general", n, 8, seed=300 + seed).exact_nview().dense()
+
+    def test_objective_no_larger_and_same_conditions(self):
+        for label, M in self._matrices():
+            n = M.shape[0] // 3
+            w, V = _eig_sorted(M)
+            X, Y = V[:, [0, 1]], V[:, [len(w) - 1, len(w) - 2]]
+            old_res, old_vhat = _search_alignment(X, Y, n)
+            new_res, new_vhat = _vhat_alignment(X, Y, n)
+            assert _alignment_objective(new_vhat, n) <= _alignment_objective(old_vhat, n) + 1e-12, label
+            for tol in (1e-6, 1e-3):
+                cert = certify_collinear_essential(M, tol=tol)
+                assert cert.orthogonality_residual == new_res
+                assert cert.conditions == dict(cert.conditions, orthogonality=old_res < tol), label
+
+    def test_eigenvector_signs_match_fix_sign(self, rng):
+        for n in (3, 6, 9, 12):
+            A = rng.normal(size=(n, n))
+            A = A + A.T
+            w, V = _eig_sorted(A)
+            ref_w, ref_V = np.linalg.eigh(A)
+            order = np.argsort(ref_w)[::-1]
+            assert np.array_equal(w, ref_w[order])
+            assert np.array_equal(V, np.column_stack([fix_sign(v) for v in ref_V[:, order].T]))
+
+    def test_exact_input_reaches_machine_precision(self):
+        scene = generate("collinear", 5, 8, seed=7)
+        cert = certify_collinear_essential(scene.exact_nview())
+        assert cert.orthogonality_residual < 1e-12
 
 
 class TestCertifyCollinearFundamental:

@@ -3,6 +3,7 @@ import pytest
 
 from colsfm.errors import (
     DegenerateEpipole,
+    DegenerateGeometry,
     InconsistentInput,
     InsufficientTracks,
     NotConnected,
@@ -15,11 +16,16 @@ from colsfm.geometry import (
     fundamental_from_projections,
     geodesic_angle,
     normalized_tensor,
+    triangulate_dlt,
     unit,
 )
 from colsfm.graphs import TripletCover, sequential_cover
 from colsfm.metrics import align_similarity, mean_reprojection_error
 from colsfm.recovery import (
+    _a_system_rows,
+    _alpha_least_squares,
+    _canonical_pair_cameras,
+    _triangulate_tracks3,
     closure_scales,
     eigen_rotation_averaging,
     recover_calibrated_collinear_triplet,
@@ -235,6 +241,21 @@ class TestProjectiveCollinearRecovery:
         held_out = tr3[4:]
         assert mean_reprojection_error(rec4.cameras, held_out) < 1e-7
 
+    def test_ambiguous_track_does_not_count(self, collinear_projective_scene):
+        # two tracks pass the count, but the second lies on the camera line,
+        # so its DLT point from views 0-1 is ambiguous and it is skipped
+        scene = collinear_projective_scene
+        F = self._tensors(scene)
+        _, tr3 = _local_tracks(scene, (0, 1, 2))
+        c = scene.centers()
+        X = c[0] + 2.7 * (c[1] - c[0])
+        on_line = Track((0, 1, 2), np.vstack([scene.cameras[i].project(X) for i in range(3)]))
+        P0, P1, _, _ = _canonical_pair_cameras(F[(0, 1)], F[(1, 2)])
+        with pytest.raises(DegenerateGeometry):
+            triangulate_dlt([P0, P1], on_line.restrict((0, 1)))
+        with pytest.raises(InsufficientTracks):
+            recover_projective_collinear_triplet(F[(0, 1)], F[(1, 2)], F[(0, 2)], [tr3[0], on_line])
+
     def test_all_tracks_at_epipole_rejected(self, collinear_projective_scene):
         scene = collinear_projective_scene
         F = self._tensors(scene)
@@ -363,3 +384,132 @@ class TestGaugeInvariance:
             a = normalized_tensor(E1[3 * i:3 * i + 3, 3 * j:3 * j + 3])
             b = normalized_tensor(E2[3 * i:3 * i + 3, 3 * j:3 * j + 3])
             assert min(np.linalg.norm(a - b), np.linalg.norm(a + b)) < 1e-9
+
+
+def _alpha_loop(P0, P1, Rh2, axis_dir, tracks3):
+    """Oracle: the former per-track alpha solve."""
+    num, den = 0.0, 0.0
+    scale = 0.0
+    used = 0
+    for tr in tracks3:
+        try:
+            X = triangulate_dlt([P0, P1], tr.restrict((0, 1)))
+        except DegenerateGeometry:
+            continue
+        if abs(X[3]) < 1e-12 * np.linalg.norm(X):
+            continue
+        Xe = X[:3] / X[3]
+        u = Rh2 @ Xe
+        b = Rh2 @ axis_dir
+        x2 = tr.point(2)
+        bx = np.cross(b, x2)
+        ux = np.cross(u, x2)
+        num += -float(bx @ ux)
+        den += float(bx @ bx)
+        scale += float(ux @ ux)
+        used += 1
+    if used == 0:
+        raise InsufficientTracks("no usable 3-view track for the alpha solve")
+    if den < 1e-18 * max(scale, 1.0):
+        raise InsufficientTracks("3-view tracks are degenerate with the camera line")
+    return num / den
+
+
+def _a_rows_loop(P0, M2, e2, F02, tracks3):
+    """Oracle: the former per-track a-system rows."""
+    def P2_of(a):
+        return np.hstack([M2, np.zeros((3, 1))]) + np.outer(e2, a)
+
+    f0 = fundamental_from_projections(P0, P2_of(np.zeros(4))).ravel()
+    L = np.zeros((9, 4))
+    for k in range(4):
+        ek = np.zeros(4)
+        ek[k] = 1.0
+        L[:, k] = fundamental_from_projections(P0, P2_of(ek)).ravel() - f0
+    fhat = unit(np.asarray(F02, dtype=float).ravel())
+    Proj = np.eye(9) - np.outer(fhat, fhat)
+    rows = [Proj @ L]
+    rhs = [-Proj @ f0]
+    P1 = np.hstack([np.eye(3), np.zeros((3, 1))])
+    for tr in tracks3:
+        try:
+            X = triangulate_dlt([P0, P1], tr.restrict((0, 1)))
+        except DegenerateGeometry:
+            continue
+        x2 = tr.point(2)
+        c = M2 @ X[:3]
+        ex = np.cross(e2, x2)
+        rows.append(np.outer(ex, X))
+        rhs.append(-np.cross(c, x2))
+    A = np.vstack(rows)
+    b = np.concatenate(rhs)
+    norms = np.linalg.norm(A, axis=1)
+    keep = norms > 1e-12 * max(float(np.max(norms)), 1.0)
+    if not np.any(keep):
+        raise DegenerateEpipole("every constraint row is degenerate (tracks at the epipole)")
+    return A[keep] / norms[keep, None], b[keep] / norms[keep]
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (InsufficientTracks, DegenerateEpipole) as exc:
+        return type(exc)
+
+
+class TestStackedTrackSolves:
+    """The stacked alpha and a-row solves against the per-track loops, on
+    random tracks that include DLT-ambiguous and at-infinity points."""
+
+    @staticmethod
+    def _cases(rng):
+        from conftest import random_rotation
+
+        for _ in range(120):
+            R0, R1, R2 = (random_rotation(rng) for _ in range(3))
+            axis = unit(rng.normal(size=3))
+            P0 = np.hstack([R0, np.zeros((3, 1))])
+            P1 = np.hstack([R1, (R1 @ axis).reshape(3, 1)])
+            P2 = np.hstack([R2, (rng.uniform(-3, 3) * R2 @ axis).reshape(3, 1)])
+            tracks = []
+            for kind in rng.integers(0, 6, size=int(rng.integers(1, 25))):
+                if kind == 0:  # on the 0-1 baseline: ambiguous
+                    Xh = np.append(-rng.uniform(-2, 2) * axis, 1.0)
+                elif kind == 1:  # at infinity
+                    Xh = np.append(rng.normal(size=3), 0.0)
+                else:
+                    Xh = np.append(3.0 * rng.normal(size=3), 1.0)
+                xs = [P @ Xh for P in (P0, P1, P2)]
+                if min(abs(x[2]) for x in xs) < 1e-3:
+                    continue
+                pts = np.array([x / x[2] for x in xs])
+                if kind >= 4:
+                    pts[:, :2] += rng.normal(scale=1e-3, size=(3, 2))
+                tracks.append(Track((0, 1, 2), pts))
+            if tracks:
+                yield P0, P1, R2, axis, tracks
+
+    def test_alpha_and_rows_equal_per_track_loops(self, rng):
+        ambiguous = at_infinity = 0
+        for P0, P1, R2, axis, tracks in self._cases(rng):
+            _, X, amb = _triangulate_tracks3(P0, P1, tracks)
+            ambiguous += int(np.sum(amb))
+            at_infinity += int(np.sum(~amb & (np.abs(X[:, 3]) < 1e-12)))
+            old = _outcome(_alpha_loop, P0, P1, R2, axis, tracks)
+            new = _outcome(_alpha_least_squares, P0, P1, R2, axis, tracks)
+            assert old is new if isinstance(old, type) else np.array_equal(old, new)
+            M2, F02 = rng.normal(size=(3, 3)), rng.normal(size=(3, 3))
+            e2 = unit(rng.normal(size=3))
+            old = _outcome(_a_rows_loop, P0, M2, e2, F02, tracks)
+            new = _outcome(_a_system_rows, P0, M2, e2, F02, tracks)
+            if isinstance(old, type):
+                assert old is new
+            else:
+                assert np.array_equal(old[0], new[0]) and np.array_equal(old[1], new[1])
+        assert ambiguous > 0 and at_infinity > 0  # both skip rules fired
+
+    def test_tracks_in_any_view_order(self, rng):
+        P0, P1, R2, axis, tracks = next(self._cases(rng))
+        shuffled = [Track((2, 0, 1), tr.points[[2, 0, 1]]) for tr in tracks]
+        assert np.array_equal(_triangulate_tracks3(P0, P1, tracks)[1],
+                              _triangulate_tracks3(P0, P1, shuffled)[1])

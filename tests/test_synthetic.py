@@ -3,7 +3,8 @@ import pytest
 
 from colsfm.geometry import bifocal_from_pair, essential_candidates, geodesic_angle, normalized_tensor, unit
 from colsfm.nview import certify_collinear_essential, certify_collinear_fundamental
-from colsfm.synthetic import MeasurementNoise, generate, measure
+from colsfm.geometry import Track
+from colsfm.synthetic import MeasurementNoise, TrackSet, generate, measure
 
 
 def _line_distance(centers):
@@ -124,3 +125,29 @@ class TestTrackSet:
         assert pairs[0].view_ids == (0, 2)
         x = triples[2].point(3)
         assert np.allclose(x, scene.cameras[3].project(scene.points[2]))
+
+    def test_observations_checked_once_at_construction(self):
+        good = np.array([0.1, 0.2, 1.0])
+        with pytest.raises(ValueError, match="finite"):
+            TrackSet([{0: good, 1: np.array([np.inf, 0.0, 1.0])}])
+        with pytest.raises(ValueError, match="last coordinate"):
+            TrackSet([{0: good}, {0: good, 3: np.array([0.0, 0.0, 1.5])}])
+        TrackSet([])
+
+    def test_tracks_equal_checked_tracks(self):
+        ts = generate("collinear", 5, 6, seed=2).track_set(pixel_noise=1e-3)
+        for ids in ((0, 3), (4, 1), (0, 2, 4)):
+            drawn = ts.triple_tracks(*ids) if len(ids) == 3 else ts.pair_tracks(*ids)
+            assert len(drawn) == 6
+            for tr, obs in zip(drawn, ts.observations):
+                ref = Track(ids, np.vstack([obs[v] for v in ids]))
+                assert tr.view_ids == ref.view_ids
+                assert np.array_equal(tr.points, ref.points)
+                assert not tr.points.flags.writeable
+
+    def test_partial_observations(self):
+        p = np.array([0.0, 0.0, 1.0])
+        ts = TrackSet([{0: p, 1: p}, {1: p, 2: p}, {0: p, 1: p, 2: p}])
+        assert len(ts.pair_tracks(0, 1)) == 2
+        assert len(ts.pair_tracks(1, 2)) == 2
+        assert len(ts.triple_tracks(0, 1, 2)) == 1
