@@ -29,10 +29,11 @@ import numpy as np
 from .errors import MissingBlock, NotConnected
 from .geometry import BifocalTensor, nearest_rotation, normalized_tensor, skew
 from .graphs import (
-    TripletCover, build_dual_edges, dual_adjacency, dual_bfs, pair_index, triplet_pairs,
+    _LOCAL_PAIRS, TripletCover, build_dual_edges, dual_adjacency, dual_bfs, pair_index,
+    triplet_pairs,
 )
 from .nview import NViewBifocal
-from .recovery import _LOCAL_PAIRS, closure_scales, resolve_essential_triplet
+from .recovery import closure_scales, resolve_essential_triplet
 
 _ROWS, _COLS = zip(*_LOCAL_PAIRS)  # block row and column of each local pair
 

@@ -22,6 +22,8 @@ import numpy as np
 from .errors import NoTriangles, TooFewCameras, Unconnectable
 from .geometry import BifocalTensor, epipole
 
+_LOCAL_PAIRS = ((0, 1), (0, 2), (1, 2))  # the three pairs of a triplet, in local view ids
+
 
 @dataclass
 class ViewingGraph:
@@ -260,7 +262,7 @@ def collinearity_score(cams_or_tensors) -> float:
         tensors = {tuple(sorted(k)): v for k, v in cams_or_tensors.items()}
         best = np.inf
         for v in range(3):
-            others = [p for p in ((0, 1), (0, 2), (1, 2)) if v in p]
+            others = [p for p in _LOCAL_PAIRS if v in p]
             es = []
             for (i, j) in others:
                 t = tensors[(i, j)]

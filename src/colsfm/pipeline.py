@@ -11,6 +11,7 @@ metrics.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 
@@ -19,6 +20,7 @@ import numpy as np
 from .averaging import AdmmConfig, average
 from .errors import ValidationError
 from .graphs import (
+    _LOCAL_PAIRS,
     TripletCover,
     ViewingGraph,
     collinearity_score,
@@ -32,7 +34,6 @@ from .geometry import Track
 from .metrics import EvalReport, align_similarity, mean_reprojection_error
 from .nview import NViewBifocal
 from .recovery import (
-    _LOCAL_PAIRS,
     recover_calibrated_collinear_triplet,
     recover_calibrated_general_triplet,
     recover_projective_collinear_triplet,
@@ -61,13 +62,26 @@ class PipelineOutput:
     frame: str
 
 
-def _local_triplet_tracks(tracks: TrackSet, ids):
+def _local_triple_tracks(tracks: TrackSet, ids):
+    """3-view tracks of a triplet, relabelled to its local view ids 0, 1, 2."""
     ids = sorted(ids)
     mapping = {g: l for l, g in enumerate(ids)}
-    tr3 = [t.relabel(mapping) for t in tracks.triple_tracks(*ids)]
-    tr2 = [t.relabel({ids[a]: a, ids[b]: b})
-           for a, b in _LOCAL_PAIRS for t in tracks.pair_tracks(ids[a], ids[b])]
-    return tr2, tr3
+    return [t.relabel(mapping) for t in tracks.triple_tracks(*ids)]
+
+
+def _pair_point_cache(tracks: TrackSet):
+    """(i, j) -> (m, 2, 3) image points of the pair's tracks, each built once
+    per run, since neighbouring triplets share pairs."""
+    return functools.cache(lambda i, j: np.array([t.points for t in tracks.pair_tracks(i, j)]))
+
+
+def _local_pair_tracks(pair_points, ids, n_real):
+    """2-view tracks of the pairs of real cameras in a triplet (a virtual
+    camera has no tracks), labelled with local view ids."""
+    ids = sorted(ids)
+    return [Track._checked((a, b), p)
+            for a, b in _LOCAL_PAIRS if ids[b] < n_real
+            for p in pair_points(ids[a], ids[b])]
 
 
 def _triplet_tensor_dict(nview: NViewBifocal, ids):
@@ -141,12 +155,14 @@ def _run_r4(measurements, tracks, regime, scene_gt, cfg) -> PipelineOutput:
     mode = "euclidean" if regime == "calibrated" else "projective"
     # sanity gates only when the iterate is coarse; the report stays honest
     gate = 1e-3 if avg.converged else 0.5
+    pair_points = _pair_point_cache(tracks)
     try:
         recs = []
         for t in sorted(cover.triplets):
-            tr2, tr3 = _local_triplet_tracks(tracks, t)
+            tr3 = _local_triple_tracks(tracks, t)
             M9 = avg.triplet_matrix(t)
             if regime == "calibrated":
+                tr2 = _local_pair_tracks(pair_points, t, n)
                 recs.append(
                     recover_calibrated_collinear_triplet(
                         M9, tr2, tr3, triplet_id=tuple(sorted(t)),
@@ -188,7 +204,7 @@ def _run_vc(measurements, tracks, regime, scene_gt, cfg) -> PipelineOutput:
     def builder(t):
         ids = sorted(t)
         tensors = _triplet_tensor_dict(measurements, t)
-        _, tr3 = _local_triplet_tracks(tracks, t)
+        tr3 = _local_triple_tracks(tracks, t)
         track = select_virtual_point(tr3, tensors, cfg.epipole_margin)
         if measurements.kind == "essential":
             vb = virtual_bifocals(tensors, track, "essential", tracks=tr3)
@@ -212,12 +228,13 @@ def _run_vc(measurements, tracks, regime, scene_gt, cfg) -> PipelineOutput:
     avg = average(extended, cover, "general", cfg.admm)
     mode = "euclidean" if regime == "calibrated" else "projective"
     gate = 1e-3 if avg.converged else 0.5
+    pair_points = _pair_point_cache(tracks)
     try:
         recs = []
         for t in sorted(cover.triplets):
             ids = sorted(t)
-            tr2 = _pair_only_tracks(tracks, ids, n)
             if regime == "calibrated":
+                tr2 = _local_pair_tracks(pair_points, ids, n)
                 M9 = avg.triplet_matrix(t)
                 recs.append(
                     recover_calibrated_general_triplet(
@@ -241,15 +258,3 @@ def _run_vc(measurements, tracks, regime, scene_gt, cfg) -> PipelineOutput:
     cameras = reg.cameras[:n]  # virtual cameras are scaffolding only
     report = _evaluate(cameras, n, tracks, scene_gt, regime, "vc", avg.converged)
     return PipelineOutput(report, cameras, cover, avg.log, avg.converged, mode)
-
-
-def _pair_only_tracks(tracks: TrackSet, ids, n_real):
-    """2-view tracks for the real pairs of a triplet containing a virtual camera."""
-    ids = sorted(ids)
-    out = []
-    for a in range(3):
-        for b in range(a + 1, 3):
-            ga, gb = ids[a], ids[b]
-            if ga < n_real and gb < n_real:
-                out += [t.relabel({ga: a, gb: b}) for t in tracks.pair_tracks(ga, gb)]
-    return out

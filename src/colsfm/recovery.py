@@ -34,10 +34,8 @@ from .geometry import (
     skew,
     unit,
 )
-from .graphs import dual_adjacency, dual_bfs
+from .graphs import _LOCAL_PAIRS, dual_adjacency, dual_bfs
 from .nview import certify_collinear_essential
-
-_LOCAL_PAIRS = ((0, 1), (0, 2), (1, 2))
 
 
 @dataclass

@@ -141,6 +141,60 @@ def _random_K(rng) -> np.ndarray:
     return np.array([[f, 0.0, px], [0.0, f, py], [0.0, 0.0, 1.0]])
 
 
+_LINE_HALF = 2.5  # camera positions on the line lie in [-2.5, 2.5]
+_MIN_GAP = 0.05  # smallest spacing between two positions on the line
+_MAX_CHUNK = 128  # candidate layouts drawn and checked at once; more adds peak memory
+# uniforms spent on rejected layouts before sampling constructively; about
+# 1.1M candidates at n_line=30, where one in ~29,000 is accepted
+_REJECTION_BUDGET = 2 ** 25
+
+
+def _gaps_ok(alphas: np.ndarray) -> np.ndarray:
+    """Per row of sorted positions: is every gap at least _MIN_GAP?"""
+    return np.diff(alphas, axis=-1).min(axis=-1, initial=np.inf) >= _MIN_GAP
+
+
+def _line_positions(rng, n_line: int) -> np.ndarray:
+    """Sorted positions of n_line cameras on the line, pairwise gaps >= _MIN_GAP.
+
+    Rejection sampling: draw the whole layout uniformly on [-2.5, 2.5] and
+    redraw it until every gap is wide enough.  Candidates are drawn in
+    chunks of doubling size, and when one is accepted the generator is
+    rewound to just after it, so the positions and the generator state
+    afterwards equal those of redrawing one layout at a time.  Once the
+    rejected candidates have used _REJECTION_BUDGET uniforms (large n_line,
+    where acceptance is rare), the layout is drawn constructively from the
+    same distribution instead.
+    """
+    if (n_line - 1) * _MIN_GAP >= 2 * _LINE_HALF:
+        raise ValueError(f"{n_line} cameras do not fit on the line with gaps of {_MIN_GAP}")
+    if n_line == 0:
+        return np.empty(0)
+    rows_left = max(1, _REJECTION_BUDGET // n_line)
+    rows = 1
+    while rows_left > 0:
+        rows = min(rows, rows_left)
+        start = rng.bit_generator.state
+        chunk = rng.uniform(-_LINE_HALF, _LINE_HALF, size=(rows, n_line))
+        chunk.sort(axis=1)
+        accepted = np.flatnonzero(_gaps_ok(chunk))
+        if accepted.size:
+            k = accepted[0]
+            rng.bit_generator.state = start
+            rng.uniform(size=(k + 1) * n_line)  # consume exactly the candidates up to k
+            return chunk[k]
+        rows_left -= rows
+        rows = min(2 * rows, _MAX_CHUNK)
+    # sorted uniforms on a line shortened by the gaps, each k-th one shifted
+    # by k gaps: uniform on the layouts the rejection sampler accepts
+    shift = _MIN_GAP * np.arange(n_line)
+    while True:
+        alphas = np.sort(rng.uniform(-_LINE_HALF, _LINE_HALF - shift[-1], size=n_line)) + shift
+        # rounding in the shift may break a gap or the bound; redraw then
+        if _gaps_ok(alphas) and alphas[-1] <= _LINE_HALF:
+            return alphas
+
+
 def generate(
     layout: str,
     n_cams: int,
@@ -154,6 +208,15 @@ def generate(
     layout: "collinear" | "general" | "mixed" (first round(f*n) cameras on a
     line, the rest in general position).  Points sit in a bounded box off the
     camera line, in front of every camera.
+
+    The cameras on the line sit at sorted positions in [-2.5, 2.5] with every
+    gap at least 0.05, drawn uniformly among such layouts by rejection.  The
+    candidates are drawn in batches, but the generator is rewound to just
+    after the accepted one, so every scene equals the one drawn candidate by
+    candidate.  Where acceptance is too rare (about n >= 35), a fixed budget
+    of rejected draws runs out and the layout is drawn constructively from
+    the same distribution.  More than 100 cameras on the line raise
+    ValueError, since no layout has room for them.
     """
     if n_cams < 3:
         raise ValueError("need at least 3 cameras")
@@ -178,10 +241,7 @@ def generate(
         raise ValueError(f"unknown layout {layout!r}")
 
     centers = []
-    alphas = np.sort(rng.uniform(-2.5, 2.5, size=n_line))
-    while n_line and np.min(np.diff(alphas), initial=np.inf) < 0.05:
-        alphas = np.sort(rng.uniform(-2.5, 2.5, size=n_line))
-    for a in alphas:
+    for a in _line_positions(rng, n_line):
         centers.append(c0 + a * d)
     for _ in range(n_cams - n_line):
         p = c0 + rng.uniform(-2.5, 2.5) * d + rng.uniform(0.5, 2.0) * unit(np.cross(d, rng.normal(size=3)))
@@ -205,7 +265,9 @@ def generate(
     return scene
 
 
-def _perturbed_block(ci: CameraModel, cj: CameraModel, noise: MeasurementNoise, rng) -> np.ndarray:
+def _perturbed_block(
+    ci: CameraModel, cj: CameraModel, calibrated: bool, noise: MeasurementNoise, rng
+) -> np.ndarray:
     """Rebuild the pairwise tensor from a noise-perturbed relative pose.
 
     Rotation noise: rotation of exactly `rotation_deg` about a uniformly
@@ -221,7 +283,7 @@ def _perturbed_block(ci: CameraModel, cj: CameraModel, noise: MeasurementNoise, 
         axis = unit(np.cross(tdir, rng.normal(size=3)))
         tdir = rotation_about(axis, np.deg2rad(noise.translation_dir_deg)) @ tdir
     E = skew(tdir) @ Rrel
-    if ci.is_calibrated and cj.is_calibrated:
+    if calibrated:
         return E
     Ki = np.linalg.inv(ci.intrinsics)
     Kj = np.linalg.inv(cj.intrinsics)
@@ -232,11 +294,14 @@ def measure(scene: Scene, noise: MeasurementNoise | None = None, seed: int = 0):
     """Measured n-view matrix (unit-normalized blocks) and noisy tracks."""
     noise = noise or MeasurementNoise()
     rng = np.random.default_rng(seed)
-    kind = "essential" if all(c.is_calibrated for c in scene.cameras) else "fundamental"
+    calibrated = [c.is_calibrated for c in scene.cameras]
+    kind = "essential" if all(calibrated) else "fundamental"
     blocks = {}
     for i in range(scene.n):
         for j in range(i + 1, scene.n):
-            B = _perturbed_block(scene.cameras[i], scene.cameras[j], noise, rng)
+            B = _perturbed_block(
+                scene.cameras[i], scene.cameras[j], calibrated[i] and calibrated[j], noise, rng
+            )
             blocks[(i, j)] = BifocalTensor(normalized_tensor(B), kind, scale_fixed=True)
     nview = NViewBifocal.assemble(scene.n, blocks)
     tracks = scene.track_set(pixel_noise=noise.pixel, rng=rng)

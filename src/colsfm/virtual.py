@@ -28,8 +28,9 @@ from .geometry import (
     skew,
     symmetric_epipolar_distance,
 )
+from .graphs import _LOCAL_PAIRS
 from .nview import NViewBifocal
-from .recovery import _LOCAL_PAIRS, TripletCameras
+from .recovery import TripletCameras
 
 
 @dataclass(frozen=True)
