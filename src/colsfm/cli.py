@@ -14,7 +14,7 @@ from . import io as cio
 from .averaging import AdmmConfig
 from .errors import ValidationError
 from .metrics import EvalReport
-from .pipeline import PipelineConfig, run_pipeline
+from .pipeline import PipelineConfig, cover_and_average, run_pipeline
 from .synthetic import MeasurementNoise, generate, measure
 
 EXIT_OK = 0
@@ -71,27 +71,22 @@ def cmd_measure(args) -> int:
     return EXIT_OK
 
 
-def _run(args, scene):
-    measurements, tracks = cio.load_measurements(args.measurements)
-    cfg = _pipeline_cfg(args)
-    return run_pipeline(measurements, tracks, args.algorithm, args.regime, scene, cfg)
-
-
 def cmd_average(args) -> int:
-    out = _run(args, None)
+    measurements, tracks = cio.load_measurements(args.measurements)
+    cover, avg = cover_and_average(measurements, tracks, args.algorithm, _pipeline_cfg(args))
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    n_total = max((max(t) for t in out.cover.triplets), default=0) + 1
-    cio.write_convergence_log(out.averaging_log, outdir / "convergence.log")
-    (outdir / "cover.json").write_text(out.cover.to_json() + "\n", encoding="utf-8")
-    _emit(args, {"converged": out.converged, "iterations": len(out.averaging_log)},
-          f"averaging {'converged' if out.converged else 'did NOT converge'} "
-          f"in {len(out.averaging_log)} iterations ({n_total} cameras incl. virtual)")
-    return EXIT_OK if out.converged else EXIT_NO_CONVERGENCE
+    cio.write_convergence_log(avg.log, outdir / "convergence.log")
+    (outdir / "cover.json").write_text(cover.to_json() + "\n", encoding="utf-8")
+    _emit(args, {"converged": avg.converged, "iterations": len(avg.log)},
+          f"averaging {'converged' if avg.converged else 'did NOT converge'} "
+          f"in {len(avg.log)} iterations ({avg.nview.n} cameras incl. virtual)")
+    return EXIT_OK if avg.converged else EXIT_NO_CONVERGENCE
 
 
 def cmd_recover(args) -> int:
-    out = _run(args, None)
+    measurements, tracks = cio.load_measurements(args.measurements)
+    out = run_pipeline(measurements, tracks, args.algorithm, args.regime, None, _pipeline_cfg(args))
     cio.save_cameras(out.cameras, out.frame, args.out)
     _emit(args, {"n_reconstructed": out.report.n_reconstructed, "out": str(args.out)},
           f"recovered {out.report.n_reconstructed} cameras ({out.frame} frame) to {args.out}")

@@ -15,7 +15,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -181,6 +181,11 @@ class BifocalTensor:
         return BifocalTensor(normalized_tensor(self.matrix), self.kind, scale_fixed=True)
 
 
+def _as_matrix(t: BifocalTensor | np.ndarray) -> np.ndarray:
+    """The 3x3 float matrix of a tensor or of a plain array."""
+    return t.matrix if isinstance(t, BifocalTensor) else np.asarray(t, dtype=float)
+
+
 def _track_ids(view_ids) -> tuple:
     ids = tuple(int(i) for i in view_ids)
     if len(ids) not in (2, 3):
@@ -208,7 +213,6 @@ class Track:
 
     view_ids: tuple
     points: np.ndarray
-    depths: np.ndarray | None = field(default=None)
 
     def __post_init__(self):
         ids = _track_ids(self.view_ids)
@@ -226,7 +230,6 @@ class Track:
         points.setflags(write=False)
         object.__setattr__(track, "view_ids", _track_ids(view_ids))
         object.__setattr__(track, "points", points)
-        object.__setattr__(track, "depths", None)
         return track
 
     def point(self, view_id: int) -> np.ndarray:
@@ -277,8 +280,7 @@ def epipole(t: BifocalTensor | np.ndarray, side: str) -> np.ndarray:
     side="left":  e^T F = 0, the epipole in image i (image of center j).
     Sign fixed so the largest-magnitude component is positive.
     """
-    M = t.matrix if isinstance(t, BifocalTensor) else np.asarray(t, dtype=float)
-    U, s, Vt = np.linalg.svd(M)
+    U, s, Vt = np.linalg.svd(_as_matrix(t))
     if s[1] < 1e-9 * s[0]:
         raise RankDeficient("tensor has a two-dimensional null space")
     if side == "right":
@@ -294,7 +296,7 @@ def symmetric_epipolar_distance(
     t: BifocalTensor | np.ndarray, xi: np.ndarray, xj: np.ndarray
 ) -> float:
     """(x_i^T F x_j)^2 (1/||(F x_j)_{1:2}||^2 + 1/||(F^T x_i)_{1:2}||^2)."""
-    F = t.matrix if isinstance(t, BifocalTensor) else np.asarray(t, dtype=float)
+    F = _as_matrix(t)
     xi = np.asarray(xi, dtype=float).reshape(3)
     xj = np.asarray(xj, dtype=float).reshape(3)
     li = F @ xj          # epipolar line in image i
@@ -374,7 +376,7 @@ def rotation_from_essential(e: BifocalTensor | np.ndarray, tracks):
     tracks: 2-view Track list ordered (view i, view j).
     Raises AmbiguousCheirality when two candidates tie.
     """
-    E = e.matrix if isinstance(e, BifocalTensor) else np.asarray(e, dtype=float)
+    E = _as_matrix(e)
     tracks = list(tracks)
     if not tracks:
         raise InsufficientTracks("cheirality vote needs at least one track")

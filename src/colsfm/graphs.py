@@ -20,7 +20,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import NoTriangles, TooFewCameras, Unconnectable
-from .geometry import BifocalTensor, epipole
+from .geometry import epipole
 
 _LOCAL_PAIRS = ((0, 1), (0, 2), (1, 2))  # the three pairs of a triplet, in local view ids
 
@@ -140,17 +140,8 @@ class TripletCover:
             return False
         return len(_components(self.triplets)) == 1
 
-    def components(self) -> list:
-        return _components(self.triplets)
-
     def covered_edges(self) -> set:
         return {p for t in self.triplets for p in triplet_pairs(t)}
-
-    def cameras(self) -> set:
-        out = set()
-        for t in self.triplets:
-            out.update(t)
-        return out
 
     def to_json(self) -> str:
         doc = {
@@ -265,10 +256,7 @@ def collinearity_score(cams_or_tensors) -> float:
             others = [p for p in _LOCAL_PAIRS if v in p]
             es = []
             for (i, j) in others:
-                t = tensors[(i, j)]
-                M = t.matrix if isinstance(t, BifocalTensor) else np.asarray(t, dtype=float)
-                side = "left" if v == i else "right"
-                es.append(epipole(M, side))
+                es.append(epipole(tensors[(i, j)], "left" if v == i else "right"))
             c = abs(float(np.dot(es[0], es[1])))
             angle = np.arccos(np.clip(c, 0.0, 1.0))
             best = min(best, float(np.sin(angle)))

@@ -1,23 +1,28 @@
-"""End-to-end drivers for the two averaging algorithms.
+"""One end-to-end driver for both averaging algorithms.
 
-rank4 path ("r4", fully collinear camera sets): sequential cover ->
-rank-4 ADMM -> collinear triplet recovery -> registration -> metrics.
+Every run takes one route: cover -> average -> recover -> register ->
+evaluate.  The algorithm picks only the cover stage (`cover_and_average`)
+and the per-triplet recovery.  "r4" (fully collinear cameras) averages the
+sequential cover at rank 4 and recovers collinear triplets.  "vc" (mixed
+collinearity) replaces the collinear triplets of the enriched heuristic
+cover by sub-triplets against virtual cameras, averages at rank 6, recovers
+general-position triplets and drops the virtual cameras after registration.
 
-virtual-camera path ("vc", mixed collinearity): heuristic cover + enrichment
--> collinear triplets replaced by virtual-camera sub-triplets -> rank-6 ADMM
--> general-position recovery -> registration (virtual cameras dropped) ->
-metrics.
+Stage functions are looked up as module globals when called, never bound
+at import, so patching a name here (bench/tracing.py does) reaches every
+call.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .averaging import AdmmConfig, average
+from .averaging import AdmmConfig, AveragingResult, average
 from .errors import ValidationError
 from .graphs import (
     _LOCAL_PAIRS,
@@ -48,7 +53,6 @@ from .virtual import select_virtual_point, virtual_bifocals
 class PipelineConfig:
     admm: AdmmConfig = field(default_factory=AdmmConfig)
     collinearity_threshold: float = 0.05
-    epipole_margin: float = 1e-2
     insert_virtual: bool = True  # disable to reproduce the plain rank-6 failure
 
 
@@ -76,12 +80,11 @@ def _pair_point_cache(tracks: TrackSet):
 
 
 def _local_pair_tracks(pair_points, ids, n_real):
-    """2-view tracks of the pairs of real cameras in a triplet (a virtual
-    camera has no tracks), labelled with local view ids."""
+    """{local pair: its 2-view tracks, labelled with local view ids} over the
+    pairs of real cameras in a triplet (a virtual camera has no tracks)."""
     ids = sorted(ids)
-    return [Track._checked((a, b), p)
-            for a, b in _LOCAL_PAIRS if ids[b] < n_real
-            for p in pair_points(ids[a], ids[b])]
+    return {(a, b): [Track._checked((a, b), p) for p in pair_points(ids[a], ids[b])]
+            for a, b in _LOCAL_PAIRS if ids[b] < n_real}
 
 
 def _triplet_tensor_dict(nview: NViewBifocal, ids):
@@ -121,6 +124,86 @@ def _evaluate(cameras, n_real, tracks, scene_gt, regime, algorithm, converged, f
     )
 
 
+def _virtual_cover(measurements: NViewBifocal, tracks: TrackSet, cfg: PipelineConfig):
+    """The enriched heuristic cover with each collinear triplet replaced by
+    sub-triplets against a virtual camera; returns the cover and the
+    measurements extended by the virtual cameras' tensors."""
+    n = measurements.n
+    g = ViewingGraph.from_edges(n, [(i, j, 1.0) for (i, j) in measurements.edges()])
+    cover = enrich_connectivity(heuristic_cover(g), g.triangles())
+    blocks = dict(measurements.blocks)
+    virtual_ids = itertools.count(n)
+
+    def builder(t):
+        tensors = _triplet_tensor_dict(measurements, t)
+        tr3 = _local_triple_tracks(tracks, t)
+        track = select_virtual_point(tr3, tensors)
+        if measurements.kind == "essential":
+            vb = virtual_bifocals(tensors, track, "essential", tracks=tr3)
+        else:
+            rec = recover_projective_collinear_triplet(
+                tensors[(0, 1)], tensors[(1, 2)], tensors[(0, 2)], tr3
+            )
+            vb = virtual_bifocals(rec, track, "fundamental")
+        vid = next(virtual_ids)
+        blocks.update(((i, vid), tensor) for i, tensor in zip(sorted(t), vb))
+        return vid
+
+    if cfg.insert_virtual:
+        cover = insert_virtual_and_prune(
+            cover, cfg.collinearity_threshold,
+            lambda t: collinearity_score(_triplet_tensor_dict(measurements, t)), builder,
+        )
+    n_total = n + len(cover.virtual_nodes)
+    return cover, NViewBifocal.assemble(n_total, blocks, kind=measurements.kind, strict=False)
+
+
+def cover_and_average(
+    measurements: NViewBifocal,
+    tracks: TrackSet,
+    algorithm: str,
+    cfg: PipelineConfig | None = None,
+) -> tuple[TripletCover, AveragingResult]:
+    """The algorithm's cover stage, then ADMM averaging over that cover: rank 4
+    on the collinear cover ("r4"), rank 6 on the virtual-camera cover ("vc").
+    The result's tensors include the virtual cameras, numbered from n up."""
+    cfg = cfg or PipelineConfig()
+    if algorithm == "vc":
+        cover, extended = _virtual_cover(measurements, tracks, cfg)
+        return cover, average(extended, cover, "general", cfg.admm)
+    if algorithm != "r4":
+        raise ValidationError(f"unknown algorithm {algorithm!r}")
+    cover = sequential_cover(measurements.n)
+    for t in cover.triplets:
+        score = collinearity_score(_triplet_tensor_dict(measurements, t))
+        if score > cfg.collinearity_threshold:
+            raise ValidationError(
+                f"algorithm r4 requires a fully collinear camera set; triplet {t} "
+                f"scores {score:.3f} above threshold {cfg.collinearity_threshold}"
+            )
+    return cover, average(measurements, cover, "collinear", cfg.admm)
+
+
+def _recover_triplet(algorithm, regime, avg, ids, tracks, pair_points, n_real, gate):
+    """Cameras of one cover triplet from the averaged tensors: collinear
+    recovery for "r4", general-position recovery for "vc"."""
+    if regime == "calibrated":
+        M9 = avg.triplet_matrix(ids)
+        tr2 = _local_pair_tracks(pair_points, ids, n_real)
+        if algorithm == "r4":
+            return recover_calibrated_collinear_triplet(
+                M9, tr2, _local_triple_tracks(tracks, ids), triplet_id=ids,
+                cert_tol=gate, cycle_tol=gate,
+            )
+        return recover_calibrated_general_triplet(M9, tr2, triplet_id=ids, cycle_tol=gate)
+    F01, F02, F12 = (avg.nview.block(*e) for e in triplet_pairs(ids))
+    if algorithm == "r4":
+        return recover_projective_collinear_triplet(
+            F01, F12, F02, _local_triple_tracks(tracks, ids), triplet_id=ids
+        )
+    return recover_projective_general_triplet(F01, F12, F02, triplet_id=ids)
+
+
 def run_pipeline(
     measurements: NViewBifocal,
     tracks: TrackSet,
@@ -129,132 +212,26 @@ def run_pipeline(
     scene_gt: Scene | None = None,
     cfg: PipelineConfig | None = None,
 ) -> PipelineOutput:
-    cfg = cfg or PipelineConfig()
     started = time.perf_counter()
-    if algorithm == "r4":
-        out = _run_r4(measurements, tracks, regime, scene_gt, cfg)
-    elif algorithm == "vc":
-        out = _run_vc(measurements, tracks, regime, scene_gt, cfg)
-    else:
-        raise ValidationError(f"unknown algorithm {algorithm!r}")
-    out.report.runtime_seconds = time.perf_counter() - started
-    return out
-
-
-def _run_r4(measurements, tracks, regime, scene_gt, cfg) -> PipelineOutput:
+    cover, avg = cover_and_average(measurements, tracks, algorithm, cfg)
     n = measurements.n
-    cover = sequential_cover(n)
-    for t in cover.triplets:
-        score = collinearity_score(_triplet_tensor_dict(measurements, t))
-        if score > cfg.collinearity_threshold:
-            raise ValidationError(
-                f"algorithm r4 requires a fully collinear camera set; triplet {t} "
-                f"scores {score:.3f} above threshold {cfg.collinearity_threshold}"
-            )
-    avg = average(measurements, cover, "collinear", cfg.admm)
     mode = "euclidean" if regime == "calibrated" else "projective"
     # sanity gates only when the iterate is coarse; the report stays honest
     gate = 1e-3 if avg.converged else 0.5
     pair_points = _pair_point_cache(tracks)
+    failure = None
     try:
-        recs = []
-        for t in sorted(cover.triplets):
-            tr3 = _local_triple_tracks(tracks, t)
-            M9 = avg.triplet_matrix(t)
-            if regime == "calibrated":
-                tr2 = _local_pair_tracks(pair_points, t, n)
-                recs.append(
-                    recover_calibrated_collinear_triplet(
-                        M9, tr2, tr3, triplet_id=tuple(sorted(t)),
-                        cert_tol=gate, cycle_tol=gate,
-                    )
-                )
-            else:
-                blocks = _triplet_tensor_dict(avg.nview, t)
-                recs.append(
-                    recover_projective_collinear_triplet(
-                        blocks[(0, 1)], blocks[(1, 2)], blocks[(0, 2)], tr3, triplet_id=tuple(sorted(t))
-                    )
-                )
-        reg = register_global(recs, cover, mode, n_cameras=n)
+        recs = [_recover_triplet(algorithm, regime, avg, t, tracks, pair_points, n, gate)
+                for t in sorted(cover.triplets)]
+        # virtual cameras are scaffolding only
+        cameras = register_global(recs, cover, mode, n_cameras=avg.nview.n).cameras[:n]
     except ValidationError as exc:
         if avg.converged:
             raise
         # unconverged averaging can leave triplets unrecoverable; emit the
         # partial result with the failing stage named instead of raising
-        report = _evaluate([None] * n, n, tracks, scene_gt, regime, "r4", False,
-                           failure=f"recovery after non-convergent averaging: {exc}")
-        return PipelineOutput(report, [None] * n, cover, avg.log, False, mode)
-    report = _evaluate(reg.cameras, n, tracks, scene_gt, regime, "r4", avg.converged)
-    return PipelineOutput(report, reg.cameras, cover, avg.log, avg.converged, mode)
-
-
-def _run_vc(measurements, tracks, regime, scene_gt, cfg) -> PipelineOutput:
-    n = measurements.n
-    g = ViewingGraph.from_edges(n, [(i, j, 1.0) for (i, j) in measurements.edges()])
-    cover = enrich_connectivity(heuristic_cover(g), g.triangles())
-
-    extended_blocks = dict(measurements.blocks)
-    next_id = [n]
-    virtual_tracks = {}
-
-    def score_fn(t):
-        return collinearity_score(_triplet_tensor_dict(measurements, t))
-
-    def builder(t):
-        ids = sorted(t)
-        tensors = _triplet_tensor_dict(measurements, t)
-        tr3 = _local_triple_tracks(tracks, t)
-        track = select_virtual_point(tr3, tensors, cfg.epipole_margin)
-        if measurements.kind == "essential":
-            vb = virtual_bifocals(tensors, track, "essential", tracks=tr3)
-        else:
-            rec = recover_projective_collinear_triplet(
-                tensors[(0, 1)], tensors[(1, 2)], tensors[(0, 2)], tr3
-            )
-            vb = virtual_bifocals(rec, track, "fundamental")
-        vid = next_id[0]
-        next_id[0] += 1
-        for local, tensor in enumerate(vb):
-            extended_blocks[(ids[local], vid)] = tensor
-        virtual_tracks[vid] = track
-        return vid
-
-    if cfg.insert_virtual:
-        cover = insert_virtual_and_prune(cover, cfg.collinearity_threshold, score_fn, builder)
-    n_total = next_id[0]
-    extended = NViewBifocal.assemble(n_total, extended_blocks, kind=measurements.kind, strict=False)
-
-    avg = average(extended, cover, "general", cfg.admm)
-    mode = "euclidean" if regime == "calibrated" else "projective"
-    gate = 1e-3 if avg.converged else 0.5
-    pair_points = _pair_point_cache(tracks)
-    try:
-        recs = []
-        for t in sorted(cover.triplets):
-            ids = sorted(t)
-            if regime == "calibrated":
-                tr2 = _local_pair_tracks(pair_points, ids, n)
-                M9 = avg.triplet_matrix(t)
-                recs.append(
-                    recover_calibrated_general_triplet(
-                        M9, tr2, triplet_id=tuple(ids), cycle_tol=gate
-                    )
-                )
-            else:
-                blocks = _triplet_tensor_dict(avg.nview, t)
-                recs.append(
-                    recover_projective_general_triplet(
-                        blocks[(0, 1)], blocks[(1, 2)], blocks[(0, 2)], triplet_id=tuple(ids)
-                    )
-                )
-        reg = register_global(recs, cover, mode, n_cameras=n_total)
-    except ValidationError as exc:
-        if avg.converged:
-            raise
-        report = _evaluate([None] * n, n, tracks, scene_gt, regime, "vc", False,
-                           failure=f"recovery after non-convergent averaging: {exc}")
-        return PipelineOutput(report, [None] * n, cover, avg.log, False, mode)
-    cameras = reg.cameras[:n]  # virtual cameras are scaffolding only
-    report = _evaluate(cameras, n, tracks, scene_gt, regime, "vc", avg.converged)
+        cameras = [None] * n
+        failure = f"recovery after non-convergent averaging: {exc}"
+    report = _evaluate(cameras, n, tracks, scene_gt, regime, algorithm, avg.converged, failure)
+    report.runtime_seconds = time.perf_counter() - started
     return PipelineOutput(report, cameras, cover, avg.log, avg.converged, mode)

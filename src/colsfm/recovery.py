@@ -23,7 +23,7 @@ from .errors import (
     NotConnected,
 )
 from .geometry import (
-    BifocalTensor,
+    _as_matrix,
     _dlt,
     _skews,
     epipole,
@@ -67,30 +67,20 @@ class TripletGeometry:
     cycle_residual: float
 
 
-def _as_matrix(t) -> np.ndarray:
-    return t.matrix if isinstance(t, BifocalTensor) else np.asarray(t, dtype=float)
-
-
-def _pair_tracks(tracks, i: int, j: int):
-    out = []
-    for tr in tracks or []:
-        if i in tr.view_ids and j in tr.view_ids:
-            out.append(tr.restrict((i, j)))
-    return out
-
-
 def resolve_essential_triplet(blocks: dict, tracks=None, cycle_tol: float = 1e-3) -> TripletGeometry:
     """Pick the rotation branch of each pairwise decomposition.
 
     blocks: {(0,1), (0,2), (1,2)} -> essential matrix (local indices).
+    tracks: {local pair: its 2-view tracks, ordered (view i, view j)}.
     Pairs with 2-view tracks are disambiguated by cheirality voting; the
     remaining branches are chosen to close the rotation cycle.
     """
+    tracks = tracks or {}
     cands, tdirs = {}, {}
     rotations, t_dirs, sign_known = {}, {}, {}
     for key in _LOCAL_PAIRS:
         E = _as_matrix(blocks[key])
-        pair_trs = _pair_tracks(tracks, *key)
+        pair_trs = tracks.get(key)
         if pair_trs:
             R, t = rotation_from_essential(E, pair_trs)
             rotations[key] = R
@@ -233,6 +223,7 @@ def recover_calibrated_collinear_triplet(
     Pairwise rotations are extracted per block (cheirality-voted), averaged to
     absolute ones, the pair (0,1) fixes the line direction with unit baseline,
     and alpha places the third camera along it using the 3-view tracks.
+    tracks2 maps each local pair to its 2-view tracks.
 
     The certificate precondition checks the eigenvalue pattern only (a sanity
     gate against junk input, with a tolerance sized for post-averaging noise
@@ -269,7 +260,8 @@ def recover_calibrated_general_triplet(
 ) -> TripletCameras:
     """Cameras of a general-position calibrated triplet: rotations and relative
     translation magnitudes come from the blocks alone (direction closure);
-    tracks are needed only on one pair to fix the overall cheirality."""
+    tracks2 ({local pair: 2-view tracks}) needs tracks on only one pair, to
+    fix the overall cheirality."""
     E9 = np.asarray(E9, dtype=float)
     geom = resolve_essential_triplet(_triplet_blocks(E9), tracks2, cycle_tol)
     if not any(geom.sign_known.values()):

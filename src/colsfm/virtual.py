@@ -22,6 +22,7 @@ from .geometry import (
     AmbiguousCheirality,
     BifocalTensor,
     Track,
+    _as_matrix,
     epipole,
     normalized_tensor,
     rotation_from_essential,
@@ -70,9 +71,7 @@ def select_virtual_point(tracks3, tensors: dict, epipole_margin: float = 1e-2) -
             for (i, j) in _LOCAL_PAIRS:
                 if v not in (i, j):
                     continue
-                t = tensors[(i, j)]
-                M = t.matrix if isinstance(t, BifocalTensor) else np.asarray(t, dtype=float)
-                e = epipole(M, "left" if v == i else "right")
+                e = epipole(tensors[(i, j)], "left" if v == i else "right")
                 if _epipole_distance(tr.points[v], e) < epipole_margin:
                     ok = False
                     break
@@ -82,9 +81,7 @@ def select_virtual_point(tracks3, tensors: dict, epipole_margin: float = 1e-2) -
             continue
         total = 0.0
         for (i, j) in _LOCAL_PAIRS:
-            t = tensors[(i, j)]
-            M = t.matrix if isinstance(t, BifocalTensor) else np.asarray(t, dtype=float)
-            total += symmetric_epipolar_distance(M, tr.points[i], tr.points[j])
+            total += symmetric_epipolar_distance(tensors[(i, j)], tr.points[i], tr.points[j])
         if best is None or total < best[0]:
             best = (total, idx, tr)
     if best is None:
@@ -107,8 +104,7 @@ def _v_matrices_from_tensors(blocks: dict, tracks) -> list:
             out.append(np.eye(3))
             continue
         key = (min(i, 1), max(i, 1))
-        t = blocks[key]
-        M = t.matrix if isinstance(t, BifocalTensor) else np.asarray(t, dtype=float)
+        M = _as_matrix(blocks[key])
         if key != (i, 1):
             M = M.T
         pair_trs = []

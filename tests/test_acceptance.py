@@ -62,9 +62,9 @@ def _recover_scene_calibrated(scene):
         E = scene.exact_triplet(ids)
         mapping = {g: l for l, g in enumerate(ids)}
         tr3 = [x.relabel(mapping) for x in ts.triple_tracks(*ids)]
-        tr2 = []
+        tr2 = {}
         for (a, b) in ((0, 1), (0, 2), (1, 2)):
-            tr2 += [x.relabel({ids[a]: a, ids[b]: b}) for x in ts.pair_tracks(ids[a], ids[b])]
+            tr2[(a, b)] = [x.relabel({ids[a]: a, ids[b]: b}) for x in ts.pair_tracks(ids[a], ids[b])]
         recs.append(recover_calibrated_collinear_triplet(E, tr2, tr3, triplet_id=tuple(ids)))
     reg = register_global(recs, cover, "euclidean", n_cameras=scene.n)
     return align_similarity(reg.centers(), scene.centers()).residuals
@@ -186,9 +186,9 @@ def _single_projection_floor(scene, noisy, tracks):
         P = project_collinear_essential(M).matrix
         mapping = {g: l for l, g in enumerate(ids)}
         tr3 = [x.relabel(mapping) for x in tracks.triple_tracks(*ids)]
-        tr2 = []
+        tr2 = {}
         for (a, b) in ((0, 1), (0, 2), (1, 2)):
-            tr2 += [x.relabel({ids[a]: a, ids[b]: b}) for x in tracks.pair_tracks(ids[a], ids[b])]
+            tr2[(a, b)] = [x.relabel({ids[a]: a, ids[b]: b}) for x in tracks.pair_tracks(ids[a], ids[b])]
         recs.append(
             recover_calibrated_collinear_triplet(
                 P, tr2, tr3, triplet_id=tuple(ids), cert_tol=0.1, cycle_tol=0.1

@@ -3,22 +3,56 @@
 bench/tracing.py patches library names by string; a rename or a removed
 import in colsfm silently turns its metrics into "absent".  This test
 imports the tracing module the way bench/run.py does and checks that every
-hook still finds its target.
+hook still finds its target, and that the pipeline still calls each stage
+through the patched names.
 """
 
 import sys
 from pathlib import Path
 
+import pytest
+
+from colsfm import pipeline
+from colsfm.synthetic import generate, measure
+
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-def test_every_trace_hook_resolves():
+def _tracing():
     sys.path.insert(0, str(BENCH))
     try:
         import tracing
     finally:
         sys.path.remove(str(BENCH))
+    return tracing
+
+
+def test_every_trace_hook_resolves():
+    tracing = _tracing()
     tracer = tracing.Tracer()
     with tracing.instrument(tracer):
         pass
     assert tracer.missing == set()
+
+
+# a name bound once at import (say, a dispatch dict of recovery functions)
+# escapes the patch: its span then never fires although the hook resolves
+@pytest.mark.parametrize("algorithm,layout,intrinsics,seed", [
+    ("r4", "collinear", "calibrated", 11),
+    ("r4", "collinear", "varied", 12),
+    ("vc", "mixed", "calibrated", 13),
+    ("vc", "mixed", "varied", 15),
+])
+def test_traced_run_fires_every_stage(algorithm, layout, intrinsics, seed):
+    tracing = _tracing()
+    scene = generate(layout, 7, 12, seed=seed, intrinsics_mode=intrinsics)
+    nview, tracks = measure(scene, seed=seed)
+    regime = "calibrated" if intrinsics == "calibrated" else "uncalibrated"
+    tracer = tracing.Tracer()
+    with tracing.instrument(tracer):
+        out = pipeline.run_pipeline(nview, tracks, algorithm, regime, scene)
+    assert out.report.failure_stage is None
+    calls = {name: total[0] for name, total in tracing.span_totals(tracer).items()}
+    assert calls.get("recovery.triplet", 0) >= len(out.cover.triplets)
+    for span in ("graphs.cover", "averaging.average", "recovery.register", "metrics.eval"):
+        assert calls.get(span, 0) >= 1, span

@@ -1,10 +1,13 @@
+import hashlib
 import json
 import subprocess
 import sys
 
 import pytest
 
+import colsfm.pipeline
 from colsfm.cli import main
+from colsfm.errors import NotConnected
 
 
 def run_cli(args):
@@ -121,3 +124,57 @@ class TestCliFlow:
         assert report["mean_position_error"] < 1e-6
         cover = json.loads((outdir / "cover.json").read_text())
         assert cover["virtual_nodes"]
+
+
+def _measured(tmp_path, layout, n, seed, noise_rot="0.0"):
+    scene = tmp_path / "scene.json"
+    meas = tmp_path / "m.json"
+    assert run_cli(["synth", "--layout", layout, "--n-cams", str(n), "--n-points", "16",
+                    "--seed", str(seed), "--out", str(scene)]) == 0
+    assert run_cli(["measure", "--scene", str(scene), "--noise-rot-deg", noise_rot,
+                    "--seed", "3", "--out", str(meas)]) == 0
+    return meas
+
+
+# sha256 of cover.json + convergence.log as `average` writes them, with its
+# exit code, recorded while `average` still ran the full pipeline; they
+# depend on the BLAS thread count (one thread here and in CI).  The
+# --no-virtual run is the plain rank-6 failure: averaging does not converge.
+GOLDEN_AVERAGE = [
+    (("r4", "collinear", 8, 11, "0.2", ()), 0,
+     "844be34869134719ebfe36beec20dd6036028cd7b54400071ba153633ce8bdec"),
+    (("vc", "mixed", 9, 6, "0.0", ()), 0,
+     "9d5986a83d4d20268611348c0a2e4bf1a665cb9e656dfb63db1445cac3e127ae"),
+    (("vc", "mixed", 9, 6, "0.0", ("--no-virtual",)), 3,
+     "eca90c26ddca5a24f864878b5f38368ecf459a52df96d8466307eb941471d395"),
+]
+
+
+class TestAverageCommand:
+    @pytest.mark.parametrize("case,code,digest", GOLDEN_AVERAGE,
+                             ids=["r4", "vc", "vc-no-virtual"])
+    def test_golden_outputs(self, case, code, digest, tmp_path):
+        algorithm, layout, n, seed, noise_rot, flags = case
+        meas = _measured(tmp_path, layout, n, seed, noise_rot)
+        outdir = tmp_path / "avg"
+        assert run_cli(["average", "--measurements", str(meas), "--algorithm", algorithm,
+                        *flags, "--out", str(outdir)]) == code
+        data = (outdir / "cover.json").read_bytes() + (outdir / "convergence.log").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest
+        if flags:
+            assert json.loads((outdir / "cover.json").read_text())["virtual_nodes"] == []
+
+    def test_stops_before_recovery(self, tmp_path, monkeypatch):
+        # a recovery failure after converged averaging belongs to the later
+        # stages: `average` never reaches them, while `pipeline` still exits 2
+        def fail(*args, **kwargs):
+            raise NotConnected("registration must not run")
+
+        monkeypatch.setattr(colsfm.pipeline, "register_global", fail)
+        meas = _measured(tmp_path, "collinear", 6, 7)
+        outdir = tmp_path / "avg"
+        assert run_cli(["average", "--measurements", str(meas), "--algorithm", "r4",
+                        "--out", str(outdir)]) == 0
+        assert (outdir / "cover.json").exists()
+        assert run_cli(["pipeline", "--measurements", str(meas), "--algorithm", "r4",
+                        "--out", str(tmp_path / "full")]) == 2

@@ -4,7 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from colsfm.errors import ValidationError
+from colsfm.averaging import AdmmConfig
+from colsfm.errors import DegenerateEpipole, ValidationError
 from colsfm.io import (
     load_cameras,
     load_measurements,
@@ -139,6 +140,26 @@ class TestPipelineVC:
         assert not cert.passed
 
 
+class TestPipelineNoVirtual:
+    """insert_virtual=False: plain rank-6 averaging on a mixed scene whose
+    cover holds collinear triplets, the failure the virtual cameras fix."""
+
+    def test_calibrated_ends_in_named_failure(self):
+        scene = generate("mixed", 9, 20, seed=96)
+        m, tracks = measure(scene, seed=0)
+        out = run_pipeline(m, tracks, "vc", "calibrated", scene, PipelineConfig(insert_virtual=False))
+        assert not out.converged
+        assert out.report.failure_stage.startswith("recovery after non-convergent averaging")
+        assert out.report.n_reconstructed == 0
+        assert out.cover.virtual_nodes == {}
+
+    def test_uncalibrated_raises_degenerate_epipole(self):
+        scene = generate("mixed", 9, 20, seed=96, intrinsics_mode="varied")
+        m, tracks = measure(scene, seed=0)
+        with pytest.raises(DegenerateEpipole):
+            run_pipeline(m, tracks, "vc", "uncalibrated", scene, PipelineConfig(insert_virtual=False))
+
+
 class TestPipelineDeterminism:
     def test_byte_identical_reports(self, tmp_path):
         scene = generate("collinear", 10, 12, seed=98)
@@ -153,28 +174,43 @@ class TestPipelineDeterminism:
 
 
 # sha256 of the cameras and report files colsfm.io writes for seeded small
-# scenes, recorded before triplet recovery was stacked over tracks; they
-# depend on the BLAS thread count (one thread here and in CI)
+# scenes, recorded before triplet recovery was stacked over tracks (the
+# noise-free uncalibrated vc run and the three-iteration run, which ends in
+# a named failure stage, were recorded before the two pipeline paths were
+# merged); they depend on the BLAS thread count (one thread here and in CI).
+# A case's last field caps the ADMM iterations (None: the default).
 GOLDEN_RUNS = [
-    (("r4", "collinear", 8, "calibrated", 0.5, 11),
+    (("r4", "collinear", 8, "calibrated", 0.5, 11, None),
      "5b49fc41207b1974eefd68dc79be1ddc53b8301d6c5f66273fa18be5b13faf3b"),
-    (("r4", "collinear", 8, "varied", 0.5, 12),
+    (("r4", "collinear", 8, "varied", 0.5, 12, None),
      "b4bcff63884b7a2088f148a6752543bb4d6bcb3a32ad68727cd54e27053d49a4"),
-    (("vc", "mixed", 8, "calibrated", 0.0, 13),
+    (("vc", "mixed", 8, "calibrated", 0.0, 13, None),
      "59c686bdaf76728456138593b52cf8d99432467689ca74467924c79f170a3695"),
-    (("r4", "collinear", 12, "calibrated", 0.0, 14),
+    (("r4", "collinear", 12, "calibrated", 0.0, 14, None),
      "974a65fb4c8830cd7f5e7210a0f44096dd1a7957194607e7d8d0b2ace45c78bf"),
+    (("vc", "mixed", 8, "varied", 0.0, 15, None),
+     "44e540993e80ee86891d922e5d1d83d52a1e02e3c5b424895dca675922cbc900"),
+    (("r4", "collinear", 10, "calibrated", 1.0, 5, 3),
+     "e443a881cd536180437bdd262fbf6b7090ec150657b99b5374f6b4411189e1c8"),
 ]
 
 
-@pytest.mark.parametrize("case,digest", GOLDEN_RUNS, ids=[c[0][0] + "-" + c[0][3] for c in GOLDEN_RUNS])
+def _golden_id(case):
+    algorithm, _, _, intrinsics, _, _, max_iters = case
+    return f"{algorithm}-{intrinsics}" + (f"-max_iters{max_iters}" if max_iters else "")
+
+
+@pytest.mark.parametrize("case,digest", GOLDEN_RUNS, ids=[_golden_id(c) for c, _ in GOLDEN_RUNS])
 def test_golden_pipeline_outputs(case, digest, tmp_path):
-    algorithm, layout, n, intrinsics, deg, seed = case
+    algorithm, layout, n, intrinsics, deg, seed, max_iters = case
     scene = generate(layout, n, 12, seed=seed, intrinsics_mode=intrinsics)
     noise = MeasurementNoise(rotation_deg=deg, translation_dir_deg=deg)
     nview, tracks = measure(scene, noise, seed=seed + 100)
     regime = "calibrated" if intrinsics == "calibrated" else "uncalibrated"
-    out = run_pipeline(nview, tracks, algorithm, regime, scene_gt=scene)
+    cfg = PipelineConfig(admm=AdmmConfig(max_iters=max_iters)) if max_iters else None
+    out = run_pipeline(nview, tracks, algorithm, regime, scene_gt=scene, cfg=cfg)
+    # the capped run must take the named partial-result path, not raise
+    assert (out.report.failure_stage is not None) == bool(max_iters)
     save_cameras(out.cameras, out.frame, tmp_path / "cameras.json")
     save_report(out.report, tmp_path / "report.json")
     data = (tmp_path / "cameras.json").read_bytes() + (tmp_path / "report.json").read_bytes()

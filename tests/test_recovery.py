@@ -45,10 +45,10 @@ def _local_tracks(scene, ids, n_points=None):
     tr3 = [t.relabel(mapping) for t in ts.triple_tracks(*sorted(ids))]
     if n_points:
         tr3 = tr3[:n_points]
-    tr2 = []
+    tr2 = {}
     for (a, b) in ((0, 1), (0, 2), (1, 2)):
         ga, gb = sorted(ids)[a], sorted(ids)[b]
-        tr2 += [t.relabel({ga: a, gb: b}) for t in ts.pair_tracks(ga, gb)]
+        tr2[(a, b)] = [t.relabel({ga: a, gb: b}) for t in ts.pair_tracks(ga, gb)]
     return tr2, tr3
 
 
@@ -153,12 +153,12 @@ class TestCalibratedCollinearRecovery:
             B = bifocal_from_pair(cams[i], cams[j]).matrix
             E[3 * i:3 * i + 3, 3 * j:3 * j + 3] = B
             E[3 * j:3 * j + 3, 3 * i:3 * i + 3] = B.T
-        tr2, tr3 = [], []
+        tr2, tr3 = {(0, 1): [], (0, 2): [], (1, 2): []}, []
         for X in points:
             pts = [c.project(X) for c in cams]
             tr3.append(Track((0, 1, 2), np.vstack(pts)))
-            tr2 += [Track((0, 1), np.vstack(pts[:2])), Track((0, 2), np.vstack([pts[0], pts[2]])),
-                    Track((1, 2), np.vstack(pts[1:]))]
+            for a, b in tr2:
+                tr2[(a, b)].append(Track((a, b), np.vstack([pts[a], pts[b]])))
         rec = recover_calibrated_collinear_triplet(E, tr2, tr3)
         assert rec.alpha_or_a == pytest.approx(2.0, abs=1e-8)
 
@@ -175,7 +175,7 @@ class TestCalibratedCollinearRecovery:
         for i in range(3):
             S[3 * i:3 * i + 3, 3 * i:3 * i + 3] = 0
         with pytest.raises(InconsistentInput):
-            recover_calibrated_collinear_triplet(S, [], [])
+            recover_calibrated_collinear_triplet(S, {}, [])
 
 
 class TestCalibratedGeneralRecovery:
@@ -192,7 +192,7 @@ class TestCalibratedGeneralRecovery:
         scene = generate("general", 3, 8, seed=56)
         E = scene.exact_triplet((0, 1, 2))
         tr2, _ = _local_tracks(scene, (0, 1, 2))
-        only01 = [t for t in tr2 if set(t.view_ids) == {0, 1}]
+        only01 = {(0, 1): tr2[(0, 1)]}
         rec = recover_calibrated_general_triplet(E, only01)
         est = np.vstack([_center(P) for P in rec.cameras])
         assert np.max(align_similarity(est, scene.centers()).residuals) < 1e-8
@@ -201,7 +201,7 @@ class TestCalibratedGeneralRecovery:
         scene = generate("general", 3, 8, seed=57)
         E = scene.exact_triplet((0, 1, 2))
         with pytest.raises(InsufficientTracks):
-            recover_calibrated_general_triplet(E, [])
+            recover_calibrated_general_triplet(E, {})
 
 
 class TestProjectiveCollinearRecovery:
@@ -298,9 +298,9 @@ class TestRegisterGlobal:
             E = scene.exact_triplet(ids)
             mapping = {g: l for l, g in enumerate(ids)}
             tr3 = [x.relabel(mapping) for x in ts.triple_tracks(*ids)]
-            tr2 = []
+            tr2 = {}
             for (a, b) in ((0, 1), (0, 2), (1, 2)):
-                tr2 += [x.relabel({ids[a]: a, ids[b]: b}) for x in ts.pair_tracks(ids[a], ids[b])]
+                tr2[(a, b)] = [x.relabel({ids[a]: a, ids[b]: b}) for x in ts.pair_tracks(ids[a], ids[b])]
             rec = recover_calibrated_collinear_triplet(E, tr2, tr3, triplet_id=tuple(ids))
             out.append(rec)
         return out
