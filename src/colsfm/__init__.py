@@ -42,6 +42,7 @@ from .nview import (
 from .pipeline import PipelineConfig, run_pipeline
 from .recovery import (
     TripletCameras,
+    pair_pose,
     recover_calibrated_collinear_triplet,
     recover_calibrated_general_triplet,
     recover_projective_collinear_triplet,

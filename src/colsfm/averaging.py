@@ -22,6 +22,7 @@ iteration makes one kernel call for all triplets.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,7 +34,7 @@ from .graphs import (
     triplet_pairs,
 )
 from .nview import NViewBifocal
-from .recovery import closure_scales, resolve_essential_triplet
+from .recovery import closure_scales, pair_pose, resolve_essential_triplet
 
 _ROWS, _COLS = zip(*_LOCAL_PAIRS)  # block row and column of each local pair
 
@@ -249,15 +250,14 @@ def _consistent_scale_factors(measured: NViewBifocal, cover: TripletCover) -> di
     synchronized by least squares on log scales.
     """
     triplets = sorted(cover.triplets)
+    # each pair block is decomposed once, though neighbouring triplets share it
+    pose_of = functools.cache(lambda i, j: pair_pose(measured.block(i, j)))
     local = {}
     for t in triplets:
         edges = triplet_pairs(t)
         blocks = {loc: measured.block(*e) for loc, e in zip(_LOCAL_PAIRS, edges)}
-        try:
-            geom = resolve_essential_triplet(blocks, tracks=None, cycle_tol=np.inf)
-            sol = closure_scales(geom)
-        except Exception:
-            sol = None
+        geom = resolve_essential_triplet([pose_of(*e) for e in edges], cycle_tol=np.inf)
+        sol = closure_scales(geom)
         if sol is None:
             local[t] = {e: 1.0 for e in edges}
             continue

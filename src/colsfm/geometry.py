@@ -354,35 +354,38 @@ def _skews(x: np.ndarray) -> np.ndarray:
     return np.stack([z, -c, b, c, z, -a, -b, a, z], axis=1).reshape(-1, 3, 3)
 
 
-def _cheirality_votes(R: np.ndarray, tdir: np.ndarray, pts: np.ndarray) -> int:
-    """Tracks triangulated in front of both views, from their (N, 2, 3)
-    image points in view i and view j; ambiguous and at-infinity points do
-    not vote."""
+def _cheirality_votes(cands, pts: np.ndarray) -> np.ndarray:
+    """Votes of each candidate (R, t): the tracks triangulated in front of
+    both views, from their (N, 2, 3) image points in view i and view j, all
+    candidates in one stacked DLT; ambiguous and at-infinity points do not
+    vote."""
     # gauge: camera i at origin with identity rotation, camera j placed by (R, t)
     Pi = np.hstack([np.eye(3), np.zeros((3, 1))])
-    Pj = np.hstack([R.T, (R.T @ tdir).reshape(3, 1)])
-    X, ambiguous = _dlt(np.concatenate([_skews(pts[:, 0]) @ Pi, _skews(pts[:, 1]) @ Pj], axis=1))
-    X = X[~ambiguous & ~(np.abs(X[:, 3]) < 1e-14)]
-    Xe = X[:, :3] / X[:, 3:]
-    zj = (R.T @ (Xe + tdir)[..., None])[:, 2, 0]
-    return int(np.count_nonzero((Xe[:, 2] > 0) & (zj > 0)))
+    Rt = np.array([R.T for R, _ in cands])
+    t = np.array([tdir for _, tdir in cands])
+    Pj = np.concatenate([Rt, Rt @ t[:, :, None]], axis=2)
+    A = np.broadcast_arrays(_skews(pts[:, 0]) @ Pi, _skews(pts[:, 1]) @ Pj[:, None])
+    X, ambiguous = _dlt(np.concatenate(A, axis=2))
+    finite = ~ambiguous & ~(np.abs(X[..., 3]) < 1e-14)
+    Xe = X[..., :3] / np.where(finite, X[..., 3], 1.0)[..., None]
+    zj = (Rt[:, None] @ (Xe + t[:, None])[..., None])[..., 2, 0]
+    return np.count_nonzero(finite & (Xe[..., 2] > 0) & (zj > 0), axis=1)
 
 
-def rotation_from_essential(e: BifocalTensor | np.ndarray, tracks):
+def rotation_from_essential(e: BifocalTensor | np.ndarray, points):
     """Relative rotation R_i^T R_j and signed unit translation t_ij from an
     essential tensor, the candidate with the most positive triangulated depths
     in both views winning.
 
-    tracks: 2-view Track list ordered (view i, view j).
+    points: (N, 2, 3) image points of 2-view tracks, ordered (view i, view j).
     Raises AmbiguousCheirality when two candidates tie.
     """
     E = _as_matrix(e)
-    tracks = list(tracks)
-    if not tracks:
+    pts = np.asarray(points, dtype=float)
+    if len(pts) == 0:
         raise InsufficientTracks("cheirality vote needs at least one track")
-    pts = np.array([tr.points[:2] for tr in tracks])
     cands = essential_candidates(E)
-    votes = [_cheirality_votes(R, t, pts) for R, t in cands]
+    votes = _cheirality_votes(cands, pts).tolist()
     best = int(np.argmax(votes))
     if sorted(votes)[-2] == votes[best]:
         raise AmbiguousCheirality(f"depth votes tie: {votes}")

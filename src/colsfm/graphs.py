@@ -307,6 +307,15 @@ def insert_virtual_and_prune(
     for t in triplets:
         required_cameras.update(t)
 
+    pruned = sorted(set(triplets))
+    # the dual graph of any subset is the subgraph its triplets induce here
+    adj = dual_adjacency(pruned)
+
+    def connected(remaining) -> bool:
+        keep = set(remaining)
+        sub = {t: [u for u in adj[t] if u in keep] for t in keep}
+        return sum(1 for _ in dual_bfs(sub, [min(keep)])) == len(keep)
+
     def valid(remaining) -> bool:
         if set().union(*remaining) != required_cameras:
             return False
@@ -315,9 +324,8 @@ def insert_virtual_and_prune(
         for orig, subs in replaced.items():
             if sum(1 for s in subs if s in remaining) < 2:
                 return False
-        return len(_components(remaining)) == 1
+        return bool(remaining) and connected(remaining)
 
-    pruned = sorted(set(triplets))
     if valid(pruned):
         for t in sorted(pruned, reverse=True):
             trial = [x for x in pruned if x != t]

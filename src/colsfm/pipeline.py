@@ -39,6 +39,7 @@ from .geometry import Track
 from .metrics import EvalReport, align_similarity, mean_reprojection_error
 from .nview import NViewBifocal
 from .recovery import (
+    pair_pose,
     recover_calibrated_collinear_triplet,
     recover_calibrated_general_triplet,
     recover_projective_collinear_triplet,
@@ -73,18 +74,15 @@ def _local_triple_tracks(tracks: TrackSet, ids):
     return [t.relabel(mapping) for t in tracks.triple_tracks(*ids)]
 
 
-def _pair_point_cache(tracks: TrackSet):
-    """(i, j) -> (m, 2, 3) image points of the pair's tracks, each built once
-    per run, since neighbouring triplets share pairs."""
-    return functools.cache(lambda i, j: np.array([t.points for t in tracks.pair_tracks(i, j)]))
+def _pair_pose_cache(avg: AveragingResult, tracks: TrackSet, n_real: int):
+    """(i, j) -> the pose of the consensus block of cameras i < j, decomposed
+    once per run, since neighbouring triplets share pairs; a pair of real
+    cameras is cheirality-voted on its tracks (a virtual camera has none)."""
+    def pose(i, j):
+        pts = np.array([t.points for t in tracks.pair_tracks(i, j)]) if j < n_real else None
+        return pair_pose(avg.consensus[(i, j)], pts)
 
-
-def _local_pair_tracks(pair_points, ids, n_real):
-    """{local pair: its 2-view tracks, labelled with local view ids} over the
-    pairs of real cameras in a triplet (a virtual camera has no tracks)."""
-    ids = sorted(ids)
-    return {(a, b): [Track._checked((a, b), p) for p in pair_points(ids[a], ids[b])]
-            for a, b in _LOCAL_PAIRS if ids[b] < n_real}
+    return functools.cache(pose)
 
 
 def _triplet_tensor_dict(nview: NViewBifocal, ids):
@@ -184,18 +182,19 @@ def cover_and_average(
     return cover, average(measurements, cover, "collinear", cfg.admm)
 
 
-def _recover_triplet(algorithm, regime, avg, ids, tracks, pair_points, n_real, gate):
+def _recover_triplet(algorithm, regime, avg, ids, tracks, poses_of, gate):
     """Cameras of one cover triplet from the averaged tensors: collinear
     recovery for "r4", general-position recovery for "vc"."""
     if regime == "calibrated":
-        M9 = avg.triplet_matrix(ids)
-        tr2 = _local_pair_tracks(pair_points, ids, n_real)
+        # lazy: a pair is decomposed on first use, so a decomposition error
+        # surfaces in the first triplet using the pair, after its certificate
+        poses = (poses_of(*e) for e in triplet_pairs(ids))
         if algorithm == "r4":
             return recover_calibrated_collinear_triplet(
-                M9, tr2, _local_triple_tracks(tracks, ids), triplet_id=ids,
+                avg.triplet_matrix(ids), poses, _local_triple_tracks(tracks, ids), triplet_id=ids,
                 cert_tol=gate, cycle_tol=gate,
             )
-        return recover_calibrated_general_triplet(M9, tr2, triplet_id=ids, cycle_tol=gate)
+        return recover_calibrated_general_triplet(poses, triplet_id=ids, cycle_tol=gate)
     F01, F02, F12 = (avg.nview.block(*e) for e in triplet_pairs(ids))
     if algorithm == "r4":
         return recover_projective_collinear_triplet(
@@ -218,10 +217,10 @@ def run_pipeline(
     mode = "euclidean" if regime == "calibrated" else "projective"
     # sanity gates only when the iterate is coarse; the report stays honest
     gate = 1e-3 if avg.converged else 0.5
-    pair_points = _pair_point_cache(tracks)
+    poses_of = _pair_pose_cache(avg, tracks, n)
     failure = None
     try:
-        recs = [_recover_triplet(algorithm, regime, avg, t, tracks, pair_points, n, gate)
+        recs = [_recover_triplet(algorithm, regime, avg, t, tracks, poses_of, gate)
                 for t in sorted(cover.triplets)]
         # virtual cameras are scaffolding only
         cameras = register_global(recs, cover, mode, n_cameras=avg.nview.n).cameras[:n]

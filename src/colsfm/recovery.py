@@ -52,6 +52,30 @@ class TripletCameras:
     alpha_or_a: np.ndarray | float
 
 
+@dataclass(frozen=True)
+class PairPose:
+    """Decomposition of one essential block E ~ [t]_x R of cameras i < j.
+
+    rotations holds the cheirality-picked R_i^T R_j when the pair has 2-view
+    tracks, else both rotation branches; t_dir is the unit direction
+    R_i^T (t_i - t_j), its sign known only when picked by cheirality.
+    """
+
+    rotations: tuple
+    t_dir: np.ndarray
+    sign_known: bool
+
+
+def pair_pose(block, points=None) -> PairPose:
+    """The pose of one essential block, cheirality-voted when the pair has
+    tracks ((N, 2, 3) image points, ordered (view i, view j))."""
+    if points is not None and len(points):
+        R, t = rotation_from_essential(block, points)
+        return PairPose((R,), t, True)
+    four = essential_candidates(_as_matrix(block))
+    return PairPose((four[0][0], four[2][0]), four[0][1], False)
+
+
 @dataclass
 class TripletGeometry:
     """Pairwise relative rotations/directions of an essential triplet.
@@ -67,47 +91,29 @@ class TripletGeometry:
     cycle_residual: float
 
 
-def resolve_essential_triplet(blocks: dict, tracks=None, cycle_tol: float = 1e-3) -> TripletGeometry:
-    """Pick the rotation branch of each pairwise decomposition.
+def resolve_essential_triplet(poses, cycle_tol: float = 1e-3) -> TripletGeometry:
+    """Pick the rotation branch of every pair left with two (no tracks), the
+    branches that best close the rotation cycle winning.
 
-    blocks: {(0,1), (0,2), (1,2)} -> essential matrix (local indices).
-    tracks: {local pair: its 2-view tracks, ordered (view i, view j)}.
-    Pairs with 2-view tracks are disambiguated by cheirality voting; the
-    remaining branches are chosen to close the rotation cycle.
+    poses: the PairPose of local pairs (0,1), (0,2), (1,2), in that order.
     """
-    tracks = tracks or {}
-    cands, tdirs = {}, {}
-    rotations, t_dirs, sign_known = {}, {}, {}
-    for key in _LOCAL_PAIRS:
-        E = _as_matrix(blocks[key])
-        pair_trs = tracks.get(key)
-        if pair_trs:
-            R, t = rotation_from_essential(E, pair_trs)
-            rotations[key] = R
-            t_dirs[key] = t
-            sign_known[key] = True
-        else:
-            four = essential_candidates(E)
-            cands[key] = [four[0][0], four[2][0]]
-            tdirs[key] = four[0][1]
-    open_keys = [k for k in _LOCAL_PAIRS if k not in rotations]
+    poses = dict(zip(_LOCAL_PAIRS, poses))
     best = None
-    options = [cands[k] if k in cands else [rotations[k]] for k in _LOCAL_PAIRS]
-    for R01 in options[0]:
-        for R02 in options[1]:
-            for R12 in options[2]:
+    for R01 in poses[(0, 1)].rotations:
+        for R02 in poses[(0, 2)].rotations:
+            for R12 in poses[(1, 2)].rotations:
                 r = float(np.linalg.norm(R01 @ R12 @ R02.T - np.eye(3)))
                 if best is None or r < best[0]:
                     best = (r, R01, R02, R12)
-    residual, R01, R02, R12 = best
+    residual, *rotations = best
     if residual > cycle_tol:
         raise CyclicInconsistency(f"rotation cycle residual {residual:.3e} above {cycle_tol:.1e}")
-    for key, R in zip(_LOCAL_PAIRS, (R01, R02, R12)):
-        rotations[key] = R
-        if key in open_keys:
-            t_dirs[key] = tdirs[key]
-            sign_known[key] = False
-    return TripletGeometry(rotations, t_dirs, sign_known, residual)
+    return TripletGeometry(
+        dict(zip(_LOCAL_PAIRS, rotations)),
+        {k: p.t_dir for k, p in poses.items()},
+        {k: p.sign_known for k, p in poses.items()},
+        residual,
+    )
 
 
 def eigen_rotation_averaging(rel: dict, m: int) -> list:
@@ -121,11 +127,10 @@ def eigen_rotation_averaging(rel: dict, m: int) -> list:
         M[3 * i:3 * i + 3, 3 * j:3 * j + 3] = R
         M[3 * j:3 * j + 3, 3 * i:3 * i + 3] = R.T
     w, V = np.linalg.eigh(M)
-    B = V[:, -3:]
-    dets = [np.linalg.det(B[3 * i:3 * i + 3]) for i in range(m)]
-    if np.sum(dets) < 0:
-        B[:, 0] = -B[:, 0]
-    return [nearest_rotation(B[3 * i:3 * i + 3]) for i in range(m)]
+    B = V[:, -3:].reshape(m, 3, 3)
+    if np.sum(np.linalg.det(B)) < 0:
+        B[..., 0] = -B[..., 0]
+    return list(nearest_rotation(B))
 
 
 def closure_scales(geom: TripletGeometry):
@@ -161,12 +166,6 @@ def closure_scales(geom: TripletGeometry):
         {(0, 1): signs[0], (0, 2): signs[1], (1, 2): signs[2]},
         float(residual),
     )
-
-
-def _triplet_blocks(E9: np.ndarray) -> dict:
-    return {
-        (i, j): E9[3 * i:3 * i + 3, 3 * j:3 * j + 3] for (i, j) in _LOCAL_PAIRS
-    }
 
 
 def _triangulate_tracks3(P0, P1, tracks3):
@@ -212,7 +211,7 @@ def _alpha_least_squares(P0, P1, Rh2, axis_dir, tracks3):
 
 def recover_calibrated_collinear_triplet(
     E9: np.ndarray,
-    tracks2,
+    poses,
     tracks3,
     triplet_id=(0, 1, 2),
     cert_tol: float = 1e-3,
@@ -220,10 +219,12 @@ def recover_calibrated_collinear_triplet(
 ) -> TripletCameras:
     """Cameras of a collinear calibrated triplet from its consistent 9x9 matrix.
 
-    Pairwise rotations are extracted per block (cheirality-voted), averaged to
-    absolute ones, the pair (0,1) fixes the line direction with unit baseline,
-    and alpha places the third camera along it using the 3-view tracks.
-    tracks2 maps each local pair to its 2-view tracks.
+    The pair poses of E9's blocks (`pair_pose`, in the order of
+    `resolve_essential_triplet`) give the relative rotations, averaged to
+    absolute ones; the pair (0,1) fixes the line direction with unit
+    baseline, and alpha places the third camera along it using the 3-view
+    tracks.  poses is read only after the certificate passes, so a lazy
+    iterable decomposes nothing for a rejected triplet.
 
     The certificate precondition checks the eigenvalue pattern only (a sanity
     gate against junk input, with a tolerance sized for post-averaging noise
@@ -237,7 +238,7 @@ def recover_calibrated_collinear_triplet(
             f"triplet matrix fails the collinear eigenvalue pattern "
             f"(rank {cert.rank_estimate}, residual {cert.pattern_residual:.3e})"
         )
-    geom = resolve_essential_triplet(_triplet_blocks(E9), tracks2, cycle_tol)
+    geom = resolve_essential_triplet(poses, cycle_tol)
     if not geom.sign_known[(0, 1)]:
         raise InsufficientTracks("pair (0,1) needs 2-view tracks to sign the baseline")
     Rh = eigen_rotation_averaging(geom.rotations, 3)
@@ -253,17 +254,15 @@ def recover_calibrated_collinear_triplet(
 
 
 def recover_calibrated_general_triplet(
-    E9: np.ndarray,
-    tracks2,
+    poses,
     triplet_id=(0, 1, 2),
     cycle_tol: float = 1e-3,
 ) -> TripletCameras:
     """Cameras of a general-position calibrated triplet: rotations and relative
-    translation magnitudes come from the blocks alone (direction closure);
-    tracks2 ({local pair: 2-view tracks}) needs tracks on only one pair, to
-    fix the overall cheirality."""
-    E9 = np.asarray(E9, dtype=float)
-    geom = resolve_essential_triplet(_triplet_blocks(E9), tracks2, cycle_tol)
+    translation magnitudes come from the three pair poses alone (direction
+    closure); only one pair needs to be picked by track cheirality, to fix
+    the overall cheirality."""
+    geom = resolve_essential_triplet(poses, cycle_tol)
     if not any(geom.sign_known.values()):
         raise InsufficientTracks("at least one pair needs tracks to anchor cheirality")
     sol = closure_scales(geom)

@@ -13,6 +13,7 @@ triplet into a general-position 4-view problem.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,6 +65,8 @@ def select_virtual_point(tracks3, tensors: dict, epipole_margin: float = 1e-2) -
     minimizing the total symmetric epipolar distance over the three pairs.
     Ties break by track order."""
     tensors = {tuple(sorted(k)): v for k, v in tensors.items()}
+    # each of the six epipoles is computed on first use, then reused
+    epipole_of = functools.cache(lambda pair, side: epipole(tensors[pair], side))
     best = None
     for idx, tr in enumerate(tracks3):
         ok = True
@@ -71,7 +74,7 @@ def select_virtual_point(tracks3, tensors: dict, epipole_margin: float = 1e-2) -
             for (i, j) in _LOCAL_PAIRS:
                 if v not in (i, j):
                     continue
-                e = epipole(tensors[(i, j)], "left" if v == i else "right")
+                e = epipole_of((i, j), "left" if v == i else "right")
                 if _epipole_distance(tr.points[v], e) < epipole_margin:
                     ok = False
                     break
@@ -107,11 +110,9 @@ def _v_matrices_from_tensors(blocks: dict, tracks) -> list:
         M = _as_matrix(blocks[key])
         if key != (i, 1):
             M = M.T
-        pair_trs = []
-        for tr in tracks or []:
-            pair_trs.append(Track((0, 1), np.vstack([tr.points[i], tr.points[1]])))
+        pts = np.array([tr.points[[i, 1]] for tr in tracks or []])
         try:
-            R, _ = rotation_from_essential(M, pair_trs)
+            R, _ = rotation_from_essential(M, pts)
         except AmbiguousCheirality as exc:
             raise RotationAmbiguity(str(exc)) from exc
         out.append(R)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from colsfm.recovery import pair_pose
 from colsfm.synthetic import generate
 
 
@@ -31,3 +32,14 @@ def random_rotation(rng):
     if np.linalg.det(Q) < 0:
         Q[:, 0] = -Q[:, 0]
     return Q
+
+
+def triplet_poses(E9, tracks2=None):
+    """The pair poses of a 9x9 triplet matrix's blocks in local pair order,
+    each cheirality-voted when tracks2 ({local pair: 2-view tracks}) has
+    tracks for it."""
+    E9 = np.asarray(E9, dtype=float)
+    tracks2 = tracks2 or {}
+    return [pair_pose(E9[3 * i:3 * i + 3, 3 * j:3 * j + 3],
+                      np.array([t.points for t in tracks2.get((i, j), [])]))
+            for (i, j) in ((0, 1), (0, 2), (1, 2))]

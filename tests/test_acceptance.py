@@ -41,6 +41,7 @@ from colsfm.recovery import (
 )
 from colsfm.synthetic import MeasurementNoise, generate, measure
 from colsfm.virtual import four_view_matrix
+from conftest import triplet_poses
 
 
 def _announce(num, ok, detail):
@@ -65,7 +66,9 @@ def _recover_scene_calibrated(scene):
         tr2 = {}
         for (a, b) in ((0, 1), (0, 2), (1, 2)):
             tr2[(a, b)] = [x.relabel({ids[a]: a, ids[b]: b}) for x in ts.pair_tracks(ids[a], ids[b])]
-        recs.append(recover_calibrated_collinear_triplet(E, tr2, tr3, triplet_id=tuple(ids)))
+        recs.append(
+            recover_calibrated_collinear_triplet(E, triplet_poses(E, tr2), tr3, triplet_id=tuple(ids))
+        )
     reg = register_global(recs, cover, "euclidean", n_cameras=scene.n)
     return align_similarity(reg.centers(), scene.centers()).residuals
 
@@ -191,7 +194,7 @@ def _single_projection_floor(scene, noisy, tracks):
             tr2[(a, b)] = [x.relabel({ids[a]: a, ids[b]: b}) for x in tracks.pair_tracks(ids[a], ids[b])]
         recs.append(
             recover_calibrated_collinear_triplet(
-                P, tr2, tr3, triplet_id=tuple(ids), cert_tol=0.1, cycle_tol=0.1
+                P, triplet_poses(P, tr2), tr3, triplet_id=tuple(ids), cert_tol=0.1, cycle_tol=0.1
             )
         )
     reg = register_global(recs, cover, "euclidean", n_cameras=scene.n)

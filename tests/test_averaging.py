@@ -251,6 +251,20 @@ class TestAverageRobustness:
         assert np.isfinite(res.objective)
         assert best <= res.log[-1]["primal_residual"] + 1e-12
 
+    def test_scale_sync_bug_propagates(self, monkeypatch):
+        # only a ValidationError is an input fault; anything else raised
+        # while synchronising scales is a bug and must not become unit scales
+        import colsfm.averaging
+
+        def broken(geom):
+            raise RuntimeError("closure bug")
+
+        monkeypatch.setattr(colsfm.averaging, "closure_scales", broken)
+        scene = generate("general", 6, 8, seed=27)
+        m, _ = measure(scene, seed=0)
+        with pytest.raises(RuntimeError, match="closure bug"):
+            average(m, sequential_cover(scene.n), "general")
+
 
 # -- oracle: the per-matrix projections the batched kernels replaced --------
 

@@ -213,8 +213,8 @@ class TestTriangulateDlt:
             triangulate_dlt([cam, cam], tr)
 
 
-def _pair_tracks(ci, cj, points):
-    return [Track((0, 1), np.vstack([ci.project(X), cj.project(X)])) for X in points]
+def _pair_points(ci, cj, points):
+    return np.array([[ci.project(X), cj.project(X)] for X in points])
 
 
 class TestRotationFromEssential:
@@ -227,7 +227,7 @@ class TestRotationFromEssential:
             if any(c.depth(X) <= 0 for c in (ci, cj) for X in pts):
                 continue
             E = bifocal_from_pair(ci, cj).normalized()
-            R, t = rotation_from_essential(E, _pair_tracks(ci, cj, pts))
+            R, t = rotation_from_essential(E, _pair_points(ci, cj, pts))
             assert geodesic_angle(R, ci.rotation.T @ cj.rotation) < 1e-8
             assert np.allclose(t, unit(ci.rotation.T @ (ci.center - cj.center)), atol=1e-8)
 
@@ -238,7 +238,7 @@ class TestRotationFromEssential:
         look = R @ np.array([0, 0, 5.0])
         pts = look + rng.uniform(-1, 1, size=(5, 3))
         E = bifocal_from_pair(ci, cj).normalized()
-        Rrel, _ = rotation_from_essential(E, _pair_tracks(ci, cj, pts))
+        Rrel, _ = rotation_from_essential(E, _pair_points(ci, cj, pts))
         assert geodesic_angle(Rrel, np.eye(3)) < 1e-8
 
     def test_single_track_unique_winner(self, rng):
@@ -247,7 +247,7 @@ class TestRotationFromEssential:
         cj = CameraModel(np.eye(3), rotation_about([0, 1, 0], 0.2), np.array([1.0, 0, 0]))
         X = np.array([0.3, 0.1, 5.0])
         E = bifocal_from_pair(ci, cj).normalized()
-        R, t = rotation_from_essential(E, _pair_tracks(ci, cj, [X]))
+        R, t = rotation_from_essential(E, _pair_points(ci, cj, [X]))
         assert geodesic_angle(R, ci.rotation.T @ cj.rotation) < 1e-8
 
     def test_ambiguous_when_votes_tie(self):
@@ -258,7 +258,24 @@ class TestRotationFromEssential:
         E = bifocal_from_pair(ci, cj).normalized()
         tr = Track((0, 1), np.vstack([ci.project([0, 0, 5.0]), cj.project([0, 0, 5.0])]))
         with pytest.raises(AmbiguousCheirality):
-            rotation_from_essential(E, [tr])
+            rotation_from_essential(E, np.array([tr.points]))
+
+    def test_ambiguous_when_nonzero_votes_tie(self, rng):
+        # two tracks in front of both views under each of two candidates, so
+        # two candidates get two votes each and none wins
+        E = bifocal_from_pair(_random_camera(rng), _random_camera(rng)).matrix
+        cands = essential_candidates(E)
+        pts = []
+        for R, t in (cands[0], cands[2]):
+            placed = 0
+            while placed < 2:
+                X = rng.normal(size=3)
+                y = R.T @ (X + t)  # the point in view j's frame
+                if X[2] > 0 and y[2] > 0:
+                    pts.append([X / X[2], y / y[2]])
+                    placed += 1
+        with pytest.raises(AmbiguousCheirality, match=r"depth votes tie: \[2, 0, 2, 0\]"):
+            rotation_from_essential(E, np.array(pts))
 
 
 def _votes_per_track(R, tdir, tracks):
@@ -291,7 +308,8 @@ class TestCheiralityVotes:
         skipped = np.zeros(2, dtype=int)
         for trial in range(40):
             E = bifocal_from_pair(_random_camera(rng), _random_camera(rng)).matrix
-            for R, t in essential_candidates(E):
+            cands = essential_candidates(E)
+            for k, (R, t) in enumerate(cands):
                 tracks = []
                 for _ in range(int(rng.integers(1, 30))):
                     x = np.append(rng.normal(size=2), 1.0)
@@ -306,7 +324,7 @@ class TestCheiralityVotes:
                         y = np.append(rng.normal(size=2), 1.0)
                     tracks.append(Track((0, 1), np.vstack([x, y])))
                 votes, *skips = _votes_per_track(R, t, tracks)
-                assert _cheirality_votes(R, t, np.array([tr.points for tr in tracks])) == votes
+                assert _cheirality_votes(cands, np.array([tr.points for tr in tracks]))[k] == votes
                 skipped += skips
         # both skip rules were exercised
         assert np.all(skipped > 0)

@@ -7,6 +7,7 @@ import pytest
 from colsfm.errors import NoTriangles, TooFewCameras, Unconnectable
 from colsfm.geometry import bifocal_from_pair
 from colsfm.graphs import (
+    _components,
     TripletCover,
     ViewingGraph,
     build_dual_edges,
@@ -15,6 +16,7 @@ from colsfm.graphs import (
     heuristic_cover,
     insert_virtual_and_prune,
     sequential_cover,
+    triplet_pairs,
 )
 from colsfm.synthetic import generate
 
@@ -273,16 +275,22 @@ class TestDualEdges:
             assert build_dual_edges(ts) == _oracle_dual_edges(ts)
 
 
-def _golden_stages(seed):
-    """cover.json of heuristic_cover -> enrich_connectivity ->
-    insert_virtual_and_prune on a seeded random weighted graph; weights in
-    1..5 tie often, so the digests also pin the greedy tie order."""
+def _random_graph(seed):
+    """A seeded random weighted viewing graph; weights in 1..5 tie often."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(4, 17))
     p = float(rng.uniform(0.3, 1.0))
     edges = [(i, j, float(rng.integers(1, 6)))
              for i in range(n) for j in range(i + 1, n) if rng.uniform() < p]
-    g = ViewingGraph.from_edges(n, edges)
+    return ViewingGraph.from_edges(n, edges)
+
+
+def _golden_stages(seed):
+    """cover.json of heuristic_cover -> enrich_connectivity ->
+    insert_virtual_and_prune on a seeded random weighted graph; weights in
+    1..5 tie often, so the digests also pin the greedy tie order."""
+    g = _random_graph(seed)
+    n = g.n
     cover = heuristic_cover(g)
     out = [cover.to_json()]
     try:
@@ -341,6 +349,62 @@ class TestGoldenCovers:
     @pytest.mark.parametrize("seed", sorted(GOLDEN_RANDOM))
     def test_random_graph_pipeline(self, seed):
         assert _sha("\n".join(_golden_stages(seed))) == GOLDEN_RANDOM[seed]
+
+
+def _prune_by_components(cover, threshold, score_fn, virtual_builder):
+    """insert_virtual_and_prune with the dual connectivity of every trial
+    checked by a fresh `_components` pass over the trial set."""
+    triplets = list(cover.triplets)
+    virtual_nodes = dict(cover.virtual_nodes)
+    replaced = {}
+    for t in list(triplets):
+        if score_fn(t) < threshold:
+            vid = virtual_builder(t)
+            virtual_nodes[t] = vid
+            triplets.remove(t)
+            a, b, c = t
+            replaced[t] = [tuple(sorted(x)) for x in ((a, b, vid), (a, c, vid), (b, c, vid))]
+            triplets.extend(replaced[t])
+    required_edges = {p for t in triplets if not any(t in subs for subs in replaced.values())
+                      for p in triplet_pairs(t)}
+    required_cameras = set().union(*triplets)
+
+    def valid(remaining):
+        return (set().union(*remaining) == required_cameras
+                and required_edges <= {p for t in remaining for p in triplet_pairs(t)}
+                and all(sum(s in remaining for s in subs) >= 2 for subs in replaced.values())
+                and len(_components(remaining)) == 1)
+
+    pruned = sorted(set(triplets))
+    if valid(pruned):
+        for t in sorted(pruned, reverse=True):
+            trial = [x for x in pruned if x != t]
+            if trial and valid(trial):
+                pruned = trial
+    return TripletCover.from_triplets(pruned, virtual_nodes)
+
+
+def test_prune_matches_components_rule():
+    """On the seeded random covers, pruning with one dual adjacency keeps
+    exactly the cover that a fresh component pass per trial keeps."""
+    checked = 0
+    for seed in sorted(GOLDEN_RANDOM):
+        g = _random_graph(seed)
+        try:
+            cover = enrich_connectivity(heuristic_cover(g), g.triangles())
+        except Unconnectable:
+            continue
+        for modulus in (2, 3, 5):
+            def score(t):
+                return 0.0 if sum(t) % modulus == 0 else 1.0
+
+            outs = []
+            for prune in (insert_virtual_and_prune, _prune_by_components):
+                ids = iter(range(g.n, g.n + len(cover.triplets)))
+                outs.append(prune(cover, 0.5, score, lambda t: next(ids)).to_json())
+            assert outs[0] == outs[1]
+            checked += 1
+    assert checked >= 50
 
 
 def test_complete_30_cover_enrich_prune():

@@ -32,10 +32,12 @@ from colsfm.recovery import (
     recover_calibrated_general_triplet,
     recover_projective_collinear_triplet,
     recover_projective_general_triplet,
+    pair_pose,
     register_global,
     resolve_essential_triplet,
 )
 from colsfm.synthetic import generate
+from conftest import triplet_poses
 
 
 def _local_tracks(scene, ids, n_points=None):
@@ -68,7 +70,7 @@ class TestResolveEssentialTriplet:
         scene = generate("general", 3, 8, seed=50)
         E = scene.exact_triplet((0, 1, 2))
         blocks = {(i, j): E[3 * i:3 * i + 3, 3 * j:3 * j + 3] for (i, j) in ((0, 1), (0, 2), (1, 2))}
-        geom = resolve_essential_triplet(blocks)
+        geom = resolve_essential_triplet([pair_pose(b) for b in blocks.values()])
         assert geom.cycle_residual < 1e-9
         for (i, j), R in geom.rotations.items():
             Rtrue = scene.cameras[i].rotation.T @ scene.cameras[j].rotation
@@ -81,7 +83,7 @@ class TestResolveEssentialTriplet:
             (i, j): normalized_tensor(E[3 * i:3 * i + 3, 3 * j:3 * j + 3])
             for (i, j) in ((0, 1), (0, 2), (1, 2))
         }
-        geom = resolve_essential_triplet(blocks)
+        geom = resolve_essential_triplet([pair_pose(b) for b in blocks.values()])
         mu, signs, residual = closure_scales(geom)
         assert residual < 1e-9
         c = scene.centers()
@@ -109,7 +111,7 @@ class TestCalibratedCollinearRecovery:
         scene = generate("collinear", 3, 10, seed=52)
         E = scene.exact_triplet((0, 1, 2))
         tr2, tr3 = _local_tracks(scene, (0, 1, 2))
-        rec = recover_calibrated_collinear_triplet(E, tr2, tr3)
+        rec = recover_calibrated_collinear_triplet(E, triplet_poses(E, tr2), tr3)
         est = np.vstack([_center(P) for P in rec.cameras])
         a = align_similarity(est, scene.centers())
         assert np.max(a.residuals) < 1e-8
@@ -129,7 +131,7 @@ class TestCalibratedCollinearRecovery:
             En[3 * i:3 * i + 3, 3 * j:3 * j + 3] = B
             En[3 * j:3 * j + 3, 3 * i:3 * i + 3] = B.T
         tr2, tr3 = _local_tracks(scene, (0, 1, 2))
-        rec = recover_calibrated_collinear_triplet(En, tr2, tr3)
+        rec = recover_calibrated_collinear_triplet(En, triplet_poses(En, tr2), tr3)
         est = np.vstack([_center(P) for P in rec.cameras])
         assert np.max(align_similarity(est, scene.centers()).residuals) < 1e-8
 
@@ -159,7 +161,7 @@ class TestCalibratedCollinearRecovery:
             tr3.append(Track((0, 1, 2), np.vstack(pts)))
             for a, b in tr2:
                 tr2[(a, b)].append(Track((a, b), np.vstack([pts[a], pts[b]])))
-        rec = recover_calibrated_collinear_triplet(E, tr2, tr3)
+        rec = recover_calibrated_collinear_triplet(E, triplet_poses(E, tr2), tr3)
         assert rec.alpha_or_a == pytest.approx(2.0, abs=1e-8)
 
     def test_no_three_view_tracks_rejected(self):
@@ -167,7 +169,7 @@ class TestCalibratedCollinearRecovery:
         E = scene.exact_triplet((0, 1, 2))
         tr2, _ = _local_tracks(scene, (0, 1, 2))
         with pytest.raises(InsufficientTracks):
-            recover_calibrated_collinear_triplet(E, tr2, [])
+            recover_calibrated_collinear_triplet(E, triplet_poses(E, tr2), [])
 
     def test_inconsistent_input_rejected(self, rng):
         S = rng.normal(size=(9, 9))
@@ -175,7 +177,7 @@ class TestCalibratedCollinearRecovery:
         for i in range(3):
             S[3 * i:3 * i + 3, 3 * i:3 * i + 3] = 0
         with pytest.raises(InconsistentInput):
-            recover_calibrated_collinear_triplet(S, {}, [])
+            recover_calibrated_collinear_triplet(S, triplet_poses(S), [])
 
 
 class TestCalibratedGeneralRecovery:
@@ -183,7 +185,7 @@ class TestCalibratedGeneralRecovery:
         scene = generate("general", 3, 8, seed=55)
         E = scene.exact_triplet((0, 1, 2))
         tr2, _ = _local_tracks(scene, (0, 1, 2))
-        rec = recover_calibrated_general_triplet(E, tr2)
+        rec = recover_calibrated_general_triplet(triplet_poses(E, tr2))
         est = np.vstack([_center(P) for P in rec.cameras])
         a = align_similarity(est, scene.centers())
         assert np.max(a.residuals) < 1e-8
@@ -193,7 +195,7 @@ class TestCalibratedGeneralRecovery:
         E = scene.exact_triplet((0, 1, 2))
         tr2, _ = _local_tracks(scene, (0, 1, 2))
         only01 = {(0, 1): tr2[(0, 1)]}
-        rec = recover_calibrated_general_triplet(E, only01)
+        rec = recover_calibrated_general_triplet(triplet_poses(E, only01))
         est = np.vstack([_center(P) for P in rec.cameras])
         assert np.max(align_similarity(est, scene.centers()).residuals) < 1e-8
 
@@ -201,7 +203,7 @@ class TestCalibratedGeneralRecovery:
         scene = generate("general", 3, 8, seed=57)
         E = scene.exact_triplet((0, 1, 2))
         with pytest.raises(InsufficientTracks):
-            recover_calibrated_general_triplet(E, {})
+            recover_calibrated_general_triplet(triplet_poses(E))
 
 
 class TestProjectiveCollinearRecovery:
@@ -301,7 +303,9 @@ class TestRegisterGlobal:
             tr2 = {}
             for (a, b) in ((0, 1), (0, 2), (1, 2)):
                 tr2[(a, b)] = [x.relabel({ids[a]: a, ids[b]: b}) for x in ts.pair_tracks(ids[a], ids[b])]
-            rec = recover_calibrated_collinear_triplet(E, tr2, tr3, triplet_id=tuple(ids))
+            rec = recover_calibrated_collinear_triplet(
+                E, triplet_poses(E, tr2), tr3, triplet_id=tuple(ids)
+            )
             out.append(rec)
         return out
 

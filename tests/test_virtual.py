@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from colsfm.errors import MissingRecovery, NoValidPoint
+from colsfm.errors import MissingRecovery, NoValidPoint, RankDeficient
 from colsfm.geometry import (
     BifocalTensor,
     CameraModel,
@@ -76,6 +76,35 @@ class TestSelectVirtualPoint:
         # exact ties break by track order
         dup = [tracks[0], Track(tracks[0].view_ids, tracks[0].points)]
         assert select_virtual_point(dup, tensors) is dup[0]
+
+    def test_each_epipole_computed_once(self, monkeypatch):
+        import colsfm.virtual
+
+        scene = generate("collinear", 3, 20, seed=3)
+        tensors = _triplet_tensors(scene)
+        tracks = _local_tracks3(scene)
+        assert len(tracks) == 20
+        calls = []
+
+        def counted(t, side):
+            calls.append(side)
+            return epipole(t, side)
+
+        monkeypatch.setattr(colsfm.virtual, "epipole", counted)
+        select_virtual_point(tracks, tensors)
+        assert len(calls) <= 6
+
+    def test_no_tracks_rejected_before_any_epipole(self):
+        # the rank-deficient tensor is never reached without a track
+        tensors = {k: np.diag([1.0, 0.0, 0.0]) for k in ((0, 1), (0, 2), (1, 2))}
+        with pytest.raises(NoValidPoint):
+            select_virtual_point([], tensors)
+
+    def test_rank_deficient_tensor_rejected(self, collinear_scene):
+        tensors = dict(_triplet_tensors(collinear_scene))
+        tensors[(1, 2)] = np.diag([1.0, 0.0, 0.0])
+        with pytest.raises(RankDeficient):
+            select_virtual_point(_local_tracks3(collinear_scene), tensors)
 
 
 class TestVirtualBifocals:
