@@ -36,8 +36,6 @@ from .nview import (
     certify_collinear_essential,
     certify_collinear_fundamental,
     certify_general,
-    check_nview_wellformed,
-    svd_spectral_map,
 )
 from .pipeline import PipelineConfig, run_pipeline
 from .recovery import (
@@ -50,6 +48,6 @@ from .recovery import (
     register_global,
 )
 from .synthetic import MeasurementNoise, Scene, TrackSet, generate, measure
-from .virtual import VirtualCamera, four_view_matrix, select_virtual_point, virtual_bifocals
+from .virtual import four_view_matrix, select_virtual_point, virtual_bifocals
 
 __version__ = "0.1.0"

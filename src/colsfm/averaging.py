@@ -16,8 +16,10 @@ synchronizes them across triplets sharing a block.
 
 The projections are batched kernels over (m, 3k, 3k) stacks.  The driver
 holds its triplet state as (m, 9, 9) stacks and the consensus as (E, 3, 3)
-camera-pair blocks, linked by index arrays built once per run, so each ADMM
-iteration makes one kernel call for all triplets.
+camera-pair blocks.  They are linked by one `nview.block_index` layout
+built once per run, so each ADMM iteration gathers the consensus into the
+triplet stack with one indexing operation and makes one kernel call for all
+triplets.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .graphs import (
     _LOCAL_PAIRS, TripletCover, build_dual_edges, dual_adjacency, dual_bfs, pair_index,
     triplet_pairs,
 )
-from .nview import NViewBifocal
+from .nview import _SIGN_CASES, NViewBifocal, block_index, block_matrix
 from .recovery import closure_scales, pair_pose, resolve_essential_triplet
 
 _ROWS, _COLS = zip(*_LOCAL_PAIRS)  # block row and column of each local pair
@@ -151,11 +153,6 @@ def _signature_kernel(need: int):
 _collinear_fundamental = _signature_kernel(2)
 _general_fundamental = _signature_kernel(3)
 
-# relative column signs of Y tried by the general-essential projection:
-# row b has +1 in column k when bit k of b is set
-_SIGN_CASES = np.array([[1.0 if b & (1 << k) else -1.0 for k in range(3)] for b in range(8)])
-
-
 def _general_essential(S: np.ndarray, rank_tol: float = 1e-6):
     m, d = S.shape[:2]
     n = d // 3
@@ -235,8 +232,7 @@ class AveragingResult:
 
     def triplet_matrix(self, ids) -> np.ndarray:
         """Consensus 9x9 submatrix for a camera triple."""
-        blocks = np.array([self.consensus.get(e, np.zeros((3, 3))) for e in triplet_pairs(ids)])
-        return _gathered(blocks, _block_gather(np.arange(3)[None]))[0]
+        return block_matrix([self.consensus.get(e, np.zeros((3, 3))) for e in triplet_pairs(ids)])
 
 
 def _consistent_scale_factors(measured: NViewBifocal, cover: TripletCover) -> dict:
@@ -255,18 +251,17 @@ def _consistent_scale_factors(measured: NViewBifocal, cover: TripletCover) -> di
     local = {}
     for t in triplets:
         edges = triplet_pairs(t)
-        blocks = {loc: measured.block(*e) for loc, e in zip(_LOCAL_PAIRS, edges)}
         geom = resolve_essential_triplet([pose_of(*e) for e in edges], cycle_tol=np.inf)
         sol = closure_scales(geom)
         if sol is None:
             local[t] = {e: 1.0 for e in edges}
             continue
-        mu, signs, _ = sol
+        mu, signs = sol[:2]
         raw = {}
         for loc, e in zip(_LOCAL_PAIRS, edges):
             # the decomposition reproduces the stored block only up to sign
             recon = skew(geom.t_dirs[loc]) @ geom.rotations[loc]
-            tau = 1.0 if float(np.sum(recon * blocks[loc])) >= 0 else -1.0
+            tau = 1.0 if float(np.sum(recon * measured.block(*e))) >= 0 else -1.0
             raw[e] = mu[loc] * signs[loc] * tau
         mean = np.exp(np.mean([np.log(abs(v)) for v in raw.values()]))
         local[t] = {e: v / mean for e, v in raw.items()}
@@ -300,22 +295,6 @@ def _consistent_scale_factors(measured: NViewBifocal, cover: TripletCover) -> di
         t: {e: float(sign_gauge[t] * local[t][e] * np.exp(g[index[t]])) for e in triplet_pairs(t)}
         for t in triplets
     }
-
-
-def _block_gather(slots: np.ndarray) -> np.ndarray:
-    """(m, 9, 9) indices into a flat array of 3x3 blocks followed by a zero
-    (`_gathered`): triplet k's local pair a reads block slots[k, a] above the
-    diagonal and its transpose below; the diagonal blocks read the zero."""
-    gather = np.full((len(slots), 9, 9), -1)
-    for a, (u, v) in enumerate(_LOCAL_PAIRS):
-        flat = 9 * slots[:, a, None, None] + np.arange(9).reshape(3, 3)
-        gather[:, 3 * u:3 * u + 3, 3 * v:3 * v + 3] = flat
-        gather[:, 3 * v:3 * v + 3, 3 * u:3 * u + 3] = flat.swapaxes(1, 2)
-    return gather
-
-
-def _gathered(blocks: np.ndarray, gather: np.ndarray) -> np.ndarray:
-    return np.append(blocks.ravel(), 0.0)[gather]
 
 
 def _sq_total(A: np.ndarray, weight: float = 1.0) -> float:
@@ -368,12 +347,12 @@ def average(
     edges = list(edge_users)
     slot = {e: k for k, e in enumerate(edges)}
     edge_of = np.array([[slot[e] for e in triplet_pairs(t)] for t in triplets])  # (m, 3)
-    gather = _block_gather(edge_of)
+    gather = block_index(edge_of)  # the consensus -> (m, 9, 9) layout
     users = np.array([len(edge_users[e]) for e in edges], dtype=float)[:, None, None]
 
-    Ehat = _gathered(
-        np.array([[scale_factors[t][e] * norm_blocks[e] for e in triplet_pairs(t)] for t in triplets]),
-        _block_gather(np.arange(3 * m).reshape(m, 3)),
+    Ehat = block_matrix(
+        [[scale_factors[t][e] * norm_blocks[e] for e in triplet_pairs(t)] for t in triplets],
+        block_index(np.arange(3 * m).reshape(m, 3)),
     )
     consensus = np.array([
         np.mean([scale_factors[t][e] for t in edge_users[e]]) * norm_blocks[e] for e in edges
@@ -403,7 +382,7 @@ def average(
         if not polish and iteration > switch and last_primal < polish_enter:
             polish = True
 
-        C = _gathered(consensus, gather)
+        C = block_matrix(consensus, gather)
         W = C if polish else (2.0 * Ehat + cfg.rho * (C - U)) / (2.0 + cfg.rho)
         Z, deficient = projection(W, cfg.rank_tol)
         flags = int(np.count_nonzero(deficient))
@@ -432,12 +411,12 @@ def average(
                     since_extrap = 0
             diff_prev = diff
 
-        C = _gathered(consensus, gather)
+        C = block_matrix(consensus, gather)
         D = Z - C
         if not polish:
             U = U + D
         primal = np.sqrt(_sq_total(D) / total)
-        dual = np.sqrt(_sq_total(C - _gathered(prev, gather), cfg.rho ** 2) / total)
+        dual = np.sqrt(_sq_total(C - block_matrix(prev, gather), cfg.rho ** 2) / total)
         objective = _sq_total(Z - Ehat)
 
         # jump validation one iteration later: a good jump lowers the

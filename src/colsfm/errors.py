@@ -48,10 +48,6 @@ class RankNot2(ValidationError):
     """A 3x3 block violates the rank-2 requirement."""
 
 
-class NotOrthonormal(ValidationError):
-    pass
-
-
 class NotConnected(ValidationError):
     """Triplet cover dual graph is disconnected."""
 

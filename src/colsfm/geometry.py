@@ -164,21 +164,24 @@ class BifocalTensor:
     def singular_values(self) -> np.ndarray:
         return np.linalg.svd(self.matrix, compute_uv=False)
 
-    def rank2_residual(self) -> float:
-        """sigma_3 / sigma_1; near zero for a valid tensor."""
-        s = self.singular_values()
-        return float(s[2] / s[0]) if s[0] > 0 else 1.0
-
     def is_rank2(self, tol: float = 1e-9) -> bool:
         s = self.singular_values()
         return s[0] > 0 and s[1] > tol * s[0] and s[2] <= tol * s[0]
 
-    def equal_singulars_residual(self) -> float:
-        s = self.singular_values()
-        return float((s[0] - s[1]) / s[0]) if s[0] > 0 else 1.0
-
     def normalized(self) -> "BifocalTensor":
         return BifocalTensor(normalized_tensor(self.matrix), self.kind, scale_fixed=True)
+
+
+def oriented_pairs(tensors: dict) -> dict:
+    """Pair tensors re-keyed (i, j) with i < j.  One given under a reversed
+    key (j, i) is F_ji = F_ij^T, so it is transposed back."""
+    out = {}
+    for (i, j), t in tensors.items():
+        if i > j:
+            t = (BifocalTensor(t.matrix.T, t.kind, t.scale_fixed)
+                 if isinstance(t, BifocalTensor) else _as_matrix(t).T)
+        out[(min(i, j), max(i, j))] = t
+    return out
 
 
 def _as_matrix(t: BifocalTensor | np.ndarray) -> np.ndarray:

@@ -20,7 +20,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import NoTriangles, TooFewCameras, Unconnectable
-from .geometry import epipole
+from .geometry import epipole, oriented_pairs
 
 _LOCAL_PAIRS = ((0, 1), (0, 2), (1, 2))  # the three pairs of a triplet, in local view ids
 
@@ -127,13 +127,18 @@ class TripletCover:
     """Selected 3-cliques plus their shared-two-camera adjacency."""
 
     triplets: list = field(default_factory=list)
-    dual_edges: list = field(default_factory=list)
     virtual_nodes: dict = field(default_factory=dict)  # original triplet -> camera id
 
     @staticmethod
     def from_triplets(triplets, virtual_nodes=None) -> "TripletCover":
         ts = sorted(tuple(sorted(t)) for t in set(map(tuple, triplets)))
-        return TripletCover(ts, build_dual_edges(ts), dict(virtual_nodes or {}))
+        return TripletCover(ts, dict(virtual_nodes or {}))
+
+    @property
+    def dual_edges(self) -> list:
+        """Triplet pairs sharing two cameras (`build_dual_edges`), derived
+        when read."""
+        return build_dual_edges(self.triplets)
 
     def is_connected(self) -> bool:
         if not self.triplets:
@@ -152,16 +157,6 @@ class TripletCover:
             ],
         }
         return json.dumps(doc, indent=2, sort_keys=True)
-
-    @staticmethod
-    def from_json(text: str) -> "TripletCover":
-        doc = json.loads(text)
-        cover = TripletCover(
-            [tuple(t) for t in doc["triplets"]],
-            [(tuple(a), tuple(b)) for a, b in doc["dual_edges"]],
-            {tuple(e["triplet"]): int(e["camera"]) for e in doc.get("virtual_nodes", [])},
-        )
-        return cover
 
 
 def sequential_cover(n: int) -> TripletCover:
@@ -250,14 +245,12 @@ def collinearity_score(cams_or_tensors) -> float:
     image), which vanishes exactly when the centers are aligned.
     """
     if isinstance(cams_or_tensors, dict):
-        tensors = {tuple(sorted(k)): v for k, v in cams_or_tensors.items()}
+        tensors = oriented_pairs(cams_or_tensors)
         best = np.inf
         for v in range(3):
-            others = [p for p in _LOCAL_PAIRS if v in p]
-            es = []
-            for (i, j) in others:
-                es.append(epipole(tensors[(i, j)], "left" if v == i else "right"))
-            c = abs(float(np.dot(es[0], es[1])))
+            e, f = (epipole(tensors[p], "left" if v == p[0] else "right")
+                    for p in _LOCAL_PAIRS if v in p)
+            c = abs(float(np.dot(e, f)))
             angle = np.arccos(np.clip(c, 0.0, 1.0))
             best = min(best, float(np.sin(angle)))
         return best

@@ -46,11 +46,6 @@ def align_similarity(est_centers: np.ndarray, gt_centers: np.ndarray) -> Similar
     return SimilarityAlignment(scale, R, t, residuals, collinear)
 
 
-def position_errors(est_centers, gt_centers) -> np.ndarray:
-    """Per-camera center distances after similarity alignment."""
-    return align_similarity(est_centers, gt_centers).residuals
-
-
 def mean_reprojection_error(cams, tracks) -> float:
     """Mean pixel distance between observations and the reprojection of the
     point re-triangulated from the estimated cameras.
@@ -92,7 +87,7 @@ class EvalReport:
     failure_stage: str | None = None
 
     def to_dict(self, include_runtime: bool = False) -> dict:
-        doc = {
+        return {
             "algorithm": self.algorithm,
             "regime": self.regime,
             "n_cameras": self.n_cameras,
@@ -106,4 +101,3 @@ class EvalReport:
             # report unless explicitly requested
             "runtime_seconds": self.runtime_seconds if include_runtime else None,
         }
-        return doc

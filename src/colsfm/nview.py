@@ -1,5 +1,8 @@
 """The 3n x 3n symmetric block-matrix formalism and consistency certificates.
 
+Every block matrix of the package comes from one assembler (`block_index`
+lays pair blocks out, `block_matrix` fills the layout).
+
 A collinear-consistent essential matrix has eigenvalues (l, l, -l, -l) and,
 for the right in-plane pairing of the two eigenspaces, every 3x2 block V_i of
 sqrt(0.5)(X + Y) satisfies V_i^T V_i = I/n.  The pairing is an O(2) basis
@@ -15,11 +18,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
-from .errors import DuplicateEdge, IndexOutOfRange, NotOrthonormal, RankNot2
-from .geometry import BifocalTensor, nearest_rotation
+from .errors import DuplicateEdge, IndexOutOfRange, RankNot2, ValidationError
+from .geometry import BifocalTensor
 
 
 @dataclass(frozen=True)
@@ -47,8 +51,7 @@ class NViewBifocal:
             a, b = (i, j) if i < j else (j, i)
             if (a, b) in seen:
                 raise DuplicateEdge(f"edge ({a},{b}) given twice")
-            M = t if isinstance(t, BifocalTensor) else None
-            if M is None:
+            if not isinstance(t, BifocalTensor):
                 raise TypeError("blocks must be BifocalTensor instances")
             tensor = t if (a, b) == (i, j) else BifocalTensor(t.matrix.T, t.kind, t.scale_fixed)
             if strict and not tensor.is_rank2():
@@ -76,72 +79,39 @@ class NViewBifocal:
 
     def dense(self) -> np.ndarray:
         """Full 3n x 3n symmetric matrix, zero diagonal blocks."""
-        M = np.zeros((3 * self.n, 3 * self.n))
-        for (i, j), t in self.blocks.items():
-            M[3 * i:3 * i + 3, 3 * j:3 * j + 3] = t.matrix
-            M[3 * j:3 * j + 3, 3 * i:3 * i + 3] = t.matrix.T
-        return M
+        return block_matrix([self.block(i, j) for i, j in combinations(range(self.n), 2)])
 
     def submatrix(self, ids) -> np.ndarray:
-        """Dense sub-block matrix over the given (sorted) camera ids."""
-        ids = sorted(ids)
-        k = len(ids)
-        M = np.zeros((3 * k, 3 * k))
-        for u in range(k):
-            for v in range(u + 1, k):
-                B = self.block(ids[u], ids[v])
-                M[3 * u:3 * u + 3, 3 * v:3 * v + 3] = B
-                M[3 * v:3 * v + 3, 3 * u:3 * u + 3] = B.T
-        return M
-
-    def normalized(self) -> "NViewBifocal":
-        return NViewBifocal(
-            self.n, {k: t.normalized() for k, t in self.blocks.items()}, self.kind
-        )
+        """Dense sub-block matrix over the given camera ids, in sorted order."""
+        return block_matrix([self.block(i, j) for i, j in combinations(sorted(ids), 2)])
 
 
-def check_nview_wellformed(m: NViewBifocal, tol: float = 1e-9):
-    """Validate every block: rank 2, and equal singular values for essential kind.
-
-    Returns (ok, report) where report maps edge -> failure string.
-    """
-    report = {}
-    for key in m.edges():
-        t = m.blocks[key]
-        if not t.is_rank2(tol):
-            report[key] = f"rank != 2 (sigma3/sigma1 = {t.rank2_residual():.3e})"
-            continue
-        if m.kind == "essential":
-            r = t.equal_singulars_residual()
-            if r > tol:
-                report[key] = f"unequal singular values (rel spread {r:.3e})"
-    return (len(report) == 0), report
-
-
-def svd_spectral_map(U_hat: np.ndarray, V_hat: np.ndarray, sigma: np.ndarray):
-    """Map thin-SVD factors to spectral factors: X = sqrt(.5)(U+V), Y = sqrt(.5)(V-U).
-
-    With E = U_hat S V_hat^T + V_hat S U_hat^T the result satisfies
-    E = X S X^T - Y S Y^T.  Requires the columns of [U_hat V_hat] orthonormal.
-    """
-    U_hat = np.asarray(U_hat, dtype=float)
-    V_hat = np.asarray(V_hat, dtype=float)
-    B = np.hstack([U_hat, V_hat])
-    if np.linalg.norm(B.T @ B - np.eye(B.shape[1])) > 1e-9:
-        raise NotOrthonormal("columns of [U_hat V_hat] must be orthonormal")
-    X = np.sqrt(0.5) * (U_hat + V_hat)
-    Y = np.sqrt(0.5) * (V_hat - U_hat)
-    return X, Y
+def block_index(slots) -> np.ndarray:
+    """Layout of symmetric block matrices over a flat stack of 3x3 pair
+    blocks: slots (..., P), P = k(k-1)/2, are the stack positions of each
+    matrix's pairs in combinations(range(k), 2) order.  The (..., 3k, 3k)
+    result indexes the stack's entries followed by one zero: pair (u, v)
+    above the diagonal, its transpose below, the zero on diagonal blocks."""
+    slots = np.asarray(slots)
+    k = int(round((1.0 + math.sqrt(1.0 + 8.0 * slots.shape[-1])) / 2.0))
+    rows, cols = np.triu_indices(k, 1)  # combinations order
+    pair = np.zeros((k, k), dtype=int)
+    pair[rows, cols] = pair[cols, rows] = np.arange(len(rows))
+    u, a = np.divmod(np.arange(3 * k), 3)
+    U, V, A, B = u[:, None], u[None, :], a[:, None], a[None, :]
+    entry = np.where(U < V, 3 * A + B, A + 3 * B)
+    # C order: the stacks gathered with it then sum like any other stack
+    return np.ascontiguousarray(np.where(U == V, -1, 9 * slots[..., pair[U, V]] + entry))
 
 
-def spectral_svd_map(X: np.ndarray, Y: np.ndarray):
-    """Inverse of svd_spectral_map: U = sqrt(.5)(X-Y), V = sqrt(.5)(X+Y)."""
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    B = np.hstack([X, Y])
-    if np.linalg.norm(B.T @ B - np.eye(B.shape[1])) > 1e-9:
-        raise NotOrthonormal("columns of [X Y] must be orthonormal")
-    return np.sqrt(0.5) * (X - Y), np.sqrt(0.5) * (X + Y)
+def block_matrix(blocks, index=None) -> np.ndarray:
+    """The symmetric 3k x 3k matrix of pair blocks (P, 3, 3) given in
+    combinations(range(k), 2) order, with zero diagonal blocks; with an
+    index from `block_index`, the stack of matrices that index lays out."""
+    blocks = np.asarray(blocks, dtype=float)
+    if index is None:
+        index = block_index(np.arange(len(blocks)))
+    return np.append(blocks.ravel(), 0.0)[index]
 
 
 @dataclass
@@ -265,8 +235,6 @@ def _dense_or_raise(m: NViewBifocal) -> np.ndarray:
     # global certificates are statements about complete matrices; sparse
     # inputs are certified per-triplet submatrix instead
     if not m.is_dense():
-        from .errors import ValidationError
-
         raise ValidationError("certificates need a dense matrix; certify sparse "
                               "inputs per-triplet via submatrix()")
     return m.dense()
@@ -358,12 +326,16 @@ def certify_collinear_fundamental(
     )
 
 
+# relative column signs of Y tried against the block-rotation structure:
+# row b has +1 in column k when bit k of b is set
+_SIGN_CASES = np.array([[1.0 if b & (1 << k) else -1.0 for k in range(3)] for b in range(8)])
+
+
 def _block_rotation_residual(X: np.ndarray, Y: np.ndarray, n: int):
     """Min over the 2^3 relative column-sign choices of the deviation of the
     sqrt(n) * sqrt(0.5)(X + Y) blocks from rotations; also returns V_hat."""
     best = (np.inf, None)
-    for bits in range(8):
-        signs = np.array([1.0 if bits & (1 << k) else -1.0 for k in range(3)])
+    for signs in _SIGN_CASES:
         Vh = np.sqrt(0.5) * (X + Y * signs)
         blocks = np.sqrt(n) * Vh.reshape(n, 3, 3)
         G = np.einsum("nij,nik->njk", blocks, blocks) - np.eye(3)
@@ -432,25 +404,3 @@ def certify_general(
         tolerances={"tol": tol, "rank_tol": rank_tol},
         v_hat=v_hat,
     )
-
-
-def rotations_from_certificate(cert: ConsistencyCertificate) -> list:
-    """Per-camera rotations from a passing collinear-essential certificate.
-
-    Appends the cross-product third column (scaled by sqrt(n)) to each V_hat
-    block and rescales; the result matches the true R_i^T up to one global
-    rotation.
-    """
-    if cert.v_hat is None:
-        raise ValueError("certificate carries no eigenvector blocks")
-    Vh = cert.v_hat
-    n = Vh.shape[0] // 3
-    out = []
-    for i in range(n):
-        B = Vh[3 * i:3 * i + 3]
-        c = np.cross(B[:, 0], B[:, 1]) * np.sqrt(n)
-        T = np.sqrt(n) * np.column_stack([B, c])
-        if np.linalg.det(T) < 0:
-            T[:, 2] = -T[:, 2]
-        out.append(nearest_rotation(T))
-    return out

@@ -11,6 +11,7 @@ dual graph.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations, product
 
 import numpy as np
 
@@ -35,7 +36,7 @@ from .geometry import (
     unit,
 )
 from .graphs import _LOCAL_PAIRS, dual_adjacency, dual_bfs
-from .nview import certify_collinear_essential
+from .nview import block_matrix, certify_collinear_essential
 
 
 @dataclass
@@ -118,14 +119,10 @@ def resolve_essential_triplet(poses, cycle_tol: float = 1e-3) -> TripletGeometry
 
 def eigen_rotation_averaging(rel: dict, m: int) -> list:
     """Absolute orientations from relative ones via the top eigenvectors of
-    the block matrix M_ij = R_i^T R_j (M_ii = I); returns R_i^T up to one
-    global rotation."""
-    M = np.zeros((3 * m, 3 * m))
-    for i in range(m):
-        M[3 * i:3 * i + 3, 3 * i:3 * i + 3] = np.eye(3)
-    for (i, j), R in rel.items():
-        M[3 * i:3 * i + 3, 3 * j:3 * j + 3] = R
-        M[3 * j:3 * j + 3, 3 * i:3 * i + 3] = R.T
+    the block matrix M_ij = R_i^T R_j (M_ii = I); rel holds every pair
+    i < j.  Returns R_i^T up to one global rotation."""
+    M = block_matrix([rel[p] for p in combinations(range(m), 2)])
+    np.fill_diagonal(M, 1.0)
     w, V = np.linalg.eigh(M)
     B = V[:, -3:].reshape(m, 3, 3)
     if np.sum(np.linalg.det(B)) < 0:
@@ -136,35 +133,34 @@ def eigen_rotation_averaging(rel: dict, m: int) -> list:
 def closure_scales(geom: TripletGeometry):
     """Relative pair magnitudes ||t_i - t_j|| from the direction closure
     (t_0 - t_1) + (t_1 - t_2) = (t_0 - t_2), searched over the free sign
-    branches; returns ({pair: mu}, {pair: sign}, residual) with mu01 = 1."""
+    branches in one stacked SVD ((0, 1) sign outermost, + before -; the
+    first strictly smallest residual with nonnegative magnitudes wins).
+    Returns ({pair: mu}, {pair: sign}, residual, rotations, dirs) with
+    mu01 = 1, the averaged R_i^T and the pair directions in their frame."""
     Rh = eigen_rotation_averaging(geom.rotations, 3)
     d = {k: Rh[k[0]].T @ geom.t_dirs[k] for k in _LOCAL_PAIRS}
-    sign_options = {
-        k: ((1.0,) if geom.sign_known[k] else (1.0, -1.0)) for k in _LOCAL_PAIRS
-    }
-    best = None
-    for s01 in sign_options[(0, 1)]:
-        for s02 in sign_options[(0, 2)]:
-            for s12 in sign_options[(1, 2)]:
-                A = np.column_stack([s01 * d[(0, 1)], s12 * d[(1, 2)], -s02 * d[(0, 2)]])
-                _, sv, Vt = np.linalg.svd(A)
-                mu = Vt[2]
-                if np.sum(mu) < 0:
-                    mu = -mu
-                # tolerate a negligibly negative component (nearly degenerate
-                # pair distance under noise) and clamp it away
-                if np.all(mu > -1e-6 * np.max(np.abs(mu))):
-                    mu = np.maximum(mu, 1e-12 * np.max(np.abs(mu)))
-                    if best is None or sv[2] < best[0]:
-                        best = (sv[2], mu, (s01, s02, s12))
-    if best is None:
+    branches = np.array(list(product(*(
+        (1.0,) if geom.sign_known[k] else (1.0, -1.0) for k in _LOCAL_PAIRS
+    ))))  # columns s01, s02, s12
+    A = np.stack([d[(0, 1)], d[(1, 2)], -d[(0, 2)]], axis=-1) * branches[:, None, [0, 2, 1]]
+    _, sv, Vt = np.linalg.svd(A)
+    mu = Vt[:, 2] * np.where(np.sum(Vt[:, 2], axis=1) < 0, -1.0, 1.0)[:, None]
+    peak = np.max(np.abs(mu), axis=1, keepdims=True)
+    # tolerate a negligibly negative component (nearly degenerate pair
+    # distance under noise) and clamp it away
+    valid = np.all(mu > -1e-6 * peak, axis=1)
+    if not np.any(valid):
         return None
-    residual, mu, signs = best
+    best = int(np.argmin(np.where(valid, sv[:, 2], np.inf)))
+    mu = np.maximum(mu[best], 1e-12 * peak[best])
     mu = mu / mu[0]
+    s01, s02, s12 = branches[best].tolist()
     return (
         {(0, 1): float(mu[0]), (1, 2): float(mu[1]), (0, 2): float(mu[2])},
-        {(0, 1): signs[0], (0, 2): signs[1], (1, 2): signs[2]},
-        float(residual),
+        {(0, 1): s01, (0, 2): s02, (1, 2): s12},
+        float(sv[best, 2]),
+        Rh,
+        d,
     )
 
 
@@ -268,9 +264,7 @@ def recover_calibrated_general_triplet(
     sol = closure_scales(geom)
     if sol is None:
         raise InconsistentInput("no sign branch closes the translation triangle")
-    mu, signs, residual = sol
-    Rh = eigen_rotation_averaging(geom.rotations, 3)
-    d = {k: Rh[k[0]].T @ geom.t_dirs[k] for k in _LOCAL_PAIRS}
+    mu, signs, _, Rh, d = sol
     t = [np.zeros(3)]
     t.append(t[0] - mu[(0, 1)] * signs[(0, 1)] * d[(0, 1)])
     t.append(t[0] - mu[(0, 2)] * signs[(0, 2)] * d[(0, 2)])
@@ -372,13 +366,8 @@ class RegistrationResult:
     merge_residuals: dict = field(default_factory=dict)
 
     def centers(self) -> np.ndarray:
-        out = []
-        for P in self.cameras:
-            if P is None:
-                out.append(np.full(3, np.nan))
-            else:
-                out.append(-P[:, :3].T @ P[:, 3])
-        return np.vstack(out)
+        return np.vstack([np.full(3, np.nan) if P is None else -P[:, :3].T @ P[:, 3]
+                          for P in self.cameras])
 
 
 def _euclidean_pose(P):
@@ -416,13 +405,10 @@ def _edge_homography(parent: TripletCameras, child: TripletCameras, shared):
     Pc = [child.cameras[child.triplet_id.index(c)] for c in shared]
     A = np.zeros((24, 18))
     for k in range(2):
-        for r in range(3):
-            for c in range(4):
-                eq = 12 * k + r * 4 + c
-                # (Pc[k] @ G)[r, c] = sum_m Pc[k][r, m] G[m, c]
-                for mcol in range(4):
-                    A[eq, 4 * mcol + c] = Pc[k][r, mcol]
-                A[eq, 16 + k] = -Pp[k][r, c]
+        # equation 4r + c: (Pc[k] @ G)[r, c] = sum_m Pc[k][r, m] G[m, c]
+        same_c = np.eye(4, dtype=bool)[:, None]  # axes (c, m, c')
+        A[12 * k:12 * k + 12, :16] = np.where(same_c, Pc[k][:, None, :, None], 0.0).reshape(12, 16)
+        A[12 * k:12 * k + 12, 16 + k] = -Pp[k].ravel()
     _, sv, Vt = np.linalg.svd(A)
     if sv[-2] < 1e-10 * sv[0]:
         raise AlignmentIllConditioned("projective alignment system is rank deficient")

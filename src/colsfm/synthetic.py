@@ -9,6 +9,7 @@ platforms).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from .geometry import (
     skew,
     unit,
 )
-from .nview import NViewBifocal
+from .nview import NViewBifocal, block_matrix
 
 
 @dataclass
@@ -98,15 +99,10 @@ class Scene:
 
     def exact_triplet(self, ids, kind: str | None = None) -> np.ndarray:
         """9x9 true-scale submatrix for a camera triple."""
-        a, b, c = sorted(ids)
-        M = np.zeros((9, 9))
-        trip = [a, b, c]
-        for u in range(3):
-            for v in range(u + 1, 3):
-                B = bifocal_from_pair(self.cameras[trip[u]], self.cameras[trip[v]]).matrix
-                M[3 * u:3 * u + 3, 3 * v:3 * v + 3] = B
-                M[3 * v:3 * v + 3, 3 * u:3 * u + 3] = B.T
-        return M
+        return block_matrix([
+            bifocal_from_pair(self.cameras[u], self.cameras[v]).matrix
+            for u, v in combinations(sorted(ids), 2)
+        ])
 
     def track_set(self, pixel_noise: float = 0.0, rng=None) -> TrackSet:
         rng = rng if rng is not None else np.random.default_rng(self.seed + 1)

@@ -14,7 +14,6 @@ triplet into a general-position 4-view problem.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,6 +25,7 @@ from .geometry import (
     _as_matrix,
     epipole,
     normalized_tensor,
+    oriented_pairs,
     rotation_from_essential,
     skew,
     symmetric_epipolar_distance,
@@ -33,14 +33,6 @@ from .geometry import (
 from .graphs import _LOCAL_PAIRS
 from .nview import NViewBifocal
 from .recovery import TripletCameras
-
-
-@dataclass(frozen=True)
-class VirtualCamera:
-    anchor_triplet: tuple
-    track: Track
-    orientation_source: int = 1  # local index of the middle camera
-    point_world: np.ndarray | None = None  # oracle bookkeeping only
 
 
 def _dehomogenize(x: np.ndarray) -> np.ndarray | None:
@@ -64,27 +56,17 @@ def select_virtual_point(tracks3, tensors: dict, epipole_margin: float = 1e-2) -
     epipole_margin away from every relevant epipole in every view, the one
     minimizing the total symmetric epipolar distance over the three pairs.
     Ties break by track order."""
-    tensors = {tuple(sorted(k)): v for k, v in tensors.items()}
+    tensors = oriented_pairs(tensors)
     # each of the six epipoles is computed on first use, then reused
     epipole_of = functools.cache(lambda pair, side: epipole(tensors[pair], side))
     best = None
     for idx, tr in enumerate(tracks3):
-        ok = True
-        for v in range(3):
-            for (i, j) in _LOCAL_PAIRS:
-                if v not in (i, j):
-                    continue
-                e = epipole_of((i, j), "left" if v == i else "right")
-                if _epipole_distance(tr.points[v], e) < epipole_margin:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
+        near = (_epipole_distance(tr.points[v], epipole_of((i, j), "left" if v == i else "right"))
+                for v in range(3) for (i, j) in _LOCAL_PAIRS if v in (i, j))
+        if any(d < epipole_margin for d in near):
             continue
-        total = 0.0
-        for (i, j) in _LOCAL_PAIRS:
-            total += symmetric_epipolar_distance(tensors[(i, j)], tr.points[i], tr.points[j])
+        total = sum(symmetric_epipolar_distance(tensors[(i, j)], tr.points[i], tr.points[j])
+                    for (i, j) in _LOCAL_PAIRS)
         if best is None or total < best[0]:
             best = (total, idx, tr)
     if best is None:
@@ -131,8 +113,7 @@ def virtual_bifocals(source, track: Track, kind: str, tracks=None) -> list:
     if isinstance(source, TripletCameras):
         V = _v_matrices_from_cameras(source)
     elif kind == "essential":
-        blocks = {tuple(sorted(k)): v for k, v in source.items()}
-        V = _v_matrices_from_tensors(blocks, tracks or [track])
+        V = _v_matrices_from_tensors(oriented_pairs(source), tracks or [track])
     else:
         raise MissingRecovery(
             "projective virtual tensors need recovered cameras (the a-vector)"

@@ -1,0 +1,51 @@
+"""The package's public surface carries no test-only code.
+
+Every name `colsfm/__init__.py` re-exports must be used by the library
+itself (a module other than the one defining it), by the benchmark, or by
+the acceptance suite.  A name that only unit tests use is library surface
+kept alive for its own tests, and should be deleted instead.
+"""
+
+import re
+from pathlib import Path
+
+import colsfm
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "colsfm"
+
+# names exported for a reason other than a caller
+ALLOWED = {
+    "ConsistencyCertificate": "the return type of the nview certificates",
+}
+
+
+def _exported() -> list:
+    """Public names bound in `colsfm` to a class or function of a submodule."""
+    return [n for n in dir(colsfm) if not n.startswith("_")
+            and getattr(getattr(colsfm, n), "__module__", "").startswith("colsfm.")]
+
+
+def _sources(defining_module: str) -> list:
+    own = PACKAGE / (defining_module.split(".")[-1] + ".py")
+    files = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py" and p != own]
+    files += sorted((ROOT / "bench").rglob("*.py"))
+    files.append(ROOT / "tests" / "test_acceptance.py")
+    return [p.read_text(encoding="utf-8") for p in files]
+
+
+def test_every_export_has_a_caller_outside_unit_tests():
+    names = _exported()
+    assert "average" in names and "NViewBifocal" in names  # the scan sees the exports
+    unused = []
+    for name in names:
+        if name in ALLOWED:
+            continue
+        word = re.compile(rf"\b{re.escape(name)}\b")
+        if not any(word.search(text) for text in _sources(getattr(colsfm, name).__module__)):
+            unused.append(name)
+    assert unused == [], f"exported but used only by unit tests: {unused}"
+
+
+def test_allow_list_names_real_exports():
+    assert set(ALLOWED) <= set(_exported())

@@ -234,16 +234,6 @@ class TestInsertVirtualAndPrune:
             assert _bfs_connected(out.triplets)
 
 
-class TestCoverSerialization:
-    def test_round_trip(self):
-        cover = TripletCover.from_triplets([(0, 1, 2), (1, 2, 3)], {(0, 1, 2): 7})
-        text = cover.to_json()
-        back = TripletCover.from_json(text)
-        assert back.triplets == cover.triplets
-        assert back.dual_edges == cover.dual_edges
-        assert back.virtual_nodes == cover.virtual_nodes
-
-
 class TestDualEdges:
     def test_shared_two_only(self):
         ts = [(0, 1, 2), (1, 2, 3), (0, 4, 5)]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from colsfm.errors import TooFew
-from colsfm.metrics import align_similarity, mean_reprojection_error, position_errors
+from colsfm.metrics import align_similarity, mean_reprojection_error
 from colsfm.synthetic import generate
 from conftest import random_rotation
 
@@ -48,10 +48,10 @@ class TestAlignSimilarity:
         scene = generate("general", 6, 8, seed=40)
         gt = scene.centers()
         est = gt + 1e-3 * rng.normal(size=gt.shape)
-        base = position_errors(est, gt)
+        base = align_similarity(est, gt).residuals
         R = random_rotation(rng)
         moved = (est @ R.T) * 3.1 + rng.normal(size=3)
-        again = position_errors(moved, gt)
+        again = align_similarity(moved, gt).residuals
         assert np.allclose(base, again, atol=1e-9)
 
 

@@ -1,17 +1,19 @@
 import numpy as np
 import pytest
 
-from colsfm.errors import DuplicateEdge, IndexOutOfRange, NotOrthonormal, RankNot2
-from colsfm.geometry import BifocalTensor, bifocal_from_pair, fix_sign, geodesic_angle
+from colsfm.averaging import AveragingResult
+from colsfm.errors import DuplicateEdge, IndexOutOfRange, RankNot2
+from colsfm.geometry import (
+    BifocalTensor, bifocal_from_pair, fix_sign, geodesic_angle, nearest_rotation,
+)
+from colsfm.graphs import triplet_pairs
 from colsfm.nview import (
     NViewBifocal,
+    block_index,
+    block_matrix,
     certify_collinear_essential,
     certify_collinear_fundamental,
     certify_general,
-    check_nview_wellformed,
-    rotations_from_certificate,
-    spectral_svd_map,
-    svd_spectral_map,
 )
 from colsfm.nview import _eig_sorted, _vhat_alignment
 from colsfm.synthetic import MeasurementNoise, generate, measure
@@ -77,32 +79,71 @@ class TestDense:
         assert abs(np.sum(w)) < 1e-9 * np.max(np.abs(w))
 
 
+def _loop_block_matrix(k, block):
+    """Oracle: the former double loop, block(u, v) written above the
+    diagonal and its transpose below, diagonal blocks left zero."""
+    M = np.zeros((3 * k, 3 * k))
+    for u in range(k):
+        for v in range(u + 1, k):
+            B = block(u, v)
+            M[3 * u:3 * u + 3, 3 * v:3 * v + 3] = B
+            M[3 * v:3 * v + 3, 3 * u:3 * u + 3] = B.T
+    return M
+
+
+class TestOneAssembler:
+    """Every block matrix comes from `block_matrix`; each former assembler
+    is checked against the double loop it replaced, bit for bit."""
+
+    @staticmethod
+    def _sparse_noisy():
+        scene = generate("general", 7, 8, seed=21)
+        m, _ = measure(scene, MeasurementNoise(0.5, 0.5), seed=3)
+        blocks = dict(m.blocks)
+        for e in ((0, 2), (3, 6), (1, 5)):
+            del blocks[e]
+        return NViewBifocal.assemble(m.n, blocks, strict=False)
+
+    def test_dense(self):
+        m = self._sparse_noisy()
+        assert np.array_equal(m.dense(), _loop_block_matrix(m.n, m.block))
+
+    def test_submatrix_unsorted_ids_missing_blocks(self):
+        m = self._sparse_noisy()
+        for ids in ((5, 1, 3, 0), (6, 2, 0), (4, 3)):
+            s = sorted(ids)
+            want = _loop_block_matrix(len(s), lambda u, v: m.block(s[u], s[v]))
+            assert np.array_equal(m.submatrix(ids), want)
+
+    def test_triplet_matrix_with_missing_consensus_pair(self, rng):
+        consensus = {(0, 2): rng.normal(size=(3, 3)), (2, 4): rng.normal(size=(3, 3))}
+        res = AveragingResult(None, [], True, 1, 0.0, 0, consensus=consensus)
+        pairs = dict(zip(((0, 1), (0, 2), (1, 2)), triplet_pairs((4, 0, 2))))
+        want = _loop_block_matrix(3, lambda u, v: consensus.get(pairs[(u, v)], np.zeros((3, 3))))
+        assert np.array_equal(res.triplet_matrix((4, 0, 2)), want)
+
+    def test_exact_triplet(self):
+        scene = generate("mixed", 6, 8, seed=22)
+        ids = (5, 1, 3)
+        s = sorted(ids)
+        want = _loop_block_matrix(
+            3, lambda u, v: bifocal_from_pair(scene.cameras[s[u]], scene.cameras[s[v]]).matrix)
+        assert np.array_equal(scene.exact_triplet(ids), want)
+
+    def test_stacked_layout_gathers(self, rng):
+        # the ADMM gather: triplet k reads its pairs from the consensus stack
+        blocks = rng.normal(size=(7, 3, 3))
+        slots = rng.integers(0, 7, size=(5, 3))
+        got = block_matrix(blocks, block_index(slots))
+        # reductions over the stack depend on its memory order
+        assert got.flags.c_contiguous
+        local = [(0, 1), (0, 2), (1, 2)]
+        for k in range(5):
+            want = _loop_block_matrix(3, lambda u, v: blocks[slots[k, local.index((u, v))]])
+            assert np.array_equal(got[k], want)
+
+
 class TestSvdSpectralMap:
-    def test_orthonormal_output_and_reconstruction(self, rng):
-        A = rng.normal(size=(12, 4))
-        Q, _ = np.linalg.qr(A)
-        U, V = Q[:, :2], Q[:, 2:]
-        sigma = np.diag([2.0, 1.0])
-        X, Y = svd_spectral_map(U, V, sigma)
-        B = np.hstack([X, Y])
-        assert np.linalg.norm(B.T @ B - np.eye(4)) < 1e-12
-        lhs = X @ sigma @ X.T - Y @ sigma @ Y.T
-        rhs = U @ sigma @ V.T + V @ sigma @ U.T
-        assert np.linalg.norm(lhs - rhs) < 1e-12
-
-    def test_round_trip_identity(self, rng):
-        A = rng.normal(size=(9, 4))
-        Q, _ = np.linalg.qr(A)
-        U, V = Q[:, :2], Q[:, 2:]
-        X, Y = svd_spectral_map(U, V, np.eye(2))
-        U2, V2 = spectral_svd_map(X, Y)
-        assert np.allclose(U2, U, atol=1e-12)
-        assert np.allclose(V2, V, atol=1e-12)
-
-    def test_rejects_non_orthonormal(self, rng):
-        with pytest.raises(NotOrthonormal):
-            svd_spectral_map(rng.normal(size=(9, 2)), rng.normal(size=(9, 2)), np.eye(2))
-
     def test_eigenvectors_of_consistent_collinear(self, collinear_scene):
         # oracle: eigendecomposition of the dense matrix; the factor pair
         # (U_hat, V_hat) built from the eigen split is a valid thin SVD of E
@@ -112,11 +153,14 @@ class TestSvdSpectralMap:
         lam = w[-1]
         Epos = V[:, np.abs(w - lam) < 1e-8 * lam]
         Eneg = V[:, np.abs(w + lam) < 1e-8 * lam]
-        Uh, Vh = spectral_svd_map(Epos, Eneg)
+        # spectral -> SVD factors: U = sqrt(.5)(X - Y), V = sqrt(.5)(X + Y)
+        Uh, Vh = np.sqrt(0.5) * (Epos - Eneg), np.sqrt(0.5) * (Epos + Eneg)
         sigma = lam * np.eye(2)
         # lemma's SVD form reproduces E
         assert np.linalg.norm(Uh @ sigma @ Vh.T + Vh @ sigma @ Uh.T - E) < 1e-9 * lam
-        X, Y = svd_spectral_map(Uh, Vh, sigma)
+        # SVD -> spectral factors: X = sqrt(.5)(U + V), Y = sqrt(.5)(V - U)
+        X, Y = np.sqrt(0.5) * (Uh + Vh), np.sqrt(0.5) * (Vh - Uh)
+        assert np.linalg.norm(X @ sigma @ X.T - Y @ sigma @ Y.T - E) < 1e-9 * lam
         for k in range(2):
             r = X[:, k] - Epos @ (Epos.T @ X[:, k])
             assert np.linalg.norm(r) < 1e-8
@@ -124,30 +168,18 @@ class TestSvdSpectralMap:
             assert np.linalg.norm(r) < 1e-8
 
 
-class TestWellformed:
-    def test_consistent_matrix_passes(self, collinear_scene):
-        ok, report = check_nview_wellformed(collinear_scene.exact_nview())
-        assert ok and report == {}
-
-    def test_full_rank_block_named(self, collinear_scene):
-        m = collinear_scene.exact_nview()
-        blocks = dict(m.blocks)
-        blocks[(0, 1)] = BifocalTensor(np.eye(3), "essential")
-        bad = NViewBifocal.assemble(m.n, blocks, strict=False)
-        ok, report = check_nview_wellformed(bad)
-        assert not ok
-        assert (0, 1) in report
-
-    def test_unequal_singulars_fails_essential_only(self, collinear_scene):
-        m = collinear_scene.exact_nview()
-        M = np.diag([2.0, 1.0, 0.0])  # rank 2, unequal singular values
-        blocks = dict(m.blocks)
-        blocks[(0, 1)] = BifocalTensor(M, "essential")
-        ok_e, rep = check_nview_wellformed(NViewBifocal.assemble(m.n, blocks, strict=False))
-        assert not ok_e and (0, 1) in rep
-        blocks_f = {k: BifocalTensor(t.matrix, "fundamental") for k, t in blocks.items()}
-        ok_f, _ = check_nview_wellformed(NViewBifocal.assemble(m.n, blocks_f, kind="fundamental", strict=False))
-        assert ok_f
+def _rotations_from_vhat(v_hat):
+    """Oracle of the recovery direction: each 3x2 block of V_hat, completed
+    by the cross-product third column and scaled by sqrt(n), is R_i^T up to
+    one global rotation."""
+    n = v_hat.shape[0] // 3
+    out = []
+    for B in v_hat.reshape(n, 3, 2):
+        T = np.sqrt(n) * np.column_stack([B, np.sqrt(n) * np.cross(B[:, 0], B[:, 1])])
+        if np.linalg.det(T) < 0:
+            T[:, 2] = -T[:, 2]
+        out.append(nearest_rotation(T))
+    return out
 
 
 class TestCertifyCollinearEssential:
@@ -188,7 +220,7 @@ class TestCertifyCollinearEssential:
         # the oracle R_i^T up to one global rotation
         scene = generate("collinear", 7, 8, seed=14)
         cert = certify_collinear_essential(scene.exact_nview(), tol=1e-8)
-        rots = rotations_from_certificate(cert)
+        rots = _rotations_from_vhat(cert.v_hat)
         for i in range(scene.n):
             for j in range(i + 1, scene.n):
                 rel_est = rots[i] @ rots[j].T

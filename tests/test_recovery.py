@@ -15,16 +15,20 @@ from colsfm.geometry import (
     bifocal_from_pair,
     fundamental_from_projections,
     geodesic_angle,
+    nearest_rotation,
     normalized_tensor,
     triangulate_dlt,
     unit,
 )
-from colsfm.graphs import TripletCover, sequential_cover
+from colsfm.graphs import _LOCAL_PAIRS, TripletCover, sequential_cover
 from colsfm.metrics import align_similarity, mean_reprojection_error
 from colsfm.recovery import (
+    TripletCameras,
+    TripletGeometry,
     _a_system_rows,
     _alpha_least_squares,
     _canonical_pair_cameras,
+    _edge_homography,
     _triangulate_tracks3,
     closure_scales,
     eigen_rotation_averaging,
@@ -36,7 +40,7 @@ from colsfm.recovery import (
     register_global,
     resolve_essential_triplet,
 )
-from colsfm.synthetic import generate
+from colsfm.synthetic import MeasurementNoise, generate, measure
 from conftest import triplet_poses
 
 
@@ -84,7 +88,7 @@ class TestResolveEssentialTriplet:
             for (i, j) in ((0, 1), (0, 2), (1, 2))
         }
         geom = resolve_essential_triplet([pair_pose(b) for b in blocks.values()])
-        mu, signs, residual = closure_scales(geom)
+        mu, signs, residual, _, _ = closure_scales(geom)
         assert residual < 1e-9
         c = scene.centers()
         d01 = np.linalg.norm(c[0] - c[1])
@@ -517,3 +521,119 @@ class TestStackedTrackSolves:
         shuffled = [Track((2, 0, 1), tr.points[[2, 0, 1]]) for tr in tracks]
         assert np.array_equal(_triangulate_tracks3(P0, P1, tracks)[1],
                               _triangulate_tracks3(P0, P1, shuffled)[1])
+
+
+def _closure_loop(geom):
+    """Oracle: the former closure search, one SVD per sign branch."""
+    Rh = eigen_rotation_averaging(geom.rotations, 3)
+    d = {k: Rh[k[0]].T @ geom.t_dirs[k] for k in _LOCAL_PAIRS}
+    opts = {k: ((1.0,) if geom.sign_known[k] else (1.0, -1.0)) for k in _LOCAL_PAIRS}
+    best = None
+    for s01 in opts[(0, 1)]:
+        for s02 in opts[(0, 2)]:
+            for s12 in opts[(1, 2)]:
+                A = np.column_stack([s01 * d[(0, 1)], s12 * d[(1, 2)], -s02 * d[(0, 2)]])
+                _, sv, Vt = np.linalg.svd(A)
+                mu = Vt[2]
+                if np.sum(mu) < 0:
+                    mu = -mu
+                if np.all(mu > -1e-6 * np.max(np.abs(mu))):
+                    mu = np.maximum(mu, 1e-12 * np.max(np.abs(mu)))
+                    if best is None or sv[2] < best[0]:
+                        best = (sv[2], mu, (s01, s02, s12))
+    if best is None:
+        return None
+    residual, mu, signs = best
+    mu = mu / mu[0]
+    return (
+        {(0, 1): float(mu[0]), (1, 2): float(mu[1]), (0, 2): float(mu[2])},
+        {(0, 1): signs[0], (0, 2): signs[1], (1, 2): signs[2]},
+        float(residual),
+    )
+
+
+def _eigen_rotation_loop(rel, m):
+    """Oracle: the former hand-assembled M_ij = R_i^T R_j, M_ii = I."""
+    M = np.zeros((3 * m, 3 * m))
+    for i in range(m):
+        M[3 * i:3 * i + 3, 3 * i:3 * i + 3] = np.eye(3)
+    for (i, j), R in rel.items():
+        M[3 * i:3 * i + 3, 3 * j:3 * j + 3] = R
+        M[3 * j:3 * j + 3, 3 * i:3 * i + 3] = R.T
+    B = np.linalg.eigh(M)[1][:, -3:].reshape(m, 3, 3)
+    if np.sum(np.linalg.det(B)) < 0:
+        B[..., 0] = -B[..., 0]
+    return list(nearest_rotation(B))
+
+
+class TestStackedClosure:
+    """The stacked closure search and the block-matrix rotation averaging
+    against the loops they replaced, compared bit for bit."""
+
+    def test_closure_equals_per_branch_loop(self):
+        rng = np.random.default_rng(5)
+        found = missing = 0
+        for seed in range(25):
+            scene = generate("general", 3, 8, seed=600 + seed)
+            m, _ = measure(scene, MeasurementNoise(1.0, 1.0), seed=seed)
+            geom = resolve_essential_triplet([pair_pose(m.block(*e)) for e in _LOCAL_PAIRS],
+                                             cycle_tol=np.inf)
+            for _ in range(6):
+                flips = rng.choice([-1.0, 1.0], size=3)
+                g = TripletGeometry(
+                    geom.rotations,
+                    {k: f * geom.t_dirs[k] for k, f in zip(_LOCAL_PAIRS, flips)},
+                    dict(zip(_LOCAL_PAIRS, (rng.uniform(size=3) < 0.5).tolist())),
+                    geom.cycle_residual,
+                )
+                want, got = _closure_loop(g), closure_scales(g)
+                if want is None:
+                    assert got is None
+                    missing += 1
+                    continue
+                found += 1
+                assert got[:3] == want
+                assert all(np.array_equal(a, b) for a, b in zip(
+                    got[3], eigen_rotation_averaging(g.rotations, 3)))
+                for k in _LOCAL_PAIRS:
+                    assert np.array_equal(got[4][k], got[3][k[0]].T @ g.t_dirs[k])
+        assert found > 0 and missing > 0  # both outcomes exercised
+
+    def test_rotation_averaging_equals_loop(self, rng):
+        from conftest import random_rotation
+
+        for m in (3, 4, 6):
+            Rs = [random_rotation(rng) for _ in range(m)]
+            rel = {(i, j): Rs[i].T @ Rs[j] + 1e-3 * rng.normal(size=(3, 3))
+                   for i in range(m) for j in range(i + 1, m)}
+            want = _eigen_rotation_loop(rel, m)
+            assert all(np.array_equal(a, b) for a, b in zip(eigen_rotation_averaging(rel, m), want))
+
+
+def _homography_loop(parent, child, shared):
+    """Oracle: the former entry-by-entry assembly of the 24x18 system."""
+    Pp = [parent.cameras[parent.triplet_id.index(c)] for c in shared]
+    Pc = [child.cameras[child.triplet_id.index(c)] for c in shared]
+    A = np.zeros((24, 18))
+    for k in range(2):
+        for r in range(3):
+            for c in range(4):
+                eq = 12 * k + r * 4 + c
+                for mcol in range(4):
+                    A[eq, 4 * mcol + c] = Pc[k][r, mcol]
+                A[eq, 16 + k] = -Pp[k][r, c]
+    Vt = np.linalg.svd(A)[2]
+    G = Vt[-1][:16].reshape(4, 4)
+    if G.flat[int(np.argmax(np.abs(G)))] < 0:
+        G = -G
+    return G / np.linalg.norm(G)
+
+
+def test_edge_homography_equals_entrywise_assembly(rng):
+    for _ in range(20):
+        H = rng.normal(size=(4, 4))
+        P = [rng.normal(size=(3, 4)) for _ in range(4)]
+        parent = TripletCameras((0, 1, 2), P[:3], "projective", None)
+        child = TripletCameras((1, 2, 3), [P[1] @ H, P[2] @ H, P[3]], "projective", None)
+        assert np.array_equal(_edge_homography(parent, child, [1, 2]),
+                              _homography_loop(parent, child, [1, 2]))

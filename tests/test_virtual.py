@@ -12,11 +12,12 @@ from colsfm.geometry import (
     normalized_tensor,
     unit,
 )
+from colsfm.graphs import collinearity_score
 from colsfm.nview import certify_general
 from colsfm.averaging import project_general_essential
 from colsfm.recovery import recover_projective_collinear_triplet
 from colsfm.synthetic import generate
-from colsfm.virtual import VirtualCamera, four_view_matrix, select_virtual_point, virtual_bifocals
+from colsfm.virtual import four_view_matrix, select_virtual_point, virtual_bifocals
 
 
 def _triplet_tensors(scene, ids=(0, 1, 2)):
@@ -228,9 +229,31 @@ class TestFourViewMatrix:
         assert np.linalg.norm(P - M) < 1e-10 * np.linalg.norm(M)
 
 
-class TestVirtualCameraRecord:
-    def test_fields(self, collinear_scene):
-        tr = _local_tracks3(collinear_scene)[0]
-        vc = VirtualCamera(anchor_triplet=(0, 1, 2), track=tr, point_world=collinear_scene.points[0])
-        assert vc.orientation_source == 1
-        assert vc.anchor_triplet == (0, 1, 2)
+class TestReversedPairKeys:
+    """A tensor given under the reversed key (1, 0) is F_10 = F_01^T, the
+    orientation `NViewBifocal.assemble` reads; every tensor-dict consumer
+    must see the same triplet as under the sorted key."""
+
+    @staticmethod
+    def _both_keyings():
+        scene = generate("general", 3, 12, seed=5)
+        tensors = _triplet_tensors(scene)
+        F = tensors[(0, 1)]
+        reversed_keys = {(1, 0): BifocalTensor(F.matrix.T, F.kind, F.scale_fixed),
+                         (0, 2): tensors[(0, 2)], (1, 2): tensors[(1, 2)]}
+        return scene, tensors, reversed_keys
+
+    def test_collinearity_score(self):
+        _, tensors, reversed_keys = self._both_keyings()
+        assert collinearity_score(reversed_keys) == collinearity_score(tensors)
+        plain = {k: t.matrix for k, t in reversed_keys.items()}
+        assert collinearity_score(plain) == collinearity_score(tensors)
+
+    def test_select_virtual_point_and_bifocals(self):
+        scene, tensors, reversed_keys = self._both_keyings()
+        tracks = _local_tracks3(scene)
+        track = select_virtual_point(tracks, tensors)
+        assert select_virtual_point(tracks, reversed_keys) is track
+        want = virtual_bifocals(tensors, track, "essential", tracks=tracks)
+        got = virtual_bifocals(reversed_keys, track, "essential", tracks=tracks)
+        assert all(np.array_equal(a.matrix, b.matrix) for a, b in zip(got, want))
