@@ -144,6 +144,20 @@ class TestOneAssembler:
 
 
 class TestSvdSpectralMap:
+    def test_orthonormal_output_and_reconstruction(self, rng):
+        # lemma's SVD -> spectral map on any orthonormal [U V]:
+        # X = sqrt(.5)(U + V), Y = sqrt(.5)(V - U)
+        A = rng.normal(size=(12, 4))
+        Q, _ = np.linalg.qr(A)
+        U, V = Q[:, :2], Q[:, 2:]
+        sigma = np.diag([2.0, 1.0])
+        X, Y = np.sqrt(0.5) * (U + V), np.sqrt(0.5) * (V - U)
+        B = np.hstack([X, Y])
+        assert np.linalg.norm(B.T @ B - np.eye(4)) < 1e-12
+        lhs = X @ sigma @ X.T - Y @ sigma @ Y.T
+        rhs = U @ sigma @ V.T + V @ sigma @ U.T
+        assert np.linalg.norm(lhs - rhs) < 1e-12
+
     def test_eigenvectors_of_consistent_collinear(self, collinear_scene):
         # oracle: eigendecomposition of the dense matrix; the factor pair
         # (U_hat, V_hat) built from the eigen split is a valid thin SVD of E
