@@ -14,12 +14,14 @@ regime the driver first restores consistent relative block scales from the
 pairwise decompositions (closure of the translation directions) and
 synchronizes them across triplets sharing a block.
 
-The projections are batched kernels over (m, 3k, 3k) stacks.  The driver
-holds its triplet state as (m, 9, 9) stacks and the consensus as (E, 3, 3)
-camera-pair blocks.  They are linked by one `nview.block_index` layout
-built once per run, so each ADMM iteration gathers the consensus into the
-triplet stack with one indexing operation and makes one kernel call for all
-triplets.
+The projections are batched kernels over (m, 3k, 3k) stacks, each call one
+stacked eigendecomposition (signature-deficient rows select per row); the
+general-essential kernel adds its 8-case sign search as one fixed linear map
+of per-block Gram matrices, one stacked 3x3 SVD and one stacked QR.  The
+driver holds its triplet state as (m, 9, 9) stacks and the consensus as
+(E, 3, 3) camera-pair blocks, linked by one `nview.block_index` layout built
+once per run, so each ADMM iteration gathers the consensus into the triplet
+stack with one indexing operation and makes one kernel call for all triplets.
 """
 
 from __future__ import annotations
@@ -67,17 +69,6 @@ def _outer(a: np.ndarray) -> np.ndarray:
     return a[..., :, None] * a[..., None, :]
 
 
-def _diag(d: np.ndarray) -> np.ndarray:
-    """Stacked np.diag of the rows of d."""
-    return np.where(np.eye(d.shape[-1], dtype=bool), d[..., None, :], 0.0)
-
-
-def _eig_desc(S: np.ndarray):
-    w, V = np.linalg.eigh((S + S.swapaxes(-1, -2)) / 2.0)
-    order = np.argsort(w, axis=-1)[..., ::-1]
-    return np.take_along_axis(w, order, -1), np.take_along_axis(V, order[..., None, :], -1)
-
-
 def _select_signed(w: np.ndarray, need: int, rank_tol: float):
     """Pick `need` eigenvalues per sign for the truncation.
 
@@ -111,16 +102,16 @@ def _truncate(S: np.ndarray, need: int, rank_tol: float):
     kept per matrix of a stack, `need` per sign by descending magnitude.
     Rows with `need` clear eigenvalues of each sign keep the extreme ones;
     the signature-deficient rest take their choice from `_select_signed`."""
-    w, V = _eig_desc(S)
-    pos = np.tile(np.arange(need), (len(w), 1))
-    neg = w.shape[-1] - 1 - pos
+    w_asc, V_asc = np.linalg.eigh((S + S.swapaxes(-1, -2)) / 2.0)
+    w, V = w_asc[:, ::-1], V_asc[..., ::-1]  # descending order
     thr = rank_tol * np.max(np.abs(w), axis=-1, keepdims=True)
     flags = ~(np.all(w[:, :need] > thr, axis=-1) & np.all(w[:, -need:] < -thr, axis=-1))
-    pv, nv = np.take_along_axis(w, pos, -1), np.take_along_axis(w, neg, -1)
+    X, pv, Y, nv = V[..., :need], w[:, :need], V_asc[..., :need], w_asc[:, :need]
+    if flags.any():
+        X, pv, Y, nv = X.copy(), pv.copy(), Y.copy(), nv.copy()
     for i in np.flatnonzero(flags):
-        pos[i], pv[i], neg[i], nv[i], _ = _select_signed(w[i], need, rank_tol)
-    X = np.take_along_axis(V, pos[:, None, :], -1)
-    Y = np.take_along_axis(V, neg[:, None, :], -1)
+        pos, pv[i], neg, nv[i], _ = _select_signed(w[i], need, rank_tol)
+        X[i], Y[i] = V[i][:, pos], V[i][:, neg]
     return X, pv, Y, nv, flags
 
 
@@ -153,15 +144,27 @@ def _signature_kernel(need: int):
 _collinear_fundamental = _signature_kernel(2)
 _general_fundamental = _signature_kernel(3)
 
+# the sign search as one linear map: the 36 entries of a block's Gram matrix
+# [X Y]^T [X Y] -> the 9 entries of X^T X + X^T Y S + S Y^T X + S Y^T Y S for
+# each of the 8 sign cases S = diag(s); the coefficient of (X or Y column j,
+# X or Y column k) is 1 or s_j times 1 or s_k
+_SIGN_FACTORS = np.stack([np.ones_like(_SIGN_CASES), _SIGN_CASES], axis=1)  # (case, X/Y, column)
+_SIGN_GRAM = np.einsum(
+    "cpj,cqk,jJ,kK->pjqkcJK", _SIGN_FACTORS, _SIGN_FACTORS, np.eye(3), np.eye(3)
+).reshape(36, 72)
+
+
 def _general_essential(S: np.ndarray, rank_tol: float = 1e-6):
     m, d = S.shape[:2]
     n = d // 3
     X, pv, Y, nv, flags = _truncate(S, 3, rank_tol)
     lam = (pv - nv) / 2.0
-    Vh = np.sqrt(0.5) * (X[:, None] + Y[:, None] * _SIGN_CASES[:, None, :])
-    blocks = np.sqrt(n) * Vh.reshape(m, 8, n, 3, 3)
-    G = np.einsum("...nij,...nik->...njk", blocks, blocks) - np.eye(3)
-    r = np.sum((G * G).reshape(m, 8, -1), axis=-1)
+    # block-orthogonality of sqrt(n) sqrt(0.5)(X + Y S) per case: the squares of
+    # G_b = (n/2)(X^T X + X^T Y S + S Y^T X + S Y^T Y S) - I summed over blocks b
+    XY = np.concatenate([X, Y], axis=-1).reshape(m, n, 3, 6)
+    K = XY.swapaxes(-1, -2) @ XY
+    G = (n / 2.0) * (K.reshape(m, n, 36) @ _SIGN_GRAM).reshape(m, n, 8, 9) - np.eye(3).ravel()
+    r = np.sum(G * G, axis=(1, 3))
     Ys = Y * _SIGN_CASES[np.argmin(r, axis=1)][:, None, :]
     dets = np.linalg.det((np.sqrt(0.5) * (X + Ys)).reshape(m, n, 3, 3))
     flip = np.where(np.sum(dets, axis=1) < 0, -1.0, 1.0)
@@ -172,9 +175,9 @@ def _general_essential(S: np.ndarray, rank_tol: float = 1e-6):
     Vrot = nearest_rotation(np.sqrt(n) * Vh.reshape(m, n, 3, 3)).reshape(m, d, 3) / np.sqrt(n)
     U2 = Uh - Vrot @ (Vrot.swapaxes(-1, -2) @ Uh)
     Q, R = np.linalg.qr(U2)
-    U2 = Q @ _diag(np.sign(np.diagonal(R, axis1=-2, axis2=-1)))
-    L = _diag(lam)
-    out = U2 @ L @ Vrot.swapaxes(-1, -2) + Vrot @ L @ U2.swapaxes(-1, -2)
+    U2 = Q * np.sign(np.diagonal(R, axis1=-2, axis2=-1))[:, None, :]
+    L = lam[:, None, :]  # right-multiplying by diag(lam) scales the columns
+    out = (U2 * L) @ Vrot.swapaxes(-1, -2) + (Vrot * L) @ U2.swapaxes(-1, -2)
     return _symmetrized(out), flags
 
 
@@ -382,8 +385,8 @@ def average(
         if not polish and iteration > switch and last_primal < polish_enter:
             polish = True
 
-        C = block_matrix(consensus, gather)
-        W = C if polish else (2.0 * Ehat + cfg.rho * (C - U)) / (2.0 + cfg.rho)
+        C_prev = block_matrix(consensus, gather)
+        W = C_prev if polish else (2.0 * Ehat + cfg.rho * (C_prev - U)) / (2.0 + cfg.rho)
         Z, deficient = projection(W, cfg.rank_tol)
         flags = int(np.count_nonzero(deficient))
 
@@ -416,7 +419,7 @@ def average(
         if not polish:
             U = U + D
         primal = np.sqrt(_sq_total(D) / total)
-        dual = np.sqrt(_sq_total(C - block_matrix(prev, gather), cfg.rho ** 2) / total)
+        dual = np.sqrt(_sq_total(C - C_prev, cfg.rho ** 2) / total)
         objective = _sq_total(Z - Ehat)
 
         # jump validation one iteration later: a good jump lowers the

@@ -74,7 +74,8 @@ def nearest_rotation(M: np.ndarray) -> np.ndarray:
     R = U @ Vt
     reflected = np.linalg.det(R) < 0
     if np.any(reflected):
-        R = np.where(reflected[..., None, None], U @ np.diag([1.0, 1.0, -1.0]) @ Vt, R)
+        # U diag(1, 1, -1) Vt, rebuilt for the reflected matrices only
+        R[reflected] = (U[reflected] * [1.0, 1.0, -1.0]) @ Vt[reflected]
     return R
 
 
@@ -83,12 +84,6 @@ def rotation_about(axis: np.ndarray, angle_rad: float) -> np.ndarray:
     a = unit(axis)
     K = skew(a)
     return np.eye(3) + np.sin(angle_rad) * K + (1.0 - np.cos(angle_rad)) * (K @ K)
-
-
-def geodesic_angle(Ra: np.ndarray, Rb: np.ndarray) -> float:
-    """Angle of Ra^T Rb in radians."""
-    c = (np.trace(Ra.T @ Rb) - 1.0) / 2.0
-    return float(np.arccos(np.clip(c, -1.0, 1.0)))
 
 
 @dataclass(frozen=True)
@@ -167,9 +162,6 @@ class BifocalTensor:
     def is_rank2(self, tol: float = 1e-9) -> bool:
         s = self.singular_values()
         return s[0] > 0 and s[1] > tol * s[0] and s[2] <= tol * s[0]
-
-    def normalized(self) -> "BifocalTensor":
-        return BifocalTensor(normalized_tensor(self.matrix), self.kind, scale_fixed=True)
 
 
 def oriented_pairs(tensors: dict) -> dict:
@@ -297,19 +289,24 @@ def epipole(t: BifocalTensor | np.ndarray, side: str) -> np.ndarray:
 
 def symmetric_epipolar_distance(
     t: BifocalTensor | np.ndarray, xi: np.ndarray, xj: np.ndarray
-) -> float:
-    """(x_i^T F x_j)^2 (1/||(F x_j)_{1:2}||^2 + 1/||(F^T x_i)_{1:2}||^2)."""
+) -> float | np.ndarray:
+    """(x_i^T F x_j)^2 (1/||(F x_j)_{1:2}||^2 + 1/||(F^T x_i)_{1:2}||^2), of
+    one point pair, or of each row pair of two (m, 3) point stacks."""
     F = _as_matrix(t)
-    xi = np.asarray(xi, dtype=float).reshape(3)
-    xj = np.asarray(xj, dtype=float).reshape(3)
-    li = F @ xj          # epipolar line in image i
-    lj = F.T @ xi        # epipolar line in image j
-    ni = li[0] ** 2 + li[1] ** 2
-    nj = lj[0] ** 2 + lj[1] ** 2
-    if ni == 0.0 or nj == 0.0:
+    xi = np.asarray(xi, dtype=float)
+    single = xi.ndim == 1
+    xi = xi.reshape(-1, 1, 3)
+    xj = np.asarray(xj, dtype=float).reshape(-1, 3, 1)
+    li = (F @ xj)[..., 0]                       # epipolar lines in image i
+    lj = (F.T @ xi.swapaxes(1, 2))[..., 0]      # epipolar lines in image j
+    # float_power calls C pow, as `x ** 2` on a float does; np.square can differ in the last bit
+    ni = np.float_power(li[:, 0], 2) + np.float_power(li[:, 1], 2)
+    nj = np.float_power(lj[:, 0], 2) + np.float_power(lj[:, 1], 2)
+    if np.any(ni == 0.0) or np.any(nj == 0.0):
         raise DegenerateLine("epipolar line has no image-plane part")
-    r = float(xi @ F @ xj)
-    return r * r * (1.0 / ni + 1.0 / nj)
+    r = ((xi @ F) @ xj)[:, 0, 0]
+    d = r * r * (1.0 / ni + 1.0 / nj)
+    return float(d[0]) if single else d
 
 
 def _as_projection(cam) -> np.ndarray:

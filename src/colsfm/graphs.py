@@ -292,36 +292,33 @@ def insert_virtual_and_prune(
             triplets.extend(subs)
             replaced[t] = subs
 
-    required_edges = set()
-    for t in triplets:
-        if not any(t in subs for subs in replaced.values()):
-            required_edges.update(triplet_pairs(t))
-    required_cameras = set()
-    for t in triplets:
-        required_cameras.update(t)
-
+    required_edges = {p for t in triplets if not any(t in subs for subs in replaced.values())
+                      for p in triplet_pairs(t)}
     pruned = sorted(set(triplets))
     # the dual graph of any subset is the subgraph its triplets induce here
     adj = dual_adjacency(pruned)
+    # the full set covers every camera, required edge and sub-triplet, so
+    # apart from connectivity a removal is checked at the dropped triplet
+    cameras = Counter(c for t in pruned for c in t)
+    edges = Counter(p for t in pruned for p in triplet_pairs(t))
+    subs_left = {orig: len(subs) for orig, subs in replaced.items()}
 
     def connected(remaining) -> bool:
         keep = set(remaining)
         sub = {t: [u for u in adj[t] if u in keep] for t in keep}
         return sum(1 for _ in dual_bfs(sub, [min(keep)])) == len(keep)
 
-    def valid(remaining) -> bool:
-        if set().union(*remaining) != required_cameras:
-            return False
-        if not required_edges <= {p for t in remaining for p in triplet_pairs(t)}:
-            return False
-        for orig, subs in replaced.items():
-            if sum(1 for s in subs if s in remaining) < 2:
-                return False
-        return bool(remaining) and connected(remaining)
+    def removable(t) -> bool:
+        return (all(cameras[c] > 1 for c in t)
+                and all(edges[p] > 1 or p not in required_edges for p in triplet_pairs(t))
+                and all(subs_left[o] > 2 for o, subs in replaced.items() if t in subs))
 
-    if valid(pruned):
+    if pruned and connected(pruned):
         for t in sorted(pruned, reverse=True):
             trial = [x for x in pruned if x != t]
-            if trial and valid(trial):
+            if trial and removable(t) and connected(trial):
                 pruned = trial
+                cameras.subtract(t)
+                edges.subtract(triplet_pairs(t))
+                subs_left.update({o: n - 1 for o, n in subs_left.items() if t in replaced[o]})
     return TripletCover.from_triplets(pruned, virtual_nodes)

@@ -97,7 +97,7 @@ class Scene:
                 blocks[(i, j)] = t
         return NViewBifocal.assemble(self.n, blocks)
 
-    def exact_triplet(self, ids, kind: str | None = None) -> np.ndarray:
+    def exact_triplet(self, ids) -> np.ndarray:
         """9x9 true-scale submatrix for a camera triple."""
         return block_matrix([
             bifocal_from_pair(self.cameras[u], self.cameras[v]).matrix

@@ -13,8 +13,6 @@ triplet into a general-position 4-view problem.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 from .errors import MissingRecovery, NoValidPoint, RotationAmbiguity
@@ -35,20 +33,20 @@ from .nview import NViewBifocal
 from .recovery import TripletCameras
 
 
-def _dehomogenize(x: np.ndarray) -> np.ndarray | None:
-    if abs(x[2]) < 1e-12 * np.linalg.norm(x):
-        return None
-    return x[:2] / x[2]
+# (view, pair, side) of each epipole a track point must keep clear of: in
+# view v, the epipole of each pair holding v
+_EPIPOLE_VIEWS = tuple((v, (i, j), "left" if v == i else "right")
+                       for v in range(3) for (i, j) in _LOCAL_PAIRS if v in (i, j))
 
 
-def _epipole_distance(x: np.ndarray, e: np.ndarray) -> float:
-    xi = _dehomogenize(x)
-    ei = _dehomogenize(e)
-    if xi is None:
-        return 0.0
-    if ei is None:
-        return np.inf  # epipole at infinity never blocks a finite point
-    return float(np.linalg.norm(xi - ei))
+def _epipole_distances(points: np.ndarray, epipoles: np.ndarray) -> np.ndarray:
+    """Image distance of each (m, 6, 3) track point from its (6, 3) epipole:
+    0 for a point at infinity, inf for an epipole at infinity (it never
+    blocks a finite point)."""
+    fx, fe = (np.abs(x[..., 2]) >= 1e-12 * np.linalg.norm(x, axis=-1) for x in (points, epipoles))
+    xy = points[..., :2] / np.where(fx, points[..., 2], 1.0)[..., None]
+    exy = epipoles[:, :2] / np.where(fe, epipoles[:, 2], 1.0)[:, None]
+    return np.where(fx, np.where(fe, np.linalg.norm(xy - exy, axis=-1), np.inf), 0.0)
 
 
 def select_virtual_point(tracks3, tensors: dict, epipole_margin: float = 1e-2) -> Track:
@@ -56,22 +54,20 @@ def select_virtual_point(tracks3, tensors: dict, epipole_margin: float = 1e-2) -
     epipole_margin away from every relevant epipole in every view, the one
     minimizing the total symmetric epipolar distance over the three pairs.
     Ties break by track order."""
+    tracks3 = list(tracks3)
+    if not tracks3:
+        raise NoValidPoint("no candidate track")
     tensors = oriented_pairs(tensors)
-    # each of the six epipoles is computed on first use, then reused
-    epipole_of = functools.cache(lambda pair, side: epipole(tensors[pair], side))
-    best = None
-    for idx, tr in enumerate(tracks3):
-        near = (_epipole_distance(tr.points[v], epipole_of((i, j), "left" if v == i else "right"))
-                for v in range(3) for (i, j) in _LOCAL_PAIRS if v in (i, j))
-        if any(d < epipole_margin for d in near):
-            continue
-        total = sum(symmetric_epipolar_distance(tensors[(i, j)], tr.points[i], tr.points[j])
-                    for (i, j) in _LOCAL_PAIRS)
-        if best is None or total < best[0]:
-            best = (total, idx, tr)
-    if best is None:
+    P = np.array([tr.points for tr in tracks3])  # (track, view, xyz)
+    epipoles = np.array([epipole(tensors[pair], side) for _, pair, side in _EPIPOLE_VIEWS])
+    near = _epipole_distances(P[:, [v for v, _, _ in _EPIPOLE_VIEWS]], epipoles)
+    far = np.flatnonzero(~np.any(near < epipole_margin, axis=1))
+    if not len(far):
         raise NoValidPoint("every candidate track is within the epipole margin")
-    return best[2]
+    total = 0.0
+    for (i, j) in _LOCAL_PAIRS:
+        total = total + symmetric_epipolar_distance(tensors[(i, j)], P[far, i], P[far, j])
+    return tracks3[far[np.argmin(total)]]
 
 
 def _v_matrices_from_cameras(cams: TripletCameras) -> list:

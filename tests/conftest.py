@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from colsfm.geometry import BifocalTensor, bifocal_from_pair, normalized_tensor
 from colsfm.recovery import pair_pose
 from colsfm.synthetic import generate
 
@@ -32,6 +33,18 @@ def random_rotation(rng):
     if np.linalg.det(Q) < 0:
         Q[:, 0] = -Q[:, 0]
     return Q
+
+
+def unit_bifocal(ci, cj) -> BifocalTensor:
+    """The pair tensor of two cameras at unit Frobenius norm, largest entry positive."""
+    t = bifocal_from_pair(ci, cj)
+    return BifocalTensor(normalized_tensor(t.matrix), t.kind, scale_fixed=True)
+
+
+def geodesic_angle(Ra, Rb) -> float:
+    """Angle of Ra^T Rb in radians."""
+    c = (np.trace(Ra.T @ Rb) - 1.0) / 2.0
+    return float(np.arccos(np.clip(c, -1.0, 1.0)))
 
 
 def triplet_poses(E9, tracks2=None):

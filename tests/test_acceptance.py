@@ -41,7 +41,7 @@ from colsfm.recovery import (
 )
 from colsfm.synthetic import MeasurementNoise, generate, measure
 from colsfm.virtual import four_view_matrix
-from conftest import triplet_poses
+from conftest import triplet_poses, unit_bifocal
 
 
 def _announce(num, ok, detail):
@@ -83,7 +83,7 @@ def _recover_scene_projective(scene):
         tr3 = [x.relabel(mapping) for x in ts.triple_tracks(*ids)]
         F = {}
         for (a, b) in ((0, 1), (0, 2), (1, 2)):
-            F[(a, b)] = bifocal_from_pair(scene.cameras[ids[a]], scene.cameras[ids[b]]).normalized()
+            F[(a, b)] = unit_bifocal(scene.cameras[ids[a]], scene.cameras[ids[b]])
         recs.append(
             recover_projective_collinear_triplet(F[(0, 1)], F[(1, 2)], F[(0, 2)], tr3,
                                                  triplet_id=tuple(ids))

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from colsfm.averaging import (
     project_general_fundamental,
 )
 from colsfm.errors import MissingBlock, NotConnected
-from colsfm.geometry import BifocalTensor, normalized_tensor
+from colsfm.geometry import BifocalTensor, nearest_rotation, normalized_tensor
 from colsfm.graphs import (
     TripletCover, ViewingGraph, enrich_connectivity, heuristic_cover, sequential_cover,
 )
@@ -387,7 +388,71 @@ def _oracle_stack(rng, d=9):
     return np.array(mats)
 
 
+def _near_consistent_stack(d, count=48):
+    """Consistent n-view essential matrices of general scenes, all blocks at
+    one scale, plus symmetric zero-diagonal-block noise at four levels."""
+    n = d // 3
+    rng = np.random.default_rng(3)
+    mats = []
+    for k in range(count):
+        E = generate("general", n, 8, seed=100 + k).exact_nview().dense()
+        N = _random_symmetric(rng, d)
+        for i in range(n):
+            N[3 * i:3 * i + 3, 3 * i:3 * i + 3] = 0.0
+        mats.append(E * np.sqrt(n) / np.linalg.norm(E) + (1e-3, 1e-2, 0.1, 0.4)[k % 4] * N)
+    return np.array(mats)
+
+
+def _sign_search_trace(S):
+    """The oracle's general-essential steps on one matrix: (winning sign case,
+    its score margin over the runner-up, whether the det flip is taken,
+    whether a block of the rotation projection is a reflection)."""
+    w, V = _oracle_eig_desc(S)
+    n = S.shape[0] // 3
+    pos, _, neg, _, _ = _oracle_select_signed(w, 3, 1e-6)
+    X, Y = V[:, pos], V[:, neg]
+    cases = [np.array([1.0 if bits & (1 << k) else -1.0 for k in range(3)]) for bits in range(8)]
+    blocks = [np.sqrt(n) * (np.sqrt(0.5) * (X + Y * s)).reshape(n, 3, 3) for s in cases]
+    scores = [float(np.sum((np.einsum("nij,nik->njk", b, b) - np.eye(3)) ** 2)) for b in blocks]
+    best = int(np.argmin(scores))
+    dets = np.linalg.det(blocks[best])
+    flip = bool(np.sum(dets) < 0)
+    return best, sorted(scores)[1] - scores[best], flip, bool(np.any((-dets if flip else dets) < 0))
+
+
 class TestBatchedKernels:
+    @pytest.mark.parametrize("d", [9, 12])
+    def test_near_consistent_general_essential_matches_oracle(self, d):
+        stack = _near_consistent_stack(d)
+        traces = [_sign_search_trace(S) for S in stack]
+        # clear winners of the sign search, spread over the cases
+        assert len({t[0] for t in traces}) >= 6 and min(t[1] for t in traces) > 1e-3
+        assert 0 < sum(t[2] for t in traces) < len(stack)  # rows with and without the det flip
+        assert any(t[3] for t in traces)  # rows with a reflected rotation block
+        M, flags = _PROJECTIONS[("general", "essential")](stack, 1e-6)
+        for S, P, f in zip(stack, M, flags):
+            ref, ref_flag = _oracle_general_essential(S)
+            assert np.array_equal(P, ref)
+            assert bool(f) == ref_flag
+
+    def test_nearest_rotation_stack_matches_per_matrix(self, rng):
+        M = rng.normal(size=(40, 3, 3))
+        dets = np.linalg.det(M)  # the sign of the polar factor's determinant
+        assert np.any(dets < 0) and np.any(dets > 0)
+        want = np.array([_oracle_nearest_rotation(A) for A in M])
+        assert nearest_rotation(M).tobytes() == want.tobytes()
+
+    def test_general_essential_lapack_calls(self, monkeypatch):
+        stack = _near_consistent_stack(9, count=8)
+        counts = Counter()
+        for name in ("eigh", "svd", "qr"):
+            def counted(*args, _real=getattr(np.linalg, name), _name=name, **kwargs):
+                counts[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+        _PROJECTIONS[("general", "essential")](stack, 1e-6)
+        assert counts == {"eigh": 1, "svd": 1, "qr": 1}
+
     @pytest.mark.parametrize("key", sorted(_ORACLES))
     @pytest.mark.parametrize("d", [9, 12])
     def test_stack_matches_per_matrix_oracle(self, rng, key, d):

@@ -16,7 +16,6 @@ from colsfm.geometry import (
     epipole,
     essential_candidates,
     fundamental_from_projections,
-    geodesic_angle,
     nearest_rotation,
     rotation_about,
     rotation_from_essential,
@@ -26,7 +25,7 @@ from colsfm.geometry import (
     triangulate_dlt,
     unit,
 )
-from conftest import random_rotation
+from conftest import geodesic_angle, random_rotation, unit_bifocal
 
 
 class TestSkew:
@@ -122,7 +121,7 @@ class TestBifocalFromPair:
     def test_epipolar_constraint_on_synthetic_points(self, rng):
         for _ in range(20):
             ci, cj = _random_camera(rng, False), _random_camera(rng, False)
-            F = bifocal_from_pair(ci, cj).normalized().matrix
+            F = unit_bifocal(ci, cj).matrix
             X = rng.normal(size=3) + np.array([0, 0, 6.0])
             xi, xj = ci.project(X), cj.project(X)
             assert abs(xi @ F @ xj) < 1e-10
@@ -157,14 +156,14 @@ class TestEpipole:
 class TestSymmetricEpipolarDistance:
     def test_exact_correspondence_zero(self, rng):
         ci, cj = _random_camera(rng), _random_camera(rng)
-        F = bifocal_from_pair(ci, cj).normalized()
+        F = unit_bifocal(ci, cj)
         X = rng.normal(size=3) + np.array([0, 0, 6.0])
         assert symmetric_epipolar_distance(F, ci.project(X), cj.project(X)) < 1e-18
 
     def test_quadratic_growth_normal_to_line(self, rng):
         # finite-difference slope: distance ~ delta^2 along the line normal
         ci, cj = _random_camera(rng), _random_camera(rng)
-        F = bifocal_from_pair(ci, cj).normalized()
+        F = unit_bifocal(ci, cj)
         X = rng.normal(size=3) + np.array([0, 0, 6.0])
         xi, xj = ci.project(X), cj.project(X)
         line = F.matrix @ xj
@@ -175,7 +174,7 @@ class TestSymmetricEpipolarDistance:
 
     def test_swap_matches_transpose(self, rng):
         ci, cj = _random_camera(rng), _random_camera(rng)
-        F = bifocal_from_pair(ci, cj).normalized().matrix
+        F = unit_bifocal(ci, cj).matrix
         xi = np.array([0.1, -0.3, 1.0])
         xj = np.array([0.4, 0.2, 1.0])
         assert symmetric_epipolar_distance(F, xi, xj) == pytest.approx(
@@ -186,6 +185,21 @@ class TestSymmetricEpipolarDistance:
         F = np.diag([0.0, 0.0, 1.0])  # F xj = (0,0,1): no image-plane part
         with pytest.raises(DegenerateLine):
             symmetric_epipolar_distance(F, np.array([0, 0, 1.0]), np.array([0, 0, 1.0]))
+
+    def test_stack_matches_scalar_formula(self, rng):
+        # the one-pair formula the stacked version replaced, bit for bit
+        def scalar(F, xi, xj):
+            li, lj = F @ xj, F.T @ xi
+            r = float(xi @ F @ xj)
+            return r * r * (1.0 / (li[0] ** 2 + li[1] ** 2) + 1.0 / (lj[0] ** 2 + lj[1] ** 2))
+
+        for scale in (1e-3, 1.0, 1e3):
+            F = scale * rng.normal(size=(3, 3))
+            xi = np.c_[300.0 * rng.normal(size=(200, 2)), np.ones(200)]
+            xj = np.c_[300.0 * rng.normal(size=(200, 2)), np.ones(200)]
+            want = np.array([scalar(F, a, b) for a, b in zip(xi, xj)])
+            assert np.array_equal(symmetric_epipolar_distance(F, xi, xj), want)
+            assert all(symmetric_epipolar_distance(F, a, b) == w for a, b, w in zip(xi, xj, want))
 
 
 class TestTriangulateDlt:
@@ -226,7 +240,7 @@ class TestRotationFromEssential:
             pts = mid + rng.uniform(-1, 1, size=(6, 3))
             if any(c.depth(X) <= 0 for c in (ci, cj) for X in pts):
                 continue
-            E = bifocal_from_pair(ci, cj).normalized()
+            E = unit_bifocal(ci, cj)
             R, t = rotation_from_essential(E, _pair_points(ci, cj, pts))
             assert geodesic_angle(R, ci.rotation.T @ cj.rotation) < 1e-8
             assert np.allclose(t, unit(ci.rotation.T @ (ci.center - cj.center)), atol=1e-8)
@@ -237,7 +251,7 @@ class TestRotationFromEssential:
         cj = CameraModel(np.eye(3), R, np.array([1.0, 0.2, 0.0]))
         look = R @ np.array([0, 0, 5.0])
         pts = look + rng.uniform(-1, 1, size=(5, 3))
-        E = bifocal_from_pair(ci, cj).normalized()
+        E = unit_bifocal(ci, cj)
         Rrel, _ = rotation_from_essential(E, _pair_points(ci, cj, pts))
         assert geodesic_angle(Rrel, np.eye(3)) < 1e-8
 
@@ -246,7 +260,7 @@ class TestRotationFromEssential:
         ci = CameraModel(np.eye(3), np.eye(3), np.zeros(3))
         cj = CameraModel(np.eye(3), rotation_about([0, 1, 0], 0.2), np.array([1.0, 0, 0]))
         X = np.array([0.3, 0.1, 5.0])
-        E = bifocal_from_pair(ci, cj).normalized()
+        E = unit_bifocal(ci, cj)
         R, t = rotation_from_essential(E, _pair_points(ci, cj, [X]))
         assert geodesic_angle(R, ci.rotation.T @ cj.rotation) < 1e-8
 
@@ -255,7 +269,7 @@ class TestRotationFromEssential:
         # so all four vote counts are zero and no winner exists
         ci = CameraModel(np.eye(3), np.eye(3), np.zeros(3))
         cj = CameraModel(np.eye(3), np.eye(3), np.array([0.0, 0, 1.0]))
-        E = bifocal_from_pair(ci, cj).normalized()
+        E = unit_bifocal(ci, cj)
         tr = Track((0, 1), np.vstack([ci.project([0, 0, 5.0]), cj.project([0, 0, 5.0])]))
         with pytest.raises(AmbiguousCheirality):
             rotation_from_essential(E, np.array([tr.points]))

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from colsfm.errors import NoTriangles, TooFewCameras, Unconnectable
-from colsfm.geometry import bifocal_from_pair
 from colsfm.graphs import (
     _components,
     TripletCover,
@@ -19,6 +18,8 @@ from colsfm.graphs import (
     triplet_pairs,
 )
 from colsfm.synthetic import generate
+
+from conftest import unit_bifocal
 
 
 def _oracle_dual_edges(triplets):
@@ -163,7 +164,7 @@ class TestCollinearityScore:
 
         def tensors(scene):
             return {
-                (i, j): bifocal_from_pair(scene.cameras[i], scene.cameras[j]).normalized()
+                (i, j): unit_bifocal(scene.cameras[i], scene.cameras[j])
                 for (i, j) in ((0, 1), (0, 2), (1, 2))
             }
 

@@ -4,7 +4,7 @@ import pytest
 from colsfm.averaging import AveragingResult
 from colsfm.errors import DuplicateEdge, IndexOutOfRange, RankNot2
 from colsfm.geometry import (
-    BifocalTensor, bifocal_from_pair, fix_sign, geodesic_angle, nearest_rotation,
+    BifocalTensor, bifocal_from_pair, fix_sign, nearest_rotation,
 )
 from colsfm.graphs import triplet_pairs
 from colsfm.nview import (
@@ -17,6 +17,8 @@ from colsfm.nview import (
 )
 from colsfm.nview import _eig_sorted, _vhat_alignment
 from colsfm.synthetic import MeasurementNoise, generate, measure
+
+from conftest import geodesic_angle
 
 
 def _blocks_from_scene(scene):

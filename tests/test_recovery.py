@@ -14,7 +14,6 @@ from colsfm.geometry import (
     Track,
     bifocal_from_pair,
     fundamental_from_projections,
-    geodesic_angle,
     nearest_rotation,
     normalized_tensor,
     triangulate_dlt,
@@ -41,7 +40,7 @@ from colsfm.recovery import (
     resolve_essential_triplet,
 )
 from colsfm.synthetic import MeasurementNoise, generate, measure
-from conftest import triplet_poses
+from conftest import geodesic_angle, triplet_poses, unit_bifocal
 
 
 def _local_tracks(scene, ids, n_points=None):
@@ -215,7 +214,7 @@ class TestProjectiveCollinearRecovery:
         out = {}
         for (i, j) in ((0, 1), (0, 2), (1, 2)):
             gi, gj = sorted(ids)[i], sorted(ids)[j]
-            out[(i, j)] = bifocal_from_pair(scene.cameras[gi], scene.cameras[gj]).normalized()
+            out[(i, j)] = unit_bifocal(scene.cameras[gi], scene.cameras[gj])
         return out
 
     def test_oracle_reprojection(self, collinear_projective_scene):
@@ -280,7 +279,7 @@ class TestProjectiveGeneralRecovery:
         scene = generate("general", 3, 8, seed=59, intrinsics_mode="varied")
         F = {}
         for (i, j) in ((0, 1), (0, 2), (1, 2)):
-            F[(i, j)] = bifocal_from_pair(scene.cameras[i], scene.cameras[j]).normalized()
+            F[(i, j)] = unit_bifocal(scene.cameras[i], scene.cameras[j])
         rec = recover_projective_general_triplet(F[(0, 1)], F[(1, 2)], F[(0, 2)])
         ts = scene.track_set()
         tr3 = [t.relabel({0: 0, 1: 1, 2: 2}) for t in ts.triple_tracks(0, 1, 2)]
@@ -290,7 +289,7 @@ class TestProjectiveGeneralRecovery:
         scene = collinear_projective_scene
         F = {}
         for (i, j) in ((0, 1), (0, 2), (1, 2)):
-            F[(i, j)] = bifocal_from_pair(scene.cameras[i], scene.cameras[j]).normalized()
+            F[(i, j)] = unit_bifocal(scene.cameras[i], scene.cameras[j])
         with pytest.raises(DegenerateEpipole):
             recover_projective_general_triplet(F[(0, 1)], F[(1, 2)], F[(0, 2)])
 
@@ -356,7 +355,7 @@ class TestRegisterGlobal:
             tr3 = [x.relabel(mapping) for x in ts.triple_tracks(*ids)]
             F = {}
             for (a, b) in ((0, 1), (0, 2), (1, 2)):
-                F[(a, b)] = bifocal_from_pair(scene.cameras[ids[a]], scene.cameras[ids[b]]).normalized()
+                F[(a, b)] = unit_bifocal(scene.cameras[ids[a]], scene.cameras[ids[b]])
             recs.append(
                 recover_projective_collinear_triplet(
                     F[(0, 1)], F[(1, 2)], F[(0, 2)], tr3, triplet_id=tuple(ids)

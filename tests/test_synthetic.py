@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from colsfm import synthetic
-from colsfm.geometry import bifocal_from_pair, essential_candidates, geodesic_angle, normalized_tensor, unit
+from colsfm.geometry import bifocal_from_pair, essential_candidates, normalized_tensor, unit
 from colsfm.nview import certify_collinear_essential, certify_collinear_fundamental
 from colsfm.geometry import Track
 from colsfm.synthetic import MeasurementNoise, TrackSet, generate, measure
+
+from conftest import geodesic_angle
 
 
 def _line_distance(centers):

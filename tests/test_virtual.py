@@ -10,6 +10,7 @@ from colsfm.geometry import (
     epipole,
     fundamental_from_projections,
     normalized_tensor,
+    symmetric_epipolar_distance,
     unit,
 )
 from colsfm.graphs import collinearity_score
@@ -19,12 +20,14 @@ from colsfm.recovery import recover_projective_collinear_triplet
 from colsfm.synthetic import generate
 from colsfm.virtual import four_view_matrix, select_virtual_point, virtual_bifocals
 
+from conftest import unit_bifocal
+
 
 def _triplet_tensors(scene, ids=(0, 1, 2)):
     out = {}
     for (a, b) in ((0, 1), (0, 2), (1, 2)):
         ga, gb = ids[a], ids[b]
-        out[(a, b)] = bifocal_from_pair(scene.cameras[ga], scene.cameras[gb]).normalized()
+        out[(a, b)] = unit_bifocal(scene.cameras[ga], scene.cameras[gb])
     return out
 
 
@@ -106,6 +109,50 @@ class TestSelectVirtualPoint:
         tensors[(1, 2)] = np.diag([1.0, 0.0, 0.0])
         with pytest.raises(RankDeficient):
             select_virtual_point(_local_tracks3(collinear_scene), tensors)
+
+
+def _oracle_select(tracks3, tensors, margin=1e-2):
+    """Index of the track the per-track loop that select_virtual_point
+    replaced picks, or None when every track is within the margin."""
+    def image(x):
+        return None if abs(x[2]) < 1e-12 * np.linalg.norm(x) else x[:2] / x[2]
+
+    def distance(x, e):
+        if image(x) is None:
+            return 0.0
+        return np.inf if image(e) is None else float(np.linalg.norm(image(x) - image(e)))
+
+    pairs = ((0, 1), (0, 2), (1, 2))
+    best = None
+    for idx, tr in enumerate(tracks3):
+        if any(distance(tr.points[v], epipole(tensors[(i, j)], "left" if v == i else "right")) < margin
+               for v in range(3) for (i, j) in pairs if v in (i, j)):
+            continue
+        total = sum(symmetric_epipolar_distance(tensors[p], tr.points[p[0]], tr.points[p[1]])
+                    for p in pairs)
+        if best is None or total < best[0]:
+            best = (total, idx)
+    return None if best is None else best[1]
+
+
+def test_select_virtual_point_matches_loop_oracle():
+    outcomes = set()
+    for seed in range(24):
+        scene = generate(("collinear", "general", "mixed")[seed % 3], 5, 25, seed=seed)
+        tensors = _triplet_tensors(scene, (0, 2, 4))
+        exact = _local_tracks3(scene, (0, 2, 4))
+        noisy = [t.relabel({0: 0, 2: 1, 4: 2})
+                 for t in scene.track_set(pixel_noise=1e-3).triple_tracks(0, 2, 4)]
+        for cands in (exact, noisy):
+            for margin in (1e-2, 0.3, 3.0):
+                want = _oracle_select(cands, tensors, margin)
+                if want is None:
+                    with pytest.raises(NoValidPoint):
+                        select_virtual_point(cands, tensors, margin)
+                else:
+                    assert select_virtual_point(cands, tensors, margin) is cands[want]
+                outcomes.add(want is None)
+    assert outcomes == {True, False}  # both a pick and a rejection are checked
 
 
 class TestVirtualBifocals:
