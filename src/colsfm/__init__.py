@@ -12,7 +12,6 @@ from .averaging import (
 from .geometry import (
     BifocalTensor,
     CameraModel,
-    Track,
     bifocal_from_pair,
     epipole,
     rotation_from_essential,

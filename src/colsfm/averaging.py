@@ -49,12 +49,11 @@ class AdmmConfig:
     # rho 5 reaches 1e-9 well inside the iteration budget
     rho: float = 5.0
     max_iters: int = 500
-    primal_tol: float = 1e-9
-    dual_tol: float = 1e-9
+    tol: float = 1e-9  # on both the primal and the dual residual
     rank_tol: float = 1e-6
 
     def __post_init__(self):
-        if min(self.rho, self.max_iters, self.primal_tol, self.dual_tol, self.rank_tol) <= 0:
+        if min(self.rho, self.max_iters, self.tol, self.rank_tol) <= 0:
             raise ValueError("all ADMM parameters must be positive")
 
 
@@ -338,7 +337,7 @@ def average(
     if regime == "general" and measured.kind == "essential":
         normalized = NViewBifocal.assemble(
             measured.n,
-            {k: BifocalTensor(v, "essential", True) for k, v in norm_blocks.items()},
+            {k: BifocalTensor(v, "essential") for k, v in norm_blocks.items()},
             strict=False,
         )
         scale_factors = _consistent_scale_factors(normalized, cover)
@@ -372,7 +371,7 @@ def average(
     # drops the measurement anchor, which is only safe once the iterate is
     # already nearly consensus-feasible, hence the residual gate.
     switch = max(50, cfg.max_iters // 5)
-    polish_enter = 1e3 * cfg.primal_tol
+    polish_enter = 1e3 * cfg.tol
     polish = False
     extrap_every = 25
     diff_prev = None
@@ -443,7 +442,7 @@ def average(
         last_primal = primal
         if best_state is None or primal < best_state[0]:
             best_state = (primal, consensus, objective)
-        if primal < cfg.primal_tol and dual < cfg.dual_tol:
+        if primal < cfg.tol and dual < cfg.tol:
             converged = True
             break
 
@@ -455,7 +454,7 @@ def average(
 
     blocks = {e: consensus[k].copy() for k, e in enumerate(edges)}
     out_blocks = {
-        e: BifocalTensor(normalized_tensor(blocks[e]), measured.kind, True) for e in sorted(blocks)
+        e: BifocalTensor(normalized_tensor(blocks[e]), measured.kind) for e in sorted(blocks)
     }
     nview = NViewBifocal.assemble(measured.n, out_blocks, kind=measured.kind, strict=False)
     return AveragingResult(

@@ -23,12 +23,7 @@ EXIT_NO_CONVERGENCE = 3
 
 
 def _admm_from_args(args) -> AdmmConfig:
-    return AdmmConfig(
-        rho=args.rho,
-        max_iters=args.max_iters,
-        primal_tol=args.tol,
-        dual_tol=args.tol,
-    )
+    return AdmmConfig(rho=args.rho, max_iters=args.max_iters, tol=args.tol)
 
 
 def _pipeline_cfg(args) -> PipelineConfig:

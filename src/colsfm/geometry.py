@@ -147,7 +147,6 @@ class BifocalTensor:
 
     matrix: np.ndarray
     kind: str  # "essential" | "fundamental"
-    scale_fixed: bool = False
 
     def __post_init__(self):
         M = np.asarray(self.matrix, dtype=float).reshape(3, 3).copy()
@@ -170,7 +169,7 @@ def oriented_pairs(tensors: dict) -> dict:
     out = {}
     for (i, j), t in tensors.items():
         if i > j:
-            t = (BifocalTensor(t.matrix.T, t.kind, t.scale_fixed)
+            t = (BifocalTensor(t.matrix.T, t.kind)
                  if isinstance(t, BifocalTensor) else _as_matrix(t).T)
         out[(min(i, j), max(i, j))] = t
     return out
@@ -179,64 +178,6 @@ def oriented_pairs(tensors: dict) -> dict:
 def _as_matrix(t: BifocalTensor | np.ndarray) -> np.ndarray:
     """The 3x3 float matrix of a tensor or of a plain array."""
     return t.matrix if isinstance(t, BifocalTensor) else np.asarray(t, dtype=float)
-
-
-def _track_ids(view_ids) -> tuple:
-    ids = tuple(int(i) for i in view_ids)
-    if len(ids) not in (2, 3):
-        raise ValueError("a track spans 2 or 3 views")
-    if len(set(ids)) != len(ids):
-        raise ValueError("view ids must be distinct")
-    return ids
-
-
-def _check_image_points(pts: np.ndarray) -> None:
-    """Raise ValueError unless every row is a finite homogeneous image point
-    with last coordinate 1."""
-    if not np.all(np.isfinite(pts)):
-        raise ValueError("track points must be finite")
-    if len(pts) and np.max(np.abs(pts[:, 2] - 1.0)) > 1e-9:
-        raise ValueError("track points must have last coordinate 1")
-
-
-@dataclass(frozen=True)
-class Track:
-    """Point correspondence across 2 or 3 views.
-
-    points are homogeneous 3-vectors with last coordinate 1, one per view id.
-    """
-
-    view_ids: tuple
-    points: np.ndarray
-
-    def __post_init__(self):
-        ids = _track_ids(self.view_ids)
-        pts = np.asarray(self.points, dtype=float).reshape(len(ids), 3).copy()
-        _check_image_points(pts)
-        pts.setflags(write=False)
-        object.__setattr__(self, "view_ids", ids)
-        object.__setattr__(self, "points", pts)
-
-    @classmethod
-    def _checked(cls, view_ids, points: np.ndarray) -> "Track":
-        """Track over a (k, 3) float array of already-checked image points,
-        which it takes over read-only; only the view ids are checked."""
-        track = object.__new__(cls)
-        points.setflags(write=False)
-        object.__setattr__(track, "view_ids", _track_ids(view_ids))
-        object.__setattr__(track, "points", points)
-        return track
-
-    def point(self, view_id: int) -> np.ndarray:
-        return self.points[self.view_ids.index(view_id)]
-
-    def restrict(self, view_ids) -> "Track":
-        """Sub-track over the given view ids (order preserved as given)."""
-        idx = [self.view_ids.index(v) for v in view_ids]
-        return Track._checked(view_ids, self.points[idx])
-
-    def relabel(self, mapping: dict) -> "Track":
-        return Track._checked((mapping[v] for v in self.view_ids), self.points)
 
 
 def bifocal_from_pair(ci: CameraModel, cj: CameraModel) -> BifocalTensor:
@@ -322,12 +263,13 @@ def _dlt(A: np.ndarray):
     return Vt[..., 3, :], s[..., 2] - s[..., 3] < 1e-12 * s[..., 0]
 
 
-def triangulate_dlt(cams, track: Track) -> np.ndarray:
-    """DLT point: minimize ||A X|| over unit X, A stacking [x_i]_x P_i rows."""
+def triangulate_dlt(cams, points: np.ndarray) -> np.ndarray:
+    """DLT point: minimize ||A X|| over unit X, A stacking [x_i]_x P_i rows;
+    points holds one image point per camera, in camera order."""
     Ps = [_as_projection(c) for c in cams]
     if len(Ps) < 2:
         raise ValueError("triangulation needs at least two views")
-    rows = [skew(track.points[k]) @ Ps[k] for k in range(len(Ps))]
+    rows = [skew(points[k]) @ Ps[k] for k in range(len(Ps))]
     X, ambiguous = _dlt(np.vstack(rows))
     if ambiguous:
         raise DegenerateGeometry("ambiguous point: two smallest singular values equal")

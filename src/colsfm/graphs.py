@@ -90,10 +90,11 @@ def dual_adjacency(triplets) -> dict:
     return {t: sorted(nbrs - same[frozenset(t)]) for t, nbrs in adj.items()}
 
 
-def dual_bfs(adj, sources):
-    """Breadth-first walk of a dual adjacency from all sources at once;
-    yields (triplet, parent) in visiting order, parent None for a source."""
-    seen = set(sources)
+def dual_bfs(adj, sources, blocked=frozenset()):
+    """Breadth-first walk of a dual adjacency from all sources at once,
+    never entering a blocked triplet; yields (triplet, parent) in visiting
+    order, parent None for a source."""
+    seen = set(sources) | blocked
     queue = deque((s, None) for s in sources)
     while queue:
         cur, parent = queue.popleft()
@@ -302,23 +303,31 @@ def insert_virtual_and_prune(
     cameras = Counter(c for t in pruned for c in t)
     edges = Counter(p for t in pruned for p in triplet_pairs(t))
     subs_left = {orig: len(subs) for orig, subs in replaced.items()}
+    dropped = set()
 
-    def connected(remaining) -> bool:
-        keep = set(remaining)
-        sub = {t: [u for u in adj[t] if u in keep] for t in keep}
-        return sum(1 for _ in dual_bfs(sub, [min(keep)])) == len(keep)
+    def stays_connected(t) -> bool:
+        # the remaining dual graph is connected, so it stays connected
+        # without t iff t's remaining neighbours stay joined; a leaf never
+        # disconnects it
+        left = {u for u in adj[t] if u not in dropped}
+        if len(left) <= 1:
+            return True
+        for u, _ in dual_bfs(adj, [min(left)], dropped | {t}):
+            left.discard(u)
+            if not left:
+                return True
+        return False
 
     def removable(t) -> bool:
         return (all(cameras[c] > 1 for c in t)
                 and all(edges[p] > 1 or p not in required_edges for p in triplet_pairs(t))
                 and all(subs_left[o] > 2 for o, subs in replaced.items() if t in subs))
 
-    if pruned and connected(pruned):
-        for t in sorted(pruned, reverse=True):
-            trial = [x for x in pruned if x != t]
-            if trial and removable(t) and connected(trial):
-                pruned = trial
+    if pruned and sum(1 for _ in dual_bfs(adj, pruned[:1])) == len(pruned):
+        for t in reversed(pruned):
+            if len(pruned) - len(dropped) > 1 and removable(t) and stays_connected(t):
+                dropped.add(t)
                 cameras.subtract(t)
                 edges.subtract(triplet_pairs(t))
                 subs_left.update({o: n - 1 for o, n in subs_left.items() if t in replaced[o]})
-    return TripletCover.from_triplets(pruned, virtual_nodes)
+    return TripletCover.from_triplets([t for t in pruned if t not in dropped], virtual_nodes)

@@ -73,12 +73,12 @@ def save_measurements(nview: NViewBifocal, tracks: TrackSet | None, path) -> Non
         "tracks": [],
     }
     if tracks is not None:
-        for obs in tracks.observations:
-            views = sorted(obs.keys())
+        for pts, seen in zip(tracks.points, tracks.visible):
+            views = np.flatnonzero(seen).tolist()
             doc["tracks"].append(
                 {
                     "view_ids": views,
-                    "points": [[float(v) for v in obs[i]] for i in views],
+                    "points": [[float(v) for v in pts[i]] for i in views],
                 }
             )
     _dump(doc, path)
@@ -92,15 +92,23 @@ def load_measurements(path):
         blocks = {}
         for e in doc["edges"]:
             M = np.array(e["tensor"], dtype=float).reshape(3, 3)
-            blocks[(int(e["i"]), int(e["j"]))] = BifocalTensor(M, kind, scale_fixed=True)
+            blocks[(int(e["i"]), int(e["j"]))] = BifocalTensor(M, kind)
         nview = NViewBifocal.assemble(n, blocks, kind=kind, strict=False)
-        observations = []
-        for tr in doc.get("tracks", []):
-            obs = {}
-            for v, p in zip(tr["view_ids"], tr["points"]):
-                obs[int(v)] = np.array(p, dtype=float)
-            observations.append(obs)
-        return nview, TrackSet(observations)
+        doc_tracks = doc.get("tracks", [])
+        points = np.zeros((len(doc_tracks), n, 3))
+        visible = np.zeros((len(doc_tracks), n), dtype=bool)
+        for p, tr in enumerate(doc_tracks):
+            views = [int(v) for v in tr["view_ids"]]
+            x = np.array(tr["points"], dtype=float)
+            if len(x) != len(views):
+                raise ValidationError(f"track {p}: {len(views)} view ids but {len(x)} points")
+            if not all(0 <= v < n for v in views):
+                raise ValidationError(f"track {p}: view ids {views} outside [0, {n})")
+            if len(set(views)) != len(views):
+                raise ValidationError(f"track {p}: view ids {views} repeat a view")
+            points[p, views] = x.reshape(len(views), 3)
+            visible[p, views] = True
+        return nview, TrackSet(points, visible)
     except (KeyError, ValueError) as exc:
         raise ValidationError(f"malformed measurements file: {exc}") from exc
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TooFew
-from .geometry import DegenerateGeometry, Track, triangulate_dlt
+from .geometry import DegenerateGeometry, triangulate_dlt
 
 
 @dataclass
@@ -46,21 +46,21 @@ def align_similarity(est_centers: np.ndarray, gt_centers: np.ndarray) -> Similar
     return SimilarityAlignment(scale, R, t, residuals, collinear)
 
 
-def mean_reprojection_error(cams, tracks) -> float:
+def mean_reprojection_error(cams, points: np.ndarray, visible: np.ndarray) -> float:
     """Mean pixel distance between observations and the reprojection of the
     point re-triangulated from the estimated cameras.
 
     cams: list of 3x4 projections (None allowed for unreconstructed views);
-    tracks: Track list over camera indices.
+    points, visible: (P, m, 3) image points of P tracks over the first m
+    cameras and the (P, m) mask of where each track is observed.
     """
     total, count = 0.0, 0
-    for tr in tracks:
-        views = [v for v in tr.view_ids if cams[v] is not None]
+    for pts, seen in zip(points, visible):
+        views = [v for v in np.flatnonzero(seen).tolist() if cams[v] is not None]
         if len(views) < 2:
             continue
-        sub = tr.restrict(tuple(views))
         try:
-            X = triangulate_dlt([cams[v] for v in views], sub)
+            X = triangulate_dlt([cams[v] for v in views], pts[views])
         except DegenerateGeometry:
             continue
         for v in views:
@@ -68,7 +68,7 @@ def mean_reprojection_error(cams, tracks) -> float:
             if abs(x[2]) < 1e-15:
                 continue
             x = x / x[2]
-            total += float(np.linalg.norm(x[:2] - tr.point(v)[:2]))
+            total += float(np.linalg.norm(x[:2] - pts[v, :2]))
             count += 1
     return total / count if count else float("nan")
 

@@ -16,6 +16,7 @@ essential kind) block-rotation structure in sqrt(0.5)(X + Y).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -53,7 +54,7 @@ class NViewBifocal:
                 raise DuplicateEdge(f"edge ({a},{b}) given twice")
             if not isinstance(t, BifocalTensor):
                 raise TypeError("blocks must be BifocalTensor instances")
-            tensor = t if (a, b) == (i, j) else BifocalTensor(t.matrix.T, t.kind, t.scale_fixed)
+            tensor = t if (a, b) == (i, j) else BifocalTensor(t.matrix.T, t.kind)
             if strict and not tensor.is_rank2():
                 raise RankNot2(f"block ({a},{b}) is not rank 2")
             if inferred is None:
@@ -104,13 +105,21 @@ def block_index(slots) -> np.ndarray:
     return np.ascontiguousarray(np.where(U == V, -1, 9 * slots[..., pair[U, V]] + entry))
 
 
+@functools.cache
+def _stack_index(P: int) -> np.ndarray:
+    """The read-only `block_index` of one matrix over a stack of P pairs."""
+    index = block_index(np.arange(P))
+    index.setflags(write=False)
+    return index
+
+
 def block_matrix(blocks, index=None) -> np.ndarray:
     """The symmetric 3k x 3k matrix of pair blocks (P, 3, 3) given in
     combinations(range(k), 2) order, with zero diagonal blocks; with an
     index from `block_index`, the stack of matrices that index lays out."""
     blocks = np.asarray(blocks, dtype=float)
     if index is None:
-        index = block_index(np.arange(len(blocks)))
+        index = _stack_index(len(blocks))
     return np.append(blocks.ravel(), 0.0)[index]
 
 
@@ -126,7 +135,6 @@ class ConsistencyCertificate:
     rotation_residual: float | None
     conditions: dict
     passed: bool
-    tolerances: dict
     v_hat: np.ndarray | None = field(default=None, repr=False)
 
     def __bool__(self):
@@ -282,7 +290,6 @@ def certify_collinear_essential(
         rotation_residual=None,
         conditions=conditions,
         passed=all(conditions.values()),
-        tolerances={"tol": tol, "rank_tol": rank_tol},
         v_hat=v_hat,
     )
 
@@ -322,7 +329,6 @@ def certify_collinear_fundamental(
         rotation_residual=None,
         conditions=conditions,
         passed=all(conditions.values()),
-        tolerances={"rank_tol": rank_tol},
     )
 
 
@@ -401,6 +407,5 @@ def certify_general(
         rotation_residual=rotation_residual,
         conditions=conditions,
         passed=all(conditions.values()),
-        tolerances={"tol": tol, "rank_tol": rank_tol},
         v_hat=v_hat,
     )

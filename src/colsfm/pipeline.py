@@ -35,7 +35,6 @@ from .graphs import (
     sequential_cover,
     triplet_pairs,
 )
-from .geometry import Track
 from .metrics import EvalReport, align_similarity, mean_reprojection_error
 from .nview import NViewBifocal
 from .recovery import (
@@ -67,20 +66,12 @@ class PipelineOutput:
     frame: str
 
 
-def _local_triple_tracks(tracks: TrackSet, ids):
-    """3-view tracks of a triplet, relabelled to its local view ids 0, 1, 2."""
-    ids = sorted(ids)
-    mapping = {g: l for l, g in enumerate(ids)}
-    return [t.relabel(mapping) for t in tracks.triple_tracks(*ids)]
-
-
 def _pair_pose_cache(avg: AveragingResult, tracks: TrackSet, n_real: int):
     """(i, j) -> the pose of the consensus block of cameras i < j, decomposed
     once per run, since neighbouring triplets share pairs; a pair of real
     cameras is cheirality-voted on its tracks (a virtual camera has none)."""
     def pose(i, j):
-        pts = np.array([t.points for t in tracks.pair_tracks(i, j)]) if j < n_real else None
-        return pair_pose(avg.consensus[(i, j)], pts)
+        return pair_pose(avg.consensus[(i, j)], tracks.tracks((i, j)) if j < n_real else None)
 
     return functools.cache(pose)
 
@@ -100,13 +91,16 @@ def _evaluate(cameras, n_real, tracks, scene_gt, regime, algorithm, converged, f
             res = align_similarity(est, gt).residuals
             mean_pos = float(np.mean(res))
             median_pos = float(np.median(res))
-    all_tracks = []
+    reproj = None
     if tracks is not None:
-        for obs in tracks.observations:
-            views = sorted(v for v in obs.keys() if v < n_real)
-            if len(views) >= 2:
-                all_tracks.append(Track(tuple(views[:3]), np.vstack([obs[v] for v in views[:3]])))
-    reproj = mean_reprojection_error(cameras, all_tracks) if all_tracks else None
+        # the first three real views of each track, and only tracks with two
+        # of them: a track once held at most three views, and lifting the cap
+        # would change the reprojection error that pinned reports hold
+        seen = tracks.visible[:, :n_real]
+        seen = seen & (np.cumsum(seen, axis=1) <= 3)
+        keep = np.count_nonzero(seen, axis=1) >= 2
+        if np.any(keep):
+            reproj = mean_reprojection_error(cameras, tracks.points[keep, :n_real], seen[keep])
     if reproj is not None and not np.isfinite(reproj):
         reproj = None
     return EvalReport(
@@ -134,7 +128,7 @@ def _virtual_cover(measurements: NViewBifocal, tracks: TrackSet, cfg: PipelineCo
 
     def builder(t):
         tensors = _triplet_tensor_dict(measurements, t)
-        tr3 = _local_triple_tracks(tracks, t)
+        tr3 = tracks.tracks(sorted(t))
         track = select_virtual_point(tr3, tensors)
         if measurements.kind == "essential":
             vb = virtual_bifocals(tensors, track, "essential", tracks=tr3)
@@ -191,14 +185,14 @@ def _recover_triplet(algorithm, regime, avg, ids, tracks, poses_of, gate):
         poses = (poses_of(*e) for e in triplet_pairs(ids))
         if algorithm == "r4":
             return recover_calibrated_collinear_triplet(
-                avg.triplet_matrix(ids), poses, _local_triple_tracks(tracks, ids), triplet_id=ids,
+                avg.triplet_matrix(ids), poses, tracks.tracks(sorted(ids)), triplet_id=ids,
                 cert_tol=gate, cycle_tol=gate,
             )
         return recover_calibrated_general_triplet(poses, triplet_id=ids, cycle_tol=gate)
     F01, F02, F12 = (avg.nview.block(*e) for e in triplet_pairs(ids))
     if algorithm == "r4":
         return recover_projective_collinear_triplet(
-            F01, F12, F02, _local_triple_tracks(tracks, ids), triplet_id=ids
+            F01, F12, F02, tracks.tracks(sorted(ids)), triplet_id=ids
         )
     return recover_projective_general_triplet(F01, F12, F02, triplet_id=ids)
 

@@ -164,13 +164,10 @@ def closure_scales(geom: TripletGeometry):
     )
 
 
-def _triangulate_tracks3(P0, P1, tracks3):
-    """One stacked DLT of every 3-view track from views 0 and 1; returns the
-    (N, 3, 3) track points in view order 0, 1, 2, the (N, 4) points and
-    which of them are ambiguous."""
-    pts = np.array([tr.points[[tr.view_ids.index(v) for v in (0, 1, 2)]] for tr in tracks3])
-    X, ambiguous = _dlt(np.concatenate([_skews(pts[:, 0]) @ P0, _skews(pts[:, 1]) @ P1], axis=1))
-    return pts, X, ambiguous
+def _triangulate_tracks3(P0, P1, pts):
+    """One stacked DLT of every (N, 3, 3) 3-view track from views 0 and 1;
+    returns the (N, 4) points and which of them are ambiguous."""
+    return _dlt(np.concatenate([_skews(pts[:, 0]) @ P0, _skews(pts[:, 1]) @ P1], axis=1))
 
 
 def _ordered_sum(values) -> float:
@@ -186,12 +183,12 @@ def _rowwise_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _alpha_least_squares(P0, P1, Rh2, axis_dir, tracks3):
     """alpha from P2(alpha) X x x2 = 0 over all 3-view tracks, X from views
     0-1; ambiguous and at-infinity points are skipped."""
-    pts, X, ambiguous = _triangulate_tracks3(P0, P1, tracks3)
+    X, ambiguous = _triangulate_tracks3(P0, P1, tracks3)
     at_infinity = np.abs(X[:, 3]) < 1e-12 * np.linalg.norm(X, axis=1)
     keep = ~ambiguous & ~at_infinity
     if not np.any(keep):
         raise InsufficientTracks("no usable 3-view track for the alpha solve")
-    X, x2 = X[keep], pts[keep, 2]
+    X, x2 = X[keep], tracks3[keep, 2]
     Xe = X[:, :3] / X[:, 3:]
     u = (Rh2 @ Xe[:, :, None])[:, :, 0]
     b = Rh2 @ axis_dir
@@ -218,9 +215,10 @@ def recover_calibrated_collinear_triplet(
     The pair poses of E9's blocks (`pair_pose`, in the order of
     `resolve_essential_triplet`) give the relative rotations, averaged to
     absolute ones; the pair (0,1) fixes the line direction with unit
-    baseline, and alpha places the third camera along it using the 3-view
-    tracks.  poses is read only after the certificate passes, so a lazy
-    iterable decomposes nothing for a rejected triplet.
+    baseline, and alpha places the third camera along it using the (N, 3, 3)
+    image points of the 3-view tracks, in local view order.  poses is read
+    only after the certificate passes, so a lazy iterable decomposes nothing
+    for a rejected triplet.
 
     The certificate precondition checks the eigenvalue pattern only (a sanity
     gate against junk input, with a tolerance sized for post-averaging noise
@@ -242,6 +240,7 @@ def recover_calibrated_collinear_triplet(
     axis = Rh[0].T @ t12  # world direction of t_0 - t_1 in the local gauge
     P0 = np.hstack([Rh[0], np.zeros((3, 1))])
     P1 = np.hstack([Rh[1], (Rh[1] @ axis).reshape(3, 1)])
+    tracks3 = np.asarray(tracks3, dtype=float)
     if len(tracks3) == 0:
         raise InsufficientTracks("alpha is undetermined without 3-view tracks")
     alpha = _alpha_least_squares(P0, P1, Rh[2], axis, tracks3)
@@ -303,8 +302,8 @@ def _a_system_rows(P0, M2, e2, F02, tracks3):
     used = 0
     if len(tracks3):
         P1 = np.hstack([np.eye(3), np.zeros((3, 1))])
-        pts, X, ambiguous = _triangulate_tracks3(P0, P1, tracks3)
-        X, x2 = X[~ambiguous], pts[~ambiguous, 2]
+        X, ambiguous = _triangulate_tracks3(P0, P1, tracks3)
+        X, x2 = X[~ambiguous], tracks3[~ambiguous, 2]
         used = len(X)
         c = (M2 @ X[:, :3, None])[:, :, 0]
         ex = np.cross(e2, x2)
@@ -327,11 +326,11 @@ def recover_projective_collinear_triplet(
 ) -> TripletCameras:
     """Projective cameras of a collinear triplet: the canonical pair from
     F01, the family P2(a) compatible with F12, and a solved in least squares
-    from the 3-view tracks (the third tensor constrains nothing when the
-    centers are exactly collinear, so at least enough generic tracks to span
-    the solve are required; a track whose point is ambiguous from views 0-1
-    does not count)."""
-    tracks3 = list(tracks3)
+    from the (N, 3, 3) 3-view tracks (the third tensor constrains nothing
+    when the centers are exactly collinear, so at least enough generic tracks
+    to span the solve are required; a track whose point is ambiguous from
+    views 0-1 does not count)."""
+    tracks3 = np.asarray(tracks3, dtype=float)
     if len(tracks3) < 2:
         raise InsufficientTracks("the a-vector solve needs at least 2 three-view tracks")
     P0, P1, M2, e2 = _canonical_pair_cameras(F01, F12)
@@ -350,7 +349,7 @@ def recover_projective_general_triplet(F01, F12, F02, triplet_id=(0, 1, 2)) -> T
     """Projective cameras of a general-position triplet: a is fully
     determined by proportionality to the third tensor, no tracks needed."""
     P0, P1, M2, e2 = _canonical_pair_cameras(F01, F12)
-    A, b, _ = _a_system_rows(P0, M2, e2, F02, tracks3=[])
+    A, b, _ = _a_system_rows(P0, M2, e2, F02, tracks3=())
     sv = np.linalg.svd(A, compute_uv=False)
     if sv[3] < 1e-10 * sv[0]:
         raise DegenerateEpipole("third tensor does not determine a (collinear cameras?)")

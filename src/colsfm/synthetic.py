@@ -16,9 +16,7 @@ import numpy as np
 from .geometry import (
     BifocalTensor,
     CameraModel,
-    Track,
     bifocal_from_pair,
-    _check_image_points,
     normalized_tensor,
     rotation_about,
     skew,
@@ -37,37 +35,38 @@ class MeasurementNoise:
     pixel: float = 0.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrackSet:
-    """All observations of the scene points: obs[p][i] = image of point p in view i.
+    """The observations of the scene points as two read-only arrays:
+    points[p, i] is the image of point p in view i, a homogeneous 3-vector
+    with last coordinate 1, wherever visible[p, i]; the other entries are
+    ignored.  Every visible point is checked once, here."""
 
-    Every observation is checked once, here, as Track checks its points; the
-    tracks drawn from the set are then built without checking them again.
-    """
-
-    observations: list  # list over points of dict view -> homogeneous 3-vector
+    points: np.ndarray   # (P, n, 3)
+    visible: np.ndarray  # (P, n) bool
 
     def __post_init__(self):
-        views = [[int(v) for v in obs] for obs in self.observations]
-        pts = np.array([p for obs in self.observations for p in obs.values()], dtype=float)
-        pts = pts.reshape(len(pts), 3)
-        _check_image_points(pts)
-        pts.setflags(write=False)
-        rows = iter(pts)
-        self.observations = [{v: next(rows) for v in vs} for vs in views]
+        pts = np.array(self.points, dtype=float)
+        vis = np.array(self.visible, dtype=bool)
+        if pts.ndim != 3 or pts.shape[2] != 3 or vis.shape != pts.shape[:2]:
+            raise ValueError(f"track points {pts.shape} and mask {vis.shape} "
+                             "must be (P, n, 3) and (P, n)")
+        seen = pts[vis]
+        if not np.all(np.isfinite(seen)):
+            raise ValueError("track points must be finite")
+        if len(seen) and np.max(np.abs(seen[:, 2] - 1.0)) > 1e-9:
+            raise ValueError("track points must have last coordinate 1")
+        for a in (pts, vis):
+            a.setflags(write=False)
+        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "visible", vis)
 
-    def _tracks(self, ids) -> list:
-        return [
-            Track._checked(ids, np.array([obs[v] for v in ids]))
-            for obs in self.observations
-            if all(v in obs for v in ids)
-        ]
-
-    def pair_tracks(self, i: int, j: int) -> list:
-        return self._tracks((i, j))
-
-    def triple_tracks(self, i: int, j: int, k: int) -> list:
-        return self._tracks((i, j, k))
+    def tracks(self, ids) -> np.ndarray:
+        """(N, k, 3) points of the tracks seen in every view of ids: rows in
+        track order, columns in the order of ids."""
+        ids = list(ids)
+        rows = np.flatnonzero(np.all(self.visible[:, ids], axis=1))
+        return self.points[np.ix_(rows, ids)]
 
 
 @dataclass
@@ -106,16 +105,14 @@ class Scene:
 
     def track_set(self, pixel_noise: float = 0.0, rng=None) -> TrackSet:
         rng = rng if rng is not None else np.random.default_rng(self.seed + 1)
-        obs = []
-        for X in self.points:
-            po = {}
+        pts = np.empty((len(self.points), self.n, 3))
+        for p, X in enumerate(self.points):
             for i, cam in enumerate(self.cameras):
                 x = cam.project(X)
                 if pixel_noise > 0.0:
                     x = x + np.array([rng.normal(0, pixel_noise), rng.normal(0, pixel_noise), 0.0])
-                po[i] = x
-            obs.append(po)
-        return TrackSet(obs)
+                pts[p, i] = x
+        return TrackSet(pts, np.ones(pts.shape[:2], dtype=bool))
 
 
 def _look_rotation(forward: np.ndarray, rng) -> np.ndarray:
@@ -298,7 +295,7 @@ def measure(scene: Scene, noise: MeasurementNoise | None = None, seed: int = 0):
             B = _perturbed_block(
                 scene.cameras[i], scene.cameras[j], calibrated[i] and calibrated[j], noise, rng
             )
-            blocks[(i, j)] = BifocalTensor(normalized_tensor(B), kind, scale_fixed=True)
+            blocks[(i, j)] = BifocalTensor(normalized_tensor(B), kind)
     nview = NViewBifocal.assemble(scene.n, blocks)
     tracks = scene.track_set(pixel_noise=noise.pixel, rng=rng)
     return nview, tracks

@@ -19,7 +19,6 @@ from .errors import MissingRecovery, NoValidPoint, RotationAmbiguity
 from .geometry import (
     AmbiguousCheirality,
     BifocalTensor,
-    Track,
     _as_matrix,
     epipole,
     normalized_tensor,
@@ -49,16 +48,15 @@ def _epipole_distances(points: np.ndarray, epipoles: np.ndarray) -> np.ndarray:
     return np.where(fx, np.where(fe, np.linalg.norm(xy - exy, axis=-1), np.inf), 0.0)
 
 
-def select_virtual_point(tracks3, tensors: dict, epipole_margin: float = 1e-2) -> Track:
-    """The 3-view track farthest from degeneracy: among tracks at least
-    epipole_margin away from every relevant epipole in every view, the one
-    minimizing the total symmetric epipolar distance over the three pairs.
-    Ties break by track order."""
-    tracks3 = list(tracks3)
-    if not tracks3:
+def select_virtual_point(tracks3, tensors: dict, epipole_margin: float = 1e-2) -> np.ndarray:
+    """The (3, 3) image points of the 3-view track farthest from degeneracy:
+    among the (N, 3, 3) tracks3 at least epipole_margin away from every
+    relevant epipole in every view, the one minimizing the total symmetric
+    epipolar distance over the three pairs.  Ties break by track order."""
+    P = np.asarray(tracks3, dtype=float)  # (track, view, xyz)
+    if not len(P):
         raise NoValidPoint("no candidate track")
     tensors = oriented_pairs(tensors)
-    P = np.array([tr.points for tr in tracks3])  # (track, view, xyz)
     epipoles = np.array([epipole(tensors[pair], side) for _, pair, side in _EPIPOLE_VIEWS])
     near = _epipole_distances(P[:, [v for v, _, _ in _EPIPOLE_VIEWS]], epipoles)
     far = np.flatnonzero(~np.any(near < epipole_margin, axis=1))
@@ -67,7 +65,7 @@ def select_virtual_point(tracks3, tensors: dict, epipole_margin: float = 1e-2) -
     total = 0.0
     for (i, j) in _LOCAL_PAIRS:
         total = total + symmetric_epipolar_distance(tensors[(i, j)], P[far, i], P[far, j])
-    return tracks3[far[np.argmin(total)]]
+    return P[far[np.argmin(total)]]
 
 
 def _v_matrices_from_cameras(cams: TripletCameras) -> list:
@@ -78,7 +76,8 @@ def _v_matrices_from_cameras(cams: TripletCameras) -> list:
 
 def _v_matrices_from_tensors(blocks: dict, tracks) -> list:
     """Calibrated route: V_i2 = R_i^T R_2 extracted from the (i, 2)-pair
-    block, the rotation branch picked by track cheirality."""
+    block, the rotation branch picked by the cheirality of the (N, 3, 3)
+    tracks."""
     out = []
     for i in range(3):
         if i == 1:
@@ -88,36 +87,38 @@ def _v_matrices_from_tensors(blocks: dict, tracks) -> list:
         M = _as_matrix(blocks[key])
         if key != (i, 1):
             M = M.T
-        pts = np.array([tr.points[[i, 1]] for tr in tracks or []])
         try:
-            R, _ = rotation_from_essential(M, pts)
+            R, _ = rotation_from_essential(M, tracks[:, [i, 1]])
         except AmbiguousCheirality as exc:
             raise RotationAmbiguity(str(exc)) from exc
         out.append(R)
     return out
 
 
-def virtual_bifocals(source, track: Track, kind: str, tracks=None) -> list:
+def virtual_bifocals(source, track: np.ndarray, kind: str, tracks=None) -> list:
     """Unit-normalized tensors [F_0X, F_1X, F_2X] between the three real views
-    and the virtual camera at the track's 3D point.
+    and the virtual camera at the 3D point of track, its (3, 3) image points.
 
     source: a TripletCameras (either frame), or for the calibrated case the
-    dict of three pairwise essential blocks (tracks then disambiguate the
-    relative rotations).  Projective tensors require recovered cameras, since
-    the third V-matrix depends on the resolved a-vector.
+    dict of three pairwise essential blocks (the (N, 3, 3) tracks, or the
+    track alone, then disambiguate the relative rotations).  Projective
+    tensors require recovered cameras, since the third V-matrix depends on
+    the resolved a-vector.
     """
     if isinstance(source, TripletCameras):
         V = _v_matrices_from_cameras(source)
     elif kind == "essential":
-        V = _v_matrices_from_tensors(oriented_pairs(source), tracks or [track])
+        if tracks is None or not len(tracks):
+            tracks = track[None]
+        V = _v_matrices_from_tensors(oriented_pairs(source), np.asarray(tracks, dtype=float))
     else:
         raise MissingRecovery(
             "projective virtual tensors need recovered cameras (the a-vector)"
         )
     out = []
     for i in range(3):
-        M = skew(track.points[i]) @ V[i]
-        out.append(BifocalTensor(normalized_tensor(M), kind, scale_fixed=True))
+        M = skew(track[i]) @ V[i]
+        out.append(BifocalTensor(normalized_tensor(M), kind))
     return out
 
 

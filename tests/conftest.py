@@ -38,7 +38,7 @@ def random_rotation(rng):
 def unit_bifocal(ci, cj) -> BifocalTensor:
     """The pair tensor of two cameras at unit Frobenius norm, largest entry positive."""
     t = bifocal_from_pair(ci, cj)
-    return BifocalTensor(normalized_tensor(t.matrix), t.kind, scale_fixed=True)
+    return BifocalTensor(normalized_tensor(t.matrix), t.kind)
 
 
 def geodesic_angle(Ra, Rb) -> float:
@@ -49,10 +49,25 @@ def geodesic_angle(Ra, Rb) -> float:
 
 def triplet_poses(E9, tracks2=None):
     """The pair poses of a 9x9 triplet matrix's blocks in local pair order,
-    each cheirality-voted when tracks2 ({local pair: 2-view tracks}) has
-    tracks for it."""
+    each cheirality-voted when tracks2 ({local pair: (N, 2, 3) 2-view track
+    points}) has tracks for it."""
     E9 = np.asarray(E9, dtype=float)
     tracks2 = tracks2 or {}
-    return [pair_pose(E9[3 * i:3 * i + 3, 3 * j:3 * j + 3],
-                      np.array([t.points for t in tracks2.get((i, j), [])]))
+    return [pair_pose(E9[3 * i:3 * i + 3, 3 * j:3 * j + 3], tracks2.get((i, j)))
             for (i, j) in ((0, 1), (0, 2), (1, 2))]
+
+
+def seen_in(ts, *view_sets):
+    """Points and mask of one copy of the TrackSet ts's tracks per view set,
+    each copy observed in the views of its set only."""
+    masks = []
+    for ids in view_sets:
+        masks.append(np.zeros(ts.visible.shape, dtype=bool))
+        masks[-1][:, list(ids)] = True
+    return np.concatenate([ts.points] * len(view_sets)), np.concatenate(masks)
+
+
+def seen_everywhere(points):
+    """Points and mask of (N, k, 3) tracks observed in all k views."""
+    points = np.asarray(points, dtype=float)
+    return points, np.ones(points.shape[:2], dtype=bool)

@@ -41,7 +41,7 @@ from colsfm.recovery import (
 )
 from colsfm.synthetic import MeasurementNoise, generate, measure
 from colsfm.virtual import four_view_matrix
-from conftest import triplet_poses, unit_bifocal
+from conftest import seen_in, triplet_poses, unit_bifocal
 
 
 def _announce(num, ok, detail):
@@ -61,11 +61,8 @@ def _recover_scene_calibrated(scene):
     for t in cover.triplets:
         ids = sorted(t)
         E = scene.exact_triplet(ids)
-        mapping = {g: l for l, g in enumerate(ids)}
-        tr3 = [x.relabel(mapping) for x in ts.triple_tracks(*ids)]
-        tr2 = {}
-        for (a, b) in ((0, 1), (0, 2), (1, 2)):
-            tr2[(a, b)] = [x.relabel({ids[a]: a, ids[b]: b}) for x in ts.pair_tracks(ids[a], ids[b])]
+        tr3 = ts.tracks(ids)
+        tr2 = {(a, b): ts.tracks((ids[a], ids[b])) for (a, b) in ((0, 1), (0, 2), (1, 2))}
         recs.append(
             recover_calibrated_collinear_triplet(E, triplet_poses(E, tr2), tr3, triplet_id=tuple(ids))
         )
@@ -79,8 +76,7 @@ def _recover_scene_projective(scene):
     recs = []
     for t in cover.triplets:
         ids = sorted(t)
-        mapping = {g: l for l, g in enumerate(ids)}
-        tr3 = [x.relabel(mapping) for x in ts.triple_tracks(*ids)]
+        tr3 = ts.tracks(ids)
         F = {}
         for (a, b) in ((0, 1), (0, 2), (1, 2)):
             F[(a, b)] = unit_bifocal(scene.cameras[ids[a]], scene.cameras[ids[b]])
@@ -89,10 +85,8 @@ def _recover_scene_projective(scene):
                                                  triplet_id=tuple(ids))
         )
     reg = register_global(recs, cover, "projective", n_cameras=scene.n)
-    tracks = []
-    for i in range(scene.n - 2):
-        tracks += ts.triple_tracks(i, i + 1, i + 2)
-    return mean_reprojection_error(reg.cameras, tracks)
+    tracks = seen_in(ts, *((i, i + 1, i + 2) for i in range(scene.n - 2)))
+    return mean_reprojection_error(reg.cameras, *tracks)
 
 
 def test_criterion_1_thm1_necessary():
@@ -187,11 +181,8 @@ def _single_projection_floor(scene, noisy, tracks):
         ids = sorted(t)
         M = noisy.submatrix(ids)
         P = project_collinear_essential(M).matrix
-        mapping = {g: l for l, g in enumerate(ids)}
-        tr3 = [x.relabel(mapping) for x in tracks.triple_tracks(*ids)]
-        tr2 = {}
-        for (a, b) in ((0, 1), (0, 2), (1, 2)):
-            tr2[(a, b)] = [x.relabel({ids[a]: a, ids[b]: b}) for x in tracks.pair_tracks(ids[a], ids[b])]
+        tr3 = tracks.tracks(ids)
+        tr2 = {(a, b): tracks.tracks((ids[a], ids[b])) for (a, b) in ((0, 1), (0, 2), (1, 2))}
         recs.append(
             recover_calibrated_collinear_triplet(
                 P, triplet_poses(P, tr2), tr3, triplet_id=tuple(ids), cert_tol=0.1, cycle_tol=0.1

@@ -11,7 +11,7 @@ import re
 from pathlib import Path
 
 import colsfm
-from colsfm import geometry, synthetic
+from colsfm import averaging, geometry, nview, synthetic
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "colsfm"
@@ -59,3 +59,11 @@ def test_test_only_surface_stays_deleted():
     assert not hasattr(geometry.BifocalTensor, "normalized")
     assert not hasattr(geometry, "geodesic_angle")
     assert "kind" not in inspect.signature(synthetic.Scene.exact_triplet).parameters
+    # tracks are arrays in TrackSet, not objects
+    assert not hasattr(geometry, "Track")
+    assert not hasattr(synthetic.TrackSet, "pair_tracks")
+    assert not hasattr(synthetic.TrackSet, "triple_tracks")
+    # fields that were written and never read
+    assert "scale_fixed" not in geometry.BifocalTensor.__dataclass_fields__
+    assert "tolerances" not in nview.ConsistencyCertificate.__dataclass_fields__
+    assert "primal_tol" not in averaging.AdmmConfig.__dataclass_fields__

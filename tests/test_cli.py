@@ -70,6 +70,29 @@ class TestCliFlow:
                         "--out", str(tmp_path / "out")])
         assert code == 2
 
+    def test_malformed_track_exit_code(self, tmp_path):
+        scene = tmp_path / "scene.json"
+        meas = tmp_path / "m.json"
+        run_cli(["synth", "--layout", "collinear", "--n-cams", "5", "--n-points", "6",
+                 "--seed", "7", "--out", str(scene)])
+        run_cli(["measure", "--scene", str(scene), "--seed", "2", "--out", str(meas)])
+        out = str(tmp_path / "c.json")
+        assert run_cli(["recover", "--measurements", str(meas), "--algorithm", "r4",
+                        "--out", out]) == 0
+        for breakage in ("view past n", "repeated view", "point missing"):
+            doc = json.loads(meas.read_text())
+            track = doc["tracks"][0]
+            if breakage == "view past n":
+                track["view_ids"][-1] = 5
+            elif breakage == "repeated view":
+                track["view_ids"][1] = track["view_ids"][0]
+            else:
+                track["points"].pop()
+            bad = tmp_path / "bad.json"
+            bad.write_text(json.dumps(doc))
+            assert run_cli(["recover", "--measurements", str(bad), "--algorithm", "r4",
+                            "--out", out]) == 2, breakage
+
     def test_missing_file_exit_code(self, tmp_path):
         code = run_cli(["recover", "--measurements", str(tmp_path / "nope.json"),
                         "--out", str(tmp_path / "c.json")])

@@ -11,7 +11,6 @@ from colsfm.errors import (
 from colsfm.geometry import (
     BifocalTensor,
     CameraModel,
-    Track,
     bifocal_from_pair,
     epipole,
     essential_candidates,
@@ -206,23 +205,23 @@ class TestTriangulateDlt:
     def test_symmetric_two_camera_origin(self):
         c1 = CameraModel(np.eye(3), rotation_about([0, 1, 0], np.deg2rad(30)), np.array([-1.0, 0, -5.0]))
         c2 = CameraModel(np.eye(3), rotation_about([0, 1, 0], np.deg2rad(-30)), np.array([1.0, 0, -5.0]))
-        tr = Track((0, 1), np.vstack([c1.project([0, 0, 0]), c2.project([0, 0, 0])]))
+        tr = np.vstack([c1.project([0, 0, 0]), c2.project([0, 0, 0])])
         X = triangulate_dlt([c1, c2], tr)
         assert np.allclose(X[:3] / X[3], [0, 0, 0], atol=1e-10)
 
     def test_noiseless_three_view_reprojection(self, collinear_scene):
         cams = collinear_scene.cameras[:3]
         X = collinear_scene.points[0]
-        tr = Track((0, 1, 2), np.vstack([c.project(X) for c in cams]))
+        tr = np.vstack([c.project(X) for c in cams])
         Xh = triangulate_dlt(cams, tr)
-        for c, x in zip(cams, tr.points):
+        for c, x in zip(cams, tr):
             reproj = c.projection_matrix() @ Xh
             assert np.linalg.norm(reproj / reproj[2] - x) < 1e-10
 
     def test_parallel_identical_rays(self, rng):
         cam = _random_camera(rng)
         x = cam.project(cam.center + cam.rotation @ np.array([0.1, 0.2, 3.0]))
-        tr = Track((0, 1), np.vstack([x, x]))
+        tr = np.vstack([x, x])
         with pytest.raises(DegenerateGeometry):
             triangulate_dlt([cam, cam], tr)
 
@@ -270,9 +269,9 @@ class TestRotationFromEssential:
         ci = CameraModel(np.eye(3), np.eye(3), np.zeros(3))
         cj = CameraModel(np.eye(3), np.eye(3), np.array([0.0, 0, 1.0]))
         E = unit_bifocal(ci, cj)
-        tr = Track((0, 1), np.vstack([ci.project([0, 0, 5.0]), cj.project([0, 0, 5.0])]))
+        tr = np.vstack([ci.project([0, 0, 5.0]), cj.project([0, 0, 5.0])])
         with pytest.raises(AmbiguousCheirality):
-            rotation_from_essential(E, np.array([tr.points]))
+            rotation_from_essential(E, tr[None])
 
     def test_ambiguous_when_nonzero_votes_tie(self, rng):
         # two tracks in front of both views under each of two candidates, so
@@ -336,9 +335,9 @@ class TestCheiralityVotes:
                         x, y = _homogeneous(-t), _homogeneous(R.T @ t)  # on the baseline
                     else:
                         y = np.append(rng.normal(size=2), 1.0)
-                    tracks.append(Track((0, 1), np.vstack([x, y])))
+                    tracks.append(np.vstack([x, y]))
                 votes, *skips = _votes_per_track(R, t, tracks)
-                assert _cheirality_votes(cands, np.array([tr.points for tr in tracks]))[k] == votes
+                assert _cheirality_votes(cands, np.array(tracks))[k] == votes
                 skipped += skips
         # both skip rules were exercised
         assert np.all(skipped > 0)
@@ -372,31 +371,6 @@ class TestFundamentalFromProjectionsStacked:
             assert np.array_equal(fundamental_from_projections(Pi, Pj), _determinant_loop(Pi, Pj))
         P = rng.normal(size=(3, 4))
         assert np.array_equal(fundamental_from_projections(P, P), _determinant_loop(P, P))
-
-
-class TestTrackChecks:
-    def test_public_constructor_still_checks(self):
-        with pytest.raises(ValueError, match="finite"):
-            Track((0, 1), [[0.0, np.nan, 1.0], [0.0, 0.0, 1.0]])
-        with pytest.raises(ValueError, match="last coordinate"):
-            Track((0, 1), [[0.0, 0.0, 2.0], [0.0, 0.0, 1.0]])
-        with pytest.raises(ValueError, match="2 or 3 views"):
-            Track((0,), [[0.0, 0.0, 1.0]])
-        with pytest.raises(ValueError, match="distinct"):
-            Track((1, 1), [[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
-
-    def test_derived_tracks_equal_checked_ones(self):
-        tr = Track((4, 7, 9), [[0.1, 0.2, 1.0], [0.3, -0.4, 1.0], [0.5, 0.6, 1.0]])
-        sub = tr.restrict((9, 4))
-        assert sub.view_ids == (9, 4) and np.array_equal(sub.points, tr.points[[2, 0]])
-        assert not sub.points.flags.writeable
-        moved = tr.relabel({4: 0, 7: 1, 9: 2})
-        assert moved.view_ids == (0, 1, 2) and np.array_equal(moved.points, tr.points)
-        assert not moved.points.flags.writeable
-        with pytest.raises(ValueError, match="distinct"):
-            tr.relabel({4: 0, 7: 0, 9: 1})
-        with pytest.raises(ValueError, match="2 or 3 views"):
-            tr.restrict((4,))
 
 
 class TestNearestRotation:

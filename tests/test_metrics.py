@@ -4,7 +4,7 @@ import pytest
 from colsfm.errors import TooFew
 from colsfm.metrics import align_similarity, mean_reprojection_error
 from colsfm.synthetic import generate
-from conftest import random_rotation
+from conftest import random_rotation, seen_in
 
 
 class TestAlignSimilarity:
@@ -60,8 +60,7 @@ class TestReprojectionError:
         scene = generate("general", 5, 10, seed=41)
         cams = [c.projection_matrix() for c in scene.cameras]
         ts = scene.track_set()
-        tracks = ts.triple_tracks(0, 2, 4) + ts.pair_tracks(1, 3)
-        assert mean_reprojection_error(cams, tracks) < 1e-8
+        assert mean_reprojection_error(cams, *seen_in(ts, (0, 2, 4), (1, 3))) < 1e-8
 
     def test_noise_level_reflected(self):
         # Monte Carlo: observations with sigma noise give mean error ~ sigma
@@ -69,10 +68,8 @@ class TestReprojectionError:
         cams = [c.projection_matrix() for c in scene.cameras]
         sigma = 1e-3
         ts = scene.track_set(pixel_noise=sigma)
-        tracks = []
-        for i in range(scene.n - 2):
-            tracks += ts.triple_tracks(i, i + 1, i + 2)
-        err = mean_reprojection_error(cams, tracks)
+        triples = [(i, i + 1, i + 2) for i in range(scene.n - 2)]
+        err = mean_reprojection_error(cams, *seen_in(ts, *triples))
         assert 0.3 * sigma < err < 2.0 * sigma
 
     def test_skips_unreconstructed_views(self):
@@ -80,5 +77,4 @@ class TestReprojectionError:
         cams = [c.projection_matrix() for c in scene.cameras]
         cams[3] = None
         ts = scene.track_set()
-        tracks = ts.triple_tracks(0, 1, 3)
-        assert mean_reprojection_error(cams, tracks) < 1e-8
+        assert mean_reprojection_error(cams, *seen_in(ts, (0, 1, 3))) < 1e-8

@@ -132,6 +132,21 @@ class TestOneAssembler:
             3, lambda u, v: bifocal_from_pair(scene.cameras[s[u]], scene.cameras[s[v]]).matrix)
         assert np.array_equal(scene.exact_triplet(ids), want)
 
+    def test_default_layout_built_once_per_size(self, monkeypatch, rng):
+        import colsfm.nview
+
+        calls = []
+        real = colsfm.nview.block_index
+        monkeypatch.setattr(colsfm.nview, "block_index", lambda slots: calls.append(1) or real(slots))
+        colsfm.nview._stack_index.cache_clear()
+        blocks = rng.normal(size=(3, 3, 3))
+        first = block_matrix(blocks)
+        assert np.array_equal(block_matrix(blocks), first) and len(calls) == 1
+        index = colsfm.nview._stack_index(3)
+        assert not index.flags.writeable and index.flags.c_contiguous
+        local = [(0, 1), (0, 2), (1, 2)]
+        assert np.array_equal(first, _loop_block_matrix(3, lambda u, v: blocks[local.index((u, v))]))
+
     def test_stacked_layout_gathers(self, rng):
         # the ADMM gather: triplet k reads its pairs from the consensus stack
         blocks = rng.normal(size=(7, 3, 3))

@@ -22,6 +22,27 @@ from colsfm.pipeline import PipelineConfig, run_pipeline
 from colsfm.synthetic import MeasurementNoise, generate, measure
 
 
+# sha256 of the measurements files colsfm.io writes: for a noisy mixed scene,
+# and for PARTIAL_MEASUREMENTS after a load and save
+MEASUREMENTS_DIGEST = "e331b5d5a0e8e9e2cb32915b473a412702c4063fec915ac343dfa4d000dec3c2"
+PARTIAL_DIGEST = "13d15d001c188a79524a943a963736141ad9df7938f6fb65f48ecef20988bb63"
+PARTIAL_MEASUREMENTS = {
+    "n": 4,
+    "kind": "essential",
+    "edges": [
+        {"i": 0, "j": 1, "tensor": [0, 0, 0, 0, 0, -1, 0, 1, 0]},
+        {"i": 1, "j": 3, "tensor": [0, -1, 0.25, 1, 0, 0, -0.25, 0, 0]},
+    ],
+    "tracks": [
+        {"view_ids": [2, 0], "points": [[0.1, -0.2, 1.0000000001], [0.3, 0.4, 1]]},
+        {"view_ids": [3], "points": [[-0.5, 0.25, 0.9999999999]]},
+        {"view_ids": [0, 1, 2, 3],
+         "points": [[0.1, 0.2, 1], [0.3, 0.4, 1], [0.5, 0.6, 1], [0.7, 0.8, 1]]},
+        {"view_ids": [1, 3], "points": [[1e-17, 2.5, 1], [-3, 1 / 3, 1]]},
+    ],
+}
+
+
 class TestIO:
     def test_scene_round_trip(self, tmp_path):
         scene = generate("mixed", 6, 8, seed=90, intrinsics_mode="varied")
@@ -44,8 +65,8 @@ class TestIO:
         assert nview2.n == nview.n and nview2.kind == nview.kind
         for e in nview.edges():
             assert np.array_equal(nview.blocks[e].matrix, nview2.blocks[e].matrix)
-        assert len(tracks2.observations) == len(tracks.observations)
-        assert np.array_equal(tracks2.observations[0][2], tracks.observations[0][2])
+        assert len(tracks2.points) == len(tracks.points)
+        assert np.array_equal(tracks2.points[0, 2], tracks.points[0, 2])
 
     def test_cameras_round_trip(self, tmp_path):
         cams = [np.arange(12, dtype=float).reshape(3, 4), None]
@@ -55,6 +76,34 @@ class TestIO:
         assert frame == "euclidean"
         assert np.array_equal(back[0], cams[0])
         assert back[1] is None
+
+    def test_measurements_bytes_pinned(self, tmp_path):
+        scene = generate("mixed", 8, 12, seed=21)
+        noise = MeasurementNoise(rotation_deg=0.5, translation_dir_deg=0.5, pixel=1e-3)
+        nview, tracks = measure(scene, noise, seed=121)
+        save_measurements(nview, tracks, tmp_path / "m.json")
+        assert hashlib.sha256((tmp_path / "m.json").read_bytes()).hexdigest() == MEASUREMENTS_DIGEST
+
+    def test_partial_visibility_round_trip_bytes_pinned(self, tmp_path):
+        # unsorted view ids, single-view tracks and last coordinates within
+        # 1e-9 of 1 all survive a load and save unchanged
+        (tmp_path / "in.json").write_text(json.dumps(PARTIAL_MEASUREMENTS))
+        nview, tracks = load_measurements(tmp_path / "in.json")
+        save_measurements(nview, tracks, tmp_path / "out.json")
+        assert hashlib.sha256((tmp_path / "out.json").read_bytes()).hexdigest() == PARTIAL_DIGEST
+
+    @pytest.mark.parametrize("track,match", [
+        ({"view_ids": [0, 4], "points": [[0.1, 0.2, 1], [0.3, 0.4, 1]]}, "outside"),
+        ({"view_ids": [-1, 2], "points": [[0.1, 0.2, 1], [0.3, 0.4, 1]]}, "outside"),
+        ({"view_ids": [1, 1], "points": [[0.1, 0.2, 1], [0.3, 0.4, 1]]}, "repeat"),
+        ({"view_ids": [0, 1, 2], "points": [[0.1, 0.2, 1], [0.3, 0.4, 1]]}, "3 view ids but 2 points"),
+        ({"view_ids": [0], "points": [[0.1, 0.2, 1], [0.3, 0.4, 1]]}, "1 view ids but 2 points"),
+    ], ids=["view-past-n", "negative-view", "repeated-view", "fewer-points", "more-points"])
+    def test_malformed_track_rejected(self, tmp_path, track, match):
+        doc = dict(PARTIAL_MEASUREMENTS, tracks=PARTIAL_MEASUREMENTS["tracks"] + [track])
+        (tmp_path / "bad.json").write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match=match):
+            load_measurements(tmp_path / "bad.json")
 
     def test_malformed_rejected(self, tmp_path):
         path = tmp_path / "bad.json"

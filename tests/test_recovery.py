@@ -11,7 +11,6 @@ from colsfm.errors import (
 from colsfm.geometry import (
     BifocalTensor,
     CameraModel,
-    Track,
     bifocal_from_pair,
     fundamental_from_projections,
     nearest_rotation,
@@ -40,20 +39,17 @@ from colsfm.recovery import (
     resolve_essential_triplet,
 )
 from colsfm.synthetic import MeasurementNoise, generate, measure
-from conftest import geodesic_angle, triplet_poses, unit_bifocal
+from conftest import geodesic_angle, seen_everywhere, seen_in, triplet_poses, unit_bifocal
 
 
 def _local_tracks(scene, ids, n_points=None):
     """2-view and 3-view tracks of a camera triple in local indices 0,1,2."""
     ts = scene.track_set()
-    mapping = {g: l for l, g in enumerate(sorted(ids))}
-    tr3 = [t.relabel(mapping) for t in ts.triple_tracks(*sorted(ids))]
+    ids = sorted(ids)
+    tr3 = ts.tracks(ids)
     if n_points:
         tr3 = tr3[:n_points]
-    tr2 = {}
-    for (a, b) in ((0, 1), (0, 2), (1, 2)):
-        ga, gb = sorted(ids)[a], sorted(ids)[b]
-        tr2[(a, b)] = [t.relabel({ga: a, gb: b}) for t in ts.pair_tracks(ga, gb)]
+    tr2 = {(a, b): ts.tracks((ids[a], ids[b])) for (a, b) in ((0, 1), (0, 2), (1, 2))}
     return tr2, tr3
 
 
@@ -161,9 +157,9 @@ class TestCalibratedCollinearRecovery:
         tr2, tr3 = {(0, 1): [], (0, 2): [], (1, 2): []}, []
         for X in points:
             pts = [c.project(X) for c in cams]
-            tr3.append(Track((0, 1, 2), np.vstack(pts)))
+            tr3.append(np.vstack(pts))
             for a, b in tr2:
-                tr2[(a, b)].append(Track((a, b), np.vstack([pts[a], pts[b]])))
+                tr2[(a, b)].append(np.vstack([pts[a], pts[b]]))
         rec = recover_calibrated_collinear_triplet(E, triplet_poses(E, tr2), tr3)
         assert rec.alpha_or_a == pytest.approx(2.0, abs=1e-8)
 
@@ -222,7 +218,7 @@ class TestProjectiveCollinearRecovery:
         F = self._tensors(scene)
         _, tr3 = _local_tracks(scene, (0, 1, 2))
         rec = recover_projective_collinear_triplet(F[(0, 1)], F[(1, 2)], F[(0, 2)], tr3)
-        assert mean_reprojection_error(rec.cameras, tr3) < 1e-8
+        assert mean_reprojection_error(rec.cameras, *seen_everywhere(tr3)) < 1e-8
         assert _rebuilt_block_matches(rec.cameras[0], rec.cameras[1], F[(0, 1)].matrix)
         assert _rebuilt_block_matches(rec.cameras[1], rec.cameras[2], F[(1, 2)].matrix)
         assert _rebuilt_block_matches(rec.cameras[0], rec.cameras[2], F[(0, 2)].matrix)
@@ -244,7 +240,7 @@ class TestProjectiveCollinearRecovery:
         _, tr3 = _local_tracks(scene, (0, 1, 2))
         rec4 = recover_projective_collinear_triplet(F[(0, 1)], F[(1, 2)], F[(0, 2)], tr3[:4])
         held_out = tr3[4:]
-        assert mean_reprojection_error(rec4.cameras, held_out) < 1e-7
+        assert mean_reprojection_error(rec4.cameras, *seen_everywhere(held_out)) < 1e-7
 
     def test_ambiguous_track_does_not_count(self, collinear_projective_scene):
         # two tracks pass the count, but the second lies on the camera line,
@@ -254,10 +250,10 @@ class TestProjectiveCollinearRecovery:
         _, tr3 = _local_tracks(scene, (0, 1, 2))
         c = scene.centers()
         X = c[0] + 2.7 * (c[1] - c[0])
-        on_line = Track((0, 1, 2), np.vstack([scene.cameras[i].project(X) for i in range(3)]))
+        on_line = np.vstack([scene.cameras[i].project(X) for i in range(3)])
         P0, P1, _, _ = _canonical_pair_cameras(F[(0, 1)], F[(1, 2)])
         with pytest.raises(DegenerateGeometry):
-            triangulate_dlt([P0, P1], on_line.restrict((0, 1)))
+            triangulate_dlt([P0, P1], on_line[:2])
         with pytest.raises(InsufficientTracks):
             recover_projective_collinear_triplet(F[(0, 1)], F[(1, 2)], F[(0, 2)], [tr3[0], on_line])
 
@@ -269,7 +265,7 @@ class TestProjectiveCollinearRecovery:
         c = scene.centers()
         X = c[0] + 2.7 * (c[1] - c[0])
         pts = [scene.cameras[i].project(X) for i in range(3)]
-        bad = [Track((0, 1, 2), np.vstack(pts))] * 3
+        bad = [np.vstack(pts)] * 3
         with pytest.raises((DegenerateEpipole, InsufficientTracks)):
             recover_projective_collinear_triplet(F[(0, 1)], F[(1, 2)], F[(0, 2)], bad)
 
@@ -282,8 +278,7 @@ class TestProjectiveGeneralRecovery:
             F[(i, j)] = unit_bifocal(scene.cameras[i], scene.cameras[j])
         rec = recover_projective_general_triplet(F[(0, 1)], F[(1, 2)], F[(0, 2)])
         ts = scene.track_set()
-        tr3 = [t.relabel({0: 0, 1: 1, 2: 2}) for t in ts.triple_tracks(0, 1, 2)]
-        assert mean_reprojection_error(rec.cameras, tr3) < 1e-7
+        assert mean_reprojection_error(rec.cameras, *seen_everywhere(ts.tracks((0, 1, 2)))) < 1e-7
 
     def test_collinear_rejected(self, collinear_projective_scene):
         scene = collinear_projective_scene
@@ -301,11 +296,8 @@ class TestRegisterGlobal:
         for t in cover.triplets:
             ids = sorted(t)
             E = scene.exact_triplet(ids)
-            mapping = {g: l for l, g in enumerate(ids)}
-            tr3 = [x.relabel(mapping) for x in ts.triple_tracks(*ids)]
-            tr2 = {}
-            for (a, b) in ((0, 1), (0, 2), (1, 2)):
-                tr2[(a, b)] = [x.relabel({ids[a]: a, ids[b]: b}) for x in ts.pair_tracks(ids[a], ids[b])]
+            tr3 = ts.tracks(ids)
+            tr2 = {(a, b): ts.tracks((ids[a], ids[b])) for (a, b) in ((0, 1), (0, 2), (1, 2))}
             rec = recover_calibrated_collinear_triplet(
                 E, triplet_poses(E, tr2), tr3, triplet_id=tuple(ids)
             )
@@ -351,8 +343,7 @@ class TestRegisterGlobal:
         recs = []
         for t in cover.triplets:
             ids = sorted(t)
-            mapping = {g: l for l, g in enumerate(ids)}
-            tr3 = [x.relabel(mapping) for x in ts.triple_tracks(*ids)]
+            tr3 = ts.tracks(ids)
             F = {}
             for (a, b) in ((0, 1), (0, 2), (1, 2)):
                 F[(a, b)] = unit_bifocal(scene.cameras[ids[a]], scene.cameras[ids[b]])
@@ -362,10 +353,8 @@ class TestRegisterGlobal:
                 )
             )
         reg = register_global(recs, cover, "projective")
-        all_tracks = []
-        for i in range(3):
-            all_tracks += ts.triple_tracks(i, i + 1, i + 2)
-        assert mean_reprojection_error(reg.cameras, all_tracks) < 1e-6
+        all_tracks = seen_in(ts, *((i, i + 1, i + 2) for i in range(3)))
+        assert mean_reprojection_error(reg.cameras, *all_tracks) < 1e-6
 
 
 class TestGaugeInvariance:
@@ -400,7 +389,7 @@ def _alpha_loop(P0, P1, Rh2, axis_dir, tracks3):
     used = 0
     for tr in tracks3:
         try:
-            X = triangulate_dlt([P0, P1], tr.restrict((0, 1)))
+            X = triangulate_dlt([P0, P1], tr[:2])
         except DegenerateGeometry:
             continue
         if abs(X[3]) < 1e-12 * np.linalg.norm(X):
@@ -408,7 +397,7 @@ def _alpha_loop(P0, P1, Rh2, axis_dir, tracks3):
         Xe = X[:3] / X[3]
         u = Rh2 @ Xe
         b = Rh2 @ axis_dir
-        x2 = tr.point(2)
+        x2 = tr[2]
         bx = np.cross(b, x2)
         ux = np.cross(u, x2)
         num += -float(bx @ ux)
@@ -440,10 +429,10 @@ def _a_rows_loop(P0, M2, e2, F02, tracks3):
     P1 = np.hstack([np.eye(3), np.zeros((3, 1))])
     for tr in tracks3:
         try:
-            X = triangulate_dlt([P0, P1], tr.restrict((0, 1)))
+            X = triangulate_dlt([P0, P1], tr[:2])
         except DegenerateGeometry:
             continue
-        x2 = tr.point(2)
+        x2 = tr[2]
         c = M2 @ X[:3]
         ex = np.cross(e2, x2)
         rows.append(np.outer(ex, X))
@@ -492,14 +481,14 @@ class TestStackedTrackSolves:
                 pts = np.array([x / x[2] for x in xs])
                 if kind >= 4:
                     pts[:, :2] += rng.normal(scale=1e-3, size=(3, 2))
-                tracks.append(Track((0, 1, 2), pts))
+                tracks.append(pts)
             if tracks:
-                yield P0, P1, R2, axis, tracks
+                yield P0, P1, R2, axis, np.array(tracks)
 
     def test_alpha_and_rows_equal_per_track_loops(self, rng):
         ambiguous = at_infinity = 0
         for P0, P1, R2, axis, tracks in self._cases(rng):
-            _, X, amb = _triangulate_tracks3(P0, P1, tracks)
+            X, amb = _triangulate_tracks3(P0, P1, tracks)
             ambiguous += int(np.sum(amb))
             at_infinity += int(np.sum(~amb & (np.abs(X[:, 3]) < 1e-12)))
             old = _outcome(_alpha_loop, P0, P1, R2, axis, tracks)
@@ -514,12 +503,6 @@ class TestStackedTrackSolves:
             else:
                 assert np.array_equal(old[0], new[0]) and np.array_equal(old[1], new[1])
         assert ambiguous > 0 and at_infinity > 0  # both skip rules fired
-
-    def test_tracks_in_any_view_order(self, rng):
-        P0, P1, R2, axis, tracks = next(self._cases(rng))
-        shuffled = [Track((2, 0, 1), tr.points[[2, 0, 1]]) for tr in tracks]
-        assert np.array_equal(_triangulate_tracks3(P0, P1, tracks)[1],
-                              _triangulate_tracks3(P0, P1, shuffled)[1])
 
 
 def _closure_loop(geom):

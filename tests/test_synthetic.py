@@ -7,7 +7,6 @@ import pytest
 from colsfm import synthetic
 from colsfm.geometry import bifocal_from_pair, essential_candidates, normalized_tensor, unit
 from colsfm.nview import certify_collinear_essential, certify_collinear_fundamental
-from colsfm.geometry import Track
 from colsfm.synthetic import MeasurementNoise, TrackSet, generate, measure
 
 from conftest import geodesic_angle
@@ -231,11 +230,11 @@ class TestMeasure:
         deltas = []
         for p in range(len(scene.points)):
             for i in range(scene.n):
-                deltas.append(np.linalg.norm(noisy.observations[p][i][:2] - clean.observations[p][i][:2]))
+                deltas.append(np.linalg.norm(noisy.points[p, i, :2] - clean.points[p, i, :2]))
         assert 0.005 < np.mean(deltas) < 0.02
         for p in range(len(scene.points)):
             for i in range(scene.n):
-                assert noisy.observations[p][i][2] == 1.0
+                assert noisy.points[p, i, 2] == 1.0
 
 
 class TestOracleSoundness:
@@ -254,35 +253,37 @@ class TestTrackSet:
     def test_pair_and_triple_tracks(self):
         scene = generate("collinear", 4, 7, seed=8)
         ts = scene.track_set()
-        pairs = ts.pair_tracks(0, 2)
-        triples = ts.triple_tracks(0, 1, 3)
+        pairs = ts.tracks((0, 2))
+        triples = ts.tracks((0, 1, 3))
         assert len(pairs) == 7 and len(triples) == 7
-        assert pairs[0].view_ids == (0, 2)
-        x = triples[2].point(3)
+        assert pairs.shape == (7, 2, 3)
+        x = triples[2, 2]  # view 3, the third column
         assert np.allclose(x, scene.cameras[3].project(scene.points[2]))
 
     def test_observations_checked_once_at_construction(self):
-        good = np.array([0.1, 0.2, 1.0])
+        good = [0.1, 0.2, 1.0]
         with pytest.raises(ValueError, match="finite"):
-            TrackSet([{0: good, 1: np.array([np.inf, 0.0, 1.0])}])
+            TrackSet([[good, [np.inf, 0.0, 1.0]]], [[True, True]])
         with pytest.raises(ValueError, match="last coordinate"):
-            TrackSet([{0: good}, {0: good, 3: np.array([0.0, 0.0, 1.5])}])
-        TrackSet([])
+            TrackSet([[good] * 4, [good] * 3 + [[0.0, 0.0, 1.5]]],
+                     [[True, False, False, False], [True, False, False, True]])
+        with pytest.raises(ValueError, match="mask"):
+            TrackSet([[good, good]], [[True]])
+        TrackSet(np.zeros((0, 3, 3)), np.zeros((0, 3), dtype=bool))
+        # unobserved entries are not image points and are not checked
+        TrackSet([[good, [np.nan, 0.0, 0.0]]], [[True, False]])
 
     def test_tracks_equal_checked_tracks(self):
         ts = generate("collinear", 5, 6, seed=2).track_set(pixel_noise=1e-3)
+        assert not ts.points.flags.writeable and not ts.visible.flags.writeable
         for ids in ((0, 3), (4, 1), (0, 2, 4)):
-            drawn = ts.triple_tracks(*ids) if len(ids) == 3 else ts.pair_tracks(*ids)
-            assert len(drawn) == 6
-            for tr, obs in zip(drawn, ts.observations):
-                ref = Track(ids, np.vstack([obs[v] for v in ids]))
-                assert tr.view_ids == ref.view_ids
-                assert np.array_equal(tr.points, ref.points)
-                assert not tr.points.flags.writeable
+            drawn = ts.tracks(ids)
+            assert drawn.shape == (6, len(ids), 3)
+            assert np.array_equal(drawn, ts.points[:, list(ids)])
 
     def test_partial_observations(self):
-        p = np.array([0.0, 0.0, 1.0])
-        ts = TrackSet([{0: p, 1: p}, {1: p, 2: p}, {0: p, 1: p, 2: p}])
-        assert len(ts.pair_tracks(0, 1)) == 2
-        assert len(ts.pair_tracks(1, 2)) == 2
-        assert len(ts.triple_tracks(0, 1, 2)) == 1
+        p = [0.0, 0.0, 1.0]
+        ts = TrackSet([[p] * 3] * 3, [[True, True, False], [False, True, True], [True, True, True]])
+        assert len(ts.tracks((0, 1))) == 2
+        assert len(ts.tracks((1, 2))) == 2
+        assert len(ts.tracks((0, 1, 2))) == 1

@@ -5,7 +5,6 @@ from colsfm.errors import MissingRecovery, NoValidPoint, RankDeficient
 from colsfm.geometry import (
     BifocalTensor,
     CameraModel,
-    Track,
     bifocal_from_pair,
     epipole,
     fundamental_from_projections,
@@ -32,9 +31,7 @@ def _triplet_tensors(scene, ids=(0, 1, 2)):
 
 
 def _local_tracks3(scene, ids=(0, 1, 2)):
-    ts = scene.track_set()
-    mapping = {g: l for l, g in enumerate(sorted(ids))}
-    return [t.relabel(mapping) for t in ts.triple_tracks(*sorted(ids))]
+    return scene.track_set().tracks(sorted(ids))
 
 
 def _virtual_camera_model(scene, X, source=1):
@@ -51,7 +48,7 @@ class TestSelectVirtualPoint:
     def test_single_far_track_returned(self, collinear_scene):
         tensors = _triplet_tensors(collinear_scene)
         tracks = _local_tracks3(collinear_scene)[:1]
-        assert select_virtual_point(tracks, tensors) is tracks[0]
+        assert np.array_equal(select_virtual_point(tracks, tensors), tracks[0])
 
     def test_all_tracks_near_epipole_rejected(self, collinear_scene):
         tensors = _triplet_tensors(collinear_scene)
@@ -59,7 +56,7 @@ class TestSelectVirtualPoint:
         c = collinear_scene.centers()
         X = c[0] + 1.9 * (c[1] - c[0])
         pts = [collinear_scene.cameras[i].project(X) for i in range(3)]
-        bad = [Track((0, 1, 2), np.vstack(pts))]
+        bad = np.vstack(pts)[None]
         with pytest.raises(NoValidPoint):
             select_virtual_point(bad, tensors)
 
@@ -72,14 +69,16 @@ class TestSelectVirtualPoint:
 
         for (i, j) in ((0, 1), (0, 2), (1, 2)):
             total += symmetric_epipolar_distance(
-                tensors[(i, j)], chosen.points[i], chosen.points[j]
+                tensors[(i, j)], chosen[i], chosen[j]
             )
         assert total < 1e-15
         # deterministic selection
-        assert select_virtual_point(tracks, tensors) is chosen
-        # exact ties break by track order
-        dup = [tracks[0], Track(tracks[0].view_ids, tracks[0].points)]
-        assert select_virtual_point(dup, tensors) is dup[0]
+        assert np.array_equal(select_virtual_point(tracks, tensors), chosen)
+        # exact ties break by track order: negated homogeneous points are the
+        # same image points with bit-identical distances
+        dup = np.stack([tracks[0], -tracks[0]])
+        assert np.array_equal(select_virtual_point(dup, tensors), dup[0])
+        assert np.array_equal(select_virtual_point(dup[::-1], tensors), dup[1])
 
     def test_each_epipole_computed_once(self, monkeypatch):
         import colsfm.virtual
@@ -125,10 +124,10 @@ def _oracle_select(tracks3, tensors, margin=1e-2):
     pairs = ((0, 1), (0, 2), (1, 2))
     best = None
     for idx, tr in enumerate(tracks3):
-        if any(distance(tr.points[v], epipole(tensors[(i, j)], "left" if v == i else "right")) < margin
+        if any(distance(tr[v], epipole(tensors[(i, j)], "left" if v == i else "right")) < margin
                for v in range(3) for (i, j) in pairs if v in (i, j)):
             continue
-        total = sum(symmetric_epipolar_distance(tensors[p], tr.points[p[0]], tr.points[p[1]])
+        total = sum(symmetric_epipolar_distance(tensors[p], tr[p[0]], tr[p[1]])
                     for p in pairs)
         if best is None or total < best[0]:
             best = (total, idx)
@@ -141,8 +140,7 @@ def test_select_virtual_point_matches_loop_oracle():
         scene = generate(("collinear", "general", "mixed")[seed % 3], 5, 25, seed=seed)
         tensors = _triplet_tensors(scene, (0, 2, 4))
         exact = _local_tracks3(scene, (0, 2, 4))
-        noisy = [t.relabel({0: 0, 2: 1, 4: 2})
-                 for t in scene.track_set(pixel_noise=1e-3).triple_tracks(0, 2, 4)]
+        noisy = scene.track_set(pixel_noise=1e-3).tracks((0, 2, 4))
         for cands in (exact, noisy):
             for margin in (1e-2, 0.3, 3.0):
                 want = _oracle_select(cands, tensors, margin)
@@ -150,7 +148,7 @@ def test_select_virtual_point_matches_loop_oracle():
                     with pytest.raises(NoValidPoint):
                         select_virtual_point(cands, tensors, margin)
                 else:
-                    assert select_virtual_point(cands, tensors, margin) is cands[want]
+                    assert np.array_equal(select_virtual_point(cands, tensors, margin), cands[want])
                 outcomes.add(want is None)
     assert outcomes == {True, False}  # both a pick and a rejection are checked
 
@@ -163,7 +161,7 @@ class TestVirtualBifocals:
         out = virtual_bifocals(tensors, tr, "essential")
         from colsfm.geometry import skew
 
-        expected = normalized_tensor(skew(tr.points[1]))
+        expected = normalized_tensor(skew(tr[1]))
         assert np.allclose(out[1].matrix, expected, atol=1e-12)
 
     def test_matches_oracle_virtual_camera_calibrated(self, collinear_scene):
@@ -194,7 +192,7 @@ class TestVirtualBifocals:
         out = virtual_bifocals(rec, tr, "fundamental")
         from colsfm.geometry import triangulate_dlt
 
-        X = triangulate_dlt([rec.cameras[0], rec.cameras[1]], tr.restrict((0, 1)))
+        X = triangulate_dlt([rec.cameras[0], rec.cameras[1]], tr[:2])
         Xe = X[:3] / X[3]
         P_virtual = np.hstack([np.eye(3), -Xe.reshape(3, 1)])
         for i in range(3):
@@ -208,8 +206,7 @@ class TestVirtualBifocals:
         tr = tracks[0]
         out1 = virtual_bifocals(tensors, tr, "essential", tracks=tracks)
         # rescaling homogeneous points then re-dehomogenizing is a no-op here
-        pts = tr.points * 1.0
-        tr2 = Track(tr.view_ids, (pts * 7.3)[:, :] / 7.3)
+        tr2 = (tr * 7.3) / 7.3
         out2 = virtual_bifocals(tensors, tr2, "essential", tracks=tracks)
         for a, b in zip(out1, out2):
             assert np.allclose(a.matrix, b.matrix, atol=1e-12)
@@ -229,7 +226,7 @@ class TestVirtualBifocals:
         out = virtual_bifocals(tensors, tr, "essential", tracks=tracks)
         for i in range(3):
             e = epipole(out[i].matrix, "left")
-            img = unit(tr.points[i])
+            img = unit(tr[i])
             assert min(np.linalg.norm(e - img), np.linalg.norm(e + img)) < 1e-9
 
 
@@ -286,7 +283,7 @@ class TestReversedPairKeys:
         scene = generate("general", 3, 12, seed=5)
         tensors = _triplet_tensors(scene)
         F = tensors[(0, 1)]
-        reversed_keys = {(1, 0): BifocalTensor(F.matrix.T, F.kind, F.scale_fixed),
+        reversed_keys = {(1, 0): BifocalTensor(F.matrix.T, F.kind),
                          (0, 2): tensors[(0, 2)], (1, 2): tensors[(1, 2)]}
         return scene, tensors, reversed_keys
 
@@ -300,7 +297,7 @@ class TestReversedPairKeys:
         scene, tensors, reversed_keys = self._both_keyings()
         tracks = _local_tracks3(scene)
         track = select_virtual_point(tracks, tensors)
-        assert select_virtual_point(tracks, reversed_keys) is track
+        assert np.array_equal(select_virtual_point(tracks, reversed_keys), track)
         want = virtual_bifocals(tensors, track, "essential", tracks=tracks)
         got = virtual_bifocals(reversed_keys, track, "essential", tracks=tracks)
         assert all(np.array_equal(a.matrix, b.matrix) for a, b in zip(got, want))
