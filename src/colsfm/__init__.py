@@ -14,7 +14,6 @@ from .geometry import (
     CameraModel,
     bifocal_from_pair,
     epipole,
-    rotation_from_essential,
     skew,
     symmetric_epipolar_distance,
     triangulate_dlt,
@@ -39,7 +38,7 @@ from .nview import (
 from .pipeline import PipelineConfig, run_pipeline
 from .recovery import (
     TripletCameras,
-    pair_pose,
+    pair_poses,
     recover_calibrated_collinear_triplet,
     recover_calibrated_general_triplet,
     recover_projective_collinear_triplet,

@@ -12,7 +12,8 @@ rescaling, so unit-normalized measurements of consistent triplets are exact
 fixed points.  The block-rotation constraint is scale sensitive; for that
 regime the driver first restores consistent relative block scales from the
 pairwise decompositions (closure of the translation directions) and
-synchronizes them across triplets sharing a block.
+synchronizes them across triplets sharing a block; the decompositions and
+closures of all cover triplets are one stacked pass of `recovery`.
 
 The projections are batched kernels over (m, 3k, 3k) stacks, each call one
 stacked eigendecomposition (signature-deficient rows select per row); the
@@ -26,19 +27,18 @@ stack with one indexing operation and makes one kernel call for all triplets.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import MissingBlock, NotConnected
-from .geometry import BifocalTensor, nearest_rotation, normalized_tensor, skew
+from .geometry import BifocalTensor, _skews, nearest_rotation, normalized_tensor
 from .graphs import (
     _LOCAL_PAIRS, TripletCover, build_dual_edges, dual_adjacency, dual_bfs, pair_index,
-    triplet_pairs,
+    pair_rows, triplet_pairs,
 )
 from .nview import _SIGN_CASES, NViewBifocal, block_index, block_matrix
-from .recovery import closure_scales, pair_pose, resolve_essential_triplet
+from .recovery import closure_scales, pair_poses, resolve_essential_triplet
 
 _ROWS, _COLS = zip(*_LOCAL_PAIRS)  # block row and column of each local pair
 
@@ -237,6 +237,23 @@ class AveragingResult:
         return block_matrix([self.consensus.get(e, np.zeros((3, 3))) for e in triplet_pairs(ids)])
 
 
+def _local_scale_factors(measured: NViewBifocal, triplets) -> np.ndarray:
+    """(T, 3) signed scale factors of each triplet's blocks in local pair
+    order, from its direction closure, normalized to a unit geometric mean
+    (all 1 where no sign branch closes the triangle).  One stacked pass
+    decomposes each pair block once and closes every triplet."""
+    pairs, rows = pair_rows(triplets)
+    blocks = np.array([measured.block(*e) for e in pairs])
+    geom = resolve_essential_triplet(pair_poses(blocks, [None] * len(pairs)), rows)
+    closure = closure_scales(geom)
+    # the decomposition reproduces the stored block only up to sign
+    recon = _skews(geom.t_dirs.reshape(-1, 3)) @ geom.rotations.reshape(-1, 3, 3)
+    agree = np.sum(recon * blocks[rows.ravel()], axis=(1, 2)) >= 0
+    raw = closure.mu * closure.signs * np.where(agree, 1.0, -1.0).reshape(-1, 3)
+    mean = np.exp(np.mean(np.log(np.abs(raw)), axis=1, keepdims=True))
+    return np.where(closure.valid[:, None], raw / mean, 1.0)
+
+
 def _consistent_scale_factors(measured: NViewBifocal, cover: TripletCover) -> dict:
     """Per-triplet, per-edge signed scale factors restoring consistent
     relative block scales for the general-essential regime.
@@ -248,25 +265,8 @@ def _consistent_scale_factors(measured: NViewBifocal, cover: TripletCover) -> di
     synchronized by least squares on log scales.
     """
     triplets = sorted(cover.triplets)
-    # each pair block is decomposed once, though neighbouring triplets share it
-    pose_of = functools.cache(lambda i, j: pair_pose(measured.block(i, j)))
-    local = {}
-    for t in triplets:
-        edges = triplet_pairs(t)
-        geom = resolve_essential_triplet([pose_of(*e) for e in edges], cycle_tol=np.inf)
-        sol = closure_scales(geom)
-        if sol is None:
-            local[t] = {e: 1.0 for e in edges}
-            continue
-        mu, signs = sol[:2]
-        raw = {}
-        for loc, e in zip(_LOCAL_PAIRS, edges):
-            # the decomposition reproduces the stored block only up to sign
-            recon = skew(geom.t_dirs[loc]) @ geom.rotations[loc]
-            tau = 1.0 if float(np.sum(recon * measured.block(*e))) >= 0 else -1.0
-            raw[e] = mu[loc] * signs[loc] * tau
-        mean = np.exp(np.mean([np.log(abs(v)) for v in raw.values()]))
-        local[t] = {e: v / mean for e, v in raw.items()}
+    scaled = _local_scale_factors(measured, triplets).tolist()
+    local = {t: dict(zip(triplet_pairs(t), row)) for t, row in zip(triplets, scaled)}
 
     # per-triplet sign gauge: BFS over the dual graph
     index = {t: i for i, t in enumerate(triplets)}
@@ -346,9 +346,7 @@ def average(
 
     m = len(triplets)
     edge_users = pair_index(triplets)
-    edges = list(edge_users)
-    slot = {e: k for k, e in enumerate(edges)}
-    edge_of = np.array([[slot[e] for e in triplet_pairs(t)] for t in triplets])  # (m, 3)
+    edges, edge_of = pair_rows(triplets)  # edge_of (m, 3): each triplet's slots in edges
     gather = block_index(edge_of)  # the consensus -> (m, 9, 9) layout
     users = np.array([len(edge_users[e]) for e in edges], dtype=float)[:, None, None]
 

@@ -19,14 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    AmbiguousCheirality,
-    CoincidentCenters,
-    DegenerateGeometry,
-    DegenerateLine,
-    InsufficientTracks,
-    RankDeficient,
-)
+from .errors import CoincidentCenters, DegenerateGeometry, DegenerateLine, RankDeficient
 
 _W = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
 
@@ -131,14 +124,20 @@ class CameraModel:
 
     def project(self, X: np.ndarray) -> np.ndarray:
         """Project a world point to a homogeneous image point with last coord 1."""
-        x = self.projection_matrix() @ np.append(np.asarray(X, dtype=float), 1.0)
-        if abs(x[2]) < 1e-15:
-            raise DegenerateGeometry("point projects to infinity")
-        return x / x[2]
+        return image_point(self.projection_matrix(), X)
 
     def depth(self, X: np.ndarray) -> float:
         """Projective depth (z in the camera frame); positive means in front."""
         return float((self.rotation.T @ (np.asarray(X, dtype=float) - self.center))[2])
+
+
+def image_point(P: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """The image P [X, 1] of a world point under a 3x4 camera, scaled to
+    last coordinate 1."""
+    x = P @ np.append(np.asarray(X, dtype=float), 1.0)
+    if abs(x[2]) < 1e-15:
+        raise DegenerateGeometry("point projects to infinity")
+    return x / x[2]
 
 
 @dataclass(frozen=True)
@@ -259,7 +258,7 @@ def _as_projection(cam) -> np.ndarray:
 def _dlt(A: np.ndarray):
     """Unit null vectors of DLT systems (one, or a stack) and whether each is
     ambiguous: its two smallest singular values equal."""
-    _, s, Vt = np.linalg.svd(A)
+    _, s, Vt = np.linalg.svd(A, full_matrices=False)
     return Vt[..., 3, :], s[..., 2] - s[..., 3] < 1e-12 * s[..., 0]
 
 
@@ -277,17 +276,15 @@ def triangulate_dlt(cams, points: np.ndarray) -> np.ndarray:
 
 
 def essential_candidates(E: np.ndarray):
-    """Four (R, t) with E ~ [t]_x R; R is the relative rotation R_i^T R_j,
-    t the unit direction R_i^T (t_i - t_j) up to sign."""
+    """The rotation branches Ra = U W V^T, Rb = U W^T V^T and the unit
+    direction t = U[:, 2] of one essential matrix or of each of a stack, with
+    E ~ [t]_x R: R is the relative rotation R_i^T R_j, t the direction
+    R_i^T (t_i - t_j) up to sign, so (Ra, +-t) and (Rb, +-t) are the four
+    candidate poses."""
     U, _, Vt = np.linalg.svd(np.asarray(E, dtype=float))
-    if np.linalg.det(U) < 0:
-        U = -U
-    if np.linalg.det(Vt) < 0:
-        Vt = -Vt
-    Ra = U @ _W @ Vt
-    Rb = U @ _W.T @ Vt
-    tdir = U[:, 2]
-    return [(Ra, tdir), (Ra, -tdir), (Rb, tdir), (Rb, -tdir)]
+    U = np.where((np.linalg.det(U) < 0)[..., None, None], -U, U)
+    Vt = np.where((np.linalg.det(Vt) < 0)[..., None, None], -Vt, Vt)
+    return U @ _W @ Vt, U @ _W.T @ Vt, U[..., 2].copy()
 
 
 def _skews(x: np.ndarray) -> np.ndarray:
@@ -296,39 +293,32 @@ def _skews(x: np.ndarray) -> np.ndarray:
     return np.stack([z, -c, b, c, z, -a, -b, a, z], axis=1).reshape(-1, 3, 3)
 
 
-def _cheirality_votes(cands, pts: np.ndarray) -> np.ndarray:
-    """Votes of each candidate (R, t): the tracks triangulated in front of
-    both views, from their (N, 2, 3) image points in view i and view j, all
-    candidates in one stacked DLT; ambiguous and at-infinity points do not
-    vote."""
+def cheirality_votes(rotations: np.ndarray, t: np.ndarray, points: np.ndarray, starts):
+    """Votes of the candidates (Ra, t), (Ra, -t), (Rb, t), (Rb, -t) of K
+    pairs: the tracks triangulated in front of both views, ambiguous and
+    at-infinity points not voting.
+
+    rotations: (K, 2, 3, 3) branches Ra, Rb; t: (K, 3) directions; points:
+    the (N, 2, 3) image points (view i, view j) of every pair's 2-view
+    tracks, pair k's from row starts[k] on (each pair has at least one).
+    One stacked DLT solves the (R, t) candidates.  Negating camera j's
+    translation column maps a DLT solution X to +-(-X_1, -X_2, -X_3, X_4)
+    with the same singular values, so an (R, -t) point is the mirrored
+    (R, t) point and lies in front of both views where that one lies behind
+    both.  Returns the (K, 4) votes.
+    """
     # gauge: camera i at origin with identity rotation, camera j placed by (R, t)
     Pi = np.hstack([np.eye(3), np.zeros((3, 1))])
-    Rt = np.array([R.T for R, _ in cands])
-    t = np.array([tdir for _, tdir in cands])
-    Pj = np.concatenate([Rt, Rt @ t[:, :, None]], axis=2)
-    A = np.broadcast_arrays(_skews(pts[:, 0]) @ Pi, _skews(pts[:, 1]) @ Pj[:, None])
+    Rt = np.ascontiguousarray(rotations.swapaxes(-1, -2))  # (K, 2, 3, 3)
+    Pj = np.concatenate([Rt, Rt @ t[:, None, :, None]], axis=3)
+    pair = np.repeat(np.arange(len(starts)), np.diff(np.append(starts, len(points))))
+    Rt, Pj, tj = Rt[pair].swapaxes(0, 1), Pj[pair].swapaxes(0, 1), t[pair]  # (2, N, ...)
+    A = np.broadcast_arrays(_skews(points[:, 0]) @ Pi, _skews(points[:, 1]) @ Pj)
     X, ambiguous = _dlt(np.concatenate(A, axis=2))
     finite = ~ambiguous & ~(np.abs(X[..., 3]) < 1e-14)
     Xe = X[..., :3] / np.where(finite, X[..., 3], 1.0)[..., None]
-    zj = (Rt[:, None] @ (Xe + t[:, None])[..., None])[..., 2, 0]
-    return np.count_nonzero(finite & (Xe[..., 2] > 0) & (zj > 0), axis=1)
-
-
-def rotation_from_essential(e: BifocalTensor | np.ndarray, points):
-    """Relative rotation R_i^T R_j and signed unit translation t_ij from an
-    essential tensor, the candidate with the most positive triangulated depths
-    in both views winning.
-
-    points: (N, 2, 3) image points of 2-view tracks, ordered (view i, view j).
-    Raises AmbiguousCheirality when two candidates tie.
-    """
-    E = _as_matrix(e)
-    pts = np.asarray(points, dtype=float)
-    if len(pts) == 0:
-        raise InsufficientTracks("cheirality vote needs at least one track")
-    cands = essential_candidates(E)
-    votes = _cheirality_votes(cands, pts).tolist()
-    best = int(np.argmax(votes))
-    if sorted(votes)[-2] == votes[best]:
-        raise AmbiguousCheirality(f"depth votes tie: {votes}")
-    return cands[best]
+    zi = Xe[..., 2]
+    zj = (Rt @ (Xe + tj)[..., None])[..., 2, 0]
+    front = np.stack([finite & (zi > 0) & (zj > 0), finite & (zi < 0) & (zj < 0)], axis=-1)
+    # (2, N, 2) -> (N, 4) in candidate order
+    return np.add.reduceat(front.swapaxes(0, 1).reshape(-1, 4).astype(int), starts)

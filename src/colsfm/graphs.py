@@ -78,6 +78,14 @@ def pair_index(triplets) -> dict:
     return index
 
 
+def pair_rows(triplets):
+    """The camera pairs of triplets, each once in order of first use, and the
+    (T, 3) positions of every triplet's sorted pairs in that list."""
+    pairs = list(pair_index(triplets))
+    slot = {e: k for k, e in enumerate(pairs)}
+    return pairs, np.array([[slot[e] for e in triplet_pairs(t)] for t in triplets]).reshape(-1, 3)
+
+
 def dual_adjacency(triplets) -> dict:
     """Triplet -> its dual neighbours in sorted order."""
     adj = {t: set() for t in triplets}

@@ -84,21 +84,30 @@ def save_measurements(nview: NViewBifocal, tracks: TrackSet | None, path) -> Non
     _dump(doc, path)
 
 
+def _index(value, field: str) -> int:
+    """An integer field of a measurements file: a float, bool or string there
+    is rejected, never truncated to an index."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"{field} must be an integer, got {value!r}")
+    return value
+
+
 def load_measurements(path):
     doc = _load(path)
     try:
-        n = int(doc["n"])
+        n = _index(doc["n"], "n")
         kind = doc["kind"]
         blocks = {}
-        for e in doc["edges"]:
+        for k, e in enumerate(doc["edges"]):
             M = np.array(e["tensor"], dtype=float).reshape(3, 3)
-            blocks[(int(e["i"]), int(e["j"]))] = BifocalTensor(M, kind)
+            i, j = _index(e["i"], f"edge {k}: i"), _index(e["j"], f"edge {k}: j")
+            blocks[(i, j)] = BifocalTensor(M, kind)
         nview = NViewBifocal.assemble(n, blocks, kind=kind, strict=False)
         doc_tracks = doc.get("tracks", [])
         points = np.zeros((len(doc_tracks), n, 3))
         visible = np.zeros((len(doc_tracks), n), dtype=bool)
         for p, tr in enumerate(doc_tracks):
-            views = [int(v) for v in tr["view_ids"]]
+            views = [_index(v, f"track {p}: view id") for v in tr["view_ids"]]
             x = np.array(tr["points"], dtype=float)
             if len(x) != len(views):
                 raise ValidationError(f"track {p}: {len(views)} view ids but {len(x)} points")

@@ -7,6 +7,8 @@ sequential cover at rank 4 and recovers collinear triplets.  "vc" (mixed
 collinearity) replaces the collinear triplets of the enriched heuristic
 cover by sub-triplets against virtual cameras, averages at rank 6, recovers
 general-position triplets and drops the virtual cameras after registration.
+A calibrated run resolves the geometry of all its triplets in stacked passes
+before recovery; each per-triplet recovery call reads its row.
 
 Stage functions are looked up as module globals when called, never bound
 at import, so patching a name here (bench/tracing.py does) reaches every
@@ -15,7 +17,6 @@ call.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import time
 from dataclasses import dataclass, field
@@ -32,18 +33,21 @@ from .graphs import (
     enrich_connectivity,
     heuristic_cover,
     insert_virtual_and_prune,
+    pair_rows,
     sequential_cover,
     triplet_pairs,
 )
 from .metrics import EvalReport, align_similarity, mean_reprojection_error
 from .nview import NViewBifocal
 from .recovery import (
-    pair_pose,
+    closure_scales,
+    pair_poses,
     recover_calibrated_collinear_triplet,
     recover_calibrated_general_triplet,
     recover_projective_collinear_triplet,
     recover_projective_general_triplet,
     register_global,
+    resolve_essential_triplet,
 )
 from .synthetic import Scene, TrackSet
 from .virtual import select_virtual_point, virtual_bifocals
@@ -66,14 +70,16 @@ class PipelineOutput:
     frame: str
 
 
-def _pair_pose_cache(avg: AveragingResult, tracks: TrackSet, n_real: int):
-    """(i, j) -> the pose of the consensus block of cameras i < j, decomposed
-    once per run, since neighbouring triplets share pairs; a pair of real
+def _calibrated_geometry(algorithm, avg: AveragingResult, tracks: TrackSet, n_real: int, triplets):
+    """The geometry of the sorted cover triplets, resolved from the poses of
+    their pairs' consensus blocks, and for "vc" their direction closures,
+    each one stacked pass before any triplet is recovered: a pair of real
     cameras is cheirality-voted on its tracks (a virtual camera has none)."""
-    def pose(i, j):
-        return pair_pose(avg.consensus[(i, j)], tracks.tracks((i, j)) if j < n_real else None)
-
-    return functools.cache(pose)
+    pairs, rows = pair_rows(triplets)
+    poses = pair_poses(np.array([avg.consensus[e] for e in pairs]),
+                       [tracks.tracks(e) if e[1] < n_real else None for e in pairs])
+    geom = resolve_essential_triplet(poses, rows)
+    return geom, (closure_scales(geom) if algorithm == "vc" else None)
 
 
 def _triplet_tensor_dict(nview: NViewBifocal, ids):
@@ -176,19 +182,18 @@ def cover_and_average(
     return cover, average(measurements, cover, "collinear", cfg.admm)
 
 
-def _recover_triplet(algorithm, regime, avg, ids, tracks, poses_of, gate):
-    """Cameras of one cover triplet from the averaged tensors: collinear
-    recovery for "r4", general-position recovery for "vc"."""
+def _recover_triplet(algorithm, regime, avg, k, ids, tracks, calibrated, gate):
+    """Cameras of cover triplet k from the averaged tensors: collinear
+    recovery for "r4", general-position recovery for "vc"; a calibrated
+    triplet reads row k of the stacked geometry."""
     if regime == "calibrated":
-        # lazy: a pair is decomposed on first use, so a decomposition error
-        # surfaces in the first triplet using the pair, after its certificate
-        poses = (poses_of(*e) for e in triplet_pairs(ids))
+        geom, closure = calibrated
         if algorithm == "r4":
             return recover_calibrated_collinear_triplet(
-                avg.triplet_matrix(ids), poses, tracks.tracks(sorted(ids)), triplet_id=ids,
+                avg.triplet_matrix(ids), geom, k, tracks.tracks(sorted(ids)), triplet_id=ids,
                 cert_tol=gate, cycle_tol=gate,
             )
-        return recover_calibrated_general_triplet(poses, triplet_id=ids, cycle_tol=gate)
+        return recover_calibrated_general_triplet(geom, closure, k, triplet_id=ids, cycle_tol=gate)
     F01, F02, F12 = (avg.nview.block(*e) for e in triplet_pairs(ids))
     if algorithm == "r4":
         return recover_projective_collinear_triplet(
@@ -211,11 +216,13 @@ def run_pipeline(
     mode = "euclidean" if regime == "calibrated" else "projective"
     # sanity gates only when the iterate is coarse; the report stays honest
     gate = 1e-3 if avg.converged else 0.5
-    poses_of = _pair_pose_cache(avg, tracks, n)
+    triplets = sorted(cover.triplets)
+    calibrated = (_calibrated_geometry(algorithm, avg, tracks, n, triplets)
+                  if regime == "calibrated" else None)
     failure = None
     try:
-        recs = [_recover_triplet(algorithm, regime, avg, t, tracks, poses_of, gate)
-                for t in sorted(cover.triplets)]
+        recs = [_recover_triplet(algorithm, regime, avg, k, t, tracks, calibrated, gate)
+                for k, t in enumerate(triplets)]
         # virtual cameras are scaffolding only
         cameras = register_global(recs, cover, mode, n_cameras=avg.nview.n).cameras[:n]
     except ValidationError as exc:

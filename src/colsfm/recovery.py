@@ -6,17 +6,26 @@ freedom (alpha in the calibrated collinear case, the 4-vector a in the
 projective one) from 3-view tracks, all triangulated by one stacked DLT.
 Triplets are then chained into a common frame by traversing the cover's
 dual graph.
+
+The calibrated geometry is computed in stacked passes before any triplet is
+recovered: `pair_poses` decomposes every essential block of a stage with one
+cheirality DLT over the tracks of all its pairs, `resolve_essential_triplet`
+picks every triplet's rotation branches and averages its rotations (one
+eigendecomposition of the (T, 9, 9) stack), and `closure_scales` solves
+every direction closure in one SVD of the (T, 8) sign branches.  The
+per-triplet recovery then reads its row and raises its own error.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import product
 
 import numpy as np
 
 from .errors import (
     AlignmentIllConditioned,
+    AmbiguousCheirality,
     CyclicInconsistency,
     DegenerateEpipole,
     InconsistentInput,
@@ -27,16 +36,16 @@ from .geometry import (
     _as_matrix,
     _dlt,
     _skews,
+    cheirality_votes,
     epipole,
     essential_candidates,
     fundamental_from_projections,
     nearest_rotation,
-    rotation_from_essential,
     skew,
     unit,
 )
-from .graphs import _LOCAL_PAIRS, dual_adjacency, dual_bfs
-from .nview import block_matrix, certify_collinear_essential
+from .graphs import dual_adjacency, dual_bfs
+from .nview import block_index, block_matrix, certify_collinear_essential
 
 
 @dataclass
@@ -54,114 +63,147 @@ class TripletCameras:
 
 
 @dataclass(frozen=True)
-class PairPose:
-    """Decomposition of one essential block E ~ [t]_x R of cameras i < j.
+class PairPoses:
+    """Decompositions E ~ [t]_x R of K essential blocks of cameras i < j.
 
-    rotations holds the cheirality-picked R_i^T R_j when the pair has 2-view
-    tracks, else both rotation branches; t_dir is the unit direction
-    R_i^T (t_i - t_j), its sign known only when picked by cheirality.
+    rotations (K, 2, 3, 3) holds both rotation branches of R_i^T R_j, or the
+    cheirality-picked one twice when the pair has 2-view tracks; t_dirs
+    (K, 3) the unit directions R_i^T (t_i - t_j), their sign known
+    (sign_known, (K,)) only when picked by cheirality; errors the message of
+    each pair whose candidates tie on their depth votes, else None.
     """
 
-    rotations: tuple
-    t_dir: np.ndarray
-    sign_known: bool
+    rotations: np.ndarray
+    t_dirs: np.ndarray
+    sign_known: np.ndarray
+    errors: tuple
 
 
-def pair_pose(block, points=None) -> PairPose:
-    """The pose of one essential block, cheirality-voted when the pair has
-    tracks ((N, 2, 3) image points, ordered (view i, view j))."""
-    if points is not None and len(points):
-        R, t = rotation_from_essential(block, points)
-        return PairPose((R,), t, True)
-    four = essential_candidates(_as_matrix(block))
-    return PairPose((four[0][0], four[2][0]), four[0][1], False)
+def pair_poses(blocks, points) -> PairPoses:
+    """The poses of a (K, 3, 3) stack of essential blocks, every pair with
+    tracks (points[k]: (N, 2, 3) image points ordered (view i, view j), or
+    None) cheirality-voted in one stacked DLT: the candidate with the most
+    tracks in front of both views wins."""
+    Ra, Rb, t = essential_candidates(np.asarray(blocks, dtype=float).reshape(-1, 3, 3))
+    rotations = np.stack([Ra, Rb], axis=1)
+    sign_known = np.array([p is not None and len(p) > 0 for p in points], dtype=bool)
+    errors = [None] * len(t)
+    voted = np.flatnonzero(sign_known)
+    if len(voted):
+        sizes = [len(points[k]) for k in voted]
+        pts = np.concatenate([np.asarray(points[k], dtype=float) for k in voted])
+        starts = np.cumsum([0] + sizes[:-1])
+        votes = cheirality_votes(rotations[voted], t[voted], pts, starts)
+        best = np.argmax(votes, axis=1)
+        rotations[voted] = rotations[voted, best // 2][:, None]
+        t[voted] = np.where((best % 2 == 1)[:, None], -t[voted], t[voted])
+        tied = np.sort(votes, axis=1)[:, -2] == np.max(votes, axis=1)
+        for k in np.flatnonzero(tied):
+            errors[voted[k]] = f"depth votes tie: {votes[k].tolist()}"
+    return PairPoses(rotations, t, sign_known, tuple(errors))
 
 
-@dataclass
+@dataclass(frozen=True)
 class TripletGeometry:
-    """Pairwise relative rotations/directions of an essential triplet.
+    """Pairwise relative rotations and directions of T essential triplets,
+    stacked in local pair order (0,1), (0,2), (1,2).
 
-    rotations[(i, j)] is R_i^T R_j, t_dirs[(i, j)] the unit direction
-    R_i^T (t_i - t_j); sign_known marks pairs whose direction sign was fixed
-    by track cheirality rather than left free.
+    rotations (T, 3, 3, 3) is R_i^T R_j of the branches that best close the
+    rotation cycle, t_dirs (T, 3, 3) the unit directions R_i^T (t_i - t_j),
+    sign_known (T, 3) marks the directions signed by track cheirality,
+    cycle_residual (T,) is the cycle's closure residual, averaged (T, 3, 3, 3)
+    the three R_i^T from `eigen_rotation_averaging`, and errors holds the
+    first pair error of each triplet, else None.
     """
 
-    rotations: dict
-    t_dirs: dict
-    sign_known: dict
-    cycle_residual: float
+    rotations: np.ndarray
+    t_dirs: np.ndarray
+    sign_known: np.ndarray
+    cycle_residual: np.ndarray
+    averaged: np.ndarray
+    errors: tuple
 
 
-def resolve_essential_triplet(poses, cycle_tol: float = 1e-3) -> TripletGeometry:
-    """Pick the rotation branch of every pair left with two (no tracks), the
-    branches that best close the rotation cycle winning.
-
-    poses: the PairPose of local pairs (0,1), (0,2), (1,2), in that order.
-    """
-    poses = dict(zip(_LOCAL_PAIRS, poses))
-    best = None
-    for R01 in poses[(0, 1)].rotations:
-        for R02 in poses[(0, 2)].rotations:
-            for R12 in poses[(1, 2)].rotations:
-                r = float(np.linalg.norm(R01 @ R12 @ R02.T - np.eye(3)))
-                if best is None or r < best[0]:
-                    best = (r, R01, R02, R12)
-    residual, *rotations = best
-    if residual > cycle_tol:
-        raise CyclicInconsistency(f"rotation cycle residual {residual:.3e} above {cycle_tol:.1e}")
-    return TripletGeometry(
-        dict(zip(_LOCAL_PAIRS, rotations)),
-        {k: p.t_dir for k, p in poses.items()},
-        {k: p.sign_known for k, p in poses.items()},
-        residual,
-    )
+# the 8 (0,1), (0,2), (1,2) branch choices in product order, (0,1) outermost
+_BRANCHES = np.array(list(product((0, 1), repeat=3)))
 
 
-def eigen_rotation_averaging(rel: dict, m: int) -> list:
-    """Absolute orientations from relative ones via the top eigenvectors of
-    the block matrix M_ij = R_i^T R_j (M_ii = I); rel holds every pair
-    i < j.  Returns R_i^T up to one global rotation."""
-    M = block_matrix([rel[p] for p in combinations(range(m), 2)])
-    np.fill_diagonal(M, 1.0)
-    w, V = np.linalg.eigh(M)
-    B = V[:, -3:].reshape(m, 3, 3)
-    if np.sum(np.linalg.det(B)) < 0:
-        B[..., 0] = -B[..., 0]
-    return list(nearest_rotation(B))
+def resolve_essential_triplet(poses: PairPoses, rows) -> TripletGeometry:
+    """The geometry of T triplets whose local pairs are the poses' rows
+    (T, 3): of the 8 branch combinations (a pair picked by cheirality offers
+    its rotation twice), the first strictly smallest cycle residual
+    ||R01 R12 R02^T - I|| wins."""
+    rows = np.asarray(rows).reshape(-1, 3)
+    R = poses.rotations[rows]  # (T, local pair, branch, 3, 3)
+    R01, R02, R12 = (R[:, k, _BRANCHES[:, k]] for k in range(3))  # (T, 8, 3, 3)
+    D = (R01 @ R12 @ R02.swapaxes(-1, -2) - np.eye(3)).reshape(len(rows), 8, 1, 9)
+    r = np.sqrt(D @ D.swapaxes(-1, -2))[..., 0, 0]  # Frobenius norms, as np.linalg.norm sums
+    best, residual = np.zeros(len(rows), dtype=int), r[:, 0]
+    for c in range(1, 8):
+        better = r[:, c] < residual
+        best, residual = np.where(better, c, best), np.where(better, r[:, c], residual)
+    rotations = R[np.arange(len(rows))[:, None], np.arange(3), _BRANCHES[best]]
+    errors = tuple(next((poses.errors[k] for k in row if poses.errors[k]), None) for row in rows)
+    return TripletGeometry(rotations, poses.t_dirs[rows], poses.sign_known[rows], residual,
+                           eigen_rotation_averaging(rotations), errors)
 
 
-def closure_scales(geom: TripletGeometry):
-    """Relative pair magnitudes ||t_i - t_j|| from the direction closure
-    (t_0 - t_1) + (t_1 - t_2) = (t_0 - t_2), searched over the free sign
-    branches in one stacked SVD ((0, 1) sign outermost, + before -; the
-    first strictly smallest residual with nonnegative magnitudes wins).
-    Returns ({pair: mu}, {pair: sign}, residual, rotations, dirs) with
-    mu01 = 1, the averaged R_i^T and the pair directions in their frame."""
-    Rh = eigen_rotation_averaging(geom.rotations, 3)
-    d = {k: Rh[k[0]].T @ geom.t_dirs[k] for k in _LOCAL_PAIRS}
-    branches = np.array(list(product(*(
-        (1.0,) if geom.sign_known[k] else (1.0, -1.0) for k in _LOCAL_PAIRS
-    ))))  # columns s01, s02, s12
-    A = np.stack([d[(0, 1)], d[(1, 2)], -d[(0, 2)]], axis=-1) * branches[:, None, [0, 2, 1]]
+def eigen_rotation_averaging(rel) -> np.ndarray:
+    """Absolute orientations of T sets of m cameras from their relative ones
+    (T, m(m-1)/2, 3, 3), every pair i < j in combinations order, via the top
+    eigenvectors of the block matrix M_ij = R_i^T R_j (M_ii = I).  Returns
+    the (T, m, 3, 3) R_i^T, each set up to one global rotation."""
+    rel = np.asarray(rel, dtype=float)
+    T, P = rel.shape[:2]
+    M = block_matrix(rel, block_index(np.arange(T * P).reshape(T, P)))
+    m = M.shape[-1] // 3
+    M[:, np.arange(3 * m), np.arange(3 * m)] = 1.0
+    _, V = np.linalg.eigh(M)
+    B = V[..., -3:].reshape(T, m, 3, 3)
+    B[..., 0] *= np.where(np.sum(np.linalg.det(B), axis=1) < 0, -1.0, 1.0)[:, None, None]
+    return nearest_rotation(B)
+
+
+@dataclass(frozen=True)
+class TripletClosure:
+    """Relative pair magnitudes of T triplets from the direction closure, in
+    local pair order: dirs (T, 3, 3) the pair directions in the averaged
+    frame, mu (T, 3) the magnitudes ||t_i - t_j|| with mu01 = 1, signs
+    (T, 3) the direction signs, residual (T,) the closure residual; valid
+    (T,) is False where no sign branch closes the triangle."""
+
+    dirs: np.ndarray
+    mu: np.ndarray
+    signs: np.ndarray
+    residual: np.ndarray
+    valid: np.ndarray
+
+
+# the 8 (s01, s02, s12) sign choices in product order, (0, 1) outermost, + before -
+_SIGNS = 1.0 - 2.0 * _BRANCHES
+
+
+def closure_scales(geom: TripletGeometry) -> TripletClosure:
+    """Relative pair magnitudes from the closure (t_0 - t_1) + (t_1 - t_2) =
+    (t_0 - t_2), searched over the free sign branches in one stacked SVD (a
+    direction signed by cheirality keeps +; the first strictly smallest
+    residual with nonnegative magnitudes wins)."""
+    T = len(geom.t_dirs)
+    Rh = geom.averaged[:, [0, 0, 1]].swapaxes(-1, -2)
+    d = (Rh @ geom.t_dirs[..., None])[..., 0]
+    A = np.stack([d[:, 0], d[:, 2], -d[:, 1]], axis=-1)[:, None] * _SIGNS[:, None, [0, 2, 1]]
     _, sv, Vt = np.linalg.svd(A)
-    mu = Vt[:, 2] * np.where(np.sum(Vt[:, 2], axis=1) < 0, -1.0, 1.0)[:, None]
-    peak = np.max(np.abs(mu), axis=1, keepdims=True)
+    mu = Vt[..., 2, :] * np.where(np.sum(Vt[..., 2, :], axis=-1) < 0, -1.0, 1.0)[..., None]
+    peak = np.max(np.abs(mu), axis=-1, keepdims=True)
     # tolerate a negligibly negative component (nearly degenerate pair
     # distance under noise) and clamp it away
-    valid = np.all(mu > -1e-6 * peak, axis=1)
-    if not np.any(valid):
-        return None
-    best = int(np.argmin(np.where(valid, sv[:, 2], np.inf)))
-    mu = np.maximum(mu[best], 1e-12 * peak[best])
-    mu = mu / mu[0]
-    s01, s02, s12 = branches[best].tolist()
-    return (
-        {(0, 1): float(mu[0]), (1, 2): float(mu[1]), (0, 2): float(mu[2])},
-        {(0, 1): s01, (0, 2): s02, (1, 2): s12},
-        float(sv[best, 2]),
-        Rh,
-        d,
-    )
+    allowed = ~np.any(geom.sign_known[:, None] & (_SIGNS < 0), axis=-1)
+    valid = allowed & np.all(mu > -1e-6 * peak, axis=-1)
+    best = np.argmin(np.where(valid, sv[..., 2], np.inf), axis=1)
+    at = np.arange(T), best
+    mu = np.maximum(mu[at], 1e-12 * peak[at])
+    mu = mu / mu[:, :1]
+    return TripletClosure(d, mu[:, [0, 2, 1]], _SIGNS[best], sv[at][:, 2], np.any(valid, axis=1))
 
 
 def _triangulate_tracks3(P0, P1, pts):
@@ -204,7 +246,8 @@ def _alpha_least_squares(P0, P1, Rh2, axis_dir, tracks3):
 
 def recover_calibrated_collinear_triplet(
     E9: np.ndarray,
-    poses,
+    geom: TripletGeometry,
+    k: int,
     tracks3,
     triplet_id=(0, 1, 2),
     cert_tol: float = 1e-3,
@@ -212,13 +255,12 @@ def recover_calibrated_collinear_triplet(
 ) -> TripletCameras:
     """Cameras of a collinear calibrated triplet from its consistent 9x9 matrix.
 
-    The pair poses of E9's blocks (`pair_pose`, in the order of
-    `resolve_essential_triplet`) give the relative rotations, averaged to
-    absolute ones; the pair (0,1) fixes the line direction with unit
+    Row k of geom, resolved from the pair poses of E9's blocks, gives the
+    averaged rotations; the pair (0,1) fixes the line direction with unit
     baseline, and alpha places the third camera along it using the (N, 3, 3)
-    image points of the 3-view tracks, in local view order.  poses is read
-    only after the certificate passes, so a lazy iterable decomposes nothing
-    for a rejected triplet.
+    image points of the 3-view tracks, in local view order.  The row is read
+    only after the certificate passes, so a rejected triplet reports the
+    certificate, not a pair error.
 
     The certificate precondition checks the eigenvalue pattern only (a sanity
     gate against junk input, with a tolerance sized for post-averaging noise
@@ -232,12 +274,11 @@ def recover_calibrated_collinear_triplet(
             f"triplet matrix fails the collinear eigenvalue pattern "
             f"(rank {cert.rank_estimate}, residual {cert.pattern_residual:.3e})"
         )
-    geom = resolve_essential_triplet(poses, cycle_tol)
-    if not geom.sign_known[(0, 1)]:
+    _check_resolved(geom, k, cycle_tol)
+    if not geom.sign_known[k, 0]:
         raise InsufficientTracks("pair (0,1) needs 2-view tracks to sign the baseline")
-    Rh = eigen_rotation_averaging(geom.rotations, 3)
-    t12 = geom.t_dirs[(0, 1)]
-    axis = Rh[0].T @ t12  # world direction of t_0 - t_1 in the local gauge
+    Rh = geom.averaged[k]
+    axis = Rh[0].T @ geom.t_dirs[k, 0]  # world direction of t_0 - t_1 in the local gauge
     P0 = np.hstack([Rh[0], np.zeros((3, 1))])
     P1 = np.hstack([Rh[1], (Rh[1] @ axis).reshape(3, 1)])
     tracks3 = np.asarray(tracks3, dtype=float)
@@ -248,27 +289,38 @@ def recover_calibrated_collinear_triplet(
     return TripletCameras(tuple(triplet_id), [P0, P1, P2], "euclidean", alpha)
 
 
+def _check_resolved(geom: TripletGeometry, k: int, cycle_tol: float) -> None:
+    """Raise row k's first pair error, else its rotation cycle residual if
+    above cycle_tol."""
+    if geom.errors[k] is not None:
+        raise AmbiguousCheirality(geom.errors[k])
+    residual = float(geom.cycle_residual[k])
+    if residual > cycle_tol:
+        raise CyclicInconsistency(f"rotation cycle residual {residual:.3e} above {cycle_tol:.1e}")
+
+
 def recover_calibrated_general_triplet(
-    poses,
+    geom: TripletGeometry,
+    closure: TripletClosure,
+    k: int,
     triplet_id=(0, 1, 2),
     cycle_tol: float = 1e-3,
 ) -> TripletCameras:
-    """Cameras of a general-position calibrated triplet: rotations and relative
-    translation magnitudes come from the three pair poses alone (direction
-    closure); only one pair needs to be picked by track cheirality, to fix
-    the overall cheirality."""
-    geom = resolve_essential_triplet(poses, cycle_tol)
-    if not any(geom.sign_known.values()):
+    """Cameras of a general-position calibrated triplet from row k of its
+    geometry and closure: rotations and relative translation magnitudes come
+    from the three pair poses alone (direction closure); only one pair needs
+    to be picked by track cheirality, to fix the overall cheirality."""
+    _check_resolved(geom, k, cycle_tol)
+    if not np.any(geom.sign_known[k]):
         raise InsufficientTracks("at least one pair needs tracks to anchor cheirality")
-    sol = closure_scales(geom)
-    if sol is None:
+    if not closure.valid[k]:
         raise InconsistentInput("no sign branch closes the translation triangle")
-    mu, signs, _, Rh, d = sol
-    t = [np.zeros(3)]
-    t.append(t[0] - mu[(0, 1)] * signs[(0, 1)] * d[(0, 1)])
-    t.append(t[0] - mu[(0, 2)] * signs[(0, 2)] * d[(0, 2)])
+    Rh = geom.averaged[k]
+    step = (closure.mu[k] * closure.signs[k])[:, None] * closure.dirs[k]  # t_0 - t_j per pair
+    t0 = np.zeros(3)
+    t = [t0, t0 - step[0], t0 - step[1]]
     cams = [np.hstack([Rh[i], (-Rh[i] @ t[i]).reshape(3, 1)]) for i in range(3)]
-    return TripletCameras(tuple(triplet_id), cams, "euclidean", float(mu[(0, 2)]))
+    return TripletCameras(tuple(triplet_id), cams, "euclidean", float(closure.mu[k, 1]))
 
 
 def _canonical_pair_cameras(F01, F12):

@@ -17,6 +17,7 @@ from .geometry import (
     BifocalTensor,
     CameraModel,
     bifocal_from_pair,
+    image_point,
     normalized_tensor,
     rotation_about,
     skew,
@@ -105,10 +106,11 @@ class Scene:
 
     def track_set(self, pixel_noise: float = 0.0, rng=None) -> TrackSet:
         rng = rng if rng is not None else np.random.default_rng(self.seed + 1)
+        Ps = [cam.projection_matrix() for cam in self.cameras]
         pts = np.empty((len(self.points), self.n, 3))
         for p, X in enumerate(self.points):
-            for i, cam in enumerate(self.cameras):
-                x = cam.project(X)
+            for i, P in enumerate(Ps):
+                x = image_point(P, X)
                 if pixel_noise > 0.0:
                     x = x + np.array([rng.normal(0, pixel_noise), rng.normal(0, pixel_noise), 0.0])
                 pts[p, i] = x

@@ -17,19 +17,17 @@ import numpy as np
 
 from .errors import MissingRecovery, NoValidPoint, RotationAmbiguity
 from .geometry import (
-    AmbiguousCheirality,
     BifocalTensor,
     _as_matrix,
     epipole,
     normalized_tensor,
     oriented_pairs,
-    rotation_from_essential,
     skew,
     symmetric_epipolar_distance,
 )
 from .graphs import _LOCAL_PAIRS
 from .nview import NViewBifocal
-from .recovery import TripletCameras
+from .recovery import TripletCameras, pair_poses
 
 
 # (view, pair, side) of each epipole a track point must keep clear of: in
@@ -77,22 +75,13 @@ def _v_matrices_from_cameras(cams: TripletCameras) -> list:
 def _v_matrices_from_tensors(blocks: dict, tracks) -> list:
     """Calibrated route: V_i2 = R_i^T R_2 extracted from the (i, 2)-pair
     block, the rotation branch picked by the cheirality of the (N, 3, 3)
-    tracks."""
-    out = []
-    for i in range(3):
-        if i == 1:
-            out.append(np.eye(3))
-            continue
-        key = (min(i, 1), max(i, 1))
-        M = _as_matrix(blocks[key])
-        if key != (i, 1):
-            M = M.T
-        try:
-            R, _ = rotation_from_essential(M, tracks[:, [i, 1]])
-        except AmbiguousCheirality as exc:
-            raise RotationAmbiguity(str(exc)) from exc
-        out.append(R)
-    return out
+    tracks; both pairs are decomposed in one stacked pass."""
+    poses = pair_poses(np.stack([_as_matrix(blocks[(0, 1)]), _as_matrix(blocks[(1, 2)]).T]),
+                       [tracks[:, [0, 1]], tracks[:, [2, 1]]])
+    for error in poses.errors:
+        if error is not None:
+            raise RotationAmbiguity(error)
+    return [poses.rotations[0, 0], np.eye(3), poses.rotations[1, 0]]
 
 
 def virtual_bifocals(source, track: np.ndarray, kind: str, tracks=None) -> list:

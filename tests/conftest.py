@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from colsfm.geometry import BifocalTensor, bifocal_from_pair, normalized_tensor
-from colsfm.recovery import pair_pose
+from colsfm.recovery import pair_poses, resolve_essential_triplet
 from colsfm.synthetic import generate
 
 
@@ -47,14 +47,16 @@ def geodesic_angle(Ra, Rb) -> float:
     return float(np.arccos(np.clip(c, -1.0, 1.0)))
 
 
-def triplet_poses(E9, tracks2=None):
-    """The pair poses of a 9x9 triplet matrix's blocks in local pair order,
-    each cheirality-voted when tracks2 ({local pair: (N, 2, 3) 2-view track
+def triplet_geometry(E9, tracks2=None):
+    """The stacked geometry (one row) of a 9x9 triplet matrix's blocks, each
+    pair cheirality-voted when tracks2 ({local pair: (N, 2, 3) 2-view track
     points}) has tracks for it."""
     E9 = np.asarray(E9, dtype=float)
     tracks2 = tracks2 or {}
-    return [pair_pose(E9[3 * i:3 * i + 3, 3 * j:3 * j + 3], tracks2.get((i, j)))
-            for (i, j) in ((0, 1), (0, 2), (1, 2))]
+    pairs = ((0, 1), (0, 2), (1, 2))
+    poses = pair_poses(np.array([E9[3 * i:3 * i + 3, 3 * j:3 * j + 3] for (i, j) in pairs]),
+                       [tracks2.get(p) for p in pairs])
+    return resolve_essential_triplet(poses, [[0, 1, 2]])
 
 
 def seen_in(ts, *view_sets):

@@ -41,7 +41,7 @@ from colsfm.recovery import (
 )
 from colsfm.synthetic import MeasurementNoise, generate, measure
 from colsfm.virtual import four_view_matrix
-from conftest import seen_in, triplet_poses, unit_bifocal
+from conftest import seen_in, triplet_geometry, unit_bifocal
 
 
 def _announce(num, ok, detail):
@@ -63,9 +63,9 @@ def _recover_scene_calibrated(scene):
         E = scene.exact_triplet(ids)
         tr3 = ts.tracks(ids)
         tr2 = {(a, b): ts.tracks((ids[a], ids[b])) for (a, b) in ((0, 1), (0, 2), (1, 2))}
-        recs.append(
-            recover_calibrated_collinear_triplet(E, triplet_poses(E, tr2), tr3, triplet_id=tuple(ids))
-        )
+        recs.append(recover_calibrated_collinear_triplet(
+            E, triplet_geometry(E, tr2), 0, tr3, triplet_id=tuple(ids)
+        ))
     reg = register_global(recs, cover, "euclidean", n_cameras=scene.n)
     return align_similarity(reg.centers(), scene.centers()).residuals
 
@@ -185,7 +185,7 @@ def _single_projection_floor(scene, noisy, tracks):
         tr2 = {(a, b): tracks.tracks((ids[a], ids[b])) for (a, b) in ((0, 1), (0, 2), (1, 2))}
         recs.append(
             recover_calibrated_collinear_triplet(
-                P, triplet_poses(P, tr2), tr3, triplet_id=tuple(ids), cert_tol=0.1, cycle_tol=0.1
+                P, triplet_geometry(P, tr2), 0, tr3, triplet_id=tuple(ids), cert_tol=0.1, cycle_tol=0.1
             )
         )
     reg = register_global(recs, cover, "euclidean", n_cameras=scene.n)

@@ -1,13 +1,16 @@
 import hashlib
 import json
 from collections import Counter
+from itertools import combinations
 
+import calibrated_oracle as oracle
 import numpy as np
 import pytest
 
 from colsfm.averaging import (
     _PROJECTIONS,
     AdmmConfig,
+    _local_scale_factors,
     average,
     project_collinear_essential,
     project_collinear_fundamental,
@@ -18,6 +21,7 @@ from colsfm.errors import MissingBlock, NotConnected
 from colsfm.geometry import BifocalTensor, nearest_rotation, normalized_tensor
 from colsfm.graphs import (
     TripletCover, ViewingGraph, enrich_connectivity, heuristic_cover, sequential_cover,
+    triplet_pairs,
 )
 from colsfm.nview import NViewBifocal, certify_collinear_essential, certify_general
 from colsfm.synthetic import MeasurementNoise, generate, measure
@@ -265,6 +269,24 @@ class TestAverageRobustness:
         m, _ = measure(scene, seed=0)
         with pytest.raises(RuntimeError, match="closure bug"):
             average(m, sequential_cover(scene.n), "general")
+
+
+class TestStackedScaleSync:
+    @pytest.mark.parametrize("layout,noise,seed", [
+        ("mixed", 0.0, 40), ("mixed", 0.5, 41), ("general", 1.0, 42), ("collinear", 0.5, 43),
+    ])
+    def test_local_factors_equal_per_triplet_oracle(self, layout, noise, seed):
+        # every triangle of the scene, so pairs are shared by many triplets
+        scene = generate(layout, 7, 10, seed=seed)
+        m, _ = measure(scene, MeasurementNoise(noise, noise), seed=seed)
+        triplets = sorted(combinations(range(scene.n), 3))
+        got = _local_scale_factors(m, triplets)
+        unclosed = 0
+        for row, t in zip(got, triplets):
+            want = oracle.scale_factors([m.block(*e) for e in triplet_pairs(t)])
+            assert row.tolist() == [float(v) for v in want]
+            unclosed += want == [1.0, 1.0, 1.0]
+        assert unclosed < len(triplets)
 
 
 # -- oracle: the per-matrix projections the batched kernels replaced --------

@@ -1,3 +1,4 @@
+import calibrated_oracle as oracle
 import numpy as np
 import pytest
 
@@ -16,14 +17,14 @@ from colsfm.geometry import (
     essential_candidates,
     fundamental_from_projections,
     nearest_rotation,
+    cheirality_votes,
     rotation_about,
-    rotation_from_essential,
     skew,
     symmetric_epipolar_distance,
-    _cheirality_votes,
     triangulate_dlt,
     unit,
 )
+from colsfm.recovery import pair_poses
 from conftest import geodesic_angle, random_rotation, unit_bifocal
 
 
@@ -230,7 +231,17 @@ def _pair_points(ci, cj, points):
     return np.array([[ci.project(X), cj.project(X)] for X in points])
 
 
+def _picked(E, points):
+    """The cheirality-picked (R, t) of one pair, and its tie message or None."""
+    poses = pair_poses([np.asarray(getattr(E, "matrix", E))], [points])
+    assert poses.sign_known[0]
+    assert np.array_equal(poses.rotations[0, 0], poses.rotations[0, 1])
+    return poses.rotations[0, 0], poses.t_dirs[0], poses.errors[0]
+
+
 class TestRotationFromEssential:
+    """The relative pose a pair's tracks pick among its four candidates."""
+
     def test_recovers_relative_rotation(self, rng):
         # oracle: R_i^T R_j and R_i^T(t_i - t_j) from the generating cameras
         for trial in range(10):
@@ -240,7 +251,8 @@ class TestRotationFromEssential:
             if any(c.depth(X) <= 0 for c in (ci, cj) for X in pts):
                 continue
             E = unit_bifocal(ci, cj)
-            R, t = rotation_from_essential(E, _pair_points(ci, cj, pts))
+            R, t, error = _picked(E, _pair_points(ci, cj, pts))
+            assert error is None
             assert geodesic_angle(R, ci.rotation.T @ cj.rotation) < 1e-8
             assert np.allclose(t, unit(ci.rotation.T @ (ci.center - cj.center)), atol=1e-8)
 
@@ -251,7 +263,7 @@ class TestRotationFromEssential:
         look = R @ np.array([0, 0, 5.0])
         pts = look + rng.uniform(-1, 1, size=(5, 3))
         E = unit_bifocal(ci, cj)
-        Rrel, _ = rotation_from_essential(E, _pair_points(ci, cj, pts))
+        Rrel, _, _ = _picked(E, _pair_points(ci, cj, pts))
         assert geodesic_angle(Rrel, np.eye(3)) < 1e-8
 
     def test_single_track_unique_winner(self, rng):
@@ -260,7 +272,8 @@ class TestRotationFromEssential:
         cj = CameraModel(np.eye(3), rotation_about([0, 1, 0], 0.2), np.array([1.0, 0, 0]))
         X = np.array([0.3, 0.1, 5.0])
         E = unit_bifocal(ci, cj)
-        R, t = rotation_from_essential(E, _pair_points(ci, cj, [X]))
+        R, t, error = _picked(E, _pair_points(ci, cj, [X]))
+        assert error is None
         assert geodesic_angle(R, ci.rotation.T @ cj.rotation) < 1e-8
 
     def test_ambiguous_when_votes_tie(self):
@@ -270,16 +283,17 @@ class TestRotationFromEssential:
         cj = CameraModel(np.eye(3), np.eye(3), np.array([0.0, 0, 1.0]))
         E = unit_bifocal(ci, cj)
         tr = np.vstack([ci.project([0, 0, 5.0]), cj.project([0, 0, 5.0])])
-        with pytest.raises(AmbiguousCheirality):
-            rotation_from_essential(E, tr[None])
+        assert _picked(E, tr[None])[2] == "depth votes tie: [0, 0, 0, 0]"
+        with pytest.raises(AmbiguousCheirality, match=r"depth votes tie: \[0, 0, 0, 0\]"):
+            oracle.rotation_from_essential(E.matrix, tr[None])
 
     def test_ambiguous_when_nonzero_votes_tie(self, rng):
         # two tracks in front of both views under each of two candidates, so
         # two candidates get two votes each and none wins
         E = bifocal_from_pair(_random_camera(rng), _random_camera(rng)).matrix
-        cands = essential_candidates(E)
+        Ra, Rb, t = essential_candidates(E)
         pts = []
-        for R, t in (cands[0], cands[2]):
+        for R in (Ra, Rb):
             placed = 0
             while placed < 2:
                 X = rng.normal(size=3)
@@ -287,8 +301,9 @@ class TestRotationFromEssential:
                 if X[2] > 0 and y[2] > 0:
                     pts.append([X / X[2], y / y[2]])
                     placed += 1
+        assert _picked(E, np.array(pts))[2] == "depth votes tie: [2, 0, 2, 0]"
         with pytest.raises(AmbiguousCheirality, match=r"depth votes tie: \[2, 0, 2, 0\]"):
-            rotation_from_essential(E, np.array(pts))
+            oracle.rotation_from_essential(E, np.array(pts))
 
 
 def _votes_per_track(R, tdir, tracks):
@@ -316,31 +331,59 @@ def _homogeneous(v):
     return v / v[2]
 
 
+def _random_tracks(rng, R, t, count):
+    """count 2-view tracks for the candidate (R, t), mixing generic points
+    with identical image points, parallel rays and points on the baseline."""
+    tracks = []
+    for _ in range(count):
+        x = np.append(rng.normal(size=2), 1.0)
+        kind = rng.random()
+        if kind < 0.15:
+            y = x  # identical image points
+        elif kind < 0.3:
+            y = _homogeneous(R.T @ x)  # parallel rays: a point at infinity
+        elif kind < 0.4:
+            x, y = _homogeneous(-t), _homogeneous(R.T @ t)  # on the baseline
+        else:
+            y = np.append(rng.normal(size=2), 1.0)
+        tracks.append(np.vstack([x, y]))
+    return np.array(tracks)
+
+
 class TestCheiralityVotes:
     def test_batched_vote_matches_per_track_triangulation(self, rng):
+        # the (R, -t) votes are read off the mirrored (R, t) solution; each
+        # candidate here is triangulated on its own, track by track
         skipped = np.zeros(2, dtype=int)
         for trial in range(40):
             E = bifocal_from_pair(_random_camera(rng), _random_camera(rng)).matrix
-            cands = essential_candidates(E)
-            for k, (R, t) in enumerate(cands):
-                tracks = []
-                for _ in range(int(rng.integers(1, 30))):
-                    x = np.append(rng.normal(size=2), 1.0)
-                    kind = rng.random()
-                    if kind < 0.15:
-                        y = x  # identical image points
-                    elif kind < 0.3:
-                        y = _homogeneous(R.T @ x)  # parallel rays: a point at infinity
-                    elif kind < 0.4:
-                        x, y = _homogeneous(-t), _homogeneous(R.T @ t)  # on the baseline
-                    else:
-                        y = np.append(rng.normal(size=2), 1.0)
-                    tracks.append(np.vstack([x, y]))
-                votes, *skips = _votes_per_track(R, t, tracks)
-                assert _cheirality_votes(cands, np.array(tracks))[k] == votes
+            Ra, Rb, t = essential_candidates(E)
+            for k, (R, tk) in enumerate(((Ra, t), (Ra, -t), (Rb, t), (Rb, -t))):
+                tracks = _random_tracks(rng, R, tk, int(rng.integers(1, 30)))
+                votes, *skips = _votes_per_track(R, tk, tracks)
+                assert cheirality_votes(np.stack([Ra, Rb])[None], t[None], tracks, [0])[0, k] == votes
                 skipped += skips
         # both skip rules were exercised
         assert np.all(skipped > 0)
+
+    def test_stacked_votes_equal_per_pair_oracle(self, rng):
+        # random stacks of pairs, one DLT for all of them, against one
+        # four-candidate DLT per pair
+        for trial in range(30):
+            K = int(rng.integers(1, 12))
+            E = np.array([bifocal_from_pair(_random_camera(rng), _random_camera(rng)).matrix
+                          for _ in range(K)])
+            Ra, Rb, t = essential_candidates(E)
+            tracks = [_random_tracks(rng, [Ra, Rb][int(rng.integers(2))][k],
+                                     float(rng.choice([-1.0, 1.0])) * t[k], int(rng.integers(1, 20)))
+                      for k in range(K)]
+            starts = np.cumsum([0] + [len(p) for p in tracks[:-1]])
+            got = cheirality_votes(np.stack([Ra, Rb], axis=1), t, np.concatenate(tracks), starts)
+            for k in range(K):
+                cands = oracle.essential_candidates(E[k])
+                assert np.array_equal(cands[0][0], Ra[k]) and np.array_equal(cands[2][0], Rb[k])
+                assert np.array_equal(cands[0][1], t[k])
+                assert got[k].tolist() == oracle.cheirality_votes(cands, tracks[k]).tolist()
 
 
 class TestFundamentalFromProjections:
@@ -389,3 +432,42 @@ class TestNearestRotation:
         M = rng.normal(size=(12, 3, 3))
         M[::2] *= -1.0  # mix reflected and proper polar factors
         assert np.array_equal(nearest_rotation(M), np.array([nearest_rotation(A) for A in M]))
+
+
+class TestReducedDltSvd:
+    @pytest.mark.parametrize("algorithm,layout,intrinsics,noise", [
+        ("r4", "collinear", "calibrated", 0.5),
+        ("vc", "mixed", "calibrated", 0.0),
+        ("vc", "mixed", "calibrated", 0.5),
+        ("r4", "collinear", "varied", 0.5),
+        ("vc", "mixed", "varied", 0.0),
+    ])
+    def test_equals_full_svd_on_run_stacks(self, monkeypatch, algorithm, layout, intrinsics, noise):
+        # the DLT stacks a run solves (cheirality votes, 3-view tracks,
+        # evaluation) give the same singular values and right vectors
+        # without the unused left vectors
+        import colsfm.geometry
+        import colsfm.recovery
+        from colsfm.pipeline import run_pipeline
+        from colsfm.synthetic import MeasurementNoise, generate, measure
+
+        stacks, real_dlt = [], colsfm.geometry._dlt
+
+        def dlt(A):
+            stacks.append(np.array(A))
+            return real_dlt(A)
+
+        monkeypatch.setattr(colsfm.geometry, "_dlt", dlt)
+        monkeypatch.setattr(colsfm.recovery, "_dlt", dlt)
+        scene = generate(layout, 7, 12, seed=70, intrinsics_mode=intrinsics)
+        m, tracks = measure(scene, MeasurementNoise(noise, noise), seed=70)
+        regime = "calibrated" if intrinsics == "calibrated" else "uncalibrated"
+        run_pipeline(m, tracks, algorithm, regime, scene)
+        assert len(stacks) > 1
+        for A in stacks:
+            _, s, Vt = np.linalg.svd(A)
+            _, s_red, Vt_red = np.linalg.svd(A, full_matrices=False)
+            assert np.array_equal(s, s_red) and np.array_equal(Vt, Vt_red)
+            X, ambiguous = real_dlt(A)
+            assert np.array_equal(X, Vt[..., 3, :])
+            assert np.array_equal(ambiguous, s[..., 2] - s[..., 3] < 1e-12 * s[..., 0])

@@ -2,11 +2,12 @@ import hashlib
 import json
 from collections import Counter
 
+import calibrated_oracle as oracle
 import numpy as np
 import pytest
 
 from colsfm.averaging import AdmmConfig
-from colsfm.errors import DegenerateEpipole, ValidationError
+from colsfm.errors import DegenerateEpipole, InsufficientTracks, ValidationError
 from colsfm.io import (
     load_cameras,
     load_measurements,
@@ -17,9 +18,10 @@ from colsfm.io import (
     save_scene,
     write_convergence_log,
 )
+from colsfm.graphs import triplet_pairs
 from colsfm.nview import certify_general
 from colsfm.pipeline import PipelineConfig, run_pipeline
-from colsfm.synthetic import MeasurementNoise, generate, measure
+from colsfm.synthetic import MeasurementNoise, TrackSet, generate, measure
 
 
 # sha256 of the measurements files colsfm.io writes: for a noisy mixed scene,
@@ -102,6 +104,24 @@ class TestIO:
     def test_malformed_track_rejected(self, tmp_path, track, match):
         doc = dict(PARTIAL_MEASUREMENTS, tracks=PARTIAL_MEASUREMENTS["tracks"] + [track])
         (tmp_path / "bad.json").write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match=match):
+            load_measurements(tmp_path / "bad.json")
+
+    @pytest.mark.parametrize("change,match", [
+        ({"edges": [{"i": 0.9, "j": 2.5, "tensor": [0, 0, 0, 0, 0, -1, 0, 1, 0]}]},
+         r"edge 0: i must be an integer, got 0\.9"),
+        ({"edges": [{"i": 0, "j": 2.5, "tensor": [0, 0, 0, 0, 0, -1, 0, 1, 0]}]},
+         r"edge 0: j must be an integer, got 2\.5"),
+        ({"tracks": [{"view_ids": [0, 1.7], "points": [[0.1, 0.2, 1], [0.3, 0.4, 1]]}]},
+         r"track 0: view id must be an integer, got 1\.7"),
+        ({"tracks": [{"view_ids": [True, 2], "points": [[0.1, 0.2, 1], [0.3, 0.4, 1]]}]},
+         "track 0: view id must be an integer, got True"),
+        ({"n": 4.0}, r"n must be an integer, got 4\.0"),
+        ({"n": "4"}, "n must be an integer, got '4'"),
+    ], ids=["float-i", "float-j", "float-view", "bool-view", "float-n", "string-n"])
+    def test_non_integer_index_rejected(self, tmp_path, change, match):
+        # once truncated: edge (0.9, 2.5) loaded as (0, 2), view 1.7 as view 1
+        (tmp_path / "bad.json").write_text(json.dumps(dict(PARTIAL_MEASUREMENTS, **change)))
         with pytest.raises(ValidationError, match=match):
             load_measurements(tmp_path / "bad.json")
 
@@ -193,13 +213,15 @@ class TestPipelineVC:
 class TestDecompositionBudget:
     def test_recovery_decomposes_each_pair_once(self, monkeypatch):
         """Triplets share camera pairs; recovery decomposes each pair's
-        consensus block once, not once per triplet holding it."""
-        import colsfm.geometry
+        consensus block once, all of them in one stacked pass with one
+        cheirality vote, not once per triplet holding it."""
         import colsfm.pipeline
         import colsfm.recovery
 
-        averaged, decomposed = [], []
-        real_average, real_candidates = colsfm.pipeline.average, colsfm.geometry.essential_candidates
+        averaged, decomposed, voted = [], [], []
+        real_average = colsfm.pipeline.average
+        real_candidates = colsfm.recovery.essential_candidates
+        real_votes = colsfm.recovery.cheirality_votes
 
         def average(*args, **kwargs):
             averaged.append(real_average(*args, **kwargs))
@@ -207,19 +229,26 @@ class TestDecompositionBudget:
 
         def candidates(E):
             if averaged:  # recovery starts once averaging has returned
-                decomposed.append(np.asarray(E).tobytes())
+                decomposed.append([block.tobytes() for block in np.asarray(E)])
             return real_candidates(E)
 
+        def votes(*args):
+            if averaged:
+                voted.append(len(args[0]))
+            return real_votes(*args)
+
         monkeypatch.setattr(colsfm.pipeline, "average", average)
-        monkeypatch.setattr(colsfm.geometry, "essential_candidates", candidates)
         monkeypatch.setattr(colsfm.recovery, "essential_candidates", candidates)
+        monkeypatch.setattr(colsfm.recovery, "cheirality_votes", votes)
         scene = generate("mixed", 8, 12, seed=13)
         m, tracks = measure(scene, seed=113)
         out = run_pipeline(m, tracks, "vc", "calibrated", scene)
         assert out.report.n_reconstructed == 8
-        assert decomposed
-        assert len(decomposed) <= len(out.cover.covered_edges())
-        assert max(Counter(decomposed).values()) == 1
+        assert len(decomposed) == 1 and len(voted) == 1
+        blocks = decomposed[0]
+        assert len(blocks) <= len(out.cover.covered_edges())
+        assert max(Counter(blocks).values()) == 1
+        assert 1 < voted[0] < len(blocks)  # the real pairs with tracks, none virtual
 
 
 class TestPipelineNoVirtual:
@@ -240,6 +269,68 @@ class TestPipelineNoVirtual:
         m, tracks = measure(scene, seed=0)
         with pytest.raises(DegenerateEpipole):
             run_pipeline(m, tracks, "vc", "uncalibrated", scene, PipelineConfig(insert_virtual=False))
+
+
+def _first_failure(avg, cover, tracks, n, algorithm):
+    """The error of the first failing cover triplet in sorted order, each
+    triplet recovered on its own by calibrated_oracle, its pair poses taken
+    lazily; None when every triplet recovers."""
+    gate = 1e-3 if avg.converged else 0.5
+    for t in sorted(cover.triplets):
+        poses = (oracle.pair_pose(avg.consensus[e], tracks.tracks(e) if e[1] < n else None)
+                 for e in triplet_pairs(t))
+        try:
+            if algorithm == "r4":
+                oracle.recover_collinear(avg.triplet_matrix(t), poses, tracks.tracks(t),
+                                         triplet_id=t, cert_tol=gate, cycle_tol=gate)
+            else:
+                oracle.recover_general(poses, triplet_id=t, cycle_tol=gate)
+        except ValidationError as exc:
+            return exc
+    return None
+
+
+class TestRecoveryErrorOrder:
+    """A run whose recovery fails names the error of the first failing
+    triplet in sorted order, class and message, as per-triplet recovery does."""
+
+    def _run(self, monkeypatch, m, tracks, algorithm, cfg=None):
+        import colsfm.pipeline
+
+        captured, real_average = [], colsfm.pipeline.average
+
+        def average(*args, **kwargs):
+            captured.append((args[1], real_average(*args, **kwargs)))
+            return captured[-1][1]
+
+        monkeypatch.setattr(colsfm.pipeline, "average", average)
+        try:
+            got = run_pipeline(m, tracks, algorithm, "calibrated", None, cfg).report.failure_stage
+        except ValidationError as exc:
+            got = (type(exc), str(exc))
+        cover, avg = captured[0]
+        want = _first_failure(avg, cover, tracks, m.n, algorithm)
+        assert want is not None
+        if avg.converged:
+            assert got == (type(want), str(want))
+        else:
+            assert got == f"recovery after non-convergent averaging: {want}"
+        return want
+
+    def test_unconverged_vc_reports_first_failure(self, monkeypatch):
+        scene = generate("mixed", 9, 20, seed=96)
+        m, tracks = measure(scene, seed=0)
+        self._run(monkeypatch, m, tracks, "vc", PipelineConfig(insert_virtual=False))
+
+    def test_converged_r4_raises_first_failure(self, monkeypatch):
+        # no track holds both cameras 0 and 1, so the baseline pair of the
+        # first triplet keeps its direction sign free
+        scene = generate("collinear", 6, 20, seed=97)
+        m, tracks = measure(scene, seed=0)
+        visible = tracks.visible.copy()
+        visible[visible[:, 0], 1] = False
+        want = self._run(monkeypatch, m, TrackSet(tracks.points, visible), "r4")
+        assert isinstance(want, InsufficientTracks) and str(want).startswith("pair (0,1)")
 
 
 class TestPipelineDeterminism:

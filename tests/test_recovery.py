@@ -1,28 +1,34 @@
+import dataclasses
+from itertools import combinations
+
+import calibrated_oracle as oracle
 import numpy as np
 import pytest
 
 from colsfm.errors import (
+    AmbiguousCheirality,
     DegenerateEpipole,
     DegenerateGeometry,
     InconsistentInput,
     InsufficientTracks,
     NotConnected,
+    ValidationError,
 )
 from colsfm.geometry import (
     BifocalTensor,
     CameraModel,
     bifocal_from_pair,
+    essential_candidates,
     fundamental_from_projections,
     nearest_rotation,
     normalized_tensor,
     triangulate_dlt,
     unit,
 )
-from colsfm.graphs import _LOCAL_PAIRS, TripletCover, sequential_cover
+from colsfm.graphs import _LOCAL_PAIRS, TripletCover, pair_rows, sequential_cover
 from colsfm.metrics import align_similarity, mean_reprojection_error
 from colsfm.recovery import (
     TripletCameras,
-    TripletGeometry,
     _a_system_rows,
     _alpha_least_squares,
     _canonical_pair_cameras,
@@ -34,12 +40,12 @@ from colsfm.recovery import (
     recover_calibrated_general_triplet,
     recover_projective_collinear_triplet,
     recover_projective_general_triplet,
-    pair_pose,
+    pair_poses,
     register_global,
     resolve_essential_triplet,
 )
 from colsfm.synthetic import MeasurementNoise, generate, measure
-from conftest import geodesic_angle, seen_everywhere, seen_in, triplet_poses, unit_bifocal
+from conftest import geodesic_angle, seen_everywhere, seen_in, triplet_geometry, unit_bifocal
 
 
 def _local_tracks(scene, ids, n_points=None):
@@ -64,31 +70,32 @@ def _rebuilt_block_matches(P_i, P_j, tensor, tol=1e-8):
     return min(np.linalg.norm(a - b), np.linalg.norm(a + b)) < tol
 
 
+def _recover_general(E9, tracks2=None):
+    geom = triplet_geometry(E9, tracks2)
+    return recover_calibrated_general_triplet(geom, closure_scales(geom), 0)
+
+
 class TestResolveEssentialTriplet:
     def test_cycle_consistency_on_oracle(self):
         scene = generate("general", 3, 8, seed=50)
-        E = scene.exact_triplet((0, 1, 2))
-        blocks = {(i, j): E[3 * i:3 * i + 3, 3 * j:3 * j + 3] for (i, j) in ((0, 1), (0, 2), (1, 2))}
-        geom = resolve_essential_triplet([pair_pose(b) for b in blocks.values()])
-        assert geom.cycle_residual < 1e-9
-        for (i, j), R in geom.rotations.items():
+        geom = triplet_geometry(scene.exact_triplet((0, 1, 2)))
+        assert geom.cycle_residual[0] < 1e-9
+        for (i, j), R in zip(_LOCAL_PAIRS, geom.rotations[0]):
             Rtrue = scene.cameras[i].rotation.T @ scene.cameras[j].rotation
             assert geodesic_angle(R, Rtrue) < 1e-7
 
     def test_closure_scales_match_distances(self):
         scene = generate("general", 3, 8, seed=51)
         E = scene.exact_triplet((0, 1, 2))
-        blocks = {
-            (i, j): normalized_tensor(E[3 * i:3 * i + 3, 3 * j:3 * j + 3])
-            for (i, j) in ((0, 1), (0, 2), (1, 2))
-        }
-        geom = resolve_essential_triplet([pair_pose(b) for b in blocks.values()])
-        mu, signs, residual, _, _ = closure_scales(geom)
-        assert residual < 1e-9
+        blocks = [normalized_tensor(E[3 * i:3 * i + 3, 3 * j:3 * j + 3]) for (i, j) in _LOCAL_PAIRS]
+        closure = closure_scales(resolve_essential_triplet(pair_poses(blocks, [None] * 3), [[0, 1, 2]]))
+        assert closure.valid[0] and closure.residual[0] < 1e-9
         c = scene.centers()
         d01 = np.linalg.norm(c[0] - c[1])
-        assert mu[(0, 2)] == pytest.approx(np.linalg.norm(c[0] - c[2]) / d01, rel=1e-8)
-        assert mu[(1, 2)] == pytest.approx(np.linalg.norm(c[1] - c[2]) / d01, rel=1e-8)
+        mu01, mu02, mu12 = closure.mu[0]
+        assert mu01 == 1.0
+        assert mu02 == pytest.approx(np.linalg.norm(c[0] - c[2]) / d01, rel=1e-8)
+        assert mu12 == pytest.approx(np.linalg.norm(c[1] - c[2]) / d01, rel=1e-8)
 
 
 class TestEigenRotationAveraging:
@@ -96,10 +103,8 @@ class TestEigenRotationAveraging:
         from conftest import random_rotation
 
         Rs = [random_rotation(rng) for _ in range(5)]
-        rel = {
-            (i, j): Rs[i].T @ Rs[j] for i in range(5) for j in range(i + 1, 5)
-        }
-        Rh = eigen_rotation_averaging(rel, 5)
+        rel = [Rs[i].T @ Rs[j] for i in range(5) for j in range(i + 1, 5)]
+        Rh = eigen_rotation_averaging([rel])[0]
         W = Rs[0] @ Rh[0]  # global gauge
         for i in range(5):
             assert geodesic_angle(Rs[i] @ Rh[i], W) < 1e-7
@@ -110,7 +115,7 @@ class TestCalibratedCollinearRecovery:
         scene = generate("collinear", 3, 10, seed=52)
         E = scene.exact_triplet((0, 1, 2))
         tr2, tr3 = _local_tracks(scene, (0, 1, 2))
-        rec = recover_calibrated_collinear_triplet(E, triplet_poses(E, tr2), tr3)
+        rec = recover_calibrated_collinear_triplet(E, triplet_geometry(E, tr2), 0, tr3)
         est = np.vstack([_center(P) for P in rec.cameras])
         a = align_similarity(est, scene.centers())
         assert np.max(a.residuals) < 1e-8
@@ -130,7 +135,7 @@ class TestCalibratedCollinearRecovery:
             En[3 * i:3 * i + 3, 3 * j:3 * j + 3] = B
             En[3 * j:3 * j + 3, 3 * i:3 * i + 3] = B.T
         tr2, tr3 = _local_tracks(scene, (0, 1, 2))
-        rec = recover_calibrated_collinear_triplet(En, triplet_poses(En, tr2), tr3)
+        rec = recover_calibrated_collinear_triplet(En, triplet_geometry(En, tr2), 0, tr3)
         est = np.vstack([_center(P) for P in rec.cameras])
         assert np.max(align_similarity(est, scene.centers()).residuals) < 1e-8
 
@@ -160,7 +165,7 @@ class TestCalibratedCollinearRecovery:
             tr3.append(np.vstack(pts))
             for a, b in tr2:
                 tr2[(a, b)].append(np.vstack([pts[a], pts[b]]))
-        rec = recover_calibrated_collinear_triplet(E, triplet_poses(E, tr2), tr3)
+        rec = recover_calibrated_collinear_triplet(E, triplet_geometry(E, tr2), 0, tr3)
         assert rec.alpha_or_a == pytest.approx(2.0, abs=1e-8)
 
     def test_no_three_view_tracks_rejected(self):
@@ -168,7 +173,7 @@ class TestCalibratedCollinearRecovery:
         E = scene.exact_triplet((0, 1, 2))
         tr2, _ = _local_tracks(scene, (0, 1, 2))
         with pytest.raises(InsufficientTracks):
-            recover_calibrated_collinear_triplet(E, triplet_poses(E, tr2), [])
+            recover_calibrated_collinear_triplet(E, triplet_geometry(E, tr2), 0, [])
 
     def test_inconsistent_input_rejected(self, rng):
         S = rng.normal(size=(9, 9))
@@ -176,7 +181,7 @@ class TestCalibratedCollinearRecovery:
         for i in range(3):
             S[3 * i:3 * i + 3, 3 * i:3 * i + 3] = 0
         with pytest.raises(InconsistentInput):
-            recover_calibrated_collinear_triplet(S, triplet_poses(S), [])
+            recover_calibrated_collinear_triplet(S, triplet_geometry(S), 0, [])
 
 
 class TestCalibratedGeneralRecovery:
@@ -184,7 +189,7 @@ class TestCalibratedGeneralRecovery:
         scene = generate("general", 3, 8, seed=55)
         E = scene.exact_triplet((0, 1, 2))
         tr2, _ = _local_tracks(scene, (0, 1, 2))
-        rec = recover_calibrated_general_triplet(triplet_poses(E, tr2))
+        rec = _recover_general(E, tr2)
         est = np.vstack([_center(P) for P in rec.cameras])
         a = align_similarity(est, scene.centers())
         assert np.max(a.residuals) < 1e-8
@@ -194,7 +199,7 @@ class TestCalibratedGeneralRecovery:
         E = scene.exact_triplet((0, 1, 2))
         tr2, _ = _local_tracks(scene, (0, 1, 2))
         only01 = {(0, 1): tr2[(0, 1)]}
-        rec = recover_calibrated_general_triplet(triplet_poses(E, only01))
+        rec = _recover_general(E, only01)
         est = np.vstack([_center(P) for P in rec.cameras])
         assert np.max(align_similarity(est, scene.centers()).residuals) < 1e-8
 
@@ -202,7 +207,7 @@ class TestCalibratedGeneralRecovery:
         scene = generate("general", 3, 8, seed=57)
         E = scene.exact_triplet((0, 1, 2))
         with pytest.raises(InsufficientTracks):
-            recover_calibrated_general_triplet(triplet_poses(E))
+            _recover_general(E)
 
 
 class TestProjectiveCollinearRecovery:
@@ -299,7 +304,7 @@ class TestRegisterGlobal:
             tr3 = ts.tracks(ids)
             tr2 = {(a, b): ts.tracks((ids[a], ids[b])) for (a, b) in ((0, 1), (0, 2), (1, 2))}
             rec = recover_calibrated_collinear_triplet(
-                E, triplet_poses(E, tr2), tr3, triplet_id=tuple(ids)
+                E, triplet_geometry(E, tr2), 0, tr3, triplet_id=tuple(ids)
             )
             out.append(rec)
         return out
@@ -506,10 +511,12 @@ class TestStackedTrackSolves:
 
 
 def _closure_loop(geom):
-    """Oracle: the former closure search, one SVD per sign branch."""
-    Rh = eigen_rotation_averaging(geom.rotations, 3)
-    d = {k: Rh[k[0]].T @ geom.t_dirs[k] for k in _LOCAL_PAIRS}
-    opts = {k: ((1.0,) if geom.sign_known[k] else (1.0, -1.0)) for k in _LOCAL_PAIRS}
+    """Oracle: the closure search with one SVD per sign branch, on a
+    per-triplet geometry of calibrated_oracle."""
+    rotations, t_dirs, sign_known, _ = geom
+    Rh = oracle.eigen_rotation_averaging(rotations, 3)
+    d = {k: Rh[k[0]].T @ t_dirs[k] for k in _LOCAL_PAIRS}
+    opts = {k: ((1.0,) if sign_known[k] else (1.0, -1.0)) for k in _LOCAL_PAIRS}
     best = None
     for s01 in opts[(0, 1)]:
         for s02 in opts[(0, 2)]:
@@ -548,48 +555,82 @@ def _eigen_rotation_loop(rel, m):
     return list(nearest_rotation(B))
 
 
+def _stack(per_triplet_blocks, per_triplet_points=None):
+    """pair_poses and resolve_essential_triplet over triplets given as lists
+    of three blocks (and three 2-view track sets, or None) each."""
+    T = len(per_triplet_blocks)
+    points = [p for row in (per_triplet_points or [[None] * 3] * T) for p in row]
+    poses = pair_poses(np.reshape(per_triplet_blocks, (3 * T, 3, 3)), points)
+    return poses, resolve_essential_triplet(poses, np.arange(3 * T).reshape(T, 3))
+
+
+def _assert_closure_row(closure, geom, k, old):
+    """Row k of the stacked geometry and closure equals calibrated_oracle's
+    per-triplet closure_scales on the same triplet."""
+    want = oracle.closure_scales(old)
+    assert bool(closure.valid[k]) == (want is not None)
+    if want is None:
+        return False
+    mu, signs, residual, Rh, d = want
+    assert closure.mu[k].tolist() == [mu[p] for p in _LOCAL_PAIRS]
+    assert closure.signs[k].tolist() == [signs[p] for p in _LOCAL_PAIRS]
+    assert closure.residual[k] == residual
+    assert np.array_equal(geom.averaged[k], Rh)
+    assert all(np.array_equal(closure.dirs[k, c], d[p]) for c, p in enumerate(_LOCAL_PAIRS))
+    return True
+
+
 class TestStackedClosure:
     """The stacked closure search and the block-matrix rotation averaging
-    against the loops they replaced, compared bit for bit."""
+    against the per-triplet code and the loops it replaced, bit for bit."""
 
     def test_closure_equals_per_branch_loop(self):
         rng = np.random.default_rng(5)
-        found = missing = 0
+        blocks, flips, known = [], [], []
         for seed in range(25):
             scene = generate("general", 3, 8, seed=600 + seed)
             m, _ = measure(scene, MeasurementNoise(1.0, 1.0), seed=seed)
-            geom = resolve_essential_triplet([pair_pose(m.block(*e)) for e in _LOCAL_PAIRS],
-                                             cycle_tol=np.inf)
             for _ in range(6):
-                flips = rng.choice([-1.0, 1.0], size=3)
-                g = TripletGeometry(
-                    geom.rotations,
-                    {k: f * geom.t_dirs[k] for k, f in zip(_LOCAL_PAIRS, flips)},
-                    dict(zip(_LOCAL_PAIRS, (rng.uniform(size=3) < 0.5).tolist())),
-                    geom.cycle_residual,
-                )
-                want, got = _closure_loop(g), closure_scales(g)
-                if want is None:
-                    assert got is None
-                    missing += 1
-                    continue
+                blocks.append([m.block(*e) for e in _LOCAL_PAIRS])
+                flips.append(rng.choice([-1.0, 1.0], size=3))
+                known.append(rng.uniform(size=3) < 0.5)
+        _, geom = _stack(blocks)
+        # free direction signs and mixed sign_known, as cheirality leaves them
+        geom = dataclasses.replace(geom, t_dirs=geom.t_dirs * np.array(flips)[..., None],
+                                   sign_known=np.array(known))
+        closure = closure_scales(geom)
+        found = missing = 0
+        for k, row in enumerate(blocks):
+            rot, t_dirs, _, residual = oracle.resolve_essential_triplet(
+                [oracle.pair_pose(b) for b in row], cycle_tol=np.inf)
+            assert geom.cycle_residual[k] == residual
+            old = (rot, {p: f * t_dirs[p] for p, f in zip(_LOCAL_PAIRS, flips[k])},
+                   dict(zip(_LOCAL_PAIRS, known[k].tolist())), residual)
+            if _assert_closure_row(closure, geom, k, old):
                 found += 1
-                assert got[:3] == want
-                assert all(np.array_equal(a, b) for a, b in zip(
-                    got[3], eigen_rotation_averaging(g.rotations, 3)))
-                for k in _LOCAL_PAIRS:
-                    assert np.array_equal(got[4][k], got[3][k[0]].T @ g.t_dirs[k])
+                mu, signs = closure.mu[k], closure.signs[k]
+                assert _closure_loop(old) == (
+                    {(0, 1): mu[0], (1, 2): mu[2], (0, 2): mu[1]},
+                    dict(zip(_LOCAL_PAIRS, signs.tolist())), closure.residual[k])
+            else:
+                assert _closure_loop(old) is None
+                missing += 1
         assert found > 0 and missing > 0  # both outcomes exercised
 
     def test_rotation_averaging_equals_loop(self, rng):
         from conftest import random_rotation
 
         for m in (3, 4, 6):
-            Rs = [random_rotation(rng) for _ in range(m)]
-            rel = {(i, j): Rs[i].T @ Rs[j] + 1e-3 * rng.normal(size=(3, 3))
-                   for i in range(m) for j in range(i + 1, m)}
-            want = _eigen_rotation_loop(rel, m)
-            assert all(np.array_equal(a, b) for a, b in zip(eigen_rotation_averaging(rel, m), want))
+            stack = []
+            for _ in range(4):
+                Rs = [random_rotation(rng) for _ in range(m)]
+                stack.append({(i, j): Rs[i].T @ Rs[j] + 1e-3 * rng.normal(size=(3, 3))
+                              for i in range(m) for j in range(i + 1, m)})
+            got = eigen_rotation_averaging([list(rel.values()) for rel in stack])
+            for rel, Rh in zip(stack, got):
+                want = _eigen_rotation_loop(rel, m)
+                assert all(np.array_equal(a, b) for a, b in zip(Rh, want))
+                assert all(np.array_equal(a, b) for a, b in zip(Rh, oracle.eigen_rotation_averaging(rel, m)))
 
 
 def _homography_loop(parent, child, shared):
@@ -619,3 +660,170 @@ def test_edge_homography_equals_entrywise_assembly(rng):
         child = TripletCameras((1, 2, 3), [P[1] @ H, P[2] @ H, P[3]], "projective", None)
         assert np.array_equal(_edge_homography(parent, child, [1, 2]),
                               _homography_loop(parent, child, [1, 2]))
+
+
+# -- the stacked calibrated passes against calibrated_oracle, bit for bit ----
+
+# the scene kinds of the calibrated benchmark workloads (collinear and
+# mixed, noise-free and noisy), plus general position
+SCENE_KINDS = (
+    ("collinear", 0.0), ("collinear", 0.5), ("mixed", 0.0), ("mixed", 0.5), ("general", 0.5),
+)
+
+
+def _scene_stack(layout, noise, seed):
+    """Every pair and every triplet of a measured 7-camera scene: the pair
+    blocks, their 2-view tracks (every third pair left without tracks,
+    one given an empty array), the triplets and their rows."""
+    scene = generate(layout, 7, 12, seed=seed)
+    m, ts = measure(scene, MeasurementNoise(noise, noise, 1e-3 * noise), seed=seed)
+    triplets = sorted(combinations(range(7), 3))
+    pairs, rows = pair_rows(triplets)
+    points = [None if k % 3 == 2 else ts.tracks(e) for k, e in enumerate(pairs)]
+    points[0] = np.zeros((0, 2, 3))
+    return m, ts, triplets, pairs, rows, np.array([m.block(*e) for e in pairs]), points
+
+
+def _result_or_error(fn, *args, **kwargs):
+    """fn's result, or the class and message of the ValidationError it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except ValidationError as exc:
+        return type(exc), str(exc)
+
+
+def _same_outcome(got, want):
+    if isinstance(want, tuple):
+        return got == want
+    return (not isinstance(got, tuple) and got.triplet_id == want.triplet_id
+            and got.alpha_or_a == want.alpha_or_a
+            and all(np.array_equal(a, b) for a, b in zip(got.cameras, want.cameras)))
+
+
+def _random_cameras(rng):
+    from conftest import random_rotation
+
+    return [CameraModel(np.eye(3), random_rotation(rng), rng.normal(size=3)) for _ in range(2)]
+
+
+def _tie_points(block, rng):
+    """2-view tracks on which two candidates of block get two votes each."""
+    Ra, Rb, t = essential_candidates(block)
+    pts = []
+    for R in (Ra, Rb):
+        placed = 0
+        while placed < 2:
+            X = rng.normal(size=3) * 10.0 ** rng.uniform(-3, 1)  # near and far points
+            y = R.T @ (X + t)
+            if X[2] > 0 and y[2] > 0:
+                pts.append([X / X[2], y / y[2]])
+                placed += 1
+    return np.array(pts)
+
+
+class TestStackedPairPoses:
+    @pytest.mark.parametrize("layout,noise", SCENE_KINDS)
+    def test_scene_pair_stack_equals_per_pair_oracle(self, layout, noise):
+        _, _, _, pairs, _, blocks, points = _scene_stack(layout, noise, seed=31)
+        poses = pair_poses(blocks, points)
+        assert 0 < np.count_nonzero(poses.sign_known) < len(pairs)
+        for k in range(len(pairs)):
+            want = _result_or_error(oracle.pair_pose, blocks[k], points[k])
+            if isinstance(want, tuple) and len(want) == 2:  # a tie
+                assert want == (AmbiguousCheirality, poses.errors[k])
+                continue
+            rotations, t, known = want
+            assert poses.errors[k] is None and bool(poses.sign_known[k]) == known
+            assert np.array_equal(poses.t_dirs[k], t)
+            # a picked rotation fills both branch slots
+            assert np.array_equal(poses.rotations[k], rotations * (2 // len(rotations)))
+
+    def test_random_stacks_with_ties_equal_per_pair_oracle(self, rng):
+        ties = 0
+        for trial in range(20):
+            K = int(rng.integers(1, 10))
+            blocks = np.array([bifocal_from_pair(*_random_cameras(rng)).matrix for _ in range(K)])
+            points = []
+            for k in range(K):
+                kind = rng.random()
+                if kind < 0.2:
+                    points.append(None)
+                elif kind < 0.4:
+                    points.append(_tie_points(blocks[k], rng))
+                else:
+                    points.append(rng.normal(size=(int(rng.integers(1, 15)), 2, 3)) + [0, 0, 1.0])
+            poses = pair_poses(blocks, points)
+            for k in range(K):
+                want = _result_or_error(oracle.pair_pose, blocks[k], points[k])
+                if len(want) == 2:
+                    assert want == (AmbiguousCheirality, poses.errors[k])
+                    ties += 1
+                    continue
+                assert poses.errors[k] is None and bool(poses.sign_known[k]) == want[2]
+                assert np.array_equal(poses.t_dirs[k], want[1])
+                assert np.array_equal(poses.rotations[k], want[0] * (2 // len(want[0])))
+        assert ties > 0
+
+    def test_one_dlt_svd_per_stage(self, monkeypatch):
+        # one candidate SVD and one cheirality DLT SVD, whatever the pair count
+        _, _, _, _, _, blocks, points = _scene_stack("mixed", 0.5, seed=32)
+        real_svd, calls = np.linalg.svd, []
+
+        def svd(A, *args, **kwargs):
+            calls.append(np.shape(A))
+            return real_svd(A, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        for K in (1, 5, len(blocks)):
+            calls.clear()
+            pair_poses(blocks[:K], [points[1]] * K)
+            assert [c[-2:] for c in calls] == [(3, 3), (6, 4)]
+            assert calls[1][:2] == (2, K * len(points[1]))
+
+
+class TestStackedTriplets:
+    @pytest.mark.parametrize("layout,noise", SCENE_KINDS)
+    def test_scene_triplets_equal_per_triplet_oracle(self, layout, noise):
+        m, ts, triplets, pairs, rows, blocks, points = _scene_stack(layout, noise, seed=33)
+        geom = resolve_essential_triplet(pair_poses(blocks, points), rows)
+        closure = closure_scales(geom)
+        for k, row in enumerate(rows):
+            old = oracle.resolve_essential_triplet(
+                [oracle.pair_pose(blocks[p], points[p]) for p in row], cycle_tol=np.inf)
+            rotations, t_dirs, known, residual = old
+            assert geom.cycle_residual[k] == residual
+            for c, p in enumerate(_LOCAL_PAIRS):
+                assert np.array_equal(geom.rotations[k, c], rotations[p])
+                assert np.array_equal(geom.t_dirs[k, c], t_dirs[p])
+                assert bool(geom.sign_known[k, c]) == known[p]
+            _assert_closure_row(closure, geom, k, old)
+
+    @pytest.mark.parametrize("layout,noise", SCENE_KINDS)
+    def test_recovery_rows_equal_per_triplet_oracle(self, layout, noise):
+        # the same cameras, or the same error class and message, row by row:
+        # pair ties, cycles above the gate, pairs (0,1) without tracks, no
+        # signed pair, no closing branch and failing certificates included
+        m, ts, triplets, pairs, rows, blocks, points = _scene_stack(layout, noise, seed=34)
+        points[len(pairs) // 2] = _tie_points(blocks[len(pairs) // 2], np.random.default_rng(1))
+        geom = resolve_essential_triplet(pair_poses(blocks, points), rows)
+        closure = closure_scales(geom)
+        seen = set()
+        for gate in (1e-3, 0.5):
+            for k, (ids, row) in enumerate(zip(triplets, rows)):
+                def lazy():
+                    return (oracle.pair_pose(blocks[p], points[p]) for p in row)
+
+                got = _result_or_error(recover_calibrated_general_triplet, geom, closure, k,
+                                       triplet_id=ids, cycle_tol=gate)
+                want = _result_or_error(oracle.recover_general, lazy(), triplet_id=ids,
+                                        cycle_tol=gate)
+                assert _same_outcome(got, want)
+                seen.add(("general", want[0] if isinstance(want, tuple) else "ok"))
+                E9, tr3 = m.submatrix(ids), ts.tracks(ids)
+                got = _result_or_error(recover_calibrated_collinear_triplet, E9, geom, k, tr3,
+                                       triplet_id=ids, cert_tol=gate, cycle_tol=gate)
+                want = _result_or_error(oracle.recover_collinear, E9, lazy(), tr3,
+                                        triplet_id=ids, cert_tol=gate, cycle_tol=gate)
+                assert _same_outcome(got, want)
+                seen.add(("collinear", want[0] if isinstance(want, tuple) else "ok"))
+        assert ("general", AmbiguousCheirality) in seen and len(seen) >= 4

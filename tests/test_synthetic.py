@@ -216,7 +216,7 @@ class TestMeasure:
             for (i, j), t in m.blocks.items():
                 Rtrue = scene.cameras[i].rotation.T @ scene.cameras[j].rotation
                 best = np.inf
-                for R, _tdir in essential_candidates(t.matrix):
+                for R in essential_candidates(t.matrix)[:2]:  # the two rotation branches
                     best = min(best, geodesic_angle(R, Rtrue))
                 errs.append(np.rad2deg(best))
             seed += 1
@@ -259,6 +259,21 @@ class TestTrackSet:
         assert pairs.shape == (7, 2, 3)
         x = triples[2, 2]  # view 3, the third column
         assert np.allclose(x, scene.cameras[3].project(scene.points[2]))
+
+    def test_one_projection_matrix_per_camera(self, monkeypatch):
+        scene = generate("collinear", 5, 9, seed=9)
+        want = [[c.project(X) for c in scene.cameras] for X in scene.points]
+        built = []
+        real = synthetic.CameraModel.projection_matrix
+
+        def projection_matrix(cam):
+            built.append(cam)
+            return real(cam)
+
+        monkeypatch.setattr(synthetic.CameraModel, "projection_matrix", projection_matrix)
+        ts = scene.track_set()
+        assert len(built) == scene.n
+        assert np.array_equal(ts.points, np.array(want))
 
     def test_observations_checked_once_at_construction(self):
         good = [0.1, 0.2, 1.0]
