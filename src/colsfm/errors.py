@@ -72,10 +72,6 @@ class DegenerateEpipole(ValidationError):
     """Epipole extraction or the camera solve is rank deficient."""
 
 
-class MissingRecovery(ValidationError):
-    """Projective virtual tensors need recovered cameras first."""
-
-
 class NoValidPoint(ValidationError):
     """No candidate track survives the epipole-margin filter."""
 

@@ -162,18 +162,6 @@ class BifocalTensor:
         return s[0] > 0 and s[1] > tol * s[0] and s[2] <= tol * s[0]
 
 
-def oriented_pairs(tensors: dict) -> dict:
-    """Pair tensors re-keyed (i, j) with i < j.  One given under a reversed
-    key (j, i) is F_ji = F_ij^T, so it is transposed back."""
-    out = {}
-    for (i, j), t in tensors.items():
-        if i > j:
-            t = (BifocalTensor(t.matrix.T, t.kind)
-                 if isinstance(t, BifocalTensor) else _as_matrix(t).T)
-        out[(min(i, j), max(i, j))] = t
-    return out
-
-
 def _as_matrix(t: BifocalTensor | np.ndarray) -> np.ndarray:
     """The 3x3 float matrix of a tensor or of a plain array."""
     return t.matrix if isinstance(t, BifocalTensor) else np.asarray(t, dtype=float)
@@ -208,23 +196,26 @@ def fundamental_from_projections(Pi: np.ndarray, Pj: np.ndarray) -> np.ndarray:
     return _COFACTOR_SIGNS * np.linalg.det(np.concatenate([Ai, Aj], axis=2))
 
 
-def epipole(t: BifocalTensor | np.ndarray, side: str) -> np.ndarray:
-    """Unit-norm null vector of a rank-2 tensor.
-
-    side="right": F e = 0, the epipole in image j (image of center i).
-    side="left":  e^T F = 0, the epipole in image i (image of center j).
-    Sign fixed so the largest-magnitude component is positive.
-    """
-    U, s, Vt = np.linalg.svd(_as_matrix(t))
-    if s[1] < 1e-9 * s[0]:
+def epipoles(F) -> np.ndarray:
+    """Both unit-norm null vectors of each rank-2 tensor of a (K, 3, 3)
+    stack, from one SVD: (K, 2, 3), [k, 0] the left epipole (e^T F = 0, in
+    image i, the image of center j) and [k, 1] the right one (F e = 0, in
+    image j, the image of center i).  Signs fixed so the largest-magnitude
+    component is positive."""
+    U, s, Vt = np.linalg.svd(np.asarray(F, dtype=float).reshape(-1, 3, 3))
+    if np.any(s[:, 1] < 1e-9 * s[:, 0]):
         raise RankDeficient("tensor has a two-dimensional null space")
-    if side == "right":
-        e = Vt[2]
-    elif side == "left":
-        e = U[:, 2]
-    else:
+    e = np.stack([U[..., 2], Vt[:, 2]], axis=1)
+    big = np.take_along_axis(e, np.argmax(np.abs(e), axis=-1)[..., None], axis=-1)
+    return np.where(big < 0, -e, e)
+
+
+def epipole(t: BifocalTensor | np.ndarray, side: str) -> np.ndarray:
+    """The `epipoles` row of one tensor on one side, "left" or "right"."""
+    e = epipoles(_as_matrix(t))[0]
+    if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    return fix_sign(e)
+    return e[0] if side == "left" else e[1]
 
 
 def symmetric_epipolar_distance(

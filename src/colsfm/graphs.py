@@ -8,6 +8,11 @@ Every dual-graph question is answered from one index, built in O(T) from T
 triplets: each sorted camera pair -> the triplets holding it.  Two triplets
 are dual neighbours iff they share a bucket and differ as camera sets, so an
 adjacency costs the sum of squared bucket sizes instead of O(T^2) pair tests.
+
+Triplet-wise tensor data is stacked over the camera pairs of a cover
+(`pair_rows`): one `collinearity_score` call scores every triplet from an
+epipole table of those pairs, and `insert_virtual_and_prune` is handed the
+virtual camera of each collinear triplet, so it only replaces and prunes.
 """
 
 from __future__ import annotations
@@ -20,9 +25,12 @@ from itertools import combinations
 import numpy as np
 
 from .errors import NoTriangles, TooFewCameras, Unconnectable
-from .geometry import epipole, oriented_pairs
 
 _LOCAL_PAIRS = ((0, 1), (0, 2), (1, 2))  # the three pairs of a triplet, in local view ids
+# the six epipoles of a triplet, two per view v: (v, local pair, side) of each
+# pair holding v in `_LOCAL_PAIRS` order, side 0 (left) in view i, 1 (right) in view j
+_VIEW_EPIPOLES = np.array([(v, p, int(v == j)) for v in range(3)
+                           for p, (i, j) in enumerate(_LOCAL_PAIRS) if v in (i, j)])
 
 
 @dataclass
@@ -245,26 +253,24 @@ def _shortest_dual_path(candidates: set, src: set, dst: set):
     return None
 
 
-def collinearity_score(cams_or_tensors) -> float:
+def collinearity_score(cams_or_epipoles, rows=None):
     """0 = perfectly collinear triplet, 1 = maximally spread.
 
     With camera centers: sigma_2 / sigma_1 of the centered center matrix.
-    With the three pairwise tensors: the smallest epipole-coincidence angle
-    across the views (sine of the angle between the two epipoles seen in one
-    image), which vanishes exactly when the centers are aligned.
+    With a (P, 2, 3) `geometry.epipoles` table of pair tensors and the (T, 3)
+    rows of T triplets' local pairs in it: the (T,) scores, each the smallest
+    epipole-coincidence angle across the views (sine of the angle between
+    the two epipoles seen in one image), which vanishes exactly when the
+    centers are aligned.
     """
-    if isinstance(cams_or_tensors, dict):
-        tensors = oriented_pairs(cams_or_tensors)
-        best = np.inf
-        for v in range(3):
-            e, f = (epipole(tensors[p], "left" if v == p[0] else "right")
-                    for p in _LOCAL_PAIRS if v in p)
-            c = abs(float(np.dot(e, f)))
-            angle = np.arccos(np.clip(c, 0.0, 1.0))
-            best = min(best, float(np.sin(angle)))
-        return best
+    if rows is not None:
+        e = cams_or_epipoles[np.asarray(rows)[:, _VIEW_EPIPOLES[:, 1]], _VIEW_EPIPOLES[:, 2]]
+        # matmul rounds each per-view product as np.dot does; an elementwise
+        # sum can differ in the last bit, which scores near 0 amplify
+        c = np.abs((e[:, 0::2, None, :] @ e[:, 1::2, :, None])[..., 0, 0])  # (T, view)
+        return np.min(np.sin(np.arccos(np.clip(c, 0.0, 1.0))), axis=1)
     centers = np.vstack([
-        c.center if hasattr(c, "center") else np.asarray(c, dtype=float) for c in cams_or_tensors
+        c.center if hasattr(c, "center") else np.asarray(c, dtype=float) for c in cams_or_epipoles
     ])
     C = centers - centers.mean(axis=0)
     s = np.linalg.svd(C, compute_uv=False)
@@ -273,34 +279,18 @@ def collinearity_score(cams_or_tensors) -> float:
     return float(s[1] / s[0])
 
 
-def insert_virtual_and_prune(
-    cover: TripletCover,
-    threshold: float,
-    score_fn,
-    virtual_builder,
-) -> TripletCover:
-    """Replace collinear triplets (score below threshold) with the three
-    sub-triplets against a fresh virtual camera, then greedily prune.
+def insert_virtual_and_prune(cover: TripletCover, virtual_nodes: dict) -> TripletCover:
+    """Replace each cover triplet that virtual_nodes maps to a virtual camera
+    id by its three sub-triplets against that camera, then greedily prune.
 
-    virtual_builder(triplet) -> virtual camera id (and is expected to make
-    the virtual tensors available to the caller).  Pruning removes a triplet
-    when the dual graph stays connected, every camera stays covered, at least
-    two sub-triplets of each virtual insertion remain, and every real edge
-    outside the replaced triplets stays covered.
+    Pruning removes a triplet when the dual graph stays connected, every
+    camera stays covered, at least two sub-triplets of each virtual insertion
+    remain, and every real edge outside the replaced triplets stays covered.
     """
-    triplets = list(cover.triplets)
-    virtual_nodes = dict(cover.virtual_nodes)
-    replaced = {}
-    for t in list(triplets):
-        if score_fn(t) < threshold:
-            vid = virtual_builder(t)
-            virtual_nodes[t] = vid
-            triplets.remove(t)
-            a, b, c = t
-            subs = [tuple(sorted(x)) for x in ((a, b, vid), (a, c, vid), (b, c, vid))]
-            triplets.extend(subs)
-            replaced[t] = subs
-
+    replaced = {t: [tuple(sorted((*p, virtual_nodes[t]))) for p in triplet_pairs(t)]
+                for t in cover.triplets if t in virtual_nodes}
+    triplets = [t for t in cover.triplets if t not in replaced]
+    triplets += [s for subs in replaced.values() for s in subs]
     required_edges = {p for t in triplets if not any(t in subs for subs in replaced.values())
                       for p in triplet_pairs(t)}
     pruned = sorted(set(triplets))
@@ -338,4 +328,5 @@ def insert_virtual_and_prune(
                 cameras.subtract(t)
                 edges.subtract(triplet_pairs(t))
                 subs_left.update({o: n - 1 for o, n in subs_left.items() if t in replaced[o]})
+    virtual_nodes = {**cover.virtual_nodes, **{t: virtual_nodes[t] for t in replaced}}
     return TripletCover.from_triplets([t for t in pruned if t not in dropped], virtual_nodes)

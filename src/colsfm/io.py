@@ -59,7 +59,7 @@ def load_scene(path) -> Scene:
         points = np.array(doc["points"], dtype=float).reshape(-1, 3)
     except (KeyError, ValueError) as exc:
         raise ValidationError(f"malformed scene file: {exc}") from exc
-    return Scene(cams, points, doc.get("layout", "unknown"), int(doc.get("seed", 0)))
+    return Scene(cams, points, doc.get("layout", "unknown"), _index(doc.get("seed", 0), "seed"))
 
 
 def save_measurements(nview: NViewBifocal, tracks: TrackSet | None, path) -> None:
@@ -85,8 +85,8 @@ def save_measurements(nview: NViewBifocal, tracks: TrackSet | None, path) -> Non
 
 
 def _index(value, field: str) -> int:
-    """An integer field of a measurements file: a float, bool or string there
-    is rejected, never truncated to an index."""
+    """An integer field of an input file: a float, bool or string there is
+    rejected, never truncated to an integer."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValidationError(f"{field} must be an integer, got {value!r}")
     return value
@@ -138,9 +138,15 @@ def save_cameras(cameras, frame: str, path) -> None:
 
 def load_cameras(path):
     doc = _load(path)
+    entries = doc.get("cameras") if isinstance(doc, dict) else None
+    if not isinstance(entries, list):
+        raise ValidationError("malformed cameras file: no 'cameras' list")
     cams = []
-    for c in doc["cameras"]:
-        cams.append(None if c["P"] is None else np.array(c["P"], dtype=float).reshape(3, 4))
+    for k, c in enumerate(entries):
+        try:
+            cams.append(None if c["P"] is None else np.array(c["P"], dtype=float).reshape(3, 4))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValidationError(f"camera {k}: P must be null or 12 numbers ({exc})") from exc
     return cams, doc.get("frame", "euclidean")
 
 

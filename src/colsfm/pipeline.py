@@ -7,6 +7,9 @@ sequential cover at rank 4 and recovers collinear triplets.  "vc" (mixed
 collinearity) replaces the collinear triplets of the enriched heuristic
 cover by sub-triplets against virtual cameras, averages at rank 6, recovers
 general-position triplets and drops the virtual cameras after registration.
+The "vc" cover stage is stacked passes over the cover's pairs: one epipole
+table, one score pass over all triplets, one pose pass for every essential
+virtual camera, then each collinear triplet's track and virtual tensors.
 A calibrated run resolves the geometry of all its triplets in stacked passes
 before recovery; each per-triplet recovery call reads its row.
 
@@ -17,16 +20,15 @@ call.
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .averaging import AdmmConfig, AveragingResult, average
-from .errors import ValidationError
+from .errors import RotationAmbiguity, ValidationError
+from .geometry import epipoles
 from .graphs import (
-    _LOCAL_PAIRS,
     TripletCover,
     ViewingGraph,
     collinearity_score,
@@ -50,7 +52,12 @@ from .recovery import (
     resolve_essential_triplet,
 )
 from .synthetic import Scene, TrackSet
-from .virtual import select_virtual_point, virtual_bifocals
+from .virtual import (
+    select_virtual_point,
+    v_matrices_from_cameras,
+    v_matrices_from_essentials,
+    virtual_bifocals,
+)
 
 
 @dataclass
@@ -82,8 +89,11 @@ def _calibrated_geometry(algorithm, avg: AveragingResult, tracks: TrackSet, n_re
     return geom, (closure_scales(geom) if algorithm == "vc" else None)
 
 
-def _triplet_tensor_dict(nview: NViewBifocal, ids):
-    return {loc: nview.block(*e) for loc, e in zip(_LOCAL_PAIRS, triplet_pairs(ids))}
+def _pair_blocks(nview: NViewBifocal, triplets):
+    """The (P, 3, 3) blocks of the triplets' camera pairs (`pair_rows`) and
+    the (T, 3) rows of every triplet's local pairs among them."""
+    pairs, rows = pair_rows(triplets)
+    return np.array([nview.block(*e) for e in pairs]), rows
 
 
 def _evaluate(cameras, n_real, tracks, scene_gt, regime, algorithm, converged, failure=None):
@@ -124,36 +134,38 @@ def _evaluate(cameras, n_real, tracks, scene_gt, regime, algorithm, converged, f
 
 def _virtual_cover(measurements: NViewBifocal, tracks: TrackSet, cfg: PipelineConfig):
     """The enriched heuristic cover with each collinear triplet replaced by
-    sub-triplets against a virtual camera; returns the cover and the
-    measurements extended by the virtual cameras' tensors."""
+    sub-triplets against a virtual camera, numbered n + k in cover order;
+    returns the cover and the measurements extended by the virtual cameras'
+    tensors.  One epipole table of the cover pairs feeds one score pass and
+    every point selection, and one pose pass gives the V-matrices of every
+    essential virtual camera."""
     n = measurements.n
     g = ViewingGraph.from_edges(n, [(i, j, 1.0) for (i, j) in measurements.edges()])
     cover = enrich_connectivity(heuristic_cover(g), g.triangles())
+    if not cfg.insert_virtual:
+        return cover, measurements
+    F, rows = _pair_blocks(measurements, cover.triplets)
+    table = epipoles(F)
+    marked = np.flatnonzero(collinearity_score(table, rows) < cfg.collinearity_threshold)
+    collinear = [cover.triplets[k] for k in marked]
+    tracks3 = [tracks.tracks(t) for t in collinear]
+    if measurements.kind == "essential":
+        V, ties = v_matrices_from_essentials(F[rows[marked]], tracks3)
     blocks = dict(measurements.blocks)
-    virtual_ids = itertools.count(n)
-
-    def builder(t):
-        tensors = _triplet_tensor_dict(measurements, t)
-        tr3 = tracks.tracks(sorted(t))
-        track = select_virtual_point(tr3, tensors)
+    for k, t in enumerate(collinear):
+        r = rows[marked[k]]
+        track = select_virtual_point(tracks3[k], F[r], table[r])
         if measurements.kind == "essential":
-            vb = virtual_bifocals(tensors, track, "essential", tracks=tr3)
+            if ties[k] is not None:
+                raise RotationAmbiguity(ties[k])
+            Vk = V[k]
         else:
-            rec = recover_projective_collinear_triplet(
-                tensors[(0, 1)], tensors[(1, 2)], tensors[(0, 2)], tr3
-            )
-            vb = virtual_bifocals(rec, track, "fundamental")
-        vid = next(virtual_ids)
-        blocks.update(((i, vid), tensor) for i, tensor in zip(sorted(t), vb))
-        return vid
-
-    if cfg.insert_virtual:
-        cover = insert_virtual_and_prune(
-            cover, cfg.collinearity_threshold,
-            lambda t: collinearity_score(_triplet_tensor_dict(measurements, t)), builder,
-        )
-    n_total = n + len(cover.virtual_nodes)
-    return cover, NViewBifocal.assemble(n_total, blocks, kind=measurements.kind, strict=False)
+            Vk = v_matrices_from_cameras(
+                recover_projective_collinear_triplet(F[r[0]], F[r[2]], F[r[1]], tracks3[k]))
+        blocks.update(((i, n + k), b) for i, b in zip(t, virtual_bifocals(Vk, track, measurements.kind)))
+    cover = insert_virtual_and_prune(cover, {t: n + k for k, t in enumerate(collinear)})
+    return cover, NViewBifocal.assemble(n + len(collinear), blocks, kind=measurements.kind,
+                                        strict=False)
 
 
 def cover_and_average(
@@ -172,8 +184,8 @@ def cover_and_average(
     if algorithm != "r4":
         raise ValidationError(f"unknown algorithm {algorithm!r}")
     cover = sequential_cover(measurements.n)
-    for t in cover.triplets:
-        score = collinearity_score(_triplet_tensor_dict(measurements, t))
+    F, rows = _pair_blocks(measurements, cover.triplets)
+    for t, score in zip(cover.triplets, collinearity_score(epipoles(F), rows)):
         if score > cfg.collinearity_threshold:
             raise ValidationError(
                 f"algorithm r4 requires a fully collinear camera set; triplet {t} "

@@ -9,31 +9,23 @@ the virtual camera and the real ones are computable from image data alone:
 the overall scale being discarded.  Choosing the point away from the
 epipoles puts the virtual center off the camera line, turning a collinear
 triplet into a general-position 4-view problem.
+
+The cover stage (`colsfm.pipeline`) drives these in stacked passes: a
+triplet's three pair tensors are a (3, 3, 3) stack in local pair order
+(0,1), (0,2), (1,2), its six epipoles are rows of one table of all cover
+pairs, and the calibrated V-matrices of all collinear triplets come from one
+pose pass.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import MissingRecovery, NoValidPoint, RotationAmbiguity
-from .geometry import (
-    BifocalTensor,
-    _as_matrix,
-    epipole,
-    normalized_tensor,
-    oriented_pairs,
-    skew,
-    symmetric_epipolar_distance,
-)
-from .graphs import _LOCAL_PAIRS
+from .errors import NoValidPoint
+from .geometry import BifocalTensor, normalized_tensor, skew, symmetric_epipolar_distance
+from .graphs import _LOCAL_PAIRS, _VIEW_EPIPOLES
 from .nview import NViewBifocal
 from .recovery import TripletCameras, pair_poses
-
-
-# (view, pair, side) of each epipole a track point must keep clear of: in
-# view v, the epipole of each pair holding v
-_EPIPOLE_VIEWS = tuple((v, (i, j), "left" if v == i else "right")
-                       for v in range(3) for (i, j) in _LOCAL_PAIRS if v in (i, j))
 
 
 def _epipole_distances(points: np.ndarray, epipoles: np.ndarray) -> np.ndarray:
@@ -46,69 +38,54 @@ def _epipole_distances(points: np.ndarray, epipoles: np.ndarray) -> np.ndarray:
     return np.where(fx, np.where(fe, np.linalg.norm(xy - exy, axis=-1), np.inf), 0.0)
 
 
-def select_virtual_point(tracks3, tensors: dict, epipole_margin: float = 1e-2) -> np.ndarray:
+def select_virtual_point(tracks3, tensors, epipoles, epipole_margin: float = 1e-2) -> np.ndarray:
     """The (3, 3) image points of the 3-view track farthest from degeneracy:
     among the (N, 3, 3) tracks3 at least epipole_margin away from every
-    relevant epipole in every view, the one minimizing the total symmetric
+    relevant epipole in every view (epipoles: the triplet's (3, 2, 3) rows of
+    a `geometry.epipoles` table), the one minimizing the total symmetric
     epipolar distance over the three pairs.  Ties break by track order."""
     P = np.asarray(tracks3, dtype=float)  # (track, view, xyz)
     if not len(P):
         raise NoValidPoint("no candidate track")
-    tensors = oriented_pairs(tensors)
-    epipoles = np.array([epipole(tensors[pair], side) for _, pair, side in _EPIPOLE_VIEWS])
-    near = _epipole_distances(P[:, [v for v, _, _ in _EPIPOLE_VIEWS]], epipoles)
+    v, pair, side = _VIEW_EPIPOLES.T
+    near = _epipole_distances(P[:, v], np.asarray(epipoles)[pair, side])
     far = np.flatnonzero(~np.any(near < epipole_margin, axis=1))
     if not len(far):
         raise NoValidPoint("every candidate track is within the epipole margin")
     total = 0.0
-    for (i, j) in _LOCAL_PAIRS:
-        total = total + symmetric_epipolar_distance(tensors[(i, j)], P[far, i], P[far, j])
+    for k, (i, j) in enumerate(_LOCAL_PAIRS):
+        total = total + symmetric_epipolar_distance(tensors[k], P[far, i], P[far, j])
     return P[far[np.argmin(total)]]
 
 
-def _v_matrices_from_cameras(cams: TripletCameras) -> list:
-    P2 = cams.cameras[1]
-    A2 = P2[:, :3]
-    return [cams.cameras[i][:, :3] @ np.linalg.inv(A2) for i in range(3)]
+def v_matrices_from_cameras(cams: TripletCameras) -> np.ndarray:
+    """The V-matrices A_i A_m^{-1} (m the middle view) of three recovered
+    cameras [A_i | a_i], (3, 3, 3); projective virtual tensors need them,
+    since the third camera depends on the resolved a-vector."""
+    A2 = cams.cameras[1][:, :3]
+    return np.array([cams.cameras[i][:, :3] @ np.linalg.inv(A2) for i in range(3)])
 
 
-def _v_matrices_from_tensors(blocks: dict, tracks) -> list:
-    """Calibrated route: V_i2 = R_i^T R_2 extracted from the (i, 2)-pair
-    block, the rotation branch picked by the cheirality of the (N, 3, 3)
-    tracks; both pairs are decomposed in one stacked pass."""
-    poses = pair_poses(np.stack([_as_matrix(blocks[(0, 1)]), _as_matrix(blocks[(1, 2)]).T]),
-                       [tracks[:, [0, 1]], tracks[:, [2, 1]]])
-    for error in poses.errors:
-        if error is not None:
-            raise RotationAmbiguity(error)
-    return [poses.rotations[0, 0], np.eye(3), poses.rotations[1, 0]]
+def v_matrices_from_essentials(tensors, tracks) -> tuple:
+    """The calibrated V-matrices R_i^T R_m (m the middle view) of V
+    triplets, (V, 3, 3, 3), from their (V, 3, 3, 3) essential stacks: those
+    of views 0 and 2 from blocks (0,1) and (1,2)^T, each rotation branch
+    picked by the cheirality of its triplet's (N, 3, 3) tracks, all 2V pairs
+    in one `pair_poses` pass.  Also returns each triplet's pose-tie message,
+    else None."""
+    E = np.asarray(tensors, dtype=float).reshape(-1, 3, 3, 3)
+    poses = pair_poses(np.stack([E[:, 0], E[:, 2].swapaxes(-1, -2)], axis=1).reshape(-1, 3, 3),
+                       [x for tr in tracks for x in (tr[:, [0, 1]], tr[:, [2, 1]])])
+    R = poses.rotations[:, 0].reshape(-1, 2, 3, 3)
+    V = np.stack([R[:, 0], np.broadcast_to(np.eye(3), R[:, 0].shape), R[:, 1]], axis=1)
+    return V, [a or b for a, b in zip(poses.errors[::2], poses.errors[1::2])]
 
 
-def virtual_bifocals(source, track: np.ndarray, kind: str, tracks=None) -> list:
-    """Unit-normalized tensors [F_0X, F_1X, F_2X] between the three real views
-    and the virtual camera at the 3D point of track, its (3, 3) image points.
-
-    source: a TripletCameras (either frame), or for the calibrated case the
-    dict of three pairwise essential blocks (the (N, 3, 3) tracks, or the
-    track alone, then disambiguate the relative rotations).  Projective
-    tensors require recovered cameras, since the third V-matrix depends on
-    the resolved a-vector.
-    """
-    if isinstance(source, TripletCameras):
-        V = _v_matrices_from_cameras(source)
-    elif kind == "essential":
-        if tracks is None or not len(tracks):
-            tracks = track[None]
-        V = _v_matrices_from_tensors(oriented_pairs(source), np.asarray(tracks, dtype=float))
-    else:
-        raise MissingRecovery(
-            "projective virtual tensors need recovered cameras (the a-vector)"
-        )
-    out = []
-    for i in range(3):
-        M = skew(track[i]) @ V[i]
-        out.append(BifocalTensor(normalized_tensor(M), kind))
-    return out
+def virtual_bifocals(V, track: np.ndarray, kind: str) -> list:
+    """Unit-normalized tensors [F_0X, F_1X, F_2X] of the given kind between
+    the three real views and the virtual camera at the 3D point of track,
+    its (3, 3) image points, from the triplet's (3, 3, 3) V-matrices."""
+    return [BifocalTensor(normalized_tensor(skew(track[i]) @ V[i]), kind) for i in range(3)]
 
 
 def four_view_matrix(real_blocks: dict, virtual_blocks, kind: str | None = None) -> NViewBifocal:

@@ -295,16 +295,8 @@ def test_criterion_8_cover_machinery():
         if cover.is_connected():
             k = int(rng.integers(0, len(cover.triplets) + 1))
             marked = set(map(tuple, list(cover.triplets)[:k]))
-            next_id = [n]
-
-            def builder(t):
-                v = next_id[0]
-                next_id[0] += 1
-                return v
-
-            pruned = insert_virtual_and_prune(
-                cover, 0.5, lambda t: 0.0 if t in marked else 1.0, builder
-            )
+            builder = {t: n + v for v, t in enumerate(t for t in cover.triplets if t in marked)}
+            pruned = insert_virtual_and_prune(cover, builder)
             assert pruned.is_connected()
         checked += 1
     _announce(8, checked > 0 and enriched > 0,

@@ -11,7 +11,7 @@ import re
 from pathlib import Path
 
 import colsfm
-from colsfm import averaging, geometry, nview, synthetic
+from colsfm import averaging, errors, geometry, graphs, nview, pipeline, synthetic, virtual
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "colsfm"
@@ -67,3 +67,10 @@ def test_test_only_surface_stays_deleted():
     assert "scale_fixed" not in geometry.BifocalTensor.__dataclass_fields__
     assert "tolerances" not in nview.ConsistencyCertificate.__dataclass_fields__
     assert "primal_tol" not in averaging.AdmmConfig.__dataclass_fields__
+    # the cover stage takes (3, 3, 3) stacks in local pair order and no callbacks
+    assert not hasattr(geometry, "oriented_pairs")
+    assert not hasattr(errors, "MissingRecovery")
+    assert not hasattr(virtual, "_v_matrices_from_tensors")
+    assert not hasattr(pipeline, "_triplet_tensor_dict")
+    assert list(inspect.signature(graphs.insert_virtual_and_prune).parameters) == [
+        "cover", "virtual_nodes"]

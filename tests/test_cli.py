@@ -93,6 +93,24 @@ class TestCliFlow:
             assert run_cli(["recover", "--measurements", str(bad), "--algorithm", "r4",
                             "--out", out]) == 2, breakage
 
+    def test_malformed_cameras_exit_code(self, tmp_path):
+        scene = tmp_path / "scene.json"
+        meas = tmp_path / "m.json"
+        run_cli(["synth", "--layout", "collinear", "--n-cams", "5", "--n-points", "6",
+                 "--seed", "7", "--out", str(scene)])
+        run_cli(["measure", "--scene", str(scene), "--seed", "2", "--out", str(meas)])
+        cams = tmp_path / "c.json"
+        for doc in ({"frame": "euclidean", "cameras": [{"camera_id": 0, "P": [1.0, 2.0, 3.0]}]},
+                    {"frame": "euclidean"}):
+            cams.write_text(json.dumps(doc))
+            assert run_cli(["eval", "--cameras", str(cams), "--measurements", str(meas),
+                            "--out", str(tmp_path / "r.json")]) == 2, doc
+        # a float seed in the scene file is rejected, not truncated
+        cams.write_text(json.dumps({"frame": "euclidean", "cameras": [{"camera_id": 0, "P": None}]}))
+        scene.write_text(json.dumps(dict(json.loads(scene.read_text()), seed=2.7)))
+        assert run_cli(["eval", "--cameras", str(cams), "--measurements", str(meas),
+                        "--scene", str(scene), "--out", str(tmp_path / "r.json")]) == 2
+
     def test_missing_file_exit_code(self, tmp_path):
         code = run_cli(["recover", "--measurements", str(tmp_path / "nope.json"),
                         "--out", str(tmp_path / "c.json")])

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from colsfm.errors import NoTriangles, TooFewCameras, Unconnectable
+from colsfm.geometry import epipoles
 from colsfm.graphs import (
     _components,
     TripletCover,
@@ -162,14 +163,13 @@ class TestCollinearityScore:
         col = generate("collinear", 3, 6, seed=70)
         gen = generate("general", 3, 6, seed=71)
 
-        def tensors(scene):
-            return {
-                (i, j): unit_bifocal(scene.cameras[i], scene.cameras[j])
-                for (i, j) in ((0, 1), (0, 2), (1, 2))
-            }
+        def score(scene):
+            tensors = [unit_bifocal(scene.cameras[i], scene.cameras[j]).matrix
+                       for (i, j) in ((0, 1), (0, 2), (1, 2))]
+            return collinearity_score(epipoles(tensors), [[0, 1, 2]])[0]
 
-        assert collinearity_score(tensors(col)) < 1e-6
-        assert collinearity_score(tensors(gen)) > 0.05
+        assert score(col) < 1e-6
+        assert score(gen) > 0.05
 
     def test_similarity_invariance(self, rng):
         from conftest import random_rotation
@@ -184,13 +184,13 @@ class TestCollinearityScore:
 class TestInsertVirtualAndPrune:
     def test_no_collinear_unchanged(self):
         cover = sequential_cover(5)
-        out = insert_virtual_and_prune(cover, 0.05, lambda t: 1.0, lambda t: 99)
+        out = insert_virtual_and_prune(cover, {})
         assert out.triplets == cover.triplets
         assert out.virtual_nodes == {}
 
     def test_single_collinear_triplet_two_subs_retained(self):
         cover = TripletCover.from_triplets([(0, 1, 2)])
-        out = insert_virtual_and_prune(cover, 0.05, lambda t: 0.0, lambda t: 3)
+        out = insert_virtual_and_prune(cover, {(0, 1, 2): 3})
         assert out.virtual_nodes == {(0, 1, 2): 3}
         subs = [t for t in out.triplets if 3 in t]
         assert len(subs) == 2
@@ -199,15 +199,7 @@ class TestInsertVirtualAndPrune:
     def test_mixed_cover_pruning_keeps_connectivity(self):
         # middle triplet collinear, neighbors general
         cover = sequential_cover(5)
-        scores = {(0, 1, 2): 1.0, (1, 2, 3): 0.0, (2, 3, 4): 1.0}
-        next_id = [5]
-
-        def builder(t):
-            v = next_id[0]
-            next_id[0] += 1
-            return v
-
-        out = insert_virtual_and_prune(cover, 0.05, lambda t: scores[t], builder)
+        out = insert_virtual_and_prune(cover, {(1, 2, 3): 5})
         assert (1, 2, 3) not in out.triplets
         assert (1, 2, 3) in out.virtual_nodes
         assert _bfs_connected(out.triplets)
@@ -222,16 +214,8 @@ class TestInsertVirtualAndPrune:
             cover = sequential_cover(n)
             k = int(rng.integers(0, len(cover.triplets)))
             collinear = set(tuple(t) for t in rng.permuted(cover.triplets)[:k].tolist())
-            next_id = [n]
-
-            def builder(t):
-                v = next_id[0]
-                next_id[0] += 1
-                return v
-
-            out = insert_virtual_and_prune(
-                cover, 0.5, lambda t: 0.0 if t in collinear else 1.0, builder
-            )
+            marked = [t for t in cover.triplets if t in collinear]
+            out = insert_virtual_and_prune(cover, {t: n + v for v, t in enumerate(marked)})
             assert _bfs_connected(out.triplets)
 
 
@@ -289,15 +273,8 @@ def _golden_stages(seed):
     except Unconnectable:
         return out
     out.append(cover.to_json())
-    next_id = [n]
-
-    def builder(t):
-        next_id[0] += 1
-        return next_id[0] - 1
-
-    cover = insert_virtual_and_prune(
-        cover, 0.5, lambda t: 0.0 if sum(t) % 3 == 0 else 1.0, builder
-    )
+    marked = [t for t in cover.triplets if sum(t) % 3 == 0]
+    cover = insert_virtual_and_prune(cover, {t: n + k for k, t in enumerate(marked)})
     out.append(cover.to_json())
     return out
 
@@ -342,15 +319,15 @@ class TestGoldenCovers:
         assert _sha("\n".join(_golden_stages(seed))) == GOLDEN_RANDOM[seed]
 
 
-def _prune_by_components(cover, threshold, score_fn, virtual_builder):
+def _prune_by_components(cover, marked):
     """insert_virtual_and_prune with the dual connectivity of every trial
     checked by a fresh `_components` pass over the trial set."""
     triplets = list(cover.triplets)
     virtual_nodes = dict(cover.virtual_nodes)
     replaced = {}
     for t in list(triplets):
-        if score_fn(t) < threshold:
-            vid = virtual_builder(t)
+        if t in marked:
+            vid = marked[t]
             virtual_nodes[t] = vid
             triplets.remove(t)
             a, b, c = t
@@ -386,13 +363,10 @@ def test_prune_matches_components_rule():
         except Unconnectable:
             continue
         for modulus in (2, 3, 5):
-            def score(t):
-                return 0.0 if sum(t) % modulus == 0 else 1.0
-
-            outs = []
-            for prune in (insert_virtual_and_prune, _prune_by_components):
-                ids = iter(range(g.n, g.n + len(cover.triplets)))
-                outs.append(prune(cover, 0.5, score, lambda t: next(ids)).to_json())
+            marked = [t for t in cover.triplets if sum(t) % modulus == 0]
+            marked = {t: g.n + k for k, t in enumerate(marked)}
+            outs = [prune(cover, marked).to_json()
+                    for prune in (insert_virtual_and_prune, _prune_by_components)]
             assert outs[0] == outs[1]
             checked += 1
     assert checked >= 50
@@ -405,7 +379,7 @@ def test_complete_30_cover_enrich_prune():
     cover = enrich_connectivity(heuristic_cover(g), g.triangles())
     assert cover.covered_edges() == set(g.edges)
     marked = cover.triplets[len(cover.triplets) // 2]
-    out = insert_virtual_and_prune(cover, 0.5, lambda t: 0.0 if t == marked else 1.0, lambda t: 30)
+    out = insert_virtual_and_prune(cover, {marked: 30})
     assert out.virtual_nodes == {marked: 30}
     assert _bfs_connected(out.triplets)
     assert out.dual_edges == _oracle_dual_edges(out.triplets)

@@ -131,6 +131,27 @@ class TestIO:
         with pytest.raises(ValidationError):
             load_scene(path)
 
+    def test_non_integer_seed_rejected(self, tmp_path):
+        # once truncated: seed 2.7 loaded as 2
+        path = tmp_path / "scene.json"
+        save_scene(generate("collinear", 3, 4, seed=1), path)
+        path.write_text(json.dumps(dict(json.loads(path.read_text()), seed=2.7)))
+        with pytest.raises(ValidationError, match=r"seed must be an integer, got 2\.7"):
+            load_scene(path)
+
+    @pytest.mark.parametrize("doc,match", [
+        ({"frame": "euclidean", "cameras": [{"camera_id": 0, "P": [1.0, 2.0, 3.0]}]},
+         "camera 0: P must be null or 12 numbers"),
+        ({"frame": "euclidean", "cameras": [{"camera_id": 0, "P": None}, {"camera_id": 1}]},
+         "camera 1: P must be null or 12 numbers"),
+        ({"frame": "euclidean"}, "no 'cameras' list"),
+    ], ids=["short-P", "missing-P", "no-cameras"])
+    def test_malformed_cameras_rejected(self, tmp_path, doc, match):
+        # once a ValueError or KeyError traceback
+        (tmp_path / "c.json").write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match=match):
+            load_cameras(tmp_path / "c.json")
+
     def test_convergence_log_lines(self, tmp_path):
         path = tmp_path / "c.log"
         write_convergence_log(
@@ -249,6 +270,45 @@ class TestDecompositionBudget:
         assert len(blocks) <= len(out.cover.covered_edges())
         assert max(Counter(blocks).values()) == 1
         assert 1 < voted[0] < len(blocks)  # the real pairs with tracks, none virtual
+
+
+    def test_cover_stage_scores_and_decomposes_once(self, monkeypatch):
+        """Before averaging, the vc cover stage scores all cover triplets in
+        one collinearity_score call and decomposes the two anchor pairs of
+        each of its V essential virtual cameras in one stacked call."""
+        import colsfm.pipeline
+        import colsfm.recovery
+
+        scored, decomposed, covers = [], [], []
+        real_score = colsfm.pipeline.collinearity_score
+        real_candidates = colsfm.recovery.essential_candidates
+
+        class Averaging(Exception):
+            pass
+
+        def average(extended, cover, *args):
+            covers.append(cover)
+            raise Averaging
+
+        def score(*args):
+            scored.append(args)
+            return real_score(*args)
+
+        def candidates(E):
+            decomposed.append(len(np.asarray(E)))
+            return real_candidates(E)
+
+        monkeypatch.setattr(colsfm.pipeline, "average", average)
+        monkeypatch.setattr(colsfm.pipeline, "collinearity_score", score)
+        monkeypatch.setattr(colsfm.recovery, "essential_candidates", candidates)
+        scene = generate("mixed", 8, 12, seed=13)
+        m, tracks = measure(scene, seed=113)
+        with pytest.raises(Averaging):
+            run_pipeline(m, tracks, "vc", "calibrated", scene)
+        n_virtual = len(covers[0].virtual_nodes)
+        assert n_virtual > 1
+        assert len(scored) == 1
+        assert decomposed == [2 * n_virtual]
 
 
 class TestPipelineNoVirtual:

@@ -1,33 +1,51 @@
 import numpy as np
 import pytest
 
-from colsfm.errors import MissingRecovery, NoValidPoint, RankDeficient
+from colsfm.errors import NoValidPoint, RankDeficient
 from colsfm.geometry import (
-    BifocalTensor,
     CameraModel,
     bifocal_from_pair,
     epipole,
+    epipoles,
     fundamental_from_projections,
     normalized_tensor,
     symmetric_epipolar_distance,
     unit,
 )
-from colsfm.graphs import collinearity_score
 from colsfm.nview import certify_general
 from colsfm.averaging import project_general_essential
 from colsfm.recovery import recover_projective_collinear_triplet
 from colsfm.synthetic import generate
-from colsfm.virtual import four_view_matrix, select_virtual_point, virtual_bifocals
+from colsfm.virtual import (
+    four_view_matrix,
+    select_virtual_point,
+    v_matrices_from_cameras,
+    v_matrices_from_essentials,
+    virtual_bifocals,
+)
 
 from conftest import unit_bifocal
 
 
+PAIRS = ((0, 1), (0, 2), (1, 2))
+
+
 def _triplet_tensors(scene, ids=(0, 1, 2)):
-    out = {}
-    for (a, b) in ((0, 1), (0, 2), (1, 2)):
-        ga, gb = ids[a], ids[b]
-        out[(a, b)] = unit_bifocal(scene.cameras[ga], scene.cameras[gb])
-    return out
+    """The (3, 3, 3) unit tensors of a triplet in local pair order."""
+    return np.array([unit_bifocal(scene.cameras[ids[a]], scene.cameras[ids[b]]).matrix
+                     for (a, b) in PAIRS])
+
+
+def _select(tracks, tensors, margin=1e-2):
+    return select_virtual_point(tracks, tensors, epipoles(tensors), margin)
+
+
+def _essential_bifocals(tensors, track, tracks):
+    """virtual_bifocals of one calibrated triplet, its V-matrices resolved by
+    the cheirality of tracks."""
+    V, ties = v_matrices_from_essentials(tensors[None], [np.asarray(tracks)])
+    assert ties == [None]
+    return virtual_bifocals(V[0], track, "essential")
 
 
 def _local_tracks3(scene, ids=(0, 1, 2)):
@@ -48,7 +66,7 @@ class TestSelectVirtualPoint:
     def test_single_far_track_returned(self, collinear_scene):
         tensors = _triplet_tensors(collinear_scene)
         tracks = _local_tracks3(collinear_scene)[:1]
-        assert np.array_equal(select_virtual_point(tracks, tensors), tracks[0])
+        assert np.array_equal(_select(tracks, tensors), tracks[0])
 
     def test_all_tracks_near_epipole_rejected(self, collinear_scene):
         tensors = _triplet_tensors(collinear_scene)
@@ -58,56 +76,56 @@ class TestSelectVirtualPoint:
         pts = [collinear_scene.cameras[i].project(X) for i in range(3)]
         bad = np.vstack(pts)[None]
         with pytest.raises(NoValidPoint):
-            select_virtual_point(bad, tensors)
+            _select(bad, tensors)
 
     def test_noiseless_tracks_minimize_distance(self, collinear_scene):
         tensors = _triplet_tensors(collinear_scene)
         tracks = _local_tracks3(collinear_scene)
-        chosen = select_virtual_point(tracks, tensors)
+        chosen = _select(tracks, tensors)
         total = 0.0
         from colsfm.geometry import symmetric_epipolar_distance
 
-        for (i, j) in ((0, 1), (0, 2), (1, 2)):
-            total += symmetric_epipolar_distance(
-                tensors[(i, j)], chosen[i], chosen[j]
-            )
+        for k, (i, j) in enumerate(PAIRS):
+            total += symmetric_epipolar_distance(tensors[k], chosen[i], chosen[j])
         assert total < 1e-15
         # deterministic selection
-        assert np.array_equal(select_virtual_point(tracks, tensors), chosen)
+        assert np.array_equal(_select(tracks, tensors), chosen)
         # exact ties break by track order: negated homogeneous points are the
         # same image points with bit-identical distances
         dup = np.stack([tracks[0], -tracks[0]])
-        assert np.array_equal(select_virtual_point(dup, tensors), dup[0])
-        assert np.array_equal(select_virtual_point(dup[::-1], tensors), dup[1])
+        assert np.array_equal(_select(dup, tensors), dup[0])
+        assert np.array_equal(_select(dup[::-1], tensors), dup[1])
 
     def test_each_epipole_computed_once(self, monkeypatch):
-        import colsfm.virtual
-
+        # the six epipoles come from the table, so selection makes no SVD
         scene = generate("collinear", 3, 20, seed=3)
         tensors = _triplet_tensors(scene)
+        table = epipoles(tensors)
         tracks = _local_tracks3(scene)
         assert len(tracks) == 20
         calls = []
+        svd = np.linalg.svd
 
-        def counted(t, side):
-            calls.append(side)
-            return epipole(t, side)
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return svd(*args, **kwargs)
 
-        monkeypatch.setattr(colsfm.virtual, "epipole", counted)
-        select_virtual_point(tracks, tensors)
-        assert len(calls) <= 6
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        select_virtual_point(tracks, tensors, table)
+        assert calls == []
 
     def test_no_tracks_rejected_before_any_epipole(self):
         # the rank-deficient tensor is never reached without a track
-        tensors = {k: np.diag([1.0, 0.0, 0.0]) for k in ((0, 1), (0, 2), (1, 2))}
+        # and no epipole is read: None would fail at the first lookup
+        tensors = np.array([np.diag([1.0, 0.0, 0.0])] * 3)
         with pytest.raises(NoValidPoint):
-            select_virtual_point([], tensors)
+            select_virtual_point([], tensors, None)
 
     def test_rank_deficient_tensor_rejected(self, collinear_scene):
-        tensors = dict(_triplet_tensors(collinear_scene))
-        tensors[(1, 2)] = np.diag([1.0, 0.0, 0.0])
+        tensors = _triplet_tensors(collinear_scene)
+        tensors[2] = np.diag([1.0, 0.0, 0.0])
         with pytest.raises(RankDeficient):
-            select_virtual_point(_local_tracks3(collinear_scene), tensors)
+            _select(_local_tracks3(collinear_scene), tensors)
 
 
 def _oracle_select(tracks3, tensors, margin=1e-2):
@@ -121,14 +139,13 @@ def _oracle_select(tracks3, tensors, margin=1e-2):
             return 0.0
         return np.inf if image(e) is None else float(np.linalg.norm(image(x) - image(e)))
 
-    pairs = ((0, 1), (0, 2), (1, 2))
     best = None
     for idx, tr in enumerate(tracks3):
-        if any(distance(tr[v], epipole(tensors[(i, j)], "left" if v == i else "right")) < margin
-               for v in range(3) for (i, j) in pairs if v in (i, j)):
+        if any(distance(tr[v], epipole(tensors[k], "left" if v == i else "right")) < margin
+               for v in range(3) for k, (i, j) in enumerate(PAIRS) if v in (i, j)):
             continue
-        total = sum(symmetric_epipolar_distance(tensors[p], tr[p[0]], tr[p[1]])
-                    for p in pairs)
+        total = sum(symmetric_epipolar_distance(tensors[k], tr[i], tr[j])
+                    for k, (i, j) in enumerate(PAIRS))
         if best is None or total < best[0]:
             best = (total, idx)
     return None if best is None else best[1]
@@ -146,9 +163,9 @@ def test_select_virtual_point_matches_loop_oracle():
                 want = _oracle_select(cands, tensors, margin)
                 if want is None:
                     with pytest.raises(NoValidPoint):
-                        select_virtual_point(cands, tensors, margin)
+                        _select(cands, tensors, margin)
                 else:
-                    assert np.array_equal(select_virtual_point(cands, tensors, margin), cands[want])
+                    assert np.array_equal(_select(cands, tensors, margin), cands[want])
                 outcomes.add(want is None)
     assert outcomes == {True, False}  # both a pick and a rejection are checked
 
@@ -158,7 +175,7 @@ class TestVirtualBifocals:
         # the middle camera's tensor is just the skew of its image point
         tr = _local_tracks3(collinear_scene)[0]
         tensors = _triplet_tensors(collinear_scene)
-        out = virtual_bifocals(tensors, tr, "essential")
+        out = _essential_bifocals(tensors, tr, tr[None])
         from colsfm.geometry import skew
 
         expected = normalized_tensor(skew(tr[1]))
@@ -169,7 +186,7 @@ class TestVirtualBifocals:
         tracks = _local_tracks3(scene)
         tr = tracks[0]
         tensors = _triplet_tensors(scene)
-        out = virtual_bifocals(tensors, tr, "essential", tracks=tracks)
+        out = _essential_bifocals(tensors, tr, tracks)
         truth = _true_virtual_blocks(scene, scene.points[0])
         for est, tb in zip(out, truth):
             a = est.matrix
@@ -185,11 +202,9 @@ class TestVirtualBifocals:
         scene = collinear_projective_scene
         tensors = _triplet_tensors(scene)
         tracks = _local_tracks3(scene)
-        rec = recover_projective_collinear_triplet(
-            tensors[(0, 1)], tensors[(1, 2)], tensors[(0, 2)], tracks
-        )
+        rec = recover_projective_collinear_triplet(tensors[0], tensors[2], tensors[1], tracks)
         tr = tracks[2]
-        out = virtual_bifocals(rec, tr, "fundamental")
+        out = virtual_bifocals(v_matrices_from_cameras(rec), tr, "fundamental")
         from colsfm.geometry import triangulate_dlt
 
         X = triangulate_dlt([rec.cameras[0], rec.cameras[1]], tr[:2])
@@ -204,18 +219,12 @@ class TestVirtualBifocals:
         tensors = _triplet_tensors(collinear_scene)
         tracks = _local_tracks3(collinear_scene)
         tr = tracks[0]
-        out1 = virtual_bifocals(tensors, tr, "essential", tracks=tracks)
+        out1 = _essential_bifocals(tensors, tr, tracks)
         # rescaling homogeneous points then re-dehomogenizing is a no-op here
         tr2 = (tr * 7.3) / 7.3
-        out2 = virtual_bifocals(tensors, tr2, "essential", tracks=tracks)
+        out2 = _essential_bifocals(tensors, tr2, tracks)
         for a, b in zip(out1, out2):
             assert np.allclose(a.matrix, b.matrix, atol=1e-12)
-
-    def test_projective_without_recovery_rejected(self, collinear_projective_scene):
-        tensors = _triplet_tensors(collinear_projective_scene)
-        tr = _local_tracks3(collinear_projective_scene)[0]
-        with pytest.raises(MissingRecovery):
-            virtual_bifocals(tensors, tr, "fundamental")
 
     def test_epipole_of_virtual_tensor_is_point_image(self, collinear_scene):
         # right epipole of F_iX = image of the virtual center X in view i
@@ -223,7 +232,7 @@ class TestVirtualBifocals:
         tracks = _local_tracks3(scene)
         tr = tracks[0]
         tensors = _triplet_tensors(scene)
-        out = virtual_bifocals(tensors, tr, "essential", tracks=tracks)
+        out = _essential_bifocals(tensors, tr, tracks)
         for i in range(3):
             e = epipole(out[i].matrix, "left")
             img = unit(tr[i])
@@ -271,33 +280,3 @@ class TestFourViewMatrix:
         M = four_view_matrix(real, virt).dense()
         P = project_general_essential(M).matrix
         assert np.linalg.norm(P - M) < 1e-10 * np.linalg.norm(M)
-
-
-class TestReversedPairKeys:
-    """A tensor given under the reversed key (1, 0) is F_10 = F_01^T, the
-    orientation `NViewBifocal.assemble` reads; every tensor-dict consumer
-    must see the same triplet as under the sorted key."""
-
-    @staticmethod
-    def _both_keyings():
-        scene = generate("general", 3, 12, seed=5)
-        tensors = _triplet_tensors(scene)
-        F = tensors[(0, 1)]
-        reversed_keys = {(1, 0): BifocalTensor(F.matrix.T, F.kind),
-                         (0, 2): tensors[(0, 2)], (1, 2): tensors[(1, 2)]}
-        return scene, tensors, reversed_keys
-
-    def test_collinearity_score(self):
-        _, tensors, reversed_keys = self._both_keyings()
-        assert collinearity_score(reversed_keys) == collinearity_score(tensors)
-        plain = {k: t.matrix for k, t in reversed_keys.items()}
-        assert collinearity_score(plain) == collinearity_score(tensors)
-
-    def test_select_virtual_point_and_bifocals(self):
-        scene, tensors, reversed_keys = self._both_keyings()
-        tracks = _local_tracks3(scene)
-        track = select_virtual_point(tracks, tensors)
-        assert np.array_equal(select_virtual_point(tracks, reversed_keys), track)
-        want = virtual_bifocals(tensors, track, "essential", tracks=tracks)
-        got = virtual_bifocals(reversed_keys, track, "essential", tracks=tracks)
-        assert all(np.array_equal(a.matrix, b.matrix) for a, b in zip(got, want))
