@@ -13,7 +13,6 @@ from .geometry import (
     BifocalTensor,
     CameraModel,
     bifocal_from_pair,
-    epipole,
     skew,
     symmetric_epipolar_distance,
     triangulate_dlt,

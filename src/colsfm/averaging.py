@@ -237,14 +237,13 @@ class AveragingResult:
         return block_matrix([self.consensus.get(e, np.zeros((3, 3))) for e in triplet_pairs(ids)])
 
 
-def _local_scale_factors(measured: NViewBifocal, triplets) -> np.ndarray:
+def _local_scale_factors(blocks, rows) -> np.ndarray:
     """(T, 3) signed scale factors of each triplet's blocks in local pair
     order, from its direction closure, normalized to a unit geometric mean
-    (all 1 where no sign branch closes the triangle).  One stacked pass
-    decomposes each pair block once and closes every triplet."""
-    pairs, rows = pair_rows(triplets)
-    blocks = np.array([measured.block(*e) for e in pairs])
-    geom = resolve_essential_triplet(pair_poses(blocks, [None] * len(pairs)), rows)
+    (all 1 where no sign branch closes the triangle); blocks (P, 3, 3) and
+    rows (T, 3) as `pair_rows` orders them.  One stacked pass decomposes
+    each pair block once and closes every triplet."""
+    geom = resolve_essential_triplet(pair_poses(blocks, [None] * len(blocks)), rows)
     closure = closure_scales(geom)
     # the decomposition reproduces the stored block only up to sign
     recon = _skews(geom.t_dirs.reshape(-1, 3)) @ geom.rotations.reshape(-1, 3, 3)
@@ -254,9 +253,10 @@ def _local_scale_factors(measured: NViewBifocal, triplets) -> np.ndarray:
     return np.where(closure.valid[:, None], raw / mean, 1.0)
 
 
-def _consistent_scale_factors(measured: NViewBifocal, cover: TripletCover) -> dict:
+def _consistent_scale_factors(blocks, rows, triplets) -> dict:
     """Per-triplet, per-edge signed scale factors restoring consistent
-    relative block scales for the general-essential regime.
+    relative block scales for the general-essential regime, for the sorted
+    triplets with pair blocks and rows as in `_local_scale_factors`.
 
     The stored sign convention (largest entry positive) is unrelated to the
     consistent orientation, so the closure solve's signs are kept.  Across
@@ -264,8 +264,7 @@ def _consistent_scale_factors(measured: NViewBifocal, cover: TripletCover) -> di
     (global negation preserves the constraint set) and the magnitudes are
     synchronized by least squares on log scales.
     """
-    triplets = sorted(cover.triplets)
-    scaled = _local_scale_factors(measured, triplets).tolist()
+    scaled = _local_scale_factors(blocks, rows).tolist()
     local = {t: dict(zip(triplet_pairs(t), row)) for t, row in zip(triplets, scaled)}
 
     # per-triplet sign gauge: BFS over the dual graph
@@ -331,31 +330,27 @@ def average(
         for e in triplet_pairs(t):
             if e not in measured.blocks:
                 raise MissingBlock(f"cover edge {e} has no measured tensor")
-    norm_blocks = {k: normalized_tensor(measured.blocks[k].matrix) for k in measured.blocks}
+    edges, edge_of = pair_rows(triplets)  # edge_of (m, 3): each triplet's slots in edges
+    normed = np.array([normalized_tensor(measured.blocks[e].matrix) for e in edges])  # cover only
     projection = _PROJECTIONS[(regime, measured.kind)]
 
     if regime == "general" and measured.kind == "essential":
-        normalized = NViewBifocal.assemble(
-            measured.n,
-            {k: BifocalTensor(v, "essential") for k, v in norm_blocks.items()},
-            strict=False,
-        )
-        scale_factors = _consistent_scale_factors(normalized, cover)
+        scale_factors = _consistent_scale_factors(normed, edge_of, triplets)
     else:
         scale_factors = {t: {e: 1.0 for e in triplet_pairs(t)} for t in triplets}
 
     m = len(triplets)
     edge_users = pair_index(triplets)
-    edges, edge_of = pair_rows(triplets)  # edge_of (m, 3): each triplet's slots in edges
     gather = block_index(edge_of)  # the consensus -> (m, 9, 9) layout
     users = np.array([len(edge_users[e]) for e in edges], dtype=float)[:, None, None]
 
     Ehat = block_matrix(
-        [[scale_factors[t][e] * norm_blocks[e] for e in triplet_pairs(t)] for t in triplets],
+        [[scale_factors[t][e] * normed[s] for e, s in zip(triplet_pairs(t), slots)]
+         for t, slots in zip(triplets, edge_of)],
         block_index(np.arange(3 * m).reshape(m, 3)),
     )
     consensus = np.array([
-        np.mean([scale_factors[t][e] for t in edge_users[e]]) * norm_blocks[e] for e in edges
+        np.mean([scale_factors[t][e] for t in edge_users[e]]) * normed[k] for k, e in enumerate(edges)
     ])
     U = np.zeros((m, 9, 9))
     log = []

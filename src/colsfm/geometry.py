@@ -185,37 +185,39 @@ _COFACTOR_SIGNS = np.array([[1.0, -1.0, 1.0], [-1.0, 1.0, -1.0], [1.0, -1.0, 1.0
 
 
 def fundamental_from_projections(Pi: np.ndarray, Pj: np.ndarray) -> np.ndarray:
-    """Pairwise tensor of two arbitrary 3x4 cameras, x_i^T F x_j = 0 (up to scale).
+    """Pairwise tensor of two arbitrary 3x4 cameras, x_i^T F x_j = 0 (up to
+    scale), or of each pair of two broadcastable (..., 3, 4) stacks, from one
+    det of all the 4x4 minors.
 
     Entry (p, q) is (-1)^{p+q} det of P_i with row p removed stacked over
     P_j with row q removed.
     """
-    Pi = np.asarray(Pi, dtype=float).reshape(3, 4)
-    Pj = np.asarray(Pj, dtype=float).reshape(3, 4)
-    Ai, Aj = np.broadcast_arrays(Pi[_OTHER_ROWS][:, None], Pj[_OTHER_ROWS][None, :])
-    return _COFACTOR_SIGNS * np.linalg.det(np.concatenate([Ai, Aj], axis=2))
+    Ri = np.asarray(Pi, dtype=float)[..., _OTHER_ROWS, :]  # (..., p, 2, 4)
+    Rj = np.asarray(Pj, dtype=float)[..., _OTHER_ROWS, :]
+    Ai, Aj = np.broadcast_arrays(Ri[..., :, None, :, :], Rj[..., None, :, :, :])
+    return _COFACTOR_SIGNS * np.linalg.det(np.concatenate([Ai, Aj], axis=-2))
+
+
+def epipole_table(F) -> np.ndarray:
+    """Both unit-norm null vectors of each tensor of a (K, 3, 3) stack, from
+    one SVD: (K, 2, 3), [k, 0] the left epipole (e^T F = 0, in image i, the
+    image of center j) and [k, 1] the right one (F e = 0, in image j, the
+    image of center i).  Signs fixed so the largest-magnitude component is
+    positive.  A tensor with a two-dimensional null space (second singular
+    value below 1e-9 of the first) has no unique epipoles: its rows are zero."""
+    U, s, Vt = np.linalg.svd(np.asarray(F, dtype=float).reshape(-1, 3, 3))
+    e = np.stack([U[..., 2], Vt[:, 2]], axis=1)
+    big = np.take_along_axis(e, np.argmax(np.abs(e), axis=-1)[..., None], axis=-1)
+    return np.where((s[:, 1] < 1e-9 * s[:, 0])[:, None, None], 0.0, np.where(big < 0, -e, e))
 
 
 def epipoles(F) -> np.ndarray:
-    """Both unit-norm null vectors of each rank-2 tensor of a (K, 3, 3)
-    stack, from one SVD: (K, 2, 3), [k, 0] the left epipole (e^T F = 0, in
-    image i, the image of center j) and [k, 1] the right one (F e = 0, in
-    image j, the image of center i).  Signs fixed so the largest-magnitude
-    component is positive."""
-    U, s, Vt = np.linalg.svd(np.asarray(F, dtype=float).reshape(-1, 3, 3))
-    if np.any(s[:, 1] < 1e-9 * s[:, 0]):
+    """The `epipole_table` of a stack of rank-2 tensors; raises
+    RankDeficient if one has a two-dimensional null space."""
+    table = epipole_table(F)
+    if not np.all(np.any(table, axis=-1)):
         raise RankDeficient("tensor has a two-dimensional null space")
-    e = np.stack([U[..., 2], Vt[:, 2]], axis=1)
-    big = np.take_along_axis(e, np.argmax(np.abs(e), axis=-1)[..., None], axis=-1)
-    return np.where(big < 0, -e, e)
-
-
-def epipole(t: BifocalTensor | np.ndarray, side: str) -> np.ndarray:
-    """The `epipoles` row of one tensor on one side, "left" or "right"."""
-    e = epipoles(_as_matrix(t))[0]
-    if side not in ("left", "right"):
-        raise ValueError("side must be 'left' or 'right'")
-    return e[0] if side == "left" else e[1]
+    return table
 
 
 def symmetric_epipolar_distance(

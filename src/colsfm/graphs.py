@@ -162,9 +162,6 @@ class TripletCover:
             return False
         return len(_components(self.triplets)) == 1
 
-    def covered_edges(self) -> set:
-        return {p for t in self.triplets for p in triplet_pairs(t)}
-
     def to_json(self) -> str:
         doc = {
             "triplets": [list(t) for t in self.triplets],

@@ -9,9 +9,10 @@ cover by sub-triplets against virtual cameras, averages at rank 6, recovers
 general-position triplets and drops the virtual cameras after registration.
 The "vc" cover stage is stacked passes over the cover's pairs: one epipole
 table, one score pass over all triplets, one pose pass for every essential
-virtual camera, then each collinear triplet's track and virtual tensors.
-A calibrated run resolves the geometry of all its triplets in stacked passes
-before recovery; each per-triplet recovery call reads its row.
+virtual camera (one projective pass for fundamental ones), then each
+collinear triplet's track and virtual tensors.  Before recovery, the
+calibrated geometry or the projective systems of all triplets are built in
+stacked passes; each per-triplet recovery call reads its row.
 
 Stage functions are looked up as module globals when called, never bound
 at import, so patching a name here (bench/tracing.py does) reaches every
@@ -27,7 +28,7 @@ import numpy as np
 
 from .averaging import AdmmConfig, AveragingResult, average
 from .errors import RotationAmbiguity, ValidationError
-from .geometry import epipoles
+from .geometry import epipole_table, epipoles
 from .graphs import (
     TripletCover,
     ViewingGraph,
@@ -37,13 +38,13 @@ from .graphs import (
     insert_virtual_and_prune,
     pair_rows,
     sequential_cover,
-    triplet_pairs,
 )
 from .metrics import EvalReport, align_similarity, mean_reprojection_error
 from .nview import NViewBifocal
 from .recovery import (
     closure_scales,
     pair_poses,
+    projective_systems,
     recover_calibrated_collinear_triplet,
     recover_calibrated_general_triplet,
     recover_projective_collinear_triplet,
@@ -87,6 +88,15 @@ def _calibrated_geometry(algorithm, avg: AveragingResult, tracks: TrackSet, n_re
                        [tracks.tracks(e) if e[1] < n_real else None for e in pairs])
     geom = resolve_essential_triplet(poses, rows)
     return geom, (closure_scales(geom) if algorithm == "vc" else None)
+
+
+def _projective_systems(algorithm, avg: AveragingResult, tracks: TrackSet, triplets):
+    """The a-vector systems of the sorted cover triplets from their pairs'
+    averaged tensors, one stacked pass before any triplet is recovered (for
+    "r4" with their 3-view tracks); a pair error raises when its row is read."""
+    F, rows = _pair_blocks(avg.nview, triplets)
+    tracks3 = [tracks.tracks(sorted(t)) for t in triplets] if algorithm == "r4" else None
+    return projective_systems(F, rows, epipole_table(F), tracks3)
 
 
 def _pair_blocks(nview: NViewBifocal, triplets):
@@ -137,8 +147,8 @@ def _virtual_cover(measurements: NViewBifocal, tracks: TrackSet, cfg: PipelineCo
     sub-triplets against a virtual camera, numbered n + k in cover order;
     returns the cover and the measurements extended by the virtual cameras'
     tensors.  One epipole table of the cover pairs feeds one score pass and
-    every point selection, and one pose pass gives the V-matrices of every
-    essential virtual camera."""
+    every point selection, and one pose pass (essential) or one projective
+    pass (fundamental) gives the V-matrices of every virtual camera."""
     n = measurements.n
     g = ViewingGraph.from_edges(n, [(i, j, 1.0) for (i, j) in measurements.edges()])
     cover = enrich_connectivity(heuristic_cover(g), g.triangles())
@@ -151,6 +161,8 @@ def _virtual_cover(measurements: NViewBifocal, tracks: TrackSet, cfg: PipelineCo
     tracks3 = [tracks.tracks(t) for t in collinear]
     if measurements.kind == "essential":
         V, ties = v_matrices_from_essentials(F[rows[marked]], tracks3)
+    else:
+        systems = projective_systems(F, rows[marked], table, tracks3)
     blocks = dict(measurements.blocks)
     for k, t in enumerate(collinear):
         r = rows[marked[k]]
@@ -160,8 +172,7 @@ def _virtual_cover(measurements: NViewBifocal, tracks: TrackSet, cfg: PipelineCo
                 raise RotationAmbiguity(ties[k])
             Vk = V[k]
         else:
-            Vk = v_matrices_from_cameras(
-                recover_projective_collinear_triplet(F[r[0]], F[r[2]], F[r[1]], tracks3[k]))
+            Vk = v_matrices_from_cameras(recover_projective_collinear_triplet(systems, k))
         blocks.update(((i, n + k), b) for i, b in zip(t, virtual_bifocals(Vk, track, measurements.kind)))
     cover = insert_virtual_and_prune(cover, {t: n + k for k, t in enumerate(collinear)})
     return cover, NViewBifocal.assemble(n + len(collinear), blocks, kind=measurements.kind,
@@ -194,24 +205,21 @@ def cover_and_average(
     return cover, average(measurements, cover, "collinear", cfg.admm)
 
 
-def _recover_triplet(algorithm, regime, avg, k, ids, tracks, calibrated, gate):
+def _recover_triplet(algorithm, regime, avg, k, ids, tracks, stacked, gate):
     """Cameras of cover triplet k from the averaged tensors: collinear
-    recovery for "r4", general-position recovery for "vc"; a calibrated
-    triplet reads row k of the stacked geometry."""
+    recovery for "r4", general-position recovery for "vc", each reading row k
+    of the stacked calibrated geometry or projective systems."""
     if regime == "calibrated":
-        geom, closure = calibrated
+        geom, closure = stacked
         if algorithm == "r4":
             return recover_calibrated_collinear_triplet(
                 avg.triplet_matrix(ids), geom, k, tracks.tracks(sorted(ids)), triplet_id=ids,
                 cert_tol=gate, cycle_tol=gate,
             )
         return recover_calibrated_general_triplet(geom, closure, k, triplet_id=ids, cycle_tol=gate)
-    F01, F02, F12 = (avg.nview.block(*e) for e in triplet_pairs(ids))
     if algorithm == "r4":
-        return recover_projective_collinear_triplet(
-            F01, F12, F02, tracks.tracks(sorted(ids)), triplet_id=ids
-        )
-    return recover_projective_general_triplet(F01, F12, F02, triplet_id=ids)
+        return recover_projective_collinear_triplet(stacked, k, triplet_id=ids)
+    return recover_projective_general_triplet(stacked, k, triplet_id=ids)
 
 
 def run_pipeline(
@@ -229,11 +237,11 @@ def run_pipeline(
     # sanity gates only when the iterate is coarse; the report stays honest
     gate = 1e-3 if avg.converged else 0.5
     triplets = sorted(cover.triplets)
-    calibrated = (_calibrated_geometry(algorithm, avg, tracks, n, triplets)
-                  if regime == "calibrated" else None)
+    stacked = (_calibrated_geometry(algorithm, avg, tracks, n, triplets) if regime == "calibrated"
+               else _projective_systems(algorithm, avg, tracks, triplets))
     failure = None
     try:
-        recs = [_recover_triplet(algorithm, regime, avg, k, t, tracks, calibrated, gate)
+        recs = [_recover_triplet(algorithm, regime, avg, k, t, tracks, stacked, gate)
                 for k, t in enumerate(triplets)]
         # virtual cameras are scaffolding only
         cameras = register_global(recs, cover, mode, n_cameras=avg.nview.n).cameras[:n]

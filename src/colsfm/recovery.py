@@ -7,13 +7,15 @@ projective one) from 3-view tracks, all triangulated by one stacked DLT.
 Triplets are then chained into a common frame by traversing the cover's
 dual graph.
 
-The calibrated geometry is computed in stacked passes before any triplet is
-recovered: `pair_poses` decomposes every essential block of a stage with one
-cheirality DLT over the tracks of all its pairs, `resolve_essential_triplet`
-picks every triplet's rotation branches and averages its rotations (one
-eigendecomposition of the (T, 9, 9) stack), and `closure_scales` solves
-every direction closure in one SVD of the (T, 8) sign branches.  The
-per-triplet recovery then reads its row and raises its own error.
+Everything but the per-triplet solves runs in stacked passes before any
+triplet is recovered: `pair_poses` decomposes every essential block of a
+stage with one cheirality DLT over the tracks of all its pairs,
+`resolve_essential_triplet` picks and averages every triplet's rotations
+(one eigendecomposition of the (T, 9, 9) stack), `closure_scales` solves
+every direction closure in one SVD, and `projective_systems` builds every
+projective a-vector system from one epipole table, one tensor call for all
+cameras P2(0), P2(e_k) and one DLT of all 3-view tracks.  The per-triplet
+recovery then reads its row and raises its own error.
 """
 
 from __future__ import annotations
@@ -31,18 +33,15 @@ from .errors import (
     InconsistentInput,
     InsufficientTracks,
     NotConnected,
+    RankDeficient,
 )
 from .geometry import (
-    _as_matrix,
     _dlt,
     _skews,
     cheirality_votes,
-    epipole,
     essential_candidates,
     fundamental_from_projections,
     nearest_rotation,
-    skew,
-    unit,
 )
 from .graphs import dual_adjacency, dual_bfs
 from .nview import block_index, block_matrix, certify_collinear_essential
@@ -323,91 +322,110 @@ def recover_calibrated_general_triplet(
     return TripletCameras(tuple(triplet_id), cams, "euclidean", float(closure.mu[k, 1]))
 
 
-def _canonical_pair_cameras(F01, F12):
-    F01 = _as_matrix(F01)
-    F12 = _as_matrix(F12)
-    e0 = epipole(F01, "left")    # image of center 1 in view 0
-    P0 = np.hstack([skew(e0) @ F01, e0.reshape(3, 1)])
-    P1 = np.hstack([np.eye(3), np.zeros((3, 1))])
-    e2 = epipole(F12, "right")   # image of center 1 in view 2
-    M2 = skew(e2) @ F12.T
-    return P0, P1, M2, e2
+@dataclass(frozen=True)
+class ProjectiveSystems:
+    """The a-vector systems of T triplets with pair tensors F01, F02, F12:
+    cameras P0 = [[e0]_x F01 | e0] (T, 3, 4), P1 = [I | 0] and P2(a) = [M2 |
+    0] + e2 a^T, M2 = [e2]_x F12^T (T, 3, 3), e0 and e2 the images of center 1
+    in views 0 and 2.  rows holds each triplet's (A, b): nine rows making the
+    tensor of P0 and P2(a) proportional to F02, then three per 3-view track
+    that triangulates unambiguously from views 0-1; errors the error each
+    triplet raises before its solve, else None."""
+
+    P0: np.ndarray
+    M2: np.ndarray
+    e2: np.ndarray
+    rows: list
+    errors: tuple
 
 
-def _a_system_rows(P0, M2, e2, F02, tracks3):
-    """LS rows for the 4-vector a: proportionality of the third tensor plus
-    one cross-product row set per 3-view track whose point is not ambiguous;
-    returns (A, b, number of tracks used)."""
-    def P2_of(a):
-        return np.hstack([M2, np.zeros((3, 1))]) + np.outer(e2, a)
+# the a of P2(0) and P2(e_k), k = 0..3: the affine map a -> tensor of P0, P2(a)
+_A_BASIS = np.vstack([np.zeros(4), np.eye(4)])
+_P1 = np.hstack([np.eye(3), np.zeros((3, 1))])
+_P1.setflags(write=False)
 
-    f0 = fundamental_from_projections(P0, P2_of(np.zeros(4))).ravel()
-    L = np.zeros((9, 4))
-    for k in range(4):
-        ek = np.zeros(4)
-        ek[k] = 1.0
-        L[:, k] = fundamental_from_projections(P0, P2_of(ek)).ravel() - f0
-    fhat = unit(_as_matrix(F02).ravel())
-    Proj = np.eye(9) - np.outer(fhat, fhat)
-    rows = [Proj @ L]
-    rhs = [-Proj @ f0]
-    used = 0
-    if len(tracks3):
-        P1 = np.hstack([np.eye(3), np.zeros((3, 1))])
-        X, ambiguous = _triangulate_tracks3(P0, P1, tracks3)
-        X, x2 = X[~ambiguous], tracks3[~ambiguous, 2]
-        used = len(X)
-        c = (M2 @ X[:, :3, None])[:, :, 0]
-        ex = np.cross(e2, x2)
-        rows.append((ex[:, :, None] * X[:, None, :]).reshape(-1, 4))
-        rhs.append(-np.cross(c, x2).ravel())
-    A = np.vstack(rows)
-    b = np.concatenate(rhs)
+
+def projective_systems(F, rows, table, tracks3=None) -> ProjectiveSystems:
+    """The systems of the T triplets whose local pairs are the rows (T, 3) of
+    a (P, 3, 3) tensor stack F with epipoles `geometry.epipole_table(F)`, in
+    one stacked pass: one tensor call for the cameras P2(0), P2(e_k) of every
+    triplet, and one DLT of every track of tracks3 (each triplet's (N, 3, 3)
+    3-view tracks; None: no track rows, no track count)."""
+    rows = np.asarray(rows).reshape(-1, 3)
+    T = len(rows)
+    e0, e2 = table[rows[:, 0], 0], table[rows[:, 2], 1]
+    P0 = np.concatenate([_skews(e0) @ F[rows[:, 0]], e0[:, :, None]], axis=2)
+    M2 = _skews(e2) @ F[rows[:, 2]].swapaxes(-1, -2)
+    P2 = np.concatenate([M2, np.zeros((T, 3, 1))], axis=2)[:, None]
+    G = fundamental_from_projections(P0[:, None], P2 + e2[:, None, :, None] * _A_BASIS[:, None])
+    f0 = G.reshape(T, 5, 9)[:, 0]
+    L = np.ascontiguousarray((G.reshape(T, 5, 9)[:, 1:] - f0[:, None]).swapaxes(1, 2))
+    f = F[rows[:, 1]].reshape(T, 9)
+    norm = np.sqrt((f[:, None, :] @ f[:, :, None])[:, 0, 0])  # summed as np.linalg.norm sums
+    fhat = f / np.where(norm == 0.0, 1.0, norm)[:, None]
+    Proj = np.eye(9) - fhat[:, :, None] * fhat[:, None, :]
+    A, b = Proj @ L, ((-Proj) @ f0[:, :, None])[:, :, 0]
+    pts = [np.asarray(tr, dtype=float).reshape(-1, 3, 3) for tr in tracks3 or ()]
+    too_few = [len(p) < 2 for p in pts] if tracks3 is not None else [False] * T
+    of = np.repeat(np.arange(len(pts)), [len(p) for p in pts])  # each track's triplet
+    pts = np.concatenate([np.zeros((0, 3, 3)), *pts])
+    X, ambiguous = _triangulate_tracks3(P0[of], _P1, pts)
+    X, x2, of = X[~ambiguous], pts[~ambiguous, 2], of[~ambiguous]
+    cuts = 3 * np.cumsum(np.bincount(of, minlength=T))[:-1]
+    track_A = np.split((np.cross(e2[of], x2)[:, :, None] * X[:, None, :]).reshape(-1, 4), cuts)
+    track_b = np.split(-np.cross((M2[of] @ X[:, :3, None])[:, :, 0], x2).ravel(), cuts)
+    # the error each triplet raises before its solve, in the per-triplet order
+    errors = tuple(
+        InsufficientTracks("the a-vector solve needs at least 2 three-view tracks") if few
+        else RankDeficient("tensor has a two-dimensional null space") if not (a.any() and c.any())
+        else ValueError("cannot normalize zero vector") if n == 0.0 else None
+        for few, a, c, n in zip(too_few, e0, e2, norm))
+    systems = [(np.vstack([A[k], track_A[k]]), np.concatenate([b[k], track_b[k]])) for k in range(T)]
+    return ProjectiveSystems(P0, M2, e2, systems, errors)
+
+
+def _solve_a(system: ProjectiveSystems, k: int, triplet_id, collinear: bool) -> TripletCameras:
+    """Cameras of row k: its rows and right-hand sides divided by the rows'
+    norms, checked (enough tracks for a collinear triplet, full rank for a
+    general one) and solved for a in least squares."""
+    if system.errors[k] is not None:
+        raise system.errors[k]
+    A, b = system.rows[k]
+    used = (len(A) - 9) // 3  # three rows per track after the tensor's nine
     # row normalization keeps tensor rows and track rows commensurable
     norms = np.linalg.norm(A, axis=1)
     keep = norms > 1e-12 * max(float(np.max(norms)), 1.0)
     if not np.any(keep):
         raise DegenerateEpipole("every constraint row is degenerate (tracks at the epipole)")
-    A = A[keep] / norms[keep, None]
-    b = b[keep] / norms[keep]
-    return A, b, used
-
-
-def recover_projective_collinear_triplet(
-    F01, F12, F02, tracks3, triplet_id=(0, 1, 2)
-) -> TripletCameras:
-    """Projective cameras of a collinear triplet: the canonical pair from
-    F01, the family P2(a) compatible with F12, and a solved in least squares
-    from the (N, 3, 3) 3-view tracks (the third tensor constrains nothing
-    when the centers are exactly collinear, so at least enough generic tracks
-    to span the solve are required; a track whose point is ambiguous from
-    views 0-1 does not count)."""
-    tracks3 = np.asarray(tracks3, dtype=float)
-    if len(tracks3) < 2:
-        raise InsufficientTracks("the a-vector solve needs at least 2 three-view tracks")
-    P0, P1, M2, e2 = _canonical_pair_cameras(F01, F12)
-    A, b, used = _a_system_rows(P0, M2, e2, F02, tracks3)
-    if used < 2:
-        raise InsufficientTracks(
-            f"the a-vector solve needs at least 2 three-view tracks; {used} triangulate "
-            "unambiguously"
-        )
+    A, b = A[keep] / norms[keep, None], b[keep] / norms[keep]
+    if collinear and used < 2:
+        raise InsufficientTracks(f"the a-vector solve needs at least 2 three-view tracks; {used} "
+                                 "triangulate unambiguously")
+    if not collinear:
+        sv = np.linalg.svd(A, compute_uv=False)
+        if sv[3] < 1e-10 * sv[0]:
+            raise DegenerateEpipole("third tensor does not determine a (collinear cameras?)")
     a, *_ = np.linalg.lstsq(A, b, rcond=None)
-    P2 = np.hstack([M2, np.zeros((3, 1))]) + np.outer(e2, a)
-    return TripletCameras(tuple(triplet_id), [P0, P1, P2], "projective", a)
+    P2 = np.hstack([system.M2[k], np.zeros((3, 1))]) + np.outer(system.e2[k], a)
+    return TripletCameras(tuple(triplet_id), [system.P0[k], _P1, P2], "projective", a)
 
 
-def recover_projective_general_triplet(F01, F12, F02, triplet_id=(0, 1, 2)) -> TripletCameras:
-    """Projective cameras of a general-position triplet: a is fully
-    determined by proportionality to the third tensor, no tracks needed."""
-    P0, P1, M2, e2 = _canonical_pair_cameras(F01, F12)
-    A, b, _ = _a_system_rows(P0, M2, e2, F02, tracks3=())
-    sv = np.linalg.svd(A, compute_uv=False)
-    if sv[3] < 1e-10 * sv[0]:
-        raise DegenerateEpipole("third tensor does not determine a (collinear cameras?)")
-    a, *_ = np.linalg.lstsq(A, b, rcond=None)
-    P2 = np.hstack([M2, np.zeros((3, 1))]) + np.outer(e2, a)
-    return TripletCameras(tuple(triplet_id), [P0, P1, P2], "projective", a)
+def recover_projective_collinear_triplet(system, k: int, triplet_id=(0, 1, 2)) -> TripletCameras:
+    """Projective cameras of a collinear triplet from row k of its
+    `ProjectiveSystems`: the canonical pair from F01, the family P2(a)
+    compatible with F12, and a solved in least squares from the 3-view tracks
+    (the third tensor constrains nothing when the centers are exactly
+    collinear, so at least enough generic tracks to span the solve are
+    required; a track whose point is ambiguous from views 0-1 does not
+    count)."""
+    return _solve_a(system, k, triplet_id, collinear=True)
+
+
+def recover_projective_general_triplet(system, k: int, triplet_id=(0, 1, 2)) -> TripletCameras:
+    """Projective cameras of a general-position triplet from row k of its
+    `ProjectiveSystems`: a is fully determined by proportionality to the
+    third tensor, no tracks needed."""
+    return _solve_a(system, k, triplet_id, collinear=False)
 
 
 @dataclass

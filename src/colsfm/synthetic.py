@@ -9,21 +9,19 @@ platforms).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
 from .geometry import (
     BifocalTensor,
     CameraModel,
-    bifocal_from_pair,
     image_point,
     normalized_tensor,
     rotation_about,
     skew,
     unit,
 )
-from .nview import NViewBifocal, block_matrix
+from .nview import NViewBifocal
 
 
 @dataclass
@@ -85,24 +83,6 @@ class Scene:
 
     def centers(self) -> np.ndarray:
         return np.vstack([c.center for c in self.cameras])
-
-    def exact_nview(self, kind: str | None = None) -> NViewBifocal:
-        """Dense n-view matrix with true block scales (no normalization)."""
-        blocks = {}
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                t = bifocal_from_pair(self.cameras[i], self.cameras[j])
-                if kind is not None and t.kind != kind:
-                    t = BifocalTensor(t.matrix, kind)
-                blocks[(i, j)] = t
-        return NViewBifocal.assemble(self.n, blocks)
-
-    def exact_triplet(self, ids) -> np.ndarray:
-        """9x9 true-scale submatrix for a camera triple."""
-        return block_matrix([
-            bifocal_from_pair(self.cameras[u], self.cameras[v]).matrix
-            for u, v in combinations(sorted(ids), 2)
-        ])
 
     def track_set(self, pixel_noise: float = 0.0, rng=None) -> TrackSet:
         rng = rng if rng is not None else np.random.default_rng(self.seed + 1)

@@ -1,8 +1,14 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
-from colsfm.geometry import BifocalTensor, bifocal_from_pair, normalized_tensor
-from colsfm.recovery import pair_poses, resolve_essential_triplet
+from colsfm.geometry import (
+    BifocalTensor, _as_matrix, bifocal_from_pair, epipole_table, normalized_tensor,
+)
+from colsfm.graphs import triplet_pairs
+from colsfm.nview import NViewBifocal, block_matrix
+from colsfm.recovery import pair_poses, projective_systems, resolve_essential_triplet
 from colsfm.synthetic import generate
 
 
@@ -41,6 +47,24 @@ def unit_bifocal(ci, cj) -> BifocalTensor:
     return BifocalTensor(normalized_tensor(t.matrix), t.kind)
 
 
+def exact_nview(scene) -> NViewBifocal:
+    """A scene's dense n-view matrix with true block scales (no normalization)."""
+    return NViewBifocal.assemble(scene.n, {
+        (i, j): bifocal_from_pair(scene.cameras[i], scene.cameras[j])
+        for i, j in combinations(range(scene.n), 2)})
+
+
+def exact_triplet(scene, ids) -> np.ndarray:
+    """The 9x9 true-scale submatrix of a camera triple."""
+    return block_matrix([bifocal_from_pair(scene.cameras[u], scene.cameras[v]).matrix
+                         for u, v in combinations(sorted(ids), 2)])
+
+
+def covered_edges(cover) -> set:
+    """The camera pairs a cover's triplets hold."""
+    return {p for t in cover.triplets for p in triplet_pairs(t)}
+
+
 def geodesic_angle(Ra, Rb) -> float:
     """Angle of Ra^T Rb in radians."""
     c = (np.trace(Ra.T @ Rb) - 1.0) / 2.0
@@ -57,6 +81,14 @@ def triplet_geometry(E9, tracks2=None):
     poses = pair_poses(np.array([E9[3 * i:3 * i + 3, 3 * j:3 * j + 3] for (i, j) in pairs]),
                        [tracks2.get(p) for p in pairs])
     return resolve_essential_triplet(poses, [[0, 1, 2]])
+
+
+def projective_system(F01, F12, F02, tracks3=None):
+    """The stacked projective systems (one row) of a triplet's tensors, with
+    its (N, 3, 3) 3-view tracks when given."""
+    F = np.array([_as_matrix(F01), _as_matrix(F02), _as_matrix(F12)])
+    return projective_systems(F, [[0, 1, 2]], epipole_table(F),
+                              None if tracks3 is None else [tracks3])
 
 
 def seen_in(ts, *view_sets):

@@ -41,7 +41,10 @@ from colsfm.recovery import (
 )
 from colsfm.synthetic import MeasurementNoise, generate, measure
 from colsfm.virtual import four_view_matrix
-from conftest import seen_in, triplet_geometry, unit_bifocal
+from conftest import (
+    covered_edges, exact_nview, exact_triplet, projective_system, seen_in, triplet_geometry,
+    unit_bifocal,
+)
 
 
 def _announce(num, ok, detail):
@@ -60,7 +63,7 @@ def _recover_scene_calibrated(scene):
     recs = []
     for t in cover.triplets:
         ids = sorted(t)
-        E = scene.exact_triplet(ids)
+        E = exact_triplet(scene, ids)
         tr3 = ts.tracks(ids)
         tr2 = {(a, b): ts.tracks((ids[a], ids[b])) for (a, b) in ((0, 1), (0, 2), (1, 2))}
         recs.append(recover_calibrated_collinear_triplet(
@@ -81,8 +84,8 @@ def _recover_scene_projective(scene):
         for (a, b) in ((0, 1), (0, 2), (1, 2)):
             F[(a, b)] = unit_bifocal(scene.cameras[ids[a]], scene.cameras[ids[b]])
         recs.append(
-            recover_projective_collinear_triplet(F[(0, 1)], F[(1, 2)], F[(0, 2)], tr3,
-                                                 triplet_id=tuple(ids))
+            recover_projective_collinear_triplet(
+                projective_system(F[(0, 1)], F[(1, 2)], F[(0, 2)], tr3), 0, triplet_id=tuple(ids))
         )
     reg = register_global(recs, cover, "projective", n_cameras=scene.n)
     tracks = seen_in(ts, *((i, i + 1, i + 2) for i in range(scene.n - 2)))
@@ -94,7 +97,7 @@ def test_criterion_1_thm1_necessary():
     worst_pattern = worst_ortho = 0.0
     for k, n in enumerate(_scene_sizes(100)):
         scene = generate("collinear", n, 6, seed=1000 + k)
-        cert = certify_collinear_essential(scene.exact_nview(), tol=1e-8)
+        cert = certify_collinear_essential(exact_nview(scene), tol=1e-8)
         assert cert.passed and cert.rank_estimate == 4
         worst_pattern = max(worst_pattern, cert.pattern_residual)
         worst_ortho = max(worst_ortho, cert.orthogonality_residual)
@@ -123,14 +126,14 @@ def test_criterion_2_round_trip():
 def test_criterion_3_thm2():
     for k, n in enumerate(_scene_sizes(100, lo=4, hi=12)):
         scene = generate("collinear", n, 6, seed=2000 + k, intrinsics_mode="varied")
-        cert = certify_collinear_fundamental(scene.exact_nview())
+        cert = certify_collinear_fundamental(exact_nview(scene))
         assert cert.passed
         assert cert.rank_estimate == 4 and cert.signature == (2, 2)
         assert all(r == 2 for r in cert.block_row_ranks)
     failures_named = 0
     for k, n in enumerate(_scene_sizes(100, lo=4, hi=12)):
         scene = generate("general", n, 6, seed=2500 + k, intrinsics_mode="varied")
-        cert = certify_collinear_fundamental(scene.exact_nview())
+        cert = certify_collinear_fundamental(exact_nview(scene))
         assert not cert.passed
         rank_bad = not cert.conditions["rank4_signature"] and cert.rank_estimate == 6
         rows_bad = not cert.conditions["block_rows_rank2"] and any(
@@ -284,7 +287,7 @@ def test_criterion_8_cover_machinery():
         cover = heuristic_cover(g)
         for a, b in cover.dual_edges:
             assert len(set(a) & set(b)) == 2
-        for e in cover.covered_edges():
+        for e in covered_edges(cover):
             assert g.has_edge(*e)
         full = TripletCover.from_triplets(tris)
         if full.is_connected():

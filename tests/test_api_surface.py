@@ -11,7 +11,7 @@ import re
 from pathlib import Path
 
 import colsfm
-from colsfm import averaging, errors, geometry, graphs, nview, pipeline, synthetic, virtual
+from colsfm import averaging, errors, geometry, graphs, nview, pipeline, recovery, synthetic, virtual
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "colsfm"
@@ -58,7 +58,9 @@ def test_test_only_surface_stays_deleted():
     # their own helpers (tests/conftest.py)
     assert not hasattr(geometry.BifocalTensor, "normalized")
     assert not hasattr(geometry, "geodesic_angle")
-    assert "kind" not in inspect.signature(synthetic.Scene.exact_triplet).parameters
+    assert not hasattr(synthetic.Scene, "exact_triplet")
+    assert not hasattr(synthetic.Scene, "exact_nview")
+    assert not hasattr(graphs.TripletCover, "covered_edges")
     # tracks are arrays in TrackSet, not objects
     assert not hasattr(geometry, "Track")
     assert not hasattr(synthetic.TrackSet, "pair_tracks")
@@ -74,3 +76,8 @@ def test_test_only_surface_stays_deleted():
     assert not hasattr(pipeline, "_triplet_tensor_dict")
     assert list(inspect.signature(graphs.insert_virtual_and_prune).parameters) == [
         "cover", "virtual_nodes"]
+    # projective recovery is one stacked pass read row by row, with no
+    # per-triplet path beside it
+    assert not hasattr(geometry, "epipole")
+    assert not hasattr(recovery, "_canonical_pair_cameras")
+    assert not hasattr(recovery, "_a_system_rows")

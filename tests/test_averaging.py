@@ -20,11 +20,12 @@ from colsfm.averaging import (
 from colsfm.errors import MissingBlock, NotConnected
 from colsfm.geometry import BifocalTensor, nearest_rotation, normalized_tensor
 from colsfm.graphs import (
-    TripletCover, ViewingGraph, enrich_connectivity, heuristic_cover, sequential_cover,
+    TripletCover, ViewingGraph, enrich_connectivity, heuristic_cover, pair_rows, sequential_cover,
     triplet_pairs,
 )
 from colsfm.nview import NViewBifocal, certify_collinear_essential, certify_general
 from colsfm.synthetic import MeasurementNoise, generate, measure
+from conftest import exact_nview, exact_triplet
 
 ALL_PROJECTIONS = [
     project_collinear_essential,
@@ -80,7 +81,7 @@ class TestProjections:
 
     def test_fixed_point_on_consistent_collinear(self):
         scene = generate("collinear", 3, 6, seed=21)
-        E = scene.exact_triplet((0, 1, 2))
+        E = exact_triplet(scene, (0, 1, 2))
         P = project_collinear_essential(E).matrix
         assert np.linalg.norm(P - E) < 1e-12 * np.linalg.norm(E)
 
@@ -95,13 +96,13 @@ class TestProjections:
 
     def test_fixed_point_general_essential(self):
         scene = generate("general", 3, 6, seed=23)
-        E = scene.exact_triplet((0, 1, 2))
+        E = exact_triplet(scene, (0, 1, 2))
         P = project_general_essential(E).matrix
         assert np.linalg.norm(P - E) < 1e-10 * np.linalg.norm(E)
 
     def test_noisy_collinear_projection_certifies(self):
         scene = generate("collinear", 3, 6, seed=24)
-        E = scene.exact_triplet((0, 1, 2))
+        E = exact_triplet(scene, (0, 1, 2))
         rngl = np.random.default_rng(0)
         N = _random_symmetric(rngl)
         S = E + 1e-3 * np.linalg.norm(E) / np.linalg.norm(N) * N
@@ -117,7 +118,7 @@ class TestProjections:
 
     def test_noisy_general_projection_certifies(self):
         scene = generate("general", 3, 6, seed=25)
-        E = scene.exact_triplet((0, 1, 2))
+        E = exact_triplet(scene, (0, 1, 2))
         rngl = np.random.default_rng(1)
         N = _random_symmetric(rngl)
         S = E + 1e-3 * np.linalg.norm(E) / np.linalg.norm(N) * N
@@ -280,7 +281,8 @@ class TestStackedScaleSync:
         scene = generate(layout, 7, 10, seed=seed)
         m, _ = measure(scene, MeasurementNoise(noise, noise), seed=seed)
         triplets = sorted(combinations(range(scene.n), 3))
-        got = _local_scale_factors(m, triplets)
+        pairs, rows = pair_rows(triplets)
+        got = _local_scale_factors(np.array([m.block(*e) for e in pairs]), rows)
         unclosed = 0
         for row, t in zip(got, triplets):
             want = oracle.scale_factors([m.block(*e) for e in triplet_pairs(t)])
@@ -417,7 +419,7 @@ def _near_consistent_stack(d, count=48):
     rng = np.random.default_rng(3)
     mats = []
     for k in range(count):
-        E = generate("general", n, 8, seed=100 + k).exact_nview().dense()
+        E = exact_nview(generate("general", n, 8, seed=100 + k)).dense()
         N = _random_symmetric(rng, d)
         for i in range(n):
             N[3 * i:3 * i + 3, 3 * i:3 * i + 3] = 0.0

@@ -13,7 +13,8 @@ from colsfm.geometry import (
     BifocalTensor,
     CameraModel,
     bifocal_from_pair,
-    epipole,
+    epipole_table,
+    epipoles,
     essential_candidates,
     fundamental_from_projections,
     nearest_rotation,
@@ -113,7 +114,7 @@ class TestBifocalFromPair:
             cj = _random_camera(rng, calibrated=ci.is_calibrated)
             t = bifocal_from_pair(ci, cj)
             assert t.is_rank2(1e-9)
-            e = epipole(t, "right")
+            e = epipoles(t.matrix)[0, 1]
             assert np.linalg.norm(t.matrix @ e) < 1e-9 * np.linalg.norm(t.matrix)
             img = unit(cj.projection_matrix() @ np.append(ci.center, 1.0))
             assert min(np.linalg.norm(e - img), np.linalg.norm(e + img)) < 1e-9
@@ -130,19 +131,19 @@ class TestBifocalFromPair:
 class TestEpipole:
     def test_skew_null_space(self):
         F = skew([0, 0, 1.0])
-        assert np.allclose(epipole(F, "right"), [0, 0, 1])
+        assert np.allclose(epipoles(F)[0, 1], [0, 0, 1])
 
     def test_transpose_swaps_sides(self, rng):
         ci, cj = _random_camera(rng), _random_camera(rng)
         F = bifocal_from_pair(ci, cj).matrix
-        assert np.allclose(epipole(F, "left"), epipole(F.T, "right"), atol=1e-12)
+        assert np.allclose(epipoles(F)[0, 0], epipoles(F.T)[0, 1], atol=1e-12)
 
     def test_right_epipole_is_image_of_other_center(self, rng):
         # oracle: project center i through camera j
         for _ in range(30):
             ci, cj = _random_camera(rng, False), _random_camera(rng, False)
             F = bifocal_from_pair(ci, cj).matrix
-            e = epipole(F, "right")
+            e = epipoles(F)[0, 1]
             img = cj.projection_matrix() @ np.append(ci.center, 1.0)
             img = img / np.linalg.norm(img)
             assert min(np.linalg.norm(e - img), np.linalg.norm(e + img)) < 1e-9
@@ -150,7 +151,18 @@ class TestEpipole:
     def test_rank_deficient_rejected(self):
         M = np.outer([1.0, 0, 0], [0, 1.0, 0])
         with pytest.raises(RankDeficient):
-            epipole(M, "right")
+            epipoles(M)[0, 1]
+
+    def test_table_zeroes_rank_deficient_rows_only(self, rng):
+        # the table marks a tensor without unique epipoles by zero rows and
+        # leaves every other row as `epipoles` computes it
+        F = np.array([unit_bifocal(_random_camera(rng), _random_camera(rng)).matrix
+                      for _ in range(4)])
+        F[2] = np.outer([1.0, 0, 0], [0, 1.0, 0])
+        table = epipole_table(F)
+        assert np.array_equal(table[2], np.zeros((2, 3)))
+        for k in (0, 1, 3):
+            assert np.array_equal(table[k], epipoles(F[k])[0])
 
 
 class TestSymmetricEpipolarDistance:
@@ -414,6 +426,14 @@ class TestFundamentalFromProjectionsStacked:
             assert np.array_equal(fundamental_from_projections(Pi, Pj), _determinant_loop(Pi, Pj))
         P = rng.normal(size=(3, 4))
         assert np.array_equal(fundamental_from_projections(P, P), _determinant_loop(P, P))
+
+    def test_broadcast_stacks_match_pairwise_calls(self, rng):
+        Pi, Pj = rng.normal(size=(6, 1, 3, 4)), rng.normal(size=(6, 5, 3, 4))
+        F = fundamental_from_projections(Pi, Pj)
+        assert F.shape == (6, 5, 3, 3)
+        for t in range(6):
+            for c in range(5):
+                assert np.array_equal(F[t, c], fundamental_from_projections(Pi[t, 0], Pj[t, c]))
 
 
 class TestNearestRotation:

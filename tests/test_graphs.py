@@ -20,7 +20,7 @@ from colsfm.graphs import (
 )
 from colsfm.synthetic import generate
 
-from conftest import unit_bifocal
+from conftest import covered_edges, unit_bifocal
 
 
 def _oracle_dual_edges(triplets):
@@ -73,7 +73,7 @@ class TestHeuristicCover:
         c = heuristic_cover(g)
         assert len(c.triplets) >= 2
         # brute-force edge coverage oracle
-        assert c.covered_edges() == set(g.edges.keys())
+        assert covered_edges(c) == set(g.edges.keys())
 
     def test_triangle_free(self):
         g = ViewingGraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
@@ -104,7 +104,7 @@ class TestHeuristicCover:
             for a, b in c.dual_edges:
                 assert len(set(a) & set(b)) == 2
             # every triangle edge covered by some triplet is a graph edge
-            for e in c.covered_edges():
+            for e in covered_edges(c):
                 assert g.has_edge(*e)
 
 
@@ -205,7 +205,7 @@ class TestInsertVirtualAndPrune:
         assert _bfs_connected(out.triplets)
         # real edges of surviving real triplets stay covered
         for e in [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)]:
-            assert e in out.covered_edges()
+            assert e in covered_edges(out)
 
     def test_pruning_never_disconnects_random(self):
         rng = np.random.default_rng(1)
@@ -377,7 +377,7 @@ def test_complete_30_cover_enrich_prune():
     the criterion-8 invariants, checked against the brute-force oracles."""
     g = ViewingGraph.complete(30)
     cover = enrich_connectivity(heuristic_cover(g), g.triangles())
-    assert cover.covered_edges() == set(g.edges)
+    assert covered_edges(cover) == set(g.edges)
     marked = cover.triplets[len(cover.triplets) // 2]
     out = insert_virtual_and_prune(cover, {marked: 30})
     assert out.virtual_nodes == {marked: 30}
@@ -385,4 +385,4 @@ def test_complete_30_cover_enrich_prune():
     assert out.dual_edges == _oracle_dual_edges(out.triplets)
     a, b, c = marked
     replaced = {(a, b), (a, c), (b, c)}
-    assert set(g.edges) - replaced <= out.covered_edges()
+    assert set(g.edges) - replaced <= covered_edges(out)

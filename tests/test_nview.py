@@ -18,7 +18,7 @@ from colsfm.nview import (
 from colsfm.nview import _eig_sorted, _vhat_alignment
 from colsfm.synthetic import MeasurementNoise, generate, measure
 
-from conftest import geodesic_angle
+from conftest import exact_nview, exact_triplet, geodesic_angle
 
 
 def _blocks_from_scene(scene):
@@ -75,7 +75,7 @@ class TestDense:
         assert np.allclose(D[3:6, 0:3], t.matrix.T)
 
     def test_symmetry_and_zero_trace(self, collinear_scene):
-        D = collinear_scene.exact_nview().dense()
+        D = exact_nview(collinear_scene).dense()
         assert np.array_equal(D, D.T)
         w = np.linalg.eigvalsh(D)
         assert abs(np.sum(w)) < 1e-9 * np.max(np.abs(w))
@@ -130,7 +130,7 @@ class TestOneAssembler:
         s = sorted(ids)
         want = _loop_block_matrix(
             3, lambda u, v: bifocal_from_pair(scene.cameras[s[u]], scene.cameras[s[v]]).matrix)
-        assert np.array_equal(scene.exact_triplet(ids), want)
+        assert np.array_equal(exact_triplet(scene, ids), want)
 
     def test_default_layout_built_once_per_size(self, monkeypatch, rng):
         import colsfm.nview
@@ -179,7 +179,7 @@ class TestSvdSpectralMap:
         # oracle: eigendecomposition of the dense matrix; the factor pair
         # (U_hat, V_hat) built from the eigen split is a valid thin SVD of E
         # and the forward map must land back in the eigenspaces
-        E = collinear_scene.exact_nview().dense()
+        E = exact_nview(collinear_scene).dense()
         w, V = np.linalg.eigh(E)
         lam = w[-1]
         Epos = V[:, np.abs(w - lam) < 1e-8 * lam]
@@ -216,7 +216,7 @@ def _rotations_from_vhat(v_hat):
 class TestCertifyCollinearEssential:
     def test_collinear_passes_with_pattern(self):
         scene = generate("collinear", 10, 8, seed=11)
-        cert = certify_collinear_essential(scene.exact_nview(), tol=1e-8)
+        cert = certify_collinear_essential(exact_nview(scene), tol=1e-8)
         assert cert.passed
         assert cert.rank_estimate == 4
         assert cert.pattern_residual < 1e-8
@@ -227,14 +227,14 @@ class TestCertifyCollinearEssential:
 
     def test_general_position_fails_with_six_eigenvalues(self):
         scene = generate("general", 10, 8, seed=12)
-        cert = certify_collinear_essential(scene.exact_nview())
+        cert = certify_collinear_essential(exact_nview(scene))
         assert not cert.passed
         assert cert.rank_estimate == 6
         assert not cert.conditions["eigen_count"]
 
     def test_perturbation_moves_residual(self):
         scene = generate("collinear", 6, 8, seed=13)
-        m = scene.exact_nview()
+        m = exact_nview(scene)
         D = m.dense()
         B = np.zeros_like(D)
         rngl = np.random.default_rng(0)
@@ -250,7 +250,7 @@ class TestCertifyCollinearEssential:
         # Thm 1 recovery direction: V_hat blocks extend to rotations matching
         # the oracle R_i^T up to one global rotation
         scene = generate("collinear", 7, 8, seed=14)
-        cert = certify_collinear_essential(scene.exact_nview(), tol=1e-8)
+        cert = certify_collinear_essential(exact_nview(scene), tol=1e-8)
         rots = _rotations_from_vhat(cert.v_hat)
         for i in range(scene.n):
             for j in range(i + 1, scene.n):
@@ -326,10 +326,10 @@ class TestClosedFormAlignment:
         for seed in range(12):
             n = 3 + seed % 8
             scene = generate("collinear", n, 8, seed=200 + seed)
-            yield "exact", scene.exact_nview().dense()
+            yield "exact", exact_nview(scene).dense()
             noisy, _ = measure(scene, MeasurementNoise(0.5, 0.5), seed=seed)
             yield "noisy", noisy.dense()
-            yield "general", generate("general", n, 8, seed=300 + seed).exact_nview().dense()
+            yield "general", exact_nview(generate("general", n, 8, seed=300 + seed)).dense()
 
     def test_objective_no_larger_and_same_conditions(self):
         for label, M in self._matrices():
@@ -356,13 +356,13 @@ class TestClosedFormAlignment:
 
     def test_exact_input_reaches_machine_precision(self):
         scene = generate("collinear", 5, 8, seed=7)
-        cert = certify_collinear_essential(scene.exact_nview())
+        cert = certify_collinear_essential(exact_nview(scene))
         assert cert.orthogonality_residual < 1e-12
 
 
 class TestCertifyCollinearFundamental:
     def test_collinear_projective_passes(self, collinear_projective_scene):
-        cert = certify_collinear_fundamental(collinear_projective_scene.exact_nview())
+        cert = certify_collinear_fundamental(exact_nview(collinear_projective_scene))
         assert cert.passed
         assert cert.signature == (2, 2)
         assert all(r == 2 for r in cert.block_row_ranks)
@@ -379,13 +379,13 @@ class TestCertifyCollinearFundamental:
 
     def test_general_position_block_rows_rank3(self):
         scene = generate("general", 6, 8, seed=15, intrinsics_mode="varied")
-        cert = certify_collinear_fundamental(scene.exact_nview())
+        cert = certify_collinear_fundamental(exact_nview(scene))
         assert not cert.passed
         assert any(r == 3 for r in cert.block_row_ranks)
 
     def test_eigen_split_reconstruction(self, collinear_projective_scene):
         # Lemma: F = U V^T + V U^T from the (2,2) eigen-split
-        F = collinear_projective_scene.exact_nview().dense()
+        F = exact_nview(collinear_projective_scene).dense()
         w, V = np.linalg.eigh(F)
         pos = np.argsort(w)[-2:]
         neg = np.argsort(w)[:2]
@@ -399,7 +399,7 @@ class TestCertifyCollinearFundamental:
 class TestCertifyGeneral:
     def test_calibrated_triplet_passes(self):
         scene = generate("general", 3, 8, seed=16)
-        cert = certify_general(scene.exact_nview(), tol=1e-8)
+        cert = certify_general(exact_nview(scene), tol=1e-8)
         assert cert.passed
         assert cert.rank_estimate == 6
         assert cert.signature == (3, 3)
@@ -407,13 +407,13 @@ class TestCertifyGeneral:
 
     def test_collinear_triplet_fails_rank(self):
         scene = generate("collinear", 3, 8, seed=17)
-        cert = certify_general(scene.exact_nview())
+        cert = certify_general(exact_nview(scene))
         assert not cert.passed
         assert cert.rank_estimate == 4
 
     def test_rotation_residual_tracks_perturbation(self):
         scene = generate("general", 3, 8, seed=18)
-        M = scene.exact_nview().dense()
+        M = exact_nview(scene).dense()
         cert0 = certify_general(M, kind="essential")
         rngl = np.random.default_rng(1)
         # perturb in a way that keeps the spectrum-side conditions roughly
@@ -427,7 +427,7 @@ class TestCertifyGeneral:
 
     def test_fundamental_rank6_signature(self):
         scene = generate("general", 4, 8, seed=19, intrinsics_mode="varied")
-        cert = certify_general(scene.exact_nview())
+        cert = certify_general(exact_nview(scene))
         assert cert.passed
         assert cert.signature == (3, 3)
 
@@ -436,7 +436,7 @@ class TestSparseCertificates:
     def test_sparse_input_rejected(self, collinear_scene):
         from colsfm.errors import ValidationError
 
-        m = collinear_scene.exact_nview()
+        m = exact_nview(collinear_scene)
         blocks = dict(m.blocks)
         del blocks[(0, 2)]
         sparse = NViewBifocal.assemble(m.n, blocks)

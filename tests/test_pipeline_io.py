@@ -22,6 +22,7 @@ from colsfm.graphs import triplet_pairs
 from colsfm.nview import certify_general
 from colsfm.pipeline import PipelineConfig, run_pipeline
 from colsfm.synthetic import MeasurementNoise, TrackSet, generate, measure
+from conftest import covered_edges
 
 
 # sha256 of the measurements files colsfm.io writes: for a noisy mixed scene,
@@ -267,7 +268,7 @@ class TestDecompositionBudget:
         assert out.report.n_reconstructed == 8
         assert len(decomposed) == 1 and len(voted) == 1
         blocks = decomposed[0]
-        assert len(blocks) <= len(out.cover.covered_edges())
+        assert len(blocks) <= len(covered_edges(out.cover))
         assert max(Counter(blocks).values()) == 1
         assert 1 < voted[0] < len(blocks)  # the real pairs with tracks, none virtual
 
@@ -309,6 +310,45 @@ class TestDecompositionBudget:
         assert n_virtual > 1
         assert len(scored) == 1
         assert decomposed == [2 * n_virtual]
+
+
+    @pytest.mark.parametrize("layout,algorithm", [("mixed", "vc"), ("collinear", "r4")])
+    def test_projective_recovery_is_one_stacked_pass(self, monkeypatch, layout, algorithm):
+        """Once averaging has returned, uncalibrated recovery builds one
+        epipole table over the cover pairs and one tensor stack of the five
+        cameras P2(0), P2(e_k) of all T triplets, not 2T epipole and 5T
+        tensor calls."""
+        import colsfm.pipeline
+        import colsfm.recovery
+
+        averaged, tables, tensors = [], [], []
+        real_average = colsfm.pipeline.average
+        real_table = colsfm.pipeline.epipole_table
+        real_tensors = colsfm.recovery.fundamental_from_projections
+
+        def average(*args, **kwargs):
+            averaged.append(real_average(*args, **kwargs))
+            return averaged[-1]
+
+        def table(F):
+            if averaged:
+                tables.append(len(F))
+            return real_table(F)
+
+        def tensor_stack(Pi, Pj):
+            if averaged:
+                tensors.append(np.broadcast_shapes(np.shape(Pi), np.shape(Pj)))
+            return real_tensors(Pi, Pj)
+
+        monkeypatch.setattr(colsfm.pipeline, "average", average)
+        monkeypatch.setattr(colsfm.pipeline, "epipole_table", table)
+        monkeypatch.setattr(colsfm.recovery, "fundamental_from_projections", tensor_stack)
+        scene = generate(layout, 8, 12, seed=15, intrinsics_mode="varied")
+        m, tracks = measure(scene, seed=115)
+        out = run_pipeline(m, tracks, algorithm, "uncalibrated", scene)
+        assert out.report.n_reconstructed == 8
+        assert tables == [len(covered_edges(out.cover))]
+        assert tensors == [(len(out.cover.triplets), 5, 3, 4)]
 
 
 class TestPipelineNoVirtual:
@@ -432,6 +472,10 @@ GOLDEN_RUNS = [
      "566005a4a9fc95ffb18ac5fcab225b7ec1367060bbbdc5c39b2ed68c27d824b4"),
     (("vc", "mixed", 8, "calibrated", 0.5, 17, None),
      "be992fa2d095da32b0b6638aba0af5bfbe1e73d68553e07bb629250ed40f1095"),
+    # noisy uncalibrated vc: projective general recovery on blocks that ADMM
+    # left inexact, recorded before projective recovery was stacked
+    (("vc", "mixed", 8, "varied", 0.5, 18, None),
+     "f8cb4b9796570d5aaf7f5fa0e95b90aadd12294edea18e603b46e79d66b6c8da"),
 ]
 # the cases whose report must name a failure stage instead of raising
 NAMED_FAILURES = {"r4-calibrated-max_iters3", "vc-calibrated-noisy-seed16"}

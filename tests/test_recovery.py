@@ -3,6 +3,7 @@ from itertools import combinations
 
 import calibrated_oracle as oracle
 import numpy as np
+import projective_oracle
 import pytest
 
 from colsfm.errors import (
@@ -12,12 +13,14 @@ from colsfm.errors import (
     InconsistentInput,
     InsufficientTracks,
     NotConnected,
+    RankDeficient,
     ValidationError,
 )
 from colsfm.geometry import (
     BifocalTensor,
     CameraModel,
     bifocal_from_pair,
+    epipole_table,
     essential_candidates,
     fundamental_from_projections,
     nearest_rotation,
@@ -25,13 +28,11 @@ from colsfm.geometry import (
     triangulate_dlt,
     unit,
 )
-from colsfm.graphs import _LOCAL_PAIRS, TripletCover, pair_rows, sequential_cover
+from colsfm.graphs import _LOCAL_PAIRS, TripletCover, pair_rows, sequential_cover, triplet_pairs
 from colsfm.metrics import align_similarity, mean_reprojection_error
 from colsfm.recovery import (
     TripletCameras,
-    _a_system_rows,
     _alpha_least_squares,
-    _canonical_pair_cameras,
     _edge_homography,
     _triangulate_tracks3,
     closure_scales,
@@ -41,11 +42,15 @@ from colsfm.recovery import (
     recover_projective_collinear_triplet,
     recover_projective_general_triplet,
     pair_poses,
+    projective_systems,
     register_global,
     resolve_essential_triplet,
 )
 from colsfm.synthetic import MeasurementNoise, generate, measure
-from conftest import geodesic_angle, seen_everywhere, seen_in, triplet_geometry, unit_bifocal
+from conftest import (
+    exact_triplet, geodesic_angle, projective_system, seen_everywhere, seen_in, triplet_geometry,
+    unit_bifocal,
+)
 
 
 def _local_tracks(scene, ids, n_points=None):
@@ -70,6 +75,15 @@ def _rebuilt_block_matches(P_i, P_j, tensor, tol=1e-8):
     return min(np.linalg.norm(a - b), np.linalg.norm(a + b)) < tol
 
 
+def _projective_collinear(F01, F12, F02, tracks3, triplet_id=(0, 1, 2)):
+    return recover_projective_collinear_triplet(
+        projective_system(F01, F12, F02, tracks3), 0, triplet_id=triplet_id)
+
+
+def _projective_general(F01, F12, F02):
+    return recover_projective_general_triplet(projective_system(F01, F12, F02), 0)
+
+
 def _recover_general(E9, tracks2=None):
     geom = triplet_geometry(E9, tracks2)
     return recover_calibrated_general_triplet(geom, closure_scales(geom), 0)
@@ -78,7 +92,7 @@ def _recover_general(E9, tracks2=None):
 class TestResolveEssentialTriplet:
     def test_cycle_consistency_on_oracle(self):
         scene = generate("general", 3, 8, seed=50)
-        geom = triplet_geometry(scene.exact_triplet((0, 1, 2)))
+        geom = triplet_geometry(exact_triplet(scene, (0, 1, 2)))
         assert geom.cycle_residual[0] < 1e-9
         for (i, j), R in zip(_LOCAL_PAIRS, geom.rotations[0]):
             Rtrue = scene.cameras[i].rotation.T @ scene.cameras[j].rotation
@@ -86,7 +100,7 @@ class TestResolveEssentialTriplet:
 
     def test_closure_scales_match_distances(self):
         scene = generate("general", 3, 8, seed=51)
-        E = scene.exact_triplet((0, 1, 2))
+        E = exact_triplet(scene, (0, 1, 2))
         blocks = [normalized_tensor(E[3 * i:3 * i + 3, 3 * j:3 * j + 3]) for (i, j) in _LOCAL_PAIRS]
         closure = closure_scales(resolve_essential_triplet(pair_poses(blocks, [None] * 3), [[0, 1, 2]]))
         assert closure.valid[0] and closure.residual[0] < 1e-9
@@ -113,7 +127,7 @@ class TestEigenRotationAveraging:
 class TestCalibratedCollinearRecovery:
     def test_oracle_round_trip(self):
         scene = generate("collinear", 3, 10, seed=52)
-        E = scene.exact_triplet((0, 1, 2))
+        E = exact_triplet(scene, (0, 1, 2))
         tr2, tr3 = _local_tracks(scene, (0, 1, 2))
         rec = recover_calibrated_collinear_triplet(E, triplet_geometry(E, tr2), 0, tr3)
         est = np.vstack([_center(P) for P in rec.cameras])
@@ -128,7 +142,7 @@ class TestCalibratedCollinearRecovery:
     def test_unit_normalized_blocks_work_too(self):
         # recovery is scale free: unit-normalizing every block changes nothing
         scene = generate("collinear", 3, 10, seed=53)
-        E = scene.exact_triplet((0, 1, 2))
+        E = exact_triplet(scene, (0, 1, 2))
         En = np.zeros_like(E)
         for (i, j) in ((0, 1), (0, 2), (1, 2)):
             B = normalized_tensor(E[3 * i:3 * i + 3, 3 * j:3 * j + 3])
@@ -170,7 +184,7 @@ class TestCalibratedCollinearRecovery:
 
     def test_no_three_view_tracks_rejected(self):
         scene = generate("collinear", 3, 8, seed=54)
-        E = scene.exact_triplet((0, 1, 2))
+        E = exact_triplet(scene, (0, 1, 2))
         tr2, _ = _local_tracks(scene, (0, 1, 2))
         with pytest.raises(InsufficientTracks):
             recover_calibrated_collinear_triplet(E, triplet_geometry(E, tr2), 0, [])
@@ -187,7 +201,7 @@ class TestCalibratedCollinearRecovery:
 class TestCalibratedGeneralRecovery:
     def test_oracle_round_trip(self):
         scene = generate("general", 3, 8, seed=55)
-        E = scene.exact_triplet((0, 1, 2))
+        E = exact_triplet(scene, (0, 1, 2))
         tr2, _ = _local_tracks(scene, (0, 1, 2))
         rec = _recover_general(E, tr2)
         est = np.vstack([_center(P) for P in rec.cameras])
@@ -196,7 +210,7 @@ class TestCalibratedGeneralRecovery:
 
     def test_tracks_on_one_pair_suffice(self):
         scene = generate("general", 3, 8, seed=56)
-        E = scene.exact_triplet((0, 1, 2))
+        E = exact_triplet(scene, (0, 1, 2))
         tr2, _ = _local_tracks(scene, (0, 1, 2))
         only01 = {(0, 1): tr2[(0, 1)]}
         rec = _recover_general(E, only01)
@@ -205,7 +219,7 @@ class TestCalibratedGeneralRecovery:
 
     def test_no_tracks_rejected(self):
         scene = generate("general", 3, 8, seed=57)
-        E = scene.exact_triplet((0, 1, 2))
+        E = exact_triplet(scene, (0, 1, 2))
         with pytest.raises(InsufficientTracks):
             _recover_general(E)
 
@@ -222,7 +236,7 @@ class TestProjectiveCollinearRecovery:
         scene = collinear_projective_scene
         F = self._tensors(scene)
         _, tr3 = _local_tracks(scene, (0, 1, 2))
-        rec = recover_projective_collinear_triplet(F[(0, 1)], F[(1, 2)], F[(0, 2)], tr3)
+        rec = _projective_collinear(F[(0, 1)], F[(1, 2)], F[(0, 2)], tr3)
         assert mean_reprojection_error(rec.cameras, *seen_everywhere(tr3)) < 1e-8
         assert _rebuilt_block_matches(rec.cameras[0], rec.cameras[1], F[(0, 1)].matrix)
         assert _rebuilt_block_matches(rec.cameras[1], rec.cameras[2], F[(1, 2)].matrix)
@@ -234,8 +248,8 @@ class TestProjectiveCollinearRecovery:
         scene = generate("general", 3, 10, seed=58, intrinsics_mode="varied")
         F = self._tensors(scene)
         _, tr3 = _local_tracks(scene, (0, 1, 2))
-        rec2 = recover_projective_collinear_triplet(F[(0, 1)], F[(1, 2)], F[(0, 2)], tr3[:2])
-        rec_all = recover_projective_collinear_triplet(F[(0, 1)], F[(1, 2)], F[(0, 2)], tr3)
+        rec2 = _projective_collinear(F[(0, 1)], F[(1, 2)], F[(0, 2)], tr3[:2])
+        rec_all = _projective_collinear(F[(0, 1)], F[(1, 2)], F[(0, 2)], tr3)
         assert np.linalg.norm(np.asarray(rec2.alpha_or_a) - np.asarray(rec_all.alpha_or_a)) < 1e-10
 
     def test_exactly_collinear_needs_enough_tracks(self, collinear_projective_scene):
@@ -243,7 +257,7 @@ class TestProjectiveCollinearRecovery:
         scene = collinear_projective_scene
         F = self._tensors(scene)
         _, tr3 = _local_tracks(scene, (0, 1, 2))
-        rec4 = recover_projective_collinear_triplet(F[(0, 1)], F[(1, 2)], F[(0, 2)], tr3[:4])
+        rec4 = _projective_collinear(F[(0, 1)], F[(1, 2)], F[(0, 2)], tr3[:4])
         held_out = tr3[4:]
         assert mean_reprojection_error(rec4.cameras, *seen_everywhere(held_out)) < 1e-7
 
@@ -256,11 +270,12 @@ class TestProjectiveCollinearRecovery:
         c = scene.centers()
         X = c[0] + 2.7 * (c[1] - c[0])
         on_line = np.vstack([scene.cameras[i].project(X) for i in range(3)])
-        P0, P1, _, _ = _canonical_pair_cameras(F[(0, 1)], F[(1, 2)])
+        P0 = projective_system(F[(0, 1)], F[(1, 2)], F[(0, 2)]).P0[0]
+        P1 = np.hstack([np.eye(3), np.zeros((3, 1))])
         with pytest.raises(DegenerateGeometry):
             triangulate_dlt([P0, P1], on_line[:2])
         with pytest.raises(InsufficientTracks):
-            recover_projective_collinear_triplet(F[(0, 1)], F[(1, 2)], F[(0, 2)], [tr3[0], on_line])
+            _projective_collinear(F[(0, 1)], F[(1, 2)], F[(0, 2)], [tr3[0], on_line])
 
     def test_all_tracks_at_epipole_rejected(self, collinear_projective_scene):
         scene = collinear_projective_scene
@@ -272,7 +287,7 @@ class TestProjectiveCollinearRecovery:
         pts = [scene.cameras[i].project(X) for i in range(3)]
         bad = [np.vstack(pts)] * 3
         with pytest.raises((DegenerateEpipole, InsufficientTracks)):
-            recover_projective_collinear_triplet(F[(0, 1)], F[(1, 2)], F[(0, 2)], bad)
+            _projective_collinear(F[(0, 1)], F[(1, 2)], F[(0, 2)], bad)
 
 
 class TestProjectiveGeneralRecovery:
@@ -281,7 +296,7 @@ class TestProjectiveGeneralRecovery:
         F = {}
         for (i, j) in ((0, 1), (0, 2), (1, 2)):
             F[(i, j)] = unit_bifocal(scene.cameras[i], scene.cameras[j])
-        rec = recover_projective_general_triplet(F[(0, 1)], F[(1, 2)], F[(0, 2)])
+        rec = _projective_general(F[(0, 1)], F[(1, 2)], F[(0, 2)])
         ts = scene.track_set()
         assert mean_reprojection_error(rec.cameras, *seen_everywhere(ts.tracks((0, 1, 2)))) < 1e-7
 
@@ -291,7 +306,7 @@ class TestProjectiveGeneralRecovery:
         for (i, j) in ((0, 1), (0, 2), (1, 2)):
             F[(i, j)] = unit_bifocal(scene.cameras[i], scene.cameras[j])
         with pytest.raises(DegenerateEpipole):
-            recover_projective_general_triplet(F[(0, 1)], F[(1, 2)], F[(0, 2)])
+            _projective_general(F[(0, 1)], F[(1, 2)], F[(0, 2)])
 
 
 class TestRegisterGlobal:
@@ -300,7 +315,7 @@ class TestRegisterGlobal:
         out = []
         for t in cover.triplets:
             ids = sorted(t)
-            E = scene.exact_triplet(ids)
+            E = exact_triplet(scene, ids)
             tr3 = ts.tracks(ids)
             tr2 = {(a, b): ts.tracks((ids[a], ids[b])) for (a, b) in ((0, 1), (0, 2), (1, 2))}
             rec = recover_calibrated_collinear_triplet(
@@ -352,11 +367,8 @@ class TestRegisterGlobal:
             F = {}
             for (a, b) in ((0, 1), (0, 2), (1, 2)):
                 F[(a, b)] = unit_bifocal(scene.cameras[ids[a]], scene.cameras[ids[b]])
-            recs.append(
-                recover_projective_collinear_triplet(
-                    F[(0, 1)], F[(1, 2)], F[(0, 2)], tr3, triplet_id=tuple(ids)
-                )
-            )
+            recs.append(_projective_collinear(F[(0, 1)], F[(1, 2)], F[(0, 2)], tr3,
+                                              triplet_id=tuple(ids)))
         reg = register_global(recs, cover, "projective")
         all_tracks = seen_in(ts, *((i, i + 1, i + 2) for i in range(3)))
         assert mean_reprojection_error(reg.cameras, *all_tracks) < 1e-6
@@ -367,7 +379,7 @@ class TestGaugeInvariance:
         from conftest import random_rotation
 
         scene = generate("collinear", 3, 8, seed=65)
-        E1 = scene.exact_triplet((0, 1, 2))
+        E1 = exact_triplet(scene, (0, 1, 2))
         # transform the whole scene by a similarity and rebuild
         Q = random_rotation(rng)
         s, d = 2.3, rng.normal(size=3)
@@ -417,7 +429,7 @@ def _alpha_loop(P0, P1, Rh2, axis_dir, tracks3):
 
 
 def _a_rows_loop(P0, M2, e2, F02, tracks3):
-    """Oracle: the former per-track a-system rows."""
+    """Oracle: the former per-track a-system rows, before row normalization."""
     def P2_of(a):
         return np.hstack([M2, np.zeros((3, 1))]) + np.outer(e2, a)
 
@@ -442,13 +454,7 @@ def _a_rows_loop(P0, M2, e2, F02, tracks3):
         ex = np.cross(e2, x2)
         rows.append(np.outer(ex, X))
         rhs.append(-np.cross(c, x2))
-    A = np.vstack(rows)
-    b = np.concatenate(rhs)
-    norms = np.linalg.norm(A, axis=1)
-    keep = norms > 1e-12 * max(float(np.max(norms)), 1.0)
-    if not np.any(keep):
-        raise DegenerateEpipole("every constraint row is degenerate (tracks at the epipole)")
-    return A[keep] / norms[keep, None], b[keep] / norms[keep]
+    return np.vstack(rows), np.concatenate(rhs)
 
 
 def _outcome(fn, *args):
@@ -491,7 +497,7 @@ class TestStackedTrackSolves:
                 yield P0, P1, R2, axis, np.array(tracks)
 
     def test_alpha_and_rows_equal_per_track_loops(self, rng):
-        ambiguous = at_infinity = 0
+        ambiguous = at_infinity = ambiguous_canonical = 0
         for P0, P1, R2, axis, tracks in self._cases(rng):
             X, amb = _triangulate_tracks3(P0, P1, tracks)
             ambiguous += int(np.sum(amb))
@@ -499,15 +505,146 @@ class TestStackedTrackSolves:
             old = _outcome(_alpha_loop, P0, P1, R2, axis, tracks)
             new = _outcome(_alpha_least_squares, P0, P1, R2, axis, tracks)
             assert old is new if isinstance(old, type) else np.array_equal(old, new)
-            M2, F02 = rng.normal(size=(3, 3)), rng.normal(size=(3, 3))
-            e2 = unit(rng.normal(size=3))
-            old = _outcome(_a_rows_loop, P0, M2, e2, F02, tracks)
-            new = _outcome(_a_system_rows, P0, M2, e2, F02, tracks)
-            if isinstance(old, type):
-                assert old is new
+            # the a-rows of the stacked pass, its canonical cameras built from
+            # the tensors of P0, P1 and a random third camera
+            Q, F02 = rng.normal(size=(3, 3)), rng.normal(size=(3, 3))
+            F01 = fundamental_from_projections(P0, P1)
+            F12 = fundamental_from_projections(P1, np.hstack([Q, rng.normal(size=(3, 1))]))
+            system = projective_system(F01, F12, F02, tracks)
+            C0, C1, M2, e2 = projective_oracle.canonical_pair_cameras(F01, F12)
+            assert np.array_equal(system.P0[0], C0)
+            assert np.array_equal(system.M2[0], M2) and np.array_equal(system.e2[0], e2)
+            ambiguous_canonical += int(np.sum(_triangulate_tracks3(C0, C1, tracks)[1]))
+            A, b = _a_rows_loop(C0, M2, e2, F02, tracks)
+            assert np.array_equal(system.rows[0][0], A) and np.array_equal(system.rows[0][1], b)
+            _assert_same(_outcome_of(projective_oracle.recover_collinear, F01, F12, F02, tracks),
+                         _outcome_of(recover_projective_collinear_triplet, system, 0))
+        # both skip rules fired, and the ambiguous tracks stay ambiguous in
+        # the canonical frame
+        assert ambiguous > 0 and at_infinity > 0 and ambiguous_canonical > 0
+
+
+def _outcome_of(fn, *args, **kwargs):
+    """fn's cameras, or the class and message of the error it raises."""
+    try:
+        return fn(*args, **kwargs)
+    except (ValidationError, ValueError) as exc:  # ValueError: a zero tensor
+        return type(exc), str(exc)
+
+
+def _assert_same(want, got):
+    """Oracle and stacked outcome agree: the same error, or cameras and a
+    bit for bit."""
+    if isinstance(want, tuple) or isinstance(got, tuple):
+        assert want == got
+        return
+    assert got.triplet_id == want.triplet_id and got.frame == want.frame
+    assert all(np.array_equal(a, b) for a, b in zip(want.cameras, got.cameras))
+    assert np.array_equal(want.alpha_or_a, got.alpha_or_a)
+
+
+class TestStackedProjective:
+    """The stacked projective pass, read row by row, against the per-triplet
+    oracle (tests/projective_oracle.py)."""
+
+    @pytest.mark.parametrize("layout,algorithm,deg", [
+        ("collinear", "r4", 0.0), ("collinear", "r4", 0.5), ("collinear", "vc", 0.0),
+        ("collinear", "vc", 0.5), ("mixed", "vc", 0.0), ("mixed", "vc", 0.5),
+    ])
+    def test_cover_rows_equal_oracle(self, monkeypatch, layout, algorithm, deg):
+        import colsfm.pipeline as pipeline
+
+        scene = generate(layout, 8, 12, seed=71, intrinsics_mode="varied")
+        noise = MeasurementNoise(rotation_deg=deg, translation_dir_deg=deg)
+        m, tracks = measure(scene, noise, seed=171)
+        # the cover stage's collinear recoveries, one per virtual camera
+        calls, real = [], pipeline.recover_projective_collinear_triplet
+
+        def recorded(system, k, *args, **kwargs):
+            calls.append(_outcome_of(real, system, k, *args, **kwargs))
+            return real(system, k, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "recover_projective_collinear_triplet", recorded)
+        cover, avg = pipeline.cover_and_average(m, tracks, algorithm)
+        collinear = sorted(cover.virtual_nodes, key=cover.virtual_nodes.get)
+        assert len(calls) == len(collinear) and (algorithm == "r4" or collinear)
+        for t, got in zip(collinear, calls):
+            F01, F02, F12 = (m.block(*e) for e in triplet_pairs(t))
+            _assert_same(_outcome_of(projective_oracle.recover_collinear, F01, F12, F02,
+                                     tracks.tracks(t)), got)
+        # the recovery stage, every cover triplet
+        triplets = sorted(cover.triplets)
+        system = pipeline._projective_systems(algorithm, avg, tracks, triplets)
+        for k, t in enumerate(triplets):
+            F01, F02, F12 = (avg.nview.block(*e) for e in triplet_pairs(t))
+            if algorithm == "r4":
+                want = _outcome_of(projective_oracle.recover_collinear, F01, F12, F02,
+                                   tracks.tracks(t), triplet_id=t)
+                got = _outcome_of(recover_projective_collinear_triplet, system, k, triplet_id=t)
             else:
-                assert np.array_equal(old[0], new[0]) and np.array_equal(old[1], new[1])
-        assert ambiguous > 0 and at_infinity > 0  # both skip rules fired
+                want = _outcome_of(projective_oracle.recover_general, F01, F12, F02, triplet_id=t)
+                got = _outcome_of(recover_projective_general_triplet, system, k, triplet_id=t)
+            _assert_same(want, got)
+
+    def test_failing_rows_raise_in_order(self):
+        """One pass over a chain whose triplets fail in different ways builds
+        without raising; each row raises the oracle's error when read, so a
+        triplet before a rank-deficient pair reports its own error first."""
+        scene = generate("collinear", 8, 12, seed=72, intrinsics_mode="varied")
+        c = scene.centers()
+        on_line = np.array([[cam.project(c[0] + 2.7 * (c[1] - c[0])) for cam in scene.cameras]])
+        ts = scene.track_set()
+        triplets = sequential_cover(8).triplets
+        pairs, rows = pair_rows(triplets)
+        blocks = {e: unit_bifocal(scene.cameras[e[0]], scene.cameras[e[1]]).matrix for e in pairs}
+        blocks[(3, 4)] = np.outer([1.0, 0, 0], [0, 1.0, 0])  # F12 of (2,3,4), F01 of (3,4,5)
+        blocks[(5, 7)] = np.zeros((3, 3))                     # F02 of (5,6,7)
+        tracks3 = [ts.tracks(t) for t in triplets]
+        tracks3[1] = tracks3[1][:1]                           # (1,2,3): one track
+        tracks3[3] = tracks3[3][:1]                           # (3,4,5): and rank deficient
+        tracks3[4] = on_line[:, 4:7].repeat(3, axis=0)        # (4,5,6): at the epipoles
+        F = np.array([blocks[e] for e in pairs])
+        system = projective_systems(F, rows, epipole_table(F), tracks3)
+        general = projective_systems(F, rows, epipole_table(F))
+        kinds = []
+        for k, t in enumerate(triplets):
+            F01, F02, F12 = (blocks[e] for e in triplet_pairs(t))
+            want = _outcome_of(projective_oracle.recover_collinear, F01, F12, F02, tracks3[k])
+            _assert_same(want, _outcome_of(recover_projective_collinear_triplet, system, k))
+            kinds.append(want[0] if isinstance(want, tuple) else TripletCameras)
+            _assert_same(_outcome_of(projective_oracle.recover_general, F01, F12, F02),
+                         _outcome_of(recover_projective_general_triplet, general, k))
+        assert kinds == [TripletCameras, InsufficientTracks, RankDeficient, InsufficientTracks,
+                         kinds[4], ValueError]
+        assert kinds[4] in (DegenerateEpipole, InsufficientTracks)
+
+    def test_random_stacks_equal_oracle(self, rng):
+        """Many triplets of random cameras in one pass, tracks shared out
+        unevenly (none, one, many), rows equal to the oracle's."""
+        triplets, blocks, tracks3 = [], {}, []
+        for k in range(12):
+            ids = (3 * k, 3 * k + 1, 3 * k + 2)
+            P = [np.hstack([np.eye(3) + 0.1 * rng.normal(size=(3, 3)), rng.normal(size=(3, 1))])
+                 for _ in range(3)]
+            for (a, b) in _LOCAL_PAIRS:
+                blocks[(ids[a], ids[b])] = normalized_tensor(fundamental_from_projections(P[a], P[b]))
+            n = int(rng.integers(0, 6))
+            X = np.hstack([rng.normal(size=(n, 3)) + [0, 0, 6.0], np.ones((n, 1))])
+            tracks3.append(np.stack([(X @ Pv.T) / (X @ Pv.T)[:, 2:] for Pv in P], axis=1))
+            triplets.append(ids)
+        pairs, rows = pair_rows(triplets)
+        F = np.array([blocks[e] for e in pairs])
+        system = projective_systems(F, rows, epipole_table(F), tracks3)
+        general = projective_systems(F, rows, epipole_table(F))
+        kinds = set()
+        for k, t in enumerate(triplets):
+            F01, F02, F12 = (blocks[e] for e in triplet_pairs(t))
+            want = _outcome_of(projective_oracle.recover_collinear, F01, F12, F02, tracks3[k])
+            _assert_same(want, _outcome_of(recover_projective_collinear_triplet, system, k))
+            kinds.add(want[0] if isinstance(want, tuple) else TripletCameras)
+            _assert_same(_outcome_of(projective_oracle.recover_general, F01, F12, F02),
+                         _outcome_of(recover_projective_general_triplet, general, k))
+        assert kinds == {TripletCameras, InsufficientTracks}
 
 
 def _closure_loop(geom):

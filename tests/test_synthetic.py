@@ -9,7 +9,7 @@ from colsfm.geometry import bifocal_from_pair, essential_candidates, normalized_
 from colsfm.nview import certify_collinear_essential, certify_collinear_fundamental
 from colsfm.synthetic import MeasurementNoise, TrackSet, generate, measure
 
-from conftest import geodesic_angle
+from conftest import exact_nview, geodesic_angle
 
 
 def _line_distance(centers):
@@ -52,7 +52,7 @@ class TestGenerate:
             K = cam.intrinsics
             assert 0.8 <= K[0, 0] <= 1.2
             assert abs(K[0, 2]) <= 0.1 and abs(K[1, 2]) <= 0.1
-        assert scene.exact_nview().kind == "fundamental"
+        assert exact_nview(scene).kind == "fundamental"
 
     def test_too_few_rejected(self):
         with pytest.raises(ValueError):
@@ -241,12 +241,12 @@ class TestOracleSoundness:
     def test_collinear_essential_certificates_pass(self):
         for seed in range(5):
             scene = generate("collinear", int(4 + seed), 6, seed=seed)
-            assert certify_collinear_essential(scene.exact_nview(), tol=1e-8).passed
+            assert certify_collinear_essential(exact_nview(scene), tol=1e-8).passed
 
     def test_collinear_fundamental_certificates_pass(self):
         for seed in range(5):
             scene = generate("collinear", int(4 + seed), 6, seed=seed, intrinsics_mode="varied")
-            assert certify_collinear_fundamental(scene.exact_nview()).passed
+            assert certify_collinear_fundamental(exact_nview(scene)).passed
 
 
 class TestTrackSet:

@@ -5,7 +5,6 @@ from colsfm.errors import NoValidPoint, RankDeficient
 from colsfm.geometry import (
     CameraModel,
     bifocal_from_pair,
-    epipole,
     epipoles,
     fundamental_from_projections,
     normalized_tensor,
@@ -24,7 +23,7 @@ from colsfm.virtual import (
     virtual_bifocals,
 )
 
-from conftest import unit_bifocal
+from conftest import projective_system, unit_bifocal
 
 
 PAIRS = ((0, 1), (0, 2), (1, 2))
@@ -141,7 +140,7 @@ def _oracle_select(tracks3, tensors, margin=1e-2):
 
     best = None
     for idx, tr in enumerate(tracks3):
-        if any(distance(tr[v], epipole(tensors[k], "left" if v == i else "right")) < margin
+        if any(distance(tr[v], epipoles(tensors[k])[0, int(v != i)]) < margin
                for v in range(3) for k, (i, j) in enumerate(PAIRS) if v in (i, j)):
             continue
         total = sum(symmetric_epipolar_distance(tensors[k], tr[i], tr[j])
@@ -202,7 +201,7 @@ class TestVirtualBifocals:
         scene = collinear_projective_scene
         tensors = _triplet_tensors(scene)
         tracks = _local_tracks3(scene)
-        rec = recover_projective_collinear_triplet(tensors[0], tensors[2], tensors[1], tracks)
+        rec = recover_projective_collinear_triplet(projective_system(tensors[0], tensors[2], tensors[1], tracks), 0)
         tr = tracks[2]
         out = virtual_bifocals(v_matrices_from_cameras(rec), tr, "fundamental")
         from colsfm.geometry import triangulate_dlt
@@ -234,7 +233,7 @@ class TestVirtualBifocals:
         tensors = _triplet_tensors(scene)
         out = _essential_bifocals(tensors, tr, tracks)
         for i in range(3):
-            e = epipole(out[i].matrix, "left")
+            e = epipoles(out[i].matrix)[0, 0]
             img = unit(tr[i])
             assert min(np.linalg.norm(e - img), np.linalg.norm(e + img)) < 1e-9
 
