@@ -13,7 +13,8 @@ fixed points.  The block-rotation constraint is scale sensitive; for that
 regime the driver first restores consistent relative block scales from the
 pairwise decompositions (closure of the translation directions) and
 synchronizes them across triplets sharing a block; the decompositions and
-closures of all cover triplets are one stacked pass of `recovery`.
+closures of all cover triplets are one stacked pass of `recovery`, and the
+synchronisation is (T, 3) arrays walked over the cover's `TripletCover.dual`.
 
 The projections are batched kernels over (m, 3k, 3k) stacks, each call one
 stacked eigendecomposition (signature-deficient rows select per row); the
@@ -33,11 +34,8 @@ import numpy as np
 
 from .errors import MissingBlock, NotConnected
 from .geometry import BifocalTensor, _skews, nearest_rotation, normalized_tensor
-from .graphs import (
-    _LOCAL_PAIRS, TripletCover, build_dual_edges, dual_adjacency, dual_bfs, pair_index,
-    pair_rows, triplet_pairs,
-)
-from .nview import _SIGN_CASES, NViewBifocal, block_index, block_matrix
+from .graphs import _LOCAL_PAIRS, DualGraph, TripletCover, pair_rows, triplet_pairs
+from .nview import _RANK_TOL, _SIGN_CASES, NViewBifocal, block_index, block_matrix
 from .recovery import closure_scales, pair_poses, resolve_essential_triplet
 
 _ROWS, _COLS = zip(*_LOCAL_PAIRS)  # block row and column of each local pair
@@ -50,10 +48,9 @@ class AdmmConfig:
     rho: float = 5.0
     max_iters: int = 500
     tol: float = 1e-9  # on both the primal and the dual residual
-    rank_tol: float = 1e-6
 
     def __post_init__(self):
-        if min(self.rho, self.max_iters, self.tol, self.rank_tol) <= 0:
+        if min(self.rho, self.max_iters, self.tol) <= 0:
             raise ValueError("all ADMM parameters must be positive")
 
 
@@ -68,7 +65,7 @@ def _outer(a: np.ndarray) -> np.ndarray:
     return a[..., :, None] * a[..., None, :]
 
 
-def _select_signed(w: np.ndarray, need: int, rank_tol: float):
+def _select_signed(w: np.ndarray, need: int):
     """Pick `need` eigenvalues per sign for the truncation.
 
     Normal case: the most positive and most negative ones, untouched.  When a
@@ -80,8 +77,8 @@ def _select_signed(w: np.ndarray, need: int, rank_tol: float):
     if scale == 0.0:
         idx = list(range(2 * need))
         return idx[:need], [0.0] * need, idx[need:], [0.0] * need, True
-    pos = [k for k in range(len(w)) if w[k] > rank_tol * scale][:need]
-    neg = [k for k in reversed(range(len(w))) if w[k] < -rank_tol * scale][:need]
+    pos = [k for k in range(len(w)) if w[k] > _RANK_TOL * scale][:need]
+    neg = [k for k in reversed(range(len(w))) if w[k] < -_RANK_TOL * scale][:need]
     flag = len(pos) < need or len(neg) < need
     taken = set(pos) | set(neg)
     rest = sorted((k for k in range(len(w)) if k not in taken), key=lambda k: -abs(w[k]))
@@ -96,20 +93,20 @@ def _select_signed(w: np.ndarray, need: int, rank_tol: float):
     return pos, pos_vals, neg, neg_vals, flag
 
 
-def _truncate(S: np.ndarray, need: int, rank_tol: float):
+def _truncate(S: np.ndarray, need: int):
     """(positive eigenvectors, values, negative eigenvectors, values, flags)
     kept per matrix of a stack, `need` per sign by descending magnitude.
     Rows with `need` clear eigenvalues of each sign keep the extreme ones;
     the signature-deficient rest take their choice from `_select_signed`."""
     w_asc, V_asc = np.linalg.eigh((S + S.swapaxes(-1, -2)) / 2.0)
     w, V = w_asc[:, ::-1], V_asc[..., ::-1]  # descending order
-    thr = rank_tol * np.max(np.abs(w), axis=-1, keepdims=True)
+    thr = _RANK_TOL * np.max(np.abs(w), axis=-1, keepdims=True)
     flags = ~(np.all(w[:, :need] > thr, axis=-1) & np.all(w[:, -need:] < -thr, axis=-1))
     X, pv, Y, nv = V[..., :need], w[:, :need], V_asc[..., :need], w_asc[:, :need]
     if flags.any():
         X, pv, Y, nv = X.copy(), pv.copy(), Y.copy(), nv.copy()
     for i in np.flatnonzero(flags):
-        pos, pv[i], neg, nv[i], _ = _select_signed(w[i], need, rank_tol)
+        pos, pv[i], neg, nv[i], _ = _select_signed(w[i], need)
         X[i], Y[i] = V[i][:, pos], V[i][:, neg]
     return X, pv, Y, nv, flags
 
@@ -118,8 +115,8 @@ def _symmetrized(out: np.ndarray) -> np.ndarray:
     return (out + out.swapaxes(-1, -2)) / 2.0
 
 
-def _collinear_essential(S: np.ndarray, rank_tol: float = 1e-6):
-    X, pv, Y, nv, flags = _truncate(S, 2, rank_tol)
+def _collinear_essential(S: np.ndarray):
+    X, pv, Y, nv, flags = _truncate(S, 2)
     out = np.zeros_like(S)
     for k in range(2):
         lam = (pv[:, k] - nv[:, k]) / 2.0
@@ -130,8 +127,8 @@ def _collinear_essential(S: np.ndarray, rank_tol: float = 1e-6):
 def _signature_kernel(need: int):
     """Kernel keeping the `need` extreme eigenvalues of each sign, zeroing the rest."""
 
-    def kernel(S: np.ndarray, rank_tol: float = 1e-6):
-        X, pv, Y, nv, flags = _truncate(S, need, rank_tol)
+    def kernel(S: np.ndarray):
+        X, pv, Y, nv, flags = _truncate(S, need)
         vecs = np.concatenate([X, Y], axis=-1)
         vals = np.concatenate([pv, nv], axis=-1)
         out = sum(vals[:, k, None, None] * _outer(vecs[..., k]) for k in range(2 * need))
@@ -153,10 +150,10 @@ _SIGN_GRAM = np.einsum(
 ).reshape(36, 72)
 
 
-def _general_essential(S: np.ndarray, rank_tol: float = 1e-6):
+def _general_essential(S: np.ndarray):
     m, d = S.shape[:2]
     n = d // 3
-    X, pv, Y, nv, flags = _truncate(S, 3, rank_tol)
+    X, pv, Y, nv, flags = _truncate(S, 3)
     lam = (pv - nv) / 2.0
     # block-orthogonality of sqrt(n) sqrt(0.5)(X + Y S) per case: the squares of
     # G_b = (n/2)(X^T X + X^T Y S + S Y^T X + S Y^T Y S) - I summed over blocks b
@@ -180,28 +177,28 @@ def _general_essential(S: np.ndarray, rank_tol: float = 1e-6):
     return _symmetrized(out), flags
 
 
-def _project_one(kernel, S, rank_tol) -> ProjectionResult:
-    M, flags = kernel(np.asarray(S, dtype=float)[None], rank_tol)
+def _project_one(kernel, S) -> ProjectionResult:
+    M, flags = kernel(np.asarray(S, dtype=float)[None])
     return ProjectionResult(M[0], bool(flags[0]))
 
 
-def project_collinear_essential(S: np.ndarray, rank_tol: float = 1e-6) -> ProjectionResult:
+def project_collinear_essential(S: np.ndarray) -> ProjectionResult:
     """Nearest spectrum with rank 4 and pairing l1 = -l4, l2 = -l3: keep the
     two largest and two most negative eigenvalues, average each pair."""
-    return _project_one(_collinear_essential, S, rank_tol)
+    return _project_one(_collinear_essential, S)
 
 
-def project_collinear_fundamental(S: np.ndarray, rank_tol: float = 1e-6) -> ProjectionResult:
+def project_collinear_fundamental(S: np.ndarray) -> ProjectionResult:
     """Keep the two largest and two most negative eigenvalues unchanged, zero the rest."""
-    return _project_one(_collinear_fundamental, S, rank_tol)
+    return _project_one(_collinear_fundamental, S)
 
 
-def project_general_fundamental(S: np.ndarray, rank_tol: float = 1e-6) -> ProjectionResult:
+def project_general_fundamental(S: np.ndarray) -> ProjectionResult:
     """Keep the three largest and three most negative eigenvalues unchanged."""
-    return _project_one(_general_fundamental, S, rank_tol)
+    return _project_one(_general_fundamental, S)
 
 
-def project_general_essential(S: np.ndarray, rank_tol: float = 1e-6) -> ProjectionResult:
+def project_general_essential(S: np.ndarray) -> ProjectionResult:
     """Rank-6 paired-spectrum truncation followed by projecting the
     sqrt(0.5)(X + Y) blocks to rotations and reassembling.
 
@@ -210,10 +207,10 @@ def project_general_essential(S: np.ndarray, rank_tol: float = 1e-6) -> Projecti
     re-orthonormalized against the rotated right factor so the output has
     the exact paired spectrum and the map is idempotent.
     """
-    return _project_one(_general_essential, S, rank_tol)
+    return _project_one(_general_essential, S)
 
 
-# the batched kernel of each (regime, kind): (stack, rank_tol) -> (stack, flags)
+# the batched kernel of each (regime, kind): stack -> (stack, flags)
 _PROJECTIONS = {
     ("collinear", "essential"): _collinear_essential,
     ("collinear", "fundamental"): _collinear_fundamental,
@@ -230,11 +227,13 @@ class AveragingResult:
     iterations: int
     objective: float
     signature_flags: int
-    consensus: dict = field(repr=False, default_factory=dict)
+    consensus: np.ndarray = field(repr=False)  # (E, 3, 3) un-normalised blocks of `pairs`
+    pairs: list = field(repr=False)  # the cover's camera pairs in `pair_rows` order
+    rows: np.ndarray = field(repr=False)  # (T, 3) each sorted cover triplet's pairs in `pairs`
 
     def triplet_matrix(self, ids) -> np.ndarray:
-        """Consensus 9x9 submatrix for a camera triple."""
-        return block_matrix([self.consensus.get(e, np.zeros((3, 3))) for e in triplet_pairs(ids)])
+        """Consensus 9x9 submatrix for a triple of cameras whose pairs the cover holds."""
+        return block_matrix(self.consensus[[self.pairs.index(e) for e in triplet_pairs(ids)]])
 
 
 def _local_scale_factors(blocks, rows) -> np.ndarray:
@@ -253,49 +252,34 @@ def _local_scale_factors(blocks, rows) -> np.ndarray:
     return np.where(closure.valid[:, None], raw / mean, 1.0)
 
 
-def _consistent_scale_factors(blocks, rows, triplets) -> dict:
-    """Per-triplet, per-edge signed scale factors restoring consistent
-    relative block scales for the general-essential regime, for the sorted
-    triplets with pair blocks and rows as in `_local_scale_factors`.
+def _consistent_scale_factors(blocks, rows, dual: DualGraph) -> np.ndarray:
+    """(T, 3) signed scale factors restoring consistent relative block
+    scales for the general-essential regime, for the cover triplets with
+    pair blocks and rows as in `_local_scale_factors` and their dual graph.
 
     The stored sign convention (largest entry positive) is unrelated to the
     consistent orientation, so the closure solve's signs are kept.  Across
-    triplets a per-triplet sign gauge is fixed by BFS over the dual graph
+    triplets a per-triplet sign gauge is fixed along the dual BFS tree
     (global negation preserves the constraint set) and the magnitudes are
-    synchronized by least squares on log scales.
+    synchronized by least squares on log scales over the dual edges.
     """
-    scaled = _local_scale_factors(blocks, rows).tolist()
-    local = {t: dict(zip(triplet_pairs(t), row)) for t, row in zip(triplets, scaled)}
+    local = _local_scale_factors(blocks, rows)
+    child = dual.order[1:]
+    up = dual.parent[child]
+    # a and b: the columns of the one pair slot that dual neighbours share
+    _, a, b = np.nonzero(rows[child][:, :, None] == rows[up][:, None, :])
+    agree = np.where(local[up, b] * local[child, a] >= 0, 1.0, -1.0)
+    sign = np.ones(len(rows))
+    for t, p, s in zip(child.tolist(), up.tolist(), agree.tolist()):
+        sign[t] = sign[p] * s
 
-    # per-triplet sign gauge: BFS over the dual graph
-    index = {t: i for i, t in enumerate(triplets)}
-    adj = dual_adjacency(triplets)
-    sign_gauge = {}
-    for root in triplets:
-        if root in sign_gauge:
-            continue
-        for cur, parent in dual_bfs(adj, [root]):
-            sign = 1.0
-            if parent is not None:
-                shared = tuple(sorted(set(parent) & set(cur)))
-                r = local[parent][shared] * local[cur][shared]
-                sign = sign_gauge[parent] * (1.0 if r >= 0 else -1.0)
-            sign_gauge[cur] = sign
-
-    # magnitude synchronization over dual edges
-    dual = build_dual_edges(triplets)
-    A = np.zeros((len(dual) + 1, len(triplets)))
-    A[-1, 0] = 1.0  # gauge: first triplet factor 1
-    rhs = np.zeros(len(dual) + 1)
-    for k, (a, b) in enumerate(dual):
-        shared = tuple(sorted(set(a) & set(b)))
-        A[k, index[a]], A[k, index[b]] = 1.0, -1.0
-        rhs[k] = np.log(abs(local[b][shared])) - np.log(abs(local[a][shared]))
+    i, j = dual.edges.T
+    k, a, b = np.nonzero(rows[i][:, :, None] == rows[j][:, None, :])
+    A = np.zeros((len(i) + 1, len(rows)))
+    A[k, i], A[k, j], A[-1, 0] = 1.0, -1.0, 1.0  # the last row fixes the first factor at 1
+    rhs = np.append(np.log(np.abs(local[j, b])) - np.log(np.abs(local[i, a])), 0.0)
     g, *_ = np.linalg.lstsq(A, rhs, rcond=None)
-    return {
-        t: {e: float(sign_gauge[t] * local[t][e] * np.exp(g[index[t]])) for e in triplet_pairs(t)}
-        for t in triplets
-    }
+    return sign[:, None] * local * np.exp(g)[:, None]
 
 
 def _sq_total(A: np.ndarray, weight: float = 1.0) -> float:
@@ -320,38 +304,33 @@ def average(
     norm.  Non-convergence is reported on the result, not raised.
 
     The triplet variables are (m, 9, 9) stacks in sorted triplet order and
-    the consensus an (E, 3, 3) stack in the order of `pair_index`.
+    the consensus an (E, 3, 3) stack in the order of `pair_rows`, which the
+    result carries with its pairs and rows.
     """
     cfg = cfg or AdmmConfig()
     if not cover.is_connected():
         raise NotConnected("triplet cover dual graph is disconnected")
-    triplets = sorted(cover.triplets)
-    for t in triplets:
-        for e in triplet_pairs(t):
-            if e not in measured.blocks:
-                raise MissingBlock(f"cover edge {e} has no measured tensor")
+    triplets = cover.triplets
     edges, edge_of = pair_rows(triplets)  # edge_of (m, 3): each triplet's slots in edges
+    for e in edges:  # in order of first use: the first missing pair a walk over triplets meets
+        if e not in measured.blocks:
+            raise MissingBlock(f"cover edge {e} has no measured tensor")
     normed = np.array([normalized_tensor(measured.blocks[e].matrix) for e in edges])  # cover only
     projection = _PROJECTIONS[(regime, measured.kind)]
 
-    if regime == "general" and measured.kind == "essential":
-        scale_factors = _consistent_scale_factors(normed, edge_of, triplets)
-    else:
-        scale_factors = {t: {e: 1.0 for e in triplet_pairs(t)} for t in triplets}
-
     m = len(triplets)
-    edge_users = pair_index(triplets)
-    gather = block_index(edge_of)  # the consensus -> (m, 9, 9) layout
-    users = np.array([len(edge_users[e]) for e in edges], dtype=float)[:, None, None]
+    scales = (_consistent_scale_factors(normed, edge_of, cover.dual)
+              if regime == "general" and measured.kind == "essential" else np.ones((m, 3)))
 
-    Ehat = block_matrix(
-        [[scale_factors[t][e] * normed[s] for e, s in zip(triplet_pairs(t), slots)]
-         for t, slots in zip(triplets, edge_of)],
-        block_index(np.arange(3 * m).reshape(m, 3)),
-    )
-    consensus = np.array([
-        np.mean([scale_factors[t][e] for t in edge_users[e]]) * normed[k] for k, e in enumerate(edges)
-    ])
+    gather = block_index(edge_of)  # the consensus -> (m, 9, 9) layout
+    Ehat = block_matrix(scales[..., None, None] * normed[edge_of],
+                        block_index(np.arange(3 * m).reshape(m, 3)))
+    # each pair block starts at the mean scale of its users, taken in
+    # triplet order one pair at a time, so the sum runs as np.mean runs it
+    by_edge = np.argsort(edge_of.ravel(), kind="stable")
+    counts = np.bincount(edge_of.ravel(), minlength=len(edges))
+    mean = [np.mean(u) for u in np.split(scales.ravel()[by_edge], np.cumsum(counts)[:-1])]
+    consensus = np.array(mean)[:, None, None] * normed
     U = np.zeros((m, 9, 9))
     log = []
     converged = False
@@ -379,7 +358,7 @@ def average(
 
         C_prev = block_matrix(consensus, gather)
         W = C_prev if polish else (2.0 * Ehat + cfg.rho * (C_prev - U)) / (2.0 + cfg.rho)
-        Z, deficient = projection(W, cfg.rank_tol)
+        Z, deficient = projection(W)
         flags = int(np.count_nonzero(deficient))
 
         # consensus: each pair block averages its users' symmetrized blocks,
@@ -389,7 +368,7 @@ def average(
         halves = (0.5 * (ZU + ZU.swapaxes(1, 2))).reshape(m, 3, 3, 3, 3).swapaxes(2, 3)[:, _ROWS, _COLS]
         sums = np.zeros_like(consensus)
         np.add.at(sums, edge_of.ravel(), halves.reshape(3 * m, 3, 3))
-        consensus = sums / users
+        consensus = sums / counts[:, None, None]
 
         if polish and jump_state is None:
             diff = consensus - prev
@@ -445,10 +424,8 @@ def average(
         # hand back their most consensus-feasible state
         _, consensus, objective = best_state
 
-    blocks = {e: consensus[k].copy() for k, e in enumerate(edges)}
-    out_blocks = {
-        e: BifocalTensor(normalized_tensor(blocks[e]), measured.kind) for e in sorted(blocks)
-    }
+    out_blocks = {e: BifocalTensor(normalized_tensor(block), measured.kind)
+                  for e, block in sorted(zip(edges, consensus), key=lambda eb: eb[0])}
     nview = NViewBifocal.assemble(measured.n, out_blocks, kind=measured.kind, strict=False)
     return AveragingResult(
         nview=nview,
@@ -457,5 +434,7 @@ def average(
         iterations=iteration,
         objective=objective,
         signature_flags=flags,
-        consensus=blocks,
+        consensus=consensus,
+        pairs=edges,
+        rows=edge_of,
     )

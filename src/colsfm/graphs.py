@@ -8,6 +8,8 @@ Every dual-graph question is answered from one index, built in O(T) from T
 triplets: each sorted camera pair -> the triplets holding it.  Two triplets
 are dual neighbours iff they share a bucket and differ as camera sets, so an
 adjacency costs the sum of squared bucket sizes instead of O(T^2) pair tests.
+A `TripletCover` builds its dual graph once, as index arrays (`DualGraph`);
+connectivity, `to_json`, scale sync and registration all read that one graph.
 
 Triplet-wise tensor data is stacked over the camera pairs of a cover
 (`pair_rows`): one `collinearity_score` call scores every triplet from an
@@ -20,7 +22,9 @@ from __future__ import annotations
 import json
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -121,14 +125,6 @@ def dual_bfs(adj, sources, blocked=frozenset()):
                 queue.append((nxt, cur))
 
 
-def build_dual_edges(triplets) -> list:
-    """Pairs (a, b) sharing exactly two cameras, in the order in which
-    combinations(sorted(triplets), 2) yields them, repeats included."""
-    ts = sorted(triplets)
-    adj, count = dual_adjacency(ts), Counter(ts)
-    return [(t, u) for t in ts for u in adj[t] if u > t for _ in range(count[u])]
-
-
 def _components(triplets) -> list:
     adj = dual_adjacency(triplets)
     seen, comps = set(), []
@@ -139,28 +135,45 @@ def _components(triplets) -> list:
     return comps
 
 
+class DualGraph(NamedTuple):
+    """The dual graph of sorted, distinct triplets as indices into them."""
+
+    order: np.ndarray  # (V,) breadth-first visiting order from triplet 0, sorted neighbours
+    parent: np.ndarray  # (T,) the tree parent of each visited triplet; -1 at 0 and unvisited
+    edges: np.ndarray  # (D, 2) neighbours i < j, sorted by i, then j
+
+
 @dataclass
 class TripletCover:
-    """Selected 3-cliques plus their shared-two-camera adjacency."""
+    """Selected 3-cliques, sorted and distinct, plus their dual graph."""
 
     triplets: list = field(default_factory=list)
     virtual_nodes: dict = field(default_factory=dict)  # original triplet -> camera id
 
     @staticmethod
     def from_triplets(triplets, virtual_nodes=None) -> "TripletCover":
-        ts = sorted(tuple(sorted(t)) for t in set(map(tuple, triplets)))
-        return TripletCover(ts, dict(virtual_nodes or {}))
+        return TripletCover(sorted({tuple(sorted(t)) for t in triplets}), dict(virtual_nodes or {}))
+
+    @cached_property
+    def dual(self) -> DualGraph:
+        """The dual graph, built on first read."""
+        index = {t: k for k, t in enumerate(self.triplets)}
+        adj = [[index[u] for u in nbrs] for nbrs in dual_adjacency(self.triplets).values()]
+        walk = list(dual_bfs(adj, [0] if adj else []))
+        parent = np.full(len(adj), -1)
+        for cur, up in walk[1:]:
+            parent[cur] = up
+        edges = [(i, j) for i, nbrs in enumerate(adj) for j in nbrs if j > i]
+        return DualGraph(np.array([cur for cur, _ in walk], dtype=int), parent,
+                         np.array(edges, dtype=int).reshape(-1, 2))
 
     @property
     def dual_edges(self) -> list:
-        """Triplet pairs sharing two cameras (`build_dual_edges`), derived
-        when read."""
-        return build_dual_edges(self.triplets)
+        """Triplet pairs (a, b), a < b, sharing two cameras, in `dual.edges` order."""
+        return [(self.triplets[i], self.triplets[j]) for i, j in self.dual.edges.tolist()]
 
     def is_connected(self) -> bool:
-        if not self.triplets:
-            return False
-        return len(_components(self.triplets)) == 1
+        return 0 < len(self.triplets) == len(self.dual.order)
 
     def to_json(self) -> str:
         doc = {

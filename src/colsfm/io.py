@@ -101,6 +101,8 @@ def load_measurements(path):
         for k, e in enumerate(doc["edges"]):
             M = np.array(e["tensor"], dtype=float).reshape(3, 3)
             i, j = _index(e["i"], f"edge {k}: i"), _index(e["j"], f"edge {k}: j")
+            if not np.all(np.isfinite(M)) or not np.any(M):
+                raise ValidationError(f"edge {k} ({i}, {j}): tensor must be finite and nonzero")
             blocks[(i, j)] = BifocalTensor(M, kind)
         nview = NViewBifocal.assemble(n, blocks, kind=kind, strict=False)
         doc_tracks = doc.get("tracks", [])

@@ -26,6 +26,10 @@ import numpy as np
 from .errors import DuplicateEdge, IndexOutOfRange, RankNot2, ValidationError
 from .geometry import BifocalTensor
 
+# eigenvalues (singular values) at most this fraction of the largest in
+# magnitude count as zero, in the certificates and the projections alike
+_RANK_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class NViewBifocal:
@@ -248,9 +252,7 @@ def _dense_or_raise(m: NViewBifocal) -> np.ndarray:
     return m.dense()
 
 
-def certify_collinear_essential(
-    m: NViewBifocal | np.ndarray, tol: float = 1e-6, rank_tol: float = 1e-6
-) -> ConsistencyCertificate:
+def certify_collinear_essential(m: NViewBifocal | np.ndarray, tol: float = 1e-6) -> ConsistencyCertificate:
     """Collinear-consistency certificate for an essential n-view matrix.
 
     Condition 1: exactly four significant eigenvalues in the pattern
@@ -260,7 +262,8 @@ def certify_collinear_essential(
     n = M.shape[0] // 3
     w, V = _eig_sorted(M)
     amax = float(np.max(np.abs(w)))
-    significant = int(np.sum(np.abs(w) > rank_tol * amax)) if amax > 0 else 0
+    pos = int(np.sum(w > _RANK_TOL * amax)) if amax > 0 else 0
+    neg = int(np.sum(w < -_RANK_TOL * amax)) if amax > 0 else 0
     lam = (w[0] + w[1] - w[-1] - w[-2]) / 4.0
     if lam > 0:
         dev = [abs(w[0] - lam), abs(w[1] - lam), abs(w[-1] + lam), abs(w[-2] + lam)]
@@ -273,16 +276,14 @@ def certify_collinear_essential(
     Y = V[:, [len(w) - 1, len(w) - 2]]
     ortho_residual, v_hat = _vhat_alignment(X, Y, n)
     conditions = {
-        "eigen_count": significant == 4,
+        "eigen_count": pos + neg == 4,  # the eigenvalues clearly off zero
         "eigen_pattern": pattern_residual < tol,
         "orthogonality": ortho_residual < tol,
     }
-    pos = int(np.sum(w > rank_tol * amax)) if amax > 0 else 0
-    neg = int(np.sum(w < -rank_tol * amax)) if amax > 0 else 0
     return ConsistencyCertificate(
         regime="collinear-essential",
         eigenvalues=w,
-        rank_estimate=significant,
+        rank_estimate=pos + neg,
         signature=(pos, neg),
         block_row_ranks=[],
         orthogonality_residual=ortho_residual,
@@ -294,26 +295,24 @@ def certify_collinear_essential(
     )
 
 
-def _block_row_rank(M: np.ndarray, i: int, rank_tol: float) -> int:
+def _block_row_rank(M: np.ndarray, i: int) -> int:
     row = M[3 * i:3 * i + 3, :]
     s = np.linalg.svd(row, compute_uv=False)
     if s[0] == 0:
         return 0
-    return int(np.sum(s > rank_tol * s[0]))
+    return int(np.sum(s > _RANK_TOL * s[0]))
 
 
-def certify_collinear_fundamental(
-    m: NViewBifocal | np.ndarray, rank_tol: float = 1e-6
-) -> ConsistencyCertificate:
+def certify_collinear_fundamental(m: NViewBifocal | np.ndarray) -> ConsistencyCertificate:
     """Collinear-consistency certificate for a fundamental n-view matrix:
     rank 4 with signature (2, 2), every 3 x 3n block row of rank 2."""
     M = _dense_or_raise(m) if isinstance(m, NViewBifocal) else np.asarray(m, dtype=float)
     n = M.shape[0] // 3
     w, _ = _eig_sorted(M)
     amax = float(np.max(np.abs(w)))
-    pos = int(np.sum(w > rank_tol * amax)) if amax > 0 else 0
-    neg = int(np.sum(w < -rank_tol * amax)) if amax > 0 else 0
-    row_ranks = [_block_row_rank(M, i, rank_tol) for i in range(n)]
+    pos = int(np.sum(w > _RANK_TOL * amax)) if amax > 0 else 0
+    neg = int(np.sum(w < -_RANK_TOL * amax)) if amax > 0 else 0
+    row_ranks = [_block_row_rank(M, i) for i in range(n)]
     conditions = {
         "rank4_signature": (pos, neg) == (2, 2),
         "block_rows_rank2": all(r == 2 for r in row_ranks),
@@ -360,7 +359,6 @@ def certify_general(
     m: NViewBifocal | np.ndarray,
     kind: str | None = None,
     tol: float = 1e-6,
-    rank_tol: float = 1e-6,
 ) -> ConsistencyCertificate:
     """General-position certificate: rank 6 with signature (3, 3); essential
     kind additionally requires the paired spectrum l_i = -l_{7-i} and the
@@ -375,8 +373,8 @@ def certify_general(
     n = M.shape[0] // 3
     w, V = _eig_sorted(M)
     amax = float(np.max(np.abs(w)))
-    pos = int(np.sum(w > rank_tol * amax)) if amax > 0 else 0
-    neg = int(np.sum(w < -rank_tol * amax)) if amax > 0 else 0
+    pos = int(np.sum(w > _RANK_TOL * amax)) if amax > 0 else 0
+    neg = int(np.sum(w < -_RANK_TOL * amax)) if amax > 0 else 0
     conditions = {"rank6_signature": (pos, neg) == (3, 3)}
     pattern_residual = None
     rotation_residual = None

@@ -78,15 +78,13 @@ class PipelineOutput:
     frame: str
 
 
-def _calibrated_geometry(algorithm, avg: AveragingResult, tracks: TrackSet, n_real: int, triplets):
+def _calibrated_geometry(algorithm, avg: AveragingResult, tracks: TrackSet, n_real: int):
     """The geometry of the sorted cover triplets, resolved from the poses of
     their pairs' consensus blocks, and for "vc" their direction closures,
     each one stacked pass before any triplet is recovered: a pair of real
     cameras is cheirality-voted on its tracks (a virtual camera has none)."""
-    pairs, rows = pair_rows(triplets)
-    poses = pair_poses(np.array([avg.consensus[e] for e in pairs]),
-                       [tracks.tracks(e) if e[1] < n_real else None for e in pairs])
-    geom = resolve_essential_triplet(poses, rows)
+    poses = pair_poses(avg.consensus, [tracks.tracks(e) if e[1] < n_real else None for e in avg.pairs])
+    geom = resolve_essential_triplet(poses, avg.rows)
     return geom, (closure_scales(geom) if algorithm == "vc" else None)
 
 
@@ -94,9 +92,9 @@ def _projective_systems(algorithm, avg: AveragingResult, tracks: TrackSet, tripl
     """The a-vector systems of the sorted cover triplets from their pairs'
     averaged tensors, one stacked pass before any triplet is recovered (for
     "r4" with their 3-view tracks); a pair error raises when its row is read."""
-    F, rows = _pair_blocks(avg.nview, triplets)
-    tracks3 = [tracks.tracks(sorted(t)) for t in triplets] if algorithm == "r4" else None
-    return projective_systems(F, rows, epipole_table(F), tracks3)
+    F = np.array([avg.nview.block(*e) for e in avg.pairs])
+    tracks3 = [tracks.tracks(t) for t in triplets] if algorithm == "r4" else None
+    return projective_systems(F, avg.rows, epipole_table(F), tracks3)
 
 
 def _pair_blocks(nview: NViewBifocal, triplets):
@@ -236,13 +234,12 @@ def run_pipeline(
     mode = "euclidean" if regime == "calibrated" else "projective"
     # sanity gates only when the iterate is coarse; the report stays honest
     gate = 1e-3 if avg.converged else 0.5
-    triplets = sorted(cover.triplets)
-    stacked = (_calibrated_geometry(algorithm, avg, tracks, n, triplets) if regime == "calibrated"
-               else _projective_systems(algorithm, avg, tracks, triplets))
+    stacked = (_calibrated_geometry(algorithm, avg, tracks, n) if regime == "calibrated"
+               else _projective_systems(algorithm, avg, tracks, cover.triplets))
     failure = None
     try:
         recs = [_recover_triplet(algorithm, regime, avg, k, t, tracks, stacked, gate)
-                for k, t in enumerate(triplets)]
+                for k, t in enumerate(cover.triplets)]
         # virtual cameras are scaffolding only
         cameras = register_global(recs, cover, mode, n_cameras=avg.nview.n).cameras[:n]
     except ValidationError as exc:

@@ -4,8 +4,8 @@ Per-triplet recovery is scale-free: rotations come from the blocks, the
 translation direction from the anchor pair, and the remaining position
 freedom (alpha in the calibrated collinear case, the 4-vector a in the
 projective one) from 3-view tracks, all triangulated by one stacked DLT.
-Triplets are then chained into a common frame by traversing the cover's
-dual graph.
+Triplets are then chained into a common frame along the breadth-first
+tree that the cover holds with its dual graph (`TripletCover.dual`).
 
 Everything but the per-triplet solves runs in stacked passes before any
 triplet is recovered: `pair_poses` decomposes every essential block of a
@@ -43,7 +43,6 @@ from .geometry import (
     fundamental_from_projections,
     nearest_rotation,
 )
-from .graphs import dual_adjacency, dual_bfs
 from .nview import block_index, block_matrix, certify_collinear_essential
 
 
@@ -490,45 +489,32 @@ def _edge_homography(parent: TripletCameras, child: TripletCameras, shared):
     return G / np.linalg.norm(G)
 
 
-def _bfs_order(triplets, cover):
-    keys = [tuple(t.triplet_id) for t in triplets]
-    index = {k: i for i, k in enumerate(keys)}
-    in_cover = set(map(tuple, cover.triplets))
-    adj = {k: [] for k in keys}
-    adj.update(dual_adjacency([k for k in keys if k in in_cover]))
-    order, parents = [], {}
-    for cur, parent in dual_bfs(adj, [min(keys)]):
-        order.append(cur)
-        if parent is not None:
-            parents[cur] = parent
-    if len(order) != len(keys):
-        raise NotConnected("cover dual graph does not reach every triplet")
-    return order, parents, index
-
-
 def register_global(triplets, cover, mode: str, n_cameras: int | None = None) -> RegistrationResult:
-    """Chain per-triplet cameras into one frame by BFS over the dual graph.
+    """Chain the recovered cameras of every cover triplet into one frame
+    along the cover's dual BFS tree (`TripletCover.dual`).
 
     mode="euclidean": per-edge similarity from the two shared cameras,
     multi-visit cameras merged by chordal rotation mean and center mean.
     mode="projective": per-edge 4x4 homography, first visit wins and later
     disagreements are logged as residuals.
     """
-    triplets = sorted(triplets, key=lambda t: tuple(t.triplet_id))
-    if not triplets:
-        raise ValueError("nothing to register")
-    if n_cameras is None:
-        n_cameras = max(max(t.triplet_id) for t in triplets) + 1
-    order, parents, index = _bfs_order(triplets, cover)
-    placed = {}   # triplet key -> list of 3x4 cameras in root frame
     by_key = {tuple(t.triplet_id): t for t in triplets}
+    if not by_key or sorted(by_key) != cover.triplets:
+        raise ValueError("registration needs one recovered triplet per cover triplet")
+    if not cover.is_connected():
+        raise NotConnected("cover dual graph does not reach every triplet")
+    if n_cameras is None:
+        n_cameras = max(max(key) for key in by_key) + 1
+    dual = cover.dual
+    order = [cover.triplets[k] for k in dual.order.tolist()]
+    placed = {}   # triplet key -> list of 3x4 cameras in root frame
 
-    for key in order:
+    for key, up in zip(order, dual.parent[dual.order].tolist()):
         trip = by_key[key]
-        if key not in parents:
+        if up < 0:
             placed[key] = list(trip.cameras)
             continue
-        pkey = parents[key]
+        pkey = cover.triplets[up]
         shared = sorted(set(key) & set(pkey))
         parent_rooted = TripletCameras(pkey, placed[pkey], trip.frame, None)
         if mode == "euclidean":

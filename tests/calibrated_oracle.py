@@ -1,9 +1,10 @@
 """Reference implementations of the calibrated pair and triplet geometry:
 one pair and one triplet at a time, as colsfm computed them before its
-stacked passes.  The oracle tests compare the stacked passes with these bit
-for bit, so this code keeps its per-item order of operations."""
+stacked passes, and the scale synchronisation over per-triplet dicts.  The
+oracle tests compare the stacked passes with these bit for bit, so this
+code keeps its per-item order of operations."""
 
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 
@@ -14,7 +15,8 @@ from colsfm.errors import (
     InsufficientTracks,
 )
 from colsfm.geometry import _W, _dlt, _skews, nearest_rotation, skew
-from colsfm.graphs import _LOCAL_PAIRS
+from colsfm.averaging import _local_scale_factors
+from colsfm.graphs import _LOCAL_PAIRS, dual_adjacency, dual_bfs, triplet_pairs
 from colsfm.nview import block_matrix, certify_collinear_essential
 from colsfm.recovery import TripletCameras, _alpha_least_squares
 
@@ -184,3 +186,40 @@ def recover_general(poses, triplet_id=(0, 1, 2), cycle_tol=1e-3):
     t.append(t[0] - mu[(0, 2)] * signs[(0, 2)] * d[(0, 2)])
     cams = [np.hstack([Rh[i], (-Rh[i] @ t[i]).reshape(3, 1)]) for i in range(3)]
     return TripletCameras(tuple(triplet_id), cams, "euclidean", float(mu[(0, 2)]))
+
+
+def consistent_scale_factors(blocks, rows, triplets):
+    """{triplet: {pair: factor}} of the sorted, connected cover triplets, as
+    the general-essential scale synchronisation computed them with dicts: a
+    sign gauge by BFS over the dual adjacency, then magnitudes by least
+    squares over the dual pairs in combinations order."""
+    local = {t: dict(zip(triplet_pairs(t), row))
+             for t, row in zip(triplets, _local_scale_factors(blocks, rows).tolist())}
+
+    index = {t: i for i, t in enumerate(triplets)}
+    adj = dual_adjacency(triplets)
+    sign_gauge = {}
+    for root in triplets:
+        if root in sign_gauge:
+            continue
+        for cur, parent in dual_bfs(adj, [root]):
+            sign = 1.0
+            if parent is not None:
+                shared = tuple(sorted(set(parent) & set(cur)))
+                r = local[parent][shared] * local[cur][shared]
+                sign = sign_gauge[parent] * (1.0 if r >= 0 else -1.0)
+            sign_gauge[cur] = sign
+
+    dual = [(a, b) for a, b in combinations(triplets, 2) if len(set(a) & set(b)) == 2]
+    A = np.zeros((len(dual) + 1, len(triplets)))
+    A[-1, 0] = 1.0  # gauge: first triplet factor 1
+    rhs = np.zeros(len(dual) + 1)
+    for k, (a, b) in enumerate(dual):
+        shared = tuple(sorted(set(a) & set(b)))
+        A[k, index[a]], A[k, index[b]] = 1.0, -1.0
+        rhs[k] = np.log(abs(local[b][shared])) - np.log(abs(local[a][shared]))
+    g, *_ = np.linalg.lstsq(A, rhs, rcond=None)
+    return {
+        t: {e: float(sign_gauge[t] * local[t][e] * np.exp(g[index[t]])) for e in triplet_pairs(t)}
+        for t in triplets
+    }

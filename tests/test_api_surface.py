@@ -81,3 +81,12 @@ def test_test_only_surface_stays_deleted():
     assert not hasattr(geometry, "epipole")
     assert not hasattr(recovery, "_canonical_pair_cameras")
     assert not hasattr(recovery, "_a_system_rows")
+    # the cover holds the one dual graph that scale sync and registration
+    # walk; scale factors and the consensus are arrays over the cover pairs
+    assert not hasattr(recovery, "_bfs_order")
+    assert not hasattr(graphs, "build_dual_edges")
+    assert "rank_tol" not in averaging.AdmmConfig.__dataclass_fields__
+    m, _ = synthetic.measure(synthetic.generate("collinear", 5, 6, seed=0), seed=0)
+    res = averaging.average(m, graphs.sequential_cover(5), "collinear")
+    assert not isinstance(res.consensus, dict)
+    assert res.consensus.shape == (len(res.pairs), 3, 3) == (7, 3, 3)

@@ -10,6 +10,7 @@ import pytest
 from colsfm.averaging import (
     _PROJECTIONS,
     AdmmConfig,
+    _consistent_scale_factors,
     _local_scale_factors,
     average,
     project_collinear_essential,
@@ -24,6 +25,7 @@ from colsfm.graphs import (
     triplet_pairs,
 )
 from colsfm.nview import NViewBifocal, certify_collinear_essential, certify_general
+from colsfm.pipeline import PipelineConfig, _virtual_cover
 from colsfm.synthetic import MeasurementNoise, generate, measure
 from conftest import exact_nview, exact_triplet
 
@@ -290,6 +292,24 @@ class TestStackedScaleSync:
             unclosed += want == [1.0, 1.0, 1.0]
         assert unclosed < len(triplets)
 
+    @pytest.mark.parametrize("layout,n,noise,seed,virtual", [
+        ("mixed", 10, 0.0, 0, True), ("mixed", 12, 0.5, 3, True), ("mixed", 9, 0.5, 5, False),
+        ("general", 8, 1.0, 7, False),
+    ])
+    def test_consistent_factors_equal_dict_oracle(self, layout, n, noise, seed, virtual):
+        # the vc cover stage's own cover and tensors, virtual cameras included
+        scene = generate(layout, n, 16, seed=seed)
+        m, tracks = measure(scene, MeasurementNoise(noise, noise), seed=seed)
+        cover, extended = _virtual_cover(m, tracks, PipelineConfig(insert_virtual=virtual))
+        assert bool(cover.virtual_nodes) == virtual
+        pairs, rows = pair_rows(cover.triplets)
+        normed = np.array([normalized_tensor(extended.blocks[e].matrix) for e in pairs])
+        got = _consistent_scale_factors(normed, rows, cover.dual)
+        want = oracle.consistent_scale_factors(normed, rows, cover.triplets)
+        assert got.shape == (len(cover.triplets), 3)
+        assert got.tolist() == [[want[t][e] for e in triplet_pairs(t)] for t in cover.triplets]
+        assert np.any(got < 0) and np.any(got > 0)
+
 
 # -- oracle: the per-matrix projections the batched kernels replaced --------
 
@@ -453,7 +473,7 @@ class TestBatchedKernels:
         assert len({t[0] for t in traces}) >= 6 and min(t[1] for t in traces) > 1e-3
         assert 0 < sum(t[2] for t in traces) < len(stack)  # rows with and without the det flip
         assert any(t[3] for t in traces)  # rows with a reflected rotation block
-        M, flags = _PROJECTIONS[("general", "essential")](stack, 1e-6)
+        M, flags = _PROJECTIONS[("general", "essential")](stack)
         for S, P, f in zip(stack, M, flags):
             ref, ref_flag = _oracle_general_essential(S)
             assert np.array_equal(P, ref)
@@ -474,14 +494,14 @@ class TestBatchedKernels:
                 counts[_name] += 1
                 return _real(*args, **kwargs)
             monkeypatch.setattr(np.linalg, name, counted)
-        _PROJECTIONS[("general", "essential")](stack, 1e-6)
+        _PROJECTIONS[("general", "essential")](stack)
         assert counts == {"eigh": 1, "svd": 1, "qr": 1}
 
     @pytest.mark.parametrize("key", sorted(_ORACLES))
     @pytest.mark.parametrize("d", [9, 12])
     def test_stack_matches_per_matrix_oracle(self, rng, key, d):
         stack = _oracle_stack(rng, d)
-        M, flags = _PROJECTIONS[key](stack, 1e-6)
+        M, flags = _PROJECTIONS[key](stack)
         assert flags.any() and not flags.all()
         for S, P, f in zip(stack, M, flags):
             ref, ref_flag = _ORACLES[key](S)
@@ -527,9 +547,9 @@ _GOLDEN = [
 
 def _result_digest(res):
     h = hashlib.sha256()
-    for e in sorted(res.consensus):
+    for e, block in sorted(zip(res.pairs, res.consensus), key=lambda eb: eb[0]):
         h.update(repr(e).encode())
-        h.update(res.consensus[e].tobytes())
+        h.update(block.tobytes())
     h.update(json.dumps(res.log, sort_keys=True).encode())
     h.update(repr((res.converged, res.iterations, float(res.objective), res.signature_flags)).encode())
     return h.hexdigest()

@@ -93,6 +93,25 @@ class TestCliFlow:
             assert run_cli(["recover", "--measurements", str(bad), "--algorithm", "r4",
                             "--out", out]) == 2, breakage
 
+    def test_bad_tensor_exit_code(self, tmp_path, capsys):
+        # a zero or non-finite tensor is rejected at load, naming its edge,
+        # instead of failing later in normalisation or an SVD
+        scene = tmp_path / "scene.json"
+        meas = tmp_path / "m.json"
+        run_cli(["synth", "--layout", "mixed", "--n-cams", "8", "--seed", "15",
+                 "--intrinsics", "varied", "--out", str(scene)])
+        run_cli(["measure", "--scene", str(scene), "--seed", "0", "--out", str(meas)])
+        for name, bad in (("zero", [0.0] * 9), ("nan", [float("nan")] + [1.0] * 8)):
+            doc = json.loads(meas.read_text())
+            k = next(k for k, e in enumerate(doc["edges"]) if (e["i"], e["j"]) == (0, 4))
+            doc["edges"][k]["tensor"] = bad
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(doc))
+            capsys.readouterr()
+            assert run_cli(["pipeline", "--measurements", str(path), "--algorithm", "vc",
+                            "--regime", "uncalibrated", "--out", str(tmp_path / name)]) == 2, name
+            assert f"edge {k} (0, 4)" in capsys.readouterr().err, name
+
     def test_malformed_cameras_exit_code(self, tmp_path):
         scene = tmp_path / "scene.json"
         meas = tmp_path / "m.json"

@@ -10,8 +10,9 @@ from colsfm.graphs import (
     _components,
     TripletCover,
     ViewingGraph,
-    build_dual_edges,
     collinearity_score,
+    dual_adjacency,
+    dual_bfs,
     enrich_connectivity,
     heuristic_cover,
     insert_virtual_and_prune,
@@ -219,35 +220,63 @@ class TestInsertVirtualAndPrune:
             assert _bfs_connected(out.triplets)
 
 
+def _random_triplets(rng):
+    """Up to 24 random triplets; ids up to n + 2 stand in for virtual
+    cameras, and permutations and repeats exercise unsorted and duplicated
+    triplets."""
+    n = int(rng.integers(3, 9))
+    ts = [tuple(int(x) for x in rng.choice(n + 3, size=3, replace=False))
+          for _ in range(int(rng.integers(0, 25)))]
+    ts += [ts[i] for i in rng.integers(0, len(ts), size=len(ts) // 4)] if ts else []
+    return [tuple(rng.permutation(t).tolist()) if rng.uniform() < 0.3 else t for t in ts]
+
+
+def _distinct(ts):
+    """The sorted camera sets of triplets, each once."""
+    return sorted({tuple(sorted(t)) for t in ts})
+
+
 class TestDualEdges:
     def test_shared_two_only(self):
         ts = [(0, 1, 2), (1, 2, 3), (0, 4, 5)]
-        d = build_dual_edges(ts)
-        assert d == [((0, 1, 2), (1, 2, 3))]
+        c = TripletCover.from_triplets(ts)
+        assert c.dual_edges == [((0, 1, 2), (1, 2, 3))]
+        assert c.dual.edges.tolist() == [[0, 2]]  # (0, 4, 5) sorts between them
 
     @pytest.mark.parametrize(
         "ts",
         [
             [(2, 0, 1), (1, 2, 3), (3, 1, 0)],  # unsorted triplets
-            [(0, 1, 2), (0, 1, 2), (1, 2, 3)],  # a repeated triplet
-            [(0, 1, 2), (2, 1, 0), (1, 0, 2)],  # one camera set three ways: no edge
+            [(0, 1, 2), (0, 1, 2), (1, 2, 3)],  # a repeated triplet: deduplicated
+            [(0, 1, 2), (2, 1, 0), (1, 0, 2)],  # one camera set three ways: one triplet
             [(0, 1, 7), (1, 2, 7), (0, 2, 7), (0, 1, 2)],  # virtual camera 7 > n = 3
         ],
     )
     def test_edge_cases_match_oracle(self, ts):
-        assert build_dual_edges(ts) == _oracle_dual_edges(ts)
+        c = TripletCover.from_triplets(ts)
+        assert c.triplets == _distinct(ts)
+        assert c.dual_edges == _oracle_dual_edges(_distinct(ts))
 
     def test_random_sets_match_oracle(self):
         rng = np.random.default_rng(5)
         for trial in range(200):
-            n = int(rng.integers(3, 9))
-            # ids up to n + 2 stand in for virtual cameras; permutations and
-            # repeats exercise unsorted and duplicated triplets
-            ts = [tuple(int(x) for x in rng.choice(n + 3, size=3, replace=False))
-                  for _ in range(int(rng.integers(0, 25)))]
-            ts += [ts[i] for i in rng.integers(0, len(ts), size=len(ts) // 4)] if ts else []
-            ts = [tuple(rng.permutation(t).tolist()) if rng.uniform() < 0.3 else t for t in ts]
-            assert build_dual_edges(ts) == _oracle_dual_edges(ts)
+            ts = _random_triplets(rng)
+            assert TripletCover.from_triplets(ts).dual_edges == _oracle_dual_edges(_distinct(ts))
+
+    def test_bfs_tree_matches_dual_bfs(self):
+        # the tree the cover holds is the walk of the dual adjacency from
+        # its first triplet, as indices; covers may be disconnected
+        rng = np.random.default_rng(6)
+        partial = 0
+        for trial in range(200):
+            c = TripletCover.from_triplets(_random_triplets(rng))
+            walk = list(dual_bfs(dual_adjacency(c.triplets), c.triplets[:1]))
+            assert [c.triplets[k] for k in c.dual.order] == [t for t, _ in walk]
+            parent = {t: -1 if p is None else c.triplets.index(p) for t, p in walk}
+            assert c.dual.parent.tolist() == [parent.get(t, -1) for t in c.triplets]
+            assert c.is_connected() == (0 < len(walk) == len(c.triplets))
+            partial += 0 < len(walk) < len(c.triplets)
+        assert partial > 0
 
 
 def _random_graph(seed):

@@ -1,12 +1,10 @@
 import numpy as np
 import pytest
 
-from colsfm.averaging import AveragingResult
 from colsfm.errors import DuplicateEdge, IndexOutOfRange, RankNot2
 from colsfm.geometry import (
     BifocalTensor, bifocal_from_pair, fix_sign, nearest_rotation,
 )
-from colsfm.graphs import triplet_pairs
 from colsfm.nview import (
     NViewBifocal,
     block_index,
@@ -116,13 +114,6 @@ class TestOneAssembler:
             s = sorted(ids)
             want = _loop_block_matrix(len(s), lambda u, v: m.block(s[u], s[v]))
             assert np.array_equal(m.submatrix(ids), want)
-
-    def test_triplet_matrix_with_missing_consensus_pair(self, rng):
-        consensus = {(0, 2): rng.normal(size=(3, 3)), (2, 4): rng.normal(size=(3, 3))}
-        res = AveragingResult(None, [], True, 1, 0.0, 0, consensus=consensus)
-        pairs = dict(zip(((0, 1), (0, 2), (1, 2)), triplet_pairs((4, 0, 2))))
-        want = _loop_block_matrix(3, lambda u, v: consensus.get(pairs[(u, v)], np.zeros((3, 3))))
-        assert np.array_equal(res.triplet_matrix((4, 0, 2)), want)
 
     def test_exact_triplet(self):
         scene = generate("mixed", 6, 8, seed=22)

@@ -350,6 +350,36 @@ class TestDecompositionBudget:
         assert tables == [len(covered_edges(out.cover))]
         assert tensors == [(len(out.cover.triplets), 5, 3, 4)]
 
+    @pytest.mark.parametrize("layout,algorithm", [("mixed", "vc"), ("collinear", "r4")])
+    def test_dual_graph_built_once_past_cover_stage(self, monkeypatch, layout, algorithm):
+        """From averaging on, the cover's one dual graph answers
+        connectivity, scale sync, registration and `to_json`: the dual
+        adjacency is built once."""
+        import colsfm.graphs
+        import colsfm.pipeline
+
+        started, built = [], []
+        real_average = colsfm.pipeline.average
+        real_adjacency = colsfm.graphs.dual_adjacency
+
+        def average(*args, **kwargs):
+            started.append(True)
+            return real_average(*args, **kwargs)
+
+        def adjacency(triplets):
+            if started:
+                built.append(len(triplets))
+            return real_adjacency(triplets)
+
+        monkeypatch.setattr(colsfm.pipeline, "average", average)
+        monkeypatch.setattr(colsfm.graphs, "dual_adjacency", adjacency)
+        scene = generate(layout, 8, 12, seed=15)
+        m, tracks = measure(scene, MeasurementNoise(0.5, 0.5), seed=115)
+        out = run_pipeline(m, tracks, algorithm, "calibrated", scene)
+        out.cover.to_json()
+        assert out.report.n_reconstructed == 8
+        assert built == [len(out.cover.triplets)]
+
 
 class TestPipelineNoVirtual:
     """insert_virtual=False: plain rank-6 averaging on a mixed scene whose
@@ -377,7 +407,8 @@ def _first_failure(avg, cover, tracks, n, algorithm):
     lazily; None when every triplet recovers."""
     gate = 1e-3 if avg.converged else 0.5
     for t in sorted(cover.triplets):
-        poses = (oracle.pair_pose(avg.consensus[e], tracks.tracks(e) if e[1] < n else None)
+        poses = (oracle.pair_pose(avg.consensus[avg.pairs.index(e)],
+                                  tracks.tracks(e) if e[1] < n else None)
                  for e in triplet_pairs(t))
         try:
             if algorithm == "r4":
