@@ -1,15 +1,16 @@
-"""Rank-constrained spectral projections and the ADMM consensus driver.
+"""Rank-constrained projections and the ADMM consensus driver.
 
 Per-triplet constraint sets (9x9 submatrices):
 
 * collinear essential:   rank 4, spectrum (l1, l2, -l2, -l1) paired
 * collinear fundamental: rank 4, signature (2, 2)
-* general essential:     rank 6, paired spectrum, block-rotation eigenvectors
+* general essential:     E_uv = Q_u [c_u - c_v]x Q_v^T, rotations Q_u and
+                         centres c_u (zero diagonal blocks, rank 6, paired)
 * general fundamental:   rank 6, signature (3, 3)
 
 All sets except the general-essential one are invariant to per-block
 rescaling, so unit-normalized measurements of consistent triplets are exact
-fixed points.  The block-rotation constraint is scale sensitive; for that
+fixed points.  The camera-parametrised set is scale sensitive; for that
 regime the driver first restores consistent relative block scales from the
 pairwise decompositions (closure of the translation directions) and
 synchronizes them across triplets sharing a block; the decompositions and
@@ -18,12 +19,14 @@ synchronisation is (T, 3) arrays walked over the cover's `TripletCover.dual`.
 
 The projections are batched kernels over (m, 3k, 3k) stacks, each call one
 stacked eigendecomposition (signature-deficient rows select per row); the
-general-essential kernel adds its 8-case sign search as one fixed linear map
-of per-block Gram matrices, one stacked 3x3 SVD and one stacked QR.  The
-driver holds its triplet state as (m, 9, 9) stacks and the consensus as
-(E, 3, 3) camera-pair blocks, linked by one `nview.block_index` layout built
-once per run, so each ADMM iteration gathers the consensus into the triplet
-stack with one indexing operation and makes one kernel call for all triplets.
+general-essential kernel is a retraction (`project_general_essential`) with
+one stacked 3x3 SVD for its start and one per camera in each sweep.  Its
+output has exactly zero diagonal blocks, like the consensus, so the two sets
+can meet on covers whose dual graph has cycles.  The driver holds its
+triplet state as (m, 9, 9) stacks and the consensus as (E, 3, 3) camera-pair
+blocks, linked by one `nview.block_index` layout built once per run, so each
+ADMM iteration gathers the consensus into the triplet stack with one
+indexing operation and makes one kernel call for all triplets.
 """
 
 from __future__ import annotations
@@ -150,31 +153,49 @@ _SIGN_GRAM = np.einsum(
 ).reshape(36, 72)
 
 
+# Gauss-Seidel sweeps of the general-essential retraction after its spectral start
+_SWEEPS = 3
+
+
+def _centres(Q: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """(m, k, 3) mean-zero centres minimising sum_uv |W_uv - Q_u [c_u - c_v]x Q_v^T|^2
+    for fixed rotations Q (m, k, 3, 3) and blocks W (m, k, k, 3, 3):
+    c_u = (1/k) sum_v vee(skew(Q_u^T W_uv Q_v)), v != u."""
+    k = Q.shape[1]
+    M = Q.swapaxes(-1, -2)[:, :, None] @ W @ Q[:, None]
+    x = 0.5 * np.stack([M[..., 2, 1] - M[..., 1, 2], M[..., 0, 2] - M[..., 2, 0],
+                        M[..., 1, 0] - M[..., 0, 1]], axis=-1)
+    c = np.stack([sum(x[:, u, v] for v in range(k) if v != u) / k for u in range(k)], axis=1)
+    return c - sum(c[:, u] for u in range(k))[:, None] / k
+
+
 def _general_essential(S: np.ndarray):
     m, d = S.shape[:2]
-    n = d // 3
-    X, pv, Y, nv, flags = _truncate(S, 3)
-    lam = (pv - nv) / 2.0
-    # block-orthogonality of sqrt(n) sqrt(0.5)(X + Y S) per case: the squares of
-    # G_b = (n/2)(X^T X + X^T Y S + S Y^T X + S Y^T Y S) - I summed over blocks b
-    XY = np.concatenate([X, Y], axis=-1).reshape(m, n, 3, 6)
+    k = d // 3
+    X, _, Y, _, flags = _truncate(S, 3)
+    # block-orthogonality of sqrt(k) sqrt(0.5)(X + Y S) per case: the squares of
+    # G_b = (k/2)(X^T X + X^T Y S + S Y^T X + S Y^T Y S) - I summed over blocks b
+    XY = np.concatenate([X, Y], axis=-1).reshape(m, k, 3, 6)
     K = XY.swapaxes(-1, -2) @ XY
-    G = (n / 2.0) * (K.reshape(m, n, 36) @ _SIGN_GRAM).reshape(m, n, 8, 9) - np.eye(3).ravel()
+    G = (k / 2.0) * (K.reshape(m, k, 36) @ _SIGN_GRAM).reshape(m, k, 8, 9) - np.eye(3).ravel()
     r = np.sum(G * G, axis=(1, 3))
     Ys = Y * _SIGN_CASES[np.argmin(r, axis=1)][:, None, :]
-    dets = np.linalg.det((np.sqrt(0.5) * (X + Ys)).reshape(m, n, 3, 3))
+    dets = np.linalg.det((np.sqrt(0.5) * (X + Ys)).reshape(m, k, 3, 3))
     flip = np.where(np.sum(dets, axis=1) < 0, -1.0, 1.0)
     X[..., 0] *= flip[:, None]
     Ys[..., 0] *= flip[:, None]
-    Vh = np.sqrt(0.5) * (X + Ys)
-    Uh = np.sqrt(0.5) * (X - Ys)
-    Vrot = nearest_rotation(np.sqrt(n) * Vh.reshape(m, n, 3, 3)).reshape(m, d, 3) / np.sqrt(n)
-    U2 = Uh - Vrot @ (Vrot.swapaxes(-1, -2) @ Uh)
-    Q, R = np.linalg.qr(U2)
-    U2 = Q * np.sign(np.diagonal(R, axis1=-2, axis2=-1))[:, None, :]
-    L = lam[:, None, :]  # right-multiplying by diag(lam) scales the columns
-    out = (U2 * L) @ Vrot.swapaxes(-1, -2) + (Vrot * L) @ U2.swapaxes(-1, -2)
-    return _symmetrized(out), flags
+    Q = nearest_rotation(np.sqrt(k) * (np.sqrt(0.5) * (X + Ys)).reshape(m, k, 3, 3))
+    W = np.ascontiguousarray(_symmetrized(S).reshape(m, k, 3, k, 3).swapaxes(2, 3))
+    for _ in range(_SWEEPS):
+        c = _centres(Q, W)
+        for u in range(k):
+            # argmin over Q_u of sum_v |W_uv - Q_u [c_u - c_v]x Q_v^T|^2
+            Q[:, u] = nearest_rotation(sum(W[:, u, v] @ Q[:, v] @ _skews(c[:, v] - c[:, u])
+                                           for v in range(k) if v != u))
+    c = _centres(Q, W)
+    Z = Q[:, :, None] @ _skews((c[:, :, None] - c[:, None]).reshape(-1, 3)).reshape(m, k, k, 3, 3)
+    Z = (Z @ Q.swapaxes(-1, -2)[:, None]).swapaxes(2, 3).reshape(m, d, d)
+    return _symmetrized(Z), flags
 
 
 def _project_one(kernel, S) -> ProjectionResult:
@@ -199,13 +220,18 @@ def project_general_fundamental(S: np.ndarray) -> ProjectionResult:
 
 
 def project_general_essential(S: np.ndarray) -> ProjectionResult:
-    """Rank-6 paired-spectrum truncation followed by projecting the
-    sqrt(0.5)(X + Y) blocks to rotations and reassembling.
+    """Retraction onto the consistent essential matrices
+    E_uv = Q_u [c_u - c_v]x Q_v^T of k cameras (rotations Q_u, mean-zero
+    centres c_u), which have zero diagonal blocks.
 
-    The relative column signs of Y are searched (8 cases, the first best
-    wins) for the best block-orthogonality; the left factor is
-    re-orthonormalized against the rotated right factor so the output has
-    the exact paired spectrum and the map is idempotent.
+    The rotations start from the sqrt(0.5)(X + Y) blocks of the rank-6
+    paired eigenvectors, projected to rotations; the relative column signs
+    of Y are searched (8 cases, the first best wins) for the best
+    block-orthogonality.  Each of `_SWEEPS` sweeps then sets the centres to
+    their least-squares values, c_u = (1/k) sum_v vee(skew(Q_u^T S_uv Q_v)),
+    and updates each Q_u in turn by Procrustes against its block row.  The
+    output is assembled from the final rotations and centres, so consistent
+    input is a fixed point and the map is idempotent.
     """
     return _project_one(_general_essential, S)
 
@@ -296,7 +322,7 @@ def average(
     """Consensus ADMM over the triplet cover.
 
     Each triplet keeps a constrained copy Z_k of its 9x9 submatrix (the
-    regime's spectral projection is the constraint step, the quadratic
+    regime's projection is the constraint step, the quadratic
     attachment to the measured submatrix the proximal step); blocks shared
     between triplets live in a single consensus variable with zero diagonal
     blocks, updated in deterministic triplet order; scaled duals close the

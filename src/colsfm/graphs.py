@@ -95,7 +95,8 @@ def pair_rows(triplets):
     (T, 3) positions of every triplet's sorted pairs in that list."""
     pairs = list(pair_index(triplets))
     slot = {e: k for k, e in enumerate(pairs)}
-    return pairs, np.array([[slot[e] for e in triplet_pairs(t)] for t in triplets]).reshape(-1, 3)
+    rows = [[slot[e] for e in triplet_pairs(t)] for t in triplets]
+    return pairs, np.array(rows, dtype=int).reshape(-1, 3)
 
 
 def dual_adjacency(triplets) -> dict:
@@ -193,19 +194,18 @@ def sequential_cover(n: int) -> TripletCover:
     return TripletCover.from_triplets([(i, i + 1, i + 2) for i in range(n - 2)])
 
 
-def heuristic_cover(g: ViewingGraph) -> TripletCover:
-    """Greedy cover: 3-cliques sorted by minimum edge weight (descending),
-    added when they cover a new edge or join dual components.  May return a
-    disconnected cover; see enrich_connectivity."""
+def heuristic_cover(g: ViewingGraph, scores=None) -> TripletCover:
+    """Greedy cover: 3-cliques sorted by score (descending, ties in sorted
+    order), added when they cover a new edge or join dual components.  A
+    clique's score is its minimum edge weight unless scores gives one per
+    clique of `g.triangles()`.  May return a disconnected cover; see
+    enrich_connectivity."""
     tris = g.triangles()
     if not tris:
         raise NoTriangles("viewing graph has no 3-clique")
-
-    def min_weight(t):
-        a, b, c = t
-        return min(g.edges[(a, b)], g.edges[(a, c)], g.edges[(b, c)])
-
-    ranked = sorted(tris, key=lambda t: (-min_weight(t), t))
+    if scores is None:
+        scores = [min(g.edges[p] for p in triplet_pairs(t)) for t in tris]
+    ranked = [t for _, t in sorted(zip((-float(s) for s in scores), tris))]
     # one pass: a pair -> chosen-triplets index answers "covers a new edge"
     # (an empty bucket) and, through a union-find over the chosen triplets'
     # dual components, "joins" (the neighbours of t have two or more roots)

@@ -4,13 +4,14 @@ Every run takes one route: cover -> average -> recover -> register ->
 evaluate.  The algorithm picks only the cover stage (`cover_and_average`)
 and the per-triplet recovery.  "r4" (fully collinear cameras) averages the
 sequential cover at rank 4 and recovers collinear triplets.  "vc" (mixed
-collinearity) replaces the collinear triplets of the enriched heuristic
-cover by sub-triplets against virtual cameras, averages at rank 6, recovers
+collinearity) builds the enriched heuristic cover from the triangles ranked
+best-conditioned first, replaces the collinear triplets left in it by
+sub-triplets against virtual cameras, averages at rank 6, recovers
 general-position triplets and drops the virtual cameras after registration.
-The "vc" cover stage is stacked passes over the cover's pairs: one epipole
-table, one score pass over all triplets, one pose pass for every essential
-virtual camera (one projective pass for fundamental ones), then each
-collinear triplet's track and virtual tensors.  Before recovery, the
+The "vc" cover stage is stacked passes over the triangles' pairs: one
+epipole table, one score pass over all triangles, one pose pass for every
+essential virtual camera (one projective pass for fundamental ones), then
+each collinear triplet's track and virtual tensors.  Before recovery, the
 calibrated geometry or the projective systems of all triplets are built in
 stacked passes; each per-triplet recovery call reads its row.
 
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .averaging import AdmmConfig, AveragingResult, average
-from .errors import RotationAmbiguity, ValidationError
+from .errors import RankDeficient, RotationAmbiguity, ValidationError
 from .geometry import epipole_table, epipoles
 from .graphs import (
     TripletCover,
@@ -141,21 +142,33 @@ def _evaluate(cameras, n_real, tracks, scene_gt, regime, algorithm, converged, f
 
 
 def _virtual_cover(measurements: NViewBifocal, tracks: TrackSet, cfg: PipelineConfig):
-    """The enriched heuristic cover with each collinear triplet replaced by
-    sub-triplets against a virtual camera, numbered n + k in cover order;
-    returns the cover and the measurements extended by the virtual cameras'
-    tensors.  One epipole table of the cover pairs feeds one score pass and
-    every point selection, and one pose pass (essential) or one projective
-    pass (fundamental) gives the V-matrices of every virtual camera."""
+    """The heuristic cover of the viewing graph's triangles ranked by
+    `collinearity_score`, best-conditioned first (ties in sorted order, a
+    triangle with a rank-deficient pair last), enriched to connectivity, with
+    each collinear triplet left in it replaced by sub-triplets against a
+    virtual camera, numbered n + k in cover order; returns the cover and the
+    measurements extended by the virtual cameras' tensors.  One epipole table
+    of the triangles' pairs feeds one score pass, which ranks the triangles
+    and marks the collinear cover triplets, and every point selection; one
+    pose pass (essential) or one projective pass (fundamental) gives the
+    V-matrices of every virtual camera."""
     n = measurements.n
-    g = ViewingGraph.from_edges(n, [(i, j, 1.0) for (i, j) in measurements.edges()])
-    cover = enrich_connectivity(heuristic_cover(g), g.triangles())
+    g = ViewingGraph.from_edges(n, measurements.edges())
+    tris = g.triangles()
+    F, rows = _pair_blocks(measurements, tris)
+    table = epipole_table(F)
+    degenerate = ~np.all(np.any(table, axis=-1), axis=-1)  # (P,) pairs without unique epipoles
+    scores = collinearity_score(table, rows)
+    ranks = np.where(np.any(degenerate[rows], axis=1), -np.inf, scores)
+    cover = enrich_connectivity(heuristic_cover(g, ranks), tris)
     if not cfg.insert_virtual:
         return cover, measurements
-    F, rows = _pair_blocks(measurements, cover.triplets)
-    table = epipoles(F)
-    marked = np.flatnonzero(collinearity_score(table, rows) < cfg.collinearity_threshold)
-    collinear = [cover.triplets[k] for k in marked]
+    index = {t: k for k, t in enumerate(tris)}
+    held = [index[t] for t in cover.triplets]
+    if np.any(degenerate[rows[held]]):
+        raise RankDeficient("tensor has a two-dimensional null space")
+    marked = [k for k in held if scores[k] < cfg.collinearity_threshold]
+    collinear = [tris[k] for k in marked]
     tracks3 = [tracks.tracks(t) for t in collinear]
     if measurements.kind == "essential":
         V, ties = v_matrices_from_essentials(F[rows[marked]], tracks3)

@@ -60,6 +60,15 @@ def exact_triplet(scene, ids) -> np.ndarray:
                          for u, v in combinations(sorted(ids), 2)])
 
 
+def banded(nview, width=3) -> NViewBifocal:
+    """The measurements nview keeps of a sparse viewing graph: the blocks
+    (i, j) with j - i <= width.  A mixed scene's first cameras sit on its
+    line, so the pairs among the first few then lie only in collinear
+    triangles and the vc cover needs virtual cameras for them."""
+    kept = {e: t for e, t in nview.blocks.items() if e[1] - e[0] <= width}
+    return NViewBifocal.assemble(nview.n, kept, kind=nview.kind)
+
+
 def covered_edges(cover) -> set:
     """The camera pairs a cover's triplets hold."""
     return {p for t in cover.triplets for p in triplet_pairs(t)}

@@ -318,3 +318,26 @@ def test_criterion_9_determinism(tmp_path):
         blobs.append(path.read_bytes())
     ok = blobs[0] == blobs[1]
     _announce(9, ok, "two identical pipeline runs produced byte-identical report.json")
+
+
+def test_criterion_10_vc_under_noise():
+    # rotation and translation-direction noise on every pair, as no other gate
+    noise = MeasurementNoise(rotation_deg=0.5, translation_dir_deg=0.5)
+    lines = []
+    ok = True
+    for layout in ("general", "mixed"):
+        converged = 0
+        worst = 0.0
+        for seed in range(30):
+            scene = generate(layout, 10, 12, seed=seed)
+            noisy, tracks = measure(scene, noise, seed=seed)
+            out = run_pipeline(noisy, tracks, "vc", "calibrated", scene)
+            if out.converged and out.averaging_log[-1]["primal_residual"] < 1e-9:
+                converged += 1
+            err = out.report.mean_position_error
+            worst = max(worst, np.inf if err is None else err)
+        ok = ok and converged >= 28 and worst < 0.05
+        lines.append(f"{layout} {converged}/30 converged (>= 28), worst position error "
+                     f"{worst:.4f} (< 0.05)")
+    _announce(10, ok, "noisy calibrated VC, n=10, 0.5 deg rotation and direction noise: "
+                      + "; ".join(lines))

@@ -19,7 +19,7 @@ from colsfm.averaging import (
     project_general_fundamental,
 )
 from colsfm.errors import MissingBlock, NotConnected
-from colsfm.geometry import BifocalTensor, nearest_rotation, normalized_tensor
+from colsfm.geometry import BifocalTensor, nearest_rotation, normalized_tensor, skew
 from colsfm.graphs import (
     TripletCover, ViewingGraph, enrich_connectivity, heuristic_cover, pair_rows, sequential_cover,
     triplet_pairs,
@@ -27,7 +27,7 @@ from colsfm.graphs import (
 from colsfm.nview import NViewBifocal, certify_collinear_essential, certify_general
 from colsfm.pipeline import PipelineConfig, _virtual_cover
 from colsfm.synthetic import MeasurementNoise, generate, measure
-from conftest import exact_nview, exact_triplet
+from conftest import banded, exact_nview, exact_triplet
 
 ALL_PROJECTIONS = [
     project_collinear_essential,
@@ -297,9 +297,12 @@ class TestStackedScaleSync:
         ("general", 8, 1.0, 7, False),
     ])
     def test_consistent_factors_equal_dict_oracle(self, layout, n, noise, seed, virtual):
-        # the vc cover stage's own cover and tensors, virtual cameras included
+        # the vc cover stage's own cover and tensors, virtual cameras included:
+        # a complete graph has a well-conditioned triangle on every pair, so
+        # those cases keep only the banded measurements
         scene = generate(layout, n, 16, seed=seed)
         m, tracks = measure(scene, MeasurementNoise(noise, noise), seed=seed)
+        m = banded(m) if virtual else m
         cover, extended = _virtual_cover(m, tracks, PipelineConfig(insert_virtual=virtual))
         assert bool(cover.virtual_nodes) == virtual
         pairs, rows = pair_rows(cover.triplets)
@@ -365,11 +368,26 @@ def _oracle_nearest_rotation(M):
     return R
 
 
-def _oracle_general_essential(S, rank_tol=1e-6):
+def _oracle_centres(W, Q):
+    """Least-squares mean-zero centres of the blocks W[u][v] for fixed rotations Q."""
+    n = len(Q)
+    x = [[None if u == v else _oracle_vee_skew(Q[u].T @ W[u][v] @ Q[v]) for v in range(n)]
+         for u in range(n)]
+    c = [sum(x[u][v] for v in range(n) if v != u) / n for u in range(n)]
+    mean = sum(c) / n
+    return [cu - mean for cu in c]
+
+
+def _oracle_vee_skew(M):
+    return 0.5 * np.array([M[2, 1] - M[1, 2], M[0, 2] - M[2, 0], M[1, 0] - M[0, 1]])
+
+
+def _oracle_general_essential(S, rank_tol=1e-6, sweeps=3):
+    """Retraction onto Q_u [c_u - c_v]x Q_v^T: spectral start, then sweeps of
+    least-squares centres and a Gauss-Seidel Procrustes update per camera."""
     w, V = _oracle_eig_desc(S)
     n = S.shape[0] // 3
     pos, pv, neg, nv, flag = _oracle_select_signed(w, 3, rank_tol)
-    lam = np.array([(pv[k] - nv[k]) / 2.0 for k in range(3)])
     X = V[:, pos].copy()
     Y = V[:, neg].copy()
     best = None
@@ -388,15 +406,20 @@ def _oracle_general_essential(S, rank_tol=1e-6):
         X[:, 0] = -X[:, 0]
         Ys[:, 0] = -Ys[:, 0]
         Vh = np.sqrt(0.5) * (X + Ys)
-    Uh = np.sqrt(0.5) * (X - Ys)
-    Vrot = np.zeros_like(Vh)
-    for i in range(n):
-        Vrot[3 * i:3 * i + 3] = _oracle_nearest_rotation(np.sqrt(n) * Vh[3 * i:3 * i + 3]) / np.sqrt(n)
-    U2 = Uh - Vrot @ (Vrot.T @ Uh)
-    Q, R = np.linalg.qr(U2)
-    U2 = Q @ np.diag(np.sign(np.diag(R)))
-    L = np.diag(lam)
-    out = U2 @ L @ Vrot.T + Vrot @ L @ U2.T
+    Q = [_oracle_nearest_rotation(np.sqrt(n) * Vh[3 * i:3 * i + 3]) for i in range(n)]
+    Ssym = (S + S.T) / 2.0
+    W = [[Ssym[3 * u:3 * u + 3, 3 * v:3 * v + 3] for v in range(n)] for u in range(n)]
+    for _ in range(sweeps):
+        c = _oracle_centres(W, Q)
+        for u in range(n):
+            Q[u] = _oracle_nearest_rotation(
+                sum(W[u][v] @ Q[v] @ skew(c[v] - c[u]) for v in range(n) if v != u))
+    c = _oracle_centres(W, Q)
+    out = np.zeros_like(S)
+    for u in range(n):
+        for v in range(n):
+            if u != v:
+                out[3 * u:3 * u + 3, 3 * v:3 * v + 3] = Q[u] @ skew(c[u] - c[v]) @ Q[v].T
     return (out + out.T) / 2.0, flag
 
 
@@ -495,7 +518,9 @@ class TestBatchedKernels:
                 return _real(*args, **kwargs)
             monkeypatch.setattr(np.linalg, name, counted)
         _PROJECTIONS[("general", "essential")](stack)
-        assert counts == {"eigh": 1, "svd": 1, "qr": 1}
+        # one stacked nearest_rotation for the spectral start, then one per
+        # camera in each of the 3 sweeps; no re-orthonormalisation
+        assert counts == {"eigh": 1, "svd": 1 + 3 * 3}
 
     @pytest.mark.parametrize("key", sorted(_ORACLES))
     @pytest.mark.parametrize("d", [9, 12])
@@ -521,21 +546,55 @@ class TestBatchedKernels:
         assert len(scores) == 1
 
 
+class TestCyclicCover:
+    """The 4 triplets of 4 general cameras: every two share a pair, so the
+    dual graph is complete and full of cycles.  The consensus has zero
+    diagonal blocks, so a kernel whose output does not meets it only by
+    accident on such a cover."""
+
+    cover = TripletCover.from_triplets(combinations(range(4), 3))
+
+    def test_dual_graph_has_cycles(self):
+        assert len(self.cover.dual.edges) == 6 > len(self.cover.triplets) - 1
+
+    def test_kernel_zero_diagonal_exact_idempotent(self):
+        scene = generate("general", 4, 8, seed=0)
+        noisy, _ = measure(scene, MeasurementNoise(0.5, 0.5), seed=0)
+        kernel = _PROJECTIONS[("general", "essential")]
+        exact = np.array([exact_triplet(scene, t) for t in self.cover.triplets])
+        measured = np.array([noisy.submatrix(t) for t in self.cover.triplets])
+        Z, _ = kernel(measured)
+        for u in range(3):
+            assert np.all(Z[:, 3 * u:3 * u + 3, 3 * u:3 * u + 3] == 0.0)
+        P, _ = kernel(exact)
+        Z2, _ = kernel(Z)
+        for got, want in ((P, exact), (Z2, Z)):
+            assert np.all(np.linalg.norm(got - want, axis=(1, 2)) <= 1e-12 * np.linalg.norm(want, axis=(1, 2)))
+
+    def test_noisy_average_converges(self):
+        scene = generate("general", 4, 8, seed=0)
+        noisy, _ = measure(scene, MeasurementNoise(0.5, 0.5), seed=0)
+        res = average(noisy, self.cover, "general")
+        assert res.converged and res.log[-1]["primal_residual"] < 1e-9
+
+
 # -- golden digests of average(), recorded from the per-triplet loop ---------
 
 # (layout, n, scene seed, intrinsics, rotation noise deg, measure seed, regime,
-#  cover, AdmmConfig kwargs, what the case exercises)
+#  cover, AdmmConfig kwargs, what the case exercises); the two calibrated
+# general cases were re-recorded when the general-essential kernel became the
+# camera-parametrised retraction
 _GOLDEN = [
     ("collinear", 6, 29, "calibrated", 0.5, 2, "collinear", "chain", {},
      "7cc9fa54470db88c08f096b99deac83746f2f68613b564ab2716eafc8b37a0bf"),  # enters polish
     ("collinear", 6, 40, "varied", 0.3, 1, "collinear", "chain", {},
      "3e069dd415a964c27eb5fa05d50ea76c6893adffc875020a2cd38c234c615ef1"),
     ("general", 6, 41, "calibrated", 0.2, 1, "general", "greedy", {"max_iters": 60},
-     "a573b83f7add4d6f0fbfa796cceb22bd150ac76fc7aeb5c21732e132a2db973d"),  # cyclic cover, not converged
+     "a440ae1bc3513c0155defb0dfabe7ad252c8465dd0f8904bab4335ef1e3cec3f"),  # cyclic cover, not converged
     ("general", 6, 42, "varied", 0.2, 1, "general", "greedy", {"max_iters": 60},
      "67b4dfe0121f00504ea2326515fceb99678d9c853bd7f73e6f8c4d69c9bc1e75"),
     ("general", 8, 65, "calibrated", 0.5, 1, "general", "chain", {},
-     "95eadc151e660a231803dbcad8393c7c918824f252740a28657068df61ae492a"),  # polish and a jump
+     "5d2d5df966d0a657505b7ded438de03d6134b1db2df9dc563101f922ce06dd55"),  # polish and a jump
     ("collinear", 8, 51, "calibrated", 1.0, 1, "collinear", "chain", {},
      "74e506fb102a4bcb584c88d18d158e3db506cf090f9219fb043d64ab30c02be9"),  # two jumps
     ("collinear", 9, 82, "calibrated", 0.5, 1, "collinear", "chain", {"rho": 1.0, "max_iters": 300},

@@ -8,6 +8,8 @@ import pytest
 import colsfm.pipeline
 from colsfm.cli import main
 from colsfm.errors import NotConnected
+from colsfm.io import load_measurements, save_measurements
+from conftest import banded
 
 
 def run_cli(args):
@@ -175,6 +177,9 @@ class TestCliFlow:
         run_cli(["synth", "--layout", "mixed", "--n-cams", "9", "--n-points", "16",
                  "--seed", "6", "--out", str(scene)])
         run_cli(["measure", "--scene", str(scene), "--seed", "0", "--out", str(meas)])
+        # a complete mixed graph needs no virtual camera: banded measurements do
+        nview, tracks = load_measurements(meas)
+        save_measurements(banded(nview), tracks, meas)
         outdir = tmp_path / "vc"
         code = run_cli(["pipeline", "--measurements", str(meas), "--scene", str(scene),
                         "--algorithm", "vc", "--out", str(outdir)])
@@ -186,27 +191,33 @@ class TestCliFlow:
         assert cover["virtual_nodes"]
 
 
-def _measured(tmp_path, layout, n, seed, noise_rot="0.0"):
+def _measured(tmp_path, layout, n, seed, noise_rot="0.0", band=False):
+    """The measurements file of a synthetic scene, kept banded if band."""
     scene = tmp_path / "scene.json"
     meas = tmp_path / "m.json"
     assert run_cli(["synth", "--layout", layout, "--n-cams", str(n), "--n-points", "16",
                     "--seed", str(seed), "--out", str(scene)]) == 0
     assert run_cli(["measure", "--scene", str(scene), "--noise-rot-deg", noise_rot,
                     "--seed", "3", "--out", str(meas)]) == 0
+    if band:
+        nview, tracks = load_measurements(meas)
+        save_measurements(banded(nview), tracks, meas)
     return meas
 
 
 # sha256 of cover.json + convergence.log as `average` writes them, with its
-# exit code, recorded while `average` still ran the full pipeline; they
+# exit code, recorded while `average` still ran the full pipeline (the vc
+# cases re-recorded on banded measurements with the collinearity-ranked
+# cover, which needs no virtual camera on a complete mixed graph); they
 # depend on the BLAS thread count (one thread here and in CI).  The
 # --no-virtual run is the plain rank-6 failure: averaging does not converge.
 GOLDEN_AVERAGE = [
     (("r4", "collinear", 8, 11, "0.2", ()), 0,
      "844be34869134719ebfe36beec20dd6036028cd7b54400071ba153633ce8bdec"),
     (("vc", "mixed", 9, 6, "0.0", ()), 0,
-     "9d5986a83d4d20268611348c0a2e4bf1a665cb9e656dfb63db1445cac3e127ae"),
+     "fdcb1ac611946fe9ab65949cdaeb8f7d4d1082c93afeed409fc843e36eba2e16"),
     (("vc", "mixed", 9, 6, "0.0", ("--no-virtual",)), 3,
-     "eca90c26ddca5a24f864878b5f38368ecf459a52df96d8466307eb941471d395"),
+     "ee5d832b24aea82128aa846d09be5899e44e382de32bdb2a3a5364ece780ca66"),
 ]
 
 
@@ -215,14 +226,14 @@ class TestAverageCommand:
                              ids=["r4", "vc", "vc-no-virtual"])
     def test_golden_outputs(self, case, code, digest, tmp_path):
         algorithm, layout, n, seed, noise_rot, flags = case
-        meas = _measured(tmp_path, layout, n, seed, noise_rot)
+        meas = _measured(tmp_path, layout, n, seed, noise_rot, band=algorithm == "vc")
         outdir = tmp_path / "avg"
         assert run_cli(["average", "--measurements", str(meas), "--algorithm", algorithm,
                         *flags, "--out", str(outdir)]) == code
         data = (outdir / "cover.json").read_bytes() + (outdir / "convergence.log").read_bytes()
         assert hashlib.sha256(data).hexdigest() == digest
-        if flags:
-            assert json.loads((outdir / "cover.json").read_text())["virtual_nodes"] == []
+        virtual = json.loads((outdir / "cover.json").read_text())["virtual_nodes"]
+        assert bool(virtual) == (algorithm == "vc" and not flags)
 
     def test_stops_before_recovery(self, tmp_path, monkeypatch):
         # a recovery failure after converged averaging belongs to the later

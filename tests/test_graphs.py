@@ -87,6 +87,14 @@ class TestHeuristicCover:
         assert c.triplets == [(0, 1, 2), (1, 2, 3)]
         assert len(c.dual_edges) == 1
 
+    def test_scores_rank_triangles(self):
+        # K4's triangles (0,1,2), (0,1,3), (0,2,3), (1,2,3): the greedy pass
+        # skips the last-ranked one, whose edges the others already cover
+        g = ViewingGraph.complete(4)
+        assert heuristic_cover(g).triplets == [(0, 1, 2), (0, 1, 3), (0, 2, 3)]
+        assert heuristic_cover(g, [0.5] * 4).triplets == [(0, 1, 2), (0, 1, 3), (0, 2, 3)]
+        assert heuristic_cover(g, [0.1, 0.2, 0.9, 0.9]).triplets == [(0, 1, 3), (0, 2, 3), (1, 2, 3)]
+
     def test_random_graphs_invariants(self):
         rng = np.random.default_rng(0)
         for trial in range(50):

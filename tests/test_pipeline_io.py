@@ -7,7 +7,10 @@ import numpy as np
 import pytest
 
 from colsfm.averaging import AdmmConfig
-from colsfm.errors import DegenerateEpipole, InsufficientTracks, ValidationError
+from colsfm.errors import (
+    DegenerateEpipole, InsufficientTracks, NoTriangles, RankDeficient, ValidationError,
+)
+from colsfm.geometry import BifocalTensor
 from colsfm.io import (
     load_cameras,
     load_measurements,
@@ -19,10 +22,10 @@ from colsfm.io import (
     write_convergence_log,
 )
 from colsfm.graphs import triplet_pairs
-from colsfm.nview import certify_general
-from colsfm.pipeline import PipelineConfig, run_pipeline
+from colsfm.nview import NViewBifocal, certify_general
+from colsfm.pipeline import PipelineConfig, _virtual_cover, run_pipeline
 from colsfm.synthetic import MeasurementNoise, TrackSet, generate, measure
-from conftest import covered_edges
+from conftest import banded, covered_edges
 
 
 # sha256 of the measurements files colsfm.io writes: for a noisy mixed scene,
@@ -232,6 +235,61 @@ class TestPipelineVC:
         assert not cert.passed
 
 
+class TestRankedCover:
+    """The vc cover ranks the viewing graph's triangles by collinearity
+    score, so virtual cameras go only where no well-conditioned triangle
+    covers a pair."""
+
+    @pytest.mark.parametrize("intrinsics", ["calibrated", "varied"])
+    def test_banded_mixed_inserts_virtual_cameras(self, intrinsics):
+        regime = "calibrated" if intrinsics == "calibrated" else "uncalibrated"
+        for seed in range(6):
+            scene = generate("mixed", 10, 20, seed=seed, intrinsics_mode=intrinsics)
+            m, tracks = measure(scene, seed=seed)
+            out = run_pipeline(banded(m), tracks, "vc", regime, scene)
+            assert 3 <= len(out.cover.virtual_nodes) <= 5
+            assert out.converged and out.report.n_reconstructed == 10
+            err = out.report.mean_position_error if intrinsics == "calibrated" else \
+                out.report.mean_reprojection_error
+            assert err < 1e-14
+
+    @staticmethod
+    def _with_rank1(m, edge):
+        """The measurements m with a rank-1 tensor (two-dimensional null space) on edge."""
+        blocks = {**m.blocks, edge: BifocalTensor(np.outer([1.0, 0, 0], [0, 1.0, 0]), m.kind)}
+        return NViewBifocal.assemble(m.n, blocks, kind=m.kind, strict=False)
+
+    def test_degenerate_pair_ranks_last(self):
+        # its zero epipole rows would score 1.0, the best conditioning: ranked
+        # first, every triangle on the pair would enter the cover
+        scene = generate("general", 6, 12, seed=3)
+        m, tracks = measure(scene, seed=0)
+        cover, _ = _virtual_cover(self._with_rank1(m, (0, 1)), tracks, PipelineConfig(insert_virtual=False))
+        assert [t for t in cover.triplets if t[:2] == (0, 1)] == [(0, 1, 2)]
+
+    def test_rank_deficient_cover_pair_raises(self):
+        scene = generate("mixed", 8, 12, seed=3)
+        m, tracks = measure(scene, seed=0)
+        with pytest.raises(RankDeficient):
+            run_pipeline(self._with_rank1(m, (2, 5)), tracks, "vc", "calibrated", scene)
+
+    def test_triangle_free_graph_raises_no_triangles(self):
+        # the triangles' pair table is empty before the cover raises
+        scene = generate("mixed", 5, 12, seed=1)
+        m, tracks = measure(scene, seed=0)
+        with pytest.raises(NoTriangles):
+            run_pipeline(banded(m, width=1), tracks, "vc", "calibrated", scene)
+
+    def test_rank_deficient_non_cover_edge_ignored(self):
+        # edge (0, 9) of a banded graph lies in no triangle, so no cover holds it
+        scene = generate("mixed", 10, 20, seed=0)
+        m, tracks = measure(scene, seed=0)
+        out = run_pipeline(self._with_rank1(banded(m), (0, 9)), tracks, "vc", "calibrated", scene)
+        assert (0, 9) not in covered_edges(out.cover)
+        assert out.cover.virtual_nodes and out.converged
+        assert out.report.mean_position_error < 1e-14
+
+
 class TestDecompositionBudget:
     def test_recovery_decomposes_each_pair_once(self, monkeypatch):
         """Triplets share camera pairs; recovery decomposes each pair's
@@ -264,7 +322,7 @@ class TestDecompositionBudget:
         monkeypatch.setattr(colsfm.recovery, "cheirality_votes", votes)
         scene = generate("mixed", 8, 12, seed=13)
         m, tracks = measure(scene, seed=113)
-        out = run_pipeline(m, tracks, "vc", "calibrated", scene)
+        out = run_pipeline(banded(m), tracks, "vc", "calibrated", scene)
         assert out.report.n_reconstructed == 8
         assert len(decomposed) == 1 and len(voted) == 1
         blocks = decomposed[0]
@@ -305,7 +363,7 @@ class TestDecompositionBudget:
         scene = generate("mixed", 8, 12, seed=13)
         m, tracks = measure(scene, seed=113)
         with pytest.raises(Averaging):
-            run_pipeline(m, tracks, "vc", "calibrated", scene)
+            run_pipeline(banded(m), tracks, "vc", "calibrated", scene)
         n_virtual = len(covers[0].virtual_nodes)
         assert n_virtual > 1
         assert len(scored) == 1
@@ -375,6 +433,8 @@ class TestDecompositionBudget:
         monkeypatch.setattr(colsfm.graphs, "dual_adjacency", adjacency)
         scene = generate(layout, 8, 12, seed=15)
         m, tracks = measure(scene, MeasurementNoise(0.5, 0.5), seed=115)
+        # vc on the banded measurements, where the cover needs virtual cameras
+        m = banded(m) if algorithm == "vc" else m
         out = run_pipeline(m, tracks, algorithm, "calibrated", scene)
         out.cover.to_json()
         assert out.report.n_reconstructed == 8
@@ -383,12 +443,15 @@ class TestDecompositionBudget:
 
 class TestPipelineNoVirtual:
     """insert_virtual=False: plain rank-6 averaging on a mixed scene whose
-    cover holds collinear triplets, the failure the virtual cameras fix."""
+    cover holds collinear triplets, the failure the virtual cameras fix.  On
+    a complete graph the ranked cover holds none, so these runs keep only the
+    banded measurements."""
 
     def test_calibrated_ends_in_named_failure(self):
         scene = generate("mixed", 9, 20, seed=96)
         m, tracks = measure(scene, seed=0)
-        out = run_pipeline(m, tracks, "vc", "calibrated", scene, PipelineConfig(insert_virtual=False))
+        out = run_pipeline(banded(m), tracks, "vc", "calibrated", scene,
+                           PipelineConfig(insert_virtual=False))
         assert not out.converged
         assert out.report.failure_stage.startswith("recovery after non-convergent averaging")
         assert out.report.n_reconstructed == 0
@@ -398,7 +461,8 @@ class TestPipelineNoVirtual:
         scene = generate("mixed", 9, 20, seed=96, intrinsics_mode="varied")
         m, tracks = measure(scene, seed=0)
         with pytest.raises(DegenerateEpipole):
-            run_pipeline(m, tracks, "vc", "uncalibrated", scene, PipelineConfig(insert_virtual=False))
+            run_pipeline(banded(m), tracks, "vc", "uncalibrated", scene,
+                         PipelineConfig(insert_virtual=False))
 
 
 def _first_failure(avg, cover, tracks, n, algorithm):
@@ -451,7 +515,7 @@ class TestRecoveryErrorOrder:
     def test_unconverged_vc_reports_first_failure(self, monkeypatch):
         scene = generate("mixed", 9, 20, seed=96)
         m, tracks = measure(scene, seed=0)
-        self._run(monkeypatch, m, tracks, "vc", PipelineConfig(insert_virtual=False))
+        self._run(monkeypatch, banded(m), tracks, "vc", PipelineConfig(insert_virtual=False))
 
     def test_converged_r4_raises_first_failure(self, monkeypatch):
         # no track holds both cameras 0 and 1, so the baseline pair of the
@@ -479,37 +543,37 @@ class TestPipelineDeterminism:
 
 # sha256 of the cameras and report files colsfm.io writes for seeded small
 # scenes, recorded before triplet recovery was stacked over tracks (the
-# noise-free uncalibrated vc run and the three-iteration run, which ends in
-# a named failure stage, were recorded before the two pipeline paths were
-# merged, the noisy calibrated vc runs before pair poses were shared across
-# triplets); they depend on the BLAS thread count (one thread here and in CI).
-# A case's last field caps the ADMM iterations (None: the default).
+# three-iteration run, which ends in a named failure stage, was recorded
+# before the two pipeline paths were merged; every vc run was re-recorded
+# when the vc cover became collinearity-ranked and the general-essential
+# kernel a camera-parametrised retraction); they depend on the BLAS thread
+# count (one thread here and in CI).  A case's last field caps the ADMM
+# iterations (None: the default).
 GOLDEN_RUNS = [
     (("r4", "collinear", 8, "calibrated", 0.5, 11, None),
      "5b49fc41207b1974eefd68dc79be1ddc53b8301d6c5f66273fa18be5b13faf3b"),
     (("r4", "collinear", 8, "varied", 0.5, 12, None),
      "b4bcff63884b7a2088f148a6752543bb4d6bcb3a32ad68727cd54e27053d49a4"),
     (("vc", "mixed", 8, "calibrated", 0.0, 13, None),
-     "59c686bdaf76728456138593b52cf8d99432467689ca74467924c79f170a3695"),
+     "9070a5c67374dd776016029ddfd8101e99f19129d1141c6a283055715fb7d86f"),
     (("r4", "collinear", 12, "calibrated", 0.0, 14, None),
      "974a65fb4c8830cd7f5e7210a0f44096dd1a7957194607e7d8d0b2ace45c78bf"),
     (("vc", "mixed", 8, "varied", 0.0, 15, None),
-     "44e540993e80ee86891d922e5d1d83d52a1e02e3c5b424895dca675922cbc900"),
+     "f0ffaf7c0394116130acfa070a399e7974269eb79e7f77b662b2061c8c18063e"),
     (("r4", "collinear", 10, "calibrated", 1.0, 5, 3),
      "e443a881cd536180437bdd262fbf6b7090ec150657b99b5374f6b4411189e1c8"),
-    # noisy calibrated vc: scale synchronisation and recovery on noisy blocks;
-    # seed 16 does not converge and ends in a named recovery failure
+    # noisy calibrated vc: scale synchronisation and recovery on noisy blocks
     (("vc", "mixed", 8, "calibrated", 0.5, 16, None),
-     "566005a4a9fc95ffb18ac5fcab225b7ec1367060bbbdc5c39b2ed68c27d824b4"),
+     "b8b30369654c864ffc323bba628444e881fbbfe9892ba9ba0755a8333dc349db"),
     (("vc", "mixed", 8, "calibrated", 0.5, 17, None),
-     "be992fa2d095da32b0b6638aba0af5bfbe1e73d68553e07bb629250ed40f1095"),
+     "abb880753ec0ab6787456d6072d5092aec05ee07a45e55fa1254cce7e98d65cc"),
     # noisy uncalibrated vc: projective general recovery on blocks that ADMM
     # left inexact, recorded before projective recovery was stacked
     (("vc", "mixed", 8, "varied", 0.5, 18, None),
-     "f8cb4b9796570d5aaf7f5fa0e95b90aadd12294edea18e603b46e79d66b6c8da"),
+     "b3dc720ab37ee6b9cb7b76ca9a0b806e13c41a743a8c85ddefbfaf35951e77da"),
 ]
 # the cases whose report must name a failure stage instead of raising
-NAMED_FAILURES = {"r4-calibrated-max_iters3", "vc-calibrated-noisy-seed16"}
+NAMED_FAILURES = {"r4-calibrated-max_iters3"}
 
 
 def _golden_id(case):
