@@ -26,7 +26,9 @@ can meet on covers whose dual graph has cycles.  The driver holds its
 triplet state as (m, 9, 9) stacks and the consensus as (E, 3, 3) camera-pair
 blocks, linked by one `nview.block_index` layout built once per run, so each
 ADMM iteration gathers the consensus into the triplet stack with one
-indexing operation and makes one kernel call for all triplets.
+indexing operation and makes one kernel call for all triplets.  The result
+hands on that (E, 3, 3) stack, with its pairs and rows, as the one copy of
+the averaged tensors.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MissingBlock, NotConnected
-from .geometry import BifocalTensor, _skews, nearest_rotation, normalized_tensor
+from .geometry import _skews, nearest_rotation, normalized_tensor
 from .graphs import _LOCAL_PAIRS, DualGraph, TripletCover, pair_rows, triplet_pairs
 from .nview import _RANK_TOL, _SIGN_CASES, NViewBifocal, block_index, block_matrix
 from .recovery import closure_scales, pair_poses, resolve_essential_triplet
@@ -247,7 +249,7 @@ _PROJECTIONS = {
 
 @dataclass
 class AveragingResult:
-    nview: NViewBifocal
+    n: int  # cameras, virtual ones included
     log: list
     converged: bool
     iterations: int
@@ -326,12 +328,11 @@ def average(
     attachment to the measured submatrix the proximal step); blocks shared
     between triplets live in a single consensus variable with zero diagonal
     blocks, updated in deterministic triplet order; scaled duals close the
-    loop.  Output blocks are the consensus renormalized to unit Frobenius
-    norm.  Non-convergence is reported on the result, not raised.
+    loop.  Non-convergence is reported on the result, not raised.
 
     The triplet variables are (m, 9, 9) stacks in sorted triplet order and
     the consensus an (E, 3, 3) stack in the order of `pair_rows`, which the
-    result carries with its pairs and rows.
+    result carries un-normalised with its pairs and rows.
     """
     cfg = cfg or AdmmConfig()
     if not cover.is_connected():
@@ -450,11 +451,8 @@ def average(
         # hand back their most consensus-feasible state
         _, consensus, objective = best_state
 
-    out_blocks = {e: BifocalTensor(normalized_tensor(block), measured.kind)
-                  for e, block in sorted(zip(edges, consensus), key=lambda eb: eb[0])}
-    nview = NViewBifocal.assemble(measured.n, out_blocks, kind=measured.kind, strict=False)
     return AveragingResult(
-        nview=nview,
+        n=measured.n,
         log=log,
         converged=converged,
         iterations=iteration,

@@ -75,7 +75,7 @@ def cmd_average(args) -> int:
     (outdir / "cover.json").write_text(cover.to_json() + "\n", encoding="utf-8")
     _emit(args, {"converged": avg.converged, "iterations": len(avg.log)},
           f"averaging {'converged' if avg.converged else 'did NOT converge'} "
-          f"in {len(avg.log)} iterations ({avg.nview.n} cameras incl. virtual)")
+          f"in {len(avg.log)} iterations ({avg.n} cameras incl. virtual)")
     return EXIT_OK if avg.converged else EXIT_NO_CONVERGENCE
 
 

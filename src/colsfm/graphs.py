@@ -263,30 +263,20 @@ def _shortest_dual_path(candidates: set, src: set, dst: set):
     return None
 
 
-def collinearity_score(cams_or_epipoles, rows=None):
+def collinearity_score(table, rows) -> np.ndarray:
     """0 = perfectly collinear triplet, 1 = maximally spread.
 
-    With camera centers: sigma_2 / sigma_1 of the centered center matrix.
-    With a (P, 2, 3) `geometry.epipoles` table of pair tensors and the (T, 3)
-    rows of T triplets' local pairs in it: the (T,) scores, each the smallest
-    epipole-coincidence angle across the views (sine of the angle between
-    the two epipoles seen in one image), which vanishes exactly when the
-    centers are aligned.
+    The (T,) scores of T triplets from a (P, 2, 3) `geometry.epipoles` table
+    of pair tensors and the (T, 3) rows of the triplets' local pairs in it,
+    each the smallest epipole-coincidence angle across the views (sine of the
+    angle between the two epipoles seen in one image), which vanishes
+    exactly when the centers are aligned.
     """
-    if rows is not None:
-        e = cams_or_epipoles[np.asarray(rows)[:, _VIEW_EPIPOLES[:, 1]], _VIEW_EPIPOLES[:, 2]]
-        # matmul rounds each per-view product as np.dot does; an elementwise
-        # sum can differ in the last bit, which scores near 0 amplify
-        c = np.abs((e[:, 0::2, None, :] @ e[:, 1::2, :, None])[..., 0, 0])  # (T, view)
-        return np.min(np.sin(np.arccos(np.clip(c, 0.0, 1.0))), axis=1)
-    centers = np.vstack([
-        c.center if hasattr(c, "center") else np.asarray(c, dtype=float) for c in cams_or_epipoles
-    ])
-    C = centers - centers.mean(axis=0)
-    s = np.linalg.svd(C, compute_uv=False)
-    if s[0] == 0.0:
-        return 0.0
-    return float(s[1] / s[0])
+    e = table[np.asarray(rows)[:, _VIEW_EPIPOLES[:, 1]], _VIEW_EPIPOLES[:, 2]]
+    # matmul rounds each per-view product as np.dot does; an elementwise
+    # sum can differ in the last bit, which scores near 0 amplify
+    c = np.abs((e[:, 0::2, None, :] @ e[:, 1::2, :, None])[..., 0, 0])  # (T, view)
+    return np.min(np.sin(np.arccos(np.clip(c, 0.0, 1.0))), axis=1)
 
 
 def insert_virtual_and_prune(cover: TripletCover, virtual_nodes: dict) -> TripletCover:

@@ -149,7 +149,10 @@ def load_cameras(path):
             cams.append(None if c["P"] is None else np.array(c["P"], dtype=float).reshape(3, 4))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"camera {k}: P must be null or 12 numbers ({exc})") from exc
-    return cams, doc.get("frame", "euclidean")
+    frame = doc.get("frame", "euclidean")
+    if frame not in ("euclidean", "projective"):
+        raise ValidationError(f"frame must be 'euclidean' or 'projective', got {frame!r}")
+    return cams, frame
 
 
 def save_report(report: EvalReport, path, include_runtime: bool = False) -> None:

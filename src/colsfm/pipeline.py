@@ -29,7 +29,7 @@ import numpy as np
 
 from .averaging import AdmmConfig, AveragingResult, average
 from .errors import RankDeficient, RotationAmbiguity, ValidationError
-from .geometry import epipole_table, epipoles
+from .geometry import epipole_table, epipoles, normalized_tensor
 from .graphs import (
     TripletCover,
     ViewingGraph,
@@ -91,9 +91,10 @@ def _calibrated_geometry(algorithm, avg: AveragingResult, tracks: TrackSet, n_re
 
 def _projective_systems(algorithm, avg: AveragingResult, tracks: TrackSet, triplets):
     """The a-vector systems of the sorted cover triplets from their pairs'
-    averaged tensors, one stacked pass before any triplet is recovered (for
-    "r4" with their 3-view tracks); a pair error raises when its row is read."""
-    F = np.array([avg.nview.block(*e) for e in avg.pairs])
+    consensus blocks at unit norm, one stacked pass before any triplet is
+    recovered (for "r4" with their 3-view tracks); a pair error raises when
+    its row is read."""
+    F = np.array([normalized_tensor(block) for block in avg.consensus])
     tracks3 = [tracks.tracks(t) for t in triplets] if algorithm == "r4" else None
     return projective_systems(F, avg.rows, epipole_table(F), tracks3)
 
@@ -224,10 +225,8 @@ def _recover_triplet(algorithm, regime, avg, k, ids, tracks, stacked, gate):
         geom, closure = stacked
         if algorithm == "r4":
             return recover_calibrated_collinear_triplet(
-                avg.triplet_matrix(ids), geom, k, tracks.tracks(sorted(ids)), triplet_id=ids,
-                cert_tol=gate, cycle_tol=gate,
-            )
-        return recover_calibrated_general_triplet(geom, closure, k, triplet_id=ids, cycle_tol=gate)
+                avg.triplet_matrix(ids), geom, k, tracks.tracks(sorted(ids)), triplet_id=ids, tol=gate)
+        return recover_calibrated_general_triplet(geom, closure, k, triplet_id=ids, tol=gate)
     if algorithm == "r4":
         return recover_projective_collinear_triplet(stacked, k, triplet_id=ids)
     return recover_projective_general_triplet(stacked, k, triplet_id=ids)
@@ -254,7 +253,7 @@ def run_pipeline(
         recs = [_recover_triplet(algorithm, regime, avg, k, t, tracks, stacked, gate)
                 for k, t in enumerate(cover.triplets)]
         # virtual cameras are scaffolding only
-        cameras = register_global(recs, cover, mode, n_cameras=avg.nview.n).cameras[:n]
+        cameras = register_global(recs, cover, mode, n_cameras=avg.n).cameras[:n]
     except ValidationError as exc:
         if avg.converged:
             raise

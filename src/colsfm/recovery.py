@@ -5,7 +5,9 @@ translation direction from the anchor pair, and the remaining position
 freedom (alpha in the calibrated collinear case, the 4-vector a in the
 projective one) from 3-view tracks, all triangulated by one stacked DLT.
 Triplets are then chained into a common frame along the breadth-first
-tree that the cover holds with its dual graph (`TripletCover.dual`).
+tree that the cover holds with its dual graph (`TripletCover.dual`), as
+one (T, 3, 3, 4) camera stack aligned edge by edge on the cameras whose ids
+match.
 
 Everything but the per-triplet solves runs in stacked passes before any
 triplet is recovered: `pair_poses` decomposes every essential block of a
@@ -248,8 +250,7 @@ def recover_calibrated_collinear_triplet(
     k: int,
     tracks3,
     triplet_id=(0, 1, 2),
-    cert_tol: float = 1e-3,
-    cycle_tol: float = 1e-3,
+    tol: float = 1e-3,
 ) -> TripletCameras:
     """Cameras of a collinear calibrated triplet from its consistent 9x9 matrix.
 
@@ -261,18 +262,19 @@ def recover_calibrated_collinear_triplet(
     certificate, not a pair error.
 
     The certificate precondition checks the eigenvalue pattern only (a sanity
-    gate against junk input, with a tolerance sized for post-averaging noise
-    floors): measured blocks carry arbitrary scales, which leave the pattern
-    intact but make the orthogonality condition meaningless before recovery.
+    gate against junk input, with a tolerance tol sized for post-averaging
+    noise floors that bounds the rotation cycle residual too): measured
+    blocks carry arbitrary scales, which leave the pattern intact but make
+    the orthogonality condition meaningless before recovery.
     """
     E9 = np.asarray(E9, dtype=float)
-    cert = certify_collinear_essential(E9, tol=cert_tol)
+    cert = certify_collinear_essential(E9, tol=tol)
     if not (cert.conditions["eigen_count"] and cert.conditions["eigen_pattern"]):
         raise InconsistentInput(
             f"triplet matrix fails the collinear eigenvalue pattern "
             f"(rank {cert.rank_estimate}, residual {cert.pattern_residual:.3e})"
         )
-    _check_resolved(geom, k, cycle_tol)
+    _check_resolved(geom, k, tol)
     if not geom.sign_known[k, 0]:
         raise InsufficientTracks("pair (0,1) needs 2-view tracks to sign the baseline")
     Rh = geom.averaged[k]
@@ -302,13 +304,14 @@ def recover_calibrated_general_triplet(
     closure: TripletClosure,
     k: int,
     triplet_id=(0, 1, 2),
-    cycle_tol: float = 1e-3,
+    tol: float = 1e-3,
 ) -> TripletCameras:
     """Cameras of a general-position calibrated triplet from row k of its
     geometry and closure: rotations and relative translation magnitudes come
     from the three pair poses alone (direction closure); only one pair needs
-    to be picked by track cheirality, to fix the overall cheirality."""
-    _check_resolved(geom, k, cycle_tol)
+    to be picked by track cheirality, to fix the overall cheirality; tol
+    bounds the rotation cycle residual."""
+    _check_resolved(geom, k, tol)
     if not np.any(geom.sign_known[k]):
         raise InsufficientTracks("at least one pair needs tracks to anchor cheirality")
     if not closure.valid[k]:
@@ -438,125 +441,91 @@ class RegistrationResult:
                           for P in self.cameras])
 
 
-def _euclidean_pose(P):
-    R_T = P[:, :3]
-    t = -R_T.T @ P[:, 3]
-    return R_T, t
+def _centers(P: np.ndarray) -> np.ndarray:
+    """The (k, 3) centers -R^T t of a (k, 3, 4) stack of Euclidean cameras [R | t]."""
+    return (-P[:, :, :3].swapaxes(-1, -2) @ P[:, :, 3:])[..., 0]
 
 
-def _edge_similarity(parent: TripletCameras, child: TripletCameras, shared):
-    """Similarity (s, Q, d) mapping child-frame points into the parent frame."""
-    Qs, cp, cc = [], [], []
-    for cam in shared:
-        Rp_T, tp = _euclidean_pose(parent.cameras[parent.triplet_id.index(cam)])
-        Rc_T, tc = _euclidean_pose(child.cameras[child.triplet_id.index(cam)])
-        Qs.append(Rp_T.T @ Rc_T)  # R_parent @ R_child^T
-        cp.append(tp)
-        cc.append(tc)
-    Q = nearest_rotation(Qs[0] + Qs[1])
-    base_c = np.linalg.norm(cc[0] - cc[1])
-    base_p = np.linalg.norm(cp[0] - cp[1])
-    if base_c < 1e-10 * max(base_p, 1.0):
-        raise AlignmentIllConditioned("shared camera centers coincide in the child frame")
-    s = base_p / base_c
-    d = 0.5 * ((cp[0] - s * Q @ cc[0]) + (cp[1] - s * Q @ cc[1]))
-    return s, Q, d
+def _align_edge(parent: np.ndarray, child: np.ndarray, p, c, mode: str) -> np.ndarray:
+    """The (3, 3, 4) child cameras moved into the frame of the (3, 3, 4)
+    parent ones through the two cameras they share, at the parent's local
+    slots p and the child's slots c.
 
-
-def _edge_homography(parent: TripletCameras, child: TripletCameras, shared):
-    """4x4 G with P_parent,k ~ P_child,k @ G for the two shared cameras.
-
-    Unknown vector is (G row-major, lambda_0, lambda_1); the null vector of
-    the stacked 24x18 system gives G up to scale.
+    mode="euclidean": the similarity (s, Q, d) mapping child-frame points
+    into the parent frame, Q the rotation mean of the shared cameras'
+    relative rotations and s the ratio of their baselines.
+    mode="projective": the 4x4 G with P_parent,k ~ P_child,k @ G on both
+    shared cameras, up to scale the null vector of the stacked 24x18 system
+    in the unknowns (G row-major, lambda_0, lambda_1).
     """
-    Pp = [parent.cameras[parent.triplet_id.index(c)] for c in shared]
-    Pc = [child.cameras[child.triplet_id.index(c)] for c in shared]
+    if mode == "euclidean":
+        Rp, Rc = parent[p, :, :3], child[c, :, :3]
+        cp, cc = _centers(parent[p]), _centers(child)
+        Q = nearest_rotation(Rp[0].T @ Rc[0] + Rp[1].T @ Rc[1])  # R_parent @ R_child^T
+        base_c = np.linalg.norm(cc[c[0]] - cc[c[1]])
+        base_p = np.linalg.norm(cp[0] - cp[1])
+        if base_c < 1e-10 * max(base_p, 1.0):
+            raise AlignmentIllConditioned("shared camera centers coincide in the child frame")
+        s = base_p / base_c
+        d = 0.5 * ((cp[0] - s * Q @ cc[c[0]]) + (cp[1] - s * Q @ cc[c[1]]))
+        R = child[:, :, :3] @ Q.T
+        t = (s * Q @ cc[..., None])[..., 0] + d
+        return np.concatenate([R, -R @ t[..., None]], axis=-1)
+    # equation 12k + 4r + c: (Pc[k] @ G)[r, c] = sum_m Pc[k][r, m] G[m, c]
     A = np.zeros((24, 18))
-    for k in range(2):
-        # equation 4r + c: (Pc[k] @ G)[r, c] = sum_m Pc[k][r, m] G[m, c]
-        same_c = np.eye(4, dtype=bool)[:, None]  # axes (c, m, c')
-        A[12 * k:12 * k + 12, :16] = np.where(same_c, Pc[k][:, None, :, None], 0.0).reshape(12, 16)
-        A[12 * k:12 * k + 12, 16 + k] = -Pp[k].ravel()
+    same_c = np.eye(4, dtype=bool)[:, None]  # axes (c, m, c')
+    A[:, :16] = np.where(same_c, child[c][:, :, None, :, None], 0.0).reshape(24, 16)
+    A[np.arange(24), 16 + np.arange(24) // 12] = -parent[p].ravel()
     _, sv, Vt = np.linalg.svd(A)
     if sv[-2] < 1e-10 * sv[0]:
         raise AlignmentIllConditioned("projective alignment system is rank deficient")
-    v = Vt[-1]
-    G = v[:16].reshape(4, 4)
-    # deterministic orientation
-    k = int(np.argmax(np.abs(G)))
-    if G.flat[k] < 0:
+    G = Vt[-1, :16].reshape(4, 4)
+    if G.flat[int(np.argmax(np.abs(G)))] < 0:  # deterministic orientation
         G = -G
-    return G / np.linalg.norm(G)
+    return child @ (G / np.linalg.norm(G))
 
 
-def register_global(triplets, cover, mode: str, n_cameras: int | None = None) -> RegistrationResult:
+def register_global(triplets, cover, mode: str, n_cameras: int) -> RegistrationResult:
     """Chain the recovered cameras of every cover triplet into one frame
-    along the cover's dual BFS tree (`TripletCover.dual`).
+    along the cover's dual BFS tree (`TripletCover.dual`): the cameras are
+    stacked once in cover order, and each tree edge moves its child into its
+    parent's frame (`_align_edge`) through the two cameras whose ids match.
 
-    mode="euclidean": per-edge similarity from the two shared cameras,
-    multi-visit cameras merged by chordal rotation mean and center mean.
-    mode="projective": per-edge 4x4 homography, first visit wins and later
-    disagreements are logged as residuals.
+    mode="euclidean": per-edge similarity, multi-visit cameras merged by
+    chordal rotation mean and center mean.  mode="projective": per-edge 4x4
+    homography, first visit wins and later disagreements are logged as
+    residuals.
     """
-    by_key = {tuple(t.triplet_id): t for t in triplets}
-    if not by_key or sorted(by_key) != cover.triplets:
+    if mode not in ("euclidean", "projective"):
+        raise ValueError("mode must be 'euclidean' or 'projective'")
+    triplets = sorted(triplets, key=lambda t: tuple(t.triplet_id))
+    if not triplets or [tuple(t.triplet_id) for t in triplets] != cover.triplets:
         raise ValueError("registration needs one recovered triplet per cover triplet")
     if not cover.is_connected():
         raise NotConnected("cover dual graph does not reach every triplet")
-    if n_cameras is None:
-        n_cameras = max(max(key) for key in by_key) + 1
+    stack = np.array([t.cameras for t in triplets], dtype=float)  # (T, 3, 3, 4)
+    ids = np.array(cover.triplets)
     dual = cover.dual
-    order = [cover.triplets[k] for k in dual.order.tolist()]
-    placed = {}   # triplet key -> list of 3x4 cameras in root frame
+    placed = stack.copy()  # in the root frame
+    for k in dual.order[1:].tolist():
+        up = dual.parent[k]
+        c, p = np.nonzero(ids[k][:, None] == ids[up])
+        placed[k] = _align_edge(placed[up], stack[k], p, c, mode)
 
-    for key, up in zip(order, dual.parent[dual.order].tolist()):
-        trip = by_key[key]
-        if up < 0:
-            placed[key] = list(trip.cameras)
-            continue
-        pkey = cover.triplets[up]
-        shared = sorted(set(key) & set(pkey))
-        parent_rooted = TripletCameras(pkey, placed[pkey], trip.frame, None)
-        if mode == "euclidean":
-            s, Q, d = _edge_similarity(parent_rooted, trip, shared)
-            cams = []
-            for P in trip.cameras:
-                R_T, t = _euclidean_pose(P)
-                R_T2 = R_T @ Q.T
-                t2 = s * Q @ t + d
-                cams.append(np.hstack([R_T2, (-R_T2 @ t2).reshape(3, 1)]))
-            placed[key] = cams
-        elif mode == "projective":
-            G = _edge_homography(parent_rooted, trip, shared)
-            placed[key] = [P @ G for P in trip.cameras]
-        else:
-            raise ValueError("mode must be 'euclidean' or 'projective'")
-
-    estimates = {}
-    for key in order:
-        for cam_id, P in zip(key, placed[key]):
-            estimates.setdefault(cam_id, []).append(P)
-
+    # every camera's estimates, in BFS order
+    estimates, of = placed[dual.order].reshape(-1, 3, 4), ids[dual.order].ravel()
     cameras = [None] * n_cameras
     merge_residuals = {}
-    for cam_id, Ps in sorted(estimates.items()):
+    for cam_id in np.unique(of).tolist():
+        Ps = estimates[of == cam_id]
         if mode == "euclidean":
-            Rs = [P[:, :3] for P in Ps]
-            ts = [_euclidean_pose(P)[1] for P in Ps]
-            R_T = nearest_rotation(np.sum(Rs, axis=0))
-            t = np.mean(ts, axis=0)
-            cameras[cam_id] = np.hstack([R_T, (-R_T @ t).reshape(3, 1)])
-            if len(Ps) > 1:
-                merge_residuals[cam_id] = float(
-                    max(np.linalg.norm(P[:, :3] - R_T) for P in Ps)
-                )
+            R = nearest_rotation(np.sum(Ps[:, :, :3], axis=0))
+            cameras[cam_id] = np.hstack([R, (-R @ np.mean(_centers(Ps), axis=0)).reshape(3, 1)])
+            spread = [np.linalg.norm(P[:, :3] - R) for P in Ps]
         else:
-            Pn = Ps[0] / np.linalg.norm(Ps[0])
-            cameras[cam_id] = Pn
-            if len(Ps) > 1:
-                rs = []
-                for P in Ps[1:]:
-                    Q = P / np.linalg.norm(P)
-                    rs.append(float(min(np.linalg.norm(Q - Pn), np.linalg.norm(Q + Pn))))
-                merge_residuals[cam_id] = max(rs)
+            Pn = cameras[cam_id] = Ps[0] / np.linalg.norm(Ps[0])
+            spread = [min(np.linalg.norm(Q - Pn), np.linalg.norm(Q + Pn))
+                      for Q in (P / np.linalg.norm(P) for P in Ps[1:])]
+        if len(Ps) > 1:
+            merge_residuals[cam_id] = float(max(spread))
     return RegistrationResult(cameras, mode, merge_residuals)

@@ -69,6 +69,22 @@ def banded(nview, width=3) -> NViewBifocal:
     return NViewBifocal.assemble(nview.n, kept, kind=nview.kind)
 
 
+def averaged_nview(res, kind) -> NViewBifocal:
+    """The averaged tensors of an `AveragingResult` as an n-view matrix: each
+    consensus block of `res.pairs` at unit Frobenius norm, largest entry
+    positive."""
+    return NViewBifocal.assemble(res.n, {e: BifocalTensor(normalized_tensor(block), kind)
+                                         for e, block in zip(res.pairs, res.consensus)}, strict=False)
+
+
+def center_spread(scene, ids) -> float:
+    """sigma_2 / sigma_1 of a camera triple's centered centers: 0 when the
+    centers are collinear, 1 when maximally spread."""
+    C = scene.centers()[list(ids)]
+    s = np.linalg.svd(C - C.mean(axis=0), compute_uv=False)
+    return 0.0 if s[0] == 0.0 else float(s[1] / s[0])
+
+
 def covered_edges(cover) -> set:
     """The camera pairs a cover's triplets hold."""
     return {p for t in cover.triplets for p in triplet_pairs(t)}

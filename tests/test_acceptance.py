@@ -20,7 +20,6 @@ from colsfm.geometry import BifocalTensor, CameraModel, bifocal_from_pair, norma
 from colsfm.graphs import (
     TripletCover,
     ViewingGraph,
-    collinearity_score,
     enrich_connectivity,
     heuristic_cover,
     insert_virtual_and_prune,
@@ -42,7 +41,7 @@ from colsfm.recovery import (
 from colsfm.synthetic import MeasurementNoise, generate, measure
 from colsfm.virtual import four_view_matrix
 from conftest import (
-    covered_edges, exact_nview, exact_triplet, projective_system, seen_in, triplet_geometry,
+    center_spread, covered_edges, exact_nview, exact_triplet, projective_system, seen_in, triplet_geometry,
     unit_bifocal,
 )
 
@@ -188,7 +187,7 @@ def _single_projection_floor(scene, noisy, tracks):
         tr2 = {(a, b): tracks.tracks((ids[a], ids[b])) for (a, b) in ((0, 1), (0, 2), (1, 2))}
         recs.append(
             recover_calibrated_collinear_triplet(
-                P, triplet_geometry(P, tr2), 0, tr3, triplet_id=tuple(ids), cert_tol=0.1, cycle_tol=0.1
+                P, triplet_geometry(P, tr2), 0, tr3, triplet_id=tuple(ids), tol=0.1
             )
         )
     reg = register_global(recs, cover, "euclidean", n_cameras=scene.n)
@@ -250,7 +249,7 @@ def test_criterion_7_vc_end_to_end():
     cover = enrich_connectivity(heuristic_cover(g), g.triangles())
     collinear_triplets = [
         t for t in cover.triplets
-        if collinearity_score([scene.cameras[i].center for i in t]) < 0.01
+        if center_spread(scene, t) < 0.01
     ]
     res = average(m, cover, "general")
     failing = sum(

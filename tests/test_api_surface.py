@@ -90,3 +90,10 @@ def test_test_only_surface_stays_deleted():
     res = averaging.average(m, graphs.sequential_cover(5), "collinear")
     assert not isinstance(res.consensus, dict)
     assert res.consensus.shape == (len(res.pairs), 3, 3) == (7, 3, 3)
+    # the consensus stack is the one copy of the averaged tensors, and
+    # registration aligns stacked cameras with one per-edge helper
+    assert "nview" not in averaging.AveragingResult.__dataclass_fields__
+    assert res.n == 5
+    assert not hasattr(recovery, "_euclidean_pose")
+    assert not hasattr(recovery, "_edge_similarity")
+    assert not hasattr(recovery, "_edge_homography")

@@ -27,7 +27,7 @@ from colsfm.graphs import (
 from colsfm.nview import NViewBifocal, certify_collinear_essential, certify_general
 from colsfm.pipeline import PipelineConfig, _virtual_cover
 from colsfm.synthetic import MeasurementNoise, generate, measure
-from conftest import banded, exact_nview, exact_triplet
+from conftest import averaged_nview, banded, exact_nview, exact_triplet
 
 ALL_PROJECTIONS = [
     project_collinear_essential,
@@ -166,7 +166,7 @@ class TestAverage:
         assert res.iterations <= 5
         assert res.log[-1]["primal_residual"] < 1e-10
         # output blocks match measured (hence truth) up to normalization
-        for e, t in res.nview.blocks.items():
+        for e, t in averaged_nview(res, m.kind).blocks.items():
             truth = normalized_tensor(m.blocks[e].matrix)
             assert np.linalg.norm(t.matrix - truth) < 1e-9
 
@@ -177,7 +177,7 @@ class TestAverage:
         res = average(m, cover, "general")
         assert res.converged
         assert res.iterations <= 5
-        for e, t in res.nview.blocks.items():
+        for e, t in averaged_nview(res, m.kind).blocks.items():
             truth = normalized_tensor(m.blocks[e].matrix)
             assert np.linalg.norm(t.matrix - truth) < 1e-8
 
@@ -189,10 +189,11 @@ class TestAverage:
         res = average(noisy, cover, "collinear", AdmmConfig(max_iters=500))
         assert res.converged
         err_in, err_out = [], []
-        for e in res.nview.blocks:
+        out = averaged_nview(res, noisy.kind)
+        for e in out.blocks:
             truth = clean.blocks[e].matrix
             err_in.append(np.linalg.norm(noisy.blocks[e].matrix - truth))
-            err_out.append(np.linalg.norm(res.nview.blocks[e].matrix - truth))
+            err_out.append(np.linalg.norm(out.blocks[e].matrix - truth))
         # averaging should not make blocks worse on average
         assert np.mean(err_out) <= np.mean(err_in) * 1.05
 
@@ -213,16 +214,17 @@ class TestAverage:
         }
         m2 = NViewBifocal.assemble(3, scaled_blocks, strict=False)
         res = average(m2, cover, "collinear")
-        for e in base.nview.blocks:
+        base, res = averaged_nview(base, m.kind), averaged_nview(res, m2.kind)
+        for e in base.blocks:
             assert np.allclose(
-                base.nview.blocks[e].matrix, res.nview.blocks[e].matrix, atol=1e-10
+                base.blocks[e].matrix, res.blocks[e].matrix, atol=1e-10
             )
 
     def test_iterates_symmetric_zero_diagonal(self):
         scene = generate("collinear", 5, 6, seed=31)
         noisy, _ = measure(scene, MeasurementNoise(rotation_deg=1.0), seed=3)
         res = average(noisy, sequential_cover(scene.n), "collinear")
-        D = res.nview.dense()
+        D = averaged_nview(res, noisy.kind).dense()
         assert np.array_equal(D, D.T)
         for i in range(scene.n):
             assert np.linalg.norm(D[3 * i:3 * i + 3, 3 * i:3 * i + 3]) == 0.0
@@ -253,7 +255,7 @@ class TestAverageRobustness:
         res = average(m, sequential_cover(scene.n), "collinear", AdmmConfig(max_iters=60))
         best = min(rec["primal_residual"] for rec in res.log)
         # output corresponds to (at worst) the best logged residual scale
-        for t in res.nview.blocks.values():
+        for t in averaged_nview(res, m.kind).blocks.values():
             assert np.isfinite(t.matrix).all()
             assert abs(np.linalg.norm(t.matrix) - 1.0) < 1e-9
         assert np.isfinite(res.objective)

@@ -122,7 +122,8 @@ class TestCliFlow:
         run_cli(["measure", "--scene", str(scene), "--seed", "2", "--out", str(meas)])
         cams = tmp_path / "c.json"
         for doc in ({"frame": "euclidean", "cameras": [{"camera_id": 0, "P": [1.0, 2.0, 3.0]}]},
-                    {"frame": "euclidean"}):
+                    {"frame": "euclidean"},
+                    {"frame": "metric", "cameras": [{"camera_id": 0, "P": None}]}):
             cams.write_text(json.dumps(doc))
             assert run_cli(["eval", "--cameras", str(cams), "--measurements", str(meas),
                             "--out", str(tmp_path / "r.json")]) == 2, doc

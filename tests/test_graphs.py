@@ -147,27 +147,27 @@ class TestEnrichConnectivity:
         assert e.is_connected()
         assert set(cover.triplets) <= set(e.triplets)
 
+    def test_heuristic_cover_is_never_enriched(self):
+        # the greedy cover already takes every triangle that joins two dual
+        # components, so enriching it over the same triangles either keeps
+        # it as it is or finds no joining path
+        kept = raised = 0
+        for seed in range(300):
+            g = _random_graph(seed)
+            tris = g.triangles()
+            if not tris:
+                continue
+            scores = np.random.default_rng([seed, 1]).random(len(tris)) if seed % 2 else None
+            cover = heuristic_cover(g, scores)
+            try:
+                assert enrich_connectivity(cover, tris).triplets == cover.triplets, seed
+                kept += 1
+            except Unconnectable:
+                raised += 1
+        assert kept > 0 and raised > 0
+
 
 class TestCollinearityScore:
-    def test_exactly_collinear_centers(self):
-        pts = [np.array([0.0, 0, 0]), np.array([1.0, 1, 1]), np.array([2.5, 2.5, 2.5])]
-        assert collinearity_score(pts) < 1e-10
-
-    def test_equilateral_triangle(self):
-        pts = [np.array([1.0, 0, 0]), np.array([-0.5, np.sqrt(3) / 2, 0]),
-               np.array([-0.5, -np.sqrt(3) / 2, 0])]
-        assert collinearity_score(pts) == pytest.approx(1.0, abs=1e-12)
-
-    def test_near_collinear_ratio(self):
-        # 1e-3 lateral offset over a unit-ish baseline
-        pts = [np.array([0.0, 0, 0]), np.array([1.0, 1e-3, 0]), np.array([2.0, 0, 0])]
-        s = collinearity_score(pts)
-        # oracle: singular values of the centered matrix
-        C = np.vstack(pts) - np.mean(pts, axis=0)
-        sv = np.linalg.svd(C, compute_uv=False)
-        assert s == pytest.approx(sv[1] / sv[0], abs=1e-15)
-        assert 1e-4 < s < 1e-2
-
     def test_tensor_route_collinear_vs_general(self):
         col = generate("collinear", 3, 6, seed=70)
         gen = generate("general", 3, 6, seed=71)
@@ -179,15 +179,6 @@ class TestCollinearityScore:
 
         assert score(col) < 1e-6
         assert score(gen) > 0.05
-
-    def test_similarity_invariance(self, rng):
-        from conftest import random_rotation
-
-        pts = [rng.normal(size=3) for _ in range(3)]
-        base = collinearity_score(pts)
-        R = random_rotation(rng)
-        moved = [3.0 * R @ p + np.array([5.0, -2, 1]) for p in pts]
-        assert collinearity_score(moved) == pytest.approx(base, abs=1e-12)
 
 
 class TestInsertVirtualAndPrune:

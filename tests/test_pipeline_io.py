@@ -25,7 +25,7 @@ from colsfm.graphs import triplet_pairs
 from colsfm.nview import NViewBifocal, certify_general
 from colsfm.pipeline import PipelineConfig, _virtual_cover, run_pipeline
 from colsfm.synthetic import MeasurementNoise, TrackSet, generate, measure
-from conftest import banded, covered_edges
+from conftest import banded, center_spread, covered_edges
 
 
 # sha256 of the measurements files colsfm.io writes: for a noisy mixed scene,
@@ -82,6 +82,9 @@ class TestIO:
         assert frame == "euclidean"
         assert np.array_equal(back[0], cams[0])
         assert back[1] is None
+        # a file without a frame is Euclidean
+        path.write_text(json.dumps({"cameras": [{"camera_id": 0, "P": None}]}))
+        assert load_cameras(path) == ([None], "euclidean")
 
     def test_measurements_bytes_pinned(self, tmp_path):
         scene = generate("mixed", 8, 12, seed=21)
@@ -149,7 +152,9 @@ class TestIO:
         ({"frame": "euclidean", "cameras": [{"camera_id": 0, "P": None}, {"camera_id": 1}]},
          "camera 1: P must be null or 12 numbers"),
         ({"frame": "euclidean"}, "no 'cameras' list"),
-    ], ids=["short-P", "missing-P", "no-cameras"])
+        ({"frame": "metric", "cameras": [{"camera_id": 0, "P": None}]},
+         "frame must be 'euclidean' or 'projective', got 'metric'"),
+    ], ids=["short-P", "missing-P", "no-cameras", "unknown-frame"])
     def test_malformed_cameras_rejected(self, tmp_path, doc, match):
         # once a ValueError or KeyError traceback
         (tmp_path / "c.json").write_text(json.dumps(doc))
@@ -220,13 +225,13 @@ class TestPipelineVC:
         scene = generate("mixed", 12, 20, seed=96)
         m, tracks = measure(scene, seed=0)
         from colsfm.averaging import average
-        from colsfm.graphs import ViewingGraph, collinearity_score, enrich_connectivity, heuristic_cover
+        from colsfm.graphs import ViewingGraph, enrich_connectivity, heuristic_cover
 
         g = ViewingGraph.from_edges(m.n, [(i, j, 1.0) for (i, j) in m.edges()])
         cover = enrich_connectivity(heuristic_cover(g), g.triangles())
         collinear_triplets = [
             t for t in cover.triplets
-            if collinearity_score([scene.cameras[i].center for i in t]) < 0.01
+            if center_spread(scene, t) < 0.01
         ]
         assert collinear_triplets, "cover should contain collinear triplets"
         res = average(m, cover, "general")

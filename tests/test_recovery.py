@@ -33,7 +33,7 @@ from colsfm.metrics import align_similarity, mean_reprojection_error
 from colsfm.recovery import (
     TripletCameras,
     _alpha_least_squares,
-    _edge_homography,
+    _align_edge,
     _triangulate_tracks3,
     closure_scales,
     eigen_rotation_averaging,
@@ -48,8 +48,8 @@ from colsfm.recovery import (
 )
 from colsfm.synthetic import MeasurementNoise, generate, measure
 from conftest import (
-    banded, exact_triplet, geodesic_angle, projective_system, seen_everywhere, seen_in, triplet_geometry,
-    unit_bifocal,
+    averaged_nview, banded, exact_triplet, geodesic_angle, projective_system, seen_everywhere, seen_in,
+    triplet_geometry, unit_bifocal,
 )
 
 
@@ -328,7 +328,7 @@ class TestRegisterGlobal:
         scene = generate("collinear", 4, 10, seed=60)
         cover = sequential_cover(4)
         recs = self._recover_all(scene, cover)
-        reg = register_global(recs, cover, "euclidean")
+        reg = register_global(recs, cover, "euclidean", n_cameras=4)
         est = reg.centers()
         a = align_similarity(est, scene.centers())
         assert np.max(a.residuals) < 1e-8
@@ -337,7 +337,7 @@ class TestRegisterGlobal:
         scene = generate("collinear", 20, 10, seed=61)
         cover = sequential_cover(20)
         recs = self._recover_all(scene, cover)
-        reg = register_global(recs, cover, "euclidean")
+        reg = register_global(recs, cover, "euclidean", n_cameras=20)
         a = align_similarity(reg.centers(), scene.centers())
         assert float(np.mean(a.residuals)) < 1e-7
 
@@ -345,16 +345,24 @@ class TestRegisterGlobal:
         scene = generate("collinear", 3, 8, seed=62)
         cover = sequential_cover(3)
         recs = self._recover_all(scene, cover)
-        reg = register_global(recs, cover, "euclidean")
+        reg = register_global(recs, cover, "euclidean", n_cameras=3)
         for P, Q in zip(reg.cameras, recs[0].cameras):
             assert np.allclose(P, Q, atol=1e-12)
+
+    def test_unknown_mode_rejected_before_registration(self):
+        # a one-triplet cover has no edge to align, so only the mode check can catch it
+        scene = generate("collinear", 3, 8, seed=62)
+        cover = sequential_cover(3)
+        recs = self._recover_all(scene, cover)
+        with pytest.raises(ValueError, match="mode must be"):
+            register_global(recs, cover, "euclidian", n_cameras=3)
 
     def test_disconnected_rejected(self):
         scene = generate("collinear", 6, 8, seed=63)
         cover = TripletCover.from_triplets([(0, 1, 2), (3, 4, 5)])
         recs = self._recover_all(scene, cover)
         with pytest.raises(NotConnected):
-            register_global(recs, cover, "euclidean")
+            register_global(recs, cover, "euclidean", n_cameras=6)
 
     def test_projective_chain_reprojection(self):
         scene = generate("collinear", 5, 12, seed=64, intrinsics_mode="varied")
@@ -369,7 +377,7 @@ class TestRegisterGlobal:
                 F[(a, b)] = unit_bifocal(scene.cameras[ids[a]], scene.cameras[ids[b]])
             recs.append(_projective_collinear(F[(0, 1)], F[(1, 2)], F[(0, 2)], tr3,
                                               triplet_id=tuple(ids)))
-        reg = register_global(recs, cover, "projective")
+        reg = register_global(recs, cover, "projective", n_cameras=5)
         all_tracks = seen_in(ts, *((i, i + 1, i + 2) for i in range(3)))
         assert mean_reprojection_error(reg.cameras, *all_tracks) < 1e-6
 
@@ -577,8 +585,9 @@ class TestStackedProjective:
         # the recovery stage, every cover triplet
         triplets = sorted(cover.triplets)
         system = pipeline._projective_systems(algorithm, avg, tracks, triplets)
+        averaged = averaged_nview(avg, m.kind)
         for k, t in enumerate(triplets):
-            F01, F02, F12 = (avg.nview.block(*e) for e in triplet_pairs(t))
+            F01, F02, F12 = (averaged.block(*e) for e in triplet_pairs(t))
             if algorithm == "r4":
                 want = _outcome_of(projective_oracle.recover_collinear, F01, F12, F02,
                                    tracks.tracks(t), triplet_id=t)
@@ -797,8 +806,9 @@ def test_edge_homography_equals_entrywise_assembly(rng):
         P = [rng.normal(size=(3, 4)) for _ in range(4)]
         parent = TripletCameras((0, 1, 2), P[:3], "projective", None)
         child = TripletCameras((1, 2, 3), [P[1] @ H, P[2] @ H, P[3]], "projective", None)
-        assert np.array_equal(_edge_homography(parent, child, [1, 2]),
-                              _homography_loop(parent, child, [1, 2]))
+        # the shared cameras 1 and 2 sit at parent slots 1, 2 and child slots 0, 1
+        got = _align_edge(np.array(parent.cameras), np.array(child.cameras), [1, 2], [0, 1], "projective")
+        assert np.array_equal(got, np.array(child.cameras) @ _homography_loop(parent, child, [1, 2]))
 
 
 # -- the stacked calibrated passes against calibrated_oracle, bit for bit ----
@@ -953,14 +963,14 @@ class TestStackedTriplets:
                     return (oracle.pair_pose(blocks[p], points[p]) for p in row)
 
                 got = _result_or_error(recover_calibrated_general_triplet, geom, closure, k,
-                                       triplet_id=ids, cycle_tol=gate)
+                                       triplet_id=ids, tol=gate)
                 want = _result_or_error(oracle.recover_general, lazy(), triplet_id=ids,
                                         cycle_tol=gate)
                 assert _same_outcome(got, want)
                 seen.add(("general", want[0] if isinstance(want, tuple) else "ok"))
                 E9, tr3 = m.submatrix(ids), ts.tracks(ids)
                 got = _result_or_error(recover_calibrated_collinear_triplet, E9, geom, k, tr3,
-                                       triplet_id=ids, cert_tol=gate, cycle_tol=gate)
+                                       triplet_id=ids, tol=gate)
                 want = _result_or_error(oracle.recover_collinear, E9, lazy(), tr3,
                                         triplet_id=ids, cert_tol=gate, cycle_tol=gate)
                 assert _same_outcome(got, want)
