@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import MissingBlock, NotConnected
 from .geometry import _skews, nearest_rotation, normalized_tensor
-from .graphs import _LOCAL_PAIRS, DualGraph, TripletCover, pair_rows, triplet_pairs
+from .graphs import _LOCAL_PAIRS, DualGraph, TripletCover, pair_rows
 from .nview import _RANK_TOL, _SIGN_CASES, NViewBifocal, block_index, block_matrix
 from .recovery import closure_scales, pair_poses, resolve_essential_triplet
 
@@ -258,10 +258,6 @@ class AveragingResult:
     consensus: np.ndarray = field(repr=False)  # (E, 3, 3) un-normalised blocks of `pairs`
     pairs: list = field(repr=False)  # the cover's camera pairs in `pair_rows` order
     rows: np.ndarray = field(repr=False)  # (T, 3) each sorted cover triplet's pairs in `pairs`
-
-    def triplet_matrix(self, ids) -> np.ndarray:
-        """Consensus 9x9 submatrix for a triple of cameras whose pairs the cover holds."""
-        return block_matrix(self.consensus[[self.pairs.index(e) for e in triplet_pairs(ids)]])
 
 
 def _local_scale_factors(blocks, rows) -> np.ndarray:

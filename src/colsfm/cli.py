@@ -27,11 +27,7 @@ def _admm_from_args(args) -> AdmmConfig:
 
 
 def _pipeline_cfg(args) -> PipelineConfig:
-    return PipelineConfig(
-        admm=_admm_from_args(args),
-        collinearity_threshold=args.collinearity_threshold,
-        insert_virtual=not getattr(args, "no_virtual", False),
-    )
+    return PipelineConfig(_admm_from_args(args), insert_virtual=not getattr(args, "no_virtual", False))
 
 
 def _emit(args, payload: dict, text: str) -> None:
@@ -90,8 +86,11 @@ def cmd_recover(args) -> int:
 
 def cmd_eval(args) -> int:
     cameras, frame = cio.load_cameras(args.cameras)
-    _, tracks = cio.load_measurements(args.measurements)
+    measurements, tracks = cio.load_measurements(args.measurements)
     scene = cio.load_scene(args.scene) if args.scene else None
+    for source, n in (("measurements", measurements.n), ("scene", scene.n if scene else None)):
+        if n is not None and n != len(cameras):
+            raise ValidationError(f"cameras file holds {len(cameras)} cameras, the {source} {n}")
     from .pipeline import _evaluate
 
     regime = "calibrated" if frame == "euclidean" else "uncalibrated"
@@ -146,7 +145,6 @@ def _add_common(p) -> None:
     p.add_argument("--tol", type=float, default=1e-9, help="ADMM primal/dual tolerance")
     p.add_argument("--max-iters", type=int, default=500)
     p.add_argument("--rho", type=float, default=5.0, help="ADMM penalty")
-    p.add_argument("--collinearity-threshold", type=float, default=0.05)
     p.add_argument("--no-virtual", action="store_true",
                    help="vc only: skip virtual-camera insertion (diagnostic)")
 

@@ -10,6 +10,8 @@ are dual neighbours iff they share a bucket and differ as camera sets, so an
 adjacency costs the sum of squared bucket sizes instead of O(T^2) pair tests.
 A `TripletCover` builds its dual graph once, as index arrays (`DualGraph`);
 connectivity, `to_json`, scale sync and registration all read that one graph.
+The greedy cover is connected exactly when the triangles' dual graph is, so
+`enrich_connectivity` only checks it.
 
 Triplet-wise tensor data is stacked over the camera pairs of a cover
 (`pair_rows`): one `collinearity_score` call scores every triplet from an
@@ -126,16 +128,6 @@ def dual_bfs(adj, sources, blocked=frozenset()):
                 queue.append((nxt, cur))
 
 
-def _components(triplets) -> list:
-    adj = dual_adjacency(triplets)
-    seen, comps = set(), []
-    for t in sorted(adj):
-        if t not in seen:
-            comps.append([u for u, _ in dual_bfs(adj, [t])])
-            seen.update(comps[-1])
-    return comps
-
-
 class DualGraph(NamedTuple):
     """The dual graph of sorted, distinct triplets as indices into them."""
 
@@ -198,8 +190,8 @@ def heuristic_cover(g: ViewingGraph, scores=None) -> TripletCover:
     """Greedy cover: 3-cliques sorted by score (descending, ties in sorted
     order), added when they cover a new edge or join dual components.  A
     clique's score is its minimum edge weight unless scores gives one per
-    clique of `g.triangles()`.  May return a disconnected cover; see
-    enrich_connectivity."""
+    clique of `g.triangles()`.  May return a disconnected cover, exactly when
+    the triangles' dual graph is; see enrich_connectivity."""
     tris = g.triangles()
     if not tris:
         raise NoTriangles("viewing graph has no 3-clique")
@@ -231,36 +223,14 @@ def heuristic_cover(g: ViewingGraph, scores=None) -> TripletCover:
     return TripletCover.from_triplets(chosen)
 
 
-def enrich_connectivity(cover: TripletCover, candidates) -> TripletCover:
-    """Connect the cover by splicing in shortest dual paths through the
-    candidate triplets (typically every triangle of the viewing graph),
-    largest two components first."""
-    candidates = {tuple(sorted(t)) for t in candidates}
-    triplets = list(cover.triplets)
-    while True:
-        comps = _components(triplets)
-        if len(comps) <= 1:
-            break
-        comps = sorted(comps, key=len, reverse=True)
-        src, dst = set(comps[0]), set(comps[1])
-        path = _shortest_dual_path(candidates, src, dst)
-        if path is None:
-            raise Unconnectable("no dual path joins the two largest components")
-        triplets.extend(t for t in path if t not in triplets)
-    return TripletCover.from_triplets(triplets, cover.virtual_nodes)
-
-
-def _shortest_dual_path(candidates: set, src: set, dst: set):
-    adj = dual_adjacency(candidates | src | dst)
-    prev = {}
-    for cur, parent in dual_bfs(adj, sorted(src)):
-        prev[cur] = parent
-        if cur in dst:
-            path = [cur]
-            while prev[path[-1]] is not None:
-                path.append(prev[path[-1]])
-            return path[::-1]
-    return None
+def enrich_connectivity(cover: TripletCover) -> TripletCover:
+    """The heuristic cover, checked for a connected dual graph.  The greedy
+    cover leaves every triangle edge covered and takes every triangle that
+    joins two dual components, so no triangle can connect it further: it is
+    connected exactly when the viewing graph's triangles are."""
+    if not cover.is_connected():
+        raise Unconnectable("no dual path joins the two largest components")
+    return cover
 
 
 def collinearity_score(table, rows) -> np.ndarray:

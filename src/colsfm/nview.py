@@ -133,16 +133,33 @@ class ConsistencyCertificate:
     eigenvalues: np.ndarray
     rank_estimate: int
     signature: tuple
-    block_row_ranks: list
-    orthogonality_residual: float | None
-    pattern_residual: float | None
-    rotation_residual: float | None
     conditions: dict
     passed: bool
+    block_row_ranks: list = field(default_factory=list)
+    orthogonality_residual: float | None = None
+    pattern_residual: float | None = None
+    rotation_residual: float | None = None
     v_hat: np.ndarray | None = field(default=None, repr=False)
 
     def __bool__(self):
         return self.passed
+
+
+def eigen_signature(w: np.ndarray):
+    """The (positive, negative) counts of the eigenvalues w (..., m) clearly
+    off zero: beyond _RANK_TOL of the largest in magnitude."""
+    amax = np.max(np.abs(w), axis=-1, keepdims=True)
+    return np.sum(w > _RANK_TOL * amax, axis=-1), np.sum(w < -_RANK_TOL * amax, axis=-1)
+
+
+def collinear_pattern_residual(w: np.ndarray) -> np.ndarray:
+    """The largest deviation of descending eigenvalues w (..., m) from the
+    pattern (l, l, 0, ..., 0, -l, -l), l their mean magnitude over the four
+    extremes, relative to l; 1 where l is not positive."""
+    lam = (w[..., 0] + w[..., 1] - w[..., -1] - w[..., -2]) / 4.0
+    dev = np.concatenate([w[..., [0, 1, -1, -2]] - lam[..., None] * [1.0, 1.0, -1.0, -1.0],
+                          w[..., 2:-2]], axis=-1)
+    return np.where(lam > 0, np.max(np.abs(dev), axis=-1) / np.where(lam > 0, lam, 1.0), 1.0)
 
 
 def _eig_sorted(M: np.ndarray):
@@ -243,13 +260,16 @@ def _vhat_alignment(X: np.ndarray, Y: np.ndarray, n: int):
     return float(np.max(np.sqrt(per_block))), Vh.reshape(3 * n, 2)
 
 
-def _dense_or_raise(m: NViewBifocal) -> np.ndarray:
-    # global certificates are statements about complete matrices; sparse
-    # inputs are certified per-triplet submatrix instead
-    if not m.is_dense():
+def _spectrum(m: NViewBifocal | np.ndarray):
+    """The matrix M of m, its camera count, its descending eigenpairs and its
+    signature (pos, neg).  Global certificates are statements about complete
+    matrices; sparse inputs are certified per-triplet submatrix instead."""
+    if isinstance(m, NViewBifocal) and not m.is_dense():
         raise ValidationError("certificates need a dense matrix; certify sparse "
                               "inputs per-triplet via submatrix()")
-    return m.dense()
+    M = m.dense() if isinstance(m, NViewBifocal) else np.asarray(m, dtype=float)
+    w, V = _eig_sorted(M)
+    return M, M.shape[0] // 3, w, V, tuple(int(c) for c in eigen_signature(w))
 
 
 def certify_collinear_essential(m: NViewBifocal | np.ndarray, tol: float = 1e-6) -> ConsistencyCertificate:
@@ -258,20 +278,8 @@ def certify_collinear_essential(m: NViewBifocal | np.ndarray, tol: float = 1e-6)
     Condition 1: exactly four significant eigenvalues in the pattern
     (l, l, -l, -l).  Condition 2: the aligned V_i^T V_i = I/n orthogonality.
     """
-    M = _dense_or_raise(m) if isinstance(m, NViewBifocal) else np.asarray(m, dtype=float)
-    n = M.shape[0] // 3
-    w, V = _eig_sorted(M)
-    amax = float(np.max(np.abs(w)))
-    pos = int(np.sum(w > _RANK_TOL * amax)) if amax > 0 else 0
-    neg = int(np.sum(w < -_RANK_TOL * amax)) if amax > 0 else 0
-    lam = (w[0] + w[1] - w[-1] - w[-2]) / 4.0
-    if lam > 0:
-        dev = [abs(w[0] - lam), abs(w[1] - lam), abs(w[-1] + lam), abs(w[-2] + lam)]
-        if len(w) > 4:
-            dev.append(float(np.max(np.abs(w[2:-2]))))
-        pattern_residual = float(max(dev) / lam)
-    else:
-        pattern_residual = 1.0
+    _, n, w, V, (pos, neg) = _spectrum(m)
+    pattern_residual = float(collinear_pattern_residual(w))
     X = V[:, [0, 1]]
     Y = V[:, [len(w) - 1, len(w) - 2]]
     ortho_residual, v_hat = _vhat_alignment(X, Y, n)
@@ -285,10 +293,8 @@ def certify_collinear_essential(m: NViewBifocal | np.ndarray, tol: float = 1e-6)
         eigenvalues=w,
         rank_estimate=pos + neg,
         signature=(pos, neg),
-        block_row_ranks=[],
         orthogonality_residual=ortho_residual,
         pattern_residual=pattern_residual,
-        rotation_residual=None,
         conditions=conditions,
         passed=all(conditions.values()),
         v_hat=v_hat,
@@ -306,12 +312,7 @@ def _block_row_rank(M: np.ndarray, i: int) -> int:
 def certify_collinear_fundamental(m: NViewBifocal | np.ndarray) -> ConsistencyCertificate:
     """Collinear-consistency certificate for a fundamental n-view matrix:
     rank 4 with signature (2, 2), every 3 x 3n block row of rank 2."""
-    M = _dense_or_raise(m) if isinstance(m, NViewBifocal) else np.asarray(m, dtype=float)
-    n = M.shape[0] // 3
-    w, _ = _eig_sorted(M)
-    amax = float(np.max(np.abs(w)))
-    pos = int(np.sum(w > _RANK_TOL * amax)) if amax > 0 else 0
-    neg = int(np.sum(w < -_RANK_TOL * amax)) if amax > 0 else 0
+    M, n, w, _, (pos, neg) = _spectrum(m)
     row_ranks = [_block_row_rank(M, i) for i in range(n)]
     conditions = {
         "rank4_signature": (pos, neg) == (2, 2),
@@ -323,9 +324,6 @@ def certify_collinear_fundamental(m: NViewBifocal | np.ndarray) -> ConsistencyCe
         rank_estimate=pos + neg,
         signature=(pos, neg),
         block_row_ranks=row_ranks,
-        orthogonality_residual=None,
-        pattern_residual=None,
-        rotation_residual=None,
         conditions=conditions,
         passed=all(conditions.values()),
     )
@@ -364,17 +362,10 @@ def certify_general(
     kind additionally requires the paired spectrum l_i = -l_{7-i} and the
     block-rotation structure of sqrt(0.5)(X + Y)."""
     if isinstance(m, NViewBifocal):
-        M = _dense_or_raise(m)
         kind = kind or m.kind
-    else:
-        M = np.asarray(m, dtype=float)
-        if kind is None:
-            raise ValueError("kind required for raw matrices")
-    n = M.shape[0] // 3
-    w, V = _eig_sorted(M)
-    amax = float(np.max(np.abs(w)))
-    pos = int(np.sum(w > _RANK_TOL * amax)) if amax > 0 else 0
-    neg = int(np.sum(w < -_RANK_TOL * amax)) if amax > 0 else 0
+    elif kind is None:
+        raise ValueError("kind required for raw matrices")
+    _, n, w, V, (pos, neg) = _spectrum(m)
     conditions = {"rank6_signature": (pos, neg) == (3, 3)}
     pattern_residual = None
     rotation_residual = None
@@ -399,8 +390,6 @@ def certify_general(
         eigenvalues=w,
         rank_estimate=pos + neg,
         signature=(pos, neg),
-        block_row_ranks=[],
-        orthogonality_residual=None,
         pattern_residual=pattern_residual,
         rotation_residual=rotation_residual,
         conditions=conditions,

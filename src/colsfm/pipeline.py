@@ -4,7 +4,7 @@ Every run takes one route: cover -> average -> recover -> register ->
 evaluate.  The algorithm picks only the cover stage (`cover_and_average`)
 and the per-triplet recovery.  "r4" (fully collinear cameras) averages the
 sequential cover at rank 4 and recovers collinear triplets.  "vc" (mixed
-collinearity) builds the enriched heuristic cover from the triangles ranked
+collinearity) builds the heuristic cover from the triangles ranked
 best-conditioned first, replaces the collinear triplets left in it by
 sub-triplets against virtual cameras, averages at rank 6, recovers
 general-position triplets and drops the virtual cameras after registration.
@@ -12,7 +12,8 @@ The "vc" cover stage is stacked passes over the triangles' pairs: one
 epipole table, one score pass over all triangles, one pose pass for every
 essential virtual camera (one projective pass for fundamental ones), then
 each collinear triplet's track and virtual tensors.  Before recovery, the
-calibrated geometry or the projective systems of all triplets are built in
+calibrated geometry with its collinear placements ("r4") or direction
+closures ("vc"), or the projective systems, of all triplets are built in
 stacked passes; each per-triplet recovery call reads its row.
 
 Stage functions are looked up as module globals when called, never bound
@@ -41,9 +42,10 @@ from .graphs import (
     sequential_cover,
 )
 from .metrics import EvalReport, align_similarity, mean_reprojection_error
-from .nview import NViewBifocal
+from .nview import NViewBifocal, block_index, block_matrix
 from .recovery import (
     closure_scales,
+    collinear_placement,
     pair_poses,
     projective_systems,
     recover_calibrated_collinear_triplet,
@@ -62,10 +64,13 @@ from .virtual import (
 )
 
 
+# a triplet scoring below this `collinearity_score` counts as collinear
+_COLLINEARITY_THRESHOLD = 0.05
+
+
 @dataclass
 class PipelineConfig:
     admm: AdmmConfig = field(default_factory=AdmmConfig)
-    collinearity_threshold: float = 0.05
     insert_virtual: bool = True  # disable to reproduce the plain rank-6 failure
 
 
@@ -79,14 +84,18 @@ class PipelineOutput:
     frame: str
 
 
-def _calibrated_geometry(algorithm, avg: AveragingResult, tracks: TrackSet, n_real: int):
+def _calibrated_geometry(algorithm, avg: AveragingResult, tracks: TrackSet, triplets, n_real: int):
     """The geometry of the sorted cover triplets, resolved from the poses of
-    their pairs' consensus blocks, and for "vc" their direction closures,
-    each one stacked pass before any triplet is recovered: a pair of real
-    cameras is cheirality-voted on its tracks (a virtual camera has none)."""
+    their pairs' consensus blocks, and their direction closures ("vc") or
+    collinear placements ("r4", from their 9x9 consensus matrices and 3-view
+    tracks), each one stacked pass before any triplet is recovered: a pair of
+    real cameras is cheirality-voted on its tracks (a virtual camera has none)."""
     poses = pair_poses(avg.consensus, [tracks.tracks(e) if e[1] < n_real else None for e in avg.pairs])
     geom = resolve_essential_triplet(poses, avg.rows)
-    return geom, (closure_scales(geom) if algorithm == "vc" else None)
+    if algorithm == "vc":
+        return geom, closure_scales(geom)
+    E9 = block_matrix(avg.consensus, block_index(avg.rows))
+    return geom, collinear_placement(E9, geom, [tracks.tracks(t) for t in triplets])
 
 
 def _projective_systems(algorithm, avg: AveragingResult, tracks: TrackSet, triplets):
@@ -145,7 +154,7 @@ def _evaluate(cameras, n_real, tracks, scene_gt, regime, algorithm, converged, f
 def _virtual_cover(measurements: NViewBifocal, tracks: TrackSet, cfg: PipelineConfig):
     """The heuristic cover of the viewing graph's triangles ranked by
     `collinearity_score`, best-conditioned first (ties in sorted order, a
-    triangle with a rank-deficient pair last), enriched to connectivity, with
+    triangle with a rank-deficient pair last), checked for connectivity, with
     each collinear triplet left in it replaced by sub-triplets against a
     virtual camera, numbered n + k in cover order; returns the cover and the
     measurements extended by the virtual cameras' tensors.  One epipole table
@@ -161,14 +170,14 @@ def _virtual_cover(measurements: NViewBifocal, tracks: TrackSet, cfg: PipelineCo
     degenerate = ~np.all(np.any(table, axis=-1), axis=-1)  # (P,) pairs without unique epipoles
     scores = collinearity_score(table, rows)
     ranks = np.where(np.any(degenerate[rows], axis=1), -np.inf, scores)
-    cover = enrich_connectivity(heuristic_cover(g, ranks), tris)
+    cover = enrich_connectivity(heuristic_cover(g, ranks))
     if not cfg.insert_virtual:
         return cover, measurements
     index = {t: k for k, t in enumerate(tris)}
     held = [index[t] for t in cover.triplets]
     if np.any(degenerate[rows[held]]):
         raise RankDeficient("tensor has a two-dimensional null space")
-    marked = [k for k in held if scores[k] < cfg.collinearity_threshold]
+    marked = [k for k in held if scores[k] < _COLLINEARITY_THRESHOLD]
     collinear = [tris[k] for k in marked]
     tracks3 = [tracks.tracks(t) for t in collinear]
     if measurements.kind == "essential":
@@ -209,24 +218,24 @@ def cover_and_average(
     cover = sequential_cover(measurements.n)
     F, rows = _pair_blocks(measurements, cover.triplets)
     for t, score in zip(cover.triplets, collinearity_score(epipoles(F), rows)):
-        if score > cfg.collinearity_threshold:
+        if score > _COLLINEARITY_THRESHOLD:
             raise ValidationError(
                 f"algorithm r4 requires a fully collinear camera set; triplet {t} "
-                f"scores {score:.3f} above threshold {cfg.collinearity_threshold}"
+                f"scores {score:.3f} above threshold {_COLLINEARITY_THRESHOLD}"
             )
     return cover, average(measurements, cover, "collinear", cfg.admm)
 
 
-def _recover_triplet(algorithm, regime, avg, k, ids, tracks, stacked, gate):
+def _recover_triplet(algorithm, regime, k, ids, stacked, gate):
     """Cameras of cover triplet k from the averaged tensors: collinear
     recovery for "r4", general-position recovery for "vc", each reading row k
-    of the stacked calibrated geometry or projective systems."""
+    of the stacked calibrated geometry with its placements or closures, or of
+    the projective systems."""
     if regime == "calibrated":
-        geom, closure = stacked
+        geom, by_row = stacked
         if algorithm == "r4":
-            return recover_calibrated_collinear_triplet(
-                avg.triplet_matrix(ids), geom, k, tracks.tracks(sorted(ids)), triplet_id=ids, tol=gate)
-        return recover_calibrated_general_triplet(geom, closure, k, triplet_id=ids, tol=gate)
+            return recover_calibrated_collinear_triplet(by_row, geom, k, triplet_id=ids, tol=gate)
+        return recover_calibrated_general_triplet(geom, by_row, k, triplet_id=ids, tol=gate)
     if algorithm == "r4":
         return recover_projective_collinear_triplet(stacked, k, triplet_id=ids)
     return recover_projective_general_triplet(stacked, k, triplet_id=ids)
@@ -241,16 +250,18 @@ def run_pipeline(
     cfg: PipelineConfig | None = None,
 ) -> PipelineOutput:
     started = time.perf_counter()
+    if scene_gt is not None and scene_gt.n != measurements.n:
+        raise ValidationError(f"scene holds {scene_gt.n} cameras, the measurements {measurements.n}")
     cover, avg = cover_and_average(measurements, tracks, algorithm, cfg)
     n = measurements.n
     mode = "euclidean" if regime == "calibrated" else "projective"
     # sanity gates only when the iterate is coarse; the report stays honest
     gate = 1e-3 if avg.converged else 0.5
-    stacked = (_calibrated_geometry(algorithm, avg, tracks, n) if regime == "calibrated"
+    stacked = (_calibrated_geometry(algorithm, avg, tracks, cover.triplets, n) if regime == "calibrated"
                else _projective_systems(algorithm, avg, tracks, cover.triplets))
     failure = None
     try:
-        recs = [_recover_triplet(algorithm, regime, avg, k, t, tracks, stacked, gate)
+        recs = [_recover_triplet(algorithm, regime, k, t, stacked, gate)
                 for k, t in enumerate(cover.triplets)]
         # virtual cameras are scaffolding only
         cameras = register_global(recs, cover, mode, n_cameras=avg.n).cameras[:n]

@@ -14,10 +14,13 @@ triplet is recovered: `pair_poses` decomposes every essential block of a
 stage with one cheirality DLT over the tracks of all its pairs,
 `resolve_essential_triplet` picks and averages every triplet's rotations
 (one eigendecomposition of the (T, 9, 9) stack), `closure_scales` solves
-every direction closure in one SVD, and `projective_systems` builds every
-projective a-vector system from one epipole table, one tensor call for all
-cameras P2(0), P2(e_k) and one DLT of all 3-view tracks.  The per-triplet
-recovery then reads its row and raises its own error.
+every direction closure in one SVD, `collinear_placement` gates every
+collinear triplet on its eigenvalue pattern (one eigendecomposition of the
+(T, 9, 9) stack) and solves every alpha from one DLT of all 3-view tracks,
+and `projective_systems` builds every projective a-vector system from one
+epipole table, one tensor call for all cameras P2(0), P2(e_k) and one DLT of
+all 3-view tracks.  Each of the four per-triplet recoveries then reads its
+row and raises its own error.
 """
 
 from __future__ import annotations
@@ -45,7 +48,9 @@ from .geometry import (
     fundamental_from_projections,
     nearest_rotation,
 )
-from .nview import block_index, block_matrix, certify_collinear_essential
+from .nview import block_index, block_matrix, collinear_pattern_residual, eigen_signature
+# bench/tracing.py still hooks this name here for its nview.certify span (ROADMAP item 5)
+from .nview import certify_collinear_essential  # noqa: F401
 
 
 @dataclass
@@ -222,69 +227,86 @@ def _rowwise_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
-def _alpha_least_squares(P0, P1, Rh2, axis_dir, tracks3):
-    """alpha from P2(alpha) X x x2 = 0 over all 3-view tracks, X from views
-    0-1; ambiguous and at-infinity points are skipped."""
-    X, ambiguous = _triangulate_tracks3(P0, P1, tracks3)
-    at_infinity = np.abs(X[:, 3]) < 1e-12 * np.linalg.norm(X, axis=1)
-    keep = ~ambiguous & ~at_infinity
-    if not np.any(keep):
-        raise InsufficientTracks("no usable 3-view track for the alpha solve")
-    X, x2 = X[keep], tracks3[keep, 2]
-    Xe = X[:, :3] / X[:, 3:]
-    u = (Rh2 @ Xe[:, :, None])[:, :, 0]
-    b = Rh2 @ axis_dir
-    bx = np.cross(b, x2)
-    ux = np.cross(u, x2)
-    num = _ordered_sum(-_rowwise_dot(bx, ux))
-    den = _ordered_sum(_rowwise_dot(bx, bx))
-    scale = _ordered_sum(_rowwise_dot(ux, ux))
-    if den < 1e-18 * max(scale, 1.0):
-        raise InsufficientTracks("3-view tracks are degenerate with the camera line")
-    return num / den
+@dataclass(frozen=True)
+class CollinearPlacement:
+    """The eigenvalue gate and the alpha solve of T collinear calibrated
+    triplets: count (T,) the significant eigenvalues, residual (T,) their
+    deviation from (l, l, -l, -l), alpha (T,) camera 2's position on the line
+    of cameras 0 and 1 at unit baseline, errors the error each alpha solve
+    raises (alpha nan), else None."""
+
+    count: np.ndarray
+    residual: np.ndarray
+    alpha: np.ndarray
+    errors: tuple
+
+
+def collinear_placement(E9, geom: TripletGeometry, tracks3) -> CollinearPlacement:
+    """The placement of the T triplets whose (T, 9, 9) matrices are E9, with
+    the rows of geom and each triplet's (N, 3, 3) 3-view tracks, in one
+    stacked pass: one eigendecomposition of E9, and one DLT from views 0-1 of
+    every track, whose alpha solves P2(alpha) X x x2 = 0 in least squares
+    (ambiguous and at-infinity points skipped, sums in track order)."""
+    w = np.linalg.eigh(E9)[0][:, ::-1]
+    Rh, T = geom.averaged, len(E9)
+    axis = Rh[:, 0].swapaxes(-1, -2) @ geom.t_dirs[:, 0, :, None]  # (T, 3, 1)
+    P0 = np.concatenate([Rh[:, 0], np.zeros((T, 3, 1))], axis=2)
+    P1 = np.concatenate([Rh[:, 1], Rh[:, 1] @ axis], axis=2)
+    pts = [np.asarray(tr, dtype=float).reshape(-1, 3, 3) for tr in tracks3]
+    of = np.repeat(np.arange(T), [len(p) for p in pts])  # each track's triplet
+    pts = np.concatenate([np.zeros((0, 3, 3)), *pts])
+    X, ambiguous = _triangulate_tracks3(P0[of], P1[of], pts)
+    keep = ~ambiguous & ~(np.abs(X[:, 3]) < 1e-12 * np.linalg.norm(X, axis=1))
+    X, x2, used = X[keep], pts[keep, 2], of[keep]
+    bx = np.cross((Rh[:, 2] @ axis)[used, :, 0], x2)
+    ux = np.cross((Rh[used, 2] @ (X[:, :3] / X[:, 3:])[:, :, None])[:, :, 0], x2)
+    dots = np.stack([-_rowwise_dot(bx, ux), _rowwise_dot(bx, bx), _rowwise_dot(ux, ux)], axis=1)
+    alpha, errors = np.empty(T), []
+    for k, rows in enumerate(np.split(dots, np.cumsum(np.bincount(used, minlength=T))[:-1])):
+        num, den, scale = (_ordered_sum(c) for c in rows.T) if len(rows) else (0.0, 0.0, 0.0)
+        failure = ("alpha is undetermined without 3-view tracks" if not np.any(of == k)
+                   else "no usable 3-view track for the alpha solve" if not len(rows)
+                   else "3-view tracks are degenerate with the camera line"
+                   if den < 1e-18 * max(scale, 1.0) else None)
+        errors.append(failure and InsufficientTracks(failure))
+        alpha[k] = np.nan if failure else num / den
+    return CollinearPlacement(np.sum(eigen_signature(w), axis=0), collinear_pattern_residual(w),
+                              alpha, tuple(errors))
 
 
 def recover_calibrated_collinear_triplet(
-    E9: np.ndarray,
+    placement: CollinearPlacement,
     geom: TripletGeometry,
     k: int,
-    tracks3,
     triplet_id=(0, 1, 2),
     tol: float = 1e-3,
 ) -> TripletCameras:
-    """Cameras of a collinear calibrated triplet from its consistent 9x9 matrix.
+    """Cameras of a collinear calibrated triplet from row k of its geometry
+    and placement: the averaged rotations, the pair (0,1) fixing the line
+    direction with unit baseline, and alpha placing the third camera along
+    it.  The geometry is read only after the eigenvalue gate passes, so a
+    rejected triplet reports the gate, not a pair error.
 
-    Row k of geom, resolved from the pair poses of E9's blocks, gives the
-    averaged rotations; the pair (0,1) fixes the line direction with unit
-    baseline, and alpha places the third camera along it using the (N, 3, 3)
-    image points of the 3-view tracks, in local view order.  The row is read
-    only after the certificate passes, so a rejected triplet reports the
-    certificate, not a pair error.
-
-    The certificate precondition checks the eigenvalue pattern only (a sanity
-    gate against junk input, with a tolerance tol sized for post-averaging
-    noise floors that bounds the rotation cycle residual too): measured
-    blocks carry arbitrary scales, which leave the pattern intact but make
-    the orthogonality condition meaningless before recovery.
+    The gate checks the eigenvalue pattern only (a sanity gate against junk
+    input, with a tolerance tol sized for post-averaging noise floors that
+    bounds the rotation cycle residual too): measured blocks carry arbitrary
+    scales, which leave the pattern intact but make the orthogonality
+    condition of `certify_collinear_essential` meaningless before recovery.
     """
-    E9 = np.asarray(E9, dtype=float)
-    cert = certify_collinear_essential(E9, tol=tol)
-    if not (cert.conditions["eigen_count"] and cert.conditions["eigen_pattern"]):
+    if not (placement.count[k] == 4 and placement.residual[k] < tol):
         raise InconsistentInput(
             f"triplet matrix fails the collinear eigenvalue pattern "
-            f"(rank {cert.rank_estimate}, residual {cert.pattern_residual:.3e})"
+            f"(rank {placement.count[k]}, residual {placement.residual[k]:.3e})"
         )
     _check_resolved(geom, k, tol)
     if not geom.sign_known[k, 0]:
         raise InsufficientTracks("pair (0,1) needs 2-view tracks to sign the baseline")
-    Rh = geom.averaged[k]
+    if placement.errors[k] is not None:
+        raise placement.errors[k]
+    Rh, alpha = geom.averaged[k], float(placement.alpha[k])
     axis = Rh[0].T @ geom.t_dirs[k, 0]  # world direction of t_0 - t_1 in the local gauge
     P0 = np.hstack([Rh[0], np.zeros((3, 1))])
     P1 = np.hstack([Rh[1], (Rh[1] @ axis).reshape(3, 1)])
-    tracks3 = np.asarray(tracks3, dtype=float)
-    if len(tracks3) == 0:
-        raise InsufficientTracks("alpha is undetermined without 3-view tracks")
-    alpha = _alpha_least_squares(P0, P1, Rh[2], axis, tracks3)
     P2 = np.hstack([Rh[2], (alpha * Rh[2] @ axis).reshape(3, 1)])
     return TripletCameras(tuple(triplet_id), [P0, P1, P2], "euclidean", alpha)
 

@@ -27,6 +27,9 @@ from .graphs import _LOCAL_PAIRS, _VIEW_EPIPOLES
 from .nview import NViewBifocal
 from .recovery import TripletCameras, pair_poses
 
+# image distance within which a track point counts as at an epipole
+_EPIPOLE_MARGIN = 1e-2
+
 
 def _epipole_distances(points: np.ndarray, epipoles: np.ndarray) -> np.ndarray:
     """Image distance of each (m, 6, 3) track point from its (6, 3) epipole:
@@ -38,9 +41,9 @@ def _epipole_distances(points: np.ndarray, epipoles: np.ndarray) -> np.ndarray:
     return np.where(fx, np.where(fe, np.linalg.norm(xy - exy, axis=-1), np.inf), 0.0)
 
 
-def select_virtual_point(tracks3, tensors, epipoles, epipole_margin: float = 1e-2) -> np.ndarray:
+def select_virtual_point(tracks3, tensors, epipoles) -> np.ndarray:
     """The (3, 3) image points of the 3-view track farthest from degeneracy:
-    among the (N, 3, 3) tracks3 at least epipole_margin away from every
+    among the (N, 3, 3) tracks3 at least _EPIPOLE_MARGIN away from every
     relevant epipole in every view (epipoles: the triplet's (3, 2, 3) rows of
     a `geometry.epipoles` table), the one minimizing the total symmetric
     epipolar distance over the three pairs.  Ties break by track order."""
@@ -49,7 +52,7 @@ def select_virtual_point(tracks3, tensors, epipoles, epipole_margin: float = 1e-
         raise NoValidPoint("no candidate track")
     v, pair, side = _VIEW_EPIPOLES.T
     near = _epipole_distances(P[:, v], np.asarray(epipoles)[pair, side])
-    far = np.flatnonzero(~np.any(near < epipole_margin, axis=1))
+    far = np.flatnonzero(~np.any(near < _EPIPOLE_MARGIN, axis=1))
     if not len(far):
         raise NoValidPoint("every candidate track is within the epipole margin")
     total = 0.0

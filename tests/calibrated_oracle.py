@@ -1,6 +1,7 @@
 """Reference implementations of the calibrated pair and triplet geometry:
 one pair and one triplet at a time, as colsfm computed them before its
-stacked passes, and the scale synchronisation over per-triplet dicts.  The
+stacked passes (the collinear recovery with its full certificate and its
+own alpha solve), and the scale synchronisation over per-triplet dicts.  The
 oracle tests compare the stacked passes with these bit for bit, so this
 code keeps its per-item order of operations."""
 
@@ -18,7 +19,7 @@ from colsfm.geometry import _W, _dlt, _skews, nearest_rotation, skew
 from colsfm.averaging import _local_scale_factors
 from colsfm.graphs import _LOCAL_PAIRS, dual_adjacency, dual_bfs, triplet_pairs
 from colsfm.nview import block_matrix, certify_collinear_essential
-from colsfm.recovery import TripletCameras, _alpha_least_squares
+from colsfm.recovery import TripletCameras, _ordered_sum, _rowwise_dot, _triangulate_tracks3
 
 
 def essential_candidates(E):
@@ -148,6 +149,28 @@ def scale_factors(blocks):
     return [v / mean for v in raw]
 
 
+def alpha_least_squares(P0, P1, Rh2, axis_dir, tracks3):
+    """alpha from P2(alpha) X x x2 = 0 over one triplet's 3-view tracks, X
+    from views 0-1; ambiguous and at-infinity points are skipped."""
+    X, ambiguous = _triangulate_tracks3(P0, P1, tracks3)
+    at_infinity = np.abs(X[:, 3]) < 1e-12 * np.linalg.norm(X, axis=1)
+    keep = ~ambiguous & ~at_infinity
+    if not np.any(keep):
+        raise InsufficientTracks("no usable 3-view track for the alpha solve")
+    X, x2 = X[keep], tracks3[keep, 2]
+    Xe = X[:, :3] / X[:, 3:]
+    u = (Rh2 @ Xe[:, :, None])[:, :, 0]
+    b = Rh2 @ axis_dir
+    bx = np.cross(b, x2)
+    ux = np.cross(u, x2)
+    num = _ordered_sum(-_rowwise_dot(bx, ux))
+    den = _ordered_sum(_rowwise_dot(bx, bx))
+    scale = _ordered_sum(_rowwise_dot(ux, ux))
+    if den < 1e-18 * max(scale, 1.0):
+        raise InsufficientTracks("3-view tracks are degenerate with the camera line")
+    return num / den
+
+
 def recover_collinear(E9, poses, tracks3, triplet_id=(0, 1, 2), cert_tol=1e-3, cycle_tol=1e-3):
     """Cameras of a collinear calibrated triplet; poses is consumed only
     after the certificate passes."""
@@ -167,7 +190,7 @@ def recover_collinear(E9, poses, tracks3, triplet_id=(0, 1, 2), cert_tol=1e-3, c
     tracks3 = np.asarray(tracks3, dtype=float)
     if len(tracks3) == 0:
         raise InsufficientTracks("alpha is undetermined without 3-view tracks")
-    alpha = _alpha_least_squares(P0, P1, Rh[2], axis, tracks3)
+    alpha = alpha_least_squares(P0, P1, Rh[2], axis, tracks3)
     P2 = np.hstack([Rh[2], (alpha * Rh[2] @ axis).reshape(3, 1)])
     return TripletCameras(tuple(triplet_id), [P0, P1, P2], "euclidean", alpha)
 

@@ -8,7 +8,10 @@ from colsfm.geometry import (
 )
 from colsfm.graphs import triplet_pairs
 from colsfm.nview import NViewBifocal, block_matrix
-from colsfm.recovery import pair_poses, projective_systems, resolve_essential_triplet
+from colsfm.recovery import (
+    collinear_placement, pair_poses, projective_systems, recover_calibrated_collinear_triplet,
+    resolve_essential_triplet,
+)
 from colsfm.synthetic import generate
 
 
@@ -77,6 +80,12 @@ def averaged_nview(res, kind) -> NViewBifocal:
                                          for e, block in zip(res.pairs, res.consensus)}, strict=False)
 
 
+def triplet_matrix(res, ids) -> np.ndarray:
+    """The consensus 9x9 submatrix of an `AveragingResult` over a camera
+    triple whose pairs its cover holds."""
+    return block_matrix(res.consensus[[res.pairs.index(e) for e in triplet_pairs(ids)]])
+
+
 def center_spread(scene, ids) -> float:
     """sigma_2 / sigma_1 of a camera triple's centered centers: 0 when the
     centers are collinear, 1 when maximally spread."""
@@ -106,6 +115,15 @@ def triplet_geometry(E9, tracks2=None):
     poses = pair_poses(np.array([E9[3 * i:3 * i + 3, 3 * j:3 * j + 3] for (i, j) in pairs]),
                        [tracks2.get(p) for p in pairs])
     return resolve_essential_triplet(poses, [[0, 1, 2]])
+
+
+def collinear_triplet(E9, tracks2, tracks3, triplet_id=(0, 1, 2), tol=1e-3):
+    """Collinear calibrated recovery of one 9x9 triplet matrix, its pairs
+    cheirality-voted on tracks2 as in `triplet_geometry`, its third camera
+    placed on its (N, 3, 3) 3-view tracks: row 0 of a one-row stacked pass."""
+    geom = triplet_geometry(E9, tracks2)
+    placement = collinear_placement(np.asarray(E9, dtype=float)[None], geom, [tracks3])
+    return recover_calibrated_collinear_triplet(placement, geom, 0, triplet_id=triplet_id, tol=tol)
 
 
 def projective_system(F01, F12, F02, tracks3=None):

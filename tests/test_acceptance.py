@@ -33,16 +33,12 @@ from colsfm.nview import (
     certify_general,
 )
 from colsfm.pipeline import run_pipeline
-from colsfm.recovery import (
-    recover_calibrated_collinear_triplet,
-    recover_projective_collinear_triplet,
-    register_global,
-)
+from colsfm.recovery import recover_projective_collinear_triplet, register_global
 from colsfm.synthetic import MeasurementNoise, generate, measure
 from colsfm.virtual import four_view_matrix
 from conftest import (
-    center_spread, covered_edges, exact_nview, exact_triplet, projective_system, seen_in, triplet_geometry,
-    unit_bifocal,
+    center_spread, collinear_triplet, covered_edges, exact_nview, exact_triplet, projective_system,
+    seen_in, triplet_matrix, unit_bifocal,
 )
 
 
@@ -65,9 +61,7 @@ def _recover_scene_calibrated(scene):
         E = exact_triplet(scene, ids)
         tr3 = ts.tracks(ids)
         tr2 = {(a, b): ts.tracks((ids[a], ids[b])) for (a, b) in ((0, 1), (0, 2), (1, 2))}
-        recs.append(recover_calibrated_collinear_triplet(
-            E, triplet_geometry(E, tr2), 0, tr3, triplet_id=tuple(ids)
-        ))
+        recs.append(collinear_triplet(E, tr2, tr3, triplet_id=tuple(ids)))
     reg = register_global(recs, cover, "euclidean", n_cameras=scene.n)
     return align_similarity(reg.centers(), scene.centers()).residuals
 
@@ -185,11 +179,7 @@ def _single_projection_floor(scene, noisy, tracks):
         P = project_collinear_essential(M).matrix
         tr3 = tracks.tracks(ids)
         tr2 = {(a, b): tracks.tracks((ids[a], ids[b])) for (a, b) in ((0, 1), (0, 2), (1, 2))}
-        recs.append(
-            recover_calibrated_collinear_triplet(
-                P, triplet_geometry(P, tr2), 0, tr3, triplet_id=tuple(ids), tol=0.1
-            )
-        )
+        recs.append(collinear_triplet(P, tr2, tr3, triplet_id=tuple(ids), tol=0.1))
     reg = register_global(recs, cover, "euclidean", n_cameras=scene.n)
     return float(np.mean(align_similarity(reg.centers(), scene.centers()).residuals))
 
@@ -246,7 +236,7 @@ def test_criterion_7_vc_end_to_end():
     # same scene through rank-6 averaging without virtual cameras: the
     # collinear triplets cannot satisfy the general-position certificate
     g = ViewingGraph.from_edges(m.n, [(i, j, 1.0) for (i, j) in m.edges()])
-    cover = enrich_connectivity(heuristic_cover(g), g.triangles())
+    cover = enrich_connectivity(heuristic_cover(g))
     collinear_triplets = [
         t for t in cover.triplets
         if center_spread(scene, t) < 0.01
@@ -254,7 +244,7 @@ def test_criterion_7_vc_end_to_end():
     res = average(m, cover, "general")
     failing = sum(
         1 for t in collinear_triplets
-        if not certify_general(res.triplet_matrix(t), kind="essential", tol=1e-6).passed
+        if not certify_general(triplet_matrix(res, t), kind="essential", tol=1e-6).passed
     )
     ok = full_set and err_ok and collinear_triplets and failing == len(collinear_triplets)
     _announce(7, ok, f"VC mixed scene: 12/12 cameras, position error "
@@ -288,10 +278,12 @@ def test_criterion_8_cover_machinery():
             assert len(set(a) & set(b)) == 2
         for e in covered_edges(cover):
             assert g.has_edge(*e)
+        # the greedy cover is connected exactly when the triangles are, so
+        # enrichment is a connectivity check
         full = TripletCover.from_triplets(tris)
+        assert cover.is_connected() == full.is_connected()
         if full.is_connected():
-            enrichedcover = enrich_connectivity(cover, full.triplets)
-            assert enrichedcover.is_connected()
+            assert enrich_connectivity(cover) is cover
             enriched += 1
         # pruning on an insertion pass never disconnects (BFS oracle)
         if cover.is_connected():

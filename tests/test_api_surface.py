@@ -97,3 +97,15 @@ def test_test_only_surface_stays_deleted():
     assert not hasattr(recovery, "_euclidean_pose")
     assert not hasattr(recovery, "_edge_similarity")
     assert not hasattr(recovery, "_edge_homography")
+    # collinear recovery reads a row of one stacked pass, like the other
+    # three, and the certificate it used to run is gone from it; the cover's
+    # enrichment is a connectivity check; the two one-value knobs are constants
+    assert not hasattr(averaging.AveragingResult, "triplet_matrix")
+    assert not hasattr(recovery, "_alpha_least_squares")
+    assert list(inspect.signature(recovery.recover_calibrated_collinear_triplet).parameters) == [
+        "placement", "geom", "k", "triplet_id", "tol"]
+    assert not hasattr(graphs, "_shortest_dual_path")
+    assert not hasattr(graphs, "_components")
+    assert list(inspect.signature(graphs.enrich_connectivity).parameters) == ["cover"]
+    assert "collinearity_threshold" not in pipeline.PipelineConfig.__dataclass_fields__
+    assert "epipole_margin" not in inspect.signature(virtual.select_virtual_point).parameters

@@ -626,5 +626,5 @@ class TestGoldenAverage:
             cv = sequential_cover(n)
         else:
             g = ViewingGraph.complete(n)
-            cv = enrich_connectivity(heuristic_cover(g), g.triangles())
+            cv = enrich_connectivity(heuristic_cover(g))
         assert _result_digest(average(m, cv, regime, AdmmConfig(**kw))) == expected

@@ -133,6 +133,31 @@ class TestCliFlow:
         assert run_cli(["eval", "--cameras", str(cams), "--measurements", str(meas),
                         "--scene", str(scene), "--out", str(tmp_path / "r.json")]) == 2
 
+    def test_camera_count_mismatch_exit_code(self, tmp_path, capsys):
+        # cameras, measurements and scene of different camera counts are
+        # rejected with both counts named, not evaluated against each other
+        files = {}
+        for n in (6, 8):
+            files[n] = tmp_path / f"scene{n}.json", tmp_path / f"m{n}.json"
+            run_cli(["synth", "--layout", "collinear", "--n-cams", str(n), "--n-points", "10",
+                     "--seed", "4", "--out", str(files[n][0])])
+            run_cli(["measure", "--scene", str(files[n][0]), "--seed", "1", "--out", str(files[n][1])])
+        assert run_cli(["pipeline", "--measurements", str(files[8][1]), "--scene", str(files[8][0]),
+                        "--out", str(tmp_path / "run8")]) == 0
+        cams = str(tmp_path / "run8" / "cameras_out.json")
+        capsys.readouterr()
+        cases = (
+            (["eval", "--cameras", cams, "--measurements", str(files[8][1]),
+              "--scene", str(files[6][0])], "cameras file holds 8 cameras, the scene 6"),
+            (["eval", "--cameras", cams, "--measurements", str(files[6][1])],
+             "cameras file holds 8 cameras, the measurements 6"),
+            (["pipeline", "--measurements", str(files[6][1]), "--scene", str(files[8][0])],
+             "scene holds 8 cameras, the measurements 6"),
+        )
+        for args, message in cases:
+            assert run_cli(args + ["--out", str(tmp_path / "out")]) == 2, message
+            assert message in capsys.readouterr().err
+
     def test_missing_file_exit_code(self, tmp_path):
         code = run_cli(["recover", "--measurements", str(tmp_path / "nope.json"),
                         "--out", str(tmp_path / "c.json")])

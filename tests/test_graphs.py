@@ -7,7 +7,6 @@ import pytest
 from colsfm.errors import NoTriangles, TooFewCameras, Unconnectable
 from colsfm.geometry import epipoles
 from colsfm.graphs import (
-    _components,
     TripletCover,
     ViewingGraph,
     collinearity_score,
@@ -120,51 +119,28 @@ class TestHeuristicCover:
 class TestEnrichConnectivity:
     def test_already_connected_unchanged(self):
         c = sequential_cover(5)
-        full = TripletCover.from_triplets(ViewingGraph.complete(5).triangles())
-        e = enrich_connectivity(c, full.triplets)
-        assert e.triplets == c.triplets
-
-    def test_bridge_single_triplet(self):
-        # components (0,1,2) and (2,3,4) bridgeable via (1,2,3) in the full cover
-        cover = TripletCover.from_triplets([(0, 1, 2), (2, 3, 4)])
-        assert not cover.is_connected()
-        full = TripletCover.from_triplets([(0, 1, 2), (1, 2, 3), (2, 3, 4)])
-        e = enrich_connectivity(cover, full.triplets)
-        assert e.is_connected()
-        assert (1, 2, 3) in e.triplets
-        assert len(e.triplets) == 3
+        assert enrich_connectivity(c) is c
 
     def test_unconnectable(self):
         cover = TripletCover.from_triplets([(0, 1, 2), (3, 4, 5)])
-        full = TripletCover.from_triplets([(0, 1, 2), (3, 4, 5)])
-        with pytest.raises(Unconnectable):
-            enrich_connectivity(cover, full.triplets)
+        with pytest.raises(Unconnectable, match="no dual path joins the two largest components"):
+            enrich_connectivity(cover)
 
-    def test_monotone_component_reduction(self):
-        cover = TripletCover.from_triplets([(0, 1, 2), (4, 5, 6), (8, 9, 10)])
-        full = TripletCover.from_triplets(ViewingGraph.complete(11).triangles())
-        e = enrich_connectivity(cover, full.triplets)
-        assert e.is_connected()
-        assert set(cover.triplets) <= set(e.triplets)
-
-    def test_heuristic_cover_is_never_enriched(self):
-        # the greedy cover already takes every triangle that joins two dual
-        # components, so enriching it over the same triangles either keeps
-        # it as it is or finds no joining path
-        kept = raised = 0
+    def test_heuristic_cover_connected_iff_triangles_are(self):
+        # the greedy cover leaves every triangle edge covered and takes every
+        # triangle that joins two dual components, so no triangle could
+        # connect it further
+        connected = disconnected = 0
         for seed in range(300):
             g = _random_graph(seed)
             tris = g.triangles()
             if not tris:
                 continue
             scores = np.random.default_rng([seed, 1]).random(len(tris)) if seed % 2 else None
-            cover = heuristic_cover(g, scores)
-            try:
-                assert enrich_connectivity(cover, tris).triplets == cover.triplets, seed
-                kept += 1
-            except Unconnectable:
-                raised += 1
-        assert kept > 0 and raised > 0
+            full = TripletCover.from_triplets(tris).is_connected()
+            assert heuristic_cover(g, scores).is_connected() == full, seed
+            connected, disconnected = connected + full, disconnected + (not full)
+        assert connected > 0 and disconnected > 0
 
 
 class TestCollinearityScore:
@@ -297,7 +273,7 @@ def _golden_stages(seed):
     cover = heuristic_cover(g)
     out = [cover.to_json()]
     try:
-        cover = enrich_connectivity(cover, g.triangles())
+        cover = enrich_connectivity(cover)
     except Unconnectable:
         return out
     out.append(cover.to_json())
@@ -349,7 +325,7 @@ class TestGoldenCovers:
 
 def _prune_by_components(cover, marked):
     """insert_virtual_and_prune with the dual connectivity of every trial
-    checked by a fresh `_components` pass over the trial set."""
+    checked by a fresh dual graph of the trial set."""
     triplets = list(cover.triplets)
     virtual_nodes = dict(cover.virtual_nodes)
     replaced = {}
@@ -369,7 +345,7 @@ def _prune_by_components(cover, marked):
         return (set().union(*remaining) == required_cameras
                 and required_edges <= {p for t in remaining for p in triplet_pairs(t)}
                 and all(sum(s in remaining for s in subs) >= 2 for subs in replaced.values())
-                and len(_components(remaining)) == 1)
+                and TripletCover.from_triplets(remaining).is_connected())
 
     pruned = sorted(set(triplets))
     if valid(pruned):
@@ -387,7 +363,7 @@ def test_prune_matches_components_rule():
     for seed in sorted(GOLDEN_RANDOM):
         g = _random_graph(seed)
         try:
-            cover = enrich_connectivity(heuristic_cover(g), g.triangles())
+            cover = enrich_connectivity(heuristic_cover(g))
         except Unconnectable:
             continue
         for modulus in (2, 3, 5):
@@ -401,10 +377,10 @@ def test_prune_matches_components_rule():
 
 
 def test_complete_30_cover_enrich_prune():
-    """4060 triangles: cover, enrich and prune with one marked triplet keep
+    """4060 triangles: cover, connectivity check and prune with one marked triplet keep
     the criterion-8 invariants, checked against the brute-force oracles."""
     g = ViewingGraph.complete(30)
-    cover = enrich_connectivity(heuristic_cover(g), g.triangles())
+    cover = enrich_connectivity(heuristic_cover(g))
     assert covered_edges(cover) == set(g.edges)
     marked = cover.triplets[len(cover.triplets) // 2]
     out = insert_virtual_and_prune(cover, {marked: 30})

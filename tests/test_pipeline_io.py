@@ -25,7 +25,7 @@ from colsfm.graphs import triplet_pairs
 from colsfm.nview import NViewBifocal, certify_general
 from colsfm.pipeline import PipelineConfig, _virtual_cover, run_pipeline
 from colsfm.synthetic import MeasurementNoise, TrackSet, generate, measure
-from conftest import banded, center_spread, covered_edges
+from conftest import banded, center_spread, covered_edges, triplet_matrix
 
 
 # sha256 of the measurements files colsfm.io writes: for a noisy mixed scene,
@@ -196,6 +196,25 @@ class TestPipelineR4:
         with pytest.raises(ValidationError):
             run_pipeline(m, tracks, "r4", "calibrated", scene)
 
+    def test_calibrated_runs_no_certificate(self, monkeypatch):
+        # recovery gates on the eigenvalue pattern alone; the certificate's
+        # eigenspace alignment is never computed
+        import colsfm.nview
+
+        def alignment(*args):
+            raise AssertionError("the certificate's eigenspace alignment ran")
+
+        monkeypatch.setattr(colsfm.nview, "_vhat_alignment", alignment)
+        scene = generate("collinear", 8, 16, seed=95)
+        m, tracks = measure(scene, MeasurementNoise(rotation_deg=0.5), seed=0)
+        out = run_pipeline(m, tracks, "r4", "calibrated", scene)
+        assert out.report.n_reconstructed == 8 and out.report.failure_stage is None
+
+    def test_scene_of_other_camera_count_rejected(self):
+        m, tracks = measure(generate("collinear", 6, 16, seed=92), seed=0)
+        with pytest.raises(ValidationError, match="scene holds 8 cameras, the measurements 6"):
+            run_pipeline(m, tracks, "r4", "calibrated", generate("collinear", 8, 16, seed=92))
+
 
 class TestPipelineVC:
     def test_fully_collinear_calibrated(self):
@@ -228,7 +247,7 @@ class TestPipelineVC:
         from colsfm.graphs import ViewingGraph, enrich_connectivity, heuristic_cover
 
         g = ViewingGraph.from_edges(m.n, [(i, j, 1.0) for (i, j) in m.edges()])
-        cover = enrich_connectivity(heuristic_cover(g), g.triangles())
+        cover = enrich_connectivity(heuristic_cover(g))
         collinear_triplets = [
             t for t in cover.triplets
             if center_spread(scene, t) < 0.01
@@ -236,7 +255,7 @@ class TestPipelineVC:
         assert collinear_triplets, "cover should contain collinear triplets"
         res = average(m, cover, "general")
         bad = collinear_triplets[0]
-        cert = certify_general(res.triplet_matrix(bad), kind="essential", tol=1e-6)
+        cert = certify_general(triplet_matrix(res, bad), kind="essential", tol=1e-6)
         assert not cert.passed
 
 
@@ -481,7 +500,7 @@ def _first_failure(avg, cover, tracks, n, algorithm):
                  for e in triplet_pairs(t))
         try:
             if algorithm == "r4":
-                oracle.recover_collinear(avg.triplet_matrix(t), poses, tracks.tracks(t),
+                oracle.recover_collinear(triplet_matrix(avg, t), poses, tracks.tracks(t),
                                          triplet_id=t, cert_tol=gate, cycle_tol=gate)
             else:
                 oracle.recover_general(poses, triplet_id=t, cycle_tol=gate)

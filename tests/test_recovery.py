@@ -32,10 +32,11 @@ from colsfm.graphs import _LOCAL_PAIRS, TripletCover, pair_rows, sequential_cove
 from colsfm.metrics import align_similarity, mean_reprojection_error
 from colsfm.recovery import (
     TripletCameras,
-    _alpha_least_squares,
+    TripletGeometry,
     _align_edge,
     _triangulate_tracks3,
     closure_scales,
+    collinear_placement,
     eigen_rotation_averaging,
     recover_calibrated_collinear_triplet,
     recover_calibrated_general_triplet,
@@ -46,10 +47,11 @@ from colsfm.recovery import (
     register_global,
     resolve_essential_triplet,
 )
+from colsfm.nview import block_index, block_matrix
 from colsfm.synthetic import MeasurementNoise, generate, measure
 from conftest import (
-    averaged_nview, banded, exact_triplet, geodesic_angle, projective_system, seen_everywhere, seen_in,
-    triplet_geometry, unit_bifocal,
+    averaged_nview, banded, collinear_triplet, exact_triplet, geodesic_angle, projective_system,
+    seen_everywhere, seen_in, triplet_geometry, unit_bifocal,
 )
 
 
@@ -129,7 +131,7 @@ class TestCalibratedCollinearRecovery:
         scene = generate("collinear", 3, 10, seed=52)
         E = exact_triplet(scene, (0, 1, 2))
         tr2, tr3 = _local_tracks(scene, (0, 1, 2))
-        rec = recover_calibrated_collinear_triplet(E, triplet_geometry(E, tr2), 0, tr3)
+        rec = collinear_triplet(E, tr2, tr3)
         est = np.vstack([_center(P) for P in rec.cameras])
         a = align_similarity(est, scene.centers())
         assert np.max(a.residuals) < 1e-8
@@ -149,7 +151,7 @@ class TestCalibratedCollinearRecovery:
             En[3 * i:3 * i + 3, 3 * j:3 * j + 3] = B
             En[3 * j:3 * j + 3, 3 * i:3 * i + 3] = B.T
         tr2, tr3 = _local_tracks(scene, (0, 1, 2))
-        rec = recover_calibrated_collinear_triplet(En, triplet_geometry(En, tr2), 0, tr3)
+        rec = collinear_triplet(En, tr2, tr3)
         est = np.vstack([_center(P) for P in rec.cameras])
         assert np.max(align_similarity(est, scene.centers()).residuals) < 1e-8
 
@@ -179,7 +181,7 @@ class TestCalibratedCollinearRecovery:
             tr3.append(np.vstack(pts))
             for a, b in tr2:
                 tr2[(a, b)].append(np.vstack([pts[a], pts[b]]))
-        rec = recover_calibrated_collinear_triplet(E, triplet_geometry(E, tr2), 0, tr3)
+        rec = collinear_triplet(E, tr2, tr3)
         assert rec.alpha_or_a == pytest.approx(2.0, abs=1e-8)
 
     def test_no_three_view_tracks_rejected(self):
@@ -187,7 +189,7 @@ class TestCalibratedCollinearRecovery:
         E = exact_triplet(scene, (0, 1, 2))
         tr2, _ = _local_tracks(scene, (0, 1, 2))
         with pytest.raises(InsufficientTracks):
-            recover_calibrated_collinear_triplet(E, triplet_geometry(E, tr2), 0, [])
+            collinear_triplet(E, tr2, [])
 
     def test_inconsistent_input_rejected(self, rng):
         S = rng.normal(size=(9, 9))
@@ -195,7 +197,7 @@ class TestCalibratedCollinearRecovery:
         for i in range(3):
             S[3 * i:3 * i + 3, 3 * i:3 * i + 3] = 0
         with pytest.raises(InconsistentInput):
-            recover_calibrated_collinear_triplet(S, triplet_geometry(S), 0, [])
+            collinear_triplet(S, None, [])
 
 
 class TestCalibratedGeneralRecovery:
@@ -318,9 +320,7 @@ class TestRegisterGlobal:
             E = exact_triplet(scene, ids)
             tr3 = ts.tracks(ids)
             tr2 = {(a, b): ts.tracks((ids[a], ids[b])) for (a, b) in ((0, 1), (0, 2), (1, 2))}
-            rec = recover_calibrated_collinear_triplet(
-                E, triplet_geometry(E, tr2), 0, tr3, triplet_id=tuple(ids)
-            )
+            rec = collinear_triplet(E, tr2, tr3, triplet_id=tuple(ids))
             out.append(rec)
         return out
 
@@ -472,9 +472,20 @@ def _outcome(fn, *args):
         return type(exc)
 
 
+def _placement_alpha(R0, R1, R2, t, tracks):
+    """alpha of the stacked collinear placement of one row with averaged
+    R_i^T (R0, R1, R2) and (0,1) direction t, or the class of its error."""
+    geom = TripletGeometry(None, np.array([[t, t, t]]), np.ones((1, 3), dtype=bool), np.zeros(1),
+                           np.array([[R0, R1, R2]]), (None,))
+    placement = collinear_placement(np.zeros((1, 9, 9)), geom, [tracks])
+    error = placement.errors[0]
+    return placement.alpha[0] if error is None else type(error)
+
+
 class TestStackedTrackSolves:
     """The stacked alpha and a-row solves against the per-track loops, on
-    random tracks that include DLT-ambiguous and at-infinity points."""
+    random tracks that include DLT-ambiguous and at-infinity points; the
+    one-triplet alpha solve of calibrated_oracle is checked too."""
 
     @staticmethod
     def _cases(rng):
@@ -482,7 +493,8 @@ class TestStackedTrackSolves:
 
         for _ in range(120):
             R0, R1, R2 = (random_rotation(rng) for _ in range(3))
-            axis = unit(rng.normal(size=3))
+            t = unit(rng.normal(size=3))
+            axis = R0.T @ t  # as recovery computes it from the averaged R_0^T
             P0 = np.hstack([R0, np.zeros((3, 1))])
             P1 = np.hstack([R1, (R1 @ axis).reshape(3, 1)])
             P2 = np.hstack([R2, (rng.uniform(-3, 3) * R2 @ axis).reshape(3, 1)])
@@ -502,17 +514,18 @@ class TestStackedTrackSolves:
                     pts[:, :2] += rng.normal(scale=1e-3, size=(3, 2))
                 tracks.append(pts)
             if tracks:
-                yield P0, P1, R2, axis, np.array(tracks)
+                yield P0, P1, R2, axis, np.array(tracks), (R0, R1, R2, t)
 
     def test_alpha_and_rows_equal_per_track_loops(self, rng):
         ambiguous = at_infinity = ambiguous_canonical = 0
-        for P0, P1, R2, axis, tracks in self._cases(rng):
+        for P0, P1, R2, axis, tracks, row in self._cases(rng):
             X, amb = _triangulate_tracks3(P0, P1, tracks)
             ambiguous += int(np.sum(amb))
             at_infinity += int(np.sum(~amb & (np.abs(X[:, 3]) < 1e-12)))
             old = _outcome(_alpha_loop, P0, P1, R2, axis, tracks)
-            new = _outcome(_alpha_least_squares, P0, P1, R2, axis, tracks)
-            assert old is new if isinstance(old, type) else np.array_equal(old, new)
+            for new in (_outcome(oracle.alpha_least_squares, P0, P1, R2, axis, tracks),
+                        _placement_alpha(*row, tracks)):
+                assert old is new if isinstance(old, type) else np.array_equal(old, new)
             # the a-rows of the stacked pass, its canonical cameras built from
             # the tensors of P0, P1 and a random third camera
             Q, F02 = rng.normal(size=(3, 3)), rng.normal(size=(3, 3))
@@ -870,6 +883,18 @@ def _tie_points(block, rng):
     return np.array(pts)
 
 
+def _unusable_tracks(geom, k, tracks):
+    """Row k's 3-view tracks, every fifth row's replaced: by none, by points
+    at infinity in the averaged frame (no usable track), or by tracks whose
+    third view sees the camera line's vanishing point (degenerate)."""
+    Rh = geom.averaged[k]
+    axis = Rh[0].T @ geom.t_dirs[k, 0]
+    at_infinity = np.array([[Rh[0] @ d, Rh[1] @ d, Rh[2] @ d] for d in tracks[:, 0]])
+    vanishing = np.broadcast_to(Rh[2] @ axis, tracks[:, 2:].shape)
+    on_line = np.concatenate([tracks[:, :2], vanishing], axis=1)
+    return {1: tracks[:0], 2: at_infinity, 3: on_line}.get(k % 5, tracks)
+
+
 class TestStackedPairPoses:
     @pytest.mark.parametrize("layout,noise", SCENE_KINDS)
     def test_scene_pair_stack_equals_per_pair_oracle(self, layout, noise):
@@ -951,11 +976,14 @@ class TestStackedTriplets:
     def test_recovery_rows_equal_per_triplet_oracle(self, layout, noise):
         # the same cameras, or the same error class and message, row by row:
         # pair ties, cycles above the gate, pairs (0,1) without tracks, no
-        # signed pair, no closing branch and failing certificates included
+        # signed pair, no closing branch, failing eigenvalue gates, and rows
+        # with no 3-view track, none usable or all degenerate included
         m, ts, triplets, pairs, rows, blocks, points = _scene_stack(layout, noise, seed=34)
         points[len(pairs) // 2] = _tie_points(blocks[len(pairs) // 2], np.random.default_rng(1))
         geom = resolve_essential_triplet(pair_poses(blocks, points), rows)
         closure = closure_scales(geom)
+        tracks3 = [_unusable_tracks(geom, k, ts.tracks(ids)) for k, ids in enumerate(triplets)]
+        placement = collinear_placement(block_matrix(blocks, block_index(rows)), geom, tracks3)
         seen = set()
         for gate in (1e-3, 0.5):
             for k, (ids, row) in enumerate(zip(triplets, rows)):
@@ -968,11 +996,19 @@ class TestStackedTriplets:
                                         cycle_tol=gate)
                 assert _same_outcome(got, want)
                 seen.add(("general", want[0] if isinstance(want, tuple) else "ok"))
-                E9, tr3 = m.submatrix(ids), ts.tracks(ids)
-                got = _result_or_error(recover_calibrated_collinear_triplet, E9, geom, k, tr3,
+                got = _result_or_error(recover_calibrated_collinear_triplet, placement, geom, k,
                                        triplet_id=ids, tol=gate)
-                want = _result_or_error(oracle.recover_collinear, E9, lazy(), tr3,
-                                        triplet_id=ids, cert_tol=gate, cycle_tol=gate)
+                want = _result_or_error(oracle.recover_collinear, m.submatrix(ids), lazy(),
+                                        tracks3[k], triplet_id=ids, cert_tol=gate, cycle_tol=gate)
                 assert _same_outcome(got, want)
-                seen.add(("collinear", want[0] if isinstance(want, tuple) else "ok"))
+                seen.add(("collinear", want[1] if isinstance(want, tuple) else "ok"))
         assert ("general", AmbiguousCheirality) in seen and len(seen) >= 4
+        # measured noisy blocks fail the gate, so only the noise-free
+        # collinear rows reach the track errors
+        expected = ["triplet matrix fails the collinear eigenvalue pattern"]
+        if (layout, noise) == ("collinear", 0.0):
+            expected = ["ok", "depth votes tie", "pair (0,1) needs", "alpha is undetermined",
+                        "no usable 3-view track", "3-view tracks are degenerate"]
+        for prefix in expected:
+            assert any(kind == "collinear" and str(outcome).startswith(prefix)
+                       for kind, outcome in seen), prefix

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import colsfm.virtual
 from colsfm.errors import NoValidPoint, RankDeficient
 from colsfm.geometry import (
     CameraModel,
@@ -35,8 +36,8 @@ def _triplet_tensors(scene, ids=(0, 1, 2)):
                      for (a, b) in PAIRS])
 
 
-def _select(tracks, tensors, margin=1e-2):
-    return select_virtual_point(tracks, tensors, epipoles(tensors), margin)
+def _select(tracks, tensors):
+    return select_virtual_point(tracks, tensors, epipoles(tensors))
 
 
 def _essential_bifocals(tensors, track, tracks):
@@ -150,7 +151,7 @@ def _oracle_select(tracks3, tensors, margin=1e-2):
     return None if best is None else best[1]
 
 
-def test_select_virtual_point_matches_loop_oracle():
+def test_select_virtual_point_matches_loop_oracle(monkeypatch):
     outcomes = set()
     for seed in range(24):
         scene = generate(("collinear", "general", "mixed")[seed % 3], 5, 25, seed=seed)
@@ -159,12 +160,13 @@ def test_select_virtual_point_matches_loop_oracle():
         noisy = scene.track_set(pixel_noise=1e-3).tracks((0, 2, 4))
         for cands in (exact, noisy):
             for margin in (1e-2, 0.3, 3.0):
+                monkeypatch.setattr(colsfm.virtual, "_EPIPOLE_MARGIN", margin)
                 want = _oracle_select(cands, tensors, margin)
                 if want is None:
                     with pytest.raises(NoValidPoint):
-                        _select(cands, tensors, margin)
+                        _select(cands, tensors)
                 else:
-                    assert np.array_equal(_select(cands, tensors, margin), cands[want])
+                    assert np.array_equal(_select(cands, tensors), cands[want])
                 outcomes.add(want is None)
     assert outcomes == {True, False}  # both a pick and a rejection are checked
 
