@@ -22,13 +22,17 @@ stacked eigendecomposition (signature-deficient rows select per row); the
 general-essential kernel is a retraction (`project_general_essential`) with
 one stacked 3x3 SVD for its start and one per camera in each sweep.  Its
 output has exactly zero diagonal blocks, like the consensus, so the two sets
-can meet on covers whose dual graph has cycles.  The driver holds its
-triplet state as (m, 9, 9) stacks and the consensus as (E, 3, 3) camera-pair
-blocks, linked by one `nview.block_index` layout built once per run, so each
-ADMM iteration gathers the consensus into the triplet stack with one
-indexing operation and makes one kernel call for all triplets.  The result
-hands on that (E, 3, 3) stack, with its pairs and rows, as the one copy of
-the averaged tensors.
+can meet on covers whose dual graph has cycles.  The driver runs it cold at
+its first iteration only; later ones warm-start `_WARM_SWEEPS` sweeps from the
+previous rotations, an (m, 3, 3, 3) stack in `average`'s locals, with no
+eigendecomposition, and hand on the flags of that first spectral start: in
+this regime `signature_flags` counts triplets whose start was deficient.
+The driver holds its triplet state as (m, 9, 9) stacks and the consensus as
+(E, 3, 3) camera-pair blocks, linked by one `nview.block_index` layout built
+once per run, so each ADMM iteration gathers the consensus into the triplet
+stack with one indexing operation and makes one kernel call for all
+triplets.  The result hands on that (E, 3, 3) stack, with its pairs and
+rows, as the one copy of the averaged tensors.
 """
 
 from __future__ import annotations
@@ -120,24 +124,24 @@ def _symmetrized(out: np.ndarray) -> np.ndarray:
     return (out + out.swapaxes(-1, -2)) / 2.0
 
 
-def _collinear_essential(S: np.ndarray):
+def _collinear_essential(S: np.ndarray, warm=None):
     X, pv, Y, nv, flags = _truncate(S, 2)
     out = np.zeros_like(S)
     for k in range(2):
         lam = (pv[:, k] - nv[:, k]) / 2.0
         out += lam[:, None, None] * (_outer(X[..., k]) - _outer(Y[..., k]))
-    return _symmetrized(out), flags
+    return _symmetrized(out), flags, None
 
 
 def _signature_kernel(need: int):
     """Kernel keeping the `need` extreme eigenvalues of each sign, zeroing the rest."""
 
-    def kernel(S: np.ndarray):
+    def kernel(S: np.ndarray, warm=None):
         X, pv, Y, nv, flags = _truncate(S, need)
         vecs = np.concatenate([X, Y], axis=-1)
         vals = np.concatenate([pv, nv], axis=-1)
         out = sum(vals[:, k, None, None] * _outer(vecs[..., k]) for k in range(2 * need))
-        return _symmetrized(out), flags
+        return _symmetrized(out), flags, None
 
     return kernel
 
@@ -155,8 +159,10 @@ _SIGN_GRAM = np.einsum(
 ).reshape(36, 72)
 
 
-# Gauss-Seidel sweeps of the general-essential retraction after its spectral start
+# Gauss-Seidel sweeps of the general-essential retraction after its spectral
+# start, and after a warm start from the previous ADMM iteration's rotations
 _SWEEPS = 3
+_WARM_SWEEPS = 2
 
 
 def _centres(Q: np.ndarray, W: np.ndarray) -> np.ndarray:
@@ -171,7 +177,9 @@ def _centres(Q: np.ndarray, W: np.ndarray) -> np.ndarray:
     return c - sum(c[:, u] for u in range(k))[:, None] / k
 
 
-def _general_essential(S: np.ndarray):
+def _spectral_rotations(S: np.ndarray):
+    """(m, k, 3, 3) start rotations of the retraction and the signature flags,
+    from the rank-6 paired eigenvectors of each matrix of an (m, 3k, 3k) stack."""
     m, d = S.shape[:2]
     k = d // 3
     X, _, Y, _, flags = _truncate(S, 3)
@@ -186,9 +194,18 @@ def _general_essential(S: np.ndarray):
     flip = np.where(np.sum(dets, axis=1) < 0, -1.0, 1.0)
     X[..., 0] *= flip[:, None]
     Ys[..., 0] *= flip[:, None]
-    Q = nearest_rotation(np.sqrt(k) * (np.sqrt(0.5) * (X + Ys)).reshape(m, k, 3, 3))
+    return nearest_rotation(np.sqrt(k) * (np.sqrt(0.5) * (X + Ys)).reshape(m, k, 3, 3)), flags
+
+
+def _general_essential(S: np.ndarray, warm=None):
+    """Cold (warm None): spectral start, then `_SWEEPS` sweeps.  Warm (the
+    (rotations, flags) a previous call returned): `_WARM_SWEEPS` sweeps from
+    those rotations, handing on the flags of their spectral start."""
+    m, d = S.shape[:2]
+    k = d // 3
+    Q, flags = _spectral_rotations(S) if warm is None else (warm[0].copy(), warm[1])
     W = np.ascontiguousarray(_symmetrized(S).reshape(m, k, 3, k, 3).swapaxes(2, 3))
-    for _ in range(_SWEEPS):
+    for _ in range(_SWEEPS if warm is None else _WARM_SWEEPS):
         c = _centres(Q, W)
         for u in range(k):
             # argmin over Q_u of sum_v |W_uv - Q_u [c_u - c_v]x Q_v^T|^2
@@ -197,11 +214,11 @@ def _general_essential(S: np.ndarray):
     c = _centres(Q, W)
     Z = Q[:, :, None] @ _skews((c[:, :, None] - c[:, None]).reshape(-1, 3)).reshape(m, k, k, 3, 3)
     Z = (Z @ Q.swapaxes(-1, -2)[:, None]).swapaxes(2, 3).reshape(m, d, d)
-    return _symmetrized(Z), flags
+    return _symmetrized(Z), flags, (Q, flags)
 
 
 def _project_one(kernel, S) -> ProjectionResult:
-    M, flags = kernel(np.asarray(S, dtype=float)[None])
+    M, flags, _ = kernel(np.asarray(S, dtype=float)[None])
     return ProjectionResult(M[0], bool(flags[0]))
 
 
@@ -234,11 +251,17 @@ def project_general_essential(S: np.ndarray) -> ProjectionResult:
     and updates each Q_u in turn by Procrustes against its block row.  The
     output is assembled from the final rotations and centres, so consistent
     input is a fixed point and the map is idempotent.
+
+    This is the cold map, which `average` runs at its first iteration only;
+    later iterations run `_WARM_SWEEPS` sweeps from the previous rotations and
+    report the flags of the spectral start they descend from.
     """
     return _project_one(_general_essential, S)
 
 
-# the batched kernel of each (regime, kind): stack -> (stack, flags)
+# the batched kernel of each (regime, kind): (stack, warm) -> (stack, flags,
+# warm), warm None for a cold call or the one the previous call returned (None
+# except from the general-essential retraction, which hands on its rotations)
 _PROJECTIONS = {
     ("collinear", "essential"): _collinear_essential,
     ("collinear", "fundamental"): _collinear_fundamental,
@@ -355,6 +378,7 @@ def average(
     mean = [np.mean(u) for u in np.split(scales.ravel()[by_edge], np.cumsum(counts)[:-1])]
     consensus = np.array(mean)[:, None, None] * normed
     U = np.zeros((m, 9, 9))
+    warm = None  # the kernel's warm start, carried from one iteration to the next
     log = []
     converged = False
     total = 81.0 * m
@@ -381,7 +405,7 @@ def average(
 
         C_prev = block_matrix(consensus, gather)
         W = C_prev if polish else (2.0 * Ehat + cfg.rho * (C_prev - U)) / (2.0 + cfg.rho)
-        Z, deficient = projection(W)
+        Z, deficient, warm = projection(W, warm)
         flags = int(np.count_nonzero(deficient))
 
         # consensus: each pair block averages its users' symmetrized blocks,

@@ -1,3 +1,4 @@
+import os
 from itertools import combinations
 
 import numpy as np
@@ -13,6 +14,26 @@ from colsfm.recovery import (
     resolve_essential_triplet,
 )
 from colsfm.synthetic import generate
+
+# the BLAS/OpenMP thread variables CI pins (as bench/run.py pins them)
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
+
+
+def pytest_report_header(config):
+    """numpy, its BLAS and the pinned thread variables: the golden digests
+    depend on all of them, so a digest mismatch on another machine can be told
+    from a regression by comparing this header with CI's."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    threads = " ".join(f"{var}={os.environ.get(var, 'unset')}" for var in THREAD_VARS)
+    return [f"numpy {np.__version__}, BLAS {blas.get('name', '?')} {blas.get('version', '?')}",
+            f"threads: {threads}"]
+
+
+def pytest_terminal_summary(terminalreporter, exitstatus, config):
+    # -q (as CI runs) hides the session header; a failing run still shows it
+    if terminalreporter.stats.get("failed") and config.get_verbosity() < 0:
+        for line in pytest_report_header(config):
+            terminalreporter.write_line(line)
 
 
 @pytest.fixture

@@ -327,8 +327,40 @@ def test_criterion_10_vc_under_noise():
                 converged += 1
             err = out.report.mean_position_error
             worst = max(worst, np.inf if err is None else err)
-        ok = ok and converged >= 28 and worst < 0.05
-        lines.append(f"{layout} {converged}/30 converged (>= 28), worst position error "
+        ok = ok and converged >= 29 and worst < 0.05
+        lines.append(f"{layout} {converged}/30 converged (>= 29), worst position error "
                      f"{worst:.4f} (< 0.05)")
     _announce(10, ok, "noisy calibrated VC, n=10, 0.5 deg rotation and direction noise: "
                       + "; ".join(lines))
+
+
+def test_criterion_10_mixed_seed_18_converges():
+    # criterion 10's scene whose cover holds a triplet against a virtual
+    # camera: its ADMM converges only with the warm-started retraction
+    scene = generate("mixed", 10, 12, seed=18)
+    noisy, tracks = measure(scene, MeasurementNoise(rotation_deg=0.5, translation_dir_deg=0.5), seed=18)
+    out = run_pipeline(noisy, tracks, "vc", "calibrated", scene)
+    assert out.cover.virtual_nodes
+    assert out.converged and out.averaging_log[-1]["primal_residual"] < 1e-9
+
+
+def test_criterion_11_uncalibrated_vc_under_noise():
+    noise = MeasurementNoise(rotation_deg=0.5, translation_dir_deg=0.5)
+    lines = []
+    ok = True
+    for layout in ("general", "mixed"):
+        converged = 0
+        worst = 0.0
+        for seed in range(30):
+            scene = generate(layout, 10, 12, seed=seed, intrinsics_mode="varied")
+            noisy, tracks = measure(scene, noise, seed=seed)
+            out = run_pipeline(noisy, tracks, "vc", "uncalibrated", scene)
+            if out.converged and out.averaging_log[-1]["primal_residual"] < 1e-9:
+                converged += 1
+            err = out.report.mean_reprojection_error
+            worst = max(worst, np.inf if err is None else err)
+        ok = ok and converged >= 28 and worst < 0.03
+        lines.append(f"{layout} {converged}/30 converged (>= 28), worst reprojection error "
+                     f"{worst:.4f} (< 0.03)")
+    _announce(11, ok, "noisy uncalibrated VC, n=10, varied intrinsics, 0.5 deg rotation and "
+                      "direction noise: " + "; ".join(lines))

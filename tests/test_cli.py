@@ -236,14 +236,16 @@ def _measured(tmp_path, layout, n, seed, noise_rot="0.0", band=False):
 # cases re-recorded on banded measurements with the collinearity-ranked
 # cover, which needs no virtual camera on a complete mixed graph); they
 # depend on the BLAS thread count (one thread here and in CI).  The
-# --no-virtual run is the plain rank-6 failure: averaging does not converge.
+# --no-virtual run averages collinear triplets under the rank-6 retraction
+# and converges to a consensus that recovery rejects
+# (`test_no_virtual_pipeline_rejected`).
 GOLDEN_AVERAGE = [
     (("r4", "collinear", 8, 11, "0.2", ()), 0,
      "844be34869134719ebfe36beec20dd6036028cd7b54400071ba153633ce8bdec"),
     (("vc", "mixed", 9, 6, "0.0", ()), 0,
      "fdcb1ac611946fe9ab65949cdaeb8f7d4d1082c93afeed409fc843e36eba2e16"),
-    (("vc", "mixed", 9, 6, "0.0", ("--no-virtual",)), 3,
-     "ee5d832b24aea82128aa846d09be5899e44e382de32bdb2a3a5364ece780ca66"),
+    (("vc", "mixed", 9, 6, "0.0", ("--no-virtual",)), 0,
+     "975d695ae8266727792f7088f211872c5cb0cc2c7cf4dca1f17a9046a749d3ee"),
 ]
 
 
@@ -260,6 +262,12 @@ class TestAverageCommand:
         assert hashlib.sha256(data).hexdigest() == digest
         virtual = json.loads((outdir / "cover.json").read_text())["virtual_nodes"]
         assert bool(virtual) == (algorithm == "vc" and not flags)
+
+    def test_no_virtual_pipeline_rejected(self, tmp_path):
+        # the converged --no-virtual consensus ends in a typed error, not an answer
+        meas = _measured(tmp_path, "mixed", 9, 6, "0.0", band=True)
+        assert run_cli(["pipeline", "--measurements", str(meas), "--algorithm", "vc",
+                        "--no-virtual", "--out", str(tmp_path / "out")]) == 2
 
     def test_stops_before_recovery(self, tmp_path, monkeypatch):
         # a recovery failure after converged averaging belongs to the later
