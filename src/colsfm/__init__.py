@@ -19,12 +19,12 @@ from .geometry import (
 )
 from .graphs import (
     TripletCover,
-    ViewingGraph,
     collinearity_score,
     enrich_connectivity,
     heuristic_cover,
     insert_virtual_and_prune,
     sequential_cover,
+    triangles,
 )
 from .metrics import EvalReport, align_similarity, mean_reprojection_error
 from .nview import (
@@ -45,6 +45,6 @@ from .recovery import (
     register_global,
 )
 from .synthetic import MeasurementNoise, Scene, TrackSet, generate, measure
-from .virtual import four_view_matrix, select_virtual_point, virtual_bifocals
+from .virtual import select_virtual_point, virtual_bifocals
 
 __version__ = "0.1.0"

@@ -1,8 +1,11 @@
-"""Viewing graph, triplet covers and collinearity scoring.
+"""Triangles of the viewing graph, triplet covers and collinearity scoring.
 
-The dual graph has one node per selected 3-clique and an edge wherever two
-cliques share two cameras; a connected dual graph is the rigidity-like
-condition that makes triplet-wise consistency determine all cameras.
+The viewing graph enters only as its list of triangles (`triangles`, built
+once per run from sorted adjacency sets), which the greedy cover takes ranked
+by one score per triangle.  The dual graph has one node per selected 3-clique
+and an edge wherever two cliques share two cameras; a connected dual graph is
+the rigidity-like condition that makes triplet-wise consistency determine
+all cameras.
 
 Every dual-graph question is answered from one index, built in O(T) from T
 triplets: each sorted camera pair -> the triplets holding it.  Two triplets
@@ -25,7 +28,6 @@ import json
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
@@ -39,42 +41,15 @@ _VIEW_EPIPOLES = np.array([(v, p, int(v == j)) for v in range(3)
                            for p, (i, j) in enumerate(_LOCAL_PAIRS) if v in (i, j)])
 
 
-@dataclass
-class ViewingGraph:
-    """Cameras as vertices, measured pairs as weighted edges (i < j)."""
-
-    n: int
-    edges: dict  # (i, j) -> weight
-
-    @staticmethod
-    def from_edges(n: int, edges) -> "ViewingGraph":
-        out = {}
-        for e in edges:
-            if len(e) == 3:
-                i, j, w = e
-            else:
-                (i, j), w = e, 1.0
-            i, j = int(i), int(j)
-            if i == j:
-                raise ValueError("self loops not allowed")
-            a, b = (i, j) if i < j else (j, i)
-            out[(a, b)] = float(w)
-        return ViewingGraph(n, out)
-
-    @staticmethod
-    def complete(n: int) -> "ViewingGraph":
-        return ViewingGraph(n, {(i, j): 1.0 for i in range(n) for j in range(i + 1, n)})
-
-    def has_edge(self, i: int, j: int) -> bool:
-        a, b = (i, j) if i < j else (j, i)
-        return (a, b) in self.edges
-
-    def triangles(self) -> list:
-        out = []
-        for a, b, c in combinations(range(self.n), 3):
-            if self.has_edge(a, b) and self.has_edge(a, c) and self.has_edge(b, c):
-                out.append((a, b, c))
-        return out
+def triangles(n: int, edges) -> list:
+    """The 3-cliques (a, b, c), a < b < c, of the viewing graph on n cameras
+    with the given (i, j) edges, i != j, in sorted order: (a, b, c) for each
+    higher neighbour b of a and each c that is a higher neighbour of both."""
+    higher = [set() for _ in range(n)]
+    for i, j in edges:
+        higher[min(i, j)].add(max(i, j))
+    return [(a, b, c) for a in range(n) for b in sorted(higher[a])
+            for c in sorted(higher[a] & higher[b])]
 
 
 def triplet_pairs(t) -> tuple:
@@ -186,17 +161,13 @@ def sequential_cover(n: int) -> TripletCover:
     return TripletCover.from_triplets([(i, i + 1, i + 2) for i in range(n - 2)])
 
 
-def heuristic_cover(g: ViewingGraph, scores=None) -> TripletCover:
-    """Greedy cover: 3-cliques sorted by score (descending, ties in sorted
-    order), added when they cover a new edge or join dual components.  A
-    clique's score is its minimum edge weight unless scores gives one per
-    clique of `g.triangles()`.  May return a disconnected cover, exactly when
-    the triangles' dual graph is; see enrich_connectivity."""
-    tris = g.triangles()
+def heuristic_cover(tris, scores) -> TripletCover:
+    """Greedy cover: the sorted 3-cliques tris (`triangles`) ranked by their
+    scores (descending, ties in sorted order), each added when it covers a
+    new edge or joins dual components.  May return a disconnected cover,
+    exactly when the triangles' dual graph is; see enrich_connectivity."""
     if not tris:
         raise NoTriangles("viewing graph has no 3-clique")
-    if scores is None:
-        scores = [min(g.edges[p] for p in triplet_pairs(t)) for t in tris]
     ranked = [t for _, t in sorted(zip((-float(s) for s in scores), tris))]
     # one pass: a pair -> chosen-triplets index answers "covers a new edge"
     # (an empty bucket) and, through a union-find over the chosen triplets'
@@ -259,11 +230,9 @@ def insert_virtual_and_prune(cover: TripletCover, virtual_nodes: dict) -> Triple
     """
     replaced = {t: [tuple(sorted((*p, virtual_nodes[t]))) for p in triplet_pairs(t)]
                 for t in cover.triplets if t in virtual_nodes}
-    triplets = [t for t in cover.triplets if t not in replaced]
-    triplets += [s for subs in replaced.values() for s in subs]
-    required_edges = {p for t in triplets if not any(t in subs for subs in replaced.values())
-                      for p in triplet_pairs(t)}
-    pruned = sorted(set(triplets))
+    kept = [t for t in cover.triplets if t not in replaced]
+    required_edges = {p for t in kept for p in triplet_pairs(t)}
+    pruned = sorted(set(kept + [s for subs in replaced.values() for s in subs]))
     # the dual graph of any subset is the subgraph its triplets induce here
     adj = dual_adjacency(pruned)
     # the full set covers every camera, required edge and sub-triplet, so

@@ -57,8 +57,10 @@ def load_scene(path) -> Scene:
             for c in doc["cameras"]
         ]
         points = np.array(doc["points"], dtype=float).reshape(-1, 3)
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed scene file: {exc}") from exc
+    if len(cams) < 2:
+        raise ValidationError(f"a scene needs at least 2 cameras, got {len(cams)}")
     return Scene(cams, points, doc.get("layout", "unknown"), _index(doc.get("seed", 0), "seed"))
 
 
@@ -120,7 +122,7 @@ def load_measurements(path):
             points[p, views] = x.reshape(len(views), 3)
             visible[p, views] = True
         return nview, TrackSet(points, visible)
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed measurements file: {exc}") from exc
 
 

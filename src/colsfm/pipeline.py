@@ -4,10 +4,11 @@ Every run takes one route: cover -> average -> recover -> register ->
 evaluate.  The algorithm picks only the cover stage (`cover_and_average`)
 and the per-triplet recovery.  "r4" (fully collinear cameras) averages the
 sequential cover at rank 4 and recovers collinear triplets.  "vc" (mixed
-collinearity) builds the heuristic cover from the triangles ranked
-best-conditioned first, replaces the collinear triplets left in it by
-sub-triplets against virtual cameras, averages at rank 6, recovers
-general-position triplets and drops the virtual cameras after registration.
+collinearity) lists the viewing graph's triangles once (`triangles`),
+builds the heuristic cover from that list ranked best-conditioned first,
+replaces the collinear triplets left in it by sub-triplets against virtual
+cameras, averages at rank 6, recovers general-position triplets and drops
+the virtual cameras after registration.
 The "vc" cover stage is stacked passes over the triangles' pairs: one
 epipole table, one score pass over all triangles, one pose pass for every
 essential virtual camera (one projective pass for fundamental ones), then
@@ -33,13 +34,13 @@ from .errors import RankDeficient, RotationAmbiguity, ValidationError
 from .geometry import epipole_table, epipoles, normalized_tensor
 from .graphs import (
     TripletCover,
-    ViewingGraph,
     collinearity_score,
     enrich_connectivity,
     heuristic_cover,
     insert_virtual_and_prune,
     pair_rows,
     sequential_cover,
+    triangles,
 )
 from .metrics import EvalReport, align_similarity, mean_reprojection_error
 from .nview import NViewBifocal, block_index, block_matrix
@@ -152,25 +153,24 @@ def _evaluate(cameras, n_real, tracks, scene_gt, regime, algorithm, converged, f
 
 
 def _virtual_cover(measurements: NViewBifocal, tracks: TrackSet, cfg: PipelineConfig):
-    """The heuristic cover of the viewing graph's triangles ranked by
-    `collinearity_score`, best-conditioned first (ties in sorted order, a
-    triangle with a rank-deficient pair last), checked for connectivity, with
-    each collinear triplet left in it replaced by sub-triplets against a
-    virtual camera, numbered n + k in cover order; returns the cover and the
-    measurements extended by the virtual cameras' tensors.  One epipole table
-    of the triangles' pairs feeds one score pass, which ranks the triangles
-    and marks the collinear cover triplets, and every point selection; one
-    pose pass (essential) or one projective pass (fundamental) gives the
-    V-matrices of every virtual camera."""
+    """The heuristic cover of the viewing graph's triangles, listed once and
+    ranked by `collinearity_score`, best-conditioned first (ties in sorted
+    order, a triangle with a rank-deficient pair last), checked for
+    connectivity, with each collinear triplet left in it replaced by
+    sub-triplets against a virtual camera, numbered n + k in cover order;
+    returns the cover and the measurements extended by the virtual cameras'
+    tensors.  One epipole table of the triangles' pairs feeds one score
+    pass, which ranks the triangles and marks the collinear cover triplets,
+    and every point selection; one pose pass (essential) or one projective
+    pass (fundamental) gives the V-matrices of every virtual camera."""
     n = measurements.n
-    g = ViewingGraph.from_edges(n, measurements.edges())
-    tris = g.triangles()
+    tris = triangles(n, measurements.edges())
     F, rows = _pair_blocks(measurements, tris)
     table = epipole_table(F)
     degenerate = ~np.all(np.any(table, axis=-1), axis=-1)  # (P,) pairs without unique epipoles
     scores = collinearity_score(table, rows)
     ranks = np.where(np.any(degenerate[rows], axis=1), -np.inf, scores)
-    cover = enrich_connectivity(heuristic_cover(g, ranks))
+    cover = enrich_connectivity(heuristic_cover(tris, ranks))
     if not cfg.insert_virtual:
         return cover, measurements
     index = {t: k for k, t in enumerate(tris)}

@@ -49,7 +49,7 @@ from .geometry import (
     nearest_rotation,
 )
 from .nview import block_index, block_matrix, collinear_pattern_residual, eigen_signature
-# bench/tracing.py still hooks this name here for its nview.certify span (ROADMAP item 5)
+# bench/tracing.py still hooks this name here for its nview.certify span (ROADMAP item 4)
 from .nview import certify_collinear_essential  # noqa: F401
 
 

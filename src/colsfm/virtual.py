@@ -24,7 +24,6 @@ import numpy as np
 from .errors import NoValidPoint
 from .geometry import BifocalTensor, normalized_tensor, skew, symmetric_epipolar_distance
 from .graphs import _LOCAL_PAIRS, _VIEW_EPIPOLES
-from .nview import NViewBifocal
 from .recovery import TripletCameras, pair_poses
 
 # image distance within which a track point counts as at an epipole
@@ -89,23 +88,3 @@ def virtual_bifocals(V, track: np.ndarray, kind: str) -> list:
     the three real views and the virtual camera at the 3D point of track,
     its (3, 3) image points, from the triplet's (3, 3, 3) V-matrices."""
     return [BifocalTensor(normalized_tensor(skew(track[i]) @ V[i]), kind) for i in range(3)]
-
-
-def four_view_matrix(real_blocks: dict, virtual_blocks, kind: str | None = None) -> NViewBifocal:
-    """The 4-view matrix of a triplet augmented with its virtual camera:
-    real pairwise blocks at (0,1), (0,2), (1,2) and the virtual ones at
-    (i, 3).  Consistent input passes the general-position certificate."""
-    blocks = {}
-    inferred = kind
-    for (i, j) in _LOCAL_PAIRS:
-        t = real_blocks[(i, j)]
-        if not isinstance(t, BifocalTensor):
-            t = BifocalTensor(np.asarray(t, dtype=float), inferred or "fundamental")
-        blocks[(i, j)] = t
-        inferred = inferred or t.kind
-    for i in range(3):
-        t = virtual_blocks[i]
-        if not isinstance(t, BifocalTensor):
-            t = BifocalTensor(np.asarray(t, dtype=float), inferred)
-        blocks[(i, 3)] = t
-    return NViewBifocal.assemble(4, blocks, kind=inferred)

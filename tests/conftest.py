@@ -7,7 +7,7 @@ import pytest
 from colsfm.geometry import (
     BifocalTensor, _as_matrix, bifocal_from_pair, epipole_table, normalized_tensor,
 )
-from colsfm.graphs import triplet_pairs
+from colsfm.graphs import heuristic_cover, triangles, triplet_pairs
 from colsfm.nview import NViewBifocal, block_matrix
 from colsfm.recovery import (
     collinear_placement, pair_poses, projective_systems, recover_calibrated_collinear_triplet,
@@ -113,6 +113,23 @@ def center_spread(scene, ids) -> float:
     C = scene.centers()[list(ids)]
     s = np.linalg.svd(C - C.mean(axis=0), compute_uv=False)
     return 0.0 if s[0] == 0.0 else float(s[1] / s[0])
+
+
+def four_view(real, virt) -> NViewBifocal:
+    """The 4-view matrix of a triplet's real blocks {(i, j): tensor} and the
+    blocks (i, 3) of its virtual camera, virt[i]."""
+    return NViewBifocal.assemble(4, {**real, **{(i, 3): t for i, t in enumerate(virt)}})
+
+
+def min_weight_cover(n, edges=None):
+    """`heuristic_cover` of the viewing graph on n cameras with (i, j, weight)
+    edges, i < j (complete at weight 1 if None), each triangle scored by its
+    smallest edge weight."""
+    if edges is None:
+        edges = [(i, j, 1.0) for i, j in combinations(range(n), 2)]
+    weights = {(i, j): w for i, j, w in edges}
+    tris = triangles(n, weights)
+    return heuristic_cover(tris, [min(weights[p] for p in triplet_pairs(t)) for t in tris])
 
 
 def covered_edges(cover) -> set:

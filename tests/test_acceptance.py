@@ -19,11 +19,10 @@ from colsfm.averaging import (
 from colsfm.geometry import BifocalTensor, CameraModel, bifocal_from_pair, normalized_tensor
 from colsfm.graphs import (
     TripletCover,
-    ViewingGraph,
     enrich_connectivity,
-    heuristic_cover,
     insert_virtual_and_prune,
     sequential_cover,
+    triangles,
 )
 from colsfm.io import save_report
 from colsfm.metrics import align_similarity, mean_reprojection_error
@@ -35,10 +34,9 @@ from colsfm.nview import (
 from colsfm.pipeline import run_pipeline
 from colsfm.recovery import recover_projective_collinear_triplet, register_global
 from colsfm.synthetic import MeasurementNoise, generate, measure
-from colsfm.virtual import four_view_matrix
 from conftest import (
-    center_spread, collinear_triplet, covered_edges, exact_nview, exact_triplet, projective_system,
-    seen_in, triplet_matrix, unit_bifocal,
+    center_spread, collinear_triplet, covered_edges, exact_nview, exact_triplet, four_view,
+    min_weight_cover, projective_system, seen_in, triplet_matrix, unit_bifocal,
 )
 
 
@@ -216,7 +214,7 @@ def test_criterion_6_virtual_four_view():
         cam2 = scene.cameras[1]
         virt_cam = CameraModel(cam2.intrinsics, cam2.rotation, X)
         virt = [bifocal_from_pair(scene.cameras[i], virt_cam) for i in range(3)]
-        m = four_view_matrix(real, virt)
+        m = four_view(real, virt)
         cert = certify_general(m, tol=1e-8)
         assert cert.passed
         assert cert.rank_estimate == 6 and cert.signature == (3, 3)
@@ -235,8 +233,7 @@ def test_criterion_7_vc_end_to_end():
 
     # same scene through rank-6 averaging without virtual cameras: the
     # collinear triplets cannot satisfy the general-position certificate
-    g = ViewingGraph.from_edges(m.n, [(i, j, 1.0) for (i, j) in m.edges()])
-    cover = enrich_connectivity(heuristic_cover(g))
+    cover = enrich_connectivity(min_weight_cover(m.n, [(i, j, 1.0) for (i, j) in m.edges()]))
     collinear_triplets = [
         t for t in cover.triplets
         if center_spread(scene, t) < 0.01
@@ -265,19 +262,17 @@ def test_criterion_8_cover_machinery():
             for j in range(i + 1, n)
             if rng.uniform() < p
         ]
-        g = ViewingGraph.from_edges(n, edges)
         seq = sequential_cover(n)
         assert seq.is_connected()
         for a, b in seq.dual_edges:
             assert len(set(a) & set(b)) == 2
-        tris = g.triangles()
+        tris = triangles(n, [e[:2] for e in edges])
         if not tris:
             continue
-        cover = heuristic_cover(g)
+        cover = min_weight_cover(n, edges)
         for a, b in cover.dual_edges:
             assert len(set(a) & set(b)) == 2
-        for e in covered_edges(cover):
-            assert g.has_edge(*e)
+        assert covered_edges(cover) <= {e[:2] for e in edges}
         # the greedy cover is connected exactly when the triangles are, so
         # enrichment is a connectivity check
         full = TripletCover.from_triplets(tris)

@@ -109,3 +109,8 @@ def test_test_only_surface_stays_deleted():
     assert list(inspect.signature(graphs.enrich_connectivity).parameters) == ["cover"]
     assert "collinearity_threshold" not in pipeline.PipelineConfig.__dataclass_fields__
     assert "epipole_margin" not in inspect.signature(virtual.select_virtual_point).parameters
+    # the cover stage reads one triangle list; the weighted graph class and
+    # the 4-view assembler only tests called are gone
+    assert not hasattr(graphs, "ViewingGraph")
+    assert not hasattr(virtual, "four_view_matrix")
+    assert list(inspect.signature(graphs.heuristic_cover).parameters) == ["tris", "scores"]

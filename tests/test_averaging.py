@@ -23,13 +23,13 @@ from colsfm.averaging import (
 from colsfm.errors import MissingBlock, NotConnected
 from colsfm.geometry import BifocalTensor, nearest_rotation, normalized_tensor, skew
 from colsfm.graphs import (
-    TripletCover, ViewingGraph, enrich_connectivity, heuristic_cover, pair_rows, sequential_cover,
+    TripletCover, enrich_connectivity, pair_rows, sequential_cover,
     triplet_pairs,
 )
 from colsfm.nview import NViewBifocal, certify_collinear_essential, certify_general
 from colsfm.pipeline import PipelineConfig, _virtual_cover
 from colsfm.synthetic import MeasurementNoise, generate, measure
-from conftest import averaged_nview, banded, exact_nview, exact_triplet
+from conftest import averaged_nview, banded, exact_nview, exact_triplet, min_weight_cover
 
 ALL_PROJECTIONS = [
     project_collinear_essential,
@@ -712,8 +712,7 @@ class TestGoldenAverage:
         if cover == "chain":
             cv = sequential_cover(n)
         else:
-            g = ViewingGraph.complete(n)
-            cv = enrich_connectivity(heuristic_cover(g))
+            cv = enrich_connectivity(min_weight_cover(n))
         assert _result_digest(average(m, cv, regime, AdmmConfig(**kw))) == expected
 
 
@@ -723,7 +722,7 @@ def _noisy_general_digest(seed):
     retraction."""
     scene = generate("general", 6, 8, seed=seed)
     m, _ = measure(scene, MeasurementNoise(0.5, 0.5), seed=seed)
-    cover = enrich_connectivity(heuristic_cover(ViewingGraph.complete(6)))
+    cover = enrich_connectivity(min_weight_cover(6))
     return _result_digest(average(m, cover, "general", AdmmConfig(max_iters=40)))
 
 

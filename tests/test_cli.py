@@ -158,6 +158,22 @@ class TestCliFlow:
             assert run_cli(args + ["--out", str(tmp_path / "out")]) == 2, message
             assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,doc", [
+        ("average", {"n": 3, "kind": "essential", "edges": [], "tracks": [1]}),
+        ("average", [1, 2]),
+        ("average", {"n": 3, "kind": "essential", "edges": ["x"]}),
+        ("measure", {"cameras": [1], "points": []}),
+        ("measure", {"cameras": [], "points": []}),
+    ], ids=["track-not-object", "top-level-list", "edge-not-object", "camera-not-object",
+            "no-cameras"])
+    def test_malformed_file_exit_code(self, command, doc, tmp_path, capsys):
+        # a structurally malformed input file is a validation error, not a crash
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(doc))
+        flag = "--measurements" if command == "average" else "--scene"
+        assert run_cli([command, flag, str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_missing_file_exit_code(self, tmp_path):
         code = run_cli(["recover", "--measurements", str(tmp_path / "nope.json"),
                         "--out", str(tmp_path / "c.json")])

@@ -8,7 +8,6 @@ from colsfm.errors import NoTriangles, TooFewCameras, Unconnectable
 from colsfm.geometry import epipoles
 from colsfm.graphs import (
     TripletCover,
-    ViewingGraph,
     collinearity_score,
     dual_adjacency,
     dual_bfs,
@@ -16,11 +15,12 @@ from colsfm.graphs import (
     heuristic_cover,
     insert_virtual_and_prune,
     sequential_cover,
+    triangles,
     triplet_pairs,
 )
 from colsfm.synthetic import generate
 
-from conftest import covered_edges, unit_bifocal
+from conftest import covered_edges, min_weight_cover, unit_bifocal
 
 
 def _oracle_dual_edges(triplets):
@@ -67,32 +67,53 @@ class TestSequentialCover:
             sequential_cover(2)
 
 
+class TestTriangles:
+    def test_match_combinations_filter(self):
+        # sorted 3-cliques from adjacency sets against the brute-force filter
+        # of every camera triple, edges given in either orientation
+        empty = 0
+        for seed in range(50):
+            rng = np.random.default_rng([seed, 2])
+            n = int(rng.integers(3, 12))
+            p = float(rng.uniform(0.05, 1.0))
+            edges = [(i, j) if rng.uniform() < 0.5 else (j, i)
+                     for i, j in combinations(range(n), 2) if rng.uniform() < p]
+            has = {tuple(sorted(e)) for e in edges}
+            tris = triangles(n, edges)
+            assert tris == [t for t in combinations(range(n), 3)
+                            if all(e in has for e in triplet_pairs(t))], seed
+            if not tris:
+                empty += 1
+                with pytest.raises(NoTriangles):
+                    heuristic_cover(tris, [])
+        assert 0 < empty < 50
+
+
 class TestHeuristicCover:
     def test_complete_k4_covers_all_edges(self):
-        g = ViewingGraph.complete(4)
-        c = heuristic_cover(g)
+        c = min_weight_cover(4)
         assert len(c.triplets) >= 2
         # brute-force edge coverage oracle
-        assert covered_edges(c) == set(g.edges.keys())
+        assert covered_edges(c) == set(combinations(range(4), 2))
 
     def test_triangle_free(self):
-        g = ViewingGraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+        tris = triangles(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
         with pytest.raises(NoTriangles):
-            heuristic_cover(g)
+            heuristic_cover(tris, [])
 
     def test_two_triangles_sharing_edge(self):
-        g = ViewingGraph.from_edges(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
-        c = heuristic_cover(g)
+        tris = triangles(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
+        c = heuristic_cover(tris, [1.0] * len(tris))
         assert c.triplets == [(0, 1, 2), (1, 2, 3)]
         assert len(c.dual_edges) == 1
 
     def test_scores_rank_triangles(self):
         # K4's triangles (0,1,2), (0,1,3), (0,2,3), (1,2,3): the greedy pass
         # skips the last-ranked one, whose edges the others already cover
-        g = ViewingGraph.complete(4)
-        assert heuristic_cover(g).triplets == [(0, 1, 2), (0, 1, 3), (0, 2, 3)]
-        assert heuristic_cover(g, [0.5] * 4).triplets == [(0, 1, 2), (0, 1, 3), (0, 2, 3)]
-        assert heuristic_cover(g, [0.1, 0.2, 0.9, 0.9]).triplets == [(0, 1, 3), (0, 2, 3), (1, 2, 3)]
+        tris = triangles(4, combinations(range(4), 2))
+        assert min_weight_cover(4).triplets == [(0, 1, 2), (0, 1, 3), (0, 2, 3)]
+        assert heuristic_cover(tris, [0.5] * 4).triplets == [(0, 1, 2), (0, 1, 3), (0, 2, 3)]
+        assert heuristic_cover(tris, [0.1, 0.2, 0.9, 0.9]).triplets == [(0, 1, 3), (0, 2, 3), (1, 2, 3)]
 
     def test_random_graphs_invariants(self):
         rng = np.random.default_rng(0)
@@ -105,15 +126,13 @@ class TestHeuristicCover:
                 for j in range(i + 1, n)
                 if rng.uniform() < p
             ]
-            g = ViewingGraph.from_edges(n, edges)
-            if not g.triangles():
+            if not triangles(n, [e[:2] for e in edges]):
                 continue
-            c = heuristic_cover(g)
+            c = min_weight_cover(n, edges)
             for a, b in c.dual_edges:
                 assert len(set(a) & set(b)) == 2
             # every triangle edge covered by some triplet is a graph edge
-            for e in covered_edges(c):
-                assert g.has_edge(*e)
+            assert covered_edges(c) <= {e[:2] for e in edges}
 
 
 class TestEnrichConnectivity:
@@ -132,13 +151,14 @@ class TestEnrichConnectivity:
         # connect it further
         connected = disconnected = 0
         for seed in range(300):
-            g = _random_graph(seed)
-            tris = g.triangles()
+            n, edges = _random_graph(seed)
+            tris = triangles(n, [e[:2] for e in edges])
             if not tris:
                 continue
-            scores = np.random.default_rng([seed, 1]).random(len(tris)) if seed % 2 else None
+            cover = (heuristic_cover(tris, np.random.default_rng([seed, 1]).random(len(tris)))
+                     if seed % 2 else min_weight_cover(n, edges))
             full = TripletCover.from_triplets(tris).is_connected()
-            assert heuristic_cover(g, scores).is_connected() == full, seed
+            assert cover.is_connected() == full, seed
             connected, disconnected = connected + full, disconnected + (not full)
         assert connected > 0 and disconnected > 0
 
@@ -255,22 +275,22 @@ class TestDualEdges:
 
 
 def _random_graph(seed):
-    """A seeded random weighted viewing graph; weights in 1..5 tie often."""
+    """A seeded random weighted viewing graph, as n and its (i, j, weight)
+    edges; weights in 1..5 tie often."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(4, 17))
     p = float(rng.uniform(0.3, 1.0))
     edges = [(i, j, float(rng.integers(1, 6)))
              for i in range(n) for j in range(i + 1, n) if rng.uniform() < p]
-    return ViewingGraph.from_edges(n, edges)
+    return n, edges
 
 
 def _golden_stages(seed):
     """cover.json of heuristic_cover -> enrich_connectivity ->
     insert_virtual_and_prune on a seeded random weighted graph; weights in
     1..5 tie often, so the digests also pin the greedy tie order."""
-    g = _random_graph(seed)
-    n = g.n
-    cover = heuristic_cover(g)
+    n, edges = _random_graph(seed)
+    cover = min_weight_cover(n, edges)
     out = [cover.to_json()]
     try:
         cover = enrich_connectivity(cover)
@@ -316,7 +336,7 @@ GOLDEN_RANDOM = {
 
 class TestGoldenCovers:
     def test_complete_18(self):
-        assert _sha(heuristic_cover(ViewingGraph.complete(18)).to_json()) == GOLDEN_COMPLETE_18
+        assert _sha(min_weight_cover(18).to_json()) == GOLDEN_COMPLETE_18
 
     @pytest.mark.parametrize("seed", sorted(GOLDEN_RANDOM))
     def test_random_graph_pipeline(self, seed):
@@ -361,14 +381,14 @@ def test_prune_matches_components_rule():
     exactly the cover that a fresh component pass per trial keeps."""
     checked = 0
     for seed in sorted(GOLDEN_RANDOM):
-        g = _random_graph(seed)
+        n, edges = _random_graph(seed)
         try:
-            cover = enrich_connectivity(heuristic_cover(g))
+            cover = enrich_connectivity(min_weight_cover(n, edges))
         except Unconnectable:
             continue
         for modulus in (2, 3, 5):
             marked = [t for t in cover.triplets if sum(t) % modulus == 0]
-            marked = {t: g.n + k for k, t in enumerate(marked)}
+            marked = {t: n + k for k, t in enumerate(marked)}
             outs = [prune(cover, marked).to_json()
                     for prune in (insert_virtual_and_prune, _prune_by_components)]
             assert outs[0] == outs[1]
@@ -379,9 +399,9 @@ def test_prune_matches_components_rule():
 def test_complete_30_cover_enrich_prune():
     """4060 triangles: cover, connectivity check and prune with one marked triplet keep
     the criterion-8 invariants, checked against the brute-force oracles."""
-    g = ViewingGraph.complete(30)
-    cover = enrich_connectivity(heuristic_cover(g))
-    assert covered_edges(cover) == set(g.edges)
+    edges = set(combinations(range(30), 2))
+    cover = enrich_connectivity(min_weight_cover(30))
+    assert covered_edges(cover) == edges
     marked = cover.triplets[len(cover.triplets) // 2]
     out = insert_virtual_and_prune(cover, {marked: 30})
     assert out.virtual_nodes == {marked: 30}
@@ -389,4 +409,4 @@ def test_complete_30_cover_enrich_prune():
     assert out.dual_edges == _oracle_dual_edges(out.triplets)
     a, b, c = marked
     replaced = {(a, b), (a, c), (b, c)}
-    assert set(g.edges) - replaced <= covered_edges(out)
+    assert edges - replaced <= covered_edges(out)

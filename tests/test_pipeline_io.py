@@ -25,7 +25,7 @@ from colsfm.graphs import triplet_pairs
 from colsfm.nview import NViewBifocal, certify_general
 from colsfm.pipeline import PipelineConfig, _virtual_cover, run_pipeline
 from colsfm.synthetic import MeasurementNoise, TrackSet, generate, measure
-from conftest import banded, center_spread, covered_edges, triplet_matrix
+from conftest import banded, center_spread, covered_edges, min_weight_cover, triplet_matrix
 
 
 # sha256 of the measurements files colsfm.io writes: for a noisy mixed scene,
@@ -244,10 +244,9 @@ class TestPipelineVC:
         scene = generate("mixed", 12, 20, seed=96)
         m, tracks = measure(scene, seed=0)
         from colsfm.averaging import average
-        from colsfm.graphs import ViewingGraph, enrich_connectivity, heuristic_cover
+        from colsfm.graphs import enrich_connectivity
 
-        g = ViewingGraph.from_edges(m.n, [(i, j, 1.0) for (i, j) in m.edges()])
-        cover = enrich_connectivity(heuristic_cover(g))
+        cover = enrich_connectivity(min_weight_cover(m.n, [(i, j, 1.0) for (i, j) in m.edges()]))
         collinear_triplets = [
             t for t in cover.triplets
             if center_spread(scene, t) < 0.01

@@ -17,14 +17,13 @@ from colsfm.averaging import project_general_essential
 from colsfm.recovery import recover_projective_collinear_triplet
 from colsfm.synthetic import generate
 from colsfm.virtual import (
-    four_view_matrix,
     select_virtual_point,
     v_matrices_from_cameras,
     v_matrices_from_essentials,
     virtual_bifocals,
 )
 
-from conftest import projective_system, unit_bifocal
+from conftest import four_view, projective_system, unit_bifocal
 
 
 PAIRS = ((0, 1), (0, 2), (1, 2))
@@ -250,7 +249,7 @@ class TestFourViewMatrix:
                 for (i, j) in ((0, 1), (0, 2), (1, 2))
             }
             virt = _true_virtual_blocks(scene, X)
-            m = four_view_matrix(real, virt)
+            m = four_view(real, virt)
             cert = certify_general(m, tol=1e-8)
             assert cert.passed
             assert cert.rank_estimate == 6
@@ -266,7 +265,7 @@ class TestFourViewMatrix:
             for (i, j) in ((0, 1), (0, 2), (1, 2))
         }
         virt = _true_virtual_blocks(scene, X)
-        m = four_view_matrix(real, virt)
+        m = four_view(real, virt)
         cert = certify_general(m)
         assert not cert.passed
         assert cert.rank_estimate == 4
@@ -278,6 +277,6 @@ class TestFourViewMatrix:
             for (i, j) in ((0, 1), (0, 2), (1, 2))
         }
         virt = _true_virtual_blocks(scene, scene.points[1])
-        M = four_view_matrix(real, virt).dense()
+        M = four_view(real, virt).dense()
         P = project_general_essential(M).matrix
         assert np.linalg.norm(P - M) < 1e-10 * np.linalg.norm(M)
