@@ -10,7 +10,6 @@ from .averaging import (
     project_general_fundamental,
 )
 from .geometry import (
-    BifocalTensor,
     CameraModel,
     bifocal_from_pair,
     skew,

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import MissingBlock, NotConnected
+from .errors import NotConnected
 from .geometry import _skews, nearest_rotation, normalized_tensor
 from .graphs import _LOCAL_PAIRS, DualGraph, TripletCover, pair_rows
 from .nview import _RANK_TOL, _SIGN_CASES, NViewBifocal, block_index, block_matrix
@@ -358,10 +358,8 @@ def average(
         raise NotConnected("triplet cover dual graph is disconnected")
     triplets = cover.triplets
     edges, edge_of = pair_rows(triplets)  # edge_of (m, 3): each triplet's slots in edges
-    for e in edges:  # in order of first use: the first missing pair a walk over triplets meets
-        if e not in measured.blocks:
-            raise MissingBlock(f"cover edge {e} has no measured tensor")
-    normed = np.array([normalized_tensor(measured.blocks[e].matrix) for e in edges])  # cover only
+    # a missing pair raises in order of first use, as a walk over the triplets meets it
+    normed = np.array([normalized_tensor(M) for M in measured.tensors[measured.slots(edges)]])
     projection = _PROJECTIONS[(regime, measured.kind)]
 
     m = len(triplets)

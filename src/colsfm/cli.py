@@ -57,8 +57,8 @@ def cmd_measure(args) -> int:
     noise = MeasurementNoise(args.noise_rot_deg, args.noise_trans_deg, args.noise_px)
     nview, tracks = measure(scene, noise, seed=args.seed)
     cio.save_measurements(nview, tracks, args.out)
-    _emit(args, {"n": nview.n, "edges": len(nview.blocks), "out": str(args.out)},
-          f"wrote {len(nview.blocks)} measured tensors over {nview.n} cameras to {args.out}")
+    _emit(args, {"n": nview.n, "edges": len(nview.pairs), "out": str(args.out)},
+          f"wrote {len(nview.pairs)} measured tensors over {nview.n} cameras to {args.out}")
     return EXIT_OK
 
 

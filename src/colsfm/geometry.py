@@ -140,43 +140,14 @@ def image_point(P: np.ndarray, X: np.ndarray) -> np.ndarray:
     return x / x[2]
 
 
-@dataclass(frozen=True)
-class BifocalTensor:
-    """Pairwise essential or fundamental matrix, rank 2 by construction."""
-
-    matrix: np.ndarray
-    kind: str  # "essential" | "fundamental"
-
-    def __post_init__(self):
-        M = np.asarray(self.matrix, dtype=float).reshape(3, 3).copy()
-        M.setflags(write=False)
-        object.__setattr__(self, "matrix", M)
-        if self.kind not in ("essential", "fundamental"):
-            raise ValueError(f"unknown tensor kind {self.kind!r}")
-
-    def singular_values(self) -> np.ndarray:
-        return np.linalg.svd(self.matrix, compute_uv=False)
-
-    def is_rank2(self, tol: float = 1e-9) -> bool:
-        s = self.singular_values()
-        return s[0] > 0 and s[1] > tol * s[0] and s[2] <= tol * s[0]
-
-
-def _as_matrix(t: BifocalTensor | np.ndarray) -> np.ndarray:
-    """The 3x3 float matrix of a tensor or of a plain array."""
-    return t.matrix if isinstance(t, BifocalTensor) else np.asarray(t, dtype=float)
-
-
-def bifocal_from_pair(ci: CameraModel, cj: CameraModel) -> BifocalTensor:
+def bifocal_from_pair(ci: CameraModel, cj: CameraModel) -> np.ndarray:
     """Pairwise tensor V_i ([t_i]_x - [t_j]_x) V_j^T between two cameras.
 
     Raises CoincidentCenters when the centers are closer than 1e-12.
     """
     if np.linalg.norm(ci.center - cj.center) < 1e-12:
         raise CoincidentCenters("camera centers coincide; tensor would vanish")
-    M = ci.v_matrix() @ (skew(ci.center) - skew(cj.center)) @ cj.v_matrix().T
-    kind = "essential" if (ci.is_calibrated and cj.is_calibrated) else "fundamental"
-    return BifocalTensor(M, kind)
+    return ci.v_matrix() @ (skew(ci.center) - skew(cj.center)) @ cj.v_matrix().T
 
 
 # row p of _OTHER_ROWS lists the rows of a camera left after deleting row p
@@ -220,12 +191,10 @@ def epipoles(F) -> np.ndarray:
     return table
 
 
-def symmetric_epipolar_distance(
-    t: BifocalTensor | np.ndarray, xi: np.ndarray, xj: np.ndarray
-) -> float | np.ndarray:
+def symmetric_epipolar_distance(F: np.ndarray, xi: np.ndarray, xj: np.ndarray) -> float | np.ndarray:
     """(x_i^T F x_j)^2 (1/||(F x_j)_{1:2}||^2 + 1/||(F^T x_i)_{1:2}||^2), of
     one point pair, or of each row pair of two (m, 3) point stacks."""
-    F = _as_matrix(t)
+    F = np.asarray(F, dtype=float)
     xi = np.asarray(xi, dtype=float)
     single = xi.ndim == 1
     xi = xi.reshape(-1, 1, 3)

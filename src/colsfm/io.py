@@ -10,8 +10,8 @@ import json
 
 import numpy as np
 
-from .errors import ValidationError
-from .geometry import BifocalTensor, CameraModel
+from .errors import CoincidentCenters, ValidationError
+from .geometry import CameraModel
 from .metrics import EvalReport
 from .nview import NViewBifocal
 from .synthetic import Scene, TrackSet
@@ -61,6 +61,11 @@ def load_scene(path) -> Scene:
         raise ValidationError(f"malformed scene file: {exc}") from exc
     if len(cams) < 2:
         raise ValidationError(f"a scene needs at least 2 cameras, got {len(cams)}")
+    C = np.array([c.center for c in cams])
+    shared = np.triu(np.linalg.norm(C[:, None] - C[None], axis=-1) < 1e-12, 1)
+    if np.any(shared):
+        i, j = np.argwhere(shared)[0].tolist()
+        raise CoincidentCenters(f"cameras {i} and {j} share a center")
     return Scene(cams, points, doc.get("layout", "unknown"), _index(doc.get("seed", 0), "seed"))
 
 
@@ -69,8 +74,8 @@ def save_measurements(nview: NViewBifocal, tracks: TrackSet | None, path) -> Non
         "n": nview.n,
         "kind": nview.kind,
         "edges": [
-            {"i": i, "j": j, "tensor": [float(v) for v in nview.blocks[(i, j)].matrix.ravel()]}
-            for (i, j) in nview.edges()
+            {"i": i, "j": j, "tensor": [float(v) for v in M.ravel()]}
+            for (i, j), M in zip(nview.pairs.tolist(), nview.tensors)
         ],
         "tracks": [],
     }
@@ -99,14 +104,15 @@ def load_measurements(path):
     try:
         n = _index(doc["n"], "n")
         kind = doc["kind"]
-        blocks = {}
+        pairs, tensors = [], []
         for k, e in enumerate(doc["edges"]):
             M = np.array(e["tensor"], dtype=float).reshape(3, 3)
             i, j = _index(e["i"], f"edge {k}: i"), _index(e["j"], f"edge {k}: j")
             if not np.all(np.isfinite(M)) or not np.any(M):
                 raise ValidationError(f"edge {k} ({i}, {j}): tensor must be finite and nonzero")
-            blocks[(i, j)] = BifocalTensor(M, kind)
-        nview = NViewBifocal.assemble(n, blocks, kind=kind, strict=False)
+            pairs.append((i, j))
+            tensors.append(M)
+        nview = NViewBifocal.assemble(n, pairs, tensors, kind, strict=False)
         doc_tracks = doc.get("tracks", [])
         points = np.zeros((len(doc_tracks), n, 3))
         visible = np.zeros((len(doc_tracks), n), dtype=bool)

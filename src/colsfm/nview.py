@@ -1,7 +1,11 @@
 """The 3n x 3n symmetric block-matrix formalism and consistency certificates.
 
-Every block matrix of the package comes from one assembler (`block_index`
-lays pair blocks out, `block_matrix` fills the layout).
+The measured pair tensors are one stack (`NViewBifocal`): sorted (E, 2)
+camera pairs, (E, 3, 3) tensors and one kind, checked once by `assemble`;
+every stage reads it through `slots`, which maps pairs to stack rows and
+names the first missing pair.  Every block matrix of the package comes from
+one assembler (`block_index` lays pair blocks out, `block_matrix` fills the
+layout).
 
 A collinear-consistent essential matrix has eigenvalues (l, l, -l, -l) and,
 for the right in-plane pairing of the two eigenspaces, every 3x2 block V_i of
@@ -23,8 +27,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import DuplicateEdge, IndexOutOfRange, RankNot2, ValidationError
-from .geometry import BifocalTensor
+from .errors import DuplicateEdge, IndexOutOfRange, MissingBlock, RankNot2
 
 # eigenvalues (singular values) at most this fraction of the largest in
 # magnitude count as zero, in the certificates and the projections alike
@@ -33,62 +36,75 @@ _RANK_TOL = 1e-6
 
 @dataclass(frozen=True)
 class NViewBifocal:
-    """Symmetric block matrix of pairwise tensors over the available edges."""
+    """Pairwise tensors of one kind over the measured camera pairs: `pairs`
+    (E, 2), i < j in sorted order, and `tensors` (E, 3, 3), each oriented
+    (i, j), both read-only.  The symmetric 3n x 3n block matrix is implied."""
 
     n: int
-    blocks: dict  # (i, j) with i < j -> BifocalTensor
+    pairs: np.ndarray
+    tensors: np.ndarray
     kind: str
 
     @staticmethod
-    def assemble(n: int, blocks: dict, kind: str | None = None, strict: bool = True) -> "NViewBifocal":
-        """Validate and store blocks; the full matrix is implied by symmetry.
+    def assemble(n: int, pairs, tensors, kind: str, strict: bool = True) -> "NViewBifocal":
+        """Validate and store the stack; a pair given as (j, i) stores its
+        tensor transposed.  With strict, every tensor must be rank 2.
 
-        Raises DuplicateEdge, IndexOutOfRange, RankNot2.
+        Raises ValueError (unknown kind), IndexOutOfRange, DuplicateEdge, RankNot2.
         """
-        seen = {}
-        inferred = kind
-        for key, t in blocks.items():
-            i, j = int(key[0]), int(key[1])
-            if i == j:
-                raise IndexOutOfRange(f"diagonal block ({i},{i}) not allowed")
-            if not (0 <= i < n and 0 <= j < n):
-                raise IndexOutOfRange(f"edge ({i},{j}) outside [0,{n})")
-            a, b = (i, j) if i < j else (j, i)
-            if (a, b) in seen:
-                raise DuplicateEdge(f"edge ({a},{b}) given twice")
-            if not isinstance(t, BifocalTensor):
-                raise TypeError("blocks must be BifocalTensor instances")
-            tensor = t if (a, b) == (i, j) else BifocalTensor(t.matrix.T, t.kind)
-            if strict and not tensor.is_rank2():
-                raise RankNot2(f"block ({a},{b}) is not rank 2")
-            if inferred is None:
-                inferred = tensor.kind
-            seen[(a, b)] = tensor
-        if inferred is None:
-            raise ValueError("cannot infer kind from an empty block set")
-        return NViewBifocal(n, seen, inferred)
+        if kind not in ("essential", "fundamental"):
+            raise ValueError(f"unknown tensor kind {kind!r}")
+        pairs = np.asarray(pairs, dtype=int).reshape(-1, 2)
+        tensors = np.asarray(tensors, dtype=float).reshape(-1, 3, 3)
+        if len(pairs) != len(tensors):
+            raise ValueError(f"{len(pairs)} pairs but {len(tensors)} tensors")
+        diagonal = pairs[:, 0] == pairs[:, 1]
+        if np.any(diagonal):
+            i = pairs[np.argmax(diagonal), 0]
+            raise IndexOutOfRange(f"diagonal block ({i},{i}) not allowed")
+        outside = np.any((pairs < 0) | (pairs >= n), axis=1)
+        if np.any(outside):
+            i, j = pairs[np.argmax(outside)]
+            raise IndexOutOfRange(f"edge ({i},{j}) outside [0,{n})")
+        flip = (pairs[:, 0] > pairs[:, 1])[:, None, None]
+        pairs, tensors = np.sort(pairs, axis=1), np.where(flip, tensors.swapaxes(1, 2), tensors)
+        order = np.lexsort((pairs[:, 1], pairs[:, 0]))
+        pairs, tensors = pairs[order], tensors[order]
+        repeated = np.all(pairs[1:] == pairs[:-1], axis=1)
+        if np.any(repeated):
+            i, j = pairs[np.argmax(repeated)]
+            raise DuplicateEdge(f"edge ({i},{j}) given twice")
+        if strict:
+            s = np.linalg.svd(tensors, compute_uv=False)
+            bad = ~((s[:, 0] > 0) & (s[:, 1] > 1e-9 * s[:, 0]) & (s[:, 2] <= 1e-9 * s[:, 0]))
+            if np.any(bad):
+                i, j = pairs[np.argmax(bad)]
+                raise RankNot2(f"block ({i},{j}) is not rank 2")
+        for a in (pairs, tensors):
+            a.setflags(write=False)
+        return NViewBifocal(n, pairs, tensors, kind)
 
-    def is_dense(self) -> bool:
-        return len(self.blocks) == self.n * (self.n - 1) // 2
-
-    def edges(self):
-        return sorted(self.blocks.keys())
-
-    def block(self, i: int, j: int) -> np.ndarray:
-        """Oriented block (i, j); missing blocks are zero."""
-        a, b = (i, j) if i < j else (j, i)
-        t = self.blocks.get((a, b))
-        if t is None:
-            return np.zeros((3, 3))
-        return t.matrix if (a, b) == (i, j) else t.matrix.T
+    def slots(self, pairs) -> np.ndarray:
+        """The stack rows of the given (i, j) pairs, i < j; raises
+        MissingBlock for the first one that has no tensor."""
+        pairs = np.asarray(pairs, dtype=int).reshape(-1, 2)
+        rows = np.searchsorted(self.pairs @ [self.n, 1], pairs @ [self.n, 1])
+        # a row past the end reads the (-1, -1) sentinel
+        found = np.append(self.pairs, [[-1, -1]], axis=0)[rows]
+        missing = np.any(found != pairs, axis=1)
+        if np.any(missing):
+            i, j = pairs[np.argmax(missing)].tolist()
+            raise MissingBlock(f"cover edge {(i, j)} has no measured tensor")
+        return rows
 
     def dense(self) -> np.ndarray:
-        """Full 3n x 3n symmetric matrix, zero diagonal blocks."""
-        return block_matrix([self.block(i, j) for i, j in combinations(range(self.n), 2)])
+        """Full 3n x 3n symmetric matrix, zero diagonal blocks; every pair
+        must have a tensor (MissingBlock names the first that has not)."""
+        return self.submatrix(range(self.n))
 
     def submatrix(self, ids) -> np.ndarray:
         """Dense sub-block matrix over the given camera ids, in sorted order."""
-        return block_matrix([self.block(i, j) for i, j in combinations(sorted(ids), 2)])
+        return block_matrix(self.tensors[self.slots(list(combinations(sorted(ids), 2)))])
 
 
 def block_index(slots) -> np.ndarray:
@@ -263,10 +279,8 @@ def _vhat_alignment(X: np.ndarray, Y: np.ndarray, n: int):
 def _spectrum(m: NViewBifocal | np.ndarray):
     """The matrix M of m, its camera count, its descending eigenpairs and its
     signature (pos, neg).  Global certificates are statements about complete
-    matrices; sparse inputs are certified per-triplet submatrix instead."""
-    if isinstance(m, NViewBifocal) and not m.is_dense():
-        raise ValidationError("certificates need a dense matrix; certify sparse "
-                              "inputs per-triplet via submatrix()")
+    matrices: `dense` raises MissingBlock on sparse inputs, which are
+    certified per-triplet submatrix instead."""
     M = m.dense() if isinstance(m, NViewBifocal) else np.asarray(m, dtype=float)
     w, V = _eig_sorted(M)
     return M, M.shape[0] // 3, w, V, tuple(int(c) for c in eigen_signature(w))

@@ -2,13 +2,18 @@
 
 Every run takes one route: cover -> average -> recover -> register ->
 evaluate.  The algorithm picks only the cover stage (`cover_and_average`)
-and the per-triplet recovery.  "r4" (fully collinear cameras) averages the
-sequential cover at rank 4 and recovers collinear triplets.  "vc" (mixed
-collinearity) lists the viewing graph's triangles once (`triangles`),
-builds the heuristic cover from that list ranked best-conditioned first,
-replaces the collinear triplets left in it by sub-triplets against virtual
-cameras, averages at rank 6, recovers general-position triplets and drops
-the virtual cameras after registration.
+and the per-triplet recovery; the "calibrated" regime needs essential
+measurements and refuses fundamental ones before the cover stage.
+Measurements are one `NViewBifocal` stack, read by rows (`slots`): the
+cover stage gathers its pairs' tensors from it, and the "vc" cover stage
+appends each virtual camera's (3, 3, 3) tensors to it.  "r4" (fully
+collinear cameras) averages the sequential cover at rank 4 and recovers
+collinear triplets.  "vc" (mixed collinearity) lists the viewing graph's
+triangles once (`triangles`), builds the heuristic cover from that list
+ranked best-conditioned first, replaces the collinear triplets left in it
+by sub-triplets against virtual cameras, averages at rank 6, recovers
+general-position triplets and drops the virtual cameras after
+registration.
 The "vc" cover stage is stacked passes over the triangles' pairs: one
 epipole table, one score pass over all triangles, one pose pass for every
 essential virtual camera (one projective pass for fundamental ones), then
@@ -113,7 +118,7 @@ def _pair_blocks(nview: NViewBifocal, triplets):
     """The (P, 3, 3) blocks of the triplets' camera pairs (`pair_rows`) and
     the (T, 3) rows of every triplet's local pairs among them."""
     pairs, rows = pair_rows(triplets)
-    return np.array([nview.block(*e) for e in pairs]), rows
+    return nview.tensors[nview.slots(pairs)], rows
 
 
 def _evaluate(cameras, n_real, tracks, scene_gt, regime, algorithm, converged, failure=None):
@@ -164,7 +169,7 @@ def _virtual_cover(measurements: NViewBifocal, tracks: TrackSet, cfg: PipelineCo
     and every point selection; one pose pass (essential) or one projective
     pass (fundamental) gives the V-matrices of every virtual camera."""
     n = measurements.n
-    tris = triangles(n, measurements.edges())
+    tris = triangles(n, measurements.pairs.tolist())
     F, rows = _pair_blocks(measurements, tris)
     table = epipole_table(F)
     degenerate = ~np.all(np.any(table, axis=-1), axis=-1)  # (P,) pairs without unique epipoles
@@ -184,7 +189,7 @@ def _virtual_cover(measurements: NViewBifocal, tracks: TrackSet, cfg: PipelineCo
         V, ties = v_matrices_from_essentials(F[rows[marked]], tracks3)
     else:
         systems = projective_systems(F, rows[marked], table, tracks3)
-    blocks = dict(measurements.blocks)
+    virtual_tensors = []  # each collinear triplet's (3, 3, 3) stack
     for k, t in enumerate(collinear):
         r = rows[marked[k]]
         track = select_virtual_point(tracks3[k], F[r], table[r])
@@ -194,10 +199,12 @@ def _virtual_cover(measurements: NViewBifocal, tracks: TrackSet, cfg: PipelineCo
             Vk = V[k]
         else:
             Vk = v_matrices_from_cameras(recover_projective_collinear_triplet(systems, k))
-        blocks.update(((i, n + k), b) for i, b in zip(t, virtual_bifocals(Vk, track, measurements.kind)))
+        virtual_tensors.append(virtual_bifocals(Vk, track))
     cover = insert_virtual_and_prune(cover, {t: n + k for k, t in enumerate(collinear)})
-    return cover, NViewBifocal.assemble(n + len(collinear), blocks, kind=measurements.kind,
-                                        strict=False)
+    pairs = [(i, n + k) for k, t in enumerate(collinear) for i in t]
+    return cover, NViewBifocal.assemble(
+        n + len(collinear), np.concatenate([measurements.pairs, np.reshape(pairs, (-1, 2))]),
+        np.concatenate([measurements.tensors, *virtual_tensors]), measurements.kind, strict=False)
 
 
 def cover_and_average(
@@ -252,6 +259,9 @@ def run_pipeline(
     started = time.perf_counter()
     if scene_gt is not None and scene_gt.n != measurements.n:
         raise ValidationError(f"scene holds {scene_gt.n} cameras, the measurements {measurements.n}")
+    if regime == "calibrated" and measurements.kind != "essential":
+        raise ValidationError(f"regime 'calibrated' needs essential measurements, "
+                              f"these are {measurements.kind!r}")
     cover, avg = cover_and_average(measurements, tracks, algorithm, cfg)
     n = measurements.n
     mode = "euclidean" if regime == "calibrated" else "projective"

@@ -9,11 +9,11 @@ platforms).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
 from .geometry import (
-    BifocalTensor,
     CameraModel,
     image_point,
     normalized_tensor,
@@ -266,18 +266,16 @@ def _perturbed_block(
 
 
 def measure(scene: Scene, noise: MeasurementNoise | None = None, seed: int = 0):
-    """Measured n-view matrix (unit-normalized blocks) and noisy tracks."""
+    """Measured pair tensors of every camera pair (unit-normalized, in
+    sorted pair order) and noisy tracks."""
     noise = noise or MeasurementNoise()
     rng = np.random.default_rng(seed)
     calibrated = [c.is_calibrated for c in scene.cameras]
     kind = "essential" if all(calibrated) else "fundamental"
-    blocks = {}
-    for i in range(scene.n):
-        for j in range(i + 1, scene.n):
-            B = _perturbed_block(
-                scene.cameras[i], scene.cameras[j], calibrated[i] and calibrated[j], noise, rng
-            )
-            blocks[(i, j)] = BifocalTensor(normalized_tensor(B), kind)
-    nview = NViewBifocal.assemble(scene.n, blocks)
+    pairs = list(combinations(range(scene.n), 2))
+    tensors = [normalized_tensor(_perturbed_block(scene.cameras[i], scene.cameras[j],
+                                                  calibrated[i] and calibrated[j], noise, rng))
+               for i, j in pairs]
+    nview = NViewBifocal.assemble(scene.n, pairs, tensors, kind)
     tracks = scene.track_set(pixel_noise=noise.pixel, rng=rng)
     return nview, tracks

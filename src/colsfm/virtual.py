@@ -14,7 +14,9 @@ The cover stage (`colsfm.pipeline`) drives these in stacked passes: a
 triplet's three pair tensors are a (3, 3, 3) stack in local pair order
 (0,1), (0,2), (1,2), its six epipoles are rows of one table of all cover
 pairs, and the calibrated V-matrices of all collinear triplets come from one
-pose pass.
+pose pass.  Its three virtual tensors are a (3, 3, 3) stack too, of pairs
+(i, X) in the triplet's camera order, which the cover stage appends to the
+measured pair stack.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NoValidPoint
-from .geometry import BifocalTensor, normalized_tensor, skew, symmetric_epipolar_distance
+from .geometry import normalized_tensor, skew, symmetric_epipolar_distance
 from .graphs import _LOCAL_PAIRS, _VIEW_EPIPOLES
 from .recovery import TripletCameras, pair_poses
 
@@ -83,8 +85,9 @@ def v_matrices_from_essentials(tensors, tracks) -> tuple:
     return V, [a or b for a, b in zip(poses.errors[::2], poses.errors[1::2])]
 
 
-def virtual_bifocals(V, track: np.ndarray, kind: str) -> list:
-    """Unit-normalized tensors [F_0X, F_1X, F_2X] of the given kind between
-    the three real views and the virtual camera at the 3D point of track,
-    its (3, 3) image points, from the triplet's (3, 3, 3) V-matrices."""
-    return [BifocalTensor(normalized_tensor(skew(track[i]) @ V[i]), kind) for i in range(3)]
+def virtual_bifocals(V, track: np.ndarray) -> np.ndarray:
+    """The unit-normalized tensors F_0X, F_1X, F_2X, a (3, 3, 3) stack,
+    between the three real views and the virtual camera at the 3D point of
+    track, its (3, 3) image points, from the triplet's (3, 3, 3) V-matrices;
+    they are of the kind of the triplet's measured tensors."""
+    return np.array([normalized_tensor(skew(track[i]) @ V[i]) for i in range(3)])

@@ -4,9 +4,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from colsfm.geometry import (
-    BifocalTensor, _as_matrix, bifocal_from_pair, epipole_table, normalized_tensor,
-)
+from colsfm.geometry import bifocal_from_pair, epipole_table, normalized_tensor
 from colsfm.graphs import heuristic_cover, triangles, triplet_pairs
 from colsfm.nview import NViewBifocal, block_matrix
 from colsfm.recovery import (
@@ -65,22 +63,27 @@ def random_rotation(rng):
     return Q
 
 
-def unit_bifocal(ci, cj) -> BifocalTensor:
+def unit_bifocal(ci, cj) -> np.ndarray:
     """The pair tensor of two cameras at unit Frobenius norm, largest entry positive."""
-    t = bifocal_from_pair(ci, cj)
-    return BifocalTensor(normalized_tensor(t.matrix), t.kind)
+    return normalized_tensor(bifocal_from_pair(ci, cj))
+
+
+def scene_kind(scene) -> str:
+    """The kind of a scene's pair tensors: essential when every camera is calibrated."""
+    return "essential" if all(c.is_calibrated for c in scene.cameras) else "fundamental"
 
 
 def exact_nview(scene) -> NViewBifocal:
     """A scene's dense n-view matrix with true block scales (no normalization)."""
-    return NViewBifocal.assemble(scene.n, {
-        (i, j): bifocal_from_pair(scene.cameras[i], scene.cameras[j])
-        for i, j in combinations(range(scene.n), 2)})
+    pairs = list(combinations(range(scene.n), 2))
+    return NViewBifocal.assemble(
+        scene.n, pairs, [bifocal_from_pair(scene.cameras[i], scene.cameras[j]) for i, j in pairs],
+        scene_kind(scene))
 
 
 def exact_triplet(scene, ids) -> np.ndarray:
     """The 9x9 true-scale submatrix of a camera triple."""
-    return block_matrix([bifocal_from_pair(scene.cameras[u], scene.cameras[v]).matrix
+    return block_matrix([bifocal_from_pair(scene.cameras[u], scene.cameras[v])
                          for u, v in combinations(sorted(ids), 2)])
 
 
@@ -89,16 +92,24 @@ def banded(nview, width=3) -> NViewBifocal:
     (i, j) with j - i <= width.  A mixed scene's first cameras sit on its
     line, so the pairs among the first few then lie only in collinear
     triangles and the vc cover needs virtual cameras for them."""
-    kept = {e: t for e, t in nview.blocks.items() if e[1] - e[0] <= width}
-    return NViewBifocal.assemble(nview.n, kept, kind=nview.kind)
+    kept = nview.pairs[:, 1] - nview.pairs[:, 0] <= width
+    return NViewBifocal.assemble(nview.n, nview.pairs[kept], nview.tensors[kept], nview.kind)
+
+
+def without(nview, *pairs) -> NViewBifocal:
+    """nview with the tensors of the given (i, j) pairs, i < j, dropped."""
+    keep = np.ones(len(nview.pairs), dtype=bool)
+    keep[nview.slots(pairs)] = False
+    return NViewBifocal.assemble(nview.n, nview.pairs[keep], nview.tensors[keep], nview.kind,
+                                 strict=False)
 
 
 def averaged_nview(res, kind) -> NViewBifocal:
     """The averaged tensors of an `AveragingResult` as an n-view matrix: each
     consensus block of `res.pairs` at unit Frobenius norm, largest entry
     positive."""
-    return NViewBifocal.assemble(res.n, {e: BifocalTensor(normalized_tensor(block), kind)
-                                         for e, block in zip(res.pairs, res.consensus)}, strict=False)
+    return NViewBifocal.assemble(res.n, res.pairs, [normalized_tensor(b) for b in res.consensus],
+                                 kind, strict=False)
 
 
 def triplet_matrix(res, ids) -> np.ndarray:
@@ -115,10 +126,12 @@ def center_spread(scene, ids) -> float:
     return 0.0 if s[0] == 0.0 else float(s[1] / s[0])
 
 
-def four_view(real, virt) -> NViewBifocal:
-    """The 4-view matrix of a triplet's real blocks {(i, j): tensor} and the
-    blocks (i, 3) of its virtual camera, virt[i]."""
-    return NViewBifocal.assemble(4, {**real, **{(i, 3): t for i, t in enumerate(virt)}})
+def four_view(real, virt, kind) -> NViewBifocal:
+    """The 4-view matrix of a triplet's real (3, 3, 3) blocks, in local pair
+    order (0,1), (0,2), (1,2), and the blocks (i, 3) of its virtual camera,
+    virt[i]."""
+    return NViewBifocal.assemble(4, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3)],
+                                 np.concatenate([real, virt]), kind)
 
 
 def min_weight_cover(n, edges=None):
@@ -167,7 +180,7 @@ def collinear_triplet(E9, tracks2, tracks3, triplet_id=(0, 1, 2), tol=1e-3):
 def projective_system(F01, F12, F02, tracks3=None):
     """The stacked projective systems (one row) of a triplet's tensors, with
     its (N, 3, 3) 3-view tracks when given."""
-    F = np.array([_as_matrix(F01), _as_matrix(F02), _as_matrix(F12)])
+    F = np.array([F01, F02, F12], dtype=float)
     return projective_systems(F, [[0, 1, 2]], epipole_table(F),
                               None if tracks3 is None else [tracks3])
 

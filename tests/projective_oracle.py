@@ -6,18 +6,18 @@ per-triplet order of operations."""
 import numpy as np
 
 from colsfm.errors import DegenerateEpipole, InsufficientTracks
-from colsfm.geometry import _as_matrix, epipoles, fundamental_from_projections, skew, unit
+from colsfm.geometry import epipoles, fundamental_from_projections, skew, unit
 from colsfm.recovery import TripletCameras, _triangulate_tracks3
 
 
 def epipole(t, side):
     """One tensor's epipole on one side, "left" or "right"."""
-    return epipoles(_as_matrix(t))[0, 0 if side == "left" else 1]
+    return epipoles(np.asarray(t, dtype=float))[0, 0 if side == "left" else 1]
 
 
 def canonical_pair_cameras(F01, F12):
-    F01 = _as_matrix(F01)
-    F12 = _as_matrix(F12)
+    F01 = np.asarray(F01, dtype=float)
+    F12 = np.asarray(F12, dtype=float)
     e0 = epipole(F01, "left")    # image of center 1 in view 0
     P0 = np.hstack([skew(e0) @ F01, e0.reshape(3, 1)])
     P1 = np.hstack([np.eye(3), np.zeros((3, 1))])
@@ -39,7 +39,7 @@ def a_system_rows(P0, M2, e2, F02, tracks3):
         ek = np.zeros(4)
         ek[k] = 1.0
         L[:, k] = fundamental_from_projections(P0, P2_of(ek)).ravel() - f0
-    fhat = unit(_as_matrix(F02).ravel())
+    fhat = unit(np.asarray(F02, dtype=float).ravel())
     Proj = np.eye(9) - np.outer(fhat, fhat)
     rows = [Proj @ L]
     rhs = [-Proj @ f0]

@@ -16,7 +16,7 @@ from colsfm.averaging import (
     project_general_essential,
     project_general_fundamental,
 )
-from colsfm.geometry import BifocalTensor, CameraModel, bifocal_from_pair, normalized_tensor
+from colsfm.geometry import CameraModel, bifocal_from_pair
 from colsfm.graphs import (
     TripletCover,
     enrich_connectivity,
@@ -206,15 +206,13 @@ def test_criterion_6_virtual_four_view():
     worst_rot = 0.0
     for k in range(100):
         scene = generate("collinear", 3, 6, seed=4000 + k)
-        real = {
-            (i, j): bifocal_from_pair(scene.cameras[i], scene.cameras[j])
-            for (i, j) in ((0, 1), (0, 2), (1, 2))
-        }
+        real = [bifocal_from_pair(scene.cameras[i], scene.cameras[j])
+                for (i, j) in ((0, 1), (0, 2), (1, 2))]
         X = scene.points[k % len(scene.points)]
         cam2 = scene.cameras[1]
         virt_cam = CameraModel(cam2.intrinsics, cam2.rotation, X)
         virt = [bifocal_from_pair(scene.cameras[i], virt_cam) for i in range(3)]
-        m = four_view(real, virt)
+        m = four_view(real, virt, "essential")
         cert = certify_general(m, tol=1e-8)
         assert cert.passed
         assert cert.rank_estimate == 6 and cert.signature == (3, 3)
@@ -233,7 +231,7 @@ def test_criterion_7_vc_end_to_end():
 
     # same scene through rank-6 averaging without virtual cameras: the
     # collinear triplets cannot satisfy the general-position certificate
-    cover = enrich_connectivity(min_weight_cover(m.n, [(i, j, 1.0) for (i, j) in m.edges()]))
+    cover = enrich_connectivity(min_weight_cover(m.n, [(i, j, 1.0) for (i, j) in m.pairs.tolist()]))
     collinear_triplets = [
         t for t in cover.triplets
         if center_spread(scene, t) < 0.01

@@ -56,7 +56,6 @@ def test_allow_list_names_real_exports():
 def test_test_only_surface_stays_deleted():
     # not re-exported, so the scan above cannot see them; unit tests use
     # their own helpers (tests/conftest.py)
-    assert not hasattr(geometry.BifocalTensor, "normalized")
     assert not hasattr(geometry, "geodesic_angle")
     assert not hasattr(synthetic.Scene, "exact_triplet")
     assert not hasattr(synthetic.Scene, "exact_nview")
@@ -66,7 +65,6 @@ def test_test_only_surface_stays_deleted():
     assert not hasattr(synthetic.TrackSet, "pair_tracks")
     assert not hasattr(synthetic.TrackSet, "triple_tracks")
     # fields that were written and never read
-    assert "scale_fixed" not in geometry.BifocalTensor.__dataclass_fields__
     assert "tolerances" not in nview.ConsistencyCertificate.__dataclass_fields__
     assert "primal_tol" not in averaging.AdmmConfig.__dataclass_fields__
     # the cover stage takes (3, 3, 3) stacks in local pair order and no callbacks
@@ -114,3 +112,14 @@ def test_test_only_surface_stays_deleted():
     assert not hasattr(graphs, "ViewingGraph")
     assert not hasattr(virtual, "four_view_matrix")
     assert list(inspect.signature(graphs.heuristic_cover).parameters) == ["tris", "scores"]
+    # pair tensors are one sorted (E, 3, 3) stack of one kind: no per-block
+    # tensor object, no dict of blocks, no zero-filled block lookup
+    assert not hasattr(geometry, "BifocalTensor")
+    assert not hasattr(geometry, "_as_matrix")
+    assert "blocks" not in nview.NViewBifocal.__dataclass_fields__
+    for name in ("blocks", "block", "edges", "is_dense"):
+        assert not hasattr(nview.NViewBifocal, name), name
+    assert list(inspect.signature(virtual.virtual_bifocals).parameters) == ["V", "track"]
+    assert list(inspect.signature(nview.NViewBifocal.assemble).parameters) == [
+        "n", "pairs", "tensors", "kind", "strict"]
+    assert m.pairs.shape == (10, 2) and m.tensors.shape == (10, 3, 3)

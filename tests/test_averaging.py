@@ -21,7 +21,7 @@ from colsfm.averaging import (
     project_general_fundamental,
 )
 from colsfm.errors import MissingBlock, NotConnected
-from colsfm.geometry import BifocalTensor, nearest_rotation, normalized_tensor, skew
+from colsfm.geometry import nearest_rotation, normalized_tensor, skew
 from colsfm.graphs import (
     TripletCover, enrich_connectivity, pair_rows, sequential_cover,
     triplet_pairs,
@@ -29,7 +29,7 @@ from colsfm.graphs import (
 from colsfm.nview import NViewBifocal, certify_collinear_essential, certify_general
 from colsfm.pipeline import PipelineConfig, _virtual_cover
 from colsfm.synthetic import MeasurementNoise, generate, measure
-from conftest import averaged_nview, banded, exact_nview, exact_triplet, min_weight_cover
+from conftest import averaged_nview, banded, exact_nview, exact_triplet, min_weight_cover, without
 
 ALL_PROJECTIONS = [
     project_collinear_essential,
@@ -168,9 +168,9 @@ class TestAverage:
         assert res.iterations <= 5
         assert res.log[-1]["primal_residual"] < 1e-10
         # output blocks match measured (hence truth) up to normalization
-        for e, t in averaged_nview(res, m.kind).blocks.items():
-            truth = normalized_tensor(m.blocks[e].matrix)
-            assert np.linalg.norm(t.matrix - truth) < 1e-9
+        out = averaged_nview(res, m.kind)
+        for t, truth in zip(out.tensors, m.tensors[m.slots(out.pairs)]):
+            assert np.linalg.norm(t - normalized_tensor(truth)) < 1e-9
 
     def test_noiseless_general_essential_converges(self):
         scene = generate("general", 6, 8, seed=27)
@@ -179,9 +179,9 @@ class TestAverage:
         res = average(m, cover, "general")
         assert res.converged
         assert res.iterations <= 5
-        for e, t in averaged_nview(res, m.kind).blocks.items():
-            truth = normalized_tensor(m.blocks[e].matrix)
-            assert np.linalg.norm(t.matrix - truth) < 1e-8
+        out = averaged_nview(res, m.kind)
+        for t, truth in zip(out.tensors, m.tensors[m.slots(out.pairs)]):
+            assert np.linalg.norm(t - normalized_tensor(truth)) < 1e-8
 
     def test_noisy_collinear_recovers_blocks(self):
         scene = generate("collinear", 10, 8, seed=28)
@@ -190,12 +190,10 @@ class TestAverage:
         cover = sequential_cover(scene.n)
         res = average(noisy, cover, "collinear", AdmmConfig(max_iters=500))
         assert res.converged
-        err_in, err_out = [], []
         out = averaged_nview(res, noisy.kind)
-        for e in out.blocks:
-            truth = clean.blocks[e].matrix
-            err_in.append(np.linalg.norm(noisy.blocks[e].matrix - truth))
-            err_out.append(np.linalg.norm(out.blocks[e].matrix - truth))
+        truth = clean.tensors[clean.slots(out.pairs)]
+        err_in = np.linalg.norm(noisy.tensors[noisy.slots(out.pairs)] - truth, axis=(1, 2))
+        err_out = np.linalg.norm(out.tensors - truth, axis=(1, 2))
         # averaging should not make blocks worse on average
         assert np.mean(err_out) <= np.mean(err_in) * 1.05
 
@@ -211,25 +209,22 @@ class TestAverage:
         m, _ = measure(scene, seed=0)
         cover = sequential_cover(3)
         base = average(m, cover, "collinear")
-        scaled_blocks = {
-            e: BifocalTensor(3.7 * t.matrix, t.kind) for e, t in m.blocks.items()
-        }
-        m2 = NViewBifocal.assemble(3, scaled_blocks, strict=False)
+        m2 = NViewBifocal.assemble(3, m.pairs, 3.7 * m.tensors, m.kind, strict=False)
         res = average(m2, cover, "collinear")
         base, res = averaged_nview(base, m.kind), averaged_nview(res, m2.kind)
-        for e in base.blocks:
-            assert np.allclose(
-                base.blocks[e].matrix, res.blocks[e].matrix, atol=1e-10
-            )
+        assert np.array_equal(base.pairs, res.pairs)
+        assert np.allclose(base.tensors, res.tensors, atol=1e-10)
 
     def test_iterates_symmetric_zero_diagonal(self):
         scene = generate("collinear", 5, 6, seed=31)
         noisy, _ = measure(scene, MeasurementNoise(rotation_deg=1.0), seed=3)
-        res = average(noisy, sequential_cover(scene.n), "collinear")
-        D = averaged_nview(res, noisy.kind).dense()
-        assert np.array_equal(D, D.T)
-        for i in range(scene.n):
-            assert np.linalg.norm(D[3 * i:3 * i + 3, 3 * i:3 * i + 3]) == 0.0
+        cover = sequential_cover(scene.n)
+        out = averaged_nview(average(noisy, cover, "collinear"), noisy.kind)
+        for t in cover.triplets:  # the averaged pairs are the cover's, not all pairs
+            D = out.submatrix(t)
+            assert np.array_equal(D, D.T)
+            for i in range(3):
+                assert np.linalg.norm(D[3 * i:3 * i + 3, 3 * i:3 * i + 3]) == 0.0
 
     def test_disconnected_cover_rejected(self):
         scene = generate("collinear", 6, 6, seed=32)
@@ -241,11 +236,8 @@ class TestAverage:
     def test_missing_block_rejected(self):
         scene = generate("collinear", 5, 6, seed=33)
         m, _ = measure(scene, seed=0)
-        blocks = dict(m.blocks)
-        del blocks[(0, 1)]
-        m2 = NViewBifocal.assemble(scene.n, blocks)
-        with pytest.raises(MissingBlock):
-            average(m2, sequential_cover(scene.n), "collinear")
+        with pytest.raises(MissingBlock, match=r"cover edge \(0, 1\) has no measured tensor"):
+            average(without(m, (0, 1)), sequential_cover(scene.n), "collinear")
 
 
 class TestAverageRobustness:
@@ -257,9 +249,9 @@ class TestAverageRobustness:
         res = average(m, sequential_cover(scene.n), "collinear", AdmmConfig(max_iters=60))
         best = min(rec["primal_residual"] for rec in res.log)
         # output corresponds to (at worst) the best logged residual scale
-        for t in averaged_nview(res, m.kind).blocks.values():
-            assert np.isfinite(t.matrix).all()
-            assert abs(np.linalg.norm(t.matrix) - 1.0) < 1e-9
+        for t in averaged_nview(res, m.kind).tensors:
+            assert np.isfinite(t).all()
+            assert abs(np.linalg.norm(t) - 1.0) < 1e-9
         assert np.isfinite(res.objective)
         assert best <= res.log[-1]["primal_residual"] + 1e-12
 
@@ -288,10 +280,10 @@ class TestStackedScaleSync:
         m, _ = measure(scene, MeasurementNoise(noise, noise), seed=seed)
         triplets = sorted(combinations(range(scene.n), 3))
         pairs, rows = pair_rows(triplets)
-        got = _local_scale_factors(np.array([m.block(*e) for e in pairs]), rows)
+        got = _local_scale_factors(m.tensors[m.slots(pairs)], rows)
         unclosed = 0
         for row, t in zip(got, triplets):
-            want = oracle.scale_factors([m.block(*e) for e in triplet_pairs(t)])
+            want = oracle.scale_factors(list(m.tensors[m.slots(triplet_pairs(t))]))
             assert row.tolist() == [float(v) for v in want]
             unclosed += want == [1.0, 1.0, 1.0]
         assert unclosed < len(triplets)
@@ -310,7 +302,7 @@ class TestStackedScaleSync:
         cover, extended = _virtual_cover(m, tracks, PipelineConfig(insert_virtual=virtual))
         assert bool(cover.virtual_nodes) == virtual
         pairs, rows = pair_rows(cover.triplets)
-        normed = np.array([normalized_tensor(extended.blocks[e].matrix) for e in pairs])
+        normed = np.array([normalized_tensor(M) for M in extended.tensors[extended.slots(pairs)]])
         got = _consistent_scale_factors(normed, rows, cover.dual)
         want = oracle.consistent_scale_factors(normed, rows, cover.triplets)
         assert got.shape == (len(cover.triplets), 3)

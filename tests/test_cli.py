@@ -3,6 +3,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import colsfm.pipeline
@@ -14,6 +15,11 @@ from conftest import banded
 
 def run_cli(args):
     return main(args)
+
+
+def _eye_camera(x):
+    """A scene file's camera with identity K and R, centred at (x, 0, 0)."""
+    return {"K": np.eye(3).ravel().tolist(), "R": np.eye(3).ravel().tolist(), "t": [x, 0.0, 0.0]}
 
 
 class TestCliFlow:
@@ -158,21 +164,37 @@ class TestCliFlow:
             assert run_cli(args + ["--out", str(tmp_path / "out")]) == 2, message
             assert message in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command,doc", [
-        ("average", {"n": 3, "kind": "essential", "edges": [], "tracks": [1]}),
-        ("average", [1, 2]),
-        ("average", {"n": 3, "kind": "essential", "edges": ["x"]}),
-        ("measure", {"cameras": [1], "points": []}),
-        ("measure", {"cameras": [], "points": []}),
+    @pytest.mark.parametrize("command,doc,named", [
+        ("average", {"n": 3, "kind": "essential", "edges": [], "tracks": [1]}, ""),
+        ("average", [1, 2], ""),
+        ("average", {"n": 3, "kind": "essential", "edges": ["x"]}, ""),
+        ("measure", {"cameras": [1], "points": []}, ""),
+        ("measure", {"cameras": [], "points": []}, ""),
+        ("measure", {"cameras": [_eye_camera(0.0), _eye_camera(1.0), _eye_camera(0.0)], "points": []},
+         "cameras 0 and 2 share a center"),
+        ("average", {"n": 3, "kind": "projective", "edges": []}, "unknown tensor kind 'projective'"),
     ], ids=["track-not-object", "top-level-list", "edge-not-object", "camera-not-object",
-            "no-cameras"])
-    def test_malformed_file_exit_code(self, command, doc, tmp_path, capsys):
+            "no-cameras", "shared-center", "unknown-kind-no-edges"])
+    def test_malformed_file_exit_code(self, command, doc, named, tmp_path, capsys):
         # a structurally malformed input file is a validation error, not a crash
         path = tmp_path / "in.json"
         path.write_text(json.dumps(doc))
         flag = "--measurements" if command == "average" else "--scene"
         assert run_cli([command, flag, str(path), "--out", str(tmp_path / "out")]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+
+    def test_calibrated_regime_on_fundamental_exit_code(self, tmp_path, capsys):
+        # calibrated is the default regime; varied intrinsics measure fundamental tensors
+        scene = tmp_path / "scene.json"
+        meas = tmp_path / "m.json"
+        run_cli(["synth", "--layout", "collinear", "--n-cams", "8", "--n-points", "10",
+                 "--seed", "0", "--intrinsics", "varied", "--out", str(scene)])
+        run_cli(["measure", "--scene", str(scene), "--seed", "0", "--out", str(meas)])
+        capsys.readouterr()
+        assert run_cli(["pipeline", "--measurements", str(meas), "--out", str(tmp_path / "out")]) == 2
+        assert "regime 'calibrated' needs essential measurements, these are 'fundamental'" in \
+            capsys.readouterr().err
 
     def test_missing_file_exit_code(self, tmp_path):
         code = run_cli(["recover", "--measurements", str(tmp_path / "nope.json"),

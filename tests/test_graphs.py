@@ -169,7 +169,7 @@ class TestCollinearityScore:
         gen = generate("general", 3, 6, seed=71)
 
         def score(scene):
-            tensors = [unit_bifocal(scene.cameras[i], scene.cameras[j]).matrix
+            tensors = [unit_bifocal(scene.cameras[i], scene.cameras[j])
                        for (i, j) in ((0, 1), (0, 2), (1, 2))]
             return collinearity_score(epipoles(tensors), [[0, 1, 2]])[0]
 

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from colsfm.errors import DuplicateEdge, IndexOutOfRange, RankNot2
-from colsfm.geometry import (
-    BifocalTensor, bifocal_from_pair, fix_sign, nearest_rotation,
-)
+from itertools import combinations
+
+from colsfm.errors import DuplicateEdge, IndexOutOfRange, MissingBlock, RankNot2
+from colsfm.geometry import bifocal_from_pair, fix_sign, nearest_rotation
 from colsfm.nview import (
     NViewBifocal,
     block_index,
@@ -16,47 +16,74 @@ from colsfm.nview import (
 from colsfm.nview import _eig_sorted, _vhat_alignment
 from colsfm.synthetic import MeasurementNoise, generate, measure
 
-from conftest import exact_nview, exact_triplet, geodesic_angle
+from conftest import exact_nview, exact_triplet, geodesic_angle, without
 
 
-def _blocks_from_scene(scene):
-    return {
-        (i, j): bifocal_from_pair(scene.cameras[i], scene.cameras[j])
-        for i in range(scene.n)
-        for j in range(i + 1, scene.n)
-    }
+def _scene_stack(scene):
+    """Every sorted camera pair of a scene and its true-scale tensor."""
+    pairs = list(combinations(range(scene.n), 2))
+    return pairs, np.array([bifocal_from_pair(scene.cameras[i], scene.cameras[j]) for i, j in pairs])
 
 
 class TestAssemble:
     def test_dense_three_view(self, collinear_scene):
-        blocks = {k: v for k, v in _blocks_from_scene(collinear_scene).items() if max(k) < 3}
-        m = NViewBifocal.assemble(3, blocks)
-        assert m.is_dense()
+        pairs, tensors = _scene_stack(collinear_scene)
+        m = NViewBifocal.assemble(3, pairs[:2] + pairs[5:6], tensors[[0, 1, 5]], "essential")
+        assert m.pairs.tolist() == [[0, 1], [0, 2], [1, 2]]
+        assert np.array_equal(m.dense(), exact_triplet(collinear_scene, (0, 1, 2)))
         assert m.kind == "essential"
+        assert not m.pairs.flags.writeable and not m.tensors.flags.writeable
 
-    def test_rank3_block_rejected(self, rng):
-        bad = BifocalTensor(np.eye(3), "fundamental")
-        with pytest.raises(RankNot2):
-            NViewBifocal.assemble(2, {(0, 1): bad})
+    def test_reversed_pair_transposed_and_sorted(self, collinear_scene):
+        pairs, tensors = _scene_stack(collinear_scene)
+        # (3, 1) arrives first, transposed: stored as (1, 3) in sorted place
+        given = [(3, 1), (0, 2), (0, 1)]
+        blocks = [tensors[pairs.index((1, 3))].T, tensors[pairs.index((0, 2))],
+                  tensors[pairs.index((0, 1))]]
+        m = NViewBifocal.assemble(4, given, blocks, "essential")
+        assert m.pairs.tolist() == [[0, 1], [0, 2], [1, 3]]
+        for (i, j), t in zip(m.pairs.tolist(), m.tensors):
+            assert np.array_equal(t, tensors[pairs.index((i, j))])
+        assert m.slots([(1, 3), (0, 1)]).tolist() == [2, 0]
+
+    def test_rank3_block_rejected(self, collinear_scene):
+        pairs, tensors = _scene_stack(collinear_scene)
+        tensors[4] = np.eye(3)
+        with pytest.raises(RankNot2, match=rf"block \({pairs[4][0]},{pairs[4][1]}\) is not rank 2"):
+            NViewBifocal.assemble(collinear_scene.n, pairs, tensors, "fundamental")
+        # only a strict assembly checks the rank
+        NViewBifocal.assemble(collinear_scene.n, pairs, tensors, "fundamental", strict=False)
 
     def test_duplicate_and_range_checks(self, collinear_scene):
-        blocks = _blocks_from_scene(collinear_scene)
-        t = blocks[(0, 1)]
-        with pytest.raises(IndexOutOfRange):
-            NViewBifocal.assemble(2, {(0, 5): t})
-        with pytest.raises(IndexOutOfRange):
-            NViewBifocal.assemble(3, {(1, 1): t})
-        rev = BifocalTensor(t.matrix.T, t.kind)
-        with pytest.raises(DuplicateEdge):
-            NViewBifocal.assemble(3, {(0, 1): t, (1, 0): rev})
+        pairs, tensors = _scene_stack(collinear_scene)
+        t = tensors[0]
+        with pytest.raises(IndexOutOfRange, match=r"edge \(0,5\) outside \[0,2\)"):
+            NViewBifocal.assemble(2, [(0, 5)], [t], "essential")
+        with pytest.raises(IndexOutOfRange, match=r"edge \(-1,1\) outside"):
+            NViewBifocal.assemble(3, [(-1, 1)], [t], "essential")
+        with pytest.raises(IndexOutOfRange, match=r"diagonal block \(1,1\)"):
+            NViewBifocal.assemble(3, [(0, 1), (1, 1)], [t, t], "essential")
+        with pytest.raises(DuplicateEdge, match=r"edge \(0,1\) given twice"):
+            NViewBifocal.assemble(3, [(0, 1), (1, 0)], [t, t.T], "essential")
+        with pytest.raises(DuplicateEdge, match=r"edge \(0,1\) given twice"):
+            NViewBifocal.assemble(3, [(0, 1), (0, 2), (0, 1)], [t, t, t], "essential")
 
-    def test_sparse_dense_zero_fills(self, collinear_scene):
-        blocks = _blocks_from_scene(collinear_scene)
-        del blocks[(0, 3)]
-        m = NViewBifocal.assemble(collinear_scene.n, blocks)
-        D = m.dense()
-        assert np.array_equal(D[0:3, 9:12], np.zeros((3, 3)))
-        assert not m.is_dense()
+    def test_unknown_kind_rejected(self, collinear_scene):
+        pairs, tensors = _scene_stack(collinear_scene)
+        with pytest.raises(ValueError, match="unknown tensor kind 'projective'"):
+            NViewBifocal.assemble(collinear_scene.n, pairs, tensors, "projective")
+        with pytest.raises(ValueError, match="unknown tensor kind 'projective'"):
+            NViewBifocal.assemble(3, [], [], "projective")  # checked with no pairs too
+
+    def test_sparse_dense_names_missing_block(self, collinear_scene):
+        m = without(exact_nview(collinear_scene), (0, 3))
+        assert len(m.pairs) == 14
+        with pytest.raises(MissingBlock, match=r"cover edge \(0, 3\) has no measured tensor"):
+            m.dense()
+        with pytest.raises(MissingBlock, match=r"cover edge \(0, 3\)"):
+            m.slots([(0, 1), (0, 3), (0, 4)])
+        with pytest.raises(MissingBlock, match=r"cover edge \(0, 8\)"):
+            m.slots([(0, 8)])  # outside the camera range
 
 
 class TestDense:
@@ -67,10 +94,10 @@ class TestDense:
         c0 = CameraModel(np.eye(3), random_rotation(rng), np.zeros(3))
         c1 = CameraModel(np.eye(3), random_rotation(rng), np.array([1.0, 0, 0]))
         t = bifocal_from_pair(c0, c1)
-        m = NViewBifocal.assemble(2, {(0, 1): t})
+        m = NViewBifocal.assemble(2, [(0, 1)], [t], "essential")
         D = m.dense()
-        assert np.allclose(D[0:3, 3:6], t.matrix)
-        assert np.allclose(D[3:6, 0:3], t.matrix.T)
+        assert np.allclose(D[0:3, 3:6], t)
+        assert np.allclose(D[3:6, 0:3], t.T)
 
     def test_symmetry_and_zero_trace(self, collinear_scene):
         D = exact_nview(collinear_scene).dense()
@@ -96,31 +123,37 @@ class TestOneAssembler:
     is checked against the double loop it replaced, bit for bit."""
 
     @staticmethod
-    def _sparse_noisy():
+    def _noisy():
         scene = generate("general", 7, 8, seed=21)
         m, _ = measure(scene, MeasurementNoise(0.5, 0.5), seed=3)
-        blocks = dict(m.blocks)
-        for e in ((0, 2), (3, 6), (1, 5)):
-            del blocks[e]
-        return NViewBifocal.assemble(m.n, blocks, strict=False)
+        return m
+
+    @staticmethod
+    def _block(m, i, j):
+        return m.tensors[m.slots([(i, j)])[0]]
 
     def test_dense(self):
-        m = self._sparse_noisy()
-        assert np.array_equal(m.dense(), _loop_block_matrix(m.n, m.block))
+        m = self._noisy()
+        assert np.array_equal(m.dense(), _loop_block_matrix(m.n, lambda u, v: self._block(m, u, v)))
 
-    def test_submatrix_unsorted_ids_missing_blocks(self):
-        m = self._sparse_noisy()
+    def test_submatrix_unsorted_ids(self):
+        m = self._noisy()
         for ids in ((5, 1, 3, 0), (6, 2, 0), (4, 3)):
             s = sorted(ids)
-            want = _loop_block_matrix(len(s), lambda u, v: m.block(s[u], s[v]))
+            want = _loop_block_matrix(len(s), lambda u, v: self._block(m, s[u], s[v]))
             assert np.array_equal(m.submatrix(ids), want)
+        # a sparse matrix gathers the sub-blocks it holds and names one it lacks
+        sparse = without(m, (0, 2), (3, 6), (1, 5))
+        assert np.array_equal(sparse.submatrix((6, 4, 0)), m.submatrix((0, 4, 6)))
+        with pytest.raises(MissingBlock, match=r"cover edge \(1, 5\)"):
+            sparse.submatrix((5, 1, 3))
 
     def test_exact_triplet(self):
         scene = generate("mixed", 6, 8, seed=22)
         ids = (5, 1, 3)
         s = sorted(ids)
         want = _loop_block_matrix(
-            3, lambda u, v: bifocal_from_pair(scene.cameras[s[u]], scene.cameras[s[v]]).matrix)
+            3, lambda u, v: bifocal_from_pair(scene.cameras[s[u]], scene.cameras[s[v]]))
         assert np.array_equal(exact_triplet(scene, ids), want)
 
     def test_default_layout_built_once_per_size(self, monkeypatch, rng):
@@ -427,12 +460,9 @@ class TestSparseCertificates:
     def test_sparse_input_rejected(self, collinear_scene):
         from colsfm.errors import ValidationError
 
-        m = exact_nview(collinear_scene)
-        blocks = dict(m.blocks)
-        del blocks[(0, 2)]
-        sparse = NViewBifocal.assemble(m.n, blocks)
+        sparse = without(exact_nview(collinear_scene), (0, 2))
         for fn in (certify_collinear_essential, certify_collinear_fundamental, certify_general):
-            with pytest.raises(ValidationError):
+            with pytest.raises(ValidationError, match=r"cover edge \(0, 2\)"):
                 fn(sparse)
         # per-triplet certification of the sparse matrix still works
         cert = certify_collinear_essential(sparse.submatrix((1, 2, 3)))

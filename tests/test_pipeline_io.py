@@ -8,9 +8,9 @@ import pytest
 
 from colsfm.averaging import AdmmConfig
 from colsfm.errors import (
-    DegenerateEpipole, InsufficientTracks, NoTriangles, RankDeficient, ValidationError,
+    DegenerateEpipole, InsufficientTracks, MissingBlock, NoTriangles, RankDeficient,
+    ValidationError,
 )
-from colsfm.geometry import BifocalTensor
 from colsfm.io import (
     load_cameras,
     load_measurements,
@@ -21,11 +21,13 @@ from colsfm.io import (
     save_scene,
     write_convergence_log,
 )
-from colsfm.graphs import triplet_pairs
+from colsfm.graphs import sequential_cover, triplet_pairs
 from colsfm.nview import NViewBifocal, certify_general
 from colsfm.pipeline import PipelineConfig, _virtual_cover, run_pipeline
 from colsfm.synthetic import MeasurementNoise, TrackSet, generate, measure
-from conftest import banded, center_spread, covered_edges, min_weight_cover, triplet_matrix
+from conftest import (
+    banded, center_spread, covered_edges, min_weight_cover, triplet_matrix, without,
+)
 
 
 # sha256 of the measurements files colsfm.io writes: for a noisy mixed scene,
@@ -69,8 +71,8 @@ class TestIO:
         save_measurements(nview, tracks, path)
         nview2, tracks2 = load_measurements(path)
         assert nview2.n == nview.n and nview2.kind == nview.kind
-        for e in nview.edges():
-            assert np.array_equal(nview.blocks[e].matrix, nview2.blocks[e].matrix)
+        assert np.array_equal(nview2.pairs, nview.pairs)
+        assert np.array_equal(nview2.tensors, nview.tensors)  # bit for bit
         assert len(tracks2.points) == len(tracks.points)
         assert np.array_equal(tracks2.points[0, 2], tracks.points[0, 2])
 
@@ -215,6 +217,30 @@ class TestPipelineR4:
         with pytest.raises(ValidationError, match="scene holds 8 cameras, the measurements 6"):
             run_pipeline(m, tracks, "r4", "calibrated", generate("collinear", 8, 16, seed=92))
 
+    @pytest.mark.parametrize("algorithm", ["r4", "vc"])
+    def test_calibrated_regime_on_fundamental_rejected(self, monkeypatch, algorithm):
+        # rejected before the cover stage, not after a full ADMM run
+        import colsfm.pipeline
+
+        def cover_stage(*args):
+            raise AssertionError("the cover stage ran")
+
+        monkeypatch.setattr(colsfm.pipeline, "cover_and_average", cover_stage)
+        scene = generate("collinear", 8, 16, seed=0, intrinsics_mode="varied")
+        m, tracks = measure(scene, seed=0)
+        with pytest.raises(ValidationError, match="regime 'calibrated' needs essential "
+                                                  "measurements, these are 'fundamental'"):
+            run_pipeline(m, tracks, algorithm, "calibrated", scene)
+
+    def test_dropped_chain_edge_names_missing_block(self):
+        # every pair of the sequential cover must be measured; the cover
+        # stage names the first missing one in cover order
+        scene = generate("collinear", 7, 16, seed=92)
+        m, tracks = measure(scene, seed=0)
+        for e in sorted({p for t in sequential_cover(7).triplets for p in triplet_pairs(t)}):
+            with pytest.raises(MissingBlock, match=rf"cover edge \({e[0]}, {e[1]}\) has no measured tensor"):
+                run_pipeline(without(m, e), tracks, "r4", "calibrated", scene)
+
 
 class TestPipelineVC:
     def test_fully_collinear_calibrated(self):
@@ -246,7 +272,7 @@ class TestPipelineVC:
         from colsfm.averaging import average
         from colsfm.graphs import enrich_connectivity
 
-        cover = enrich_connectivity(min_weight_cover(m.n, [(i, j, 1.0) for (i, j) in m.edges()]))
+        cover = enrich_connectivity(min_weight_cover(m.n, [(i, j, 1.0) for (i, j) in m.pairs.tolist()]))
         collinear_triplets = [
             t for t in cover.triplets
             if center_spread(scene, t) < 0.01
@@ -279,8 +305,10 @@ class TestRankedCover:
     @staticmethod
     def _with_rank1(m, edge):
         """The measurements m with a rank-1 tensor (two-dimensional null space) on edge."""
-        blocks = {**m.blocks, edge: BifocalTensor(np.outer([1.0, 0, 0], [0, 1.0, 0]), m.kind)}
-        return NViewBifocal.assemble(m.n, blocks, kind=m.kind, strict=False)
+        keep = np.any(m.pairs != edge, axis=1)
+        return NViewBifocal.assemble(m.n, [*m.pairs[keep], edge],
+                                     [*m.tensors[keep], np.outer([1.0, 0, 0], [0, 1.0, 0])],
+                                     m.kind, strict=False)
 
     def test_degenerate_pair_ranks_last(self):
         # its zero epipole rows would score 1.0, the best conditioning: ranked

@@ -17,7 +17,6 @@ from colsfm.errors import (
     ValidationError,
 )
 from colsfm.geometry import (
-    BifocalTensor,
     CameraModel,
     bifocal_from_pair,
     epipole_table,
@@ -73,7 +72,7 @@ def _center(P):
 def _rebuilt_block_matches(P_i, P_j, tensor, tol=1e-8):
     F = fundamental_from_projections(P_i, P_j)
     a = normalized_tensor(F)
-    b = normalized_tensor(tensor if isinstance(tensor, np.ndarray) else tensor.matrix)
+    b = normalized_tensor(tensor)
     return min(np.linalg.norm(a - b), np.linalg.norm(a + b)) < tol
 
 
@@ -172,7 +171,7 @@ class TestCalibratedCollinearRecovery:
             cams.append(CameraModel(np.eye(3), np.column_stack([x, y, fwd]), t))
         E = np.zeros((9, 9))
         for (i, j) in ((0, 1), (0, 2), (1, 2)):
-            B = bifocal_from_pair(cams[i], cams[j]).matrix
+            B = bifocal_from_pair(cams[i], cams[j])
             E[3 * i:3 * i + 3, 3 * j:3 * j + 3] = B
             E[3 * j:3 * j + 3, 3 * i:3 * i + 3] = B.T
         tr2, tr3 = {(0, 1): [], (0, 2): [], (1, 2): []}, []
@@ -240,9 +239,9 @@ class TestProjectiveCollinearRecovery:
         _, tr3 = _local_tracks(scene, (0, 1, 2))
         rec = _projective_collinear(F[(0, 1)], F[(1, 2)], F[(0, 2)], tr3)
         assert mean_reprojection_error(rec.cameras, *seen_everywhere(tr3)) < 1e-8
-        assert _rebuilt_block_matches(rec.cameras[0], rec.cameras[1], F[(0, 1)].matrix)
-        assert _rebuilt_block_matches(rec.cameras[1], rec.cameras[2], F[(1, 2)].matrix)
-        assert _rebuilt_block_matches(rec.cameras[0], rec.cameras[2], F[(0, 2)].matrix)
+        assert _rebuilt_block_matches(rec.cameras[0], rec.cameras[1], F[(0, 1)])
+        assert _rebuilt_block_matches(rec.cameras[1], rec.cameras[2], F[(1, 2)])
+        assert _rebuilt_block_matches(rec.cameras[0], rec.cameras[2], F[(0, 2)])
 
     def test_two_tracks_determine_a_in_general_position(self):
         # with non-collinear cameras the third-tensor rows already pin a;
@@ -397,7 +396,7 @@ class TestGaugeInvariance:
         ]
         E2 = np.zeros((9, 9))
         for (i, j) in ((0, 1), (0, 2), (1, 2)):
-            B = bifocal_from_pair(cams2[i], cams2[j]).matrix
+            B = bifocal_from_pair(cams2[i], cams2[j])
             E2[3 * i:3 * i + 3, 3 * j:3 * j + 3] = B
             E2[3 * j:3 * j + 3, 3 * i:3 * i + 3] = B.T
         # normalized blocks agree up to sign
@@ -592,7 +591,7 @@ class TestStackedProjective:
         collinear = sorted(cover.virtual_nodes, key=cover.virtual_nodes.get)
         assert len(calls) == len(collinear) and (algorithm == "r4" or collinear)
         for t, got in zip(collinear, calls):
-            F01, F02, F12 = (m.block(*e) for e in triplet_pairs(t))
+            F01, F02, F12 = m.tensors[m.slots(triplet_pairs(t))]
             _assert_same(_outcome_of(projective_oracle.recover_collinear, F01, F12, F02,
                                      tracks.tracks(t)), got)
         # the recovery stage, every cover triplet
@@ -600,7 +599,7 @@ class TestStackedProjective:
         system = pipeline._projective_systems(algorithm, avg, tracks, triplets)
         averaged = averaged_nview(avg, m.kind)
         for k, t in enumerate(triplets):
-            F01, F02, F12 = (averaged.block(*e) for e in triplet_pairs(t))
+            F01, F02, F12 = averaged.tensors[averaged.slots(triplet_pairs(t))]
             if algorithm == "r4":
                 want = _outcome_of(projective_oracle.recover_collinear, F01, F12, F02,
                                    tracks.tracks(t), triplet_id=t)
@@ -620,7 +619,7 @@ class TestStackedProjective:
         ts = scene.track_set()
         triplets = sequential_cover(8).triplets
         pairs, rows = pair_rows(triplets)
-        blocks = {e: unit_bifocal(scene.cameras[e[0]], scene.cameras[e[1]]).matrix for e in pairs}
+        blocks = {e: unit_bifocal(scene.cameras[e[0]], scene.cameras[e[1]]) for e in pairs}
         blocks[(3, 4)] = np.outer([1.0, 0, 0], [0, 1.0, 0])  # F12 of (2,3,4), F01 of (3,4,5)
         blocks[(5, 7)] = np.zeros((3, 3))                     # F02 of (5,6,7)
         tracks3 = [ts.tracks(t) for t in triplets]
@@ -752,7 +751,7 @@ class TestStackedClosure:
             scene = generate("general", 3, 8, seed=600 + seed)
             m, _ = measure(scene, MeasurementNoise(1.0, 1.0), seed=seed)
             for _ in range(6):
-                blocks.append([m.block(*e) for e in _LOCAL_PAIRS])
+                blocks.append(m.tensors[m.slots(_LOCAL_PAIRS)])
                 flips.append(rng.choice([-1.0, 1.0], size=3))
                 known.append(rng.uniform(size=3) < 0.5)
         _, geom = _stack(blocks)
@@ -843,7 +842,7 @@ def _scene_stack(layout, noise, seed):
     pairs, rows = pair_rows(triplets)
     points = [None if k % 3 == 2 else ts.tracks(e) for k, e in enumerate(pairs)]
     points[0] = np.zeros((0, 2, 3))
-    return m, ts, triplets, pairs, rows, np.array([m.block(*e) for e in pairs]), points
+    return m, ts, triplets, pairs, rows, m.tensors[m.slots(pairs)], points
 
 
 def _result_or_error(fn, *args, **kwargs):
@@ -916,7 +915,7 @@ class TestStackedPairPoses:
         ties = 0
         for trial in range(20):
             K = int(rng.integers(1, 10))
-            blocks = np.array([bifocal_from_pair(*_random_cameras(rng)).matrix for _ in range(K)])
+            blocks = np.array([bifocal_from_pair(*_random_cameras(rng)) for _ in range(K)])
             points = []
             for k in range(K):
                 kind = rng.random()

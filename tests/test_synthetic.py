@@ -192,15 +192,14 @@ class TestMeasure:
     def test_noiseless_blocks_match_up_to_normalization(self):
         scene = generate("collinear", 5, 6, seed=4)
         m, _ = measure(scene, MeasurementNoise(), seed=0)
-        for (i, j), t in m.blocks.items():
-            truth = normalized_tensor(bifocal_from_pair(scene.cameras[i], scene.cameras[j]).matrix)
-            assert np.allclose(t.matrix, truth, atol=1e-12)
+        for (i, j), t in zip(m.pairs.tolist(), m.tensors):
+            truth = normalized_tensor(bifocal_from_pair(scene.cameras[i], scene.cameras[j]))
+            assert np.allclose(t, truth, atol=1e-12)
 
     def test_noisy_blocks_remain_rank2(self):
         scene = generate("general", 6, 6, seed=5)
         m, _ = measure(scene, MeasurementNoise(rotation_deg=2.0, translation_dir_deg=2.0), seed=1)
-        for t in m.blocks.values():
-            s = t.singular_values()
+        for s in np.linalg.svd(m.tensors, compute_uv=False):
             assert s[2] < 1e-12 * s[0]
             assert abs(s[0] - s[1]) < 1e-9 * s[0]
 
@@ -213,10 +212,10 @@ class TestMeasure:
         while len(errs) < 200:
             scene = generate("general", 6, 6, seed=1000 + seed)
             m, _ = measure(scene, MeasurementNoise(rotation_deg=sigma), seed=seed)
-            for (i, j), t in m.blocks.items():
+            for (i, j), t in zip(m.pairs.tolist(), m.tensors):
                 Rtrue = scene.cameras[i].rotation.T @ scene.cameras[j].rotation
                 best = np.inf
-                for R in essential_candidates(t.matrix)[:2]:  # the two rotation branches
+                for R in essential_candidates(t)[:2]:  # the two rotation branches
                     best = min(best, geodesic_angle(R, Rtrue))
                 errs.append(np.rad2deg(best))
             seed += 1

@@ -31,7 +31,7 @@ PAIRS = ((0, 1), (0, 2), (1, 2))
 
 def _triplet_tensors(scene, ids=(0, 1, 2)):
     """The (3, 3, 3) unit tensors of a triplet in local pair order."""
-    return np.array([unit_bifocal(scene.cameras[ids[a]], scene.cameras[ids[b]]).matrix
+    return np.array([unit_bifocal(scene.cameras[ids[a]], scene.cameras[ids[b]])
                      for (a, b) in PAIRS])
 
 
@@ -44,7 +44,7 @@ def _essential_bifocals(tensors, track, tracks):
     the cheirality of tracks."""
     V, ties = v_matrices_from_essentials(tensors[None], [np.asarray(tracks)])
     assert ties == [None]
-    return virtual_bifocals(V[0], track, "essential")
+    return virtual_bifocals(V[0], track)
 
 
 def _local_tracks3(scene, ids=(0, 1, 2)):
@@ -179,7 +179,7 @@ class TestVirtualBifocals:
         from colsfm.geometry import skew
 
         expected = normalized_tensor(skew(tr[1]))
-        assert np.allclose(out[1].matrix, expected, atol=1e-12)
+        assert np.allclose(out[1], expected, atol=1e-12)
 
     def test_matches_oracle_virtual_camera_calibrated(self, collinear_scene):
         scene = collinear_scene
@@ -188,11 +188,10 @@ class TestVirtualBifocals:
         tensors = _triplet_tensors(scene)
         out = _essential_bifocals(tensors, tr, tracks)
         truth = _true_virtual_blocks(scene, scene.points[0])
-        for est, tb in zip(out, truth):
-            a = est.matrix
-            b = normalized_tensor(tb.matrix)
+        for a, tb in zip(out, truth):
+            b = normalized_tensor(tb)
             assert min(np.linalg.norm(a - b), np.linalg.norm(a + b)) < 1e-9
-            s = est.singular_values()
+            s = np.linalg.svd(a, compute_uv=False)
             assert s[2] < 1e-9 * s[0]
 
     def test_matches_oracle_from_recovered_projective_cameras(self, collinear_projective_scene):
@@ -204,14 +203,14 @@ class TestVirtualBifocals:
         tracks = _local_tracks3(scene)
         rec = recover_projective_collinear_triplet(projective_system(tensors[0], tensors[2], tensors[1], tracks), 0)
         tr = tracks[2]
-        out = virtual_bifocals(v_matrices_from_cameras(rec), tr, "fundamental")
+        out = virtual_bifocals(v_matrices_from_cameras(rec), tr)
         from colsfm.geometry import triangulate_dlt
 
         X = triangulate_dlt([rec.cameras[0], rec.cameras[1]], tr[:2])
         Xe = X[:3] / X[3]
         P_virtual = np.hstack([np.eye(3), -Xe.reshape(3, 1)])
         for i in range(3):
-            a = out[i].matrix
+            a = out[i]
             b = normalized_tensor(fundamental_from_projections(rec.cameras[i], P_virtual))
             assert min(np.linalg.norm(a - b), np.linalg.norm(a + b)) < 1e-8
 
@@ -223,8 +222,7 @@ class TestVirtualBifocals:
         # rescaling homogeneous points then re-dehomogenizing is a no-op here
         tr2 = (tr * 7.3) / 7.3
         out2 = _essential_bifocals(tensors, tr2, tracks)
-        for a, b in zip(out1, out2):
-            assert np.allclose(a.matrix, b.matrix, atol=1e-12)
+        assert np.allclose(out1, out2, atol=1e-12)
 
     def test_epipole_of_virtual_tensor_is_point_image(self, collinear_scene):
         # right epipole of F_iX = image of the virtual center X in view i
@@ -234,7 +232,7 @@ class TestVirtualBifocals:
         tensors = _triplet_tensors(scene)
         out = _essential_bifocals(tensors, tr, tracks)
         for i in range(3):
-            e = epipoles(out[i].matrix)[0, 0]
+            e = epipoles(out[i])[0, 0]
             img = unit(tr[i])
             assert min(np.linalg.norm(e - img), np.linalg.norm(e + img)) < 1e-9
 
@@ -244,12 +242,9 @@ class TestFourViewMatrix:
         for seed in range(3):
             scene = generate("collinear", 3, 8, seed=80 + seed)
             X = scene.points[0]
-            real = {
-                (i, j): bifocal_from_pair(scene.cameras[i], scene.cameras[j])
-                for (i, j) in ((0, 1), (0, 2), (1, 2))
-            }
+            real = [bifocal_from_pair(scene.cameras[i], scene.cameras[j]) for (i, j) in PAIRS]
             virt = _true_virtual_blocks(scene, X)
-            m = four_view(real, virt)
+            m = four_view(real, virt, "essential")
             cert = certify_general(m, tol=1e-8)
             assert cert.passed
             assert cert.rank_estimate == 6
@@ -260,23 +255,17 @@ class TestFourViewMatrix:
         scene = generate("collinear", 3, 8, seed=83)
         c = scene.centers()
         X = c[0] + 0.4 * (c[2] - c[0])  # on the line
-        real = {
-            (i, j): bifocal_from_pair(scene.cameras[i], scene.cameras[j])
-            for (i, j) in ((0, 1), (0, 2), (1, 2))
-        }
+        real = [bifocal_from_pair(scene.cameras[i], scene.cameras[j]) for (i, j) in PAIRS]
         virt = _true_virtual_blocks(scene, X)
-        m = four_view(real, virt)
+        m = four_view(real, virt, "essential")
         cert = certify_general(m)
         assert not cert.passed
         assert cert.rank_estimate == 4
 
     def test_consistent_matrix_fixed_under_projection(self):
         scene = generate("collinear", 3, 8, seed=84)
-        real = {
-            (i, j): bifocal_from_pair(scene.cameras[i], scene.cameras[j])
-            for (i, j) in ((0, 1), (0, 2), (1, 2))
-        }
+        real = [bifocal_from_pair(scene.cameras[i], scene.cameras[j]) for (i, j) in PAIRS]
         virt = _true_virtual_blocks(scene, scene.points[1])
-        M = four_view(real, virt).dense()
+        M = four_view(real, virt, "essential").dense()
         P = project_general_essential(M).matrix
         assert np.linalg.norm(P - M) < 1e-10 * np.linalg.norm(M)
