@@ -18,15 +18,17 @@ closures of all cover triplets are one stacked pass of `recovery`, and the
 synchronisation is (T, 3) arrays walked over the cover's `TripletCover.dual`.
 
 The projections are batched kernels over (m, 3k, 3k) stacks, each call one
-stacked eigendecomposition (signature-deficient rows select per row); the
-general-essential kernel is a retraction (`project_general_essential`) with
-one stacked 3x3 SVD for its start and one per camera in each sweep.  Its
-output has exactly zero diagonal blocks, like the consensus, so the two sets
-can meet on covers whose dual graph has cycles.  The driver runs it cold at
-its first iteration only; later ones warm-start `_WARM_SWEEPS` sweeps from the
-previous rotations, an (m, 3, 3, 3) stack in `average`'s locals, with no
-eigendecomposition, and hand on the flags of that first spectral start: in
-this regime `signature_flags` counts triplets whose start was deficient.
+stacked eigendecomposition (signature-deficient rows select per row, and
+`nview.eigen_signature` flags them); the general-essential kernel is a
+retraction (`project_general_essential`) started from the sign-searched
+`nview.block_rotation_frames` with one stacked 3x3 SVD, and one more per
+camera in each sweep.  Its output has exactly zero diagonal blocks, like
+the consensus, so the two sets can meet on covers whose dual graph has
+cycles.  The driver runs it cold at its first iteration only; later ones
+warm-start `_WARM_SWEEPS` sweeps from the previous rotations, an
+(m, 3, 3, 3) stack in `average`'s locals, with no eigendecomposition, and
+hand on the flags of that first spectral start: in this regime
+`signature_flags` counts triplets whose start was deficient.
 The driver holds its triplet state as (m, 9, 9) stacks and the consensus as
 (E, 3, 3) camera-pair blocks, linked by one `nview.block_index` layout built
 once per run, so each ADMM iteration gathers the consensus into the triplet
@@ -37,6 +39,7 @@ rows, as the one copy of the averaged tensors.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,7 +47,9 @@ import numpy as np
 from .errors import NotConnected
 from .geometry import _skews, nearest_rotation, normalized_tensor
 from .graphs import _LOCAL_PAIRS, DualGraph, TripletCover, pair_rows
-from .nview import _RANK_TOL, _SIGN_CASES, NViewBifocal, block_index, block_matrix
+from .nview import (
+    _RANK_TOL, NViewBifocal, block_index, block_matrix, block_rotation_frames, eigen_signature,
+)
 from .recovery import closure_scales, pair_poses, resolve_essential_triplet
 
 _ROWS, _COLS = zip(*_LOCAL_PAIRS)  # block row and column of each local pair
@@ -59,8 +64,8 @@ class AdmmConfig:
     tol: float = 1e-9  # on both the primal and the dual residual
 
     def __post_init__(self):
-        if min(self.rho, self.max_iters, self.tol) <= 0:
-            raise ValueError("all ADMM parameters must be positive")
+        if not all(math.isfinite(v) and v > 0 for v in (self.rho, self.max_iters, self.tol)):
+            raise ValueError("all ADMM parameters must be positive and finite")
 
 
 @dataclass
@@ -109,8 +114,8 @@ def _truncate(S: np.ndarray, need: int):
     the signature-deficient rest take their choice from `_select_signed`."""
     w_asc, V_asc = np.linalg.eigh((S + S.swapaxes(-1, -2)) / 2.0)
     w, V = w_asc[:, ::-1], V_asc[..., ::-1]  # descending order
-    thr = _RANK_TOL * np.max(np.abs(w), axis=-1, keepdims=True)
-    flags = ~(np.all(w[:, :need] > thr, axis=-1) & np.all(w[:, -need:] < -thr, axis=-1))
+    pos, neg = eigen_signature(w)
+    flags = (pos < need) | (neg < need)
     X, pv, Y, nv = V[..., :need], w[:, :need], V_asc[..., :need], w_asc[:, :need]
     if flags.any():
         X, pv, Y, nv = X.copy(), pv.copy(), Y.copy(), nv.copy()
@@ -149,16 +154,6 @@ def _signature_kernel(need: int):
 _collinear_fundamental = _signature_kernel(2)
 _general_fundamental = _signature_kernel(3)
 
-# the sign search as one linear map: the 36 entries of a block's Gram matrix
-# [X Y]^T [X Y] -> the 9 entries of X^T X + X^T Y S + S Y^T X + S Y^T Y S for
-# each of the 8 sign cases S = diag(s); the coefficient of (X or Y column j,
-# X or Y column k) is 1 or s_j times 1 or s_k
-_SIGN_FACTORS = np.stack([np.ones_like(_SIGN_CASES), _SIGN_CASES], axis=1)  # (case, X/Y, column)
-_SIGN_GRAM = np.einsum(
-    "cpj,cqk,jJ,kK->pjqkcJK", _SIGN_FACTORS, _SIGN_FACTORS, np.eye(3), np.eye(3)
-).reshape(36, 72)
-
-
 # Gauss-Seidel sweeps of the general-essential retraction after its spectral
 # start, and after a warm start from the previous ADMM iteration's rotations
 _SWEEPS = 3
@@ -177,33 +172,17 @@ def _centres(Q: np.ndarray, W: np.ndarray) -> np.ndarray:
     return c - sum(c[:, u] for u in range(k))[:, None] / k
 
 
-def _spectral_rotations(S: np.ndarray):
-    """(m, k, 3, 3) start rotations of the retraction and the signature flags,
-    from the rank-6 paired eigenvectors of each matrix of an (m, 3k, 3k) stack."""
-    m, d = S.shape[:2]
-    k = d // 3
-    X, _, Y, _, flags = _truncate(S, 3)
-    # block-orthogonality of sqrt(k) sqrt(0.5)(X + Y S) per case: the squares of
-    # G_b = (k/2)(X^T X + X^T Y S + S Y^T X + S Y^T Y S) - I summed over blocks b
-    XY = np.concatenate([X, Y], axis=-1).reshape(m, k, 3, 6)
-    K = XY.swapaxes(-1, -2) @ XY
-    G = (k / 2.0) * (K.reshape(m, k, 36) @ _SIGN_GRAM).reshape(m, k, 8, 9) - np.eye(3).ravel()
-    r = np.sum(G * G, axis=(1, 3))
-    Ys = Y * _SIGN_CASES[np.argmin(r, axis=1)][:, None, :]
-    dets = np.linalg.det((np.sqrt(0.5) * (X + Ys)).reshape(m, k, 3, 3))
-    flip = np.where(np.sum(dets, axis=1) < 0, -1.0, 1.0)
-    X[..., 0] *= flip[:, None]
-    Ys[..., 0] *= flip[:, None]
-    return nearest_rotation(np.sqrt(k) * (np.sqrt(0.5) * (X + Ys)).reshape(m, k, 3, 3)), flags
-
-
 def _general_essential(S: np.ndarray, warm=None):
     """Cold (warm None): spectral start, then `_SWEEPS` sweeps.  Warm (the
     (rotations, flags) a previous call returned): `_WARM_SWEEPS` sweeps from
     those rotations, handing on the flags of their spectral start."""
     m, d = S.shape[:2]
     k = d // 3
-    Q, flags = _spectral_rotations(S) if warm is None else (warm[0].copy(), warm[1])
+    if warm is None:
+        X, _, Y, _, flags = _truncate(S, 3)
+        Q = nearest_rotation(np.sqrt(k) * block_rotation_frames(X, Y))
+    else:
+        Q, flags = warm[0].copy(), warm[1]
     W = np.ascontiguousarray(_symmetrized(S).reshape(m, k, 3, k, 3).swapaxes(2, 3))
     for _ in range(_SWEEPS if warm is None else _WARM_SWEEPS):
         c = _centres(Q, W)
@@ -243,10 +222,9 @@ def project_general_essential(S: np.ndarray) -> ProjectionResult:
     E_uv = Q_u [c_u - c_v]x Q_v^T of k cameras (rotations Q_u, mean-zero
     centres c_u), which have zero diagonal blocks.
 
-    The rotations start from the sqrt(0.5)(X + Y) blocks of the rank-6
-    paired eigenvectors, projected to rotations; the relative column signs
-    of Y are searched (8 cases, the first best wins) for the best
-    block-orthogonality.  Each of `_SWEEPS` sweeps then sets the centres to
+    The rotations start from the sqrt(0.5)(X + Y S) blocks of the rank-6
+    paired eigenvectors at the sign case S that `nview.block_rotation_frames`
+    picks (8 cases, the first best wins), projected to rotations.  Each of `_SWEEPS` sweeps then sets the centres to
     their least-squares values, c_u = (1/k) sum_v vee(skew(Q_u^T S_uv Q_v)),
     and updates each Q_u in turn by Procrustes against its block row.  The
     output is assembled from the final rotations and centres, so consistent

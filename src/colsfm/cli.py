@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -139,12 +140,28 @@ def cmd_pipeline(args) -> int:
     return EXIT_OK if out.converged else EXIT_NO_CONVERGENCE
 
 
-def _add_common(p) -> None:
+def _positive(kind):
+    """An argparse type: a number of the given kind, finite and above zero."""
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
+        if not (math.isfinite(value) and value > 0):
+            raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
+        return value
+
+    return parse
+
+
+def _add_common(p, regime: bool = True) -> None:
     p.add_argument("--algorithm", choices=["r4", "vc"], default="r4")
-    p.add_argument("--regime", choices=["calibrated", "uncalibrated"], default="calibrated")
-    p.add_argument("--tol", type=float, default=1e-9, help="ADMM primal/dual tolerance")
-    p.add_argument("--max-iters", type=int, default=500)
-    p.add_argument("--rho", type=float, default=5.0, help="ADMM penalty")
+    if regime:
+        p.add_argument("--regime", choices=["calibrated", "uncalibrated"], default="calibrated")
+    p.add_argument("--tol", type=_positive(float), default=1e-9, help="ADMM primal/dual tolerance")
+    p.add_argument("--max-iters", type=_positive(int), default=500)
+    p.add_argument("--rho", type=_positive(float), default=5.0, help="ADMM penalty")
     p.add_argument("--no-virtual", action="store_true",
                    help="vc only: skip virtual-camera insertion (diagnostic)")
 
@@ -181,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("average", help="run the ADMM averaging stage")
     p.add_argument("--measurements", required=True)
     p.add_argument("--out", required=True, help="output directory (cover + log)")
-    _add_common(p)
+    _add_common(p, regime=False)  # averaging is the same in both regimes
     p.set_defaults(func=cmd_average)
 
     p = sub.add_parser("recover", help="average + camera recovery")

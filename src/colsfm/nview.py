@@ -7,15 +7,20 @@ names the first missing pair.  Every block matrix of the package comes from
 one assembler (`block_index` lays pair blocks out, `block_matrix` fills the
 layout).
 
-A collinear-consistent essential matrix has eigenvalues (l, l, -l, -l) and,
-for the right in-plane pairing of the two eigenspaces, every 3x2 block V_i of
-sqrt(0.5)(X + Y) satisfies V_i^T V_i = I/n.  The pairing is an O(2) basis
-change whose squared residual is a degree-4 trigonometric polynomial of its
-angle, so it is found in closed form rather than searched.  A
-collinear-consistent fundamental matrix has rank 4 with signature (2, 2) and
-rank-2 block rows.
-General-position triplets instead have rank 6 with paired spectrum and (for
-essential kind) block-rotation structure in sqrt(0.5)(X + Y).
+Each spectral condition of the paper's characterisation has one
+implementation here, which the certificates and the projection kernels of
+`averaging` share.  "Clearly off zero" is `eigen_signature`.  A
+collinear-consistent essential matrix has eigenvalues (l, l, -l, -l)
+(`collinear_pattern_residual`) and, for the right in-plane pairing of the
+two eigenspaces, every 3x2 block V_i of sqrt(0.5)(X + Y) satisfies
+V_i^T V_i = I/n.  The pairing is an O(2) basis change whose squared residual
+is a degree-4 trigonometric polynomial of its angle, minimised at a root of
+its derivative.  A collinear-consistent fundamental matrix has signature
+(2, 2) and rank-2 block rows (one SVD of the block-row stack).
+General-position matrices have signature (3, 3), and essential ones a paired
+spectrum and blocks of sqrt(0.5)(X + Y S) that are rotations up to scale for
+one sign case S (`block_rotation_frames`, whose frames also start the
+general-essential retraction).
 """
 
 from __future__ import annotations
@@ -157,9 +162,6 @@ class ConsistencyCertificate:
     rotation_residual: float | None = None
     v_hat: np.ndarray | None = field(default=None, repr=False)
 
-    def __bool__(self):
-        return self.passed
-
 
 def eigen_signature(w: np.ndarray):
     """The (positive, negative) counts of the eigenvalues w (..., m) clearly
@@ -192,8 +194,8 @@ def _eig_sorted(M: np.ndarray):
 # the alignment objective is a trigonometric polynomial of degree 4 in the
 # basis angle; its coefficients (a_0, a_1..a_4, b_1..b_4) multiply the terms
 # (1, cos k theta, sin k theta), and the discrete Fourier fit _FIT recovers
-# them exactly from its values at 9 equispaced angles.  Its minimum is
-# bracketed on a grid of the polynomial and polished by Newton's method.
+# them exactly from its values at 9 equispaced angles.  Its minimum lies at a
+# root of the derivative, a polynomial of degree 8 in e^(i theta).
 _HARMONICS = np.arange(1, 5)
 
 
@@ -204,8 +206,6 @@ def _terms(theta) -> np.ndarray:
 
 _SAMPLES = 2.0 * np.pi * np.arange(9) / 9
 _FIT = _terms(_SAMPLES) * np.r_[1.0, np.full(8, 2.0)] / 9
-_GRID = 2.0 * np.pi * np.arange(64) / 64
-_GRID_TERMS = _terms(_GRID)
 _REFLECTIONS = np.array([1.0, -1.0])
 
 
@@ -219,24 +219,13 @@ def _basis_changes(theta: np.ndarray, refl: np.ndarray) -> np.ndarray:
 _SAMPLE_BASES = _basis_changes(_SAMPLES, _REFLECTIONS[:, None])
 
 
-def _newton_polish(coef: np.ndarray, theta: float, h: float) -> float:
-    """Newton's method on the derivative of the polynomial with coefficients
-    coef, from the grid point theta and kept within h of it; where the
-    curvature is not positive it steps h/2 downhill instead."""
-    a, b = coef[1:5].tolist(), coef[5:].tolist()
-    lo, hi = theta - h, theta + h
-    for _ in range(8):
-        d1 = d2 = 0.0
-        for k, ak, bk in zip((1, 2, 3, 4), a, b):
-            c, s = math.cos(k * theta), math.sin(k * theta)
-            d1 += k * (bk * c - ak * s)
-            d2 -= k * k * (ak * c + bk * s)
-        step = -d1 / d2 if d2 > 0 else -math.copysign(h / 2, d1)
-        moved = min(max(theta + step, lo), hi)
-        if abs(moved - theta) < 1e-13:
-            return moved
-        theta = moved
-    return theta
+def _critical_angles(coef: np.ndarray) -> np.ndarray:
+    """The angles of the roots of z^4 f'(theta), z = e^(i theta), for the
+    polynomial f with coefficients coef, and theta = 0: with
+    f' = sum_k k (b_k cos k theta - a_k sin k theta), the coefficient of
+    z^(4+k) is (k/2)(b_k + i a_k) and that of z^(4-k) its conjugate."""
+    half = _HARMONICS / 2.0 * (coef[5:] + 1j * coef[1:5])
+    return np.append(np.angle(np.roots(np.concatenate([half[::-1], [0.0], np.conj(half)]))), 0.0)
 
 
 def _block_gram_residuals(bx, by, Q, n: int):
@@ -255,23 +244,20 @@ def _vhat_alignment(X: np.ndarray, Y: np.ndarray, n: int):
     arbitrary in-plane basis; the orthogonality condition holds only for the
     aligned choice, so it must be found, not assumed.  For each reflection
     the summed squared residual f(theta) is a trigonometric polynomial of
-    degree 4: its coefficients come from one stacked evaluation at 9 angles.
+    degree 4: its coefficients come from one stacked evaluation at 9 angles,
+    and its minimum is the least of its values at its critical angles.
     """
     bx = X.reshape(n, 3, 2)
     by = Y.reshape(n, 3, 2)
     _, per_block = _block_gram_residuals(bx, by, _SAMPLE_BASES, n)
-    coef = np.sum(per_block, axis=-1) @ _FIT
-    grid = coef @ _GRID_TERMS.T
-    k = np.argmin(grid, axis=1)
-    start = _GRID[k]
-    theta = np.array([_newton_polish(c, t, _GRID[1]) for c, t in zip(coef, start.tolist())])
-    values = np.sum(coef * _terms(theta), axis=1)
-    # keep a grid point where polishing did not lower the polynomial
-    worse = values > grid[[0, 1], k]
-    theta = np.where(worse, start, theta)
-    values = np.where(worse, grid[[0, 1], k], values)
-    best = int(np.argmin(values))  # ties keep the proper rotation
-    Q = _basis_changes(theta[best], _REFLECTIONS[best])
+    best = []  # (value, angle) of each reflection's minimum
+    for coef in np.sum(per_block, axis=-1) @ _FIT:
+        theta = _critical_angles(coef)
+        values = _terms(theta) @ coef
+        k = int(np.argmin(values))
+        best.append((values[k], theta[k]))
+    r = min(range(2), key=lambda r: best[r][0])  # ties keep the proper rotation
+    Q = _basis_changes(best[r][1], _REFLECTIONS[r])
     Vh, per_block = _block_gram_residuals(bx, by, Q, n)
     return float(np.max(np.sqrt(per_block))), Vh.reshape(3 * n, 2)
 
@@ -315,19 +301,12 @@ def certify_collinear_essential(m: NViewBifocal | np.ndarray, tol: float = 1e-6)
     )
 
 
-def _block_row_rank(M: np.ndarray, i: int) -> int:
-    row = M[3 * i:3 * i + 3, :]
-    s = np.linalg.svd(row, compute_uv=False)
-    if s[0] == 0:
-        return 0
-    return int(np.sum(s > _RANK_TOL * s[0]))
-
-
 def certify_collinear_fundamental(m: NViewBifocal | np.ndarray) -> ConsistencyCertificate:
     """Collinear-consistency certificate for a fundamental n-view matrix:
     rank 4 with signature (2, 2), every 3 x 3n block row of rank 2."""
     M, n, w, _, (pos, neg) = _spectrum(m)
-    row_ranks = [_block_row_rank(M, i) for i in range(n)]
+    s = np.linalg.svd(M.reshape(n, 3, 3 * n), compute_uv=False)
+    row_ranks = np.sum(s > _RANK_TOL * s[:, :1], axis=1).tolist()
     conditions = {
         "rank4_signature": (pos, neg) == (2, 2),
         "block_rows_rank2": all(r == 2 for r in row_ranks),
@@ -346,25 +325,35 @@ def certify_collinear_fundamental(m: NViewBifocal | np.ndarray) -> ConsistencyCe
 # relative column signs of Y tried against the block-rotation structure:
 # row b has +1 in column k when bit k of b is set
 _SIGN_CASES = np.array([[1.0 if b & (1 << k) else -1.0 for k in range(3)] for b in range(8)])
+# the sign search as one linear map: the 36 entries of a block's Gram matrix
+# [X Y]^T [X Y] -> the 9 entries of X^T X + X^T Y S + S Y^T X + S Y^T Y S for
+# each of the 8 sign cases S = diag(s); the coefficient of (X or Y column j,
+# X or Y column k) is 1 or s_j times 1 or s_k
+_SIGN_FACTORS = np.stack([np.ones_like(_SIGN_CASES), _SIGN_CASES], axis=1)  # (case, X/Y, column)
+_SIGN_GRAM = np.einsum(
+    "cpj,cqk,jJ,kK->pjqkcJK", _SIGN_FACTORS, _SIGN_FACTORS, np.eye(3), np.eye(3)
+).reshape(36, 72)
 
 
-def _block_rotation_residual(X: np.ndarray, Y: np.ndarray, n: int):
-    """Min over the 2^3 relative column-sign choices of the deviation of the
-    sqrt(n) * sqrt(0.5)(X + Y) blocks from rotations; also returns V_hat."""
-    best = (np.inf, None)
-    for signs in _SIGN_CASES:
-        Vh = np.sqrt(0.5) * (X + Y * signs)
-        blocks = np.sqrt(n) * Vh.reshape(n, 3, 3)
-        G = np.einsum("nij,nik->njk", blocks, blocks) - np.eye(3)
-        ortho = float(np.max(np.sqrt(np.sum(G * G, axis=(1, 2)))))
-        dets = np.array([np.linalg.det(b) for b in blocks])
-        if np.sum(dets) < 0:
-            dets = -dets  # global column-pair flip makes all dets positive
-        det_res = float(np.max(np.abs(dets - 1.0)))
-        r = max(ortho, det_res)
-        if r < best[0]:
-            best = (r, Vh)
-    return best
+def block_rotation_frames(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """The (m, k, 3, 3) blocks of sqrt(0.5)(X + Y S) for the three most
+    positive and most negative eigenvectors X, Y (m, 3k, 3) of a stack of
+    matrices, each ordered by descending magnitude.  S = diag(s) is the sign
+    case whose blocks, scaled by sqrt(k), are closest to orthonormal in
+    summed squares (the first best of the 8 wins), and column 0 is negated
+    where the block determinants sum negative.  For a consistent essential
+    matrix the scaled blocks are its rotations, up to one global rotation."""
+    m, d = X.shape[:2]
+    k = d // 3
+    # block-orthogonality per case: the squares of
+    # G_b = (k/2)(X^T X + X^T Y S + S Y^T X + S Y^T Y S) - I summed over blocks b
+    XY = np.concatenate([X, Y], axis=-1).reshape(m, k, 3, 6)
+    K = XY.swapaxes(-1, -2) @ XY
+    G = (k / 2.0) * (K.reshape(m, k, 36) @ _SIGN_GRAM).reshape(m, k, 8, 9) - np.eye(3).ravel()
+    r = np.sum(G * G, axis=(1, 3))
+    V = (np.sqrt(0.5) * (X + Y * _SIGN_CASES[np.argmin(r, axis=1)][:, None, :])).reshape(m, k, 3, 3)
+    V[..., 0] *= np.where(np.sum(np.linalg.det(V), axis=1) < 0, -1.0, 1.0)[:, None, None]
+    return V
 
 
 def certify_general(
@@ -385,18 +374,19 @@ def certify_general(
     rotation_residual = None
     v_hat = None
     if kind == "essential":
-        lam = np.array([(w[k] - w[len(w) - 1 - k]) / 2.0 for k in range(3)])
+        top, bottom = w[:3], w[::-1][:3]
+        lam = (top - bottom) / 2.0
         if np.all(lam > 0):
-            dev = [abs(w[k] - lam[k]) for k in range(3)]
-            dev += [abs(w[len(w) - 1 - k] + lam[k]) for k in range(3)]
-            if len(w) > 6:
-                dev.append(float(np.max(np.abs(w[3:-3]))))
-            pattern_residual = float(max(dev) / lam[0])
+            dev = np.concatenate([np.abs(top - lam), np.abs(bottom + lam), np.abs(w[3:-3])])
+            pattern_residual = float(np.max(dev) / lam[0])
         else:
             pattern_residual = 1.0
-        X = V[:, [0, 1, 2]]
-        Y = V[:, [len(w) - 1, len(w) - 2, len(w) - 3]]
-        rotation_residual, v_hat = _block_rotation_residual(X, Y, n)
+        frames = block_rotation_frames(V[None, :, :3], V[None, :, :-4:-1])[0]
+        B = np.sqrt(n) * frames
+        G = B.swapaxes(1, 2) @ B - np.eye(3)
+        rotation_residual = float(max(np.max(np.sqrt(np.sum(G * G, axis=(1, 2)))),
+                                      np.max(np.abs(np.linalg.det(B) - 1.0))))
+        v_hat = frames.reshape(3 * n, 3)
         conditions["eigen_pairing"] = pattern_residual < tol
         conditions["block_rotation"] = rotation_residual < tol
     return ConsistencyCertificate(

@@ -123,3 +123,12 @@ def test_test_only_surface_stays_deleted():
     assert list(inspect.signature(nview.NViewBifocal.assemble).parameters) == [
         "n", "pairs", "tensors", "kind", "strict"]
     assert m.pairs.shape == (10, 2) and m.tensors.shape == (10, 3, 3)
+    # each spectral step has one implementation, in nview: the retraction and
+    # the general certificate share one sign search, the eigenspace alignment
+    # is a polynomial root, and the block-row ranks come from one stacked SVD
+    for name in ("_newton_polish", "_GRID", "_GRID_TERMS", "_block_rotation_residual",
+                 "_block_row_rank"):
+        assert not hasattr(nview, name), name
+    for name in ("_SIGN_GRAM", "_SIGN_CASES", "_spectral_rotations"):
+        assert not hasattr(averaging, name), name
+    assert "__bool__" not in vars(nview.ConsistencyCertificate)

@@ -157,6 +157,13 @@ class TestAdmmConfig:
         with pytest.raises(ValueError):
             AdmmConfig(rho=0.0)
 
+    @pytest.mark.parametrize("field,value", [("max_iters", 0), ("tol", -1e-9), ("rho", float("nan")),
+                                             ("tol", float("nan")), ("rho", float("inf"))])
+    def test_rejects_nonpositive_and_nonfinite(self, field, value):
+        # nan compares false with 0, so a plain sign test lets it through
+        with pytest.raises(ValueError, match="positive and finite"):
+            AdmmConfig(**{field: value})
+
 
 class TestAverage:
     def test_noiseless_collinear_converges_immediately(self):

@@ -321,3 +321,36 @@ class TestAverageCommand:
         assert (outdir / "cover.json").exists()
         assert run_cli(["pipeline", "--measurements", str(meas), "--algorithm", "r4",
                         "--out", str(tmp_path / "full")]) == 2
+
+
+class TestStageFlags:
+    @pytest.mark.parametrize("command", ["average", "recover", "pipeline"])
+    @pytest.mark.parametrize("flag,value", [
+        ("--max-iters", "0"), ("--max-iters", "-2"), ("--rho", "nan"), ("--rho", "0"),
+        ("--tol", "nan"), ("--tol", "inf")])
+    def test_bad_admm_value_exits_2_naming_flag(self, command, flag, value, tmp_path, capsys):
+        meas = _measured(tmp_path, "collinear", 5, 0)
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            run_cli([command, "--measurements", str(meas), flag, value, "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert f"argument {flag}: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_average_takes_no_regime(self, tmp_path, capsys):
+        # averaging is the same in both regimes: `average` reads no --regime
+        # and runs on fundamental measurements, which calibrated `recover` rejects
+        scene = tmp_path / "scene.json"
+        meas = tmp_path / "m.json"
+        run_cli(["synth", "--layout", "collinear", "--n-cams", "8", "--n-points", "10",
+                 "--seed", "0", "--intrinsics", "varied", "--out", str(scene)])
+        run_cli(["measure", "--scene", str(scene), "--seed", "0", "--out", str(meas)])
+        assert run_cli(["average", "--measurements", str(meas), "--out", str(tmp_path / "avg")]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["average", "--measurements", str(meas), "--regime", "calibrated",
+                     "--out", str(tmp_path / "avg2")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --regime calibrated" in capsys.readouterr().err
+        assert run_cli(["recover", "--measurements", str(meas), "--regime", "calibrated",
+                        "--out", str(tmp_path / "c.json")]) == 2

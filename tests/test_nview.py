@@ -16,6 +16,7 @@ from colsfm.nview import (
 from colsfm.nview import _eig_sorted, _vhat_alignment
 from colsfm.synthetic import MeasurementNoise, generate, measure
 
+import spectral_oracle
 from conftest import exact_nview, exact_triplet, geodesic_angle, without
 
 
@@ -382,6 +383,62 @@ class TestClosedFormAlignment:
         scene = generate("collinear", 5, 8, seed=7)
         cert = certify_collinear_essential(exact_nview(scene))
         assert cert.orthogonality_residual < 1e-12
+
+
+class TestSpectralOracles:
+    """Each spectral step against the per-case, per-row code it replaced
+    (`tests/spectral_oracle.py`): the polynomial-root alignment is never
+    worse than the grid-and-Newton one, and every certificate keeps its
+    verdicts."""
+
+    @staticmethod
+    def _matrices():
+        """(label, matrix, kind) for n = 3..10: exact, noisy and general."""
+        for n in range(3, 11):
+            for layout in ("collinear", "general"):
+                for intrinsics, kind in (("calibrated", "essential"), ("varied", "fundamental")):
+                    scene = generate(layout, n, 8, seed=400 + n, intrinsics_mode=intrinsics)
+                    yield f"{layout} {kind} n={n} exact", exact_nview(scene).dense(), kind
+                    noisy, _ = measure(scene, MeasurementNoise(0.5, 0.5), seed=n)
+                    yield f"{layout} {kind} n={n} noisy", noisy.dense(), kind
+
+    def test_alignment_objective_no_larger(self):
+        flat = np.zeros((15, 2))  # X = Y = 0: f is constant
+        cases = [("flat", flat, flat)]
+        for label, M, _ in self._matrices():
+            w, V = _eig_sorted(M)
+            cases.append((label, V[:, [0, 1]], V[:, [len(w) - 1, len(w) - 2]]))
+        for label, X, Y in cases:
+            n = len(X) // 3
+            _, new_vhat = _vhat_alignment(X, Y, n)
+            _, old_vhat = spectral_oracle.vhat_alignment(X, Y, n)
+            assert _alignment_objective(new_vhat, n) <= _alignment_objective(old_vhat, n) + 1e-12, label
+
+    def test_certificate_verdicts_unchanged(self):
+        for label, M, kind in self._matrices():
+            for tol in (1e-8, 1e-6, 1e-3):
+                cert = certify_collinear_essential(M, tol=tol)
+                want = spectral_oracle.collinear_essential_conditions(M, tol)
+                assert (cert.conditions, cert.passed) == (want, all(want.values())), label
+                for k in {kind, "essential"}:
+                    cert = certify_general(M, kind=k, tol=tol)
+                    want = spectral_oracle.general_conditions(M, k, tol)
+                    assert (cert.conditions, cert.passed) == (want, all(want.values())), label
+            cert = certify_collinear_fundamental(M)
+            want = spectral_oracle.collinear_fundamental_conditions(M)
+            assert (cert.conditions, cert.passed) == (want, all(want.values())), label
+            n = len(M) // 3
+            assert cert.block_row_ranks == [spectral_oracle.block_row_rank(M, i) for i in range(n)]
+
+    def test_rotation_residual_at_one_sign_case(self):
+        # on consistent input the one sign case of the sign search is the
+        # per-case minimum, to the last bits
+        for n in range(3, 11):
+            M = exact_nview(generate("general", n, 8, seed=400 + n)).dense()
+            w, V = _eig_sorted(M)
+            old, _ = spectral_oracle.block_rotation_residual(V[:, :3], V[:, :-4:-1], n)
+            new = certify_general(M, kind="essential").rotation_residual
+            assert new < 1e-9 and abs(new - old) < 1e-12
 
 
 class TestCertifyCollinearFundamental:
