@@ -40,6 +40,7 @@ rows, as the one copy of the averaged tensors.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,6 +65,8 @@ class AdmmConfig:
     tol: float = 1e-9  # on both the primal and the dual residual
 
     def __post_init__(self):
+        if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, numbers.Integral):
+            raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
         if not all(math.isfinite(v) and v > 0 for v in (self.rho, self.max_iters, self.tol)):
             raise ValueError("all ADMM parameters must be positive and finite")
 

@@ -140,19 +140,32 @@ def cmd_pipeline(args) -> int:
     return EXIT_OK if out.converged else EXIT_NO_CONVERGENCE
 
 
-def _positive(kind):
-    """An argparse type: a number of the given kind, finite and above zero."""
+def _checked(kind, ok, requirement: str):
+    """An argparse type: a finite number of the given kind for which ok
+    holds; any other value is refused with the requirement."""
 
     def parse(text: str):
         try:
             value = kind(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
-        if not (math.isfinite(value) and value > 0):
-            raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
+        if not (math.isfinite(value) and ok(value)):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text!r}")
         return value
 
     return parse
+
+
+def _positive(kind):
+    return _checked(kind, lambda v: v > 0, "positive and finite")
+
+
+def _at_least(low: int):
+    return _checked(int, lambda v: v >= low, f"an integer of at least {low}")
+
+
+_NONNEGATIVE = _checked(float, lambda v: v >= 0, "non-negative and finite")
+_FRACTION = _checked(float, lambda v: 0 <= v <= 1, "a fraction in [0, 1]")
 
 
 def _add_common(p, regime: bool = True) -> None:
@@ -178,19 +191,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic scene")
     p.add_argument("--layout", choices=["collinear", "general", "mixed"], default="collinear")
-    p.add_argument("--n-cams", type=int, default=10)
-    p.add_argument("--n-points", type=int, default=20)
+    p.add_argument("--n-cams", type=_at_least(3), default=10)
+    p.add_argument("--n-points", type=_at_least(4), default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--intrinsics", choices=["calibrated", "varied"], default="calibrated")
-    p.add_argument("--collinear-fraction", type=float, default=0.5)
+    p.add_argument("--collinear-fraction", type=_FRACTION, default=0.5)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("measure", help="simulate measured tensors and tracks")
     p.add_argument("--scene", required=True)
-    p.add_argument("--noise-rot-deg", type=float, default=0.0)
-    p.add_argument("--noise-trans-deg", type=float, default=0.0)
-    p.add_argument("--noise-px", type=float, default=0.0)
+    p.add_argument("--noise-rot-deg", type=_NONNEGATIVE, default=0.0)
+    p.add_argument("--noise-trans-deg", type=_NONNEGATIVE, default=0.0)
+    p.add_argument("--noise-px", type=_NONNEGATIVE, default=0.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_measure)

@@ -8,30 +8,30 @@ platforms).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import combinations
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .geometry import (
-    CameraModel,
-    image_point,
-    normalized_tensor,
-    rotation_about,
-    skew,
-    unit,
-)
+from .errors import DegenerateGeometry
+from .geometry import CameraModel, _skews, rotation_about, unit
 from .nview import NViewBifocal
 
 
 @dataclass
 class MeasurementNoise:
     """Pose-space noise levels: degrees for rotations and translation
-    directions, image units for track points."""
+    directions, image units for track points; each finite and non-negative."""
 
     rotation_deg: float = 0.0
     translation_dir_deg: float = 0.0
     pixel: float = 0.0
+
+    def __post_init__(self):
+        for f in fields(self):
+            level = getattr(self, f.name)
+            if not (math.isfinite(level) and level >= 0):
+                raise ValueError(f"noise level {f.name} must be finite and non-negative, got {level!r}")
 
 
 @dataclass(frozen=True)
@@ -85,15 +85,21 @@ class Scene:
         return np.vstack([c.center for c in self.cameras])
 
     def track_set(self, pixel_noise: float = 0.0, rng=None) -> TrackSet:
+        """Every point seen in every view: one stacked (P, n) projection by
+        the cameras' 3x4 matrices, each image scaled to last coordinate 1,
+        plus Gaussian pixel noise of standard deviation pixel_noise on the
+        first two coordinates, drawn as one (P, n, 2) array (x then y of
+        each image, points outer, views inner).  rng defaults to a generator
+        of seed + 1.  Raises DegenerateGeometry for a point at infinity."""
         rng = rng if rng is not None else np.random.default_rng(self.seed + 1)
-        Ps = [cam.projection_matrix() for cam in self.cameras]
-        pts = np.empty((len(self.points), self.n, 3))
-        for p, X in enumerate(self.points):
-            for i, P in enumerate(Ps):
-                x = image_point(P, X)
-                if pixel_noise > 0.0:
-                    x = x + np.array([rng.normal(0, pixel_noise), rng.normal(0, pixel_noise), 0.0])
-                pts[p, i] = x
+        Ps = np.array([cam.projection_matrix() for cam in self.cameras]).reshape(-1, 3, 4)
+        X = np.column_stack([self.points, np.ones(len(self.points))])
+        x = (Ps @ X[:, None, :, None])[..., 0]  # (P, n, 3)
+        if np.any(np.abs(x[..., 2]) < 1e-15):
+            raise DegenerateGeometry("point projects to infinity")
+        pts = x / x[..., 2:]
+        if pixel_noise > 0.0:
+            pts[..., :2] += rng.normal(0, pixel_noise, size=pts.shape[:2] + (2,))
         return TrackSet(pts, np.ones(pts.shape[:2], dtype=bool))
 
 
@@ -197,6 +203,8 @@ def generate(
         raise ValueError("need at least 3 cameras")
     if n_points < 4:
         raise ValueError("need at least 4 points")
+    if not 0.0 <= collinear_fraction <= 1.0:
+        raise ValueError(f"collinear_fraction must lie in [0, 1], got {collinear_fraction!r}")
     rng = np.random.default_rng(seed)
 
     # camera line along a random direction, points in a box displaced sideways
@@ -230,52 +238,88 @@ def generate(
         K = _random_K(rng) if intrinsics_mode == "varied" else np.eye(3)
         cams.append(CameraModel(K, R, t))
 
-    scene = Scene(cams, points, layout, seed)
     # visibility: every point in front of every camera (look-at geometry
-    # guarantees it for the box used; verify rather than trust)
-    for X in points:
-        for cam in cams:
-            if cam.depth(X) <= 0:
-                raise RuntimeError("generator produced a point behind a camera")
-    return scene
+    # guarantees it for the box used; verify rather than trust): the (P, n)
+    # depths, camera z-axis dot (X - t)
+    axes = np.array([cam.rotation[:, 2] for cam in cams])
+    depths = ((points[:, None, :] - np.array(centers))[:, :, None, :] @ axes[:, :, None])[..., 0, 0]
+    if np.any(depths <= 0):
+        raise RuntimeError("generator produced a point behind a camera")
+    return Scene(cams, points, layout, seed)
 
 
-def _perturbed_block(
-    ci: CameraModel, cj: CameraModel, calibrated: bool, noise: MeasurementNoise, rng
-) -> np.ndarray:
-    """Rebuild the pairwise tensor from a noise-perturbed relative pose.
+def _norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of an (N, k) array, computed as
+    np.linalg.norm computes that of one vector: the square root of a dot
+    (norm(axis=-1) differs from it in the last bit on some rows)."""
+    return np.sqrt(x[:, None, :] @ x[:, :, None])[:, 0, 0]
 
-    Rotation noise: rotation of exactly `rotation_deg` about a uniformly
-    random axis.  Translation noise: the direction t_ij is rotated by exactly
-    `translation_dir_deg` about a random axis perpendicular to it.  Rank 2 is
-    preserved exactly because the block stays a true tensor of some pose.
-    """
-    Rrel = ci.rotation.T @ cj.rotation  # R_i^T R_j
-    tdir = unit(ci.rotation.T @ (ci.center - cj.center))
-    if noise.rotation_deg > 0:
-        Rrel = rotation_about(rng.normal(size=3), np.deg2rad(noise.rotation_deg)) @ Rrel
-    if noise.translation_dir_deg > 0:
-        axis = unit(np.cross(tdir, rng.normal(size=3)))
-        tdir = rotation_about(axis, np.deg2rad(noise.translation_dir_deg)) @ tdir
-    E = skew(tdir) @ Rrel
-    if calibrated:
-        return E
-    Ki = np.linalg.inv(ci.intrinsics)
-    Kj = np.linalg.inv(cj.intrinsics)
-    return Ki.T @ E @ Kj
+
+def _units(v: np.ndarray) -> np.ndarray:
+    """The rows of an (N, 3) array scaled to unit length, as `unit` scales one."""
+    n = _norms(v)
+    if np.any(n == 0.0):
+        raise ValueError("cannot normalize zero vector")
+    return v / n[:, None]
+
+
+def _rotations_about(axes: np.ndarray, angle_rad: float) -> np.ndarray:
+    """Rodrigues rotations by one angle about each row of an (N, 3) array of
+    non-zero axes, as `rotation_about` builds one."""
+    K = _skews(_units(axes))
+    return np.eye(3) + np.sin(angle_rad) * K + (1.0 - np.cos(angle_rad)) * (K @ K)
 
 
 def measure(scene: Scene, noise: MeasurementNoise | None = None, seed: int = 0):
     """Measured pair tensors of every camera pair (unit-normalized, in
-    sorted pair order) and noisy tracks."""
+    sorted pair order) and noisy tracks, both from one generator of `seed`.
+
+    All pairs are rebuilt at once, as (E, 3, 3) stacks, from noise-perturbed
+    relative poses.  Rotation noise turns R_i^T R_j by exactly `rotation_deg`
+    about a uniformly random axis; translation noise turns the direction
+    t_ij = R_i^T (t_i - t_j) by exactly `translation_dir_deg` about a random
+    axis perpendicular to it.  The axes are one (E, k, 3) normal draw, k the
+    number of active arms: per pair the rotation axis, then the translation
+    one.  A pair with an uncalibrated camera becomes K_i^{-T} E K_j^{-1}.
+    Every block stays a true tensor of some pose, so rank 2 holds exactly.
+    The tracks follow from `Scene.track_set` with pixel noise `pixel`.
+
+    Raises ValueError where two centres coincide (a zero direction).
+    """
     noise = noise or MeasurementNoise()
     rng = np.random.default_rng(seed)
-    calibrated = [c.is_calibrated for c in scene.cameras]
-    kind = "essential" if all(calibrated) else "fundamental"
-    pairs = list(combinations(range(scene.n), 2))
-    tensors = [normalized_tensor(_perturbed_block(scene.cameras[i], scene.cameras[j],
-                                                  calibrated[i] and calibrated[j], noise, rng))
-               for i, j in pairs]
-    nview = NViewBifocal.assemble(scene.n, pairs, tensors, kind)
+    calibrated = np.array([c.is_calibrated for c in scene.cameras], dtype=bool)
+    kind = "essential" if calibrated.all() else "fundamental"
+    I, J = np.triu_indices(scene.n, 1)
+    R = np.array([c.rotation for c in scene.cameras]).reshape(-1, 3, 3)
+    C = np.array([c.center for c in scene.cameras]).reshape(-1, 3)
+    Rt = R[I].swapaxes(1, 2)
+    Rrel = Rt @ R[J]  # R_i^T R_j
+    tdir = _units((Rt @ (C[I] - C[J])[:, :, None])[:, :, 0])
+    arms = (noise.rotation_deg > 0) + (noise.translation_dir_deg > 0)
+    axes = rng.normal(size=(len(I), arms, 3))
+    if noise.rotation_deg > 0:
+        Rrel = _rotations_about(axes[:, 0], np.deg2rad(noise.rotation_deg)) @ Rrel
+    if noise.translation_dir_deg > 0:
+        # normalised here and again inside _rotations_about, as the
+        # per-pair construction did: the tensors' bits depend on both
+        perp = _units(np.cross(tdir, axes[:, -1]))
+        tdir = (_rotations_about(perp, np.deg2rad(noise.translation_dir_deg)) @ tdir[:, :, None])[:, :, 0]
+    if not np.all(np.isfinite(tdir)):
+        raise ValueError("skew: vector must be finite")
+    T = _skews(tdir) @ Rrel
+    mapped = ~(calibrated[I] & calibrated[J])
+    if np.any(mapped):
+        Kinv = np.linalg.inv(np.array([c.intrinsics for c in scene.cameras]))
+        T[mapped] = Kinv[I[mapped]].swapaxes(1, 2) @ T[mapped] @ Kinv[J[mapped]]
+    # unit Frobenius norm with the largest-magnitude entry positive
+    flat = T.reshape(-1, 9)
+    norms = _norms(flat)
+    if np.any(norms == 0.0):
+        raise ValueError("cannot normalize zero tensor")
+    flat = flat / norms[:, None]
+    big = np.take_along_axis(flat, np.argmax(np.abs(flat), axis=1)[:, None], axis=1)
+    T = np.where(big < 0, -flat, flat).reshape(-1, 3, 3)
+    nview = NViewBifocal.assemble(scene.n, np.column_stack([I, J]), T, kind)
     tracks = scene.track_set(pixel_noise=noise.pixel, rng=rng)
     return nview, tracks

@@ -164,6 +164,15 @@ class TestAdmmConfig:
         with pytest.raises(ValueError, match="positive and finite"):
             AdmmConfig(**{field: value})
 
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, "3"])
+    def test_rejects_noninteger_max_iters(self, value):
+        # range() would refuse it only once averaging starts
+        with pytest.raises(ValueError, match="max_iters must be an integer"):
+            AdmmConfig(max_iters=value)
+
+    def test_accepts_numpy_integer_max_iters(self):
+        assert AdmmConfig(max_iters=np.int64(7)).max_iters == 7
+
 
 class TestAverage:
     def test_noiseless_collinear_converges_immediately(self):

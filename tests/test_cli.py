@@ -354,3 +354,33 @@ class TestStageFlags:
         assert "unrecognized arguments: --regime calibrated" in capsys.readouterr().err
         assert run_cli(["recover", "--measurements", str(meas), "--regime", "calibrated",
                         "--out", str(tmp_path / "c.json")]) == 2
+
+
+class TestSynthFlags:
+    @pytest.mark.parametrize("value", ["2", "-0.1", "nan", "inf", "half"])
+    def test_bad_collinear_fraction_exits_2_naming_flag(self, value, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["synth", "--layout", "mixed", "--n-cams", "10", "--collinear-fraction", value,
+                     "--out", str(tmp_path / "scene.json")])
+        assert exc.value.code == 2
+        assert "argument --collinear-fraction: " in capsys.readouterr().err
+        assert not (tmp_path / "scene.json").exists()
+
+    @pytest.mark.parametrize("flag,value", [("--n-cams", "2"), ("--n-cams", "3.5"), ("--n-points", "3")])
+    def test_too_small_scene_exits_2_naming_flag(self, flag, value, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["synth", flag, value, "--out", str(tmp_path / "scene.json")])
+        assert exc.value.code == 2
+        assert f"argument {flag}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--noise-rot-deg", "--noise-trans-deg", "--noise-px"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-2", "x"])
+    def test_bad_noise_level_exits_2_naming_flag(self, flag, value, tmp_path, capsys):
+        scene = tmp_path / "scene.json"
+        assert run_cli(["synth", "--n-cams", "4", "--n-points", "6", "--out", str(scene)]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["measure", "--scene", str(scene), flag, value, "--out", str(tmp_path / "m.json")])
+        assert exc.value.code == 2
+        assert f"argument {flag}: " in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()

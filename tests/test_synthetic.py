@@ -1,13 +1,16 @@
+import functools
 import hashlib
 import time
 
 import numpy as np
 import pytest
 
+import synthetic_oracle as oracle
 from colsfm import synthetic
-from colsfm.geometry import bifocal_from_pair, essential_candidates, normalized_tensor, unit
+from colsfm.errors import DegenerateGeometry
+from colsfm.geometry import CameraModel, bifocal_from_pair, essential_candidates, normalized_tensor, unit
 from colsfm.nview import certify_collinear_essential, certify_collinear_fundamental
-from colsfm.synthetic import MeasurementNoise, TrackSet, generate, measure
+from colsfm.synthetic import MeasurementNoise, Scene, TrackSet, generate, measure
 
 from conftest import exact_nview, geodesic_angle
 
@@ -301,3 +304,135 @@ class TestTrackSet:
         assert len(ts.tracks((0, 1))) == 2
         assert len(ts.tracks((1, 2))) == 2
         assert len(ts.tracks((0, 1, 2))) == 1
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_scene(layout, n, mode):
+    return generate(layout, n, 20, seed=n, intrinsics_mode=mode)
+
+
+def _measure_keeping_generator(monkeypatch, scene, noise, seed):
+    """measure's output and the generator it drew from."""
+    made = []
+    real = np.random.default_rng
+
+    def default_rng(*args):
+        made.append(real(*args))
+        return made[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(np.random, "default_rng", default_rng)
+        out = measure(scene, noise, seed=seed)
+    assert len(made) == 1
+    return out, made[0]
+
+
+def _assert_same_measurements(got, want):
+    (nview, tracks), (ref_nview, ref_tracks) = got, want
+    assert nview.kind == ref_nview.kind and nview.n == ref_nview.n
+    assert np.array_equal(nview.pairs, ref_nview.pairs)
+    assert np.array_equal(nview.tensors, ref_nview.tensors)
+    assert nview.tensors.tobytes() == ref_nview.tensors.tobytes()  # signed zeros too
+    assert tracks.points.tobytes() == ref_tracks.points.tobytes()
+    assert np.array_equal(tracks.visible, ref_tracks.visible)
+
+
+ARMS = {"none": MeasurementNoise(), "rotation": MeasurementNoise(rotation_deg=0.5),
+        "translation": MeasurementNoise(translation_dir_deg=0.7),
+        "pixel": MeasurementNoise(pixel=1e-3), "all": MeasurementNoise(2.0, 3.0, 1e-2)}
+
+
+class TestStackedMeasureOracle:
+    """The stacked `measure` and `track_set` equal the per-pair and
+    per-point reference of tests/synthetic_oracle.py bit for bit."""
+
+    @pytest.mark.parametrize("mode", ["calibrated", "varied"])
+    @pytest.mark.parametrize("n", [3, 10, 40])
+    @pytest.mark.parametrize("layout", ["collinear", "general", "mixed"])
+    @pytest.mark.parametrize("arm", list(ARMS))
+    def test_matches_oracle(self, monkeypatch, layout, n, mode, arm):
+        scene = _oracle_scene(layout, n, mode)
+        got, rng = _measure_keeping_generator(monkeypatch, scene, ARMS[arm], seed=n + 1)
+        ref_rng = np.random.default_rng(n + 1)
+        _assert_same_measurements(got, oracle.measure(scene, ARMS[arm], rng=ref_rng))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_part_calibrated_scene(self, monkeypatch):
+        # pairs of two calibrated cameras keep E unmapped, the others are
+        # mapped by the inverse intrinsics
+        varied = _oracle_scene("mixed", 10, "varied")
+        cams = [CameraModel(np.eye(3), c.rotation, c.center) if k % 3 == 0 else c
+                for k, c in enumerate(varied.cameras)]
+        scene = Scene(cams, varied.points, varied.layout, varied.seed)
+        for arm, noise in ARMS.items():
+            got, rng = _measure_keeping_generator(monkeypatch, scene, noise, seed=5)
+            ref_rng = np.random.default_rng(5)
+            _assert_same_measurements(got, oracle.measure(scene, noise, rng=ref_rng))
+            assert got[0].kind == "fundamental"
+            assert rng.bit_generator.state == ref_rng.bit_generator.state, arm
+
+    @pytest.mark.parametrize("pixel", [0.0, 1e-3])
+    def test_track_set_default_generator(self, pixel):
+        scene = _oracle_scene("general", 10, "varied")
+        got = scene.track_set(pixel_noise=pixel)
+        assert got.points.tobytes() == oracle.track_set(scene, pixel_noise=pixel).points.tobytes()
+
+    def test_coincident_centres_rejected(self):
+        scene = _oracle_scene("general", 10, "calibrated")
+        cams = list(scene.cameras)
+        cams[4] = CameraModel(np.eye(3), cams[4].rotation, cams[7].center)
+        bad = Scene(cams, scene.points, scene.layout, scene.seed)
+        for noise in ARMS.values():
+            for run in (measure, oracle.measure):
+                with pytest.raises(ValueError, match="cannot normalize zero vector"):
+                    run(bad, noise, seed=0)
+
+    def test_nonfinite_direction_rejected(self):
+        scene = _oracle_scene("collinear", 3, "calibrated")
+        cams = list(scene.cameras)
+        cams[1] = CameraModel(np.eye(3), cams[1].rotation, [np.nan, 0.0, 0.0])
+        bad = Scene(cams, scene.points, scene.layout, scene.seed)
+        for noise in (ARMS["none"], ARMS["all"]):
+            for run in (measure, oracle.measure):
+                with pytest.raises(ValueError, match="skew: vector must be finite"):
+                    run(bad, noise, seed=0)
+
+    def test_point_at_infinity_rejected(self):
+        scene = _oracle_scene("general", 3, "calibrated")
+        cam = scene.cameras[1]
+        points = scene.points.copy()
+        points[2] = cam.center + cam.rotation[:, 0]  # on the principal plane of view 1
+        bad = Scene(scene.cameras, points, scene.layout, scene.seed)
+        for run in (lambda: bad.track_set(), lambda: oracle.track_set(bad),
+                    lambda: measure(bad), lambda: oracle.measure(bad)):
+            with pytest.raises(DegenerateGeometry, match="point projects to infinity"):
+                run()
+
+    def test_point_behind_camera_rejected(self, monkeypatch):
+        real = synthetic._look_rotation
+        monkeypatch.setattr(synthetic, "_look_rotation", lambda forward, rng: real(-forward, rng))
+        with pytest.raises(RuntimeError, match="point behind a camera"):
+            generate("general", 5, 8, seed=0)
+
+    def test_no_per_pair_builder_left(self):
+        assert not hasattr(synthetic, "_perturbed_block")
+
+
+class TestBadInputs:
+    @pytest.mark.parametrize("fraction", [2.0, -0.5, 1.0000001, float("nan")])
+    def test_collinear_fraction_outside_unit_interval(self, fraction):
+        with pytest.raises(ValueError, match="collinear_fraction"):
+            generate("mixed", 10, 20, collinear_fraction=fraction)
+
+    def test_collinear_fraction_ends(self):
+        assert generate("mixed", 10, 20, collinear_fraction=0.0).n == 10
+        assert _line_distance(generate("mixed", 10, 20, collinear_fraction=1.0).centers()) < 1e-12
+
+    @pytest.mark.parametrize("field", ["rotation_deg", "translation_dir_deg", "pixel"])
+    @pytest.mark.parametrize("level", [-2.0, float("nan"), float("inf"), -1e-300])
+    def test_noise_levels_finite_and_nonnegative(self, field, level):
+        with pytest.raises(ValueError, match=f"noise level {field}"):
+            MeasurementNoise(**{field: level})
+
+    def test_zero_noise_levels_accepted(self):
+        assert MeasurementNoise(0.0, 0, 0.0) == MeasurementNoise()
