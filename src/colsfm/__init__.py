@@ -14,7 +14,7 @@ from .geometry import (
     bifocal_from_pair,
     skew,
     symmetric_epipolar_distance,
-    triangulate_dlt,
+    triangulate,
 )
 from .graphs import (
     TripletCover,

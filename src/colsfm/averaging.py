@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NotConnected
-from .geometry import _skews, nearest_rotation, normalized_tensor
+from .geometry import nearest_rotation, normalized_tensor, skew
 from .graphs import _LOCAL_PAIRS, DualGraph, TripletCover, pair_rows
 from .nview import (
     _RANK_TOL, NViewBifocal, block_index, block_matrix, block_rotation_frames, eigen_signature,
@@ -189,12 +189,12 @@ def _general_essential(S: np.ndarray, warm=None):
     W = np.ascontiguousarray(_symmetrized(S).reshape(m, k, 3, k, 3).swapaxes(2, 3))
     for _ in range(_SWEEPS if warm is None else _WARM_SWEEPS):
         c = _centres(Q, W)
+        S = skew(c[:, None] - c[:, :, None])  # S[:, u, v] = [c_v - c_u]x
         for u in range(k):
             # argmin over Q_u of sum_v |W_uv - Q_u [c_u - c_v]x Q_v^T|^2
-            Q[:, u] = nearest_rotation(sum(W[:, u, v] @ Q[:, v] @ _skews(c[:, v] - c[:, u])
-                                           for v in range(k) if v != u))
+            Q[:, u] = nearest_rotation(sum(W[:, u, v] @ Q[:, v] @ S[:, u, v] for v in range(k) if v != u))
     c = _centres(Q, W)
-    Z = Q[:, :, None] @ _skews((c[:, :, None] - c[:, None]).reshape(-1, 3)).reshape(m, k, k, 3, 3)
+    Z = Q[:, :, None] @ skew(c[:, :, None] - c[:, None])
     Z = (Z @ Q.swapaxes(-1, -2)[:, None]).swapaxes(2, 3).reshape(m, d, d)
     return _symmetrized(Z), flags, (Q, flags)
 
@@ -273,7 +273,7 @@ def _local_scale_factors(blocks, rows) -> np.ndarray:
     geom = resolve_essential_triplet(pair_poses(blocks, [None] * len(blocks)), rows)
     closure = closure_scales(geom)
     # the decomposition reproduces the stored block only up to sign
-    recon = _skews(geom.t_dirs.reshape(-1, 3)) @ geom.rotations.reshape(-1, 3, 3)
+    recon = skew(geom.t_dirs.reshape(-1, 3)) @ geom.rotations.reshape(-1, 3, 3)
     agree = np.sum(recon * blocks[rows.ravel()], axis=(1, 2)) >= 0
     raw = closure.mu * closure.signs * np.where(agree, 1.0, -1.0).reshape(-1, 3)
     mean = np.exp(np.mean(np.log(np.abs(raw)), axis=1, keepdims=True))
@@ -340,7 +340,7 @@ def average(
     triplets = cover.triplets
     edges, edge_of = pair_rows(triplets)  # edge_of (m, 3): each triplet's slots in edges
     # a missing pair raises in order of first use, as a walk over the triplets meets it
-    normed = np.array([normalized_tensor(M) for M in measured.tensors[measured.slots(edges)]])
+    normed = normalized_tensor(measured.tensors[measured.slots(edges)])
     projection = _PROJECTIONS[(regime, measured.kind)]
 
     m = len(triplets)

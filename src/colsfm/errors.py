@@ -94,3 +94,7 @@ class AlignmentIllConditioned(ValidationError):
 
 class TooFew(ValidationError):
     """Not enough correspondences for similarity alignment."""
+
+
+class InvalidSceneSpec(ValidationError, ValueError):
+    """A synthetic scene request no scene satisfies (layout, counts, fraction)."""

@@ -24,40 +24,46 @@ from .errors import CoincidentCenters, DegenerateGeometry, DegenerateLine, RankD
 _W = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
 
 
+def norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm over the last axis, of one vector or of each row of a
+    stack, computed as np.linalg.norm computes that of one vector: the
+    square root of a dot (norm(axis=-1) differs from it in the last bit on
+    some rows)."""
+    x = np.asarray(x, dtype=float)
+    return np.sqrt(x[..., None, :] @ x[..., :, None])[..., 0, 0]
+
+
 def skew(v: np.ndarray) -> np.ndarray:
-    """Cross-product matrix [v]_x with [v]_x w = v x w."""
-    v = np.asarray(v, dtype=float).reshape(3)
+    """Cross-product matrix [v]_x with [v]_x w = v x w, of one 3-vector or
+    of each row of a (..., 3) stack."""
+    v = np.asarray(v, dtype=float)
     if not np.all(np.isfinite(v)):
         raise ValueError("skew: vector must be finite")
-    return np.array([
-        [0.0, -v[2], v[1]],
-        [v[2], 0.0, -v[0]],
-        [-v[1], v[0], 0.0],
-    ])
+    a, b, c = v[..., 0], v[..., 1], v[..., 2]
+    z = np.zeros_like(a)
+    return np.stack([z, -c, b, c, z, -a, -b, a, z], axis=-1).reshape(v.shape[:-1] + (3, 3))
 
 
 def unit(v: np.ndarray) -> np.ndarray:
+    """One vector, or each row of a stack, scaled to unit length."""
     v = np.asarray(v, dtype=float)
-    n = np.linalg.norm(v)
-    if n == 0.0:
+    n = norms(v)
+    if np.any(n == 0.0):
         raise ValueError("cannot normalize zero vector")
-    return v / n
-
-
-def fix_sign(v: np.ndarray) -> np.ndarray:
-    """Flip sign so the largest-magnitude entry is positive (deterministic)."""
-    v = np.asarray(v, dtype=float)
-    k = int(np.argmax(np.abs(v)))
-    return -v if v.flat[k] < 0 else v
+    return v / n[..., None]
 
 
 def normalized_tensor(M: np.ndarray) -> np.ndarray:
-    """Unit Frobenius norm with the largest-magnitude entry positive."""
+    """Unit Frobenius norm with the (first) largest-magnitude entry
+    positive, of one matrix or of each matrix of a stack."""
     M = np.asarray(M, dtype=float)
-    n = np.linalg.norm(M)
-    if n == 0.0:
+    flat = M.reshape(M.shape[:-2] + (-1,))
+    n = norms(flat)
+    if np.any(n == 0.0):
         raise ValueError("cannot normalize zero tensor")
-    return fix_sign(M / n)
+    flat = flat / n[..., None]
+    big = np.take_along_axis(flat, np.argmax(np.abs(flat), axis=-1)[..., None], axis=-1)
+    return np.where(big < 0, -flat, flat).reshape(M.shape)
 
 
 def nearest_rotation(M: np.ndarray) -> np.ndarray:
@@ -72,11 +78,18 @@ def nearest_rotation(M: np.ndarray) -> np.ndarray:
     return R
 
 
-def rotation_about(axis: np.ndarray, angle_rad: float) -> np.ndarray:
-    """Rodrigues rotation about a (non-zero) axis."""
-    a = unit(axis)
-    K = skew(a)
-    return np.eye(3) + np.sin(angle_rad) * K + (1.0 - np.cos(angle_rad)) * (K @ K)
+def rotation_about(axis: np.ndarray, angle_rad) -> np.ndarray:
+    """Rodrigues rotation about a non-zero axis, or about each row of a
+    (..., 3) stack of axes by one angle or by one angle per row."""
+    K = skew(unit(axis))
+    angle = np.asarray(angle_rad, dtype=float)[..., None, None]
+    return np.eye(3) + np.sin(angle) * K + (1.0 - np.cos(angle)) * (K @ K)
+
+
+def calibrated(K: np.ndarray) -> np.ndarray:
+    """Whether one 3x3 intrinsics matrix, or each of a stack, is the
+    identity: every entry within 1e-12 of it, with no relative tolerance."""
+    return np.all(np.abs(np.asarray(K, dtype=float) - np.eye(3)) <= 1e-12, axis=(-2, -1))
 
 
 @dataclass(frozen=True)
@@ -96,6 +109,8 @@ class CameraModel:
         K = np.asarray(self.intrinsics, dtype=float).reshape(3, 3).copy()
         R = np.asarray(self.rotation, dtype=float).reshape(3, 3).copy()
         t = np.asarray(self.center, dtype=float).reshape(3).copy()
+        if not all(np.all(np.isfinite(a)) for a in (K, R, t)):
+            raise ValueError("intrinsics, rotation and center must be finite")
         if np.linalg.norm(R.T @ R - np.eye(3)) > 1e-10 or np.linalg.det(R) < 0:
             raise ValueError("rotation must be orthogonal with det +1")
         if abs(K[2, 2] - 1.0) > 1e-12 or np.any(np.diag(K) <= 0):
@@ -110,7 +125,7 @@ class CameraModel:
 
     @property
     def is_calibrated(self) -> bool:
-        return bool(np.allclose(self.intrinsics, np.eye(3), atol=1e-12))
+        return bool(calibrated(self.intrinsics))
 
     def v_matrix(self) -> np.ndarray:
         """V = K^{-T} R^T."""
@@ -133,11 +148,20 @@ class CameraModel:
 
 def image_point(P: np.ndarray, X: np.ndarray) -> np.ndarray:
     """The image P [X, 1] of a world point under a 3x4 camera, scaled to
-    last coordinate 1."""
-    x = P @ np.append(np.asarray(X, dtype=float), 1.0)
-    if abs(x[2]) < 1e-15:
+    last coordinate 1, or of each point of a (..., 3) stack under each
+    camera of a broadcastable (..., 3, 4) stack."""
+    X = np.asarray(X, dtype=float)
+    x = (P @ np.concatenate([X, np.ones(X.shape[:-1] + (1,))], axis=-1)[..., None])[..., 0]
+    if np.any(np.abs(x[..., 2]) < 1e-15):
         raise DegenerateGeometry("point projects to infinity")
-    return x / x[2]
+    return x / x[..., 2:]
+
+
+def camera_centers(P: np.ndarray) -> np.ndarray:
+    """The center -R^T t of a Euclidean camera [R | t], or of each camera
+    of a (..., 3, 4) stack."""
+    P = np.asarray(P, dtype=float)
+    return (-P[..., :3].swapaxes(-1, -2) @ P[..., 3:])[..., 0]
 
 
 def bifocal_from_pair(ci: CameraModel, cj: CameraModel) -> np.ndarray:
@@ -211,30 +235,18 @@ def symmetric_epipolar_distance(F: np.ndarray, xi: np.ndarray, xj: np.ndarray) -
     return float(d[0]) if single else d
 
 
-def _as_projection(cam) -> np.ndarray:
-    if isinstance(cam, CameraModel):
-        return cam.projection_matrix()
-    return np.asarray(cam, dtype=float).reshape(3, 4)
-
-
-def _dlt(A: np.ndarray):
-    """Unit null vectors of DLT systems (one, or a stack) and whether each is
+def triangulate(P: np.ndarray, x: np.ndarray):
+    """DLT points of tracks: minimize ||A X|| over unit X, A stacking the
+    [x_i]_x P_i rows of a track's views.  P (..., k, 3, 4) holds the
+    cameras and x (..., k, 3) the image points of each track, k >= 2 views,
+    broadcast together.  Returns the (..., 4) points and whether each is
     ambiguous: its two smallest singular values equal."""
-    _, s, Vt = np.linalg.svd(A, full_matrices=False)
-    return Vt[..., 3, :], s[..., 2] - s[..., 3] < 1e-12 * s[..., 0]
-
-
-def triangulate_dlt(cams, points: np.ndarray) -> np.ndarray:
-    """DLT point: minimize ||A X|| over unit X, A stacking [x_i]_x P_i rows;
-    points holds one image point per camera, in camera order."""
-    Ps = [_as_projection(c) for c in cams]
-    if len(Ps) < 2:
+    A = skew(x) @ P
+    k = A.shape[-3]
+    if k < 2:
         raise ValueError("triangulation needs at least two views")
-    rows = [skew(points[k]) @ Ps[k] for k in range(len(Ps))]
-    X, ambiguous = _dlt(np.vstack(rows))
-    if ambiguous:
-        raise DegenerateGeometry("ambiguous point: two smallest singular values equal")
-    return X
+    _, s, Vt = np.linalg.svd(A.reshape(A.shape[:-3] + (3 * k, 4)), full_matrices=False)
+    return Vt[..., 3, :], s[..., 2] - s[..., 3] < 1e-12 * s[..., 0]
 
 
 def essential_candidates(E: np.ndarray):
@@ -247,12 +259,6 @@ def essential_candidates(E: np.ndarray):
     U = np.where((np.linalg.det(U) < 0)[..., None, None], -U, U)
     Vt = np.where((np.linalg.det(Vt) < 0)[..., None, None], -Vt, Vt)
     return U @ _W @ Vt, U @ _W.T @ Vt, U[..., 2].copy()
-
-
-def _skews(x: np.ndarray) -> np.ndarray:
-    """Stacked cross-product matrices [x_k]_x of the rows of an (N, 3) array."""
-    a, b, c, z = x[:, 0], x[:, 1], x[:, 2], np.zeros(len(x))
-    return np.stack([z, -c, b, c, z, -a, -b, a, z], axis=1).reshape(-1, 3, 3)
 
 
 def cheirality_votes(rotations: np.ndarray, t: np.ndarray, points: np.ndarray, starts):
@@ -275,8 +281,7 @@ def cheirality_votes(rotations: np.ndarray, t: np.ndarray, points: np.ndarray, s
     Pj = np.concatenate([Rt, Rt @ t[:, None, :, None]], axis=3)
     pair = np.repeat(np.arange(len(starts)), np.diff(np.append(starts, len(points))))
     Rt, Pj, tj = Rt[pair].swapaxes(0, 1), Pj[pair].swapaxes(0, 1), t[pair]  # (2, N, ...)
-    A = np.broadcast_arrays(_skews(points[:, 0]) @ Pi, _skews(points[:, 1]) @ Pj)
-    X, ambiguous = _dlt(np.concatenate(A, axis=2))
+    X, ambiguous = triangulate(np.stack(np.broadcast_arrays(Pi, Pj), axis=2), points)
     finite = ~ambiguous & ~(np.abs(X[..., 3]) < 1e-14)
     Xe = X[..., :3] / np.where(finite, X[..., 3], 1.0)[..., None]
     zi = Xe[..., 2]

@@ -7,7 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TooFew
-from .geometry import DegenerateGeometry, triangulate_dlt
+from .geometry import norms, triangulate
+from .recovery import _ordered_sum
 
 
 @dataclass
@@ -52,25 +53,31 @@ def mean_reprojection_error(cams, points: np.ndarray, visible: np.ndarray) -> fl
 
     cams: list of 3x4 projections (None allowed for unreconstructed views);
     points, visible: (P, m, 3) image points of P tracks over the first m
-    cameras and the (P, m) mask of where each track is observed.
+    cameras and the (P, m) mask of where each track is observed.  Each track
+    seen by at least two reconstructed cameras is triangulated from all of
+    them, one stacked DLT per view count; a track with an ambiguous point
+    and a reprojection at infinity do not count, and the distances are
+    summed in track order, views in camera order.  nan when none counts.
     """
-    total, count = 0.0, 0
-    for pts, seen in zip(points, visible):
-        views = [v for v in np.flatnonzero(seen).tolist() if cams[v] is not None]
-        if len(views) < 2:
-            continue
-        try:
-            X = triangulate_dlt([cams[v] for v in views], pts[views])
-        except DegenerateGeometry:
-            continue
-        for v in views:
-            x = cams[v] @ X
-            if abs(x[2]) < 1e-15:
-                continue
-            x = x / x[2]
-            total += float(np.linalg.norm(x[:2] - pts[v, :2]))
-            count += 1
-    return total / count if count else float("nan")
+    points = np.asarray(points, dtype=float)
+    m = points.shape[1]
+    have = np.array([cams[v] is not None for v in range(m)], dtype=bool)
+    P = np.array([cams[v] if have[v] else np.zeros((3, 4)) for v in range(m)]).reshape(m, 3, 4)
+    used = np.asarray(visible, dtype=bool) & have
+    views_of = np.count_nonzero(used, axis=1)
+    dist, counted = np.zeros(used.shape), np.zeros(used.shape, dtype=bool)
+    for k in np.unique(views_of[views_of >= 2]).tolist():
+        rows = np.flatnonzero(views_of == k)
+        views = np.nonzero(used[rows])[1].reshape(-1, k)
+        Pk, xk = P[views], points[rows[:, None], views]
+        X, ambiguous = triangulate(Pk, xk)
+        x = (Pk @ X[:, None, :, None])[..., 0]
+        finite = ~(np.abs(x[..., 2]) < 1e-15)
+        d = norms(x[..., :2] / np.where(finite, x[..., 2], 1.0)[..., None] - xk[..., :2])
+        dist[rows[:, None], views] = d
+        counted[rows[:, None], views] = ~ambiguous[:, None] & finite
+    count = int(np.count_nonzero(counted))
+    return _ordered_sum(dist[counted]) / count if count else float("nan")
 
 
 @dataclass

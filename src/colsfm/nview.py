@@ -186,7 +186,7 @@ def _eig_sorted(M: np.ndarray):
     w = w[order]
     V = V[:, order]
     # deterministic eigenvector signs: each column's largest-magnitude entry
-    # positive, as fix_sign makes it
+    # positive, as `normalized_tensor` signs a tensor
     top = V[np.argmax(np.abs(V), axis=0), np.arange(V.shape[1])]
     return w, np.where(top < 0, -V, V)
 

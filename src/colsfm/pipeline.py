@@ -36,7 +36,7 @@ import numpy as np
 
 from .averaging import AdmmConfig, AveragingResult, average
 from .errors import RankDeficient, RotationAmbiguity, ValidationError
-from .geometry import epipole_table, epipoles, normalized_tensor
+from .geometry import camera_centers, epipole_table, epipoles, normalized_tensor
 from .graphs import (
     TripletCover,
     collinearity_score,
@@ -109,7 +109,7 @@ def _projective_systems(algorithm, avg: AveragingResult, tracks: TrackSet, tripl
     consensus blocks at unit norm, one stacked pass before any triplet is
     recovered (for "r4" with their 3-view tracks); a pair error raises when
     its row is read."""
-    F = np.array([normalized_tensor(block) for block in avg.consensus])
+    F = normalized_tensor(avg.consensus)
     tracks3 = [tracks.tracks(t) for t in triplets] if algorithm == "r4" else None
     return projective_systems(F, avg.rows, epipole_table(F), tracks3)
 
@@ -127,7 +127,7 @@ def _evaluate(cameras, n_real, tracks, scene_gt, regime, algorithm, converged, f
     if scene_gt is not None and regime == "calibrated":
         idx = [i for i in range(n_real) if cameras[i] is not None]
         if len(idx) >= 3:
-            est = np.vstack([-cameras[i][:, :3].T @ cameras[i][:, 3] for i in idx])
+            est = camera_centers(np.array([cameras[i] for i in idx]))
             gt = scene_gt.centers()[idx]
             res = align_similarity(est, gt).residuals
             mean_pos = float(np.mean(res))

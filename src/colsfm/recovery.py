@@ -41,12 +41,14 @@ from .errors import (
     RankDeficient,
 )
 from .geometry import (
-    _dlt,
-    _skews,
+    camera_centers,
     cheirality_votes,
     essential_candidates,
     fundamental_from_projections,
     nearest_rotation,
+    norms,
+    skew,
+    triangulate,
 )
 from .nview import block_index, block_matrix, collinear_pattern_residual, eigen_signature
 # bench/tracing.py still hooks this name here for its nview.certify span (ROADMAP item 4)
@@ -141,8 +143,7 @@ def resolve_essential_triplet(poses: PairPoses, rows) -> TripletGeometry:
     rows = np.asarray(rows).reshape(-1, 3)
     R = poses.rotations[rows]  # (T, local pair, branch, 3, 3)
     R01, R02, R12 = (R[:, k, _BRANCHES[:, k]] for k in range(3))  # (T, 8, 3, 3)
-    D = (R01 @ R12 @ R02.swapaxes(-1, -2) - np.eye(3)).reshape(len(rows), 8, 1, 9)
-    r = np.sqrt(D @ D.swapaxes(-1, -2))[..., 0, 0]  # Frobenius norms, as np.linalg.norm sums
+    r = norms((R01 @ R12 @ R02.swapaxes(-1, -2) - np.eye(3)).reshape(len(rows), 8, 9))
     best, residual = np.zeros(len(rows), dtype=int), r[:, 0]
     for c in range(1, 8):
         better = r[:, c] < residual
@@ -211,12 +212,6 @@ def closure_scales(geom: TripletGeometry) -> TripletClosure:
     return TripletClosure(d, mu[:, [0, 2, 1]], _SIGNS[best], sv[at][:, 2], np.any(valid, axis=1))
 
 
-def _triangulate_tracks3(P0, P1, pts):
-    """One stacked DLT of every (N, 3, 3) 3-view track from views 0 and 1;
-    returns the (N, 4) points and which of them are ambiguous."""
-    return _dlt(np.concatenate([_skews(pts[:, 0]) @ P0, _skews(pts[:, 1]) @ P1], axis=1))
-
-
 def _ordered_sum(values) -> float:
     """0.0 + values[0] + values[1] + ..., summed left to right."""
     return 0.0 + float(np.cumsum(values)[-1])
@@ -255,7 +250,7 @@ def collinear_placement(E9, geom: TripletGeometry, tracks3) -> CollinearPlacemen
     pts = [np.asarray(tr, dtype=float).reshape(-1, 3, 3) for tr in tracks3]
     of = np.repeat(np.arange(T), [len(p) for p in pts])  # each track's triplet
     pts = np.concatenate([np.zeros((0, 3, 3)), *pts])
-    X, ambiguous = _triangulate_tracks3(P0[of], P1[of], pts)
+    X, ambiguous = triangulate(np.stack([P0, P1], axis=1)[of], pts[:, :2])
     keep = ~ambiguous & ~(np.abs(X[:, 3]) < 1e-12 * np.linalg.norm(X, axis=1))
     X, x2, used = X[keep], pts[keep, 2], of[keep]
     bx = np.cross((Rh[:, 2] @ axis)[used, :, 0], x2)
@@ -378,14 +373,14 @@ def projective_systems(F, rows, table, tracks3=None) -> ProjectiveSystems:
     rows = np.asarray(rows).reshape(-1, 3)
     T = len(rows)
     e0, e2 = table[rows[:, 0], 0], table[rows[:, 2], 1]
-    P0 = np.concatenate([_skews(e0) @ F[rows[:, 0]], e0[:, :, None]], axis=2)
-    M2 = _skews(e2) @ F[rows[:, 2]].swapaxes(-1, -2)
+    P0 = np.concatenate([skew(e0) @ F[rows[:, 0]], e0[:, :, None]], axis=2)
+    M2 = skew(e2) @ F[rows[:, 2]].swapaxes(-1, -2)
     P2 = np.concatenate([M2, np.zeros((T, 3, 1))], axis=2)[:, None]
     G = fundamental_from_projections(P0[:, None], P2 + e2[:, None, :, None] * _A_BASIS[:, None])
     f0 = G.reshape(T, 5, 9)[:, 0]
     L = np.ascontiguousarray((G.reshape(T, 5, 9)[:, 1:] - f0[:, None]).swapaxes(1, 2))
     f = F[rows[:, 1]].reshape(T, 9)
-    norm = np.sqrt((f[:, None, :] @ f[:, :, None])[:, 0, 0])  # summed as np.linalg.norm sums
+    norm = norms(f)
     fhat = f / np.where(norm == 0.0, 1.0, norm)[:, None]
     Proj = np.eye(9) - fhat[:, :, None] * fhat[:, None, :]
     A, b = Proj @ L, ((-Proj) @ f0[:, :, None])[:, :, 0]
@@ -393,7 +388,7 @@ def projective_systems(F, rows, table, tracks3=None) -> ProjectiveSystems:
     too_few = [len(p) < 2 for p in pts] if tracks3 is not None else [False] * T
     of = np.repeat(np.arange(len(pts)), [len(p) for p in pts])  # each track's triplet
     pts = np.concatenate([np.zeros((0, 3, 3)), *pts])
-    X, ambiguous = _triangulate_tracks3(P0[of], _P1, pts)
+    X, ambiguous = triangulate(np.stack([P0, np.broadcast_to(_P1, P0.shape)], axis=1)[of], pts[:, :2])
     X, x2, of = X[~ambiguous], pts[~ambiguous, 2], of[~ambiguous]
     cuts = 3 * np.cumsum(np.bincount(of, minlength=T))[:-1]
     track_A = np.split((np.cross(e2[of], x2)[:, :, None] * X[:, None, :]).reshape(-1, 4), cuts)
@@ -459,13 +454,11 @@ class RegistrationResult:
     merge_residuals: dict = field(default_factory=dict)
 
     def centers(self) -> np.ndarray:
-        return np.vstack([np.full(3, np.nan) if P is None else -P[:, :3].T @ P[:, 3]
-                          for P in self.cameras])
-
-
-def _centers(P: np.ndarray) -> np.ndarray:
-    """The (k, 3) centers -R^T t of a (k, 3, 4) stack of Euclidean cameras [R | t]."""
-    return (-P[:, :, :3].swapaxes(-1, -2) @ P[:, :, 3:])[..., 0]
+        """(n, 3) camera centers, nan rows for unreconstructed cameras."""
+        C = np.full((len(self.cameras), 3), np.nan)
+        have = [i for i, P in enumerate(self.cameras) if P is not None]
+        C[have] = camera_centers(np.array([self.cameras[i] for i in have]).reshape(-1, 3, 4))
+        return C
 
 
 def _align_edge(parent: np.ndarray, child: np.ndarray, p, c, mode: str) -> np.ndarray:
@@ -482,7 +475,7 @@ def _align_edge(parent: np.ndarray, child: np.ndarray, p, c, mode: str) -> np.nd
     """
     if mode == "euclidean":
         Rp, Rc = parent[p, :, :3], child[c, :, :3]
-        cp, cc = _centers(parent[p]), _centers(child)
+        cp, cc = camera_centers(parent[p]), camera_centers(child)
         Q = nearest_rotation(Rp[0].T @ Rc[0] + Rp[1].T @ Rc[1])  # R_parent @ R_child^T
         base_c = np.linalg.norm(cc[c[0]] - cc[c[1]])
         base_p = np.linalg.norm(cp[0] - cp[1])
@@ -542,7 +535,7 @@ def register_global(triplets, cover, mode: str, n_cameras: int) -> RegistrationR
         Ps = estimates[of == cam_id]
         if mode == "euclidean":
             R = nearest_rotation(np.sum(Ps[:, :, :3], axis=0))
-            cameras[cam_id] = np.hstack([R, (-R @ np.mean(_centers(Ps), axis=0)).reshape(3, 1)])
+            cameras[cam_id] = np.hstack([R, (-R @ np.mean(camera_centers(Ps), axis=0)).reshape(3, 1)])
             spread = [np.linalg.norm(P[:, :3] - R) for P in Ps]
         else:
             Pn = cameras[cam_id] = Ps[0] / np.linalg.norm(Ps[0])

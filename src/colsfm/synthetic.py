@@ -13,8 +13,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import DegenerateGeometry
-from .geometry import CameraModel, _skews, rotation_about, unit
+from .errors import InvalidSceneSpec
+from .geometry import CameraModel, calibrated, image_point, normalized_tensor, rotation_about, skew, unit
 from .nview import NViewBifocal
 
 
@@ -93,27 +93,10 @@ class Scene:
         of seed + 1.  Raises DegenerateGeometry for a point at infinity."""
         rng = rng if rng is not None else np.random.default_rng(self.seed + 1)
         Ps = np.array([cam.projection_matrix() for cam in self.cameras]).reshape(-1, 3, 4)
-        X = np.column_stack([self.points, np.ones(len(self.points))])
-        x = (Ps @ X[:, None, :, None])[..., 0]  # (P, n, 3)
-        if np.any(np.abs(x[..., 2]) < 1e-15):
-            raise DegenerateGeometry("point projects to infinity")
-        pts = x / x[..., 2:]
+        pts = image_point(Ps, np.asarray(self.points, dtype=float)[:, None])  # (P, n, 3)
         if pixel_noise > 0.0:
             pts[..., :2] += rng.normal(0, pixel_noise, size=pts.shape[:2] + (2,))
         return TrackSet(pts, np.ones(pts.shape[:2], dtype=bool))
-
-
-def _look_rotation(forward: np.ndarray, rng) -> np.ndarray:
-    """Rotation whose camera z-axis points along `forward`, random roll."""
-    z = unit(forward)
-    ref = np.array([0.0, 1.0, 0.0])
-    if abs(z @ ref) > 0.9:
-        ref = np.array([1.0, 0.0, 0.0])
-    x = unit(np.cross(ref, z))
-    y = np.cross(z, x)
-    R = np.column_stack([x, y, z])
-    roll = rotation_about(z, rng.uniform(-np.pi, np.pi))
-    return roll @ R
 
 
 def _random_K(rng) -> np.ndarray:
@@ -148,7 +131,8 @@ def _line_positions(rng, n_line: int) -> np.ndarray:
     same distribution instead.
     """
     if (n_line - 1) * _MIN_GAP >= 2 * _LINE_HALF:
-        raise ValueError(f"{n_line} cameras do not fit on the line with gaps of {_MIN_GAP}")
+        raise InvalidSceneSpec(f"{n_line} cameras do not fit on the line with gaps of {_MIN_GAP}; "
+                               f"at most {int(2 * _LINE_HALF / _MIN_GAP)} do")
     if n_line == 0:
         return np.empty(0)
     rows_left = max(1, _REJECTION_BUDGET // n_line)
@@ -197,14 +181,15 @@ def generate(
     candidate.  Where acceptance is too rare (about n >= 35), a fixed budget
     of rejected draws runs out and the layout is drawn constructively from
     the same distribution.  More than 100 cameras on the line raise
-    ValueError, since no layout has room for them.
+    InvalidSceneSpec, since no layout has room for them; so do an unknown
+    layout, too few cameras or points and a fraction outside [0, 1].
     """
     if n_cams < 3:
-        raise ValueError("need at least 3 cameras")
+        raise InvalidSceneSpec("need at least 3 cameras")
     if n_points < 4:
-        raise ValueError("need at least 4 points")
+        raise InvalidSceneSpec("need at least 4 points")
     if not 0.0 <= collinear_fraction <= 1.0:
-        raise ValueError(f"collinear_fraction must lie in [0, 1], got {collinear_fraction!r}")
+        raise InvalidSceneSpec(f"collinear_fraction must lie in [0, 1], got {collinear_fraction!r}")
     rng = np.random.default_rng(seed)
 
     # camera line along a random direction, points in a box displaced sideways
@@ -221,53 +206,38 @@ def generate(
     elif layout == "mixed":
         n_line = int(round(collinear_fraction * n_cams))
     else:
-        raise ValueError(f"unknown layout {layout!r}")
+        raise InvalidSceneSpec(f"unknown layout {layout!r}")
 
-    centers = []
-    for a in _line_positions(rng, n_line):
-        centers.append(c0 + a * d)
-    for _ in range(n_cams - n_line):
-        p = c0 + rng.uniform(-2.5, 2.5) * d + rng.uniform(0.5, 2.0) * unit(np.cross(d, rng.normal(size=3)))
-        centers.append(p)
+    # the draws camera by camera, in the order of the per-camera
+    # construction: off-line centres (position along the line, distance from
+    # it, direction off it), then per camera roll, jitter axis, jitter angle
+    # and intrinsics; the poses are then built as one stacked pass
+    alphas = _line_positions(rng, n_line)
+    off = np.array([(rng.uniform(-2.5, 2.5), rng.uniform(0.5, 2.0), *rng.normal(size=3))
+                    for _ in range(n_cams - n_line)]).reshape(-1, 5)
+    centers = np.concatenate([c0 + alphas[:, None] * d,
+                              c0 + off[:, :1] * d + off[:, 1:2] * unit(np.cross(d, off[:, 2:]))])
+    roll, axis, angle, K = zip(*[(rng.uniform(-np.pi, np.pi), rng.normal(size=3), rng.uniform(0, 5.0),
+                                  _random_K(rng) if intrinsics_mode == "varied" else np.eye(3))
+                                 for _ in range(n_cams)])
 
-    cams = []
-    for t in centers:
-        look = _look_rotation(box_center - t, rng)
-        jitter = rotation_about(unit(rng.normal(size=3)), np.deg2rad(rng.uniform(0, 5.0)))
-        R = jitter @ look
-        K = _random_K(rng) if intrinsics_mode == "varied" else np.eye(3)
-        cams.append(CameraModel(K, R, t))
+    # look at the box centre with a random roll, the y axis as the up
+    # reference unless the view nearly runs along it, then a jitter of up to 5 deg
+    z = unit(box_center - centers)
+    ref = np.where(np.abs(z[:, 1:2]) > 0.9, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
+    x = unit(np.cross(ref, z))
+    look = rotation_about(z, np.array(roll)) @ np.stack([x, np.cross(z, x), z], axis=-1)
+    R = rotation_about(unit(np.array(axis)), np.deg2rad(angle)) @ look
+    cams = [CameraModel(K[i], R[i], centers[i]) for i in range(n_cams)]
 
     # visibility: every point in front of every camera (look-at geometry
     # guarantees it for the box used; verify rather than trust): the (P, n)
     # depths, camera z-axis dot (X - t)
     axes = np.array([cam.rotation[:, 2] for cam in cams])
-    depths = ((points[:, None, :] - np.array(centers))[:, :, None, :] @ axes[:, :, None])[..., 0, 0]
+    depths = ((points[:, None, :] - centers)[:, :, None, :] @ axes[:, :, None])[..., 0, 0]
     if np.any(depths <= 0):
         raise RuntimeError("generator produced a point behind a camera")
     return Scene(cams, points, layout, seed)
-
-
-def _norms(x: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row of an (N, k) array, computed as
-    np.linalg.norm computes that of one vector: the square root of a dot
-    (norm(axis=-1) differs from it in the last bit on some rows)."""
-    return np.sqrt(x[:, None, :] @ x[:, :, None])[:, 0, 0]
-
-
-def _units(v: np.ndarray) -> np.ndarray:
-    """The rows of an (N, 3) array scaled to unit length, as `unit` scales one."""
-    n = _norms(v)
-    if np.any(n == 0.0):
-        raise ValueError("cannot normalize zero vector")
-    return v / n[:, None]
-
-
-def _rotations_about(axes: np.ndarray, angle_rad: float) -> np.ndarray:
-    """Rodrigues rotations by one angle about each row of an (N, 3) array of
-    non-zero axes, as `rotation_about` builds one."""
-    K = _skews(_units(axes))
-    return np.eye(3) + np.sin(angle_rad) * K + (1.0 - np.cos(angle_rad)) * (K @ K)
 
 
 def measure(scene: Scene, noise: MeasurementNoise | None = None, seed: int = 0):
@@ -288,38 +258,30 @@ def measure(scene: Scene, noise: MeasurementNoise | None = None, seed: int = 0):
     """
     noise = noise or MeasurementNoise()
     rng = np.random.default_rng(seed)
-    calibrated = np.array([c.is_calibrated for c in scene.cameras], dtype=bool)
-    kind = "essential" if calibrated.all() else "fundamental"
+    K = np.array([c.intrinsics for c in scene.cameras]).reshape(-1, 3, 3)
+    is_calibrated = calibrated(K)
+    kind = "essential" if is_calibrated.all() else "fundamental"
     I, J = np.triu_indices(scene.n, 1)
     R = np.array([c.rotation for c in scene.cameras]).reshape(-1, 3, 3)
     C = np.array([c.center for c in scene.cameras]).reshape(-1, 3)
     Rt = R[I].swapaxes(1, 2)
     Rrel = Rt @ R[J]  # R_i^T R_j
-    tdir = _units((Rt @ (C[I] - C[J])[:, :, None])[:, :, 0])
+    tdir = unit((Rt @ (C[I] - C[J])[:, :, None])[:, :, 0])
     arms = (noise.rotation_deg > 0) + (noise.translation_dir_deg > 0)
     axes = rng.normal(size=(len(I), arms, 3))
     if noise.rotation_deg > 0:
-        Rrel = _rotations_about(axes[:, 0], np.deg2rad(noise.rotation_deg)) @ Rrel
+        Rrel = rotation_about(axes[:, 0], np.deg2rad(noise.rotation_deg)) @ Rrel
     if noise.translation_dir_deg > 0:
-        # normalised here and again inside _rotations_about, as the
-        # per-pair construction did: the tensors' bits depend on both
-        perp = _units(np.cross(tdir, axes[:, -1]))
-        tdir = (_rotations_about(perp, np.deg2rad(noise.translation_dir_deg)) @ tdir[:, :, None])[:, :, 0]
-    if not np.all(np.isfinite(tdir)):
-        raise ValueError("skew: vector must be finite")
-    T = _skews(tdir) @ Rrel
-    mapped = ~(calibrated[I] & calibrated[J])
+        # normalised here and again inside rotation_about, as the per-pair
+        # construction did: the tensors' bits depend on both
+        perp = unit(np.cross(tdir, axes[:, -1]))
+        tdir = (rotation_about(perp, np.deg2rad(noise.translation_dir_deg)) @ tdir[:, :, None])[:, :, 0]
+    T = skew(tdir) @ Rrel
+    mapped = ~(is_calibrated[I] & is_calibrated[J])
     if np.any(mapped):
-        Kinv = np.linalg.inv(np.array([c.intrinsics for c in scene.cameras]))
+        Kinv = np.linalg.inv(K)
         T[mapped] = Kinv[I[mapped]].swapaxes(1, 2) @ T[mapped] @ Kinv[J[mapped]]
-    # unit Frobenius norm with the largest-magnitude entry positive
-    flat = T.reshape(-1, 9)
-    norms = _norms(flat)
-    if np.any(norms == 0.0):
-        raise ValueError("cannot normalize zero tensor")
-    flat = flat / norms[:, None]
-    big = np.take_along_axis(flat, np.argmax(np.abs(flat), axis=1)[:, None], axis=1)
-    T = np.where(big < 0, -flat, flat).reshape(-1, 3, 3)
+    T = normalized_tensor(T)
     nview = NViewBifocal.assemble(scene.n, np.column_stack([I, J]), T, kind)
     tracks = scene.track_set(pixel_noise=noise.pixel, rng=rng)
     return nview, tracks

@@ -90,4 +90,4 @@ def virtual_bifocals(V, track: np.ndarray) -> np.ndarray:
     between the three real views and the virtual camera at the 3D point of
     track, its (3, 3) image points, from the triplet's (3, 3, 3) V-matrices;
     they are of the kind of the triplet's measured tensors."""
-    return np.array([normalized_tensor(skew(track[i]) @ V[i]) for i in range(3)])
+    return normalized_tensor(skew(track) @ V)

@@ -15,11 +15,12 @@ from colsfm.errors import (
     InconsistentInput,
     InsufficientTracks,
 )
-from colsfm.geometry import _W, _dlt, _skews, nearest_rotation, skew
+from colsfm.geometry import _W, nearest_rotation
 from colsfm.averaging import _local_scale_factors
 from colsfm.graphs import _LOCAL_PAIRS, dual_adjacency, dual_bfs, triplet_pairs
 from colsfm.nview import block_matrix, certify_collinear_essential
-from colsfm.recovery import TripletCameras, _ordered_sum, _rowwise_dot, _triangulate_tracks3
+from colsfm.recovery import TripletCameras, _ordered_sum, _rowwise_dot
+from geometry_oracle import dlt, skew, skews, triangulate_tracks3
 
 
 def essential_candidates(E):
@@ -42,8 +43,8 @@ def cheirality_votes(cands, pts):
     Rt = np.array([R.T for R, _ in cands])
     t = np.array([tdir for _, tdir in cands])
     Pj = np.concatenate([Rt, Rt @ t[:, :, None]], axis=2)
-    A = np.broadcast_arrays(_skews(pts[:, 0]) @ Pi, _skews(pts[:, 1]) @ Pj[:, None])
-    X, ambiguous = _dlt(np.concatenate(A, axis=2))
+    A = np.broadcast_arrays(skews(pts[:, 0]) @ Pi, skews(pts[:, 1]) @ Pj[:, None])
+    X, ambiguous = dlt(np.concatenate(A, axis=2))
     finite = ~ambiguous & ~(np.abs(X[..., 3]) < 1e-14)
     Xe = X[..., :3] / np.where(finite, X[..., 3], 1.0)[..., None]
     zj = (Rt[:, None] @ (Xe + t[:, None])[..., None])[..., 2, 0]
@@ -152,7 +153,7 @@ def scale_factors(blocks):
 def alpha_least_squares(P0, P1, Rh2, axis_dir, tracks3):
     """alpha from P2(alpha) X x x2 = 0 over one triplet's 3-view tracks, X
     from views 0-1; ambiguous and at-infinity points are skipped."""
-    X, ambiguous = _triangulate_tracks3(P0, P1, tracks3)
+    X, ambiguous = triangulate_tracks3(P0, P1, tracks3)
     at_infinity = np.abs(X[:, 3]) < 1e-12 * np.linalg.norm(X, axis=1)
     keep = ~ambiguous & ~at_infinity
     if not np.any(keep):

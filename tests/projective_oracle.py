@@ -6,8 +6,9 @@ per-triplet order of operations."""
 import numpy as np
 
 from colsfm.errors import DegenerateEpipole, InsufficientTracks
-from colsfm.geometry import epipoles, fundamental_from_projections, skew, unit
-from colsfm.recovery import TripletCameras, _triangulate_tracks3
+from colsfm.geometry import epipoles, fundamental_from_projections
+from colsfm.recovery import TripletCameras
+from geometry_oracle import skew, triangulate_tracks3, unit
 
 
 def epipole(t, side):
@@ -46,7 +47,7 @@ def a_system_rows(P0, M2, e2, F02, tracks3):
     used = 0
     if len(tracks3):
         P1 = np.hstack([np.eye(3), np.zeros((3, 1))])
-        X, ambiguous = _triangulate_tracks3(P0, P1, tracks3)
+        X, ambiguous = triangulate_tracks3(P0, P1, tracks3)
         X, x2 = X[~ambiguous], tracks3[~ambiguous, 2]
         used = len(X)
         c = (M2 @ X[:, :3, None])[:, :, 0]

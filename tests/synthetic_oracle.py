@@ -1,16 +1,61 @@
-"""Reference implementations of the measurement simulator: one camera pair
-and one image point at a time, as colsfm computed them before its stacked
-passes.  The oracle tests compare `synthetic.measure` and
-`Scene.track_set` with these bit for bit, so this code keeps its per-item
-order of operations and of random draws."""
+"""Reference implementations of the scene generator and the measurement
+simulator: one camera, one camera pair and one image point at a time, as
+colsfm computed them before its stacked passes.  The oracle tests compare
+`synthetic.generate`, `synthetic.measure` and `Scene.track_set` with these
+bit for bit, so this code keeps its per-item order of operations and of
+random draws, on the per-item primitives of tests/geometry_oracle.py."""
 
 from itertools import combinations
 
 import numpy as np
 
-from colsfm.geometry import image_point, normalized_tensor, rotation_about, skew, unit
+from colsfm.geometry import CameraModel
 from colsfm.nview import NViewBifocal
-from colsfm.synthetic import MeasurementNoise, TrackSet
+from colsfm.synthetic import MeasurementNoise, Scene, TrackSet, _line_positions, _random_K
+from geometry_oracle import image_point, normalized_tensor, rotation_about, skew, unit
+
+
+def look_rotation(forward, rng):
+    """Rotation whose camera z-axis points along `forward`, random roll."""
+    z = unit(forward)
+    ref = np.array([0.0, 1.0, 0.0])
+    if abs(z @ ref) > 0.9:
+        ref = np.array([1.0, 0.0, 0.0])
+    x = unit(np.cross(ref, z))
+    y = np.cross(z, x)
+    R = np.column_stack([x, y, z])
+    roll = rotation_about(z, rng.uniform(-np.pi, np.pi))
+    return roll @ R
+
+
+def generate(layout, n_cams, n_points, seed=0, intrinsics_mode="calibrated", collinear_fraction=0.5):
+    """The scene of `synthetic.generate`, camera by camera (its input checks
+    left out)."""
+    rng = np.random.default_rng(seed)
+    d = unit(rng.normal(size=3))
+    c0 = rng.normal(scale=0.5, size=3)
+    side = unit(np.cross(d, rng.normal(size=3)))
+    box_center = c0 + 6.0 * side
+    points = box_center + rng.uniform(-1.5, 1.5, size=(n_points, 3))
+    n_line = {"collinear": n_cams, "general": 0,
+              "mixed": int(round(collinear_fraction * n_cams))}[layout]
+    centers = []
+    for a in _line_positions(rng, n_line):
+        centers.append(c0 + a * d)
+    for _ in range(n_cams - n_line):
+        p = c0 + rng.uniform(-2.5, 2.5) * d + rng.uniform(0.5, 2.0) * unit(np.cross(d, rng.normal(size=3)))
+        centers.append(p)
+    cams = []
+    for t in centers:
+        look = look_rotation(box_center - t, rng)
+        jitter = rotation_about(unit(rng.normal(size=3)), np.deg2rad(rng.uniform(0, 5.0)))
+        R = jitter @ look
+        K = _random_K(rng) if intrinsics_mode == "varied" else np.eye(3)
+        cams.append(CameraModel(K, R, t))
+    for cam in cams:
+        if any(cam.depth(X) <= 0 for X in points):
+            raise RuntimeError("generator produced a point behind a camera")
+    return Scene(cams, points, layout, seed)
 
 
 def perturbed_block(ci, cj, calibrated, noise, rng):

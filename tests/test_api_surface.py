@@ -6,6 +6,7 @@ the acceptance suite.  A name that only unit tests use is library surface
 kept alive for its own tests, and should be deleted instead.
 """
 
+import ast
 import inspect
 import re
 from pathlib import Path
@@ -132,3 +133,33 @@ def test_test_only_surface_stays_deleted():
     for name in ("_SIGN_GRAM", "_SIGN_CASES", "_spectral_rotations"):
         assert not hasattr(averaging, name), name
     assert "__bool__" not in vars(nview.ConsistencyCertificate)
+    # each geometric primitive has one body, in geometry, taking one item or
+    # a stack: no single-item twin beside a stacked one, no per-item loop
+    for name in ("triangulate_dlt", "fix_sign", "_dlt", "_skews", "_as_projection"):
+        assert not hasattr(geometry, name), name
+    for name in ("_norms", "_units", "_rotations_about", "_look_rotation"):
+        assert not hasattr(synthetic, name), name
+    for name in ("_triangulate_tracks3", "_centers"):
+        assert not hasattr(recovery, name), name
+    assert not hasattr(colsfm, "triangulate_dlt") and colsfm.triangulate is geometry.triangulate
+
+
+def test_no_per_item_primitive_calls():
+    # no loop or comprehension in src/ calls a stack-capable primitive on
+    # its loop variable, that is once per item
+    primitives = {"normalized_tensor", "skew", "unit", "triangulate", "rotation_about", "image_point"}
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for loop in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(loop, ast.For):
+                targets, bodies = [loop.target], loop.body
+            elif isinstance(loop, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
+                targets, bodies = [g.target for g in loop.generators], [loop]
+            else:
+                continue
+            names = {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+            for call in (c for b in bodies for c in ast.walk(b) if isinstance(c, ast.Call)):
+                if getattr(call.func, "id", None) in primitives and any(
+                        isinstance(n, ast.Name) and n.id in names for a in call.args for n in ast.walk(a)):
+                    found.append(f"{path.name}:{call.lineno}")
+    assert found == []

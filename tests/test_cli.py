@@ -384,3 +384,24 @@ class TestSynthFlags:
         assert exc.value.code == 2
         assert f"argument {flag}: " in capsys.readouterr().err
         assert not (tmp_path / "m.json").exists()
+
+    def test_too_many_line_cameras_exits_2_naming_limit(self, tmp_path, capsys):
+        # the flag parses, and the generator refuses the layout as a validation error
+        assert run_cli(["synth", "--layout", "collinear", "--n-cams", "101",
+                        "--out", str(tmp_path / "scene.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: 101 cameras do not fit on the line") and "at most 100" in err
+        assert not (tmp_path / "scene.json").exists()
+
+
+@pytest.mark.parametrize("field,entry", [("t", 1), ("R", 4), ("K", 2)])
+def test_nonfinite_scene_camera_exits_2(field, entry, tmp_path, capsys):
+    # a nan centre or rotation entry is a malformed scene, not a traceback
+    cams = [_eye_camera(float(x)) for x in range(3)]
+    cams[1][field][entry] = float("nan")
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps({"cameras": cams, "points": [[0.0, 0.0, 5.0]]}))
+    assert run_cli(["measure", "--scene", str(path), "--out", str(tmp_path / "m.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed scene file") and "must be finite" in err
+    assert not (tmp_path / "m.json").exists()

@@ -1,4 +1,5 @@
 import calibrated_oracle as oracle
+import geometry_oracle
 import numpy as np
 import pytest
 
@@ -12,6 +13,11 @@ from colsfm.errors import (
 from colsfm.geometry import (
     CameraModel,
     bifocal_from_pair,
+    calibrated,
+    camera_centers,
+    image_point,
+    normalized_tensor,
+    norms,
     epipole_table,
     epipoles,
     essential_candidates,
@@ -21,7 +27,7 @@ from colsfm.geometry import (
     rotation_about,
     skew,
     symmetric_epipolar_distance,
-    triangulate_dlt,
+    triangulate,
     unit,
 )
 from colsfm.recovery import pair_poses
@@ -68,6 +74,25 @@ class TestCameraModel:
         K = np.array([[1.0, 0, 0], [0.5, 1, 0], [0, 0, 1]])
         with pytest.raises(ValueError):
             CameraModel(K, np.eye(3), np.zeros(3))
+
+    @pytest.mark.parametrize("which", ["K", "R", "t"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite(self, which, value):
+        parts = {"K": np.eye(3), "R": np.eye(3), "t": np.zeros(3)}
+        parts[which] = parts[which].copy()
+        parts[which].flat[0] = value
+        with pytest.raises(ValueError, match="must be finite"):
+            CameraModel(parts["K"], parts["R"], parts["t"])
+
+    def test_calibrated_without_relative_tolerance(self):
+        # within numpy's default rtol of the identity, but not within 1e-12
+        near = CameraModel(np.diag([1 + 5e-6, 1 + 5e-6, 1.0]), np.eye(3), np.zeros(3))
+        assert not near.is_calibrated
+        assert CameraModel(np.eye(3) + 1e-13 * np.triu(np.ones((3, 3)), 1), np.eye(3),
+                           np.zeros(3)).is_calibrated
+        K = np.array([np.eye(3), near.intrinsics, np.diag([1.0, 1.0 + 2e-12, 1.0])])
+        assert calibrated(K).tolist() == [True, False, False]
+        assert calibrated(np.eye(3)) and calibrated(K).shape == (3,)
 
     def test_projection_matrix_form(self, rng):
         cam = _random_camera(rng, calibrated=False)
@@ -218,14 +243,15 @@ class TestTriangulateDlt:
         c1 = CameraModel(np.eye(3), rotation_about([0, 1, 0], np.deg2rad(30)), np.array([-1.0, 0, -5.0]))
         c2 = CameraModel(np.eye(3), rotation_about([0, 1, 0], np.deg2rad(-30)), np.array([1.0, 0, -5.0]))
         tr = np.vstack([c1.project([0, 0, 0]), c2.project([0, 0, 0])])
-        X = triangulate_dlt([c1, c2], tr)
+        X, ambiguous = triangulate(np.array([c1.projection_matrix(), c2.projection_matrix()]), tr)
+        assert not ambiguous
         assert np.allclose(X[:3] / X[3], [0, 0, 0], atol=1e-10)
 
     def test_noiseless_three_view_reprojection(self, collinear_scene):
         cams = collinear_scene.cameras[:3]
         X = collinear_scene.points[0]
         tr = np.vstack([c.project(X) for c in cams])
-        Xh = triangulate_dlt(cams, tr)
+        Xh, _ = triangulate(np.array([c.projection_matrix() for c in cams]), tr)
         for c, x in zip(cams, tr):
             reproj = c.projection_matrix() @ Xh
             assert np.linalg.norm(reproj / reproj[2] - x) < 1e-10
@@ -234,8 +260,9 @@ class TestTriangulateDlt:
         cam = _random_camera(rng)
         x = cam.project(cam.center + cam.rotation @ np.array([0.1, 0.2, 3.0]))
         tr = np.vstack([x, x])
+        assert triangulate(np.array([cam.projection_matrix()] * 2), tr)[1]
         with pytest.raises(DegenerateGeometry):
-            triangulate_dlt([cam, cam], tr)
+            geometry_oracle.triangulate_dlt([cam.projection_matrix()] * 2, tr)
 
 
 def _pair_points(ci, cj, points):
@@ -325,7 +352,7 @@ def _votes_per_track(R, tdir, tracks):
     votes = ambiguous = infinite = 0
     for tr in tracks:
         try:
-            X = triangulate_dlt([Pi, Pj], tr)
+            X = geometry_oracle.triangulate_dlt([Pi, Pj], tr)
         except DegenerateGeometry:
             ambiguous += 1
             continue
@@ -466,27 +493,152 @@ class TestReducedDltSvd:
         # evaluation) give the same singular values and right vectors
         # without the unused left vectors
         import colsfm.geometry
+        import colsfm.metrics
         import colsfm.recovery
         from colsfm.pipeline import run_pipeline
         from colsfm.synthetic import MeasurementNoise, generate, measure
 
-        stacks, real_dlt = [], colsfm.geometry._dlt
+        stacks, real = [], colsfm.geometry.triangulate
 
-        def dlt(A):
-            stacks.append(np.array(A))
-            return real_dlt(A)
+        def triangulate(P, x):
+            stacks.append((np.array(P), np.array(x)))
+            return real(P, x)
 
-        monkeypatch.setattr(colsfm.geometry, "_dlt", dlt)
-        monkeypatch.setattr(colsfm.recovery, "_dlt", dlt)
+        for module in (colsfm.geometry, colsfm.recovery, colsfm.metrics):
+            monkeypatch.setattr(module, "triangulate", triangulate)
         scene = generate(layout, 7, 12, seed=70, intrinsics_mode=intrinsics)
         m, tracks = measure(scene, MeasurementNoise(noise, noise), seed=70)
         regime = "calibrated" if intrinsics == "calibrated" else "uncalibrated"
         run_pipeline(m, tracks, algorithm, regime, scene)
         assert len(stacks) > 1
-        for A in stacks:
+        for P, x in stacks:
+            # the DLT system: the [x_i]_x P_i rows of every view of a track
+            A = geometry_oracle.skews(x.reshape(-1, 3)).reshape(x.shape + (3,)) @ P
+            A = A.reshape(A.shape[:-3] + (3 * A.shape[-3], 4))
             _, s, Vt = np.linalg.svd(A)
             _, s_red, Vt_red = np.linalg.svd(A, full_matrices=False)
             assert np.array_equal(s, s_red) and np.array_equal(Vt, Vt_red)
-            X, ambiguous = real_dlt(A)
+            X, ambiguous = real(P, x)
             assert np.array_equal(X, Vt[..., 3, :])
             assert np.array_equal(ambiguous, s[..., 2] - s[..., 3] < 1e-12 * s[..., 0])
+
+
+def _same(a, b) -> bool:
+    """Bit for bit: equal shapes and bytes, signed zeros included."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestStackedPrimitives:
+    """Each primitive of one body takes one item or a stack: every row of a
+    stack equals the per-item reference of tests/geometry_oracle.py, and a
+    single item equals its row of the stack."""
+
+    def test_norms(self, rng):
+        for scale in (1e-150, 1.0, 1e150):
+            x = scale * rng.normal(size=(200, 9))
+            got = norms(x)
+            assert all(got[k] == np.linalg.norm(row) for k, row in enumerate(x))
+            assert all(norms(row) == got[k] for k, row in enumerate(x))
+            assert _same(norms(x.reshape(20, 10, 9)), got.reshape(20, 10))
+
+    def test_skew(self, rng):
+        v = rng.normal(size=(4, 50, 3))
+        v[0, 0] = [0.0, -0.0, 1.0]
+        got = skew(v)
+        assert got.shape == (4, 50, 3, 3)
+        for idx in np.ndindex(4, 50):
+            assert _same(got[idx], geometry_oracle.skew(v[idx]))
+            assert _same(skew(v[idx]), got[idx])
+        for bad in (np.nan, np.inf):
+            v[2, 7, 1] = bad
+            with pytest.raises(ValueError, match="skew: vector must be finite"):
+                skew(v)
+
+    def test_unit(self, rng):
+        v = rng.normal(size=(100, 3)) * rng.uniform(1e-3, 1e3, size=(100, 1))
+        got = unit(v)
+        for k, row in enumerate(v):
+            assert _same(got[k], geometry_oracle.unit(row))
+            assert _same(unit(row), got[k])
+        v[40] = 0.0
+        for bad in (v, v[40]):
+            with pytest.raises(ValueError, match="cannot normalize zero vector"):
+                unit(bad)
+
+    def test_normalized_tensor(self, rng):
+        M = rng.normal(size=(300, 3, 3)) * rng.uniform(1e-3, 1e3, size=(300, 1, 1))
+        M[:5] = 0.0
+        M[:5, 1, 2], M[:5, 0, 0] = -2.0, 2.0  # a tie: the first largest entry decides the sign
+        M[5] = np.eye(3) * -1.0
+        got = normalized_tensor(M)
+        for k, block in enumerate(M):
+            assert _same(got[k], geometry_oracle.normalized_tensor(block))
+            assert _same(normalized_tensor(block), got[k])
+        assert _same(normalized_tensor(M.reshape(30, 10, 3, 3)), got.reshape(30, 10, 3, 3))
+        M[17] = 0.0
+        for bad in (M, M[17]):
+            with pytest.raises(ValueError, match="cannot normalize zero tensor"):
+                normalized_tensor(bad)
+
+    def test_rotation_about(self, rng):
+        axes = rng.normal(size=(60, 3))
+        angles = rng.uniform(-np.pi, np.pi, size=60)
+        one = rotation_about(axes, 0.3)
+        each = rotation_about(axes, angles)
+        for k, axis in enumerate(axes):
+            assert _same(one[k], geometry_oracle.rotation_about(axis, 0.3))
+            assert _same(each[k], geometry_oracle.rotation_about(axis, angles[k]))
+            assert _same(rotation_about(axis, angles[k]), each[k])
+            assert _same(rotation_about(axis, np.float64(angles[k])), each[k])
+
+    def test_image_point(self, rng):
+        P = np.array([_random_camera(rng, calibrated=k % 2 == 0).projection_matrix() for k in range(5)])
+        X = rng.normal(scale=3.0, size=(40, 3))
+        got = image_point(P, X[:, None])
+        assert got.shape == (40, 5, 3)
+        for p, i in np.ndindex(40, 5):
+            assert _same(got[p, i], geometry_oracle.image_point(P[i], X[p]))
+            assert _same(image_point(P[i], X[p]), got[p, i])
+        cam = _random_camera(rng)
+        X[11] = cam.center + cam.rotation[:, 0]  # on the principal plane
+        with pytest.raises(DegenerateGeometry, match="point projects to infinity"):
+            image_point(cam.projection_matrix(), X)
+
+    def test_camera_centers(self, rng):
+        P = np.array([_random_camera(rng).projection_matrix() for _ in range(30)])
+        P /= rng.uniform(0.5, 2.0, size=(30, 1, 1))  # not a scaled rotation any more
+        got = camera_centers(P)
+        for k in range(30):
+            assert _same(got[k], geometry_oracle.camera_center(P[k]))
+            assert _same(camera_centers(P[k]), got[k])
+
+    def test_triangulate(self, rng):
+        cams = [_random_camera(rng, calibrated=k % 2 == 0) for k in range(6)]
+        P = np.array([c.projection_matrix() for c in cams])
+        ambiguous_seen = 0
+        for k in range(2, 7):
+            views = np.array([rng.choice(6, size=k, replace=False) for _ in range(40)])
+            X = rng.normal(scale=2.0, size=(40, 3))
+            x = np.array([[cams[v].project(Xp) for v in vs] for Xp, vs in zip(X, views)])
+            x[:, :, :2] += rng.normal(scale=1e-3, size=(40, k, 2))
+            views[:3] = views[0, 0]  # identical cameras and rays: ambiguous
+            x[:3] = x[:3, :1]
+            got, ambiguous = triangulate(P[views], x)
+            assert got.shape == (40, 4) and ambiguous.shape == (40,)
+            for p in range(40):
+                try:
+                    want = geometry_oracle.triangulate_dlt(P[views[p]], x[p])
+                except DegenerateGeometry:
+                    assert ambiguous[p]
+                    ambiguous_seen += 1
+                    continue
+                assert not ambiguous[p] and _same(got[p], want)
+                one, flag = triangulate(P[views[p]], x[p])
+                assert _same(one, got[p]) and not flag
+        assert ambiguous_seen == 15
+        # one camera pair broadcast over a stack of tracks
+        two = triangulate(P[:2], x[:, :2])
+        assert _same(two[0], triangulate(np.broadcast_to(P[:2], (40, 2, 3, 4)), x[:, :2])[0])
+        with pytest.raises(ValueError, match="at least two views"):
+            triangulate(P[:1], x[0, :1])

@@ -1,3 +1,4 @@
+import geometry_oracle as oracle
 import numpy as np
 import pytest
 
@@ -78,3 +79,48 @@ class TestReprojectionError:
         cams[3] = None
         ts = scene.track_set()
         assert mean_reprojection_error(cams, *seen_in(ts, (0, 1, 3))) < 1e-8
+
+
+class TestReprojectionOracle:
+    """The stacked reprojection error equals the per-track reference of
+    tests/geometry_oracle.py bit for bit."""
+
+    @staticmethod
+    def _cameras(seed):
+        scene = generate("general", 6, 30, seed=seed)
+        cams = [c.projection_matrix() for c in scene.cameras]
+        cams[1] = cams[0].copy()  # views 0 and 1 alone triangulate ambiguously
+        cams[4] = np.array([[1.0, 0, 0, 0], [0, 1.0, 0, 0], [0, 0, 0, 0]])  # reprojects at infinity
+        cams[5] = None
+        return scene, cams
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_partial_visibility(self, seed):
+        scene, cams = self._cameras(seed)
+        rng = np.random.default_rng(seed)
+        ts = scene.track_set(pixel_noise=1e-3 * (seed % 3))
+        points = ts.points.copy()
+        points[:, 1] = points[:, 0]
+        visible = rng.random(ts.visible.shape) < rng.uniform(0.2, 0.9)
+        visible[:3] = [[True, True, False, False, False, True]] * 3  # ambiguous tracks
+        visible[3] = [False, False, True, False, True, False]  # one usable view
+        visible[4] = [True] * 6  # every view count from 2 to 5 occurs
+        got = mean_reprojection_error(cams, points, visible)
+        want = oracle.mean_reprojection_error(cams, points, visible)
+        assert got == want and np.isfinite(got)
+        for m in (2, 4, 6):  # tracks over the first m cameras only
+            got = mean_reprojection_error(cams, points[:, :m], visible[:, :m])
+            want = oracle.mean_reprojection_error(cams, points[:, :m], visible[:, :m])
+            assert got == want or (np.isnan(got) and np.isnan(want))
+
+    def test_nothing_usable_is_nan(self):
+        scene, cams = self._cameras(0)
+        ts = scene.track_set()
+        points = ts.points.copy()
+        points[:, 1] = points[:, 0]
+        visible = np.zeros(ts.visible.shape, dtype=bool)
+        assert np.isnan(mean_reprojection_error(cams, points, visible))
+        visible[:, [0, 1, 5]] = True  # ambiguous or unreconstructed everywhere
+        assert np.isnan(mean_reprojection_error(cams, points, visible))
+        assert np.isnan(oracle.mean_reprojection_error(cams, points, visible))
+        assert np.isnan(mean_reprojection_error(cams, points[:0], visible[:0]))

@@ -4,7 +4,7 @@ import pytest
 from itertools import combinations
 
 from colsfm.errors import DuplicateEdge, IndexOutOfRange, MissingBlock, RankNot2
-from colsfm.geometry import bifocal_from_pair, fix_sign, nearest_rotation
+from colsfm.geometry import bifocal_from_pair, nearest_rotation
 from colsfm.nview import (
     NViewBifocal,
     block_index,
@@ -18,6 +18,7 @@ from colsfm.synthetic import MeasurementNoise, generate, measure
 
 import spectral_oracle
 from conftest import exact_nview, exact_triplet, geodesic_angle, without
+from geometry_oracle import fix_sign
 
 
 def _scene_stack(scene):

@@ -2,6 +2,7 @@ import dataclasses
 from itertools import combinations
 
 import calibrated_oracle as oracle
+import geometry_oracle
 import numpy as np
 import projective_oracle
 import pytest
@@ -24,7 +25,7 @@ from colsfm.geometry import (
     fundamental_from_projections,
     nearest_rotation,
     normalized_tensor,
-    triangulate_dlt,
+    triangulate,
     unit,
 )
 from colsfm.graphs import _LOCAL_PAIRS, TripletCover, pair_rows, sequential_cover, triplet_pairs
@@ -33,7 +34,6 @@ from colsfm.recovery import (
     TripletCameras,
     TripletGeometry,
     _align_edge,
-    _triangulate_tracks3,
     closure_scales,
     collinear_placement,
     eigen_rotation_averaging,
@@ -273,8 +273,7 @@ class TestProjectiveCollinearRecovery:
         on_line = np.vstack([scene.cameras[i].project(X) for i in range(3)])
         P0 = projective_system(F[(0, 1)], F[(1, 2)], F[(0, 2)]).P0[0]
         P1 = np.hstack([np.eye(3), np.zeros((3, 1))])
-        with pytest.raises(DegenerateGeometry):
-            triangulate_dlt([P0, P1], on_line[:2])
+        assert triangulate(np.stack([P0, P1]), on_line[:2])[1]
         with pytest.raises(InsufficientTracks):
             _projective_collinear(F[(0, 1)], F[(1, 2)], F[(0, 2)], [tr3[0], on_line])
 
@@ -413,7 +412,7 @@ def _alpha_loop(P0, P1, Rh2, axis_dir, tracks3):
     used = 0
     for tr in tracks3:
         try:
-            X = triangulate_dlt([P0, P1], tr[:2])
+            X = geometry_oracle.triangulate_dlt([P0, P1], tr[:2])
         except DegenerateGeometry:
             continue
         if abs(X[3]) < 1e-12 * np.linalg.norm(X):
@@ -446,14 +445,14 @@ def _a_rows_loop(P0, M2, e2, F02, tracks3):
         ek = np.zeros(4)
         ek[k] = 1.0
         L[:, k] = fundamental_from_projections(P0, P2_of(ek)).ravel() - f0
-    fhat = unit(np.asarray(F02, dtype=float).ravel())
+    fhat = geometry_oracle.unit(np.asarray(F02, dtype=float).ravel())
     Proj = np.eye(9) - np.outer(fhat, fhat)
     rows = [Proj @ L]
     rhs = [-Proj @ f0]
     P1 = np.hstack([np.eye(3), np.zeros((3, 1))])
     for tr in tracks3:
         try:
-            X = triangulate_dlt([P0, P1], tr[:2])
+            X = geometry_oracle.triangulate_dlt([P0, P1], tr[:2])
         except DegenerateGeometry:
             continue
         x2 = tr[2]
@@ -518,7 +517,7 @@ class TestStackedTrackSolves:
     def test_alpha_and_rows_equal_per_track_loops(self, rng):
         ambiguous = at_infinity = ambiguous_canonical = 0
         for P0, P1, R2, axis, tracks, row in self._cases(rng):
-            X, amb = _triangulate_tracks3(P0, P1, tracks)
+            X, amb = triangulate(np.stack([P0, P1]), tracks[:, :2])
             ambiguous += int(np.sum(amb))
             at_infinity += int(np.sum(~amb & (np.abs(X[:, 3]) < 1e-12)))
             old = _outcome(_alpha_loop, P0, P1, R2, axis, tracks)
@@ -534,7 +533,7 @@ class TestStackedTrackSolves:
             C0, C1, M2, e2 = projective_oracle.canonical_pair_cameras(F01, F12)
             assert np.array_equal(system.P0[0], C0)
             assert np.array_equal(system.M2[0], M2) and np.array_equal(system.e2[0], e2)
-            ambiguous_canonical += int(np.sum(_triangulate_tracks3(C0, C1, tracks)[1]))
+            ambiguous_canonical += int(np.sum(triangulate(np.stack([C0, C1]), tracks[:, :2])[1]))
             A, b = _a_rows_loop(C0, M2, e2, F02, tracks)
             assert np.array_equal(system.rows[0][0], A) and np.array_equal(system.rows[0][1], b)
             _assert_same(_outcome_of(projective_oracle.recover_collinear, F01, F12, F02, tracks),

@@ -7,7 +7,7 @@ import pytest
 
 import synthetic_oracle as oracle
 from colsfm import synthetic
-from colsfm.errors import DegenerateGeometry
+from colsfm.errors import DegenerateGeometry, InvalidSceneSpec, ValidationError
 from colsfm.geometry import CameraModel, bifocal_from_pair, essential_candidates, normalized_tensor, unit
 from colsfm.nview import certify_collinear_essential, certify_collinear_fundamental
 from colsfm.synthetic import MeasurementNoise, Scene, TrackSet, generate, measure
@@ -388,13 +388,20 @@ class TestStackedMeasureOracle:
                     run(bad, noise, seed=0)
 
     def test_nonfinite_direction_rejected(self):
+        # a camera refuses a nan centre, but finite centres whose difference
+        # overflows still give a nan direction (and zero ones to camera 2,
+        # which the translation arm would reject first)
         scene = _oracle_scene("collinear", 3, "calibrated")
         cams = list(scene.cameras)
-        cams[1] = CameraModel(np.eye(3), cams[1].rotation, [np.nan, 0.0, 0.0])
+        with pytest.raises(ValueError, match="must be finite"):
+            CameraModel(np.eye(3), cams[1].rotation, [np.nan, 0.0, 0.0])
+        cams[0] = CameraModel(np.eye(3), cams[0].rotation, [-1e308, 0.0, 0.0])
+        cams[1] = CameraModel(np.eye(3), cams[1].rotation, [1e308, 0.0, 0.0])
         bad = Scene(cams, scene.points, scene.layout, scene.seed)
-        for noise in (ARMS["none"], ARMS["all"]):
+        for noise in (ARMS["none"], ARMS["rotation"]):
             for run in (measure, oracle.measure):
-                with pytest.raises(ValueError, match="skew: vector must be finite"):
+                with pytest.raises(ValueError, match="skew: vector must be finite"), \
+                        np.errstate(over="ignore", invalid="ignore"):
                     run(bad, noise, seed=0)
 
     def test_point_at_infinity_rejected(self):
@@ -409,8 +416,11 @@ class TestStackedMeasureOracle:
                 run()
 
     def test_point_behind_camera_rejected(self, monkeypatch):
-        real = synthetic._look_rotation
-        monkeypatch.setattr(synthetic, "_look_rotation", lambda forward, rng: real(-forward, rng))
+        # every camera turned to look away from the points (the x and z axes
+        # negated, a proper rotation)
+        real = synthetic.CameraModel
+        monkeypatch.setattr(synthetic, "CameraModel",
+                            lambda K, R, t: real(K, R * [-1.0, 1.0, -1.0], t))
         with pytest.raises(RuntimeError, match="point behind a camera"):
             generate("general", 5, 8, seed=0)
 
@@ -436,3 +446,51 @@ class TestBadInputs:
 
     def test_zero_noise_levels_accepted(self):
         assert MeasurementNoise(0.0, 0, 0.0) == MeasurementNoise()
+
+    @pytest.mark.parametrize("args,kwargs,message", [
+        (("line", 5, 8), {}, "unknown layout 'line'"),
+        (("general", 2, 8), {}, "need at least 3 cameras"),
+        (("general", 5, 3), {}, "need at least 4 points"),
+        (("mixed", 5, 8), {"collinear_fraction": 1.5}, "collinear_fraction"),
+        (("collinear", 101, 8), {}, "101 cameras do not fit on the line .* at most 100"),
+        (("mixed", 202, 8), {}, "101 cameras do not fit"),
+    ])
+    def test_request_errors_are_validation_errors(self, args, kwargs, message):
+        # one class, caught as a ValidationError (CLI exit 2) and still a ValueError
+        with pytest.raises(InvalidSceneSpec, match=message) as exc:
+            generate(*args, **kwargs)
+        assert isinstance(exc.value, ValidationError) and isinstance(exc.value, ValueError)
+
+    def test_near_identity_intrinsics_are_not_calibrated(self):
+        # within numpy's default relative tolerance of I, yet the tracks carry K
+        scene = generate("general", 5, 8, seed=2)
+        K = np.diag([1 + 5e-6, 1 + 5e-6, 1.0])
+        cams = [CameraModel(K, c.rotation, c.center) if k == 3 else c for k, c in enumerate(scene.cameras)]
+        nview, _ = measure(Scene(cams, scene.points, scene.layout, scene.seed))
+        assert nview.kind == "fundamental"
+        assert measure(scene)[0].kind == "essential"
+
+
+class TestStackedGenerateOracle:
+    """The stacked poses of `generate` equal the per-camera construction of
+    tests/synthetic_oracle.py bit for bit, and the draws run in its order."""
+
+    @pytest.mark.parametrize("mode", ["calibrated", "varied"])
+    @pytest.mark.parametrize("n", [3, 7, 30])
+    @pytest.mark.parametrize("layout", ["collinear", "general", "mixed"])
+    def test_matches_oracle(self, monkeypatch, layout, n, mode):
+        for seed in range(4):
+            made = []
+            real = np.random.default_rng
+            monkeypatch.setattr(np.random, "default_rng", lambda s: made.append(real(s)) or made[-1])
+            got = generate(layout, n, 12, seed=seed, intrinsics_mode=mode)
+            monkeypatch.undo()
+            ref_rng = np.random.default_rng(seed)
+            monkeypatch.setattr(np.random, "default_rng", lambda s: ref_rng)
+            want = oracle.generate(layout, n, 12, seed=seed, intrinsics_mode=mode)
+            monkeypatch.undo()
+            assert got.points.tobytes() == want.points.tobytes()
+            for a, b in zip(got.cameras, want.cameras, strict=True):
+                for field in ("intrinsics", "rotation", "center"):
+                    assert getattr(a, field).tobytes() == getattr(b, field).tobytes(), (seed, field)
+            assert made[0].bit_generator.state == ref_rng.bit_generator.state

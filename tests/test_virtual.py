@@ -204,9 +204,10 @@ class TestVirtualBifocals:
         rec = recover_projective_collinear_triplet(projective_system(tensors[0], tensors[2], tensors[1], tracks), 0)
         tr = tracks[2]
         out = virtual_bifocals(v_matrices_from_cameras(rec), tr)
-        from colsfm.geometry import triangulate_dlt
+        from colsfm.geometry import triangulate
 
-        X = triangulate_dlt([rec.cameras[0], rec.cameras[1]], tr[:2])
+        X, ambiguous = triangulate(np.array(rec.cameras[:2]), tr[:2])
+        assert not ambiguous
         Xe = X[:3] / X[3]
         P_virtual = np.hstack([np.eye(3), -Xe.reshape(3, 1)])
         for i in range(3):
