@@ -33,10 +33,17 @@ def norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(x[..., None, :] @ x[..., :, None])[..., 0, 0]
 
 
+def ordered_sum(values) -> float:
+    """0.0 + values[0] + values[1] + ..., summed left to right."""
+    return 0.0 + float(np.cumsum(values)[-1])
+
+
 def skew(v: np.ndarray) -> np.ndarray:
     """Cross-product matrix [v]_x with [v]_x w = v x w, of one 3-vector or
     of each row of a (..., 3) stack."""
     v = np.asarray(v, dtype=float)
+    if v.shape[-1:] != (3,):
+        raise ValueError(f"skew: vectors must have 3 entries, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
         raise ValueError("skew: vector must be finite")
     a, b, c = v[..., 0], v[..., 1], v[..., 2]
@@ -276,12 +283,13 @@ def cheirality_votes(rotations: np.ndarray, t: np.ndarray, points: np.ndarray, s
     both.  Returns the (K, 4) votes.
     """
     # gauge: camera i at origin with identity rotation, camera j placed by (R, t)
-    Pi = np.hstack([np.eye(3), np.zeros((3, 1))])
     Rt = np.ascontiguousarray(rotations.swapaxes(-1, -2))  # (K, 2, 3, 3)
-    Pj = np.concatenate([Rt, Rt @ t[:, None, :, None]], axis=3)
+    P = np.zeros((2, len(Rt), 2, 3, 4))  # (branch, K, view, 3, 4)
+    P[:, :, 0, :, :3] = np.eye(3)
+    P[:, :, 1] = np.concatenate([Rt, Rt @ t[:, None, :, None]], axis=3).swapaxes(0, 1)
     pair = np.repeat(np.arange(len(starts)), np.diff(np.append(starts, len(points))))
-    Rt, Pj, tj = Rt[pair].swapaxes(0, 1), Pj[pair].swapaxes(0, 1), t[pair]  # (2, N, ...)
-    X, ambiguous = triangulate(np.stack(np.broadcast_arrays(Pi, Pj), axis=2), points)
+    Rt, P, tj = Rt[pair].swapaxes(0, 1), P[:, pair], t[pair]  # (2, N, ...)
+    X, ambiguous = triangulate(P, points)
     finite = ~ambiguous & ~(np.abs(X[..., 3]) < 1e-14)
     Xe = X[..., :3] / np.where(finite, X[..., 3], 1.0)[..., None]
     zi = Xe[..., 2]

@@ -7,8 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TooFew
-from .geometry import norms, triangulate
-from .recovery import _ordered_sum
+from .geometry import norms, ordered_sum, triangulate
 
 
 @dataclass
@@ -77,7 +76,7 @@ def mean_reprojection_error(cams, points: np.ndarray, visible: np.ndarray) -> fl
         dist[rows[:, None], views] = d
         counted[rows[:, None], views] = ~ambiguous[:, None] & finite
     count = int(np.count_nonzero(counted))
-    return _ordered_sum(dist[counted]) / count if count else float("nan")
+    return ordered_sum(dist[counted]) / count if count else float("nan")
 
 
 @dataclass

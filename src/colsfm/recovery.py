@@ -47,6 +47,7 @@ from .geometry import (
     fundamental_from_projections,
     nearest_rotation,
     norms,
+    ordered_sum,
     skew,
     triangulate,
 )
@@ -212,11 +213,6 @@ def closure_scales(geom: TripletGeometry) -> TripletClosure:
     return TripletClosure(d, mu[:, [0, 2, 1]], _SIGNS[best], sv[at][:, 2], np.any(valid, axis=1))
 
 
-def _ordered_sum(values) -> float:
-    """0.0 + values[0] + values[1] + ..., summed left to right."""
-    return 0.0 + float(np.cumsum(values)[-1])
-
-
 def _rowwise_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a[k] @ b[k] for every row k, each as one vector dot product."""
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
@@ -258,7 +254,7 @@ def collinear_placement(E9, geom: TripletGeometry, tracks3) -> CollinearPlacemen
     dots = np.stack([-_rowwise_dot(bx, ux), _rowwise_dot(bx, bx), _rowwise_dot(ux, ux)], axis=1)
     alpha, errors = np.empty(T), []
     for k, rows in enumerate(np.split(dots, np.cumsum(np.bincount(used, minlength=T))[:-1])):
-        num, den, scale = (_ordered_sum(c) for c in rows.T) if len(rows) else (0.0, 0.0, 0.0)
+        num, den, scale = (ordered_sum(c) for c in rows.T) if len(rows) else (0.0, 0.0, 0.0)
         failure = ("alpha is undetermined without 3-view tracks" if not np.any(of == k)
                    else "no usable 3-view track for the alpha solve" if not len(rows)
                    else "3-view tracks are degenerate with the camera line"

@@ -15,11 +15,11 @@ from colsfm.errors import (
     InconsistentInput,
     InsufficientTracks,
 )
-from colsfm.geometry import _W, nearest_rotation
+from colsfm.geometry import _W, nearest_rotation, ordered_sum
 from colsfm.averaging import _local_scale_factors
 from colsfm.graphs import _LOCAL_PAIRS, dual_adjacency, dual_bfs, triplet_pairs
 from colsfm.nview import block_matrix, certify_collinear_essential
-from colsfm.recovery import TripletCameras, _ordered_sum, _rowwise_dot
+from colsfm.recovery import TripletCameras, _rowwise_dot
 from geometry_oracle import dlt, skew, skews, triangulate_tracks3
 
 
@@ -164,9 +164,9 @@ def alpha_least_squares(P0, P1, Rh2, axis_dir, tracks3):
     b = Rh2 @ axis_dir
     bx = np.cross(b, x2)
     ux = np.cross(u, x2)
-    num = _ordered_sum(-_rowwise_dot(bx, ux))
-    den = _ordered_sum(_rowwise_dot(bx, bx))
-    scale = _ordered_sum(_rowwise_dot(ux, ux))
+    num = ordered_sum(-_rowwise_dot(bx, ux))
+    den = ordered_sum(_rowwise_dot(bx, bx))
+    scale = ordered_sum(_rowwise_dot(ux, ux))
     if den < 1e-18 * max(scale, 1.0):
         raise InsufficientTracks("3-view tracks are degenerate with the camera line")
     return num / den

@@ -554,6 +554,12 @@ class TestStackedPrimitives:
             v[2, 7, 1] = bad
             with pytest.raises(ValueError, match="skew: vector must be finite"):
                 skew(v)
+        # homogeneous 4-vectors, or anything not of 3 entries per row
+        for bad in ([1.0, 2.0, 3.0, 4.0], np.ones((5, 4)), np.ones((3, 1)), 1.0):
+            with pytest.raises(ValueError, match="skew: vectors must have 3 entries"):
+                skew(bad)
+        with pytest.raises(ValueError, match="skew: vectors must have 3 entries"):
+            triangulate(np.ones((2, 3, 4)), np.ones((2, 4)))
 
     def test_unit(self, rng):
         v = rng.normal(size=(100, 3)) * rng.uniform(1e-3, 1e3, size=(100, 1))

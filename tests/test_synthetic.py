@@ -389,16 +389,16 @@ class TestStackedMeasureOracle:
 
     def test_nonfinite_direction_rejected(self):
         # a camera refuses a nan centre, but finite centres whose difference
-        # overflows still give a nan direction (and zero ones to camera 2,
-        # which the translation arm would reject first)
+        # overflows still give a nan direction: pairs (0, 1) and (0, 2) here,
+        # while pair (1, 2) stays finite and non-zero
         scene = _oracle_scene("collinear", 3, "calibrated")
         cams = list(scene.cameras)
         with pytest.raises(ValueError, match="must be finite"):
             CameraModel(np.eye(3), cams[1].rotation, [np.nan, 0.0, 0.0])
-        cams[0] = CameraModel(np.eye(3), cams[0].rotation, [-1e308, 0.0, 0.0])
-        cams[1] = CameraModel(np.eye(3), cams[1].rotation, [1e308, 0.0, 0.0])
+        for c, t in enumerate(([-1e308, 0.0, 0.0], [1e308, 0.0, 0.0], [1e308, 1.0, 0.0])):
+            cams[c] = CameraModel(np.eye(3), cams[c].rotation, t)
         bad = Scene(cams, scene.points, scene.layout, scene.seed)
-        for noise in (ARMS["none"], ARMS["rotation"]):
+        for noise in ARMS.values():
             for run in (measure, oracle.measure):
                 with pytest.raises(ValueError, match="skew: vector must be finite"), \
                         np.errstate(over="ignore", invalid="ignore"):
