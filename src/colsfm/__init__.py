@@ -4,10 +4,7 @@ from .averaging import (
     AdmmConfig,
     AveragingResult,
     average,
-    project_collinear_essential,
-    project_collinear_fundamental,
-    project_general_essential,
-    project_general_fundamental,
+    project,
 )
 from .geometry import (
     CameraModel,
@@ -35,7 +32,6 @@ from .nview import (
 )
 from .pipeline import PipelineConfig, run_pipeline
 from .recovery import (
-    TripletCameras,
     pair_poses,
     recover_calibrated_collinear_triplet,
     recover_calibrated_general_triplet,

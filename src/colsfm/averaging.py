@@ -19,10 +19,10 @@ synchronisation is (T, 3) arrays walked over the cover's `TripletCover.dual`.
 
 The projections are batched kernels over (m, 3k, 3k) stacks, each call one
 stacked eigendecomposition (signature-deficient rows select per row, and
-`nview.eigen_signature` flags them); the general-essential kernel is a
-retraction (`project_general_essential`) started from the sign-searched
-`nview.block_rotation_frames` with one stacked 3x3 SVD, and one more per
-camera in each sweep.  Its output has exactly zero diagonal blocks, like
+`nview.eigen_signature` flags them), and `project` runs one on a single
+matrix; the general-essential kernel is a retraction (`_general_essential`)
+started from the sign-searched `nview.block_rotation_frames` with one
+stacked 3x3 SVD, and one more per camera in each sweep.  Its output has exactly zero diagonal blocks, like
 the consensus, so the two sets can meet on covers whose dual graph has
 cycles.  The driver runs it cold at its first iteration only; later ones
 warm-start `_WARM_SWEEPS` sweeps from the previous rotations, an
@@ -69,12 +69,6 @@ class AdmmConfig:
             raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
         if not all(math.isfinite(v) and v > 0 for v in (self.rho, self.max_iters, self.tol)):
             raise ValueError("all ADMM parameters must be positive and finite")
-
-
-@dataclass
-class ProjectionResult:
-    matrix: np.ndarray
-    signature_deficient: bool = False
 
 
 def _outer(a: np.ndarray) -> np.ndarray:
@@ -133,6 +127,8 @@ def _symmetrized(out: np.ndarray) -> np.ndarray:
 
 
 def _collinear_essential(S: np.ndarray, warm=None):
+    """Nearest spectrum with rank 4 and pairing l1 = -l4, l2 = -l3: keep the
+    two largest and two most negative eigenvalues, average each pair."""
     X, pv, Y, nv, flags = _truncate(S, 2)
     out = np.zeros_like(S)
     for k in range(2):
@@ -142,7 +138,8 @@ def _collinear_essential(S: np.ndarray, warm=None):
 
 
 def _signature_kernel(need: int):
-    """Kernel keeping the `need` extreme eigenvalues of each sign, zeroing the rest."""
+    """Kernel keeping the `need` largest and `need` most negative eigenvalues
+    unchanged, zeroing the rest."""
 
     def kernel(S: np.ndarray, warm=None):
         X, pv, Y, nv, flags = _truncate(S, need)
@@ -176,9 +173,23 @@ def _centres(Q: np.ndarray, W: np.ndarray) -> np.ndarray:
 
 
 def _general_essential(S: np.ndarray, warm=None):
-    """Cold (warm None): spectral start, then `_SWEEPS` sweeps.  Warm (the
-    (rotations, flags) a previous call returned): `_WARM_SWEEPS` sweeps from
-    those rotations, handing on the flags of their spectral start."""
+    """Retraction onto the consistent essential matrices
+    E_uv = Q_u [c_u - c_v]x Q_v^T of k cameras (rotations Q_u, mean-zero
+    centres c_u), which have zero diagonal blocks.
+
+    Cold (warm None): the rotations start from the sqrt(0.5)(X + Y S) blocks
+    of the rank-6 paired eigenvectors at the sign case S that
+    `nview.block_rotation_frames` picks (8 cases, the first best wins),
+    projected to rotations.  Each of `_SWEEPS` sweeps then sets the centres
+    to their least-squares values, c_u = (1/k) sum_v vee(skew(Q_u^T S_uv
+    Q_v)), and updates each Q_u in turn by Procrustes against its block row.
+    The output is assembled from the final rotations and centres, so
+    consistent input is a fixed point and the cold map is idempotent.
+
+    Warm (the (rotations, flags) a previous call returned, as at every
+    `average` iteration after the first): `_WARM_SWEEPS` sweeps from those
+    rotations, handing on the flags of the spectral start they descend from.
+    """
     m, d = S.shape[:2]
     k = d // 3
     if warm is None:
@@ -199,47 +210,6 @@ def _general_essential(S: np.ndarray, warm=None):
     return _symmetrized(Z), flags, (Q, flags)
 
 
-def _project_one(kernel, S) -> ProjectionResult:
-    M, flags, _ = kernel(np.asarray(S, dtype=float)[None])
-    return ProjectionResult(M[0], bool(flags[0]))
-
-
-def project_collinear_essential(S: np.ndarray) -> ProjectionResult:
-    """Nearest spectrum with rank 4 and pairing l1 = -l4, l2 = -l3: keep the
-    two largest and two most negative eigenvalues, average each pair."""
-    return _project_one(_collinear_essential, S)
-
-
-def project_collinear_fundamental(S: np.ndarray) -> ProjectionResult:
-    """Keep the two largest and two most negative eigenvalues unchanged, zero the rest."""
-    return _project_one(_collinear_fundamental, S)
-
-
-def project_general_fundamental(S: np.ndarray) -> ProjectionResult:
-    """Keep the three largest and three most negative eigenvalues unchanged."""
-    return _project_one(_general_fundamental, S)
-
-
-def project_general_essential(S: np.ndarray) -> ProjectionResult:
-    """Retraction onto the consistent essential matrices
-    E_uv = Q_u [c_u - c_v]x Q_v^T of k cameras (rotations Q_u, mean-zero
-    centres c_u), which have zero diagonal blocks.
-
-    The rotations start from the sqrt(0.5)(X + Y S) blocks of the rank-6
-    paired eigenvectors at the sign case S that `nview.block_rotation_frames`
-    picks (8 cases, the first best wins), projected to rotations.  Each of `_SWEEPS` sweeps then sets the centres to
-    their least-squares values, c_u = (1/k) sum_v vee(skew(Q_u^T S_uv Q_v)),
-    and updates each Q_u in turn by Procrustes against its block row.  The
-    output is assembled from the final rotations and centres, so consistent
-    input is a fixed point and the map is idempotent.
-
-    This is the cold map, which `average` runs at its first iteration only;
-    later iterations run `_WARM_SWEEPS` sweeps from the previous rotations and
-    report the flags of the spectral start they descend from.
-    """
-    return _project_one(_general_essential, S)
-
-
 # the batched kernel of each (regime, kind): (stack, warm) -> (stack, flags,
 # warm), warm None for a cold call or the one the previous call returned (None
 # except from the general-essential retraction, which hands on its rotations)
@@ -249,6 +219,14 @@ _PROJECTIONS = {
     ("general", "essential"): _general_essential,
     ("general", "fundamental"): _general_fundamental,
 }
+
+
+def project(S: np.ndarray, regime: str, kind: str) -> tuple:
+    """The (regime, kind) projection of one matrix S: its `_PROJECTIONS`
+    kernel, looked up when called, run cold on a stack of one.  Returns
+    (projected matrix, signature_deficient)."""
+    M, flags, _ = _PROJECTIONS[(regime, kind)](np.asarray(S, dtype=float)[None])
+    return M[0], bool(flags[0])
 
 
 @dataclass

@@ -15,7 +15,7 @@ from . import io as cio
 from .averaging import AdmmConfig
 from .errors import ValidationError
 from .metrics import EvalReport
-from .pipeline import PipelineConfig, cover_and_average, run_pipeline
+from .pipeline import PipelineConfig, _evaluate, cover_and_average, run_pipeline
 from .synthetic import MeasurementNoise, generate, measure
 
 EXIT_OK = 0
@@ -92,8 +92,6 @@ def cmd_eval(args) -> int:
     for source, n in (("measurements", measurements.n), ("scene", scene.n if scene else None)):
         if n is not None and n != len(cameras):
             raise ValidationError(f"cameras file holds {len(cameras)} cameras, the {source} {n}")
-    from .pipeline import _evaluate
-
     regime = "calibrated" if frame == "euclidean" else "uncalibrated"
     report = _evaluate(cameras, len(cameras), tracks, scene, regime, args.algorithm, True)
     cio.save_report(report, args.out, include_runtime=args.timing)
@@ -123,13 +121,8 @@ def cmd_pipeline(args) -> int:
     try:
         out = run_pipeline(measurements, tracks, args.algorithm, args.regime, scene, cfg)
     except ValidationError as exc:
-        report = EvalReport(
-            algorithm=args.algorithm, regime=args.regime,
-            n_cameras=measurements.n, n_reconstructed=0,
-            mean_position_error=None, median_position_error=None,
-            mean_reprojection_error=None, converged=False,
-            failure_stage=str(exc),
-        )
+        n = measurements.n
+        report = _evaluate([None] * n, n, None, None, args.regime, args.algorithm, False, str(exc))
         cio.save_report(report, outdir / "report.json", include_runtime=args.timing)
         raise
     cio.save_report(out.report, outdir / "report.json", include_runtime=args.timing)

@@ -62,6 +62,15 @@ def load_scene(path) -> Scene:
     if len(cams) < 2:
         raise ValidationError(f"a scene needs at least 2 cameras, got {len(cams)}")
     C = np.array([c.center for c in cams])
+    # distances are square roots of dot products (`geometry.norms`): a pair
+    # whose squared distance overflows has no finite direction, so it is
+    # found on centres scaled to at most 1, where nothing overflows
+    scale = float(np.max(np.abs(C))) or 1.0
+    D = C[:, None] / scale - C[None] / scale
+    far = np.triu(np.sum(D * D, axis=-1) > float(np.finfo(float).max) / scale / scale, 1)
+    if np.any(far):
+        i, j = np.argwhere(far)[0].tolist()
+        raise ValidationError(f"cameras {i} and {j} are too far apart: their distance overflows")
     shared = np.triu(np.linalg.norm(C[:, None] - C[None], axis=-1) < 1e-12, 1)
     if np.any(shared):
         i, j = np.argwhere(shared)[0].tolist()

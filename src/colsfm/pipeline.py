@@ -233,19 +233,19 @@ def cover_and_average(
     return cover, average(measurements, cover, "collinear", cfg.admm)
 
 
-def _recover_triplet(algorithm, regime, k, ids, stacked, gate):
-    """Cameras of cover triplet k from the averaged tensors: collinear
-    recovery for "r4", general-position recovery for "vc", each reading row k
-    of the stacked calibrated geometry with its placements or closures, or of
-    the projective systems."""
+def _recover_triplet(algorithm, regime, k, stacked, gate):
+    """The (3, 3, 4) cameras of cover triplet k from the averaged tensors:
+    collinear recovery for "r4", general-position recovery for "vc", each
+    reading row k of the stacked calibrated geometry with its placements or
+    closures, or of the projective systems."""
     if regime == "calibrated":
         geom, by_row = stacked
         if algorithm == "r4":
-            return recover_calibrated_collinear_triplet(by_row, geom, k, triplet_id=ids, tol=gate)
-        return recover_calibrated_general_triplet(geom, by_row, k, triplet_id=ids, tol=gate)
+            return recover_calibrated_collinear_triplet(by_row, geom, k, tol=gate)
+        return recover_calibrated_general_triplet(geom, by_row, k, tol=gate)
     if algorithm == "r4":
-        return recover_projective_collinear_triplet(stacked, k, triplet_id=ids)
-    return recover_projective_general_triplet(stacked, k, triplet_id=ids)
+        return recover_projective_collinear_triplet(stacked, k)
+    return recover_projective_general_triplet(stacked, k)
 
 
 def run_pipeline(
@@ -271,10 +271,10 @@ def run_pipeline(
                else _projective_systems(algorithm, avg, tracks, cover.triplets))
     failure = None
     try:
-        recs = [_recover_triplet(algorithm, regime, k, t, stacked, gate)
-                for k, t in enumerate(cover.triplets)]
+        recs = np.array([_recover_triplet(algorithm, regime, k, stacked, gate)
+                         for k in range(len(cover.triplets))])
         # virtual cameras are scaffolding only
-        cameras = register_global(recs, cover, mode, n_cameras=avg.n).cameras[:n]
+        cameras = register_global(recs, cover, mode, avg.n)[:n]
     except ValidationError as exc:
         if avg.converged:
             raise

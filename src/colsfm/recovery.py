@@ -4,10 +4,11 @@ Per-triplet recovery is scale-free: rotations come from the blocks, the
 translation direction from the anchor pair, and the remaining position
 freedom (alpha in the calibrated collinear case, the 4-vector a in the
 projective one) from 3-view tracks, all triangulated by one stacked DLT.
-Triplets are then chained into a common frame along the breadth-first
-tree that the cover holds with its dual graph (`TripletCover.dual`), as
-one (T, 3, 3, 4) camera stack aligned edge by edge on the cameras whose ids
-match.
+Each recovery returns its three cameras as one (3, 3, 4) array in the
+triplet's sorted camera order.  Triplets are then chained into a common
+frame along the breadth-first tree that the cover holds with its dual graph
+(`TripletCover.dual`), as one (T, 3, 3, 4) camera stack in cover order
+aligned edge by edge on the cameras whose ids match.
 
 Everything but the per-triplet solves runs in stacked passes before any
 triplet is recovered: `pair_poses` decomposes every essential block of a
@@ -25,7 +26,7 @@ row and raises its own error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
@@ -52,22 +53,8 @@ from .geometry import (
     triangulate,
 )
 from .nview import block_index, block_matrix, collinear_pattern_residual, eigen_signature
-# bench/tracing.py still hooks this name here for its nview.certify span (ROADMAP item 4)
+# bench/tracing.py still hooks this name here for its nview.certify span (ROADMAP item 6)
 from .nview import certify_collinear_essential  # noqa: F401
-
-
-@dataclass
-class TripletCameras:
-    """Three recovered 3x4 cameras in a local gauge.
-
-    camera order follows sorted(camera_ids); frame is "euclidean" or
-    "projective"; alpha_or_a holds the track-resolved free parameter.
-    """
-
-    triplet_id: tuple
-    cameras: list
-    frame: str
-    alpha_or_a: np.ndarray | float
 
 
 @dataclass(frozen=True)
@@ -269,13 +256,12 @@ def recover_calibrated_collinear_triplet(
     placement: CollinearPlacement,
     geom: TripletGeometry,
     k: int,
-    triplet_id=(0, 1, 2),
     tol: float = 1e-3,
-) -> TripletCameras:
-    """Cameras of a collinear calibrated triplet from row k of its geometry
-    and placement: the averaged rotations, the pair (0,1) fixing the line
-    direction with unit baseline, and alpha placing the third camera along
-    it.  The geometry is read only after the eigenvalue gate passes, so a
+) -> np.ndarray:
+    """The (3, 3, 4) cameras of a collinear calibrated triplet from row k of
+    its geometry and placement: the averaged rotations, the pair (0,1) fixing
+    the line direction with unit baseline, and alpha placing the third camera
+    along it.  The geometry is read only after the eigenvalue gate passes, so a
     rejected triplet reports the gate, not a pair error.
 
     The gate checks the eigenvalue pattern only (a sanity gate against junk
@@ -299,7 +285,7 @@ def recover_calibrated_collinear_triplet(
     P0 = np.hstack([Rh[0], np.zeros((3, 1))])
     P1 = np.hstack([Rh[1], (Rh[1] @ axis).reshape(3, 1)])
     P2 = np.hstack([Rh[2], (alpha * Rh[2] @ axis).reshape(3, 1)])
-    return TripletCameras(tuple(triplet_id), [P0, P1, P2], "euclidean", alpha)
+    return np.array([P0, P1, P2])
 
 
 def _check_resolved(geom: TripletGeometry, k: int, cycle_tol: float) -> None:
@@ -316,14 +302,13 @@ def recover_calibrated_general_triplet(
     geom: TripletGeometry,
     closure: TripletClosure,
     k: int,
-    triplet_id=(0, 1, 2),
     tol: float = 1e-3,
-) -> TripletCameras:
-    """Cameras of a general-position calibrated triplet from row k of its
-    geometry and closure: rotations and relative translation magnitudes come
-    from the three pair poses alone (direction closure); only one pair needs
-    to be picked by track cheirality, to fix the overall cheirality; tol
-    bounds the rotation cycle residual."""
+) -> np.ndarray:
+    """The (3, 3, 4) cameras of a general-position calibrated triplet from
+    row k of its geometry and closure: rotations and relative translation
+    magnitudes come from the three pair poses alone (direction closure); only
+    one pair needs to be picked by track cheirality, to fix the overall
+    cheirality; tol bounds the rotation cycle residual."""
     _check_resolved(geom, k, tol)
     if not np.any(geom.sign_known[k]):
         raise InsufficientTracks("at least one pair needs tracks to anchor cheirality")
@@ -333,8 +318,7 @@ def recover_calibrated_general_triplet(
     step = (closure.mu[k] * closure.signs[k])[:, None] * closure.dirs[k]  # t_0 - t_j per pair
     t0 = np.zeros(3)
     t = [t0, t0 - step[0], t0 - step[1]]
-    cams = [np.hstack([Rh[i], (-Rh[i] @ t[i]).reshape(3, 1)]) for i in range(3)]
-    return TripletCameras(tuple(triplet_id), cams, "euclidean", float(closure.mu[k, 1]))
+    return np.array([np.hstack([Rh[i], (-Rh[i] @ t[i]).reshape(3, 1)]) for i in range(3)])
 
 
 @dataclass(frozen=True)
@@ -399,10 +383,10 @@ def projective_systems(F, rows, table, tracks3=None) -> ProjectiveSystems:
     return ProjectiveSystems(P0, M2, e2, systems, errors)
 
 
-def _solve_a(system: ProjectiveSystems, k: int, triplet_id, collinear: bool) -> TripletCameras:
-    """Cameras of row k: its rows and right-hand sides divided by the rows'
-    norms, checked (enough tracks for a collinear triplet, full rank for a
-    general one) and solved for a in least squares."""
+def _solve_a(system: ProjectiveSystems, k: int, collinear: bool) -> np.ndarray:
+    """The (3, 3, 4) cameras of row k: its rows and right-hand sides divided
+    by the rows' norms, checked (enough tracks for a collinear triplet, full
+    rank for a general one) and solved for a in least squares."""
     if system.errors[k] is not None:
         raise system.errors[k]
     A, b = system.rows[k]
@@ -422,39 +406,25 @@ def _solve_a(system: ProjectiveSystems, k: int, triplet_id, collinear: bool) -> 
             raise DegenerateEpipole("third tensor does not determine a (collinear cameras?)")
     a, *_ = np.linalg.lstsq(A, b, rcond=None)
     P2 = np.hstack([system.M2[k], np.zeros((3, 1))]) + np.outer(system.e2[k], a)
-    return TripletCameras(tuple(triplet_id), [system.P0[k], _P1, P2], "projective", a)
+    return np.array([system.P0[k], _P1, P2])
 
 
-def recover_projective_collinear_triplet(system, k: int, triplet_id=(0, 1, 2)) -> TripletCameras:
-    """Projective cameras of a collinear triplet from row k of its
-    `ProjectiveSystems`: the canonical pair from F01, the family P2(a)
+def recover_projective_collinear_triplet(system, k: int) -> np.ndarray:
+    """The (3, 3, 4) projective cameras of a collinear triplet from row k of
+    its `ProjectiveSystems`: the canonical pair from F01, the family P2(a)
     compatible with F12, and a solved in least squares from the 3-view tracks
     (the third tensor constrains nothing when the centers are exactly
     collinear, so at least enough generic tracks to span the solve are
     required; a track whose point is ambiguous from views 0-1 does not
     count)."""
-    return _solve_a(system, k, triplet_id, collinear=True)
+    return _solve_a(system, k, collinear=True)
 
 
-def recover_projective_general_triplet(system, k: int, triplet_id=(0, 1, 2)) -> TripletCameras:
-    """Projective cameras of a general-position triplet from row k of its
-    `ProjectiveSystems`: a is fully determined by proportionality to the
-    third tensor, no tracks needed."""
-    return _solve_a(system, k, triplet_id, collinear=False)
-
-
-@dataclass
-class RegistrationResult:
-    cameras: list           # n entries, 3x4 ndarray or None
-    frame: str
-    merge_residuals: dict = field(default_factory=dict)
-
-    def centers(self) -> np.ndarray:
-        """(n, 3) camera centers, nan rows for unreconstructed cameras."""
-        C = np.full((len(self.cameras), 3), np.nan)
-        have = [i for i, P in enumerate(self.cameras) if P is not None]
-        C[have] = camera_centers(np.array([self.cameras[i] for i in have]).reshape(-1, 3, 4))
-        return C
+def recover_projective_general_triplet(system, k: int) -> np.ndarray:
+    """The (3, 3, 4) projective cameras of a general-position triplet from
+    row k of its `ProjectiveSystems`: a is fully determined by
+    proportionality to the third tensor, no tracks needed."""
+    return _solve_a(system, k, collinear=False)
 
 
 def _align_edge(parent: np.ndarray, child: np.ndarray, p, c, mode: str) -> np.ndarray:
@@ -496,25 +466,24 @@ def _align_edge(parent: np.ndarray, child: np.ndarray, p, c, mode: str) -> np.nd
     return child @ (G / np.linalg.norm(G))
 
 
-def register_global(triplets, cover, mode: str, n_cameras: int) -> RegistrationResult:
-    """Chain the recovered cameras of every cover triplet into one frame
-    along the cover's dual BFS tree (`TripletCover.dual`): the cameras are
-    stacked once in cover order, and each tree edge moves its child into its
-    parent's frame (`_align_edge`) through the two cameras whose ids match.
+def register_global(stack, cover, mode: str, n_cameras: int) -> list:
+    """The n_cameras cameras (3x4, None where no triplet holds one) of the
+    (T, 3, 3, 4) stack of recovered triplet cameras in cover order, chained
+    into one frame along the cover's dual BFS tree (`TripletCover.dual`):
+    each tree edge moves its child into its parent's frame (`_align_edge`)
+    through the two cameras whose ids match.
 
     mode="euclidean": per-edge similarity, multi-visit cameras merged by
     chordal rotation mean and center mean.  mode="projective": per-edge 4x4
-    homography, first visit wins and later disagreements are logged as
-    residuals.
+    homography, the first visit wins.
     """
     if mode not in ("euclidean", "projective"):
         raise ValueError("mode must be 'euclidean' or 'projective'")
-    triplets = sorted(triplets, key=lambda t: tuple(t.triplet_id))
-    if not triplets or [tuple(t.triplet_id) for t in triplets] != cover.triplets:
+    stack = np.asarray(stack, dtype=float)
+    if not cover.triplets or stack.shape != (len(cover.triplets), 3, 3, 4):
         raise ValueError("registration needs one recovered triplet per cover triplet")
     if not cover.is_connected():
         raise NotConnected("cover dual graph does not reach every triplet")
-    stack = np.array([t.cameras for t in triplets], dtype=float)  # (T, 3, 3, 4)
     ids = np.array(cover.triplets)
     dual = cover.dual
     placed = stack.copy()  # in the root frame
@@ -526,17 +495,11 @@ def register_global(triplets, cover, mode: str, n_cameras: int) -> RegistrationR
     # every camera's estimates, in BFS order
     estimates, of = placed[dual.order].reshape(-1, 3, 4), ids[dual.order].ravel()
     cameras = [None] * n_cameras
-    merge_residuals = {}
     for cam_id in np.unique(of).tolist():
         Ps = estimates[of == cam_id]
         if mode == "euclidean":
             R = nearest_rotation(np.sum(Ps[:, :, :3], axis=0))
             cameras[cam_id] = np.hstack([R, (-R @ np.mean(camera_centers(Ps), axis=0)).reshape(3, 1)])
-            spread = [np.linalg.norm(P[:, :3] - R) for P in Ps]
         else:
-            Pn = cameras[cam_id] = Ps[0] / np.linalg.norm(Ps[0])
-            spread = [min(np.linalg.norm(Q - Pn), np.linalg.norm(Q + Pn))
-                      for Q in (P / np.linalg.norm(P) for P in Ps[1:])]
-        if len(Ps) > 1:
-            merge_residuals[cam_id] = float(max(spread))
-    return RegistrationResult(cameras, mode, merge_residuals)
+            cameras[cam_id] = Ps[0] / np.linalg.norm(Ps[0])
+    return cameras

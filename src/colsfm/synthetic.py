@@ -182,7 +182,8 @@ def generate(
     of rejected draws runs out and the layout is drawn constructively from
     the same distribution.  More than 100 cameras on the line raise
     InvalidSceneSpec, since no layout has room for them; so do an unknown
-    layout, too few cameras or points and a fraction outside [0, 1].
+    layout or intrinsics mode ("calibrated" | "varied"), too few cameras or
+    points and a fraction outside [0, 1].
     """
     if n_cams < 3:
         raise InvalidSceneSpec("need at least 3 cameras")
@@ -190,6 +191,8 @@ def generate(
         raise InvalidSceneSpec("need at least 4 points")
     if not 0.0 <= collinear_fraction <= 1.0:
         raise InvalidSceneSpec(f"collinear_fraction must lie in [0, 1], got {collinear_fraction!r}")
+    if intrinsics_mode not in ("calibrated", "varied"):
+        raise InvalidSceneSpec(f"unknown intrinsics_mode {intrinsics_mode!r}")
     rng = np.random.default_rng(seed)
 
     # camera line along a random direction, points in a box displaced sideways

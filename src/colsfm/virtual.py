@@ -26,7 +26,7 @@ import numpy as np
 from .errors import NoValidPoint
 from .geometry import normalized_tensor, skew, symmetric_epipolar_distance
 from .graphs import _LOCAL_PAIRS, _VIEW_EPIPOLES
-from .recovery import TripletCameras, pair_poses
+from .recovery import pair_poses
 
 # image distance within which a track point counts as at an epipole
 _EPIPOLE_MARGIN = 1e-2
@@ -62,12 +62,12 @@ def select_virtual_point(tracks3, tensors, epipoles) -> np.ndarray:
     return P[far[np.argmin(total)]]
 
 
-def v_matrices_from_cameras(cams: TripletCameras) -> np.ndarray:
+def v_matrices_from_cameras(cams: np.ndarray) -> np.ndarray:
     """The V-matrices A_i A_m^{-1} (m the middle view) of three recovered
-    cameras [A_i | a_i], (3, 3, 3); projective virtual tensors need them,
-    since the third camera depends on the resolved a-vector."""
-    A2 = cams.cameras[1][:, :3]
-    return np.array([cams.cameras[i][:, :3] @ np.linalg.inv(A2) for i in range(3)])
+    cameras [A_i | a_i], a (3, 3, 4) stack, as (3, 3, 3); projective virtual
+    tensors need them, since the third camera depends on the resolved
+    a-vector."""
+    return cams[:, :, :3] @ np.linalg.inv(cams[1, :, :3])
 
 
 def v_matrices_from_essentials(tensors, tracks) -> tuple:

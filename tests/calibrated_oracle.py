@@ -19,7 +19,7 @@ from colsfm.geometry import _W, nearest_rotation, ordered_sum
 from colsfm.averaging import _local_scale_factors
 from colsfm.graphs import _LOCAL_PAIRS, dual_adjacency, dual_bfs, triplet_pairs
 from colsfm.nview import block_matrix, certify_collinear_essential
-from colsfm.recovery import TripletCameras, _rowwise_dot
+from colsfm.recovery import _rowwise_dot
 from geometry_oracle import dlt, skew, skews, triangulate_tracks3
 
 
@@ -172,8 +172,8 @@ def alpha_least_squares(P0, P1, Rh2, axis_dir, tracks3):
     return num / den
 
 
-def recover_collinear(E9, poses, tracks3, triplet_id=(0, 1, 2), cert_tol=1e-3, cycle_tol=1e-3):
-    """Cameras of a collinear calibrated triplet; poses is consumed only
+def recover_collinear(E9, poses, tracks3, cert_tol=1e-3, cycle_tol=1e-3):
+    """The (3, 3, 4) cameras of a collinear calibrated triplet; poses is consumed only
     after the certificate passes."""
     cert = certify_collinear_essential(np.asarray(E9, dtype=float), tol=cert_tol)
     if not (cert.conditions["eigen_count"] and cert.conditions["eigen_pattern"]):
@@ -193,11 +193,11 @@ def recover_collinear(E9, poses, tracks3, triplet_id=(0, 1, 2), cert_tol=1e-3, c
         raise InsufficientTracks("alpha is undetermined without 3-view tracks")
     alpha = alpha_least_squares(P0, P1, Rh[2], axis, tracks3)
     P2 = np.hstack([Rh[2], (alpha * Rh[2] @ axis).reshape(3, 1)])
-    return TripletCameras(tuple(triplet_id), [P0, P1, P2], "euclidean", alpha)
+    return np.array([P0, P1, P2])
 
 
-def recover_general(poses, triplet_id=(0, 1, 2), cycle_tol=1e-3):
-    """Cameras of a general-position calibrated triplet."""
+def recover_general(poses, cycle_tol=1e-3):
+    """The (3, 3, 4) cameras of a general-position calibrated triplet."""
     geom = resolve_essential_triplet(poses, cycle_tol)
     if not any(geom[2].values()):
         raise InsufficientTracks("at least one pair needs tracks to anchor cheirality")
@@ -208,8 +208,7 @@ def recover_general(poses, triplet_id=(0, 1, 2), cycle_tol=1e-3):
     t = [np.zeros(3)]
     t.append(t[0] - mu[(0, 1)] * signs[(0, 1)] * d[(0, 1)])
     t.append(t[0] - mu[(0, 2)] * signs[(0, 2)] * d[(0, 2)])
-    cams = [np.hstack([Rh[i], (-Rh[i] @ t[i]).reshape(3, 1)]) for i in range(3)]
-    return TripletCameras(tuple(triplet_id), cams, "euclidean", float(mu[(0, 2)]))
+    return np.array([np.hstack([Rh[i], (-Rh[i] @ t[i]).reshape(3, 1)]) for i in range(3)])
 
 
 def consistent_scale_factors(blocks, rows, triplets):

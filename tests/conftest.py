@@ -168,13 +168,13 @@ def triplet_geometry(E9, tracks2=None):
     return resolve_essential_triplet(poses, [[0, 1, 2]])
 
 
-def collinear_triplet(E9, tracks2, tracks3, triplet_id=(0, 1, 2), tol=1e-3):
+def collinear_triplet(E9, tracks2, tracks3, tol=1e-3):
     """Collinear calibrated recovery of one 9x9 triplet matrix, its pairs
     cheirality-voted on tracks2 as in `triplet_geometry`, its third camera
     placed on its (N, 3, 3) 3-view tracks: row 0 of a one-row stacked pass."""
     geom = triplet_geometry(E9, tracks2)
     placement = collinear_placement(np.asarray(E9, dtype=float)[None], geom, [tracks3])
-    return recover_calibrated_collinear_triplet(placement, geom, 0, triplet_id=triplet_id, tol=tol)
+    return recover_calibrated_collinear_triplet(placement, geom, 0, tol=tol)
 
 
 def projective_system(F01, F12, F02, tracks3=None):

@@ -7,7 +7,6 @@ import numpy as np
 
 from colsfm.errors import DegenerateEpipole, InsufficientTracks
 from colsfm.geometry import epipoles, fundamental_from_projections
-from colsfm.recovery import TripletCameras
 from geometry_oracle import skew, triangulate_tracks3, unit
 
 
@@ -66,7 +65,7 @@ def a_system_rows(P0, M2, e2, F02, tracks3):
     return A, b, used
 
 
-def recover_collinear(F01, F12, F02, tracks3, triplet_id=(0, 1, 2)):
+def recover_collinear(F01, F12, F02, tracks3):
     tracks3 = np.asarray(tracks3, dtype=float)
     if len(tracks3) < 2:
         raise InsufficientTracks("the a-vector solve needs at least 2 three-view tracks")
@@ -79,10 +78,10 @@ def recover_collinear(F01, F12, F02, tracks3, triplet_id=(0, 1, 2)):
         )
     a, *_ = np.linalg.lstsq(A, b, rcond=None)
     P2 = np.hstack([M2, np.zeros((3, 1))]) + np.outer(e2, a)
-    return TripletCameras(tuple(triplet_id), [P0, P1, P2], "projective", a)
+    return np.array([P0, P1, P2])
 
 
-def recover_general(F01, F12, F02, triplet_id=(0, 1, 2)):
+def recover_general(F01, F12, F02):
     P0, P1, M2, e2 = canonical_pair_cameras(F01, F12)
     A, b, _ = a_system_rows(P0, M2, e2, F02, tracks3=())
     sv = np.linalg.svd(A, compute_uv=False)
@@ -90,4 +89,11 @@ def recover_general(F01, F12, F02, triplet_id=(0, 1, 2)):
         raise DegenerateEpipole("third tensor does not determine a (collinear cameras?)")
     a, *_ = np.linalg.lstsq(A, b, rcond=None)
     P2 = np.hstack([M2, np.zeros((3, 1))]) + np.outer(e2, a)
-    return TripletCameras(tuple(triplet_id), [P0, P1, P2], "projective", a)
+    return np.array([P0, P1, P2])
+
+
+def v_matrices_from_cameras(cams):
+    """The V-matrices A_i A_m^{-1} (m the middle view) of three cameras
+    [A_i | a_i], one camera at a time."""
+    A2 = cams[1][:, :3]
+    return np.array([cams[i][:, :3] @ np.linalg.inv(A2) for i in range(3)])

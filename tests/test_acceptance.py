@@ -11,12 +11,9 @@ import pytest
 from colsfm.averaging import (
     AdmmConfig,
     average,
-    project_collinear_essential,
-    project_collinear_fundamental,
-    project_general_essential,
-    project_general_fundamental,
+    project,
 )
-from colsfm.geometry import CameraModel, bifocal_from_pair
+from colsfm.geometry import CameraModel, bifocal_from_pair, camera_centers
 from colsfm.graphs import (
     TripletCover,
     enrich_connectivity,
@@ -59,9 +56,9 @@ def _recover_scene_calibrated(scene):
         E = exact_triplet(scene, ids)
         tr3 = ts.tracks(ids)
         tr2 = {(a, b): ts.tracks((ids[a], ids[b])) for (a, b) in ((0, 1), (0, 2), (1, 2))}
-        recs.append(collinear_triplet(E, tr2, tr3, triplet_id=tuple(ids)))
-    reg = register_global(recs, cover, "euclidean", n_cameras=scene.n)
-    return align_similarity(reg.centers(), scene.centers()).residuals
+        recs.append(collinear_triplet(E, tr2, tr3))
+    cameras = register_global(recs, cover, "euclidean", scene.n)
+    return align_similarity(camera_centers(np.array(cameras)), scene.centers()).residuals
 
 
 def _recover_scene_projective(scene):
@@ -76,11 +73,11 @@ def _recover_scene_projective(scene):
             F[(a, b)] = unit_bifocal(scene.cameras[ids[a]], scene.cameras[ids[b]])
         recs.append(
             recover_projective_collinear_triplet(
-                projective_system(F[(0, 1)], F[(1, 2)], F[(0, 2)], tr3), 0, triplet_id=tuple(ids))
+                projective_system(F[(0, 1)], F[(1, 2)], F[(0, 2)], tr3), 0)
         )
-    reg = register_global(recs, cover, "projective", n_cameras=scene.n)
+    cameras = register_global(recs, cover, "projective", scene.n)
     tracks = seen_in(ts, *((i, i + 1, i + 2) for i in range(scene.n - 2)))
-    return mean_reprojection_error(reg.cameras, *tracks)
+    return mean_reprojection_error(cameras, *tracks)
 
 
 def test_criterion_1_thm1_necessary():
@@ -140,18 +137,18 @@ def test_criterion_3_thm2():
 def test_criterion_4_projections():
     rng = np.random.default_rng(7)
     projections = [
-        (project_collinear_essential, 2, True),
-        (project_collinear_fundamental, 2, False),
-        (project_general_essential, 3, True),
-        (project_general_fundamental, 3, False),
+        (("collinear", "essential"), 2, True),
+        (("collinear", "fundamental"), 2, False),
+        (("general", "essential"), 3, True),
+        (("general", "fundamental"), 3, False),
     ]
     worst_idem = 0.0
-    for proj, need, paired in projections:
+    for which, need, paired in projections:
         for _ in range(1000):
             S = rng.normal(size=(9, 9))
             S = (S + S.T) / 2
-            P1 = proj(S).matrix
-            P2 = proj(P1).matrix
+            P1 = project(S, *which)[0]
+            P2 = project(P1, *which)[0]
             worst_idem = max(worst_idem, float(np.linalg.norm(P2 - P1)))
             w = np.sort(np.linalg.eigvalsh(P1))[::-1]
             scale = float(np.max(np.abs(w)))
@@ -174,12 +171,12 @@ def _single_projection_floor(scene, noisy, tracks):
     for t in cover.triplets:
         ids = sorted(t)
         M = noisy.submatrix(ids)
-        P = project_collinear_essential(M).matrix
+        P = project(M, "collinear", "essential")[0]
         tr3 = tracks.tracks(ids)
         tr2 = {(a, b): tracks.tracks((ids[a], ids[b])) for (a, b) in ((0, 1), (0, 2), (1, 2))}
-        recs.append(collinear_triplet(P, tr2, tr3, triplet_id=tuple(ids), tol=0.1))
-    reg = register_global(recs, cover, "euclidean", n_cameras=scene.n)
-    return float(np.mean(align_similarity(reg.centers(), scene.centers()).residuals))
+        recs.append(collinear_triplet(P, tr2, tr3, tol=0.1))
+    cameras = register_global(recs, cover, "euclidean", scene.n)
+    return float(np.mean(align_similarity(camera_centers(np.array(cameras)), scene.centers()).residuals))
 
 
 def test_criterion_5_r4_under_noise():

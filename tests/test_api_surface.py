@@ -102,7 +102,7 @@ def test_test_only_surface_stays_deleted():
     assert not hasattr(averaging.AveragingResult, "triplet_matrix")
     assert not hasattr(recovery, "_alpha_least_squares")
     assert list(inspect.signature(recovery.recover_calibrated_collinear_triplet).parameters) == [
-        "placement", "geom", "k", "triplet_id", "tol"]
+        "placement", "geom", "k", "tol"]
     assert not hasattr(graphs, "_shortest_dual_path")
     assert not hasattr(graphs, "_components")
     assert list(inspect.signature(graphs.enrich_connectivity).parameters) == ["cover"]
@@ -142,12 +142,26 @@ def test_test_only_surface_stays_deleted():
     for name in ("_triangulate_tracks3", "_centers"):
         assert not hasattr(recovery, name), name
     assert not hasattr(colsfm, "triangulate_dlt") and colsfm.triangulate is geometry.triangulate
+    # recovered cameras are (3, 3, 4) arrays stacked in cover order, and
+    # registration returns the camera list: no wrapper, no triplet ids, no
+    # merge residuals; one `project` runs any kernel on a single matrix
+    for name in ("TripletCameras", "RegistrationResult"):
+        assert not hasattr(recovery, name) and not hasattr(colsfm, name), name
+    for name in ("ProjectionResult", "_project_one", "project_collinear_essential",
+                 "project_collinear_fundamental", "project_general_essential",
+                 "project_general_fundamental"):
+        assert not hasattr(averaging, name) and not hasattr(colsfm, name), name
+    for name, fn in inspect.getmembers(recovery, inspect.isfunction):
+        assert "triplet_id" not in inspect.signature(fn).parameters, name
+    assert list(inspect.signature(recovery.register_global).parameters) == [
+        "stack", "cover", "mode", "n_cameras"]
 
 
 def test_no_per_item_primitive_calls():
     # no loop or comprehension in src/ calls a stack-capable primitive on
     # its loop variable, that is once per item
-    primitives = {"normalized_tensor", "skew", "unit", "triangulate", "rotation_about", "image_point"}
+    primitives = {"normalized_tensor", "skew", "unit", "triangulate", "rotation_about", "image_point",
+                  "camera_centers"}
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         for loop in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):

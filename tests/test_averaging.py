@@ -15,10 +15,7 @@ from colsfm.averaging import (
     _consistent_scale_factors,
     _local_scale_factors,
     average,
-    project_collinear_essential,
-    project_collinear_fundamental,
-    project_general_essential,
-    project_general_fundamental,
+    project,
 )
 from colsfm.errors import MissingBlock, NotConnected
 from colsfm.geometry import nearest_rotation, normalized_tensor, skew
@@ -31,12 +28,9 @@ from colsfm.pipeline import PipelineConfig, _virtual_cover
 from colsfm.synthetic import MeasurementNoise, generate, measure
 from conftest import averaged_nview, banded, exact_nview, exact_triplet, min_weight_cover, without
 
-ALL_PROJECTIONS = [
-    project_collinear_essential,
-    project_collinear_fundamental,
-    project_general_essential,
-    project_general_fundamental,
-]
+# every (regime, kind) projection, keyed by the name its test ids carry
+ALL_PROJECTIONS = {f"project_{regime}_{kind}": (regime, kind)
+                   for regime in ("collinear", "general") for kind in ("essential", "fundamental")}
 
 
 def _random_symmetric(rng, n=9):
@@ -45,31 +39,31 @@ def _random_symmetric(rng, n=9):
 
 
 class TestProjections:
-    @pytest.mark.parametrize("proj", ALL_PROJECTIONS)
-    def test_idempotent(self, rng, proj):
+    @pytest.mark.parametrize("which", ALL_PROJECTIONS.values(), ids=ALL_PROJECTIONS)
+    def test_idempotent(self, rng, which):
         for _ in range(50):
             S = _random_symmetric(rng)
-            P1 = proj(S).matrix
-            P2 = proj(P1).matrix
+            P1 = project(S, *which)[0]
+            P2 = project(P1, *which)[0]
             assert np.linalg.norm(P2 - P1) < 1e-10 * max(1.0, np.linalg.norm(P1))
 
-    @pytest.mark.parametrize("proj,need", [
-        (project_collinear_essential, 2),
-        (project_collinear_fundamental, 2),
-        (project_general_essential, 3),
-        (project_general_fundamental, 3),
-    ])
-    def test_output_spectrum(self, rng, proj, need):
+    @pytest.mark.parametrize("which,need", [
+        (("collinear", "essential"), 2),
+        (("collinear", "fundamental"), 2),
+        (("general", "essential"), 3),
+        (("general", "fundamental"), 3),
+    ], ids=[f"{name}-{need}" for name, need in zip(ALL_PROJECTIONS, (2, 2, 3, 3))])
+    def test_output_spectrum(self, rng, which, need):
         for _ in range(50):
             S = _random_symmetric(rng)
-            P = proj(S).matrix
+            P = project(S, *which)[0]
             w = np.sort(np.linalg.eigvalsh(P))[::-1]
             scale = np.max(np.abs(w))
             # rank: only 2*need significant eigenvalues
             assert np.all(np.abs(w[need:-need]) < 1e-10 * scale)
             assert np.sum(w > 1e-10 * scale) == need
             assert np.sum(w < -1e-10 * scale) == need
-            if proj in (project_collinear_essential, project_general_essential):
+            if which[1] == "essential":
                 for k in range(need):
                     assert abs(w[k] + w[-1 - k]) < 1e-10 * scale
 
@@ -77,7 +71,7 @@ class TestProjections:
         # diag(3,1,-1,-3) in an orthonormal basis is already paired
         Q, _ = np.linalg.qr(rng.normal(size=(9, 9)))
         S = Q @ np.diag([3.0, 1, 0, 0, 0, 0, 0, -1, -3]) @ Q.T
-        P = project_collinear_essential(S).matrix
+        P = project(S, "collinear", "essential")[0]
         w = np.sort(np.linalg.eigvalsh(P))
         assert np.allclose(w[:2], [-3, -1], atol=1e-10)
         assert np.allclose(w[-2:], [1, 3], atol=1e-10)
@@ -86,7 +80,7 @@ class TestProjections:
     def test_fixed_point_on_consistent_collinear(self):
         scene = generate("collinear", 3, 6, seed=21)
         E = exact_triplet(scene, (0, 1, 2))
-        P = project_collinear_essential(E).matrix
+        P = project(E, "collinear", "essential")[0]
         assert np.linalg.norm(P - E) < 1e-12 * np.linalg.norm(E)
 
     def test_fixed_point_on_unit_norm_collinear(self):
@@ -95,13 +89,13 @@ class TestProjections:
         scene = generate("collinear", 3, 6, seed=22)
         m, _ = measure(scene, seed=0)
         E = m.submatrix((0, 1, 2))
-        P = project_collinear_essential(E).matrix
+        P = project(E, "collinear", "essential")[0]
         assert np.linalg.norm(P - E) < 1e-10
 
     def test_fixed_point_general_essential(self):
         scene = generate("general", 3, 6, seed=23)
         E = exact_triplet(scene, (0, 1, 2))
-        P = project_general_essential(E).matrix
+        P = project(E, "general", "essential")[0]
         assert np.linalg.norm(P - E) < 1e-10 * np.linalg.norm(E)
 
     def test_noisy_collinear_projection_certifies(self):
@@ -110,7 +104,7 @@ class TestProjections:
         rngl = np.random.default_rng(0)
         N = _random_symmetric(rngl)
         S = E + 1e-3 * np.linalg.norm(E) / np.linalg.norm(N) * N
-        P = project_collinear_essential(S).matrix
+        P = project(S, "collinear", "essential")[0]
         # output is O(noise) from the clean matrix, so the full collinear
         # certificate passes at a tolerance above the noise floor
         cert = certify_collinear_essential(P, tol=1e-2)
@@ -126,7 +120,7 @@ class TestProjections:
         rngl = np.random.default_rng(1)
         N = _random_symmetric(rngl)
         S = E + 1e-3 * np.linalg.norm(E) / np.linalg.norm(N) * N
-        P = project_general_essential(S).matrix
+        P = project(S, "general", "essential")[0]
         cert = certify_general(P, kind="essential", tol=1e-6)
         assert cert.conditions["rank6_signature"] and cert.conditions["eigen_pairing"]
         assert cert.rotation_residual < 1e-6
@@ -134,21 +128,21 @@ class TestProjections:
     def test_psd_input_flagged(self, rng):
         A = rng.normal(size=(9, 9))
         S = A @ A.T  # PSD: no negative eigenvalues
-        assert project_collinear_fundamental(S).signature_deficient
-        assert project_collinear_essential(S).signature_deficient
-        assert project_general_fundamental(S).signature_deficient
+        assert project(S, "collinear", "fundamental")[1]
+        assert project(S, "collinear", "essential")[1]
+        assert project(S, "general", "fundamental")[1]
 
     def test_block_rotation_postcondition(self, rng):
         # blocks of sqrt(n) V_hat of the projected matrix are exact rotations
         S = _random_symmetric(rng)
-        P = project_general_essential(S).matrix
+        P = project(S, "general", "essential")[0]
         cert = certify_general(P, kind="essential", tol=1e-9)
         assert cert.rotation_residual < 1e-9
 
     def test_symmetry_preserved(self, rng):
-        for proj in ALL_PROJECTIONS:
+        for which in ALL_PROJECTIONS.values():
             S = _random_symmetric(rng)
-            P = proj(S).matrix
+            P = project(S, *which)[0]
             assert np.array_equal(P, P.T)
 
 

@@ -173,8 +173,11 @@ class TestCliFlow:
         ("measure", {"cameras": [_eye_camera(0.0), _eye_camera(1.0), _eye_camera(0.0)], "points": []},
          "cameras 0 and 2 share a center"),
         ("average", {"n": 3, "kind": "projective", "edges": []}, "unknown tensor kind 'projective'"),
+        ("measure", {"cameras": [_eye_camera(0.0), _eye_camera(1e200), _eye_camera(-1e200)],
+                     "points": [[0.0, 1.0, 5.0], [1.0, 0.0, 6.0], [0.5, 0.5, 7.0], [1.0, 1.0, 8.0]]},
+         "cameras 0 and 1 are too far apart"),
     ], ids=["track-not-object", "top-level-list", "edge-not-object", "camera-not-object",
-            "no-cameras", "shared-center", "unknown-kind-no-edges"])
+            "no-cameras", "shared-center", "unknown-kind-no-edges", "overflowing-distance"])
     def test_malformed_file_exit_code(self, command, doc, named, tmp_path, capsys):
         # a structurally malformed input file is a validation error, not a crash
         path = tmp_path / "in.json"
@@ -183,6 +186,20 @@ class TestCliFlow:
         assert run_cli([command, flag, str(path), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err
+
+    def test_failed_pipeline_report_bytes(self, tmp_path, capsys):
+        # r4 refuses a mixed scene before averaging; the report it leaves
+        # names the failure and holds no camera, byte for byte as pinned
+        scene, meas = tmp_path / "scene.json", tmp_path / "m.json"
+        run_cli(["synth", "--layout", "mixed", "--n-cams", "8", "--n-points", "10", "--seed", "3",
+                 "--out", str(scene)])
+        run_cli(["measure", "--scene", str(scene), "--seed", "1", "--out", str(meas)])
+        assert run_cli(["pipeline", "--measurements", str(meas), "--scene", str(scene),
+                        "--algorithm", "r4", "--out", str(tmp_path / "run")]) == 2
+        assert "algorithm r4 requires a fully collinear camera set" in capsys.readouterr().err
+        report = (tmp_path / "run" / "report.json").read_bytes()
+        assert hashlib.sha256(report).hexdigest() == \
+            "ce07b542b32c97e5855887c84a69fa44b9ac8d9b62fead13c55c41e431bc8c58"
 
     def test_calibrated_regime_on_fundamental_exit_code(self, tmp_path, capsys):
         # calibrated is the default regime; varied intrinsics measure fundamental tensors

@@ -528,9 +528,9 @@ def _first_failure(avg, cover, tracks, n, algorithm):
         try:
             if algorithm == "r4":
                 oracle.recover_collinear(triplet_matrix(avg, t), poses, tracks.tracks(t),
-                                         triplet_id=t, cert_tol=gate, cycle_tol=gate)
+                                         cert_tol=gate, cycle_tol=gate)
             else:
-                oracle.recover_general(poses, triplet_id=t, cycle_tol=gate)
+                oracle.recover_general(poses, cycle_tol=gate)
         except ValidationError as exc:
             return exc
     return None

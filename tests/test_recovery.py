@@ -20,6 +20,7 @@ from colsfm.errors import (
 from colsfm.geometry import (
     CameraModel,
     bifocal_from_pair,
+    camera_centers,
     epipole_table,
     essential_candidates,
     fundamental_from_projections,
@@ -31,7 +32,6 @@ from colsfm.geometry import (
 from colsfm.graphs import _LOCAL_PAIRS, TripletCover, pair_rows, sequential_cover, triplet_pairs
 from colsfm.metrics import align_similarity, mean_reprojection_error
 from colsfm.recovery import (
-    TripletCameras,
     TripletGeometry,
     _align_edge,
     closure_scales,
@@ -76,9 +76,8 @@ def _rebuilt_block_matches(P_i, P_j, tensor, tol=1e-8):
     return min(np.linalg.norm(a - b), np.linalg.norm(a + b)) < tol
 
 
-def _projective_collinear(F01, F12, F02, tracks3, triplet_id=(0, 1, 2)):
-    return recover_projective_collinear_triplet(
-        projective_system(F01, F12, F02, tracks3), 0, triplet_id=triplet_id)
+def _projective_collinear(F01, F12, F02, tracks3):
+    return recover_projective_collinear_triplet(projective_system(F01, F12, F02, tracks3), 0)
 
 
 def _projective_general(F01, F12, F02):
@@ -131,13 +130,13 @@ class TestCalibratedCollinearRecovery:
         E = exact_triplet(scene, (0, 1, 2))
         tr2, tr3 = _local_tracks(scene, (0, 1, 2))
         rec = collinear_triplet(E, tr2, tr3)
-        est = np.vstack([_center(P) for P in rec.cameras])
+        est = np.vstack([_center(P) for P in rec])
         a = align_similarity(est, scene.centers())
         assert np.max(a.residuals) < 1e-8
         # recovered tensors reproduce the input blocks up to scale
         for (i, j) in ((0, 1), (0, 2), (1, 2)):
             assert _rebuilt_block_matches(
-                rec.cameras[i], rec.cameras[j], E[3 * i:3 * i + 3, 3 * j:3 * j + 3]
+                rec[i], rec[j], E[3 * i:3 * i + 3, 3 * j:3 * j + 3]
             )
 
     def test_unit_normalized_blocks_work_too(self):
@@ -151,7 +150,7 @@ class TestCalibratedCollinearRecovery:
             En[3 * j:3 * j + 3, 3 * i:3 * i + 3] = B.T
         tr2, tr3 = _local_tracks(scene, (0, 1, 2))
         rec = collinear_triplet(En, tr2, tr3)
-        est = np.vstack([_center(P) for P in rec.cameras])
+        est = np.vstack([_center(P) for P in rec])
         assert np.max(align_similarity(est, scene.centers()).residuals) < 1e-8
 
     def test_alpha_for_known_spacing(self):
@@ -180,8 +179,10 @@ class TestCalibratedCollinearRecovery:
             tr3.append(np.vstack(pts))
             for a, b in tr2:
                 tr2[(a, b)].append(np.vstack([pts[a], pts[b]]))
+        geom = triplet_geometry(E, tr2)
+        assert collinear_placement(E[None], geom, [tr3]).alpha[0] == pytest.approx(2.0, abs=1e-8)
         rec = collinear_triplet(E, tr2, tr3)
-        assert rec.alpha_or_a == pytest.approx(2.0, abs=1e-8)
+        assert np.allclose(_center(rec[2]) - _center(rec[0]), 2.0 * (_center(rec[1]) - _center(rec[0])))
 
     def test_no_three_view_tracks_rejected(self):
         scene = generate("collinear", 3, 8, seed=54)
@@ -205,7 +206,7 @@ class TestCalibratedGeneralRecovery:
         E = exact_triplet(scene, (0, 1, 2))
         tr2, _ = _local_tracks(scene, (0, 1, 2))
         rec = _recover_general(E, tr2)
-        est = np.vstack([_center(P) for P in rec.cameras])
+        est = np.vstack([_center(P) for P in rec])
         a = align_similarity(est, scene.centers())
         assert np.max(a.residuals) < 1e-8
 
@@ -215,7 +216,7 @@ class TestCalibratedGeneralRecovery:
         tr2, _ = _local_tracks(scene, (0, 1, 2))
         only01 = {(0, 1): tr2[(0, 1)]}
         rec = _recover_general(E, only01)
-        est = np.vstack([_center(P) for P in rec.cameras])
+        est = np.vstack([_center(P) for P in rec])
         assert np.max(align_similarity(est, scene.centers()).residuals) < 1e-8
 
     def test_no_tracks_rejected(self):
@@ -238,10 +239,10 @@ class TestProjectiveCollinearRecovery:
         F = self._tensors(scene)
         _, tr3 = _local_tracks(scene, (0, 1, 2))
         rec = _projective_collinear(F[(0, 1)], F[(1, 2)], F[(0, 2)], tr3)
-        assert mean_reprojection_error(rec.cameras, *seen_everywhere(tr3)) < 1e-8
-        assert _rebuilt_block_matches(rec.cameras[0], rec.cameras[1], F[(0, 1)])
-        assert _rebuilt_block_matches(rec.cameras[1], rec.cameras[2], F[(1, 2)])
-        assert _rebuilt_block_matches(rec.cameras[0], rec.cameras[2], F[(0, 2)])
+        assert mean_reprojection_error(rec, *seen_everywhere(tr3)) < 1e-8
+        assert _rebuilt_block_matches(rec[0], rec[1], F[(0, 1)])
+        assert _rebuilt_block_matches(rec[1], rec[2], F[(1, 2)])
+        assert _rebuilt_block_matches(rec[0], rec[2], F[(0, 2)])
 
     def test_two_tracks_determine_a_in_general_position(self):
         # with non-collinear cameras the third-tensor rows already pin a;
@@ -251,7 +252,8 @@ class TestProjectiveCollinearRecovery:
         _, tr3 = _local_tracks(scene, (0, 1, 2))
         rec2 = _projective_collinear(F[(0, 1)], F[(1, 2)], F[(0, 2)], tr3[:2])
         rec_all = _projective_collinear(F[(0, 1)], F[(1, 2)], F[(0, 2)], tr3)
-        assert np.linalg.norm(np.asarray(rec2.alpha_or_a) - np.asarray(rec_all.alpha_or_a)) < 1e-10
+        # the cameras differ by e2 (a2 - a_all)^T, e2 at unit norm
+        assert np.linalg.norm(rec2 - rec_all) < 1e-10
 
     def test_exactly_collinear_needs_enough_tracks(self, collinear_projective_scene):
         # the third tensor constrains nothing here, so the track span rules
@@ -260,7 +262,7 @@ class TestProjectiveCollinearRecovery:
         _, tr3 = _local_tracks(scene, (0, 1, 2))
         rec4 = _projective_collinear(F[(0, 1)], F[(1, 2)], F[(0, 2)], tr3[:4])
         held_out = tr3[4:]
-        assert mean_reprojection_error(rec4.cameras, *seen_everywhere(held_out)) < 1e-7
+        assert mean_reprojection_error(rec4, *seen_everywhere(held_out)) < 1e-7
 
     def test_ambiguous_track_does_not_count(self, collinear_projective_scene):
         # two tracks pass the count, but the second lies on the camera line,
@@ -298,7 +300,7 @@ class TestProjectiveGeneralRecovery:
             F[(i, j)] = unit_bifocal(scene.cameras[i], scene.cameras[j])
         rec = _projective_general(F[(0, 1)], F[(1, 2)], F[(0, 2)])
         ts = scene.track_set()
-        assert mean_reprojection_error(rec.cameras, *seen_everywhere(ts.tracks((0, 1, 2)))) < 1e-7
+        assert mean_reprojection_error(rec, *seen_everywhere(ts.tracks((0, 1, 2)))) < 1e-7
 
     def test_collinear_rejected(self, collinear_projective_scene):
         scene = collinear_projective_scene
@@ -318,33 +320,31 @@ class TestRegisterGlobal:
             E = exact_triplet(scene, ids)
             tr3 = ts.tracks(ids)
             tr2 = {(a, b): ts.tracks((ids[a], ids[b])) for (a, b) in ((0, 1), (0, 2), (1, 2))}
-            rec = collinear_triplet(E, tr2, tr3, triplet_id=tuple(ids))
-            out.append(rec)
+            out.append(collinear_triplet(E, tr2, tr3))
         return out
 
     def test_two_triplets_four_cameras(self):
         scene = generate("collinear", 4, 10, seed=60)
         cover = sequential_cover(4)
         recs = self._recover_all(scene, cover)
-        reg = register_global(recs, cover, "euclidean", n_cameras=4)
-        est = reg.centers()
-        a = align_similarity(est, scene.centers())
+        reg = register_global(recs, cover, "euclidean", 4)
+        a = align_similarity(camera_centers(np.array(reg)), scene.centers())
         assert np.max(a.residuals) < 1e-8
 
     def test_twenty_camera_chain(self):
         scene = generate("collinear", 20, 10, seed=61)
         cover = sequential_cover(20)
         recs = self._recover_all(scene, cover)
-        reg = register_global(recs, cover, "euclidean", n_cameras=20)
-        a = align_similarity(reg.centers(), scene.centers())
+        reg = register_global(recs, cover, "euclidean", 20)
+        a = align_similarity(camera_centers(np.array(reg)), scene.centers())
         assert float(np.mean(a.residuals)) < 1e-7
 
     def test_single_triplet_identity(self):
         scene = generate("collinear", 3, 8, seed=62)
         cover = sequential_cover(3)
         recs = self._recover_all(scene, cover)
-        reg = register_global(recs, cover, "euclidean", n_cameras=3)
-        for P, Q in zip(reg.cameras, recs[0].cameras):
+        reg = register_global(recs, cover, "euclidean", 3)
+        for P, Q in zip(reg, recs[0]):
             assert np.allclose(P, Q, atol=1e-12)
 
     def test_unknown_mode_rejected_before_registration(self):
@@ -353,14 +353,14 @@ class TestRegisterGlobal:
         cover = sequential_cover(3)
         recs = self._recover_all(scene, cover)
         with pytest.raises(ValueError, match="mode must be"):
-            register_global(recs, cover, "euclidian", n_cameras=3)
+            register_global(recs, cover, "euclidian", 3)
 
     def test_disconnected_rejected(self):
         scene = generate("collinear", 6, 8, seed=63)
         cover = TripletCover.from_triplets([(0, 1, 2), (3, 4, 5)])
         recs = self._recover_all(scene, cover)
         with pytest.raises(NotConnected):
-            register_global(recs, cover, "euclidean", n_cameras=6)
+            register_global(recs, cover, "euclidean", 6)
 
     def test_projective_chain_reprojection(self):
         scene = generate("collinear", 5, 12, seed=64, intrinsics_mode="varied")
@@ -373,11 +373,10 @@ class TestRegisterGlobal:
             F = {}
             for (a, b) in ((0, 1), (0, 2), (1, 2)):
                 F[(a, b)] = unit_bifocal(scene.cameras[ids[a]], scene.cameras[ids[b]])
-            recs.append(_projective_collinear(F[(0, 1)], F[(1, 2)], F[(0, 2)], tr3,
-                                              triplet_id=tuple(ids)))
-        reg = register_global(recs, cover, "projective", n_cameras=5)
+            recs.append(_projective_collinear(F[(0, 1)], F[(1, 2)], F[(0, 2)], tr3))
+        reg = register_global(recs, cover, "projective", 5)
         all_tracks = seen_in(ts, *((i, i + 1, i + 2) for i in range(3)))
-        assert mean_reprojection_error(reg.cameras, *all_tracks) < 1e-6
+        assert mean_reprojection_error(reg, *all_tracks) < 1e-6
 
 
 class TestGaugeInvariance:
@@ -552,14 +551,12 @@ def _outcome_of(fn, *args, **kwargs):
 
 
 def _assert_same(want, got):
-    """Oracle and stacked outcome agree: the same error, or cameras and a
-    bit for bit."""
+    """Oracle and stacked outcome agree: the same error, or the (3, 3, 4)
+    cameras bit for bit."""
     if isinstance(want, tuple) or isinstance(got, tuple):
         assert want == got
         return
-    assert got.triplet_id == want.triplet_id and got.frame == want.frame
-    assert all(np.array_equal(a, b) for a, b in zip(want.cameras, got.cameras))
-    assert np.array_equal(want.alpha_or_a, got.alpha_or_a)
+    assert np.array_equal(want, got)
 
 
 class TestStackedProjective:
@@ -601,11 +598,11 @@ class TestStackedProjective:
             F01, F02, F12 = averaged.tensors[averaged.slots(triplet_pairs(t))]
             if algorithm == "r4":
                 want = _outcome_of(projective_oracle.recover_collinear, F01, F12, F02,
-                                   tracks.tracks(t), triplet_id=t)
-                got = _outcome_of(recover_projective_collinear_triplet, system, k, triplet_id=t)
+                                   tracks.tracks(t))
+                got = _outcome_of(recover_projective_collinear_triplet, system, k)
             else:
-                want = _outcome_of(projective_oracle.recover_general, F01, F12, F02, triplet_id=t)
-                got = _outcome_of(recover_projective_general_triplet, system, k, triplet_id=t)
+                want = _outcome_of(projective_oracle.recover_general, F01, F12, F02)
+                got = _outcome_of(recover_projective_general_triplet, system, k)
             _assert_same(want, got)
 
     def test_failing_rows_raise_in_order(self):
@@ -633,10 +630,10 @@ class TestStackedProjective:
             F01, F02, F12 = (blocks[e] for e in triplet_pairs(t))
             want = _outcome_of(projective_oracle.recover_collinear, F01, F12, F02, tracks3[k])
             _assert_same(want, _outcome_of(recover_projective_collinear_triplet, system, k))
-            kinds.append(want[0] if isinstance(want, tuple) else TripletCameras)
+            kinds.append(want[0] if isinstance(want, tuple) else np.ndarray)
             _assert_same(_outcome_of(projective_oracle.recover_general, F01, F12, F02),
                          _outcome_of(recover_projective_general_triplet, general, k))
-        assert kinds == [TripletCameras, InsufficientTracks, RankDeficient, InsufficientTracks,
+        assert kinds == [np.ndarray, InsufficientTracks, RankDeficient, InsufficientTracks,
                          kinds[4], ValueError]
         assert kinds[4] in (DegenerateEpipole, InsufficientTracks)
 
@@ -663,10 +660,10 @@ class TestStackedProjective:
             F01, F02, F12 = (blocks[e] for e in triplet_pairs(t))
             want = _outcome_of(projective_oracle.recover_collinear, F01, F12, F02, tracks3[k])
             _assert_same(want, _outcome_of(recover_projective_collinear_triplet, system, k))
-            kinds.add(want[0] if isinstance(want, tuple) else TripletCameras)
+            kinds.add(want[0] if isinstance(want, tuple) else np.ndarray)
             _assert_same(_outcome_of(projective_oracle.recover_general, F01, F12, F02),
                          _outcome_of(recover_projective_general_triplet, general, k))
-        assert kinds == {TripletCameras, InsufficientTracks}
+        assert kinds == {np.ndarray, InsufficientTracks}
 
 
 def _closure_loop(geom):
@@ -792,10 +789,10 @@ class TestStackedClosure:
                 assert all(np.array_equal(a, b) for a, b in zip(Rh, oracle.eigen_rotation_averaging(rel, m)))
 
 
-def _homography_loop(parent, child, shared):
+def _homography_loop(parent, parent_ids, child, child_ids, shared):
     """Oracle: the former entry-by-entry assembly of the 24x18 system."""
-    Pp = [parent.cameras[parent.triplet_id.index(c)] for c in shared]
-    Pc = [child.cameras[child.triplet_id.index(c)] for c in shared]
+    Pp = [parent[parent_ids.index(c)] for c in shared]
+    Pc = [child[child_ids.index(c)] for c in shared]
     A = np.zeros((24, 18))
     for k in range(2):
         for r in range(3):
@@ -815,11 +812,10 @@ def test_edge_homography_equals_entrywise_assembly(rng):
     for _ in range(20):
         H = rng.normal(size=(4, 4))
         P = [rng.normal(size=(3, 4)) for _ in range(4)]
-        parent = TripletCameras((0, 1, 2), P[:3], "projective", None)
-        child = TripletCameras((1, 2, 3), [P[1] @ H, P[2] @ H, P[3]], "projective", None)
+        parent, child = np.array(P[:3]), np.array([P[1] @ H, P[2] @ H, P[3]])
         # the shared cameras 1 and 2 sit at parent slots 1, 2 and child slots 0, 1
-        got = _align_edge(np.array(parent.cameras), np.array(child.cameras), [1, 2], [0, 1], "projective")
-        assert np.array_equal(got, np.array(child.cameras) @ _homography_loop(parent, child, [1, 2]))
+        got = _align_edge(parent, child, [1, 2], [0, 1], "projective")
+        assert np.array_equal(got, child @ _homography_loop(parent, (0, 1, 2), child, (1, 2, 3), [1, 2]))
 
 
 # -- the stacked calibrated passes against calibrated_oracle, bit for bit ----
@@ -855,9 +851,7 @@ def _result_or_error(fn, *args, **kwargs):
 def _same_outcome(got, want):
     if isinstance(want, tuple):
         return got == want
-    return (not isinstance(got, tuple) and got.triplet_id == want.triplet_id
-            and got.alpha_or_a == want.alpha_or_a
-            and all(np.array_equal(a, b) for a, b in zip(got.cameras, want.cameras)))
+    return not isinstance(got, tuple) and np.array_equal(got, want)
 
 
 def _random_cameras(rng):
@@ -988,17 +982,18 @@ class TestStackedTriplets:
                 def lazy():
                     return (oracle.pair_pose(blocks[p], points[p]) for p in row)
 
-                got = _result_or_error(recover_calibrated_general_triplet, geom, closure, k,
-                                       triplet_id=ids, tol=gate)
-                want = _result_or_error(oracle.recover_general, lazy(), triplet_id=ids,
-                                        cycle_tol=gate)
+                got = _result_or_error(recover_calibrated_general_triplet, geom, closure, k, tol=gate)
+                want = _result_or_error(oracle.recover_general, lazy(), cycle_tol=gate)
                 assert _same_outcome(got, want)
                 seen.add(("general", want[0] if isinstance(want, tuple) else "ok"))
-                got = _result_or_error(recover_calibrated_collinear_triplet, placement, geom, k,
-                                       triplet_id=ids, tol=gate)
+                got = _result_or_error(recover_calibrated_collinear_triplet, placement, geom, k, tol=gate)
                 want = _result_or_error(oracle.recover_collinear, m.submatrix(ids), lazy(),
-                                        tracks3[k], triplet_id=ids, cert_tol=gate, cycle_tol=gate)
+                                        tracks3[k], cert_tol=gate, cycle_tol=gate)
                 assert _same_outcome(got, want)
+                if not isinstance(want, tuple):
+                    # the placement's alpha places the oracle's third camera
+                    axis = geom.averaged[k, 0].T @ geom.t_dirs[k, 0]
+                    assert np.array_equal(want[2][:, 3], placement.alpha[k] * geom.averaged[k, 2] @ axis)
                 seen.add(("collinear", want[1] if isinstance(want, tuple) else "ok"))
         assert ("general", AmbiguousCheirality) in seen and len(seen) >= 4
         # measured noisy blocks fail the gate, so only the noise-free

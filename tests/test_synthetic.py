@@ -454,6 +454,7 @@ class TestBadInputs:
         (("mixed", 5, 8), {"collinear_fraction": 1.5}, "collinear_fraction"),
         (("collinear", 101, 8), {}, "101 cameras do not fit on the line .* at most 100"),
         (("mixed", 202, 8), {}, "101 cameras do not fit"),
+        (("general", 5, 8), {"intrinsics_mode": "Varied"}, "unknown intrinsics_mode 'Varied'"),
     ])
     def test_request_errors_are_validation_errors(self, args, kwargs, message):
         # one class, caught as a ValidationError (CLI exit 2) and still a ValueError

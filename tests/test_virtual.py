@@ -1,4 +1,5 @@
 import numpy as np
+import projective_oracle
 import pytest
 
 import colsfm.virtual
@@ -6,6 +7,7 @@ from colsfm.errors import NoValidPoint, RankDeficient
 from colsfm.geometry import (
     CameraModel,
     bifocal_from_pair,
+    epipole_table,
     epipoles,
     fundamental_from_projections,
     normalized_tensor,
@@ -13,9 +15,10 @@ from colsfm.geometry import (
     unit,
 )
 from colsfm.nview import certify_general
-from colsfm.averaging import project_general_essential
-from colsfm.recovery import recover_projective_collinear_triplet
-from colsfm.synthetic import generate
+from colsfm.averaging import project
+from colsfm.graphs import pair_rows, sequential_cover
+from colsfm.recovery import projective_systems, recover_projective_collinear_triplet
+from colsfm.synthetic import MeasurementNoise, generate, measure
 from colsfm.virtual import (
     select_virtual_point,
     v_matrices_from_cameras,
@@ -206,14 +209,33 @@ class TestVirtualBifocals:
         out = virtual_bifocals(v_matrices_from_cameras(rec), tr)
         from colsfm.geometry import triangulate
 
-        X, ambiguous = triangulate(np.array(rec.cameras[:2]), tr[:2])
+        X, ambiguous = triangulate(np.array(rec[:2]), tr[:2])
         assert not ambiguous
         Xe = X[:3] / X[3]
         P_virtual = np.hstack([np.eye(3), -Xe.reshape(3, 1)])
         for i in range(3):
             a = out[i]
-            b = normalized_tensor(fundamental_from_projections(rec.cameras[i], P_virtual))
+            b = normalized_tensor(fundamental_from_projections(rec[i], P_virtual))
             assert min(np.linalg.norm(a - b), np.linalg.norm(a + b)) < 1e-8
+
+    def test_v_matrices_equal_per_camera_loop(self):
+        # the one product against the former per-camera loop, bit for bit, on
+        # projective triplets recovered from noisy measurements of both layouts
+        checked = 0
+        for seed in range(15):
+            for layout in ("collinear", "general"):
+                scene = generate(layout, 6, 10, seed=300 + seed, intrinsics_mode="varied")
+                m, ts = measure(scene, MeasurementNoise(0.5, 0.5), seed=seed)
+                triplets = sequential_cover(6).triplets
+                pairs, rows = pair_rows(triplets)
+                F = normalized_tensor(m.tensors[m.slots(pairs)])
+                system = projective_systems(F, rows, epipole_table(F), [ts.tracks(t) for t in triplets])
+                for k in range(len(triplets)):
+                    cams = recover_projective_collinear_triplet(system, k)
+                    assert np.array_equal(v_matrices_from_cameras(cams),
+                                          projective_oracle.v_matrices_from_cameras(cams))
+                    checked += 1
+        assert checked == 120
 
     def test_projection_scale_invariance(self, collinear_scene):
         tensors = _triplet_tensors(collinear_scene)
@@ -268,5 +290,5 @@ class TestFourViewMatrix:
         real = [bifocal_from_pair(scene.cameras[i], scene.cameras[j]) for (i, j) in PAIRS]
         virt = _true_virtual_blocks(scene, scene.points[1])
         M = four_view(real, virt, "essential").dense()
-        P = project_general_essential(M).matrix
+        P = project(M, "general", "essential")[0]
         assert np.linalg.norm(P - M) < 1e-10 * np.linalg.norm(M)
