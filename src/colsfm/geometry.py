@@ -268,6 +268,33 @@ def essential_candidates(E: np.ndarray):
     return U @ _W @ Vt, U @ _W.T @ Vt, U[..., 2].copy()
 
 
+# an entry's closed-form depths are sure when both exceed this many times
+# their error bound; the DLT judges the rest
+_CERTAINTY = 10.0
+
+
+def _two_view_depths(R: np.ndarray, t: np.ndarray, xi: np.ndarray, xj: np.ndarray):
+    """Depths z_i, z_j of the two-ray point of each entry of broadcast
+    (..., 3, 3) rotations, (..., 3) directions and image points x_i, x_j,
+    camera i at [I | 0] and camera j at R^T [I | t]: a x_i - b R x_j = -t
+    in least squares from the 2x2 normal equations, z_i = a (x_i)_z and
+    z_j = b (x_j)_z.  Also returns whether each entry is sure: its rays are
+    not near-parallel and both |z| exceed _CERTAINTY (r + 1e-9 |t|) /
+    sin(theta), r the two-ray residual and theta the angle between the rays."""
+    v = (R @ xj[..., None])[..., 0]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        uu, vv, uv = np.sum(xi * xi, -1), np.sum(v * v, -1), np.sum(xi * v, -1)
+        ut, vt = np.sum(xi * t, -1), np.sum(v * t, -1)
+        det = uu * vv - uv * uv  # |u x v|^2
+        a = (uv * vt - vv * ut) / det
+        b = (uu * vt - uv * ut) / det
+        r = norms(a[..., None] * xi - b[..., None] * v + t)
+        bound = _CERTAINTY * (r + 1e-9 * norms(t)) * np.sqrt(uu * vv / det)
+        zi, zj = a * xi[..., 2], b * xj[..., 2]
+        sure = (det > 1e-10 * uu * vv) & (np.abs(zi) > bound) & (np.abs(zj) > bound)
+    return zi, zj, sure
+
+
 def cheirality_votes(rotations: np.ndarray, t: np.ndarray, points: np.ndarray, starts):
     """Votes of the candidates (Ra, t), (Ra, -t), (Rb, t), (Rb, -t) of K
     pairs: the tracks triangulated in front of both views, ambiguous and
@@ -276,24 +303,30 @@ def cheirality_votes(rotations: np.ndarray, t: np.ndarray, points: np.ndarray, s
     rotations: (K, 2, 3, 3) branches Ra, Rb; t: (K, 3) directions; points:
     the (N, 2, 3) image points (view i, view j) of every pair's 2-view
     tracks, pair k's from row starts[k] on (each pair has at least one).
-    One stacked DLT solves the (R, t) candidates.  Negating camera j's
-    translation column maps a DLT solution X to +-(-X_1, -X_2, -X_3, X_4)
-    with the same singular values, so an (R, -t) point is the mirrored
-    (R, t) point and lies in front of both views where that one lies behind
-    both.  Returns the (K, 4) votes.
+    Closed-form depths; DLT only for entries they cannot certify: each
+    (branch, track) entry takes its two-view depths (`_two_view_depths`),
+    and one stacked DLT solves the entries that are not sure.  Negating t
+    negates both closed-form depths, and maps a DLT solution X to
+    +-(-X_1, -X_2, -X_3, X_4) with the same singular values, so an (R, -t)
+    point is the mirrored (R, t) point and lies in front of both views
+    where that one lies behind both.  Returns the (K, 4) votes.
     """
-    # gauge: camera i at origin with identity rotation, camera j placed by (R, t)
-    Rt = np.ascontiguousarray(rotations.swapaxes(-1, -2))  # (K, 2, 3, 3)
-    P = np.zeros((2, len(Rt), 2, 3, 4))  # (branch, K, view, 3, 4)
-    P[:, :, 0, :, :3] = np.eye(3)
-    P[:, :, 1] = np.concatenate([Rt, Rt @ t[:, None, :, None]], axis=3).swapaxes(0, 1)
     pair = np.repeat(np.arange(len(starts)), np.diff(np.append(starts, len(points))))
-    Rt, P, tj = Rt[pair].swapaxes(0, 1), P[:, pair], t[pair]  # (2, N, ...)
-    X, ambiguous = triangulate(P, points)
-    finite = ~ambiguous & ~(np.abs(X[..., 3]) < 1e-14)
-    Xe = X[..., :3] / np.where(finite, X[..., 3], 1.0)[..., None]
-    zi = Xe[..., 2]
-    zj = (Rt @ (Xe + tj)[..., None])[..., 2, 0]
-    front = np.stack([finite & (zi > 0) & (zj > 0), finite & (zi < 0) & (zj < 0)], axis=-1)
+    zi, zj, sure = _two_view_depths(rotations[pair].swapaxes(0, 1), t[pair], points[:, 0], points[:, 1])
+    doubt = np.nonzero(~sure)  # (branch, track) entries the DLT judges
+    if len(doubt[0]):
+        # gauge: camera i at origin with identity rotation, camera j placed by (R, t)
+        Rt = np.ascontiguousarray(rotations.swapaxes(-1, -2))  # (K, 2, 3, 3)
+        P = np.zeros((2, len(Rt), 2, 3, 4))  # (branch, K, view, 3, 4)
+        P[:, :, 0, :, :3] = np.eye(3)
+        P[:, :, 1] = np.concatenate([Rt, Rt @ t[:, None, :, None]], axis=3).swapaxes(0, 1)
+        k = pair[doubt[1]]
+        X, ambiguous = triangulate(P[doubt[0], k], points[doubt[1]])
+        finite = ~ambiguous & ~(np.abs(X[..., 3]) < 1e-14)
+        Xe = X[..., :3] / np.where(finite, X[..., 3], 1.0)[..., None]
+        # a point that does not vote gets zero depths
+        zi[doubt] = np.where(finite, Xe[..., 2], 0.0)
+        zj[doubt] = np.where(finite, (Rt[k, doubt[0]] @ (Xe + t[k])[..., None])[..., 2, 0], 0.0)
+    front = np.stack([(zi > 0) & (zj > 0), (zi < 0) & (zj < 0)], axis=-1)
     # (2, N, 2) -> (N, 4) in candidate order
     return np.add.reduceat(front.swapaxes(0, 1).reshape(-1, 4).astype(int), starts)

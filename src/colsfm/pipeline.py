@@ -95,7 +95,9 @@ def _calibrated_geometry(algorithm, avg: AveragingResult, tracks: TrackSet, trip
     their pairs' consensus blocks, and their direction closures ("vc") or
     collinear placements ("r4", from their 9x9 consensus matrices and 3-view
     tracks), each one stacked pass before any triplet is recovered: a pair of
-    real cameras is cheirality-voted on its tracks (a virtual camera has none)."""
+    real cameras is cheirality-voted on its tracks (a virtual camera has none)
+    from closed-form depths, with the DLT only for entries they cannot
+    certify."""
     poses = pair_poses(avg.consensus, [tracks.tracks(e) if e[1] < n_real else None for e in avg.pairs])
     geom = resolve_essential_triplet(poses, avg.rows)
     if algorithm == "vc":

@@ -12,7 +12,8 @@ aligned edge by edge on the cameras whose ids match.
 
 Everything but the per-triplet solves runs in stacked passes before any
 triplet is recovered: `pair_poses` decomposes every essential block of a
-stage with one cheirality DLT over the tracks of all its pairs,
+stage with one cheirality vote over the tracks of all its pairs
+(closed-form depths; DLT only for entries they cannot certify),
 `resolve_essential_triplet` picks and averages every triplet's rotations
 (one eigendecomposition of the (T, 9, 9) stack), `closure_scales` solves
 every direction closure in one SVD, `collinear_placement` gates every
@@ -77,8 +78,9 @@ class PairPoses:
 def pair_poses(blocks, points) -> PairPoses:
     """The poses of a (K, 3, 3) stack of essential blocks, every pair with
     tracks (points[k]: (N, 2, 3) image points ordered (view i, view j), or
-    None) cheirality-voted in one stacked DLT: the candidate with the most
-    tracks in front of both views wins."""
+    None) cheirality-voted in one stacked pass (closed-form depths; DLT only
+    for entries they cannot certify): the candidate with the most tracks in
+    front of both views wins."""
     Ra, Rb, t = essential_candidates(np.asarray(blocks, dtype=float).reshape(-1, 3, 3))
     rotations = np.stack([Ra, Rb], axis=1)
     sign_known = np.array([p is not None and len(p) > 0 for p in points], dtype=bool)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import InvalidSceneSpec
+from .errors import InvalidSceneSpec, ValidationError
 from .geometry import CameraModel, calibrated, image_point, normalized_tensor, rotation_about, skew, unit
 from .nview import NViewBifocal
 
@@ -243,6 +243,25 @@ def generate(
     return Scene(cams, points, layout, seed)
 
 
+def check_center_distances(C: np.ndarray, finite_differences_only: bool = False) -> None:
+    """Raise ValidationError where two of the (n, 3) centres C are too far
+    apart: their squared distance overflows, so `geometry.norms` gives no
+    finite length and `unit` no direction.  Found on centres scaled to at
+    most 1, where nothing overflows.  finite_differences_only leaves out the
+    pairs whose difference overflows itself, whose non-finite directions
+    `skew` refuses."""
+    scale = float(np.max(np.abs(C))) or 1.0
+    D = C[:, None] / scale - C[None] / scale
+    top = float(np.finfo(float).max) / scale
+    far = np.sum(D * D, axis=-1) > top / scale
+    if finite_differences_only:
+        far &= np.all(np.abs(D) <= top, axis=-1)
+    far = np.triu(far, 1)
+    if np.any(far):
+        i, j = np.argwhere(far)[0].tolist()
+        raise ValidationError(f"cameras {i} and {j} are too far apart: their distance overflows")
+
+
 def measure(scene: Scene, noise: MeasurementNoise | None = None, seed: int = 0):
     """Measured pair tensors of every camera pair (unit-normalized, in
     sorted pair order) and noisy tracks, both from one generator of `seed`.
@@ -257,7 +276,10 @@ def measure(scene: Scene, noise: MeasurementNoise | None = None, seed: int = 0):
     Every block stays a true tensor of some pose, so rank 2 holds exactly.
     The tracks follow from `Scene.track_set` with pixel noise `pixel`.
 
-    Raises ValueError where two centres coincide (a zero direction).
+    Raises ValueError where two centres coincide (a zero direction) or
+    differ by more than the largest float (a non-finite direction), and
+    ValidationError where their distance overflows
+    (`check_center_distances`), before the first draw.
     """
     noise = noise or MeasurementNoise()
     rng = np.random.default_rng(seed)
@@ -267,6 +289,7 @@ def measure(scene: Scene, noise: MeasurementNoise | None = None, seed: int = 0):
     I, J = np.triu_indices(scene.n, 1)
     R = np.array([c.rotation for c in scene.cameras]).reshape(-1, 3, 3)
     C = np.array([c.center for c in scene.cameras]).reshape(-1, 3)
+    check_center_distances(C, finite_differences_only=True)
     Rt = R[I].swapaxes(1, 2)
     Rrel = Rt @ R[J]  # R_i^T R_j
     tdir = unit((Rt @ (C[I] - C[J])[:, :, None])[:, :, 0])

@@ -424,6 +424,76 @@ class TestCheiralityVotes:
                 assert got[k].tolist() == oracle.cheirality_votes(cands, tracks[k]).tolist()
 
 
+def _stress_pair(rng):
+    """The candidates of one noisy essential matrix and up to 11 noisy
+    tracks: baselines from 1e-3 to 3, tensor and pixel noise from 1e-6 to
+    0.3, depths from -1 to 10 (points behind camera i), and tracks on the
+    baseline, on either camera's principal plane (image points with last
+    coordinate 0), with identical image points or with parallel rays."""
+    R = random_rotation(rng)
+    c = unit(rng.normal(size=3)) * 10.0 ** rng.uniform(-3, np.log10(3))  # camera j = R^T [I | -c]
+    E = unit_bifocal(CameraModel(np.eye(3), np.eye(3), np.zeros(3)), CameraModel(np.eye(3), R, c))
+    Ra, Rb, t = essential_candidates(E + 10.0 ** rng.uniform(-6, np.log10(0.3)) * rng.normal(size=(3, 3)))
+    px = 10.0 ** rng.uniform(-6, np.log10(0.3))
+    tracks = []
+    for _ in range(int(rng.integers(1, 12))):
+        X = np.append(rng.uniform(-1, 1, 2), 1.0) * rng.uniform(-1, 10)
+        kind = rng.random()
+        if kind < 0.08:
+            X = c * rng.uniform(-2, 3)  # on the baseline
+        elif kind < 0.16:
+            X[2] = 0.0  # on camera i's principal plane
+        elif kind < 0.24:
+            X = X - (R[:, 2] @ (X - c)) * R[:, 2]  # on camera j's principal plane
+        x = [X, R.T @ (X - c)]
+        x = [v / v[2] if v[2] != 0 else v for v in x]
+        if 0.24 <= kind < 0.32:
+            x[1] = x[0]  # identical image points
+        elif 0.32 <= kind < 0.4:
+            x[1] = _homogeneous(R.T @ x[0])  # parallel rays
+        tracks.append([v + px * np.append(rng.normal(size=2), 0.0) for v in x])
+    return Ra, Rb, t, np.array(tracks)
+
+
+class TestCheiralityCertificate:
+    def test_sure_entries_vote_as_the_dlt(self, monkeypatch, rng):
+        # per (branch, track) entry: a sure entry's closed-form depths vote
+        # as the per-track DLT does, and every other entry goes to the DLT
+        import colsfm.geometry
+        from colsfm.geometry import _two_view_depths
+
+        solved, real = [], colsfm.geometry.triangulate
+
+        def triangulate(P, x):
+            solved.append((np.array(P), np.array(x)))
+            return real(P, x)
+
+        monkeypatch.setattr(colsfm.geometry, "triangulate", triangulate)
+        counts = np.zeros(2, dtype=int)  # sure, unsure
+        for trial in range(1500):
+            Ra, Rb, t, tracks = _stress_pair(rng)
+            zi, zj, sure = _two_view_depths(np.stack([Ra, Rb])[:, None], t, tracks[:, 0], tracks[:, 1])
+            oracle_votes = []
+            for b, R in enumerate((Ra, Rb)):
+                for n in range(len(tracks)):
+                    want = [_votes_per_track(R, s * t, tracks[n:n + 1])[0] for s in (1.0, -1.0)]
+                    oracle_votes.append(want)
+                    if sure[b, n]:
+                        assert [zi[b, n] > 0 and zj[b, n] > 0, zi[b, n] < 0 and zj[b, n] < 0] == want
+            solved.clear()
+            votes = cheirality_votes(np.stack([Ra, Rb])[None], t[None], tracks, [0])
+            assert votes[0].tolist() == np.reshape(oracle_votes, (2, -1, 2)).sum(axis=1).ravel().tolist()
+            branch, n = np.nonzero(~sure)
+            if len(n):
+                [(P, x)] = solved
+                assert np.array_equal(x, tracks[n])
+                assert np.array_equal(P[:, 1, :, :3], np.stack([Ra.T, Rb.T])[branch])
+            else:
+                assert solved == []
+            counts += np.count_nonzero(sure), np.count_nonzero(~sure)
+        assert np.all(counts > 1000)
+
+
 class TestFundamentalFromProjections:
     def test_matches_bifocal_from_pair(self, rng):
         for _ in range(10):
@@ -489,9 +559,9 @@ class TestReducedDltSvd:
         ("vc", "mixed", "varied", 0.0),
     ])
     def test_equals_full_svd_on_run_stacks(self, monkeypatch, algorithm, layout, intrinsics, noise):
-        # the DLT stacks a run solves (cheirality votes, 3-view tracks,
-        # evaluation) give the same singular values and right vectors
-        # without the unused left vectors
+        # the DLT stacks a run solves (cheirality entries the closed-form
+        # depths cannot certify, 3-view tracks, evaluation) give the same
+        # singular values and right vectors without the unused left vectors
         import colsfm.geometry
         import colsfm.metrics
         import colsfm.recovery
@@ -500,18 +570,25 @@ class TestReducedDltSvd:
 
         stacks, real = [], colsfm.geometry.triangulate
 
-        def triangulate(P, x):
-            stacks.append((np.array(P), np.array(x)))
-            return real(P, x)
+        def recorder(module):
+            def triangulate(P, x):
+                stacks.append((module, np.array(P), np.array(x)))
+                return real(P, x)
+            return triangulate
 
         for module in (colsfm.geometry, colsfm.recovery, colsfm.metrics):
-            monkeypatch.setattr(module, "triangulate", triangulate)
+            monkeypatch.setattr(module, "triangulate", recorder(module.__name__))
         scene = generate(layout, 7, 12, seed=70, intrinsics_mode=intrinsics)
         m, tracks = measure(scene, MeasurementNoise(noise, noise), seed=70)
         regime = "calibrated" if intrinsics == "calibrated" else "uncalibrated"
         run_pipeline(m, tracks, algorithm, regime, scene)
-        assert len(stacks) > 1
-        for P, x in stacks:
+        # the evaluation always triangulates; within geometry only the
+        # cheirality vote does, and on these scenes only when noisy and
+        # calibrated
+        assert stacks[-1][0] == "colsfm.metrics"
+        votes_dlt = any(module == "colsfm.geometry" for module, _, _ in stacks)
+        assert votes_dlt == (intrinsics == "calibrated" and noise > 0)
+        for _, P, x in stacks:
             # the DLT system: the [x_i]_x P_i rows of every view of a track
             A = geometry_oracle.skews(x.reshape(-1, 3)).reshape(x.shape + (3,)) @ P
             A = A.reshape(A.shape[:-3] + (3 * A.shape[-3], 4))

@@ -931,8 +931,14 @@ class TestStackedPairPoses:
         assert ties > 0
 
     def test_one_dlt_svd_per_stage(self, monkeypatch):
-        # one candidate SVD and one cheirality DLT SVD, whatever the pair count
-        _, _, _, _, _, blocks, points = _scene_stack("mixed", 0.5, seed=32)
+        # one candidate SVD whatever the pair count; a stage whose (branch,
+        # track) entries the closed-form depths all certify makes no DLT
+        # SVD, and one with tracks on the baseline makes one DLT SVD, of
+        # exactly the entries of those tracks (both branches of each)
+        _, _, _, _, _, blocks, points = _scene_stack("mixed", 0.0, seed=32)
+        block, tracks = blocks[1], points[1]
+        Ra, _, t = essential_candidates(block)
+        on_baseline = np.array([[-t / -t[2], Ra.T @ t / (Ra.T @ t)[2]]] * 3)
         real_svd, calls = np.linalg.svd, []
 
         def svd(A, *args, **kwargs):
@@ -941,10 +947,14 @@ class TestStackedPairPoses:
 
         monkeypatch.setattr(np.linalg, "svd", svd)
         for K in (1, 5, len(blocks)):
-            calls.clear()
-            pair_poses(blocks[:K], [points[1]] * K)
-            assert [c[-2:] for c in calls] == [(3, 3), (6, 4)]
-            assert calls[1][:2] == (2, K * len(points[1]))
+            for unsure in (0, 1, 3):
+                calls.clear()
+                pts = np.concatenate([tracks, on_baseline[:unsure]])
+                pair_poses(np.repeat(block[None], K, axis=0), [pts] * K)
+                if unsure:
+                    assert calls == [(K, 3, 3), (2 * unsure * K, 6, 4)]
+                else:
+                    assert calls == [(K, 3, 3)]
 
 
 class TestStackedTriplets:

@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -461,6 +462,18 @@ class TestBadInputs:
         with pytest.raises(InvalidSceneSpec, match=message) as exc:
             generate(*args, **kwargs)
         assert isinstance(exc.value, ValidationError) and isinstance(exc.value, ValueError)
+
+    def test_measure_refuses_overflowing_distance(self):
+        # a scene built in code meets the check scene files get, before any
+        # draw (so in every noise arm) and without an overflow warning
+        scene = generate("general", 3, 8, seed=2)
+        cams = [CameraModel(c.intrinsics, c.rotation, [x, 0.0, 0.0])
+                for c, x in zip(scene.cameras, (0.0, 1e200, -1e200))]
+        for noise in (None, MeasurementNoise(0.5, 0.5, 1e-3)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValidationError, match="cameras 0 and 1 are too far apart"):
+                    measure(Scene(cams, scene.points, scene.layout, scene.seed), noise)
 
     def test_near_identity_intrinsics_are_not_calibrated(self):
         # within numpy's default relative tolerance of I, yet the tracks carry K
