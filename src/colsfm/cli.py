@@ -165,7 +165,7 @@ def _add_common(p, regime: bool = True) -> None:
     p.add_argument("--algorithm", choices=["r4", "vc"], default="r4")
     if regime:
         p.add_argument("--regime", choices=["calibrated", "uncalibrated"], default="calibrated")
-    p.add_argument("--tol", type=_positive(float), default=1e-9, help="ADMM primal/dual tolerance")
+    p.add_argument("--tol", type=_positive(float), default=1e-9, help="ADMM residual stop floor")
     p.add_argument("--max-iters", type=_positive(int), default=500)
     p.add_argument("--rho", type=_positive(float), default=5.0, help="ADMM penalty")
     p.add_argument("--no-virtual", action="store_true",

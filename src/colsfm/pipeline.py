@@ -103,7 +103,11 @@ def _calibrated_geometry(algorithm, avg: AveragingResult, tracks: TrackSet, trip
     if algorithm == "vc":
         return geom, closure_scales(geom)
     E9 = block_matrix(avg.consensus, block_index(avg.rows))
-    return geom, collinear_placement(E9, geom, [tracks.tracks(t) for t in triplets])
+    # the stop leaves each triplet about the data's precision from rank 4;
+    # the rank gate allows one triplet holding the whole residual of the m
+    # triplets at the threshold, 9 sqrt(m) times it in Frobenius norm
+    rank_tol = 9.0 * np.sqrt(len(avg.rows)) * avg.threshold
+    return geom, collinear_placement(E9, geom, [tracks.tracks(t) for t in triplets], rank_tol)
 
 
 def _projective_systems(algorithm, avg: AveragingResult, tracks: TrackSet, triplets):

@@ -221,12 +221,13 @@ class CollinearPlacement:
     errors: tuple
 
 
-def collinear_placement(E9, geom: TripletGeometry, tracks3) -> CollinearPlacement:
+def collinear_placement(E9, geom: TripletGeometry, tracks3, rank_tol=None) -> CollinearPlacement:
     """The placement of the T triplets whose (T, 9, 9) matrices are E9, with
     the rows of geom and each triplet's (N, 3, 3) 3-view tracks, in one
     stacked pass: one eigendecomposition of E9, and one DLT from views 0-1 of
     every track, whose alpha solves P2(alpha) X x x2 = 0 in least squares
-    (ambiguous and at-infinity points skipped, sums in track order)."""
+    (ambiguous and at-infinity points skipped, sums in track order); count
+    is of |w| > rank_tol, or of `nview.eigen_signature` where it is None."""
     w = np.linalg.eigh(E9)[0][:, ::-1]
     Rh, T = geom.averaged, len(E9)
     axis = Rh[:, 0].swapaxes(-1, -2) @ geom.t_dirs[:, 0, :, None]  # (T, 3, 1)
@@ -250,8 +251,9 @@ def collinear_placement(E9, geom: TripletGeometry, tracks3) -> CollinearPlacemen
                    if den < 1e-18 * max(scale, 1.0) else None)
         errors.append(failure and InsufficientTracks(failure))
         alpha[k] = np.nan if failure else num / den
-    return CollinearPlacement(np.sum(eigen_signature(w), axis=0), collinear_pattern_residual(w),
-                              alpha, tuple(errors))
+    count = (np.sum(eigen_signature(w), axis=0) if rank_tol is None
+             else np.sum(np.abs(w) > rank_tol, axis=1))
+    return CollinearPlacement(count, collinear_pattern_residual(w), alpha, tuple(errors))
 
 
 def recover_calibrated_collinear_triplet(
@@ -268,9 +270,10 @@ def recover_calibrated_collinear_triplet(
 
     The gate checks the eigenvalue pattern only (a sanity gate against junk
     input, with a tolerance tol sized for post-averaging noise floors that
-    bounds the rotation cycle residual too): measured blocks carry arbitrary
-    scales, which leave the pattern intact but make the orthogonality
-    condition of `certify_collinear_essential` meaningless before recovery.
+    bounds the rotation cycle residual too, and the rank counted at the
+    placement's own tolerance): measured blocks carry arbitrary scales, which
+    leave the pattern intact but make the orthogonality condition of
+    `certify_collinear_essential` meaningless before recovery.
     """
     if not (placement.count[k] == 4 and placement.residual[k] < tol):
         raise InconsistentInput(

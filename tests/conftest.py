@@ -4,6 +4,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from colsfm.averaging import AdmmConfig, stop_threshold
 from colsfm.geometry import bifocal_from_pair, epipole_table, normalized_tensor
 from colsfm.graphs import heuristic_cover, triangles, triplet_pairs
 from colsfm.nview import NViewBifocal, block_matrix
@@ -116,6 +117,13 @@ def triplet_matrix(res, ids) -> np.ndarray:
     """The consensus 9x9 submatrix of an `AveragingResult` over a camera
     triple whose pairs its cover holds."""
     return block_matrix(res.consensus[[res.pairs.index(e) for e in triplet_pairs(ids)]])
+
+
+def meets_stop(rec, m) -> bool:
+    """Whether both residuals of log entry rec of a default-configured run
+    over m cover triplets are below its `stop_threshold`."""
+    bound = stop_threshold(rec["objective"], m, AdmmConfig().tol)
+    return max(rec["primal_residual"], rec["dual_residual"]) < bound
 
 
 def center_spread(scene, ids) -> float:

@@ -13,6 +13,7 @@ from colsfm.averaging import (
     average,
     project,
 )
+from colsfm.errors import AmbiguousCheirality
 from colsfm.geometry import CameraModel, bifocal_from_pair, camera_centers
 from colsfm.graphs import (
     TripletCover,
@@ -33,7 +34,7 @@ from colsfm.recovery import recover_projective_collinear_triplet, register_globa
 from colsfm.synthetic import MeasurementNoise, generate, measure
 from conftest import (
     center_spread, collinear_triplet, covered_edges, exact_nview, exact_triplet, four_view,
-    min_weight_cover, projective_system, seen_in, triplet_matrix, unit_bifocal,
+    meets_stop, min_weight_cover, projective_system, seen_in, triplet_matrix, unit_bifocal,
 )
 
 
@@ -41,6 +42,54 @@ def _announce(num, ok, detail):
     status = "PASS" if ok else "FAIL"
     print(f"[{status}] criterion {num}: {detail}")
     assert ok, f"criterion {num} failed: {detail}"
+
+
+def _stopped_by_rule(out):
+    """Whether the run converged with its last log entry inside the stop:
+    both residuals below max(1e-9, _EPS x the RMS misfit)."""
+    return out.converged and meets_stop(out.averaging_log[-1], len(out.cover.triplets))
+
+
+def _moved(errors, recorded):
+    """The largest relative change of the position errors from the recorded
+    ones, over the seeds recorded with an error."""
+    return max(abs(e / r - 1.0) for e, r in zip(errors, recorded) if r is not None)
+
+
+# per-seed position errors of criteria 5 and 10, and of criterion 5's scenes
+# with direction noise, as recorded while ADMM stopped at an absolute 1e-9
+# with a feasibility polish after it, and the collinear gate counted the
+# consensus eigenvalues above 1e-6 of the largest; the misfit-relative stop
+# may move none by more than 1%.  None marks a seed whose run raised.
+_RECORDED_C5 = [
+    0.00783905, 0.00856746, 0.0125448, 0.0220834, 0.00880696, 0.0104161, 0.010845, 0.0125773,
+    0.00944793, 0.0107461, 0.00860034, 0.0108956, 0.0112501, 0.00910422, 0.0120301, 0.013751,
+    0.0111744, 0.0109757, 0.0100493, 0.0126684, 0.0084495, 0.00815152, 0.0134748, 0.0141537,
+    0.0140611, 0.00829327, 0.0170453, 0.00987161, 0.00887259, 0.0109105,
+]
+_RECORDED_C10 = {
+    "general": [
+        0.0188199, 0.0187565, 0.0160103, 0.0155457, 0.014416, 0.01624, 0.0169374, 0.0142065,
+        0.0105704, 0.017105, 0.0187845, 0.0202818, 0.0152881, 0.0187844, 0.021858, 0.0150109,
+        0.0233765, 0.0186239, 0.0138482, 0.0255094, 0.0110078, 0.0177287, 0.0192508, 0.0146615,
+        0.0217441, 0.0231224, 0.019533, 0.0248792, 0.0169618, 0.0207668,
+    ],
+    "mixed": [
+        0.0126794, 0.0143802, 0.0222066, 0.0168395, 0.0187583, 0.0181697, 0.0149144, 0.0209147,
+        0.0101096, 0.0173226, 0.0114511, 0.0180105, 0.0123166, 0.017101, 0.0307115, 0.0327196,
+        0.0144768, 0.0163999, 0.0244407, 0.0146468, 0.0161291, 0.0123174, 0.018014, 0.0224848,
+        0.0279739, 0.0147421, 0.0175211, 0.0168705, 0.0151348, 0.0213509,
+    ],
+}
+# seeds of `_RECORDED_C5_DIR` whose reconstruction failed: position errors of
+# 0.10 to 0.93 on a line of unit scale, against 0.011 to 0.045 on the others
+_FAILED_C5_DIR = {16, 22, 27}
+_RECORDED_C5_DIR = [
+    0.0449154, 0.0189258, 0.0272196, None, 0.0183845, 0.014421, 0.0321685, 0.0153245, 0.033573,
+    0.0268874, 0.0296747, 0.0208062, 0.0187916, 0.0215311, 0.0325945, 0.0345512, 0.117956,
+    0.025053, 0.0196494, 0.0224772, 0.017989, 0.0114748, 0.928959, 0.0424873, 0.0242345,
+    0.0159773, 0.0204055, 0.10105, 0.0183348, 0.0162668,
+]
 
 
 def _scene_sizes(count, lo=4, hi=20):
@@ -183,20 +232,51 @@ def test_criterion_5_r4_under_noise():
     converged = 0
     worst_time = 0.0
     ratios = []
+    errors = []
     for seed in range(30):
         scene = generate("collinear", 20, 12, seed=seed)
         noisy, tracks = measure(scene, MeasurementNoise(rotation_deg=0.5), seed=seed)
         started = time.perf_counter()
         out = run_pipeline(noisy, tracks, "r4", "calibrated", scene)
         worst_time = max(worst_time, time.perf_counter() - started)
-        if out.converged and out.averaging_log[-1]["primal_residual"] < 1e-9:
-            converged += 1
+        converged += _stopped_by_rule(out)
         floor = _single_projection_floor(scene, noisy, tracks)
-        ratios.append(out.report.mean_position_error / floor)
-    ok = converged >= 28 and max(ratios) < 5.0 and worst_time < 5.0
+        errors.append(out.report.mean_position_error)
+        ratios.append(errors[-1] / floor)
+    moved = _moved(errors, _RECORDED_C5)
+    ok = converged >= 28 and max(ratios) < 5.0 and worst_time < 5.0 and moved <= 0.01
     _announce(5, ok, f"noisy R4: {converged}/30 seeds converged (>= 28), error vs "
                      f"single-projection recovery floor max ratio {max(ratios):.2f} (< 5), "
-                     f"worst runtime {worst_time:.2f}s (< 5s)")
+                     f"worst runtime {worst_time:.2f}s (< 5s), largest move from the "
+                     f"recorded errors {100 * moved:.2f}% (<= 1%)")
+
+
+def test_r4_direction_noise_recovers_at_the_precision_stop():
+    # the collinear gate reads the consensus, which the stop leaves feasible
+    # only to the data's precision: runs raise where they raised before (seed
+    # 3, a cheirality tie), every other run converges, and the rest keep their
+    # recorded positions; the seeds whose recorded reconstruction failed are
+    # held to criterion 5's bound against the single-projection floor instead
+    noise = MeasurementNoise(rotation_deg=0.5, translation_dir_deg=0.5)
+    errors = []
+    for seed in range(30):
+        scene = generate("collinear", 20, 12, seed=seed)
+        noisy, tracks = measure(scene, noise, seed=seed)
+        if _RECORDED_C5_DIR[seed] is None:
+            with pytest.raises(AmbiguousCheirality):
+                run_pipeline(noisy, tracks, "r4", "calibrated", scene)
+            errors.append(None)
+            continue
+        out = run_pipeline(noisy, tracks, "r4", "calibrated", scene)
+        assert out.report.failure_stage is None and out.converged, seed
+        if seed in _FAILED_C5_DIR:
+            floor = _single_projection_floor(scene, noisy, tracks)
+            assert out.report.mean_position_error / floor < 5.0, seed
+            errors.append(None)
+        else:
+            errors.append(out.report.mean_position_error)
+    pinned = [None if seed in _FAILED_C5_DIR else r for seed, r in enumerate(_RECORDED_C5_DIR)]
+    assert _moved(errors, pinned) <= 0.01
 
 
 def test_criterion_6_virtual_four_view():
@@ -308,18 +388,19 @@ def test_criterion_10_vc_under_noise():
     ok = True
     for layout in ("general", "mixed"):
         converged = 0
-        worst = 0.0
+        errors = []
         for seed in range(30):
             scene = generate(layout, 10, 12, seed=seed)
             noisy, tracks = measure(scene, noise, seed=seed)
             out = run_pipeline(noisy, tracks, "vc", "calibrated", scene)
-            if out.converged and out.averaging_log[-1]["primal_residual"] < 1e-9:
-                converged += 1
+            converged += _stopped_by_rule(out)
             err = out.report.mean_position_error
-            worst = max(worst, np.inf if err is None else err)
-        ok = ok and converged >= 29 and worst < 0.05
+            errors.append(np.inf if err is None else err)
+        worst, moved = max(errors), _moved(errors, _RECORDED_C10[layout])
+        ok = ok and converged >= 29 and worst < 0.05 and moved <= 0.01
         lines.append(f"{layout} {converged}/30 converged (>= 29), worst position error "
-                     f"{worst:.4f} (< 0.05)")
+                     f"{worst:.4f} (< 0.05), largest move from the recorded errors "
+                     f"{100 * moved:.2f}% (<= 1%)")
     _announce(10, ok, "noisy calibrated VC, n=10, 0.5 deg rotation and direction noise: "
                       + "; ".join(lines))
 
@@ -331,7 +412,7 @@ def test_criterion_10_mixed_seed_18_converges():
     noisy, tracks = measure(scene, MeasurementNoise(rotation_deg=0.5, translation_dir_deg=0.5), seed=18)
     out = run_pipeline(noisy, tracks, "vc", "calibrated", scene)
     assert out.cover.virtual_nodes
-    assert out.converged and out.averaging_log[-1]["primal_residual"] < 1e-9
+    assert _stopped_by_rule(out)
 
 
 def test_criterion_11_uncalibrated_vc_under_noise():
@@ -345,8 +426,7 @@ def test_criterion_11_uncalibrated_vc_under_noise():
             scene = generate(layout, 10, 12, seed=seed, intrinsics_mode="varied")
             noisy, tracks = measure(scene, noise, seed=seed)
             out = run_pipeline(noisy, tracks, "vc", "uncalibrated", scene)
-            if out.converged and out.averaging_log[-1]["primal_residual"] < 1e-9:
-                converged += 1
+            converged += _stopped_by_rule(out)
             err = out.report.mean_reprojection_error
             worst = max(worst, np.inf if err is None else err)
         ok = ok and converged >= 28 and worst < 0.03

@@ -157,6 +157,18 @@ def test_test_only_surface_stays_deleted():
         "stack", "cover", "mode", "n_cameras"]
 
 
+def test_admm_has_no_polish_phase():
+    # ADMM stops at the data's own precision with no feasibility polish after
+    # it: three knobs and four log keys, with no phase among them
+    assert list(averaging.AdmmConfig.__dataclass_fields__) == ["rho", "max_iters", "tol"]
+    scene = synthetic.generate("collinear", 5, 6, seed=0)
+    m, _ = synthetic.measure(scene, synthetic.MeasurementNoise(rotation_deg=0.5), seed=0)
+    res = averaging.average(m, graphs.sequential_cover(5), "collinear")
+    assert len(res.log) > 1
+    for rec in res.log:
+        assert set(rec) == {"iteration", "objective", "primal_residual", "dual_residual"}
+
+
 def test_no_per_item_primitive_calls():
     # no loop or comprehension in src/ calls a stack-capable primitive on
     # its loop variable, that is once per item

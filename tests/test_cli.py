@@ -290,17 +290,20 @@ def _measured(tmp_path, layout, n, seed, noise_rot="0.0", band=False):
 # exit code, recorded while `average` still ran the full pipeline (the vc
 # cases re-recorded on banded measurements with the collinearity-ranked
 # cover, which needs no virtual camera on a complete mixed graph); they
-# depend on the BLAS thread count (one thread here and in CI).  The
-# --no-virtual run averages collinear triplets under the rank-6 retraction
-# and converges to a consensus that recovery rejects
+# depend on the BLAS thread count (one thread here and in CI); all three
+# were re-recorded when ADMM began to stop at the data's own precision and
+# its log lost the phase key.  The r4 run's last iterates cycle at a near
+# tie of the collinear kernel's top eigenvalues; the stop reads their mean
+# and converges.  The --no-virtual run averages collinear triplets under the rank-6
+# retraction and converges to a consensus that recovery rejects
 # (`test_no_virtual_pipeline_rejected`).
 GOLDEN_AVERAGE = [
     (("r4", "collinear", 8, 11, "0.2", ()), 0,
-     "844be34869134719ebfe36beec20dd6036028cd7b54400071ba153633ce8bdec"),
+     "f098329c4e109280c4f6d161d1ef5fa5533463675f23bb42a93a3662b874fad7"),
     (("vc", "mixed", 9, 6, "0.0", ()), 0,
-     "fdcb1ac611946fe9ab65949cdaeb8f7d4d1082c93afeed409fc843e36eba2e16"),
+     "b7a4c52776ee3c3d1d7d534c3a22c7bcc6ab83a03a17f5420f787fd64ad7397f"),
     (("vc", "mixed", 9, 6, "0.0", ("--no-virtual",)), 0,
-     "975d695ae8266727792f7088f211872c5cb0cc2c7cf4dca1f17a9046a749d3ee"),
+     "4b9af04c6e1a62e51565086453556f73ef1b151da1609d4e26f11404d445a0df"),
 ]
 
 

@@ -516,6 +516,31 @@ class TestPipelineNoVirtual:
                          PipelineConfig(insert_virtual=False))
 
 
+class TestCollinearRankGate:
+    """Calibrated r4 recovery counts the consensus's eigenvalues at the
+    precision ADMM stopped at, not at a fixed fraction of the largest."""
+
+    def _run(self, max_iters):
+        scene = generate("collinear", 20, 12, seed=4)
+        m, tracks = measure(scene, MeasurementNoise(0.5, 0.5), seed=4)
+        return run_pipeline(m, tracks, "r4", "calibrated", scene,
+                            PipelineConfig(admm=AdmmConfig(max_iters=max_iters)))
+
+    @pytest.mark.parametrize("max_iters", [3, 20])
+    def test_unconverged_consensus_far_from_rank_4_is_rejected(self, max_iters):
+        # the pattern residual passes the coarse gate of an unconverged run,
+        # but the zero eigenvalues sit far above the precision
+        out = self._run(max_iters)
+        assert not out.converged
+        assert "fails the collinear eigenvalue pattern (rank " in out.report.failure_stage
+
+    def test_converged_consensus_passes_at_its_precision(self):
+        # its zero eigenvalues reach 1.5e-6 of the largest, 7 times the stop
+        # threshold: a count at 1e-6 of the largest would reject it
+        out = self._run(500)
+        assert out.converged and out.report.failure_stage is None
+
+
 def _first_failure(avg, cover, tracks, n, algorithm):
     """The error of the first failing cover triplet in sorted order, each
     triplet recovered on its own by calibrated_oracle, its pair poses taken
@@ -598,14 +623,15 @@ class TestPipelineDeterminism:
 # before the two pipeline paths were merged; every vc run was re-recorded
 # when the vc cover became collinearity-ranked and the general-essential
 # kernel a camera-parametrised retraction, and the noisy calibrated ones
-# again when `average` began to warm-start that retraction); they depend on
-# the BLAS thread count (one thread here and in CI).  A case's last field
-# caps the ADMM iterations (None: the default).
+# again when `average` began to warm-start that retraction; the noisy runs
+# that converge were re-recorded when ADMM began to stop at the data's own
+# precision); they depend on the BLAS thread count (one thread here and in
+# CI).  A case's last field caps the ADMM iterations (None: the default).
 GOLDEN_RUNS = [
     (("r4", "collinear", 8, "calibrated", 0.5, 11, None),
-     "5b49fc41207b1974eefd68dc79be1ddc53b8301d6c5f66273fa18be5b13faf3b"),
+     "395c257859db8764a999b3ac09ce453027049713c50dbb4643c8e30f59b24727"),
     (("r4", "collinear", 8, "varied", 0.5, 12, None),
-     "b4bcff63884b7a2088f148a6752543bb4d6bcb3a32ad68727cd54e27053d49a4"),
+     "5c24a9510eafce4f1090c2cf0e5bb49a2a8311ab8ac4ccc9b9067c60f0f3d541"),
     (("vc", "mixed", 8, "calibrated", 0.0, 13, None),
      "9070a5c67374dd776016029ddfd8101e99f19129d1141c6a283055715fb7d86f"),
     (("r4", "collinear", 12, "calibrated", 0.0, 14, None),
@@ -616,13 +642,13 @@ GOLDEN_RUNS = [
      "e443a881cd536180437bdd262fbf6b7090ec150657b99b5374f6b4411189e1c8"),
     # noisy calibrated vc: scale synchronisation and recovery on noisy blocks
     (("vc", "mixed", 8, "calibrated", 0.5, 16, None),
-     "779963d14818e7664fff783b7500f4362f01c2c3c8df66852d8c1d9b144a2b63"),
+     "66a271ea714396fd7a827616e767b25d3bc9cacecda7ddd2ff2ab1c0ba19516e"),
     (("vc", "mixed", 8, "calibrated", 0.5, 17, None),
-     "be19e34d52ccd62b5b16153e0bf61a2227a439071d55c32d483f24c8026f841e"),
+     "0d2311ea6d764235391fb3750be13165efc1f074d38fe8d34c345c93c763d1ad"),
     # noisy uncalibrated vc: projective general recovery on blocks that ADMM
     # left inexact, recorded before projective recovery was stacked
     (("vc", "mixed", 8, "varied", 0.5, 18, None),
-     "b3dc720ab37ee6b9cb7b76ca9a0b806e13c41a743a8c85ddefbfaf35951e77da"),
+     "eaced1b58b0873a8db2cc4aa2540f0b01816ab7959051e3688c60dfe210d8d60"),
 ]
 # the cases whose report must name a failure stage instead of raising
 NAMED_FAILURES = {"r4-calibrated-max_iters3"}
