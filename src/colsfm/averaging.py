@@ -2,7 +2,7 @@
 
 Per-triplet constraint sets (9x9 submatrices):
 
-* collinear essential:   rank 4, spectrum (l1, l2, -l2, -l1) paired
+* collinear essential:   rank 4, tied spectrum (l, l, -l, -l)
 * collinear fundamental: rank 4, signature (2, 2)
 * general essential:     E_uv = Q_u [c_u - c_v]x Q_v^T, rotations Q_u and
                          centres c_u (zero diagonal blocks, rank 6, paired)
@@ -36,18 +36,17 @@ stack with one indexing operation and makes one kernel call for all
 triplets.  The result hands on that (E, 3, 3) stack, with its pairs and
 rows, as the one copy of the averaged tensors.
 
-The run stops at the data's own precision (Boyd et al. 2011, §3.3.1,
-`stop_threshold`), read on the mean of its last `_WINDOW` iterates: at a near
-tie of its top two eigenvalues (exact collinear triplets tie them) the
-collinear essential kernel switches eigenvectors between iterations, so the
-last iterate cycles or jitters at about that precision instead of settling.
+The run stops on the last iterate once its residuals reach the data's own
+precision (Boyd et al. 2011, §3.3, `stop_threshold`).  Every collinear
+essential triplet has the tied spectrum (l, l, -l, -l), and its kernel keeps
+it: it reads the two kept eigenspaces only through their projectors, so it is
+continuous where the top two eigenvalues tie, and the iterates settle there.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,9 +65,6 @@ _ROWS, _COLS = zip(*_LOCAL_PAIRS)  # block row and column of each local pair
 # the stop relative to the RMS misfit (`stop_threshold`); on seeds 30-59 of criterion 5,
 # 1e-3 moved scenes by up to 7% against the absolute 1e-9 stop, 1e-4 by under 0.5%
 _EPS = 1e-4
-# iterates whose mean the stop reads; on seeds 30-59 of the r4 n=20 scenes with
-# direction noise, 2 and 4 left a jittering run at the iteration budget
-_WINDOW = 8
 
 
 @dataclass
@@ -148,14 +144,15 @@ def _symmetrized(out: np.ndarray) -> np.ndarray:
 
 
 def _collinear_essential(S: np.ndarray, warm=None):
-    """Nearest spectrum with rank 4 and pairing l1 = -l4, l2 = -l3: keep the
-    two largest and two most negative eigenvalues, average each pair."""
+    """Nearest matrix with the tied spectrum (l, l, -l, -l) of every collinear
+    triplet: l (X X^T - Y Y^T) on the eigenspaces X of the two largest and Y
+    of the two most negative eigenvalues, at their mean magnitude
+    l = (p1 + p2 - n1 - n2) / 4.  It reads X and Y only through their
+    projectors, so it is continuous where p1 and p2 (or n1 and n2) tie."""
     X, pv, Y, nv, flags = _truncate(S, 2)
-    out = np.zeros_like(S)
-    for k in range(2):
-        lam = (pv[:, k] - nv[:, k]) / 2.0
-        out += lam[:, None, None] * (_outer(X[..., k]) - _outer(Y[..., k]))
-    return _symmetrized(out), flags, None
+    lam = (pv[:, 0] + pv[:, 1] - nv[:, 0] - nv[:, 1]) / 4.0
+    out = sum(_outer(X[..., k]) - _outer(Y[..., k]) for k in range(2))
+    return _symmetrized(lam[:, None, None] * out), flags, None
 
 
 def _signature_kernel(need: int):
@@ -328,12 +325,11 @@ def average(
     attachment to the measured submatrix the proximal step); blocks shared
     between triplets live in a single consensus variable with zero diagonal
     blocks, updated in deterministic triplet order; scaled duals close the
-    loop.  The residuals are those of the mean of the last k = min(iteration,
-    _WINDOW) iterates, primal (U - U_old) / k and dual rho (C - C_old) / k;
-    the run stops once both are below `stop_threshold` of the objective, the
-    squared misfit of Z to the measurements.  Non-convergence is reported on
-    the result, not raised, and hands back the iterate of least primal
-    residual.
+    loop.  The residuals are the last step's, primal Z - C and dual
+    rho (C - C_old); the run stops on the last iterate once both are below
+    `stop_threshold` of the objective, the squared misfit of Z to the
+    measurements.  Non-convergence is reported on the result, not raised,
+    and hands back the iterate of least primal residual.
 
     The triplet variables are (m, 9, 9) stacks in sorted triplet order and
     the consensus an (E, 3, 3) stack in the order of `pair_rows`, which the
@@ -363,7 +359,6 @@ def average(
     consensus = np.array(mean)[:, None, None] * normed
     U = np.zeros((m, 9, 9))
     C = block_matrix(consensus, gather)
-    window = deque([(C, U)], maxlen=_WINDOW)  # (consensus, duals) of the last iterates
     warm = None  # the kernel's warm start, carried from one iteration to the next
     log = []
     converged = False
@@ -383,12 +378,11 @@ def average(
         np.add.at(sums, edge_of.ravel(), halves.reshape(3 * m, 3, 3))
         consensus = sums / counts[:, None, None]
 
-        C = block_matrix(consensus, gather)
-        U = U + (Z - C)
-        (C_old, U_old), k = window[0], len(window)
-        window.append((C, U))
-        primal = np.sqrt(_sq_total(U - U_old, 1.0 / k ** 2) / total)
-        dual = np.sqrt(_sq_total(C - C_old, (cfg.rho / k) ** 2) / total)
+        C_old, C = C, block_matrix(consensus, gather)
+        D = Z - C
+        U = U + D
+        primal = np.sqrt(_sq_total(D) / total)
+        dual = np.sqrt(_sq_total(C - C_old, cfg.rho ** 2) / total)
         objective = _sq_total(Z - Ehat)
 
         log.append({

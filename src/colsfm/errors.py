@@ -32,10 +32,6 @@ class AmbiguousCheirality(ValidationError):
     """Two pose candidates tie on positive-depth votes."""
 
 
-class RotationAmbiguity(ValidationError):
-    """Relative-rotation disambiguation tied between candidates."""
-
-
 class DuplicateEdge(ValidationError):
     pass
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .averaging import AdmmConfig, AveragingResult, average
-from .errors import RankDeficient, RotationAmbiguity, ValidationError
+from .errors import AmbiguousCheirality, RankDeficient, ValidationError
 from .geometry import camera_centers, epipole_table, epipoles, normalized_tensor
 from .graphs import (
     TripletCover,
@@ -201,7 +201,7 @@ def _virtual_cover(measurements: NViewBifocal, tracks: TrackSet, cfg: PipelineCo
         track = select_virtual_point(tracks3[k], F[r], table[r])
         if measurements.kind == "essential":
             if ties[k] is not None:
-                raise RotationAmbiguity(ties[k])
+                raise AmbiguousCheirality(ties[k])
             Vk = V[k]
         else:
             Vk = v_matrices_from_cameras(recover_projective_collinear_triplet(systems, k))

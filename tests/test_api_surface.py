@@ -71,6 +71,8 @@ def test_test_only_surface_stays_deleted():
     # the cover stage takes (3, 3, 3) stacks in local pair order and no callbacks
     assert not hasattr(geometry, "oriented_pairs")
     assert not hasattr(errors, "MissingRecovery")
+    # a virtual camera's pose tie is the depth-vote tie of any pair pose
+    assert not hasattr(errors, "RotationAmbiguity")
     assert not hasattr(virtual, "_v_matrices_from_tensors")
     assert not hasattr(pipeline, "_triplet_tensor_dict")
     assert list(inspect.signature(graphs.insert_virtual_and_prune).parameters) == [
@@ -167,6 +169,14 @@ def test_admm_has_no_polish_phase():
     assert len(res.log) > 1
     for rec in res.log:
         assert set(rec) == {"iteration", "objective", "primal_residual", "dual_residual"}
+
+
+def test_admm_stops_on_the_last_iterate():
+    # the collinear essential kernel keeps the tied spectrum, continuous where
+    # its top two eigenvalues tie, so the stop reads the last iterate: no
+    # window of iterates, and no deque to hold one
+    assert not hasattr(averaging, "_WINDOW")
+    assert not hasattr(averaging, "deque")
 
 
 def test_no_per_item_primitive_calls():

@@ -8,7 +8,7 @@ import pytest
 
 from colsfm.averaging import AdmmConfig
 from colsfm.errors import (
-    DegenerateEpipole, InsufficientTracks, MissingBlock, NoTriangles, RankDeficient,
+    AmbiguousCheirality, DegenerateEpipole, InsufficientTracks, MissingBlock, NoTriangles, RankDeficient,
     ValidationError,
 )
 from colsfm.io import (
@@ -22,8 +22,8 @@ from colsfm.io import (
     write_convergence_log,
 )
 from colsfm.graphs import sequential_cover, triplet_pairs
-from colsfm.nview import NViewBifocal, certify_general
-from colsfm.pipeline import PipelineConfig, _virtual_cover, run_pipeline
+from colsfm.nview import NViewBifocal, block_index, block_matrix, certify_general
+from colsfm.pipeline import PipelineConfig, _virtual_cover, cover_and_average, run_pipeline
 from colsfm.synthetic import MeasurementNoise, TrackSet, generate, measure
 from conftest import (
     banded, center_spread, covered_edges, min_weight_cover, triplet_matrix, without,
@@ -310,6 +310,23 @@ class TestRankedCover:
                                      [*m.tensors[keep], np.outer([1.0, 0, 0], [0, 1.0, 0])],
                                      m.kind, strict=False)
 
+    def test_virtual_pose_tie_raises_ambiguous_cheirality(self, monkeypatch):
+        # every pair pose's depth votes tied: the first collinear cover
+        # triplet's V-matrices cannot pick a rotation branch
+        import colsfm.recovery
+
+        real_votes = colsfm.recovery.cheirality_votes
+
+        def tied(*args):
+            votes = real_votes(*args)
+            return np.repeat(np.max(votes, axis=1, keepdims=True), votes.shape[1], axis=1)
+
+        monkeypatch.setattr(colsfm.recovery, "cheirality_votes", tied)
+        scene = generate("mixed", 10, 20, seed=0)
+        m, tracks = measure(scene, seed=0)
+        with pytest.raises(AmbiguousCheirality, match=r"^depth votes tie: \[(\d+), \1, \1, \1\]$"):
+            _virtual_cover(banded(m), tracks, PipelineConfig())
+
     def test_degenerate_pair_ranks_last(self):
         # its zero epipole rows would score 1.0, the best conditioning: ranked
         # first, every triangle on the pair would enter the cover
@@ -520,19 +537,43 @@ class TestCollinearRankGate:
     """Calibrated r4 recovery counts the consensus's eigenvalues at the
     precision ADMM stopped at, not at a fixed fraction of the largest."""
 
-    def _run(self, max_iters):
+    @staticmethod
+    def _inputs():
         scene = generate("collinear", 20, 12, seed=4)
-        m, tracks = measure(scene, MeasurementNoise(0.5, 0.5), seed=4)
+        return scene, *measure(scene, MeasurementNoise(0.5, 0.5), seed=4)
+
+    def _run(self, max_iters):
+        scene, m, tracks = self._inputs()
         return run_pipeline(m, tracks, "r4", "calibrated", scene,
                             PipelineConfig(admm=AdmmConfig(max_iters=max_iters)))
 
-    @pytest.mark.parametrize("max_iters", [3, 20])
-    def test_unconverged_consensus_far_from_rank_4_is_rejected(self, max_iters):
+    def _ranks_at_gate(self, max_iters):
+        """The ADMM result capped at max_iters, and each cover triplet's count
+        of consensus eigenvalues above the gate, 9 sqrt(m) times the precision
+        ADMM stopped at."""
+        _, m, tracks = self._inputs()
+        _, avg = cover_and_average(m, tracks, "r4", PipelineConfig(admm=AdmmConfig(max_iters=max_iters)))
+        w = np.linalg.eigvalsh(block_matrix(avg.consensus, block_index(avg.rows)))
+        return avg, np.sum(np.abs(w) > 9.0 * np.sqrt(len(avg.rows)) * avg.threshold, axis=1)
+
+    def test_unconverged_consensus_far_from_rank_4_is_rejected(self):
         # the pattern residual passes the coarse gate of an unconverged run,
         # but the zero eigenvalues sit far above the precision
-        out = self._run(max_iters)
+        out = self._run(3)
         assert not out.converged
         assert "fails the collinear eigenvalue pattern (rank " in out.report.failure_stage
+
+    def test_latest_consensus_above_the_gate_is_rejected(self):
+        # the largest iteration cap whose consensus still has zero eigenvalues
+        # above the gate is rejected, and the next cap's consensus recovers
+        converged = self._ranks_at_gate(500)[0].iterations
+        cap = max(k for k in range(3, converged) if np.any(self._ranks_at_gate(k)[1] > 4))
+        avg, ranks = self._ranks_at_gate(cap + 1)
+        assert not avg.converged and np.all(ranks == 4)
+        out = self._run(cap)
+        assert not out.converged
+        assert "fails the collinear eigenvalue pattern (rank " in out.report.failure_stage
+        assert self._run(cap + 1).report.failure_stage is None
 
     def test_converged_consensus_passes_at_its_precision(self):
         # its zero eigenvalues reach 1.5e-6 of the largest, 7 times the stop
@@ -625,30 +666,32 @@ class TestPipelineDeterminism:
 # kernel a camera-parametrised retraction, and the noisy calibrated ones
 # again when `average` began to warm-start that retraction; the noisy runs
 # that converge were re-recorded when ADMM began to stop at the data's own
-# precision); they depend on the BLAS thread count (one thread here and in
+# precision, and the noisy vc and calibrated r4 runs again when the collinear
+# essential kernel kept the tied spectrum and the stop read the last
+# iterate); they depend on the BLAS thread count (one thread here and in
 # CI).  A case's last field caps the ADMM iterations (None: the default).
 GOLDEN_RUNS = [
     (("r4", "collinear", 8, "calibrated", 0.5, 11, None),
-     "395c257859db8764a999b3ac09ce453027049713c50dbb4643c8e30f59b24727"),
+     "c18ce15fc56dd0310001026e325235aa440a1f46edc36d389959c8501606ac25"),
     (("r4", "collinear", 8, "varied", 0.5, 12, None),
      "5c24a9510eafce4f1090c2cf0e5bb49a2a8311ab8ac4ccc9b9067c60f0f3d541"),
     (("vc", "mixed", 8, "calibrated", 0.0, 13, None),
      "9070a5c67374dd776016029ddfd8101e99f19129d1141c6a283055715fb7d86f"),
     (("r4", "collinear", 12, "calibrated", 0.0, 14, None),
-     "974a65fb4c8830cd7f5e7210a0f44096dd1a7957194607e7d8d0b2ace45c78bf"),
+     "85c71f085b91ff0f0c82c0d7156ed39ed718a5daee6c6243d65bdec5324c5185"),
     (("vc", "mixed", 8, "varied", 0.0, 15, None),
      "f0ffaf7c0394116130acfa070a399e7974269eb79e7f77b662b2061c8c18063e"),
     (("r4", "collinear", 10, "calibrated", 1.0, 5, 3),
-     "e443a881cd536180437bdd262fbf6b7090ec150657b99b5374f6b4411189e1c8"),
+     "f22c6791b47548424e93d7bc1daa2f8dd08fe1289dbfa4ea2c69a479e39ebeb4"),
     # noisy calibrated vc: scale synchronisation and recovery on noisy blocks
     (("vc", "mixed", 8, "calibrated", 0.5, 16, None),
-     "66a271ea714396fd7a827616e767b25d3bc9cacecda7ddd2ff2ab1c0ba19516e"),
+     "97809ea6908bc461b997cd4fb66575c25b22c444521b7e6efd478fd3dd5cc390"),
     (("vc", "mixed", 8, "calibrated", 0.5, 17, None),
-     "0d2311ea6d764235391fb3750be13165efc1f074d38fe8d34c345c93c763d1ad"),
+     "b3942c7bab3b405fbda5a2c230b74d7fd7ecd02da89e3d0904e3fe5e759dccad"),
     # noisy uncalibrated vc: projective general recovery on blocks that ADMM
     # left inexact, recorded before projective recovery was stacked
     (("vc", "mixed", 8, "varied", 0.5, 18, None),
-     "eaced1b58b0873a8db2cc4aa2540f0b01816ab7959051e3688c60dfe210d8d60"),
+     "9c2e66602520b1081375db66bb0ce788da73e355431718f3eb896aa7c0ea213e"),
 ]
 # the cases whose report must name a failure stage instead of raising
 NAMED_FAILURES = {"r4-calibrated-max_iters3"}
