@@ -18,23 +18,31 @@ closures of all cover triplets are one stacked pass of `recovery`, and the
 synchronisation is (T, 3) arrays walked over the cover's `TripletCover.dual`.
 
 The projections are batched kernels over (m, 3k, 3k) stacks, each call one
-stacked eigendecomposition (signature-deficient rows select per row, and
-`nview.eigen_signature` flags them), and `project` runs one on a single
-matrix; the general-essential kernel is a retraction (`_general_essential`)
-started from the sign-searched `nview.block_rotation_frames` with one
-stacked 3x3 SVD, and one more per camera in each sweep.  Its output has exactly zero diagonal blocks, like
-the consensus, so the two sets can meet on covers whose dual graph has
-cycles.  The driver runs it cold at its first iteration only; later ones
-warm-start `_WARM_SWEEPS` sweeps from the previous rotations, an
-(m, 3, 3, 3) stack in `average`'s locals, with no eigendecomposition, and
-hand on the flags of that first spectral start: in this regime
-`signature_flags` counts triplets whose start was deficient.
+stacked eigendecomposition (`nview.eigen_signature` flags the
+signature-deficient rows, whose eigenpairs one vectorized pass selects), and
+`project` runs one on a single matrix; the general-essential kernel is a
+retraction (`_general_essential`) started from the sign-searched
+`nview.block_rotation_frames` with one stacked 3x3 SVD, and one more per
+camera in each sweep.  Its output has exactly zero diagonal blocks, like the
+consensus, so the two sets can meet on covers whose dual graph has cycles.
+The driver runs it cold at its first iteration only; later ones warm-start
+`_WARM_SWEEPS` sweeps from the previous rotations, an (m, 3, 3, 3) stack in
+`average`'s locals, with no eigendecomposition, and hand on the flags of that
+first spectral start: in this regime `signature_flags` counts triplets whose
+start was deficient.
 The driver holds its triplet state as (m, 9, 9) stacks and the consensus as
 (E, 3, 3) camera-pair blocks, linked by one `nview.block_index` layout built
 once per run, so each ADMM iteration gathers the consensus into the triplet
 stack with one indexing operation and makes one kernel call for all
 triplets.  The result hands on that (E, 3, 3) stack, with its pairs and
 rows, as the one copy of the averaged tensors.
+
+Every stack the driver builds is exactly symmetric: `nview.block_matrix`
+mirrors each pair block bit for bit, the outer-product kernels return sums of
+l x x^T, and the general-essential retraction symmetrizes its output once, so
+the consensus update reads each pair's block of Z + U above the diagonal
+alone.  Each kernel call symmetrizes its input once, at entry, for callers
+such as `project` whose matrices are not exactly symmetric.
 
 The run stops on the last iterate once its residuals reach the data's own
 precision (Boyd et al. 2011, §3.3, `stop_threshold`).  Every collinear
@@ -54,9 +62,7 @@ import numpy as np
 from .errors import NotConnected
 from .geometry import nearest_rotation, normalized_tensor, skew
 from .graphs import _LOCAL_PAIRS, DualGraph, TripletCover, pair_rows
-from .nview import (
-    _RANK_TOL, NViewBifocal, block_index, block_matrix, block_rotation_frames, eigen_signature,
-)
+from .nview import NViewBifocal, block_index, block_matrix, block_rotation_frames, eigen_signature
 from .recovery import closure_scales, pair_poses, resolve_essential_triplet
 
 _ROWS, _COLS = zip(*_LOCAL_PAIRS)  # block row and column of each local pair
@@ -93,49 +99,38 @@ def _outer(a: np.ndarray) -> np.ndarray:
     return a[..., :, None] * a[..., None, :]
 
 
-def _select_signed(w: np.ndarray, need: int):
-    """Pick `need` eigenvalues per sign for the truncation.
-
-    Normal case: the most positive and most negative ones, untouched.  When a
-    side is short the remaining indices pad it by descending magnitude with
-    the sign forced, so the output signature is exact and the map stays
-    idempotent; the deficiency is flagged.
-    """
-    scale = float(np.max(np.abs(w))) if w.size else 0.0
-    if scale == 0.0:
-        idx = list(range(2 * need))
-        return idx[:need], [0.0] * need, idx[need:], [0.0] * need, True
-    pos = [k for k in range(len(w)) if w[k] > _RANK_TOL * scale][:need]
-    neg = [k for k in reversed(range(len(w))) if w[k] < -_RANK_TOL * scale][:need]
-    flag = len(pos) < need or len(neg) < need
-    taken = set(pos) | set(neg)
-    rest = sorted((k for k in range(len(w)) if k not in taken), key=lambda k: -abs(w[k]))
-    while len(pos) < need:
-        pos.append(rest.pop(0))
-    while len(neg) < need:
-        neg.append(rest.pop(0))
-    pos = sorted(pos, key=lambda k: -abs(w[k]))
-    neg = sorted(neg, key=lambda k: -abs(w[k]))
-    pos_vals = [abs(w[k]) for k in pos]
-    neg_vals = [-abs(w[k]) for k in neg]
-    return pos, pos_vals, neg, neg_vals, flag
-
-
 def _truncate(S: np.ndarray, need: int):
     """(positive eigenvectors, values, negative eigenvectors, values, flags)
-    kept per matrix of a stack, `need` per sign by descending magnitude.
-    Rows with `need` clear eigenvalues of each sign keep the extreme ones;
-    the signature-deficient rest take their choice from `_select_signed`."""
-    w_asc, V_asc = np.linalg.eigh((S + S.swapaxes(-1, -2)) / 2.0)
+    kept per matrix of a symmetric stack, `need` per sign by descending
+    magnitude.  Rows with `need` clear eigenvalues of each sign keep the
+    extreme ones.  The signature-deficient rest, selected in one pass over
+    those rows, keep their clear ones and pad each short side from the others
+    by descending magnitude (ties in index order) with the sign forced, so the
+    output signature is exact and the map stays idempotent; a zero matrix
+    keeps +0 on both sides."""
+    w_asc, V_asc = np.linalg.eigh(S)
     w, V = w_asc[:, ::-1], V_asc[..., ::-1]  # descending order
     pos, neg = eigen_signature(w)
     flags = (pos < need) | (neg < need)
     X, pv, Y, nv = V[..., :need], w[:, :need], V_asc[..., :need], w_asc[:, :need]
-    if flags.any():
+    bad = np.flatnonzero(flags)
+    if len(bad):
         X, pv, Y, nv = X.copy(), pv.copy(), Y.copy(), nv.copy()
-    for i in np.flatnonzero(flags):
-        pos, pv[i], neg, nv[i], _ = _select_signed(w[i], need)
-        X[i], Y[i] = V[i][:, pos], V[i][:, neg]
+        wb, d, j = w[bad], w.shape[1], np.arange(need)
+        # the clear eigenvalues lead each side: the first cp and the last cn
+        cp, cn = np.minimum(pos[bad], need)[:, None], np.minimum(neg[bad], need)[:, None]
+        free = (np.arange(d) >= cp) & (np.arange(d) < d - cn)
+        rest = np.argsort(np.where(free, -np.abs(wb), np.inf), axis=1, kind="stable")
+        # each side: its clear ones, then the next of the rest (the positive
+        # side pads first), reordered by descending magnitude
+        for clear, first, pad, vecs, vals in ((cp, j, 0, X, pv), (cn, d - 1 - j, need - cp, Y, nv)):
+            at = np.take_along_axis(rest, np.maximum(pad + j - clear, 0), axis=1)
+            side = np.where(j < clear, first, at)
+            mags = np.abs(np.take_along_axis(wb, side, axis=1))
+            order = np.argsort(-mags, axis=1, kind="stable")
+            vecs[bad] = np.take_along_axis(V[bad], np.take_along_axis(side, order, axis=1)[:, None], axis=2)
+            vals[bad] = np.take_along_axis(mags, order, axis=1)
+        nv[bad] = np.where(np.any(wb, axis=1, keepdims=True), -nv[bad], 0.0)
     return X, pv, Y, nv, flags
 
 
@@ -149,10 +144,10 @@ def _collinear_essential(S: np.ndarray, warm=None):
     of the two most negative eigenvalues, at their mean magnitude
     l = (p1 + p2 - n1 - n2) / 4.  It reads X and Y only through their
     projectors, so it is continuous where p1 and p2 (or n1 and n2) tie."""
-    X, pv, Y, nv, flags = _truncate(S, 2)
+    X, pv, Y, nv, flags = _truncate(_symmetrized(S), 2)
     lam = (pv[:, 0] + pv[:, 1] - nv[:, 0] - nv[:, 1]) / 4.0
     out = sum(_outer(X[..., k]) - _outer(Y[..., k]) for k in range(2))
-    return _symmetrized(lam[:, None, None] * out), flags, None
+    return lam[:, None, None] * out, flags, None
 
 
 def _signature_kernel(need: int):
@@ -160,11 +155,10 @@ def _signature_kernel(need: int):
     unchanged, zeroing the rest."""
 
     def kernel(S: np.ndarray, warm=None):
-        X, pv, Y, nv, flags = _truncate(S, need)
+        X, pv, Y, nv, flags = _truncate(_symmetrized(S), need)
         vecs = np.concatenate([X, Y], axis=-1)
         vals = np.concatenate([pv, nv], axis=-1)
-        out = sum(vals[:, k, None, None] * _outer(vecs[..., k]) for k in range(2 * need))
-        return _symmetrized(out), flags, None
+        return sum(vals[:, k, None, None] * _outer(vecs[..., k]) for k in range(2 * need)), flags, None
 
     return kernel
 
@@ -210,12 +204,13 @@ def _general_essential(S: np.ndarray, warm=None):
     """
     m, d = S.shape[:2]
     k = d // 3
+    S = _symmetrized(S)
     if warm is None:
         X, _, Y, _, flags = _truncate(S, 3)
         Q = nearest_rotation(np.sqrt(k) * block_rotation_frames(X, Y))
     else:
         Q, flags = warm[0].copy(), warm[1]
-    W = np.ascontiguousarray(_symmetrized(S).reshape(m, k, 3, k, 3).swapaxes(2, 3))
+    W = np.ascontiguousarray(S.reshape(m, k, 3, k, 3).swapaxes(2, 3))
     for _ in range(_SWEEPS if warm is None else _WARM_SWEEPS):
         c = _centres(Q, W)
         S = skew(c[:, None] - c[:, :, None])  # S[:, u, v] = [c_v - c_u]x
@@ -370,12 +365,12 @@ def average(
         Z, deficient, warm = projection(W, warm)
         flags = int(np.count_nonzero(deficient))
 
-        # consensus: each pair block averages its users' symmetrized blocks,
-        # accumulated in triplet order
-        ZU = Z + U
-        halves = (0.5 * (ZU + ZU.swapaxes(1, 2))).reshape(m, 3, 3, 3, 3).swapaxes(2, 3)[:, _ROWS, _COLS]
+        # consensus: each pair block averages its users' blocks of Z + U,
+        # accumulated in triplet order (both stacks are exactly symmetric, so
+        # the block above the diagonal is the pair's whole block)
+        blocks = (Z + U).reshape(m, 3, 3, 3, 3).swapaxes(2, 3)[:, _ROWS, _COLS]
         sums = np.zeros_like(consensus)
-        np.add.at(sums, edge_of.ravel(), halves.reshape(3 * m, 3, 3))
+        np.add.at(sums, edge_of.ravel(), blocks.reshape(3 * m, 3, 3))
         consensus = sums / counts[:, None, None]
 
         C_old, C = C, block_matrix(consensus, gather)

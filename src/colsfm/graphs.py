@@ -77,15 +77,13 @@ def pair_rows(triplets):
 
 
 def dual_adjacency(triplets) -> dict:
-    """Triplet -> its dual neighbours in sorted order."""
+    """Triplet -> its dual neighbours in sorted order, for sorted, distinct
+    triplets (so no two share all three cameras)."""
     adj = {t: set() for t in triplets}
     for bucket in pair_index(adj).values():
         for t in bucket:
             adj[t].update(bucket)
-    same = defaultdict(set)  # triplets on one camera set share three cameras, not two
-    for t in adj:
-        same[frozenset(t)].add(t)
-    return {t: sorted(nbrs - same[frozenset(t)]) for t, nbrs in adj.items()}
+    return {t: sorted(nbrs - {t}) for t, nbrs in adj.items()}
 
 
 def dual_bfs(adj, sources, blocked=frozenset()):
@@ -227,6 +225,8 @@ def insert_virtual_and_prune(cover: TripletCover, virtual_nodes: dict) -> Triple
     Pruning removes a triplet when the dual graph stays connected, every
     camera stays covered, at least two sub-triplets of each virtual insertion
     remain, and every real edge outside the replaced triplets stays covered.
+    The virtual ids are new, distinct cameras, so each one's count of remaining
+    triplets is its insertion's count of remaining sub-triplets.
     """
     replaced = {t: [tuple(sorted((*p, virtual_nodes[t]))) for p in triplet_pairs(t)]
                 for t in cover.triplets if t in virtual_nodes}
@@ -238,8 +238,9 @@ def insert_virtual_and_prune(cover: TripletCover, virtual_nodes: dict) -> Triple
     # the full set covers every camera, required edge and sub-triplet, so
     # apart from connectivity a removal is checked at the dropped triplet
     cameras = Counter(c for t in pruned for c in t)
+    # the fewest triplets a removal may leave a camera in
+    floor = dict.fromkeys((virtual_nodes[t] for t in replaced), 2)
     edges = Counter(p for t in pruned for p in triplet_pairs(t))
-    subs_left = {orig: len(subs) for orig, subs in replaced.items()}
     dropped = set()
 
     def stays_connected(t) -> bool:
@@ -256,16 +257,15 @@ def insert_virtual_and_prune(cover: TripletCover, virtual_nodes: dict) -> Triple
         return False
 
     def removable(t) -> bool:
-        return (all(cameras[c] > 1 for c in t)
-                and all(edges[p] > 1 or p not in required_edges for p in triplet_pairs(t))
-                and all(subs_left[o] > 2 for o, subs in replaced.items() if t in subs))
+        return (all(cameras[c] > floor.get(c, 1) for c in t)
+                and all(edges[p] > 1 or p not in required_edges for p in triplet_pairs(t)))
 
     if pruned and sum(1 for _ in dual_bfs(adj, pruned[:1])) == len(pruned):
         for t in reversed(pruned):
-            if len(pruned) - len(dropped) > 1 and removable(t) and stays_connected(t):
+            # a last triplet's cameras count 1, so it is never removable
+            if removable(t) and stays_connected(t):
                 dropped.add(t)
                 cameras.subtract(t)
                 edges.subtract(triplet_pairs(t))
-                subs_left.update({o: n - 1 for o, n in subs_left.items() if t in replaced[o]})
     virtual_nodes = {**cover.virtual_nodes, **{t: virtual_nodes[t] for t in replaced}}
     return TripletCover.from_triplets([t for t in pruned if t not in dropped], virtual_nodes)

@@ -18,8 +18,9 @@ stage with one cheirality vote over the tracks of all its pairs
 (one eigendecomposition of the (T, 9, 9) stack), `closure_scales` solves
 every direction closure in one SVD, `collinear_placement` gates every
 collinear triplet on its eigenvalue pattern (one eigendecomposition of the
-(T, 9, 9) stack) and solves every alpha from one DLT of all 3-view tracks,
-and `projective_systems` builds every projective a-vector system from one
+(T, 9, 9) stack), solves every alpha from one DLT of all 3-view tracks and
+places every triplet's cameras in one (T, 3, 3, 4) stack, and
+`projective_systems` builds every projective a-vector system from one
 epipole table, one tensor call for all cameras P2(0), P2(e_k) and one DLT of
 all 3-view tracks.  Each of the four per-triplet recoveries then reads its
 row and raises its own error.
@@ -128,16 +129,14 @@ _BRANCHES = np.array(list(product((0, 1), repeat=3)))
 def resolve_essential_triplet(poses: PairPoses, rows) -> TripletGeometry:
     """The geometry of T triplets whose local pairs are the poses' rows
     (T, 3): of the 8 branch combinations (a pair picked by cheirality offers
-    its rotation twice), the first strictly smallest cycle residual
+    its rotation twice), the first smallest cycle residual
     ||R01 R12 R02^T - I|| wins."""
     rows = np.asarray(rows).reshape(-1, 3)
     R = poses.rotations[rows]  # (T, local pair, branch, 3, 3)
     R01, R02, R12 = (R[:, k, _BRANCHES[:, k]] for k in range(3))  # (T, 8, 3, 3)
     r = norms((R01 @ R12 @ R02.swapaxes(-1, -2) - np.eye(3)).reshape(len(rows), 8, 9))
-    best, residual = np.zeros(len(rows), dtype=int), r[:, 0]
-    for c in range(1, 8):
-        better = r[:, c] < residual
-        best, residual = np.where(better, c, best), np.where(better, r[:, c], residual)
+    best = np.argmin(r, axis=1)
+    residual = r[np.arange(len(rows)), best]
     rotations = R[np.arange(len(rows))[:, None], np.arange(3), _BRANCHES[best]]
     errors = tuple(next((poses.errors[k] for k in row if poses.errors[k]), None) for row in rows)
     return TripletGeometry(rotations, poses.t_dirs[rows], poses.sign_known[rows], residual,
@@ -209,15 +208,17 @@ def _rowwise_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CollinearPlacement:
-    """The eigenvalue gate and the alpha solve of T collinear calibrated
-    triplets: count (T,) the significant eigenvalues, residual (T,) their
-    deviation from (l, l, -l, -l), alpha (T,) camera 2's position on the line
-    of cameras 0 and 1 at unit baseline, errors the error each alpha solve
-    raises (alpha nan), else None."""
+    """The eigenvalue gate, the alpha solve and the cameras of T collinear
+    calibrated triplets: count (T,) the significant eigenvalues, residual (T,)
+    their deviation from (l, l, -l, -l), alpha (T,) camera 2's position on the
+    line of cameras 0 and 1 at unit baseline, cameras (T, 3, 3, 4) the
+    averaged rotations placed on that line (P2 nan where alpha is), errors
+    the error each alpha solve raises (alpha nan), else None."""
 
     count: np.ndarray
     residual: np.ndarray
     alpha: np.ndarray
+    cameras: np.ndarray
     errors: tuple
 
 
@@ -225,12 +226,13 @@ def collinear_placement(E9, geom: TripletGeometry, tracks3, rank_tol=None) -> Co
     """The placement of the T triplets whose (T, 9, 9) matrices are E9, with
     the rows of geom and each triplet's (N, 3, 3) 3-view tracks, in one
     stacked pass: one eigendecomposition of E9, and one DLT from views 0-1 of
-    every track, whose alpha solves P2(alpha) X x x2 = 0 in least squares
-    (ambiguous and at-infinity points skipped, sums in track order); count
-    is of |w| > rank_tol, or of `nview.eigen_signature` where it is None."""
+    every track through the cameras P0 and P1, whose alpha solves P2(alpha) X
+    x x2 = 0 in least squares (ambiguous and at-infinity points skipped, sums
+    in track order), then P2(alpha) of every triplet; count is of |w| >
+    rank_tol, or of `nview.eigen_signature` where it is None."""
     w = np.linalg.eigh(E9)[0][:, ::-1]
     Rh, T = geom.averaged, len(E9)
-    axis = Rh[:, 0].swapaxes(-1, -2) @ geom.t_dirs[:, 0, :, None]  # (T, 3, 1)
+    axis = Rh[:, 0].swapaxes(-1, -2) @ geom.t_dirs[:, 0, :, None]  # (T, 3, 1) world t_0 - t_1 direction
     P0 = np.concatenate([Rh[:, 0], np.zeros((T, 3, 1))], axis=2)
     P1 = np.concatenate([Rh[:, 1], Rh[:, 1] @ axis], axis=2)
     pts = [np.asarray(tr, dtype=float).reshape(-1, 3, 3) for tr in tracks3]
@@ -251,9 +253,11 @@ def collinear_placement(E9, geom: TripletGeometry, tracks3, rank_tol=None) -> Co
                    if den < 1e-18 * max(scale, 1.0) else None)
         errors.append(failure and InsufficientTracks(failure))
         alpha[k] = np.nan if failure else num / den
+    P2 = np.concatenate([Rh[:, 2], (alpha[:, None, None] * Rh[:, 2]) @ axis], axis=2)
     count = (np.sum(eigen_signature(w), axis=0) if rank_tol is None
              else np.sum(np.abs(w) > rank_tol, axis=1))
-    return CollinearPlacement(count, collinear_pattern_residual(w), alpha, tuple(errors))
+    return CollinearPlacement(count, collinear_pattern_residual(w), alpha,
+                              np.stack([P0, P1, P2], axis=1), tuple(errors))
 
 
 def recover_calibrated_collinear_triplet(
@@ -262,10 +266,11 @@ def recover_calibrated_collinear_triplet(
     k: int,
     tol: float = 1e-3,
 ) -> np.ndarray:
-    """The (3, 3, 4) cameras of a collinear calibrated triplet from row k of
-    its geometry and placement: the averaged rotations, the pair (0,1) fixing
-    the line direction with unit baseline, and alpha placing the third camera
-    along it.  The geometry is read only after the eigenvalue gate passes, so a
+    """The (3, 3, 4) cameras of a collinear calibrated triplet: row k of its
+    placement's cameras (the averaged rotations, the pair (0,1) fixing the
+    line direction with unit baseline, and alpha placing the third camera
+    along it), once row k of its geometry and placement passes the gates.
+    The geometry is read only after the eigenvalue gate passes, so a
     rejected triplet reports the gate, not a pair error.
 
     The gate checks the eigenvalue pattern only (a sanity gate against junk
@@ -285,12 +290,7 @@ def recover_calibrated_collinear_triplet(
         raise InsufficientTracks("pair (0,1) needs 2-view tracks to sign the baseline")
     if placement.errors[k] is not None:
         raise placement.errors[k]
-    Rh, alpha = geom.averaged[k], float(placement.alpha[k])
-    axis = Rh[0].T @ geom.t_dirs[k, 0]  # world direction of t_0 - t_1 in the local gauge
-    P0 = np.hstack([Rh[0], np.zeros((3, 1))])
-    P1 = np.hstack([Rh[1], (Rh[1] @ axis).reshape(3, 1)])
-    P2 = np.hstack([Rh[2], (alpha * Rh[2] @ axis).reshape(3, 1)])
-    return np.array([P0, P1, P2])
+    return placement.cameras[k]
 
 
 def _check_resolved(geom: TripletGeometry, k: int, cycle_tol: float) -> None:

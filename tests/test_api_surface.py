@@ -105,6 +105,10 @@ def test_test_only_surface_stays_deleted():
     assert not hasattr(recovery, "_alpha_least_squares")
     assert list(inspect.signature(recovery.recover_calibrated_collinear_triplet).parameters) == [
         "placement", "geom", "k", "tol"]
+    # the stacked placement builds every triplet's cameras, and the truncation
+    # selects the deficient rows' eigenpairs in one pass, with no per-row helper
+    assert "cameras" in recovery.CollinearPlacement.__dataclass_fields__
+    assert not hasattr(averaging, "_select_signed")
     assert not hasattr(graphs, "_shortest_dual_path")
     assert not hasattr(graphs, "_components")
     assert list(inspect.signature(graphs.enrich_connectivity).parameters) == ["cover"]

@@ -26,7 +26,7 @@ from colsfm.graphs import (
     triplet_pairs,
 )
 from colsfm.nview import NViewBifocal, block_index, block_matrix, certify_collinear_essential, certify_general
-from colsfm.pipeline import PipelineConfig, _virtual_cover
+from colsfm.pipeline import PipelineConfig, _virtual_cover, cover_and_average
 from colsfm.synthetic import MeasurementNoise, generate, measure
 from conftest import (
     averaged_nview, banded, exact_nview, exact_triplet, meets_stop, min_weight_cover, without,
@@ -585,7 +585,8 @@ _ORACLES = {
 
 def _oracle_stack(rng, d=9):
     """Random symmetric, zero-diagonal-block, signature-deficient (PSD, NSD,
-    low-rank), zero and exact-tie matrices, interleaved in one stack."""
+    low-rank, exactly diagonal), zero and exact-tie matrices, interleaved in
+    one stack."""
     mats = []
     for k in range(60):
         S = _random_symmetric(rng, d)
@@ -604,6 +605,10 @@ def _oracle_stack(rng, d=9):
     # eigenvectors on the coordinate axes: every sign case of the
     # general-essential search scores exactly the same
     mats.append(np.diag(np.linspace(3.0, -3.0, d)))
+    # exactly deficient diagonals, whose short sides pad with exact (signed)
+    # zero eigenvalues
+    for head, tail in (([2.0, 1.0], []), ([], [-1.0]), ([3.0], [-2.0]), ([1.0, 1.0, 1.0], [])):
+        mats.append(np.diag(head + [0.0] * (d - len(head) - len(tail)) + tail))
     return np.array(mats)
 
 
@@ -682,7 +687,7 @@ class TestBatchedKernels:
         assert flags.any() and not flags.all()
         for S, P, f in zip(stack, M, flags):
             ref, ref_flag = _ORACLES[key](S)
-            assert np.array_equal(P, ref)
+            assert P.tobytes() == ref.tobytes()  # the sign of every zero too
             assert bool(f) == ref_flag
 
     def test_tie_case_scores_equal(self):
@@ -804,6 +809,56 @@ class TestCyclicCover:
         noisy, _ = measure(scene, MeasurementNoise(0.5, 0.5), seed=0)
         res = average(noisy, self.cover, "general")
         assert res.converged and meets_stop(res.log[-1], len(res.rows))
+
+
+def _exactly_symmetric(S) -> bool:
+    return S.tobytes() == S.swapaxes(-1, -2).tobytes()
+
+
+class TestSymmetricStacks:
+    """The consensus update reads each pair's block of Z + U above the
+    diagonal only, which holds the whole pair when every stack the driver
+    builds is exactly symmetric: the kernel input W and its output Z, on
+    every (regime, kind)."""
+
+    # (algorithm, layout, intrinsics, banded, kernel the cover stage reaches)
+    CASES = [
+        ("r4", "collinear", "calibrated", False, ("collinear", "essential")),
+        ("vc", "mixed", "calibrated", True, ("general", "essential")),
+        ("r4", "collinear", "varied", False, ("collinear", "fundamental")),
+        ("vc", "mixed", "varied", False, ("general", "fundamental")),
+    ]
+
+    @pytest.mark.parametrize("algorithm,layout,intrinsics,band,key", CASES,
+                             ids=["-".join(c[4]) for c in CASES])
+    def test_kernel_stacks_are_exactly_symmetric(self, monkeypatch, algorithm, layout, intrinsics,
+                                                 band, key):
+        calls = Counter()
+
+        def spied(name, real):
+            def kernel(S, warm=None):
+                Z, flags, warm = real(S, warm)
+                assert _exactly_symmetric(S) and _exactly_symmetric(Z)
+                calls[name] += 1
+                return Z, flags, warm
+            return kernel
+
+        for name, real in list(_PROJECTIONS.items()):
+            monkeypatch.setitem(averaging._PROJECTIONS, name, spied(name, real))
+        scene = generate(layout, 10, 20, seed=0, intrinsics_mode=intrinsics)
+        m, tracks = measure(scene, MeasurementNoise(0.5), seed=1)
+        cfg = PipelineConfig(admm=AdmmConfig(max_iters=40))
+        cover, res = cover_and_average(banded(m) if band else m, tracks, algorithm, cfg)
+        assert bool(cover.virtual_nodes) == band
+        assert calls == {key: res.iterations} and res.iterations > 1
+
+    @pytest.mark.parametrize("which", sorted(ALL_PROJECTIONS))
+    def test_project_symmetrizes_its_input(self, rng, which):
+        S = rng.normal(size=(9, 9))
+        assert not _exactly_symmetric(S)
+        got, flag = project(S, *ALL_PROJECTIONS[which])
+        want, want_flag = project((S + S.T) / 2, *ALL_PROJECTIONS[which])
+        assert got.tobytes() == want.tobytes() and flag == want_flag
 
 
 # -- golden digests of average(), recorded from the per-triplet loop ---------
