@@ -248,8 +248,6 @@ def insert_virtual_and_prune(cover: TripletCover, virtual_nodes: dict) -> Triple
         # without t iff t's remaining neighbours stay joined; a leaf never
         # disconnects it
         left = {u for u in adj[t] if u not in dropped}
-        if len(left) <= 1:
-            return True
         for u, _ in dual_bfs(adj, [min(left)], dropped | {t}):
             left.discard(u)
             if not left:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -93,17 +93,6 @@ class EvalReport:
     failure_stage: str | None = None
 
     def to_dict(self, include_runtime: bool = False) -> dict:
-        return {
-            "algorithm": self.algorithm,
-            "regime": self.regime,
-            "n_cameras": self.n_cameras,
-            "n_reconstructed": self.n_reconstructed,
-            "mean_position_error": self.mean_position_error,
-            "median_position_error": self.median_position_error,
-            "mean_reprojection_error": self.mean_reprojection_error,
-            "converged": self.converged,
-            "failure_stage": self.failure_stage,
-            # measured wall time is volatile; kept out of the byte-stable
-            # report unless explicitly requested
-            "runtime_seconds": self.runtime_seconds if include_runtime else None,
-        }
+        # measured wall time is volatile; kept out of the byte-stable report
+        # unless explicitly requested
+        return {**asdict(self), "runtime_seconds": self.runtime_seconds if include_runtime else None}

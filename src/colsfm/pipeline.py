@@ -17,10 +17,10 @@ registration.
 The "vc" cover stage is stacked passes over the triangles' pairs: one
 epipole table, one score pass over all triangles, one pose pass for every
 essential virtual camera (one projective pass for fundamental ones), then
-each collinear triplet's track and virtual tensors.  Before recovery, the
-calibrated geometry with its collinear placements ("r4") or direction
-closures ("vc"), or the projective systems, of all triplets are built in
-stacked passes; each per-triplet recovery call reads its row.
+each collinear triplet's track and virtual tensors.  After averaging, one
+function (`_recovered_cameras`) picks the recovery route from the algorithm
+and the regime, runs its stacked passes over all triplets, recovers each
+triplet from its row and registers them.
 
 Stage functions are looked up as module globals when called, never bound
 at import, so patching a name here (bench/tracing.py does) reaches every
@@ -88,36 +88,6 @@ class PipelineOutput:
     averaging_log: list
     converged: bool
     frame: str
-
-
-def _calibrated_geometry(algorithm, avg: AveragingResult, tracks: TrackSet, triplets, n_real: int):
-    """The geometry of the sorted cover triplets, resolved from the poses of
-    their pairs' consensus blocks, and their direction closures ("vc") or
-    collinear placements ("r4", from their 9x9 consensus matrices and 3-view
-    tracks), each one stacked pass before any triplet is recovered: a pair of
-    real cameras is cheirality-voted on its tracks (a virtual camera has none)
-    from closed-form depths, with the DLT only for entries they cannot
-    certify."""
-    poses = pair_poses(avg.consensus, [tracks.tracks(e) if e[1] < n_real else None for e in avg.pairs])
-    geom = resolve_essential_triplet(poses, avg.rows)
-    if algorithm == "vc":
-        return geom, closure_scales(geom)
-    E9 = block_matrix(avg.consensus, block_index(avg.rows))
-    # the stop leaves each triplet about the data's precision from rank 4;
-    # the rank gate allows one triplet holding the whole residual of the m
-    # triplets at the threshold, 9 sqrt(m) times it in Frobenius norm
-    rank_tol = 9.0 * np.sqrt(len(avg.rows)) * avg.threshold
-    return geom, collinear_placement(E9, geom, [tracks.tracks(t) for t in triplets], rank_tol)
-
-
-def _projective_systems(algorithm, avg: AveragingResult, tracks: TrackSet, triplets):
-    """The a-vector systems of the sorted cover triplets from their pairs'
-    consensus blocks at unit norm, one stacked pass before any triplet is
-    recovered (for "r4" with their 3-view tracks); a pair error raises when
-    its row is read."""
-    F = normalized_tensor(avg.consensus)
-    tracks3 = [tracks.tracks(t) for t in triplets] if algorithm == "r4" else None
-    return projective_systems(F, avg.rows, epipole_table(F), tracks3)
 
 
 def _pair_blocks(nview: NViewBifocal, triplets):
@@ -223,6 +193,9 @@ def cover_and_average(
     on the collinear cover ("r4"), rank 6 on the virtual-camera cover ("vc").
     The result's tensors include the virtual cameras, numbered from n up."""
     cfg = cfg or PipelineConfig()
+    if tracks.points.shape[1] != measurements.n:
+        raise ValidationError(f"tracks span {tracks.points.shape[1]} cameras, "
+                              f"the measurements {measurements.n}")
     if algorithm == "vc":
         cover, extended = _virtual_cover(measurements, tracks, cfg)
         return cover, average(extended, cover, "general", cfg.admm)
@@ -239,19 +212,40 @@ def cover_and_average(
     return cover, average(measurements, cover, "collinear", cfg.admm)
 
 
-def _recover_triplet(algorithm, regime, k, stacked, gate):
-    """The (3, 3, 4) cameras of cover triplet k from the averaged tensors:
-    collinear recovery for "r4", general-position recovery for "vc", each
-    reading row k of the stacked calibrated geometry with its placements or
-    closures, or of the projective systems."""
-    if regime == "calibrated":
-        geom, by_row = stacked
+def _recovered_cameras(algorithm, mode, avg: AveragingResult, tracks: TrackSet, cover: TripletCover,
+                       n: int, gate: float) -> list:
+    """The n real cameras (3x4, None where no triplet holds one) from the
+    consensus.  Stacked passes build the geometry of the sorted cover
+    triplets ("euclidean": their pairs' poses, cheirality-voted on the tracks
+    of real pairs, then collinear placements for "r4" or direction closures
+    for "vc"; "projective": the a-vector systems of the unit-norm blocks),
+    storing each row's error; each triplet is then recovered from its row
+    (collinear for "r4", general-position for "vc") and all are registered."""
+    ks = range(len(cover.triplets))
+    tracks3 = [tracks.tracks(t) for t in cover.triplets] if algorithm == "r4" else None
+    if mode == "euclidean":
+        poses = pair_poses(avg.consensus, [tracks.tracks(e) if e[1] < n else None for e in avg.pairs])
+        geom = resolve_essential_triplet(poses, avg.rows)
         if algorithm == "r4":
-            return recover_calibrated_collinear_triplet(by_row, geom, k, tol=gate)
-        return recover_calibrated_general_triplet(geom, by_row, k, tol=gate)
-    if algorithm == "r4":
-        return recover_projective_collinear_triplet(stacked, k)
-    return recover_projective_general_triplet(stacked, k)
+            E9 = block_matrix(avg.consensus, block_index(avg.rows))
+            # the stop leaves each triplet about the data's precision from
+            # rank 4; the rank gate allows one triplet holding the whole
+            # residual of the m triplets at the threshold, 9 sqrt(m) times it
+            # in Frobenius norm
+            rank_tol = 9.0 * np.sqrt(len(avg.rows)) * avg.threshold
+            placement = collinear_placement(E9, geom, tracks3, rank_tol)
+            recs = [recover_calibrated_collinear_triplet(placement, geom, k, tol=gate) for k in ks]
+        else:
+            closures = closure_scales(geom)
+            recs = [recover_calibrated_general_triplet(geom, closures, k, tol=gate) for k in ks]
+    else:
+        F = normalized_tensor(avg.consensus)
+        systems = projective_systems(F, avg.rows, epipole_table(F), tracks3)
+        recover = (recover_projective_collinear_triplet if algorithm == "r4"
+                   else recover_projective_general_triplet)
+        recs = [recover(systems, k) for k in ks]
+    # virtual cameras are scaffolding only
+    return register_global(np.array(recs), cover, mode, avg.n)[:n]
 
 
 def run_pipeline(
@@ -265,6 +259,8 @@ def run_pipeline(
     started = time.perf_counter()
     if scene_gt is not None and scene_gt.n != measurements.n:
         raise ValidationError(f"scene holds {scene_gt.n} cameras, the measurements {measurements.n}")
+    if regime not in ("calibrated", "uncalibrated"):
+        raise ValidationError(f"unknown regime {regime!r}")
     if regime == "calibrated" and measurements.kind != "essential":
         raise ValidationError(f"regime 'calibrated' needs essential measurements, "
                               f"these are {measurements.kind!r}")
@@ -273,14 +269,9 @@ def run_pipeline(
     mode = "euclidean" if regime == "calibrated" else "projective"
     # sanity gates only when the iterate is coarse; the report stays honest
     gate = 1e-3 if avg.converged else 0.5
-    stacked = (_calibrated_geometry(algorithm, avg, tracks, cover.triplets, n) if regime == "calibrated"
-               else _projective_systems(algorithm, avg, tracks, cover.triplets))
     failure = None
     try:
-        recs = np.array([_recover_triplet(algorithm, regime, k, stacked, gate)
-                         for k in range(len(cover.triplets))])
-        # virtual cameras are scaffolding only
-        cameras = register_global(recs, cover, mode, avg.n)[:n]
+        cameras = _recovered_cameras(algorithm, mode, avg, tracks, cover, n, gate)
     except ValidationError as exc:
         if avg.converged:
             raise

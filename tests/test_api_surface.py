@@ -75,6 +75,11 @@ def test_test_only_surface_stays_deleted():
     assert not hasattr(errors, "RotationAmbiguity")
     assert not hasattr(virtual, "_v_matrices_from_tensors")
     assert not hasattr(pipeline, "_triplet_tensor_dict")
+    # one function takes the consensus to the real cameras, with no per-regime
+    # stacked value or per-triplet dispatch beside it
+    assert not hasattr(pipeline, "_calibrated_geometry")
+    assert not hasattr(pipeline, "_projective_systems")
+    assert not hasattr(pipeline, "_recover_triplet")
     assert list(inspect.signature(graphs.insert_virtual_and_prune).parameters) == [
         "cover", "virtual_nodes"]
     # projective recovery is one stacked pass read row by row, with no

@@ -75,6 +75,11 @@ class TestCameraModel:
         with pytest.raises(ValueError):
             CameraModel(K, np.eye(3), np.zeros(3))
 
+    @pytest.mark.parametrize("K", [np.diag([1.0, 1.0, 2.0]), np.diag([1.0, -1.0, 1.0])])
+    def test_rejects_unnormalized_or_negative_diagonal(self, K):
+        with pytest.raises(ValueError, match="positive diagonal and K\\[2,2\\]=1"):
+            CameraModel(K, np.eye(3), np.zeros(3))
+
     @pytest.mark.parametrize("which", ["K", "R", "t"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_rejects_non_finite(self, which, value):

@@ -77,6 +77,10 @@ class TestAssemble:
         with pytest.raises(ValueError, match="unknown tensor kind 'projective'"):
             NViewBifocal.assemble(3, [], [], "projective")  # checked with no pairs too
 
+    def test_pair_and_tensor_counts_must_match(self):
+        with pytest.raises(ValueError, match="2 pairs but 1 tensors"):
+            NViewBifocal.assemble(3, [(0, 1), (0, 2)], [np.zeros((3, 3))], "essential")
+
     def test_sparse_dense_names_missing_block(self, collinear_scene):
         m = without(exact_nview(collinear_scene), (0, 3))
         assert len(m.pairs) == 14
@@ -506,6 +510,18 @@ class TestCertifyGeneral:
         cert = certify_general(M2, kind="essential")
         assert cert.rotation_residual > cert0.rotation_residual
         assert 1e-4 < cert.rotation_residual < 0.5
+
+    def test_raw_matrix_needs_kind(self):
+        with pytest.raises(ValueError, match="kind required for raw matrices"):
+            certify_general(np.eye(9))
+
+    def test_essential_without_positive_levels(self):
+        # every level (top_i - bottom_i) / 2 of the identity is 0, so no
+        # pairing is measured and the pattern residual reads its maximum
+        cert = certify_general(np.eye(9), kind="essential")
+        assert cert.pattern_residual == 1.0
+        assert cert.conditions["eigen_pairing"] is False
+        assert not cert.passed
 
     def test_fundamental_rank6_signature(self):
         scene = generate("general", 4, 8, seed=19, intrinsics_mode="varied")

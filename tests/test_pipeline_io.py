@@ -217,6 +217,35 @@ class TestPipelineR4:
         with pytest.raises(ValidationError, match="scene holds 8 cameras, the measurements 6"):
             run_pipeline(m, tracks, "r4", "calibrated", generate("collinear", 8, 16, seed=92))
 
+    def test_unknown_regime_rejected(self, monkeypatch):
+        # a regime spelt otherwise once ran the projective route unchecked
+        import colsfm.pipeline
+
+        def cover_stage(*args):
+            raise AssertionError("the cover stage ran")
+
+        monkeypatch.setattr(colsfm.pipeline, "cover_and_average", cover_stage)
+        scene = generate("collinear", 8, 16, seed=0)
+        m, tracks = measure(scene, seed=0)
+        with pytest.raises(ValidationError, match="unknown regime 'Calibrated'"):
+            run_pipeline(m, tracks, "r4", "Calibrated", scene)
+
+    @pytest.mark.parametrize("algorithm", ["r4", "vc"])
+    @pytest.mark.parametrize("n_tracked", [6, 10])
+    def test_tracks_of_other_camera_count_rejected(self, algorithm, n_tracked):
+        m, _ = measure(generate("collinear", 8, 16, seed=92), seed=0)
+        _, tracks = measure(generate("collinear", n_tracked, 16, seed=92), seed=0)
+        match = f"tracks span {n_tracked} cameras, the measurements 8"
+        with pytest.raises(ValidationError, match=match):
+            cover_and_average(m, tracks, algorithm)
+        with pytest.raises(ValidationError, match=match):
+            run_pipeline(m, tracks, algorithm, "calibrated")
+
+    def test_unknown_algorithm_rejected(self):
+        m, tracks = measure(generate("collinear", 6, 16, seed=92), seed=0)
+        with pytest.raises(ValidationError, match="unknown algorithm 'r6'"):
+            cover_and_average(m, tracks, "r6")
+
     @pytest.mark.parametrize("algorithm", ["r4", "vc"])
     def test_calibrated_regime_on_fundamental_rejected(self, monkeypatch, algorithm):
         # rejected before the cover stage, not after a full ADMM run

@@ -8,6 +8,7 @@ import projective_oracle
 import pytest
 
 from colsfm.errors import (
+    AlignmentIllConditioned,
     AmbiguousCheirality,
     DegenerateEpipole,
     DegenerateGeometry,
@@ -355,6 +356,10 @@ class TestRegisterGlobal:
         with pytest.raises(ValueError, match="mode must be"):
             register_global(recs, cover, "euclidian", 3)
 
+    def test_stack_of_other_shape_rejected(self):
+        with pytest.raises(ValueError, match="one recovered triplet per cover triplet"):
+            register_global(np.zeros((1, 3, 3, 4)), sequential_cover(4), "euclidean", 4)
+
     def test_disconnected_rejected(self):
         scene = generate("collinear", 6, 8, seed=63)
         cover = TripletCover.from_triplets([(0, 1, 2), (3, 4, 5)])
@@ -592,7 +597,9 @@ class TestStackedProjective:
                                      tracks.tracks(t)), got)
         # the recovery stage, every cover triplet
         triplets = sorted(cover.triplets)
-        system = pipeline._projective_systems(algorithm, avg, tracks, triplets)
+        F = normalized_tensor(avg.consensus)
+        tracks3 = [tracks.tracks(t) for t in triplets] if algorithm == "r4" else None
+        system = projective_systems(F, avg.rows, epipole_table(F), tracks3)
         averaged = averaged_nview(avg, m.kind)
         for k, t in enumerate(triplets):
             F01, F02, F12 = averaged.tensors[averaged.slots(triplet_pairs(t))]
@@ -816,6 +823,17 @@ def test_edge_homography_equals_entrywise_assembly(rng):
         # the shared cameras 1 and 2 sit at parent slots 1, 2 and child slots 0, 1
         got = _align_edge(parent, child, [1, 2], [0, 1], "projective")
         assert np.array_equal(got, child @ _homography_loop(parent, (0, 1, 2), child, (1, 2, 3), [1, 2]))
+
+
+def test_ill_conditioned_edge_raises(rng):
+    parent = rng.normal(size=(3, 3, 4))
+    # euclidean: the two shared cameras sit at one centre in the child frame
+    child = np.tile(np.hstack([np.eye(3), np.zeros((3, 1))]), (3, 1, 1))
+    with pytest.raises(AlignmentIllConditioned, match="coincide in the child frame"):
+        _align_edge(parent, child, [1, 2], [0, 1], "euclidean")
+    # projective: a zero child stack leaves the system rank deficient
+    with pytest.raises(AlignmentIllConditioned, match="rank deficient"):
+        _align_edge(parent, np.zeros((3, 3, 4)), [1, 2], [0, 1], "projective")
 
 
 # -- the stacked calibrated passes against calibrated_oracle, bit for bit ----
