@@ -21,15 +21,15 @@ The projections are batched kernels over (m, 3k, 3k) stacks, each call one
 stacked eigendecomposition (`nview.eigen_signature` flags the
 signature-deficient rows, whose eigenpairs one vectorized pass selects), and
 `project` runs one on a single matrix; the general-essential kernel is a
-retraction (`_general_essential`) started from the sign-searched
-`nview.block_rotation_frames` with one stacked 3x3 SVD, and one more per
-camera in each sweep.  Its output has exactly zero diagonal blocks, like the
-consensus, so the two sets can meet on covers whose dual graph has cycles.
-The driver runs it cold at its first iteration only; later ones warm-start
-`_WARM_SWEEPS` sweeps from the previous rotations, an (m, 3, 3, 3) stack in
-`average`'s locals, with no eigendecomposition, and hand on the flags of that
-first spectral start: in this regime `signature_flags` counts triplets whose
-start was deficient.
+retraction (`_general_essential`): one block-coordinate sweep, a stacked 3x3
+SVD per camera, from rotations and centres (cold: from the sign-searched
+`nview.block_rotation_frames` and one more SVD).  Its output has exactly
+zero diagonal blocks, like the consensus, so the two sets can meet on covers
+whose dual graph has cycles.  The driver runs it cold at its first iteration
+only; later ones, inexact warm steps (Boyd et al. 2011, §3.4.4), start from
+the previous rotations and centres, with no eigendecomposition, and hand on
+the flags of the first spectral start: in this regime `signature_flags`
+counts triplets whose start was deficient.
 The driver holds its triplet state as (m, 9, 9) stacks and the consensus as
 (E, 3, 3) camera-pair blocks, linked by one `nview.block_index` layout built
 once per run, so each ADMM iteration gathers the consensus into the triplet
@@ -166,11 +166,6 @@ def _signature_kernel(need: int):
 _collinear_fundamental = _signature_kernel(2)
 _general_fundamental = _signature_kernel(3)
 
-# Gauss-Seidel sweeps of the general-essential retraction after its spectral
-# start, and after a warm start from the previous ADMM iteration's rotations
-_SWEEPS = 3
-_WARM_SWEEPS = 2
-
 
 def _centres(Q: np.ndarray, W: np.ndarray) -> np.ndarray:
     """(m, k, 3) mean-zero centres minimising sum_uv |W_uv - Q_u [c_u - c_v]x Q_v^T|^2
@@ -187,45 +182,42 @@ def _centres(Q: np.ndarray, W: np.ndarray) -> np.ndarray:
 def _general_essential(S: np.ndarray, warm=None):
     """Retraction onto the consistent essential matrices
     E_uv = Q_u [c_u - c_v]x Q_v^T of k cameras (rotations Q_u, mean-zero
-    centres c_u), which have zero diagonal blocks.
+    centres c_u), which have zero diagonal blocks: one block-coordinate
+    sweep of sum_uv |S_uv - Q_u [c_u - c_v]x Q_v^T|^2 from a start (Q, c).
 
-    Cold (warm None): the rotations start from the sqrt(0.5)(X + Y S) blocks
-    of the rank-6 paired eigenvectors at the sign case S that
+    Cold (warm None), Q starts from the sqrt(0.5)(X + Y S) blocks of the
+    rank-6 paired eigenvectors at the sign case S that
     `nview.block_rotation_frames` picks (8 cases, the first best wins),
-    projected to rotations.  Each of `_SWEEPS` sweeps then sets the centres
-    to their least-squares values, c_u = (1/k) sum_v vee(skew(Q_u^T S_uv
-    Q_v)), and updates each Q_u in turn by Procrustes against its block row.
-    The output is assembled from the final rotations and centres, so
-    consistent input is a fixed point and the cold map is idempotent.
-
-    Warm (the (rotations, flags) a previous call returned, as at every
-    `average` iteration after the first): `_WARM_SWEEPS` sweeps from those
-    rotations, handing on the flags of the spectral start they descend from.
+    projected to rotations, and c at `_centres`; warm, from the (Q, c,
+    flags) a previous call returned, whose spectral start's flags it hands
+    on.  The sweep updates each Q_u in turn by Procrustes at the start's
+    centres, then sets `_centres` for the new rotations.  Each update is an
+    exact block minimisation, so the output never scores worse than its
+    start, consistent input is a fixed point and the cold map is idempotent.
     """
     m, d = S.shape[:2]
     k = d // 3
     S = _symmetrized(S)
+    W = np.ascontiguousarray(S.reshape(m, k, 3, k, 3).swapaxes(2, 3))
     if warm is None:
         X, _, Y, _, flags = _truncate(S, 3)
         Q = nearest_rotation(np.sqrt(k) * block_rotation_frames(X, Y))
-    else:
-        Q, flags = warm[0].copy(), warm[1]
-    W = np.ascontiguousarray(S.reshape(m, k, 3, k, 3).swapaxes(2, 3))
-    for _ in range(_SWEEPS if warm is None else _WARM_SWEEPS):
         c = _centres(Q, W)
-        S = skew(c[:, None] - c[:, :, None])  # S[:, u, v] = [c_v - c_u]x
-        for u in range(k):
-            # argmin over Q_u of sum_v |W_uv - Q_u [c_u - c_v]x Q_v^T|^2
-            Q[:, u] = nearest_rotation(sum(W[:, u, v] @ Q[:, v] @ S[:, u, v] for v in range(k) if v != u))
+    else:
+        Q, c, flags = warm[0].copy(), warm[1], warm[2]
+    S = skew(c[:, None] - c[:, :, None])  # S[:, u, v] = [c_v - c_u]x
+    for u in range(k):
+        # argmin over Q_u of sum_v |W_uv - Q_u [c_u - c_v]x Q_v^T|^2
+        Q[:, u] = nearest_rotation(sum(W[:, u, v] @ Q[:, v] @ S[:, u, v] for v in range(k) if v != u))
     c = _centres(Q, W)
     Z = Q[:, :, None] @ skew(c[:, :, None] - c[:, None])
     Z = (Z @ Q.swapaxes(-1, -2)[:, None]).swapaxes(2, 3).reshape(m, d, d)
-    return _symmetrized(Z), flags, (Q, flags)
+    return _symmetrized(Z), flags, (Q, c, flags)
 
 
 # the batched kernel of each (regime, kind): (stack, warm) -> (stack, flags,
 # warm), warm None for a cold call or the one the previous call returned (None
-# except from the general-essential retraction, which hands on its rotations)
+# but from the general-essential retraction: its rotations, centres and flags)
 _PROJECTIONS = {
     ("collinear", "essential"): _collinear_essential,
     ("collinear", "fundamental"): _collinear_fundamental,

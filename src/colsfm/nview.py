@@ -32,7 +32,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import DuplicateEdge, IndexOutOfRange, MissingBlock, RankNot2
+from .errors import DuplicateEdge, IndexOutOfRange, MissingBlock, RankNot2, ValidationError
+from .geometry import norms
 
 # eigenvalues (singular values) at most this fraction of the largest in
 # magnitude count as zero, in the certificates and the projections alike
@@ -53,9 +54,10 @@ class NViewBifocal:
     @staticmethod
     def assemble(n: int, pairs, tensors, kind: str, strict: bool = True) -> "NViewBifocal":
         """Validate and store the stack; a pair given as (j, i) stores its
-        tensor transposed.  With strict, every tensor must be rank 2.
+        tensor transposed.  Each tensor and its norm must be finite and
+        nonzero; with strict, each tensor must also be rank 2.
 
-        Raises ValueError (unknown kind), IndexOutOfRange, DuplicateEdge, RankNot2.
+        Raises ValueError, IndexOutOfRange, ValidationError, DuplicateEdge, RankNot2.
         """
         if kind not in ("essential", "fundamental"):
             raise ValueError(f"unknown tensor kind {kind!r}")
@@ -71,6 +73,13 @@ class NViewBifocal:
         if np.any(outside):
             i, j = pairs[np.argmax(outside)]
             raise IndexOutOfRange(f"edge ({i},{j}) outside [0,{n})")
+        with np.errstate(over="ignore"):  # an overflowing norm is refused below
+            norm = norms(tensors.reshape(-1, 9))
+        ok = np.isfinite(norm) & (norm > 0.0)
+        if not np.all(ok):
+            k = int(np.argmin(ok))  # the first edge, in the given order
+            raise ValidationError(f"edge {k} ({pairs[k, 0]}, {pairs[k, 1]}): "
+                                  "tensor and its norm must be finite and nonzero")
         flip = (pairs[:, 0] > pairs[:, 1])[:, None, None]
         pairs, tensors = np.sort(pairs, axis=1), np.where(flip, tensors.swapaxes(1, 2), tensors)
         order = np.lexsort((pairs[:, 1], pairs[:, 0]))

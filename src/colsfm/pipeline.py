@@ -193,6 +193,8 @@ def cover_and_average(
     on the collinear cover ("r4"), rank 6 on the virtual-camera cover ("vc").
     The result's tensors include the virtual cameras, numbered from n up."""
     cfg = cfg or PipelineConfig()
+    if tracks is None:
+        raise ValidationError("tracks are required")
     if tracks.points.shape[1] != measurements.n:
         raise ValidationError(f"tracks span {tracks.points.shape[1]} cameras, "
                               f"the measurements {measurements.n}")

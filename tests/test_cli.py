@@ -120,6 +120,24 @@ class TestCliFlow:
                             "--regime", "uncalibrated", "--out", str(tmp_path / name)]) == 2, name
             assert f"edge {k} (0, 4)" in capsys.readouterr().err, name
 
+    def test_underflowing_tensors_exit_code(self, tmp_path, capsys):
+        # finite nonzero tensors about 1e-200 in size, whose norms underflow
+        # to 0, are rejected at load, naming the first edge, instead of
+        # ending in an untyped error from normalisation
+        scene = tmp_path / "scene.json"
+        meas = tmp_path / "m.json"
+        run_cli(["synth", "--layout", "mixed", "--n-cams", "8", "--seed", "15", "--out", str(scene)])
+        run_cli(["measure", "--scene", str(scene), "--seed", "0", "--out", str(meas)])
+        doc = json.loads(meas.read_text())
+        for e in doc["edges"]:
+            e["tensor"] = [1e-200 * v for v in e["tensor"]]
+        meas.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run_cli(["pipeline", "--measurements", str(meas), "--algorithm", "vc",
+                        "--out", str(tmp_path / "run")]) == 2
+        first = doc["edges"][0]
+        assert f"edge 0 ({first['i']}, {first['j']}): tensor and its norm" in capsys.readouterr().err
+
     def test_malformed_cameras_exit_code(self, tmp_path):
         scene = tmp_path / "scene.json"
         meas = tmp_path / "m.json"
@@ -294,7 +312,9 @@ def _measured(tmp_path, layout, n, seed, noise_rot="0.0", band=False):
 # were re-recorded when ADMM began to stop at the data's own precision and
 # its log lost the phase key, and r4 and --no-virtual again when the
 # collinear essential kernel kept the tied spectrum and the stop read the
-# last iterate.  The r4 run passes a near tie of the collinear kernel's top
+# last iterate; vc and --no-virtual again when the general-essential
+# retraction became one sweep from the previous rotations and centres.  The
+# r4 run passes a near tie of the collinear kernel's top
 # eigenvalues and converges on its last iterate.  The --no-virtual run
 # averages collinear triplets under the rank-6 retraction and converges to a
 # consensus that recovery rejects (`test_no_virtual_pipeline_rejected`).
@@ -302,9 +322,9 @@ GOLDEN_AVERAGE = [
     (("r4", "collinear", 8, 11, "0.2", ()), 0,
      "7029da5b1f03c6dbde5e6e2517972d3a36785f1c5bd9a9c6082d973abb233fb2"),
     (("vc", "mixed", 9, 6, "0.0", ()), 0,
-     "b7a4c52776ee3c3d1d7d534c3a22c7bcc6ab83a03a17f5420f787fd64ad7397f"),
+     "f5c83b52f0df99277a74d3e2580529d14b1cbe15fd819cfc4f66bebb566ee1f2"),
     (("vc", "mixed", 9, 6, "0.0", ("--no-virtual",)), 0,
-     "01a25fee7ab3a3d3886f619984c9a6a7d685300c36ce8a0678276c977423404d"),
+     "7a0c898797f63202f980434bb909623833586643dadd3901eda1c694619656f4"),
 ]
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from itertools import combinations
 
-from colsfm.errors import DuplicateEdge, IndexOutOfRange, MissingBlock, RankNot2
+from colsfm.errors import DuplicateEdge, IndexOutOfRange, MissingBlock, RankNot2, ValidationError
 from colsfm.geometry import bifocal_from_pair, nearest_rotation
 from colsfm.nview import (
     NViewBifocal,
@@ -76,6 +76,22 @@ class TestAssemble:
             NViewBifocal.assemble(collinear_scene.n, pairs, tensors, "projective")
         with pytest.raises(ValueError, match="unknown tensor kind 'projective'"):
             NViewBifocal.assemble(3, [], [], "projective")  # checked with no pairs too
+
+    @pytest.mark.parametrize("strict", [True, False])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "zero", "underflowing", "overflowing"])
+    def test_tensor_unfit_to_normalize_rejected(self, collinear_scene, strict, bad):
+        # entries or a norm that `normalized_tensor` cannot divide by end
+        # typed, naming the edge in the given order, strict or not
+        pairs, tensors = _scene_stack(collinear_scene)
+        given = [(j, i) for i, j in pairs]  # reversed pairs keep their order and names
+        blocks = tensors.swapaxes(1, 2).copy()
+        if bad in ("nan", "inf"):
+            blocks[4, 1, 2] = float(bad)
+        else:
+            blocks[4] *= {"zero": 0.0, "underflowing": 1e-200, "overflowing": 1e200}[bad]
+        i, j = given[4]
+        with pytest.raises(ValidationError, match=rf"edge 4 \({i}, {j}\): tensor and its norm must be finite"):
+            NViewBifocal.assemble(collinear_scene.n, given, blocks, "essential", strict=strict)
 
     def test_pair_and_tensor_counts_must_match(self):
         with pytest.raises(ValueError, match="2 pairs but 1 tensors"):

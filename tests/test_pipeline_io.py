@@ -241,6 +241,14 @@ class TestPipelineR4:
         with pytest.raises(ValidationError, match=match):
             run_pipeline(m, tracks, algorithm, "calibrated")
 
+    @pytest.mark.parametrize("algorithm", ["r4", "vc"])
+    def test_missing_tracks_rejected(self, algorithm):
+        m, _ = measure(generate("collinear", 6, 16, seed=92), seed=0)
+        with pytest.raises(ValidationError, match="tracks are required"):
+            cover_and_average(m, None, algorithm)
+        with pytest.raises(ValidationError, match="tracks are required"):
+            run_pipeline(m, None, algorithm, "calibrated")
+
     def test_unknown_algorithm_rejected(self):
         m, tracks = measure(generate("collinear", 6, 16, seed=92), seed=0)
         with pytest.raises(ValidationError, match="unknown algorithm 'r6'"):
@@ -697,7 +705,8 @@ class TestPipelineDeterminism:
 # that converge were re-recorded when ADMM began to stop at the data's own
 # precision, and the noisy vc and calibrated r4 runs again when the collinear
 # essential kernel kept the tied spectrum and the stop read the last
-# iterate); they depend on the BLAS thread count (one thread here and in
+# iterate; the calibrated vc runs again when the general-essential retraction
+# became one sweep from the previous rotations and centres); they depend on the BLAS thread count (one thread here and in
 # CI).  A case's last field caps the ADMM iterations (None: the default).
 GOLDEN_RUNS = [
     (("r4", "collinear", 8, "calibrated", 0.5, 11, None),
@@ -705,7 +714,7 @@ GOLDEN_RUNS = [
     (("r4", "collinear", 8, "varied", 0.5, 12, None),
      "5c24a9510eafce4f1090c2cf0e5bb49a2a8311ab8ac4ccc9b9067c60f0f3d541"),
     (("vc", "mixed", 8, "calibrated", 0.0, 13, None),
-     "9070a5c67374dd776016029ddfd8101e99f19129d1141c6a283055715fb7d86f"),
+     "c3b9f321fc8f557d19b89639994d406a6fb8086730a2ec22645dee15eef654a5"),
     (("r4", "collinear", 12, "calibrated", 0.0, 14, None),
      "85c71f085b91ff0f0c82c0d7156ed39ed718a5daee6c6243d65bdec5324c5185"),
     (("vc", "mixed", 8, "varied", 0.0, 15, None),
@@ -714,9 +723,9 @@ GOLDEN_RUNS = [
      "f22c6791b47548424e93d7bc1daa2f8dd08fe1289dbfa4ea2c69a479e39ebeb4"),
     # noisy calibrated vc: scale synchronisation and recovery on noisy blocks
     (("vc", "mixed", 8, "calibrated", 0.5, 16, None),
-     "97809ea6908bc461b997cd4fb66575c25b22c444521b7e6efd478fd3dd5cc390"),
+     "f69893320c379b72701700ceba8afe62e39e70ae6139a2bfa1fbf3952f68034a"),
     (("vc", "mixed", 8, "calibrated", 0.5, 17, None),
-     "b3942c7bab3b405fbda5a2c230b74d7fd7ecd02da89e3d0904e3fe5e759dccad"),
+     "f1528856970ed8c9bf8c1a7b3af8b41a92ffb48563be305b3d75b5a93639e376"),
     # noisy uncalibrated vc: projective general recovery on blocks that ADMM
     # left inexact, recorded before projective recovery was stacked
     (("vc", "mixed", 8, "varied", 0.5, 18, None),
