@@ -1,7 +1,6 @@
 """Bifocal tensor averaging and camera recovery for collinear camera networks."""
 
 from .averaging import (
-    AdmmConfig,
     AveragingResult,
     average,
     project,

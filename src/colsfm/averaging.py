@@ -71,27 +71,17 @@ _ROWS, _COLS = zip(*_LOCAL_PAIRS)  # block row and column of each local pair
 # the stop relative to the RMS misfit (`stop_threshold`); on seeds 30-59 of criterion 5,
 # 1e-3 moved scenes by up to 7% against the absolute 1e-9 stop, 1e-4 by under 0.5%
 _EPS = 1e-4
+_TOL = 1e-9  # floor of the stop on both residuals, reached on exact data only
+# the ADMM penalty: unit penalty stalls on noisy desk-scale problems, and 5 took
+# the fewest iterations of 1, 2, 5, 10 and 20 on every noisy bench workload
+_RHO = 5.0
+_MAX_ITERS = 500  # the default iteration budget, the one ADMM setting
 
 
-@dataclass
-class AdmmConfig:
-    # unit penalty stalls on noisy desk-scale problems; rho 5 reaches the
-    # stop well inside the iteration budget
-    rho: float = 5.0
-    max_iters: int = 500
-    tol: float = 1e-9  # floor of the stop on both the primal and the dual residual
-
-    def __post_init__(self):
-        if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, numbers.Integral):
-            raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
-        if not all(math.isfinite(v) and v > 0 for v in (self.rho, self.max_iters, self.tol)):
-            raise ValueError("all ADMM parameters must be positive and finite")
-
-
-def stop_threshold(objective: float, m: int, tol: float) -> float:
+def stop_threshold(objective: float, m: int) -> float:
     """The stop on both ADMM residuals (RMS over the 81 m entries of m
-    triplets): max(tol, _EPS x the RMS misfit sqrt(objective / 81 m))."""
-    return max(tol, _EPS * math.sqrt(objective / (81.0 * m)))
+    triplets): max(_TOL, _EPS x the RMS misfit sqrt(objective / 81 m))."""
+    return max(_TOL, _EPS * math.sqrt(objective / (81.0 * m)))
 
 
 def _outer(a: np.ndarray) -> np.ndarray:
@@ -303,7 +293,7 @@ def average(
     measured: NViewBifocal,
     cover: TripletCover,
     regime: str,
-    cfg: AdmmConfig | None = None,
+    max_iters: int = _MAX_ITERS,
 ) -> AveragingResult:
     """Consensus ADMM over the triplet cover.
 
@@ -322,7 +312,10 @@ def average(
     the consensus an (E, 3, 3) stack in the order of `pair_rows`, which the
     result carries un-normalised with its pairs and rows.
     """
-    cfg = cfg or AdmmConfig()
+    if isinstance(max_iters, bool) or not isinstance(max_iters, numbers.Integral):
+        raise ValueError(f"max_iters must be an integer, got {max_iters!r}")
+    if max_iters < 1:
+        raise ValueError("max_iters must be positive and finite")
     if not cover.is_connected():
         raise NotConnected("triplet cover dual graph is disconnected")
     triplets = cover.triplets
@@ -352,8 +345,8 @@ def average(
     total = 81.0 * m
     best_state = None  # (primal, consensus, objective) of the best iterate
 
-    for iteration in range(1, cfg.max_iters + 1):
-        W = (2.0 * Ehat + cfg.rho * (C - U)) / (2.0 + cfg.rho)
+    for iteration in range(1, max_iters + 1):
+        W = (2.0 * Ehat + _RHO * (C - U)) / (2.0 + _RHO)
         Z, deficient, warm = projection(W, warm)
         flags = int(np.count_nonzero(deficient))
 
@@ -369,7 +362,7 @@ def average(
         D = Z - C
         U = U + D
         primal = np.sqrt(_sq_total(D) / total)
-        dual = np.sqrt(_sq_total(C - C_old, cfg.rho ** 2) / total)
+        dual = np.sqrt(_sq_total(C - C_old, _RHO ** 2) / total)
         objective = _sq_total(Z - Ehat)
 
         log.append({
@@ -380,7 +373,7 @@ def average(
         })
         if best_state is None or primal < best_state[0]:
             best_state = (primal, consensus, objective)
-        if max(primal, dual) < stop_threshold(objective, m, cfg.tol):
+        if max(primal, dual) < stop_threshold(objective, m):
             converged = True
             break
 
@@ -397,7 +390,7 @@ def average(
         iterations=iteration,
         objective=objective,
         signature_flags=flags,
-        threshold=stop_threshold(objective, m, cfg.tol),
+        threshold=stop_threshold(objective, m),
         consensus=consensus,
         pairs=edges,
         rows=edge_of,

@@ -12,7 +12,6 @@ import sys
 from pathlib import Path
 
 from . import io as cio
-from .averaging import AdmmConfig
 from .errors import ValidationError
 from .metrics import EvalReport
 from .pipeline import PipelineConfig, _evaluate, cover_and_average, run_pipeline
@@ -23,12 +22,8 @@ EXIT_VALIDATION = 2
 EXIT_NO_CONVERGENCE = 3
 
 
-def _admm_from_args(args) -> AdmmConfig:
-    return AdmmConfig(rho=args.rho, max_iters=args.max_iters, tol=args.tol)
-
-
 def _pipeline_cfg(args) -> PipelineConfig:
-    return PipelineConfig(_admm_from_args(args), insert_virtual=not getattr(args, "no_virtual", False))
+    return PipelineConfig(args.max_iters, insert_virtual=not getattr(args, "no_virtual", False))
 
 
 def _emit(args, payload: dict, text: str) -> None:
@@ -149,10 +144,6 @@ def _checked(kind, ok, requirement: str):
     return parse
 
 
-def _positive(kind):
-    return _checked(kind, lambda v: v > 0, "positive and finite")
-
-
 def _at_least(low: int):
     return _checked(int, lambda v: v >= low, f"an integer of at least {low}")
 
@@ -165,9 +156,8 @@ def _add_common(p, regime: bool = True) -> None:
     p.add_argument("--algorithm", choices=["r4", "vc"], default="r4")
     if regime:
         p.add_argument("--regime", choices=["calibrated", "uncalibrated"], default="calibrated")
-    p.add_argument("--tol", type=_positive(float), default=1e-9, help="ADMM residual stop floor")
-    p.add_argument("--max-iters", type=_positive(int), default=500)
-    p.add_argument("--rho", type=_positive(float), default=5.0, help="ADMM penalty")
+    p.add_argument("--max-iters", type=_at_least(1), default=PipelineConfig.max_iters,
+                   help="ADMM iteration budget")
     p.add_argument("--no-virtual", action="store_true",
                    help="vc only: skip virtual-camera insertion (diagnostic)")
 

@@ -167,10 +167,11 @@ def heuristic_cover(tris, scores) -> TripletCover:
     if not tris:
         raise NoTriangles("viewing graph has no 3-clique")
     ranked = [t for _, t in sorted(zip((-float(s) for s in scores), tris))]
-    # one pass: a pair -> chosen-triplets index answers "covers a new edge"
-    # (an empty bucket) and, through a union-find over the chosen triplets'
-    # dual components, "joins" (the neighbours of t have two or more roots)
-    chosen, by_pair, parent = [], defaultdict(list), {}
+    # one pass: a pair -> its first chosen triplet answers "covers a new edge"
+    # (none) and, through a union-find over the chosen triplets' dual
+    # components, "joins" (t's neighbours have two or more roots); one per pair
+    # is enough, as each chosen triplet joins the roots of all its pairs
+    chosen, by_pair, parent = [], {}, {}
 
     def find(t):
         while parent[t] != t:
@@ -180,14 +181,15 @@ def heuristic_cover(tris, scores) -> TripletCover:
 
     for t in ranked:
         pairs = triplet_pairs(t)
-        roots = {find(u) for p in pairs for u in by_pair[p]}
-        if all(by_pair[p] for p in pairs) and len(roots) < 2:
+        held = [by_pair[p] for p in pairs if p in by_pair]
+        roots = {find(u) for u in held}
+        if len(held) == 3 and len(roots) < 2:
             continue
         parent[t] = t
         for r in roots:
             parent[r] = t
         for p in pairs:
-            by_pair[p].append(t)
+            by_pair.setdefault(p, t)
         chosen.append(t)
     return TripletCover.from_triplets(chosen)
 

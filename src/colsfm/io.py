@@ -11,7 +11,7 @@ import json
 import numpy as np
 
 from .errors import CoincidentCenters, ValidationError
-from .geometry import CameraModel
+from .geometry import CameraModel, norms
 from .metrics import EvalReport
 from .nview import NViewBifocal
 from .synthetic import Scene, TrackSet, check_center_distances
@@ -152,9 +152,15 @@ def load_cameras(path):
     cams = []
     for k, c in enumerate(entries):
         try:
-            cams.append(None if c["P"] is None else np.array(c["P"], dtype=float).reshape(3, 4))
+            P = None if c["P"] is None else np.array(c["P"], dtype=float).reshape(3, 4)
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"camera {k}: P must be null or 12 numbers ({exc})") from exc
+        if P is not None:
+            with np.errstate(over="ignore"):  # an overflowing norm is refused below
+                norm = norms(P.ravel())
+            if not (np.isfinite(norm) and norm > 0.0):
+                raise ValidationError(f"camera {k}: P and its norm must be finite and nonzero")
+        cams.append(P)
     frame = doc.get("frame", "euclidean")
     if frame not in ("euclidean", "projective"):
         raise ValidationError(f"frame must be 'euclidean' or 'projective', got {frame!r}")

@@ -30,11 +30,11 @@ call.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .averaging import AdmmConfig, AveragingResult, average
+from .averaging import _MAX_ITERS, AveragingResult, average
 from .errors import AmbiguousCheirality, RankDeficient, ValidationError
 from .geometry import camera_centers, epipole_table, epipoles, normalized_tensor
 from .graphs import (
@@ -76,7 +76,7 @@ _COLLINEARITY_THRESHOLD = 0.05
 
 @dataclass
 class PipelineConfig:
-    admm: AdmmConfig = field(default_factory=AdmmConfig)
+    max_iters: int = _MAX_ITERS  # the ADMM iteration budget
     insert_virtual: bool = True  # disable to reproduce the plain rank-6 failure
 
 
@@ -200,7 +200,7 @@ def cover_and_average(
                               f"the measurements {measurements.n}")
     if algorithm == "vc":
         cover, extended = _virtual_cover(measurements, tracks, cfg)
-        return cover, average(extended, cover, "general", cfg.admm)
+        return cover, average(extended, cover, "general", cfg.max_iters)
     if algorithm != "r4":
         raise ValidationError(f"unknown algorithm {algorithm!r}")
     cover = sequential_cover(measurements.n)
@@ -211,7 +211,7 @@ def cover_and_average(
                 f"algorithm r4 requires a fully collinear camera set; triplet {t} "
                 f"scores {score:.3f} above threshold {_COLLINEARITY_THRESHOLD}"
             )
-    return cover, average(measurements, cover, "collinear", cfg.admm)
+    return cover, average(measurements, cover, "collinear", cfg.max_iters)
 
 
 def _recovered_cameras(algorithm, mode, avg: AveragingResult, tracks: TrackSet, cover: TripletCover,

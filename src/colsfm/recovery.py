@@ -55,7 +55,7 @@ from .geometry import (
     triangulate,
 )
 from .nview import block_index, block_matrix, collinear_pattern_residual, eigen_signature
-# bench/tracing.py still hooks this name here for its nview.certify span (ROADMAP item 6)
+# bench/tracing.py still hooks this name here for its nview.certify span (ROADMAP item 8)
 from .nview import certify_collinear_essential  # noqa: F401
 
 
@@ -399,16 +399,16 @@ def _solve_a(system: ProjectiveSystems, k: int, collinear: bool) -> np.ndarray:
     # row normalization keeps tensor rows and track rows commensurable
     norms = np.linalg.norm(A, axis=1)
     keep = norms > 1e-12 * max(float(np.max(norms)), 1.0)
-    if not np.any(keep):
-        raise DegenerateEpipole("every constraint row is degenerate (tracks at the epipole)")
     A, b = A[keep] / norms[keep, None], b[keep] / norms[keep]
-    if collinear and used < 2:
+    if not collinear:
+        sv = np.linalg.svd(A, compute_uv=False)  # tensor rows only: none kept on collinear centres
+        if len(sv) < 4 or sv[3] < 1e-10 * sv[0]:
+            raise DegenerateEpipole("third tensor does not determine a (collinear cameras?)")
+    elif not len(A):
+        raise DegenerateEpipole("every constraint row is degenerate (tracks at the epipole)")
+    elif used < 2:
         raise InsufficientTracks(f"the a-vector solve needs at least 2 three-view tracks; {used} "
                                  "triangulate unambiguously")
-    if not collinear:
-        sv = np.linalg.svd(A, compute_uv=False)
-        if sv[3] < 1e-10 * sv[0]:
-            raise DegenerateEpipole("third tensor does not determine a (collinear cameras?)")
     a, *_ = np.linalg.lstsq(A, b, rcond=None)
     P2 = np.hstack([system.M2[k], np.zeros((3, 1))]) + np.outer(system.e2[k], a)
     return np.array([system.P0[k], _P1, P2])

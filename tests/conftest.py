@@ -4,7 +4,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from colsfm.averaging import AdmmConfig, stop_threshold
+from colsfm.averaging import stop_threshold
 from colsfm.geometry import bifocal_from_pair, epipole_table, normalized_tensor
 from colsfm.graphs import heuristic_cover, triangles, triplet_pairs
 from colsfm.nview import NViewBifocal, block_matrix
@@ -120,9 +120,9 @@ def triplet_matrix(res, ids) -> np.ndarray:
 
 
 def meets_stop(rec, m) -> bool:
-    """Whether both residuals of log entry rec of a default-configured run
-    over m cover triplets are below its `stop_threshold`."""
-    bound = stop_threshold(rec["objective"], m, AdmmConfig().tol)
+    """Whether both residuals of log entry rec of a run over m cover
+    triplets are below its `stop_threshold`."""
+    bound = stop_threshold(rec["objective"], m)
     return max(rec["primal_residual"], rec["dual_residual"]) < bound
 
 

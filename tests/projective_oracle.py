@@ -58,8 +58,6 @@ def a_system_rows(P0, M2, e2, F02, tracks3):
     # row normalization keeps tensor rows and track rows commensurable
     norms = np.linalg.norm(A, axis=1)
     keep = norms > 1e-12 * max(float(np.max(norms)), 1.0)
-    if not np.any(keep):
-        raise DegenerateEpipole("every constraint row is degenerate (tracks at the epipole)")
     A = A[keep] / norms[keep, None]
     b = b[keep] / norms[keep]
     return A, b, used
@@ -71,6 +69,8 @@ def recover_collinear(F01, F12, F02, tracks3):
         raise InsufficientTracks("the a-vector solve needs at least 2 three-view tracks")
     P0, P1, M2, e2 = canonical_pair_cameras(F01, F12)
     A, b, used = a_system_rows(P0, M2, e2, F02, tracks3)
+    if not len(A):
+        raise DegenerateEpipole("every constraint row is degenerate (tracks at the epipole)")
     if used < 2:
         raise InsufficientTracks(
             f"the a-vector solve needs at least 2 three-view tracks; {used} triangulate "
@@ -84,8 +84,8 @@ def recover_collinear(F01, F12, F02, tracks3):
 def recover_general(F01, F12, F02):
     P0, P1, M2, e2 = canonical_pair_cameras(F01, F12)
     A, b, _ = a_system_rows(P0, M2, e2, F02, tracks3=())
-    sv = np.linalg.svd(A, compute_uv=False)
-    if sv[3] < 1e-10 * sv[0]:
+    sv = np.linalg.svd(A, compute_uv=False)  # no rows kept when the centres are collinear
+    if len(sv) < 4 or sv[3] < 1e-10 * sv[0]:
         raise DegenerateEpipole("third tensor does not determine a (collinear cameras?)")
     a, *_ = np.linalg.lstsq(A, b, rcond=None)
     P2 = np.hstack([M2, np.zeros((3, 1))]) + np.outer(e2, a)

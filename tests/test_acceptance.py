@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from colsfm.averaging import (
-    AdmmConfig,
     average,
     project,
 )

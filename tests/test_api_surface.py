@@ -6,13 +6,16 @@ the acceptance suite.  A name that only unit tests use is library surface
 kept alive for its own tests, and should be deleted instead.
 """
 
+import argparse
 import ast
+import dataclasses
 import inspect
 import re
 from pathlib import Path
 
 import colsfm
 from colsfm import averaging, errors, geometry, graphs, nview, pipeline, recovery, synthetic, virtual
+from colsfm.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "colsfm"
@@ -67,7 +70,6 @@ def test_test_only_surface_stays_deleted():
     assert not hasattr(synthetic.TrackSet, "triple_tracks")
     # fields that were written and never read
     assert "tolerances" not in nview.ConsistencyCertificate.__dataclass_fields__
-    assert "primal_tol" not in averaging.AdmmConfig.__dataclass_fields__
     # the cover stage takes (3, 3, 3) stacks in local pair order and no callbacks
     assert not hasattr(geometry, "oriented_pairs")
     assert not hasattr(errors, "MissingRecovery")
@@ -91,7 +93,6 @@ def test_test_only_surface_stays_deleted():
     # walk; scale factors and the consensus are arrays over the cover pairs
     assert not hasattr(recovery, "_bfs_order")
     assert not hasattr(graphs, "build_dual_edges")
-    assert "rank_tol" not in averaging.AdmmConfig.__dataclass_fields__
     m, _ = synthetic.measure(synthetic.generate("collinear", 5, 6, seed=0), seed=0)
     res = averaging.average(m, graphs.sequential_cover(5), "collinear")
     assert not isinstance(res.consensus, dict)
@@ -170,8 +171,15 @@ def test_test_only_surface_stays_deleted():
 
 def test_admm_has_no_polish_phase():
     # ADMM stops at the data's own precision with no feasibility polish after
-    # it: three knobs and four log keys, with no phase among them
-    assert list(averaging.AdmmConfig.__dataclass_fields__) == ["rho", "max_iters", "tol"]
+    # it: one setting, its iteration budget, and four log keys, with no phase
+    # among them; the penalty and the stop floor are constants, with no flag
+    assert not hasattr(averaging, "AdmmConfig") and not hasattr(colsfm, "AdmmConfig")
+    assert list(inspect.signature(averaging.average).parameters) == [
+        "measured", "cover", "regime", "max_iters"]
+    assert [f.name for f in dataclasses.fields(pipeline.PipelineConfig)] == ["max_iters", "insert_virtual"]
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {f for p in sub.choices.values() for a in p._actions for f in a.option_strings}
+    assert "--max-iters" in flags and not flags & {"--rho", "--tol"}
     scene = synthetic.generate("collinear", 5, 6, seed=0)
     m, _ = synthetic.measure(scene, synthetic.MeasurementNoise(rotation_deg=0.5), seed=0)
     res = averaging.average(m, graphs.sequential_cover(5), "collinear")

@@ -1,4 +1,5 @@
 import hashlib
+from collections import defaultdict
 from itertools import combinations
 
 import numpy as np
@@ -133,6 +134,48 @@ class TestHeuristicCover:
                 assert len(set(a) & set(b)) == 2
             # every triangle edge covered by some triplet is a graph edge
             assert covered_edges(c) <= {e[:2] for e in edges}
+
+
+def _all_members_cover(tris, scores):
+    """Reference greedy cover: each pair keeps every chosen triplet holding
+    it, and a triangle's dual roots are the finds of all of them."""
+    ranked = [t for _, t in sorted(zip((-float(s) for s in scores), tris))]
+    chosen, by_pair, parent = [], defaultdict(list), {}
+
+    def find(t):
+        while parent[t] != t:
+            t = parent[t]
+        return t
+
+    for t in ranked:
+        pairs = triplet_pairs(t)
+        roots = {find(u) for p in pairs for u in by_pair[p]}
+        if all(by_pair[p] for p in pairs) and len(roots) < 2:
+            continue
+        parent[t] = t
+        for r in roots:
+            parent[r] = t
+        for p in pairs:
+            by_pair[p].append(t)
+        chosen.append(t)
+    return chosen
+
+
+def test_one_triplet_per_pair_matches_all_members():
+    # the chosen triplets holding one pair share a dual component, so one of
+    # them stands for all: the covers equal the reference's, ties included
+    graphs = [_random_graph(seed) for seed in range(80)]
+    graphs += [(n, list(combinations(range(n), 2))) for n in (12, 20)]
+    connected = disconnected = 0
+    for k, (n, edges) in enumerate(graphs):
+        tris = triangles(n, [e[:2] for e in edges])
+        if not tris:
+            continue
+        scores = np.random.default_rng([k, 2]).integers(0, 3, len(tris)) / 2.0  # most tie
+        assert heuristic_cover(tris, scores).triplets == sorted(_all_members_cover(tris, scores)), k
+        full = TripletCover.from_triplets(tris).is_connected()
+        connected, disconnected = connected + full, disconnected + (not full)
+    assert connected > 0 and disconnected > 0
 
 
 class TestEnrichConnectivity:

@@ -6,7 +6,6 @@ import calibrated_oracle as oracle
 import numpy as np
 import pytest
 
-from colsfm.averaging import AdmmConfig
 from colsfm.errors import (
     AmbiguousCheirality, DegenerateEpipole, InsufficientTracks, MissingBlock, NoTriangles, RankDeficient,
     ValidationError,
@@ -161,6 +160,17 @@ class TestIO:
         # once a ValueError or KeyError traceback
         (tmp_path / "c.json").write_text(json.dumps(doc))
         with pytest.raises(ValidationError, match=match):
+            load_cameras(tmp_path / "c.json")
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "scaled", "zero"])
+    def test_non_camera_rejected(self, tmp_path, bad):
+        # NaN, inf and overflowing cameras once ended in an SVD that did not
+        # converge, and an all-zero one counted as reconstructed at the origin
+        P = np.hstack([np.eye(3), np.ones((3, 1))])
+        Q = {"nan": np.where(np.eye(3, 4) > 0, np.nan, P), "inf": np.where(np.eye(3, 4) > 0, np.inf, P),
+             "scaled": 1e300 * P, "zero": np.zeros((3, 4))}[bad]
+        save_cameras([P, None, Q], "euclidean", tmp_path / "c.json")
+        with pytest.raises(ValidationError, match="camera 2: P and its norm must be finite and nonzero"):
             load_cameras(tmp_path / "c.json")
 
     def test_convergence_log_lines(self, tmp_path):
@@ -582,14 +592,14 @@ class TestCollinearRankGate:
     def _run(self, max_iters):
         scene, m, tracks = self._inputs()
         return run_pipeline(m, tracks, "r4", "calibrated", scene,
-                            PipelineConfig(admm=AdmmConfig(max_iters=max_iters)))
+                            PipelineConfig(max_iters=max_iters))
 
     def _ranks_at_gate(self, max_iters):
         """The ADMM result capped at max_iters, and each cover triplet's count
         of consensus eigenvalues above the gate, 9 sqrt(m) times the precision
         ADMM stopped at."""
         _, m, tracks = self._inputs()
-        _, avg = cover_and_average(m, tracks, "r4", PipelineConfig(admm=AdmmConfig(max_iters=max_iters)))
+        _, avg = cover_and_average(m, tracks, "r4", PipelineConfig(max_iters=max_iters))
         w = np.linalg.eigvalsh(block_matrix(avg.consensus, block_index(avg.rows)))
         return avg, np.sum(np.abs(w) > 9.0 * np.sqrt(len(avg.rows)) * avg.threshold, axis=1)
 
@@ -748,7 +758,7 @@ def test_golden_pipeline_outputs(case, digest, tmp_path):
     noise = MeasurementNoise(rotation_deg=deg, translation_dir_deg=deg)
     nview, tracks = measure(scene, noise, seed=seed + 100)
     regime = "calibrated" if intrinsics == "calibrated" else "uncalibrated"
-    cfg = PipelineConfig(admm=AdmmConfig(max_iters=max_iters)) if max_iters else None
+    cfg = PipelineConfig(max_iters=max_iters) if max_iters else None
     out = run_pipeline(nview, tracks, algorithm, regime, scene_gt=scene, cfg=cfg)
     # a failing run must take the named partial-result path, not raise
     assert (out.report.failure_stage is not None) == (_golden_id(case) in NAMED_FAILURES)

@@ -311,6 +311,28 @@ class TestProjectiveGeneralRecovery:
         with pytest.raises(DegenerateEpipole):
             _projective_general(F[(0, 1)], F[(1, 2)], F[(0, 2)])
 
+    def test_vanishing_rows_name_the_rank(self):
+        # exactly collinear centres: every tensor row of the general system
+        # vanishes, and the error names the third tensor, not tracks (a
+        # general system has none)
+        for seed in range(5):
+            scene = generate("collinear", 3, 8, seed=seed, intrinsics_mode="varied")
+            F01, F02, F12 = (unit_bifocal(scene.cameras[i], scene.cameras[j]) for i, j in _LOCAL_PAIRS)
+            system = projective_system(F01, F12, F02)
+            assert np.max(np.linalg.norm(system.rows[0][0], axis=1)) < 1e-12, seed
+            with pytest.raises(DegenerateEpipole, match=r"third tensor does not determine a \(collinear"):
+                recover_projective_general_triplet(system, 0)
+
+    def test_rank_3_rows_rejected(self):
+        # nonzero rows that leave one direction of a free
+        scene = generate("general", 3, 8, seed=59, intrinsics_mode="varied")
+        F01, F02, F12 = (unit_bifocal(scene.cameras[i], scene.cameras[j]) for i, j in _LOCAL_PAIRS)
+        system = projective_system(F01, F12, F02)
+        A, b = system.rows[0]
+        system.rows[0] = (np.hstack([A[:, :3], np.zeros((len(A), 1))]), b)
+        with pytest.raises(DegenerateEpipole, match=r"third tensor does not determine a \(collinear"):
+            recover_projective_general_triplet(system, 0)
+
 
 class TestRegisterGlobal:
     def _recover_all(self, scene, cover):
