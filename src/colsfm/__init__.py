@@ -29,7 +29,7 @@ from .nview import (
     certify_collinear_fundamental,
     certify_general,
 )
-from .pipeline import PipelineConfig, run_pipeline
+from .pipeline import run_pipeline
 from .recovery import (
     pair_poses,
     recover_calibrated_collinear_triplet,

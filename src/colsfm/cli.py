@@ -12,18 +12,15 @@ import sys
 from pathlib import Path
 
 from . import io as cio
+from .averaging import _MAX_ITERS
 from .errors import ValidationError
 from .metrics import EvalReport
-from .pipeline import PipelineConfig, _evaluate, cover_and_average, run_pipeline
+from .pipeline import _evaluate, cover_and_average, run_pipeline
 from .synthetic import MeasurementNoise, generate, measure
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NO_CONVERGENCE = 3
-
-
-def _pipeline_cfg(args) -> PipelineConfig:
-    return PipelineConfig(args.max_iters, insert_virtual=not getattr(args, "no_virtual", False))
 
 
 def _emit(args, payload: dict, text: str) -> None:
@@ -60,7 +57,7 @@ def cmd_measure(args) -> int:
 
 def cmd_average(args) -> int:
     measurements, tracks = cio.load_measurements(args.measurements)
-    cover, avg = cover_and_average(measurements, tracks, args.algorithm, _pipeline_cfg(args))
+    cover, avg = cover_and_average(measurements, tracks, args.algorithm, args.max_iters)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     cio.write_convergence_log(avg.log, outdir / "convergence.log")
@@ -73,7 +70,7 @@ def cmd_average(args) -> int:
 
 def cmd_recover(args) -> int:
     measurements, tracks = cio.load_measurements(args.measurements)
-    out = run_pipeline(measurements, tracks, args.algorithm, args.regime, None, _pipeline_cfg(args))
+    out = run_pipeline(measurements, tracks, args.algorithm, args.regime, None, args.max_iters)
     cio.save_cameras(out.cameras, out.frame, args.out)
     _emit(args, {"n_reconstructed": out.report.n_reconstructed, "out": str(args.out)},
           f"recovered {out.report.n_reconstructed} cameras ({out.frame} frame) to {args.out}")
@@ -110,14 +107,13 @@ def _report_text(report: EvalReport) -> str:
 def cmd_pipeline(args) -> int:
     scene = cio.load_scene(args.scene) if args.scene else None
     measurements, tracks = cio.load_measurements(args.measurements)
-    cfg = _pipeline_cfg(args)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     try:
-        out = run_pipeline(measurements, tracks, args.algorithm, args.regime, scene, cfg)
+        out = run_pipeline(measurements, tracks, args.algorithm, args.regime, scene, args.max_iters)
     except ValidationError as exc:
         n = measurements.n
-        report = _evaluate([None] * n, n, None, None, args.regime, args.algorithm, False, str(exc))
+        report = _evaluate([None] * n, n, tracks, None, args.regime, args.algorithm, False, str(exc))
         cio.save_report(report, outdir / "report.json", include_runtime=args.timing)
         raise
     cio.save_report(out.report, outdir / "report.json", include_runtime=args.timing)
@@ -156,10 +152,8 @@ def _add_common(p, regime: bool = True) -> None:
     p.add_argument("--algorithm", choices=["r4", "vc"], default="r4")
     if regime:
         p.add_argument("--regime", choices=["calibrated", "uncalibrated"], default="calibrated")
-    p.add_argument("--max-iters", type=_at_least(1), default=PipelineConfig.max_iters,
+    p.add_argument("--max-iters", type=_at_least(1), default=_MAX_ITERS,
                    help="ADMM iteration budget")
-    p.add_argument("--no-virtual", action="store_true",
-                   help="vc only: skip virtual-camera insertion (diagnostic)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -59,6 +59,9 @@ def load_scene(path) -> Scene:
         points = np.array(doc["points"], dtype=float).reshape(-1, 3)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed scene file: {exc}") from exc
+    bad = np.flatnonzero(~np.all(np.isfinite(points), axis=1))
+    if len(bad):
+        raise ValidationError(f"point {bad[0]} must be finite, got {points[bad[0]].tolist()}")
     if len(cams) < 2:
         raise ValidationError(f"a scene needs at least 2 cameras, got {len(cams)}")
     C = np.array([c.center for c in cams])

@@ -11,13 +11,14 @@ collinear cameras) averages the sequential cover at rank 4 and recovers
 collinear triplets.  "vc" (mixed collinearity) lists the viewing graph's
 triangles once (`triangles`), builds the heuristic cover from that list
 ranked best-conditioned first, replaces the collinear triplets left in it
-by sub-triplets against virtual cameras, averages at rank 6, recovers
-general-position triplets and drops the virtual cameras after
+by sub-triplets against virtual cameras on every run, averages at rank 6,
+recovers general-position triplets and drops the virtual cameras after
 registration.
 The "vc" cover stage is stacked passes over the triangles' pairs: one
-epipole table, one score pass over all triangles, one pose pass for every
-essential virtual camera (one projective pass for fundamental ones), then
-each collinear triplet's track and virtual tensors.  After averaging, one
+epipole table (a pair without unique epipoles raises RankDeficient before
+the cover is built), one score pass over all triangles, one pose pass for
+every essential virtual camera (one projective pass for fundamental ones),
+then each collinear triplet's track and virtual tensors.  After averaging, one
 function (`_recovered_cameras`) picks the recovery route from the algorithm
 and the regime, runs its stacked passes over all triplets, recovers each
 triplet from its row and registers them.
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .averaging import _MAX_ITERS, AveragingResult, average
-from .errors import AmbiguousCheirality, RankDeficient, ValidationError
+from .errors import AmbiguousCheirality, ValidationError
 from .geometry import camera_centers, epipole_table, epipoles, normalized_tensor
 from .graphs import (
     TripletCover,
@@ -75,12 +76,6 @@ _COLLINEARITY_THRESHOLD = 0.05
 
 
 @dataclass
-class PipelineConfig:
-    max_iters: int = _MAX_ITERS  # the ADMM iteration budget
-    insert_virtual: bool = True  # disable to reproduce the plain rank-6 failure
-
-
-@dataclass
 class PipelineOutput:
     report: EvalReport
     cameras: list
@@ -108,18 +103,13 @@ def _evaluate(cameras, n_real, tracks, scene_gt, regime, algorithm, converged, f
             res = align_similarity(est, gt).residuals
             mean_pos = float(np.mean(res))
             median_pos = float(np.median(res))
-    reproj = None
-    if tracks is not None:
-        # the first three real views of each track, and only tracks with two
-        # of them: a track once held at most three views, and lifting the cap
-        # would change the reprojection error that pinned reports hold
-        seen = tracks.visible[:, :n_real]
-        seen = seen & (np.cumsum(seen, axis=1) <= 3)
-        keep = np.count_nonzero(seen, axis=1) >= 2
-        if np.any(keep):
-            reproj = mean_reprojection_error(cameras, tracks.points[keep, :n_real], seen[keep])
-    if reproj is not None and not np.isfinite(reproj):
-        reproj = None
+    # the first three real views of each track, and only tracks with two of
+    # them: a track once held at most three views, and lifting the cap would
+    # change the reprojection error that pinned reports hold
+    seen = tracks.visible[:, :n_real]
+    seen = seen & (np.cumsum(seen, axis=1) <= 3)
+    keep = np.count_nonzero(seen, axis=1) >= 2
+    reproj = mean_reprojection_error(cameras, tracks.points[keep, :n_real], seen[keep])
     return EvalReport(
         algorithm=algorithm,
         regime=regime,
@@ -127,37 +117,32 @@ def _evaluate(cameras, n_real, tracks, scene_gt, regime, algorithm, converged, f
         n_reconstructed=len(reconstructed),
         mean_position_error=mean_pos,
         median_position_error=median_pos,
-        mean_reprojection_error=reproj,
+        mean_reprojection_error=reproj if np.isfinite(reproj) else None,
         converged=converged,
         failure_stage=failure,
     )
 
 
-def _virtual_cover(measurements: NViewBifocal, tracks: TrackSet, cfg: PipelineConfig):
+def _virtual_cover(measurements: NViewBifocal, tracks: TrackSet):
     """The heuristic cover of the viewing graph's triangles, listed once and
     ranked by `collinearity_score`, best-conditioned first (ties in sorted
-    order, a triangle with a rank-deficient pair last), checked for
-    connectivity, with each collinear triplet left in it replaced by
-    sub-triplets against a virtual camera, numbered n + k in cover order;
-    returns the cover and the measurements extended by the virtual cameras'
-    tensors.  One epipole table of the triangles' pairs feeds one score
-    pass, which ranks the triangles and marks the collinear cover triplets,
-    and every point selection; one pose pass (essential) or one projective
-    pass (fundamental) gives the V-matrices of every virtual camera."""
+    order), checked for connectivity, with each collinear triplet left in it
+    replaced by sub-triplets against a virtual camera, numbered n + k in
+    cover order; returns the cover and the measurements extended by the
+    virtual cameras' tensors.  One `epipoles` table of the triangles' pairs,
+    which raises RankDeficient before the cover is built if a pair has no
+    unique epipoles, feeds one score pass, which ranks the triangles and
+    marks the collinear cover triplets, and every point selection; one pose
+    pass (essential) or one projective pass (fundamental) gives the
+    V-matrices of every virtual camera."""
     n = measurements.n
     tris = triangles(n, measurements.pairs.tolist())
     F, rows = _pair_blocks(measurements, tris)
-    table = epipole_table(F)
-    degenerate = ~np.all(np.any(table, axis=-1), axis=-1)  # (P,) pairs without unique epipoles
+    table = epipoles(F)
     scores = collinearity_score(table, rows)
-    ranks = np.where(np.any(degenerate[rows], axis=1), -np.inf, scores)
-    cover = enrich_connectivity(heuristic_cover(tris, ranks))
-    if not cfg.insert_virtual:
-        return cover, measurements
+    cover = enrich_connectivity(heuristic_cover(tris, scores))
     index = {t: k for k, t in enumerate(tris)}
     held = [index[t] for t in cover.triplets]
-    if np.any(degenerate[rows[held]]):
-        raise RankDeficient("tensor has a two-dimensional null space")
     marked = [k for k in held if scores[k] < _COLLINEARITY_THRESHOLD]
     collinear = [tris[k] for k in marked]
     tracks3 = [tracks.tracks(t) for t in collinear]
@@ -187,20 +172,20 @@ def cover_and_average(
     measurements: NViewBifocal,
     tracks: TrackSet,
     algorithm: str,
-    cfg: PipelineConfig | None = None,
+    max_iters: int = _MAX_ITERS,
 ) -> tuple[TripletCover, AveragingResult]:
-    """The algorithm's cover stage, then ADMM averaging over that cover: rank 4
-    on the collinear cover ("r4"), rank 6 on the virtual-camera cover ("vc").
-    The result's tensors include the virtual cameras, numbered from n up."""
-    cfg = cfg or PipelineConfig()
+    """The algorithm's cover stage, then ADMM averaging over that cover, with
+    a budget of max_iters iterations: rank 4 on the collinear cover ("r4"),
+    rank 6 on the virtual-camera cover ("vc").  The result's tensors include
+    the virtual cameras, numbered from n up."""
     if tracks is None:
         raise ValidationError("tracks are required")
     if tracks.points.shape[1] != measurements.n:
         raise ValidationError(f"tracks span {tracks.points.shape[1]} cameras, "
                               f"the measurements {measurements.n}")
     if algorithm == "vc":
-        cover, extended = _virtual_cover(measurements, tracks, cfg)
-        return cover, average(extended, cover, "general", cfg.max_iters)
+        cover, extended = _virtual_cover(measurements, tracks)
+        return cover, average(extended, cover, "general", max_iters)
     if algorithm != "r4":
         raise ValidationError(f"unknown algorithm {algorithm!r}")
     cover = sequential_cover(measurements.n)
@@ -211,7 +196,7 @@ def cover_and_average(
                 f"algorithm r4 requires a fully collinear camera set; triplet {t} "
                 f"scores {score:.3f} above threshold {_COLLINEARITY_THRESHOLD}"
             )
-    return cover, average(measurements, cover, "collinear", cfg.max_iters)
+    return cover, average(measurements, cover, "collinear", max_iters)
 
 
 def _recovered_cameras(algorithm, mode, avg: AveragingResult, tracks: TrackSet, cover: TripletCover,
@@ -256,7 +241,7 @@ def run_pipeline(
     algorithm: str,
     regime: str,
     scene_gt: Scene | None = None,
-    cfg: PipelineConfig | None = None,
+    max_iters: int = _MAX_ITERS,
 ) -> PipelineOutput:
     started = time.perf_counter()
     if scene_gt is not None and scene_gt.n != measurements.n:
@@ -266,7 +251,7 @@ def run_pipeline(
     if regime == "calibrated" and measurements.kind != "essential":
         raise ValidationError(f"regime 'calibrated' needs essential measurements, "
                               f"these are {measurements.kind!r}")
-    cover, avg = cover_and_average(measurements, tracks, algorithm, cfg)
+    cover, avg = cover_and_average(measurements, tracks, algorithm, max_iters)
     n = measurements.n
     mode = "euclidean" if regime == "calibrated" else "projective"
     # sanity gates only when the iterate is coarse; the report stays honest

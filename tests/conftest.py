@@ -41,6 +41,16 @@ def rng():
 
 
 @pytest.fixture
+def no_virtual(monkeypatch):
+    """The plain rank-6 ablation of the vc cover stage: no collinear triplet
+    of the cover is replaced by virtual cameras, which reproduces the
+    failure they fix."""
+    import colsfm.pipeline
+
+    monkeypatch.setattr(colsfm.pipeline, "insert_virtual_and_prune", lambda cover, nodes: cover)
+
+
+@pytest.fixture
 def collinear_scene():
     return generate("collinear", n_cams=6, n_points=12, seed=3)
 

@@ -8,7 +8,6 @@ kept alive for its own tests, and should be deleted instead.
 
 import argparse
 import ast
-import dataclasses
 import inspect
 import re
 from pathlib import Path
@@ -118,7 +117,6 @@ def test_test_only_surface_stays_deleted():
     assert not hasattr(graphs, "_shortest_dual_path")
     assert not hasattr(graphs, "_components")
     assert list(inspect.signature(graphs.enrich_connectivity).parameters) == ["cover"]
-    assert "collinearity_threshold" not in pipeline.PipelineConfig.__dataclass_fields__
     assert "epipole_margin" not in inspect.signature(virtual.select_virtual_point).parameters
     # the cover stage reads one triangle list; the weighted graph class and
     # the 4-view assembler only tests called are gone
@@ -176,7 +174,6 @@ def test_admm_has_no_polish_phase():
     assert not hasattr(averaging, "AdmmConfig") and not hasattr(colsfm, "AdmmConfig")
     assert list(inspect.signature(averaging.average).parameters) == [
         "measured", "cover", "regime", "max_iters"]
-    assert [f.name for f in dataclasses.fields(pipeline.PipelineConfig)] == ["max_iters", "insert_virtual"]
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     flags = {f for p in sub.choices.values() for a in p._actions for f in a.option_strings}
     assert "--max-iters" in flags and not flags & {"--rho", "--tol"}
@@ -186,6 +183,20 @@ def test_admm_has_no_polish_phase():
     assert len(res.log) > 1
     for rec in res.log:
         assert set(rec) == {"iteration", "objective", "primal_residual", "dual_residual"}
+
+
+def test_pipeline_has_one_setting():
+    # the vc cover stage inserts virtual cameras on every run: no config
+    # object, no flag to skip them, and the ADMM budget is the one setting
+    assert not hasattr(pipeline, "PipelineConfig") and not hasattr(colsfm, "PipelineConfig")
+    assert list(inspect.signature(pipeline.run_pipeline).parameters) == [
+        "measurements", "tracks", "algorithm", "regime", "scene_gt", "max_iters"]
+    assert list(inspect.signature(pipeline.cover_and_average).parameters) == [
+        "measurements", "tracks", "algorithm", "max_iters"]
+    assert list(inspect.signature(pipeline._virtual_cover).parameters) == ["measurements", "tracks"]
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for name, parser in sub.choices.items():
+        assert "--no-virtual" not in parser._option_string_actions, name
 
 
 def test_admm_stops_on_the_last_iterate():

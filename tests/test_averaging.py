@@ -25,7 +25,7 @@ from colsfm.graphs import (
     triplet_pairs,
 )
 from colsfm.nview import NViewBifocal, block_index, block_matrix, certify_collinear_essential, certify_general
-from colsfm.pipeline import PipelineConfig, _virtual_cover, cover_and_average
+from colsfm.pipeline import _virtual_cover, cover_and_average
 from colsfm.synthetic import MeasurementNoise, generate, measure
 from conftest import (
     averaged_nview, banded, exact_nview, exact_triplet, meets_stop, min_weight_cover, without,
@@ -444,14 +444,16 @@ class TestStackedScaleSync:
         ("mixed", 10, 0.0, 0, True), ("mixed", 12, 0.5, 3, True), ("mixed", 9, 0.5, 5, False),
         ("general", 8, 1.0, 7, False),
     ])
-    def test_consistent_factors_equal_dict_oracle(self, layout, n, noise, seed, virtual):
+    def test_consistent_factors_equal_dict_oracle(self, layout, n, noise, seed, virtual, request):
         # the vc cover stage's own cover and tensors, virtual cameras included:
         # a complete graph has a well-conditioned triangle on every pair, so
         # those cases keep only the banded measurements
         scene = generate(layout, n, 16, seed=seed)
         m, tracks = measure(scene, MeasurementNoise(noise, noise), seed=seed)
         m = banded(m) if virtual else m
-        cover, extended = _virtual_cover(m, tracks, PipelineConfig(insert_virtual=virtual))
+        if not virtual:
+            request.getfixturevalue("no_virtual")
+        cover, extended = _virtual_cover(m, tracks)
         assert bool(cover.virtual_nodes) == virtual
         pairs, rows = pair_rows(cover.triplets)
         normed = np.array([normalized_tensor(M) for M in extended.tensors[extended.slots(pairs)]])
@@ -885,8 +887,7 @@ class TestSymmetricStacks:
             monkeypatch.setitem(averaging._PROJECTIONS, name, spied(name, real))
         scene = generate(layout, 10, 20, seed=0, intrinsics_mode=intrinsics)
         m, tracks = measure(scene, MeasurementNoise(0.5), seed=1)
-        cfg = PipelineConfig(max_iters=40)
-        cover, res = cover_and_average(banded(m) if band else m, tracks, algorithm, cfg)
+        cover, res = cover_and_average(banded(m) if band else m, tracks, algorithm, max_iters=40)
         assert bool(cover.virtual_nodes) == band
         assert calls == {key: res.iterations} and res.iterations > 1
 

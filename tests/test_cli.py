@@ -328,20 +328,22 @@ def _measured(tmp_path, layout, n, seed, noise_rot="0.0", band=False):
 # cover, which needs no virtual camera on a complete mixed graph); they
 # depend on the BLAS thread count (one thread here and in CI); all three
 # were re-recorded when ADMM began to stop at the data's own precision and
-# its log lost the phase key, and r4 and --no-virtual again when the
+# its log lost the phase key, and r4 and the plain run again when the
 # collinear essential kernel kept the tied spectrum and the stop read the
-# last iterate; vc and --no-virtual again when the general-essential
+# last iterate; vc and the plain run again when the general-essential
 # retraction became one sweep from the previous rotations and centres.  The
 # r4 run passes a near tie of the collinear kernel's top
-# eigenvalues and converges on its last iterate.  The --no-virtual run
-# averages collinear triplets under the rank-6 retraction and converges to a
-# consensus that recovery rejects (`test_no_virtual_pipeline_rejected`).
+# eigenvalues and converges on its last iterate.  The plain run (the
+# `no_virtual` ablation, recorded as `average --no-virtual` while that flag
+# existed) averages collinear triplets under the rank-6 retraction and
+# converges to a consensus that recovery rejects
+# (`test_no_virtual_pipeline_rejected`).
 GOLDEN_AVERAGE = [
-    (("r4", "collinear", 8, 11, "0.2", ()), 0,
+    (("r4", "collinear", 8, 11, "0.2", False), 0,
      "7029da5b1f03c6dbde5e6e2517972d3a36785f1c5bd9a9c6082d973abb233fb2"),
-    (("vc", "mixed", 9, 6, "0.0", ()), 0,
+    (("vc", "mixed", 9, 6, "0.0", False), 0,
      "f5c83b52f0df99277a74d3e2580529d14b1cbe15fd819cfc4f66bebb566ee1f2"),
-    (("vc", "mixed", 9, 6, "0.0", ("--no-virtual",)), 0,
+    (("vc", "mixed", 9, 6, "0.0", True), 0,
      "7a0c898797f63202f980434bb909623833586643dadd3901eda1c694619656f4"),
 ]
 
@@ -349,22 +351,24 @@ GOLDEN_AVERAGE = [
 class TestAverageCommand:
     @pytest.mark.parametrize("case,code,digest", GOLDEN_AVERAGE,
                              ids=["r4", "vc", "vc-no-virtual"])
-    def test_golden_outputs(self, case, code, digest, tmp_path):
-        algorithm, layout, n, seed, noise_rot, flags = case
+    def test_golden_outputs(self, case, code, digest, tmp_path, request):
+        algorithm, layout, n, seed, noise_rot, plain = case
+        if plain:
+            request.getfixturevalue("no_virtual")
         meas = _measured(tmp_path, layout, n, seed, noise_rot, band=algorithm == "vc")
         outdir = tmp_path / "avg"
         assert run_cli(["average", "--measurements", str(meas), "--algorithm", algorithm,
-                        *flags, "--out", str(outdir)]) == code
+                        "--out", str(outdir)]) == code
         data = (outdir / "cover.json").read_bytes() + (outdir / "convergence.log").read_bytes()
         assert hashlib.sha256(data).hexdigest() == digest
         virtual = json.loads((outdir / "cover.json").read_text())["virtual_nodes"]
-        assert bool(virtual) == (algorithm == "vc" and not flags)
+        assert bool(virtual) == (algorithm == "vc" and not plain)
 
-    def test_no_virtual_pipeline_rejected(self, tmp_path):
-        # the converged --no-virtual consensus ends in a typed error, not an answer
+    def test_no_virtual_pipeline_rejected(self, tmp_path, no_virtual):
+        # the converged plain rank-6 consensus ends in a typed error, not an answer
         meas = _measured(tmp_path, "mixed", 9, 6, "0.0", band=True)
         assert run_cli(["pipeline", "--measurements", str(meas), "--algorithm", "vc",
-                        "--no-virtual", "--out", str(tmp_path / "out")]) == 2
+                        "--out", str(tmp_path / "out")]) == 2
 
     def test_stops_before_recovery(self, tmp_path, monkeypatch):
         # a recovery failure after converged averaging belongs to the later
@@ -462,4 +466,15 @@ def test_nonfinite_scene_camera_exits_2(field, entry, tmp_path, capsys):
     assert run_cli(["measure", "--scene", str(path), "--out", str(tmp_path / "m.json")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: malformed scene file") and "must be finite" in err
+    assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("-inf")])
+def test_nonfinite_scene_point_exits_2(value, tmp_path, capsys):
+    # once a `track points must be finite` ValueError traceback, exit 1
+    cams = [_eye_camera(float(x)) for x in range(3)]
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps({"cameras": cams, "points": [[0.0, 0.0, 5.0], [1.0, value, 5.0]]}))
+    assert run_cli(["measure", "--scene", str(path), "--out", str(tmp_path / "m.json")]) == 2
+    assert capsys.readouterr().err.startswith("error: point 1 must be finite")
     assert not (tmp_path / "m.json").exists()

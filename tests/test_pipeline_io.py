@@ -8,7 +8,7 @@ import pytest
 
 from colsfm.errors import (
     AmbiguousCheirality, DegenerateEpipole, InsufficientTracks, MissingBlock, NoTriangles, RankDeficient,
-    ValidationError,
+    Unconnectable, ValidationError,
 )
 from colsfm.io import (
     load_cameras,
@@ -22,7 +22,7 @@ from colsfm.io import (
 )
 from colsfm.graphs import sequential_cover, triplet_pairs
 from colsfm.nview import NViewBifocal, block_index, block_matrix, certify_general
-from colsfm.pipeline import PipelineConfig, _virtual_cover, cover_and_average, run_pipeline
+from colsfm.pipeline import _virtual_cover, cover_and_average, run_pipeline
 from colsfm.synthetic import MeasurementNoise, TrackSet, generate, measure
 from conftest import (
     banded, center_spread, covered_edges, min_weight_cover, triplet_matrix, without,
@@ -145,6 +145,17 @@ class TestIO:
         save_scene(generate("collinear", 3, 4, seed=1), path)
         path.write_text(json.dumps(dict(json.loads(path.read_text()), seed=2.7)))
         with pytest.raises(ValidationError, match=r"seed must be an integer, got 2\.7"):
+            load_scene(path)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_nonfinite_point_rejected(self, tmp_path, value):
+        # once loaded, to end `measure` in a ValueError from the track check
+        path = tmp_path / "scene.json"
+        save_scene(generate("collinear", 3, 4, seed=1), path)
+        doc = json.loads(path.read_text())
+        doc["points"][2][1] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match=r"^point 2 must be finite, got \["):
             load_scene(path)
 
     @pytest.mark.parametrize("doc,match", [
@@ -372,15 +383,27 @@ class TestRankedCover:
         scene = generate("mixed", 10, 20, seed=0)
         m, tracks = measure(scene, seed=0)
         with pytest.raises(AmbiguousCheirality, match=r"^depth votes tie: \[(\d+), \1, \1, \1\]$"):
-            _virtual_cover(banded(m), tracks, PipelineConfig())
+            _virtual_cover(banded(m), tracks)
 
-    def test_degenerate_pair_ranks_last(self):
-        # its zero epipole rows would score 1.0, the best conditioning: ranked
-        # first, every triangle on the pair would enter the cover
-        scene = generate("general", 6, 12, seed=3)
+    def test_rank_deficient_pair_raises_before_the_cover(self, monkeypatch):
+        # triangles (0, 1, 2) and (2, 3, 4) share no pair, so the graph is
+        # unconnectable; a pair without unique epipoles raises first, before
+        # the cover is built
+        import colsfm.pipeline
+
+        scene = generate("general", 5, 12, seed=3)
         m, tracks = measure(scene, seed=0)
-        cover, _ = _virtual_cover(self._with_rank1(m, (0, 1)), tracks, PipelineConfig(insert_virtual=False))
-        assert [t for t in cover.triplets if t[:2] == (0, 1)] == [(0, 1, 2)]
+        kept = [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)]
+        graph = NViewBifocal.assemble(5, kept, m.tensors[m.slots(kept)], m.kind)
+        with pytest.raises(Unconnectable):
+            _virtual_cover(graph, tracks)
+
+        def cover(*args):
+            raise AssertionError("heuristic_cover ran")
+
+        monkeypatch.setattr(colsfm.pipeline, "heuristic_cover", cover)
+        with pytest.raises(RankDeficient, match="^tensor has a two-dimensional null space$"):
+            run_pipeline(self._with_rank1(graph, (0, 1)), tracks, "vc", "calibrated", scene)
 
     def test_rank_deficient_cover_pair_raises(self):
         scene = generate("mixed", 8, 12, seed=3)
@@ -556,8 +579,9 @@ class TestDecompositionBudget:
         assert built == [len(out.cover.triplets)]
 
 
+@pytest.mark.usefixtures("no_virtual")
 class TestPipelineNoVirtual:
-    """insert_virtual=False: plain rank-6 averaging on a mixed scene whose
+    """The `no_virtual` ablation: plain rank-6 averaging on a mixed scene whose
     cover holds collinear triplets, the failure the virtual cameras fix.  On
     a complete graph the ranked cover holds none, so these runs keep only the
     banded measurements."""
@@ -565,8 +589,7 @@ class TestPipelineNoVirtual:
     def test_calibrated_ends_in_named_failure(self):
         scene = generate("mixed", 9, 20, seed=96)
         m, tracks = measure(scene, seed=0)
-        out = run_pipeline(banded(m), tracks, "vc", "calibrated", scene,
-                           PipelineConfig(insert_virtual=False))
+        out = run_pipeline(banded(m), tracks, "vc", "calibrated", scene)
         assert not out.converged
         assert out.report.failure_stage.startswith("recovery after non-convergent averaging")
         assert out.report.n_reconstructed == 0
@@ -576,8 +599,7 @@ class TestPipelineNoVirtual:
         scene = generate("mixed", 9, 20, seed=96, intrinsics_mode="varied")
         m, tracks = measure(scene, seed=0)
         with pytest.raises(DegenerateEpipole):
-            run_pipeline(banded(m), tracks, "vc", "uncalibrated", scene,
-                         PipelineConfig(insert_virtual=False))
+            run_pipeline(banded(m), tracks, "vc", "uncalibrated", scene)
 
 
 class TestCollinearRankGate:
@@ -591,15 +613,14 @@ class TestCollinearRankGate:
 
     def _run(self, max_iters):
         scene, m, tracks = self._inputs()
-        return run_pipeline(m, tracks, "r4", "calibrated", scene,
-                            PipelineConfig(max_iters=max_iters))
+        return run_pipeline(m, tracks, "r4", "calibrated", scene, max_iters=max_iters)
 
     def _ranks_at_gate(self, max_iters):
         """The ADMM result capped at max_iters, and each cover triplet's count
         of consensus eigenvalues above the gate, 9 sqrt(m) times the precision
         ADMM stopped at."""
         _, m, tracks = self._inputs()
-        _, avg = cover_and_average(m, tracks, "r4", PipelineConfig(max_iters=max_iters))
+        _, avg = cover_and_average(m, tracks, "r4", max_iters=max_iters)
         w = np.linalg.eigvalsh(block_matrix(avg.consensus, block_index(avg.rows)))
         return avg, np.sum(np.abs(w) > 9.0 * np.sqrt(len(avg.rows)) * avg.threshold, axis=1)
 
@@ -653,7 +674,7 @@ class TestRecoveryErrorOrder:
     """A run whose recovery fails names the error of the first failing
     triplet in sorted order, class and message, as per-triplet recovery does."""
 
-    def _run(self, monkeypatch, m, tracks, algorithm, cfg=None):
+    def _run(self, monkeypatch, m, tracks, algorithm):
         import colsfm.pipeline
 
         captured, real_average = [], colsfm.pipeline.average
@@ -664,7 +685,7 @@ class TestRecoveryErrorOrder:
 
         monkeypatch.setattr(colsfm.pipeline, "average", average)
         try:
-            got = run_pipeline(m, tracks, algorithm, "calibrated", None, cfg).report.failure_stage
+            got = run_pipeline(m, tracks, algorithm, "calibrated", None).report.failure_stage
         except ValidationError as exc:
             got = (type(exc), str(exc))
         cover, avg = captured[0]
@@ -676,10 +697,10 @@ class TestRecoveryErrorOrder:
             assert got == f"recovery after non-convergent averaging: {want}"
         return want
 
-    def test_unconverged_vc_reports_first_failure(self, monkeypatch):
+    def test_unconverged_vc_reports_first_failure(self, monkeypatch, no_virtual):
         scene = generate("mixed", 9, 20, seed=96)
         m, tracks = measure(scene, seed=0)
-        self._run(monkeypatch, banded(m), tracks, "vc", PipelineConfig(insert_virtual=False))
+        self._run(monkeypatch, banded(m), tracks, "vc")
 
     def test_converged_r4_raises_first_failure(self, monkeypatch):
         # no track holds both cameras 0 and 1, so the baseline pair of the
@@ -758,8 +779,8 @@ def test_golden_pipeline_outputs(case, digest, tmp_path):
     noise = MeasurementNoise(rotation_deg=deg, translation_dir_deg=deg)
     nview, tracks = measure(scene, noise, seed=seed + 100)
     regime = "calibrated" if intrinsics == "calibrated" else "uncalibrated"
-    cfg = PipelineConfig(max_iters=max_iters) if max_iters else None
-    out = run_pipeline(nview, tracks, algorithm, regime, scene_gt=scene, cfg=cfg)
+    budget = {"max_iters": max_iters} if max_iters else {}
+    out = run_pipeline(nview, tracks, algorithm, regime, scene_gt=scene, **budget)
     # a failing run must take the named partial-result path, not raise
     assert (out.report.failure_stage is not None) == (_golden_id(case) in NAMED_FAILURES)
     save_cameras(out.cameras, out.frame, tmp_path / "cameras.json")
