@@ -44,8 +44,22 @@ the consensus update reads each pair's block of Z + U above the diagonal
 alone.  Each kernel call symmetrizes its input once, at entry, for callers
 such as `project` whose matrices are not exactly symmetric.
 
-The run stops on the last iterate once its residuals reach the data's own
-precision (Boyd et al. 2011, §3.3, `stop_threshold`).  Every collinear
+One plain ADMM step, `_plain_step`, is a fixed-point map g of the state
+x = (consensus blocks, scaled dual U), flattened into one vector, and the
+driver runs it under safeguarded type-II Anderson acceleration (Walker & Ni
+2011; the safeguard as Zhang, Peng, Ouyang & Deng 2019 apply it to ADMM):
+each step starts from g of the last step minus a combination of the last
+`_MEMORY` differences of g, fitted to the residuals g(x) - x through an
+incrementally kept Gram matrix.  An extrapolated start is kept only if its
+step's residual |g(x) - x| falls below that of the last kept step;
+otherwise the run takes that step's plain iterate and clears the history,
+which a singular or non-finite Gram solve also leaves to a plain step.  The
+kernels never see the difference: each call is one plain step, and the
+extrapolation, a loop of elementwise updates, keeps U exactly symmetric.
+
+The run stops on the last iterate once the residuals of its last step,
+measured from where that step started, reach the data's own precision
+(Boyd et al. 2011, §3.3, `stop_threshold`).  Every collinear
 essential triplet has the tied spectrum (l, l, -l, -l), and its kernel keeps
 it: it reads the two kept eigenspaces only through their projectors, so it is
 continuous where the top two eigenvalues tie, and the iterates settle there.
@@ -56,6 +70,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,9 +87,13 @@ _ROWS, _COLS = zip(*_LOCAL_PAIRS)  # block row and column of each local pair
 # 1e-3 moved scenes by up to 7% against the absolute 1e-9 stop, 1e-4 by under 0.5%
 _EPS = 1e-4
 _TOL = 1e-9  # floor of the stop on both residuals, reached on exact data only
-# the ADMM penalty: unit penalty stalls on noisy desk-scale problems, and 5 took
-# the fewest iterations of 1, 2, 5, 10 and 20 on every noisy bench workload
-_RHO = 5.0
+# the ADMM penalty: under acceleration, on criterion-style scenes (seeds 30-59)
+# 2 took the fewest iterations of 1, 2, 3, 4, 5, 8 and 12, 9-33% fewer than 4;
+# but at 2 the plain rank-6 averaging of collinear triplets no longer converges,
+# and at 3 r4 positions under direction noise move by 1.3%: 4 keeps both
+_RHO = 4.0
+# the Anderson memory: at 4 the same scenes took 3-17% more iterations, at 12 at most 5% fewer
+_MEMORY = 8
 _MAX_ITERS = 500  # the default iteration budget, the one ADMM setting
 
 
@@ -232,6 +251,7 @@ class AveragingResult:
     iterations: int
     objective: float
     signature_flags: int
+    rejected: int  # extrapolated starts the safeguard threw back
     threshold: float  # the stop threshold at the returned iterate's objective
     consensus: np.ndarray = field(repr=False)  # (E, 3, 3) un-normalised blocks of `pairs`
     pairs: list = field(repr=False)  # the cover's camera pairs in `pair_rows` order
@@ -285,8 +305,91 @@ def _consistent_scale_factors(blocks, rows, dual: DualGraph) -> np.ndarray:
 
 
 def _sq_total(A: np.ndarray, weight: float = 1.0) -> float:
-    """Sum of weight x each stacked matrix's sum of squares, added left to right."""
-    return float(np.cumsum(np.sum(A * A, axis=(1, 2)) * weight)[-1])
+    """weight x the sum of squares of A's entries, one dot product."""
+    return weight * float(np.vdot(A, A))
+
+
+class _Run(NamedTuple):
+    """What one `average` call holds fixed across its steps."""
+    Ehat: np.ndarray  # (m, 9, 9) scaled measured submatrices
+    gather: np.ndarray  # the consensus -> (m, 9, 9) `block_index` layout
+    edge_of: np.ndarray  # (m, 3) each triplet's slots in the consensus
+    counts: np.ndarray  # (E,) users of each consensus block
+    projection: object  # the regime's `_PROJECTIONS` kernel
+
+
+def _plain_step(x: np.ndarray, run: _Run, warm):
+    """One plain ADMM step g(x) from x = (consensus blocks, scaled dual U),
+    flattened: the attachment W, the kernel, the consensus update and the
+    dual update.  Returns (g(x), (primal, dual, objective), deficient
+    flags, the kernel's warm start), the residuals measured from x: primal
+    Z - C_new, dual rho (C_new - C), objective |Z - Ehat|^2."""
+    m, E = len(run.edge_of), len(run.counts)
+    consensus, U = x[:9 * E].reshape(E, 3, 3), x[9 * E:].reshape(m, 9, 9)
+    C = block_matrix(consensus, run.gather)
+    W = (2.0 * run.Ehat + _RHO * (C - U)) / (2.0 + _RHO)
+    Z, deficient, warm = run.projection(W, warm)
+
+    # consensus: each pair block averages its users' blocks of Z + U,
+    # accumulated in triplet order (both stacks are exactly symmetric, so
+    # the block above the diagonal is the pair's whole block)
+    blocks = (Z + U).reshape(m, 3, 3, 3, 3).swapaxes(2, 3)[:, _ROWS, _COLS]
+    sums = np.zeros_like(consensus)
+    np.add.at(sums, run.edge_of.ravel(), blocks.reshape(3 * m, 3, 3))
+    consensus = sums / run.counts[:, None, None]
+
+    C_new = block_matrix(consensus, run.gather)
+    D = Z - C_new
+    total = 81.0 * m
+    residuals = (math.sqrt(_sq_total(D) / total), math.sqrt(_sq_total(C_new - C, _RHO ** 2) / total),
+                 _sq_total(Z - run.Ehat))
+    return np.concatenate([consensus.ravel(), (U + D).ravel()]), residuals, deficient, warm
+
+
+class _Anderson:
+    """Type-II Anderson acceleration of a fixed-point map g (Walker & Ni
+    2011) over the last `_MEMORY` steps: the next point is
+    g_k - sum_j gamma_j dG_j, with gamma the least-squares fit of the
+    residual f_k = g_k - x_k by the residual differences dF_j.  The normal
+    equations read a Gram matrix of the dF_j, one new row per step; the
+    extrapolation is a loop of elementwise updates, so it keeps every
+    exactly symmetric part of the state symmetric."""
+
+    def __init__(self):
+        self.dF = self.dG = None  # (_MEMORY, size) each, from the first difference on
+        self.gram = np.empty((_MEMORY, _MEMORY))
+        self.clear()
+
+    def clear(self) -> None:
+        self.pushed = 0  # differences stored; slot pushed % _MEMORY takes the next
+        self.last = None  # (f, g) of the last point
+
+    def next_point(self, f: np.ndarray, g: np.ndarray):
+        """The point after the step (f, g): extrapolated, or g itself where
+        there is no history yet or the Gram solve is singular or non-finite."""
+        if self.last is not None:
+            if self.dF is None:  # a run that stops at its first step holds no history
+                self.dF, self.dG = np.empty((2, _MEMORY, f.size))
+            s = self.pushed % _MEMORY
+            np.subtract(f, self.last[0], out=self.dF[s])
+            np.subtract(g, self.last[1], out=self.dG[s])
+            self.pushed += 1
+            k = min(self.pushed, _MEMORY)
+            self.gram[s, :k] = self.gram[:k, s] = self.dF[:k] @ self.dF[s]
+        self.last = (f, g)
+        k = min(self.pushed, _MEMORY)
+        if k == 0:
+            return g
+        try:
+            gamma = np.linalg.solve(self.gram[:k, :k], self.dF[:k] @ f)
+        except np.linalg.LinAlgError:
+            return g
+        if not np.all(np.isfinite(gamma)):
+            return g
+        x, step = g.copy(), np.empty_like(g)
+        for j in range(k):
+            x -= np.multiply(gamma[j], self.dG[j], out=step)
+        return x
 
 
 def average(
@@ -295,15 +398,19 @@ def average(
     regime: str,
     max_iters: int = _MAX_ITERS,
 ) -> AveragingResult:
-    """Consensus ADMM over the triplet cover.
+    """Consensus ADMM over the triplet cover, Anderson-accelerated.
 
     Each triplet keeps a constrained copy Z_k of its 9x9 submatrix (the
     regime's projection is the constraint step, the quadratic
     attachment to the measured submatrix the proximal step); blocks shared
     between triplets live in a single consensus variable with zero diagonal
     blocks, updated in deterministic triplet order; scaled duals close the
-    loop.  The residuals are the last step's, primal Z - C and dual
-    rho (C - C_old); the run stops on the last iterate once both are below
+    loop.  That step, `_plain_step`, runs under the safeguarded Anderson
+    acceleration the module docstring describes.
+
+    Each log record holds its step's residuals, primal Z - C_new and dual
+    rho (C_new - C) from the step's start C, and whether that start was
+    extrapolated; the run stops on the last iterate once both are below
     `stop_threshold` of the objective, the squared misfit of Z to the
     measurements.  Non-convergence is reported on the result, not raised,
     and hands back the iterate of least primal residual.
@@ -322,13 +429,11 @@ def average(
     edges, edge_of = pair_rows(triplets)  # edge_of (m, 3): each triplet's slots in edges
     # a missing pair raises in order of first use, as a walk over the triplets meets it
     normed = normalized_tensor(measured.tensors[measured.slots(edges)])
-    projection = _PROJECTIONS[(regime, measured.kind)]
 
     m = len(triplets)
     scales = (_consistent_scale_factors(normed, edge_of, cover.dual)
               if regime == "general" and measured.kind == "essential" else np.ones((m, 3)))
 
-    gather = block_index(edge_of)  # the consensus -> (m, 9, 9) layout
     Ehat = block_matrix(scales[..., None, None] * normed[edge_of],
                         block_index(np.arange(3 * m).reshape(m, 3)))
     # each pair block starts at the mean scale of its users, taken in
@@ -336,46 +441,46 @@ def average(
     by_edge = np.argsort(edge_of.ravel(), kind="stable")
     counts = np.bincount(edge_of.ravel(), minlength=len(edges))
     mean = [np.mean(u) for u in np.split(scales.ravel()[by_edge], np.cumsum(counts)[:-1])]
-    consensus = np.array(mean)[:, None, None] * normed
-    U = np.zeros((m, 9, 9))
-    C = block_matrix(consensus, gather)
-    warm = None  # the kernel's warm start, carried from one iteration to the next
+    run = _Run(Ehat, block_index(edge_of), edge_of, counts, _PROJECTIONS[(regime, measured.kind)])
+    x = np.concatenate([(np.array(mean)[:, None, None] * normed).ravel(), np.zeros(81 * m)])
+    split = x.size - 81 * m  # x[:split] the consensus, x[split:] U
+    warm = None  # the kernel's warm start, carried from one step to the next
+    anderson = _Anderson()
+    extrapolated = False  # whether x came from `anderson`
+    kept = None  # (|f|^2, g) of the last kept step
+    rejected = 0
     log = []
     converged = False
-    total = 81.0 * m
     best_state = None  # (primal, consensus, objective) of the best iterate
 
     for iteration in range(1, max_iters + 1):
-        W = (2.0 * Ehat + _RHO * (C - U)) / (2.0 + _RHO)
-        Z, deficient, warm = projection(W, warm)
+        g, (primal, dual, objective), deficient, warm = _plain_step(x, run, warm)
         flags = int(np.count_nonzero(deficient))
-
-        # consensus: each pair block averages its users' blocks of Z + U,
-        # accumulated in triplet order (both stacks are exactly symmetric, so
-        # the block above the diagonal is the pair's whole block)
-        blocks = (Z + U).reshape(m, 3, 3, 3, 3).swapaxes(2, 3)[:, _ROWS, _COLS]
-        sums = np.zeros_like(consensus)
-        np.add.at(sums, edge_of.ravel(), blocks.reshape(3 * m, 3, 3))
-        consensus = sums / counts[:, None, None]
-
-        C_old, C = C, block_matrix(consensus, gather)
-        D = Z - C
-        U = U + D
-        primal = np.sqrt(_sq_total(D) / total)
-        dual = np.sqrt(_sq_total(C - C_old, _RHO ** 2) / total)
-        objective = _sq_total(Z - Ehat)
-
         log.append({
             "iteration": iteration,
             "objective": objective,
             "primal_residual": primal,
             "dual_residual": dual,
+            "extrapolated": extrapolated,
         })
+        consensus = g[:split].reshape(-1, 3, 3)
         if best_state is None or primal < best_state[0]:
             best_state = (primal, consensus, objective)
         if max(primal, dual) < stop_threshold(objective, m):
             converged = True
             break
+
+        f = g - x
+        size = float(f @ f)
+        if extrapolated and size >= kept[0]:
+            # the safeguard: back to the last kept step's plain iterate
+            rejected += 1
+            anderson.clear()
+            x, extrapolated = kept[1], False
+            continue
+        kept = (size, g)
+        x = anderson.next_point(f, g)
+        extrapolated = x is not g
 
     if not converged:
         # the contract on non-convergence is the best iterate, not the last:
@@ -390,6 +495,7 @@ def average(
         iterations=iteration,
         objective=objective,
         signature_flags=flags,
+        rejected=rejected,
         threshold=stop_threshold(objective, m),
         consensus=consensus,
         pairs=edges,

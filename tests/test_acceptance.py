@@ -12,7 +12,7 @@ from colsfm.averaging import (
     average,
     project,
 )
-from colsfm.errors import AmbiguousCheirality
+from colsfm.errors import AmbiguousCheirality, ValidationError
 from colsfm.geometry import CameraModel, bifocal_from_pair, camera_centers
 from colsfm.graphs import (
     TripletCover,
@@ -32,7 +32,7 @@ from colsfm.pipeline import run_pipeline
 from colsfm.recovery import recover_projective_collinear_triplet, register_global
 from colsfm.synthetic import MeasurementNoise, generate, measure
 from conftest import (
-    center_spread, collinear_triplet, covered_edges, exact_nview, exact_triplet, four_view,
+    banded, center_spread, collinear_triplet, covered_edges, exact_nview, exact_triplet, four_view,
     meets_stop, min_weight_cover, projective_system, seen_in, triplet_matrix, unit_bifocal,
 )
 
@@ -412,6 +412,23 @@ def test_criterion_10_mixed_seed_18_converges():
     out = run_pipeline(noisy, tracks, "vc", "calibrated", scene)
     assert out.cover.virtual_nodes
     assert _stopped_by_rule(out)
+
+
+def test_banded_vc_stops_by_the_rule():
+    # a sparse viewing graph (the blocks j - i <= 3) of noisy mixed scenes:
+    # the cover inserts virtual cameras for the first cameras, which sit on
+    # the scene's line, and ADMM must still stop by the rule within its
+    # budget; every run finishes or raises a typed error
+    stopped = 0
+    for seed in range(32):
+        scene = generate("mixed", 10, 12, seed=seed)
+        noisy, tracks = measure(scene, MeasurementNoise(rotation_deg=0.5), seed=seed)
+        try:
+            out = run_pipeline(banded(noisy), tracks, "vc", "calibrated", scene)
+        except ValidationError:
+            continue
+        stopped += _stopped_by_rule(out)
+    assert stopped >= 31, f"{stopped}/32 banded runs stopped by the rule"
 
 
 def test_criterion_11_uncalibrated_vc_under_noise():

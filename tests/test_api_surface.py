@@ -169,20 +169,21 @@ def test_test_only_surface_stays_deleted():
 
 def test_admm_has_no_polish_phase():
     # ADMM stops at the data's own precision with no feasibility polish after
-    # it: one setting, its iteration budget, and four log keys, with no phase
-    # among them; the penalty and the stop floor are constants, with no flag
+    # it: one setting, its iteration budget, and five log keys, with no phase
+    # among them; the penalty, the stop floor and the Anderson memory are
+    # constants, with no flag
     assert not hasattr(averaging, "AdmmConfig") and not hasattr(colsfm, "AdmmConfig")
     assert list(inspect.signature(averaging.average).parameters) == [
         "measured", "cover", "regime", "max_iters"]
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     flags = {f for p in sub.choices.values() for a in p._actions for f in a.option_strings}
-    assert "--max-iters" in flags and not flags & {"--rho", "--tol"}
+    assert "--max-iters" in flags and not flags & {"--rho", "--tol", "--memory"}
     scene = synthetic.generate("collinear", 5, 6, seed=0)
     m, _ = synthetic.measure(scene, synthetic.MeasurementNoise(rotation_deg=0.5), seed=0)
     res = averaging.average(m, graphs.sequential_cover(5), "collinear")
     assert len(res.log) > 1
     for rec in res.log:
-        assert set(rec) == {"iteration", "objective", "primal_residual", "dual_residual"}
+        assert set(rec) == {"iteration", "objective", "primal_residual", "dual_residual", "extrapolated"}
 
 
 def test_pipeline_has_one_setting():

@@ -326,17 +326,19 @@ class TestStopRule:
         assert meets_stop(res.log[-1], len(res.rows))
 
     def test_residuals_are_those_of_the_last_step(self, monkeypatch):
-        # each log entry's residuals are the primal Z - C and the dual
-        # rho (C - C_old) of its own step, recomputed here from the kernel's
-        # outputs
+        # each log entry's residuals are the primal Z - C_new and the dual
+        # rho (C_new - C) of its own plain step, taken from the point that
+        # step started at (extrapolated or not), recomputed here from the
+        # kernel's outputs
         scene = generate("collinear", 6, 8, seed=29)
         noisy, _ = measure(scene, MeasurementNoise(0.5), seed=2)
-        res, blocks, steps = _replayed_average(monkeypatch, noisy)
+        res, starts, outs, steps = _replayed_average(monkeypatch, noisy)
         m = len(res.rows)
         gather = block_index(res.rows)
-        for i, rec in enumerate(res.log, start=1):
-            primal = np.sqrt(np.sum(steps[i - 1] ** 2) / (81 * m))
-            dual = 5.0 * np.sqrt(np.sum(block_matrix(blocks[i] - blocks[i - 1], gather) ** 2) / (81 * m))
+        assert any(rec["extrapolated"] for rec in res.log)
+        for rec, start, out, step in zip(res.log, starts, outs, steps, strict=True):
+            primal = np.sqrt(np.sum(step ** 2) / (81 * m))
+            dual = averaging._RHO * np.sqrt(np.sum(block_matrix(out - start, gather) ** 2) / (81 * m))
             assert rec["primal_residual"] == pytest.approx(primal, rel=1e-6, abs=1e-15)
             assert rec["dual_residual"] == pytest.approx(dual, rel=1e-6, abs=1e-15)
 
@@ -364,48 +366,119 @@ class TestStopRule:
 
 
 def _replayed_average(monkeypatch, measured, **kw):
-    """A collinear `average` over the chain cover, and each iterate replayed
-    from the kernel's recorded outputs: the consensus (E, 3, 3) blocks,
-    starting one first, and the (m, 9, 9) primal steps Z - C."""
-    outputs = []
+    """A collinear `average` over the chain cover, and each plain step
+    replayed from the point it started at and the kernel's output: the
+    (E, 3, 3) consensus blocks at each step's start and after it, and the
+    (m, 9, 9) primal steps Z - C_new."""
+    points, outputs = [], []
+
+    def step(x, run, warm):
+        points.append(x.copy())
+        return plain_step(x, run, warm)
 
     def spy(S, warm=None):
         out = averaging._collinear_essential(S, warm)
         outputs.append(out[0])
         return out
 
+    plain_step = averaging._plain_step
+    monkeypatch.setattr(averaging, "_plain_step", step)
     monkeypatch.setitem(averaging._PROJECTIONS, ("collinear", "essential"), spy)
     res = average(measured, sequential_cover(measured.n), "collinear", **kw)
-    m = len(res.rows)
+    m, E = len(res.rows), len(res.pairs)
     gather = block_index(res.rows)
-    blocks = [normalized_tensor(measured.tensors[measured.slots(res.pairs)])]
-    steps = []
-    U = np.zeros((m, 9, 9))
-    for Z in outputs:
-        ZU = Z + U
+    assert np.array_equal(points[0][:9 * E].reshape(E, 3, 3),
+                          normalized_tensor(measured.tensors[measured.slots(res.pairs)]))
+    starts, outs, steps = [], [], []
+    for x, Z in zip(points, outputs, strict=True):
+        starts.append(x[:9 * E].reshape(E, 3, 3))
+        ZU = Z + x[9 * E:].reshape(m, 9, 9)
         halves = (0.5 * (ZU + ZU.swapaxes(1, 2))).reshape(m, 3, 3, 3, 3).swapaxes(2, 3)
-        sums = np.zeros_like(blocks[0])
+        sums = np.zeros((E, 3, 3))
         np.add.at(sums, res.rows.ravel(), halves[:, [0, 0, 1], [1, 2, 2]].reshape(-1, 3, 3))
-        blocks.append(sums / np.bincount(res.rows.ravel())[:, None, None])
-        steps.append(Z - block_matrix(blocks[-1], gather))
-        U = U + steps[-1]
-    return res, blocks, steps
+        outs.append(sums / np.bincount(res.rows.ravel())[:, None, None])
+        steps.append(Z - block_matrix(outs[-1], gather))
+    return res, starts, outs, steps
+
+
+class TestAnderson:
+    """`_Anderson` against the type-II step solved directly: the least-squares
+    fit of f_k by the last `_MEMORY` residual differences, by `lstsq`."""
+
+    def test_matches_the_least_squares_step(self, rng):
+        anderson = averaging._Anderson()
+        fs, gs = [], []
+        for k in range(3 * averaging._MEMORY):  # the history wraps twice
+            f, g = rng.normal(size=40), rng.normal(size=40)
+            got = anderson.next_point(f, g)
+            fs.append(f)
+            gs.append(g)
+            if k == 0:
+                assert got is g
+                continue
+            dF = np.diff(fs[-averaging._MEMORY - 1:], axis=0).T
+            dG = np.diff(gs[-averaging._MEMORY - 1:], axis=0).T
+            gamma = np.linalg.lstsq(dF, f, rcond=None)[0]
+            assert np.allclose(got, g - dG @ gamma, rtol=1e-9, atol=1e-9)
+
+    def test_singular_gram_takes_the_plain_point(self, rng):
+        anderson = averaging._Anderson()
+        f = rng.normal(size=40)
+        anderson.next_point(f, rng.normal(size=40))
+        g = rng.normal(size=40)
+        assert anderson.next_point(f, g) is g  # a zero difference: singular
+
+    def test_clear_drops_the_history(self, rng):
+        anderson = averaging._Anderson()
+        for _ in range(3):
+            anderson.next_point(rng.normal(size=40), rng.normal(size=40))
+        anderson.clear()
+        g = rng.normal(size=40)
+        assert anderson.next_point(rng.normal(size=40), g) is g
 
 
 class TestAverageRobustness:
     def test_nonconvergent_run_returns_best_iterate(self, monkeypatch):
-        # two golden scenes capped at 30 iterations, one before their stop:
-        # their least primal residual comes before the last iterate, and that
-        # iterate, not the last, is returned
-        for seed, rotation_deg in ((51, 1.0), (60, 3.0)):
+        # two scenes capped at 8 iterations, before their stop (at 15 and
+        # 14): their least primal residual comes before the last step, and
+        # that step's output, not the last, is returned
+        for seed, rotation_deg in ((59, 1.0), (91, 3.0)):
             scene = generate("collinear", 8, 8, seed=seed)
             m, _ = measure(scene, MeasurementNoise(rotation_deg=rotation_deg), seed=1)
-            res, blocks, _ = _replayed_average(monkeypatch, m, max_iters=30)
-            best = int(np.argmin([rec["primal_residual"] for rec in res.log])) + 1
-            assert not res.converged and best < res.iterations == 30
-            assert np.max(np.abs(res.consensus - blocks[best])) < 1e-12
-            assert np.max(np.abs(res.consensus - blocks[-1])) > 1e-8
-            assert res.objective == res.log[best - 1]["objective"]
+            res, _, outs, _ = _replayed_average(monkeypatch, m, max_iters=8)
+            best = int(np.argmin([rec["primal_residual"] for rec in res.log]))
+            assert not res.converged and best + 1 < res.iterations == 8
+            assert np.max(np.abs(res.consensus - outs[best])) < 1e-12
+            assert np.max(np.abs(res.consensus - outs[-1])) > 1e-8
+            assert res.objective == res.log[best]["objective"]
+
+    def test_bad_extrapolation_is_rejected(self, monkeypatch):
+        # one kernel call from an extrapolated point goes wrong (its output
+        # doubled): the safeguard throws that point back, the next step
+        # starts plain from the last kept step's iterate, and the run still
+        # stops by the rule
+        points, images = [], []
+
+        def step(x, run, warm):
+            points.append(x)
+            out = plain_step(x, run, warm)
+            images.append(out[0])
+            return out
+
+        def spy(S, warm=None):
+            Z, flags, warm = averaging._collinear_essential(S, warm)
+            return (2.0 * Z if len(points) == 6 else Z), flags, warm
+
+        plain_step = averaging._plain_step
+        monkeypatch.setattr(averaging, "_plain_step", step)
+        monkeypatch.setitem(averaging._PROJECTIONS, ("collinear", "essential"), spy)
+        scene = generate("collinear", 6, 8, seed=29)
+        noisy, _ = measure(scene, MeasurementNoise(0.5), seed=2)
+        res = average(noisy, sequential_cover(6), "collinear")
+        assert res.log[5]["extrapolated"] and not res.log[6]["extrapolated"]
+        assert np.array_equal(points[6], images[4])
+        assert res.rejected == 1
+        assert res.converged and meets_stop(res.log[-1], len(res.rows))
 
     def test_scale_sync_bug_propagates(self, monkeypatch):
         # only a ValidationError is an input fault; anything else raised
@@ -859,7 +932,7 @@ class TestSymmetricStacks:
     """The consensus update reads each pair's block of Z + U above the
     diagonal only, which holds the whole pair when every stack the driver
     builds is exactly symmetric: the kernel input W and its output Z, on
-    every (regime, kind)."""
+    every (regime, kind), from plain and extrapolated points alike."""
 
     # (algorithm, layout, intrinsics, banded, kernel the cover stage reaches)
     CASES = [
@@ -890,6 +963,9 @@ class TestSymmetricStacks:
         cover, res = cover_and_average(banded(m) if band else m, tracks, algorithm, max_iters=40)
         assert bool(cover.virtual_nodes) == band
         assert calls == {key: res.iterations} and res.iterations > 1
+        # steps from extrapolated points among them: the extrapolation keeps
+        # the dual exactly symmetric
+        assert any(rec["extrapolated"] for rec in res.log)
 
     @pytest.mark.parametrize("which", sorted(ALL_PROJECTIONS))
     def test_project_symmetrizes_its_input(self, rng, which):
@@ -911,24 +987,25 @@ class TestSymmetricStacks:
 # essential kernel kept the tied spectrum and the stop read the last
 # iterate; the two calibrated general cases again when the retraction became
 # one sweep from the previous rotations and centres; the seed-82 case ran at
-# rho 1 until rho became a constant, and pins the same run at rho 5 since
+# rho 1 until rho became a constant, and pins the same run at rho 5 since;
+# all eight again when the driver became Anderson-accelerated at rho 4
 _GOLDEN = [
     ("collinear", 6, 29, "calibrated", 0.5, 2, "collinear", "chain", {},
-     "7f8fd1600cdb191670952ca1796645879d46224f6820286593020fbbd028d4a6"),  # stops on the misfit
+     "583a1336a6db336c4388207edc560d2c8b108086db39ccc5f0518699025dc228"),  # stops on the misfit
     ("collinear", 6, 40, "varied", 0.3, 1, "collinear", "chain", {},
-     "378330452ff7f2ecad548b35ec33fc272331e1ce9484bee2161b7a7c8333c1d6"),
+     "5881320080c7e3c4f1367e61f37aa84585cc3d13cce38bca210fbe307ebf7290"),
     ("general", 6, 41, "calibrated", 0.2, 1, "general", "greedy", {"max_iters": 60},
-     "212b31ad5bbe6667634252a4c9c92dda35bd254bf314decf86da5338114b98d5"),  # cyclic cover, not converged
+     "4e7d1f61bafc3d33c011e8b8fa185c74335951289282236ab8fdcc228dfc7bb1"),  # cyclic cover, converges in 33 of 60
     ("general", 6, 42, "varied", 0.2, 1, "general", "greedy", {"max_iters": 60},
-     "e0a86c689d14dc5ee30b8ec285d0d3fd158e8be816932e87d4956311b7b97e8c"),
+     "05357243227ae2f3deef406f0c8de85ef564b09211da10edcf667f02de62091e"),
     ("general", 8, 65, "calibrated", 0.5, 1, "general", "chain", {},
-     "2b967eba5420bd702cb581b1e0b4ef3a7a9c4168282c29a9ed82d4347b4f6388"),  # warm retraction, 88 iterations
+     "3909c98c1304abdc3a2da50c76d8f408d2a5baa6cf3a963b86338063e5a49d7b"),  # warm retraction, 29 iterations
     ("collinear", 8, 51, "calibrated", 1.0, 1, "collinear", "chain", {},
-     "c0ee75130ce343d0478f64e7b6d59e749cb4cac6f35dff4bb96edd8dd7b6fb87"),  # last iterate above the best
+     "ba38c2947150e86683231d06f4ddb1c4e5f84e060345574651988e1312278c6b"),  # 1 degree, converges in 14
     ("collinear", 9, 82, "calibrated", 0.5, 1, "collinear", "chain", {"max_iters": 300},
-     "db9c35424f9057deec78c532845fca5498d45ea26781e413c6020eef4e582ead"),  # a near tie, converges on the last iterate
+     "e57cee2e4fba3c0d279331a48b25ad9a93532d906464e9007c9bc7ace02e5406"),  # a near tie, converges on the last iterate
     ("collinear", 8, 60, "calibrated", 3.0, 1, "collinear", "chain", {"max_iters": 120},
-     "7e6368cfe59015d02a64d8d6e924723ffa2685669618f2145878a3a94f1ece6a"),  # large misfit, stops early
+     "570708d2881894c8616faf84fe962c3cc3dd6a124fe7633185c672a24e16ce19"),  # large misfit, stops early
 ]
 
 
@@ -955,24 +1032,30 @@ class TestGoldenAverage:
         assert _result_digest(average(m, cv, regime, **kw)) == expected
 
 
-def _noisy_general_digest(seed):
-    """`_result_digest` of 40 iterations averaging a noisy n=6 general scene
-    over its greedy cover: every iteration after the first warm-starts the
-    retraction."""
-    scene = generate("general", 6, 8, seed=seed)
+def _noisy_digest(layout, intrinsics, seed):
+    """`_result_digest` of at most 40 iterations averaging a noisy n=6 scene:
+    a general one over its greedy cover (every iteration after the first
+    warm-starts the retraction) or a collinear one over the chain; every
+    step after the first two starts from an extrapolated point."""
+    scene = generate(layout, 6, 8, seed=seed, intrinsics_mode=intrinsics)
     m, _ = measure(scene, MeasurementNoise(0.5, 0.5), seed=seed)
-    cover = enrich_connectivity(min_weight_cover(6))
-    return _result_digest(average(m, cover, "general", max_iters=40))
+    cover = enrich_connectivity(min_weight_cover(6)) if layout == "general" else sequential_cover(6)
+    return _result_digest(average(m, cover, layout, max_iters=40))
 
 
 def test_average_holds_no_hidden_state():
     # scenes A, B, A in one process against each averaged in a fresh
-    # interpreter: rotations kept between calls would break the equality
+    # interpreter, for a warm-started general run, an r4 run and an
+    # uncalibrated one: rotations or an extrapolation history kept between
+    # calls would break the equality
     seeds = (41, 43, 41)
-    in_process = [_noisy_general_digest(s) for s in seeds]
     code = ("import sys; sys.path[:0] = {!r}; import test_averaging; "
-            "print(test_averaging._noisy_general_digest({}))")
-    fresh = {s: subprocess.run([sys.executable, "-c", code.format(sys.path, s)], capture_output=True,
-                               text=True, check=True).stdout.strip() for s in set(seeds)}
-    assert in_process[0] != in_process[1]
-    assert in_process == [fresh[s] for s in seeds]
+            "print(test_averaging._noisy_digest({!r}, {!r}, {}))")
+    for layout, intrinsics in (("general", "calibrated"), ("collinear", "calibrated"),
+                               ("collinear", "varied")):
+        in_process = [_noisy_digest(layout, intrinsics, s) for s in seeds]
+        fresh = {s: subprocess.run([sys.executable, "-c", code.format(sys.path, layout, intrinsics, s)],
+                                   capture_output=True, text=True, check=True).stdout.strip()
+                 for s in set(seeds)}
+        assert in_process[0] != in_process[1]
+        assert in_process == [fresh[s] for s in seeds], (layout, intrinsics)

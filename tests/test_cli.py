@@ -331,8 +331,9 @@ def _measured(tmp_path, layout, n, seed, noise_rot="0.0", band=False):
 # its log lost the phase key, and r4 and the plain run again when the
 # collinear essential kernel kept the tied spectrum and the stop read the
 # last iterate; vc and the plain run again when the general-essential
-# retraction became one sweep from the previous rotations and centres.  The
-# r4 run passes a near tie of the collinear kernel's top
+# retraction became one sweep from the previous rotations and centres; all
+# three again when ADMM became Anderson-accelerated at rho 4 and its log
+# gained the extrapolated key.  The r4 run passes a near tie of the collinear kernel's top
 # eigenvalues and converges on its last iterate.  The plain run (the
 # `no_virtual` ablation, recorded as `average --no-virtual` while that flag
 # existed) averages collinear triplets under the rank-6 retraction and
@@ -340,11 +341,11 @@ def _measured(tmp_path, layout, n, seed, noise_rot="0.0", band=False):
 # (`test_no_virtual_pipeline_rejected`).
 GOLDEN_AVERAGE = [
     (("r4", "collinear", 8, 11, "0.2", False), 0,
-     "7029da5b1f03c6dbde5e6e2517972d3a36785f1c5bd9a9c6082d973abb233fb2"),
+     "9e64d56d03e1de89710e1ead2cdeda38764e5e16c30c06b85227dc92f2ef45aa"),
     (("vc", "mixed", 9, 6, "0.0", False), 0,
-     "f5c83b52f0df99277a74d3e2580529d14b1cbe15fd819cfc4f66bebb566ee1f2"),
+     "5bf82405d26e7a4ef71d7d04e8f4fdb519d7631229d9e0e9febd630a750f60ed"),
     (("vc", "mixed", 9, 6, "0.0", True), 0,
-     "7a0c898797f63202f980434bb909623833586643dadd3901eda1c694619656f4"),
+     "38281c2d1f6951122a21e90967e2990f1d778c9b8d311a42deab7bf6bda7311d"),
 ]
 
 
