@@ -6,7 +6,6 @@ from .averaging import (
     project,
 )
 from .geometry import (
-    CameraModel,
     bifocal_from_pair,
     skew,
     symmetric_epipolar_distance,

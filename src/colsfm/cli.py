@@ -170,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--layout", choices=["collinear", "general", "mixed"], default="collinear")
     p.add_argument("--n-cams", type=_at_least(3), default=10)
     p.add_argument("--n-points", type=_at_least(4), default=20)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--intrinsics", choices=["calibrated", "varied"], default="calibrated")
     p.add_argument("--collinear-fraction", type=_FRACTION, default=0.5)
     p.add_argument("--out", required=True)
@@ -181,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise-rot-deg", type=_NONNEGATIVE, default=0.0)
     p.add_argument("--noise-trans-deg", type=_NONNEGATIVE, default=0.0)
     p.add_argument("--noise-px", type=_NONNEGATIVE, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_measure)
 

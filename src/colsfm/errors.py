@@ -93,4 +93,5 @@ class TooFew(ValidationError):
 
 
 class InvalidSceneSpec(ValidationError, ValueError):
-    """A synthetic scene request no scene satisfies (layout, counts, fraction)."""
+    """A synthetic scene request no scene satisfies (layout, counts, fraction),
+    or a scene camera whose intrinsics, rotation or center is malformed."""

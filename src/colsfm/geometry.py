@@ -15,8 +15,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import CoincidentCenters, DegenerateGeometry, DegenerateLine, RankDeficient
@@ -99,60 +97,6 @@ def calibrated(K: np.ndarray) -> np.ndarray:
     return np.all(np.abs(np.asarray(K, dtype=float) - np.eye(3)) <= 1e-12, axis=(-2, -1))
 
 
-@dataclass(frozen=True)
-class CameraModel:
-    """Calibrated or projective camera K R^T [I | -t].
-
-    intrinsics: 3x3 upper triangular, K[2,2] = 1, positive diagonal.
-    rotation:   3x3, orthogonal with det +1.
-    center:     3-vector in world units.
-    """
-
-    intrinsics: np.ndarray
-    rotation: np.ndarray
-    center: np.ndarray
-
-    def __post_init__(self):
-        K = np.asarray(self.intrinsics, dtype=float).reshape(3, 3).copy()
-        R = np.asarray(self.rotation, dtype=float).reshape(3, 3).copy()
-        t = np.asarray(self.center, dtype=float).reshape(3).copy()
-        if not all(np.all(np.isfinite(a)) for a in (K, R, t)):
-            raise ValueError("intrinsics, rotation and center must be finite")
-        if np.linalg.norm(R.T @ R - np.eye(3)) > 1e-10 or np.linalg.det(R) < 0:
-            raise ValueError("rotation must be orthogonal with det +1")
-        if abs(K[2, 2] - 1.0) > 1e-12 or np.any(np.diag(K) <= 0):
-            raise ValueError("intrinsics must have positive diagonal and K[2,2]=1")
-        if abs(K[1, 0]) > 1e-12 or abs(K[2, 0]) > 1e-12 or abs(K[2, 1]) > 1e-12:
-            raise ValueError("intrinsics must be upper triangular")
-        for a in (K, R, t):
-            a.setflags(write=False)
-        object.__setattr__(self, "intrinsics", K)
-        object.__setattr__(self, "rotation", R)
-        object.__setattr__(self, "center", t)
-
-    @property
-    def is_calibrated(self) -> bool:
-        return bool(calibrated(self.intrinsics))
-
-    def v_matrix(self) -> np.ndarray:
-        """V = K^{-T} R^T."""
-        return np.linalg.inv(self.intrinsics).T @ self.rotation.T
-
-    def projection_matrix(self) -> np.ndarray:
-        """3x4 projection K R^T [I | -t]."""
-        return self.intrinsics @ self.rotation.T @ np.hstack(
-            [np.eye(3), -self.center.reshape(3, 1)]
-        )
-
-    def project(self, X: np.ndarray) -> np.ndarray:
-        """Project a world point to a homogeneous image point with last coord 1."""
-        return image_point(self.projection_matrix(), X)
-
-    def depth(self, X: np.ndarray) -> float:
-        """Projective depth (z in the camera frame); positive means in front."""
-        return float((self.rotation.T @ (np.asarray(X, dtype=float) - self.center))[2])
-
-
 def image_point(P: np.ndarray, X: np.ndarray) -> np.ndarray:
     """The image P [X, 1] of a world point under a 3x4 camera, scaled to
     last coordinate 1, or of each point of a (..., 3) stack under each
@@ -171,14 +115,18 @@ def camera_centers(P: np.ndarray) -> np.ndarray:
     return (-P[..., :3].swapaxes(-1, -2) @ P[..., 3:])[..., 0]
 
 
-def bifocal_from_pair(ci: CameraModel, cj: CameraModel) -> np.ndarray:
-    """Pairwise tensor V_i ([t_i]_x - [t_j]_x) V_j^T between two cameras.
+def bifocal_from_pair(K, R, C, i, j) -> np.ndarray:
+    """Pairwise tensor V_i ([t_i]_x - [t_j]_x) V_j^T, V = K^{-T} R^T, of
+    cameras i and j of the (n, 3, 3) intrinsics K and rotations R and the
+    (n, 3) centres C; i and j are indices, or index arrays for a stack.
 
-    Raises CoincidentCenters when the centers are closer than 1e-12.
+    Raises CoincidentCenters when two centres are closer than 1e-12.
     """
-    if np.linalg.norm(ci.center - cj.center) < 1e-12:
+    K, R, C = (np.asarray(a, dtype=float) for a in (K, R, C))
+    if np.any(norms(C[i] - C[j]) < 1e-12):
         raise CoincidentCenters("camera centers coincide; tensor would vanish")
-    return ci.v_matrix() @ (skew(ci.center) - skew(cj.center)) @ cj.v_matrix().T
+    Vi, Vj = (np.linalg.inv(K[k]).swapaxes(-1, -2) @ R[k].swapaxes(-1, -2) for k in (i, j))
+    return Vi @ (skew(C[i]) - skew(C[j])) @ Vj.swapaxes(-1, -2)
 
 
 # row p of _OTHER_ROWS lists the rows of a camera left after deleting row p

@@ -10,11 +10,11 @@ import json
 
 import numpy as np
 
-from .errors import CoincidentCenters, ValidationError
-from .geometry import CameraModel, norms
+from .errors import ValidationError
+from .geometry import norms
 from .metrics import EvalReport
 from .nview import NViewBifocal
-from .synthetic import Scene, TrackSet, check_center_distances
+from .synthetic import Scene, TrackSet
 
 
 def _dump(doc, path) -> None:
@@ -33,44 +33,36 @@ def save_scene(scene: Scene, path) -> None:
         "layout": scene.layout,
         "seed": scene.seed,
         "cameras": [
-            {
-                "K": [float(v) for v in c.intrinsics.ravel()],
-                "R": [float(v) for v in c.rotation.ravel()],
-                "t": [float(v) for v in c.center],
-            }
-            for c in scene.cameras
+            {"K": K, "R": R, "t": t}
+            for K, R, t in zip(scene.intrinsics.reshape(-1, 9).tolist(),
+                               scene.rotations.reshape(-1, 9).tolist(), scene.centers.tolist())
         ],
-        "points": [[float(v) for v in p] for p in scene.points],
+        "points": np.asarray(scene.points, dtype=float).tolist(),
     }
     _dump(doc, path)
 
 
 def load_scene(path) -> Scene:
+    """The scene of a scene file: each camera's K, R and t read at their
+    exact sizes (9, 9 and 3 numbers) and the points as an (N, 3) array,
+    then checked as every `Scene` is."""
     doc = _load(path)
     try:
-        cams = [
-            CameraModel(
-                np.array(c["K"], dtype=float).reshape(3, 3),
-                np.array(c["R"], dtype=float).reshape(3, 3),
-                np.array(c["t"], dtype=float),
-            )
-            for c in doc["cameras"]
-        ]
-        points = np.array(doc["points"], dtype=float).reshape(-1, 3)
+        K, R, C = (np.array([np.array(c[key], dtype=float).reshape(size) for c in doc["cameras"]])
+                   for key, size in (("K", 9), ("R", 9), ("t", 3)))
+        points = np.array(doc["points"], dtype=float)
+        points = points.reshape(0, 3) if points.shape == (0,) else points
+        if points.ndim != 2 or points.shape[1] != 3:
+            raise ValidationError(f"points must be an (N, 3) array, got shape {points.shape}")
+        bad = np.flatnonzero(~np.all(np.isfinite(points), axis=1))
+        if len(bad):
+            raise ValidationError(f"point {bad[0]} must be finite, got {points[bad[0]].tolist()}")
+        if len(C) < 2:
+            raise ValidationError(f"a scene needs at least 2 cameras, got {len(C)}")
+        return Scene(K.reshape(-1, 3, 3), R.reshape(-1, 3, 3), C, points, doc.get("layout", "unknown"),
+                     _index(doc.get("seed", 0), "seed"))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed scene file: {exc}") from exc
-    bad = np.flatnonzero(~np.all(np.isfinite(points), axis=1))
-    if len(bad):
-        raise ValidationError(f"point {bad[0]} must be finite, got {points[bad[0]].tolist()}")
-    if len(cams) < 2:
-        raise ValidationError(f"a scene needs at least 2 cameras, got {len(cams)}")
-    C = np.array([c.center for c in cams])
-    check_center_distances(C)
-    shared = np.triu(np.linalg.norm(C[:, None] - C[None], axis=-1) < 1e-12, 1)
-    if np.any(shared):
-        i, j = np.argwhere(shared)[0].tolist()
-        raise CoincidentCenters(f"cameras {i} and {j} share a center")
-    return Scene(cams, points, doc.get("layout", "unknown"), _index(doc.get("seed", 0), "seed"))
 
 
 def save_measurements(nview: NViewBifocal, tracks: TrackSet | None, path) -> None:

@@ -99,7 +99,7 @@ def _evaluate(cameras, n_real, tracks, scene_gt, regime, algorithm, converged, f
         idx = [i for i in range(n_real) if cameras[i] is not None]
         if len(idx) >= 3:
             est = camera_centers(np.array([cameras[i] for i in idx]))
-            gt = scene_gt.centers()[idx]
+            gt = scene_gt.centers[idx]
             res = align_similarity(est, gt).residuals
             mean_pos = float(np.mean(res))
             median_pos = float(np.median(res))

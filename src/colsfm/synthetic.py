@@ -13,8 +13,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import InvalidSceneSpec, ValidationError
-from .geometry import CameraModel, calibrated, image_point, normalized_tensor, rotation_about, skew, unit
+from .errors import CoincidentCenters, InvalidSceneSpec, ValidationError
+from .geometry import calibrated, image_point, normalized_tensor, rotation_about, skew, unit
 from .nview import NViewBifocal
 
 
@@ -68,31 +68,76 @@ class TrackSet:
         return self.points[np.ix_(rows, ids)]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scene:
-    """Synthetic scene with known cameras and points."""
+    """Synthetic scene with known cameras and points.  Camera i is
+    K R^T [I | -t] with K = intrinsics[i], R = rotations[i] and
+    t = centers[i], held as three read-only stacks and checked once, here:
+    InvalidSceneSpec names the first camera with a non-finite entry, a
+    rotation not orthogonal with det +1 (within 1e-10) or intrinsics not
+    upper triangular with a positive diagonal and K[2, 2] = 1 (within
+    1e-12); ValidationError the first pair whose squared distance overflows
+    (found on centres scaled to at most 1, where nothing overflows), and
+    CoincidentCenters the first pair closer than 1e-12."""
 
-    cameras: list
+    intrinsics: np.ndarray  # (n, 3, 3)
+    rotations: np.ndarray   # (n, 3, 3)
+    centers: np.ndarray     # (n, 3)
     points: np.ndarray
     layout: str
     seed: int
 
+    def __post_init__(self):
+        names = ("intrinsics", "rotations", "centers")
+        K, R, C = (np.array(getattr(self, name), dtype=float) for name in names)
+        if not K.shape == R.shape == C.shape[:1] + (3, 3) or C.shape[1:] != (3,):
+            raise InvalidSceneSpec(f"intrinsics {K.shape}, rotations {R.shape} and centers {C.shape} "
+                                "must be (n, 3, 3), (n, 3, 3) and (n, 3) stacks")
+
+        def refuse(bad, message):
+            if np.any(bad):
+                raise InvalidSceneSpec(f"camera {np.argmax(bad)}: {message}")
+
+        n = len(C)
+        refuse(~np.isfinite(np.hstack([K.reshape(n, 9), R.reshape(n, 9), C])).all(axis=1),
+               "intrinsics, rotation and center must be finite")
+        skewed = np.linalg.norm(R.swapaxes(1, 2) @ R - np.eye(3), axis=(1, 2)) > 1e-10
+        refuse(skewed | (np.linalg.det(R) < 0), "rotation must be orthogonal with det +1")
+        diagonal = np.diagonal(K, axis1=1, axis2=2)
+        refuse((np.abs(diagonal[:, 2] - 1.0) > 1e-12) | np.any(diagonal <= 0, axis=1),
+               "intrinsics must have positive diagonal and K[2,2]=1")
+        refuse(np.any(np.abs(K[:, [1, 2, 2], [0, 0, 1]]) > 1e-12, axis=1),
+               "intrinsics must be upper triangular")
+        scale = float(np.max(np.abs(C), initial=0.0)) or 1.0
+        D = C[:, None] / scale - C[None] / scale
+        top = float(np.finfo(float).max) / scale
+        far = np.triu(np.sum(D * D, axis=-1) > top / scale, 1)
+        if np.any(far):
+            i, j = np.argwhere(far)[0].tolist()
+            raise ValidationError(f"cameras {i} and {j} are too far apart: their distance overflows")
+        shared = np.triu(np.linalg.norm(C[:, None] - C[None], axis=-1) < 1e-12, 1)
+        if np.any(shared):
+            i, j = np.argwhere(shared)[0].tolist()
+            raise CoincidentCenters(f"cameras {i} and {j} share a center")
+        for name, a in zip(names, (K, R, C)):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
+
     @property
     def n(self) -> int:
-        return len(self.cameras)
-
-    def centers(self) -> np.ndarray:
-        return np.vstack([c.center for c in self.cameras])
+        return len(self.centers)
 
     def track_set(self, pixel_noise: float = 0.0, rng=None) -> TrackSet:
         """Every point seen in every view: one stacked (P, n) projection by
-        the cameras' 3x4 matrices, each image scaled to last coordinate 1,
-        plus Gaussian pixel noise of standard deviation pixel_noise on the
-        first two coordinates, drawn as one (P, n, 2) array (x then y of
-        each image, points outer, views inner).  rng defaults to a generator
-        of seed + 1.  Raises DegenerateGeometry for a point at infinity."""
+        the cameras' 3x4 matrices K R^T [I | -t], each image scaled to last
+        coordinate 1, plus Gaussian pixel noise of standard deviation
+        pixel_noise on the first two coordinates, drawn as one (P, n, 2)
+        array (x then y of each image, points outer, views inner).  rng
+        defaults to a generator of seed + 1.  Raises DegenerateGeometry for
+        a point at infinity."""
         rng = rng if rng is not None else np.random.default_rng(self.seed + 1)
-        Ps = np.array([cam.projection_matrix() for cam in self.cameras]).reshape(-1, 3, 4)
+        Ps = self.intrinsics @ self.rotations.swapaxes(1, 2) @ np.concatenate(
+            [np.broadcast_to(np.eye(3), (self.n, 3, 3)), -self.centers[:, :, None]], axis=2)
         pts = image_point(Ps, np.asarray(self.points, dtype=float)[:, None])  # (P, n, 3)
         if pixel_noise > 0.0:
             pts[..., :2] += rng.normal(0, pixel_noise, size=pts.shape[:2] + (2,))
@@ -231,35 +276,14 @@ def generate(
     x = unit(np.cross(ref, z))
     look = rotation_about(z, np.array(roll)) @ np.stack([x, np.cross(z, x), z], axis=-1)
     R = rotation_about(unit(np.array(axis)), np.deg2rad(angle)) @ look
-    cams = [CameraModel(K[i], R[i], centers[i]) for i in range(n_cams)]
 
     # visibility: every point in front of every camera (look-at geometry
     # guarantees it for the box used; verify rather than trust): the (P, n)
     # depths, camera z-axis dot (X - t)
-    axes = np.array([cam.rotation[:, 2] for cam in cams])
-    depths = ((points[:, None, :] - centers)[:, :, None, :] @ axes[:, :, None])[..., 0, 0]
+    depths = ((points[:, None, :] - centers)[:, :, None, :] @ R[:, :, 2, None])[..., 0, 0]
     if np.any(depths <= 0):
         raise RuntimeError("generator produced a point behind a camera")
-    return Scene(cams, points, layout, seed)
-
-
-def check_center_distances(C: np.ndarray, finite_differences_only: bool = False) -> None:
-    """Raise ValidationError where two of the (n, 3) centres C are too far
-    apart: their squared distance overflows, so `geometry.norms` gives no
-    finite length and `unit` no direction.  Found on centres scaled to at
-    most 1, where nothing overflows.  finite_differences_only leaves out the
-    pairs whose difference overflows itself, whose non-finite directions
-    `skew` refuses."""
-    scale = float(np.max(np.abs(C))) or 1.0
-    D = C[:, None] / scale - C[None] / scale
-    top = float(np.finfo(float).max) / scale
-    far = np.sum(D * D, axis=-1) > top / scale
-    if finite_differences_only:
-        far &= np.all(np.abs(D) <= top, axis=-1)
-    far = np.triu(far, 1)
-    if np.any(far):
-        i, j = np.argwhere(far)[0].tolist()
-        raise ValidationError(f"cameras {i} and {j} are too far apart: their distance overflows")
+    return Scene(K, R, centers, points, layout, seed)
 
 
 def measure(scene: Scene, noise: MeasurementNoise | None = None, seed: int = 0):
@@ -275,21 +299,13 @@ def measure(scene: Scene, noise: MeasurementNoise | None = None, seed: int = 0):
     one.  A pair with an uncalibrated camera becomes K_i^{-T} E K_j^{-1}.
     Every block stays a true tensor of some pose, so rank 2 holds exactly.
     The tracks follow from `Scene.track_set` with pixel noise `pixel`.
-
-    Raises ValueError where two centres coincide (a zero direction) or
-    differ by more than the largest float (a non-finite direction), and
-    ValidationError where their distance overflows
-    (`check_center_distances`), before the first draw.
     """
     noise = noise or MeasurementNoise()
     rng = np.random.default_rng(seed)
-    K = np.array([c.intrinsics for c in scene.cameras]).reshape(-1, 3, 3)
+    K, R, C = scene.intrinsics, scene.rotations, scene.centers
     is_calibrated = calibrated(K)
     kind = "essential" if is_calibrated.all() else "fundamental"
     I, J = np.triu_indices(scene.n, 1)
-    R = np.array([c.rotation for c in scene.cameras]).reshape(-1, 3, 3)
-    C = np.array([c.center for c in scene.cameras]).reshape(-1, 3)
-    check_center_distances(C, finite_differences_only=True)
     Rt = R[I].swapaxes(1, 2)
     Rrel = Rt @ R[J]  # R_i^T R_j
     tdir = unit((Rt @ (C[I] - C[J])[:, :, None])[:, :, 0])

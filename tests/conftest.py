@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from colsfm.averaging import stop_threshold
-from colsfm.geometry import bifocal_from_pair, epipole_table, normalized_tensor
+from colsfm.geometry import bifocal_from_pair, calibrated, epipole_table, normalized_tensor
 from colsfm.graphs import heuristic_cover, triangles, triplet_pairs
 from colsfm.nview import NViewBifocal, block_matrix
 from colsfm.recovery import (
@@ -74,27 +74,46 @@ def random_rotation(rng):
     return Q
 
 
-def unit_bifocal(ci, cj) -> np.ndarray:
-    """The pair tensor of two cameras at unit Frobenius norm, largest entry positive."""
-    return normalized_tensor(bifocal_from_pair(ci, cj))
+def scene_cameras(scene):
+    """The (K, R, C) stacks of a scene's cameras, as `bifocal_from_pair` and
+    `projections` take them."""
+    return scene.intrinsics, scene.rotations, scene.centers
+
+
+def stacked(*cams):
+    """The (K, R, C) stacks of cameras given one by one as (K, R, t)."""
+    return tuple(np.array(a, dtype=float) for a in zip(*cams))
+
+
+def projections(K, R, C) -> np.ndarray:
+    """The 3x4 camera K R^T [I | -t] of one camera, or of each camera of
+    (n, 3, 3) intrinsics and rotations and (n, 3) centres."""
+    C = np.asarray(C, dtype=float)
+    eye = np.broadcast_to(np.eye(3), C.shape[:-1] + (3, 3))
+    return K @ np.swapaxes(R, -1, -2) @ np.concatenate([eye, -C[..., None]], axis=-1)
+
+
+def unit_bifocal(K, R, C, i, j) -> np.ndarray:
+    """The pair tensor of cameras i and j at unit Frobenius norm, largest entry positive."""
+    return normalized_tensor(bifocal_from_pair(K, R, C, i, j))
 
 
 def scene_kind(scene) -> str:
     """The kind of a scene's pair tensors: essential when every camera is calibrated."""
-    return "essential" if all(c.is_calibrated for c in scene.cameras) else "fundamental"
+    return "essential" if calibrated(scene.intrinsics).all() else "fundamental"
 
 
 def exact_nview(scene) -> NViewBifocal:
     """A scene's dense n-view matrix with true block scales (no normalization)."""
     pairs = list(combinations(range(scene.n), 2))
     return NViewBifocal.assemble(
-        scene.n, pairs, [bifocal_from_pair(scene.cameras[i], scene.cameras[j]) for i, j in pairs],
+        scene.n, pairs, [bifocal_from_pair(*scene_cameras(scene), i, j) for i, j in pairs],
         scene_kind(scene))
 
 
 def exact_triplet(scene, ids) -> np.ndarray:
     """The 9x9 true-scale submatrix of a camera triple."""
-    return block_matrix([bifocal_from_pair(scene.cameras[u], scene.cameras[v])
+    return block_matrix([bifocal_from_pair(*scene_cameras(scene), u, v)
                          for u, v in combinations(sorted(ids), 2)])
 
 
@@ -139,7 +158,7 @@ def meets_stop(rec, m) -> bool:
 def center_spread(scene, ids) -> float:
     """sigma_2 / sigma_1 of a camera triple's centered centers: 0 when the
     centers are collinear, 1 when maximally spread."""
-    C = scene.centers()[list(ids)]
+    C = scene.centers[list(ids)]
     s = np.linalg.svd(C - C.mean(axis=0), compute_uv=False)
     return 0.0 if s[0] == 0.0 else float(s[1] / s[0])
 

@@ -3,13 +3,14 @@ simulator: one camera, one camera pair and one image point at a time, as
 colsfm computed them before its stacked passes.  The oracle tests compare
 `synthetic.generate`, `synthetic.measure` and `Scene.track_set` with these
 bit for bit, so this code keeps its per-item order of operations and of
-random draws, on the per-item primitives of tests/geometry_oracle.py."""
+random draws, on the per-item primitives of tests/geometry_oracle.py.  A
+camera is its intrinsics K, rotation R and centre t, read from or stacked
+into the scene's three stacks."""
 
 from itertools import combinations
 
 import numpy as np
 
-from colsfm.geometry import CameraModel
 from colsfm.nview import NViewBifocal
 from colsfm.synthetic import MeasurementNoise, Scene, TrackSet, _line_positions, _random_K
 from geometry_oracle import image_point, normalized_tensor, rotation_about, skew, unit
@@ -51,20 +52,21 @@ def generate(layout, n_cams, n_points, seed=0, intrinsics_mode="calibrated", col
         jitter = rotation_about(unit(rng.normal(size=3)), np.deg2rad(rng.uniform(0, 5.0)))
         R = jitter @ look
         K = _random_K(rng) if intrinsics_mode == "varied" else np.eye(3)
-        cams.append(CameraModel(K, R, t))
-    for cam in cams:
-        if any(cam.depth(X) <= 0 for X in points):
+        cams.append((K, R, t))
+    for K, R, t in cams:
+        if any((R.T @ (X - t))[2] <= 0 for X in points):
             raise RuntimeError("generator produced a point behind a camera")
-    return Scene(cams, points, layout, seed)
+    return Scene(*(np.array(stack) for stack in zip(*cams)), points, layout, seed)
 
 
-def perturbed_block(ci, cj, calibrated, noise, rng):
+def perturbed_block(scene, i, j, calibrated, noise, rng):
     """The pair tensor of a noise-perturbed relative pose: rotation noise of
     exactly `rotation_deg` about a random axis, then the direction t_ij
     rotated by exactly `translation_dir_deg` about a random axis
-    perpendicular to it."""
-    Rrel = ci.rotation.T @ cj.rotation  # R_i^T R_j
-    tdir = unit(ci.rotation.T @ (ci.center - cj.center))
+    perpendicular to it, between cameras i and j of the scene."""
+    Ri, Rj = scene.rotations[i], scene.rotations[j]
+    Rrel = Ri.T @ Rj  # R_i^T R_j
+    tdir = unit(Ri.T @ (scene.centers[i] - scene.centers[j]))
     if noise.rotation_deg > 0:
         Rrel = rotation_about(rng.normal(size=3), np.deg2rad(noise.rotation_deg)) @ Rrel
     if noise.translation_dir_deg > 0:
@@ -73,15 +75,16 @@ def perturbed_block(ci, cj, calibrated, noise, rng):
     E = skew(tdir) @ Rrel
     if calibrated:
         return E
-    Ki = np.linalg.inv(ci.intrinsics)
-    Kj = np.linalg.inv(cj.intrinsics)
+    Ki = np.linalg.inv(scene.intrinsics[i])
+    Kj = np.linalg.inv(scene.intrinsics[j])
     return Ki.T @ E @ Kj
 
 
 def track_set(scene, pixel_noise=0.0, rng=None):
     """Every point projected into every view, pixel noise drawn x then y."""
     rng = rng if rng is not None else np.random.default_rng(scene.seed + 1)
-    Ps = [cam.projection_matrix() for cam in scene.cameras]
+    Ps = [K @ R.T @ np.hstack([np.eye(3), -t.reshape(3, 1)])
+          for K, R, t in zip(scene.intrinsics, scene.rotations, scene.centers)]
     pts = np.empty((len(scene.points), scene.n, 3))
     for p, X in enumerate(scene.points):
         for i, P in enumerate(Ps):
@@ -97,11 +100,10 @@ def measure(scene, noise=None, seed=0, rng=None):
     generator (`rng`, or a fresh one of `seed`)."""
     noise = noise or MeasurementNoise()
     rng = rng if rng is not None else np.random.default_rng(seed)
-    calibrated = [c.is_calibrated for c in scene.cameras]
+    calibrated = [bool(np.all(np.abs(K - np.eye(3)) <= 1e-12)) for K in scene.intrinsics]
     kind = "essential" if all(calibrated) else "fundamental"
     pairs = list(combinations(range(scene.n), 2))
-    tensors = [normalized_tensor(perturbed_block(scene.cameras[i], scene.cameras[j],
-                                                 calibrated[i] and calibrated[j], noise, rng))
+    tensors = [normalized_tensor(perturbed_block(scene, i, j, calibrated[i] and calibrated[j], noise, rng))
                for i, j in pairs]
     nview = NViewBifocal.assemble(scene.n, pairs, tensors, kind)
     return nview, track_set(scene, pixel_noise=noise.pixel, rng=rng)

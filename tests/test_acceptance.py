@@ -13,7 +13,7 @@ from colsfm.averaging import (
     project,
 )
 from colsfm.errors import AmbiguousCheirality, ValidationError
-from colsfm.geometry import CameraModel, bifocal_from_pair, camera_centers
+from colsfm.geometry import bifocal_from_pair, camera_centers
 from colsfm.graphs import (
     TripletCover,
     enrich_connectivity,
@@ -33,7 +33,8 @@ from colsfm.recovery import recover_projective_collinear_triplet, register_globa
 from colsfm.synthetic import MeasurementNoise, generate, measure
 from conftest import (
     banded, center_spread, collinear_triplet, covered_edges, exact_nview, exact_triplet, four_view,
-    meets_stop, min_weight_cover, projective_system, seen_in, triplet_matrix, unit_bifocal,
+    meets_stop, min_weight_cover, projective_system, scene_cameras, seen_in, triplet_matrix,
+    unit_bifocal,
 )
 
 
@@ -106,7 +107,7 @@ def _recover_scene_calibrated(scene):
         tr2 = {(a, b): ts.tracks((ids[a], ids[b])) for (a, b) in ((0, 1), (0, 2), (1, 2))}
         recs.append(collinear_triplet(E, tr2, tr3))
     cameras = register_global(recs, cover, "euclidean", scene.n)
-    return align_similarity(camera_centers(np.array(cameras)), scene.centers()).residuals
+    return align_similarity(camera_centers(np.array(cameras)), scene.centers).residuals
 
 
 def _recover_scene_projective(scene):
@@ -118,7 +119,7 @@ def _recover_scene_projective(scene):
         tr3 = ts.tracks(ids)
         F = {}
         for (a, b) in ((0, 1), (0, 2), (1, 2)):
-            F[(a, b)] = unit_bifocal(scene.cameras[ids[a]], scene.cameras[ids[b]])
+            F[(a, b)] = unit_bifocal(*scene_cameras(scene), ids[a], ids[b])
         recs.append(
             recover_projective_collinear_triplet(
                 projective_system(F[(0, 1)], F[(1, 2)], F[(0, 2)], tr3), 0)
@@ -224,7 +225,7 @@ def _single_projection_floor(scene, noisy, tracks):
         tr2 = {(a, b): tracks.tracks((ids[a], ids[b])) for (a, b) in ((0, 1), (0, 2), (1, 2))}
         recs.append(collinear_triplet(P, tr2, tr3, tol=0.1))
     cameras = register_global(recs, cover, "euclidean", scene.n)
-    return float(np.mean(align_similarity(camera_centers(np.array(cameras)), scene.centers()).residuals))
+    return float(np.mean(align_similarity(camera_centers(np.array(cameras)), scene.centers).residuals))
 
 
 def test_criterion_5_r4_under_noise():
@@ -282,12 +283,11 @@ def test_criterion_6_virtual_four_view():
     worst_rot = 0.0
     for k in range(100):
         scene = generate("collinear", 3, 6, seed=4000 + k)
-        real = [bifocal_from_pair(scene.cameras[i], scene.cameras[j])
-                for (i, j) in ((0, 1), (0, 2), (1, 2))]
+        real = [bifocal_from_pair(*scene_cameras(scene), i, j) for (i, j) in ((0, 1), (0, 2), (1, 2))]
+        # a virtual camera at X with the intrinsics and rotation of camera 1
         X = scene.points[k % len(scene.points)]
-        cam2 = scene.cameras[1]
-        virt_cam = CameraModel(cam2.intrinsics, cam2.rotation, X)
-        virt = [bifocal_from_pair(scene.cameras[i], virt_cam) for i in range(3)]
+        K, R, C = scene_cameras(scene)
+        virt = bifocal_from_pair(K[[0, 1, 2, 1]], R[[0, 1, 2, 1]], np.vstack([C, X]), [0, 1, 2], 3)
         m = four_view(real, virt, "essential")
         cert = certify_general(m, tol=1e-8)
         assert cert.passed

@@ -165,6 +165,14 @@ def test_test_only_surface_stays_deleted():
         assert "triplet_id" not in inspect.signature(fn).parameters, name
     assert list(inspect.signature(recovery.register_global).parameters) == [
         "stack", "cover", "mode", "n_cameras"]
+    # a scene's cameras are three stacks checked once, when it is built: no
+    # per-camera object, no centre check with an option beside it, and the
+    # reference tensor formula reads the stacks
+    assert not hasattr(geometry, "CameraModel") and not hasattr(colsfm, "CameraModel")
+    assert list(synthetic.Scene.__dataclass_fields__) == [
+        "intrinsics", "rotations", "centers", "points", "layout", "seed"]
+    assert not hasattr(synthetic, "check_center_distances")
+    assert list(inspect.signature(geometry.bifocal_from_pair).parameters) == ["K", "R", "C", "i", "j"]
 
 
 def test_admm_has_no_polish_phase():

@@ -448,6 +448,21 @@ class TestSynthFlags:
         assert f"argument {flag}: " in capsys.readouterr().err
         assert not (tmp_path / "m.json").exists()
 
+    @pytest.mark.parametrize("command,value", [("synth", "-1"), ("measure", "-3"), ("synth", "0.5")])
+    def test_bad_seed_exits_2_naming_flag(self, command, value, tmp_path, capsys):
+        # a negative seed once ended in numpy's traceback from default_rng, exit 1
+        scene = tmp_path / "scene.json"
+        if command == "measure":
+            assert run_cli(["synth", "--n-cams", "4", "--n-points", "6", "--out", str(scene)]) == 0
+            capsys.readouterr()
+        out = tmp_path / "out.json"
+        source = ["--scene", str(scene)] if command == "measure" else []
+        with pytest.raises(SystemExit) as exc:
+            run_cli([command, *source, "--seed", value, "--out", str(out)])
+        assert exc.value.code == 2
+        assert "argument --seed: " in capsys.readouterr().err
+        assert not out.exists()
+
     def test_too_many_line_cameras_exits_2_naming_limit(self, tmp_path, capsys):
         # the flag parses, and the generator refuses the layout as a validation error
         assert run_cli(["synth", "--layout", "collinear", "--n-cams", "101",
@@ -467,6 +482,17 @@ def test_nonfinite_scene_camera_exits_2(field, entry, tmp_path, capsys):
     assert run_cli(["measure", "--scene", str(path), "--out", str(tmp_path / "m.json")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: malformed scene file") and "must be finite" in err
+    assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize("points,shape", [([[0.0, 0.0]] * 6, "(6, 2)"), ([[0.0, 0.0, 5.0, 1.0]] * 6, "(6, 4)"),
+                                          ([0.0, 0.0, 5.0], "(3,)")], ids=["2-coordinate", "4-coordinate", "flat"])
+def test_scene_points_not_3_vectors_exit_2(points, shape, tmp_path, capsys):
+    # six 2- or 4-coordinate points were once read as four or eight points
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps({"cameras": [_eye_camera(float(x)) for x in range(3)], "points": points}))
+    assert run_cli(["measure", "--scene", str(path), "--out", str(tmp_path / "m.json")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: points must be an (N, 3) array, got shape {shape}")
     assert not (tmp_path / "m.json").exists()
 
 

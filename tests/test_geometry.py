@@ -1,3 +1,6 @@
+import json
+import re
+
 import calibrated_oracle as oracle
 import geometry_oracle
 import numpy as np
@@ -8,10 +11,11 @@ from colsfm.errors import (
     CoincidentCenters,
     DegenerateGeometry,
     DegenerateLine,
+    InvalidSceneSpec,
     RankDeficient,
+    ValidationError,
 )
 from colsfm.geometry import (
-    CameraModel,
     bifocal_from_pair,
     calibrated,
     camera_centers,
@@ -30,8 +34,11 @@ from colsfm.geometry import (
     triangulate,
     unit,
 )
+from colsfm.cli import main
+from colsfm.io import load_scene, save_scene
 from colsfm.recovery import pair_poses
-from conftest import geodesic_angle, random_rotation, unit_bifocal
+from colsfm.synthetic import Scene
+from conftest import geodesic_angle, projections, random_rotation, scene_cameras, stacked
 
 
 class TestSkew:
@@ -62,75 +69,137 @@ def _random_camera(rng, calibrated=True, center=None):
     else:
         f = rng.uniform(0.8, 1.2)
         K = np.array([[f, 0, rng.uniform(-0.1, 0.1)], [0, f, rng.uniform(-0.1, 0.1)], [0, 0, 1.0]])
-    return CameraModel(K, R, t)
+    return K, R, t
+
+
+def _pair(ci, cj):
+    """The pair tensor of two cameras given as (K, R, t)."""
+    return bifocal_from_pair(*stacked(ci, cj), 0, 1)
+
+
+def _project(cam, X):
+    """The image of X under one camera given as (K, R, t)."""
+    return image_point(projections(*cam), X)
+
+
+def _table_cameras(part, value):
+    """(K, R, C) stacks of three cameras with identity K and R at x = 0, 1
+    and 2, camera 1's part ("K", "R" or "t") set to value."""
+    K = np.eye(3)[None].repeat(3, axis=0)
+    R = K.copy()
+    C = np.array([[0.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0]])
+    {"K": K, "R": R, "t": C}[part][1] = value
+    return K, R, C
+
+
+def _first_entry(part, value):
+    """Camera 1's part of `_table_cameras` with its first entry set to value."""
+    a = {"K": np.eye(3), "R": np.eye(3), "t": np.array([1.0, 0, 0])}[part]
+    a.flat[0] = value
+    return a
+
+
+_FINITE = "intrinsics, rotation and center must be finite"
+_DIAGONAL = r"intrinsics must have positive diagonal and K\[2,2\]=1"
+# the camera refusal table: camera 1 of three with one malformed part, and
+# the message every way in (`Scene`, `load_scene`, `colsfm measure`) names it by
+CAMERA_REFUSALS = {
+    "non-rotation": ("R", 2 * np.eye(3), r"rotation must be orthogonal with det \+1"),
+    "lower-triangular": ("K", [[1.0, 0, 0], [0.5, 1, 0], [0, 0, 1]], "intrinsics must be upper triangular"),
+    "K0": ("K", np.diag([1.0, 1.0, 2.0]), _DIAGONAL),
+    "K1": ("K", np.diag([1.0, -1.0, 1.0]), _DIAGONAL),
+    **{f"{value}-{part}": (part, _first_entry(part, value), _FINITE)
+       for part in ("K", "R", "t") for value in (np.nan, np.inf)},
+}
+
+
+def _refused_three_ways(row, tmp_path, capsys):
+    """Row `row` of CAMERA_REFUSALS refused when a `Scene` is built, by
+    `load_scene` as a malformed file, and by `colsfm measure` with exit 2,
+    the message on stderr and no output file."""
+    part, value, message = CAMERA_REFUSALS[row]
+    K, R, C = _table_cameras(part, value)
+    points = [[0.0, 0.0, 5.0]]
+    with pytest.raises(InvalidSceneSpec, match=f"^camera 1: {message}"):
+        Scene(K, R, C, points, "table", 0)
+    path, out = tmp_path / "scene.json", tmp_path / "m.json"
+    path.write_text(json.dumps({"cameras": [{"K": k.ravel().tolist(), "R": r.ravel().tolist(), "t": t.tolist()}
+                                            for k, r, t in zip(K, R, C)], "points": points}))
+    with pytest.raises(ValidationError, match=f"^malformed scene file: camera 1: {message}"):
+        load_scene(path)
+    capsys.readouterr()
+    assert main(["measure", "--scene", str(path), "--out", str(out)]) == 2
+    assert re.match(f"error: malformed scene file: camera 1: {message}", capsys.readouterr().err)
+    assert not out.exists()
 
 
 class TestCameraModel:
-    def test_rejects_non_rotation(self, rng):
-        with pytest.raises(ValueError):
-            CameraModel(np.eye(3), np.eye(3) * 2, np.zeros(3))
+    """The camera model K R^T [I | -t] of a scene's cameras: each test runs
+    its rows of CAMERA_REFUSALS, and together they run every row."""
 
-    def test_rejects_bad_intrinsics(self):
-        K = np.array([[1.0, 0, 0], [0.5, 1, 0], [0, 0, 1]])
-        with pytest.raises(ValueError):
-            CameraModel(K, np.eye(3), np.zeros(3))
+    def test_rejects_non_rotation(self, tmp_path, capsys):
+        _refused_three_ways("non-rotation", tmp_path, capsys)
 
-    @pytest.mark.parametrize("K", [np.diag([1.0, 1.0, 2.0]), np.diag([1.0, -1.0, 1.0])])
-    def test_rejects_unnormalized_or_negative_diagonal(self, K):
-        with pytest.raises(ValueError, match="positive diagonal and K\\[2,2\\]=1"):
-            CameraModel(K, np.eye(3), np.zeros(3))
+    def test_rejects_bad_intrinsics(self, tmp_path, capsys):
+        _refused_three_ways("lower-triangular", tmp_path, capsys)
+
+    @pytest.mark.parametrize("K", ["K0", "K1"])
+    def test_rejects_unnormalized_or_negative_diagonal(self, K, tmp_path, capsys):
+        _refused_three_ways(K, tmp_path, capsys)
 
     @pytest.mark.parametrize("which", ["K", "R", "t"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
-    def test_rejects_non_finite(self, which, value):
-        parts = {"K": np.eye(3), "R": np.eye(3), "t": np.zeros(3)}
-        parts[which] = parts[which].copy()
-        parts[which].flat[0] = value
-        with pytest.raises(ValueError, match="must be finite"):
-            CameraModel(parts["K"], parts["R"], parts["t"])
+    def test_rejects_non_finite(self, which, value, tmp_path, capsys):
+        _refused_three_ways(f"{value}-{which}", tmp_path, capsys)
 
-    def test_calibrated_without_relative_tolerance(self):
-        # within numpy's default rtol of the identity, but not within 1e-12
-        near = CameraModel(np.diag([1 + 5e-6, 1 + 5e-6, 1.0]), np.eye(3), np.zeros(3))
-        assert not near.is_calibrated
-        assert CameraModel(np.eye(3) + 1e-13 * np.triu(np.ones((3, 3)), 1), np.eye(3),
-                           np.zeros(3)).is_calibrated
-        K = np.array([np.eye(3), near.intrinsics, np.diag([1.0, 1.0 + 2e-12, 1.0])])
+    def test_calibrated_without_relative_tolerance(self, tmp_path):
+        # camera 1's K is within numpy's default rtol of the identity but not
+        # within 1e-12, camera 2's is within 1e-12: a scene holds both, and
+        # only camera 2 is calibrated
+        near = np.diag([1 + 5e-6, 1 + 5e-6, 1.0])
+        K, R, C = _table_cameras("K", near)
+        K[2] = np.eye(3) + 1e-13 * np.triu(np.ones((3, 3)), 1)
+        scene = Scene(K, R, C, [[0.0, 0.0, 5.0]], "table", 0)
+        assert calibrated(scene.intrinsics).tolist() == [True, False, True]
+        save_scene(scene, tmp_path / "scene.json")
+        assert load_scene(tmp_path / "scene.json").intrinsics.tobytes() == scene.intrinsics.tobytes()
+        K = np.array([np.eye(3), near, np.diag([1.0, 1.0 + 2e-12, 1.0])])
         assert calibrated(K).tolist() == [True, False, False]
         assert calibrated(np.eye(3)) and calibrated(K).shape == (3,)
 
     def test_projection_matrix_form(self, rng):
-        cam = _random_camera(rng, calibrated=False)
-        P = cam.projection_matrix()
-        V = cam.v_matrix()
-        expected = np.linalg.inv(V).T @ np.hstack([np.eye(3), -cam.center.reshape(3, 1)])
-        assert np.allclose(P, expected, atol=1e-12)
+        # a scene projects by K R^T [I | -t] = V^{-T} [I | -t], V = K^{-T} R^T
+        K, R, C = stacked(*(_random_camera(rng, calibrated=False) for _ in range(2)))
+        X = rng.normal(size=(5, 3))
+        V = np.linalg.inv(K).swapaxes(1, 2) @ R.swapaxes(1, 2)
+        P = np.linalg.inv(V).swapaxes(1, 2) @ np.concatenate([np.eye(3)[None].repeat(2, 0), -C[..., None]], 2)
+        got = Scene(K, R, C, X, "random", 0).track_set().points
+        assert np.allclose(got, image_point(P, X[:, None]), atol=1e-12)
 
 
 class TestBifocalFromPair:
     def test_identity_rotations_gives_skew(self):
-        ci = CameraModel(np.eye(3), np.eye(3), np.zeros(3))
-        cj = CameraModel(np.eye(3), np.eye(3), np.array([1.0, 0, 0]))
-        t = bifocal_from_pair(ci, cj)
+        K = R = np.eye(3)[None].repeat(2, axis=0)
+        t = bifocal_from_pair(K, R, [[0.0, 0, 0], [1.0, 0, 0]], 0, 1)
         assert np.allclose(t, skew([-1.0, 0, 0]))
 
     def test_identical_cameras_rejected(self, rng):
         cam = _random_camera(rng)
         with pytest.raises(CoincidentCenters):
-            bifocal_from_pair(cam, cam)
+            _pair(cam, cam)
 
     def test_essential_singular_values_equal(self, rng):
         # oracle: SVD of the generated tensor
         for _ in range(20):
             ci, cj = _random_camera(rng), _random_camera(rng)
-            s = np.linalg.svd(bifocal_from_pair(ci, cj), compute_uv=False)
+            s = np.linalg.svd(_pair(ci, cj), compute_uv=False)
             assert s[0] == pytest.approx(s[1], rel=1e-9)
             assert s[2] < 1e-9 * s[0]
 
     def test_transpose_symmetry(self, rng):
         ci, cj = _random_camera(rng, calibrated=False), _random_camera(rng, calibrated=False)
         assert np.allclose(
-            bifocal_from_pair(ci, cj), bifocal_from_pair(cj, ci).T, atol=1e-12
+            _pair(ci, cj), _pair(cj, ci).T, atol=1e-12
         )
 
     def test_rank2_and_epipole_over_1000_random_pairs(self, rng):
@@ -138,22 +207,22 @@ class TestBifocalFromPair:
         # rank exactly 2 and F e_right = 0 with e_right the image of the
         # other center
         for _ in range(1000):
-            ci = _random_camera(rng, calibrated=bool(rng.integers(2)))
-            cj = _random_camera(rng, calibrated=ci.is_calibrated)
-            t = bifocal_from_pair(ci, cj)
+            both = bool(rng.integers(2))
+            ci, cj = _random_camera(rng, calibrated=both), _random_camera(rng, calibrated=both)
+            t = _pair(ci, cj)
             s = np.linalg.svd(t, compute_uv=False)
             assert s[1] > 1e-9 * s[0] and s[2] <= 1e-9 * s[0]
             e = epipoles(t)[0, 1]
             assert np.linalg.norm(t @ e) < 1e-9 * np.linalg.norm(t)
-            img = unit(cj.projection_matrix() @ np.append(ci.center, 1.0))
+            img = unit(projections(*cj) @ np.append(ci[2], 1.0))  # centre i in image j
             assert min(np.linalg.norm(e - img), np.linalg.norm(e + img)) < 1e-9
 
     def test_epipolar_constraint_on_synthetic_points(self, rng):
         for _ in range(20):
             ci, cj = _random_camera(rng, False), _random_camera(rng, False)
-            F = unit_bifocal(ci, cj)
+            F = normalized_tensor(_pair(ci, cj))
             X = rng.normal(size=3) + np.array([0, 0, 6.0])
-            xi, xj = ci.project(X), cj.project(X)
+            xi, xj = _project(ci, X), _project(cj, X)
             assert abs(xi @ F @ xj) < 1e-10
 
 
@@ -164,16 +233,16 @@ class TestEpipole:
 
     def test_transpose_swaps_sides(self, rng):
         ci, cj = _random_camera(rng), _random_camera(rng)
-        F = bifocal_from_pair(ci, cj)
+        F = _pair(ci, cj)
         assert np.allclose(epipoles(F)[0, 0], epipoles(F.T)[0, 1], atol=1e-12)
 
     def test_right_epipole_is_image_of_other_center(self, rng):
         # oracle: project center i through camera j
         for _ in range(30):
             ci, cj = _random_camera(rng, False), _random_camera(rng, False)
-            F = bifocal_from_pair(ci, cj)
+            F = _pair(ci, cj)
             e = epipoles(F)[0, 1]
-            img = cj.projection_matrix() @ np.append(ci.center, 1.0)
+            img = projections(*cj) @ np.append(ci[2], 1.0)  # centre i in image j
             img = img / np.linalg.norm(img)
             assert min(np.linalg.norm(e - img), np.linalg.norm(e + img)) < 1e-9
 
@@ -185,7 +254,7 @@ class TestEpipole:
     def test_table_zeroes_rank_deficient_rows_only(self, rng):
         # the table marks a tensor without unique epipoles by zero rows and
         # leaves every other row as `epipoles` computes it
-        F = np.array([unit_bifocal(_random_camera(rng), _random_camera(rng))
+        F = np.array([normalized_tensor(_pair(_random_camera(rng), _random_camera(rng)))
                       for _ in range(4)])
         F[2] = np.outer([1.0, 0, 0], [0, 1.0, 0])
         table = epipole_table(F)
@@ -197,16 +266,16 @@ class TestEpipole:
 class TestSymmetricEpipolarDistance:
     def test_exact_correspondence_zero(self, rng):
         ci, cj = _random_camera(rng), _random_camera(rng)
-        F = unit_bifocal(ci, cj)
+        F = normalized_tensor(_pair(ci, cj))
         X = rng.normal(size=3) + np.array([0, 0, 6.0])
-        assert symmetric_epipolar_distance(F, ci.project(X), cj.project(X)) < 1e-18
+        assert symmetric_epipolar_distance(F, _project(ci, X), _project(cj, X)) < 1e-18
 
     def test_quadratic_growth_normal_to_line(self, rng):
         # finite-difference slope: distance ~ delta^2 along the line normal
         ci, cj = _random_camera(rng), _random_camera(rng)
-        F = unit_bifocal(ci, cj)
+        F = normalized_tensor(_pair(ci, cj))
         X = rng.normal(size=3) + np.array([0, 0, 6.0])
-        xi, xj = ci.project(X), cj.project(X)
+        xi, xj = _project(ci, X), _project(cj, X)
         line = F @ xj
         normal = unit(np.array([line[0], line[1], 0.0]))
         d1 = symmetric_epipolar_distance(F, xi + 1e-4 * normal, xj)
@@ -215,7 +284,7 @@ class TestSymmetricEpipolarDistance:
 
     def test_swap_matches_transpose(self, rng):
         ci, cj = _random_camera(rng), _random_camera(rng)
-        F = unit_bifocal(ci, cj)
+        F = normalized_tensor(_pair(ci, cj))
         xi = np.array([0.1, -0.3, 1.0])
         xj = np.array([0.4, 0.2, 1.0])
         assert symmetric_epipolar_distance(F, xi, xj) == pytest.approx(
@@ -245,33 +314,34 @@ class TestSymmetricEpipolarDistance:
 
 class TestTriangulateDlt:
     def test_symmetric_two_camera_origin(self):
-        c1 = CameraModel(np.eye(3), rotation_about([0, 1, 0], np.deg2rad(30)), np.array([-1.0, 0, -5.0]))
-        c2 = CameraModel(np.eye(3), rotation_about([0, 1, 0], np.deg2rad(-30)), np.array([1.0, 0, -5.0]))
-        tr = np.vstack([c1.project([0, 0, 0]), c2.project([0, 0, 0])])
-        X, ambiguous = triangulate(np.array([c1.projection_matrix(), c2.projection_matrix()]), tr)
+        c1 = (np.eye(3), rotation_about([0, 1, 0], np.deg2rad(30)), np.array([-1.0, 0, -5.0]))
+        c2 = (np.eye(3), rotation_about([0, 1, 0], np.deg2rad(-30)), np.array([1.0, 0, -5.0]))
+        tr = np.vstack([_project(c1, [0, 0, 0]), _project(c2, [0, 0, 0])])
+        X, ambiguous = triangulate(np.array([projections(*c1), projections(*c2)]), tr)
         assert not ambiguous
         assert np.allclose(X[:3] / X[3], [0, 0, 0], atol=1e-10)
 
     def test_noiseless_three_view_reprojection(self, collinear_scene):
-        cams = collinear_scene.cameras[:3]
+        cams = list(zip(*scene_cameras(collinear_scene)))[:3]
         X = collinear_scene.points[0]
-        tr = np.vstack([c.project(X) for c in cams])
-        Xh, _ = triangulate(np.array([c.projection_matrix() for c in cams]), tr)
+        tr = np.vstack([_project(c, X) for c in cams])
+        Xh, _ = triangulate(np.array([projections(*c) for c in cams]), tr)
         for c, x in zip(cams, tr):
-            reproj = c.projection_matrix() @ Xh
+            reproj = projections(*c) @ Xh
             assert np.linalg.norm(reproj / reproj[2] - x) < 1e-10
 
     def test_parallel_identical_rays(self, rng):
         cam = _random_camera(rng)
-        x = cam.project(cam.center + cam.rotation @ np.array([0.1, 0.2, 3.0]))
+        _, R, t = cam
+        x = _project(cam, t + R @ np.array([0.1, 0.2, 3.0]))
         tr = np.vstack([x, x])
-        assert triangulate(np.array([cam.projection_matrix()] * 2), tr)[1]
+        assert triangulate(np.array([projections(*cam)] * 2), tr)[1]
         with pytest.raises(DegenerateGeometry):
-            geometry_oracle.triangulate_dlt([cam.projection_matrix()] * 2, tr)
+            geometry_oracle.triangulate_dlt([projections(*cam)] * 2, tr)
 
 
 def _pair_points(ci, cj, points):
-    return np.array([[ci.project(X), cj.project(X)] for X in points])
+    return np.array([[_project(ci, X), _project(cj, X)] for X in points])
 
 
 def _picked(E, points):
@@ -289,43 +359,44 @@ class TestRotationFromEssential:
         # oracle: R_i^T R_j and R_i^T(t_i - t_j) from the generating cameras
         for trial in range(10):
             ci, cj = _random_camera(rng), _random_camera(rng)
-            mid = (ci.center + cj.center) / 2 + unit(np.cross(cj.center - ci.center, rng.normal(size=3))) * 4
+            (_, Ri, ti), (_, Rj, tj) = ci, cj
+            mid = (ti + tj) / 2 + unit(np.cross(tj - ti, rng.normal(size=3))) * 4
             pts = mid + rng.uniform(-1, 1, size=(6, 3))
-            if any(c.depth(X) <= 0 for c in (ci, cj) for X in pts):
+            if any((R.T @ (X - t))[2] <= 0 for R, t in ((Ri, ti), (Rj, tj)) for X in pts):
                 continue
-            E = unit_bifocal(ci, cj)
+            E = normalized_tensor(_pair(ci, cj))
             R, t, error = _picked(E, _pair_points(ci, cj, pts))
             assert error is None
-            assert geodesic_angle(R, ci.rotation.T @ cj.rotation) < 1e-8
-            assert np.allclose(t, unit(ci.rotation.T @ (ci.center - cj.center)), atol=1e-8)
+            assert geodesic_angle(R, Ri.T @ Rj) < 1e-8
+            assert np.allclose(t, unit(Ri.T @ (ti - tj)), atol=1e-8)
 
     def test_pure_translation_identity_rotation(self, rng):
         R = random_rotation(rng)
-        ci = CameraModel(np.eye(3), R, np.zeros(3))
-        cj = CameraModel(np.eye(3), R, np.array([1.0, 0.2, 0.0]))
+        ci = (np.eye(3), R, np.zeros(3))
+        cj = (np.eye(3), R, np.array([1.0, 0.2, 0.0]))
         look = R @ np.array([0, 0, 5.0])
         pts = look + rng.uniform(-1, 1, size=(5, 3))
-        E = unit_bifocal(ci, cj)
+        E = normalized_tensor(_pair(ci, cj))
         Rrel, _, _ = _picked(E, _pair_points(ci, cj, pts))
         assert geodesic_angle(Rrel, np.eye(3)) < 1e-8
 
     def test_single_track_unique_winner(self, rng):
         # a single generic track already selects the true decomposition
-        ci = CameraModel(np.eye(3), np.eye(3), np.zeros(3))
-        cj = CameraModel(np.eye(3), rotation_about([0, 1, 0], 0.2), np.array([1.0, 0, 0]))
+        ci = (np.eye(3), np.eye(3), np.zeros(3))
+        cj = (np.eye(3), rotation_about([0, 1, 0], 0.2), np.array([1.0, 0, 0]))
         X = np.array([0.3, 0.1, 5.0])
-        E = unit_bifocal(ci, cj)
+        E = normalized_tensor(_pair(ci, cj))
         R, t, error = _picked(E, _pair_points(ci, cj, [X]))
         assert error is None
-        assert geodesic_angle(R, ci.rotation.T @ cj.rotation) < 1e-8
+        assert geodesic_angle(R, cj[1]) < 1e-8  # camera i has R = I
 
     def test_ambiguous_when_votes_tie(self):
         # point on the baseline: triangulation degenerate in every candidate,
         # so all four vote counts are zero and no winner exists
-        ci = CameraModel(np.eye(3), np.eye(3), np.zeros(3))
-        cj = CameraModel(np.eye(3), np.eye(3), np.array([0.0, 0, 1.0]))
-        E = unit_bifocal(ci, cj)
-        tr = np.vstack([ci.project([0, 0, 5.0]), cj.project([0, 0, 5.0])])
+        ci = (np.eye(3), np.eye(3), np.zeros(3))
+        cj = (np.eye(3), np.eye(3), np.array([0.0, 0, 1.0]))
+        E = normalized_tensor(_pair(ci, cj))
+        tr = np.vstack([_project(ci, [0, 0, 5.0]), _project(cj, [0, 0, 5.0])])
         assert _picked(E, tr[None])[2] == "depth votes tie: [0, 0, 0, 0]"
         with pytest.raises(AmbiguousCheirality, match=r"depth votes tie: \[0, 0, 0, 0\]"):
             oracle.rotation_from_essential(E, tr[None])
@@ -333,7 +404,7 @@ class TestRotationFromEssential:
     def test_ambiguous_when_nonzero_votes_tie(self, rng):
         # two tracks in front of both views under each of two candidates, so
         # two candidates get two votes each and none wins
-        E = bifocal_from_pair(_random_camera(rng), _random_camera(rng))
+        E = _pair(_random_camera(rng), _random_camera(rng))
         Ra, Rb, t = essential_candidates(E)
         pts = []
         for R in (Ra, Rb):
@@ -399,7 +470,7 @@ class TestCheiralityVotes:
         # candidate here is triangulated on its own, track by track
         skipped = np.zeros(2, dtype=int)
         for trial in range(40):
-            E = bifocal_from_pair(_random_camera(rng), _random_camera(rng))
+            E = _pair(_random_camera(rng), _random_camera(rng))
             Ra, Rb, t = essential_candidates(E)
             for k, (R, tk) in enumerate(((Ra, t), (Ra, -t), (Rb, t), (Rb, -t))):
                 tracks = _random_tracks(rng, R, tk, int(rng.integers(1, 30)))
@@ -414,7 +485,7 @@ class TestCheiralityVotes:
         # four-candidate DLT per pair
         for trial in range(30):
             K = int(rng.integers(1, 12))
-            E = np.array([bifocal_from_pair(_random_camera(rng), _random_camera(rng))
+            E = np.array([_pair(_random_camera(rng), _random_camera(rng))
                           for _ in range(K)])
             Ra, Rb, t = essential_candidates(E)
             tracks = [_random_tracks(rng, [Ra, Rb][int(rng.integers(2))][k],
@@ -437,7 +508,7 @@ def _stress_pair(rng):
     coordinate 0), with identical image points or with parallel rays."""
     R = random_rotation(rng)
     c = unit(rng.normal(size=3)) * 10.0 ** rng.uniform(-3, np.log10(3))  # camera j = R^T [I | -c]
-    E = unit_bifocal(CameraModel(np.eye(3), np.eye(3), np.zeros(3)), CameraModel(np.eye(3), R, c))
+    E = normalized_tensor(_pair((np.eye(3), np.eye(3), np.zeros(3)), (np.eye(3), R, c)))
     Ra, Rb, t = essential_candidates(E + 10.0 ** rng.uniform(-6, np.log10(0.3)) * rng.normal(size=(3, 3)))
     px = 10.0 ** rng.uniform(-6, np.log10(0.3))
     tracks = []
@@ -503,8 +574,8 @@ class TestFundamentalFromProjections:
     def test_matches_bifocal_from_pair(self, rng):
         for _ in range(10):
             ci, cj = _random_camera(rng, False), _random_camera(rng, False)
-            F1 = fundamental_from_projections(ci.projection_matrix(), cj.projection_matrix())
-            F2 = bifocal_from_pair(ci, cj)
+            F1 = fundamental_from_projections(projections(*ci), projections(*cj))
+            F2 = _pair(ci, cj)
             c = np.sum(F1 * F2) / (np.linalg.norm(F1) * np.linalg.norm(F2))
             assert abs(abs(c) - 1.0) < 1e-9
 
@@ -681,7 +752,7 @@ class TestStackedPrimitives:
             assert _same(rotation_about(axis, np.float64(angles[k])), each[k])
 
     def test_image_point(self, rng):
-        P = np.array([_random_camera(rng, calibrated=k % 2 == 0).projection_matrix() for k in range(5)])
+        P = np.array([projections(*_random_camera(rng, calibrated=k % 2 == 0)) for k in range(5)])
         X = rng.normal(scale=3.0, size=(40, 3))
         got = image_point(P, X[:, None])
         assert got.shape == (40, 5, 3)
@@ -689,12 +760,13 @@ class TestStackedPrimitives:
             assert _same(got[p, i], geometry_oracle.image_point(P[i], X[p]))
             assert _same(image_point(P[i], X[p]), got[p, i])
         cam = _random_camera(rng)
-        X[11] = cam.center + cam.rotation[:, 0]  # on the principal plane
+        _, R, t = cam
+        X[11] = t + R[:, 0]  # on the principal plane
         with pytest.raises(DegenerateGeometry, match="point projects to infinity"):
-            image_point(cam.projection_matrix(), X)
+            image_point(projections(*cam), X)
 
     def test_camera_centers(self, rng):
-        P = np.array([_random_camera(rng).projection_matrix() for _ in range(30)])
+        P = np.array([projections(*_random_camera(rng)) for _ in range(30)])
         P /= rng.uniform(0.5, 2.0, size=(30, 1, 1))  # not a scaled rotation any more
         got = camera_centers(P)
         for k in range(30):
@@ -703,12 +775,12 @@ class TestStackedPrimitives:
 
     def test_triangulate(self, rng):
         cams = [_random_camera(rng, calibrated=k % 2 == 0) for k in range(6)]
-        P = np.array([c.projection_matrix() for c in cams])
+        P = np.array([projections(*c) for c in cams])
         ambiguous_seen = 0
         for k in range(2, 7):
             views = np.array([rng.choice(6, size=k, replace=False) for _ in range(40)])
             X = rng.normal(scale=2.0, size=(40, 3))
-            x = np.array([[cams[v].project(Xp) for v in vs] for Xp, vs in zip(X, views)])
+            x = np.array([[_project(cams[v], Xp) for v in vs] for Xp, vs in zip(X, views)])
             x[:, :, :2] += rng.normal(scale=1e-3, size=(40, k, 2))
             views[:3] = views[0, 0]  # identical cameras and rays: ambiguous
             x[:3] = x[:3, :1]

@@ -21,7 +21,7 @@ from colsfm.graphs import (
 )
 from colsfm.synthetic import generate
 
-from conftest import covered_edges, min_weight_cover, unit_bifocal
+from conftest import covered_edges, min_weight_cover, scene_cameras, unit_bifocal
 
 
 def _oracle_dual_edges(triplets):
@@ -212,8 +212,7 @@ class TestCollinearityScore:
         gen = generate("general", 3, 6, seed=71)
 
         def score(scene):
-            tensors = [unit_bifocal(scene.cameras[i], scene.cameras[j])
-                       for (i, j) in ((0, 1), (0, 2), (1, 2))]
+            tensors = [unit_bifocal(*scene_cameras(scene), i, j) for (i, j) in ((0, 1), (0, 2), (1, 2))]
             return collinearity_score(epipoles(tensors), [[0, 1, 2]])[0]
 
         assert score(col) < 1e-6

@@ -5,7 +5,7 @@ import pytest
 from colsfm.errors import TooFew
 from colsfm.metrics import align_similarity, mean_reprojection_error
 from colsfm.synthetic import generate
-from conftest import random_rotation, seen_in
+from conftest import projections, random_rotation, scene_cameras, seen_in
 
 
 class TestAlignSimilarity:
@@ -47,7 +47,7 @@ class TestAlignSimilarity:
 
     def test_position_error_invariant_to_gauge(self, rng):
         scene = generate("general", 6, 8, seed=40)
-        gt = scene.centers()
+        gt = scene.centers
         est = gt + 1e-3 * rng.normal(size=gt.shape)
         base = align_similarity(est, gt).residuals
         R = random_rotation(rng)
@@ -59,14 +59,14 @@ class TestAlignSimilarity:
 class TestReprojectionError:
     def test_noiseless_oracle(self):
         scene = generate("general", 5, 10, seed=41)
-        cams = [c.projection_matrix() for c in scene.cameras]
+        cams = list(projections(*scene_cameras(scene)))
         ts = scene.track_set()
         assert mean_reprojection_error(cams, *seen_in(ts, (0, 2, 4), (1, 3))) < 1e-8
 
     def test_noise_level_reflected(self):
         # Monte Carlo: observations with sigma noise give mean error ~ sigma
         scene = generate("general", 6, 60, seed=42)
-        cams = [c.projection_matrix() for c in scene.cameras]
+        cams = list(projections(*scene_cameras(scene)))
         sigma = 1e-3
         ts = scene.track_set(pixel_noise=sigma)
         triples = [(i, i + 1, i + 2) for i in range(scene.n - 2)]
@@ -75,7 +75,7 @@ class TestReprojectionError:
 
     def test_skips_unreconstructed_views(self):
         scene = generate("general", 4, 8, seed=43)
-        cams = [c.projection_matrix() for c in scene.cameras]
+        cams = list(projections(*scene_cameras(scene)))
         cams[3] = None
         ts = scene.track_set()
         assert mean_reprojection_error(cams, *seen_in(ts, (0, 1, 3))) < 1e-8
@@ -88,7 +88,7 @@ class TestReprojectionOracle:
     @staticmethod
     def _cameras(seed):
         scene = generate("general", 6, 30, seed=seed)
-        cams = [c.projection_matrix() for c in scene.cameras]
+        cams = list(projections(*scene_cameras(scene)))
         cams[1] = cams[0].copy()  # views 0 and 1 alone triangulate ambiguously
         cams[4] = np.array([[1.0, 0, 0, 0], [0, 1.0, 0, 0], [0, 0, 0, 0]])  # reprojects at infinity
         cams[5] = None

@@ -17,14 +17,14 @@ from colsfm.nview import _eig_sorted, _vhat_alignment
 from colsfm.synthetic import MeasurementNoise, generate, measure
 
 import spectral_oracle
-from conftest import exact_nview, exact_triplet, geodesic_angle, without
+from conftest import exact_nview, exact_triplet, geodesic_angle, scene_cameras, without
 from geometry_oracle import fix_sign
 
 
 def _scene_stack(scene):
     """Every sorted camera pair of a scene and its true-scale tensor."""
     pairs = list(combinations(range(scene.n), 2))
-    return pairs, np.array([bifocal_from_pair(scene.cameras[i], scene.cameras[j]) for i, j in pairs])
+    return pairs, np.array([bifocal_from_pair(*scene_cameras(scene), i, j) for i, j in pairs])
 
 
 class TestAssemble:
@@ -111,11 +111,9 @@ class TestAssemble:
 class TestDense:
     def test_two_view_layout(self, rng):
         from conftest import random_rotation
-        from colsfm.geometry import CameraModel
 
-        c0 = CameraModel(np.eye(3), random_rotation(rng), np.zeros(3))
-        c1 = CameraModel(np.eye(3), random_rotation(rng), np.array([1.0, 0, 0]))
-        t = bifocal_from_pair(c0, c1)
+        R = np.array([random_rotation(rng), random_rotation(rng)])
+        t = bifocal_from_pair(np.eye(3)[None].repeat(2, axis=0), R, [[0.0, 0, 0], [1.0, 0, 0]], 0, 1)
         m = NViewBifocal.assemble(2, [(0, 1)], [t], "essential")
         D = m.dense()
         assert np.allclose(D[0:3, 3:6], t)
@@ -175,7 +173,7 @@ class TestOneAssembler:
         ids = (5, 1, 3)
         s = sorted(ids)
         want = _loop_block_matrix(
-            3, lambda u, v: bifocal_from_pair(scene.cameras[s[u]], scene.cameras[s[v]]))
+            3, lambda u, v: bifocal_from_pair(*scene_cameras(scene), s[u], s[v]))
         assert np.array_equal(exact_triplet(scene, ids), want)
 
     def test_default_layout_built_once_per_size(self, monkeypatch, rng):
@@ -301,7 +299,7 @@ class TestCertifyCollinearEssential:
         for i in range(scene.n):
             for j in range(i + 1, scene.n):
                 rel_est = rots[i] @ rots[j].T
-                rel_true = scene.cameras[i].rotation.T @ scene.cameras[j].rotation
+                rel_true = scene.rotations[i].T @ scene.rotations[j]
                 a = geodesic_angle(rel_est, rel_true)
                 b = geodesic_angle(rel_est, rel_true.T)  # transpose branch of the gauge
                 assert min(a, b) < 1e-7

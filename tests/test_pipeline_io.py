@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from collections import Counter
 
 import calibrated_oracle as oracle
@@ -58,10 +59,37 @@ class TestIO:
         back = load_scene(path)
         assert back.n == scene.n
         assert np.array_equal(back.points, scene.points)
-        for a, b in zip(scene.cameras, back.cameras):
-            assert np.array_equal(a.intrinsics, b.intrinsics)
-            assert np.array_equal(a.rotation, b.rotation)
-            assert np.array_equal(a.center, b.center)
+        for field in ("intrinsics", "rotations", "centers"):
+            assert np.array_equal(getattr(back, field), getattr(scene, field))
+
+    def test_scene_file_bytes(self, tmp_path):
+        # the scene file `colsfm synth --layout mixed --n-cams 10 --intrinsics
+        # varied --seed 0` writes, and the same bytes after a load and save
+        path = tmp_path / "scene.json"
+        save_scene(generate("mixed", 10, 20, seed=0, intrinsics_mode="varied"), path)
+        want = "4fc92752cfbc62a89ee24c0360a18b3060b55d56a362a62a1dd6873b3fbf325e"
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == want
+        save_scene(load_scene(path), tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("points,shape", [
+        ([[0.1, 0.2]] * 6, (6, 2)), ([[0.1, 0.2, 5.0, 1.0]] * 6, (6, 4)), ([0.1, 0.2, 5.0], (3,)),
+        ([[[0.1, 0.2, 5.0]]], (1, 1, 3)), ([[]], (1, 0)),
+    ], ids=["2-coordinate", "4-coordinate", "flat", "nested", "empty-point"])
+    def test_points_must_be_3_vectors(self, tmp_path, points, shape):
+        # never reshaped: six 2- or 4-coordinate points are not four or eight points
+        path = tmp_path / "scene.json"
+        save_scene(generate("collinear", 3, 6, seed=1), path)
+        path.write_text(json.dumps(dict(json.loads(path.read_text()), points=points)))
+        message = f"points must be an (N, 3) array, got shape {shape}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            load_scene(path)
+
+    def test_no_points_accepted(self, tmp_path):
+        path = tmp_path / "scene.json"
+        save_scene(generate("collinear", 3, 6, seed=1), path)
+        path.write_text(json.dumps(dict(json.loads(path.read_text()), points=[])))
+        assert load_scene(path).points.shape == (0, 3)
 
     def test_measurements_round_trip(self, tmp_path):
         scene = generate("collinear", 5, 6, seed=91)

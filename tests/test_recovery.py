@@ -19,12 +19,12 @@ from colsfm.errors import (
     ValidationError,
 )
 from colsfm.geometry import (
-    CameraModel,
     bifocal_from_pair,
     camera_centers,
     epipole_table,
     essential_candidates,
     fundamental_from_projections,
+    image_point,
     nearest_rotation,
     normalized_tensor,
     triangulate,
@@ -50,8 +50,9 @@ from colsfm.recovery import (
 from colsfm.nview import block_index, block_matrix
 from colsfm.synthetic import MeasurementNoise, generate, measure
 from conftest import (
-    averaged_nview, banded, collinear_triplet, exact_triplet, geodesic_angle, projective_system,
-    seen_everywhere, seen_in, triplet_geometry, unit_bifocal,
+    averaged_nview, banded, collinear_triplet, exact_triplet, geodesic_angle, projections,
+    projective_system, scene_cameras, seen_everywhere, seen_in, stacked, triplet_geometry,
+    unit_bifocal,
 )
 
 
@@ -96,7 +97,7 @@ class TestResolveEssentialTriplet:
         geom = triplet_geometry(exact_triplet(scene, (0, 1, 2)))
         assert geom.cycle_residual[0] < 1e-9
         for (i, j), R in zip(_LOCAL_PAIRS, geom.rotations[0]):
-            Rtrue = scene.cameras[i].rotation.T @ scene.cameras[j].rotation
+            Rtrue = scene.rotations[i].T @ scene.rotations[j]
             assert geodesic_angle(R, Rtrue) < 1e-7
 
     def test_closure_scales_match_distances(self):
@@ -105,7 +106,7 @@ class TestResolveEssentialTriplet:
         blocks = [normalized_tensor(E[3 * i:3 * i + 3, 3 * j:3 * j + 3]) for (i, j) in _LOCAL_PAIRS]
         closure = closure_scales(resolve_essential_triplet(pair_poses(blocks, [None] * 3), [[0, 1, 2]]))
         assert closure.valid[0] and closure.residual[0] < 1e-9
-        c = scene.centers()
+        c = scene.centers
         d01 = np.linalg.norm(c[0] - c[1])
         mu01, mu02, mu12 = closure.mu[0]
         assert mu01 == 1.0
@@ -132,7 +133,7 @@ class TestCalibratedCollinearRecovery:
         tr2, tr3 = _local_tracks(scene, (0, 1, 2))
         rec = collinear_triplet(E, tr2, tr3)
         est = np.vstack([_center(P) for P in rec])
-        a = align_similarity(est, scene.centers())
+        a = align_similarity(est, scene.centers)
         assert np.max(a.residuals) < 1e-8
         # recovered tensors reproduce the input blocks up to scale
         for (i, j) in ((0, 1), (0, 2), (1, 2)):
@@ -152,7 +153,7 @@ class TestCalibratedCollinearRecovery:
         tr2, tr3 = _local_tracks(scene, (0, 1, 2))
         rec = collinear_triplet(En, tr2, tr3)
         est = np.vstack([_center(P) for P in rec])
-        assert np.max(align_similarity(est, scene.centers()).residuals) < 1e-8
+        assert np.max(align_similarity(est, scene.centers).residuals) < 1e-8
 
     def test_alpha_for_known_spacing(self):
         # centers at alpha = 0, 1, 2 along a line: t3 = 2 t2
@@ -168,15 +169,16 @@ class TestCalibratedCollinearRecovery:
             ref = np.array([0.0, 1.0, 0.0])
             x = unit(np.cross(ref, fwd))
             y = np.cross(fwd, x)
-            cams.append(CameraModel(np.eye(3), np.column_stack([x, y, fwd]), t))
+            cams.append((np.eye(3), np.column_stack([x, y, fwd]), t))
+        cams = stacked(*cams)
         E = np.zeros((9, 9))
         for (i, j) in ((0, 1), (0, 2), (1, 2)):
-            B = bifocal_from_pair(cams[i], cams[j])
+            B = bifocal_from_pair(*cams, i, j)
             E[3 * i:3 * i + 3, 3 * j:3 * j + 3] = B
             E[3 * j:3 * j + 3, 3 * i:3 * i + 3] = B.T
         tr2, tr3 = {(0, 1): [], (0, 2): [], (1, 2): []}, []
         for X in points:
-            pts = [c.project(X) for c in cams]
+            pts = image_point(projections(*cams), X)
             tr3.append(np.vstack(pts))
             for a, b in tr2:
                 tr2[(a, b)].append(np.vstack([pts[a], pts[b]]))
@@ -208,7 +210,7 @@ class TestCalibratedGeneralRecovery:
         tr2, _ = _local_tracks(scene, (0, 1, 2))
         rec = _recover_general(E, tr2)
         est = np.vstack([_center(P) for P in rec])
-        a = align_similarity(est, scene.centers())
+        a = align_similarity(est, scene.centers)
         assert np.max(a.residuals) < 1e-8
 
     def test_tracks_on_one_pair_suffice(self):
@@ -218,7 +220,7 @@ class TestCalibratedGeneralRecovery:
         only01 = {(0, 1): tr2[(0, 1)]}
         rec = _recover_general(E, only01)
         est = np.vstack([_center(P) for P in rec])
-        assert np.max(align_similarity(est, scene.centers()).residuals) < 1e-8
+        assert np.max(align_similarity(est, scene.centers).residuals) < 1e-8
 
     def test_no_tracks_rejected(self):
         scene = generate("general", 3, 8, seed=57)
@@ -232,7 +234,7 @@ class TestProjectiveCollinearRecovery:
         out = {}
         for (i, j) in ((0, 1), (0, 2), (1, 2)):
             gi, gj = sorted(ids)[i], sorted(ids)[j]
-            out[(i, j)] = unit_bifocal(scene.cameras[gi], scene.cameras[gj])
+            out[(i, j)] = unit_bifocal(*scene_cameras(scene), gi, gj)
         return out
 
     def test_oracle_reprojection(self, collinear_projective_scene):
@@ -271,9 +273,9 @@ class TestProjectiveCollinearRecovery:
         scene = collinear_projective_scene
         F = self._tensors(scene)
         _, tr3 = _local_tracks(scene, (0, 1, 2))
-        c = scene.centers()
+        c = scene.centers
         X = c[0] + 2.7 * (c[1] - c[0])
-        on_line = np.vstack([scene.cameras[i].project(X) for i in range(3)])
+        on_line = image_point(projections(*scene_cameras(scene))[:3], X)
         P0 = projective_system(F[(0, 1)], F[(1, 2)], F[(0, 2)]).P0[0]
         P1 = np.hstack([np.eye(3), np.zeros((3, 1))])
         assert triangulate(np.stack([P0, P1]), on_line[:2])[1]
@@ -285,10 +287,9 @@ class TestProjectiveCollinearRecovery:
         F = self._tensors(scene)
         # synthesize tracks that sit exactly on the epipoles: project a point
         # on the camera line
-        c = scene.centers()
+        c = scene.centers
         X = c[0] + 2.7 * (c[1] - c[0])
-        pts = [scene.cameras[i].project(X) for i in range(3)]
-        bad = [np.vstack(pts)] * 3
+        bad = [image_point(projections(*scene_cameras(scene))[:3], X)] * 3
         with pytest.raises((DegenerateEpipole, InsufficientTracks)):
             _projective_collinear(F[(0, 1)], F[(1, 2)], F[(0, 2)], bad)
 
@@ -298,7 +299,7 @@ class TestProjectiveGeneralRecovery:
         scene = generate("general", 3, 8, seed=59, intrinsics_mode="varied")
         F = {}
         for (i, j) in ((0, 1), (0, 2), (1, 2)):
-            F[(i, j)] = unit_bifocal(scene.cameras[i], scene.cameras[j])
+            F[(i, j)] = unit_bifocal(*scene_cameras(scene), i, j)
         rec = _projective_general(F[(0, 1)], F[(1, 2)], F[(0, 2)])
         ts = scene.track_set()
         assert mean_reprojection_error(rec, *seen_everywhere(ts.tracks((0, 1, 2)))) < 1e-7
@@ -307,7 +308,7 @@ class TestProjectiveGeneralRecovery:
         scene = collinear_projective_scene
         F = {}
         for (i, j) in ((0, 1), (0, 2), (1, 2)):
-            F[(i, j)] = unit_bifocal(scene.cameras[i], scene.cameras[j])
+            F[(i, j)] = unit_bifocal(*scene_cameras(scene), i, j)
         with pytest.raises(DegenerateEpipole):
             _projective_general(F[(0, 1)], F[(1, 2)], F[(0, 2)])
 
@@ -317,7 +318,7 @@ class TestProjectiveGeneralRecovery:
         # general system has none)
         for seed in range(5):
             scene = generate("collinear", 3, 8, seed=seed, intrinsics_mode="varied")
-            F01, F02, F12 = (unit_bifocal(scene.cameras[i], scene.cameras[j]) for i, j in _LOCAL_PAIRS)
+            F01, F02, F12 = (unit_bifocal(*scene_cameras(scene), i, j) for i, j in _LOCAL_PAIRS)
             system = projective_system(F01, F12, F02)
             assert np.max(np.linalg.norm(system.rows[0][0], axis=1)) < 1e-12, seed
             with pytest.raises(DegenerateEpipole, match=r"third tensor does not determine a \(collinear"):
@@ -326,7 +327,7 @@ class TestProjectiveGeneralRecovery:
     def test_rank_3_rows_rejected(self):
         # nonzero rows that leave one direction of a free
         scene = generate("general", 3, 8, seed=59, intrinsics_mode="varied")
-        F01, F02, F12 = (unit_bifocal(scene.cameras[i], scene.cameras[j]) for i, j in _LOCAL_PAIRS)
+        F01, F02, F12 = (unit_bifocal(*scene_cameras(scene), i, j) for i, j in _LOCAL_PAIRS)
         system = projective_system(F01, F12, F02)
         A, b = system.rows[0]
         system.rows[0] = (np.hstack([A[:, :3], np.zeros((len(A), 1))]), b)
@@ -351,7 +352,7 @@ class TestRegisterGlobal:
         cover = sequential_cover(4)
         recs = self._recover_all(scene, cover)
         reg = register_global(recs, cover, "euclidean", 4)
-        a = align_similarity(camera_centers(np.array(reg)), scene.centers())
+        a = align_similarity(camera_centers(np.array(reg)), scene.centers)
         assert np.max(a.residuals) < 1e-8
 
     def test_twenty_camera_chain(self):
@@ -359,7 +360,7 @@ class TestRegisterGlobal:
         cover = sequential_cover(20)
         recs = self._recover_all(scene, cover)
         reg = register_global(recs, cover, "euclidean", 20)
-        a = align_similarity(camera_centers(np.array(reg)), scene.centers())
+        a = align_similarity(camera_centers(np.array(reg)), scene.centers)
         assert float(np.mean(a.residuals)) < 1e-7
 
     def test_single_triplet_identity(self):
@@ -399,7 +400,7 @@ class TestRegisterGlobal:
             tr3 = ts.tracks(ids)
             F = {}
             for (a, b) in ((0, 1), (0, 2), (1, 2)):
-                F[(a, b)] = unit_bifocal(scene.cameras[ids[a]], scene.cameras[ids[b]])
+                F[(a, b)] = unit_bifocal(*scene_cameras(scene), ids[a], ids[b])
             recs.append(_projective_collinear(F[(0, 1)], F[(1, 2)], F[(0, 2)], tr3))
         reg = register_global(recs, cover, "projective", 5)
         all_tracks = seen_in(ts, *((i, i + 1, i + 2) for i in range(3)))
@@ -415,13 +416,10 @@ class TestGaugeInvariance:
         # transform the whole scene by a similarity and rebuild
         Q = random_rotation(rng)
         s, d = 2.3, rng.normal(size=3)
-        cams2 = [
-            CameraModel(c.intrinsics, Q @ c.rotation, s * Q @ c.center + d)
-            for c in scene.cameras
-        ]
+        cams2 = scene.intrinsics, Q @ scene.rotations, s * scene.centers @ Q.T + d
         E2 = np.zeros((9, 9))
         for (i, j) in ((0, 1), (0, 2), (1, 2)):
-            B = bifocal_from_pair(cams2[i], cams2[j])
+            B = bifocal_from_pair(*cams2, i, j)
             E2[3 * i:3 * i + 3, 3 * j:3 * j + 3] = B
             E2[3 * j:3 * j + 3, 3 * i:3 * i + 3] = B.T
         # normalized blocks agree up to sign
@@ -639,12 +637,12 @@ class TestStackedProjective:
         without raising; each row raises the oracle's error when read, so a
         triplet before a rank-deficient pair reports its own error first."""
         scene = generate("collinear", 8, 12, seed=72, intrinsics_mode="varied")
-        c = scene.centers()
-        on_line = np.array([[cam.project(c[0] + 2.7 * (c[1] - c[0])) for cam in scene.cameras]])
+        c = scene.centers
+        on_line = image_point(projections(*scene_cameras(scene)), c[0] + 2.7 * (c[1] - c[0]))[None]
         ts = scene.track_set()
         triplets = sequential_cover(8).triplets
         pairs, rows = pair_rows(triplets)
-        blocks = {e: unit_bifocal(scene.cameras[e[0]], scene.cameras[e[1]]) for e in pairs}
+        blocks = {e: unit_bifocal(*scene_cameras(scene), e[0], e[1]) for e in pairs}
         blocks[(3, 4)] = np.outer([1.0, 0, 0], [0, 1.0, 0])  # F12 of (2,3,4), F01 of (3,4,5)
         blocks[(5, 7)] = np.zeros((3, 3))                     # F02 of (5,6,7)
         tracks3 = [ts.tracks(t) for t in triplets]
@@ -897,7 +895,7 @@ def _same_outcome(got, want):
 def _random_cameras(rng):
     from conftest import random_rotation
 
-    return [CameraModel(np.eye(3), random_rotation(rng), rng.normal(size=3)) for _ in range(2)]
+    return stacked(*[(np.eye(3), random_rotation(rng), rng.normal(size=3)) for _ in range(2)])
 
 
 def _tie_points(block, rng):
@@ -948,7 +946,7 @@ class TestStackedPairPoses:
         ties = 0
         for trial in range(20):
             K = int(rng.integers(1, 10))
-            blocks = np.array([bifocal_from_pair(*_random_cameras(rng)) for _ in range(K)])
+            blocks = np.array([bifocal_from_pair(*_random_cameras(rng), 0, 1) for _ in range(K)])
             points = []
             for k in range(K):
                 kind = rng.random()

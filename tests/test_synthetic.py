@@ -8,12 +8,12 @@ import pytest
 
 import synthetic_oracle as oracle
 from colsfm import synthetic
-from colsfm.errors import DegenerateGeometry, InvalidSceneSpec, ValidationError
-from colsfm.geometry import CameraModel, bifocal_from_pair, essential_candidates, normalized_tensor, unit
+from colsfm.errors import CoincidentCenters, DegenerateGeometry, InvalidSceneSpec, ValidationError
+from colsfm.geometry import bifocal_from_pair, essential_candidates, image_point, normalized_tensor
 from colsfm.nview import certify_collinear_essential, certify_collinear_fundamental
 from colsfm.synthetic import MeasurementNoise, Scene, TrackSet, generate, measure
 
-from conftest import exact_nview, geodesic_angle
+from conftest import exact_nview, geodesic_angle, projections, scene_cameras
 
 
 def _line_distance(centers):
@@ -28,32 +28,29 @@ def _line_distance(centers):
 class TestGenerate:
     def test_collinear_centers_on_a_line(self):
         scene = generate("collinear", 8, 10, seed=0)
-        assert _line_distance(scene.centers()) < 1e-12
+        assert _line_distance(scene.centers) < 1e-12
 
     def test_determinism(self):
         a = generate("collinear", 5, 6, seed=9)
         b = generate("collinear", 5, 6, seed=9)
-        assert np.array_equal(a.centers(), b.centers())
+        for sa, sb in zip(scene_cameras(a), scene_cameras(b)):
+            assert np.array_equal(sa, sb)
         assert np.array_equal(a.points, b.points)
-        for ca, cb in zip(a.cameras, b.cameras):
-            assert np.array_equal(ca.rotation, cb.rotation)
-            assert np.array_equal(ca.intrinsics, cb.intrinsics)
 
     def test_mixed_layout_split(self):
         scene = generate("mixed", 12, 8, seed=1, collinear_fraction=0.5)
-        assert _line_distance(scene.centers()[:6]) < 1e-12
-        assert _line_distance(scene.centers()) > 0.1
+        assert _line_distance(scene.centers[:6]) < 1e-12
+        assert _line_distance(scene.centers) > 0.1
 
     def test_all_points_in_front(self):
         scene = generate("general", 6, 20, seed=2)
         for X in scene.points:
-            for cam in scene.cameras:
-                assert cam.depth(X) > 0
+            for R, t in zip(scene.rotations, scene.centers):
+                assert (R.T @ (X - t))[2] > 0
 
     def test_varied_intrinsics_ranges(self):
         scene = generate("collinear", 5, 6, seed=3, intrinsics_mode="varied")
-        for cam in scene.cameras:
-            K = cam.intrinsics
+        for K in scene.intrinsics:
             assert 0.8 <= K[0, 0] <= 1.2
             assert abs(K[0, 2]) <= 0.1 and abs(K[1, 2]) <= 0.1
         assert exact_nview(scene).kind == "fundamental"
@@ -77,8 +74,8 @@ def _scalar_line_positions(rng, n_line):
 
 def _scene_digest(scene):
     h = hashlib.sha256()
-    for cam in scene.cameras:
-        for a in (cam.intrinsics, cam.rotation, cam.center):
+    for cam in zip(*scene_cameras(scene)):
+        for a in cam:
             h.update(np.ascontiguousarray(a, dtype=float).tobytes())
     h.update(np.ascontiguousarray(scene.points, dtype=float).tobytes())
     return h.hexdigest()
@@ -129,7 +126,7 @@ class TestLinePositions:
             started = time.perf_counter()
             scene = generate("collinear", n_cams, 20, seed=seed)
             assert time.perf_counter() - started < 30.0
-            C = scene.centers()
+            C = scene.centers
             assert _line_distance(C) < 1e-9
             steps = np.diff(C, axis=0)
             assert np.all(steps @ (C[-1] - C[0]) > 0)  # sorted along the line
@@ -159,7 +156,7 @@ class TestLinePositions:
     def test_fallback_scene_is_valid(self, monkeypatch):
         monkeypatch.setattr(synthetic, "_REJECTION_BUDGET", 1)
         scene = generate("collinear", 30, 20, seed=4)
-        assert _line_distance(scene.centers()) < 1e-9
+        assert _line_distance(scene.centers) < 1e-9
 
     def test_no_room_on_the_line_rejected(self):
         with pytest.raises(ValueError, match="do not fit"):
@@ -197,7 +194,7 @@ class TestMeasure:
         scene = generate("collinear", 5, 6, seed=4)
         m, _ = measure(scene, MeasurementNoise(), seed=0)
         for (i, j), t in zip(m.pairs.tolist(), m.tensors):
-            truth = normalized_tensor(bifocal_from_pair(scene.cameras[i], scene.cameras[j]))
+            truth = normalized_tensor(bifocal_from_pair(*scene_cameras(scene), i, j))
             assert np.allclose(t, truth, atol=1e-12)
 
     def test_noisy_blocks_remain_rank2(self):
@@ -217,7 +214,7 @@ class TestMeasure:
             scene = generate("general", 6, 6, seed=1000 + seed)
             m, _ = measure(scene, MeasurementNoise(rotation_deg=sigma), seed=seed)
             for (i, j), t in zip(m.pairs.tolist(), m.tensors):
-                Rtrue = scene.cameras[i].rotation.T @ scene.cameras[j].rotation
+                Rtrue = scene.rotations[i].T @ scene.rotations[j]
                 best = np.inf
                 for R in essential_candidates(t)[:2]:  # the two rotation branches
                     best = min(best, geodesic_angle(R, Rtrue))
@@ -261,22 +258,16 @@ class TestTrackSet:
         assert len(pairs) == 7 and len(triples) == 7
         assert pairs.shape == (7, 2, 3)
         x = triples[2, 2]  # view 3, the third column
-        assert np.allclose(x, scene.cameras[3].project(scene.points[2]))
+        assert np.allclose(x, image_point(projections(*scene_cameras(scene))[3], scene.points[2]))
 
-    def test_one_projection_matrix_per_camera(self, monkeypatch):
-        scene = generate("collinear", 5, 9, seed=9)
-        want = [[c.project(X) for c in scene.cameras] for X in scene.points]
-        built = []
-        real = synthetic.CameraModel.projection_matrix
-
-        def projection_matrix(cam):
-            built.append(cam)
-            return real(cam)
-
-        monkeypatch.setattr(synthetic.CameraModel, "projection_matrix", projection_matrix)
-        ts = scene.track_set()
-        assert len(built) == scene.n
-        assert np.array_equal(ts.points, np.array(want))
+    def test_one_projection_matrix_per_camera(self):
+        # the one stacked K R^T [I | -t] gives each camera's own 3x4 matrix
+        # bit for bit
+        for mode in ("calibrated", "varied"):
+            scene = generate("collinear", 5, 9, seed=9, intrinsics_mode=mode)
+            Ps = [projections(*cam) for cam in zip(*scene_cameras(scene))]
+            want = [[image_point(P, X) for P in Ps] for X in scene.points]
+            assert scene.track_set().points.tobytes() == np.array(want).tobytes(), mode
 
     def test_observations_checked_once_at_construction(self):
         good = [0.1, 0.2, 1.0]
@@ -362,9 +353,9 @@ class TestStackedMeasureOracle:
         # pairs of two calibrated cameras keep E unmapped, the others are
         # mapped by the inverse intrinsics
         varied = _oracle_scene("mixed", 10, "varied")
-        cams = [CameraModel(np.eye(3), c.rotation, c.center) if k % 3 == 0 else c
-                for k, c in enumerate(varied.cameras)]
-        scene = Scene(cams, varied.points, varied.layout, varied.seed)
+        K = varied.intrinsics.copy()
+        K[::3] = np.eye(3)
+        scene = Scene(K, varied.rotations, varied.centers, varied.points, varied.layout, varied.seed)
         for arm, noise in ARMS.items():
             got, rng = _measure_keeping_generator(monkeypatch, scene, noise, seed=5)
             ref_rng = np.random.default_rng(5)
@@ -379,49 +370,51 @@ class TestStackedMeasureOracle:
         assert got.points.tobytes() == oracle.track_set(scene, pixel_noise=pixel).points.tobytes()
 
     def test_coincident_centres_rejected(self):
+        # refused when the scene is built, before any measurement could meet
+        # the zero direction
         scene = _oracle_scene("general", 10, "calibrated")
-        cams = list(scene.cameras)
-        cams[4] = CameraModel(np.eye(3), cams[4].rotation, cams[7].center)
-        bad = Scene(cams, scene.points, scene.layout, scene.seed)
-        for noise in ARMS.values():
-            for run in (measure, oracle.measure):
-                with pytest.raises(ValueError, match="cannot normalize zero vector"):
-                    run(bad, noise, seed=0)
+        C = scene.centers.copy()
+        C[4] = C[7]
+        with pytest.raises(CoincidentCenters, match="cameras 4 and 7 share a center"):
+            Scene(scene.intrinsics, scene.rotations, C, scene.points, scene.layout, scene.seed)
 
     def test_nonfinite_direction_rejected(self):
-        # a camera refuses a nan centre, but finite centres whose difference
-        # overflows still give a nan direction: pairs (0, 1) and (0, 2) here,
-        # while pair (1, 2) stays finite and non-zero
+        # a nan centre, and finite centres whose difference overflows (pairs
+        # (0, 1) and (0, 2) here, while pair (1, 2) stays finite and
+        # non-zero), are refused when the scene is built, without a warning
         scene = _oracle_scene("collinear", 3, "calibrated")
-        cams = list(scene.cameras)
-        with pytest.raises(ValueError, match="must be finite"):
-            CameraModel(np.eye(3), cams[1].rotation, [np.nan, 0.0, 0.0])
-        for c, t in enumerate(([-1e308, 0.0, 0.0], [1e308, 0.0, 0.0], [1e308, 1.0, 0.0])):
-            cams[c] = CameraModel(np.eye(3), cams[c].rotation, t)
-        bad = Scene(cams, scene.points, scene.layout, scene.seed)
-        for noise in ARMS.values():
-            for run in (measure, oracle.measure):
-                with pytest.raises(ValueError, match="skew: vector must be finite"), \
-                        np.errstate(over="ignore", invalid="ignore"):
-                    run(bad, noise, seed=0)
+        for C, error, match in (
+                ([[0.0, 0.0, 0.0], [np.nan, 0.0, 0.0], [1.0, 0.0, 0.0]], InvalidSceneSpec,
+                 "camera 1: intrinsics, rotation and center must be finite"),
+                ([[-1e308, 0.0, 0.0], [1e308, 0.0, 0.0], [1e308, 1.0, 0.0]], ValidationError,
+                 "cameras 0 and 1 are too far apart")):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(error, match=match):
+                    Scene(np.eye(3)[None].repeat(3, 0), scene.rotations, C, scene.points,
+                          scene.layout, scene.seed)
 
     def test_point_at_infinity_rejected(self):
         scene = _oracle_scene("general", 3, "calibrated")
-        cam = scene.cameras[1]
         points = scene.points.copy()
-        points[2] = cam.center + cam.rotation[:, 0]  # on the principal plane of view 1
-        bad = Scene(scene.cameras, points, scene.layout, scene.seed)
+        points[2] = scene.centers[1] + scene.rotations[1][:, 0]  # on the principal plane of view 1
+        bad = Scene(*scene_cameras(scene), points, scene.layout, scene.seed)
         for run in (lambda: bad.track_set(), lambda: oracle.track_set(bad),
                     lambda: measure(bad), lambda: oracle.measure(bad)):
             with pytest.raises(DegenerateGeometry, match="point projects to infinity"):
                 run()
 
     def test_point_behind_camera_rejected(self, monkeypatch):
-        # every camera turned to look away from the points (the x and z axes
-        # negated, a proper rotation)
-        real = synthetic.CameraModel
-        monkeypatch.setattr(synthetic, "CameraModel",
-                            lambda K, R, t: real(K, R * [-1.0, 1.0, -1.0], t))
+        # every camera turned to look away from the points: the first
+        # rotation generate builds (the roll about each viewing direction)
+        # negated, which negates every camera axis
+        real, calls = synthetic.rotation_about, []
+
+        def rotation_about(axis, angle):
+            calls.append(axis)
+            return -real(axis, angle) if len(calls) == 1 else real(axis, angle)
+
+        monkeypatch.setattr(synthetic, "rotation_about", rotation_about)
         with pytest.raises(RuntimeError, match="point behind a camera"):
             generate("general", 5, 8, seed=0)
 
@@ -437,7 +430,7 @@ class TestBadInputs:
 
     def test_collinear_fraction_ends(self):
         assert generate("mixed", 10, 20, collinear_fraction=0.0).n == 10
-        assert _line_distance(generate("mixed", 10, 20, collinear_fraction=1.0).centers()) < 1e-12
+        assert _line_distance(generate("mixed", 10, 20, collinear_fraction=1.0).centers) < 1e-12
 
     @pytest.mark.parametrize("field", ["rotation_deg", "translation_dir_deg", "pixel"])
     @pytest.mark.parametrize("level", [-2.0, float("nan"), float("inf"), -1e-300])
@@ -463,24 +456,22 @@ class TestBadInputs:
             generate(*args, **kwargs)
         assert isinstance(exc.value, ValidationError) and isinstance(exc.value, ValueError)
 
-    def test_measure_refuses_overflowing_distance(self):
-        # a scene built in code meets the check scene files get, before any
-        # draw (so in every noise arm) and without an overflow warning
+    def test_scene_refuses_overflowing_distance(self):
+        # a scene built in code meets the check scene files get, when it is
+        # built, and without an overflow warning
         scene = generate("general", 3, 8, seed=2)
-        cams = [CameraModel(c.intrinsics, c.rotation, [x, 0.0, 0.0])
-                for c, x in zip(scene.cameras, (0.0, 1e200, -1e200))]
-        for noise in (None, MeasurementNoise(0.5, 0.5, 1e-3)):
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                with pytest.raises(ValidationError, match="cameras 0 and 1 are too far apart"):
-                    measure(Scene(cams, scene.points, scene.layout, scene.seed), noise)
+        C = [[0.0, 0.0, 0.0], [1e200, 0.0, 0.0], [-1e200, 0.0, 0.0]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="cameras 0 and 1 are too far apart"):
+                Scene(scene.intrinsics, scene.rotations, C, scene.points, scene.layout, scene.seed)
 
     def test_near_identity_intrinsics_are_not_calibrated(self):
         # within numpy's default relative tolerance of I, yet the tracks carry K
         scene = generate("general", 5, 8, seed=2)
-        K = np.diag([1 + 5e-6, 1 + 5e-6, 1.0])
-        cams = [CameraModel(K, c.rotation, c.center) if k == 3 else c for k, c in enumerate(scene.cameras)]
-        nview, _ = measure(Scene(cams, scene.points, scene.layout, scene.seed))
+        K = scene.intrinsics.copy()
+        K[3] = np.diag([1 + 5e-6, 1 + 5e-6, 1.0])
+        nview, _ = measure(Scene(K, scene.rotations, scene.centers, scene.points, scene.layout, scene.seed))
         assert nview.kind == "fundamental"
         assert measure(scene)[0].kind == "essential"
 
@@ -504,7 +495,6 @@ class TestStackedGenerateOracle:
             want = oracle.generate(layout, n, 12, seed=seed, intrinsics_mode=mode)
             monkeypatch.undo()
             assert got.points.tobytes() == want.points.tobytes()
-            for a, b in zip(got.cameras, want.cameras, strict=True):
-                for field in ("intrinsics", "rotation", "center"):
-                    assert getattr(a, field).tobytes() == getattr(b, field).tobytes(), (seed, field)
+            for field in ("intrinsics", "rotations", "centers"):
+                assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), (seed, field)
             assert made[0].bit_generator.state == ref_rng.bit_generator.state

@@ -5,8 +5,8 @@ import pytest
 import colsfm.virtual
 from colsfm.errors import NoValidPoint, RankDeficient
 from colsfm.geometry import (
-    CameraModel,
     bifocal_from_pair,
+    image_point,
     epipole_table,
     epipoles,
     fundamental_from_projections,
@@ -26,7 +26,7 @@ from colsfm.virtual import (
     virtual_bifocals,
 )
 
-from conftest import four_view, projective_system, unit_bifocal
+from conftest import four_view, projections, projective_system, scene_cameras, unit_bifocal
 
 
 PAIRS = ((0, 1), (0, 2), (1, 2))
@@ -34,8 +34,7 @@ PAIRS = ((0, 1), (0, 2), (1, 2))
 
 def _triplet_tensors(scene, ids=(0, 1, 2)):
     """The (3, 3, 3) unit tensors of a triplet in local pair order."""
-    return np.array([unit_bifocal(scene.cameras[ids[a]], scene.cameras[ids[b]])
-                     for (a, b) in PAIRS])
+    return np.array([unit_bifocal(*scene_cameras(scene), ids[a], ids[b]) for (a, b) in PAIRS])
 
 
 def _select(tracks, tensors):
@@ -54,14 +53,12 @@ def _local_tracks3(scene, ids=(0, 1, 2)):
     return scene.track_set().tracks(sorted(ids))
 
 
-def _virtual_camera_model(scene, X, source=1):
-    cam2 = scene.cameras[source]
-    return CameraModel(cam2.intrinsics, cam2.rotation, X)
-
-
-def _true_virtual_blocks(scene, X, ids=(0, 1, 2)):
-    vc = _virtual_camera_model(scene, X)
-    return [bifocal_from_pair(scene.cameras[i], vc) for i in ids]
+def _true_virtual_blocks(scene, X, ids=(0, 1, 2), source=1):
+    """The (3, 3, 3) true tensors (i, v) of cameras ids and a virtual camera
+    v centred at X, with the intrinsics and rotation of camera source."""
+    K, R, C = scene_cameras(scene)
+    cams, k = list(ids) + [source], len(ids)
+    return bifocal_from_pair(K[cams], R[cams], np.vstack([C[list(ids)], X]), np.arange(k), k)
 
 
 class TestSelectVirtualPoint:
@@ -73,10 +70,9 @@ class TestSelectVirtualPoint:
     def test_all_tracks_near_epipole_rejected(self, collinear_scene):
         tensors = _triplet_tensors(collinear_scene)
         # a point on the camera line projects onto every epipole
-        c = collinear_scene.centers()
+        c = collinear_scene.centers
         X = c[0] + 1.9 * (c[1] - c[0])
-        pts = [collinear_scene.cameras[i].project(X) for i in range(3)]
-        bad = np.vstack(pts)[None]
+        bad = image_point(projections(*scene_cameras(collinear_scene))[:3], X)[None]
         with pytest.raises(NoValidPoint):
             _select(bad, tensors)
 
@@ -265,7 +261,7 @@ class TestFourViewMatrix:
         for seed in range(3):
             scene = generate("collinear", 3, 8, seed=80 + seed)
             X = scene.points[0]
-            real = [bifocal_from_pair(scene.cameras[i], scene.cameras[j]) for (i, j) in PAIRS]
+            real = [bifocal_from_pair(*scene_cameras(scene), i, j) for (i, j) in PAIRS]
             virt = _true_virtual_blocks(scene, X)
             m = four_view(real, virt, "essential")
             cert = certify_general(m, tol=1e-8)
@@ -276,9 +272,9 @@ class TestFourViewMatrix:
 
     def test_virtual_point_on_camera_line_stays_rank4(self):
         scene = generate("collinear", 3, 8, seed=83)
-        c = scene.centers()
+        c = scene.centers
         X = c[0] + 0.4 * (c[2] - c[0])  # on the line
-        real = [bifocal_from_pair(scene.cameras[i], scene.cameras[j]) for (i, j) in PAIRS]
+        real = [bifocal_from_pair(*scene_cameras(scene), i, j) for (i, j) in PAIRS]
         virt = _true_virtual_blocks(scene, X)
         m = four_view(real, virt, "essential")
         cert = certify_general(m)
@@ -287,7 +283,7 @@ class TestFourViewMatrix:
 
     def test_consistent_matrix_fixed_under_projection(self):
         scene = generate("collinear", 3, 8, seed=84)
-        real = [bifocal_from_pair(scene.cameras[i], scene.cameras[j]) for (i, j) in PAIRS]
+        real = [bifocal_from_pair(*scene_cameras(scene), i, j) for (i, j) in PAIRS]
         virt = _true_virtual_blocks(scene, scene.points[1])
         M = four_view(real, virt, "essential").dense()
         P = project(M, "general", "essential")[0]
