@@ -59,8 +59,10 @@ def load_scene(path) -> Scene:
             raise ValidationError(f"point {bad[0]} must be finite, got {points[bad[0]].tolist()}")
         if len(C) < 2:
             raise ValidationError(f"a scene needs at least 2 cameras, got {len(C)}")
-        return Scene(K.reshape(-1, 3, 3), R.reshape(-1, 3, 3), C, points, doc.get("layout", "unknown"),
-                     _index(doc.get("seed", 0), "seed"))
+        seed = _index(doc.get("seed", 0), "seed")
+        if seed < 0:  # `Scene.track_set` draws from a generator of seed + 1
+            raise ValidationError(f"seed must be non-negative, got {seed}")
+        return Scene(K.reshape(-1, 3, 3), R.reshape(-1, 3, 3), C, points, doc.get("layout", "unknown"), seed)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed scene file: {exc}") from exc
 

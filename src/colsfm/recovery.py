@@ -165,17 +165,26 @@ class TripletClosure:
     local pair order: dirs (T, 3, 3) the pair directions in the averaged
     frame, mu (T, 3) the magnitudes ||t_i - t_j|| with mu01 = 1, signs
     (T, 3) the direction signs, residual (T,) the closure residual; valid
-    (T,) is False where no sign branch closes the triangle."""
+    (T,) is False where no sign branch closes the triangle; spread (T,) is
+    the ratio of the closure system's second singular value to its first,
+    which no sign branch changes: near 0, the three directions are parallel
+    (a collinear triplet), and the closure leaves the ratios of its
+    baselines free."""
 
     dirs: np.ndarray
     mu: np.ndarray
     signs: np.ndarray
     residual: np.ndarray
     valid: np.ndarray
+    spread: np.ndarray
 
 
 # the 8 (s01, s02, s12) sign choices in product order, (0, 1) outermost, + before -
 _SIGNS = 1.0 - 2.0 * _BRANCHES
+# the least closure spread a general triplet may have: exactly collinear
+# triplets read 1e-16 to 3e-16, every triplet of the vc bench sets and the
+# banded and criterion-10 scenes at least 0.11
+_SPREAD_TOL = 1e-8
 
 
 def closure_scales(geom: TripletGeometry) -> TripletClosure:
@@ -198,7 +207,8 @@ def closure_scales(geom: TripletGeometry) -> TripletClosure:
     at = np.arange(T), best
     mu = np.maximum(mu[at], 1e-12 * peak[at])
     mu = mu / mu[:, :1]
-    return TripletClosure(d, mu[:, [0, 2, 1]], _SIGNS[best], sv[at][:, 2], np.any(valid, axis=1))
+    return TripletClosure(d, mu[:, [0, 2, 1]], _SIGNS[best], sv[at][:, 2], np.any(valid, axis=1),
+                          sv[:, 0, 1] / sv[:, 0, 0])
 
 
 def _rowwise_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -313,10 +323,15 @@ def recover_calibrated_general_triplet(
     row k of its geometry and closure: rotations and relative translation
     magnitudes come from the three pair poses alone (direction closure); only
     one pair needs to be picked by track cheirality, to fix the overall
-    cheirality; tol bounds the rotation cycle residual."""
+    cheirality; tol bounds the rotation cycle residual.  A collinear
+    triplet's directions do not fix its baseline ratios: its closure spread
+    below `_SPREAD_TOL` raises RankDeficient."""
     _check_resolved(geom, k, tol)
     if not np.any(geom.sign_known[k]):
         raise InsufficientTracks("at least one pair needs tracks to anchor cheirality")
+    if closure.spread[k] < _SPREAD_TOL:
+        raise RankDeficient("collinear triplet: its translation directions are parallel, "
+                            "so the closure does not fix its baseline ratios")
     if not closure.valid[k]:
         raise InconsistentInput("no sign branch closes the translation triangle")
     Rh = geom.averaged[k]

@@ -14,12 +14,13 @@ from colsfm.errors import (
     CyclicInconsistency,
     InconsistentInput,
     InsufficientTracks,
+    RankDeficient,
 )
 from colsfm.geometry import _W, nearest_rotation, ordered_sum
 from colsfm.averaging import _local_scale_factors
 from colsfm.graphs import _LOCAL_PAIRS, dual_adjacency, dual_bfs, triplet_pairs
 from colsfm.nview import block_matrix, certify_collinear_essential
-from colsfm.recovery import _rowwise_dot
+from colsfm.recovery import _SPREAD_TOL, _rowwise_dot
 from geometry_oracle import dlt, skew, skews, triangulate_tracks3
 
 
@@ -201,6 +202,11 @@ def recover_general(poses, cycle_tol=1e-3):
     geom = resolve_essential_triplet(poses, cycle_tol)
     if not any(geom[2].values()):
         raise InsufficientTracks("at least one pair needs tracks to anchor cheirality")
+    Rh = eigen_rotation_averaging(geom[0], 3)
+    sv = np.linalg.svd([Rh[k[0]].T @ geom[1][k] for k in _LOCAL_PAIRS], compute_uv=False)
+    if sv[1] < _SPREAD_TOL * sv[0]:
+        raise RankDeficient("collinear triplet: its translation directions are parallel, "
+                            "so the closure does not fix its baseline ratios")
     sol = closure_scales(geom)
     if sol is None:
         raise InconsistentInput("no sign branch closes the translation triangle")

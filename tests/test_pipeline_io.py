@@ -175,6 +175,20 @@ class TestIO:
         with pytest.raises(ValidationError, match=r"seed must be an integer, got 2\.7"):
             load_scene(path)
 
+    def test_negative_seed_rejected(self, tmp_path, capsys):
+        # once loaded, to end `Scene.track_set()` in numpy's ValueError
+        from colsfm.cli import main
+
+        path, out = tmp_path / "scene.json", tmp_path / "m.json"
+        save_scene(generate("collinear", 3, 4, seed=1), path)
+        path.write_text(json.dumps(dict(json.loads(path.read_text()), seed=-5)))
+        with pytest.raises(ValidationError, match="^seed must be non-negative, got -5$"):
+            load_scene(path)
+        capsys.readouterr()
+        assert main(["measure", "--scene", str(path), "--out", str(out)]) == 2
+        assert "seed must be non-negative, got -5" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_nonfinite_point_rejected(self, tmp_path, value):
         # once loaded, to end `measure` in a ValueError from the track check

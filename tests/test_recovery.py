@@ -228,6 +228,22 @@ class TestCalibratedGeneralRecovery:
         with pytest.raises(InsufficientTracks):
             _recover_general(E)
 
+    def test_parallel_directions_name_the_rank(self):
+        # exactly collinear centres: the three pair directions are parallel,
+        # so the direction closure leaves the baseline ratios free (the
+        # calibrated side of `test_vanishing_rows_name_the_rank`: a collinear
+        # triplet's consensus does not determine its cameras); once seeds 0
+        # and 1 came back with baseline ratios 1.40 and 1.12 against 1.91
+        # and 1.86, and seeds 2-4 as InconsistentInput
+        for seed in range(5):
+            scene = generate("collinear", 3, 8, seed=seed)
+            tr2, _ = _local_tracks(scene, (0, 1, 2))
+            geom = triplet_geometry(exact_triplet(scene, (0, 1, 2)), tr2)
+            closure = closure_scales(geom)
+            assert closure.spread[0] < 1e-15, seed
+            with pytest.raises(RankDeficient, match="^collinear triplet: its translation directions"):
+                recover_calibrated_general_triplet(geom, closure, 0)
+
 
 class TestProjectiveCollinearRecovery:
     def _tensors(self, scene, ids=(0, 1, 2)):
