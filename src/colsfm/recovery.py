@@ -183,7 +183,7 @@ class TripletClosure:
 _SIGNS = 1.0 - 2.0 * _BRANCHES
 # the least closure spread a general triplet may have: exactly collinear
 # triplets read 1e-16 to 3e-16, every triplet of the vc bench sets and the
-# banded and criterion-10 scenes at least 0.11
+# banded and criterion-10 scenes at least 0.15
 _SPREAD_TOL = 1e-8
 
 

@@ -333,19 +333,21 @@ def _measured(tmp_path, layout, n, seed, noise_rot="0.0", band=False):
 # last iterate; vc and the plain run again when the general-essential
 # retraction became one sweep from the previous rotations and centres; all
 # three again when ADMM became Anderson-accelerated at rho 4 and its log
-# gained the extrapolated key.  The r4 run passes a near tie of the collinear kernel's top
-# eigenvalues and converges on its last iterate.  The plain run (the
-# `no_virtual` ablation, recorded as `average --no-virtual` while that flag
-# existed) averages collinear triplets under the rank-6 retraction and
-# converges to a consensus that recovery rejects
+# gained the extrapolated key, and again when rho became 2.  The r4 run
+# passes a near tie of the collinear kernel's top eigenvalues and converges
+# on its last iterate.  The plain run (the `no_virtual` ablation, recorded
+# as `average --no-virtual` while that flag existed) averages collinear
+# triplets under the rank-6 retraction: at rho 4 it converged in 97
+# iterations to a consensus that recovery rejects, at rho 2 it does not
+# converge in its 500 (exit 3), and no camera comes back either way
 # (`test_no_virtual_pipeline_rejected`).
 GOLDEN_AVERAGE = [
     (("r4", "collinear", 8, 11, "0.2", False), 0,
-     "9e64d56d03e1de89710e1ead2cdeda38764e5e16c30c06b85227dc92f2ef45aa"),
+     "e7f96c42432dc66d7b24e292f8673cf9872bc3bea7ce0be4ab075e7b0ed7ef31"),
     (("vc", "mixed", 9, 6, "0.0", False), 0,
-     "5bf82405d26e7a4ef71d7d04e8f4fdb519d7631229d9e0e9febd630a750f60ed"),
-    (("vc", "mixed", 9, 6, "0.0", True), 0,
-     "38281c2d1f6951122a21e90967e2990f1d778c9b8d311a42deab7bf6bda7311d"),
+     "875961b4ce0b3ff122a9bafde3a29d608c71da1325123015aebc8d052abd2f07"),
+    (("vc", "mixed", 9, 6, "0.0", True), 3,
+     "cf47023e65a55e835902321e03f98d138a6a6c8305604ef1e66cec0a1755e17f"),
 ]
 
 
@@ -366,10 +368,16 @@ class TestAverageCommand:
         assert bool(virtual) == (algorithm == "vc" and not plain)
 
     def test_no_virtual_pipeline_rejected(self, tmp_path, no_virtual):
-        # the converged plain rank-6 consensus ends in a typed error, not an answer
+        # the plain rank-6 consensus of collinear triplets gives no camera
+        # back, and the report carries the refusal as its failure stage,
+        # whether averaging converged (a typed error, exit 2) or not (exit
+        # 3); `test_parallel_directions_name_the_rank` pins why on exact blocks
         meas = _measured(tmp_path, "mixed", 9, 6, "0.0", band=True)
         assert run_cli(["pipeline", "--measurements", str(meas), "--algorithm", "vc",
-                        "--out", str(tmp_path / "out")]) == 2
+                        "--out", str(tmp_path / "out")]) != 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["n_reconstructed"] == 0
+        assert report["failure_stage"]
 
     def test_stops_before_recovery(self, tmp_path, monkeypatch):
         # a recovery failure after converged averaging belongs to the later

@@ -391,6 +391,9 @@ class TestRankedCover:
 
     @pytest.mark.parametrize("intrinsics", ["calibrated", "varied"])
     def test_banded_mixed_inserts_virtual_cameras(self, intrinsics):
+        # noise-free runs stop at iteration 1, so the error reads rounding
+        # alone: at most 30 eps (calibrated) and 62 eps (varied, seed 2) over
+        # these seeds, 128 eps about twice the worst
         regime = "calibrated" if intrinsics == "calibrated" else "uncalibrated"
         for seed in range(6):
             scene = generate("mixed", 10, 20, seed=seed, intrinsics_mode=intrinsics)
@@ -400,7 +403,7 @@ class TestRankedCover:
             assert out.converged and out.report.n_reconstructed == 10
             err = out.report.mean_position_error if intrinsics == "calibrated" else \
                 out.report.mean_reprojection_error
-            assert err < 1e-14
+            assert err < 128 * np.finfo(float).eps
 
     @staticmethod
     def _with_rank1(m, edge):
@@ -780,31 +783,32 @@ class TestPipelineDeterminism:
 # essential kernel kept the tied spectrum and the stop read the last
 # iterate; the calibrated vc runs again when the general-essential retraction
 # became one sweep from the previous rotations and centres; every run again
-# when ADMM became Anderson-accelerated at rho 4, the noise-free ones only in
-# their last bits); they depend on the BLAS thread count (one thread here and in
-# CI).  A case's last field caps the ADMM iterations (None: the default).
+# when ADMM became Anderson-accelerated at rho 4, and again when rho became 2,
+# the noise-free ones each time only in their last bits); they depend on the
+# BLAS thread count (one thread here and in CI).  A case's last field caps
+# the ADMM iterations (None: the default).
 GOLDEN_RUNS = [
     (("r4", "collinear", 8, "calibrated", 0.5, 11, None),
-     "3e1aba4776a10f67b5c01a2a0d19cec868fcb237f0f8d072a5d47efe8d4e2a0b"),
+     "2364197a46eddcb67092c33cb45330acc2b2e8e039ac58f607ca4f31ac8ff3d3"),
     (("r4", "collinear", 8, "varied", 0.5, 12, None),
-     "d91394d6e73c74f6a3370887b56691ab204f08058699dfd56cc724f05078cd91"),
+     "c90f944d4c0cdfb83811d9b5329facca0be6676ed393208f10418b2fbb4d961b"),
     (("vc", "mixed", 8, "calibrated", 0.0, 13, None),
-     "6fcda4a144cdd656e0e50d8409023cc148e5dd343a51ee5752448807c5f4ed61"),
+     "7e093b94db23fbd6fd0ced5ffb49b16d04b9018355f27f98b3baada1a0a99757"),
     (("r4", "collinear", 12, "calibrated", 0.0, 14, None),
-     "dd6e91ded7e4d90b38336b4e4639206f4e6a1a469cf9e3ab9ae6a4c58f287b85"),
+     "ba64da3a45948e29d58e88964c2a5148924f3f9a0a315d1e29e4f989d7505e5b"),
     (("vc", "mixed", 8, "varied", 0.0, 15, None),
-     "78a8c8df21fdff8ad41309e7c865f94407eeea6bf498a183c468e15e1834e38f"),
+     "81b7acc0151f8e6a580065c1fe08ce314c99b27a148b663941b001617da6d8a7"),
     (("r4", "collinear", 10, "calibrated", 1.0, 5, 3),
-     "b27f406520cafe53a09e02f96fab630485c2a74f759aed551454357e5e89e1ce"),
+     "cfb3c2206f1f5f3fbd83ecadf67f6f09b67cb9b4ae4ca32815fb9029cba926d2"),
     # noisy calibrated vc: scale synchronisation and recovery on noisy blocks
     (("vc", "mixed", 8, "calibrated", 0.5, 16, None),
-     "e970463a0d63ea1a65c65baddffb799e1696abd55872bcddf039428ed25dd5e4"),
+     "f2e86e685a45cea4d744dc32778b880173841371468798f2f97ae4239f7e6ccb"),
     (("vc", "mixed", 8, "calibrated", 0.5, 17, None),
-     "b38fa205a48807f0817fce6e9bf5940c8a3d020f6ae81a987d97ddc6e911cca4"),
+     "b69fbd3594ea4c30ae4445bb1f09ea2c5ca59ec58901c69816e865cdbb9b1dfd"),
     # noisy uncalibrated vc: projective general recovery on blocks that ADMM
     # left inexact, recorded before projective recovery was stacked
     (("vc", "mixed", 8, "varied", 0.5, 18, None),
-     "474fdac723093a14bcb82949fd11664bb5f360e7fcd00cec35ebf8572de1e702"),
+     "9c8f7bf0c7e8e5dd97cf44bad6166c2c0007416d7df754e8f4a7dfd101d81901"),
 ]
 # the cases whose report must name a failure stage instead of raising
 NAMED_FAILURES = {"r4-calibrated-max_iters3"}
