@@ -113,7 +113,8 @@ def cmd_pipeline(args) -> int:
         out = run_pipeline(measurements, tracks, args.algorithm, args.regime, scene, args.max_iters)
     except ValidationError as exc:
         n = measurements.n
-        report = _evaluate([None] * n, n, tracks, None, args.regime, args.algorithm, False, str(exc))
+        failure = f"{exc.stage}: {exc}" if exc.stage else str(exc)
+        report = _evaluate([None] * n, n, tracks, None, args.regime, args.algorithm, exc.converged, failure)
         cio.save_report(report, outdir / "report.json", include_runtime=args.timing)
         raise
     cio.save_report(out.report, outdir / "report.json", include_runtime=args.timing)

@@ -9,7 +9,10 @@ class ColsfmError(Exception):
 
 
 class ValidationError(ColsfmError):
-    """Bad or degenerate input rejected by a precondition check."""
+    """Bad or degenerate input rejected by a precondition check; `run_pipeline`
+    names the stage that raised it and whether averaging had converged."""
+    stage: str | None = None
+    converged: bool = False
 
 
 class CoincidentCenters(ValidationError):

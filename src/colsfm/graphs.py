@@ -58,29 +58,26 @@ def triplet_pairs(t) -> tuple:
     return (a, b), (a, c), (b, c)
 
 
-def pair_index(triplets) -> dict:
-    """Sorted camera pair -> the triplets holding it, in input order."""
-    index = defaultdict(list)
-    for t in triplets:
-        for p in triplet_pairs(t):
-            index[p].append(t)
-    return index
-
-
 def pair_rows(triplets):
     """The camera pairs of triplets, each once in order of first use, and the
     (T, 3) positions of every triplet's sorted pairs in that list."""
-    pairs = list(pair_index(triplets))
-    slot = {e: k for k, e in enumerate(pairs)}
-    rows = [[slot[e] for e in triplet_pairs(t)] for t in triplets]
-    return pairs, np.array(rows, dtype=int).reshape(-1, 3)
+    t = np.sort(np.asarray(triplets, dtype=int).reshape(-1, 3), axis=1)
+    ends = t[:, np.array(_LOCAL_PAIRS)].reshape(-1, 2)
+    _, first, inverse = np.unique(ends[:, 0] * (t.max(initial=0) + 1) + ends[:, 1],
+                                  return_index=True, return_inverse=True)
+    rank = np.argsort(np.argsort(first))  # each pair's place in order of first use
+    return list(map(tuple, ends[np.sort(first)].tolist())), rank[inverse].reshape(-1, 3)
 
 
 def dual_adjacency(triplets) -> dict:
     """Triplet -> its dual neighbours in sorted order, for sorted, distinct
     triplets (so no two share all three cameras)."""
     adj = {t: set() for t in triplets}
-    for bucket in pair_index(adj).values():
+    index = defaultdict(list)  # sorted camera pair -> the triplets holding it
+    for t in adj:
+        for p in triplet_pairs(t):
+            index[p].append(t)
+    for bucket in index.values():
         for t in bucket:
             adj[t].update(bucket)
     return {t: sorted(nbrs - {t}) for t, nbrs in adj.items()}

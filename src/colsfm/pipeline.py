@@ -31,6 +31,7 @@ call.
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,6 +74,16 @@ from .virtual import (
 
 # a triplet scoring below this `collinearity_score` counts as collinear
 _COLLINEARITY_THRESHOLD = 0.05
+
+
+@contextmanager
+def _stage(name: str, converged: bool = False):
+    """Name this stage, and whether averaging converged, on a ValidationError raised inside."""
+    try:
+        yield
+    except ValidationError as exc:
+        exc.stage, exc.converged = name, converged
+        raise
 
 
 @dataclass
@@ -145,7 +156,7 @@ def _virtual_cover(measurements: NViewBifocal, tracks: TrackSet):
     held = [index[t] for t in cover.triplets]
     marked = [k for k in held if scores[k] < _COLLINEARITY_THRESHOLD]
     collinear = [tris[k] for k in marked]
-    tracks3 = [tracks.tracks(t) for t in collinear]
+    tracks3 = tracks.tracks(np.reshape(collinear, (-1, 3)))
     if measurements.kind == "essential":
         V, ties = v_matrices_from_essentials(F[rows[marked]], tracks3)
     else:
@@ -209,9 +220,11 @@ def _recovered_cameras(algorithm, mode, avg: AveragingResult, tracks: TrackSet, 
     storing each row's error; each triplet is then recovered from its row
     (collinear for "r4", general-position for "vc") and all are registered."""
     ks = range(len(cover.triplets))
-    tracks3 = [tracks.tracks(t) for t in cover.triplets] if algorithm == "r4" else None
+    tracks3 = tracks.tracks(cover.triplets) if algorithm == "r4" else None
     if mode == "euclidean":
-        poses = pair_poses(avg.consensus, [tracks.tracks(e) if e[1] < n else None for e in avg.pairs])
+        real = np.array(avg.pairs)[:, 1] < n  # virtual cameras have no tracks
+        held = iter(tracks.tracks(np.array(avg.pairs)[real]))
+        poses = pair_poses(avg.consensus, [next(held) if r else None for r in real.tolist()])
         geom = resolve_essential_triplet(poses, avg.rows)
         if algorithm == "r4":
             E9 = block_matrix(avg.consensus, block_index(avg.rows))
@@ -244,21 +257,24 @@ def run_pipeline(
     max_iters: int = _MAX_ITERS,
 ) -> PipelineOutput:
     started = time.perf_counter()
-    if scene_gt is not None and scene_gt.n != measurements.n:
-        raise ValidationError(f"scene holds {scene_gt.n} cameras, the measurements {measurements.n}")
-    if regime not in ("calibrated", "uncalibrated"):
-        raise ValidationError(f"unknown regime {regime!r}")
-    if regime == "calibrated" and measurements.kind != "essential":
-        raise ValidationError(f"regime 'calibrated' needs essential measurements, "
-                              f"these are {measurements.kind!r}")
-    cover, avg = cover_and_average(measurements, tracks, algorithm, max_iters)
+    with _stage("input"):
+        if scene_gt is not None and scene_gt.n != measurements.n:
+            raise ValidationError(f"scene holds {scene_gt.n} cameras, the measurements {measurements.n}")
+        if regime not in ("calibrated", "uncalibrated"):
+            raise ValidationError(f"unknown regime {regime!r}")
+        if regime == "calibrated" and measurements.kind != "essential":
+            raise ValidationError(f"regime 'calibrated' needs essential measurements, "
+                                  f"these are {measurements.kind!r}")
+    with _stage("cover"):  # averaging refuses only a cover: disconnected, or a pair unmeasured
+        cover, avg = cover_and_average(measurements, tracks, algorithm, max_iters)
     n = measurements.n
     mode = "euclidean" if regime == "calibrated" else "projective"
     # sanity gates only when the iterate is coarse; the report stays honest
     gate = 1e-3 if avg.converged else 0.5
     failure = None
     try:
-        cameras = _recovered_cameras(algorithm, mode, avg, tracks, cover, n, gate)
+        with _stage("recovery", avg.converged):
+            cameras = _recovered_cameras(algorithm, mode, avg, tracks, cover, n, gate)
     except ValidationError as exc:
         if avg.converged:
             raise

@@ -8,7 +8,8 @@ Each recovery returns its three cameras as one (3, 3, 4) array in the
 triplet's sorted camera order.  Triplets are then chained into a common
 frame along the breadth-first tree that the cover holds with its dual graph
 (`TripletCover.dual`), as one (T, 3, 3, 4) camera stack in cover order
-aligned edge by edge on the cameras whose ids match.
+aligned level by level on the cameras whose ids match, and every camera's
+estimates are merged in one pass, summed in BFS order.
 
 Everything but the per-triplet solves runs in stacked passes before any
 triplet is recovered: `pair_poses` decomposes every essential block of a
@@ -16,7 +17,8 @@ stage with one cheirality vote over the tracks of all its pairs
 (closed-form depths; DLT only for entries they cannot certify),
 `resolve_essential_triplet` picks and averages every triplet's rotations
 (one eigendecomposition of the (T, 9, 9) stack), `closure_scales` solves
-every direction closure in one SVD, `collinear_placement` gates every
+every direction closure in one SVD and places every general triplet's
+cameras from it, `collinear_placement` gates every
 collinear triplet on its eigenvalue pattern (one eigendecomposition of the
 (T, 9, 9) stack), solves every alpha from one DLT of all 3-view tracks and
 places every triplet's cameras in one (T, 3, 3, 4) stack, and
@@ -50,7 +52,6 @@ from .geometry import (
     fundamental_from_projections,
     nearest_rotation,
     norms,
-    ordered_sum,
     skew,
     triangulate,
 )
@@ -169,7 +170,7 @@ class TripletClosure:
     the ratio of the closure system's second singular value to its first,
     which no sign branch changes: near 0, the three directions are parallel
     (a collinear triplet), and the closure leaves the ratios of its
-    baselines free."""
+    baselines free; cameras (T, 3, 3, 4) are the averaged rotations placed."""
 
     dirs: np.ndarray
     mu: np.ndarray
@@ -177,6 +178,7 @@ class TripletClosure:
     residual: np.ndarray
     valid: np.ndarray
     spread: np.ndarray
+    cameras: np.ndarray
 
 
 # the 8 (s01, s02, s12) sign choices in product order, (0, 1) outermost, + before -
@@ -206,9 +208,11 @@ def closure_scales(geom: TripletGeometry) -> TripletClosure:
     best = np.argmin(np.where(valid, sv[..., 2], np.inf), axis=1)
     at = np.arange(T), best
     mu = np.maximum(mu[at], 1e-12 * peak[at])
-    mu = mu / mu[:, :1]
-    return TripletClosure(d, mu[:, [0, 2, 1]], _SIGNS[best], sv[at][:, 2], np.any(valid, axis=1),
-                          sv[:, 0, 1] / sv[:, 0, 0])
+    mu = (mu / mu[:, :1])[:, [0, 2, 1]]
+    t = np.concatenate([np.zeros((T, 1, 3)), 0.0 - (mu * _SIGNS[best])[:, :2, None] * d[:, :2]], axis=1)
+    cameras = np.concatenate([geom.averaged, -geom.averaged @ t[..., None]], axis=-1)
+    return TripletClosure(d, mu, _SIGNS[best], sv[at][:, 2], np.any(valid, axis=1),
+                          sv[:, 0, 1] / sv[:, 0, 0], cameras)
 
 
 def _rowwise_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -254,15 +258,17 @@ def collinear_placement(E9, geom: TripletGeometry, tracks3, rank_tol=None) -> Co
     bx = np.cross((Rh[:, 2] @ axis)[used, :, 0], x2)
     ux = np.cross((Rh[used, 2] @ (X[:, :3] / X[:, 3:])[:, :, None])[:, :, 0], x2)
     dots = np.stack([-_rowwise_dot(bx, ux), _rowwise_dot(bx, bx), _rowwise_dot(ux, ux)], axis=1)
-    alpha, errors = np.empty(T), []
-    for k, rows in enumerate(np.split(dots, np.cumsum(np.bincount(used, minlength=T))[:-1])):
-        num, den, scale = (ordered_sum(c) for c in rows.T) if len(rows) else (0.0, 0.0, 0.0)
-        failure = ("alpha is undetermined without 3-view tracks" if not np.any(of == k)
-                   else "no usable 3-view track for the alpha solve" if not len(rows)
-                   else "3-view tracks are degenerate with the camera line"
-                   if den < 1e-18 * max(scale, 1.0) else None)
-        errors.append(failure and InsufficientTracks(failure))
-        alpha[k] = np.nan if failure else num / den
+    # each triplet's sums in track order, zero-padded (a zero adds exactly)
+    counts = np.bincount(used, minlength=T)
+    rows = np.zeros((T, counts.max(initial=0) + 1, 3))
+    rows[used, np.arange(len(used)) - (np.cumsum(counts) - counts)[used]] = dots
+    num, den, scale = (0.0 + np.cumsum(rows, axis=1)[:, -1]).T
+    failure = np.select(
+        [np.bincount(of, minlength=T) == 0, counts == 0, den < 1e-18 * np.maximum(scale, 1.0)],
+        ["alpha is undetermined without 3-view tracks", "no usable 3-view track for the alpha solve",
+         "3-view tracks are degenerate with the camera line"], "")
+    alpha = np.where(failure == "", num, np.nan) / np.where(failure == "", den, 1.0)
+    errors = [InsufficientTracks(f) if f else None for f in failure.tolist()]
     P2 = np.concatenate([Rh[:, 2], (alpha[:, None, None] * Rh[:, 2]) @ axis], axis=2)
     count = (np.sum(eigen_signature(w), axis=0) if rank_tol is None
              else np.sum(np.abs(w) > rank_tol, axis=1))
@@ -319,13 +325,13 @@ def recover_calibrated_general_triplet(
     k: int,
     tol: float = 1e-3,
 ) -> np.ndarray:
-    """The (3, 3, 4) cameras of a general-position calibrated triplet from
-    row k of its geometry and closure: rotations and relative translation
-    magnitudes come from the three pair poses alone (direction closure); only
-    one pair needs to be picked by track cheirality, to fix the overall
-    cheirality; tol bounds the rotation cycle residual.  A collinear
-    triplet's directions do not fix its baseline ratios: its closure spread
-    below `_SPREAD_TOL` raises RankDeficient."""
+    """The (3, 3, 4) cameras of a general-position calibrated triplet, row k
+    of its closure's, once row k of its geometry and closure pass the checks:
+    rotations and relative translation magnitudes come from the three pair
+    poses alone (direction closure); only one pair needs to be picked by
+    track cheirality, to fix the overall cheirality; tol bounds the rotation
+    cycle residual.  A collinear triplet's directions do not fix its baseline
+    ratios: its closure spread below `_SPREAD_TOL` raises RankDeficient."""
     _check_resolved(geom, k, tol)
     if not np.any(geom.sign_known[k]):
         raise InsufficientTracks("at least one pair needs tracks to anchor cheirality")
@@ -334,11 +340,7 @@ def recover_calibrated_general_triplet(
                             "so the closure does not fix its baseline ratios")
     if not closure.valid[k]:
         raise InconsistentInput("no sign branch closes the translation triangle")
-    Rh = geom.averaged[k]
-    step = (closure.mu[k] * closure.signs[k])[:, None] * closure.dirs[k]  # t_0 - t_j per pair
-    t0 = np.zeros(3)
-    t = [t0, t0 - step[0], t0 - step[1]]
-    return np.array([np.hstack([Rh[i], (-Rh[i] @ t[i]).reshape(3, 1)]) for i in range(3)])
+    return closure.cameras[k]
 
 
 @dataclass(frozen=True)
@@ -447,55 +449,63 @@ def recover_projective_general_triplet(system, k: int) -> np.ndarray:
     return _solve_a(system, k, collinear=False)
 
 
-def _align_edge(parent: np.ndarray, child: np.ndarray, p, c, mode: str) -> np.ndarray:
-    """The (3, 3, 4) child cameras moved into the frame of the (3, 3, 4)
-    parent ones through the two cameras they share, at the parent's local
-    slots p and the child's slots c.
+# the 24x18 homography system as a gather from [Pc (24), -Pp (24), 0]:
+# equation 12k + 4r + c, (Pc[k] @ G)[r, c] = sum_m Pc[k][r, m] G[m, c],
+# reads Pc[k][r, m] at column 4m + c and -Pp[k][r, c] at column 16 + k
+_HOMOGRAPHY_SYSTEM = np.fromfunction(
+    lambda eq, j: np.where(j < 16, np.where(j % 4 == eq % 4, eq - eq % 4 + j // 4, 48),
+                           np.where(j - 16 == eq // 12, 24 + eq, 48)), (24, 18), dtype=int)
 
-    mode="euclidean": the similarity (s, Q, d) mapping child-frame points
-    into the parent frame, Q the rotation mean of the shared cameras'
+
+def _align_edge(parent: np.ndarray, child: np.ndarray, p, c, mode: str) -> np.ndarray:
+    """The (K, 3, 3, 4) child cameras of K edges moved into the frames of the
+    (K, 3, 3, 4) parent ones, each through the two cameras the edge shares,
+    at the parent's local slots p[k] and the child's slots c[k] ((K, 2)
+    each); an ill-conditioned edge raises before any child is moved.
+
+    mode="euclidean": per edge the similarity (s, Q, d) mapping child-frame
+    points into the parent frame, Q the rotation mean of the shared cameras'
     relative rotations and s the ratio of their baselines.
-    mode="projective": the 4x4 G with P_parent,k ~ P_child,k @ G on both
-    shared cameras, up to scale the null vector of the stacked 24x18 system
-    in the unknowns (G row-major, lambda_0, lambda_1).
+    mode="projective": per edge the 4x4 G with P_parent,k ~ P_child,k @ G on
+    both shared cameras, up to scale the null vector of the stacked 24x18
+    system in the unknowns (G row-major, lambda_0, lambda_1).
     """
+    edge = np.arange(len(child))[:, None]
+    Pp, Pc = parent[edge, p], child[edge, c]  # (K, 2, 3, 4) the shared cameras
     if mode == "euclidean":
-        Rp, Rc = parent[p, :, :3], child[c, :, :3]
-        cp, cc = camera_centers(parent[p]), camera_centers(child)
-        Q = nearest_rotation(Rp[0].T @ Rc[0] + Rp[1].T @ Rc[1])  # R_parent @ R_child^T
-        base_c = np.linalg.norm(cc[c[0]] - cc[c[1]])
-        base_p = np.linalg.norm(cp[0] - cp[1])
-        if base_c < 1e-10 * max(base_p, 1.0):
+        Rp, Rc = Pp[..., :3].swapaxes(-1, -2), Pc[..., :3]
+        cp, cc = camera_centers(Pp), camera_centers(child)
+        Q = nearest_rotation(Rp[:, 0] @ Rc[:, 0] + Rp[:, 1] @ Rc[:, 1])  # R_parent @ R_child^T
+        ends = cc[edge, c, :, None]  # (K, 2, 3, 1) the shared child centres
+        base_c = norms(ends[:, 0, :, 0] - ends[:, 1, :, 0])
+        base_p = norms(cp[:, 0] - cp[:, 1])
+        if (base_c < 1e-10 * np.maximum(base_p, 1.0)).any():
             raise AlignmentIllConditioned("shared camera centers coincide in the child frame")
-        s = base_p / base_c
-        d = 0.5 * ((cp[0] - s * Q @ cc[c[0]]) + (cp[1] - s * Q @ cc[c[1]]))
-        R = child[:, :, :3] @ Q.T
-        t = (s * Q @ cc[..., None])[..., 0] + d
+        sQ = (base_p / base_c)[:, None, None] * Q
+        d = 0.5 * ((cp[:, 0] - (sQ @ ends[:, 0])[..., 0]) + (cp[:, 1] - (sQ @ ends[:, 1])[..., 0]))
+        R = child[..., :3] @ Q.swapaxes(-1, -2)[:, None]
+        t = (sQ[:, None] @ cc[..., None])[..., 0] + d[:, None]
         return np.concatenate([R, -R @ t[..., None]], axis=-1)
-    # equation 12k + 4r + c: (Pc[k] @ G)[r, c] = sum_m Pc[k][r, m] G[m, c]
-    A = np.zeros((24, 18))
-    same_c = np.eye(4, dtype=bool)[:, None]  # axes (c, m, c')
-    A[:, :16] = np.where(same_c, child[c][:, :, None, :, None], 0.0).reshape(24, 16)
-    A[np.arange(24), 16 + np.arange(24) // 12] = -parent[p].ravel()
-    _, sv, Vt = np.linalg.svd(A)
-    if sv[-2] < 1e-10 * sv[0]:
+    A = np.concatenate([Pc.reshape(-1, 24), -Pp.reshape(-1, 24), np.zeros((len(child), 1))], axis=1)
+    _, sv, Vt = np.linalg.svd(A[:, _HOMOGRAPHY_SYSTEM])
+    if (sv[:, -2] < 1e-10 * sv[:, 0]).any():
         raise AlignmentIllConditioned("projective alignment system is rank deficient")
-    G = Vt[-1, :16].reshape(4, 4)
-    if G.flat[int(np.argmax(np.abs(G)))] < 0:  # deterministic orientation
-        G = -G
-    return child @ (G / np.linalg.norm(G))
+    G = Vt[:, -1, :16]
+    G = np.where(G[edge[:, 0], np.argmax(np.abs(G), axis=1)][:, None] < 0, -G, G)  # deterministic orientation
+    return child @ (G / norms(G)[:, None]).reshape(-1, 1, 4, 4)
 
 
 def register_global(stack, cover, mode: str, n_cameras: int) -> list:
     """The n_cameras cameras (3x4, None where no triplet holds one) of the
     (T, 3, 3, 4) stack of recovered triplet cameras in cover order, chained
-    into one frame along the cover's dual BFS tree (`TripletCover.dual`):
-    each tree edge moves its child into its parent's frame (`_align_edge`)
-    through the two cameras whose ids match.
+    into one frame along the cover's dual BFS tree (`TripletCover.dual`) one
+    level at a time, each level's parents placed before it: one `_align_edge`
+    call moves every triplet of a level into its parent's frame through the
+    two cameras whose ids match.
 
     mode="euclidean": per-edge similarity, multi-visit cameras merged by
-    chordal rotation mean and center mean.  mode="projective": per-edge 4x4
-    homography, the first visit wins.
+    chordal rotation mean and center mean, summed in BFS order.
+    mode="projective": per-edge 4x4 homography, the first visit wins.
     """
     if mode not in ("euclidean", "projective"):
         raise ValueError("mode must be 'euclidean' or 'projective'")
@@ -505,21 +515,32 @@ def register_global(stack, cover, mode: str, n_cameras: int) -> list:
     if not cover.is_connected():
         raise NotConnected("cover dual graph does not reach every triplet")
     ids = np.array(cover.triplets)
-    dual = cover.dual
-    placed = stack.copy()  # in the root frame
-    for k in dual.order[1:].tolist():
-        up = dual.parent[k]
-        c, p = np.nonzero(ids[k][:, None] == ids[up])
-        placed[k] = _align_edge(placed[up], stack[k], p, c, mode)
-
-    # every camera's estimates, in BFS order
-    estimates, of = placed[dual.order].reshape(-1, 3, 4), ids[dual.order].ravel()
-    cameras = [None] * n_cameras
-    for cam_id in np.unique(of).tolist():
-        Ps = estimates[of == cam_id]
-        if mode == "euclidean":
-            R = nearest_rotation(np.sum(Ps[:, :, :3], axis=0))
-            cameras[cam_id] = np.hstack([R, (-R @ np.mean(camera_centers(Ps), axis=0)).reshape(3, 1)])
-        else:
-            cameras[cam_id] = Ps[0] / np.linalg.norm(Ps[0])
-    return cameras
+    order, parent, _ = cover.dual
+    kids, depth = order[1:], [0] * len(ids)
+    for k, up in zip(kids.tolist(), parent[kids].tolist()):
+        depth[k] = depth[up] + 1
+    # in BFS order: the slots of the two cameras each child shares with its
+    # parent, the place of its parent, and the first child of each level
+    _, c, p = np.nonzero(ids[kids][:, :, None] == ids[parent[kids]][:, None, :])
+    c, p, ups = c.reshape(-1, 2), p.reshape(-1, 2), np.argsort(order)[parent[kids]]
+    starts = np.flatnonzero(np.diff(np.take(depth, order))).tolist()
+    placed = stack[order]  # in BFS order, each level moved into the root frame in turn
+    for a, b in zip(starts, starts[1:] + [len(kids)]):
+        placed[a + 1:b + 1] = _align_edge(placed[ups[a:b]], placed[a + 1:b + 1], p[a:b], c[a:b], mode)
+    estimates, of = placed.reshape(-1, 3, 4), ids[order].ravel()
+    cams, first, counts = np.unique(of, return_index=True, return_counts=True)
+    if mode == "euclidean":
+        # grouped by a stable sort and padded with -0.0 (x + -0.0 == x), so
+        # each sum adds its camera's estimates one by one in BFS order
+        estimates = estimates[np.argsort(of, kind="stable")]
+        estimates[..., 3] = camera_centers(estimates)  # [R | centre]
+        rows = np.full((counts.max(), len(cams), 3, 4), -0.0)
+        rows[np.arange(len(of)) - np.repeat(np.cumsum(counts) - counts, counts),
+             np.repeat(np.arange(len(cams)), counts)] = estimates
+        total = np.sum(rows, axis=0)
+        R = nearest_rotation(total[..., :3])
+        merged = np.concatenate([R, -R @ (total[..., 3:] / counts[:, None, None])], axis=-1)
+    else:
+        merged = estimates[first] / norms(estimates[first].reshape(-1, 12))[:, None, None]
+    held = dict(zip(cams.tolist(), merged))
+    return [held.get(i) for i in range(n_cameras)]

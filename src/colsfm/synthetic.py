@@ -60,12 +60,14 @@ class TrackSet:
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "visible", vis)
 
-    def tracks(self, ids) -> np.ndarray:
+    def tracks(self, ids):
         """(N, k, 3) points of the tracks seen in every view of ids: rows in
-        track order, columns in the order of ids."""
-        ids = list(ids)
-        rows = np.flatnonzero(np.all(self.visible[:, ids], axis=1))
-        return self.points[np.ix_(rows, ids)]
+        track order, columns in the order of ids.  A (T, k) stack of ids
+        gives the list of T such arrays, gathered in one pass."""
+        views = np.asarray(ids, dtype=int).reshape(-1, np.shape(ids)[-1])
+        of, rows = np.nonzero(seen := np.all(self.visible[:, views], axis=2).T)  # seen: (T, P)
+        held = np.split(self.points[rows[:, None], views[of]], np.cumsum(np.sum(seen, axis=1)))[:-1]
+        return held if np.ndim(ids) == 2 else held[0]
 
 
 @dataclass(frozen=True)

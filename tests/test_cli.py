@@ -225,7 +225,9 @@ class TestCliFlow:
 
     def test_failed_pipeline_report_bytes(self, tmp_path, capsys):
         # r4 refuses a mixed scene before averaging; the report it leaves
-        # names the failure and holds no camera, byte for byte as pinned
+        # names the failure and the cover stage that refused it, and holds
+        # no camera, byte for byte as pinned (re-recorded when the report
+        # began to name the stage)
         scene, meas = tmp_path / "scene.json", tmp_path / "m.json"
         run_cli(["synth", "--layout", "mixed", "--n-cams", "8", "--n-points", "10", "--seed", "3",
                  "--out", str(scene)])
@@ -234,8 +236,10 @@ class TestCliFlow:
                         "--algorithm", "r4", "--out", str(tmp_path / "run")]) == 2
         assert "algorithm r4 requires a fully collinear camera set" in capsys.readouterr().err
         report = (tmp_path / "run" / "report.json").read_bytes()
+        assert json.loads(report)["failure_stage"].startswith(
+            "cover: algorithm r4 requires a fully collinear camera set")
         assert hashlib.sha256(report).hexdigest() == \
-            "ce07b542b32c97e5855887c84a69fa44b9ac8d9b62fead13c55c41e431bc8c58"
+            "ffc94a855e6740b899c2bdc0639726fa76e6e0719e6aaf880488320dcbb88012"
 
     def test_calibrated_regime_on_fundamental_exit_code(self, tmp_path, capsys):
         # calibrated is the default regime; varied intrinsics measure fundamental tensors
@@ -381,7 +385,8 @@ class TestAverageCommand:
 
     def test_stops_before_recovery(self, tmp_path, monkeypatch):
         # a recovery failure after converged averaging belongs to the later
-        # stages: `average` never reaches them, while `pipeline` still exits 2
+        # stages: `average` never reaches them, while `pipeline` still exits
+        # 2, with a report that keeps the convergence and names the stage
         def fail(*args, **kwargs):
             raise NotConnected("registration must not run")
 
@@ -393,6 +398,10 @@ class TestAverageCommand:
         assert (outdir / "cover.json").exists()
         assert run_cli(["pipeline", "--measurements", str(meas), "--algorithm", "r4",
                         "--out", str(tmp_path / "full")]) == 2
+        report = json.loads((tmp_path / "full" / "report.json").read_text())
+        assert report["converged"] is True
+        assert report["failure_stage"] == "recovery: registration must not run"
+        assert report["n_reconstructed"] == 0
 
 
 class TestStageFlags:

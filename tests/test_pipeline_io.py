@@ -277,8 +277,9 @@ class TestPipelineR4:
 
     def test_scene_of_other_camera_count_rejected(self):
         m, tracks = measure(generate("collinear", 6, 16, seed=92), seed=0)
-        with pytest.raises(ValidationError, match="scene holds 8 cameras, the measurements 6"):
+        with pytest.raises(ValidationError, match="scene holds 8 cameras, the measurements 6") as exc:
             run_pipeline(m, tracks, "r4", "calibrated", generate("collinear", 8, 16, seed=92))
+        assert (exc.value.stage, exc.value.converged) == ("input", False)
 
     def test_unknown_regime_rejected(self, monkeypatch):
         # a regime spelt otherwise once ran the projective route unchecked
@@ -301,8 +302,9 @@ class TestPipelineR4:
         match = f"tracks span {n_tracked} cameras, the measurements 8"
         with pytest.raises(ValidationError, match=match):
             cover_and_average(m, tracks, algorithm)
-        with pytest.raises(ValidationError, match=match):
+        with pytest.raises(ValidationError, match=match) as exc:
             run_pipeline(m, tracks, algorithm, "calibrated")
+        assert (exc.value.stage, exc.value.converged) == ("cover", False)
 
     @pytest.mark.parametrize("algorithm", ["r4", "vc"])
     def test_missing_tracks_rejected(self, algorithm):
@@ -338,8 +340,9 @@ class TestPipelineR4:
         scene = generate("collinear", 7, 16, seed=92)
         m, tracks = measure(scene, seed=0)
         for e in sorted({p for t in sequential_cover(7).triplets for p in triplet_pairs(t)}):
-            with pytest.raises(MissingBlock, match=rf"cover edge \({e[0]}, {e[1]}\) has no measured tensor"):
+            with pytest.raises(MissingBlock, match=rf"cover edge \({e[0]}, {e[1]}\) has no measured tensor") as exc:
                 run_pipeline(without(m, e), tracks, "r4", "calibrated", scene)
+            assert exc.value.stage == "cover"
 
 
 class TestPipelineVC:

@@ -6,6 +6,9 @@ import geometry_oracle
 import numpy as np
 import projective_oracle
 import pytest
+import registration_oracle
+
+import colsfm.pipeline
 
 from colsfm.errors import (
     AlignmentIllConditioned,
@@ -48,6 +51,7 @@ from colsfm.recovery import (
     resolve_essential_triplet,
 )
 from colsfm.nview import block_index, block_matrix
+from colsfm.pipeline import run_pipeline
 from colsfm.synthetic import MeasurementNoise, generate, measure
 from conftest import (
     averaged_nview, banded, collinear_triplet, exact_triplet, geodesic_angle, projections,
@@ -421,6 +425,63 @@ class TestRegisterGlobal:
         reg = register_global(recs, cover, "projective", 5)
         all_tracks = seen_in(ts, *((i, i + 1, i + 2) for i in range(3)))
         assert mean_reprojection_error(reg, *all_tracks) < 1e-6
+
+
+def _registered_inputs(monkeypatch, layout, n, intrinsics, noise, algorithm, seed=0):
+    """The (stack, cover, mode, n_cameras) that one pipeline run registers."""
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return register_global(*args)
+
+    monkeypatch.setattr(colsfm.pipeline, "register_global", spy)
+    scene = generate(layout, n, 20, seed=seed, intrinsics_mode=intrinsics)
+    m, tracks = measure(scene, MeasurementNoise(rotation_deg=noise), seed=seed)
+    run_pipeline(m, tracks, algorithm, "calibrated" if intrinsics == "calibrated" else "uncalibrated", scene)
+    (args,) = calls
+    return args
+
+
+class TestRegistrationLevels:
+    """`register_global` aligns the dual tree level by level and merges every
+    camera in one pass; `registration_oracle` does both one edge and one
+    camera at a time.  The bytes must agree."""
+
+    @pytest.mark.parametrize("layout,n,intrinsics,noise,algorithm", [
+        ("collinear", 30, "calibrated", 0.5, "r4"),  # a path: one edge per level
+        ("mixed", 18, "calibrated", 0.0, "vc"),  # deep tree, cameras seen 8+ times
+        ("mixed", 10, "varied", 0.0, "vc"),  # projective, first visit wins
+    ])
+    def test_equals_the_edge_loop(self, monkeypatch, layout, n, intrinsics, noise, algorithm):
+        stack, cover, mode, n_cameras = _registered_inputs(monkeypatch, layout, n, intrinsics, noise,
+                                                           algorithm)
+        assert mode == ("euclidean" if intrinsics == "calibrated" else "projective")
+        seen = np.bincount(np.ravel(cover.triplets))
+        if algorithm == "vc" and mode == "euclidean":
+            # the order of the merge's sums matters from 8 estimates on
+            assert seen.max() >= 8
+        got = register_global(stack, cover, mode, n_cameras)
+        want = registration_oracle.register_global(stack, cover, mode, n_cameras)
+        assert [P is None for P in got] == [P is None for P in want]
+        for a, b in zip(got, want):
+            assert a is None or a.tobytes() == b.tobytes()
+
+    def test_ill_conditioned_edge_inside_a_level_raises(self, monkeypatch):
+        stack, cover, mode, n_cameras = _registered_inputs(monkeypatch, "mixed", 18, "calibrated", 0.0, "vc")
+        order, parent, _ = cover.dual
+        depth = np.zeros(len(order), dtype=int)
+        for k in order[1:]:
+            depth[k] = depth[parent[k]] + 1
+        # the last triplet of the widest level: its edge is not the level's first
+        widest = np.argmax(np.bincount(depth))
+        assert np.bincount(depth)[widest] > 1
+        k = order[depth[order] == widest][-1]
+        bad = stack.copy()
+        bad[k] = np.hstack([np.eye(3), np.zeros((3, 1))])  # every centre at the origin
+        for register in (register_global, registration_oracle.register_global):
+            with pytest.raises(AlignmentIllConditioned, match="coincide in the child frame"):
+                register(bad, cover, mode, n_cameras)
 
 
 class TestGaugeInvariance:
@@ -852,24 +913,37 @@ def _homography_loop(parent, parent_ids, child, child_ids, shared):
 
 
 def test_edge_homography_equals_entrywise_assembly(rng):
+    # 20 edges in one stack, the shared cameras 1 and 2 at random slots of
+    # each parent (cameras 0, 1, 2) and child (cameras 1, 2, 3)
+    parents, children, ps, cs, want = [], [], [], [], []
     for _ in range(20):
         H = rng.normal(size=(4, 4))
         P = [rng.normal(size=(3, 4)) for _ in range(4)]
-        parent, child = np.array(P[:3]), np.array([P[1] @ H, P[2] @ H, P[3]])
-        # the shared cameras 1 and 2 sit at parent slots 1, 2 and child slots 0, 1
-        got = _align_edge(parent, child, [1, 2], [0, 1], "projective")
-        assert np.array_equal(got, child @ _homography_loop(parent, (0, 1, 2), child, (1, 2, 3), [1, 2]))
+        parent_ids, child_ids = tuple(rng.permutation([0, 1, 2])), tuple(rng.permutation([1, 2, 3]))
+        parent = np.array([P[i] for i in parent_ids])
+        child = np.array([P[i] @ H if i < 3 else P[i] for i in child_ids])
+        c, p = np.nonzero(np.array(child_ids)[:, None] == np.array(parent_ids))
+        parents.append(parent), children.append(child), ps.append(p), cs.append(c)
+        shared = [child_ids[i] for i in c]  # in child slot order, as registration pairs them
+        want.append(child @ _homography_loop(parent, parent_ids, child, child_ids, shared))
+    parent, child, p, c = (np.array(a) for a in (parents, children, ps, cs))
+    got = _align_edge(parent, child, p, c, "projective")
+    for k in range(20):
+        alone = _align_edge(parent[k:k + 1], child[k:k + 1], p[k:k + 1], c[k:k + 1], "projective")
+        assert got[k].tobytes() == alone[0].tobytes()
+        assert np.array_equal(got[k], want[k])
 
 
 def test_ill_conditioned_edge_raises(rng):
-    parent = rng.normal(size=(3, 3, 4))
+    parent = rng.normal(size=(1, 3, 3, 4))
+    slots = np.array([[1, 2]]), np.array([[0, 1]])
     # euclidean: the two shared cameras sit at one centre in the child frame
-    child = np.tile(np.hstack([np.eye(3), np.zeros((3, 1))]), (3, 1, 1))
+    child = np.tile(np.hstack([np.eye(3), np.zeros((3, 1))]), (1, 3, 1, 1))
     with pytest.raises(AlignmentIllConditioned, match="coincide in the child frame"):
-        _align_edge(parent, child, [1, 2], [0, 1], "euclidean")
+        _align_edge(parent, child, *slots, "euclidean")
     # projective: a zero child stack leaves the system rank deficient
     with pytest.raises(AlignmentIllConditioned, match="rank deficient"):
-        _align_edge(parent, np.zeros((3, 3, 4)), [1, 2], [0, 1], "projective")
+        _align_edge(parent, np.zeros((1, 3, 3, 4)), *slots, "projective")
 
 
 # -- the stacked calibrated passes against calibrated_oracle, bit for bit ----
