@@ -15,7 +15,8 @@ regime the driver first restores consistent relative block scales from the
 pairwise decompositions (closure of the translation directions) and
 synchronizes them across triplets sharing a block; the decompositions and
 closures of all cover triplets are one stacked pass of `recovery`, and the
-synchronisation is (T, 3) arrays walked over the cover's `TripletCover.dual`.
+synchronisation is (T, 3) arrays over the cover's `TripletCover.dual`, its
+log magnitudes one solve of the normal equations of the dual edges.
 
 The projections are batched kernels over (m, 3k, 3k) stacks, each call one
 stacked eigendecomposition (`nview.eigen_signature` flags the
@@ -285,8 +286,9 @@ def _consistent_scale_factors(blocks, rows, dual: DualGraph) -> np.ndarray:
     The stored sign convention (largest entry positive) is unrelated to the
     consistent orientation, so the closure solve's signs are kept.  Across
     triplets a per-triplet sign gauge is fixed along the dual BFS tree
-    (global negation preserves the constraint set) and the magnitudes are
-    synchronized by least squares on log scales over the dual edges.
+    (global negation preserves the constraint set); the log magnitudes g_t,
+    g_0 = 0, fit the log scale ratio of each dual edge's shared block in
+    least squares, one solve of the T x T normal equations.
     """
     local = _local_scale_factors(blocks, rows)
     child = dual.order[1:]
@@ -299,11 +301,12 @@ def _consistent_scale_factors(blocks, rows, dual: DualGraph) -> np.ndarray:
         sign[t] = sign[p] * s
 
     i, j = dual.edges.T
-    k, a, b = np.nonzero(rows[i][:, :, None] == rows[j][:, None, :])
-    A = np.zeros((len(i) + 1, len(rows)))
-    A[k, i], A[k, j], A[-1, 0] = 1.0, -1.0, 1.0  # the last row fixes the first factor at 1
-    rhs = np.append(np.log(np.abs(local[j, b])) - np.log(np.abs(local[i, a])), 0.0)
-    g, *_ = np.linalg.lstsq(A, rhs, rcond=None)
+    _, a, b = np.nonzero(rows[i][:, :, None] == rows[j][:, None, :])
+    r, T = np.log(np.abs(local[j, b])) - np.log(np.abs(local[i, a])), len(rows)
+    # the dual-graph Laplacian plus e_0 e_0^T (the gauge), nonsingular on a connected cover
+    N = np.diag(np.bincount(np.append(dual.edges, 0), minlength=T).astype(float))
+    N[i, j] = N[j, i] = -1.0
+    g = np.linalg.solve(N, np.bincount(i, r, T) - np.bincount(j, r, T))
     return sign[:, None] * local * np.exp(g)[:, None]
 
 
@@ -439,13 +442,12 @@ def average(
 
     Ehat = block_matrix(scales[..., None, None] * normed[edge_of],
                         block_index(np.arange(3 * m).reshape(m, 3)))
-    # each pair block starts at the mean scale of its users, taken in
-    # triplet order one pair at a time, so the sum runs as np.mean runs it
-    by_edge = np.argsort(edge_of.ravel(), kind="stable")
+    # each pair block starts at the mean scale of its users, all in one
+    # stacked sum (exactly 1 where every scale is 1)
     counts = np.bincount(edge_of.ravel(), minlength=len(edges))
-    mean = [np.mean(u) for u in np.split(scales.ravel()[by_edge], np.cumsum(counts)[:-1])]
+    mean = np.bincount(edge_of.ravel(), scales.ravel(), len(edges)) / counts
     run = _Run(Ehat, block_index(edge_of), edge_of, counts, _PROJECTIONS[(regime, measured.kind)])
-    x = np.concatenate([(np.array(mean)[:, None, None] * normed).ravel(), np.zeros(81 * m)])
+    x = np.concatenate([(mean[:, None, None] * normed).ravel(), np.zeros(81 * m)])
     split = x.size - 81 * m  # x[:split] the consensus, x[split:] U
     warm = None  # the kernel's warm start, carried from one step to the next
     anderson = _Anderson()

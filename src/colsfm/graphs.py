@@ -11,7 +11,8 @@ Every dual-graph question is answered from one index, built in O(T) from T
 triplets: each sorted camera pair -> the triplets holding it.  Two triplets
 are dual neighbours iff they share a bucket and differ as camera sets, so an
 adjacency costs the sum of squared bucket sizes instead of O(T^2) pair tests.
-A `TripletCover` builds its dual graph once, as index arrays (`DualGraph`);
+A `TripletCover` derives its dual graph (`DualGraph`, index arrays) once from
+its adjacency lists, which the pruned cover takes from the pruning superset's;
 connectivity, `to_json`, scale sync and registration all read that one graph.
 The greedy cover is connected exactly when the triangles' dual graph is, so
 `enrich_connectivity` only checks it.
@@ -69,18 +70,18 @@ def pair_rows(triplets):
     return list(map(tuple, ends[np.sort(first)].tolist())), rank[inverse].reshape(-1, 3)
 
 
-def dual_adjacency(triplets) -> dict:
-    """Triplet -> its dual neighbours in sorted order, for sorted, distinct
-    triplets (so no two share all three cameras)."""
-    adj = {t: set() for t in triplets}
+def dual_adjacency(triplets) -> list:
+    """Each triplet's dual neighbours as sorted indices into triplets, for
+    sorted, distinct triplets (so no two share all three cameras)."""
+    adj = [set() for _ in triplets]
     index = defaultdict(list)  # sorted camera pair -> the triplets holding it
-    for t in adj:
+    for k, t in enumerate(triplets):
         for p in triplet_pairs(t):
-            index[p].append(t)
+            index[p].append(k)
     for bucket in index.values():
-        for t in bucket:
-            adj[t].update(bucket)
-    return {t: sorted(nbrs - {t}) for t, nbrs in adj.items()}
+        for k in bucket:
+            adj[k].update(bucket)
+    return [sorted(nbrs - {k}) for k, nbrs in enumerate(adj)]
 
 
 def dual_bfs(adj, sources, blocked=frozenset()):
@@ -118,10 +119,14 @@ class TripletCover:
         return TripletCover(sorted({tuple(sorted(t)) for t in triplets}), dict(virtual_nodes or {}))
 
     @cached_property
+    def adjacency(self) -> list:
+        """`dual_adjacency` of the triplets, built on first read unless set."""
+        return dual_adjacency(self.triplets)
+
+    @cached_property
     def dual(self) -> DualGraph:
-        """The dual graph, built on first read."""
-        index = {t: k for k, t in enumerate(self.triplets)}
-        adj = [[index[u] for u in nbrs] for nbrs in dual_adjacency(self.triplets).values()]
+        """The dual graph, derived from `adjacency` on first read."""
+        adj = self.adjacency
         walk = list(dual_bfs(adj, [0] if adj else []))
         parent = np.full(len(adj), -1)
         for cur, up in walk[1:]:
@@ -163,12 +168,12 @@ def heuristic_cover(tris, scores) -> TripletCover:
     exactly when the triangles' dual graph is; see enrich_connectivity."""
     if not tris:
         raise NoTriangles("viewing graph has no 3-clique")
-    ranked = [t for _, t in sorted(zip((-float(s) for s in scores), tris))]
-    # one pass: a pair -> its first chosen triplet answers "covers a new edge"
-    # (none) and, through a union-find over the chosen triplets' dual
-    # components, "joins" (t's neighbours have two or more roots); one per pair
-    # is enough, as each chosen triplet joins the roots of all its pairs
-    chosen, by_pair, parent = [], {}, {}
+    pairs, rows = pair_rows(tris)
+    # one pass over triangle and pair ids: a pair -> a chosen triangle holding it
+    # answers "covers a new edge" (none: -1) and, through a union-find over the
+    # chosen triangles' dual components, "joins" (t's neighbours have two or more
+    # roots); one per pair is enough, as each joins the roots of all its pairs
+    chosen, by_pair, parent, rows = [], [-1] * len(pairs), list(range(len(tris))), rows.tolist()
 
     def find(t):
         while parent[t] != t:
@@ -176,18 +181,15 @@ def heuristic_cover(tris, scores) -> TripletCover:
             t = parent[t]
         return t
 
-    for t in ranked:
-        pairs = triplet_pairs(t)
-        held = [by_pair[p] for p in pairs if p in by_pair]
-        roots = {find(u) for u in held}
-        if len(held) == 3 and len(roots) < 2:
+    for t in np.argsort(-np.asarray(scores, dtype=float), kind="stable").tolist():
+        held = [by_pair[p] for p in rows[t]]
+        if -1 not in held and find(held[0]) == find(held[1]) == find(held[2]):
             continue
-        parent[t] = t
-        for r in roots:
+        for r in {find(u) for u in held if u >= 0}:
             parent[r] = t
-        for p in pairs:
-            by_pair.setdefault(p, t)
-        chosen.append(t)
+        for p in rows[t]:
+            by_pair[p] = t
+        chosen.append(tris[t])
     return TripletCover.from_triplets(chosen)
 
 
@@ -232,22 +234,23 @@ def insert_virtual_and_prune(cover: TripletCover, virtual_nodes: dict) -> Triple
     kept = [t for t in cover.triplets if t not in replaced]
     required_edges = {p for t in kept for p in triplet_pairs(t)}
     pruned = sorted(set(kept + [s for subs in replaced.values() for s in subs]))
-    # the dual graph of any subset is the subgraph its triplets induce here
-    adj = dual_adjacency(pruned)
+    # the dual graph of any subset is the subgraph its triplets induce here;
+    # replacing nothing leaves the superset the cover itself
+    adj = dual_adjacency(pruned) if replaced else cover.adjacency
     # the full set covers every camera, required edge and sub-triplet, so
     # apart from connectivity a removal is checked at the dropped triplet
     cameras = Counter(c for t in pruned for c in t)
     # the fewest triplets a removal may leave a camera in
     floor = dict.fromkeys((virtual_nodes[t] for t in replaced), 2)
     edges = Counter(p for t in pruned for p in triplet_pairs(t))
-    dropped = set()
+    dropped = set()  # indices into pruned
 
-    def stays_connected(t) -> bool:
+    def stays_connected(k) -> bool:
         # the remaining dual graph is connected, so it stays connected
-        # without t iff t's remaining neighbours stay joined; a leaf never
+        # without k iff k's remaining neighbours stay joined; a leaf never
         # disconnects it
-        left = {u for u in adj[t] if u not in dropped}
-        for u, _ in dual_bfs(adj, [min(left)], dropped | {t}):
+        left = {u for u in adj[k] if u not in dropped}
+        for u, _ in dual_bfs(adj, [min(left)], dropped | {k}):
             left.discard(u)
             if not left:
                 return True
@@ -257,12 +260,16 @@ def insert_virtual_and_prune(cover: TripletCover, virtual_nodes: dict) -> Triple
         return (all(cameras[c] > floor.get(c, 1) for c in t)
                 and all(edges[p] > 1 or p not in required_edges for p in triplet_pairs(t)))
 
-    if pruned and sum(1 for _ in dual_bfs(adj, pruned[:1])) == len(pruned):
-        for t in reversed(pruned):
+    if pruned and sum(1 for _ in dual_bfs(adj, [0])) == len(pruned):
+        for k, t in reversed(list(enumerate(pruned))):
             # a last triplet's cameras count 1, so it is never removable
-            if removable(t) and stays_connected(t):
-                dropped.add(t)
+            if removable(t) and stays_connected(k):
+                dropped.add(k)
                 cameras.subtract(t)
                 edges.subtract(triplet_pairs(t))
+    keep = [k for k in range(len(pruned)) if k not in dropped]
+    new = dict(zip(keep, range(len(keep))))  # index in pruned -> in the result
     virtual_nodes = {**cover.virtual_nodes, **{t: virtual_nodes[t] for t in replaced}}
-    return TripletCover.from_triplets([t for t in pruned if t not in dropped], virtual_nodes)
+    out = TripletCover([pruned[k] for k in keep], virtual_nodes)
+    out.adjacency = [[new[u] for u in adj[k] if u in new] for k in keep]  # the induced subgraph
+    return out

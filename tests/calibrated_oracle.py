@@ -226,7 +226,7 @@ def consistent_scale_factors(blocks, rows, triplets):
              for t, row in zip(triplets, _local_scale_factors(blocks, rows).tolist())}
 
     index = {t: i for i, t in enumerate(triplets)}
-    adj = dual_adjacency(triplets)
+    adj = {t: [triplets[u] for u in nbrs] for t, nbrs in zip(triplets, dual_adjacency(triplets))}
     sign_gauge = {}
     for root in triplets:
         if root in sign_gauge:

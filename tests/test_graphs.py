@@ -21,6 +21,7 @@ from colsfm.graphs import (
 )
 from colsfm.synthetic import generate
 
+import graphs_oracle
 from conftest import covered_edges, min_weight_cover, scene_cameras, unit_bifocal
 
 
@@ -178,6 +179,26 @@ def test_one_triplet_per_pair_matches_all_members():
     assert connected > 0 and disconnected > 0
 
 
+def test_greedy_cover_matches_tuple_keyed_oracle():
+    # integer triangle and pair ids against the tuple-keyed pass, on random
+    # graphs up to n=30 whose scores are random or rounded to 0.1, so ties
+    # take the sorted order
+    rng = np.random.default_rng(11)
+    sizes, tied = [], 0
+    for trial in range(40):
+        n = int(rng.integers(4, 31))
+        p = float(rng.uniform(0.2, 1.0))
+        tris = triangles(n, [e for e in combinations(range(n), 2) if rng.uniform() < p])
+        if not tris:
+            continue
+        for scores in (rng.random(len(tris)), np.round(rng.random(len(tris)), 1)):
+            want = sorted(graphs_oracle.heuristic_cover(tris, scores))
+            assert heuristic_cover(tris, scores).triplets == want, trial
+            tied += len(np.unique(scores)) < len(scores)
+        sizes.append(n)
+    assert max(sizes) >= 25 and tied >= 20
+
+
 class TestEnrichConnectivity:
     def test_already_connected_unchanged(self):
         c = sequential_cover(5)
@@ -307,7 +328,8 @@ class TestDualEdges:
         partial = 0
         for trial in range(200):
             c = TripletCover.from_triplets(_random_triplets(rng))
-            walk = list(dual_bfs(dual_adjacency(c.triplets), c.triplets[:1]))
+            adj = {t: [c.triplets[u] for u in nbrs] for t, nbrs in zip(c.triplets, dual_adjacency(c.triplets))}
+            walk = list(dual_bfs(adj, c.triplets[:1]))
             assert [c.triplets[k] for k in c.dual.order] == [t for t, _ in walk]
             parent = {t: -1 if p is None else c.triplets.index(p) for t, p in walk}
             assert c.dual.parent.tolist() == [parent.get(t, -1) for t in c.triplets]
@@ -436,6 +458,27 @@ def test_prune_matches_components_rule():
             assert outs[0] == outs[1]
             checked += 1
     assert checked >= 50
+
+
+def test_pruned_cover_holds_its_own_dual_graph():
+    """The pruned cover's dual graph, read from the superset's adjacency
+    through the induced subgraph, equals the one a fresh cover of its
+    triplets builds; with no marked triplet the superset is the cover."""
+    checked = 0
+    for seed in sorted(GOLDEN_RANDOM):
+        n, edges = _random_graph(seed)
+        try:
+            cover = enrich_connectivity(min_weight_cover(n, edges))
+        except Unconnectable:
+            continue
+        for modulus in (None, 2, 3, 5):
+            marked = [t for t in cover.triplets if modulus and sum(t) % modulus == 0]
+            out = insert_virtual_and_prune(cover, {t: n + k for k, t in enumerate(marked)})
+            fresh = TripletCover.from_triplets(out.triplets, out.virtual_nodes).dual
+            for got, want in zip(out.dual, fresh):
+                assert np.array_equal(got, want), (seed, modulus)
+            checked += len(out.triplets) < len(cover.triplets) + 2 * len(marked)
+    assert checked >= 20
 
 
 def test_complete_30_cover_enrich_prune():
