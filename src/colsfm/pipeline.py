@@ -143,9 +143,9 @@ def _virtual_cover(measurements: NViewBifocal, tracks: TrackSet):
     virtual cameras' tensors.  One `epipoles` table of the triangles' pairs,
     which raises RankDeficient before the cover is built if a pair has no
     unique epipoles, feeds one score pass, which ranks the triangles and
-    marks the collinear cover triplets, and every point selection; one pose
-    pass (essential) or one projective pass (fundamental) gives the
-    V-matrices of every virtual camera."""
+    marks the collinear cover triplets, and every point selection; when it
+    marks any, one pose pass (essential) or one projective pass
+    (fundamental) gives the V-matrices of every virtual camera."""
     n = measurements.n
     tris = triangles(n, measurements.pairs.tolist())
     F, rows = _pair_blocks(measurements, tris)
@@ -153,17 +153,15 @@ def _virtual_cover(measurements: NViewBifocal, tracks: TrackSet):
     scores = collinearity_score(table, rows)
     cover = enrich_connectivity(heuristic_cover(tris, scores))
     index = {t: k for k, t in enumerate(tris)}
-    held = [index[t] for t in cover.triplets]
-    marked = [k for k in held if scores[k] < _COLLINEARITY_THRESHOLD]
+    marked = [index[t] for t in cover.triplets if scores[index[t]] < _COLLINEARITY_THRESHOLD]
     collinear = [tris[k] for k in marked]
     tracks3 = tracks.tracks(np.reshape(collinear, (-1, 3)))
-    if measurements.kind == "essential":
+    if marked and measurements.kind == "essential":
         V, ties = v_matrices_from_essentials(F[rows[marked]], tracks3)
-    else:
+    elif marked:
         systems = projective_systems(F, rows[marked], table, tracks3)
     virtual_tensors = []  # each collinear triplet's (3, 3, 3) stack
-    for k, t in enumerate(collinear):
-        r = rows[marked[k]]
+    for k, r in enumerate(rows[marked]):
         track = select_virtual_point(tracks3[k], F[r], table[r])
         if measurements.kind == "essential":
             if ties[k] is not None:

@@ -11,21 +11,18 @@ frame along the breadth-first tree that the cover holds with its dual graph
 aligned level by level on the cameras whose ids match, and every camera's
 estimates are merged in one pass, summed in BFS order.
 
-Everything but the per-triplet solves runs in stacked passes before any
-triplet is recovered: `pair_poses` decomposes every essential block of a
-stage with one cheirality vote over the tracks of all its pairs
-(closed-form depths; DLT only for entries they cannot certify),
-`resolve_essential_triplet` picks and averages every triplet's rotations
-(one eigendecomposition of the (T, 9, 9) stack), `closure_scales` solves
-every direction closure in one SVD and places every general triplet's
-cameras from it, `collinear_placement` gates every
-collinear triplet on its eigenvalue pattern (one eigendecomposition of the
-(T, 9, 9) stack), solves every alpha from one DLT of all 3-view tracks and
-places every triplet's cameras in one (T, 3, 3, 4) stack, and
-`projective_systems` builds every projective a-vector system from one
-epipole table, one tensor call for all cameras P2(0), P2(e_k) and one DLT of
-all 3-view tracks.  Each of the four per-triplet recoveries then reads its
-row and raises its own error.
+Everything runs in stacked passes before any triplet is recovered:
+`pair_poses` decomposes every essential block of a stage with one
+cheirality vote over the tracks of all its pairs (closed-form depths; DLT
+only for entries they cannot certify), `resolve_essential_triplet` picks and
+averages every triplet's rotations (one eigendecomposition of the (T, 9, 9)
+stack), `closure_scales` solves every direction closure in one SVD and
+places every general triplet's cameras, `collinear_placement` gates every
+collinear triplet on its eigenvalue pattern and places its cameras from one
+DLT of all 3-view tracks, and `projective_systems` stacks the a-vector rows
+of every triplet, normalizes and checks them together and solves each a on
+its own slice.  Each of the four per-triplet recoveries reads its row and
+raises its own error.
 """
 
 from __future__ import annotations
@@ -345,18 +342,20 @@ def recover_calibrated_general_triplet(
 
 @dataclass(frozen=True)
 class ProjectiveSystems:
-    """The a-vector systems of T triplets with pair tensors F01, F02, F12:
-    cameras P0 = [[e0]_x F01 | e0] (T, 3, 4), P1 = [I | 0] and P2(a) = [M2 |
-    0] + e2 a^T, M2 = [e2]_x F12^T (T, 3, 3), e0 and e2 the images of center 1
-    in views 0 and 2.  rows holds each triplet's (A, b): nine rows making the
-    tensor of P0 and P2(a) proportional to F02, then three per 3-view track
-    that triangulates unambiguously from views 0-1; errors the error each
-    triplet raises before its solve, else None."""
+    """The a-vector systems of T triplets with pair tensors F01, F02, F12,
+    for cameras P0 = [[e0]_x F01 | e0], P1 = [I | 0] and P2(a) = [M2 | 0] +
+    e2 a^T, M2 = [e2]_x F12^T, e0 and e2 the images of center 1 in views 0
+    and 2.  A (R, 4) and b (R,) stack the rows, triplet k's from offsets[k]
+    to offsets[k + 1]: nine making the tensor of P0 and P2(a) proportional
+    to F02, then three per 3-view track that triangulates from views 0-1;
+    cameras (T, 3, 3, 4) hold P0, P1 and P2(a) solved on the route collinear
+    names (P2 nan where errors holds the row's error, else None)."""
 
-    P0: np.ndarray
-    M2: np.ndarray
-    e2: np.ndarray
-    rows: list
+    A: np.ndarray
+    b: np.ndarray
+    offsets: np.ndarray
+    collinear: bool
+    cameras: np.ndarray
     errors: tuple
 
 
@@ -370,83 +369,86 @@ def projective_systems(F, rows, table, tracks3=None) -> ProjectiveSystems:
     """The systems of the T triplets whose local pairs are the rows (T, 3) of
     a (P, 3, 3) tensor stack F with epipoles `geometry.epipole_table(F)`, in
     one stacked pass: one tensor call for the cameras P2(0), P2(e_k) of every
-    triplet, and one DLT of every track of tracks3 (each triplet's (N, 3, 3)
-    3-view tracks; None: no track rows, no track count)."""
+    triplet, one DLT of every track of tracks3, every row normalized and
+    dropped below 1e-12 of its triplet's largest (at least 1), every triplet
+    checked, and each a that passes solved in least squares.  tracks3 (each
+    triplet's (N, 3, 3) 3-view tracks) selects the collinear route (a needs 2
+    that triangulate), None the general one (tensor rows alone, of rank 4)."""
     rows = np.asarray(rows).reshape(-1, 3)
     T = len(rows)
     e0, e2 = table[rows[:, 0], 0], table[rows[:, 2], 1]
     P0 = np.concatenate([skew(e0) @ F[rows[:, 0]], e0[:, :, None]], axis=2)
     M2 = skew(e2) @ F[rows[:, 2]].swapaxes(-1, -2)
-    P2 = np.concatenate([M2, np.zeros((T, 3, 1))], axis=2)[:, None]
-    G = fundamental_from_projections(P0[:, None], P2 + e2[:, None, :, None] * _A_BASIS[:, None])
+    P2 = np.concatenate([M2, np.zeros((T, 3, 1))], axis=2)
+    G = fundamental_from_projections(P0[:, None], P2[:, None] + e2[:, None, :, None] * _A_BASIS[:, None])
     f0 = G.reshape(T, 5, 9)[:, 0]
     L = np.ascontiguousarray((G.reshape(T, 5, 9)[:, 1:] - f0[:, None]).swapaxes(1, 2))
     f = F[rows[:, 1]].reshape(T, 9)
     norm = norms(f)
     fhat = f / np.where(norm == 0.0, 1.0, norm)[:, None]
     Proj = np.eye(9) - fhat[:, :, None] * fhat[:, None, :]
-    A, b = Proj @ L, ((-Proj) @ f0[:, :, None])[:, :, 0]
     pts = [np.asarray(tr, dtype=float).reshape(-1, 3, 3) for tr in tracks3 or ()]
-    too_few = [len(p) < 2 for p in pts] if tracks3 is not None else [False] * T
     of = np.repeat(np.arange(len(pts)), [len(p) for p in pts])  # each track's triplet
+    collinear = tracks3 is not None
+    few = np.bincount(of, minlength=T) < 2 * collinear
     pts = np.concatenate([np.zeros((0, 3, 3)), *pts])
     X, ambiguous = triangulate(np.stack([P0, np.broadcast_to(_P1, P0.shape)], axis=1)[of], pts[:, :2])
     X, x2, of = X[~ambiguous], pts[~ambiguous, 2], of[~ambiguous]
-    cuts = 3 * np.cumsum(np.bincount(of, minlength=T))[:-1]
-    track_A = np.split((np.cross(e2[of], x2)[:, :, None] * X[:, None, :]).reshape(-1, 4), cuts)
-    track_b = np.split(-np.cross((M2[of] @ X[:, :3, None])[:, :, 0], x2).ravel(), cuts)
-    # the error each triplet raises before its solve, in the per-triplet order
+    used = np.bincount(of, minlength=T)
+    offsets = np.concatenate([[0], np.cumsum(9 + 3 * used)])
+    tensor = np.arange(offsets[-1]) - np.repeat(offsets[:-1], 9 + 3 * used) < 9  # each triplet's first nine
+    A, b = np.empty((offsets[-1], 4)), np.empty(offsets[-1])
+    A[tensor], b[tensor] = (Proj @ L).reshape(-1, 4), ((-Proj) @ f0[:, :, None]).ravel()
+    A[~tensor] = (np.cross(e2[of], x2)[:, :, None] * X[:, None, :]).reshape(-1, 4)
+    b[~tensor] = -np.cross((M2[of] @ X[:, :3, None])[:, :, 0], x2).ravel()
+    # row normalization keeps tensor rows and track rows commensurable
+    rn, owner = np.linalg.norm(A, axis=1), np.repeat(np.arange(T), 9 + 3 * used)  # each row's triplet
+    keep = rn > 1e-12 * np.maximum(np.maximum.reduceat(rn, offsets[:-1]), 1.0)[owner]
+    An, bn, kept = A[keep] / rn[keep, None], b[keep] / rn[keep], np.bincount(owner[keep], minlength=T)
+    start, ranked = np.cumsum(kept) - kept, np.zeros(T, dtype=bool)
+    for m in () if collinear else np.unique(kept[kept >= 4]).tolist():
+        # the general route's rank: one SVD per kept-row count, each matrix in its own shape
+        at = np.flatnonzero(kept == m)
+        sv = np.linalg.svd(An[start[at, None] + np.arange(m)], compute_uv=False)
+        ranked[at] = sv[:, 3] >= 1e-10 * sv[:, 0]
+    # each triplet's first error, in the per-triplet order
     errors = tuple(
-        InsufficientTracks("the a-vector solve needs at least 2 three-view tracks") if few
-        else RankDeficient("tensor has a two-dimensional null space") if not (a.any() and c.any())
-        else ValueError("cannot normalize zero vector") if n == 0.0 else None
-        for few, a, c, n in zip(too_few, e0, e2, norm))
-    systems = [(np.vstack([A[k], track_A[k]]), np.concatenate([b[k], track_b[k]])) for k in range(T)]
-    return ProjectiveSystems(P0, M2, e2, systems, errors)
+        InsufficientTracks("the a-vector solve needs at least 2 three-view tracks") if short
+        else RankDeficient("tensor has a two-dimensional null space") if not (p.any() and q.any())
+        else RankDeficient("third tensor is zero") if n == 0.0
+        else (DegenerateEpipole("every constraint row is degenerate (tracks at the epipole)") if not m
+              else InsufficientTracks(f"the a-vector solve needs at least 2 three-view tracks; {u} "
+                                      "triangulate unambiguously") if u < 2 else None) if collinear
+        else None if r else DegenerateEpipole("third tensor does not determine a (collinear cameras?)")
+        for short, p, q, n, m, u, r in zip(few, e0, e2, norm, kept.tolist(), used.tolist(), ranked))
+    a = np.full((T, 4), np.nan)
+    for k, s, m in [(k, start[k], kept[k]) for k, e in enumerate(errors) if e is None]:
+        a[k] = np.linalg.lstsq(An[s:s + m], bn[s:s + m], rcond=None)[0]  # lstsq takes no stack
+    cameras = np.stack([P0, np.broadcast_to(_P1, P0.shape), P2 + e2[:, :, None] * a[:, None, :]], axis=1)
+    return ProjectiveSystems(A, b, offsets, collinear, cameras, errors)
 
 
-def _solve_a(system: ProjectiveSystems, k: int, collinear: bool) -> np.ndarray:
-    """The (3, 3, 4) cameras of row k: its rows and right-hand sides divided
-    by the rows' norms, checked (enough tracks for a collinear triplet, full
-    rank for a general one) and solved for a in least squares."""
+def _row_cameras(system: ProjectiveSystems, k: int, collinear: bool) -> np.ndarray:
+    """Row k's cameras, or the error it raises, from systems solved on this route."""
+    if system.collinear is not collinear:
+        raise ValueError("these projective systems were solved on the other route")
     if system.errors[k] is not None:
         raise system.errors[k]
-    A, b = system.rows[k]
-    used = (len(A) - 9) // 3  # three rows per track after the tensor's nine
-    # row normalization keeps tensor rows and track rows commensurable
-    norms = np.linalg.norm(A, axis=1)
-    keep = norms > 1e-12 * max(float(np.max(norms)), 1.0)
-    A, b = A[keep] / norms[keep, None], b[keep] / norms[keep]
-    if not collinear:
-        sv = np.linalg.svd(A, compute_uv=False)  # tensor rows only: none kept on collinear centres
-        if len(sv) < 4 or sv[3] < 1e-10 * sv[0]:
-            raise DegenerateEpipole("third tensor does not determine a (collinear cameras?)")
-    elif not len(A):
-        raise DegenerateEpipole("every constraint row is degenerate (tracks at the epipole)")
-    elif used < 2:
-        raise InsufficientTracks(f"the a-vector solve needs at least 2 three-view tracks; {used} "
-                                 "triangulate unambiguously")
-    a, *_ = np.linalg.lstsq(A, b, rcond=None)
-    P2 = np.hstack([system.M2[k], np.zeros((3, 1))]) + np.outer(system.e2[k], a)
-    return np.array([system.P0[k], _P1, P2])
+    return system.cameras[k]
 
 
 def recover_projective_collinear_triplet(system, k: int) -> np.ndarray:
-    """The (3, 3, 4) projective cameras of a collinear triplet from row k of
-    its `ProjectiveSystems`: the canonical pair from F01, the family P2(a)
-    compatible with F12, and a solved in least squares from the 3-view tracks
-    (the third tensor constrains nothing when the centers are exactly
-    collinear, so at least enough generic tracks to span the solve are
-    required; a track whose point is ambiguous from views 0-1 does not
-    count)."""
-    return _solve_a(system, k, collinear=True)
+    """The (3, 3, 4) projective cameras of a collinear triplet, row k of its
+    `ProjectiveSystems` built with tracks: the canonical pair from F01, the
+    family P2(a) compatible with F12, and a solved from the 3-view tracks."""
+    return _row_cameras(system, k, collinear=True)
 
 
 def recover_projective_general_triplet(system, k: int) -> np.ndarray:
-    """The (3, 3, 4) projective cameras of a general-position triplet from
-    row k of its `ProjectiveSystems`: a is fully determined by
-    proportionality to the third tensor, no tracks needed."""
-    return _solve_a(system, k, collinear=False)
+    """The (3, 3, 4) projective cameras of a general-position triplet, row k
+    of its `ProjectiveSystems` built without tracks: a is fully determined
+    by proportionality to the third tensor, no tracks needed."""
+    return _row_cameras(system, k, collinear=False)
 
 
 # the 24x18 homography system as a gather from [Pc (24), -Pp (24), 0]:
@@ -487,7 +489,7 @@ def _align_edge(parent: np.ndarray, child: np.ndarray, p, c, mode: str) -> np.nd
         t = (sQ[:, None] @ cc[..., None])[..., 0] + d[:, None]
         return np.concatenate([R, -R @ t[..., None]], axis=-1)
     A = np.concatenate([Pc.reshape(-1, 24), -Pp.reshape(-1, 24), np.zeros((len(child), 1))], axis=1)
-    _, sv, Vt = np.linalg.svd(A[:, _HOMOGRAPHY_SYSTEM])
+    _, sv, Vt = np.linalg.svd(A[:, _HOMOGRAPHY_SYSTEM], full_matrices=False)
     if (sv[:, -2] < 1e-10 * sv[:, 0]).any():
         raise AlignmentIllConditioned("projective alignment system is rank deficient")
     G = Vt[:, -1, :16]

@@ -5,7 +5,7 @@ per-triplet order of operations."""
 
 import numpy as np
 
-from colsfm.errors import DegenerateEpipole, InsufficientTracks
+from colsfm.errors import DegenerateEpipole, InsufficientTracks, RankDeficient
 from colsfm.geometry import epipoles, fundamental_from_projections
 from geometry_oracle import skew, triangulate_tracks3, unit
 
@@ -39,6 +39,8 @@ def a_system_rows(P0, M2, e2, F02, tracks3):
         ek = np.zeros(4)
         ek[k] = 1.0
         L[:, k] = fundamental_from_projections(P0, P2_of(ek)).ravel() - f0
+    if not np.any(F02):
+        raise RankDeficient("third tensor is zero")
     fhat = unit(np.asarray(F02, dtype=float).ravel())
     Proj = np.eye(9) - np.outer(fhat, fhat)
     rows = [Proj @ L]

@@ -394,6 +394,28 @@ class TestRankedCover:
     covers a pair."""
 
     @pytest.mark.parametrize("intrinsics", ["calibrated", "varied"])
+    @pytest.mark.parametrize("virtual", [False, True])
+    def test_v_matrix_pass_only_with_collinear_triplets(self, monkeypatch, intrinsics, virtual):
+        # the pose pass (essential) or projective pass (fundamental) of the
+        # virtual cameras runs once when the cover marks a collinear triplet,
+        # and not at all when it marks none
+        import colsfm.pipeline as pipeline
+
+        passes = []
+        for name in ("v_matrices_from_essentials", "projective_systems"):
+            def spy(*args, real=getattr(pipeline, name), name=name):
+                passes.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(pipeline, name, spy)
+        scene = generate("mixed" if virtual else "general", 8, 12, seed=15, intrinsics_mode=intrinsics)
+        m, tracks = measure(scene, seed=115)
+        cover, _ = _virtual_cover(banded(m) if virtual else m, tracks)
+        assert bool(cover.virtual_nodes) == virtual
+        kind = "v_matrices_from_essentials" if intrinsics == "calibrated" else "projective_systems"
+        assert passes == [kind] * virtual
+
+    @pytest.mark.parametrize("intrinsics", ["calibrated", "varied"])
     def test_banded_mixed_inserts_virtual_cameras(self, intrinsics):
         # noise-free runs stop at iteration 1, so the error reads rounding
         # alone: at most 30 eps (calibrated) and 62 eps (varied, seed 2) over

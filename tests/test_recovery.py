@@ -296,7 +296,7 @@ class TestProjectiveCollinearRecovery:
         c = scene.centers
         X = c[0] + 2.7 * (c[1] - c[0])
         on_line = image_point(projections(*scene_cameras(scene))[:3], X)
-        P0 = projective_system(F[(0, 1)], F[(1, 2)], F[(0, 2)]).P0[0]
+        P0 = projective_system(F[(0, 1)], F[(1, 2)], F[(0, 2)]).cameras[0, 0]
         P1 = np.hstack([np.eye(3), np.zeros((3, 1))])
         assert triangulate(np.stack([P0, P1]), on_line[:2])[1]
         with pytest.raises(InsufficientTracks):
@@ -340,19 +340,28 @@ class TestProjectiveGeneralRecovery:
             scene = generate("collinear", 3, 8, seed=seed, intrinsics_mode="varied")
             F01, F02, F12 = (unit_bifocal(*scene_cameras(scene), i, j) for i, j in _LOCAL_PAIRS)
             system = projective_system(F01, F12, F02)
-            assert np.max(np.linalg.norm(system.rows[0][0], axis=1)) < 1e-12, seed
+            assert np.max(np.linalg.norm(system.A[system.offsets[0]:system.offsets[0] + 9], axis=1)) < 1e-12, seed
             with pytest.raises(DegenerateEpipole, match=r"third tensor does not determine a \(collinear"):
                 recover_projective_general_triplet(system, 0)
 
-    def test_rank_3_rows_rejected(self):
-        # nonzero rows that leave one direction of a free
+    def test_rank_3_rows_rejected(self, monkeypatch):
+        # nonzero rows that leave one direction of a free: a's last entry
+        # kept out of the third camera, so the rows' last column is zero
         scene = generate("general", 3, 8, seed=59, intrinsics_mode="varied")
         F01, F02, F12 = (unit_bifocal(*scene_cameras(scene), i, j) for i, j in _LOCAL_PAIRS)
+        assert recover_projective_general_triplet(projective_system(F01, F12, F02), 0).shape == (3, 3, 4)
+        monkeypatch.setattr(colsfm.recovery, "fundamental_from_projections", _without_last_a_entry)
         system = projective_system(F01, F12, F02)
-        A, b = system.rows[0]
-        system.rows[0] = (np.hstack([A[:, :3], np.zeros((len(A), 1))]), b)
+        A = system.A[system.offsets[0]:system.offsets[1]]
+        assert np.all(A[:, 3] == 0.0) and np.min(np.linalg.norm(A, axis=1)) > 1e-6
         with pytest.raises(DegenerateEpipole, match=r"third tensor does not determine a \(collinear"):
             recover_projective_general_triplet(system, 0)
+
+
+def _without_last_a_entry(Pi, Pj):
+    """`fundamental_from_projections` with the fourth column of Pj zeroed:
+    the tensor of P0 and P2(a) then ignores a's last entry."""
+    return fundamental_from_projections(Pi, np.concatenate([Pj[..., :3], 0.0 * Pj[..., 3:]], axis=-1))
 
 
 class TestRegisterGlobal:
@@ -632,11 +641,11 @@ class TestStackedTrackSolves:
             F12 = fundamental_from_projections(P1, np.hstack([Q, rng.normal(size=(3, 1))]))
             system = projective_system(F01, F12, F02, tracks)
             C0, C1, M2, e2 = projective_oracle.canonical_pair_cameras(F01, F12)
-            assert np.array_equal(system.P0[0], C0)
-            assert np.array_equal(system.M2[0], M2) and np.array_equal(system.e2[0], e2)
+            assert np.array_equal(system.cameras[0, 0], C0)
             ambiguous_canonical += int(np.sum(triangulate(np.stack([C0, C1]), tracks[:, :2])[1]))
             A, b = _a_rows_loop(C0, M2, e2, F02, tracks)
-            assert np.array_equal(system.rows[0][0], A) and np.array_equal(system.rows[0][1], b)
+            rows = slice(system.offsets[0], system.offsets[1])
+            assert np.array_equal(system.A[rows], A) and np.array_equal(system.b[rows], b)
             _assert_same(_outcome_of(projective_oracle.recover_collinear, F01, F12, F02, tracks),
                          _outcome_of(recover_projective_collinear_triplet, system, 0))
         # both skip rules fired, and the ambiguous tracks stay ambiguous in
@@ -648,7 +657,7 @@ def _outcome_of(fn, *args, **kwargs):
     """fn's cameras, or the class and message of the error it raises."""
     try:
         return fn(*args, **kwargs)
-    except (ValidationError, ValueError) as exc:  # ValueError: a zero tensor
+    except ValidationError as exc:
         return type(exc), str(exc)
 
 
@@ -738,8 +747,122 @@ class TestStackedProjective:
             _assert_same(_outcome_of(projective_oracle.recover_general, F01, F12, F02),
                          _outcome_of(recover_projective_general_triplet, general, k))
         assert kinds == [np.ndarray, InsufficientTracks, RankDeficient, InsufficientTracks,
-                         kinds[4], ValueError]
+                         kinds[4], RankDeficient]
+        assert system.errors[5].args == ("third tensor is zero",)
         assert kinds[4] in (DegenerateEpipole, InsufficientTracks)
+
+    def test_every_error_kind_equals_oracle(self, monkeypatch):
+        """Every error of both routes, row by row against the oracle: too few
+        tracks, a two-dimensional null space, every row degenerate, a zero
+        third tensor and too few tracks that triangulate (collinear route);
+        vanishing tensor rows and rank-3 rows (general route)."""
+        scene = generate("collinear", 9, 12, seed=72, intrinsics_mode="varied")
+        c = scene.centers
+        on_line = image_point(projections(*scene_cameras(scene)), c[0] + 2.7 * (c[1] - c[0]))[None]
+        ts = scene.track_set()
+        triplets = sequential_cover(9).triplets
+        pairs, rows = pair_rows(triplets)
+        blocks = {e: unit_bifocal(*scene_cameras(scene), e[0], e[1]) for e in pairs}
+        blocks[(3, 4)] = np.outer([1.0, 0, 0], [0, 1.0, 0])  # F12 of (2,3,4), F01 of (3,4,5)
+        blocks[(5, 7)] = np.zeros((3, 3))                     # F02 of (5,6,7)
+        tracks3 = [ts.tracks(t) for t in triplets]
+        tracks3[1] = tracks3[1][:1]                           # (1,2,3): one track
+        tracks3[4] = on_line[:, 4:7].repeat(3, axis=0)        # (4,5,6): at the epipoles
+        tracks3[6] = np.concatenate([tracks3[6][:1], on_line[:, 6:9]])  # (6,7,8): one of two
+        F = np.array([blocks[e] for e in pairs])
+        system = projective_systems(F, rows, epipole_table(F), tracks3)
+        general = projective_systems(F, rows, epipole_table(F))
+        kinds = []
+        for k, t in enumerate(triplets):
+            F01, F02, F12 = (blocks[e] for e in triplet_pairs(t))
+            want = _outcome_of(projective_oracle.recover_collinear, F01, F12, F02, tracks3[k])
+            _assert_same(want, _outcome_of(recover_projective_collinear_triplet, system, k))
+            other = _outcome_of(projective_oracle.recover_general, F01, F12, F02)
+            _assert_same(other, _outcome_of(recover_projective_general_triplet, general, k))
+            kinds.append((want[1] if isinstance(want, tuple) else "ok", other[1]))
+        assert kinds == [
+            ("ok", "third tensor does not determine a (collinear cameras?)"),
+            ("the a-vector solve needs at least 2 three-view tracks",
+             "third tensor does not determine a (collinear cameras?)"),
+            ("tensor has a two-dimensional null space", "tensor has a two-dimensional null space"),
+            ("tensor has a two-dimensional null space", "tensor has a two-dimensional null space"),
+            ("every constraint row is degenerate (tracks at the epipole)",
+             "third tensor does not determine a (collinear cameras?)"),
+            ("third tensor is zero", "third tensor is zero"),
+            ("the a-vector solve needs at least 2 three-view tracks; 1 triangulate unambiguously",
+             "third tensor does not determine a (collinear cameras?)"),
+        ]
+        # rank-3 rows: a general chain whose third cameras ignore a's last
+        # entry, in the pass and in the oracle alike; its rows do not vanish
+        scene = generate("general", 6, 12, seed=59, intrinsics_mode="varied")
+        triplets = sequential_cover(6).triplets
+        pairs, rows = pair_rows(triplets)
+        F = np.array([unit_bifocal(*scene_cameras(scene), i, j) for i, j in pairs])
+        monkeypatch.setattr(colsfm.recovery, "fundamental_from_projections", _without_last_a_entry)
+        monkeypatch.setattr(projective_oracle, "fundamental_from_projections", _without_last_a_entry)
+        general = projective_systems(F, rows, epipole_table(F))
+        assert np.min(np.linalg.norm(general.A, axis=1)) > 1e-6
+        for k, t in enumerate(triplets):
+            F01, F02, F12 = F[[pairs.index(e) for e in triplet_pairs(t)]]
+            want = _outcome_of(projective_oracle.recover_general, F01, F12, F02)
+            assert want == (DegenerateEpipole, "third tensor does not determine a (collinear cameras?)")
+            _assert_same(want, _outcome_of(recover_projective_general_triplet, general, k))
+
+    def test_keep_rule_is_per_triplet(self):
+        """Each triplet's rows are kept against its own largest row, as the
+        oracle keeps them alone: beside a triplet whose track rows reach
+        about 300, a nearly collinear triplet keeps tensor rows of 4e-12 to
+        5e-10, which that triplet's peak would drop."""
+        rng = np.random.default_rng(5)
+
+        def cameras(centres, focal):
+            out = []
+            for c in centres:
+                R = np.linalg.qr(np.eye(3) + 0.05 * rng.normal(size=(3, 3)))[0]
+                R *= np.sign(np.linalg.det(R))
+                out.append(np.diag([focal, focal, 1.0]) @ np.hstack([R, -R @ np.asarray(c)[:, None]]))
+            return out
+
+        triplets, blocks, tracks3 = [(0, 1, 2), (3, 4, 5)], {}, []
+        for ids, P in zip(triplets, (cameras([(0, 0, 0), (1, 0, 0), (2, 0.5, 0.3)], 1e3),
+                                     cameras([(0, 0, 0), (1, 0, 0), (2, 1e-9, 0)], 1.0))):
+            for a, b in _LOCAL_PAIRS:
+                blocks[(ids[a], ids[b])] = normalized_tensor(fundamental_from_projections(P[a], P[b]))
+            X = np.hstack([rng.normal(size=(6, 3)) + [0, 0, 8.0], np.ones((6, 1))])
+            tracks3.append(np.stack([(X @ Pv.T) / (X @ Pv.T)[:, 2:] for Pv in P], axis=1))
+        pairs, rows = pair_rows(triplets)
+        F = np.array([blocks[e] for e in pairs])
+        system = projective_systems(F, rows, epipole_table(F), tracks3)
+        norms = np.linalg.norm(system.A, axis=1)
+        peak, small = np.max(norms[:system.offsets[1]]), norms[system.offsets[1]:system.offsets[1] + 9]
+        assert np.any((small > 1e-12) & (small < 1e-12 * peak))
+        for k, t in enumerate(triplets):
+            F01, F02, F12 = (blocks[e] for e in triplet_pairs(t))
+            want = projective_oracle.recover_collinear(F01, F12, F02, tracks3[k])
+            assert np.array_equal(want, recover_projective_collinear_triplet(system, k))
+
+    def test_zero_third_tensor_is_typed(self):
+        # a zero F02 fixes no a: both routes refuse it with a ValidationError
+        scene = generate("general", 3, 8, seed=59, intrinsics_mode="varied")
+        F01, _, F12 = (unit_bifocal(*scene_cameras(scene), i, j) for i, j in _LOCAL_PAIRS)
+        tracks = scene.track_set().tracks((0, 1, 2))
+        for recover, system in ((recover_projective_collinear_triplet,
+                                 projective_system(F01, F12, np.zeros((3, 3)), tracks)),
+                                (recover_projective_general_triplet,
+                                 projective_system(F01, F12, np.zeros((3, 3))))):
+            with pytest.raises(RankDeficient, match="third tensor is zero"):
+                recover(system, 0)
+
+    def test_route_is_the_systems(self):
+        # systems built with tracks are solved on the collinear route, and
+        # without them on the general one; the other recovery refuses them
+        scene = generate("general", 3, 8, seed=59, intrinsics_mode="varied")
+        F01, F02, F12 = (unit_bifocal(*scene_cameras(scene), i, j) for i, j in _LOCAL_PAIRS)
+        tracks = scene.track_set().tracks((0, 1, 2))
+        with pytest.raises(ValueError, match="other route"):
+            recover_projective_general_triplet(projective_system(F01, F12, F02, tracks), 0)
+        with pytest.raises(ValueError, match="other route"):
+            recover_projective_collinear_triplet(projective_system(F01, F12, F02), 0)
 
     def test_random_stacks_equal_oracle(self, rng):
         """Many triplets of random cameras in one pass, tracks shared out
