@@ -268,7 +268,7 @@ def _local_scale_factors(blocks, rows) -> np.ndarray:
     (all 1 where no sign branch closes the triangle); blocks (P, 3, 3) and
     rows (T, 3) as `pair_rows` orders them.  One stacked pass decomposes
     each pair block once and closes every triplet."""
-    geom = resolve_essential_triplet(pair_poses(blocks, [None] * len(blocks)), rows)
+    geom = resolve_essential_triplet(pair_poses(blocks), rows)
     closure = closure_scales(geom)
     # the decomposition reproduces the stored block only up to sign
     recon = skew(geom.t_dirs.reshape(-1, 3)) @ geom.rotations.reshape(-1, 3, 3)

@@ -243,14 +243,14 @@ def _two_view_depths(R: np.ndarray, t: np.ndarray, xi: np.ndarray, xj: np.ndarra
     return zi, zj, sure
 
 
-def cheirality_votes(rotations: np.ndarray, t: np.ndarray, points: np.ndarray, starts):
+def cheirality_votes(rotations: np.ndarray, t: np.ndarray, points: np.ndarray, pair):
     """Votes of the candidates (Ra, t), (Ra, -t), (Rb, t), (Rb, -t) of K
     pairs: the tracks triangulated in front of both views, ambiguous and
     at-infinity points not voting.
 
     rotations: (K, 2, 3, 3) branches Ra, Rb; t: (K, 3) directions; points:
-    the (N, 2, 3) image points (view i, view j) of every pair's 2-view
-    tracks, pair k's from row starts[k] on (each pair has at least one).
+    the (N, 2, 3) image points (view i, view j) of 2-view tracks, and pair
+    (N,) the pair each one belongs to; a pair without tracks gets no votes.
     Closed-form depths; DLT only for entries they cannot certify: each
     (branch, track) entry takes its two-view depths (`_two_view_depths`),
     and one stacked DLT solves the entries that are not sure.  Negating t
@@ -259,7 +259,6 @@ def cheirality_votes(rotations: np.ndarray, t: np.ndarray, points: np.ndarray, s
     point is the mirrored (R, t) point and lies in front of both views
     where that one lies behind both.  Returns the (K, 4) votes.
     """
-    pair = np.repeat(np.arange(len(starts)), np.diff(np.append(starts, len(points))))
     zi, zj, sure = _two_view_depths(rotations[pair].swapaxes(0, 1), t[pair], points[:, 0], points[:, 1])
     doubt = np.nonzero(~sure)  # (branch, track) entries the DLT judges
     if len(doubt[0]):
@@ -276,5 +275,6 @@ def cheirality_votes(rotations: np.ndarray, t: np.ndarray, points: np.ndarray, s
         zi[doubt] = np.where(finite, Xe[..., 2], 0.0)
         zj[doubt] = np.where(finite, (Rt[k, doubt[0]] @ (Xe + t[k])[..., None])[..., 2, 0], 0.0)
     front = np.stack([(zi > 0) & (zj > 0), (zi < 0) & (zj < 0)], axis=-1)
-    # (2, N, 2) -> (N, 4) in candidate order
-    return np.add.reduceat(front.swapaxes(0, 1).reshape(-1, 4).astype(int), starts)
+    votes = np.zeros((len(t), 4), dtype=int)
+    np.add.at(votes, pair, front.swapaxes(0, 1).reshape(-1, 4))  # (2, N, 2) -> (N, 4) in candidate order
+    return votes

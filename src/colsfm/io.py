@@ -44,25 +44,13 @@ def save_scene(scene: Scene, path) -> None:
 
 def load_scene(path) -> Scene:
     """The scene of a scene file: each camera's K, R and t read at their
-    exact sizes (9, 9 and 3 numbers) and the points as an (N, 3) array,
-    then checked as every `Scene` is."""
+    exact sizes (9, 9 and 3 numbers), then checked as every `Scene` is."""
     doc = _load(path)
     try:
         K, R, C = (np.array([np.array(c[key], dtype=float).reshape(size) for c in doc["cameras"]])
                    for key, size in (("K", 9), ("R", 9), ("t", 3)))
-        points = np.array(doc["points"], dtype=float)
-        points = points.reshape(0, 3) if points.shape == (0,) else points
-        if points.ndim != 2 or points.shape[1] != 3:
-            raise ValidationError(f"points must be an (N, 3) array, got shape {points.shape}")
-        bad = np.flatnonzero(~np.all(np.isfinite(points), axis=1))
-        if len(bad):
-            raise ValidationError(f"point {bad[0]} must be finite, got {points[bad[0]].tolist()}")
-        if len(C) < 2:
-            raise ValidationError(f"a scene needs at least 2 cameras, got {len(C)}")
-        seed = _index(doc.get("seed", 0), "seed")
-        if seed < 0:  # `Scene.track_set` draws from a generator of seed + 1
-            raise ValidationError(f"seed must be non-negative, got {seed}")
-        return Scene(K.reshape(-1, 3, 3), R.reshape(-1, 3, 3), C, points, doc.get("layout", "unknown"), seed)
+        return Scene(K.reshape(-1, 3, 3), R.reshape(-1, 3, 3), C, doc["points"], doc.get("layout", "unknown"),
+                     doc.get("seed", 0))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed scene file: {exc}") from exc
 

@@ -10,40 +10,24 @@ from .errors import TooFew
 from .geometry import norms, ordered_sum, triangulate
 
 
-@dataclass
-class SimilarityAlignment:
-    scale: float
-    rotation: np.ndarray
-    translation: np.ndarray
-    residuals: np.ndarray
-    collinear_gauge: bool = False
-
-
-def align_similarity(est_centers: np.ndarray, gt_centers: np.ndarray) -> SimilarityAlignment:
-    """Least-squares similarity mapping estimated centers onto ground truth
-    (Umeyama).  Collinear point sets are allowed; the rotation about the line
-    is then an unconstrained gauge and gets flagged."""
-    est = np.asarray(est_centers, dtype=float)
-    gt = np.asarray(gt_centers, dtype=float)
+def align_similarity(est_centers: np.ndarray, gt_centers: np.ndarray) -> np.ndarray:
+    """The (n,) distances of the estimated centers from ground truth once
+    the least-squares similarity (Umeyama) maps them onto it.  Collinear
+    point sets are allowed: the rotation about their line is then free, and
+    it moves no center."""
+    est, gt = np.asarray(est_centers, dtype=float), np.asarray(gt_centers, dtype=float)
     if est.shape[0] < 3:
         raise TooFew("similarity alignment needs at least 3 correspondences")
-    mu_e = est.mean(axis=0)
-    mu_g = gt.mean(axis=0)
-    de = est - mu_e
-    dg = gt - mu_g
+    mu_e, mu_g = est.mean(axis=0), gt.mean(axis=0)
+    de, dg = est - mu_e, gt - mu_g
     cov = dg.T @ de / est.shape[0]
     U, s, Vt = np.linalg.svd(cov)
-    S = np.eye(3)
-    if np.linalg.det(U) * np.linalg.det(Vt) < 0:
-        S[2, 2] = -1.0
+    S = np.diag([1.0, 1.0, -1.0 if np.linalg.det(U) * np.linalg.det(Vt) < 0 else 1.0])
     R = U @ S @ Vt
     var_e = float(np.mean(np.sum(de ** 2, axis=1)))
     scale = float(np.trace(np.diag(s) @ S) / var_e) if var_e > 0 else 1.0
     t = mu_g - scale * R @ mu_e
-    aligned = scale * est @ R.T + t
-    residuals = np.linalg.norm(aligned - gt, axis=1)
-    collinear = bool(s[1] < 1e-9 * s[0]) if s[0] > 0 else True
-    return SimilarityAlignment(scale, R, t, residuals, collinear)
+    return np.linalg.norm(scale * est @ R.T + t - gt, axis=1)
 
 
 def mean_reprojection_error(cams, points: np.ndarray, visible: np.ndarray) -> float:

@@ -109,11 +109,8 @@ def _evaluate(cameras, n_real, tracks, scene_gt, regime, algorithm, converged, f
     if scene_gt is not None and regime == "calibrated":
         idx = [i for i in range(n_real) if cameras[i] is not None]
         if len(idx) >= 3:
-            est = camera_centers(np.array([cameras[i] for i in idx]))
-            gt = scene_gt.centers[idx]
-            res = align_similarity(est, gt).residuals
-            mean_pos = float(np.mean(res))
-            median_pos = float(np.median(res))
+            res = align_similarity(camera_centers(np.array([cameras[i] for i in idx])), scene_gt.centers[idx])
+            mean_pos, median_pos = float(np.mean(res)), float(np.median(res))
     # the first three real views of each track, and only tracks with two of
     # them: a track once held at most three views, and lifting the cap would
     # change the reprojection error that pinned reports hold
@@ -155,14 +152,14 @@ def _virtual_cover(measurements: NViewBifocal, tracks: TrackSet):
     index = {t: k for k, t in enumerate(tris)}
     marked = [index[t] for t in cover.triplets if scores[index[t]] < _COLLINEARITY_THRESHOLD]
     collinear = [tris[k] for k in marked]
-    tracks3 = tracks.tracks(np.reshape(collinear, (-1, 3)))
+    points3, of = tracks.tracks(np.reshape(collinear, (-1, 3)))
     if marked and measurements.kind == "essential":
-        V, ties = v_matrices_from_essentials(F[rows[marked]], tracks3)
+        V, ties = v_matrices_from_essentials(F[rows[marked]], (points3, of))
     elif marked:
-        systems = projective_systems(F, rows[marked], table, tracks3)
+        systems = projective_systems(F, rows[marked], table, (points3, of))
     virtual_tensors = []  # each collinear triplet's (3, 3, 3) stack
     for k, r in enumerate(rows[marked]):
-        track = select_virtual_point(tracks3[k], F[r], table[r])
+        track = select_virtual_point(points3[of == k], F[r], table[r])
         if measurements.kind == "essential":
             if ties[k] is not None:
                 raise AmbiguousCheirality(ties[k])
@@ -220,9 +217,9 @@ def _recovered_cameras(algorithm, mode, avg: AveragingResult, tracks: TrackSet, 
     ks = range(len(cover.triplets))
     tracks3 = tracks.tracks(cover.triplets) if algorithm == "r4" else None
     if mode == "euclidean":
-        real = np.array(avg.pairs)[:, 1] < n  # virtual cameras have no tracks
-        held = iter(tracks.tracks(np.array(avg.pairs)[real]))
-        poses = pair_poses(avg.consensus, [next(held) if r else None for r in real.tolist()])
+        real = np.flatnonzero(np.array(avg.pairs)[:, 1] < n)  # virtual cameras have no tracks
+        points, of = tracks.tracks(np.array(avg.pairs)[real])
+        poses = pair_poses(avg.consensus, (points, real[of]))
         geom = resolve_essential_triplet(poses, avg.rows)
         if algorithm == "r4":
             E9 = block_matrix(avg.consensus, block_index(avg.rows))

@@ -22,7 +22,9 @@ collinear triplet on its eigenvalue pattern and places its cameras from one
 DLT of all 3-view tracks, and `projective_systems` stacks the a-vector rows
 of every triplet, normalizes and checks them together and solves each a on
 its own slice.  Each of the four per-triplet recoveries reads its row and
-raises its own error.
+raises its own error.  The passes take a stage's tracks as one ragged stack
+(points, rows), as `TrackSet.tracks` gives them: every row's (N_r, k, 3)
+points one row after another, and the row (pair or triplet) of each.
 """
 
 from __future__ import annotations
@@ -74,22 +76,20 @@ class PairPoses:
     errors: tuple
 
 
-def pair_poses(blocks, points) -> PairPoses:
+def pair_poses(blocks, tracks=None) -> PairPoses:
     """The poses of a (K, 3, 3) stack of essential blocks, every pair with
-    tracks (points[k]: (N, 2, 3) image points ordered (view i, view j), or
-    None) cheirality-voted in one stacked pass (closed-form depths; DLT only
+    tracks cheirality-voted in one stacked pass (closed-form depths; DLT only
     for entries they cannot certify): the candidate with the most tracks in
-    front of both views wins."""
+    front of both views wins.  tracks is the ragged stack of the pairs'
+    2-view tracks, ordered (view i, view j); a pair with none stays unsigned."""
     Ra, Rb, t = essential_candidates(np.asarray(blocks, dtype=float).reshape(-1, 3, 3))
     rotations = np.stack([Ra, Rb], axis=1)
-    sign_known = np.array([p is not None and len(p) > 0 for p in points], dtype=bool)
+    points, pair = tracks if tracks is not None else (np.zeros((0, 2, 3)), np.zeros(0, dtype=int))
+    sign_known = np.bincount(pair, minlength=len(t)) > 0
     errors = [None] * len(t)
     voted = np.flatnonzero(sign_known)
     if len(voted):
-        sizes = [len(points[k]) for k in voted]
-        pts = np.concatenate([np.asarray(points[k], dtype=float) for k in voted])
-        starts = np.cumsum([0] + sizes[:-1])
-        votes = cheirality_votes(rotations[voted], t[voted], pts, starts)
+        votes = cheirality_votes(rotations[voted], t[voted], points, np.searchsorted(voted, pair))
         best = np.argmax(votes, axis=1)
         rotations[voted] = rotations[voted, best // 2][:, None]
         t[voted] = np.where((best % 2 == 1)[:, None], -t[voted], t[voted])
@@ -235,7 +235,7 @@ class CollinearPlacement:
 
 def collinear_placement(E9, geom: TripletGeometry, tracks3, rank_tol=None) -> CollinearPlacement:
     """The placement of the T triplets whose (T, 9, 9) matrices are E9, with
-    the rows of geom and each triplet's (N, 3, 3) 3-view tracks, in one
+    the rows of geom and the ragged stack of their 3-view tracks, in one
     stacked pass: one eigendecomposition of E9, and one DLT from views 0-1 of
     every track through the cameras P0 and P1, whose alpha solves P2(alpha) X
     x x2 = 0 in least squares (ambiguous and at-infinity points skipped, sums
@@ -246,9 +246,7 @@ def collinear_placement(E9, geom: TripletGeometry, tracks3, rank_tol=None) -> Co
     axis = Rh[:, 0].swapaxes(-1, -2) @ geom.t_dirs[:, 0, :, None]  # (T, 3, 1) world t_0 - t_1 direction
     P0 = np.concatenate([Rh[:, 0], np.zeros((T, 3, 1))], axis=2)
     P1 = np.concatenate([Rh[:, 1], Rh[:, 1] @ axis], axis=2)
-    pts = [np.asarray(tr, dtype=float).reshape(-1, 3, 3) for tr in tracks3]
-    of = np.repeat(np.arange(T), [len(p) for p in pts])  # each track's triplet
-    pts = np.concatenate([np.zeros((0, 3, 3)), *pts])
+    pts, of = tracks3  # of: each track's triplet
     X, ambiguous = triangulate(np.stack([P0, P1], axis=1)[of], pts[:, :2])
     keep = ~ambiguous & ~(np.abs(X[:, 3]) < 1e-12 * np.linalg.norm(X, axis=1))
     X, x2, used = X[keep], pts[keep, 2], of[keep]
@@ -371,9 +369,10 @@ def projective_systems(F, rows, table, tracks3=None) -> ProjectiveSystems:
     one stacked pass: one tensor call for the cameras P2(0), P2(e_k) of every
     triplet, one DLT of every track of tracks3, every row normalized and
     dropped below 1e-12 of its triplet's largest (at least 1), every triplet
-    checked, and each a that passes solved in least squares.  tracks3 (each
-    triplet's (N, 3, 3) 3-view tracks) selects the collinear route (a needs 2
-    that triangulate), None the general one (tensor rows alone, of rank 4)."""
+    checked, and each a that passes solved in least squares.  tracks3, the
+    ragged stack of the triplets' 3-view tracks, selects the collinear route
+    (a needs 2 that triangulate), None the general one (tensor rows alone,
+    of rank 4)."""
     rows = np.asarray(rows).reshape(-1, 3)
     T = len(rows)
     e0, e2 = table[rows[:, 0], 0], table[rows[:, 2], 1]
@@ -387,11 +386,9 @@ def projective_systems(F, rows, table, tracks3=None) -> ProjectiveSystems:
     norm = norms(f)
     fhat = f / np.where(norm == 0.0, 1.0, norm)[:, None]
     Proj = np.eye(9) - fhat[:, :, None] * fhat[:, None, :]
-    pts = [np.asarray(tr, dtype=float).reshape(-1, 3, 3) for tr in tracks3 or ()]
-    of = np.repeat(np.arange(len(pts)), [len(p) for p in pts])  # each track's triplet
     collinear = tracks3 is not None
+    pts, of = tracks3 if collinear else (np.zeros((0, 3, 3)), np.zeros(0, dtype=int))  # of: tracks' triplets
     few = np.bincount(of, minlength=T) < 2 * collinear
-    pts = np.concatenate([np.zeros((0, 3, 3)), *pts])
     X, ambiguous = triangulate(np.stack([P0, np.broadcast_to(_P1, P0.shape)], axis=1)[of], pts[:, :2])
     X, x2, of = X[~ambiguous], pts[~ambiguous, 2], of[~ambiguous]
     used = np.bincount(of, minlength=T)

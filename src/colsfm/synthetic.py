@@ -9,6 +9,7 @@ platforms).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -21,7 +22,8 @@ from .nview import NViewBifocal
 @dataclass
 class MeasurementNoise:
     """Pose-space noise levels: degrees for rotations and translation
-    directions, image units for track points; each finite and non-negative."""
+    directions, image units for track points; each finite and non-negative,
+    else InvalidSceneSpec."""
 
     rotation_deg: float = 0.0
     translation_dir_deg: float = 0.0
@@ -30,8 +32,8 @@ class MeasurementNoise:
     def __post_init__(self):
         for f in fields(self):
             level = getattr(self, f.name)
-            if not (math.isfinite(level) and level >= 0):
-                raise ValueError(f"noise level {f.name} must be finite and non-negative, got {level!r}")
+            if not (isinstance(level, numbers.Real) and math.isfinite(level) and level >= 0):
+                raise InvalidSceneSpec(f"noise level {f.name} must be finite and non-negative, got {level!r}")
 
 
 @dataclass(frozen=True)
@@ -63,24 +65,36 @@ class TrackSet:
     def tracks(self, ids):
         """(N, k, 3) points of the tracks seen in every view of ids: rows in
         track order, columns in the order of ids.  A (T, k) stack of ids
-        gives the list of T such arrays, gathered in one pass."""
+        gives one ragged stack in one pass: the points of row 0's tracks,
+        then row 1's and so on, and the (N,) row each track belongs to."""
         views = np.asarray(ids, dtype=int).reshape(-1, np.shape(ids)[-1])
-        of, rows = np.nonzero(seen := np.all(self.visible[:, views], axis=2).T)  # seen: (T, P)
-        held = np.split(self.points[rows[:, None], views[of]], np.cumsum(np.sum(seen, axis=1)))[:-1]
-        return held if np.ndim(ids) == 2 else held[0]
+        rows, of = np.nonzero(np.all(self.visible[:, views], axis=2).T)  # (T, P) -> row, point
+        points = self.points[of[:, None], views[rows]]
+        return (points, rows) if np.ndim(ids) == 2 else points
+
+
+def _check_seed(seed, error=InvalidSceneSpec) -> None:
+    """Refuse, with error, a seed numpy's generator would refuse."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+        raise error(f"seed must be an integer, got {seed!r}")
+    if seed < 0:
+        raise error(f"seed must be non-negative, got {seed}")
 
 
 @dataclass(frozen=True)
 class Scene:
     """Synthetic scene with known cameras and points.  Camera i is
     K R^T [I | -t] with K = intrinsics[i], R = rotations[i] and
-    t = centers[i], held as three read-only stacks and checked once, here:
-    InvalidSceneSpec names the first camera with a non-finite entry, a
-    rotation not orthogonal with det +1 (within 1e-10) or intrinsics not
-    upper triangular with a positive diagonal and K[2, 2] = 1 (within
-    1e-12); ValidationError the first pair whose squared distance overflows
-    (found on centres scaled to at most 1, where nothing overflows), and
-    CoincidentCenters the first pair closer than 1e-12."""
+    t = centers[i], held with the (N, 3) points as four read-only stacks and
+    checked once, here: ValidationError for the first non-finite point or
+    points of another shape, fewer than 2 cameras and a seed that is not a
+    non-negative integer; InvalidSceneSpec for the first camera with a
+    non-finite entry, a rotation not orthogonal with det +1 (within 1e-10)
+    or intrinsics not upper triangular with a positive diagonal and
+    K[2, 2] = 1 (within 1e-12); ValidationError for the first pair whose
+    squared distance overflows (found on centres scaled to at most 1, where
+    nothing overflows), and CoincidentCenters for the first pair closer
+    than 1e-12."""
 
     intrinsics: np.ndarray  # (n, 3, 3)
     rotations: np.ndarray   # (n, 3, 3)
@@ -90,8 +104,17 @@ class Scene:
     seed: int
 
     def __post_init__(self):
-        names = ("intrinsics", "rotations", "centers")
-        K, R, C = (np.array(getattr(self, name), dtype=float) for name in names)
+        names = ("intrinsics", "rotations", "centers", "points")
+        K, R, C, X = (np.array(getattr(self, name), dtype=float) for name in names)
+        X = X.reshape(0, 3) if X.shape == (0,) else X
+        if X.ndim != 2 or X.shape[1] != 3:
+            raise ValidationError(f"points must be an (N, 3) array, got shape {X.shape}")
+        bad = np.flatnonzero(~np.all(np.isfinite(X), axis=1))
+        if len(bad):
+            raise ValidationError(f"point {bad[0]} must be finite, got {X[bad[0]].tolist()}")
+        if (n := len(C) if C.ndim else 0) < 2:
+            raise ValidationError(f"a scene needs at least 2 cameras, got {n}")
+        _check_seed(self.seed, ValidationError)  # `track_set` draws from a generator of seed + 1
         if not K.shape == R.shape == C.shape[:1] + (3, 3) or C.shape[1:] != (3,):
             raise InvalidSceneSpec(f"intrinsics {K.shape}, rotations {R.shape} and centers {C.shape} "
                                 "must be (n, 3, 3), (n, 3, 3) and (n, 3) stacks")
@@ -100,7 +123,6 @@ class Scene:
             if np.any(bad):
                 raise InvalidSceneSpec(f"camera {np.argmax(bad)}: {message}")
 
-        n = len(C)
         refuse(~np.isfinite(np.hstack([K.reshape(n, 9), R.reshape(n, 9), C])).all(axis=1),
                "intrinsics, rotation and center must be finite")
         skewed = np.linalg.norm(R.swapaxes(1, 2) @ R - np.eye(3), axis=(1, 2)) > 1e-10
@@ -121,9 +143,10 @@ class Scene:
         if np.any(shared):
             i, j = np.argwhere(shared)[0].tolist()
             raise CoincidentCenters(f"cameras {i} and {j} share a center")
-        for name, a in zip(names, (K, R, C)):
+        for name, a in zip(names, (K, R, C, X)):
             a.setflags(write=False)
             object.__setattr__(self, name, a)
+        object.__setattr__(self, "seed", int(self.seed))
 
     @property
     def n(self) -> int:
@@ -140,7 +163,7 @@ class Scene:
         rng = rng if rng is not None else np.random.default_rng(self.seed + 1)
         Ps = self.intrinsics @ self.rotations.swapaxes(1, 2) @ np.concatenate(
             [np.broadcast_to(np.eye(3), (self.n, 3, 3)), -self.centers[:, :, None]], axis=2)
-        pts = image_point(Ps, np.asarray(self.points, dtype=float)[:, None])  # (P, n, 3)
+        pts = image_point(Ps, self.points[:, None])  # (P, n, 3)
         if pixel_noise > 0.0:
             pts[..., :2] += rng.normal(0, pixel_noise, size=pts.shape[:2] + (2,))
         return TrackSet(pts, np.ones(pts.shape[:2], dtype=bool))
@@ -229,9 +252,13 @@ def generate(
     of rejected draws runs out and the layout is drawn constructively from
     the same distribution.  More than 100 cameras on the line raise
     InvalidSceneSpec, since no layout has room for them; so do an unknown
-    layout or intrinsics mode ("calibrated" | "varied"), too few cameras or
+    layout or intrinsics mode ("calibrated" | "varied"), counts that are not
+    integers, a seed that is not a non-negative integer, too few cameras or
     points and a fraction outside [0, 1].
     """
+    if not (isinstance(n_cams, numbers.Integral) and isinstance(n_points, numbers.Integral)):
+        raise InvalidSceneSpec(f"camera and point counts must be integers, got {n_cams!r} and {n_points!r}")
+    _check_seed(seed)
     if n_cams < 3:
         raise InvalidSceneSpec("need at least 3 cameras")
     if n_points < 4:
@@ -300,8 +327,10 @@ def measure(scene: Scene, noise: MeasurementNoise | None = None, seed: int = 0):
     number of active arms: per pair the rotation axis, then the translation
     one.  A pair with an uncalibrated camera becomes K_i^{-T} E K_j^{-1}.
     Every block stays a true tensor of some pose, so rank 2 holds exactly.
-    The tracks follow from `Scene.track_set` with pixel noise `pixel`.
+    The tracks follow from `Scene.track_set` with pixel noise `pixel`.  A
+    seed that is not a non-negative integer raises InvalidSceneSpec.
     """
+    _check_seed(seed)
     noise = noise or MeasurementNoise()
     rng = np.random.default_rng(seed)
     K, R, C = scene.intrinsics, scene.rotations, scene.centers

@@ -74,12 +74,15 @@ def v_matrices_from_essentials(tensors, tracks) -> tuple:
     """The calibrated V-matrices R_i^T R_m (m the middle view) of V
     triplets, (V, 3, 3, 3), from their (V, 3, 3, 3) essential stacks: those
     of views 0 and 2 from blocks (0,1) and (1,2)^T, each rotation branch
-    picked by the cheirality of its triplet's (N, 3, 3) tracks, all 2V pairs
-    in one `pair_poses` pass.  Also returns each triplet's pose-tie message,
-    else None."""
+    picked by the cheirality of its triplet's 3-view tracks (the ragged
+    stack (points, rows) of `TrackSet.tracks`), all 2V pairs in one
+    `pair_poses` pass.  Also returns each triplet's pose-tie message, else
+    None."""
     E = np.asarray(tensors, dtype=float).reshape(-1, 3, 3, 3)
+    points, rows = tracks
     poses = pair_poses(np.stack([E[:, 0], E[:, 2].swapaxes(-1, -2)], axis=1).reshape(-1, 3, 3),
-                       [x for tr in tracks for x in (tr[:, [0, 1]], tr[:, [2, 1]])])
+                       (np.concatenate([points[:, [0, 1]], points[:, [2, 1]]]),
+                        np.concatenate([2 * rows, 2 * rows + 1])))
     R = poses.rotations[:, 0].reshape(-1, 2, 3, 3)
     V = np.stack([R[:, 0], np.broadcast_to(np.eye(3), R[:, 0].shape), R[:, 1]], axis=1)
     return V, [a or b for a, b in zip(poses.errors[::2], poses.errors[1::2])]

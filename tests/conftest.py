@@ -193,6 +193,16 @@ def geodesic_angle(Ra, Rb) -> float:
     return float(np.arccos(np.clip(c, -1.0, 1.0)))
 
 
+def ragged(per_row, k):
+    """The ragged stack (points, rows) that `TrackSet.tracks` gives for a
+    stack of ids, from per-row (N_r, k, 3) track points (None for a row
+    without tracks): every row's points in row order, and the row of each."""
+    held = [np.zeros((0, k, 3)) if p is None else np.asarray(p, dtype=float).reshape(-1, k, 3)
+            for p in per_row]
+    return (np.concatenate([np.zeros((0, k, 3)), *held]),
+            np.repeat(np.arange(len(held)), [len(p) for p in held]))
+
+
 def triplet_geometry(E9, tracks2=None):
     """The stacked geometry (one row) of a 9x9 triplet matrix's blocks, each
     pair cheirality-voted when tracks2 ({local pair: (N, 2, 3) 2-view track
@@ -201,7 +211,7 @@ def triplet_geometry(E9, tracks2=None):
     tracks2 = tracks2 or {}
     pairs = ((0, 1), (0, 2), (1, 2))
     poses = pair_poses(np.array([E9[3 * i:3 * i + 3, 3 * j:3 * j + 3] for (i, j) in pairs]),
-                       [tracks2.get(p) for p in pairs])
+                       ragged([tracks2.get(p) for p in pairs], 2))
     return resolve_essential_triplet(poses, [[0, 1, 2]])
 
 
@@ -210,7 +220,7 @@ def collinear_triplet(E9, tracks2, tracks3, tol=1e-3):
     cheirality-voted on tracks2 as in `triplet_geometry`, its third camera
     placed on its (N, 3, 3) 3-view tracks: row 0 of a one-row stacked pass."""
     geom = triplet_geometry(E9, tracks2)
-    placement = collinear_placement(np.asarray(E9, dtype=float)[None], geom, [tracks3])
+    placement = collinear_placement(np.asarray(E9, dtype=float)[None], geom, ragged([tracks3], 3))
     return recover_calibrated_collinear_triplet(placement, geom, 0, tol=tol)
 
 
@@ -219,7 +229,7 @@ def projective_system(F01, F12, F02, tracks3=None):
     its (N, 3, 3) 3-view tracks when given."""
     F = np.array([F01, F02, F12], dtype=float)
     return projective_systems(F, [[0, 1, 2]], epipole_table(F),
-                              None if tracks3 is None else [tracks3])
+                              None if tracks3 is None else ragged([tracks3], 3))
 
 
 def seen_in(ts, *view_sets):

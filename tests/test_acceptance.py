@@ -107,7 +107,7 @@ def _recover_scene_calibrated(scene):
         tr2 = {(a, b): ts.tracks((ids[a], ids[b])) for (a, b) in ((0, 1), (0, 2), (1, 2))}
         recs.append(collinear_triplet(E, tr2, tr3))
     cameras = register_global(recs, cover, "euclidean", scene.n)
-    return align_similarity(camera_centers(np.array(cameras)), scene.centers).residuals
+    return align_similarity(camera_centers(np.array(cameras)), scene.centers)
 
 
 def _recover_scene_projective(scene):
@@ -225,7 +225,7 @@ def _single_projection_floor(scene, noisy, tracks):
         tr2 = {(a, b): tracks.tracks((ids[a], ids[b])) for (a, b) in ((0, 1), (0, 2), (1, 2))}
         recs.append(collinear_triplet(P, tr2, tr3, tol=0.1))
     cameras = register_global(recs, cover, "euclidean", scene.n)
-    return float(np.mean(align_similarity(camera_centers(np.array(cameras)), scene.centers).residuals))
+    return float(np.mean(align_similarity(camera_centers(np.array(cameras)), scene.centers)))
 
 
 def test_criterion_5_r4_under_noise():

@@ -12,6 +12,8 @@ import inspect
 import re
 from pathlib import Path
 
+import numpy as np
+
 import colsfm
 from colsfm import averaging, errors, geometry, graphs, nview, pipeline, recovery, synthetic, virtual
 from colsfm.cli import build_parser
@@ -236,3 +238,20 @@ def test_no_per_item_primitive_calls():
                         isinstance(n, ast.Name) and n.id in names for a in call.args for n in ast.walk(a)):
                     found.append(f"{path.name}:{call.lineno}")
     assert found == []
+
+
+def test_tracks_and_alignments_are_plain_arrays():
+    # a stage's tracks are one ragged stack that every stacked pass reads as
+    # is, with no per-row list or None placeholder; an alignment is its
+    # residuals, with no transform that nothing reads
+    from colsfm import metrics
+
+    assert not hasattr(metrics, "SimilarityAlignment")
+    assert list(inspect.signature(recovery.pair_poses).parameters) == ["blocks", "tracks"]
+    assert list(inspect.signature(geometry.cheirality_votes).parameters)[-1] == "pair"
+    _, ts = synthetic.measure(synthetic.generate("collinear", 5, 6, seed=0), seed=0)
+    points, rows = ts.tracks([(0, 1, 2), (2, 3, 4)])
+    assert points.shape == (12, 3, 3) and rows.tolist() == [0] * 6 + [1] * 6
+    assert np.array_equal(points[rows == 1], ts.tracks((2, 3, 4)))
+    residuals = metrics.align_similarity(ts.points[:4, 0], ts.points[:4, 0])
+    assert isinstance(residuals, np.ndarray) and residuals.shape == (4,)

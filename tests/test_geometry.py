@@ -38,7 +38,7 @@ from colsfm.cli import main
 from colsfm.io import load_scene, save_scene
 from colsfm.recovery import pair_poses
 from colsfm.synthetic import Scene
-from conftest import geodesic_angle, projections, random_rotation, scene_cameras, stacked
+from conftest import geodesic_angle, projections, ragged, random_rotation, scene_cameras, stacked
 
 
 class TestSkew:
@@ -346,7 +346,7 @@ def _pair_points(ci, cj, points):
 
 def _picked(E, points):
     """The cheirality-picked (R, t) of one pair, and its tie message or None."""
-    poses = pair_poses([np.asarray(E)], [points])
+    poses = pair_poses([np.asarray(E)], ragged([points], 2))
     assert poses.sign_known[0]
     assert np.array_equal(poses.rotations[0, 0], poses.rotations[0, 1])
     return poses.rotations[0, 0], poses.t_dirs[0], poses.errors[0]
@@ -475,7 +475,7 @@ class TestCheiralityVotes:
             for k, (R, tk) in enumerate(((Ra, t), (Ra, -t), (Rb, t), (Rb, -t))):
                 tracks = _random_tracks(rng, R, tk, int(rng.integers(1, 30)))
                 votes, *skips = _votes_per_track(R, tk, tracks)
-                assert cheirality_votes(np.stack([Ra, Rb])[None], t[None], tracks, [0])[0, k] == votes
+                assert cheirality_votes(np.stack([Ra, Rb])[None], t[None], *ragged([tracks], 2))[0, k] == votes
                 skipped += skips
         # both skip rules were exercised
         assert np.all(skipped > 0)
@@ -491,8 +491,7 @@ class TestCheiralityVotes:
             tracks = [_random_tracks(rng, [Ra, Rb][int(rng.integers(2))][k],
                                      float(rng.choice([-1.0, 1.0])) * t[k], int(rng.integers(1, 20)))
                       for k in range(K)]
-            starts = np.cumsum([0] + [len(p) for p in tracks[:-1]])
-            got = cheirality_votes(np.stack([Ra, Rb], axis=1), t, np.concatenate(tracks), starts)
+            got = cheirality_votes(np.stack([Ra, Rb], axis=1), t, *ragged(tracks, 2))
             for k in range(K):
                 cands = oracle.essential_candidates(E[k])
                 assert np.array_equal(cands[0][0], Ra[k]) and np.array_equal(cands[2][0], Rb[k])
@@ -557,7 +556,7 @@ class TestCheiralityCertificate:
                     if sure[b, n]:
                         assert [zi[b, n] > 0 and zj[b, n] > 0, zi[b, n] < 0 and zj[b, n] < 0] == want
             solved.clear()
-            votes = cheirality_votes(np.stack([Ra, Rb])[None], t[None], tracks, [0])
+            votes = cheirality_votes(np.stack([Ra, Rb])[None], t[None], *ragged([tracks], 2))
             assert votes[0].tolist() == np.reshape(oracle_votes, (2, -1, 2)).sum(axis=1).ravel().tolist()
             branch, n = np.nonzero(~sure)
             if len(n):

@@ -55,7 +55,7 @@ from colsfm.pipeline import run_pipeline
 from colsfm.synthetic import MeasurementNoise, generate, measure
 from conftest import (
     averaged_nview, banded, collinear_triplet, exact_triplet, geodesic_angle, projections,
-    projective_system, scene_cameras, seen_everywhere, seen_in, stacked, triplet_geometry,
+    projective_system, ragged, scene_cameras, seen_everywhere, seen_in, stacked, triplet_geometry,
     unit_bifocal,
 )
 
@@ -108,7 +108,7 @@ class TestResolveEssentialTriplet:
         scene = generate("general", 3, 8, seed=51)
         E = exact_triplet(scene, (0, 1, 2))
         blocks = [normalized_tensor(E[3 * i:3 * i + 3, 3 * j:3 * j + 3]) for (i, j) in _LOCAL_PAIRS]
-        closure = closure_scales(resolve_essential_triplet(pair_poses(blocks, [None] * 3), [[0, 1, 2]]))
+        closure = closure_scales(resolve_essential_triplet(pair_poses(blocks), [[0, 1, 2]]))
         assert closure.valid[0] and closure.residual[0] < 1e-9
         c = scene.centers
         d01 = np.linalg.norm(c[0] - c[1])
@@ -137,8 +137,7 @@ class TestCalibratedCollinearRecovery:
         tr2, tr3 = _local_tracks(scene, (0, 1, 2))
         rec = collinear_triplet(E, tr2, tr3)
         est = np.vstack([_center(P) for P in rec])
-        a = align_similarity(est, scene.centers)
-        assert np.max(a.residuals) < 1e-8
+        assert np.max(align_similarity(est, scene.centers)) < 1e-8
         # recovered tensors reproduce the input blocks up to scale
         for (i, j) in ((0, 1), (0, 2), (1, 2)):
             assert _rebuilt_block_matches(
@@ -157,7 +156,7 @@ class TestCalibratedCollinearRecovery:
         tr2, tr3 = _local_tracks(scene, (0, 1, 2))
         rec = collinear_triplet(En, tr2, tr3)
         est = np.vstack([_center(P) for P in rec])
-        assert np.max(align_similarity(est, scene.centers).residuals) < 1e-8
+        assert np.max(align_similarity(est, scene.centers)) < 1e-8
 
     def test_alpha_for_known_spacing(self):
         # centers at alpha = 0, 1, 2 along a line: t3 = 2 t2
@@ -187,7 +186,7 @@ class TestCalibratedCollinearRecovery:
             for a, b in tr2:
                 tr2[(a, b)].append(np.vstack([pts[a], pts[b]]))
         geom = triplet_geometry(E, tr2)
-        assert collinear_placement(E[None], geom, [tr3]).alpha[0] == pytest.approx(2.0, abs=1e-8)
+        assert collinear_placement(E[None], geom, ragged([tr3], 3)).alpha[0] == pytest.approx(2.0, abs=1e-8)
         rec = collinear_triplet(E, tr2, tr3)
         assert np.allclose(_center(rec[2]) - _center(rec[0]), 2.0 * (_center(rec[1]) - _center(rec[0])))
 
@@ -214,8 +213,7 @@ class TestCalibratedGeneralRecovery:
         tr2, _ = _local_tracks(scene, (0, 1, 2))
         rec = _recover_general(E, tr2)
         est = np.vstack([_center(P) for P in rec])
-        a = align_similarity(est, scene.centers)
-        assert np.max(a.residuals) < 1e-8
+        assert np.max(align_similarity(est, scene.centers)) < 1e-8
 
     def test_tracks_on_one_pair_suffice(self):
         scene = generate("general", 3, 8, seed=56)
@@ -224,7 +222,7 @@ class TestCalibratedGeneralRecovery:
         only01 = {(0, 1): tr2[(0, 1)]}
         rec = _recover_general(E, only01)
         est = np.vstack([_center(P) for P in rec])
-        assert np.max(align_similarity(est, scene.centers).residuals) < 1e-8
+        assert np.max(align_similarity(est, scene.centers)) < 1e-8
 
     def test_no_tracks_rejected(self):
         scene = generate("general", 3, 8, seed=57)
@@ -381,16 +379,14 @@ class TestRegisterGlobal:
         cover = sequential_cover(4)
         recs = self._recover_all(scene, cover)
         reg = register_global(recs, cover, "euclidean", 4)
-        a = align_similarity(camera_centers(np.array(reg)), scene.centers)
-        assert np.max(a.residuals) < 1e-8
+        assert np.max(align_similarity(camera_centers(np.array(reg)), scene.centers)) < 1e-8
 
     def test_twenty_camera_chain(self):
         scene = generate("collinear", 20, 10, seed=61)
         cover = sequential_cover(20)
         recs = self._recover_all(scene, cover)
         reg = register_global(recs, cover, "euclidean", 20)
-        a = align_similarity(camera_centers(np.array(reg)), scene.centers)
-        assert float(np.mean(a.residuals)) < 1e-7
+        assert float(np.mean(align_similarity(camera_centers(np.array(reg)), scene.centers))) < 1e-7
 
     def test_single_triplet_identity(self):
         scene = generate("collinear", 3, 8, seed=62)
@@ -585,7 +581,7 @@ def _placement_alpha(R0, R1, R2, t, tracks):
     R_i^T (R0, R1, R2) and (0,1) direction t, or the class of its error."""
     geom = TripletGeometry(None, np.array([[t, t, t]]), np.ones((1, 3), dtype=bool), np.zeros(1),
                            np.array([[R0, R1, R2]]), (None,))
-    placement = collinear_placement(np.zeros((1, 9, 9)), geom, [tracks])
+    placement = collinear_placement(np.zeros((1, 9, 9)), geom, ragged([tracks], 3))
     error = placement.errors[0]
     return placement.alpha[0] if error is None else type(error)
 
@@ -704,7 +700,7 @@ class TestStackedProjective:
         # the recovery stage, every cover triplet
         triplets = sorted(cover.triplets)
         F = normalized_tensor(avg.consensus)
-        tracks3 = [tracks.tracks(t) for t in triplets] if algorithm == "r4" else None
+        tracks3 = tracks.tracks(triplets) if algorithm == "r4" else None
         system = projective_systems(F, avg.rows, epipole_table(F), tracks3)
         averaged = averaged_nview(avg, m.kind)
         for k, t in enumerate(triplets):
@@ -736,7 +732,7 @@ class TestStackedProjective:
         tracks3[3] = tracks3[3][:1]                           # (3,4,5): and rank deficient
         tracks3[4] = on_line[:, 4:7].repeat(3, axis=0)        # (4,5,6): at the epipoles
         F = np.array([blocks[e] for e in pairs])
-        system = projective_systems(F, rows, epipole_table(F), tracks3)
+        system = projective_systems(F, rows, epipole_table(F), ragged(tracks3, 3))
         general = projective_systems(F, rows, epipole_table(F))
         kinds = []
         for k, t in enumerate(triplets):
@@ -770,7 +766,7 @@ class TestStackedProjective:
         tracks3[4] = on_line[:, 4:7].repeat(3, axis=0)        # (4,5,6): at the epipoles
         tracks3[6] = np.concatenate([tracks3[6][:1], on_line[:, 6:9]])  # (6,7,8): one of two
         F = np.array([blocks[e] for e in pairs])
-        system = projective_systems(F, rows, epipole_table(F), tracks3)
+        system = projective_systems(F, rows, epipole_table(F), ragged(tracks3, 3))
         general = projective_systems(F, rows, epipole_table(F))
         kinds = []
         for k, t in enumerate(triplets):
@@ -832,7 +828,7 @@ class TestStackedProjective:
             tracks3.append(np.stack([(X @ Pv.T) / (X @ Pv.T)[:, 2:] for Pv in P], axis=1))
         pairs, rows = pair_rows(triplets)
         F = np.array([blocks[e] for e in pairs])
-        system = projective_systems(F, rows, epipole_table(F), tracks3)
+        system = projective_systems(F, rows, epipole_table(F), ragged(tracks3, 3))
         norms = np.linalg.norm(system.A, axis=1)
         peak, small = np.max(norms[:system.offsets[1]]), norms[system.offsets[1]:system.offsets[1] + 9]
         assert np.any((small > 1e-12) & (small < 1e-12 * peak))
@@ -880,7 +876,7 @@ class TestStackedProjective:
             triplets.append(ids)
         pairs, rows = pair_rows(triplets)
         F = np.array([blocks[e] for e in pairs])
-        system = projective_systems(F, rows, epipole_table(F), tracks3)
+        system = projective_systems(F, rows, epipole_table(F), ragged(tracks3, 3))
         general = projective_systems(F, rows, epipole_table(F))
         kinds = set()
         for k, t in enumerate(triplets):
@@ -943,7 +939,7 @@ def _stack(per_triplet_blocks, per_triplet_points=None):
     of three blocks (and three 2-view track sets, or None) each."""
     T = len(per_triplet_blocks)
     points = [p for row in (per_triplet_points or [[None] * 3] * T) for p in row]
-    poses = pair_poses(np.reshape(per_triplet_blocks, (3 * T, 3, 3)), points)
+    poses = pair_poses(np.reshape(per_triplet_blocks, (3 * T, 3, 3)), ragged(points, 2))
     return poses, resolve_essential_triplet(poses, np.arange(3 * T).reshape(T, 3))
 
 
@@ -1142,7 +1138,7 @@ class TestStackedPairPoses:
     @pytest.mark.parametrize("layout,noise", SCENE_KINDS)
     def test_scene_pair_stack_equals_per_pair_oracle(self, layout, noise):
         _, _, _, pairs, _, blocks, points = _scene_stack(layout, noise, seed=31)
-        poses = pair_poses(blocks, points)
+        poses = pair_poses(blocks, ragged(points, 2))
         assert 0 < np.count_nonzero(poses.sign_known) < len(pairs)
         for k in range(len(pairs)):
             want = _result_or_error(oracle.pair_pose, blocks[k], points[k])
@@ -1169,7 +1165,7 @@ class TestStackedPairPoses:
                     points.append(_tie_points(blocks[k], rng))
                 else:
                     points.append(rng.normal(size=(int(rng.integers(1, 15)), 2, 3)) + [0, 0, 1.0])
-            poses = pair_poses(blocks, points)
+            poses = pair_poses(blocks, ragged(points, 2))
             for k in range(K):
                 want = _result_or_error(oracle.pair_pose, blocks[k], points[k])
                 if len(want) == 2:
@@ -1201,7 +1197,7 @@ class TestStackedPairPoses:
             for unsure in (0, 1, 3):
                 calls.clear()
                 pts = np.concatenate([tracks, on_baseline[:unsure]])
-                pair_poses(np.repeat(block[None], K, axis=0), [pts] * K)
+                pair_poses(np.repeat(block[None], K, axis=0), ragged([pts] * K, 2))
                 if unsure:
                     assert calls == [(K, 3, 3), (2 * unsure * K, 6, 4)]
                 else:
@@ -1212,7 +1208,7 @@ class TestStackedTriplets:
     @pytest.mark.parametrize("layout,noise", SCENE_KINDS)
     def test_scene_triplets_equal_per_triplet_oracle(self, layout, noise):
         m, ts, triplets, pairs, rows, blocks, points = _scene_stack(layout, noise, seed=33)
-        geom = resolve_essential_triplet(pair_poses(blocks, points), rows)
+        geom = resolve_essential_triplet(pair_poses(blocks, ragged(points, 2)), rows)
         closure = closure_scales(geom)
         for k, row in enumerate(rows):
             old = oracle.resolve_essential_triplet(
@@ -1233,10 +1229,10 @@ class TestStackedTriplets:
         # with no 3-view track, none usable or all degenerate included
         m, ts, triplets, pairs, rows, blocks, points = _scene_stack(layout, noise, seed=34)
         points[len(pairs) // 2] = _tie_points(blocks[len(pairs) // 2], np.random.default_rng(1))
-        geom = resolve_essential_triplet(pair_poses(blocks, points), rows)
+        geom = resolve_essential_triplet(pair_poses(blocks, ragged(points, 2)), rows)
         closure = closure_scales(geom)
         tracks3 = [_unusable_tracks(geom, k, ts.tracks(ids)) for k, ids in enumerate(triplets)]
-        placement = collinear_placement(block_matrix(blocks, block_index(rows)), geom, tracks3)
+        placement = collinear_placement(block_matrix(blocks, block_index(rows)), geom, ragged(tracks3, 3))
         seen = set()
         for gate in (1e-3, 0.5):
             for k, (ids, row) in enumerate(zip(triplets, rows)):

@@ -466,6 +466,61 @@ class TestBadInputs:
             with pytest.raises(ValidationError, match="cameras 0 and 1 are too far apart"):
                 Scene(scene.intrinsics, scene.rotations, C, scene.points, scene.layout, scene.seed)
 
+    # inputs built in code end as a ValidationError where they are taken,
+    # not in numpy's errors further on
+    def test_negative_seed_refused_by_generate_and_measure(self):
+        # once numpy's ValueError "expected non-negative integer"
+        scene = generate("collinear", 4, 6, seed=0)
+        for run in (lambda: generate("collinear", 4, 6, seed=-1), lambda: measure(scene, seed=-1)):
+            with pytest.raises(InvalidSceneSpec, match="^seed must be non-negative, got -1$"):
+                run()
+
+    def test_non_integer_seed_or_count_refused(self):
+        # once a TypeError from numpy's generator or from an array size;
+        # numpy integers are integers, and the scene keeps a Python int seed
+        scene = generate("collinear", 4, 6, seed=0)
+        for run, message in ((lambda: generate("collinear", 4, 6, seed=1.5), "seed must be an integer, got 1.5"),
+                             (lambda: measure(scene, seed=1.5), "seed must be an integer, got 1.5"),
+                             (lambda: measure(scene, seed=True), "seed must be an integer, got True"),
+                             (lambda: generate("collinear", 4, 6.5),
+                              "camera and point counts must be integers, got 4 and 6.5"),
+                             (lambda: generate("collinear", 4.0, 6),
+                              r"camera and point counts must be integers, got 4\.0 and 6")):
+            with pytest.raises(InvalidSceneSpec, match=f"^{message}$"):
+                run()
+        same = generate("collinear", np.int64(4), np.int64(6), seed=np.int64(0))
+        assert same.centers.tobytes() == scene.centers.tobytes() and type(same.seed) is int
+
+    @pytest.mark.parametrize("level", [float("nan"), -1.0, "0.5"])
+    def test_noise_level_error_is_validation_and_value_error(self, level):
+        # once a plain ValueError (a TypeError for a string), not a
+        # ValidationError
+        with pytest.raises(InvalidSceneSpec, match="^noise level pixel must be finite") as exc:
+            MeasurementNoise(pixel=level)
+        assert isinstance(exc.value, ValidationError) and isinstance(exc.value, ValueError)
+
+    def test_scene_points_checked_when_built(self):
+        # once TrackSet's "track points must be finite" or a matmul
+        # ValueError, both at measure; the points are a read-only stack
+        scene = generate("general", 3, 6, seed=2)
+        cameras = scene.intrinsics, scene.rotations, scene.centers
+        points = scene.points.copy()
+        points[1, 2] = np.inf
+        with pytest.raises(ValidationError, match=r"^point 1 must be finite, got \["):
+            Scene(*cameras, points, scene.layout, scene.seed)
+        with pytest.raises(ValidationError, match=r"^points must be an \(N, 3\) array, got shape \(6, 2\)$"):
+            Scene(*cameras, scene.points[:, :2], scene.layout, scene.seed)
+        assert scene.points.dtype == float and not scene.points.flags.writeable
+        assert Scene(*cameras, [], scene.layout, scene.seed).points.shape == (0, 3)
+
+    def test_scene_seed_checked_when_built(self):
+        # once numpy's ValueError at track_set, which draws from seed + 1
+        scene = generate("general", 3, 6, seed=2)
+        cameras = scene.intrinsics, scene.rotations, scene.centers
+        for seed, message in ((-3, "seed must be non-negative, got -3"), (2.5, "seed must be an integer, got 2.5")):
+            with pytest.raises(ValidationError, match=f"^{message}$"):
+                Scene(*cameras, scene.points, scene.layout, seed)
+
     def test_near_identity_intrinsics_are_not_calibrated(self):
         # within numpy's default relative tolerance of I, yet the tracks carry K
         scene = generate("general", 5, 8, seed=2)

@@ -26,7 +26,7 @@ from colsfm.virtual import (
     virtual_bifocals,
 )
 
-from conftest import four_view, projections, projective_system, scene_cameras, unit_bifocal
+from conftest import four_view, projections, projective_system, ragged, scene_cameras, unit_bifocal
 
 
 PAIRS = ((0, 1), (0, 2), (1, 2))
@@ -44,7 +44,7 @@ def _select(tracks, tensors):
 def _essential_bifocals(tensors, track, tracks):
     """virtual_bifocals of one calibrated triplet, its V-matrices resolved by
     the cheirality of tracks."""
-    V, ties = v_matrices_from_essentials(tensors[None], [np.asarray(tracks)])
+    V, ties = v_matrices_from_essentials(tensors[None], ragged([tracks], 3))
     assert ties == [None]
     return virtual_bifocals(V[0], track)
 
@@ -225,7 +225,7 @@ class TestVirtualBifocals:
                 triplets = sequential_cover(6).triplets
                 pairs, rows = pair_rows(triplets)
                 F = normalized_tensor(m.tensors[m.slots(pairs)])
-                system = projective_systems(F, rows, epipole_table(F), [ts.tracks(t) for t in triplets])
+                system = projective_systems(F, rows, epipole_table(F), ts.tracks(triplets))
                 for k in range(len(triplets)):
                     cams = recover_projective_collinear_triplet(system, k)
                     assert np.array_equal(v_matrices_from_cameras(cams),
