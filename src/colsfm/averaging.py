@@ -18,19 +18,26 @@ closures of all cover triplets are one stacked pass of `recovery`, and the
 synchronisation is (T, 3) arrays over the cover's `TripletCover.dual`, its
 log magnitudes one solve of the normal equations of the dual edges.
 
-The projections are batched kernels over (m, 3k, 3k) stacks, each call one
-stacked eigendecomposition (`nview.eigen_signature` flags the
-signature-deficient rows, whose eigenpairs one vectorized pass selects), and
-`project` runs one on a single matrix; the general-essential kernel is a
-retraction (`_general_essential`): one block-coordinate sweep, a stacked 3x3
-SVD per camera, from rotations and centres (cold: from the sign-searched
-`nview.block_rotation_frames` and one more SVD).  Its output has exactly
+The projections are batched kernels over (m, 3k, 3k) stacks, and `project`
+runs one cold on a single matrix.  Every kernel runs cold at the driver's
+first iteration only; later ones are inexact warm steps (Boyd et al. 2011,
+§3.4.4) from what the previous step kept, with no eigendecomposition of the
+(m, 3k, 3k) stack.  A cold spectral kernel makes one stacked
+eigendecomposition (`nview.eigen_signature` flags the signature-deficient
+rows, whose eigenpairs one vectorized pass selects); a warm one takes one
+step of orthogonal iteration with a Rayleigh-Ritz step from the previous
+step's kept eigenvectors (Golub & Van Loan): one stacked QR and the small
+Ritz matrices, whose eigenvalues must keep the kernel's signature or the row
+is redone cold.  So `signature_flags` counts the rows deficient at the last
+step.  The general-essential kernel is a retraction (`_general_essential`):
+one block-coordinate sweep, a stacked 3x3 SVD per camera, from rotations and
+centres (cold: from the sign-searched `nview.block_rotation_frames` and one
+more SVD; warm: the previous rotations and centres).  Its output has exactly
 zero diagonal blocks, like the consensus, so the two sets can meet on covers
-whose dual graph has cycles.  The driver runs it cold at its first iteration
-only; later ones, inexact warm steps (Boyd et al. 2011, §3.4.4), start from
-the previous rotations and centres, with no eigendecomposition, and hand on
-the flags of the first spectral start: in this regime `signature_flags`
-counts triplets whose start was deficient.
+whose dual graph has cycles.  It hands on the flags of its first, spectral,
+start: in this regime `signature_flags` counts triplets whose start was
+deficient.
+
 The driver holds its triplet state as (m, 9, 9) stacks and the consensus as
 (E, 3, 3) camera-pair blocks, linked by one `nview.block_index` layout built
 once per run, so each ADMM iteration gathers the consensus into the triplet
@@ -39,11 +46,12 @@ triplets.  The result hands on that (E, 3, 3) stack, with its pairs and
 rows, as the one copy of the averaged tensors.
 
 Every stack the driver builds is exactly symmetric: `nview.block_matrix`
-mirrors each pair block bit for bit, the outer-product kernels return sums of
-l x x^T, and the general-essential retraction symmetrizes its output once, so
-the consensus update reads each pair's block of Z + U above the diagonal
-alone.  Each kernel call symmetrizes its input once, at entry, for callers
-such as `project` whose matrices are not exactly symmetric.
+mirrors each pair block bit for bit, the cold spectral kernels return sums of
+l x x^T, and the warm ones and the general-essential retraction symmetrize
+their output once, so the consensus update reads each pair's block of Z + U
+above the diagonal alone.  Each kernel call symmetrizes its input once, at
+entry, for callers such as `project` whose matrices are not exactly
+symmetric.
 
 One plain ADMM step, `_plain_step`, is a fixed-point map g of the state
 x = (consensus blocks, scaled dual U), flattened into one vector, and the
@@ -62,8 +70,9 @@ The run stops on the last iterate once the residuals of its last step,
 measured from where that step started, reach the data's own precision
 (Boyd et al. 2011, §3.3, `stop_threshold`).  Every collinear
 essential triplet has the tied spectrum (l, l, -l, -l), and its kernel keeps
-it: it reads the two kept eigenspaces only through their projectors, so it is
-continuous where the top two eigenvalues tie, and the iterates settle there.
+it: cold or warm, it reads the two kept eigenspaces only through their
+projectors, so it is continuous where the top two eigenvalues tie, and the
+iterates settle there.
 """
 
 from __future__ import annotations
@@ -151,33 +160,83 @@ def _symmetrized(out: np.ndarray) -> np.ndarray:
     return (out + out.swapaxes(-1, -2)) / 2.0
 
 
-def _collinear_essential(S: np.ndarray, warm=None):
-    """Nearest matrix with the tied spectrum (l, l, -l, -l) of every collinear
-    triplet: l (X X^T - Y Y^T) on the eigenspaces X of the two largest and Y
-    of the two most negative eigenvalues, at their mean magnitude
-    l = (p1 + p2 - n1 - n2) / 4.  It reads X and Y only through their
-    projectors, so it is continuous where p1 and p2 (or n1 and n2) tie."""
-    X, pv, Y, nv, flags = _truncate(_symmetrized(S), 2)
+def _collinear_cold(S: np.ndarray):
+    """The tied-spectrum projection of a symmetric stack from its full
+    eigendecomposition: l (X X^T - Y Y^T) on the eigenspaces X of the two
+    largest and Y of the two most negative eigenvalues, at their mean
+    magnitude l = (p1 + p2 - n1 - n2) / 4.  Returns (Z, flags, [X Y])."""
+    X, pv, Y, nv, flags = _truncate(S, 2)
     lam = (pv[:, 0] + pv[:, 1] - nv[:, 0] - nv[:, 1]) / 4.0
     out = sum(_outer(X[..., k]) - _outer(Y[..., k]) for k in range(2))
-    return lam[:, None, None] * out, flags, None
+    return lam[:, None, None] * out, flags, np.concatenate([X, Y], axis=-1)
 
 
-def _signature_kernel(need: int):
-    """Kernel keeping the `need` largest and `need` most negative eigenvalues
-    unchanged, zeroing the rest."""
+def _collinear_ritz(Q: np.ndarray, H: np.ndarray):
+    """The tied-spectrum projection within span Q, from the Ritz matrix H:
+    l Q sign(H) Q^T, l = tr(H sign(H)) / 4, sign(H) from one stacked 4x4
+    eigendecomposition.  Returns (Z, Ritz values)."""
+    theta, W = np.linalg.eigh(H)
+    R = Q @ W
+    lam = np.sum(np.abs(theta), axis=-1) / 4.0
+    return (R * (lam[:, None] * np.sign(theta))[:, None]) @ R.swapaxes(-1, -2), theta
 
-    def kernel(S: np.ndarray, warm=None):
-        X, pv, Y, nv, flags = _truncate(_symmetrized(S), need)
+
+def _signature_cold(need: int):
+    """The projection keeping the `need` largest and `need` most negative
+    eigenvalues of a symmetric stack unchanged, zeroing the rest, from its
+    full eigendecomposition.  Returns (Z, flags, kept eigenvectors)."""
+
+    def cold(S: np.ndarray):
+        X, pv, Y, nv, flags = _truncate(S, need)
         vecs = np.concatenate([X, Y], axis=-1)
         vals = np.concatenate([pv, nv], axis=-1)
-        return sum(vals[:, k, None, None] * _outer(vecs[..., k]) for k in range(2 * need)), flags, None
+        return sum(vals[:, k, None, None] * _outer(vecs[..., k]) for k in range(2 * need)), flags, vecs
+
+    return cold
+
+
+def _signature_ritz(Q: np.ndarray, H: np.ndarray):
+    """P S P on the projector P = Q Q^T, which is Q H Q^T: no
+    eigendecomposition but the Ritz values' check.  Returns (Z, Ritz values)."""
+    return Q @ H @ Q.swapaxes(-1, -2), np.linalg.eigvalsh(H)
+
+
+def _spectral_kernel(need: int, cold, ritz):
+    """A kernel (S, warm) -> (Z, flags, V) onto a spectral set that keeps
+    `need` eigenvalues of each sign; V (m, 3k, 2 need) spans the kept
+    eigenvectors, the next call's warm start.
+
+    Cold (warm None), `cold` runs `_truncate` on the full eigendecomposition.
+    Warm, one step of orthogonal iteration with a Rayleigh-Ritz step from V:
+    Q an orthonormal basis of S V (one stacked QR), H = Q^T S Q, and `ritz`
+    projects within span Q.  A row whose Ritz values lack `need` clear ones
+    of each sign (`nview.eigen_signature`) is redone cold, with its padding
+    and flag; the others are not deficient.  Where V spans the invariant
+    subspace the cold map keeps, the two maps agree.  Each warm output is
+    symmetrized once, at exit."""
+
+    def kernel(S: np.ndarray, warm=None):
+        S = _symmetrized(S)
+        if warm is None:
+            return cold(S)
+        Q = np.linalg.qr(S @ warm)[0]
+        Z, theta = ritz(Q, Q.swapaxes(-1, -2) @ S @ Q)
+        pos, neg = eigen_signature(theta)
+        flags = np.zeros(len(S), dtype=bool)
+        bad = np.flatnonzero((pos < need) | (neg < need))
+        if len(bad):
+            Z[bad], flags[bad], Q[bad] = cold(S[bad])
+        return _symmetrized(Z), flags, Q
 
     return kernel
 
 
-_collinear_fundamental = _signature_kernel(2)
-_general_fundamental = _signature_kernel(3)
+# collinear essential: the tied spectrum (l, l, -l, -l) of every collinear
+# triplet; it reads the two kept eigenspaces only through their projectors, so
+# it is continuous where p1 and p2 (or n1 and n2) tie
+_collinear_essential = _spectral_kernel(2, _collinear_cold, _collinear_ritz)
+_collinear_fundamental = _spectral_kernel(2, _signature_cold(2), _signature_ritz)
+_general_fundamental = _spectral_kernel(3, _signature_cold(3), _signature_ritz)
 
 
 def _centres(Q: np.ndarray, W: np.ndarray) -> np.ndarray:
@@ -229,8 +288,9 @@ def _general_essential(S: np.ndarray, warm=None):
 
 
 # the batched kernel of each (regime, kind): (stack, warm) -> (stack, flags,
-# warm), warm None for a cold call or the one the previous call returned (None
-# but from the general-essential retraction: its rotations, centres and flags)
+# warm), warm None for a cold call or the one the previous call returned (the
+# spectral kernels' kept eigenvectors, the general-essential retraction's
+# rotations, centres and flags)
 _PROJECTIONS = {
     ("collinear", "essential"): _collinear_essential,
     ("collinear", "fundamental"): _collinear_fundamental,

@@ -98,3 +98,8 @@ class TooFew(ValidationError):
 class InvalidSceneSpec(ValidationError, ValueError):
     """A synthetic scene request no scene satisfies (layout, counts, fraction),
     or a scene camera whose intrinsics, rotation or center is malformed."""
+
+
+class InvalidTracks(ValidationError, ValueError):
+    """Track observations that are not (P, n, 3) points with a (P, n) mask,
+    or a visible point that is not finite with last coordinate 1."""

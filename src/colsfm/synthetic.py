@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import CoincidentCenters, InvalidSceneSpec, ValidationError
+from .errors import CoincidentCenters, InvalidSceneSpec, InvalidTracks, ValidationError
 from .geometry import calibrated, image_point, normalized_tensor, rotation_about, skew, unit
 from .nview import NViewBifocal
 
@@ -41,7 +41,7 @@ class TrackSet:
     """The observations of the scene points as two read-only arrays:
     points[p, i] is the image of point p in view i, a homogeneous 3-vector
     with last coordinate 1, wherever visible[p, i]; the other entries are
-    ignored.  Every visible point is checked once, here."""
+    ignored.  Every visible point is checked once, here (InvalidTracks)."""
 
     points: np.ndarray   # (P, n, 3)
     visible: np.ndarray  # (P, n) bool
@@ -50,13 +50,13 @@ class TrackSet:
         pts = np.array(self.points, dtype=float)
         vis = np.array(self.visible, dtype=bool)
         if pts.ndim != 3 or pts.shape[2] != 3 or vis.shape != pts.shape[:2]:
-            raise ValueError(f"track points {pts.shape} and mask {vis.shape} "
+            raise InvalidTracks(f"track points {pts.shape} and mask {vis.shape} "
                              "must be (P, n, 3) and (P, n)")
         seen = pts[vis]
         if not np.all(np.isfinite(seen)):
-            raise ValueError("track points must be finite")
+            raise InvalidTracks("track points must be finite")
         if len(seen) and np.max(np.abs(seen[:, 2] - 1.0)) > 1e-9:
-            raise ValueError("track points must have last coordinate 1")
+            raise InvalidTracks("track points must have last coordinate 1")
         for a in (pts, vis):
             a.setflags(write=False)
         object.__setattr__(self, "points", pts)
@@ -254,7 +254,7 @@ def generate(
     InvalidSceneSpec, since no layout has room for them; so do an unknown
     layout or intrinsics mode ("calibrated" | "varied"), counts that are not
     integers, a seed that is not a non-negative integer, too few cameras or
-    points and a fraction outside [0, 1].
+    points and a fraction that is not a real number in [0, 1].
     """
     if not (isinstance(n_cams, numbers.Integral) and isinstance(n_points, numbers.Integral)):
         raise InvalidSceneSpec(f"camera and point counts must be integers, got {n_cams!r} and {n_points!r}")
@@ -263,7 +263,7 @@ def generate(
         raise InvalidSceneSpec("need at least 3 cameras")
     if n_points < 4:
         raise InvalidSceneSpec("need at least 4 points")
-    if not 0.0 <= collinear_fraction <= 1.0:
+    if not (isinstance(collinear_fraction, numbers.Real) and 0.0 <= collinear_fraction <= 1.0):
         raise InvalidSceneSpec(f"collinear_fraction must lie in [0, 1], got {collinear_fraction!r}")
     if intrinsics_mode not in ("calibrated", "varied"):
         raise InvalidSceneSpec(f"unknown intrinsics_mode {intrinsics_mode!r}")

@@ -339,7 +339,9 @@ def _measured(tmp_path, layout, n, seed, noise_rot="0.0", band=False):
 # three again when ADMM became Anderson-accelerated at rho 4 and its log
 # gained the extrapolated key, and again when rho became 2; vc and the plain
 # run again when the scale sync began to solve its normal equations and the
-# start mean one stacked sum (the plain run still ends at exit 3).  The r4 run
+# start mean one stacked sum (the plain run still ends at exit 3); r4 again
+# when the spectral kernels began to take a warm subspace step after the
+# first iteration.  The r4 run
 # passes a near tie of the collinear kernel's top eigenvalues and converges
 # on its last iterate.  The plain run (the `no_virtual` ablation, recorded
 # as `average --no-virtual` while that flag existed) averages collinear
@@ -349,7 +351,7 @@ def _measured(tmp_path, layout, n, seed, noise_rot="0.0", band=False):
 # (`test_no_virtual_pipeline_rejected`).
 GOLDEN_AVERAGE = [
     (("r4", "collinear", 8, 11, "0.2", False), 0,
-     "e7f96c42432dc66d7b24e292f8673cf9872bc3bea7ce0be4ab075e7b0ed7ef31"),
+     "20332e0614a3a26fb9aa371ae06e8f5ce92cef774f82022d500d28ce3b4f3346"),
     (("vc", "mixed", 9, 6, "0.0", False), 0,
      "cae6eda41d53003076daf563864440ed48483c20cd49029b91fa733bccc27e03"),
     (("vc", "mixed", 9, 6, "0.0", True), 3,

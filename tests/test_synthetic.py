@@ -8,7 +8,7 @@ import pytest
 
 import synthetic_oracle as oracle
 from colsfm import synthetic
-from colsfm.errors import CoincidentCenters, DegenerateGeometry, InvalidSceneSpec, ValidationError
+from colsfm.errors import CoincidentCenters, DegenerateGeometry, InvalidSceneSpec, InvalidTracks, ValidationError
 from colsfm.geometry import bifocal_from_pair, essential_candidates, image_point, normalized_tensor
 from colsfm.nview import certify_collinear_essential, certify_collinear_fundamental
 from colsfm.synthetic import MeasurementNoise, Scene, TrackSet, generate, measure
@@ -497,6 +497,24 @@ class TestBadInputs:
         # ValidationError
         with pytest.raises(InvalidSceneSpec, match="^noise level pixel must be finite") as exc:
             MeasurementNoise(pixel=level)
+        assert isinstance(exc.value, ValidationError) and isinstance(exc.value, ValueError)
+
+    @pytest.mark.parametrize("fraction", ["0.5", None, [0.5]])
+    def test_collinear_fraction_not_a_number_refused(self, fraction):
+        # once a TypeError from the range check
+        with pytest.raises(InvalidSceneSpec, match="^collinear_fraction must lie in") as exc:
+            generate("mixed", 10, 20, collinear_fraction=fraction)
+        assert isinstance(exc.value, ValidationError) and isinstance(exc.value, ValueError)
+
+    @pytest.mark.parametrize("points,visible,message", [
+        (np.full((2, 3, 3), np.nan), np.ones((2, 3), bool), "^track points must be finite$"),
+        (np.ones((2, 3, 2)), np.ones((2, 3), bool), r"^track points \(2, 3, 2\) and mask \(2, 3\) must be"),
+        (np.full((2, 3, 3), 2.0), np.ones((2, 3), bool), "^track points must have last coordinate 1$"),
+    ], ids=["non-finite", "shape", "not-normalized"])
+    def test_track_set_errors_are_validation_and_value_errors(self, points, visible, message):
+        # once a plain ValueError, not a ValidationError
+        with pytest.raises(InvalidTracks, match=message) as exc:
+            TrackSet(points, visible)
         assert isinstance(exc.value, ValidationError) and isinstance(exc.value, ValueError)
 
     def test_scene_points_checked_when_built(self):
