@@ -379,7 +379,7 @@ class _Run(NamedTuple):
     """What one `average` call holds fixed across its steps."""
     Ehat: np.ndarray  # (m, 9, 9) scaled measured submatrices
     gather: np.ndarray  # the consensus -> (m, 9, 9) `block_index` layout
-    edge_of: np.ndarray  # (m, 3) each triplet's slots in the consensus
+    entries: np.ndarray  # (27 m,) 9 slot + entry of each entry of the triplets' pair blocks
     counts: np.ndarray  # (E,) users of each consensus block
     projection: object  # the regime's `_PROJECTIONS` kernel
 
@@ -390,18 +390,18 @@ def _plain_step(x: np.ndarray, run: _Run, warm):
     dual update.  Returns (g(x), (primal, dual, objective), deficient
     flags, the kernel's warm start), the residuals measured from x: primal
     Z - C_new, dual rho (C_new - C), objective |Z - Ehat|^2."""
-    m, E = len(run.edge_of), len(run.counts)
+    m, E = len(run.Ehat), len(run.counts)
     consensus, U = x[:9 * E].reshape(E, 3, 3), x[9 * E:].reshape(m, 9, 9)
     C = block_matrix(consensus, run.gather)
     W = (2.0 * run.Ehat + _RHO * (C - U)) / (2.0 + _RHO)
     Z, deficient, warm = run.projection(W, warm)
 
     # consensus: each pair block averages its users' blocks of Z + U,
-    # accumulated in triplet order (both stacks are exactly symmetric, so
-    # the block above the diagonal is the pair's whole block)
+    # accumulated in triplet order into zeros by one bincount (both stacks
+    # are exactly symmetric, so the block above the diagonal is the pair's
+    # whole block)
     blocks = (Z + U).reshape(m, 3, 3, 3, 3).swapaxes(2, 3)[:, _ROWS, _COLS]
-    sums = np.zeros_like(consensus)
-    np.add.at(sums, run.edge_of.ravel(), blocks.reshape(3 * m, 3, 3))
+    sums = np.bincount(run.entries, blocks.ravel(), 9 * E).reshape(E, 3, 3)
     consensus = sums / run.counts[:, None, None]
 
     C_new = block_matrix(consensus, run.gather)
@@ -506,7 +506,8 @@ def average(
     # stacked sum (exactly 1 where every scale is 1)
     counts = np.bincount(edge_of.ravel(), minlength=len(edges))
     mean = np.bincount(edge_of.ravel(), scales.ravel(), len(edges)) / counts
-    run = _Run(Ehat, block_index(edge_of), edge_of, counts, _PROJECTIONS[(regime, measured.kind)])
+    entries = (9 * edge_of[..., None] + np.arange(9)).ravel()
+    run = _Run(Ehat, block_index(edge_of), entries, counts, _PROJECTIONS[(regime, measured.kind)])
     x = np.concatenate([(mean[:, None, None] * normed).ravel(), np.zeros(81 * m)])
     split = x.size - 81 * m  # x[:split] the consensus, x[split:] U
     warm = None  # the kernel's warm start, carried from one step to the next

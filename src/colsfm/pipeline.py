@@ -1,9 +1,10 @@
 """One end-to-end driver for both averaging algorithms.
 
 Every run takes one route: cover -> average -> recover -> register ->
-evaluate.  The algorithm picks only the cover stage (`cover_and_average`)
-and the per-triplet recovery; the "calibrated" regime needs essential
-measurements and refuses fundamental ones before the cover stage.
+evaluate, except uncalibrated "r4", which is cover -> average -> factorize
+-> evaluate.  The algorithm picks only the cover stage (`cover_and_average`)
+and the recovery; the "calibrated" regime needs essential measurements and
+refuses fundamental ones before the cover stage.
 Measurements are one `NViewBifocal` stack, read by rows (`slots`): the
 cover stage gathers its pairs' tensors from it, and the "vc" cover stage
 appends each virtual camera's (3, 3, 3) tensors to it.  "r4" (fully
@@ -20,8 +21,10 @@ the cover is built), one score pass over all triangles, one pose pass for
 every essential virtual camera (one projective pass for fundamental ones),
 then each collinear triplet's track and virtual tensors.  After averaging, one
 function (`_recovered_cameras`) picks the recovery route from the algorithm
-and the regime, runs its stacked passes over all triplets, recovers each
-triplet from its row and registers them.
+and the regime: one projective factorization of every camera for
+uncalibrated "r4"; otherwise its stacked passes over all triplets, each
+triplet recovered from its row, and the registration of them all.
+Per-triplet projective recovery serves the virtual cover and "vc" only.
 
 Stage functions are looked up as module globals when called, never bound
 at import, so patching a name here (bench/tracing.py does) reaches every
@@ -55,6 +58,7 @@ from .recovery import (
     closure_scales,
     collinear_placement,
     pair_poses,
+    projective_factorization,
     projective_systems,
     recover_calibrated_collinear_triplet,
     recover_calibrated_general_triplet,
@@ -208,14 +212,21 @@ def cover_and_average(
 def _recovered_cameras(algorithm, mode, avg: AveragingResult, tracks: TrackSet, cover: TripletCover,
                        n: int, gate: float) -> list:
     """The n real cameras (3x4, None where no triplet holds one) from the
-    consensus.  Stacked passes build the geometry of the sorted cover
-    triplets ("euclidean": their pairs' poses, cheirality-voted on the tracks
-    of real pairs, then collinear placements for "r4" or direction closures
-    for "vc"; "projective": the a-vector systems of the unit-norm blocks),
-    storing each row's error; each triplet is then recovered from its row
-    (collinear for "r4", general-position for "vc") and all are registered."""
+    consensus.  Uncalibrated "r4" factorizes every camera at once
+    (`projective_factorization`) from the tracks seen in all views, its
+    depths chained along the unit-norm consensus blocks (i, i + 1) and their
+    one epipole table.  Otherwise stacked passes build the geometry of the
+    sorted cover triplets ("euclidean": their pairs' poses, cheirality-voted
+    on the tracks of real pairs, then collinear placements for "r4" or
+    direction closures for "vc"; "projective": the a-vector systems of the
+    unit-norm blocks), storing each row's error; each triplet is then
+    recovered from its row (collinear for calibrated "r4", general-position
+    for "vc") and all are registered."""
+    if mode == "projective" and algorithm == "r4":
+        chain = [avg.pairs.index((i, i + 1)) for i in range(n - 1)]
+        F = normalized_tensor(avg.consensus[chain])
+        return list(projective_factorization(F, epipole_table(F), tracks.tracks(np.arange(n))))
     ks = range(len(cover.triplets))
-    tracks3 = tracks.tracks(cover.triplets) if algorithm == "r4" else None
     if mode == "euclidean":
         real = np.flatnonzero(np.array(avg.pairs)[:, 1] < n)  # virtual cameras have no tracks
         points, of = tracks.tracks(np.array(avg.pairs)[real])
@@ -228,17 +239,15 @@ def _recovered_cameras(algorithm, mode, avg: AveragingResult, tracks: TrackSet, 
             # residual of the m triplets at the threshold, 9 sqrt(m) times it
             # in Frobenius norm
             rank_tol = 9.0 * np.sqrt(len(avg.rows)) * avg.threshold
-            placement = collinear_placement(E9, geom, tracks3, rank_tol)
+            placement = collinear_placement(E9, geom, tracks.tracks(cover.triplets), rank_tol)
             recs = [recover_calibrated_collinear_triplet(placement, geom, k, tol=gate) for k in ks]
         else:
             closures = closure_scales(geom)
             recs = [recover_calibrated_general_triplet(geom, closures, k, tol=gate) for k in ks]
     else:
         F = normalized_tensor(avg.consensus)
-        systems = projective_systems(F, avg.rows, epipole_table(F), tracks3)
-        recover = (recover_projective_collinear_triplet if algorithm == "r4"
-                   else recover_projective_general_triplet)
-        recs = [recover(systems, k) for k in ks]
+        systems = projective_systems(F, avg.rows, epipole_table(F))
+        recs = [recover_projective_general_triplet(systems, k) for k in ks]
     # virtual cameras are scaffolding only
     return register_global(np.array(recs), cover, mode, avg.n)[:n]
 

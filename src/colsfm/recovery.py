@@ -25,6 +25,12 @@ its own slice.  Each of the four per-triplet recoveries reads its row and
 raises its own error.  The passes take a stage's tracks as one ragged stack
 (points, rows), as `TrackSet.tracks` gives them: every row's (N_r, k, 3)
 points one row after another, and the row (pair or triplet) of each.
+
+Uncalibrated "r4" recovers no triplet: `projective_factorization` recovers
+every camera at once from the tracks seen in all views, with projective
+depths chained along the consensus blocks (i, i + 1) (Sturm & Triggs, ECCV
+1996).  Per-triplet projective recovery and projective registration serve
+the virtual cover and "vc" only.
 """
 
 from __future__ import annotations
@@ -446,6 +452,44 @@ def recover_projective_general_triplet(system, k: int) -> np.ndarray:
     of its `ProjectiveSystems` built without tracks: a is fully determined
     by proportionality to the third tensor, no tracks needed."""
     return _row_cameras(system, k, collinear=False)
+
+
+# a link's depth denominator counts as vanishing below this many times
+# |x_i| |x_{i+1}|, its largest possible magnitude; the tracks of the noisy
+# bench `uncal` scenes read at least 0.34 of it
+_EPIPOLE_TOL = 1e-10
+
+
+def projective_factorization(F, table, points) -> np.ndarray:
+    """The (n, 3, 4) projective cameras, each at unit Frobenius norm, of the
+    (N, n, 3) points of N tracks seen in all n views, from the (n - 1, 3, 3)
+    unit-norm chain blocks F of the pairs (i, i + 1) and their
+    `geometry.epipole_table`, by Sturm & Triggs' factorization: each
+    track's projective depths chained along the blocks from 1 in view 0,
+    lambda_{i+1} = lambda_i |e x x_i|^2 / ((e x x_i) . (F x_{i+1})), e the
+    left epipole (one cumulative product); the (N, n, 3) stack of lambda x
+    scaled to unit norm by camera row-triplets, then by point columns, three
+    times; the rank-4 SVD of its 3n x N matrix.  A track whose depth
+    denominator vanishes in some link (a view at an epipole, or any view of
+    a block without unique epipoles, whose table row is zero) is dropped;
+    fewer than 4 tracks left raise InsufficientTracks."""
+    x = np.asarray(points, dtype=float)
+    lines = np.cross(table[:, 0], x[:, :-1])  # (N, n - 1, 3) the lines e x x_i
+    den = np.sum(lines * (F @ x[:, 1:, :, None])[..., 0], axis=-1)
+    kept = np.all(np.abs(den) > _EPIPOLE_TOL * norms(x[:, :-1]) * norms(x[:, 1:]), axis=1)
+    if np.count_nonzero(kept) < 4:
+        raise InsufficientTracks(f"projective factorization needs 4 tracks seen in every view and "
+                                 f"off the epipoles; {np.count_nonzero(kept)} are")
+    ratio = np.sum(lines * lines, axis=-1)[kept] / den[kept]
+    depths = np.cumprod(np.concatenate([np.ones((len(ratio), 1)), ratio], axis=1), axis=1)
+    W = depths[..., None] * x[kept]
+    for _ in range(3):
+        W = W / np.sqrt(np.sum(W * W, axis=(0, 2)))[:, None]
+        W = W / norms(W.reshape(len(W), -1))[:, None, None]
+    n = x.shape[1]
+    U, s, _ = np.linalg.svd(W.transpose(1, 2, 0).reshape(3 * n, -1), full_matrices=False)
+    P = (U[:, :4] * s[:4]).reshape(n, 3, 4)
+    return P / norms(P.reshape(n, 12))[:, None, None]
 
 
 # the 24x18 homography system as a gather from [Pc (24), -Pp (24), 0]:

@@ -33,8 +33,8 @@ from colsfm.recovery import recover_projective_collinear_triplet, register_globa
 from colsfm.synthetic import MeasurementNoise, generate, measure
 from conftest import (
     banded, center_spread, collinear_triplet, covered_edges, exact_nview, exact_triplet, four_view,
-    meets_stop, min_weight_cover, projective_system, scene_cameras, seen_in, triplet_matrix,
-    unit_bifocal,
+    meets_stop, min_weight_cover, projections, projective_system, scene_cameras, seen_in,
+    triplet_matrix, unit_bifocal,
 )
 
 
@@ -462,3 +462,26 @@ def test_criterion_11_uncalibrated_vc_under_noise():
                      f"(<= {_ITERATIONS_C11[layout]}), worst reprojection error {worst:.4f} (< 0.03)")
     _announce(11, ok, "noisy uncalibrated VC, n=10, varied intrinsics, 0.5 deg rotation and "
                       "direction noise: " + "; ".join(lines))
+
+
+def test_criterion_12_uncalibrated_r4_at_the_pixel_floor():
+    # every view scored (the report scores three); the floor is the same
+    # score for the true cameras on the same noisy tracks
+    noise = MeasurementNoise(rotation_deg=0.5, pixel=1e-3)
+    ratios, typed = [], 0
+    for seed in range(30):
+        scene = generate("collinear", 30, 20, seed=seed, intrinsics_mode="varied")
+        noisy, tracks = measure(scene, noise, seed=seed)
+        floor = mean_reprojection_error(list(projections(*scene_cameras(scene))), tracks.points,
+                                        tracks.visible)
+        try:
+            out = run_pipeline(noisy, tracks, "r4", "uncalibrated", scene)
+        except ValidationError:
+            typed += 1
+            continue
+        error = mean_reprojection_error(out.cameras, tracks.points, tracks.visible)
+        ratios.append(error / floor if np.isfinite(error) else np.inf)
+    ok = all(r <= 2.0 for r in ratios)
+    _announce(12, ok, f"noisy uncalibrated R4, n=30, varied intrinsics, 0.5 deg rotation and "
+                      f"1e-3 pixel noise: {typed}/30 runs typed, the rest at most "
+                      f"{max(ratios, default=0.0):.3f} (<= 2) times the all-view pixel floor")

@@ -53,6 +53,12 @@ def test_traced_run_fires_every_stage(algorithm, layout, intrinsics, seed):
         out = pipeline.run_pipeline(nview, tracks, algorithm, regime, scene)
     assert out.report.failure_stage is None
     calls = {name: total[0] for name, total in tracing.span_totals(tracer).items()}
-    assert calls.get("recovery.triplet", 0) >= len(out.cover.triplets)
-    for span in ("graphs.cover", "averaging.average", "recovery.register", "metrics.eval"):
+    for span in ("graphs.cover", "averaging.average", "metrics.eval"):
         assert calls.get(span, 0) >= 1, span
+    if (algorithm, regime) == ("r4", "uncalibrated"):
+        # one projective factorization of every camera: no triplet is
+        # recovered, none registered
+        assert "recovery.triplet" not in calls and "recovery.register" not in calls
+    else:
+        assert calls.get("recovery.triplet", 0) >= len(out.cover.triplets)
+        assert calls.get("recovery.register", 0) >= 1

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import re
@@ -22,12 +23,15 @@ from colsfm.io import (
     save_scene,
     write_convergence_log,
 )
+from colsfm.geometry import image_point
 from colsfm.graphs import sequential_cover, triplet_pairs
+from colsfm.metrics import mean_reprojection_error
 from colsfm.nview import NViewBifocal, block_index, block_matrix, certify_general
 from colsfm.pipeline import _virtual_cover, cover_and_average, run_pipeline
 from colsfm.synthetic import MeasurementNoise, TrackSet, generate, measure
 from conftest import (
-    banded, center_spread, covered_edges, min_weight_cover, triplet_matrix, without,
+    banded, center_spread, covered_edges, min_weight_cover, projections, scene_cameras, triplet_matrix,
+    without,
 )
 
 
@@ -346,6 +350,67 @@ class TestPipelineR4:
             assert exc.value.stage == "cover"
 
 
+class TestProjectiveFactorization:
+    """Uncalibrated r4 recovers every camera from one projective
+    factorization of the tracks seen in all views, its depths chained along
+    the consensus blocks (i, i + 1)."""
+
+    def test_track_at_an_epipole_is_dropped(self):
+        # a point on the camera line images at an epipole in every view: its
+        # depth denominators vanish, and the run factorizes the other tracks
+        scene = generate("collinear", 8, 16, seed=93, intrinsics_mode="varied")
+        m, tracks = measure(scene, seed=0)
+        on_line = 2.0 * scene.centers[-1] - scene.centers[0]
+        points = tracks.points.copy()
+        points[0] = image_point(projections(*scene_cameras(scene)), on_line)
+        out = run_pipeline(m, TrackSet(points, tracks.visible), "r4", "uncalibrated", scene)
+        rest = run_pipeline(m, TrackSet(tracks.points[1:], tracks.visible[1:]), "r4", "uncalibrated", scene)
+        assert out.report.n_reconstructed == 8
+        assert np.array_equal(out.cameras, rest.cameras)
+        assert mean_reprojection_error(out.cameras, tracks.points[1:], tracks.visible[1:]) < 1e-7
+
+    def test_too_few_all_view_tracks_raise_at_recovery(self):
+        # three tracks seen everywhere, every other one missing a view
+        scene = generate("collinear", 8, 16, seed=93, intrinsics_mode="varied")
+        m, tracks = measure(scene, seed=0)
+        visible = tracks.visible.copy()
+        visible[np.arange(3, 16), np.arange(3, 16) % 8] = False
+        partial = TrackSet(tracks.points, visible)
+        with pytest.raises(InsufficientTracks, match="4 tracks seen in every view") as exc:
+            run_pipeline(m, partial, "r4", "uncalibrated", scene)
+        assert exc.value.stage == "recovery" and exc.value.converged
+        # unconverged averaging names the stage in the report instead
+        noisy, _ = measure(scene, MeasurementNoise(rotation_deg=0.5), seed=0)
+        out = run_pipeline(noisy, partial, "r4", "uncalibrated", scene, max_iters=2)
+        assert not out.converged and out.report.n_reconstructed == 0
+        assert out.report.failure_stage.startswith("recovery after non-convergent averaging")
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_consensus_perturbation_does_not_move_the_answer(self, monkeypatch, seed):
+        # a 5e-9 relative perturbation of the consensus once moved a 3-view
+        # score of such a scene anywhere in 0.006-0.056; the factorization
+        # reads the blocks only through its depth ratios
+        import colsfm.pipeline
+
+        scene = generate("collinear", 30, 20, seed=seed, intrinsics_mode="varied")
+        m, tracks = measure(scene, MeasurementNoise(rotation_deg=0.5), seed=seed)
+        real_average = colsfm.pipeline.average
+        rng = np.random.default_rng(seed)
+
+        def perturbed(*args, **kwargs):
+            avg = real_average(*args, **kwargs)
+            shake = 1.0 + 5e-9 * rng.standard_normal(avg.consensus.shape)
+            return dataclasses.replace(avg, consensus=avg.consensus * shake)
+
+        errors = []
+        for _ in range(3):
+            out = run_pipeline(m, tracks, "r4", "uncalibrated", scene)
+            errors.append(mean_reprojection_error(out.cameras, tracks.points, tracks.visible))
+            monkeypatch.setattr(colsfm.pipeline, "average", perturbed)
+        assert max(abs(e - errors[0]) for e in errors) < 1e-6
+        assert errors[0] < 1e-4
+
+
 class TestPipelineVC:
     def test_fully_collinear_calibrated(self):
         scene = generate("collinear", 8, 16, seed=95)
@@ -582,9 +647,10 @@ class TestDecompositionBudget:
     @pytest.mark.parametrize("layout,algorithm", [("mixed", "vc"), ("collinear", "r4")])
     def test_projective_recovery_is_one_stacked_pass(self, monkeypatch, layout, algorithm):
         """Once averaging has returned, uncalibrated recovery builds one
-        epipole table over the cover pairs and one tensor stack of the five
-        cameras P2(0), P2(e_k) of all T triplets, not 2T epipole and 5T
-        tensor calls."""
+        epipole table: vc's over the cover pairs, then one tensor stack of the
+        five cameras P2(0), P2(e_k) of all T triplets, not 2T epipole and 5T
+        tensor calls; r4's over the n - 1 chain blocks (i, i + 1) that seed
+        the projective factorization, which builds no tensor."""
         import colsfm.pipeline
         import colsfm.recovery
 
@@ -614,8 +680,11 @@ class TestDecompositionBudget:
         m, tracks = measure(scene, seed=115)
         out = run_pipeline(m, tracks, algorithm, "uncalibrated", scene)
         assert out.report.n_reconstructed == 8
-        assert tables == [len(covered_edges(out.cover))]
-        assert tensors == [(len(out.cover.triplets), 5, 3, 4)]
+        if algorithm == "r4":
+            assert tables == [scene.n - 1] and tensors == []
+        else:
+            assert tables == [len(covered_edges(out.cover))]
+            assert tensors == [(len(out.cover.triplets), 5, 3, 4)]
 
     @pytest.mark.parametrize("layout,algorithm", [("mixed", "vc"), ("collinear", "r4")])
     def test_dual_graph_built_once_past_cover_stage(self, monkeypatch, layout, algorithm):
@@ -847,8 +916,11 @@ class TestPipelineDeterminism:
 GOLDEN_RUNS = [
     (("r4", "collinear", 8, "calibrated", 0.5, 11, None),
      "6f8f3d4f704d123ba07417c7344b4c529fa37002216876b8046d8dab88d3792c"),
+    # uncalibrated r4: one projective factorization of the all-view tracks,
+    # recorded when it replaced the chained triplet alignments (3-view
+    # reprojection error 1.9e-2 -> 3.6e-5, all views 9.4e-2 -> 5.7e-5)
     (("r4", "collinear", 8, "varied", 0.5, 12, None),
-     "e4080bff591d390801a0dba9d696f909edddc78c178f2c26106f00fd4a912566"),
+     "766a60c77da5b7fef653f8f8bb717035255ad5db0d9cf84f06e19815ca72b6d6"),
     (("vc", "mixed", 8, "calibrated", 0.0, 13, None),
      "5a56da302bae61b3be7d4c478b57c5c051b9c412d9effeb23dd1231d6c1a0984"),
     (("r4", "collinear", 12, "calibrated", 0.0, 14, None),
