@@ -217,20 +217,20 @@ def _recovered_cameras(algorithm, mode, avg: AveragingResult, tracks: TrackSet, 
     depths chained along the unit-norm consensus blocks (i, i + 1) and their
     one epipole table.  Otherwise stacked passes build the geometry of the
     sorted cover triplets ("euclidean": their pairs' poses, cheirality-voted
-    on the tracks of real pairs, then collinear placements for "r4" or
-    direction closures for "vc"; "projective": the a-vector systems of the
-    unit-norm blocks), storing each row's error; each triplet is then
-    recovered from its row (collinear for calibrated "r4", general-position
-    for "vc") and all are registered."""
+    on the tracks of real pairs, for "r4" the chain's only, then collinear
+    placements for "r4" or direction closures for "vc"; "projective": the
+    a-vector systems of the unit-norm blocks), storing each row's error;
+    each triplet is then recovered from its row (collinear for calibrated
+    "r4", general-position for "vc") and all are registered."""
+    # the pairs whose tracks are read: r4's chain (i, i + 1), the only signs it reads; vc's real ones
+    used = np.flatnonzero(np.diff(avg.pairs)[:, 0] == 1 if algorithm == "r4" else np.max(avg.pairs, 1) < n)
     if mode == "projective" and algorithm == "r4":
-        chain = [avg.pairs.index((i, i + 1)) for i in range(n - 1)]
-        F = normalized_tensor(avg.consensus[chain])
+        F = normalized_tensor(avg.consensus[used])
         return list(projective_factorization(F, epipole_table(F), tracks.tracks(np.arange(n))))
     ks = range(len(cover.triplets))
     if mode == "euclidean":
-        real = np.flatnonzero(np.array(avg.pairs)[:, 1] < n)  # virtual cameras have no tracks
-        points, of = tracks.tracks(np.array(avg.pairs)[real])
-        poses = pair_poses(avg.consensus, (points, real[of]))
+        points, of = tracks.tracks(np.array(avg.pairs)[used])
+        poses = pair_poses(avg.consensus, (points, used[of]))
         geom = resolve_essential_triplet(poses, avg.rows)
         if algorithm == "r4":
             E9 = block_matrix(avg.consensus, block_index(avg.rows))

@@ -604,6 +604,36 @@ class TestDecompositionBudget:
         assert max(Counter(blocks).values()) == 1
         assert 1 < voted[0] < len(blocks)  # the real pairs with tracks, none virtual
 
+    def test_calibrated_r4_votes_on_the_chain_pairs_only(self, monkeypatch):
+        """Collinear placement reads the direction sign of each triplet's
+        pair (i, i + 1) only, so calibrated r4 hands `pair_poses` the tracks
+        of the n - 1 chain pairs and leaves each pair (i, i + 2) to the
+        rotation cycle."""
+        import colsfm.pipeline
+
+        averaged, calls = [], []
+        real_average = colsfm.pipeline.average
+        real_poses = colsfm.pipeline.pair_poses
+
+        def average(*args, **kwargs):
+            averaged.append(real_average(*args, **kwargs))
+            return averaged[-1]
+
+        def poses(blocks, tracks=None):
+            calls.append(tracks)
+            return real_poses(blocks, tracks)
+
+        monkeypatch.setattr(colsfm.pipeline, "average", average)
+        monkeypatch.setattr(colsfm.pipeline, "pair_poses", poses)
+        scene = generate("collinear", 8, 12, seed=11)
+        m, tracks = measure(scene, MeasurementNoise(rotation_deg=0.5), seed=111)
+        out = run_pipeline(m, tracks, "r4", "calibrated", scene)
+        assert out.report.n_reconstructed == 8 and out.report.failure_stage is None
+        ((points, rows),) = calls
+        chain = [(i, i + 1) for i in range(scene.n - 1)]
+        assert [averaged[0].pairs[r] for r in np.unique(rows)] == chain
+        assert len(points) == len(tracks.tracks(chain)[0])
+
 
     def test_cover_stage_scores_and_decomposes_once(self, monkeypatch):
         """Before averaging, the vc cover stage scores all cover triplets in
