@@ -8,13 +8,13 @@ Each recovery returns its three cameras as one (3, 3, 4) array in the
 triplet's sorted camera order.  Triplets are then chained into a common
 frame along the breadth-first tree that the cover holds with its dual graph
 (`TripletCover.dual`), as one (T, 3, 3, 4) camera stack in cover order
-aligned level by level on the cameras whose ids match, and every camera's
-estimates are merged in one pass, summed in BFS order.
+moved by the composed 4x4 maps of the tree's edges, each fitted on the
+cameras whose ids match, and every camera's estimates merged in one pass.
 
 Everything runs in stacked passes before any triplet is recovered:
 `pair_poses` decomposes every essential block of a stage with one
-cheirality vote over the tracks of all its pairs (closed-form depths; DLT
-only for entries they cannot certify), `resolve_essential_triplet` picks and
+cheirality vote over the tracks of the pairs it is given (closed-form
+depths; DLT only for entries they cannot certify), `resolve_essential_triplet` picks and
 averages every triplet's rotations (one eigendecomposition of the (T, 9, 9)
 stack), `closure_scales` solves every direction closure in one SVD and
 places every general triplet's cameras, `collinear_placement` gates every
@@ -501,54 +501,55 @@ _HOMOGRAPHY_SYSTEM = np.fromfunction(
 
 
 def _align_edge(parent: np.ndarray, child: np.ndarray, p, c, mode: str) -> np.ndarray:
-    """The (K, 3, 3, 4) child cameras of K edges moved into the frames of the
-    (K, 3, 3, 4) parent ones, each through the two cameras the edge shares,
-    at the parent's local slots p[k] and the child's slots c[k] ((K, 2)
-    each); an ill-conditioned edge raises before any child is moved.
+    """The (K, 4, 4) maps H that move the (K, 3, 3, 4) child cameras of K
+    edges into the frames of the (K, 3, 3, 4) parent ones, child @ H, each
+    through the two cameras the edge shares, at the parent's local slots p[k]
+    and the child's slots c[k] ((K, 2) each); an ill-conditioned edge raises.
 
-    mode="euclidean": per edge the similarity (s, Q, d) mapping child-frame
-    points into the parent frame, Q the rotation mean of the shared cameras'
-    relative rotations and s the ratio of their baselines.
+    mode="euclidean": per edge [[Q^T, -Q^T d], [0, s]], inverting the
+    similarity (s, Q, d) from child-frame points to parent-frame ones, Q
+    the rotation mean of the shared cameras' relative rotations, s the
+    ratio of their baselines.
     mode="projective": per edge the 4x4 G with P_parent,k ~ P_child,k @ G on
-    both shared cameras, up to scale the null vector of the stacked 24x18
-    system in the unknowns (G row-major, lambda_0, lambda_1).
+    both shared cameras, the null vector of the stacked 24x18 system in the
+    unknowns (G row-major, lambda_0, lambda_1) at unit norm, its
+    largest-magnitude entry positive.
     """
     edge = np.arange(len(child))[:, None]
     Pp, Pc = parent[edge, p], child[edge, c]  # (K, 2, 3, 4) the shared cameras
     if mode == "euclidean":
         Rp, Rc = Pp[..., :3].swapaxes(-1, -2), Pc[..., :3]
-        cp, cc = camera_centers(Pp), camera_centers(child)
+        cp, cc = camera_centers(Pp), camera_centers(Pc)
         Q = nearest_rotation(Rp[:, 0] @ Rc[:, 0] + Rp[:, 1] @ Rc[:, 1])  # R_parent @ R_child^T
-        ends = cc[edge, c, :, None]  # (K, 2, 3, 1) the shared child centres
-        base_c = norms(ends[:, 0, :, 0] - ends[:, 1, :, 0])
-        base_p = norms(cp[:, 0] - cp[:, 1])
+        base_c, base_p = norms(cc[:, 0] - cc[:, 1]), norms(cp[:, 0] - cp[:, 1])
         if (base_c < 1e-10 * np.maximum(base_p, 1.0)).any():
             raise AlignmentIllConditioned("shared camera centers coincide in the child frame")
-        sQ = (base_p / base_c)[:, None, None] * Q
-        d = 0.5 * ((cp[:, 0] - (sQ @ ends[:, 0])[..., 0]) + (cp[:, 1] - (sQ @ ends[:, 1])[..., 0]))
-        R = child[..., :3] @ Q.swapaxes(-1, -2)[:, None]
-        t = (sQ[:, None] @ cc[..., None])[..., 0] + d[:, None]
-        return np.concatenate([R, -R @ t[..., None]], axis=-1)
+        s, H = base_p / base_c, np.zeros((len(child), 4, 4))
+        H[:, :3, :3], H[:, 3, 3] = Q.swapaxes(-1, -2), s
+        H[:, :3, 3] = 0.5 * np.sum(s[:, None, None] * cc - cp @ Q, axis=1)  # -Q^T d
+        return H
     A = np.concatenate([Pc.reshape(-1, 24), -Pp.reshape(-1, 24), np.zeros((len(child), 1))], axis=1)
     _, sv, Vt = np.linalg.svd(A[:, _HOMOGRAPHY_SYSTEM], full_matrices=False)
     if (sv[:, -2] < 1e-10 * sv[:, 0]).any():
         raise AlignmentIllConditioned("projective alignment system is rank deficient")
     G = Vt[:, -1, :16]
     G = np.where(G[edge[:, 0], np.argmax(np.abs(G), axis=1)][:, None] < 0, -G, G)  # deterministic orientation
-    return child @ (G / norms(G)[:, None]).reshape(-1, 1, 4, 4)
+    return (G / norms(G)[:, None]).reshape(-1, 4, 4)
 
 
 def register_global(stack, cover, mode: str, n_cameras: int) -> list:
     """The n_cameras cameras (3x4, None where no triplet holds one) of the
     (T, 3, 3, 4) stack of recovered triplet cameras in cover order, chained
-    into one frame along the cover's dual BFS tree (`TripletCover.dual`) one
-    level at a time, each level's parents placed before it: one `_align_edge`
-    call moves every triplet of a level into its parent's frame through the
-    two cameras whose ids match.
+    into one frame along the cover's dual BFS tree (`TripletCover.dual`):
+    one `_align_edge` call fits each edge's map H in the two triplets' own
+    frames, on the two cameras whose ids match, composed in BFS order as
+    to_root[k] = H[k] @ to_root[parent[k]], which equals aligning onto placed
+    parents where the fits are equivariant (similarities; exact homographies).
 
     mode="euclidean": per-edge similarity, multi-visit cameras merged by
     chordal rotation mean and center mean, summed in BFS order.
-    mode="projective": per-edge 4x4 homography, the first visit wins.
+    mode="projective": per-edge 4x4 homography, each composed map oriented
+    as an edge's is; the first visit wins.
     """
     if mode not in ("euclidean", "projective"):
         raise ValueError("mode must be 'euclidean' or 'projective'")
@@ -559,17 +560,16 @@ def register_global(stack, cover, mode: str, n_cameras: int) -> list:
         raise NotConnected("cover dual graph does not reach every triplet")
     ids = np.array(cover.triplets)
     order, parent, _ = cover.dual
-    kids, depth = order[1:], [0] * len(ids)
-    for k, up in zip(kids.tolist(), parent[kids].tolist()):
-        depth[k] = depth[up] + 1
-    # in BFS order: the slots of the two cameras each child shares with its
-    # parent, the place of its parent, and the first child of each level
-    _, c, p = np.nonzero(ids[kids][:, :, None] == ids[parent[kids]][:, None, :])
-    c, p, ups = c.reshape(-1, 2), p.reshape(-1, 2), np.argsort(order)[parent[kids]]
-    starts = np.flatnonzero(np.diff(np.take(depth, order))).tolist()
-    placed = stack[order]  # in BFS order, each level moved into the root frame in turn
-    for a, b in zip(starts, starts[1:] + [len(kids)]):
-        placed[a + 1:b + 1] = _align_edge(placed[ups[a:b]], placed[a + 1:b + 1], p[a:b], c[a:b], mode)
+    kids, ups = order[1:], parent[order[1:]]
+    _, c, p = np.nonzero(ids[kids][:, :, None] == ids[ups][:, None, :])
+    H = _align_edge(stack[ups], stack[kids], p.reshape(-1, 2), c.reshape(-1, 2), mode)
+    to_root = np.tile(np.eye(4), (len(ids), 1, 1))
+    for k, up, h in zip(kids.tolist(), ups.tolist(), H):
+        to_root[k] = h @ to_root[up]
+    if mode == "projective":
+        peak = np.abs(to_root).reshape(-1, 16).argmax(axis=1)
+        to_root *= np.sign(to_root.reshape(-1, 16)[np.arange(len(ids)), peak])[:, None, None]
+    placed = stack[order] @ to_root[order][:, None]  # in BFS order, in the root frame
     estimates, of = placed.reshape(-1, 3, 4), ids[order].ravel()
     cams, first, counts = np.unique(of, return_index=True, return_counts=True)
     if mode == "euclidean":

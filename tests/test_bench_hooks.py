@@ -7,6 +7,7 @@ hook still finds its target, and that the pipeline still calls each stage
 through the patched names.
 """
 
+import math
 import sys
 from pathlib import Path
 
@@ -25,6 +26,15 @@ def _tracing():
     finally:
         sys.path.remove(str(BENCH))
     return tracing
+
+
+def _workloads():
+    sys.path.insert(0, str(BENCH))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(BENCH))
+    return workloads
 
 
 def test_every_trace_hook_resolves():
@@ -62,3 +72,21 @@ def test_traced_run_fires_every_stage(algorithm, layout, intrinsics, seed):
     else:
         assert calls.get("recovery.triplet", 0) >= len(out.cover.triplets)
         assert calls.get("recovery.register", 0) >= 1
+
+
+# a metric with no value drops out of the traced JSON line that
+# bench/run.py prints, so a route change that stops a span (say, every
+# recovery.triplet call of a workload) must show here, not in a run whose
+# last line is no longer a result
+@pytest.mark.parametrize("name", ["r4_line", "vc_dense", "vc_noisy", "uncal"])
+def test_traced_workload_group_has_every_per_layer_metric(name, tmp_path):
+    tracing, workloads = _tracing(), _workloads()
+    tracer = tracing.Tracer()
+    with tracing.instrument(tracer):
+        scenes = workloads.build_scene_set(workloads.WORKLOADS[name], 0, 1)
+        for k, sc in enumerate(scenes):
+            tracer.scene = k
+            assert not workloads.solve(sc, tmp_path, tracer).failed
+    metrics, absent = tracing.per_layer_metrics(tracer, 0.0)
+    assert absent == []
+    assert all(math.isfinite(m["value"]) for m in metrics.values()), metrics
