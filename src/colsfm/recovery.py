@@ -12,9 +12,9 @@ moved by the composed 4x4 maps of the tree's edges, each fitted on the
 cameras whose ids match, and every camera's estimates merged in one pass.
 
 Everything runs in stacked passes before any triplet is recovered:
-`pair_poses` decomposes every essential block of a stage with one
-cheirality vote over the tracks of the pairs it is given (closed-form
-depths; DLT only for entries they cannot certify), `resolve_essential_triplet` picks and
+`pair_poses` decomposes every essential block of a stage with one cheirality
+vote over the tracks of the pairs it is given (closed-form depths; DLT only
+for entries they cannot certify), `resolve_essential_triplet` picks and
 averages every triplet's rotations (one eigendecomposition of the (T, 9, 9)
 stack), `closure_scales` solves every direction closure in one SVD and
 places every general triplet's cameras, `collinear_placement` gates every
